@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"atmostonce/internal/wire"
 )
 
 // Priority is a submission's scheduling class on the wire — the same
@@ -104,16 +106,30 @@ type SubmitOptions struct {
 	Deadline time.Time // zero = none
 }
 
+// clientReply is what a blocking call gets back: the reply's op, the
+// job id of a jopSubmitOK, and — for the rare replies that carry one (an
+// error, a stats document) — a copy of the payload.
 type clientReply struct {
 	op      byte
-	payload []byte // copied out of the read buffer
+	id      uint64
+	payload []byte
 	err     error
 }
 
-type clientPending struct {
-	seq uint32
-	ch  chan clientReply
+// callSlot is one in-flight call's place in the in-order pending queue
+// and the mailbox its reply lands in. Slots are recycled through
+// slotPool, channel included: a slot is sent its reply exactly once per
+// use — by the reader, or by failPending, whichever unlinks it from the
+// queue under mu — and only the waiter, after receiving it, puts the
+// slot back. A recycled slot can therefore never hear from an earlier
+// connection: nothing that knew it then still points at it.
+type callSlot struct {
+	seq   uint32
+	next  *callSlot
+	reply chan clientReply // 1-buffered
 }
+
+var slotPool = sync.Pool{New: func() any { return &callSlot{reply: make(chan clientReply, 1)} }}
 
 // Client is a pipelined jobd client, safe for concurrent use: each
 // blocking call (Submit, Subscribe, Stats, Ping) occupies one slot in
@@ -125,14 +141,18 @@ type Client struct {
 
 	mu        sync.Mutex
 	nc        net.Conn
-	w         *bufio.Writer
+	wbuf      []byte // request-frame scratch: encoded and written under mu
 	seq       uint32
-	pending   []*clientPending
+	head      *callSlot // in-flight calls, oldest first
+	tail      *callSlot
 	subs      map[string]func(Event)
 	inc       string // server incarnation from the last hello
 	connected bool   // false between a drop and a successful redial
 	closed    bool
 	dead      error // terminal failure, nil while usable
+
+	// names memoises event tenant/task names. Reader-goroutine-owned.
+	names wire.Interner
 }
 
 // Dial connects, performs the hello handshake and starts the reader.
@@ -163,9 +183,9 @@ func (c *Client) connect() error {
 	}
 	w := bufio.NewWriter(nc)
 	r := bufio.NewReader(nc)
-	p := appendU32(nil, protoVersion)
-	p = appendStr(p, c.opts.Name)
-	if err := writeFrame(w, jopHello, 1, p); err != nil {
+	p := wire.AppendU32(nil, protoVersion)
+	p = wire.AppendStr(p, c.opts.Name)
+	if err := wire.WriteFrame(w, jopHello, 1, p); err != nil {
 		nc.Close()
 		return err
 	}
@@ -173,7 +193,7 @@ func (c *Client) connect() error {
 		nc.Close()
 		return err
 	}
-	op, _, payload, _, err := readFrame(r, nil)
+	op, _, payload, _, err := wire.ReadFrame(r, nil)
 	if err != nil {
 		nc.Close()
 		return err
@@ -182,10 +202,10 @@ func (c *Client) connect() error {
 		nc.Close()
 		return fmt.Errorf("jobd: hello rejected (op %d)", op)
 	}
-	dec := decoder{b: payload}
-	dec.u32() // server's protocol version; equality is implied by jopHelloOK
-	inc := dec.str()
-	if err := dec.done(); err != nil {
+	dec := wire.Decoder{B: payload}
+	dec.U32() // server's protocol version; equality is implied by jopHelloOK
+	inc := dec.Str()
+	if err := dec.Done(); err != nil {
 		nc.Close()
 		return err
 	}
@@ -201,7 +221,7 @@ func (c *Client) connect() error {
 	seq := uint32(1)
 	for _, t := range tenants {
 		seq++
-		if err := writeFrame(w, jopSubscribe, seq, appendStr(nil, t)); err != nil {
+		if err := wire.WriteFrame(w, jopSubscribe, seq, wire.AppendStr(nil, t)); err != nil {
 			nc.Close()
 			return err
 		}
@@ -213,11 +233,11 @@ func (c *Client) connect() error {
 	var buf []byte
 	for range tenants {
 		var op byte
-		op, _, _, buf, err = readFrame(r, buf)
+		op, _, _, buf, err = wire.ReadFrame(r, buf)
 		// Events can already interleave here once the first subscribe
 		// lands; skip them — the reader will stream the rest.
 		for err == nil && op == jopEvent {
-			op, _, _, buf, err = readFrame(r, buf)
+			op, _, _, buf, err = wire.ReadFrame(r, buf)
 		}
 		if err != nil {
 			nc.Close()
@@ -231,7 +251,6 @@ func (c *Client) connect() error {
 
 	c.mu.Lock()
 	c.nc = nc
-	c.w = w
 	c.seq = seq
 	c.inc = inc
 	c.connected = true
@@ -248,8 +267,11 @@ func (c *Client) Incarnation() string {
 	return c.inc
 }
 
-// rpc sends one request and blocks for its in-order reply.
-func (c *Client) rpc(op byte, payload []byte) (clientReply, error) {
+// rpc sends one request and blocks for its in-order reply. enc (nil for
+// an empty payload) appends the request's fields; it runs under mu,
+// writing straight into the connection's request buffer, so a call
+// allocates neither a payload nor a frame.
+func (c *Client) rpc(op byte, enc func(b []byte) []byte) (clientReply, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -267,24 +289,36 @@ func (c *Client) rpc(op byte, payload []byte) (clientReply, error) {
 		return clientReply{}, ErrConnLost
 	}
 	c.seq++
-	pd := &clientPending{seq: c.seq, ch: make(chan clientReply, 1)}
-	c.pending = append(c.pending, pd)
-	err := writeFrame(c.w, op, pd.seq, payload)
-	if err == nil {
-		err = c.w.Flush()
+	sl := slotPool.Get().(*callSlot)
+	sl.seq = c.seq
+	if c.tail == nil {
+		c.head = sl
+	} else {
+		c.tail.next = sl
 	}
-	if err != nil {
+	c.tail = sl
+	b := wire.AppendHeader(c.wbuf[:0], op, sl.seq, 0)
+	if enc != nil {
+		b = enc(b)
+	}
+	wire.EndFrame(b, 0)
+	if _, err := c.nc.Write(b); err != nil {
 		c.nc.Close() // reader observes the broken conn and fails pending
 	}
+	if cap(b) > bufKeep {
+		b = nil
+	}
+	c.wbuf = b
 	c.mu.Unlock()
-	r := <-pd.ch
+	r := <-sl.reply
+	slotPool.Put(sl)
 	if r.err != nil {
 		return clientReply{}, r.err
 	}
 	if r.op == jopErr {
-		dec := decoder{b: r.payload}
-		se := &ServerError{Code: dec.u16(), Msg: dec.str()}
-		if err := dec.done(); err != nil {
+		dec := wire.Decoder{B: r.payload}
+		se := &ServerError{Code: dec.U16(), Msg: dec.Str()}
+		if err := dec.Done(); err != nil {
 			return clientReply{}, err
 		}
 		return clientReply{}, se
@@ -296,30 +330,19 @@ func (c *Client) rpc(op byte, payload []byte) (clientReply, error) {
 // assigned job id, or the server's rejection (see IsQuota/IsCapacity).
 // Admission is not completion — subscribe to the tenant for that.
 func (c *Client) Submit(tenant, task string, version uint32, payload []byte, o SubmitOptions) (uint64, error) {
-	p := make([]byte, 0, 32+len(tenant)+len(task)+len(payload))
-	p = appendStr(p, tenant)
-	p = appendStr(p, task)
-	p = appendU32(p, version)
-	p = append(p, byte(o.Priority))
 	var dl int64
 	if !o.Deadline.IsZero() {
 		dl = o.Deadline.UnixNano()
 	}
-	p = appendI64(p, dl)
-	p = appendBytes(p, payload)
-	r, err := c.rpc(jopSubmit, p)
+	d := desc{tenant: tenant, task: task, version: version, pri: int8(o.Priority), deadline: dl, payload: payload}
+	r, err := c.rpc(jopSubmit, d.encode)
 	if err != nil {
 		return 0, err
 	}
 	if r.op != jopSubmitOK {
 		return 0, fmt.Errorf("jobd: unexpected submit reply op %d", r.op)
 	}
-	dec := decoder{b: r.payload}
-	id := dec.u64()
-	if err := dec.done(); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return r.id, nil
 }
 
 // Subscribe streams the tenant's completion events to fn, which runs on
@@ -332,7 +355,7 @@ func (c *Client) Subscribe(tenant string, fn func(Event)) error {
 	c.mu.Lock()
 	c.subs[tenant] = fn
 	c.mu.Unlock()
-	_, err := c.rpc(jopSubscribe, appendStr(nil, tenant))
+	_, err := c.rpc(jopSubscribe, func(b []byte) []byte { return wire.AppendStr(b, tenant) })
 	if err != nil {
 		c.mu.Lock()
 		delete(c.subs, tenant)
@@ -346,7 +369,7 @@ func (c *Client) Unsubscribe(tenant string) error {
 	c.mu.Lock()
 	delete(c.subs, tenant)
 	c.mu.Unlock()
-	_, err := c.rpc(jopUnsubscribe, appendStr(nil, tenant))
+	_, err := c.rpc(jopUnsubscribe, func(b []byte) []byte { return wire.AppendStr(b, tenant) })
 	return err
 }
 
@@ -386,16 +409,20 @@ func (c *Client) Close() error {
 }
 
 // failPending marks the connection down and resolves every in-flight
-// op with err. Marking down and clearing pending under one lock hold is
-// what prevents a racing rpc from enqueueing an op nobody will resolve.
+// op with err. Marking down and emptying the queue under one lock hold
+// is what prevents a racing rpc from enqueueing an op nobody will
+// resolve.
 func (c *Client) failPending(err error) {
 	c.mu.Lock()
 	c.connected = false
-	pend := c.pending
-	c.pending = nil
+	sl := c.head
+	c.head, c.tail = nil, nil
 	c.mu.Unlock()
-	for _, p := range pend {
-		p.ch <- clientReply{err: err}
+	for sl != nil {
+		next := sl.next // read first: the waiter recycles sl the moment it has its reply
+		sl.next = nil
+		sl.reply <- clientReply{err: err}
+		sl = next
 	}
 }
 
@@ -448,6 +475,12 @@ func (c *Client) markDead(err error) {
 }
 
 // readConn pumps one connection until it breaks, returning the error.
+//
+// Buffer ownership: every frame's payload aliases buf and dies at the
+// next ReadFrame. What leaves this loop is copied or scalar: an event's
+// names come out of c.names, its error text is a fresh string, a
+// submit's id travels in the slot, and only the replies that have a
+// body (errors, stats) get a payload copy.
 func (c *Client) readConn() error {
 	c.mu.Lock()
 	nc := c.nc
@@ -455,15 +488,15 @@ func (c *Client) readConn() error {
 	r := bufio.NewReader(nc)
 	var buf []byte
 	for {
-		op, seq, payload, nbuf, err := readFrame(r, buf)
+		op, seq, payload, nbuf, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			return err
 		}
 		buf = nbuf
+		dec := wire.Decoder{B: payload}
 		if op == jopEvent {
-			dec := decoder{b: payload}
-			ev := Event{Tenant: dec.str(), ID: dec.u64(), Status: Status(dec.u8()), Task: dec.str(), Err: dec.str()}
-			if err := dec.done(); err != nil {
+			ev := Event{Tenant: dec.StrIn(&c.names), ID: dec.U64(), Status: Status(dec.U8()), Task: dec.StrIn(&c.names), Err: dec.Str()}
+			if err := dec.Done(); err != nil {
 				return err
 			}
 			c.mu.Lock()
@@ -474,20 +507,30 @@ func (c *Client) readConn() error {
 			}
 			continue
 		}
+		reply := clientReply{op: op}
+		if op == jopSubmitOK {
+			reply.id = dec.U64()
+			if err := dec.Done(); err != nil {
+				reply = clientReply{err: err}
+			}
+		} else if len(payload) > 0 {
+			reply.payload = append([]byte(nil), payload...)
+		}
 		c.mu.Lock()
-		if len(c.pending) == 0 {
+		sl := c.head
+		if sl == nil {
 			c.mu.Unlock()
 			return fmt.Errorf("jobd: unsolicited reply op %d seq %d", op, seq)
 		}
-		pd := c.pending[0]
-		c.pending = c.pending[1:]
+		if c.head = sl.next; c.head == nil {
+			c.tail = nil
+		}
+		sl.next = nil
 		c.mu.Unlock()
-		if pd.seq != seq {
-			pd.ch <- clientReply{err: fmt.Errorf("jobd: reply seq %d, want %d (pipeline desync)", seq, pd.seq)}
+		if sl.seq != seq {
+			sl.reply <- clientReply{err: fmt.Errorf("jobd: reply seq %d, want %d (pipeline desync)", seq, sl.seq)}
 			return fmt.Errorf("jobd: pipeline desync")
 		}
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		pd.ch <- clientReply{op: op, payload: cp}
+		sl.reply <- reply
 	}
 }

@@ -5,34 +5,57 @@ import (
 	"log/slog"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"atmostonce/internal/dispatch"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
+	"atmostonce/internal/wire"
 )
 
 // conn is one server-side client connection: a reader goroutine that
 // parses frames and routes typed requests into the core loop, and a
-// writer goroutine that drains the outbound frame queue. Neither
-// goroutine touches server state — the voxelcraft boundary.
+// writer goroutine that drains the outbound queue. Neither goroutine
+// touches server state — the voxelcraft boundary.
 //
-// The outbound queue is bounded. A reply that would overflow it means
-// the client pipelined thousands of requests and stopped reading — the
-// connection is cut (losing a reply breaks the in-order pipelining
-// contract, so the stream is unrecoverable anyway). An EVENT that would
-// overflow it is dropped and counted: completion streaming is
-// best-effort per subscriber, and a slow subscriber must not be able to
-// wedge the core loop or other tenants.
+// The outbound queue is a byte buffer, not a queue of frame objects:
+// producers (the core loop; the reader for hello and protocol errors)
+// encode each frame straight onto its tail under outMu, and the writer
+// swaps the whole buffer for its drained spare and hands it to the
+// socket in one Write per wake-up. Frames therefore reach the wire in
+// append order, which is what keeps replies in request order.
+//
+// The queue is bounded by frames appended and not yet taken by the
+// writer. A reply that would overflow it means the client pipelined
+// thousands of requests and stopped reading — the connection is cut
+// (losing a reply breaks the in-order pipelining contract, so the
+// stream is unrecoverable anyway). An EVENT that would overflow it is
+// dropped and counted: completion streaming is best-effort per
+// subscriber, and a slow subscriber must not be able to wedge the core
+// loop or other tenants.
 const connOutDepth = 4096
+
+// bufKeep is the largest frame buffer either end of a connection holds
+// on to between bursts (the server's outbound pair, the client's
+// request scratch); one a backlog or a big payload grew past it is left
+// to the collector once written, so buffers are sized by connection,
+// not by the worst burst it ever saw.
+const bufKeep = 64 << 10
 
 type conn struct {
 	s    *Server
 	nc   net.Conn
-	out  chan []byte
 	done chan struct{}
 	once sync.Once
-	bye  atomic.Bool // reader → writer: flush, then hang up
+
+	outMu  sync.Mutex
+	out    []byte        // encoded frames the writer has not taken yet
+	outN   int           // frames in out
+	bye    bool          // reader → writer: write what is queued, then hang up
+	outRdy chan struct{} // 1-buffered wake-up for the writer
+
+	// names memoises the tenant and task names this connection submits
+	// under. Reader-goroutine-owned.
+	names wire.Interner
 
 	// tenants is this connection's subscription set. Core-loop-owned:
 	// only subscribe/unsubscribe/connGone handling reads or writes it.
@@ -43,8 +66,8 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		s:       s,
 		nc:      nc,
-		out:     make(chan []byte, connOutDepth),
 		done:    make(chan struct{}),
+		outRdy:  make(chan struct{}, 1),
 		tenants: make(map[string]struct{}),
 	}
 }
@@ -57,25 +80,32 @@ func (c *conn) close() {
 	})
 }
 
-// encodeFrame renders a complete frame (header included) into one
-// buffer, so the writer goroutine is a pure byte pump and a fanned-out
-// event can share a single buffer across subscribers (writers only
-// read it).
-func encodeFrame(op byte, seq uint32, payload []byte) []byte {
-	f := make([]byte, 0, 4+frameOverhead+len(payload))
-	f = appendU32(f, uint32(frameOverhead+len(payload)))
-	f = append(f, op)
-	f = appendU32(f, seq)
-	return append(f, payload...)
+// enqueue encodes one frame onto the outbound queue and wakes the
+// writer. It reports false, appending nothing, when the queue is full.
+func (c *conn) enqueue(op byte, seq uint32, payload []byte) bool {
+	c.outMu.Lock()
+	if c.outN >= connOutDepth {
+		c.outMu.Unlock()
+		return false
+	}
+	c.out = append(wire.AppendHeader(c.out, op, seq, len(payload)), payload...)
+	c.outN++
+	c.outMu.Unlock()
+	c.wake()
+	return true
+}
+
+func (c *conn) wake() {
+	select {
+	case c.outRdy <- struct{}{}:
+	default: // a wake-up is already pending; the writer will see this frame too
+	}
 }
 
 // sendReply queues a reply frame. Overflow cuts the connection (see the
 // connOutDepth comment).
 func (c *conn) sendReply(op byte, seq uint32, payload []byte) {
-	f := encodeFrame(op, seq, payload)
-	select {
-	case c.out <- f:
-	default:
+	if !c.enqueue(op, seq, payload) {
 		eventlog.Logger().Warn("jobd_conn_reply_overflow", "remote", c.nc.RemoteAddr().String())
 		c.close()
 	}
@@ -83,81 +113,69 @@ func (c *conn) sendReply(op byte, seq uint32, payload []byte) {
 
 // sendErr queues a jopErr reply.
 func (c *conn) sendErr(seq uint32, code uint16, msg string) {
-	p := make([]byte, 0, 2+2+len(msg))
-	p = appendU16(p, code)
-	p = appendStr(p, msg)
-	c.sendReply(jopErr, seq, p)
+	var scratch [128]byte // most messages fit; append grows past it when not
+	c.sendReply(jopErr, seq, wire.AppendStr(wire.AppendU16(scratch[:0], code), msg))
 }
 
-// sendEvent queues an unsolicited event frame; reports false on
-// overflow (the caller counts the drop).
-func (c *conn) sendEvent(f []byte) bool {
-	select {
-	case c.out <- f:
-		return true
-	default:
-		return false
-	}
-}
-
-// writeLoop drains the outbound queue, batching flushes: it writes
-// frames while more are immediately available and flushes only when
-// the queue goes empty.
+// writeLoop drains the outbound queue: each wake-up it takes everything
+// queued in one swap and writes it with one call, so a burst of replies
+// and events costs one syscall, not one per frame.
 func (c *conn) writeLoop() {
 	defer c.s.connWG.Done()
 	defer c.close()
-	w := bufio.NewWriter(c.nc)
+	var spare []byte
 	for {
-		var f []byte
-		select {
-		case f = <-c.out:
-		case <-c.done:
-			return
-		}
-		for f != nil {
-			if _, err := w.Write(f); err != nil {
+		c.outMu.Lock()
+		buf, bye := c.out, c.bye
+		c.out, c.outN = spare[:0], 0
+		c.outMu.Unlock()
+		if len(buf) == 0 {
+			if bye {
+				// The reader said goodbye (fatal protocol error) and
+				// everything queued before the flag is written, so hang
+				// up from the writing side — closing from the reader
+				// would race the error frame onto a dead socket.
 				return
 			}
-			jdBytesOut.Add(uint64(len(f)))
+			spare = buf
 			select {
-			case f = <-c.out:
-				continue
-			default:
-				f = nil
-				continue
+			case <-c.outRdy:
+			case <-c.done:
+				return
 			}
+			continue
 		}
-		if err := w.Flush(); err != nil {
+		if _, err := c.nc.Write(buf); err != nil {
 			return
 		}
-		if c.bye.Load() && len(c.out) == 0 {
-			// The reader said goodbye (fatal protocol error): everything
-			// queued before the flag is flushed, so hang up from the
-			// writing side — closing from the reader would race the
-			// error frame onto a dead socket.
-			c.close()
-			return
+		jdBytesOut.Add(uint64(len(buf)))
+		if cap(buf) > bufKeep {
+			buf = nil
 		}
+		spare = buf
 	}
 }
 
-// sayBye asks the writer to flush what is queued and hang up. Called by
+// sayBye asks the writer to write what is queued and hang up. Called by
 // the reader on fatal protocol errors, AFTER queueing the error reply.
 func (c *conn) sayBye() {
-	c.bye.Store(true)
-	// Nudge the writer (a nil frame writes nothing) in case the queue is
-	// already drained and it is parked in its select.
-	select {
-	case c.out <- nil:
-	default:
-		c.close()
-	}
+	c.outMu.Lock()
+	c.bye = true
+	c.outMu.Unlock()
+	c.wake()
 }
 
 // readLoop parses frames and routes them. The first frame must be a
 // hello with a matching protocol version; everything after flows
 // through the core loop so per-connection reply order equals request
 // order.
+//
+// Buffer ownership: a frame's payload aliases the read buffer and is
+// overwritten by the next frame, so nothing that crosses into the core
+// loop may point into it. Tenant and task names come out of c.names
+// (copies, shared between requests that repeat a name), the job payload
+// is the one copy per submit — it rides the descriptor and the worker,
+// so it owns its bytes — and everything else is a scalar.
 func (c *conn) readLoop() {
 	defer c.s.connWG.Done()
 	defer func() {
@@ -176,22 +194,22 @@ func (c *conn) readLoop() {
 	var buf []byte
 	helloed := false
 	for {
-		op, seq, payload, nbuf, err := readFrame(r, buf)
+		op, seq, payload, nbuf, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			c.close() // transport-level: nothing left to flush to
 			return
 		}
 		buf = nbuf
 		obsReq(op, len(payload))
+		dec := wire.Decoder{B: payload}
 		if !helloed {
 			if op != jopHello {
 				fatal(seq, codeProto, "first frame must be hello")
 				return
 			}
-			dec := decoder{b: payload}
-			proto := dec.u32()
-			dec.str() // client name: accepted for logs, unused otherwise
-			if err := dec.done(); err != nil {
+			proto := dec.U32()
+			dec.Str() // client name: accepted for logs, unused otherwise
+			if err := dec.Done(); err != nil {
 				fatal(seq, codeProto, err.Error())
 				return
 			}
@@ -199,8 +217,8 @@ func (c *conn) readLoop() {
 				fatal(seq, codeProto, "protocol version mismatch")
 				return
 			}
-			p := appendU32(nil, protoVersion)
-			p = appendStr(p, obs.IncarnationString())
+			p := wire.AppendU32(nil, protoVersion)
+			p = wire.AppendStr(p, obs.IncarnationString())
 			c.sendReply(jopHelloOK, seq, p)
 			helloed = true
 			continue
@@ -208,16 +226,7 @@ func (c *conn) readLoop() {
 		req := coreReq{op: op, c: c, seq: seq}
 		switch op {
 		case jopSubmit:
-			dec := decoder{b: payload}
-			req.d = desc{
-				tenant:  dec.str(),
-				task:    dec.str(),
-				version: dec.u32(),
-				pri:     int8(dec.u8()),
-			}
-			req.d.deadline = dec.i64()
-			req.d.payload = dec.bytes()
-			if err := dec.done(); err != nil {
+			if req.d, err = decodeDesc(payload, &c.names); err != nil {
 				fatal(seq, codeProto, err.Error())
 				return
 			}
@@ -226,9 +235,8 @@ func (c *conn) readLoop() {
 				return
 			}
 		case jopSubscribe, jopUnsubscribe:
-			dec := decoder{b: payload}
-			req.tenant = dec.str()
-			if err := dec.done(); err != nil {
+			req.tenant = dec.StrIn(&c.names)
+			if err := dec.Done(); err != nil {
 				fatal(seq, codeProto, err.Error())
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/wire"
 )
 
 // The descriptor log.
@@ -65,27 +66,29 @@ type desc struct {
 
 // encode appends d's serialized form to b.
 func (d *desc) encode(b []byte) []byte {
-	b = appendStr(b, d.tenant)
-	b = appendStr(b, d.task)
-	b = appendU32(b, d.version)
+	b = wire.AppendStr(b, d.tenant)
+	b = wire.AppendStr(b, d.task)
+	b = wire.AppendU32(b, d.version)
 	b = append(b, byte(d.pri))
-	b = appendI64(b, d.deadline)
-	b = appendBytes(b, d.payload)
+	b = wire.AppendI64(b, d.deadline)
+	b = wire.AppendBytes(b, d.payload)
 	return b
 }
 
-// decodeDesc parses one serialized descriptor.
-func decodeDesc(b []byte) (desc, error) {
-	dec := decoder{b: b}
+// decodeDesc parses one serialized descriptor — a log record or a
+// submit frame's payload, the same bytes. Nothing in the result aliases
+// b; names (nil for none) memoises the tenant and task strings.
+func decodeDesc(b []byte, names *wire.Interner) (desc, error) {
+	dec := wire.Decoder{B: b}
 	d := desc{
-		tenant:  dec.str(),
-		task:    dec.str(),
-		version: dec.u32(),
-		pri:     int8(dec.u8()),
+		tenant:  dec.StrIn(names),
+		task:    dec.StrIn(names),
+		version: dec.U32(),
+		pri:     int8(dec.U8()),
 	}
-	d.deadline = dec.i64()
-	d.payload = dec.bytes()
-	if err := dec.done(); err != nil {
+	d.deadline = dec.I64()
+	d.payload = dec.Bytes()
+	if err := dec.Done(); err != nil {
 		return desc{}, err
 	}
 	return d, nil
@@ -141,7 +144,7 @@ func openDescLog(spec string, cells int) (*descLog, []desc, error) {
 		}
 		n := int(hdr & 0xffffffff)
 		nCells := (n + 7) / 8
-		if n == 0 || n > maxFrame || l.cur+1+nCells > l.size {
+		if n == 0 || n > wire.MaxFrame || l.cur+1+nCells > l.size {
 			b.Close()
 			return nil, nil, fmt.Errorf("jobd: corrupt descriptor log: record %d length %d at cell %d", len(recs), n, l.cur)
 		}
@@ -149,7 +152,7 @@ func openDescLog(spec string, cells int) (*descLog, []desc, error) {
 		for i := 0; i < nCells; i++ {
 			putCell(raw[i*8:], b.Read(l.cur+1+i))
 		}
-		d, err := decodeDesc(raw[:n])
+		d, err := decodeDesc(raw[:n], nil)
 		if err != nil {
 			b.Close()
 			return nil, nil, fmt.Errorf("jobd: corrupt descriptor log: record %d at cell %d: %w", len(recs), l.cur, err)

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"atmostonce/internal/wire"
 )
 
 // testServer starts a volatile server with test-sized defaults and
@@ -441,18 +443,18 @@ func TestHelloRequired(t *testing.T) {
 		if op != jopErr {
 			t.Fatalf("op = %d, want jopErr", op)
 		}
-		dec := decoder{b: payload}
-		se := &ServerError{Code: dec.u16(), Msg: dec.str()}
+		dec := wire.Decoder{B: payload}
+		se := &ServerError{Code: dec.U16(), Msg: dec.Str()}
 		return se
 	}
 
-	if se := raw(func() []byte { return encodeFrame(jopPing, 1, nil) }); se.Code != codeProto {
+	if se := raw(func() []byte { return wire.AppendHeader(nil, jopPing, 1, 0) }); se.Code != codeProto {
 		t.Fatalf("ping before hello: %+v", se)
 	}
 	if se := raw(func() []byte {
-		p := appendU32(nil, protoVersion+1)
-		p = appendStr(p, "bad")
-		return encodeFrame(jopHello, 1, p)
+		p := wire.AppendU32(nil, protoVersion+1)
+		p = wire.AppendStr(p, "bad")
+		return append(wire.AppendHeader(nil, jopHello, 1, len(p)), p...)
 	}); se.Code != codeProto {
 		t.Fatalf("bad proto version: %+v", se)
 	}
@@ -516,6 +518,6 @@ func netDial(addr string) (net.Conn, error) {
 func readOneFrame(nc net.Conn) (op byte, seq uint32, payload []byte, err error) {
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	r := bufio.NewReader(nc)
-	op, seq, payload, _, err = readFrame(r, nil)
+	op, seq, payload, _, err = wire.ReadFrame(r, nil)
 	return
 }

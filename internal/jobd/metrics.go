@@ -1,6 +1,9 @@
 package jobd
 
-import "atmostonce/internal/obs"
+import (
+	"atmostonce/internal/obs"
+	"atmostonce/internal/wire"
+)
 
 // Metric families for the job service, registered into obs.Default at
 // package init (the PR 7 convention, mirroring internal/netmem): every
@@ -93,7 +96,7 @@ func init() {
 
 // obsReq accounts one inbound request frame.
 func obsReq(op byte, payloadLen int) {
-	jdBytesIn.Add(frameBytes(payloadLen))
+	jdBytesIn.Add(wire.FrameBytes(payloadLen))
 	if int(op) < len(jdReqs) && jdReqs[op] != nil {
 		jdReqs[op].Inc()
 	}

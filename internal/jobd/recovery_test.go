@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/wire"
 )
 
 const testLogCells = 1 << 14
@@ -116,8 +117,8 @@ func durableServer(t *testing.T, dir string, executed *[]atomic.Int32) (*Server,
 	t.Helper()
 	reg := NewRegistry()
 	reg.Register("mark", 1, func(_ context.Context, p []byte) error {
-		dec := decoder{b: p}
-		idx := dec.u64()
+		dec := wire.Decoder{B: p}
+		idx := dec.U64()
 		(*executed)[idx].Add(1)
 		return nil
 	})

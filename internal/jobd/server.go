@@ -15,6 +15,7 @@ import (
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
+	"atmostonce/internal/wire"
 )
 
 // TenantLimits is one tenant's admission contract. Limits are enforced
@@ -48,7 +49,7 @@ type Options struct {
 	// full log rejects further submissions with codeCapacity.
 	LogCells int
 	// MaxPayload caps one submission's payload bytes. Default 1 << 20;
-	// hard ceiling just under maxFrame.
+	// hard ceiling just under wire.MaxFrame.
 	MaxPayload int
 
 	// Shards, Workers, MaxBatch, JournalBatch and RoundTarget pass
@@ -124,7 +125,7 @@ type Server struct {
 
 	reqs     chan coreReq
 	doneMu   sync.Mutex
-	doneQ    []doneMsg
+	doneQ    []doneMsg // completions not yet drained; guarded by doneMu
 	doneWake chan struct{}
 	quit     chan struct{}
 	coreWG   sync.WaitGroup
@@ -141,7 +142,9 @@ type Server struct {
 	// Core-owned state — coreLoop only, no locks.
 	tenants       map[string]*tenantState
 	subs          map[string]map[*conn]struct{}
-	admitted      uint64 // successful Do calls, replay included
+	doneSpare     []doneMsg // drainDone's other buffer: swapped with doneQ per drain
+	evBuf         []byte    // complete's event-payload scratch, reused
+	admitted      uint64    // successful Do calls, replay included
 	replayed      uint64
 	reexecuted    uint64
 	replayHorizon uint64 // max id assigned during replay; 0 = none
@@ -177,7 +180,7 @@ func New(o Options) (*Server, error) {
 	if o.MaxPayload == 0 {
 		o.MaxPayload = 1 << 20
 	}
-	if o.MaxPayload > maxFrame-1024 {
+	if o.MaxPayload > wire.MaxFrame-1024 {
 		return nil, fmt.Errorf("jobd: MaxPayload %d exceeds the frame ceiling", o.MaxPayload)
 	}
 	spec := o.Backend
@@ -331,15 +334,26 @@ func (s *Server) enqueueDone(m doneMsg) {
 	}
 }
 
-// drainDone applies every queued completion to the core ledger.
+// doneKeep is the largest completion buffer drainDone holds on to (in
+// entries); one grown past it by a backlog is left to the collector.
+const doneKeep = 4096
+
+// drainDone applies every queued completion to the core ledger. The
+// queue is double-buffered: the drained buffer becomes the next drain's
+// empty one instead of garbage.
 func (s *Server) drainDone() {
 	s.doneMu.Lock()
 	q := s.doneQ
-	s.doneQ = nil
+	s.doneQ = s.doneSpare[:0]
 	s.doneMu.Unlock()
 	for i := range q {
 		s.complete(&q[i])
 	}
+	clear(q) // drop the entries' string and error references
+	if cap(q) > doneKeep {
+		q = nil
+	}
+	s.doneSpare = q
 }
 
 // coreLoop is the authoritative loop: sole owner of the tenant ledger,
@@ -412,18 +426,19 @@ func (s *Server) replayOne(d *desc) error {
 // log (admission) or are replaying it from the log.
 func (s *Server) submitDesc(d *desc, fn TaskFunc) (uint64, error) {
 	ts := s.tenantLedger(d.tenant)
-	payload := d.payload
+	// Two heap objects per job, one per closure; both capture by value
+	// (nothing below reassigns what they close over), so neither drags a
+	// boxed variable along.
+	payload, tenant, task, pri := d.payload, d.tenant, d.task, dispatch.Priority(d.pri)
 	t := dispatch.Task{
 		Fn:       func(ctx context.Context) error { return fn(ctx, payload) },
-		Priority: dispatch.Priority(d.pri),
+		Priority: pri,
+		Callback: func(r dispatch.JobResult) {
+			s.enqueueDone(doneMsg{tenant: tenant, task: task, pri: pri, r: r})
+		},
 	}
 	if d.deadline != 0 {
 		t.Deadline = time.Unix(0, d.deadline)
-	}
-	m := doneMsg{tenant: d.tenant, task: d.task, pri: t.Priority}
-	t.Callback = func(r dispatch.JobResult) {
-		m.r = r
-		s.enqueueDone(m)
 	}
 	h, err := s.d.Do(context.Background(), t)
 	if err != nil {
@@ -572,7 +587,7 @@ func (s *Server) admit(r *coreReq) {
 	}
 	jdSubmits[admAccepted].Inc()
 	var buf [8]byte
-	r.c.sendReply(jopSubmitOK, r.seq, appendU64(buf[:0], id))
+	r.c.sendReply(jopSubmitOK, r.seq, wire.AppendU64(buf[:0], id))
 }
 
 // complete applies one resolved job to the ledger and fans its event
@@ -608,15 +623,16 @@ func (s *Server) complete(m *doneMsg) {
 	if len(set) == 0 {
 		return
 	}
-	p := make([]byte, 0, 32+len(m.tenant)+len(m.task)+len(errmsg))
-	p = appendStr(p, m.tenant)
-	p = appendU64(p, m.r.ID)
+	p := wire.AppendStr(s.evBuf[:0], m.tenant)
+	p = wire.AppendU64(p, m.r.ID)
 	p = append(p, status)
-	p = appendStr(p, m.task)
-	p = appendStr(p, errmsg)
-	f := encodeFrame(jopEvent, 0, p)
+	p = wire.AppendStr(p, m.task)
+	p = wire.AppendStr(p, errmsg)
+	s.evBuf = p
+	// Encoded once; every subscriber's queue takes a copy. An event that
+	// does not fit is dropped and counted (see connOutDepth).
 	for c := range set {
-		if c.sendEvent(f) {
+		if c.enqueue(jopEvent, 0, p) {
 			jdEvStream.Inc()
 		} else {
 			jdEvDropped.Inc()

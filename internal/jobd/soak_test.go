@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"atmostonce/internal/wire"
 )
 
 // TestConnectionSoak drives thousands of connections through one
@@ -29,8 +31,8 @@ func TestConnectionSoak(t *testing.T) {
 	executed := make([]atomic.Int32, total)
 	reg := NewRegistry()
 	reg.Register("mark", 1, func(_ context.Context, p []byte) error {
-		dec := decoder{b: p}
-		executed[dec.u64()].Add(1)
+		dec := wire.Decoder{B: p}
+		executed[dec.U64()].Add(1)
 		return nil
 	})
 	_, addr := testServer(t, Options{

@@ -39,22 +39,9 @@
 // descriptor-journaling crash-window analysis.
 package jobd
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
-
-// Wire format. Identical framing discipline to internal/netmem (§8):
-// every message, both directions, is one frame —
-//
-//	uint32  length of the rest of the frame (op + seq + payload)
-//	uint8   op code
-//	uint32  seq — client-chosen; the server echoes it in the reply
-//	...     op-specific payload
-//
-// All integers are little-endian; strings are uint16 length + bytes.
+// Op table. Framing and field encoding are internal/wire's, shared with
+// internal/netmem (§8): one frame per message, both directions — length,
+// op, client-chosen seq echoed in the reply, payload consumed exactly.
 // The server replies to every request IN REQUEST ORDER on the same
 // connection (every request is routed through the core loop, which
 // processes serially), which is what makes client-side pipelining
@@ -105,166 +92,3 @@ const (
 	codeTenant      uint16 = 6 // unknown tenant (no configured limits, no default)
 	codeTooBig      uint16 = 7 // payload exceeds MaxPayload
 )
-
-const (
-	// maxFrame bounds a frame's self-declared length; anything larger is
-	// treated as stream corruption, not an allocation request.
-	maxFrame = 1 << 21
-	// frameOverhead is op + seq.
-	frameOverhead = 5
-)
-
-// writeFrame appends one frame to w. The caller flushes.
-func writeFrame(w *bufio.Writer, op byte, seq uint32, payload []byte) error {
-	var hdr [4 + frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(frameOverhead+len(payload)))
-	hdr[4] = op
-	binary.LittleEndian.PutUint32(hdr[5:], seq)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// frameBytes is the on-wire size of a frame with the given payload.
-func frameBytes(payloadLen int) uint64 { return uint64(4 + frameOverhead + payloadLen) }
-
-// readFrame reads one frame, reusing buf when it is big enough. It
-// returns the (possibly grown) buffer for the next call; payload
-// aliases it, so anything retained past the next read must be copied.
-func readFrame(r *bufio.Reader, buf []byte) (op byte, seq uint32, payload, bufOut []byte, err error) {
-	bufOut = buf
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n < frameOverhead || n > maxFrame {
-		err = fmt.Errorf("jobd: corrupt frame length %d", n)
-		return
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-		bufOut = buf
-	}
-	buf = buf[:n]
-	if _, err = io.ReadFull(r, buf); err != nil {
-		return
-	}
-	op = buf[0]
-	seq = binary.LittleEndian.Uint32(buf[1:5])
-	payload = buf[frameOverhead:]
-	return
-}
-
-// Payload append helpers.
-
-func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendI64(b []byte, v int64) []byte  { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
-// decoder is a cursor over a frame payload. The first malformed read
-// poisons it; done() reports that error, or complains about trailing
-// bytes — a frame must be consumed exactly.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("jobd: truncated frame payload")
-	}
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *decoder) u16() uint16 {
-	if d.err != nil || len(d.b) < 2 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b)
-	d.b = d.b[2:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) i64() int64 { return int64(d.u64()) }
-
-func (d *decoder) str() string {
-	n := int(d.u16())
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-// bytes reads a u32-prefixed byte string, COPYING it out of the frame
-// buffer (payloads outlive the frame: they ride descriptors and worker
-// invocations).
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return nil
-	}
-	p := make([]byte, n)
-	copy(p, d.b[:n])
-	d.b = d.b[n:]
-	return p
-}
-
-// done returns the accumulated decode error, or a protocol error when
-// payload bytes are left over.
-func (d *decoder) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("jobd: %d trailing bytes in frame payload", len(d.b))
-	}
-	return nil
-}

@@ -1,0 +1,494 @@
+package jobd
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"atmostonce/internal/wire"
+)
+
+// Tests for the wire path's reuse: recycled call slots, the outbound
+// byte queue and its overflow rules, the goodbye ordering, interned
+// names, and the allocation budget all of that buys.
+
+// TestWirePathAllocs is the allocation gate next to the code: the
+// benchmark's jobd_pipelined shape — in-process server on atomic
+// registers, 2 connections × 16 closed-loop submitters, 32-byte
+// payloads, each connection subscribed to its own tenant — must stay
+// within 8 heap allocations per job from Client.Submit to the event
+// handler. The budget (DESIGN.md §15): the payload copy, the task's two
+// closures, dispatch.Do's three, and a fraction for amortised growth;
+// 24 before the wire path stopped allocating per frame.
+func TestWirePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
+	}
+	const (
+		conns      = 2
+		submitters = 16
+		warm       = 8000
+		jobs       = 50000
+	)
+	reg := NewRegistry()
+	reg.Register("bench", 1, func(context.Context, []byte) error { return nil })
+	tenants := [conns]string{"tenant-a", "tenant-b"}
+	_, addr := testServer(t, Options{
+		Registry: reg,
+		Shards:   2,
+		MaxBatch: 256,
+		MaxJobs:  1 << 17,
+		Tenants:  map[string]TenantLimits{tenants[0]: {}, tenants[1]: {}},
+	})
+	var events atomic.Int64
+	clients := make([]*Client, conns)
+	for i := range clients {
+		clients[i] = testClient(t, addr, ClientOptions{Name: "alloc-gate"})
+		if err := clients[i].Subscribe(tenants[i], func(Event) { events.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(n int64) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for i, c := range clients {
+			for k := 0; k < submitters; k++ {
+				wg.Add(1)
+				go func(c *Client, tenant string) {
+					defer wg.Done()
+					payload := make([]byte, 32)
+					for next.Add(1) <= n {
+						if _, err := c.Submit(tenant, "bench", 1, payload, SubmitOptions{}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(c, tenants[i])
+			}
+		}
+		wg.Wait()
+	}
+	run(warm)
+	waitFor(t, 20*time.Second, func() bool { return events.Load() == warm }, "warm-up events")
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run(jobs)
+	waitFor(t, 60*time.Second, func() bool { return events.Load() == warm+jobs }, "events")
+	runtime.ReadMemStats(&m1)
+	perJob := float64(m1.Mallocs-m0.Mallocs) / jobs
+	t.Logf("%.2f allocations per job over %d jobs", perJob, jobs)
+	if perJob > 8.0 {
+		t.Errorf("submit → ack → run → event allocates %.2f times per job, budget 8.0", perJob)
+	}
+}
+
+// fakeJobd speaks just enough of the protocol to misbehave on purpose:
+// every connection answers its first `serve` submits (id = idBase +
+// the u64 marker in the payload), swallows the next `swallow` without a
+// reply, and hangs up — so each connection dies with submits in flight.
+type fakeJobd struct {
+	ln             net.Listener
+	serve, swallow int
+
+	mu      sync.Mutex
+	seen    map[uint64]int // marker → submit frames received, all connections
+	replied map[uint64]bool
+	wg      sync.WaitGroup
+}
+
+const idBase = 1 << 40
+
+func newFakeJobd(t *testing.T, serve, swallow int) *fakeJobd {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeJobd{ln: ln, serve: serve, swallow: swallow, seen: map[uint64]int{}, replied: map[uint64]bool{}}
+	f.wg.Add(1)
+	go func() {
+		defer f.wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			f.wg.Add(1)
+			go f.conn(nc)
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); f.wg.Wait() })
+	return f
+}
+
+func (f *fakeJobd) conn(nc net.Conn) {
+	defer f.wg.Done()
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+	var buf []byte
+	for n := 0; n < f.serve+f.swallow; {
+		op, seq, payload, nbuf, err := wire.ReadFrame(r, buf)
+		if err != nil {
+			return
+		}
+		buf = nbuf
+		switch op {
+		case jopHello:
+			wire.WriteFrame(w, jopHelloOK, seq, wire.AppendStr(wire.AppendU32(nil, protoVersion), "fake"))
+		case jopSubmit:
+			d, err := decodeDesc(payload, nil)
+			if err != nil || len(d.payload) != 8 {
+				return
+			}
+			dec := wire.Decoder{B: d.payload}
+			marker := dec.U64()
+			f.mu.Lock()
+			f.seen[marker]++
+			if n < f.serve {
+				f.replied[marker] = true
+			}
+			f.mu.Unlock()
+			if n < f.serve {
+				wire.WriteFrame(w, jopSubmitOK, seq, wire.AppendU64(nil, idBase+marker))
+			}
+			n++
+		default:
+			return
+		}
+		if r.Buffered() == 0 {
+			w.Flush()
+		}
+	}
+	w.Flush()
+}
+
+// TestConnDropFailsInFlight: a connection that drops with submits in
+// flight fails every one of them with ErrConnLost and resends none, and
+// a recycled call slot never hears from the connection it served before
+// — every submit that succeeds, on whichever connection, gets exactly
+// its own id. Submitters keep calling through twelve drops and redials,
+// so slots are recycled while failPending is still walking the queue
+// they came from. Run under -race -count=10 in CI.
+func TestConnDropFailsInFlight(t *testing.T) {
+	const (
+		submitters = 8
+		perConn    = 40 // served per connection...
+		swallowed  = 6  // ...then this many swallowed, then the hang-up
+		wantOK     = 12 * perConn
+	)
+	f := newFakeJobd(t, perConn, swallowed)
+	c := testClient(t, f.ln.Addr().String(), ClientOptions{
+		Redial: true, RedialAttempts: 50, RedialBackoff: time.Millisecond,
+	})
+	type outcome struct {
+		id  uint64
+		err error
+	}
+	var mu sync.Mutex
+	results := map[uint64]outcome{}
+	var next, okCount atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for okCount.Load() < wantOK {
+				marker := next.Add(1)
+				id, err := c.Submit("t", "x", 1, wire.AppendU64(nil, marker), SubmitOptions{})
+				if err == nil {
+					okCount.Add(1)
+				} else if !errors.Is(err, ErrConnLost) {
+					t.Errorf("marker %d: %v, want ErrConnLost", marker, err)
+					return
+				} else {
+					time.Sleep(100 * time.Microsecond) // disconnected: let the redial happen
+				}
+				mu.Lock()
+				results[marker] = outcome{id, err}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	lostInFlight := 0
+	for marker, o := range results {
+		seen := f.seen[marker]
+		if seen > 1 {
+			t.Errorf("marker %d reached the server %d times: a submit was resent", marker, seen)
+		}
+		switch {
+		case o.err == nil && (o.id != idBase+marker || !f.replied[marker]):
+			t.Errorf("marker %d got id %#x (server replied: %v): a reply reached the wrong call", marker, o.id, f.replied[marker])
+		case o.err != nil && f.replied[marker]:
+			// The reply was written but the hang-up beat the client's
+			// reader to it: lost with the connection, which is allowed —
+			// what is not allowed is resending, checked above.
+		case o.err != nil && seen == 1:
+			lostInFlight++
+		}
+	}
+	for marker := range f.seen {
+		if _, ok := results[marker]; !ok {
+			t.Errorf("server saw marker %d, which no Submit call owns", marker)
+		}
+	}
+	if lostInFlight == 0 {
+		t.Error("no submit was in flight at a drop: the test did not exercise the failure path")
+	}
+	t.Logf("%d calls, %d acked, %d failed in flight across %d+ connections", len(results), okCount.Load(), lostInFlight, wantOK/perConn)
+}
+
+// rawHello dials addr, completes the hello exchange and returns the
+// connection with a reader positioned after the hello reply.
+func rawHello(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	nc, err := netDial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	p := wire.AppendStr(wire.AppendU32(nil, protoVersion), "raw")
+	if _, err := nc.Write(append(wire.AppendHeader(nil, jopHello, 1, len(p)), p...)); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r := bufio.NewReader(nc)
+	if op, _, _, _, err := wire.ReadFrame(r, nil); err != nil || op != jopHelloOK {
+		t.Fatalf("hello: op %d, %v", op, err)
+	}
+	return nc, r
+}
+
+// TestOutboundOverflow: the two overflow rules of the outbound queue,
+// each against a peer that stops reading. A full queue DROPS an event
+// and counts it (amo_jobd_events_dropped_total) — the stalled subscriber
+// loses completions, the connection survives, and a healthy subscriber
+// to the same tenant still receives every one. A full queue CUTS the
+// connection on a reply: losing one would break in-order pipelining.
+func TestOutboundOverflow(t *testing.T) {
+	reg := NewRegistry()
+	bigErr := errors.New(strings.Repeat("e", 2048)) // fat events fill the socket buffers sooner
+	reg.Register("fail", 1, func(context.Context, []byte) error { return bigErr })
+	_, addr := testServer(t, Options{
+		Registry: reg,
+		MaxJobs:  1 << 18,
+		Tenants:  map[string]TenantLimits{"t": {}},
+	})
+
+	t.Run("event_dropped", func(t *testing.T) {
+		stalled, _ := rawHello(t, addr)
+		sub := wire.AppendStr(nil, "t")
+		if _, err := stalled.Write(append(wire.AppendHeader(nil, jopSubscribe, 2, len(sub)), sub...)); err != nil {
+			t.Fatal(err)
+		}
+		// ...and never reads again.
+
+		healthy := testClient(t, addr, ClientOptions{})
+		var got atomic.Int64
+		if err := healthy.Subscribe("t", func(Event) { got.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+		dropped0 := jdEvDropped.Value()
+		submitted := int64(0)
+		deadline := time.Now().Add(60 * time.Second)
+		for jdEvDropped.Value() == dropped0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no event dropped after %d jobs against a subscriber that stopped reading", submitted)
+			}
+			for i := 0; i < 512; i++ {
+				if _, err := healthy.Submit("t", "fail", 1, nil, SubmitOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				submitted++
+			}
+		}
+		waitFor(t, 30*time.Second, func() bool { return got.Load() == submitted },
+			"the healthy subscriber's events (a stalled one must not cost it any)")
+		// The stalled connection was not cut for it: it still drains.
+		stalled.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, err := io.CopyN(io.Discard, stalled, 1<<16); err != nil {
+			t.Fatalf("stalled subscriber's connection did not survive its dropped events: %v", err)
+		}
+		t.Logf("%d jobs, %d events dropped", submitted, jdEvDropped.Value()-dropped0)
+	})
+
+	t.Run("reply_cuts", func(t *testing.T) {
+		nc, _ := rawHello(t, addr)
+		// Pipeline stats requests (fat replies) and never read one.
+		batch := make([]byte, 0, 256*wire.HeaderSize)
+		for i := 0; i < 256; i++ {
+			batch = wire.AppendHeader(batch, jopStats, uint32(10+i), 0)
+		}
+		nc.SetWriteDeadline(time.Now().Add(60 * time.Second))
+		var werr error
+		for werr == nil {
+			_, werr = nc.Write(batch)
+		}
+		var nerr net.Error
+		if errors.As(werr, &nerr) && nerr.Timeout() {
+			t.Fatal("a pipelining client that never reads was never cut")
+		}
+		// The server is unharmed.
+		if err := testClient(t, addr, ClientOptions{}).Ping(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestProtocolErrorGoodbye: after a protocol error the reader queues the
+// jopErr and the WRITER hangs up once it is written, so the client reads
+// the error and then a clean EOF — never a hang-up that swallowed it.
+func TestProtocolErrorGoodbye(t *testing.T) {
+	_, addr := testServer(t, Options{})
+	for name, bad := range map[string][]byte{
+		"unknown_op":       wire.AppendHeader(nil, 99, 7, 0),
+		"truncated_submit": append(wire.AppendHeader(nil, jopSubmit, 7, 3), 1, 2, 3),
+		"trailing_bytes":   append(wire.AppendHeader(nil, jopPing, 7, 1), 0),
+		"duplicate_hello":  wire.AppendHeader(nil, jopHello, 7, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			nc, r := rawHello(t, addr)
+			// The bad frame is the last thing sent: input the server never
+			// read would turn its FIN into a reset.
+			if _, err := nc.Write(bad); err != nil {
+				t.Fatal(err)
+			}
+			op, seq, payload, buf, err := wire.ReadFrame(r, nil)
+			if err != nil || op != jopErr || seq != 7 {
+				t.Fatalf("got op %d seq %d (%v), want the jopErr for seq 7", op, seq, err)
+			}
+			dec := wire.Decoder{B: payload}
+			if code, msg := dec.U16(), dec.Str(); code != codeProto || msg == "" || dec.Done() != nil {
+				t.Fatalf("error frame: code %d %q", code, msg)
+			}
+			if _, _, _, _, err := wire.ReadFrame(r, buf); err != io.EOF {
+				t.Fatalf("after the error frame: %v, want a clean hang-up (io.EOF)", err)
+			}
+		})
+	}
+}
+
+// TestNamesSurviveBufferReuse: names decoded out of the read buffer are
+// copies on both sides. Frames alternate between many tenants and tasks
+// of different lengths, so every frame overwrites the bytes the previous
+// names were decoded from; each event must still carry the tenant and
+// task its job was submitted under, the server's ledger must be keyed by
+// intact tenant names, and 10 000 distinct client-supplied names must
+// leave nothing behind.
+func TestNamesSurviveBufferReuse(t *testing.T) {
+	const (
+		nTenants = 12
+		nTasks   = 7
+		jobs     = 3000
+	)
+	reg := NewRegistry()
+	var tenants, tasks []string
+	for i := 0; i < nTasks; i++ {
+		tasks = append(tasks, "task-"+strings.Repeat("k", i*3)+fmt.Sprint(i))
+		reg.Register(tasks[i], 1, func(context.Context, []byte) error { return nil })
+	}
+	lims := map[string]TenantLimits{}
+	for i := 0; i < nTenants; i++ {
+		tenants = append(tenants, strings.Repeat("t", 1+i*2)+fmt.Sprint(i))
+		lims[tenants[i]] = TenantLimits{}
+	}
+	_, addr := testServer(t, Options{Registry: reg, MaxJobs: 1 << 15, Tenants: lims})
+	c := testClient(t, addr, ClientOptions{})
+
+	type name struct{ tenant, task string }
+	var mu sync.Mutex
+	events := map[uint64]name{}
+	for _, tn := range tenants {
+		if err := c.Subscribe(tn, func(e Event) {
+			mu.Lock()
+			events[e.ID] = name{e.Tenant, e.Task}
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[uint64]name{}
+	var wmu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < jobs; i += 4 {
+				n := name{tenants[i%nTenants], tasks[(i/3)%nTasks]}
+				id, err := c.Submit(n.tenant, n.task, 1, []byte{byte(i)}, SubmitOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				wmu.Lock()
+				want[id] = n
+				wmu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	waitFor(t, 30*time.Second, func() bool { mu.Lock(); defer mu.Unlock(); return len(events) == jobs }, "all events")
+	for id, n := range want {
+		if events[id] != n {
+			t.Fatalf("job %d submitted as %+v, its event says %+v", id, n, events[id])
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Tenants) != nTenants {
+		t.Fatalf("ledger has %d tenants, want %d: %v", len(st.Tenants), nTenants, st.Tenants)
+	}
+	for _, tn := range tenants {
+		if st.Tenants[tn].Admitted == 0 {
+			t.Fatalf("ledger lost tenant %q: %v", tn, st.Tenants)
+		}
+	}
+
+	// Distinct names: rejected (unknown tenant, unknown task), so the
+	// only place they could pile up is the connection's name memo.
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	flood := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			tenant, task := fmt.Sprintf("no-such-tenant-%032d", i), fmt.Sprintf("no-such-task-%032d", i)
+			if i%2 == 0 {
+				tenant = tenants[0] // reach the task lookup too
+			}
+			if _, err := c.Submit(tenant, task, 1, nil, SubmitOptions{}); err == nil {
+				t.Fatal("unknown name admitted")
+			}
+		}
+	}
+	flood(0, 500) // whatever warms up on the rejection path does so here
+	before := heap()
+	flood(500, 10500)
+	// 10 000 names × 2 × ~48 bytes retained would be about 1 MiB with
+	// their headers; a bounded memo holds a few KiB.
+	if grown := int64(heap()) - int64(before); grown > 256<<10 {
+		t.Errorf("heap grew %d KiB across 10000 distinct client-supplied names", grown>>10)
+	}
+	if st2, err := c.Stats(); err != nil || len(st2.Tenants) != nTenants {
+		t.Fatalf("ledger grew to %d tenants from rejected names (%v)", len(st2.Tenants), err)
+	}
+}

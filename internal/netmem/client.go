@@ -16,6 +16,7 @@ import (
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs/eventlog"
 	"atmostonce/internal/shmem"
+	"atmostonce/internal/wire"
 )
 
 // Sentinel errors surfaced by the client.
@@ -266,7 +267,7 @@ func (m *NetMem) connect(first bool) error {
 	resendErr := func() error {
 		for _, op := range m.outstanding {
 			op.seq = m.nextSeqLocked()
-			if err := writeFrame(bw, op.op, op.seq, m.encodeLocked(op)); err != nil {
+			if err := wire.WriteFrame(bw, op.op, op.seq, m.encodeLocked(op)); err != nil {
 				return err
 			}
 		}
@@ -297,14 +298,14 @@ func (m *NetMem) connect(first bool) error {
 func (m *NetMem) hello(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (reopened bool, err error) {
 	conn.SetDeadline(time.Now().Add(m.opts.DialTimeout))
 	defer conn.SetDeadline(time.Time{})
-	payload := appendU64(appendStr(nil, m.opts.Namespace), uint64(m.size))
-	if err := writeFrame(bw, opHello, 0, payload); err != nil {
+	payload := wire.AppendU64(wire.AppendStr(nil, m.opts.Namespace), uint64(m.size))
+	if err := wire.WriteFrame(bw, opHello, 0, payload); err != nil {
 		return false, err
 	}
 	if err := bw.Flush(); err != nil {
 		return false, err
 	}
-	op, _, reply, _, err := readFrame(br, nil)
+	op, _, reply, _, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		return false, err
 	}
@@ -314,9 +315,9 @@ func (m *NetMem) hello(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (reope
 	if op != opHelloOK {
 		return false, fmt.Errorf("netmem: unexpected hello reply op %d", op)
 	}
-	d := decoder{b: reply}
-	reopened = d.u8() != 0
-	return reopened, d.done()
+	d := wire.Decoder{B: reply}
+	reopened = d.U8() != 0
+	return reopened, d.Done()
 }
 
 // renewOnConn revalidates the client's existing lease during a
@@ -326,13 +327,13 @@ func (m *NetMem) hello(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (reope
 func (m *NetMem) renewOnConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, epoch uint64) error {
 	conn.SetDeadline(time.Now().Add(m.opts.DialTimeout))
 	defer conn.SetDeadline(time.Time{})
-	if err := writeFrame(bw, opRenew, 0, appendU64(nil, epoch)); err != nil {
+	if err := wire.WriteFrame(bw, opRenew, 0, wire.AppendU64(nil, epoch)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	op, _, reply, _, err := readFrame(br, nil)
+	op, _, reply, _, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		return err
 	}
@@ -362,15 +363,15 @@ func (m *NetMem) acquireLease(conn net.Conn, br *bufio.Reader, bw *bufio.Writer)
 	}
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
-	payload := appendU64(appendU64(nil, m.clientID), uint64(m.opts.LeaseTTL/time.Millisecond))
+	payload := wire.AppendU64(wire.AppendU64(nil, m.clientID), uint64(m.opts.LeaseTTL/time.Millisecond))
 	payload = append(payload, wait)
-	if err := writeFrame(bw, opAcquire, 0, payload); err != nil {
+	if err := wire.WriteFrame(bw, opAcquire, 0, payload); err != nil {
 		return 0, err
 	}
 	if err := bw.Flush(); err != nil {
 		return 0, err
 	}
-	op, _, reply, _, err := readFrame(br, nil)
+	op, _, reply, _, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -380,10 +381,10 @@ func (m *NetMem) acquireLease(conn net.Conn, br *bufio.Reader, bw *bufio.Writer)
 	if op != opAcquireOK {
 		return 0, fmt.Errorf("netmem: unexpected acquire reply op %d", op)
 	}
-	d := decoder{b: reply}
-	epoch := d.u64()
-	granted := time.Duration(d.u64()) * time.Millisecond
-	if err := d.done(); err != nil {
+	d := wire.Decoder{B: reply}
+	epoch := d.U64()
+	granted := time.Duration(d.U64()) * time.Millisecond
+	if err := d.Done(); err != nil {
 		return 0, err
 	}
 	if granted > 0 && granted < m.opts.LeaseTTL {
@@ -396,10 +397,10 @@ func (m *NetMem) acquireLease(conn net.Conn, br *bufio.Reader, bw *bufio.Writer)
 // decodeErr turns an opErr payload into a Go error, mapping the fencing
 // and lease codes onto their sentinels.
 func decodeErr(payload []byte) error {
-	d := decoder{b: payload}
-	code := d.u16()
-	msg := d.str()
-	if d.done() != nil {
+	d := wire.Decoder{B: payload}
+	code := d.U16()
+	msg := d.Str()
+	if d.Done() != nil {
 		return fmt.Errorf("netmem: malformed error frame")
 	}
 	switch code {
@@ -423,36 +424,36 @@ func (m *NetMem) encodeLocked(op *pendingOp) []byte {
 	b := m.scratch[:0]
 	switch op.op {
 	case opRead:
-		b = appendU64(b, uint64(op.addr))
+		b = wire.AppendU64(b, uint64(op.addr))
 	case opWrite:
-		b = appendU64(b, m.epoch)
-		b = appendU64(b, uint64(op.addr))
-		b = appendI64(b, op.val)
+		b = wire.AppendU64(b, m.epoch)
+		b = wire.AppendU64(b, uint64(op.addr))
+		b = wire.AppendI64(b, op.val)
 	case opJournal:
-		b = appendU64(b, m.epoch)
-		b = appendU64(b, uint64(op.addr))
-		b = appendU64(b, uint64(op.val)) // job id
+		b = wire.AppendU64(b, m.epoch)
+		b = wire.AppendU64(b, uint64(op.addr))
+		b = wire.AppendU64(b, uint64(op.val)) // job id
 	case opJournalBatch:
-		b = appendU64(b, m.epoch)
-		b = appendU64(b, uint64(op.addr))
+		b = wire.AppendU64(b, m.epoch)
+		b = wire.AppendU64(b, uint64(op.addr))
 		for _, id := range op.ids {
-			b = appendU64(b, id)
+			b = wire.AppendU64(b, id)
 		}
 	case opReadRange:
-		b = appendU64(b, uint64(op.addr))
-		b = appendU32(b, uint32(op.count))
+		b = wire.AppendU64(b, uint64(op.addr))
+		b = wire.AppendU32(b, uint32(op.count))
 	case opFill:
-		b = appendU64(b, m.epoch)
-		b = appendU64(b, uint64(op.addr))
-		b = appendU32(b, uint32(op.count))
-		b = appendI64(b, op.val)
+		b = wire.AppendU64(b, m.epoch)
+		b = wire.AppendU64(b, uint64(op.addr))
+		b = wire.AppendU32(b, uint32(op.count))
+		b = wire.AppendI64(b, op.val)
 	case opCAS:
-		b = appendU64(b, m.epoch)
-		b = appendU64(b, uint64(op.addr))
-		b = appendI64(b, op.old)
-		b = appendI64(b, op.val)
+		b = wire.AppendU64(b, m.epoch)
+		b = wire.AppendU64(b, uint64(op.addr))
+		b = wire.AppendI64(b, op.old)
+		b = wire.AppendI64(b, op.val)
 	case opRenew, opRelease:
-		b = appendU64(b, m.epoch)
+		b = wire.AppendU64(b, m.epoch)
 	case opSync:
 		// empty
 	default:
@@ -504,7 +505,7 @@ func (m *NetMem) send(op *pendingOp) error {
 	m.outstanding = append(m.outstanding, op)
 	payload := m.encodeLocked(op)
 	obsClientQueued(op.op, len(payload))
-	if err := writeFrame(m.bw, op.op, op.seq, payload); err != nil {
+	if err := wire.WriteFrame(m.bw, op.op, op.seq, payload); err != nil {
 		m.breakConnLocked(err)
 	} else if op.done != nil || m.bw.Buffered() > flushThreshold {
 		if err := m.bw.Flush(); err != nil {
@@ -525,13 +526,13 @@ func (m *NetMem) send(op *pendingOp) error {
 func (m *NetMem) readLoop(gen uint64, br *bufio.Reader) {
 	var buf []byte
 	for {
-		op, seq, payload, nbuf, err := readFrame(br, buf)
+		op, seq, payload, nbuf, err := wire.ReadFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			m.breakConn(gen, err)
 			return
 		}
-		cliBytesIn.Add(frameBytes(len(payload)))
+		cliBytesIn.Add(wire.FrameBytes(len(payload)))
 		if fatal := m.deliver(gen, op, seq, payload); fatal != nil {
 			m.fatalize(fatal)
 			return
@@ -570,9 +571,11 @@ func (m *NetMem) deliver(gen uint64, op byte, seq uint32, payload []byte) error 
 	m.mu.Unlock()
 
 	// fail delivers a fatal decode error to p's waiter (p is already off
-	// the outstanding queue, so the fatalize that follows in readLoop
-	// cannot wake it) and passes the error through.
+	// the outstanding queue, so fatalize cannot wake it) and passes the
+	// error through. Death first, waiter second — the order the fenced
+	// case below keeps too: a woken waiter may reach OnFatal at once.
 	fail := func(err error) error {
+		m.fatalize(err)
 		if p.done != nil {
 			p.err = err
 			close(p.done)
@@ -608,9 +611,9 @@ func (m *NetMem) deliver(gen uint64, op byte, seq uint32, payload []byte) error 
 		}
 		return nil
 	case op == opValue:
-		d := decoder{b: payload}
-		p.val = d.i64()
-		if err := d.done(); err != nil {
+		d := wire.Decoder{B: payload}
+		p.val = d.I64()
+		if err := d.Done(); err != nil {
 			return fail(err)
 		}
 		if p.done != nil {
@@ -629,10 +632,10 @@ func (m *NetMem) deliver(gen uint64, op byte, seq uint32, payload []byte) error 
 		}
 		return nil
 	case op == opCASResult:
-		d := decoder{b: payload}
-		p.swapped = d.u8() != 0
-		p.val = d.i64()
-		if err := d.done(); err != nil {
+		d := wire.Decoder{B: payload}
+		p.swapped = d.U8() != 0
+		p.val = d.I64()
+		if err := d.Done(); err != nil {
 			return fail(err)
 		}
 		if p.done != nil {
@@ -744,12 +747,21 @@ func (m *NetMem) fatalize(err error) {
 		return
 	}
 	m.fatal = err
-	epoch := m.epoch
 	fenced := errors.Is(err, ErrFenced)
 	cliFatal.Inc()
 	if fenced {
 		cliFenced.Inc()
 	}
+	// The client is dead; leave a forensic artifact — BEFORE anyone can
+	// learn of the death. Every path to OnFatal (whose default panics
+	// the process) runs through m.fatal or a waiter's done channel, and
+	// both are published under this lock hold, so the dump is on stderr
+	// before the first of them can fire. On a fence the error text
+	// carries both epochs (ours and the lease's current one, from the
+	// server's rejection), and the epoch attr names the lease this
+	// client was writing under when it died.
+	eventlog.CrashDump("netmem_client_fatal",
+		"addr", m.addr, "epoch", m.epoch, "fenced", fenced, "err", err)
 	if m.conn != nil {
 		m.conn.Close()
 		m.conn, m.bw = nil, nil
@@ -765,12 +777,6 @@ func (m *NetMem) fatalize(err error) {
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.logf("netmem: fatal: %v", err)
-	// The client is dead; leave a forensic artifact. On a fence the
-	// error text carries both epochs (ours and the lease's current one,
-	// from the server's rejection), and the epoch attr names the lease
-	// this client was writing under when it died.
-	eventlog.CrashDump("netmem_client_fatal",
-		"addr", m.addr, "epoch", epoch, "fenced", fenced, "err", err)
 }
 
 // fatalOut reports err through OnFatal for the error-less interface
@@ -957,7 +963,7 @@ func (m *NetMem) Close() error {
 		op := &pendingOp{op: opRelease}
 		op.seq = m.nextSeqLocked()
 		m.outstanding = append(m.outstanding, op)
-		if writeFrame(m.bw, op.op, op.seq, m.encodeLocked(op)) == nil {
+		if wire.WriteFrame(m.bw, op.op, op.seq, m.encodeLocked(op)) == nil {
 			if err := m.bw.Flush(); err != nil {
 				discardErr = fmt.Errorf("netmem: close flush failed, up to %d operations may not have reached the server: %w",
 					len(m.outstanding), err)

@@ -2,9 +2,12 @@ package netmem
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"atmostonce/internal/obs/eventlog"
 )
 
 // collectFatal returns Options hooks that record a fatal error instead
@@ -125,6 +128,75 @@ func TestFencedAsyncWriteTripsOnFatal(t *testing.T) {
 		t.Fatalf("fenced async write landed: cell 3 = %d", got)
 	}
 	c1.Close()
+}
+
+// TestFatalDumpPrecedesWaiters pins the documented death: when a fence
+// kills the client, the netmem_client_fatal record (CrashDump's first
+// half; the AMO-FLIGHT-DUMP line follows it on the same goroutine) must
+// exist before any woken waiter can reach OnFatal, whose default panics
+// the process. The interleaving is forced, not hoped for: a Read is
+// parked behind the fenced pipelined write, so fatalize wakes it, and
+// the Logf hook — which runs on fatalize's goroutine after the waiters
+// are released — holds that goroutine until OnFatal has fired. With the
+// dump after the release (the examples/failover one-in-three flake)
+// OnFatal sees no record every time.
+func TestFatalDumpPrecedesWaiters(t *testing.T) {
+	addr := testServerAddr(t)
+	ns := uniqueNS()
+	base := eventlog.Default().Snapshot()
+	var baseSeq uint64
+	if len(base) > 0 {
+		baseSeq = base[len(base)-1].Seq
+	}
+	onFatal := make(chan bool, 1) // the first OnFatal: was the death already recorded?
+	fatalSeen := make(chan struct{})
+	var once atomic.Bool
+	c1, err := Open(addr, 64, Options{
+		Namespace: ns,
+		LeaseTTL:  300 * time.Millisecond,
+		OnFatal: func(error) {
+			if once.Swap(true) {
+				return
+			}
+			recorded := false
+			for _, r := range eventlog.Default().Snapshot() {
+				if r.Seq > baseSeq && r.Event == "netmem_client_fatal" && r.Attrs["addr"] == addr {
+					recorded = true
+				}
+			}
+			onFatal <- recorded
+			close(fatalSeen)
+		},
+		Logf: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "netmem: fatal") {
+				select {
+				case <-fatalSeen:
+				case <-time.After(5 * time.Second):
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	c1.stopRenew()
+	c2, err := Open(addr, 64, Options{Namespace: ns, LeaseTTL: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+
+	c1.Write(3, 1) // pipelined; the fenced rejection arrives on the ack path
+	c1.Read(0)     // flushes both, then waits behind the write: fatalize wakes it
+	select {
+	case recorded := <-onFatal:
+		if !recorded {
+			t.Fatal("a released waiter reached OnFatal before the death was recorded: the process would have died without its flight dump")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fenced client never reached OnFatal")
+	}
 }
 
 // TestReconnectFencedByTakeover: a writer that loses its connection

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"atmostonce/internal/obs"
+	"atmostonce/internal/wire"
 )
 
 // Metric families for the networked register service, registered into
@@ -83,13 +84,10 @@ func init() {
 		"Requests rejected with a fencing error (stale epoch after a successor's grant).")
 }
 
-// frameBytes is the on-wire size of a frame with the given payload.
-func frameBytes(payloadLen int) uint64 { return uint64(4 + frameOverhead + payloadLen) }
-
 // obsClientQueued accounts one request queued on the client connection.
 func obsClientQueued(op byte, payloadLen int) {
 	cliReqs[op].Inc()
-	cliBytesOut.Add(frameBytes(payloadLen))
+	cliBytesOut.Add(wire.FrameBytes(payloadLen))
 }
 
 // obsClientRPC records one awaited op's round trip.
@@ -102,7 +100,7 @@ func obsClientRPC(op byte, d time.Duration) {
 
 // obsServerReq accounts one inbound request frame on the server.
 func obsServerReq(op byte, payloadLen int) {
-	srvBytesIn.Add(frameBytes(payloadLen))
+	srvBytesIn.Add(wire.FrameBytes(payloadLen))
 	if int(op) < len(srvReqs) && srvReqs[op] != nil {
 		srvReqs[op].Inc()
 	}

@@ -2,7 +2,6 @@ package netmem
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
 	"os"
@@ -14,6 +13,7 @@ import (
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/memtest"
 	"atmostonce/internal/shmem"
+	"atmostonce/internal/wire"
 )
 
 // testServerAddr returns the address of the register server under
@@ -169,97 +169,51 @@ func TestCorruptRangeFrames(t *testing.T) {
 
 	send := func(op byte, payload []byte) (reply byte, errCode uint16) {
 		t.Helper()
-		if err := writeFrame(bw, op, 1, payload); err != nil {
+		if err := wire.WriteFrame(bw, op, 1, payload); err != nil {
 			t.Fatal(err)
 		}
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		rop, _, rp, _, err := readFrame(br, nil)
+		rop, _, rp, _, err := wire.ReadFrame(br, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rop == opErr {
-			d := decoder{b: rp}
-			return rop, d.u16()
+			d := wire.Decoder{B: rp}
+			return rop, d.U16()
 		}
 		return rop, 0
 	}
 
-	if rop, _ := send(opHello, appendU64(appendStr(nil, "corrupt-test"), 32)); rop != opHelloOK {
+	if rop, _ := send(opHello, wire.AppendU64(wire.AppendStr(nil, "corrupt-test"), 32)); rop != opHelloOK {
 		t.Fatalf("hello reply op %d", rop)
 	}
 	ep := uint64(0)
-	if err := writeFrame(bw, opAcquire, 1, append(appendU64(appendU64(nil, 1), 1000), 1)); err != nil {
+	if err := wire.WriteFrame(bw, opAcquire, 1, append(wire.AppendU64(wire.AppendU64(nil, 1), 1000), 1)); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()
-	rop, _, rp, _, err := readFrame(br, nil)
+	rop, _, rp, _, err := wire.ReadFrame(br, nil)
 	if err != nil || rop != opAcquireOK {
 		t.Fatalf("acquire reply op %d err %v", rop, err)
 	}
-	d := decoder{b: rp}
-	ep = d.u64()
+	d := wire.Decoder{B: rp}
+	ep = d.U64()
 
 	// ReadRange with addr+count wrapping to 0.
-	huge := appendU32(appendU64(nil, ^uint64(0)), 1)
+	huge := wire.AppendU32(wire.AppendU64(nil, ^uint64(0)), 1)
 	if rop, code := send(opReadRange, huge); rop != opErr || code != codeBadAddr {
 		t.Fatalf("overflowing readrange: op %d code %d, want opErr/badaddr", rop, code)
 	}
 	// Fill with the same wrap.
-	fill := appendI64(appendU32(appendU64(appendU64(nil, ep), ^uint64(0)), 1), 7)
+	fill := wire.AppendI64(wire.AppendU32(wire.AppendU64(wire.AppendU64(nil, ep), ^uint64(0)), 1), 7)
 	if rop, code := send(opFill, fill); rop != opErr || code != codeBadAddr {
 		t.Fatalf("overflowing fill: op %d code %d, want opErr/badaddr", rop, code)
 	}
 	// The connection (and server) survived: a normal op still works.
-	if rop, _ := send(opRead, appendU64(nil, 3)); rop != opValue {
+	if rop, _ := send(opRead, wire.AppendU64(nil, 3)); rop != opValue {
 		t.Fatalf("read after corrupt frames: op %d", rop)
-	}
-}
-
-// TestFrameRoundTrip is the wire-format unit test: frames survive the
-// encoder/decoder pair, and payloads must be consumed exactly.
-func TestFrameRoundTrip(t *testing.T) {
-	var b bytes.Buffer
-	bw := bufio.NewWriter(&b)
-	payload := appendI64(appendU64(appendStr(nil, "ns"), 42), -7)
-	if err := writeFrame(bw, opWrite, 9, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	op, seq, got, _, err := readFrame(bufio.NewReader(&b), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != opWrite || seq != 9 {
-		t.Fatalf("frame decoded as op %d seq %d", op, seq)
-	}
-	d := decoder{b: got}
-	if s := d.str(); s != "ns" {
-		t.Fatalf("str = %q", s)
-	}
-	if v := d.u64(); v != 42 {
-		t.Fatalf("u64 = %d", v)
-	}
-	if v := d.i64(); v != -7 {
-		t.Fatalf("i64 = %d", v)
-	}
-	if err := d.done(); err != nil {
-		t.Fatal(err)
-	}
-	// Trailing bytes are a protocol error.
-	d = decoder{b: got}
-	d.str()
-	if err := d.done(); err == nil {
-		t.Fatal("trailing payload bytes accepted")
-	}
-	// Truncation poisons the decoder instead of panicking.
-	d = decoder{b: got[:1]}
-	d.str()
-	if err := d.done(); err == nil {
-		t.Fatal("truncated payload accepted")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
+	"atmostonce/internal/wire"
 )
 
 // ServerOptions configures a register server.
@@ -371,8 +372,8 @@ func (s *Server) handle(c net.Conn) {
 		ns      *namespace
 	)
 	reply := func(seq uint32, op byte, payload []byte) bool {
-		srvBytesOut.Add(frameBytes(len(payload)))
-		return writeFrame(bw, op, seq, payload) == nil
+		srvBytesOut.Add(wire.FrameBytes(len(payload)))
+		return wire.WriteFrame(bw, op, seq, payload) == nil
 	}
 	replyErr := func(seq uint32, we *wireError) bool {
 		if we.code == codeFenced {
@@ -387,8 +388,8 @@ func (s *Server) handle(c net.Conn) {
 				"namespace", nsName, "remote", remote, "detail", we.msg)
 		}
 		scratch = scratch[:0]
-		scratch = appendU16(scratch, we.code)
-		scratch = appendStr(scratch, we.msg)
+		scratch = wire.AppendU16(scratch, we.code)
+		scratch = wire.AppendStr(scratch, we.msg)
 		return reply(seq, opErr, scratch)
 	}
 	for {
@@ -397,20 +398,20 @@ func (s *Server) handle(c net.Conn) {
 				return
 			}
 		}
-		op, seq, payload, nbuf, err := readFrame(br, buf)
+		op, seq, payload, nbuf, err := wire.ReadFrame(br, buf)
 		buf = nbuf
 		if err != nil {
 			bw.Flush()
 			return
 		}
 		obsServerReq(op, len(payload))
-		d := decoder{b: payload}
+		d := wire.Decoder{B: payload}
 		ok := true
 		switch op {
 		case opHello:
-			name := d.str()
-			size := d.u64()
-			if d.done() != nil {
+			name := d.Str()
+			size := d.U64()
+			if d.Done() != nil {
 				ok = replyErr(seq, &wireError{codeProto, "malformed hello"})
 				break
 			}
@@ -429,11 +430,11 @@ func (s *Server) handle(c net.Conn) {
 			ok = reply(seq, opHelloOK, scratch)
 
 		case opAcquire:
-			clientID := d.u64()
-			ttlMs := d.u64()
-			wait := d.u8() != 0
-			if d.done() != nil || ns == nil || clientID == 0 {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil && clientID != 0, ns))
+			clientID := d.U64()
+			ttlMs := d.U64()
+			wait := d.U8() != 0
+			if d.Done() != nil || ns == nil || clientID == 0 {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil && clientID != 0, ns))
 				break
 			}
 			ttl := time.Duration(ttlMs) * time.Millisecond
@@ -484,8 +485,8 @@ func (s *Server) handle(c net.Conn) {
 			}
 			srvAcquires.Inc()
 			scratch = scratch[:0]
-			scratch = appendU64(scratch, epoch)
-			scratch = appendU64(scratch, uint64(granted/time.Millisecond))
+			scratch = wire.AppendU64(scratch, epoch)
+			scratch = wire.AppendU64(scratch, uint64(granted/time.Millisecond))
 			if !reply(seq, opAcquireOK, scratch) || bw.Flush() != nil {
 				// The grant never reached anyone: free the lease so the
 				// next contender need not wait out a dead holder's TTL.
@@ -498,9 +499,9 @@ func (s *Server) handle(c net.Conn) {
 			ok = true
 
 		case opRenew:
-			epoch := d.u64()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			epoch := d.U64()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			if werr := ns.renew(epoch); werr != nil {
@@ -511,33 +512,33 @@ func (s *Server) handle(c net.Conn) {
 			ok = reply(seq, opAck, nil)
 
 		case opRelease:
-			epoch := d.u64()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			epoch := d.U64()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			ns.release(epoch)
 			ok = reply(seq, opAck, nil)
 
 		case opRead:
-			addr := d.u64()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			addr := d.U64()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			if addr >= uint64(ns.size) {
 				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("read addr %d ≥ size %d", addr, ns.size)})
 				break
 			}
-			scratch = appendI64(scratch[:0], ns.bk.Read(int(addr)))
+			scratch = wire.AppendI64(scratch[:0], ns.bk.Read(int(addr)))
 			ok = reply(seq, opValue, scratch)
 
 		case opWrite:
-			epoch := d.u64()
-			addr := d.u64()
-			val := d.i64()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			epoch := d.U64()
+			addr := d.U64()
+			val := d.I64()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			if addr >= uint64(ns.size) {
@@ -554,11 +555,11 @@ func (s *Server) handle(c net.Conn) {
 			ok = reply(seq, opAck, nil)
 
 		case opJournal:
-			epoch := d.u64()
-			addr := d.u64()
-			id := d.u64()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			epoch := d.U64()
+			addr := d.U64()
+			id := d.U64()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			if addr >= uint64(ns.size) {
@@ -590,15 +591,16 @@ func (s *Server) handle(c net.Conn) {
 			ok = reply(seq, opAck, nil)
 
 		case opJournalBatch:
-			epoch := d.u64()
-			addr := d.u64()
+			epoch := d.U64()
+			addr := d.U64()
 			// The rest of the payload is the id vector; the frame length
 			// implies the count, like opValues in the other direction.
-			if d.err != nil || len(d.b) == 0 || len(d.b)%8 != 0 || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.err == nil && len(d.b) > 0 && len(d.b)%8 == 0, ns))
+			shaped := len(payload) > 16 && len(payload)%8 == 0
+			if !shaped || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(shaped, ns))
 				break
 			}
-			count := len(d.b) / 8
+			count := len(d.B) / 8
 			// Overflow-safe bounds, mirroring opReadRange: addr and count
 			// are checked separately, never their sum.
 			if count > maxRange || addr >= uint64(ns.size) || uint64(count) > uint64(ns.size)-addr {
@@ -608,7 +610,7 @@ func (s *Server) handle(c net.Conn) {
 			}
 			ids = ids[:0]
 			for i := 0; i < count; i++ {
-				ids = append(ids, d.u64())
+				ids = append(ids, d.U64())
 			}
 			if werr := ns.applyMut(epoch, func() *wireError {
 				// The fence check and every cell store happen under one
@@ -648,10 +650,10 @@ func (s *Server) handle(c net.Conn) {
 			ok = reply(seq, opAck, nil)
 
 		case opReadRange:
-			addr := d.u64()
-			count := d.u32()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			addr := d.U64()
+			count := d.U32()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			// Overflow-safe bounds: check addr and count separately, never
@@ -663,17 +665,17 @@ func (s *Server) handle(c net.Conn) {
 			}
 			scratch = scratch[:0]
 			for i := 0; i < int(count); i++ {
-				scratch = appendI64(scratch, ns.bk.Read(int(addr)+i))
+				scratch = wire.AppendI64(scratch, ns.bk.Read(int(addr)+i))
 			}
 			ok = reply(seq, opValues, scratch)
 
 		case opFill:
-			epoch := d.u64()
-			addr := d.u64()
-			count := d.u32()
-			val := d.i64()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			epoch := d.U64()
+			addr := d.U64()
+			count := d.U32()
+			val := d.I64()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			// Overflow-safe bounds, as for opReadRange; a fill may cover
@@ -702,12 +704,12 @@ func (s *Server) handle(c net.Conn) {
 			ok = reply(seq, opAck, nil)
 
 		case opCAS:
-			epoch := d.u64()
-			addr := d.u64()
-			oldv := d.i64()
-			newv := d.i64()
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			epoch := d.U64()
+			addr := d.U64()
+			oldv := d.I64()
+			newv := d.I64()
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			if addr >= uint64(ns.size) {
@@ -737,12 +739,12 @@ func (s *Server) handle(c net.Conn) {
 			} else {
 				scratch = append(scratch, 0)
 			}
-			scratch = appendI64(scratch, prev)
+			scratch = wire.AppendI64(scratch, prev)
 			ok = reply(seq, opCASResult, scratch)
 
 		case opSync:
-			if d.done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.done() == nil, ns))
+			if d.Done() != nil || ns == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
 			if err := ns.bk.Sync(); err != nil {
