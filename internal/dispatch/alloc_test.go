@@ -1,8 +1,10 @@
 package dispatch
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // TestDispatcherRoundLoopAllocFree is the allocation gate for the
@@ -50,13 +52,28 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestDispatcherResolveAllocs gates the async resolution path: with a
-// registered callback per job, the marginal cost per job is the waiter
-// table's map churn (insert at submit, delete at resolve) plus
-// resolveResults itself, which reuses the shard's scratch buffer. The
-// map's occasional same-size growth is real but amortized, so the gate
-// is a small epsilon per job rather than exact zero.
+// TestDispatcherResolveAllocs gates the v1 callback path: the callback
+// rides the queue entry, so a SubmitCallback allocates exactly what a
+// Submit does — nothing.
 func TestDispatcherResolveAllocs(t *testing.T) {
+	var resolved atomic.Uint64
+	done := func(r JobResult) { resolved.Add(1) }
+	fn := func() {}
+	perJob := allocsPerJob(t, func(d *Dispatcher) {
+		if _, err := d.SubmitCallback(fn, done); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perJob > 0.01 {
+		t.Errorf("SubmitCallback allocates %.3f per job (want ≤ 0.01)", perJob)
+	}
+}
+
+// allocsPerJob measures one submission path end to end — submit, queue,
+// round, completion, Flush — on a warm dispatcher, in allocations per
+// job.
+func allocsPerJob(t *testing.T, submit func(*Dispatcher)) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
@@ -65,27 +82,125 @@ func TestDispatcherResolveAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	var resolved atomic.Uint64
-	done := func(r JobResult) { resolved.Add(1) }
-	fn := func() {}
 	for i := 0; i < 8192; i++ {
-		if _, err := d.SubmitCallback(fn, done); err != nil {
-			t.Fatal(err)
-		}
+		submit(d)
 	}
 	d.Flush()
 	const jobs = 2048
 	avg := testing.AllocsPerRun(20, func() {
 		for i := 0; i < jobs; i++ {
-			if _, err := d.SubmitCallback(fn, done); err != nil {
-				t.Fatal(err)
-			}
+			submit(d)
 		}
 		d.Flush()
 	})
-	t.Logf("allocs per %d-job async cycle: %.3f", jobs, avg)
-	if perJob := avg / jobs; perJob > 0.05 {
-		t.Errorf("async cycle allocates %.3f per job (want ≤ 0.05; %.1f per %d-job cycle)",
-			perJob, avg, jobs)
+	t.Logf("allocs per %d-job cycle: %.1f (%.3f per job)", jobs, avg, avg/jobs)
+	return avg / jobs
+}
+
+// TestDoAllocs: a Do costs ONE heap object, its future — whether or not
+// the caller's ctx can be cancelled (the ctx rides the future), and with
+// no channel until somebody calls Done.
+func TestDoAllocs(t *testing.T) {
+	var resolved atomic.Uint64
+	task := Task{
+		Fn:       func(context.Context) error { return nil },
+		Callback: func(JobResult) { resolved.Add(1) },
+	}
+	cctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{{"background", context.Background()}, {"cancellable", cctx}} {
+		t.Run(tc.name, func(t *testing.T) {
+			perJob := allocsPerJob(t, func(d *Dispatcher) {
+				if _, err := d.Do(tc.ctx, task); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perJob > 1.05 {
+				t.Errorf("Do allocates %.3f per job (want ≤ 1.05: the future)", perJob)
+			}
+		})
+	}
+}
+
+// TestDoBatchAllocs: a DoBatch call allocates a fixed handful of slices
+// (entries, futures, handles, the shard plan and its feed closures)
+// whatever the batch size — never per task.
+func TestDoBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
+	}
+	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var resolved atomic.Uint64
+	for _, n := range []int{256, 4096} {
+		tasks := make([]Task, n)
+		for i := range tasks {
+			tasks[i] = Task{
+				Fn:       func(context.Context) error { return nil },
+				Callback: func(JobResult) { resolved.Add(1) },
+			}
+		}
+		cycle := func() {
+			if _, err := d.DoBatch(context.Background(), tasks); err != nil {
+				t.Fatal(err)
+			}
+			d.Flush()
+		}
+		for i := 0; i < 4; i++ {
+			cycle() // warm the rings to this batch size
+		}
+		avg := testing.AllocsPerRun(20, cycle)
+		t.Logf("allocs per DoBatch of %d: %.1f", n, avg)
+		if avg > 8 {
+			t.Errorf("DoBatch of %d tasks allocates %.1f times per call (want ≤ 8)", n, avg)
+		}
+	}
+}
+
+// TestHandleDoneAllocs: the future's channel is paid for by the handles
+// that ask for it, when they ask — two objects (channel header and
+// buffer), also long after the job resolved.
+func TestHandleDoneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
+	}
+	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const runs = 50
+	handles := make([]Handle, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range handles {
+		if handles[i], err = d.Do(context.Background(), Task{Fn: func(context.Context) error { return nil }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Flush()
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		h := handles[next]
+		next++
+		if r := <-h.Done(); r.ID != h.ID {
+			t.Fatalf("late future delivered id %d, want %d", r.ID, h.ID)
+		}
+		h.Done() // the second call is free
+	})
+	if avg > 2 {
+		t.Errorf("a first Handle.Done() allocates %.1f times (want ≤ 2)", avg)
+	}
+}
+
+// TestEntryIsOneCacheLine: entries are copied submitter → ring → batch,
+// and again on requeues and steals, so the struct stays at one line.
+func TestEntryIsOneCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(entry{}); sz != 64 {
+		t.Fatalf("entry is %d bytes, want 64", sz)
 	}
 }

@@ -1,10 +1,6 @@
 package dispatch
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-)
+import "context"
 
 // JobResult reports one submitted job's completion to its future or
 // callback. Exactly one JobResult is delivered per async submission.
@@ -35,126 +31,6 @@ type JobResult struct {
 	Recovered bool
 }
 
-// waiterStripes is the lock striping of the completion-notification
-// table; a power of two so the modulo is a mask.
-const waiterStripes = 64
-
-// waiterStripe is one lock-striped slice of the table, padded to a full
-// cache line so neighboring stripes — hammered by different shards —
-// never false-share.
-type waiterStripe struct {
-	mu sync.Mutex
-	m  map[uint64]func(JobResult)
-	_  [48]byte
-}
-
-// waiterHit pairs a resolved waiter with its result, collected under a
-// stripe lock and fired outside it (see resolveResults).
-type waiterHit struct {
-	done func(JobResult)
-	r    JobResult
-}
-
-// waiters is the dispatcher-wide completion-notification table: job id →
-// completion callback, registered by the async submit paths and fired by
-// whichever shard performs the job. Because the table is keyed by the
-// dispatcher-wide id — not by shard — a job's future survives residue
-// carry-over, work-stealing (the performing shard may not be the one the
-// job was submitted to) and durable recovery (a recovered job never
-// reaches a shard; its waiter is fired by the submit path itself).
-//
-// The stripe of an id is its id BLOCK modulo waiterStripes: single
-// submissions draw consecutive ids from their shard's leased block (see
-// leaseID), so one shard's adds land on one stripe at a time, and a
-// round's batched resolution touches each stripe once per run of
-// consecutive ids instead of once per job. Different shards hold
-// different blocks, so under concurrent load they hash to different
-// stripes instead of bouncing one table-wide line.
-type waiters struct {
-	// used latches once any waiter has ever been registered; sync-only
-	// workloads read it (read-mostly, no write traffic after the first
-	// async submission) and skip the table entirely.
-	used   atomic.Bool
-	_      [63]byte
-	stripe [waiterStripes]waiterStripe
-}
-
-// stripeOf maps an id to its stripe: block-clustered (see waiters).
-func stripeOf(id uint64) int {
-	return int((id >> idBlockBits) & (waiterStripes - 1))
-}
-
-// active reports whether a waiter was ever registered; shards use it to
-// skip per-job table lookups when the workload is purely synchronous.
-// It never resets: a dispatcher that has seen one async submission keeps
-// collecting results, which costs a per-round slice walk, not a lock.
-func (w *waiters) active() bool { return w.used.Load() }
-
-// add registers done to fire when job id completes. The id must not
-// already be registered (ids are unique, and each is registered at most
-// once by its submitting goroutine). The used latch is written only on
-// the first async submission, so the flag's cache line stays read-mostly
-// (shards poll active() every round).
-func (w *waiters) add(id uint64, done func(JobResult)) {
-	if !w.used.Load() {
-		w.used.Store(true)
-	}
-	s := &w.stripe[stripeOf(id)]
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[uint64]func(JobResult))
-	}
-	s.m[id] = done
-	s.mu.Unlock()
-}
-
-// resolveResults fires the waiter (if any) of every result's id, in
-// result order. Consecutive results on the same stripe resolve under ONE
-// lock acquisition — a round's results arrive in batch order and ids
-// cluster by block, so a typical round costs a handful of lock rounds
-// instead of one per job. Callbacks never run under the stripe lock
-// (they may re-enter add via SubmitAsync): each run's hits are collected
-// into *scratch (the caller's reusable buffer, grown as needed) and
-// fired after the lock is dropped, preserving result order.
-func (w *waiters) resolveResults(rs []JobResult, scratch *[]waiterHit) {
-	if !w.used.Load() {
-		return
-	}
-	buf := (*scratch)[:0]
-	for i := 0; i < len(rs); {
-		si := stripeOf(rs[i].ID)
-		st := &w.stripe[si]
-		st.mu.Lock()
-		j := i
-		for ; j < len(rs) && stripeOf(rs[j].ID) == si; j++ {
-			if done, ok := st.m[rs[j].ID]; ok {
-				delete(st.m, rs[j].ID)
-				buf = append(buf, waiterHit{done, rs[j]})
-			}
-		}
-		st.mu.Unlock()
-		for k := range buf {
-			buf[k].done(buf[k].r)
-			buf[k] = waiterHit{} // drop the callback reference
-		}
-		buf = buf[:0]
-		i = j
-	}
-	*scratch = buf
-}
-
-// pending counts registered waiters — a test/debug helper (it takes
-// every stripe lock), not a hot-path primitive.
-func (w *waiters) pending() int {
-	n := 0
-	for i := range w.stripe {
-		w.stripe[i].mu.Lock()
-		n += len(w.stripe[i].m)
-		w.stripe[i].mu.Unlock()
-	}
-	return n
-}
-
 // SubmitAsync enqueues fn like Submit and additionally returns a future:
 // a 1-buffered channel that receives exactly one JobResult once the job
 // has been performed (after its payload returned), or immediately when
@@ -164,7 +40,7 @@ func (w *waiters) pending() int {
 // ErrQueueFull (FailFast) — a failed call delivers nothing.
 func (d *Dispatcher) SubmitAsync(fn Job) (uint64, <-chan JobResult, error) {
 	ch := make(chan JobResult, 1)
-	id, err := d.do(context.Background(), entry{fn0: fn}, func(r JobResult) { ch <- r })
+	id, err := d.do(context.Background(), entry{fn0: fn, completion: completion{cb: func(r JobResult) { ch <- r }}})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -178,5 +54,5 @@ func (d *Dispatcher) SubmitAsync(fn Job) (uint64, <-chan JobResult, error) {
 // from the durable journal, synchronously on the submitting goroutine
 // with Recovered set. A nil done degrades to Submit.
 func (d *Dispatcher) SubmitCallback(fn Job, done func(JobResult)) (uint64, error) {
-	return d.do(context.Background(), entry{fn0: fn}, done)
+	return d.do(context.Background(), entry{fn0: fn, completion: completion{cb: done}})
 }

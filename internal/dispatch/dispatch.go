@@ -276,13 +276,7 @@ var ErrJournalFull = errors.New("dispatch: durable journal capacity exhausted (r
 // the same blocks in the same order and reproduces the same ids.
 // Batches lease their contiguous range [first, first+n) directly from
 // the cursor (leaseRange), interleaving with the shards' blocks.
-const (
-	// idBlockBits is log2(idBlock); the completion table stripes by
-	// id >> idBlockBits so one shard's consecutive singles land on one
-	// stripe (see waiters).
-	idBlockBits = 6
-	idBlock     = 1 << idBlockBits
-)
+const idBlock = 64
 
 // padUint64 is an atomic counter alone on its cache line, so hot
 // counters owned by different shards never false-share.
@@ -327,11 +321,6 @@ type Dispatcher struct {
 	recovered  map[uint64]struct{}
 	recoveredN atomic.Uint64 // jobs resolved from the journal, for Stats
 
-	// waiters is the completion-notification table for the async submit
-	// paths (see async.go): job id → callback, fired by whichever shard
-	// performs the job.
-	waiters waiters
-
 	expvarName string
 
 	// Observability (see obs.go): reg is the dispatcher's metric
@@ -348,11 +337,6 @@ type Dispatcher struct {
 	// jfullOnce gates the journal-full warning: the condition repeats on
 	// every rejected submission, the event is interesting once.
 	jfullOnce sync.Once
-	// latBase anchors entry.t0 latency stamps (latStamp): Unix
-	// nanoseconds at construction, so stamps stay small and a uint32 of
-	// microseconds is enough for wrap-safe submit→done deltas.
-	latBase int64
-
 	// closeMu makes submission all-or-nothing with respect to Close:
 	// submitters hold the read side across their closed-check and enqueue,
 	// and Close takes the write side after flipping closed, so a batch is
@@ -374,7 +358,6 @@ func New(cfg Config) (*Dispatcher, error) {
 		return nil, err
 	}
 	d := &Dispatcher{cfg: cfg, start: time.Now()}
-	d.latBase = d.start.UnixNano()
 	d.cond = sync.NewCond(&d.mu)
 	d.counts = make([]shardCount, cfg.Shards)
 	d.shards = make([]*shard, cfg.Shards)
@@ -510,14 +493,13 @@ func (d *Dispatcher) warnJournalFull() {
 // unconsumed. Submit is the v1 path, equivalent to Do with a bare
 // Normal-priority Task.
 func (d *Dispatcher) Submit(fn Job) (uint64, error) {
-	return d.do(context.Background(), entry{fn0: fn}, nil)
+	return d.do(context.Background(), entry{fn0: fn})
 }
 
 // do is the single-job submission core shared by Do, Submit, SubmitAsync
-// and SubmitCallback; done, when non-nil, is registered in the
-// completion table (or fired inline for journal-recovered jobs). e
-// carries the payload and scheduling descriptor; its id is assigned
-// here.
+// and SubmitCallback. e carries the payload, the scheduling descriptor
+// and the completion (fired inline for journal-recovered jobs); its id
+// is assigned here.
 //
 // Admission order matters: the queue slot is claimed BEFORE the id is
 // consumed — FailFast by reservation, Block by parking in reserveWait —
@@ -525,7 +507,7 @@ func (d *Dispatcher) Submit(fn Job) (uint64, error) {
 // nothing. Anything else would shift the id sequence under transient
 // overload and break the deterministic re-submission contract durable
 // recovery depends on.
-func (d *Dispatcher) do(ctx context.Context, e entry, done func(JobResult)) (uint64, error) {
+func (d *Dispatcher) do(ctx context.Context, e entry) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -568,25 +550,13 @@ func (d *Dispatcher) do(ctx context.Context, e entry, done func(JobResult)) (uin
 			d.tr.Record(id, obs.TraceRecovered, s.id)
 			d.tr.Record(id, obs.TraceResolved, s.id)
 		}
-		if done != nil {
-			done(JobResult{ID: id, Recovered: true})
-		}
+		e.fire(JobResult{ID: id, Recovered: true})
 		s.jobsDone(1)
 		return id, nil
 	}
-	if done != nil {
-		d.waiters.add(id, done)
-	}
 	e.id = id
-	if ctx.Done() != nil {
-		// Cancellable submission: carry the ctx so round assembly can
-		// resolve the job without starting it once the ctx dies (the
-		// cancellation fast-path; see shard.takeBatch). Background and
-		// never-cancellable contexts skip the box — and the allocation.
-		e.cx = &entryCtx{ctx}
-	}
 	if d.latHist != nil && id&latSampleMask == 0 {
-		e.t0 = d.latStamp(time.Now().UnixNano())
+		e.t0 = time.Now().UnixNano()
 	}
 	if d.tr != nil {
 		d.tr.Record(id, obs.TraceQueued, s.id)
@@ -616,17 +586,16 @@ func (d *Dispatcher) SubmitBatch(fns []Job) (uint64, error) {
 		return 0, nil
 	}
 	return d.doBatch(context.Background(), len(fns),
-		func(i int) entry { return entry{fn0: fns[i]} }, nil)
+		func(i int) entry { return entry{fn0: fns[i]} })
 }
 
 // doBatch is the batch submission core shared by SubmitBatch and
-// DoBatch: n entries produced by entryAt (ids assigned here), each with
-// an optional completion waiter from doneAt (nil for waiter-less
-// batches). ctx governs admission only — it is checked before any id is
-// consumed; an accepted batch is fed in fully even if ctx is cancelled
-// mid-feed, because its ids are already part of the deterministic
-// sequence.
-func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry, doneAt func(int) func(JobResult)) (uint64, error) {
+// DoBatch: n entries produced by entryAt, completions included (ids
+// assigned here). ctx governs admission only — it is checked before any
+// id is consumed; an accepted batch is fed in fully even if ctx is
+// cancelled mid-feed, because its ids are already part of the
+// deterministic sequence.
+func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -659,26 +628,22 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 	for _, c := range plan {
 		c.s.count.submitted.Add(uint64(c.hi - c.lo))
 	}
-	var stamp uint32 // one submit stamp for the whole batch's samples (0 = off)
+	var stamp int64 // one submit stamp for the whole batch's samples (0 = off)
 	if d.latHist != nil {
-		stamp = d.latStamp(time.Now().UnixNano())
+		stamp = time.Now().UnixNano()
 	}
 	if d.recLeft.Load() > 0 {
-		// Recovery is draining: filter out the jobs a previous
-		// incarnation already performed, chunk by chunk, and enqueue the
-		// rest. Waiters are registered (or fired, for recovered jobs)
-		// before each chunk is enqueued, so no job can complete ahead of
-		// its waiter.
+		// Recovery is draining: resolve the jobs a previous incarnation
+		// already performed right here, chunk by chunk, and enqueue the
+		// rest.
 		var buf []entry
 		for _, c := range plan {
 			buf = buf[:0]
 			skipped := 0
 			for i := c.lo; i < c.hi; i++ {
 				id := first + uint64(i)
-				done := func(JobResult) {}
-				if doneAt != nil {
-					done = doneAt(i)
-				}
+				e := entryAt(i)
+				e.id = id
 				if d.tr != nil {
 					d.tr.Record(id, obs.TraceSubmitted, c.s.id)
 				}
@@ -688,15 +653,8 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 						d.tr.Record(id, obs.TraceRecovered, c.s.id)
 						d.tr.Record(id, obs.TraceResolved, c.s.id)
 					}
-					if doneAt != nil {
-						done(JobResult{ID: id, Recovered: true})
-					}
+					e.fire(JobResult{ID: id, Recovered: true})
 				} else {
-					if doneAt != nil {
-						d.waiters.add(id, done)
-					}
-					e := entryAt(i)
-					e.id = id
 					if stamp != 0 && id&latSampleMask == 0 {
 						e.t0 = stamp
 					}
@@ -718,13 +676,6 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 			}
 		}
 		return first, nil
-	}
-	// Register every waiter before any entry is enqueued: a Block-policy
-	// feed can park on a later chunk while earlier chunks already run.
-	if doneAt != nil {
-		for i := 0; i < n; i++ {
-			d.waiters.add(first+uint64(i), doneAt(i))
-		}
 	}
 	for _, c := range plan {
 		if d.tr != nil {

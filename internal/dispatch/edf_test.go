@@ -62,7 +62,7 @@ func TestTakeClassEDF(t *testing.T) {
 	if n != 2 || s.batch[0].id != 31 || s.batch[1].id != 32 {
 		t.Fatalf("expiring pull: n=%d ids [%d %d], want [31 32]", n, s.batch[0].id, s.batch[1].id)
 	}
-	if len(s.expired) != 1 || s.expired[0].ID != 30 || !s.expired[0].Expired {
+	if len(s.expired) != 1 || s.expired[0].r.ID != 30 || !s.expired[0].r.Expired {
 		t.Fatalf("expired slice %+v, want exactly id 30", s.expired)
 	}
 }

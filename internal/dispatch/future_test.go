@@ -1,0 +1,491 @@
+package dispatch
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+func okFn(context.Context) error { return nil }
+
+// parkLoop wedges a one-shard dispatcher's loop inside a round, so that
+// everything submitted until release() stays queued and is assembled
+// together.
+func parkLoop(t *testing.T, d *Dispatcher) (release func()) {
+	t.Helper()
+	started, gate := make(chan struct{}), make(chan struct{})
+	if _, err := d.Submit(func() { close(started); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	return func() { close(gate) }
+}
+
+// drained asserts a future's channel holds nothing (more).
+func drained(t *testing.T, what string, ch <-chan JobResult) {
+	t.Helper()
+	select {
+	case r := <-ch:
+		t.Fatalf("%s: a second result arrived: %+v", what, r)
+	default:
+	}
+}
+
+// TestFutureDoneAnyTime: Done returns one never-closed 1-buffered channel
+// per job — the same on every call and every copy of the Handle — whether
+// it is first asked for before, after or while the job resolves, and that
+// channel carries exactly one JobResult.
+func TestFutureDoneAnyTime(t *testing.T) {
+	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	boom := errors.New("boom")
+
+	// Before: the channel exists while the job is still queued.
+	release := parkLoop(t, d)
+	h, err := d.Do(ctx, Task{Fn: func(context.Context) error { return boom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := h.Done()
+	drained(t, "queued job", before)
+	release()
+	if r := <-before; r.ID != h.ID || !errors.Is(r.Err, boom) {
+		t.Fatalf("result %+v, want id %d with Err boom", r, h.ID)
+	}
+	if h.Done() != before {
+		t.Fatal("Done returned a different channel after resolution")
+	}
+	drained(t, "asked before", before)
+
+	// After: a Handle first read long after the job resolved.
+	h, err = d.Do(ctx, Task{Fn: func(context.Context) error { return boom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Flush()
+	after := h.Done()
+	select {
+	case r := <-after:
+		if r.ID != h.ID || !errors.Is(r.Err, boom) {
+			t.Fatalf("late result %+v, want id %d with Err boom", r, h.ID)
+		}
+	default:
+		t.Fatal("Done on a resolved job returned an empty channel")
+	}
+	cp := h
+	if cp.Done() != after {
+		t.Fatal("a copy of the Handle returned a different channel")
+	}
+	drained(t, "asked after", after)
+
+	// During: copies of one Handle ask from many goroutines while the
+	// round that resolves the job is running. One channel, one value.
+	const readers = 16
+	for round := 0; round < 200; round++ {
+		h, err := d.Do(ctx, Task{Fn: okFn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans := make([]<-chan JobResult, readers)
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int, h Handle) {
+				defer wg.Done()
+				chans[g] = h.Done()
+			}(g, h)
+		}
+		wg.Wait()
+		for g := 1; g < readers; g++ {
+			if chans[g] != chans[0] {
+				t.Fatalf("round %d: goroutines %d and 0 got different channels", round, g)
+			}
+		}
+		if r := <-chans[0]; r.ID != h.ID {
+			t.Fatalf("round %d: result id %d, want %d", round, r.ID, h.ID)
+		}
+		d.Flush()
+		drained(t, "asked concurrently", chans[0])
+	}
+
+	if (Handle{}).Done() != nil {
+		t.Fatal("the zero Handle has a channel")
+	}
+}
+
+// TestCallbackSeesFutureAndReenters: by the time a job's callback runs,
+// its result is readable through Done — also when Done is first called
+// from inside that very callback — and the callback may submit again
+// through Do, on the goroutine that is firing the round.
+func TestCallbackSeesFutureAndReenters(t *testing.T) {
+	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+
+	var outer atomic.Pointer[Handle]
+	published := make(chan struct{}) // outer is set: the payload may finish
+	var inner Handle
+	innerDone := make(chan JobResult, 1)
+	problems := make(chan string, 4)
+	h, err := d.Do(ctx, Task{
+		Fn: func(context.Context) error { <-published; return nil },
+		Callback: func(r JobResult) {
+			select {
+			case got := <-outer.Load().Done():
+				if got != r {
+					problems <- "Done inside the callback delivered a different result"
+				}
+			default:
+				problems <- "result not readable through Done when the callback ran"
+			}
+			var err error
+			inner, err = d.Do(ctx, Task{Fn: okFn, Callback: func(r JobResult) { innerDone <- r }})
+			if err != nil {
+				problems <- "Do from a callback: " + err.Error()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer.Store(&h)
+	close(published)
+	select {
+	case r := <-innerDone:
+		// inner was written by the outer callback, on the loop goroutine
+		// that later ran the inner one.
+		if r.ID != inner.ID || r.ID == h.ID {
+			t.Fatalf("nested job resolved as %+v, handle id %d, outer id %d", r, inner.ID, h.ID)
+		}
+		if got := <-inner.Done(); got != r {
+			t.Fatalf("nested future %+v, callback saw %+v", got, r)
+		}
+	case p := <-problems:
+		t.Fatal(p)
+	case <-time.After(20 * time.Second):
+		t.Fatal("nested job never resolved")
+	}
+	select {
+	case p := <-problems:
+		t.Fatal(p)
+	default:
+	}
+}
+
+// onceBoth tracks jobs that must each resolve exactly once through the
+// callback AND through the future.
+type onceBoth struct {
+	cbs     []atomic.Int32
+	results []atomic.Pointer[JobResult]
+	handles []Handle
+}
+
+func newOnceBoth(n int) *onceBoth {
+	return &onceBoth{cbs: make([]atomic.Int32, n), results: make([]atomic.Pointer[JobResult], n), handles: make([]Handle, n)}
+}
+
+func (o *onceBoth) callback(i int) func(JobResult) {
+	return func(r JobResult) {
+		o.cbs[i].Add(1)
+		o.results[i].Store(&r)
+	}
+}
+
+// verify runs after Flush: every callback has fired, so every future
+// must already hold the same result, and only that one.
+func (o *onceBoth) verify(t *testing.T, want func(JobResult) bool) {
+	t.Helper()
+	for i, h := range o.handles {
+		if c := o.cbs[i].Load(); c != 1 {
+			t.Fatalf("job %d (id %d): callback fired %d times", i, h.ID, c)
+		}
+		cb := *o.results[i].Load()
+		select {
+		case r := <-h.Done():
+			if r != cb || r.ID != h.ID {
+				t.Fatalf("job %d (id %d): future %+v, callback %+v", i, h.ID, r, cb)
+			}
+			if !want(r) {
+				t.Fatalf("job %d (id %d): unexpected result %+v", i, h.ID, r)
+			}
+		default:
+			t.Fatalf("job %d (id %d): callback fired but the future is empty", i, h.ID)
+		}
+		drained(t, "after Flush", h.Done())
+	}
+}
+
+// TestExactlyOnceBothWays: whatever happens to a job between Do and its
+// resolution — deadline expiry, ctx cancellation, a steal by another
+// shard, a crashed worker sending it round again as residue — its
+// completion travels with it and fires exactly once, through the callback
+// and through the future.
+func TestExactlyOnceBothWays(t *testing.T) {
+	ctx := context.Background()
+
+	t.Run("expired", func(t *testing.T) {
+		d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		const jobs = 20
+		o := newOnceBoth(jobs)
+		release := parkLoop(t, d)
+		for i := range o.handles {
+			if o.handles[i], err = d.Do(ctx, Task{
+				Fn:       func(context.Context) error { t.Error("expired payload ran"); return nil },
+				Deadline: time.Now().Add(-time.Millisecond),
+				Callback: o.callback(i),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		release()
+		d.Flush()
+		o.verify(t, func(r JobResult) bool { return r.Expired && errors.Is(r.Err, context.DeadlineExceeded) })
+		if st := d.Stats(); st.Expired != jobs {
+			t.Fatalf("Stats.Expired = %d, want %d", st.Expired, jobs)
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		const jobs = 20
+		o := newOnceBoth(jobs)
+		release := parkLoop(t, d)
+		cctx, cancel := context.WithCancel(ctx)
+		for i := range o.handles {
+			if o.handles[i], err = d.Do(cctx, Task{
+				Fn:       func(context.Context) error { t.Error("cancelled payload ran"); return nil },
+				Callback: o.callback(i),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cancel()
+		release()
+		d.Flush()
+		o.verify(t, func(r JobResult) bool { return r.Cancelled && r.Err == context.Canceled })
+		if st := d.Stats(); st.Cancelled != jobs {
+			t.Fatalf("Stats.Cancelled = %d, want %d", st.Cancelled, jobs)
+		}
+	})
+
+	t.Run("stolen", func(t *testing.T) {
+		// The skew of TestWorkStealing: round-robin placement puts every
+		// slow payload on one shard, the other goes idle and steals.
+		d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 256, RoundTarget: 2 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		gate := make(chan struct{})
+		for i := 0; i < 2; i++ {
+			if _, err := d.Submit(func() { <-gate }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		const jobs = 300
+		eo := newExactlyOnce(jobs)
+		o := newOnceBoth(jobs)
+		for i := range o.handles {
+			job, slow := eo.job(i), i%2 == 0
+			if o.handles[i], err = d.Do(ctx, Task{
+				Fn: func(context.Context) error {
+					if slow {
+						time.Sleep(time.Millisecond)
+					}
+					job()
+					return nil
+				},
+				Callback: o.callback(i),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(gate)
+		d.Flush()
+		eo.verify(t)
+		o.verify(t, func(r JobResult) bool { return r == JobResult{ID: r.ID} })
+		if st := d.Stats(); st.StolenJobs == 0 {
+			t.Fatalf("nothing was stolen: %+v", st)
+		}
+	})
+
+	t.Run("requeued", func(t *testing.T) {
+		d, err := New(Config{
+			Shards: 2, Workers: 2, MaxBatch: 32, Seed: 12,
+			CrashPlan: func(shard, round int) []uint64 {
+				if round >= 10 {
+					return nil
+				}
+				return []uint64{0, uint64(25 + 9*round)}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		const jobs = 2000
+		eo := newExactlyOnce(jobs)
+		o := newOnceBoth(jobs)
+		for i := range o.handles {
+			job := eo.job(i)
+			if o.handles[i], err = d.Do(ctx, Task{
+				Fn:       func(context.Context) error { job(); return nil },
+				Callback: o.callback(i),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.Flush()
+		eo.verify(t)
+		o.verify(t, func(r JobResult) bool { return r == JobResult{ID: r.ID} })
+		if st := d.Stats(); st.Crashes == 0 || st.Residue == 0 {
+			t.Fatalf("fault injection inert: crashes=%d residue=%d", st.Crashes, st.Residue)
+		}
+	})
+}
+
+// TestDoBatchStraddlesRecoveryHorizon: a DoBatch whose first half a
+// previous incarnation already performed. Those jobs resolve Recovered
+// on the submitting goroutine, before DoBatch returns and without their
+// payloads; the second half runs; and every one of them is delivered
+// exactly once through its callback and through a future first read
+// after the fact.
+func TestDoBatchStraddlesRecoveryHorizon(t *testing.T) {
+	requireMmap(t)
+	const n, half = 200, 100
+	dir := t.TempDir()
+	cfg := Config{Shards: 2, Workers: 2, MaxBatch: 32, NewMem: mmapFactory(dir), MaxJobs: n}
+	runs := make([]atomic.Int32, n)
+	tasks := func(o *onceBoth, k int) []Task {
+		ts := make([]Task, k)
+		for i := range ts {
+			ts[i] = Task{Fn: func(context.Context) error { runs[i].Add(1); return nil }, Callback: o.callback(i)}
+		}
+		return ts
+	}
+
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o1 := newOnceBoth(half)
+	if o1.handles, err = d1.DoBatch(context.Background(), tasks(o1, half)); err != nil {
+		t.Fatal(err)
+	}
+	d1.Flush()
+	o1.verify(t, func(r JobResult) bool { return r == JobResult{ID: r.ID} })
+	d1.abandon()
+
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	o2 := newOnceBoth(n)
+	if o2.handles, err = d2.DoBatch(context.Background(), tasks(o2, n)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < half; i++ {
+		if o2.cbs[i].Load() != 1 {
+			t.Fatalf("recovered job %d: callback had not fired when DoBatch returned", i)
+		}
+	}
+	d2.Flush()
+	for i, h := range o2.handles {
+		if h.ID != uint64(i+1) {
+			t.Fatalf("handle %d has id %d, want %d", i, h.ID, i+1)
+		}
+		if c := runs[i].Load(); c != 1 {
+			t.Fatalf("job %d ran %d times across the two incarnations", i, c)
+		}
+	}
+	o2.verify(t, func(r JobResult) bool { return r.Recovered == (r.ID <= half) && r.Err == nil })
+	if st := d2.Stats(); st.Recovered != half || st.Duplicates != 0 {
+		t.Fatalf("Stats.Recovered = %d (want %d), Duplicates = %d", st.Recovered, half, st.Duplicates)
+	}
+}
+
+// submitTracked sends n jobs whose payloads, callbacks and errors all
+// reference one finalizer-tracked object, and returns without keeping
+// any of them.
+//
+//go:noinline
+func submitTracked(t *testing.T, d *Dispatcher, n int, deadline time.Time, collected *atomic.Bool) {
+	type big struct{ _ [1 << 16]byte }
+	obj := new(big)
+	runtime.SetFinalizer(obj, func(*big) { collected.Store(true) })
+	for i := 0; i < n; i++ {
+		if i%2 == 0 && deadline.IsZero() {
+			if _, err := d.Submit(func() { runtime.KeepAlive(obj) }); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if _, err := d.Do(context.Background(), Task{
+			Fn:       func(context.Context) error { return trackedErr{obj} },
+			Deadline: deadline,
+			Callback: func(JobResult) { runtime.KeepAlive(obj) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+type trackedErr struct{ p any }
+
+func (trackedErr) Error() string { return "tracked" }
+
+// TestIdleShardPinsNothing: once its jobs have resolved and the traffic
+// has stopped, an open dispatcher must not keep the last round's payload
+// closures, futures, callbacks or errors reachable — neither through the
+// batch buffer nor through the round-assembly scratch.
+func TestIdleShardPinsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Time
+	}{
+		{"performed", time.Time{}},
+		{"expired", time.Now().Add(-time.Second)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			var collected atomic.Bool
+			submitTracked(t, d, 40, tc.deadline, &collected)
+			d.Flush()
+			// Two collections suffice to find the object dead; the loop
+			// gives the finalizer goroutine time to say so.
+			for i := 0; i < 100 && !collected.Load(); i++ {
+				runtime.GC()
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if !collected.Load() {
+				t.Fatal("an idle dispatcher still references its last jobs")
+			}
+		})
+	}
+}

@@ -27,19 +27,6 @@ import (
 // densely, so the sample is unbiased across shards and batches.
 const latSampleMask = 0xf
 
-// latStamp converts a wall-clock reading to the compact latency stamp
-// entries carry (see entry.t0): microseconds since the dispatcher's
-// latBase anchor, truncated to 32 bits. 0 is reserved for "unsampled",
-// so a reading that lands exactly on a wrap boundary is nudged to 1 —
-// the µs of error is far below the histogram's bucket width.
-func (d *Dispatcher) latStamp(now int64) uint32 {
-	s := uint32(uint64(now-d.latBase) / 1000)
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
-
 // setupObs builds the dispatcher's registry, histograms and tracer.
 // Called before the shards are built so the recovery scan can record
 // into the registry.
@@ -200,16 +187,16 @@ func (d *Dispatcher) LatencyQuantiles(qs ...float64) ([]time.Duration, bool) {
 
 // traceExpired records Expired (or Cancelled) events for a batch of
 // round-assembly casualties (resolved outside the shard lock).
-func (s *shard) traceExpired(rs []JobResult) {
+func (s *shard) traceExpired(rs []resolved) {
 	tr := s.d.tr
 	if tr == nil {
 		return
 	}
-	for _, r := range rs {
+	for i := range rs {
 		ev := obs.TraceExpired
-		if r.Cancelled {
+		if rs[i].r.Cancelled {
 			ev = obs.TraceCancelled
 		}
-		tr.Record(r.ID, ev, s.id)
+		tr.Record(rs[i].r.ID, ev, s.id)
 	}
 }

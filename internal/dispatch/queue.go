@@ -6,52 +6,68 @@ import (
 	"sort"
 )
 
-// entry is one queued job: its dispatcher-wide id, its payload (exactly
-// one of fn0/fn is set — fn0 for the v1 func() paths, fn for v2 Task
-// payloads), and its scheduling descriptor. dl is the deadline as Unix
-// nanoseconds (0 = none). err is written by the worker that performs the
-// job (the payload's returned error) and read by finishRound after the
-// round joins; a requeued (unperformed) entry never ran, so its err is
-// always nil.
+// entry is one queued job and everything that travels with it: its
+// dispatcher-wide id, its payload (exactly one of fn0/fn is set — fn0
+// for the v1 func() paths, fn for v2 Task payloads), its scheduling
+// descriptor and its completion. Entries are copied through rings,
+// batches and steals, so the struct is exactly eight words — one cache
+// line, and ring slots never straddle two (TestEntryIsOneCacheLine).
 type entry struct {
 	id  uint64
 	fn0 Job
 	fn  func(context.Context) error
-	dl  int64
-	pri Priority
-	// t0 is the submit stamp of jobs sampled into the submit→completion
-	// latency histogram (Dispatcher.latStamp: microseconds since the
-	// dispatcher started, truncated to 32 bits; 0 = unsampled). It rides
+	// dl is the deadline as Unix nanoseconds (0 = none).
+	dl int64
+	// t0 is the submit time (Unix nanoseconds) of jobs sampled into the
+	// submit→completion latency histogram, 0 for unsampled ones. It rides
 	// the entry through requeues and steals, so the recorded latency is
-	// wall time from submission to final resolution. A uint32 in the
-	// padding hole after pri keeps entry compact — entries are copied
-	// through rings, batches and steals, so every byte here is hot-path
-	// memory traffic. Wrap-safe uint32 subtraction at resolution means
-	// only latencies beyond ~71 minutes alias.
-	t0  uint32
-	err error
-	// cx boxes a cancellable submission's context behind ONE pointer
-	// (nil for Background and batch submissions — the common case, and
-	// every bench path — so those stay alloc-free). Boxing keeps entry
-	// at exactly 64 bytes, one cache line: embedding the two-word
-	// context interface directly would push it to 72 and split every
-	// entry copy across lines. Round assembly polls cx.ctx.Err() so a
-	// job whose ctx died in the queue resolves without starting
-	// (mirroring deadline expiry; see shard.takeBatch).
-	cx *entryCtx
+	// wall time from submission to final resolution.
+	t0 int64
+	// completion is who hears about the job: because it rides the entry,
+	// whichever shard ends up holding the job — after residue carry-over,
+	// a steal, an expiry — holds its completion too.
+	completion
+	pri Priority
+	// cx marks a Do whose ctx can be cancelled (the ctx itself is in the
+	// future): round assembly polls it under the shard lock, and for every
+	// other entry must not pay a load from the future's cache line there.
+	cx bool
 }
 
-// entryCtx is the one-pointer box for a cancellable submission's ctx
-// (see entry.cx).
-type entryCtx struct{ ctx context.Context }
+// completion is the notification half of an entry: the Handle's future
+// (Do and DoBatch; nil on the v1 paths) and the completion callback
+// (Task.Callback or SubmitCallback's done; nil when none was given).
+type completion struct {
+	fut *future
+	cb  func(JobResult)
+}
+
+// fire delivers the job's one JobResult: the future first, so the result
+// is readable through Handle.Done by the time the callback runs. Never
+// called under a shard lock — the callback may re-enter the dispatcher.
+func (c completion) fire(r JobResult) {
+	if c.fut != nil {
+		c.fut.resolve(r)
+	}
+	if c.cb != nil {
+		c.cb(r)
+	}
+}
+
+// resolved pairs a completion with its result: collected under the shard
+// lock at round assembly (expiry, cancellation) and fired after it.
+type resolved struct {
+	completion
+	r JobResult
+}
 
 // cancelErr reports the entry's submission-ctx error, nil for
 // non-cancellable entries.
 func (e *entry) cancelErr() error {
-	if e.cx == nil {
+	if !e.cx {
 		return nil
 	}
-	return e.cx.ctx.Err()
+	return e.fut.ctx.Err()
 }
 
 // minRingCap is the smallest backing array the ring keeps once it has

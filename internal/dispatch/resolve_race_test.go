@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// TestBatchedResolutionRace hammers the striped completion table from
-// three sides at once: shard loops resolving whole rounds in stripe
-// batches, concurrent Handle.Done() readers draining futures, and
+// TestBatchedResolutionRace hammers round resolution from three sides
+// at once: shard loops firing whole rounds of completions, concurrent
+// Handle.Done() readers making and draining the futures' channels, and
 // callbacks that re-enter the dispatcher mid-resolution (a nested
-// SubmitCallback lands in the very stripes the resolver is walking —
-// legal only because callbacks fire outside the stripe locks). Every
+// SubmitCallback lands in the queue of the very shard that is firing —
+// legal only because completions fire outside the shard lock). Every
 // job must resolve exactly once on each side. Run under -race.
 func TestBatchedResolutionRace(t *testing.T) {
 	const (
@@ -28,6 +28,7 @@ func TestBatchedResolutionRace(t *testing.T) {
 	// dedicated goroutine blocked on the handle's future.
 	seen := make([]atomic.Int32, outer)
 	var nestedSubmitted, nestedResolved atomic.Int64
+	var accepted, completions atomic.Int64 // outer and nested, callbacks only
 	var subWG, readWG sync.WaitGroup
 	ctx := context.Background()
 	for p := 0; p < producers; p++ {
@@ -40,14 +41,18 @@ func TestBatchedResolutionRace(t *testing.T) {
 					Fn: func(context.Context) error { return nil },
 					Callback: func(JobResult) {
 						seen[idx].Add(1)
+						completions.Add(1)
 						if idx%97 == 0 {
 							// Re-enter the dispatcher from inside a resolution
 							// batch.
 							nestedSubmitted.Add(1)
 							if _, err := d.SubmitCallback(func() {}, func(JobResult) {
 								nestedResolved.Add(1)
+								completions.Add(1)
 							}); err != nil {
 								t.Errorf("nested submit from callback: %v", err)
+							} else {
+								accepted.Add(1)
 							}
 						}
 					},
@@ -56,6 +61,7 @@ func TestBatchedResolutionRace(t *testing.T) {
 					t.Errorf("Do: %v", err)
 					return
 				}
+				accepted.Add(1)
 				readWG.Add(1)
 				go func() {
 					defer readWG.Done()
@@ -85,8 +91,8 @@ func TestBatchedResolutionRace(t *testing.T) {
 	if nestedSubmitted.Load() == 0 {
 		t.Fatal("no nested submissions happened; re-entrancy went unexercised")
 	}
-	if n := d.waiters.pending(); n != 0 {
-		t.Fatalf("completion table not drained: %d waiters", n)
+	if c, a := completions.Load(), accepted.Load(); c != a {
+		t.Fatalf("%d completions fired for %d accepted jobs", c, a)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -84,10 +84,11 @@ type shard struct {
 	stats     ShardStats
 
 	// batch holds the jobs of the round in flight, indexed by local job id
-	// minus one; slots past the real batch are zero (round padding). Only
-	// the loop goroutine and — during a round — the pool workers read it.
+	// minus one; slots past the real batch are zero (round padding), and
+	// finishRound zeroes the rest, so between rounds it references nothing.
+	// Only the loop goroutine and — during a round — the pool workers
+	// touch it.
 	batch  []entry
-	lastK  int
 	execFn func(worker, local int)
 	done   chan struct{}
 
@@ -112,11 +113,9 @@ type shard struct {
 	lastTakenA atomic.Int64
 	journaled  atomic.Uint64
 
-	stealBuf []entry     // scratch for work-stealing transfers
-	doneRes  []JobResult // scratch: results of this round, for waiter resolution
-	dueBuf   []entry     // scratch: deadline-due entries pulled at round assembly
-	expired  []JobResult // scratch: expired-job results, resolved outside the lock
-	cbBuf    []waiterHit // scratch for batched waiter resolution (see waiters.resolveResults)
+	stealBuf []entry    // scratch for work-stealing transfers
+	dueBuf   []entry    // scratch: deadline-due entries pulled at round assembly
+	expired  []resolved // scratch: expired and cancelled jobs, resolved outside the lock
 }
 
 // newShard builds one shard. With a durable backend it also performs
@@ -222,8 +221,8 @@ func (s *shard) jobsDone(n int) {
 // JournalBatch > 1, claim it into the worker's group-commit buffer and
 // defer both the journal write and the payload to the next flush. v2
 // payloads get a context carrying the Task's deadline and may return an
-// error, recorded in the entry for finishRound to deliver; v1 payloads
-// run bare.
+// error, recorded in the job's future for finishRound to deliver; v1
+// payloads run bare.
 func (s *shard) exec(worker, local int) {
 	e := &s.batch[local-1]
 	if e.fn0 == nil && e.fn == nil {
@@ -246,8 +245,9 @@ func (s *shard) exec(worker, local int) {
 	s.runPayload(e)
 }
 
-// runPayload invokes one entry's payload, recording a v2 payload's error
-// in the entry for finishRound to deliver.
+// runPayload invokes one entry's payload, parking a v2 payload's error
+// in its future (every fn payload came through Do or DoBatch, so it has
+// one) for finishRound to deliver.
 func (s *shard) runPayload(e *entry) {
 	switch {
 	case e.fn0 != nil:
@@ -259,7 +259,7 @@ func (s *shard) runPayload(e *entry) {
 			ctx, cancel = context.WithDeadline(ctx, time.Unix(0, e.dl))
 			defer cancel()
 		}
-		e.err = e.fn(ctx)
+		e.fut.res.Err = e.fn(ctx)
 	}
 }
 
@@ -459,8 +459,8 @@ func (s *shard) abandon() {
 // loop is the shard's round engine: cut an adaptively sized batch off
 // the deque (stealing from the deepest sibling when idle), execute it as
 // one KKβ round (padded up to m when the batch is short), push the
-// unperformed residue back onto the FRONT of the deque, resolve the
-// performed jobs' futures, repeat. On close it drains the deque —
+// unperformed residue back onto the FRONT of the deque, fire the
+// performed jobs' completions, repeat. On close it drains the deque —
 // including residue and anything stolen — before exiting.
 func (s *shard) loop() {
 	defer close(s.done)
@@ -481,11 +481,7 @@ func (s *shard) loop() {
 			panic("dispatch: " + err.Error())
 		}
 		s.observeRound(n, k, time.Since(t0), res.Crashed)
-		performed, doneRes := s.finishRound(n, res)
-		if len(doneRes) > 0 {
-			s.d.waiters.resolveResults(doneRes, &s.cbBuf)
-		}
-		s.jobsDone(performed)
+		s.jobsDone(s.finishRound(n, res))
 	}
 }
 
@@ -606,9 +602,9 @@ func (s *shard) takeBatch() int {
 			for _, e := range s.dueBuf {
 				switch cerr := e.cancelErr(); {
 				case e.dl <= now:
-					s.expired = append(s.expired, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
+					s.expire(e, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
 				case cerr != nil:
-					s.expired = append(s.expired, JobResult{ID: e.id, Cancelled: true, Err: cerr})
+					s.expire(e, JobResult{ID: e.id, Cancelled: true, Err: cerr})
 				case n < limit:
 					s.batch[n] = e
 					n++
@@ -636,7 +632,7 @@ func (s *shard) takeBatch() int {
 		if nExp > 0 {
 			nCan := 0
 			for i := range s.expired {
-				if s.expired[i].Cancelled {
+				if s.expired[i].r.Cancelled {
 					nCan++
 				}
 			}
@@ -656,20 +652,14 @@ func (s *shard) takeBatch() int {
 			// Each expired or cancelled job resolves exactly once, outside
 			// the lock, and counts toward Flush like any other resolution.
 			s.traceExpired(s.expired)
-			s.d.waiters.resolveResults(s.expired, &s.cbBuf)
+			for i := range s.expired {
+				s.expired[i].fire(s.expired[i].r)
+			}
+			clear(s.expired) // an idle shard must not pin futures, callbacks or errors
 			s.jobsDone(nExp)
 		}
 		if n == 0 {
 			continue // everything due had expired; wait for more work
-		}
-		// Clear the slots the previous round used beyond this batch, so
-		// stale payloads can never be reached through padding ids.
-		for i := n; i < s.lastK; i++ {
-			s.batch[i] = entry{}
-		}
-		s.lastK = n
-		if s.lastK < s.m {
-			s.lastK = s.m
 		}
 		return n
 	}
@@ -697,9 +687,9 @@ func (s *shard) takeClass(ri, n, limit int, now int64) int {
 		for _, e := range s.dueBuf {
 			switch cerr := e.cancelErr(); {
 			case e.dl <= now:
-				s.expired = append(s.expired, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
+				s.expire(e, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
 			case cerr != nil:
-				s.expired = append(s.expired, JobResult{ID: e.id, Cancelled: true, Err: cerr})
+				s.expire(e, JobResult{ID: e.id, Cancelled: true, Err: cerr})
 			case n < limit:
 				s.batch[n] = e
 				n++
@@ -718,11 +708,11 @@ func (s *shard) takeClass(ri, n, limit int, now int64) int {
 	for n < limit && r.n > 0 {
 		e := s.q.popRing(ri)
 		if e.dl != 0 && e.dl <= now {
-			s.expired = append(s.expired, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
+			s.expire(e, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
 			continue
 		}
 		if cerr := e.cancelErr(); cerr != nil {
-			s.expired = append(s.expired, JobResult{ID: e.id, Cancelled: true, Err: cerr})
+			s.expire(e, JobResult{ID: e.id, Cancelled: true, Err: cerr})
 			continue
 		}
 		s.batch[n] = e
@@ -731,12 +721,19 @@ func (s *shard) takeClass(ri, n, limit int, now int64) int {
 	return n
 }
 
+// expire takes e out of play at round assembly — deadline passed or
+// submission ctx dead, never started — keeping its completion and result
+// for takeBatch to fire once the lock is dropped. Caller holds s.mu.
+func (s *shard) expire(e entry, r JobResult) {
+	s.expired = append(s.expired, resolved{e.completion, r})
+}
+
 // stealWork claims a slice of the deepest sibling queue for this (idle)
 // shard — from the BACK of the victim's LOWEST non-empty priority ring:
 // the work the victim would get to last, so a steal never delays the
 // victim's own high-priority jobs. Stolen entries keep their ids,
-// priorities and deadlines (they re-queue into the same class here), and
-// — because the completion table is dispatcher-wide — their waiters; the
+// priorities, deadlines and completions (they re-queue into the same
+// class here, and whoever performs them fires them); the
 // thief journals whatever it performs under its OWN backend and lease,
 // and the recovery scan unions all shards' journals, so at-most-once and
 // fencing are untouched by migration. The take is capped at MaxBatch and
@@ -849,13 +846,11 @@ func (s *shard) crashVector(round int) []uint64 {
 }
 
 // finishRound requeues the real residue at the front of its priority
-// ring and folds the round into the shard stats. It returns the number
-// of real jobs performed this round and — when any async waiter is
-// registered — their JobResults (payload errors included), for
-// resolution outside the lock.
-func (s *shard) finishRound(n int, res *conc.RoundResult) (int, []JobResult) {
-	collect := s.d.waiters.active()
-	latOn := s.d.latHist != nil
+// ring and folds the round into the shard stats under s.mu, then — the
+// lock dropped — fires the performed jobs' completions straight from
+// their batch slots, in slot order, and zeroes the batch. It returns the
+// number of real jobs performed this round.
+func (s *shard) finishRound(n int, res *conc.RoundResult) int {
 	tr := s.d.tr
 	s.mu.Lock()
 	requeued := 0
@@ -866,46 +861,6 @@ func (s *shard) finishRound(n int, res *conc.RoundResult) (int, []JobResult) {
 				tr.Record(s.batch[local-1].id, obs.TraceRequeued, s.id)
 			}
 			requeued++
-		}
-	}
-	var doneRes []JobResult
-	if (collect || latOn || tr != nil) && requeued < n {
-		// The performed slots are 1..n minus the (ascending) unperformed
-		// list; walk the two in lockstep. One wall-clock read covers the
-		// whole round's latency samples: resolution happens here, so the
-		// per-entry spread inside a round is below the histogram's own
-		// bucket error.
-		var end uint32
-		if latOn {
-			end = s.d.latStamp(time.Now().UnixNano())
-		}
-		s.doneRes = s.doneRes[:0]
-		ui := 0
-		for local := 1; local <= n; local++ {
-			if ui < len(res.Unperformed) && res.Unperformed[ui] == local {
-				ui++
-				continue
-			}
-			e := &s.batch[local-1]
-			if latOn && e.t0 != 0 {
-				// Wrap-safe uint32 subtraction (see entry.t0); a clamp
-				// catches the rare sample whose stamps straddle the 0→1
-				// nudge or a wall-clock step backwards.
-				dus := end - e.t0
-				if dus > 1<<31 {
-					dus = 0
-				}
-				s.d.latHist.Observe(uint64(dus) * 1000)
-			}
-			if tr != nil {
-				tr.Record(e.id, obs.TraceResolved, s.id)
-			}
-			if collect {
-				s.doneRes = append(s.doneRes, JobResult{ID: e.id, Err: e.err})
-			}
-		}
-		if collect {
-			doneRes = s.doneRes
 		}
 	}
 	// The round's slots are resolved: residue went back to the queue,
@@ -932,5 +887,38 @@ func (s *shard) finishRound(n int, res *conc.RoundResult) (int, []JobResult) {
 		// n - m + 1 per round).
 		s.d.lossHist.Observe(uint64(requeued) * 1_000_000 / uint64(n))
 	}
-	return performed, doneRes
+	// The performed slots are 1..n minus the (ascending) unperformed
+	// list; walk the two in lockstep. The batch is the loop goroutine's
+	// alone between rounds, so no lock is held while completions run (a
+	// callback may re-enter Do on this very shard). One wall-clock read
+	// covers the whole round's latency samples: the per-entry spread
+	// inside a round is below the histogram's own bucket error.
+	var end int64
+	if s.d.latHist != nil {
+		end = time.Now().UnixNano()
+	}
+	ui := 0
+	for local := 1; local <= n; local++ {
+		if ui < len(res.Unperformed) && res.Unperformed[ui] == local {
+			ui++ // residue: its copy in the queue is the live one now
+			continue
+		}
+		e := &s.batch[local-1]
+		if e.t0 != 0 {
+			// max: a wall-clock step backwards must not wrap the sample.
+			s.d.latHist.Observe(uint64(max(end-e.t0, 0)))
+		}
+		if tr != nil {
+			tr.Record(e.id, obs.TraceResolved, s.id)
+		}
+		r := JobResult{ID: e.id}
+		if e.fut != nil {
+			r.Err = e.fut.res.Err
+		}
+		e.fire(r)
+	}
+	// An idle shard must not pin its last round's payload closures,
+	// futures and callbacks until the next job happens to arrive.
+	clear(s.batch[:n])
+	return performed
 }

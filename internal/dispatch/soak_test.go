@@ -279,6 +279,7 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 		}
 		return true
 	})
+	var accepted, completions int64
 	for i := range resolutions {
 		c := resolutions[i].Load()
 		if isAsync[i].Load() && c != 1 {
@@ -287,8 +288,12 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 		if !isAsync[i].Load() && c != 0 {
 			t.Fatalf("soak: plain job index %d got %d resolutions", i, c)
 		}
+		if isAsync[i].Load() {
+			accepted++
+		}
+		completions += int64(c)
 	}
-	if n := d.waiters.pending(); n != 0 {
-		t.Fatalf("soak: completion table not drained: %d waiters", n)
+	if completions != accepted {
+		t.Fatalf("soak: %d completions fired for %d accepted async jobs", completions, accepted)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -67,15 +68,16 @@ type Task struct {
 	// Priority selects the scheduling class; the zero value is Normal.
 	Priority Priority
 	// Callback, when non-nil, is invoked exactly once with the job's
-	// JobResult, after the Handle's Done channel is filled. It runs on
-	// the performing shard's loop goroutine (keep it fast; do not call
-	// the dispatcher's blocking methods from it) — or synchronously on
-	// the submitting goroutine for journal-recovered jobs.
+	// JobResult, once the result is readable through the Handle's Done
+	// channel. It runs on the performing shard's loop goroutine (keep it
+	// fast; do not call the dispatcher's blocking methods from it) — or
+	// synchronously on the submitting goroutine for journal-recovered
+	// jobs.
 	Callback func(JobResult)
 }
 
 // Handle identifies an accepted Task: its dispatcher-wide id and its
-// completion future.
+// completion future. Copies of a Handle share one future.
 type Handle struct {
 	// ID is the job's dispatcher-wide id. Ids start at 1, and each
 	// shard's single-submit sequence is dense (consecutive ids from
@@ -83,15 +85,64 @@ type Handle struct {
 	// fixed submission order always reproduces the same ids.
 	ID uint64
 
-	ch chan JobResult
+	f *future
 }
 
 // Done returns the job's completion future: a 1-buffered channel that
 // receives exactly one JobResult — when the payload has returned (Err
 // carrying its error), when the deadline expired before the round
 // started (Expired set), or immediately for journal-recovered jobs
-// (Recovered set). The channel is never closed.
-func (h Handle) Done() <-chan JobResult { return h.ch }
+// (Recovered set). The channel is never closed, and every call on every
+// copy of the Handle returns the same one, whether the job has resolved
+// yet or not. It is made on the first call, so a caller that only set
+// Task.Callback never pays for it.
+func (h Handle) Done() <-chan JobResult {
+	f := h.f
+	if f == nil {
+		return nil // the zero Handle
+	}
+	f.mu.Lock()
+	if f.ch == nil {
+		f.ch = make(chan JobResult, 1)
+		if f.done {
+			f.ch <- f.res
+		}
+	}
+	ch := f.ch
+	f.mu.Unlock()
+	return ch
+}
+
+// future is the one heap object a Do costs: the job's result once it has
+// one, and the channel Done hands out once somebody asks. It is never
+// pooled or reused — a Handle may be read arbitrarily late.
+type future struct {
+	mu sync.Mutex
+	ch chan JobResult // made by the first Done call
+	// ctx is Do's ctx when it can be cancelled (nil otherwise, and the
+	// entry's cx flag says which): round assembly polls it so a job whose
+	// ctx died in the queue resolves without starting (see
+	// shard.takeBatch). Written before the entry is enqueued, read only by
+	// the loop holding the entry.
+	ctx context.Context
+	// res is the job's result, valid once done is set (under mu). Before
+	// that, the worker running the payload parks its returned error in
+	// res.Err — ordered before resolve by the round's join, and unread by
+	// Done until done is set.
+	res  JobResult
+	done bool
+}
+
+// resolve publishes the job's result: exactly one call per future, on the
+// goroutine that resolves the job.
+func (f *future) resolve(r JobResult) {
+	f.mu.Lock()
+	f.res, f.done, f.ctx = r, true, nil
+	if f.ch != nil {
+		f.ch <- r // 1-buffered and this is the only send: never blocks
+	}
+	f.mu.Unlock()
+}
 
 // ErrNilFn is returned by Do and DoBatch for a Task without a payload.
 var ErrNilFn = errors.New("dispatch: Task.Fn is nil")
@@ -113,18 +164,7 @@ func entryOf(t Task) (entry, error) {
 			dl = -1
 		}
 	}
-	return entry{fn: t.Fn, dl: dl, pri: t.Priority}, nil
-}
-
-// handleDone builds the single completion waiter for a Task: it fills
-// the future first, then fires the callback.
-func handleDone(ch chan JobResult, cb func(JobResult)) func(JobResult) {
-	return func(r JobResult) {
-		ch <- r
-		if cb != nil {
-			cb(r)
-		}
-	}
+	return entry{fn: t.Fn, dl: dl, pri: t.Priority, completion: completion{cb: t.Callback}}, nil
 }
 
 // Do submits one Task and returns its Handle. It is the single v2 entry
@@ -150,12 +190,16 @@ func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) {
 	if err != nil {
 		return Handle{}, err
 	}
-	ch := make(chan JobResult, 1)
-	id, err := d.do(ctx, e, handleDone(ch, t.Callback))
+	f := &future{}
+	if ctx.Done() != nil {
+		f.ctx, e.cx = ctx, true
+	}
+	e.fut = f
+	id, err := d.do(ctx, e)
 	if err != nil {
 		return Handle{}, err
 	}
-	return Handle{ID: id, ch: ch}, nil
+	return Handle{ID: id, f: f}, nil
 }
 
 // DoBatch submits the Tasks in order and returns one Handle per Task;
@@ -166,7 +210,9 @@ func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) {
 // rejects the batch with nothing consumed); unlike Do's abortable
 // single-job admission, an accepted Block-policy batch consumes its ids
 // up front and is fed in un-abortably as rounds free space, and every
-// Handle resolves exactly once regardless of ctx.
+// Handle resolves exactly once regardless of ctx. The batch's futures
+// are one allocation, so a retained Handle keeps its whole batch's
+// results reachable.
 func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error) {
 	if len(tasks) == 0 {
 		return nil, nil
@@ -175,28 +221,22 @@ func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error
 		ctx = context.Background()
 	}
 	entries := make([]entry, len(tasks))
+	futs := make([]future, len(tasks))
 	for i := range tasks {
 		e, err := entryOf(tasks[i])
 		if err != nil {
 			return nil, fmt.Errorf("task %d: %w", i, err)
 		}
+		e.fut = &futs[i]
 		entries[i] = e
 	}
-	handles := make([]Handle, len(tasks))
-	dones := make([]func(JobResult), len(tasks))
-	for i := range tasks {
-		ch := make(chan JobResult, 1)
-		handles[i] = Handle{ch: ch}
-		dones[i] = handleDone(ch, tasks[i].Callback)
-	}
-	first, err := d.doBatch(ctx, len(tasks),
-		func(i int) entry { return entries[i] },
-		func(i int) func(JobResult) { return dones[i] })
+	first, err := d.doBatch(ctx, len(tasks), func(i int) entry { return entries[i] })
 	if err != nil {
 		return nil, err
 	}
+	handles := make([]Handle, len(tasks))
 	for i := range handles {
-		handles[i].ID = first + uint64(i)
+		handles[i] = Handle{ID: first + uint64(i), f: &futs[i]}
 	}
 	return handles, nil
 }

@@ -77,7 +77,7 @@ func init() {
 	}
 	for i, n := range evNames {
 		jdDone[i] = r.Counter("amo_jobd_completions_total",
-			"Job completions resolved through the completion table, by status.",
+			"Job completions (the dispatcher's exactly-once Task.Callback), by status.",
 			"status", n)
 	}
 	jdEvStream = r.Counter("amo_jobd_events_streamed_total",

@@ -592,8 +592,8 @@ func (s *Server) admit(r *coreReq) {
 
 // complete applies one resolved job to the ledger and fans its event
 // out to the tenant's subscribers. Exactly-once delivery of the
-// RESOLUTION is inherited from the completion table (the callback fires
-// once per job); event DELIVERY to any one subscriber is best-effort —
+// RESOLUTION is inherited from the dispatcher (Task.Callback fires once
+// per job); event DELIVERY to any one subscriber is best-effort —
 // a full outbound queue drops the event and counts it.
 func (s *Server) complete(m *doneMsg) {
 	ts := s.tenantLedger(m.tenant)

@@ -73,7 +73,7 @@ const protoVersion uint32 = 1
 // Completion-event statuses (jopEvent status byte). They mirror the
 // dispatcher's JobResult: exactly one event is emitted per admitted job
 // — completion resolution is exactly-once because it is driven by the
-// completion table's exactly-once callbacks.
+// dispatcher's exactly-once Task.Callback.
 const (
 	evOK        byte = 0 // payload ran, returned nil
 	evError     byte = 1 // payload ran, returned an error (errmsg carries it)

@@ -25,10 +25,9 @@ import (
 // benchmark's jobd_pipelined shape — in-process server on atomic
 // registers, 2 connections × 16 closed-loop submitters, 32-byte
 // payloads, each connection subscribed to its own tenant — must stay
-// within 8 heap allocations per job from Client.Submit to the event
+// within 5 heap allocations per job from Client.Submit to the event
 // handler. The budget (DESIGN.md §15): the payload copy, the task's two
-// closures, dispatch.Do's three, and a fraction for amortised growth;
-// 24 before the wire path stopped allocating per frame.
+// closures, dispatch.Do's future, and a fraction for amortised growth.
 func TestWirePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
@@ -87,8 +86,8 @@ func TestWirePathAllocs(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	perJob := float64(m1.Mallocs-m0.Mallocs) / jobs
 	t.Logf("%.2f allocations per job over %d jobs", perJob, jobs)
-	if perJob > 8.0 {
-		t.Errorf("submit → ack → run → event allocates %.2f times per job, budget 8.0", perJob)
+	if perJob > 5.0 {
+		t.Errorf("submit → ack → run → event allocates %.2f times per job, budget 5.0", perJob)
 	}
 }
 
