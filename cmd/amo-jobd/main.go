@@ -207,11 +207,14 @@ func run(args []string, ready chan<- string) error {
 	if *metrics != "" {
 		fmt.Fprintf(os.Stderr, "amo-jobd: ops endpoint on %s\n", srv.OpsAddr())
 	}
+	// Catch the signals before announcing readiness: whoever hears
+	// "ready" may send SIGTERM at once, and an uncaught one kills the
+	// process instead of closing the server.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	if ready != nil {
 		ready <- bound
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "amo-jobd: shutting down")
 	return srv.Close()

@@ -101,12 +101,13 @@ func run(args []string, ready chan<- string) error {
 		defer ops.Close()
 		logf("amo-regd: ops endpoint on %s", ops.Addr())
 	}
+	// Catch the signals before announcing readiness: whoever hears
+	// "ready" may send SIGTERM at once.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if ready != nil {
 		ready <- addr
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	logf("amo-regd: %s, shutting down", s)
 	return srv.Close()

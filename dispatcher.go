@@ -66,14 +66,16 @@ type DispatcherConfig struct {
 	// existing files recovers the performed-job journal, and a client
 	// that re-submits the same job stream in the same order has each
 	// already-performed job resolve instantly instead of running twice
-	// (see examples/recover). "net:HOST:PORT/NS" moves the registers to
+	// (see examples/recover). "net:HOST:PORT/NS" keeps the journal on
 	// an amo-regd register server: shard s uses namespace "NS.shard<s>",
 	// holds the single-writer lease on it (a second dispatcher over the
 	// same namespaces waits for the lease and then takes over, fenced
 	// against the old writer — see examples/failover), and recovery
 	// works exactly as for mmap, over the wire. "counting:SPEC" wraps
-	// any backend with access counting. Durable and remote backends
-	// require MaxJobs.
+	// any backend with access counting — on a dispatcher that is journal
+	// traffic only (the fingerprint, one cell per performed job, the
+	// recovery scan): a shard's round registers stay in process memory
+	// whatever the backend. Durable and remote backends require MaxJobs.
 	Backend string
 	// MaxJobs bounds the distinct job ids a durable dispatcher may
 	// assign over the lifetime of its register files (across restarts);

@@ -158,9 +158,8 @@ func fatal(role string, err error) {
 // wait to be stopped. After the SIGCONT it detects the wall-clock gap,
 // releases the workers and lets the fencing kill it: its lease epoch is
 // stale by then, so its first register operation — the next job's
-// journal write, a runtime register write, or the background lease
-// renewal, whichever lands first — panics the process before any
-// payload can run a second time. The trace snapshot is taken at the
+// journal write or the background lease renewal, whichever lands first
+// — panics the process before any payload can run a second time. The trace snapshot is taken at the
 // freeze, i.e. the last instant this incarnation's view exists.
 func childAMain() {
 	dir, spec := os.Getenv(envDir), os.Getenv(envSpec)

@@ -27,19 +27,6 @@ type RuntimeOptions struct {
 	// worker.
 	Jitter bool
 	Seed   int64
-	// Mem, when non-nil, supplies the register backend instead of a fresh
-	// in-process AtomicMem — e.g. a durable membackend.MmapMem so register
-	// state survives the process. It must hold at least
-	// MemBase + Layout{M, RowLen: Capacity}.Padded().Size() cells (the
-	// runtime uses the cache-line-padded layout), and the cells in
-	// that window must read zero when the first round starts (a recovering
-	// caller re-zeroes them). Reads and writes must be per-cell atomic and
-	// safe for concurrent use.
-	Mem shmem.Mem
-	// MemBase offsets the runtime's register layout within Mem, so a
-	// caller can co-locate its own durable state (journals, metadata) in
-	// the same register file. Only meaningful with Mem.
-	MemBase int
 	// Flush, when non-nil, is invoked by each worker (1-based id) after
 	// its step loop ends — normal termination AND injected crash alike —
 	// and before the round settles, so per-worker work a payload deferred
@@ -72,9 +59,11 @@ type RoundResult struct {
 }
 
 // Runtime is a persistent worker pool executing plain KKβ rounds: m
-// long-lived goroutines over one reusable register file — an in-process
-// AtomicMem by default, or any shmem.Mem backend supplied via
-// RuntimeOptions.Mem (see internal/membackend). Where
+// long-lived goroutines over one reusable register file, a private
+// in-process AtomicMem: the next/done registers coordinate the workers of
+// one round and mean nothing to anyone else, so they never leave process
+// memory (what must outlive the process is the caller's business — the
+// dispatcher's journal, internal/dispatch/durable.go). Where
 // Run spawns goroutines and allocates shared memory per call, a Runtime is
 // built once and executes any number of rounds; between rounds it re-zeroes
 // only the registers the previous round dirtied and resets the warm
@@ -126,28 +115,14 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 		seed:   o.Seed,
 		flush:  o.Flush,
 		// Padded: each worker's write-hot next cell gets its own cache
-		// line, so neighboring workers (and neighboring shards sharing
-		// one register file) stop false-sharing on the set_next path.
-		lay:         core.Layout{Base: o.MemBase, M: o.M, RowLen: o.Capacity}.Padded(),
+		// line, so neighboring workers stop false-sharing on the set_next
+		// path.
+		lay:         core.Layout{M: o.M, RowLen: o.Capacity}.Padded(),
 		steps:       make([]uint64, o.M),
 		stamp:       make([]uint64, o.Capacity+1),
 		unperformed: make([]int, 0, o.Capacity),
 	}
-	if o.Mem != nil {
-		if o.MemBase < 0 {
-			return nil, fmt.Errorf("%w: negative MemBase %d", errValidate, o.MemBase)
-		}
-		if need := o.MemBase + r.lay.Size(); o.Mem.Size() < need {
-			return nil, fmt.Errorf("%w: backend holds %d cells, need %d (base %d + layout %d)",
-				errValidate, o.Mem.Size(), need, o.MemBase, r.lay.Size())
-		}
-		r.mem = o.Mem
-	} else {
-		if o.MemBase != 0 {
-			return nil, fmt.Errorf("%w: MemBase without Mem", errValidate)
-		}
-		r.mem = shmem.NewAtomic(r.lay.Size())
-	}
+	r.mem = shmem.NewAtomic(r.lay.Size())
 	r.procs = make([]*core.Proc, o.M)
 	r.logs = make([]*eventLog, o.M)
 	r.start = make([]chan struct{}, o.M)

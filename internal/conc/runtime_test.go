@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"atmostonce/internal/core"
-	"atmostonce/internal/shmem"
 )
 
 // TestRuntimeRoundReuse drives many rounds of varying sizes through one
@@ -153,57 +152,5 @@ func TestRuntimeRoundValidation(t *testing.T) {
 	}
 	if _, err := NewRuntime(RuntimeOptions{M: 4, Capacity: 2}); err == nil {
 		t.Error("capacity < m accepted")
-	}
-}
-
-// TestRuntimeExternalMem runs the pool over a caller-supplied backend at
-// a base offset and checks the rounds stay correct and confined to the
-// layout window.
-func TestRuntimeExternalMem(t *testing.T) {
-	const m, k, base = 3, 64, 17
-	// The runtime lays its registers out cache-line padded; size the
-	// backend and place the sentinels against that layout.
-	lay := core.Layout{Base: base, M: m, RowLen: k}.Padded()
-	mem := shmem.NewAtomic(base + lay.Size() + 5)
-	// Sentinels outside the runtime's window must never be touched.
-	mem.Write(base-1, 123)
-	mem.Write(base+lay.Size(), 456)
-	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: k, Mem: mem, MemBase: base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	for round := 0; round < 4; round++ {
-		res, err := rt.RunRound(k, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Duplicates != 0 {
-			t.Fatalf("round %d: %d duplicates", round, res.Duplicates)
-		}
-		if lower := core.EffectivenessBound(k, m, 0); res.Performed < lower {
-			t.Fatalf("round %d: performed %d < bound %d", round, res.Performed, lower)
-		}
-	}
-	if v := mem.Read(base - 1); v != 123 {
-		t.Fatalf("runtime wrote below its base: %d", v)
-	}
-	if v := mem.Read(base + lay.Size()); v != 456 {
-		t.Fatalf("runtime wrote past its layout: %d", v)
-	}
-
-	// An undersized backend is rejected up front.
-	if _, err := NewRuntime(RuntimeOptions{M: m, Capacity: k, Mem: shmem.NewAtomic(10), MemBase: base}); err == nil {
-		t.Error("undersized backend accepted")
-	}
-	if _, err := NewRuntime(RuntimeOptions{M: m, Capacity: k, MemBase: base}); err == nil {
-		t.Error("MemBase without Mem accepted")
-	}
-}
-
-// Negative MemBase must fail at construction, not as a worker panic.
-func TestRuntimeNegativeMemBase(t *testing.T) {
-	if _, err := NewRuntime(RuntimeOptions{M: 2, Capacity: 8, Mem: shmem.NewAtomic(100), MemBase: -8}); err == nil {
-		t.Fatal("negative MemBase accepted")
 	}
 }

@@ -89,11 +89,12 @@ type Config struct {
 	// ignored. This is the fault-injection hook used by the chaos tests;
 	// a plan that crashes workers on every round forever can starve Flush.
 	CrashPlan func(shard, round int) []uint64
-	// NewMem, when non-nil, supplies each shard's register backend
-	// (internal/membackend) instead of in-process atomic memory. The
-	// factory is called once per shard with the number of cells the shard
-	// needs; durable backends (mmap) make the dispatcher crash
-	// recoverable — see Recovery below. Requires MaxJobs.
+	// NewMem, when non-nil, supplies each shard's journal backend
+	// (internal/membackend): the shard journals every performed job there
+	// and runs its rounds in process memory regardless. The factory is
+	// called once per shard with the number of cells the shard needs;
+	// durable backends (mmap) make the dispatcher crash recoverable — see
+	// Recovery below. Requires MaxJobs.
 	NewMem func(shard, size int) (membackend.Backend, error)
 	// MaxJobs bounds the distinct job ids a backend-backed dispatcher may
 	// assign over the lifetime of its register files (across restarts):

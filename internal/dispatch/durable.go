@@ -5,26 +5,30 @@ import (
 	"hash/fnv"
 	"time"
 
-	"atmostonce/internal/core"
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
 )
 
-// Durable shard state. When Config.NewMem supplies a register backend,
-// each shard lays its register file out as
+// Durable shard state. When Config.NewMem supplies a backend, each shard
+// lays its register file out as
 //
-//	cell 0                 — config fingerprint (shard id, shard count,
-//	                         m, MaxBatch, MaxJobs folded through FNV;
-//	                         reopening with a different shape is refused)
+//	cell 0                 — config fingerprint (layout version, shard id,
+//	                         shard count, m, MaxBatch, MaxJobs folded
+//	                         through FNV; reopening with a different
+//	                         shape is refused)
 //	cells 1..jmetaCells-1  — reserved
 //	m rows × MaxJobs cells — the durable journal: worker p appends the
 //	                         dispatcher-wide id of every job it performs
 //	                         to row p, in order, before invoking the
 //	                         payload
-//	the rest               — the conc.Runtime register layout (cache-
-//	                         line-padded next array + done matrix) at
-//	                         base jbase+m·MaxJobs
+//
+// and nothing else: the backend holds only what a successor reads. The
+// round's next/done registers coordinate the m workers of one round, all
+// goroutines of this process, and recovery starts every round from the
+// model's all-zero state — so they live in the conc.Runtime's private
+// in-process memory like an atomic shard's, and the backend is touched
+// only by journal/flushClaims, the recovery scan, Sync and Close.
 //
 // The journal rows mirror the paper's done matrix — single-writer
 // ownership registers, append-only within a row — but hold durable
@@ -35,6 +39,15 @@ import (
 // analysis.
 const jmetaCells = 8
 
+// layoutVersion names the register-file layout above; it is folded into
+// the fingerprint, so a store of any other layout fails the fingerprint
+// check even where its size happens to match.
+const layoutVersion = "amo-dispatch-v3"
+
+// layoutChange is what every refusal of a store this layout cannot own
+// says: a store that does not match is never reinterpreted.
+const layoutChange = "layout " + layoutVersion + " keeps only the fingerprint and the journal rows in the backend; a store written under an earlier layout also holds the round registers after the journal and is not reinterpreted — start durable stores fresh"
+
 // fingerprint folds a shard's layout-determining configuration into a
 // positive int64 stored at cell 0 of its register file. The shard COUNT
 // is included even though it does not shape this file: reopening a
@@ -42,9 +55,7 @@ const jmetaCells = 8
 // 1's journal and re-execute its jobs, so any shape change is refused.
 func fingerprint(shard, shards, m, maxBatch, maxJobs int) int64 {
 	h := fnv.New64a()
-	// v2: the runtime window moved to the cache-line-padded register
-	// layout, so v1 files (packed next array) are not interpretable.
-	fmt.Fprintf(h, "amo-dispatch-v2/%d of %d/%d/%d/%d", shard, shards, m, maxBatch, maxJobs)
+	fmt.Fprintf(h, layoutVersion+"/%d of %d/%d/%d/%d", shard, shards, m, maxBatch, maxJobs)
 	return int64(h.Sum64() >> 1) // keep it positive and distinct from the empty cell
 }
 
@@ -55,18 +66,15 @@ func (s *shard) jaddr(p, idx int) int { return jmetaCells + (p-1)*s.jlen + idx }
 // openDurable builds the shard's backend, validates or initializes its
 // metadata and, when the backend holds pre-crash state, recovers it:
 // the journal rows are scanned for performed job ids (returned to the
-// caller), the per-worker append cursors are rebuilt, and the runtime's
-// register window is re-zeroed so the next round starts from the model's
-// initial state.
+// caller) and the per-worker append cursors are rebuilt.
 func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 	m, maxBatch, maxJobs := cfg.Workers, cfg.MaxBatch, cfg.MaxJobs
-	// Padded, matching the layout conc.NewRuntime builds over this window.
-	lay := core.Layout{M: m, RowLen: maxBatch}.Padded()
-	jbase := jmetaCells + m*maxJobs
-	size := jbase + lay.Size()
+	size := jmetaCells + m*maxJobs
 	b, err := cfg.NewMem(s.id, size)
 	if err != nil {
-		return nil, fmt.Errorf("dispatch: shard %d backend: %w", s.id, err)
+		// The commonest way to get here with a store that exists is a size
+		// the backend refuses, so the refusal names the layout.
+		return nil, fmt.Errorf("dispatch: shard %d backend (%d cells): %w; %s", s.id, size, err, layoutChange)
 	}
 	if b.Size() < size {
 		b.Close()
@@ -76,7 +84,6 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 	s.durable = true
 	s.jlen = maxJobs
 	s.jcur = make([]int, m)
-	s.rbase = jbase
 	s.ackedW, _ = b.(membackend.AckedWriter)
 	s.journalW, _ = b.(membackend.JournalWriter)
 	s.batchJournalW, _ = b.(membackend.BatchJournalWriter)
@@ -97,8 +104,8 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 			b.Close()
 			eventlog.Logger().Error("dispatch_fingerprint_mismatch",
 				"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
-			return nil, fmt.Errorf("dispatch: shard %d register file was written by a different configuration (fingerprint %#x, want %#x); use the original Shards/Workers/MaxBatch/MaxJobs or start from a fresh file",
-				s.id, got, fp)
+			return nil, fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/Workers/MaxBatch/MaxJobs or start from a fresh file; %s",
+				s.id, got, fp, layoutChange)
 		}
 		scan0 := time.Now()
 		eventlog.Logger().Info("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
@@ -110,14 +117,6 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 				return nil, fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
 			}
 			s.jcur[p-1] = n
-		}
-		// The crash may have left a round in flight: the runtime window
-		// holds that round's next/done registers. The journal already
-		// accounts for every performed job, so the window is just dirt —
-		// restore the model's all-zero initial state.
-		if err := s.zeroWindow(jbase, size); err != nil {
-			b.Close()
-			return nil, fmt.Errorf("dispatch: shard %d window reset: %w", s.id, err)
 		}
 		if s.d.recoveryHist != nil {
 			s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
@@ -173,21 +172,6 @@ func (s *shard) scanJournalRow(p int, recovered *[]uint64) (n int, err error) {
 	return n, nil
 }
 
-// zeroWindow restores the runtime register window [lo, hi) to the
-// model's initial all-zero state, in one operation when the backend can
-// Fill.
-func (s *shard) zeroWindow(lo, hi int) error {
-	if f, ok := s.backend.(membackend.Filler); ok {
-		return f.Fill(lo, hi-lo, 0)
-	}
-	for a := lo; a < hi; a++ {
-		if s.backend.Read(a) != 0 {
-			s.backend.Write(a, 0)
-		}
-	}
-	return nil
-}
-
 // journal durably records that worker p performed the job in batch slot
 // local-1, before the payload runs. Crash ordering: record-then-do. A
 // process killed between the two re-performs nothing on recovery — the
@@ -232,7 +216,7 @@ func (s *shard) journal(p int, id uint64) {
 			panic(fmt.Sprintf("dispatch: shard %d journal write for job %d failed (fenced or unreachable backend): %v", s.id, id, err))
 		}
 	default:
-		s.mem.Write(s.jaddr(p, idx), int64(id))
+		s.backend.Write(s.jaddr(p, idx), int64(id))
 	}
 	s.jcur[p-1] = idx + 1
 	s.journaled.Add(1)
@@ -302,7 +286,7 @@ func (s *shard) flushClaims(p int) {
 		}
 	default:
 		for i, id := range c.ids {
-			s.mem.Write(addr+i, int64(id))
+			s.backend.Write(addr+i, int64(id))
 		}
 	}
 	s.jcur[p-1] = idx + k

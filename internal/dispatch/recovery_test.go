@@ -279,11 +279,9 @@ func TestReopenConfigMismatch(t *testing.T) {
 		t.Fatal("reopen with different file size accepted")
 	}
 	// A shape with the SAME total size but different geometry gets past
-	// the header and is refused by the fingerprint. With m=2 the cell
-	// count is 8 + 2·MaxJobs + 16 (padded next array) + 2·MaxBatch;
-	// trading one MaxBatch cell for one MaxJobs cell keeps it constant.
+	// the header and is refused by the fingerprint. The cell count is
+	// 8 + m·MaxJobs, so MaxBatch alone changes the shape and not the size.
 	sly := cfg
-	sly.MaxJobs = cfg.MaxJobs + 1
 	sly.MaxBatch = cfg.MaxBatch - 1
 	if _, err := New(sly); err == nil || !strings.Contains(err.Error(), "configuration") {
 		t.Fatalf("size-preserving mismatched reopen: got %v", err)
@@ -423,11 +421,11 @@ func netFactory(addr, ns string, clients *[]*netmem.NetMem) func(shard, size int
 }
 
 // TestRecoverOverNetwork is TestRecoverMidRound transplanted onto the
-// networked register service: the registers, the journal and the
-// recovery scan all live on the other side of a TCP connection. The
-// journal path runs through WriteAcked (record-then-do with the record
-// acknowledged before the payload), the recovery scan through
-// ReadRange, and the window reset through Fill.
+// networked register service: the journal and the recovery scan live
+// on the other side of a TCP connection (the round registers never
+// leave the process). The journal path runs through JournalWrite
+// (record-then-do with the record acknowledged before the payload) and
+// the recovery scan through ReadRange.
 func TestRecoverOverNetwork(t *testing.T) {
 	const (
 		n       = 600

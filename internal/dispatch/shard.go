@@ -12,7 +12,6 @@ import (
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
-	"atmostonce/internal/shmem"
 )
 
 // shard is one independent KKβ instance: a persistent worker pool, a
@@ -33,20 +32,19 @@ type shard struct {
 	depth  int
 	target float64
 
-	// Durable state (nil/zero for in-process shards): the register
+	// Durable state (nil/zero for in-process shards): the journal
 	// backend, the journal geometry and the per-worker append cursors.
-	// See durable.go for the register-file layout. ackedW is the
-	// backend's AckedWriter capability when it has one (remote backends
-	// do): the journal writes through it so record-then-do holds across
-	// the network, not just across local process death.
+	// See durable.go for the register-file layout. The round's own
+	// registers are never here — rt keeps them in process memory. ackedW
+	// is the backend's AckedWriter capability when it has one (remote
+	// backends do): the journal writes through it so record-then-do holds
+	// across the network, not just across local process death.
 	backend       membackend.Backend
-	mem           shmem.Mem
 	ackedW        membackend.AckedWriter
 	journalW      membackend.JournalWriter
 	batchJournalW membackend.BatchJournalWriter
 	durable       bool
 	jlen          int
-	rbase         int
 	jcur          []int
 
 	// Group-commit state (JournalBatch > 1): each worker claims up to
@@ -145,8 +143,6 @@ func newShard(d *Dispatcher, id int) (*shard, []uint64, error) {
 		if recovered, err = s.openDurable(&d.cfg); err != nil {
 			return nil, nil, err
 		}
-		s.mem = s.backend
-		opts.Mem, opts.MemBase = s.backend, s.rbase
 		if s.jbatch > 1 {
 			// Workers with an open claim buffer at the end of their step
 			// loop (round drained, or injected crash) flush it before the

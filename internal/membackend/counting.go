@@ -9,7 +9,7 @@ import (
 // shared-access instrumentation of shmem.SimMem outside the simulator:
 // unlike SimMem it is safe for concurrent use (counters are atomic) and
 // composes with durable backends ("counting:mmap:PATH"). The loopable
-// capabilities (AckedWriter, RangeReader, Filler) pass through to the
+// capabilities (AckedWriter, RangeReader) pass through to the
 // inner backend when it has them and fall back to the equivalent cell
 // loop when it does not, so wrapping never hides them — and every
 // access through a capability is counted with the same weights a
@@ -33,7 +33,6 @@ var (
 	_ BatchAckedWriter   = (*CountingMem)(nil)
 	_ BatchJournalWriter = (*CountingMem)(nil)
 	_ RangeReader        = (*CountingMem)(nil)
-	_ Filler             = (*CountingMem)(nil)
 )
 
 // swappingCounting is a CountingMem over a Swapper-capable inner
@@ -173,21 +172,6 @@ func (c *CountingMem) ReadRange(addr int, dst []int64) error {
 	}
 	for i := range dst {
 		dst[i] = c.inner.Read(addr + i)
-	}
-	return nil
-}
-
-// Fill implements Filler, counting n writes.
-func (c *CountingMem) Fill(addr, n int, v int64) error {
-	if n < 0 {
-		return fmt.Errorf("membackend: negative fill count %d", n)
-	}
-	c.writes.Add(uint64(n))
-	if f, ok := c.inner.(Filler); ok {
-		return f.Fill(addr, n, v)
-	}
-	for i := 0; i < n; i++ {
-		c.inner.Write(addr+i, v)
 	}
 	return nil
 }

@@ -1,10 +1,11 @@
 // Package membackend is the register-backend registry: every
-// implementation of shmem.Mem that the concurrent stack can run on,
-// behind one factory. The paper's algorithms only ever see an array of
-// atomic read/write registers (§2.1); everything above the registers —
-// core, conc.Runtime, the streaming dispatcher — talks to them through
-// the shmem.Mem interface, so the register file itself is a replaceable
-// subsystem. This package makes the replacement explicit:
+// implementation of shmem.Mem with a lifecycle, behind one factory. The
+// paper's algorithms only ever see an array of atomic read/write
+// registers (§2.1) and reach them through the shmem.Mem interface, so a
+// register file is a replaceable subsystem. What the streaming
+// dispatcher keeps in one is its durable journal — the state a successor
+// reads; the KKβ round registers themselves stay in conc.Runtime's
+// process memory. This package makes the replacement explicit:
 //
 //   - "atomic"  — the in-process sync/atomic backend (shmem.AtomicMem),
 //     the default for purely in-memory dispatchers.
@@ -82,13 +83,6 @@ type AckedWriter interface {
 // journal rows instead of cell-at-a-time.
 type RangeReader interface {
 	ReadRange(addr int, dst []int64) error
-}
-
-// Filler stores v into the n cells starting at addr in one operation.
-// The dispatcher uses it to re-zero the runtime register window on
-// recovery.
-type Filler interface {
-	Fill(addr, n int, v int64) error
 }
 
 // Swapper is per-cell compare-and-swap: if the cell at addr holds old,

@@ -269,7 +269,7 @@ func TestCountingCapabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := AsCounting(b)
-	if err := c.Fill(4, 4, 9); err != nil {
+	if err := c.WriteAckedBatch(4, []int64{9, 9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]int64, 6)
@@ -295,7 +295,7 @@ func TestCountingCapabilities(t *testing.T) {
 	if got := c.Read(4); got != 10 {
 		t.Fatalf("cell 4 = %d after CAS, want 10", got)
 	}
-	// Weights: Fill = 4 writes, ReadRange = 6 reads, 2 CAS = 2r+2w, Read = 1r.
+	// Weights: WriteAckedBatch = 4 writes, ReadRange = 6 reads, 2 CAS = 2r+2w, Read = 1r.
 	if c.Writes() != 4+2 || c.Reads() != 6+2+1 {
 		t.Fatalf("counters reads=%d writes=%d, want 9/6", c.Reads(), c.Writes())
 	}

@@ -65,7 +65,7 @@ func RunMemSuite(t *testing.T, f Factory) {
 }
 
 // Local structural mirrors of membackend's optional capability
-// interfaces (AckedWriter, RangeReader, Filler, Swapper). They are
+// interfaces (AckedWriter, RangeReader, Swapper). They are
 // redeclared here instead of imported because membackend's own tests
 // run this suite from inside package membackend — importing it back
 // would be an import cycle — and Go interface satisfaction is
@@ -76,9 +76,6 @@ type (
 	}
 	rangeReader interface {
 		ReadRange(addr int, dst []int64) error
-	}
-	filler interface {
-		Fill(addr, n int, v int64) error
 	}
 	swapper interface {
 		CompareAndSwap(addr int, old, new int64) bool
@@ -94,8 +91,8 @@ type (
 // testCapabilities checks whichever of the optional membackend
 // capability interfaces the backend implements against the plain
 // Read/Write semantics: WriteAcked is a write, ReadRange sees exactly
-// what per-cell reads see, Fill covers its range and nothing else, and
-// CompareAndSwap succeeds precisely on a matching old value. Backends
+// what per-cell reads see, and CompareAndSwap succeeds precisely on a
+// matching old value. Backends
 // with none of the capabilities pass vacuously.
 func testCapabilities(t *testing.T, f Factory) {
 	const size = 64
@@ -122,21 +119,6 @@ func testCapabilities(t *testing.T, f Factory) {
 		for i, v := range dst {
 			if want := m.Read(5 + i); v != want {
 				t.Fatalf("ReadRange[%d] = %d, per-cell read says %d", i, v, want)
-			}
-		}
-	}
-	if fl, ok := m.(filler); ok {
-		any = true
-		if err := fl.Fill(10, 20, -7); err != nil {
-			t.Fatalf("Fill: %v", err)
-		}
-		for a := 0; a < size; a++ {
-			want := int64(a)*3 + 1
-			if a >= 10 && a < 30 {
-				want = -7
-			}
-			if got := m.Read(a); got != want {
-				t.Fatalf("cell %d = %d after Fill(10,20), want %d", a, got, want)
 			}
 		}
 	}

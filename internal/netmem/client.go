@@ -100,17 +100,77 @@ type pendingOp struct {
 	op    byte
 	seq   uint32
 	addr  int
-	val   int64 // write/fill value, CAS new
+	val   int64 // write value, CAS new
 	old   int64 // CAS old
-	count int   // fill/range count
+	count int   // range count
 	vals  []int64
 	ids   []uint64 // journal-batch job ids
-	// done is non-nil for awaited ops; the reader goroutine fills res*
-	// and closes it. Fire-and-forget writes leave it nil: their ack is
-	// still consumed (and checked for errors) in order.
-	done    chan struct{}
+	// wake is non-nil for awaited ops: whoever unlinks the op from the
+	// outstanding queue under mu — the reader with the reply, or
+	// fatalize/Close with the error — fills err/val/swapped and sends the
+	// one wake-up of this use. Fire-and-forget writes leave it nil: their
+	// ack is still consumed (and checked for errors) in order.
+	wake    chan struct{} // 1-buffered
 	err     error
 	swapped bool
+}
+
+// opPool recycles awaited ops, wake-up channel included, so a round trip
+// allocates nothing. An op goes back only from its own waiter, after the
+// waiter has received the wake-up and read the result: by then the op is
+// off the queue and nothing else still points at it, so a reused op can
+// never hear from an earlier use.
+var opPool = sync.Pool{New: func() any { return &pendingOp{wake: make(chan struct{}, 1)} }}
+
+func getOp(op byte, addr int) *pendingOp {
+	p := opPool.Get().(*pendingOp)
+	p.op, p.addr = op, addr
+	return p
+}
+
+func putOp(p *pendingOp) {
+	*p = pendingOp{wake: p.wake}
+	opPool.Put(p)
+}
+
+// finish hands the op's outcome to its waiter, if it has one. The waiter
+// may recycle the op at once: the caller must not touch it afterwards.
+func (p *pendingOp) finish(err error) {
+	if p.wake != nil {
+		p.err = err
+		p.wake <- struct{}{}
+	}
+}
+
+// opQueue is the FIFO of requests in flight, a ring over a fixed array:
+// send bounds the depth at maxOutstanding (Close's release may ride one
+// past it), so a push never allocates and a popped op is unpinned at
+// once.
+type opQueue struct {
+	buf     [maxOutstanding + 1]*pendingOp
+	head, n int
+}
+
+// at returns the i-th oldest op.
+func (q *opQueue) at(i int) *pendingOp { return q.buf[(q.head+i)%len(q.buf)] }
+
+func (q *opQueue) push(p *pendingOp) {
+	q.buf[(q.head+q.n)%len(q.buf)] = p
+	q.n++
+}
+
+func (q *opQueue) pop() *pendingOp {
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head, q.n = (q.head+1)%len(q.buf), q.n-1
+	return p
+}
+
+// failAll empties the queue, waking every waiter with err.
+func (q *opQueue) failAll(err error) {
+	for q.n > 0 {
+		q.pop().finish(err)
+	}
 }
 
 // NetMem is the remote register backend: shmem.Mem plus the membackend
@@ -118,8 +178,8 @@ type pendingOp struct {
 // server. Plain Writes are pipelined — sent without waiting for the
 // acknowledgement, which the background reader consumes in order — so a
 // burst of register traffic costs one round trip, not one per cell;
-// Read, WriteAcked, ReadRange, Fill, CompareAndSwap and Sync wait for
-// their reply. All methods are safe for concurrent use.
+// Read, WriteAcked, JournalWrite[Batch], ReadRange, CompareAndSwap and
+// Sync wait for their reply. All methods are safe for concurrent use.
 //
 // A broken connection is redialed with backoff; the handshake
 // revalidates the existing lease with a renew — the epoch does not move
@@ -142,7 +202,7 @@ type NetMem struct {
 	seq         uint32
 	epoch       uint64
 	reopened    bool
-	outstanding []*pendingOp
+	outstanding opQueue
 	fatal       error
 	closed      bool
 	redialing   bool
@@ -165,7 +225,6 @@ var (
 	_ membackend.JournalWriter      = (*NetMem)(nil)
 	_ membackend.BatchJournalWriter = (*NetMem)(nil)
 	_ membackend.RangeReader        = (*NetMem)(nil)
-	_ membackend.Filler             = (*NetMem)(nil)
 	_ membackend.Swapper            = (*NetMem)(nil)
 	_ shmem.Mem                     = (*NetMem)(nil)
 )
@@ -263,15 +322,16 @@ func (m *NetMem) connect(first bool) error {
 	// executed is harmless. A failure here un-installs the connection
 	// and reports to the caller (Open fails; the redial loop retries).
 	gen := m.gen
-	resent := len(m.outstanding)
+	resent := m.outstanding.n
 	resendErr := func() error {
-		for _, op := range m.outstanding {
+		for i := 0; i < resent; i++ {
+			op := m.outstanding.at(i)
 			op.seq = m.nextSeqLocked()
 			if err := wire.WriteFrame(bw, op.op, op.seq, m.encodeLocked(op)); err != nil {
 				return err
 			}
 		}
-		if len(m.outstanding) > 0 {
+		if resent > 0 {
 			return bw.Flush()
 		}
 		return nil
@@ -442,11 +502,6 @@ func (m *NetMem) encodeLocked(op *pendingOp) []byte {
 	case opReadRange:
 		b = wire.AppendU64(b, uint64(op.addr))
 		b = wire.AppendU32(b, uint32(op.count))
-	case opFill:
-		b = wire.AppendU64(b, m.epoch)
-		b = wire.AppendU64(b, uint64(op.addr))
-		b = wire.AppendU32(b, uint32(op.count))
-		b = wire.AppendI64(b, op.val)
 	case opCAS:
 		b = wire.AppendU64(b, m.epoch)
 		b = wire.AppendU64(b, uint64(op.addr))
@@ -467,14 +522,14 @@ func (m *NetMem) encodeLocked(op *pendingOp) []byte {
 // write flushes eagerly instead of waiting for the next awaited op.
 const flushThreshold = 32 << 10
 
-// send queues op on the connection. Awaited ops (done != nil) flush and
+// send queues op on the connection. Awaited ops (wake != nil) flush and
 // block until the reader delivers their reply; pipelined writes return
 // after buffering. When the connection is down, send waits for the
 // redialer rather than failing: reconnection is the client's job, not
 // the caller's.
 func (m *NetMem) send(op *pendingOp) error {
 	var t0 time.Time
-	if op.done != nil {
+	if op.wake != nil {
 		t0 = time.Now()
 	}
 	m.mu.Lock()
@@ -489,7 +544,7 @@ func (m *NetMem) send(op *pendingOp) error {
 			return ErrClosed
 		}
 		if m.conn != nil {
-			if len(m.outstanding) < maxOutstanding {
+			if m.outstanding.n < maxOutstanding {
 				break
 			}
 			// Queue full: push the buffered tail out so its acks can
@@ -502,23 +557,30 @@ func (m *NetMem) send(op *pendingOp) error {
 		m.cond.Wait()
 	}
 	op.seq = m.nextSeqLocked()
-	m.outstanding = append(m.outstanding, op)
+	m.outstanding.push(op)
 	payload := m.encodeLocked(op)
 	obsClientQueued(op.op, len(payload))
 	if err := wire.WriteFrame(m.bw, op.op, op.seq, payload); err != nil {
 		m.breakConnLocked(err)
-	} else if op.done != nil || m.bw.Buffered() > flushThreshold {
+	} else if op.wake != nil || m.bw.Buffered() > flushThreshold {
 		if err := m.bw.Flush(); err != nil {
 			m.breakConnLocked(err)
 		}
 	}
 	m.mu.Unlock()
-	if op.done == nil {
+	if op.wake == nil {
 		return nil
 	}
-	<-op.done
+	<-op.wake
 	obsClientRPC(op.op, time.Since(t0))
 	return op.err
+}
+
+// call runs one awaited op that yields nothing but its error.
+func (m *NetMem) call(op *pendingOp) error {
+	err := m.send(op)
+	putOp(op)
+	return err
 }
 
 // readLoop consumes replies for one connection generation and matches
@@ -533,118 +595,99 @@ func (m *NetMem) readLoop(gen uint64, br *bufio.Reader) {
 			return
 		}
 		cliBytesIn.Add(wire.FrameBytes(len(payload)))
-		if fatal := m.deliver(gen, op, seq, payload); fatal != nil {
+		stale, fatal := m.deliver(gen, op, seq, payload)
+		if fatal != nil {
 			m.fatalize(fatal)
 			return
 		}
-		m.mu.Lock()
-		stale := m.gen != gen
-		m.mu.Unlock()
 		if stale {
 			return
 		}
 	}
 }
 
-// deliver matches one reply to the front of the outstanding queue. It
-// returns a non-nil error only for fatal conditions (fencing, protocol
-// corruption); per-op errors on awaited ops go to the waiter.
-func (m *NetMem) deliver(gen uint64, op byte, seq uint32, payload []byte) error {
+// deliver matches one reply to the front of the outstanding queue. stale
+// reports that the reply belongs to a superseded connection generation
+// (or a closed client) and its reader should stand down; fatal is
+// non-nil only for conditions that kill the client (fencing, protocol
+// corruption) — per-op errors on awaited ops go to the waiter.
+func (m *NetMem) deliver(gen uint64, op byte, seq uint32, payload []byte) (stale bool, fatal error) {
 	m.mu.Lock()
 	if m.gen != gen || m.closed {
 		m.mu.Unlock()
-		return nil
+		return true, nil
 	}
-	if len(m.outstanding) == 0 {
+	if m.outstanding.n == 0 {
 		m.mu.Unlock()
-		return fmt.Errorf("netmem: reply op %d with nothing outstanding", op)
+		return false, fmt.Errorf("netmem: reply op %d with nothing outstanding", op)
 	}
-	p := m.outstanding[0]
-	if p.seq != seq {
+	if want := m.outstanding.at(0).seq; want != seq {
 		m.mu.Unlock()
-		return fmt.Errorf("netmem: reply seq %d, expected %d", seq, p.seq)
+		return false, fmt.Errorf("netmem: reply seq %d, expected %d", seq, want)
 	}
-	m.outstanding = m.outstanding[1:]
+	p := m.outstanding.pop()
 	// Wake senders parked on the in-flight bound and Sync/Close waiters
 	// watching for the queue to drain.
 	m.cond.Broadcast()
 	m.mu.Unlock()
+	return false, m.complete(p, op, payload)
+}
 
-	// fail delivers a fatal decode error to p's waiter (p is already off
-	// the outstanding queue, so fatalize cannot wake it) and passes the
-	// error through. Death first, waiter second — the order the fenced
-	// case below keeps too: a woken waiter may reach OnFatal at once.
+// complete decodes the reply into p and wakes its waiter. p is already
+// off the outstanding queue, so nobody else will.
+func (m *NetMem) complete(p *pendingOp, op byte, payload []byte) error {
+	// fail delivers a fatal decode error to p's waiter (fatalize cannot
+	// reach it any more) and passes the error through. Death first,
+	// waiter second — the order the fenced case below keeps too: a woken
+	// waiter may reach OnFatal at once.
 	fail := func(err error) error {
 		m.fatalize(err)
-		if p.done != nil {
-			p.err = err
-			close(p.done)
-		}
+		p.finish(err)
 		return err
 	}
-	var opErrv error
-	if op == opErr {
-		opErrv = decodeErr(payload)
-	}
-	switch {
-	case opErrv != nil:
+	switch op {
+	case opErr:
 		// A failed pipelined write has no caller to inform, and a fenced
 		// reply dooms the whole client either way. Poison the client
 		// BEFORE waking the waiter, so no concurrent operation can slip
 		// through between the waiter learning of the fence and the
 		// client dying.
-		fatal := errors.Is(opErrv, ErrFenced) || p.done == nil
+		err := decodeErr(payload)
+		fatal := errors.Is(err, ErrFenced) || p.wake == nil
 		if fatal {
-			m.fatalize(opErrv)
+			m.fatalize(err)
 		}
-		if p.done != nil {
-			p.err = opErrv
-			close(p.done)
-		}
+		p.finish(err)
 		if fatal {
-			return opErrv
+			return err
 		}
 		return nil
-	case op == opAck:
-		if p.done != nil {
-			close(p.done)
-		}
-		return nil
-	case op == opValue:
+	case opAck:
+	case opValue:
 		d := wire.Decoder{B: payload}
 		p.val = d.I64()
 		if err := d.Done(); err != nil {
 			return fail(err)
 		}
-		if p.done != nil {
-			close(p.done)
-		}
-		return nil
-	case op == opValues:
+	case opValues:
 		if len(payload)%8 != 0 || len(payload)/8 != p.count {
 			return fail(fmt.Errorf("netmem: range reply holds %d bytes for %d cells", len(payload), p.count))
 		}
 		for i := 0; i < p.count; i++ {
 			p.vals[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
 		}
-		if p.done != nil {
-			close(p.done)
-		}
-		return nil
-	case op == opCASResult:
+	case opCASResult:
 		d := wire.Decoder{B: payload}
 		p.swapped = d.U8() != 0
 		p.val = d.I64()
 		if err := d.Done(); err != nil {
 			return fail(err)
 		}
-		if p.done != nil {
-			close(p.done)
-		}
-		return nil
 	default:
 		return fail(fmt.Errorf("netmem: unexpected reply op %d", op))
 	}
+	p.finish(nil)
+	return nil
 }
 
 // breakConn marks the generation's connection dead and kicks the
@@ -672,7 +715,7 @@ func (m *NetMem) breakConnLocked(err error) {
 	m.redialing = true
 	m.logf("netmem: connection lost (%v), redialing", err)
 	eventlog.Logger().Warn("netmem_client_connection_lost",
-		"addr", m.addr, "err", err, "outstanding", len(m.outstanding))
+		"addr", m.addr, "err", err, "outstanding", m.outstanding.n)
 	go m.redial()
 }
 
@@ -766,14 +809,7 @@ func (m *NetMem) fatalize(err error) {
 		m.conn.Close()
 		m.conn, m.bw = nil, nil
 	}
-	out := m.outstanding
-	m.outstanding = nil
-	for _, p := range out {
-		if p.done != nil {
-			p.err = err
-			close(p.done)
-		}
-	}
+	m.outstanding.failAll(err)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	m.logf("netmem: fatal: %v", err)
@@ -801,8 +837,7 @@ func (m *NetMem) renewLoop() {
 		case <-m.renewStop:
 			return
 		case <-t.C:
-			op := &pendingOp{op: opRenew, done: make(chan struct{})}
-			if err := m.send(op); err != nil {
+			if err := m.call(getOp(opRenew, 0)); err != nil {
 				if !errors.Is(err, ErrClosed) {
 					m.fatalOut(err)
 				}
@@ -814,12 +849,15 @@ func (m *NetMem) renewLoop() {
 
 // Read implements shmem.Mem with one awaited round trip.
 func (m *NetMem) Read(addr int) int64 {
-	op := &pendingOp{op: opRead, addr: addr, done: make(chan struct{})}
-	if err := m.send(op); err != nil {
+	op := getOp(opRead, addr)
+	err := m.send(op)
+	v := op.val
+	putOp(op)
+	if err != nil {
 		m.fatalOut(err)
 		return 0
 	}
-	return op.val
+	return v
 }
 
 // Write implements shmem.Mem as a pipelined write: it returns once the
@@ -838,8 +876,9 @@ func (m *NetMem) Write(addr int, v int64) {
 // server has applied the write, which is the record-then-do ordering
 // the dispatcher journal needs across process death.
 func (m *NetMem) WriteAcked(addr int, v int64) error {
-	op := &pendingOp{op: opWrite, addr: addr, val: v, done: make(chan struct{})}
-	return m.send(op)
+	op := getOp(opWrite, addr)
+	op.val = v
+	return m.call(op)
 }
 
 // JournalWrite implements membackend.JournalWriter: an acked write
@@ -847,8 +886,9 @@ func (m *NetMem) WriteAcked(addr int, v int64) error {
 // server can trace the journal write under the job's global id. Same
 // durability contract as WriteAcked.
 func (m *NetMem) JournalWrite(addr int, id uint64) error {
-	op := &pendingOp{op: opJournal, addr: addr, val: int64(id), done: make(chan struct{})}
-	return m.send(op)
+	op := getOp(opJournal, addr)
+	op.val = int64(id)
+	return m.call(op)
 }
 
 // JournalWriteBatch implements membackend.BatchJournalWriter: one
@@ -865,8 +905,9 @@ func (m *NetMem) JournalWriteBatch(addr int, ids []uint64) error {
 		if n > maxRange {
 			n = maxRange
 		}
-		op := &pendingOp{op: opJournalBatch, addr: addr, ids: ids[:n], done: make(chan struct{})}
-		if err := m.send(op); err != nil {
+		op := getOp(opJournalBatch, addr)
+		op.ids = ids[:n]
+		if err := m.call(op); err != nil {
 			return err
 		}
 		addr += n
@@ -883,8 +924,9 @@ func (m *NetMem) ReadRange(addr int, dst []int64) error {
 		if n > maxRange {
 			n = maxRange
 		}
-		op := &pendingOp{op: opReadRange, addr: addr, count: n, vals: dst[:n], done: make(chan struct{})}
-		if err := m.send(op); err != nil {
+		op := getOp(opReadRange, addr)
+		op.count, op.vals = n, dst[:n]
+		if err := m.call(op); err != nil {
 			return err
 		}
 		addr += n
@@ -893,27 +935,22 @@ func (m *NetMem) ReadRange(addr int, dst []int64) error {
 	return nil
 }
 
-// Fill implements membackend.Filler with one awaited op.
-func (m *NetMem) Fill(addr, n int, v int64) error {
-	if n == 0 {
-		return nil
-	}
-	op := &pendingOp{op: opFill, addr: addr, count: n, val: v, done: make(chan struct{})}
-	return m.send(op)
-}
-
 // CompareAndSwap implements membackend.Swapper. Caveat: if the
 // connection breaks between the server applying a CAS and the ack
 // arriving, the resend re-applies it; unlike reads and absolute writes
 // a CAS is not idempotent, so a retried success can report failure.
 // The dispatcher never uses CAS; callers that do must tolerate that.
 func (m *NetMem) CompareAndSwap(addr int, old, new int64) bool {
-	op := &pendingOp{op: opCAS, addr: addr, old: old, val: new, done: make(chan struct{})}
-	if err := m.send(op); err != nil {
+	op := getOp(opCAS, addr)
+	op.old, op.val = old, new
+	err := m.send(op)
+	swapped := op.swapped
+	putOp(op)
+	if err != nil {
 		m.fatalOut(err)
 		return false
 	}
-	return op.swapped
+	return swapped
 }
 
 // Size implements shmem.Mem.
@@ -935,8 +972,7 @@ func (m *NetMem) Epoch() uint64 {
 // server applies requests in order) and has the server flush the
 // namespace backend to stable storage.
 func (m *NetMem) Sync() error {
-	op := &pendingOp{op: opSync, done: make(chan struct{})}
-	return m.send(op)
+	return m.call(getOp(opSync, 0))
 }
 
 // Close releases the lease, flushes pipelined writes and closes the
@@ -962,11 +998,11 @@ func (m *NetMem) Close() error {
 	if m.fatal == nil && m.conn != nil {
 		op := &pendingOp{op: opRelease}
 		op.seq = m.nextSeqLocked()
-		m.outstanding = append(m.outstanding, op)
+		m.outstanding.push(op)
 		if wire.WriteFrame(m.bw, op.op, op.seq, m.encodeLocked(op)) == nil {
 			if err := m.bw.Flush(); err != nil {
 				discardErr = fmt.Errorf("netmem: close flush failed, up to %d operations may not have reached the server: %w",
-					len(m.outstanding), err)
+					m.outstanding.n, err)
 			} else {
 				deadline := time.Now().Add(2 * time.Second)
 				wake := time.AfterFunc(2*time.Second, func() {
@@ -974,34 +1010,27 @@ func (m *NetMem) Close() error {
 					m.cond.Broadcast()
 					m.mu.Unlock()
 				})
-				for len(m.outstanding) > 0 && m.conn != nil && m.fatal == nil && time.Now().Before(deadline) {
+				for m.outstanding.n > 0 && m.conn != nil && m.fatal == nil && time.Now().Before(deadline) {
 					m.cond.Wait()
 				}
 				wake.Stop()
-				if n := len(m.outstanding); n > 0 {
+				if n := m.outstanding.n; n > 0 {
 					discardErr = fmt.Errorf("netmem: close timed out with %d operations unacknowledged", n)
 				}
 			}
 		}
-	} else if m.fatal == nil && len(m.outstanding) > 0 {
+	} else if m.fatal == nil && m.outstanding.n > 0 {
 		// Disconnected with queued operations: they never reached the
 		// server and never will. (With fatal set, the operations were
 		// already failed loudly via fatalize/OnFatal — no double report.)
-		discardErr = fmt.Errorf("netmem: close while disconnected discarded %d unacknowledged operations", len(m.outstanding))
+		discardErr = fmt.Errorf("netmem: close while disconnected discarded %d unacknowledged operations", m.outstanding.n)
 	}
 	m.closed = true
 	if m.conn != nil {
 		m.conn.Close()
 		m.conn, m.bw = nil, nil
 	}
-	out := m.outstanding
-	m.outstanding = nil
-	for _, p := range out {
-		if p.done != nil {
-			p.err = ErrClosed
-			close(p.done)
-		}
-	}
+	m.outstanding.failAll(ErrClosed)
 	m.cond.Broadcast()
 	m.mu.Unlock()
 	return discardErr

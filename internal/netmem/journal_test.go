@@ -200,3 +200,45 @@ func TestJournalWriteNoTracer(t *testing.T) {
 		t.Fatalf("cell 3 = %d, want 7", got)
 	}
 }
+
+// TestJournalBatchRoundTripAllocs gates the one RPC a durable dispatcher
+// still sends per claim: a JournalWriteBatch round trip — client encode,
+// pooled op and wake-up, server decode, fenced apply, ack, reader
+// delivery — allocates nothing at either end once warm. AllocsPerRun
+// counts the whole process, so the in-process server's side is in the
+// figure.
+func TestJournalBatchRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	srv := NewServer(ServerOptions{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const rows = 1 << 12
+	m, err := Open(addr, 16*rows, Options{Namespace: uniqueNS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	ids := make([]uint64, 16)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	row := 0
+	call := func() {
+		if err := m.JournalWriteBatch(16*(row%rows), ids); err != nil {
+			t.Fatal(err)
+		}
+		row++
+	}
+	for i := 0; i < 64; i++ {
+		call() // warm the op pool, both scratch buffers and the reply buffer
+	}
+	if avg := testing.AllocsPerRun(2000, call); avg > 0.2 {
+		t.Fatalf("JournalWriteBatch of %d ids allocates %.2f per round trip, want ≤ 0.2", len(ids), avg)
+	}
+}

@@ -26,7 +26,7 @@ var netmemOps = [...]struct {
 }{
 	{opHello, "hello"}, {opAcquire, "acquire"}, {opRenew, "renew"},
 	{opRelease, "release"}, {opRead, "read"}, {opWrite, "write"},
-	{opReadRange, "read_range"}, {opFill, "fill"}, {opCAS, "cas"},
+	{opReadRange, "read_range"}, {opCAS, "cas"},
 	{opSync, "sync"}, {opJournal, "journal"}, {opJournalBatch, "journal_batch"},
 }
 

@@ -206,10 +206,15 @@ func TestCorruptRangeFrames(t *testing.T) {
 	if rop, code := send(opReadRange, huge); rop != opErr || code != codeBadAddr {
 		t.Fatalf("overflowing readrange: op %d code %d, want opErr/badaddr", rop, code)
 	}
-	// Fill with the same wrap.
-	fill := wire.AppendI64(wire.AppendU32(wire.AppendU64(wire.AppendU64(nil, ep), ^uint64(0)), 1), 7)
-	if rop, code := send(opFill, fill); rop != opErr || code != codeBadAddr {
-		t.Fatalf("overflowing fill: op %d code %d, want opErr/badaddr", rop, code)
+	// A journal batch with the same wrap.
+	batch := wire.AppendU64(wire.AppendU64(wire.AppendU64(nil, ep), ^uint64(0)), 7)
+	if rop, code := send(opJournalBatch, batch); rop != opErr || code != codeBadAddr {
+		t.Fatalf("overflowing journal batch: op %d code %d, want opErr/badaddr", rop, code)
+	}
+	// Op 8 is reserved: whatever a stale client puts in it, the server
+	// answers "unknown op" and applies nothing.
+	if rop, code := send(8, batch); rop != opErr || code != codeProto {
+		t.Fatalf("reserved op 8: op %d code %d, want opErr/proto", rop, code)
 	}
 	// The connection (and server) survived: a normal op still works.
 	if rop, _ := send(opRead, wire.AppendU64(nil, 3)); rop != opValue {

@@ -11,14 +11,14 @@
 //
 //   - Server: owns one membackend.Backend per namespace (atomic, durable
 //     mmap — any registry spec) and serves cell reads, writes, range
-//     reads, fills, CAS and Sync over a compact length-prefixed binary
-//     protocol on TCP. Requests on a connection are processed strictly
+//     reads, journal writes, CAS and Sync over a compact length-prefixed
+//     binary protocol on TCP. Requests on a connection are processed strictly
 //     in order, which is what makes client-side pipelining sound.
 //   - NetMem: the client backend, registered in the membackend registry
 //     as "net:HOST:PORT[/NAMESPACE][?options]". Writes are pipelined
 //     (sent without waiting for the ack), reads and the capability ops
-//     (WriteAcked, ReadRange, Fill, CompareAndSwap, Sync) wait for their
-//     reply; a broken connection is redialed and every unacknowledged
+//     (WriteAcked, JournalWrite[Batch], ReadRange, CompareAndSwap, Sync)
+//     wait for their reply; a broken connection is redialed and every unacknowledged
 //     operation is resent in order, so callers never observe the
 //     reconnect. cmd/amo-regd is the server binary.
 //   - Arbitration: the server grants a single writer lease per
@@ -39,17 +39,18 @@ package netmem
 // request, in request order, on the same connection.
 const (
 	// Client → server.
-	opHello     byte = 1  // ns string, size u64          → opHelloOK
-	opAcquire   byte = 2  // clientID u64, ttlMs u64, wait u8 → opAcquireOK
-	opRenew     byte = 3  // epoch u64                    → opAck
-	opRelease   byte = 4  // epoch u64                    → opAck
-	opRead      byte = 5  // addr u64                     → opValue
-	opWrite     byte = 6  // epoch u64, addr u64, val i64 → opAck
-	opReadRange byte = 7  // addr u64, count u32          → opValues
-	opFill      byte = 8  // epoch u64, addr u64, count u32, val i64 → opAck
-	opCAS       byte = 9  // epoch u64, addr u64, old i64, new i64   → opCASResult
-	opSync      byte = 10 // (empty)                      → opAck
-	opJournal   byte = 11 // epoch u64, addr u64, id u64  → opAck; a write that names its job
+	opHello     byte = 1 // ns string, size u64          → opHelloOK
+	opAcquire   byte = 2 // clientID u64, ttlMs u64, wait u8 → opAcquireOK
+	opRenew     byte = 3 // epoch u64                    → opAck
+	opRelease   byte = 4 // epoch u64                    → opAck
+	opRead      byte = 5 // addr u64                     → opValue
+	opWrite     byte = 6 // epoch u64, addr u64, val i64 → opAck
+	opReadRange byte = 7 // addr u64, count u32          → opValues
+	// 8 stays reserved (it was opFill, a range store nothing sends any
+	// more): the server answers it "unknown op" and no new op takes it.
+	opCAS     byte = 9  // epoch u64, addr u64, old i64, new i64   → opCASResult
+	opSync    byte = 10 // (empty)                      → opAck
+	opJournal byte = 11 // epoch u64, addr u64, id u64  → opAck; a write that names its job
 	// opJournalBatch is the vectored journal write: ids land in the
 	// contiguous cells starting at addr (count implied by frame length).
 	// The whole batch is admitted or fenced atomically — a stale epoch

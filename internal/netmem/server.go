@@ -321,20 +321,58 @@ func (ns *namespace) release(epoch uint64) {
 	ns.mu.Unlock()
 }
 
-// applyMut gates every mutating op: the stamped epoch must be the
-// current lease, and the mutation runs under the same lock that grants
-// leases — the fencing check and the apply are one atomic step. Without
-// that, a handler descheduled between check and apply could land a
-// stale writer's mutation after its successor's grant (and after the
+// admit gates every mutating op: the stamped epoch must be the current
+// lease. On nil it returns with ns.mu HELD — the caller applies its
+// mutation and unlocks — so the mutation runs under the same lock that
+// grants leases and the fencing check and the apply are one atomic step.
+// Without that, a handler descheduled between check and apply could land
+// a stale writer's mutation after its successor's grant (and after the
 // successor's recovery scan), which is exactly the duplicate the fence
 // exists to prevent.
-func (ns *namespace) applyMut(epoch uint64, fn func() *wireError) *wireError {
+func (ns *namespace) admit(epoch uint64) *wireError {
 	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	if epoch == 0 || epoch != ns.epoch || ns.holderID == 0 {
-		return &wireError{codeFenced, fmt.Sprintf("write stamped epoch %d, lease is at %d", epoch, ns.epoch)}
+		werr := &wireError{codeFenced, fmt.Sprintf("write stamped epoch %d, lease is at %d", epoch, ns.epoch)}
+		ns.mu.Unlock()
+		return werr
 	}
-	return fn()
+	return nil
+}
+
+// journal stores ids into the contiguous cells starting at addr through
+// the strongest acked-write capability the backend has, and witnesses
+// each id in the server's tracer (shard -1 marks a server-side
+// observation). The whole batch lands under one admit: a stale writer
+// can never leave a prefix of its claim behind.
+func (s *Server) journal(ns *namespace, epoch uint64, addr int, ids []uint64) *wireError {
+	if werr := ns.admit(epoch); werr != nil {
+		return werr
+	}
+	defer ns.mu.Unlock()
+	var err error
+	switch bk := ns.bk.(type) {
+	case membackend.BatchJournalWriter:
+		err = bk.JournalWriteBatch(addr, ids)
+	case membackend.JournalWriter:
+		for i := 0; i < len(ids) && err == nil; i++ {
+			err = bk.JournalWrite(addr+i, ids[i])
+		}
+	case membackend.AckedWriter:
+		for i := 0; i < len(ids) && err == nil; i++ {
+			err = bk.WriteAcked(addr+i, int64(ids[i]))
+		}
+	default:
+		for i, id := range ids {
+			ns.bk.Write(addr+i, int64(id))
+		}
+	}
+	if err != nil {
+		return &wireError{codeBackend, err.Error()}
+	}
+	for _, id := range ids {
+		s.opts.Tracer.Record(id, obs.TraceJournaled, -1)
+	}
+	return nil
 }
 
 // wireError is an error that travels as an opErr frame.
@@ -545,13 +583,12 @@ func (s *Server) handle(c net.Conn) {
 				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("write addr %d ≥ size %d", addr, ns.size)})
 				break
 			}
-			if werr := ns.applyMut(epoch, func() *wireError {
-				ns.bk.Write(int(addr), val)
-				return nil
-			}); werr != nil {
+			if werr := ns.admit(epoch); werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
+			ns.bk.Write(int(addr), val)
+			ns.mu.Unlock()
 			ok = reply(seq, opAck, nil)
 
 		case opJournal:
@@ -566,25 +603,10 @@ func (s *Server) handle(c net.Conn) {
 				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("journal addr %d ≥ size %d", addr, ns.size)})
 				break
 			}
-			if werr := ns.applyMut(epoch, func() *wireError {
-				// Same durability and fencing semantics as an acked
-				// opWrite; the id names the job so the server can witness
-				// the journal write in its own tracer (shard -1 marks the
-				// entry as a server-side observation).
-				if jw, okj := ns.bk.(membackend.JournalWriter); okj {
-					if err := jw.JournalWrite(int(addr), id); err != nil {
-						return &wireError{codeBackend, err.Error()}
-					}
-				} else if aw, oka := ns.bk.(membackend.AckedWriter); oka {
-					if err := aw.WriteAcked(int(addr), int64(id)); err != nil {
-						return &wireError{codeBackend, err.Error()}
-					}
-				} else {
-					ns.bk.Write(int(addr), int64(id))
-				}
-				s.opts.Tracer.Record(id, obs.TraceJournaled, -1)
-				return nil
-			}); werr != nil {
+			// Same durability and fencing semantics as an acked opWrite;
+			// the id names the job so the server can witness the write.
+			ids = append(ids[:0], id)
+			if werr := s.journal(ns, epoch, int(addr), ids); werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
@@ -612,38 +634,7 @@ func (s *Server) handle(c net.Conn) {
 			for i := 0; i < count; i++ {
 				ids = append(ids, d.U64())
 			}
-			if werr := ns.applyMut(epoch, func() *wireError {
-				// The fence check and every cell store happen under one
-				// applyMut critical section: a stale epoch rejects the
-				// whole batch before any cell is touched, so a fenced
-				// writer can never leave a prefix of its claim behind.
-				switch bk := ns.bk.(type) {
-				case membackend.BatchJournalWriter:
-					if err := bk.JournalWriteBatch(int(addr), ids); err != nil {
-						return &wireError{codeBackend, err.Error()}
-					}
-				case membackend.JournalWriter:
-					for i, id := range ids {
-						if err := bk.JournalWrite(int(addr)+i, id); err != nil {
-							return &wireError{codeBackend, err.Error()}
-						}
-					}
-				case membackend.AckedWriter:
-					for i, id := range ids {
-						if err := bk.WriteAcked(int(addr)+i, int64(id)); err != nil {
-							return &wireError{codeBackend, err.Error()}
-						}
-					}
-				default:
-					for i, id := range ids {
-						ns.bk.Write(int(addr)+i, int64(id))
-					}
-				}
-				for _, id := range ids {
-					s.opts.Tracer.Record(id, obs.TraceJournaled, -1)
-				}
-				return nil
-			}); werr != nil {
+			if werr := s.journal(ns, epoch, int(addr), ids); werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
@@ -669,40 +660,6 @@ func (s *Server) handle(c net.Conn) {
 			}
 			ok = reply(seq, opValues, scratch)
 
-		case opFill:
-			epoch := d.U64()
-			addr := d.U64()
-			count := d.U32()
-			val := d.I64()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
-				break
-			}
-			// Overflow-safe bounds, as for opReadRange; a fill may cover
-			// the whole namespace (no maxRange cap — there is no reply
-			// frame to bound).
-			if count == 0 || addr >= uint64(ns.size) || uint64(count) > uint64(ns.size)-addr {
-				ok = replyErr(seq, &wireError{codeBadAddr,
-					fmt.Sprintf("fill addr %d count %d outside size %d", addr, count, ns.size)})
-				break
-			}
-			if werr := ns.applyMut(epoch, func() *wireError {
-				if f, okf := ns.bk.(membackend.Filler); okf {
-					if err := f.Fill(int(addr), int(count), val); err != nil {
-						return &wireError{codeBackend, err.Error()}
-					}
-					return nil
-				}
-				for i := 0; i < int(count); i++ {
-					ns.bk.Write(int(addr)+i, val)
-				}
-				return nil
-			}); werr != nil {
-				ok = replyErr(seq, werr)
-				break
-			}
-			ok = reply(seq, opAck, nil)
-
 		case opCAS:
 			epoch := d.U64()
 			addr := d.U64()
@@ -716,23 +673,22 @@ func (s *Server) handle(c net.Conn) {
 				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("cas addr %d ≥ size %d", addr, ns.size)})
 				break
 			}
-			var swapped bool
-			var prev int64
-			if werr := ns.applyMut(epoch, func() *wireError {
-				sw, okc := ns.bk.(membackend.Swapper)
-				if !okc {
-					return &wireError{codeBackend, fmt.Sprintf("backend %T has no atomic CAS", ns.bk)}
-				}
-				swapped = sw.CompareAndSwap(int(addr), oldv, newv)
-				prev = oldv
-				if !swapped {
-					prev = ns.bk.Read(int(addr))
-				}
-				return nil
-			}); werr != nil {
+			if werr := ns.admit(epoch); werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
+			sw, okc := ns.bk.(membackend.Swapper)
+			if !okc {
+				ns.mu.Unlock()
+				ok = replyErr(seq, &wireError{codeBackend, fmt.Sprintf("backend %T has no atomic CAS", ns.bk)})
+				break
+			}
+			swapped := sw.CompareAndSwap(int(addr), oldv, newv)
+			prev := oldv
+			if !swapped {
+				prev = ns.bk.Read(int(addr))
+			}
+			ns.mu.Unlock()
 			scratch = scratch[:0]
 			if swapped {
 				scratch = append(scratch, 1)
