@@ -95,8 +95,7 @@ type DispatcherConfig struct {
 	// in-process default backend.
 	JournalBatch int
 	// Metrics enables the dispatcher's metric registry (Registry,
-	// LatencyQuantiles). MetricsAddr, TraceSampleRate and Expvar each
-	// imply it.
+	// LatencyQuantiles). MetricsAddr and TraceSampleRate each imply it.
 	Metrics bool
 	// MetricsAddr, when non-empty, binds the ops HTTP endpoint there
 	// (e.g. "127.0.0.1:9091", or ":0" for a kernel-chosen port reported
@@ -112,14 +111,6 @@ type DispatcherConfig struct {
 	// Recovered — are recorded into a bounded ring, dumpable at
 	// /tracez. 0 disables tracing.
 	TraceSampleRate float64
-	// Expvar publishes the dispatcher's metric registry snapshot via
-	// the expvar package (ExpvarName returns the variable name) for
-	// /debug/vars scraping.
-	//
-	// Deprecated: Expvar predates the obs registry and is kept as a
-	// thin adapter over it; new code should scrape the MetricsAddr
-	// endpoint instead.
-	Expvar bool
 }
 
 // Dispatcher executes a continuous stream of jobs with at-most-once
@@ -236,7 +227,6 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		Metrics:         cfg.Metrics,
 		MetricsAddr:     cfg.MetricsAddr,
 		TraceSampleRate: cfg.TraceSampleRate,
-		Expvar:          cfg.Expvar,
 	}
 	if cfg.Backend != "" && cfg.Backend != "atomic" {
 		spec := cfg.Backend
@@ -363,10 +353,6 @@ func (d *Dispatcher) Close() error { return d.d.Close() }
 // Sync flushes durable register backends to stable storage. It is a
 // no-op for in-process dispatchers and safe to call while rounds run.
 func (d *Dispatcher) Sync() error { return d.d.Sync() }
-
-// ExpvarName returns the name Stats is published under when
-// DispatcherConfig.Expvar is set, and "" otherwise.
-func (d *Dispatcher) ExpvarName() string { return d.d.ExpvarName() }
 
 // OpsAddr returns the bound address of the ops HTTP endpoint, and ""
 // when DispatcherConfig.MetricsAddr is unset. With a ":0" config it

@@ -234,7 +234,6 @@ func TestDispatcherDurableBackend(t *testing.T) {
 		MaxBatch:        64,
 		Backend:         "counting:mmap:" + filepath.Join(t.TempDir(), "regs"),
 		MaxJobs:         jobs,
-		Expvar:          true,
 	}
 	var runs atomic.Int64
 	fns := make([]func(), jobs)
@@ -245,9 +244,6 @@ func TestDispatcherDurableBackend(t *testing.T) {
 	d1, err := NewDispatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d1.ExpvarName() == "" {
-		t.Error("Expvar requested but ExpvarName is empty")
 	}
 	if _, err := d1.SubmitBatch(fns); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,13 @@ package dispatch
 
 import (
 	"context"
+	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"atmostonce/internal/membackend"
 )
 
 // TestDispatcherRoundLoopAllocFree is the allocation gate for the
@@ -70,32 +74,41 @@ func TestDispatcherResolveAllocs(t *testing.T) {
 }
 
 // allocsPerJob measures one submission path end to end — submit, queue,
-// round, completion, Flush — on a warm dispatcher, in allocations per
-// job.
+// round, completion, Flush — on a warm in-memory dispatcher, in
+// allocations per job.
 func allocsPerJob(t *testing.T, submit func(*Dispatcher)) float64 {
+	t.Helper()
+	return allocsPerJobOn(t, Config{Shards: 1, Workers: 2, MaxBatch: 256}, 2048, submit)
+}
+
+// allocsPerJobOn is allocsPerJob over a dispatcher of the given shape,
+// in allocCycles cycles of jobs submissions each: four to warm up,
+// AllocsPerRun's own warm-up cycle and its 20 measured ones.
+func allocsPerJobOn(t *testing.T, cfg Config, jobs int, submit func(*Dispatcher)) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 256})
+	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	for i := 0; i < 8192; i++ {
+	for i := 0; i < 4*jobs; i++ {
 		submit(d)
 	}
 	d.Flush()
-	const jobs = 2048
 	avg := testing.AllocsPerRun(20, func() {
 		for i := 0; i < jobs; i++ {
 			submit(d)
 		}
 		d.Flush()
 	})
-	t.Logf("allocs per %d-job cycle: %.1f (%.3f per job)", jobs, avg, avg/jobs)
-	return avg / jobs
+	t.Logf("allocs per %d-job cycle: %.1f (%.3f per job)", jobs, avg, avg/float64(jobs))
+	return avg / float64(jobs)
 }
+
+const allocCycles = 4 + 1 + 20
 
 // TestDoAllocs: a Do costs ONE heap object, its future — whether or not
 // the caller's ctx can be cancelled (the ctx rides the future), and with
@@ -122,6 +135,41 @@ func TestDoAllocs(t *testing.T) {
 				t.Errorf("Do allocates %.3f per job (want ≤ 1.05: the future)", perJob)
 			}
 		})
+	}
+}
+
+// TestDurableJournalBatchOneAllocs: a durable Do still costs the future
+// and nothing else. The journal write passes the worker's claim buffer
+// to the backend as a slice through an interface — at JournalBatch 1 a
+// batch of one — and that buffer is sized once at open, so neither the
+// default nor the group-commit setting allocates per job or per claim.
+func TestDurableJournalBatchOneAllocs(t *testing.T) {
+	requireMmap(t)
+	// One round per cycle: at JournalBatch 1 over mmap every job is an
+	// msync, so the cycles are kept short.
+	const jobs = 256
+	task := Task{Fn: func(context.Context) error { return nil }}
+	for _, backend := range []string{"counting", "mmap"} {
+		for _, jb := range []int{1, 16} {
+			t.Run(fmt.Sprintf("%s/batch%d", backend, jb), func(t *testing.T) {
+				spec := "counting:atomic"
+				if backend == "mmap" {
+					spec = "mmap:" + filepath.Join(t.TempDir(), "regs")
+				}
+				cfg := Config{
+					Shards: 1, Workers: 2, MaxBatch: 256, MaxJobs: allocCycles*jobs + idBlock, JournalBatch: jb,
+					NewMem: func(_, size int) (membackend.Backend, error) { return membackend.Open(spec, size) },
+				}
+				perJob := allocsPerJobOn(t, cfg, jobs, func(d *Dispatcher) {
+					if _, err := d.Do(context.Background(), task); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if perJob > 1.05 {
+					t.Errorf("durable Do over %s at JournalBatch %d allocates %.3f per job (want ≤ 1.05: the future)", backend, jb, perJob)
+				}
+			})
+		}
 	}
 }
 

@@ -202,11 +202,11 @@ func TestParentLayoutRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			if !b.(membackend.Reopener).Reopened() {
+			if !b.Reopened() {
 				fill(b)
 			}
 			out := make([]int64, v2size)
-			if err := b.(membackend.RangeReader).ReadRange(0, out); err != nil {
+			if err := b.ReadRange(0, out); err != nil {
 				t.Fatal(err)
 			}
 			return out

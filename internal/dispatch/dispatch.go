@@ -18,7 +18,6 @@ package dispatch
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"runtime"
 	"sync"
@@ -119,8 +118,8 @@ type Config struct {
 	// submit/round/steal/expiry counters, queue-depth and round-size
 	// gauges, and the round-duration, round-loss and sampled
 	// submit→completion histograms, all exposable in Prometheus text
-	// format (Registry, or the ops endpoint below). MetricsAddr, Expvar
-	// and a positive TraceSampleRate each imply it.
+	// format (Registry, or the ops endpoint below). MetricsAddr and a
+	// positive TraceSampleRate each imply it.
 	Metrics bool
 	// MetricsAddr, when non-empty, binds an ops HTTP endpoint
 	// (host:port; ":0" picks a free port, OpsAddr returns it) serving
@@ -135,16 +134,6 @@ type Config struct {
 	// resolved, plus expired and recovered — dumpable at /tracez and via
 	// Tracer.
 	TraceSampleRate float64
-	// Expvar publishes the dispatcher's metric registry as an expvar
-	// variable ("atmostonce.dispatcher.<n>"; ExpvarName returns the
-	// exact name) on /debug/vars.
-	//
-	// Deprecated: Expvar is now a thin adapter over the obs registry —
-	// the same name→value map /statsz serves — kept working the way the
-	// v1 submit wrappers are. New code should set MetricsAddr (or read
-	// Registry directly). The stdlib cannot unpublish a var, so after
-	// Close it keeps reporting the final snapshot.
-	Expvar bool
 }
 
 // Recovery. A dispatcher over durable backends journals every performed
@@ -246,7 +235,7 @@ func (c *Config) normalize() error {
 	if c.TraceSampleRate > 1 {
 		c.TraceSampleRate = 1
 	}
-	if c.MetricsAddr != "" || c.TraceSampleRate > 0 || c.Expvar {
+	if c.MetricsAddr != "" || c.TraceSampleRate > 0 {
 		c.Metrics = true
 	}
 	return nil
@@ -322,8 +311,6 @@ type Dispatcher struct {
 	recovered  map[uint64]struct{}
 	recoveredN atomic.Uint64 // jobs resolved from the journal, for Stats
 
-	expvarName string
-
 	// Observability (see obs.go): reg is the dispatcher's metric
 	// registry (nil with Metrics off), the three histograms are its only
 	// push-style instruments, tr is the sampled job tracer and ops the
@@ -381,13 +368,6 @@ func New(cfg Config) (*Dispatcher, error) {
 		}
 	}
 	d.recLeft.Store(int64(len(d.recovered)))
-	if cfg.Expvar {
-		// Legacy adapter: the expvar blob is the registry's name→value
-		// snapshot — the exact map /statsz serves — so there is one
-		// source of metric truth no matter which door it leaves through.
-		d.expvarName = fmt.Sprintf("atmostonce.dispatcher.%d", expvarSeq.Add(1))
-		expvar.Publish(d.expvarName, expvar.Func(func() any { return d.reg.Snapshot() }))
-	}
 	if err := d.startOps(); err != nil {
 		for _, s := range d.shards {
 			s.stop()
@@ -401,14 +381,6 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	return d, nil
 }
-
-// expvarSeq disambiguates the expvar names of successive dispatchers;
-// the stdlib forbids republishing a name.
-var expvarSeq atomic.Uint64
-
-// ExpvarName returns the name Stats is published under when
-// Config.Expvar is set, and "" otherwise.
-func (d *Dispatcher) ExpvarName() string { return d.expvarName }
 
 // resolveRecovered reports whether id was performed by a previous
 // incarnation (per the durable journal), consuming the entry.

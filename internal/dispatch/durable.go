@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
 )
@@ -28,7 +27,7 @@ import (
 // goroutines of this process, and recovery starts every round from the
 // model's all-zero state — so they live in the conc.Runtime's private
 // in-process memory like an atomic shard's, and the backend is touched
-// only by journal/flushClaims, the recovery scan, Sync and Close.
+// only by flushClaims, the recovery scan, Sync and Close.
 //
 // The journal rows mirror the paper's done matrix — single-writer
 // ownership registers, append-only within a row — but hold durable
@@ -84,22 +83,17 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 	s.durable = true
 	s.jlen = maxJobs
 	s.jcur = make([]int, m)
-	s.ackedW, _ = b.(membackend.AckedWriter)
-	s.journalW, _ = b.(membackend.JournalWriter)
-	s.batchJournalW, _ = b.(membackend.BatchJournalWriter)
 	s.jbatch = cfg.JournalBatch
-	if s.jbatch > 1 {
-		// Claim buffers are sized once; the round path appends into them
-		// without ever growing (flush fires at jbatch).
-		s.claims = make([]workerClaims, m)
-		for p := range s.claims {
-			s.claims[p].ids = make([]uint64, 0, s.jbatch)
-			s.claims[p].locals = make([]int, 0, s.jbatch)
-		}
+	// Claim buffers are sized once; the round path appends into them
+	// without ever growing (flush fires at jbatch).
+	s.claims = make([]workerClaims, m)
+	for p := range s.claims {
+		s.claims[p].ids = make([]int64, 0, s.jbatch)
+		s.claims[p].locals = make([]int, 0, s.jbatch)
 	}
 
 	fp := fingerprint(s.id, cfg.Shards, m, maxBatch, maxJobs)
-	if r, ok := b.(membackend.Reopener); ok && r.Reopened() {
+	if b.Reopened() {
 		if got := b.Read(0); got != fp {
 			b.Close()
 			eventlog.Logger().Error("dispatch_fingerprint_mismatch",
@@ -109,8 +103,9 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 		}
 		scan0 := time.Now()
 		eventlog.Logger().Info("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
+		chunk := make([]int64, min(scanChunk, s.jlen))
 		for p := 1; p <= m; p++ {
-			n, err := s.scanJournalRow(p, &recovered)
+			n, err := s.scanJournalRow(p, chunk, &recovered)
 			if err != nil {
 				b.Close()
 				eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
@@ -135,30 +130,13 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 const scanChunk = 4096
 
 // scanJournalRow reads worker p's journal row up to its first zero,
-// appending the recovered ids. Over a RangeReader backend (remote) it
-// pulls chunks instead of cells — the difference between O(row) network
-// round trips and O(row/scanChunk).
-func (s *shard) scanJournalRow(p int, recovered *[]uint64) (n int, err error) {
-	rr, batched := s.backend.(membackend.RangeReader)
-	var chunk []int64
-	if batched {
-		chunk = make([]int64, scanChunk)
-	}
+// appending the recovered ids. It pulls chunks (into the caller's
+// scratch), not cells — over a remote backend the difference between
+// O(row) network round trips and O(row/scanChunk).
+func (s *shard) scanJournalRow(p int, chunk []int64, recovered *[]uint64) (n int, err error) {
 	for n < s.jlen {
-		if !batched {
-			id := s.backend.Read(s.jaddr(p, n))
-			if id == 0 {
-				return n, nil
-			}
-			*recovered = append(*recovered, uint64(id))
-			n++
-			continue
-		}
-		m := s.jlen - n
-		if m > scanChunk {
-			m = scanChunk
-		}
-		if err := rr.ReadRange(s.jaddr(p, n), chunk[:m]); err != nil {
+		m := min(s.jlen-n, len(chunk))
+		if err := s.backend.ReadRange(s.jaddr(p, n), chunk[:m]); err != nil {
 			return n, err
 		}
 		for _, id := range chunk[:m] {
@@ -172,87 +150,55 @@ func (s *shard) scanJournalRow(p int, recovered *[]uint64) (n int, err error) {
 	return n, nil
 }
 
-// journal durably records that worker p performed the job in batch slot
-// local-1, before the payload runs. Crash ordering: record-then-do. A
-// process killed between the two re-performs nothing on recovery — the
-// at-most-once guarantee is absolute — at the price of counting the job
-// performed even though its payload never ran, the same way the paper's
-// crashes cost effectiveness, never safety (Theorem 2.1 makes that
-// trade unavoidable). Cooperative crashes (injected via CrashPlan, or
-// any stop at action granularity, the paper's model §2.1) sit outside
-// the record/do window, so they lose nothing.
-//
-// Over a backend with an AckedWriter (the networked register service),
-// the record must be ACKNOWLEDGED before the payload runs: a pipelined
-// write still sitting in a buffer when the process dies would let the
-// successor re-run a job whose payload already executed — a duplicate.
-// A failed acked write (connection dead after retries, or fenced by a
-// successor's lease) panics: this worker's process has lost the right
-// to execute payloads, and dying before the payload is exactly the
-// crash the recovery protocol is built to absorb.
-func (s *shard) journal(p int, id uint64) {
-	idx := s.jcur[p-1] // p's row is single-writer; no synchronization needed
-	if idx >= s.jlen {
-		// Unreachable while the Submit-side MaxJobs guard holds: every id
-		// is journaled at most once across all rows and incarnations, so a
-		// row never outgrows MaxJobs. Fail loudly rather than overwrite a
-		// neighbouring row.
-		eventlog.CrashDump("dispatch_journal_overflow", "shard", s.id, "row", p, "max_jobs", s.jlen)
-		panic(fmt.Sprintf("dispatch: shard %d journal row %d overflow (MaxJobs %d)", s.id, p, s.jlen))
-	}
-	switch {
-	case s.journalW != nil:
-		// The journal-aware capability carries the job id on the wire,
-		// so a remote register server witnesses the write in its own
-		// tracer — the stitching anchor for this job's cross-process
-		// timeline.
-		if err := s.journalW.JournalWrite(s.jaddr(p, idx), id); err != nil {
-			eventlog.CrashDump("dispatch_journal_write_failed", "shard", s.id, "job", id, "err", err)
-			panic(fmt.Sprintf("dispatch: shard %d journal write for job %d failed (fenced or unreachable backend): %v", s.id, id, err))
-		}
-	case s.ackedW != nil:
-		if err := s.ackedW.WriteAcked(s.jaddr(p, idx), int64(id)); err != nil {
-			eventlog.CrashDump("dispatch_journal_write_failed", "shard", s.id, "job", id, "err", err)
-			panic(fmt.Sprintf("dispatch: shard %d journal write for job %d failed (fenced or unreachable backend): %v", s.id, id, err))
-		}
-	default:
-		s.backend.Write(s.jaddr(p, idx), int64(id))
-	}
-	s.jcur[p-1] = idx + 1
-	s.journaled.Add(1)
-}
-
-// workerClaims is one worker's open group-commit buffer: jobs marked
-// done in the round whose journal records and payloads are deferred to
-// the next flush. ids and locals move in lockstep; both are sized to
+// workerClaims is one worker's open claim buffer: jobs marked done in
+// the round whose journal records and payloads are deferred to the next
+// flush. ids and locals move in lockstep; both are sized to
 // Config.JournalBatch at construction and never grow.
 type workerClaims struct {
-	ids    []uint64 // dispatcher-wide ids, journaled in one vectored write
-	locals []int    // matching batch slots, payloads run after the write
+	ids    []int64 // dispatcher-wide ids as cell values, journaled in one acked write
+	locals []int   // matching batch slots, payloads run after the write
 }
 
-// claim appends one job to worker p's group-commit buffer, flushing when
-// the buffer reaches JournalBatch. Called only from exec on p's own
-// goroutine.
+// claim appends one job to worker p's claim buffer, flushing when the
+// buffer reaches JournalBatch — at the default of 1, on every append.
+// Called only from exec on p's own goroutine.
 func (s *shard) claim(p, local int) {
 	c := &s.claims[p-1]
-	c.ids = append(c.ids, s.batch[local-1].id)
+	c.ids = append(c.ids, int64(s.batch[local-1].id))
 	c.locals = append(c.locals, local)
 	if len(c.ids) >= s.jbatch {
 		s.flushClaims(p)
 	}
 }
 
-// flushClaims is the group commit: journal every claimed id of worker p
-// in ONE vectored acked write (the batch capability when the backend has
-// one, per-cell acked writes otherwise), then run the deferred payloads
-// in claim order. Record-then-do holds for the whole batch — no payload
-// runs before the batch's journal write returns — so a crash anywhere
-// in the window costs at most JournalBatch payloads per worker
-// (journaled, counted performed by recovery, never run: effectiveness
-// loss), and never a duplicate. It runs on worker p's goroutine, either
-// from claim (buffer full) or from the runtime's end-of-round Flush
-// hook; between rounds every buffer is empty.
+// flushClaims durably records that worker p performed every job in its
+// claim buffer — ONE acked write of all the claimed ids — and only then
+// runs the deferred payloads in claim order. Crash ordering:
+// record-then-do. A process killed between the two re-performs nothing
+// on recovery — the at-most-once guarantee is absolute — at the price of
+// counting the jobs performed even though their payloads never ran, the
+// same way the paper's crashes cost effectiveness, never safety
+// (Theorem 2.1 makes that trade unavoidable): a crash anywhere in the
+// window costs at most JournalBatch payloads per worker, and never a
+// duplicate. Cooperative crashes (injected via CrashPlan, or any stop at
+// action granularity, the paper's model §2.1) sit outside the record/do
+// window, so they lose nothing.
+//
+// The record must be ACKNOWLEDGED before the payloads run: over the
+// networked register service, a pipelined write still sitting in a
+// buffer when the process dies would let the successor re-run a job
+// whose payload already executed — a duplicate. A failed acked write
+// (connection dead after retries, or fenced by a successor's lease)
+// panics: this worker's process has lost the right to execute payloads,
+// and dying before the payload is exactly the crash the recovery
+// protocol is built to absorb. journal=true carries the ids on the wire
+// as journal records, so a remote register server witnesses them in its
+// own tracer — the stitching anchor for each job's cross-process
+// timeline.
+//
+// It runs on worker p's goroutine, either from claim (buffer full) or
+// from the runtime's end-of-round Flush hook; between rounds every
+// buffer is empty.
 func (s *shard) flushClaims(p int) {
 	c := &s.claims[p-1]
 	k := len(c.ids)
@@ -261,33 +207,18 @@ func (s *shard) flushClaims(p int) {
 	}
 	idx := s.jcur[p-1] // p's row is single-writer; no synchronization needed
 	if idx+k > s.jlen {
+		// Unreachable while the Submit-side MaxJobs guard holds: every id
+		// is journaled at most once across all rows and incarnations, so a
+		// row never outgrows MaxJobs. Fail loudly rather than overwrite a
+		// neighbouring row.
 		eventlog.CrashDump("dispatch_journal_overflow",
 			"shard", s.id, "row", p, "claimed", k, "max_jobs", s.jlen)
 		panic(fmt.Sprintf("dispatch: shard %d journal row %d overflow (%d claimed at %d, MaxJobs %d)",
 			s.id, p, k, idx, s.jlen))
 	}
-	addr := s.jaddr(p, idx)
-	switch {
-	case s.batchJournalW != nil:
-		if err := s.batchJournalW.JournalWriteBatch(addr, c.ids); err != nil {
-			s.journalFail(c.ids[0], err)
-		}
-	case s.journalW != nil:
-		for i, id := range c.ids {
-			if err := s.journalW.JournalWrite(addr+i, id); err != nil {
-				s.journalFail(id, err)
-			}
-		}
-	case s.ackedW != nil:
-		for i, id := range c.ids {
-			if err := s.ackedW.WriteAcked(addr+i, int64(id)); err != nil {
-				s.journalFail(id, err)
-			}
-		}
-	default:
-		for i, id := range c.ids {
-			s.backend.Write(addr+i, int64(id))
-		}
+	if err := s.backend.WriteAcked(s.jaddr(p, idx), c.ids, true); err != nil {
+		eventlog.CrashDump("dispatch_journal_write_failed", "shard", s.id, "job", c.ids[0], "err", err)
+		panic(fmt.Sprintf("dispatch: shard %d journal write for job %d failed (fenced or unreachable backend): %v", s.id, c.ids[0], err))
 	}
 	s.jcur[p-1] = idx + k
 	s.journaled.Add(uint64(k))
@@ -301,13 +232,4 @@ func (s *shard) flushClaims(p int) {
 	}
 	c.ids = c.ids[:0]
 	c.locals = c.locals[:0]
-}
-
-// journalFail is the shared death path of a failed journal write: the
-// backend is fenced or unreachable, so this process has lost the right
-// to run payloads — dying before them is exactly the crash recovery
-// absorbs.
-func (s *shard) journalFail(id uint64, err error) {
-	eventlog.CrashDump("dispatch_journal_write_failed", "shard", s.id, "job", id, "err", err)
-	panic(fmt.Sprintf("dispatch: shard %d journal write for job %d failed (fenced or unreachable backend): %v", s.id, id, err))
 }

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -423,7 +422,7 @@ func netFactory(addr, ns string, clients *[]*netmem.NetMem) func(shard, size int
 // TestRecoverOverNetwork is TestRecoverMidRound transplanted onto the
 // networked register service: the journal and the recovery scan live
 // on the other side of a TCP connection (the round registers never
-// leave the process). The journal path runs through JournalWrite
+// leave the process). The journal path runs through WriteAcked
 // (record-then-do with the record acknowledged before the payload) and
 // the recovery scan through ReadRange.
 func TestRecoverOverNetwork(t *testing.T) {
@@ -517,54 +516,6 @@ func TestRecoverOverNetwork(t *testing.T) {
 	}
 	if lost != 0 {
 		t.Errorf("%d jobs lost across the networked crash", lost)
-	}
-}
-
-// TestExpvar: the legacy expvar knob is now a thin adapter over the obs
-// registry — one source of truth, registry-style keys.
-func TestExpvar(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, Expvar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	name := d.ExpvarName()
-	if name == "" {
-		t.Fatal("Expvar set but ExpvarName is empty")
-	}
-	if d.Registry() == nil {
-		t.Fatal("Expvar no longer implies Metrics")
-	}
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatalf("expvar %q not published", name)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.Flush()
-	out := v.String()
-	for _, field := range []string{
-		`"amo_dispatcher_submitted_jobs_total{shard=\"0\"}":10`,
-		`"amo_dispatcher_performed_jobs_total{shard=\"0\"}":10`,
-		`"amo_dispatcher_rounds_total{shard=\"0\"}"`,
-		`"amo_dispatcher_round_duration_seconds"`,
-	} {
-		if !strings.Contains(out, field) {
-			t.Errorf("expvar output missing %s: %s", field, out)
-		}
-	}
-
-	// Off by default.
-	d2, err := New(Config{Shards: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if d2.ExpvarName() != "" {
-		t.Fatal("ExpvarName set without Config.Expvar")
 	}
 }
 

@@ -35,24 +35,20 @@ type shard struct {
 	// Durable state (nil/zero for in-process shards): the journal
 	// backend, the journal geometry and the per-worker append cursors.
 	// See durable.go for the register-file layout. The round's own
-	// registers are never here — rt keeps them in process memory. ackedW
-	// is the backend's AckedWriter capability when it has one (remote
-	// backends do): the journal writes through it so record-then-do holds
-	// across the network, not just across local process death.
-	backend       membackend.Backend
-	ackedW        membackend.AckedWriter
-	journalW      membackend.JournalWriter
-	batchJournalW membackend.BatchJournalWriter
-	durable       bool
-	jlen          int
-	jcur          []int
+	// registers are never here — rt keeps them in process memory. The
+	// journal goes through the backend's WriteAcked, so record-then-do
+	// holds across the network, not just across local process death.
+	backend membackend.Backend
+	durable bool
+	jlen    int
+	jcur    []int
 
-	// Group-commit state (JournalBatch > 1): each worker claims up to
-	// jbatch jobs — marked done in the round, payloads deferred — then
-	// flushClaims journals all of them in ONE vectored acked write and
-	// runs the payloads. claims[p-1] is worker p's open claim buffer,
-	// touched only by worker p during a round and by nobody between
-	// rounds (the runtime's Flush hook drains it before the round
+	// Claim state of a durable shard: each worker claims up to jbatch
+	// (Config.JournalBatch, default 1) jobs — marked done in the round,
+	// payloads deferred — then flushClaims journals all of them in ONE
+	// acked write and runs the payloads. claims[p-1] is worker p's open
+	// claim buffer, touched only by worker p during a round and by nobody
+	// between rounds (the runtime's Flush hook drains it before the round
 	// settles).
 	jbatch int
 	claims []workerClaims
@@ -143,12 +139,10 @@ func newShard(d *Dispatcher, id int) (*shard, []uint64, error) {
 		if recovered, err = s.openDurable(&d.cfg); err != nil {
 			return nil, nil, err
 		}
-		if s.jbatch > 1 {
-			// Workers with an open claim buffer at the end of their step
-			// loop (round drained, or injected crash) flush it before the
-			// round settles.
-			opts.Flush = s.flushClaims
-		}
+		// Workers with an open claim buffer at the end of their step loop
+		// (round drained, or injected crash) flush it before the round
+		// settles.
+		opts.Flush = s.flushClaims
 	}
 	rt, err := conc.NewRuntime(opts)
 	if err != nil {
@@ -189,10 +183,10 @@ func (s *shard) leaseID() (uint64, error) {
 
 // snapshotStats copies the shard's counters and its queue depth inside
 // ONE critical section of s.mu. Every reader of per-shard state —
-// Stats(), the obs gauge/counter funcs, and through them the expvar
-// adapter — goes through this lock, so a snapshot can never pair a
-// stale QueueDepth with fresher round counters (or vice versa): the
-// depth is exactly the queue the counters describe.
+// Stats() and the obs gauge/counter funcs — goes through this lock, so
+// a snapshot can never pair a stale QueueDepth with fresher round
+// counters (or vice versa): the depth is exactly the queue the counters
+// describe.
 func (s *shard) snapshotStats() ShardStats {
 	s.mu.Lock()
 	st := s.stats
@@ -212,10 +206,10 @@ func (s *shard) jobsDone(n int) {
 }
 
 // exec is the round payload: local job ids map to batch slots; padding
-// slots carry no payload. Durable shards journal the job's durable id
-// before running it (record-then-do; see durable.go) — or, at
-// JournalBatch > 1, claim it into the worker's group-commit buffer and
-// defer both the journal write and the payload to the next flush. v2
+// slots carry no payload. Durable shards claim the job into the
+// worker's claim buffer and defer both the journal write and the payload
+// to the flush (record-then-do; see durable.go) — at JournalBatch 1 the
+// flush follows at once. v2
 // payloads get a context carrying the Task's deadline and may return an
 // error, recorded in the job's future for finishRound to deliver; v1
 // payloads run bare.
@@ -229,14 +223,8 @@ func (s *shard) exec(worker, local int) {
 		tr.Record(e.id, obs.TraceStarted, s.id)
 	}
 	if s.durable {
-		if s.jbatch > 1 {
-			s.claim(worker, local)
-			return
-		}
-		s.journal(worker, e.id)
-		if tr != nil {
-			tr.Record(e.id, obs.TraceJournaled, s.id)
-		}
+		s.claim(worker, local)
+		return
 	}
 	s.runPayload(e)
 }

@@ -36,9 +36,9 @@ import (
 // Append writes the payload cells FIRST and the header cell LAST — the
 // header is the commit point. The scan walks records until the first
 // zero header cell, so a crash mid-append leaves a torn tail that the
-// scan never sees and the next append overwrites in place. When the
-// backend distinguishes acked from posted writes (a remote register
-// service), the header cell is written through WriteAcked: the
+// scan never sees and the next append overwrites in place. The header
+// cell is written through the backend's WriteAcked (a batch of one, not
+// a journal record — the value is a length, not a job id): the
 // descriptor must be durable BEFORE the dispatcher assigns its id and
 // journals it, or a crash could lose a descriptor whose id the journal
 // recorded — shifting every later replayed descriptor onto the wrong
@@ -98,11 +98,11 @@ func decodeDesc(b []byte, names *wire.Interner) (desc, error) {
 // internal locking; membackend cell writes are individually atomic, and
 // the single-writer discipline is exactly the point of the core loop.
 type descLog struct {
-	b     membackend.Backend
-	acked membackend.AckedWriter // nil when plain Write is already durable-ordered
-	cur   int                    // next free cell
-	size  int
-	buf   []byte // encode scratch, reused across appends
+	b    membackend.Backend
+	cur  int // next free cell
+	size int
+	buf  []byte   // encode scratch, reused across appends
+	hdr  [1]int64 // header-cell scratch: a stack literal would escape through the interface
 }
 
 // openDescLog opens (or creates) the log behind spec with the given
@@ -116,7 +116,6 @@ func openDescLog(spec string, cells int) (*descLog, []desc, error) {
 		return nil, nil, fmt.Errorf("jobd: open descriptor log: %w", err)
 	}
 	l := &descLog{b: b, cur: 1, size: cells}
-	l.acked, _ = b.(membackend.AckedWriter)
 
 	switch fp := b.Read(0); fp {
 	case logMagic:
@@ -185,8 +184,8 @@ func (l *descLog) append(d *desc) error {
 		copy(cell[:], l.buf[i*8:])
 		l.b.Write(l.cur+1+i, cellVal(cell[:]))
 	}
-	// ...header last: the commit point, acked when the backend makes
-	// that distinction so the record is durable before the id exists.
+	// ...header last: the commit point, acked so the record is durable
+	// before the id exists.
 	if err := l.writeCell(l.cur, int64(recMagic<<48|uint64(n))); err != nil {
 		return err
 	}
@@ -196,12 +195,10 @@ func (l *descLog) append(d *desc) error {
 
 func (l *descLog) close() error { return l.b.Close() }
 
+// writeCell is one acked, non-journal write of a single cell.
 func (l *descLog) writeCell(addr int, v int64) error {
-	if l.acked != nil {
-		return l.acked.WriteAcked(addr, v)
-	}
-	l.b.Write(addr, v)
-	return nil
+	l.hdr[0] = v
+	return l.b.WriteAcked(addr, l.hdr[:], false)
 }
 
 // cellVal packs 8 little-endian bytes into a register value.

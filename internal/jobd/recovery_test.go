@@ -111,6 +111,29 @@ func TestDescLogFull(t *testing.T) {
 	}
 }
 
+// TestDescLogAppendAllocs: an append allocates nothing once the encode
+// scratch is warm. The header cell goes to the backend as a one-cell
+// slice through an interface; it is the log's own scratch field, not a
+// literal that would escape once per admitted job.
+func TestDescLogAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	l, _, err := openDescLog("mmap:"+filepath.Join(t.TempDir(), "log"), testLogCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.close()
+	d := desc{tenant: "a", task: "t1", version: 1, payload: make([]byte, 100)}
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := l.append(&d); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("append allocates %.2f times per record, want 0", avg)
+	}
+}
+
 // durableServer builds a server over a durable mmap family rooted in
 // dir. The registry counts executions of task "mark" per payload index.
 func durableServer(t *testing.T, dir string, executed *[]atomic.Int32) (*Server, string) {

@@ -13,11 +13,7 @@ type AtomicBackend struct {
 	*shmem.AtomicMem
 }
 
-var (
-	_ Backend            = AtomicBackend{}
-	_ BatchAckedWriter   = AtomicBackend{}
-	_ BatchJournalWriter = AtomicBackend{}
-)
+var _ Backend = AtomicBackend{}
 
 // NewAtomic returns a volatile in-process backend with size zeroed
 // cells.
@@ -25,25 +21,25 @@ func NewAtomic(size int) AtomicBackend {
 	return AtomicBackend{AtomicMem: shmem.NewAtomic(size)}
 }
 
-// WriteAckedBatch implements BatchAckedWriter. In-process atomic stores
-// are acked the moment they return, so the batch is a plain loop; the
-// capability exists so the group-commit path is exercised uniformly
-// across backends.
-func (b AtomicBackend) WriteAckedBatch(addr int, vals []int64) error {
+// WriteAcked implements Backend. In-process atomic stores are acked the
+// moment they return, so the batch is a plain loop.
+func (b AtomicBackend) WriteAcked(addr int, vals []int64, journal bool) error {
 	for i, v := range vals {
 		b.AtomicMem.Write(addr+i, v)
 	}
 	return nil
 }
 
-// JournalWriteBatch implements BatchJournalWriter; locally the ids are
-// just the cell values.
-func (b AtomicBackend) JournalWriteBatch(addr int, ids []uint64) error {
-	for i, id := range ids {
-		b.AtomicMem.Write(addr+i, int64(id))
+// ReadRange implements Backend as a loop of atomic loads.
+func (b AtomicBackend) ReadRange(addr int, dst []int64) error {
+	for i := range dst {
+		dst[i] = b.AtomicMem.Read(addr + i)
 	}
 	return nil
 }
+
+// Reopened implements Backend: heap registers never hold earlier state.
+func (AtomicBackend) Reopened() bool { return false }
 
 // Sync implements Backend; there is nothing to flush.
 func (AtomicBackend) Sync() error { return nil }

@@ -39,96 +39,51 @@ import (
 	"atmostonce/internal/shmem"
 )
 
-// Backend is a register file with an explicit lifecycle. Read and Write
-// must be atomic per cell and safe for concurrent use (the contract the
-// conformance suite internal/memtest enforces); Sync and Close are
-// no-ops for volatile backends.
+// Backend is the whole contract between a register file and its users:
+// the paper's read/write registers (shmem.Mem) plus the five methods a
+// store with a lifecycle needs. Read and Write must be atomic per cell
+// and safe for concurrent use (the contract the conformance suite
+// internal/memtest enforces). There are no optional capabilities and no
+// compare-and-swap: the paper's model is read/write only (§2.1), and a
+// CAS resent after a lost ack is not idempotent.
 type Backend interface {
 	shmem.Mem
+	// WriteAcked stores vals into the len(vals) contiguous cells
+	// starting at addr and does not return until every one of them has
+	// reached the backing store's ordering point: the cell itself for
+	// the in-process backends, the msync of the touched pages for mmap,
+	// the server's reply for a remote one. A batch of one is the scalar
+	// case. Record-then-do is built on it — the dispatcher's journal and
+	// jobd's descriptor log are only safe when the record is known to
+	// survive the writer's death before the work it names begins.
+	//
+	// journal says the values are job ids of journal records. It changes
+	// nothing about the write; it exists so a remote backend can say so
+	// on the wire and the server can witness each id in its own tracer,
+	// which keeps a job's cross-process timeline stitchable even when
+	// the writing dispatcher dies before its own tracer is scraped.
+	//
+	// The write must be all-or-nothing with respect to admission
+	// control: a backend that can reject a write (a fenced remote
+	// writer) must reject the entire batch without applying any prefix
+	// of it. Backends whose cells are individually ordered (the
+	// in-process ones) may apply cell by cell — a crash mid-batch then
+	// leaves a prefix, which the journal's scan-to-first-zero recovery
+	// already tolerates.
+	WriteAcked(addr int, vals []int64, journal bool) error
+	// ReadRange reads the len(dst) cells starting at addr in one
+	// operation. The dispatcher's recovery scan pulls whole journal rows
+	// through it instead of paying one round trip per cell.
+	ReadRange(addr int, dst []int64) error
+	// Reopened reports whether Open found existing register state (as
+	// opposed to creating a fresh, zeroed store). The dispatcher's crash
+	// recovery keys off this; volatile backends report false.
+	Reopened() bool
 	// Sync flushes outstanding writes to the backing store, if any.
 	Sync() error
 	// Close releases the backend's resources. Using the backend after
 	// Close is undefined. Close is idempotent.
 	Close() error
-}
-
-// Reopener is the optional capability of durable backends: Reopened
-// reports whether Open found existing register state (as opposed to
-// creating a fresh, zeroed file). The dispatcher's crash recovery keys
-// off this.
-type Reopener interface {
-	Reopened() bool
-}
-
-// The interfaces below are optional backend capabilities, discovered by
-// type assertion. In-process backends satisfy them trivially (a plain
-// Write is already acked, a range read is a loop); they exist so remote
-// backends (internal/netmem) can expose the semantics a caller actually
-// needs — an acknowledged durable write, a batched scan — instead of
-// paying one network round trip per cell. internal/memtest exercises
-// whichever of them a backend implements.
-
-// AckedWriter is the capability of writing a cell and not returning
-// until the write has reached the backing store's ordering point (the
-// server, for a remote backend). The streaming dispatcher journals
-// through it: record-then-do is only safe when the record is known to
-// survive the writer's death before the payload runs. For in-process
-// backends plain Write already has that property.
-type AckedWriter interface {
-	WriteAcked(addr int, v int64) error
-}
-
-// RangeReader reads the len(dst) cells starting at addr in one
-// operation. The dispatcher's recovery scan uses it to pull whole
-// journal rows instead of cell-at-a-time.
-type RangeReader interface {
-	ReadRange(addr int, dst []int64) error
-}
-
-// Swapper is per-cell compare-and-swap: if the cell at addr holds old,
-// store new and report true; otherwise leave it and report false. The
-// paper's algorithms never need it (they are read/write only); it backs
-// the register service's TAS emulation and test scaffolding.
-type Swapper interface {
-	CompareAndSwap(addr int, old, new int64) bool
-}
-
-// BatchAckedWriter writes the len(vals) contiguous cells starting at
-// addr and does not return until every one of them has reached the
-// backing store's ordering point — one acknowledged operation for the
-// whole batch. The group-commit journal path is built on it: a worker
-// claims k jobs, journals all k cells in one vectored write, then
-// executes, paying one round trip (or one ack) per claim instead of per
-// job. The write must be all-or-nothing with respect to admission
-// control: a backend that can reject a write (a fenced remote writer)
-// must reject the entire batch without applying any prefix of it.
-// Backends whose cells are individually ordered (the in-process ones)
-// may apply cell by cell — a crash mid-batch then leaves a prefix,
-// which the journal's scan-to-first-zero recovery already tolerates.
-type BatchAckedWriter interface {
-	WriteAckedBatch(addr int, vals []int64) error
-}
-
-// BatchJournalWriter is WriteAckedBatch for journal cells: ids[i] is the
-// job id recorded at addr+i. Like JournalWriter it exists so a remote
-// backend can name the jobs on the wire and the server can witness the
-// journal records in its own tracer; the fencing atomicity contract of
-// BatchAckedWriter applies (a fenced batch rejects as a whole, never a
-// prefix).
-type BatchJournalWriter interface {
-	JournalWriteBatch(addr int, ids []uint64) error
-}
-
-// JournalWriter is an acked write that additionally names the job whose
-// journal record the cell carries. Semantically identical to WriteAcked
-// (v is the job id for a journal cell); the separate capability exists
-// so a remote backend can tell the server "this is a journal record for
-// job id" on the wire, letting the server record a server-side trace
-// event for the write. That server-side event is what makes a job's
-// cross-process timeline stitchable even when the writing dispatcher
-// dies before its own tracer is ever scraped.
-type JournalWriter interface {
-	JournalWrite(addr int, id uint64) error
 }
 
 // OpenFunc builds a backend with size cells from the spec's argument
@@ -209,11 +164,7 @@ func Open(spec string, size int) (Backend, error) {
 		return b, err
 	}
 	obsOpened(kind)
-	reopened := false
-	if r, ok := b.(Reopener); ok {
-		reopened = r.Reopened()
-	}
-	eventlog.Logger().Debug("backend_open", "kind", kind, "size", size, "reopened", reopened)
+	eventlog.Logger().Debug("backend_open", "kind", kind, "size", size, "reopened", b.Reopened())
 	return b, nil
 }
 

@@ -186,6 +186,13 @@ func (r *recordingBackend) Write(addr int, v int64) {
 	r.AtomicBackend.Write(addr, v)
 }
 
+func (r *recordingBackend) WriteAcked(addr int, vals []int64, journal bool) error {
+	for i, v := range vals {
+		r.ops = append(r.ops, fmt.Sprintf("write %d=%d", addr+i, v))
+	}
+	return r.AtomicBackend.WriteAcked(addr, vals, journal)
+}
+
 func (r *recordingBackend) Sync() error {
 	r.ops = append(r.ops, "sync")
 	return nil
@@ -202,7 +209,7 @@ func TestCountingSyncPassthrough(t *testing.T) {
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteAcked(1, 2); err != nil {
+	if err := c.WriteAcked(1, []int64{2}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Sync(); err != nil {
@@ -260,44 +267,44 @@ func TestCountingDurableSync(t *testing.T) {
 	}
 }
 
-// TestCountingCapabilities exercises the capability passthroughs and
-// their counting weights over a capability-less inner backend (the
-// fallback loops).
+// TestCountingCapabilities pins the counting weights of the two batch
+// methods — WriteAcked(k cells) = k writes, ReadRange(k) = k reads —
+// over a volatile and a durable inner backend.
 func TestCountingCapabilities(t *testing.T) {
-	b, err := Open("counting:atomic", 16)
-	if err != nil {
-		t.Fatal(err)
+	specs := []string{"counting:atomic"}
+	if runtime.GOOS == "linux" {
+		specs = append(specs, "counting:mmap:"+filepath.Join(t.TempDir(), "regs"))
 	}
-	c := AsCounting(b)
-	if err := c.WriteAckedBatch(4, []int64{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int64, 6)
-	if err := c.ReadRange(3, dst); err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 9, 9, 9, 9, 0}
-	for i, v := range want {
-		if dst[i] != v {
-			t.Fatalf("ReadRange[%d] = %d, want %d", i, dst[i], v)
+	for _, spec := range specs {
+		b, err := Open(spec, 16)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	sw, ok := b.(Swapper)
-	if !ok {
-		t.Fatal("counting over a Swapper inner does not advertise CAS")
-	}
-	if !sw.CompareAndSwap(4, 9, 10) {
-		t.Fatal("CAS with matching old failed")
-	}
-	if sw.CompareAndSwap(4, 9, 11) {
-		t.Fatal("CAS with stale old succeeded")
-	}
-	if got := c.Read(4); got != 10 {
-		t.Fatalf("cell 4 = %d after CAS, want 10", got)
-	}
-	// Weights: WriteAckedBatch = 4 writes, ReadRange = 6 reads, 2 CAS = 2r+2w, Read = 1r.
-	if c.Writes() != 4+2 || c.Reads() != 6+2+1 {
-		t.Fatalf("counters reads=%d writes=%d, want 9/6", c.Reads(), c.Writes())
+		defer b.Close()
+		c := AsCounting(b)
+		if err := c.WriteAcked(4, []int64{9, 9, 9, 9}, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteAcked(9, []int64{5}, false); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]int64, 8)
+		if err := c.ReadRange(3, dst); err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{0, 9, 9, 9, 9, 0, 5, 0}
+		for i, v := range want {
+			if dst[i] != v {
+				t.Fatalf("%s: ReadRange[%d] = %d, want %d", spec, i, dst[i], v)
+			}
+		}
+		if got := c.Read(4); got != 9 {
+			t.Fatalf("%s: cell 4 = %d, want 9", spec, got)
+		}
+		// Weights: WriteAcked = 4+1 writes, ReadRange = 8 reads, Read = 1.
+		if c.Writes() != 5 || c.Reads() != 9 {
+			t.Fatalf("%s: counters reads=%d writes=%d, want 9/5", spec, c.Reads(), c.Writes())
+		}
 	}
 }
 

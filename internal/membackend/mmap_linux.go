@@ -53,14 +53,7 @@ type MmapMem struct {
 	closed bool
 }
 
-var (
-	_ Backend            = (*MmapMem)(nil)
-	_ Reopener           = (*MmapMem)(nil)
-	_ AckedWriter        = (*MmapMem)(nil)
-	_ JournalWriter      = (*MmapMem)(nil)
-	_ BatchAckedWriter   = (*MmapMem)(nil)
-	_ BatchJournalWriter = (*MmapMem)(nil)
-)
+var _ Backend = (*MmapMem)(nil)
 
 // OpenMmap maps the register file at path with size cells, creating and
 // zero-initializing it if it does not exist (or exists empty). An
@@ -151,12 +144,6 @@ func (m *MmapMem) Read(addr int) int64 { return m.cells[addr].Load() }
 // Write implements shmem.Mem.
 func (m *MmapMem) Write(addr int, v int64) { m.cells[addr].Store(v) }
 
-// CompareAndSwap implements the optional Swapper capability with a real
-// atomic compare-and-swap on the mapped cell.
-func (m *MmapMem) CompareAndSwap(addr int, old, new int64) bool {
-	return m.cells[addr].CompareAndSwap(old, new)
-}
-
 // syncCells msyncs the page range covering the n cells starting at
 // addr, making their current values durable against host crash, not
 // just process death. The mapping starts page-aligned, so rounding the
@@ -180,31 +167,17 @@ func (m *MmapMem) syncCells(addr, n int) error {
 	return nil
 }
 
-// WriteAcked implements AckedWriter: the store plus an msync of its
-// page. A plain Write already survives process death (the pages belong
-// to the kernel); the acked variant is the genuinely synchronous write
-// the journal's record-then-do needs to also survive a host crash. It
-// is expensive — one msync per call — which is exactly what the
-// group-commit batch variants below amortize.
-func (m *MmapMem) WriteAcked(addr int, v int64) error {
-	m.cells[addr].Store(v)
-	return m.syncCells(addr, 1)
-}
-
-// JournalWrite implements JournalWriter. Locally the job id carries no
-// extra meaning (there is no server to witness it); the semantics are
-// WriteAcked's.
-func (m *MmapMem) JournalWrite(addr int, id uint64) error {
-	return m.WriteAcked(addr, int64(id))
-}
-
-// WriteAckedBatch implements BatchAckedWriter: len(vals) stores, then
-// ONE msync covering the touched page range — the group-commit
-// amortization. The cells are individually ordered atomic stores, so a
-// crash mid-batch leaves a prefix (allowed by the contract for
-// in-process backends; the journal's scan-to-first-zero recovery
-// tolerates it).
-func (m *MmapMem) WriteAckedBatch(addr int, vals []int64) error {
+// WriteAcked implements Backend: len(vals) stores, then ONE msync
+// covering the touched page range. A plain Write already survives
+// process death (the pages belong to the kernel); the acked write is the
+// genuinely synchronous one the journal's record-then-do needs to also
+// survive a host crash. The msync is the expensive part, and a batch
+// pays it once — the group-commit amortization. The cells are
+// individually ordered atomic stores, so a crash mid-batch leaves a
+// prefix (allowed by the contract for in-process backends; the journal's
+// scan-to-first-zero recovery tolerates it). Locally journal carries no
+// extra meaning: there is no server to witness the ids.
+func (m *MmapMem) WriteAcked(addr int, vals []int64, journal bool) error {
 	if len(vals) == 0 {
 		return nil
 	}
@@ -214,16 +187,12 @@ func (m *MmapMem) WriteAckedBatch(addr int, vals []int64) error {
 	return m.syncCells(addr, len(vals))
 }
 
-// JournalWriteBatch implements BatchJournalWriter with WriteAckedBatch
-// semantics over the journal cells.
-func (m *MmapMem) JournalWriteBatch(addr int, ids []uint64) error {
-	if len(ids) == 0 {
-		return nil
+// ReadRange implements Backend as a loop of atomic loads on the mapping.
+func (m *MmapMem) ReadRange(addr int, dst []int64) error {
+	for i := range dst {
+		dst[i] = m.cells[addr+i].Load()
 	}
-	for i, id := range ids {
-		m.cells[addr+i].Store(int64(id))
-	}
-	return m.syncCells(addr, len(ids))
+	return nil
 }
 
 // Size implements shmem.Mem.

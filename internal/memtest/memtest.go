@@ -12,8 +12,10 @@
 // The battery checks zero initialization, Size, read-your-writes over
 // the whole address range, full-cell atomicity under concurrent access
 // (run with -race; skipped for backends that declare themselves
-// sequential) and, for durable backends, that a reopened instance sees
-// exactly the cells the previous instance wrote.
+// sequential), for durable backends that a reopened instance sees
+// exactly the cells the previous instance wrote, and for every
+// membackend.Backend that WriteAcked and ReadRange agree with per-cell
+// writes and reads.
 package memtest
 
 import (
@@ -60,148 +62,71 @@ func RunMemSuite(t *testing.T, f Factory) {
 		}
 		testReopen(t, f)
 	})
-	t.Run("Capabilities", func(t *testing.T) { testCapabilities(t, f) })
-	t.Run("BatchWrite", func(t *testing.T) { testBatchWrite(t, f) })
-}
-
-// Local structural mirrors of membackend's optional capability
-// interfaces (AckedWriter, RangeReader, Swapper). They are
-// redeclared here instead of imported because membackend's own tests
-// run this suite from inside package membackend — importing it back
-// would be an import cycle — and Go interface satisfaction is
-// structural, so the assertions are equivalent.
-type (
-	ackedWriter interface {
-		WriteAcked(addr int, v int64) error
-	}
-	rangeReader interface {
-		ReadRange(addr int, dst []int64) error
-	}
-	swapper interface {
-		CompareAndSwap(addr int, old, new int64) bool
-	}
-	batchAckedWriter interface {
-		WriteAckedBatch(addr int, vals []int64) error
-	}
-	batchJournalWriter interface {
-		JournalWriteBatch(addr int, ids []uint64) error
-	}
-)
-
-// testCapabilities checks whichever of the optional membackend
-// capability interfaces the backend implements against the plain
-// Read/Write semantics: WriteAcked is a write, ReadRange sees exactly
-// what per-cell reads see, and CompareAndSwap succeeds precisely on a
-// matching old value. Backends
-// with none of the capabilities pass vacuously.
-func testCapabilities(t *testing.T, f Factory) {
-	const size = 64
-	m := f.New(t, size)
-	any := false
-	if aw, ok := m.(ackedWriter); ok {
-		any = true
-		if err := aw.WriteAcked(7, 1234); err != nil {
-			t.Fatalf("WriteAcked: %v", err)
-		}
-		if got := m.Read(7); got != 1234 {
-			t.Fatalf("cell 7 reads %d after WriteAcked, want 1234", got)
-		}
-	}
-	for a := 0; a < size; a++ {
-		m.Write(a, int64(a)*3+1)
-	}
-	if rr, ok := m.(rangeReader); ok {
-		any = true
-		dst := make([]int64, 17)
-		if err := rr.ReadRange(5, dst); err != nil {
-			t.Fatalf("ReadRange: %v", err)
-		}
-		for i, v := range dst {
-			if want := m.Read(5 + i); v != want {
-				t.Fatalf("ReadRange[%d] = %d, per-cell read says %d", i, v, want)
-			}
-		}
-	}
-	if sw, ok := m.(swapper); ok {
-		any = true
-		m.Write(40, 5)
-		if sw.CompareAndSwap(40, 6, 7) {
-			t.Fatal("CAS with stale old succeeded")
-		}
-		if got := m.Read(40); got != 5 {
-			t.Fatalf("failed CAS mutated the cell to %d", got)
-		}
-		if !sw.CompareAndSwap(40, 5, 7) {
-			t.Fatal("CAS with matching old failed")
-		}
-		if got := m.Read(40); got != 7 {
-			t.Fatalf("cell = %d after CAS, want 7", got)
-		}
-	}
-	if !any {
-		t.Skip("backend implements no optional capabilities")
+	// The acked write and the range read belong to membackend.Backend,
+	// not to shmem.Mem: a plain Mem (SimMem, AtomicMem) has neither and
+	// skips the two subtests; anything with a backend's lifecycle must
+	// have both. Capabilities is the scalar case, BatchWrite the batches.
+	switch m := f.New(t, 1).(type) {
+	case ackedRanger:
+		t.Run("Capabilities", func(t *testing.T) { testAckedAndRange(t, f, 1) })
+		t.Run("BatchWrite", func(t *testing.T) { testAckedAndRange(t, f, 2, 7, 33) })
+	case interface{ Close() error }:
+		t.Fatalf("%T has a backend lifecycle but not WriteAcked and ReadRange", m)
 	}
 }
 
-// testBatchWrite checks the vectored-write capabilities
-// (WriteAckedBatch / JournalWriteBatch) against plain per-cell reads: a
-// batch of k values lands in exactly the k contiguous cells starting at
-// addr, neighbours untouched, single-element and larger batches alike.
-// The stronger contract — a *fenced* batch write rejecting atomically
+// ackedRanger is a structural mirror of the two membackend.Backend
+// methods the suite checks beyond shmem.Mem. It is redeclared here
+// instead of imported because membackend's own tests run this suite
+// from inside package membackend — importing it back would be an import
+// cycle — and Go interface satisfaction is structural, so the assertion
+// is equivalent.
+type ackedRanger interface {
+	WriteAcked(addr int, vals []int64, journal bool) error
+	ReadRange(addr int, dst []int64) error
+}
+
+// testAckedAndRange checks WriteAcked and ReadRange against plain
+// per-cell reads: a batch of n values, journal records or not, lands in
+// exactly the n contiguous cells starting at addr, neighbours untouched,
+// and ReadRange over the whole file sees exactly what per-cell reads
+// see. The stronger contract — a *fenced* write rejecting atomically
 // with no prefix applied — involves two competing writers and lives in
 // the net backend's own tests (it is the only backend with admission
 // control); here every accepted batch must simply be fully applied.
-// Backends without the capabilities pass vacuously.
-func testBatchWrite(t *testing.T, f Factory) {
-	const size = 96
+func testAckedAndRange(t *testing.T, f Factory, batches ...int) {
+	const size, addr = 96, 20
 	m := f.New(t, size)
-	any := false
-	for a := 0; a < size; a++ {
-		m.Write(a, int64(a)+100)
-	}
-	if bw, ok := m.(batchAckedWriter); ok {
-		any = true
-		for _, n := range []int{1, 2, 7, 33} {
+	b := m.(ackedRanger)
+	for _, n := range batches {
+		for _, journal := range []bool{false, true} {
+			for a := 0; a < size; a++ {
+				m.Write(a, int64(a)+100)
+			}
 			vals := make([]int64, n)
 			for i := range vals {
 				vals[i] = int64(1000*n + i)
 			}
-			const addr = 20
-			if err := bw.WriteAckedBatch(addr, vals); err != nil {
-				t.Fatalf("WriteAckedBatch(%d cells): %v", n, err)
+			if err := b.WriteAcked(addr, vals, journal); err != nil {
+				t.Fatalf("WriteAcked(%d cells, journal=%v): %v", n, journal, err)
+			}
+			got := make([]int64, size)
+			if err := b.ReadRange(0, got); err != nil {
+				t.Fatalf("ReadRange: %v", err)
 			}
 			for a := 0; a < size; a++ {
 				want := int64(a) + 100
 				if a >= addr && a < addr+n {
 					want = vals[a-addr]
 				}
-				if got := m.Read(a); got != want {
-					t.Fatalf("cell %d = %d after WriteAckedBatch(%d,%d cells), want %d", a, got, addr, n, want)
+				if v := m.Read(a); v != want {
+					t.Fatalf("cell %d = %d after WriteAcked(%d, %d cells, journal=%v), want %d", a, v, addr, n, journal, want)
+				}
+				if got[a] != want {
+					t.Fatalf("ReadRange[%d] = %d, per-cell read says %d", a, got[a], want)
 				}
 			}
-			for a := 0; a < size; a++ {
-				m.Write(a, int64(a)+100)
-			}
 		}
-	}
-	if jw, ok := m.(batchJournalWriter); ok {
-		any = true
-		ids := []uint64{901, 902, 903, 904, 905}
-		const addr = 50
-		if err := jw.JournalWriteBatch(addr, ids); err != nil {
-			t.Fatalf("JournalWriteBatch: %v", err)
-		}
-		for i, id := range ids {
-			if got := m.Read(addr + i); got != int64(id) {
-				t.Fatalf("journal cell %d = %d, want %d", addr+i, got, id)
-			}
-		}
-		if got := m.Read(addr + len(ids)); got != int64(addr+len(ids))+100 {
-			t.Fatalf("cell after journal batch clobbered: %d", got)
-		}
-	}
-	if !any {
-		t.Skip("backend implements no batch-write capabilities")
 	}
 }
 

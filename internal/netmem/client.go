@@ -15,7 +15,6 @@ import (
 
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs/eventlog"
-	"atmostonce/internal/shmem"
 	"atmostonce/internal/wire"
 )
 
@@ -97,22 +96,20 @@ func (o *Options) normalize() {
 // yet acknowledged. The client keeps them FIFO; the server answers in
 // order, so the front of the queue always matches the next reply.
 type pendingOp struct {
-	op    byte
-	seq   uint32
-	addr  int
-	val   int64 // write value, CAS new
-	old   int64 // CAS old
-	count int   // range count
-	vals  []int64
-	ids   []uint64 // journal-batch job ids
+	op      byte
+	seq     uint32
+	addr    int
+	val     int64   // pipelined write value, read result
+	count   int     // range count
+	vals    []int64 // range destination, or the acked write's values
+	journal bool    // acked write: the values are journal-record job ids
 	// wake is non-nil for awaited ops: whoever unlinks the op from the
 	// outstanding queue under mu — the reader with the reply, or
-	// fatalize/Close with the error — fills err/val/swapped and sends the
-	// one wake-up of this use. Fire-and-forget writes leave it nil: their
-	// ack is still consumed (and checked for errors) in order.
-	wake    chan struct{} // 1-buffered
-	err     error
-	swapped bool
+	// fatalize/Close with the error — fills err/val and sends the one
+	// wake-up of this use. Fire-and-forget writes leave it nil: their ack
+	// is still consumed (and checked for errors) in order.
+	wake chan struct{} // 1-buffered
+	err  error
 }
 
 // opPool recycles awaited ops, wake-up channel included, so a round trip
@@ -173,13 +170,13 @@ func (q *opQueue) failAll(err error) {
 	}
 }
 
-// NetMem is the remote register backend: shmem.Mem plus the membackend
-// lifecycle and capabilities, over one TCP connection to a register
-// server. Plain Writes are pipelined — sent without waiting for the
-// acknowledgement, which the background reader consumes in order — so a
-// burst of register traffic costs one round trip, not one per cell;
-// Read, WriteAcked, JournalWrite[Batch], ReadRange, CompareAndSwap and
-// Sync wait for their reply. All methods are safe for concurrent use.
+// NetMem is the remote register backend: the membackend.Backend
+// contract over one TCP connection to a register server. Plain Writes
+// are pipelined — sent without waiting for the acknowledgement, which
+// the background reader consumes in order — so a burst of register
+// traffic costs one round trip, not one per cell; Read, WriteAcked,
+// ReadRange and Sync wait for their reply. All methods are safe for
+// concurrent use.
 //
 // A broken connection is redialed with backoff; the handshake
 // revalidates the existing lease with a renew — the epoch does not move
@@ -218,16 +215,7 @@ type NetMem struct {
 // flushes while the reader goroutine briefly holds the client lock.
 const maxOutstanding = 2048
 
-var (
-	_ membackend.Backend            = (*NetMem)(nil)
-	_ membackend.Reopener           = (*NetMem)(nil)
-	_ membackend.AckedWriter        = (*NetMem)(nil)
-	_ membackend.JournalWriter      = (*NetMem)(nil)
-	_ membackend.BatchJournalWriter = (*NetMem)(nil)
-	_ membackend.RangeReader        = (*NetMem)(nil)
-	_ membackend.Swapper            = (*NetMem)(nil)
-	_ shmem.Mem                     = (*NetMem)(nil)
-)
+var _ membackend.Backend = (*NetMem)(nil)
 
 // Open dials addr, attaches to (or creates) the namespace with size
 // cells, and acquires the writer lease per the options.
@@ -489,24 +477,20 @@ func (m *NetMem) encodeLocked(op *pendingOp) []byte {
 		b = wire.AppendU64(b, m.epoch)
 		b = wire.AppendU64(b, uint64(op.addr))
 		b = wire.AppendI64(b, op.val)
-	case opJournal:
+	case opWriteAcked:
 		b = wire.AppendU64(b, m.epoch)
 		b = wire.AppendU64(b, uint64(op.addr))
-		b = wire.AppendU64(b, uint64(op.val)) // job id
-	case opJournalBatch:
-		b = wire.AppendU64(b, m.epoch)
-		b = wire.AppendU64(b, uint64(op.addr))
-		for _, id := range op.ids {
-			b = wire.AppendU64(b, id)
+		if op.journal {
+			b = append(b, flagJournal)
+		} else {
+			b = append(b, 0)
+		}
+		for _, v := range op.vals {
+			b = wire.AppendI64(b, v)
 		}
 	case opReadRange:
 		b = wire.AppendU64(b, uint64(op.addr))
 		b = wire.AppendU32(b, uint32(op.count))
-	case opCAS:
-		b = wire.AppendU64(b, m.epoch)
-		b = wire.AppendU64(b, uint64(op.addr))
-		b = wire.AppendI64(b, op.old)
-		b = wire.AppendI64(b, op.val)
 	case opRenew, opRelease:
 		b = wire.AppendU64(b, m.epoch)
 	case opSync:
@@ -675,13 +659,6 @@ func (m *NetMem) complete(p *pendingOp, op byte, payload []byte) error {
 		}
 		for i := 0; i < p.count; i++ {
 			p.vals[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-	case opCASResult:
-		d := wire.Decoder{B: payload}
-		p.swapped = d.U8() != 0
-		p.val = d.I64()
-		if err := d.Done(); err != nil {
-			return fail(err)
 		}
 	default:
 		return fail(fmt.Errorf("netmem: unexpected reply op %d", op))
@@ -872,52 +849,36 @@ func (m *NetMem) Write(addr int, v int64) {
 	}
 }
 
-// WriteAcked implements membackend.AckedWriter: it returns after the
-// server has applied the write, which is the record-then-do ordering
-// the dispatcher journal needs across process death.
-func (m *NetMem) WriteAcked(addr int, v int64) error {
-	op := getOp(opWrite, addr)
-	op.val = v
-	return m.call(op)
-}
-
-// JournalWrite implements membackend.JournalWriter: an acked write
-// that names the job whose journal record the cell carries, so the
-// server can trace the journal write under the job's global id. Same
-// durability contract as WriteAcked.
-func (m *NetMem) JournalWrite(addr int, id uint64) error {
-	op := getOp(opJournal, addr)
-	op.val = int64(id)
-	return m.call(op)
-}
-
-// JournalWriteBatch implements membackend.BatchJournalWriter: one
-// awaited round trip journals the whole claim, which is the group
-// commit that makes JournalBatch>1 pay — k journal records for one
-// network RTT instead of k. The server applies the batch atomically
-// with respect to fencing: a stale epoch rejects every cell, never a
-// prefix. Batches beyond the protocol's per-op bound are chunked (each
-// chunk then carries the atomicity guarantee individually — chunking at
-// maxRange cells is far beyond any sane JournalBatch setting).
-func (m *NetMem) JournalWriteBatch(addr int, ids []uint64) error {
-	for len(ids) > 0 {
-		n := len(ids)
+// WriteAcked implements membackend.Backend: one awaited round trip
+// stores the whole batch, and it returns after the server has applied
+// it — the record-then-do ordering the dispatcher journal needs across
+// process death, and the group commit that makes JournalBatch>1 pay (k
+// journal records for one network RTT instead of k). journal rides the
+// wire as a flag, so the server can trace each value as a job's journal
+// record. The server applies the batch atomically with respect to
+// fencing: a stale epoch rejects every cell, never a prefix. Batches
+// beyond the protocol's per-op bound are chunked (each chunk then
+// carries the atomicity guarantee individually — chunking at maxRange
+// cells is far beyond any sane JournalBatch setting).
+func (m *NetMem) WriteAcked(addr int, vals []int64, journal bool) error {
+	for len(vals) > 0 {
+		n := len(vals)
 		if n > maxRange {
 			n = maxRange
 		}
-		op := getOp(opJournalBatch, addr)
-		op.ids = ids[:n]
+		op := getOp(opWriteAcked, addr)
+		op.vals, op.journal = vals[:n], journal
 		if err := m.call(op); err != nil {
 			return err
 		}
 		addr += n
-		ids = ids[n:]
+		vals = vals[n:]
 	}
 	return nil
 }
 
-// ReadRange implements membackend.RangeReader, chunking to the
-// protocol's per-op bound.
+// ReadRange implements membackend.Backend, chunking to the protocol's
+// per-op bound.
 func (m *NetMem) ReadRange(addr int, dst []int64) error {
 	for len(dst) > 0 {
 		n := len(dst)
@@ -935,28 +896,10 @@ func (m *NetMem) ReadRange(addr int, dst []int64) error {
 	return nil
 }
 
-// CompareAndSwap implements membackend.Swapper. Caveat: if the
-// connection breaks between the server applying a CAS and the ack
-// arriving, the resend re-applies it; unlike reads and absolute writes
-// a CAS is not idempotent, so a retried success can report failure.
-// The dispatcher never uses CAS; callers that do must tolerate that.
-func (m *NetMem) CompareAndSwap(addr int, old, new int64) bool {
-	op := getOp(opCAS, addr)
-	op.old, op.val = old, new
-	err := m.send(op)
-	swapped := op.swapped
-	putOp(op)
-	if err != nil {
-		m.fatalOut(err)
-		return false
-	}
-	return swapped
-}
-
 // Size implements shmem.Mem.
 func (m *NetMem) Size() int { return m.size }
 
-// Reopened implements membackend.Reopener: whether the namespace held
+// Reopened implements membackend.Backend: whether the namespace held
 // register state before this client attached (a durable file reopened
 // by the server, or an earlier client session on the same namespace).
 func (m *NetMem) Reopened() bool { return m.reopened }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestJournalBatchReconnectResume: opJournalBatch through forced clean
+// TestJournalBatchReconnectResume: the journal write through forced clean
 // drops. A batch whose ack never arrived is replayed after the redial
 // and must land whole; reads issued across a drop block through the
 // reconnect; the fencing epoch must not move (resume is renew-based, so
@@ -27,18 +27,18 @@ func TestJournalBatchReconnectResume(t *testing.T) {
 	defer c.Close()
 	e0 := c.Epoch()
 
-	ids := func(base uint64, n int) []uint64 {
-		v := make([]uint64, n)
+	ids := func(base int64, n int) []int64 {
+		v := make([]int64, n)
 		for i := range v {
-			v[i] = base + uint64(i)
+			v[i] = base + int64(i)
 		}
 		return v
 	}
-	if err := c.JournalWriteBatch(0, ids(1000, 16)); err != nil {
+	if err := c.WriteAcked(0, ids(1000, 16), true); err != nil {
 		t.Fatalf("first batch: %v", err)
 	}
 	proxy.DropAll() // the next batch crosses a dead connection: resend after redial
-	if err := c.JournalWriteBatch(16, ids(2000, 16)); err != nil {
+	if err := c.WriteAcked(16, ids(2000, 16), true); err != nil {
 		t.Fatalf("batch across a drop: %v", err)
 	}
 	proxy.DropAll() // and the verification reads block through another redial
@@ -65,7 +65,7 @@ func TestJournalBatchReconnectResume(t *testing.T) {
 	}
 }
 
-// TestJournalBatchMidFrameDrops: opJournalBatch under the hardest cut —
+// TestJournalBatchMidFrameDrops: the journal write under the hardest cut —
 // the proxy severs connections mid-frame (a strict prefix of the batch
 // frame reaches the server), repeatedly, across a sustained stream of
 // batches. The contract under test: an ACKED batch is fully applied (a
@@ -104,11 +104,11 @@ func TestJournalBatchMidFrameDrops(t *testing.T) {
 	for p := 1; p <= passes; p++ {
 		for bi := 0; bi < batches; bi++ {
 			addr := bi * batchLen
-			ids := make([]uint64, batchLen)
+			ids := make([]int64, batchLen)
 			for i := range ids {
-				ids[i] = uint64(p)<<32 | uint64(addr+i)
+				ids[i] = int64(uint64(p)<<32 | uint64(addr+i))
 			}
-			if err := c.JournalWriteBatch(addr, ids); err != nil {
+			if err := c.WriteAcked(addr, ids, true); err != nil {
 				t.Fatalf("pass %d batch %d: %v", p, bi, err)
 			}
 			// Acked ⇒ fully applied: read the batch straight back. A

@@ -12,10 +12,31 @@ import (
 	"atmostonce/internal/obs"
 )
 
-// TestJournalWrite: the opJournal round trip. A JournalWrite lands the
-// id in the cell like an acked write AND the server's tracer witnesses
-// the job id as a journaled event with the server-side shard marker —
-// the anchor record cross-process stitching keys on.
+// serverJournaled returns the ids the server's tracer witnessed, failing
+// unless each carries exactly one journaled event with the server-side
+// shard marker and the stitching fields.
+func serverJournaled(t *testing.T, tr *obs.Tracer) map[uint64]bool {
+	t.Helper()
+	doc := obs.NewTracezDoc(tr)
+	seen := make(map[uint64]bool)
+	for _, j := range doc.Jobs {
+		if len(j.Events) != 1 || j.Events[0].Event != "journaled" || j.Events[0].Shard != -1 {
+			t.Fatalf("job %d server events = %+v, want one journaled at shard -1", j.ID, j.Events)
+		}
+		if j.Events[0].Inc != doc.Incarnation || j.Events[0].TS == 0 {
+			t.Fatalf("job %d journal event missing stitching fields: %+v", j.ID, j.Events[0])
+		}
+		seen[j.ID] = true
+	}
+	return seen
+}
+
+// TestJournalWrite: the scalar case of the one acked write. A batch of
+// one with journal=true lands the id in the cell AND the server's tracer
+// witnesses the job id as a journaled event with the server-side shard
+// marker — the anchor record cross-process stitching keys on. The
+// witnessing is by flag, not by op: the same write with journal=false
+// (a desclog-shaped header value) lands and leaves no trace.
 func TestJournalWrite(t *testing.T) {
 	tr := obs.NewTracer(1, 64)
 	srv := NewServer(ServerOptions{Tracer: tr})
@@ -30,14 +51,10 @@ func TestJournalWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	jw, ok := b.(membackend.JournalWriter)
-	if !ok {
-		t.Fatal("net backend does not implement JournalWriter")
-	}
 
-	for i, id := range []uint64{42, 43, 44} {
-		if err := jw.JournalWrite(10+i, id); err != nil {
-			t.Fatalf("JournalWrite(%d, %d): %v", 10+i, id, err)
+	for i, id := range []int64{42, 43, 44} {
+		if err := b.WriteAcked(10+i, []int64{id}, true); err != nil {
+			t.Fatalf("WriteAcked(%d, %d, journal): %v", 10+i, id, err)
 		}
 	}
 	for i, id := range []int64{42, 43, 44} {
@@ -45,29 +62,26 @@ func TestJournalWrite(t *testing.T) {
 			t.Fatalf("cell %d = %d, want %d", 10+i, got, id)
 		}
 	}
-
-	doc := obs.NewTracezDoc(tr)
-	if len(doc.Jobs) != 3 {
-		t.Fatalf("server tracer saw %d jobs, want 3: %+v", len(doc.Jobs), doc.Jobs)
+	// jobd's descriptor log commits a record with this shape of value:
+	// recMagic<<48 | byteLen. It is not a job id and must not be traced.
+	const hdr = int64(0x6a44<<48 | 1024)
+	if err := b.WriteAcked(20, []int64{hdr}, false); err != nil {
+		t.Fatalf("non-journal WriteAcked: %v", err)
 	}
-	for _, j := range doc.Jobs {
-		if j.ID < 42 || j.ID > 44 {
-			t.Fatalf("server traced unexpected job %d", j.ID)
-		}
-		if len(j.Events) != 1 || j.Events[0].Event != "journaled" || j.Events[0].Shard != -1 {
-			t.Fatalf("job %d server events = %+v, want one journaled at shard -1", j.ID, j.Events)
-		}
-		if j.Events[0].Inc != doc.Incarnation || j.Events[0].TS == 0 {
-			t.Fatalf("job %d journal event missing stitching fields: %+v", j.ID, j.Events[0])
-		}
+	if got := b.Read(20); got != hdr {
+		t.Fatalf("cell 20 = %#x, want %#x", got, hdr)
+	}
+	seen := serverJournaled(t, tr)
+	if len(seen) != 3 || !seen[42] || !seen[43] || !seen[44] {
+		t.Fatalf("server tracer saw %v, want exactly jobs 42, 43, 44", seen)
 	}
 
-	// Out-of-bounds journal writes are per-op errors, not client deaths:
+	// Out-of-bounds acked writes are per-op errors, not client deaths:
 	// the connection survives for the next operation.
-	if err := jw.JournalWrite(4096, 99); err == nil || !strings.Contains(err.Error(), "journal addr") {
-		t.Fatalf("out-of-bounds JournalWrite err = %v", err)
+	if err := b.WriteAcked(4096, []int64{99}, true); err == nil || !strings.Contains(err.Error(), "acked write addr") {
+		t.Fatalf("out-of-bounds WriteAcked err = %v", err)
 	}
-	if err := jw.JournalWrite(11, 52); err != nil {
+	if err := b.WriteAcked(11, []int64{52}, true); err != nil {
 		t.Fatalf("journal write after bad-addr error: %v", err)
 	}
 	if got := b.Read(11); got != 52 {
@@ -75,10 +89,11 @@ func TestJournalWrite(t *testing.T) {
 	}
 }
 
-// TestJournalWriteBatch: the opJournalBatch round trip. One awaited op
-// lands k ids in k contiguous cells, the server's tracer witnesses
-// every id, and a bad batch (out of bounds) is a per-op error that
-// leaves the connection alive.
+// TestJournalWriteBatch: the batch case. One awaited op lands k ids in
+// k contiguous cells, a journal=true batch of k ids produces exactly k
+// server-side journaled events and a journal=false batch none, and a
+// bad batch (out of bounds) is a per-op error that leaves the
+// connection alive.
 func TestJournalWriteBatch(t *testing.T) {
 	tr := obs.NewTracer(1, 64)
 	srv := NewServer(ServerOptions{Tracer: tr})
@@ -93,17 +108,13 @@ func TestJournalWriteBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	bj, ok := b.(membackend.BatchJournalWriter)
-	if !ok {
-		t.Fatal("net backend does not implement BatchJournalWriter")
-	}
 
-	ids := []uint64{71, 72, 73, 74, 75}
-	if err := bj.JournalWriteBatch(20, ids); err != nil {
-		t.Fatalf("JournalWriteBatch: %v", err)
+	ids := []int64{71, 72, 73, 74, 75}
+	if err := b.WriteAcked(20, ids, true); err != nil {
+		t.Fatalf("WriteAcked batch: %v", err)
 	}
 	for i, id := range ids {
-		if got := b.Read(20 + i); got != int64(id) {
+		if got := b.Read(20 + i); got != id {
 			t.Fatalf("cell %d = %d, want %d", 20+i, got, id)
 		}
 	}
@@ -111,34 +122,35 @@ func TestJournalWriteBatch(t *testing.T) {
 		t.Fatalf("cell after batch clobbered: %d", got)
 	}
 	// A single-element batch is just a journal write.
-	if err := bj.JournalWriteBatch(5, []uint64{99}); err != nil {
+	if err := b.WriteAcked(5, []int64{99}, true); err != nil {
 		t.Fatalf("single-element batch: %v", err)
 	}
 	if got := b.Read(5); got != 99 {
 		t.Fatalf("cell 5 = %d, want 99", got)
 	}
 	// An empty batch is a no-op, not a wire error.
-	if err := bj.JournalWriteBatch(5, nil); err != nil {
+	if err := b.WriteAcked(5, nil, true); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-
-	doc := obs.NewTracezDoc(tr)
-	if len(doc.Jobs) != len(ids)+1 {
-		t.Fatalf("server tracer saw %d jobs, want %d: %+v", len(doc.Jobs), len(ids)+1, doc.Jobs)
+	// The same batch shape without the flag lands and is not witnessed.
+	if err := b.WriteAcked(40, []int64{81, 82, 83}, false); err != nil {
+		t.Fatalf("non-journal batch: %v", err)
 	}
-	for _, j := range doc.Jobs {
-		if len(j.Events) != 1 || j.Events[0].Event != "journaled" || j.Events[0].Shard != -1 {
-			t.Fatalf("job %d server events = %+v, want one journaled at shard -1", j.ID, j.Events)
-		}
+	if got := b.Read(42); got != 83 {
+		t.Fatalf("cell 42 = %d, want 83", got)
+	}
+
+	if seen := serverJournaled(t, tr); len(seen) != len(ids)+1 || seen[81] || !seen[99] {
+		t.Fatalf("server tracer saw %v, want exactly %v and 99", seen, ids)
 	}
 
 	// A batch overrunning the register file is a per-op error; the
 	// connection survives for the next operation.
-	if err := bj.JournalWriteBatch(60, []uint64{1, 2, 3, 4, 5, 6}); err == nil ||
-		!strings.Contains(err.Error(), "journal batch") {
+	if err := b.WriteAcked(60, []int64{1, 2, 3, 4, 5, 6}, true); err == nil ||
+		!strings.Contains(err.Error(), "acked write addr") {
 		t.Fatalf("out-of-bounds batch err = %v", err)
 	}
-	if err := bj.JournalWriteBatch(30, []uint64{7}); err != nil {
+	if err := b.WriteAcked(30, []int64{7}, true); err != nil {
 		t.Fatalf("batch after bad-addr error: %v", err)
 	}
 	if got := b.Read(30); got != 7 {
@@ -171,7 +183,7 @@ func TestJournalWriteBatchFencedNoPrefix(t *testing.T) {
 	}
 	defer c2.Close()
 
-	if err := c1.JournalWriteBatch(10, []uint64{101, 102, 103, 104}); !errors.Is(err, ErrFenced) {
+	if err := c1.WriteAcked(10, []int64{101, 102, 103, 104}, true); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced batch err = %v, want ErrFenced", err)
 	}
 	// No prefix: every cell of the rejected batch is untouched.
@@ -184,7 +196,7 @@ func TestJournalWriteBatchFencedNoPrefix(t *testing.T) {
 }
 
 // TestJournalWriteNoTracer: a server without a tracer still applies
-// journal writes (the capability degrades to an acked write).
+// journal writes (the flag degrades to nothing).
 func TestJournalWriteNoTracer(t *testing.T) {
 	addr := testServerAddr(t)
 	b, err := membackend.Open(fmt.Sprintf("net:%s/%s", addr, uniqueNS()), 64)
@@ -192,8 +204,7 @@ func TestJournalWriteNoTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	jw := b.(membackend.JournalWriter)
-	if err := jw.JournalWrite(3, 7); err != nil {
+	if err := b.WriteAcked(3, []int64{7}, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Read(3); got != 7 {
@@ -202,7 +213,7 @@ func TestJournalWriteNoTracer(t *testing.T) {
 }
 
 // TestJournalBatchRoundTripAllocs gates the one RPC a durable dispatcher
-// still sends per claim: a JournalWriteBatch round trip — client encode,
+// still sends per claim: a journal WriteAcked round trip — client encode,
 // pooled op and wake-up, server decode, fenced apply, ack, reader
 // delivery — allocates nothing at either end once warm. AllocsPerRun
 // counts the whole process, so the in-process server's side is in the
@@ -224,13 +235,13 @@ func TestJournalBatchRoundTripAllocs(t *testing.T) {
 	}
 	defer m.Close()
 
-	ids := make([]uint64, 16)
+	ids := make([]int64, 16)
 	for i := range ids {
-		ids[i] = uint64(i + 1)
+		ids[i] = int64(i + 1)
 	}
 	row := 0
 	call := func() {
-		if err := m.JournalWriteBatch(16*(row%rows), ids); err != nil {
+		if err := m.WriteAcked(16*(row%rows), ids, true); err != nil {
 			t.Fatal(err)
 		}
 		row++
@@ -239,6 +250,6 @@ func TestJournalBatchRoundTripAllocs(t *testing.T) {
 		call() // warm the op pool, both scratch buffers and the reply buffer
 	}
 	if avg := testing.AllocsPerRun(2000, call); avg > 0.2 {
-		t.Fatalf("JournalWriteBatch of %d ids allocates %.2f per round trip, want ≤ 0.2", len(ids), avg)
+		t.Fatalf("journal WriteAcked of %d ids allocates %.2f per round trip, want ≤ 0.2", len(ids), avg)
 	}
 }

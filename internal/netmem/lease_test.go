@@ -37,7 +37,7 @@ func TestLeaseFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := c1.Epoch()
-	if err := c1.WriteAcked(1, 42); err != nil {
+	if err := c1.WriteAcked(1, []int64{42}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +75,7 @@ func TestLeaseFencing(t *testing.T) {
 
 	// The stalled writer is fenced: its write is rejected and must not
 	// reach the registers.
-	err = c1.WriteAcked(2, 666)
+	err = c1.WriteAcked(2, []int64{666}, false)
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale writer's WriteAcked: %v, want ErrFenced", err)
 	}
@@ -320,7 +320,7 @@ func TestRenewKeepsLease(t *testing.T) {
 	}
 	defer c1.Close()
 	time.Sleep(700 * time.Millisecond) // several TTLs
-	if err := c1.WriteAcked(0, 7); err != nil {
+	if err := c1.WriteAcked(0, []int64{7}, false); err != nil {
 		t.Fatalf("live writer fenced after renewals: %v", err)
 	}
 	if _, err := Open(addr, 16, Options{Namespace: ns, FailFast: true}); !errors.Is(err, ErrLeaseHeld) {

@@ -26,13 +26,12 @@ var netmemOps = [...]struct {
 }{
 	{opHello, "hello"}, {opAcquire, "acquire"}, {opRenew, "renew"},
 	{opRelease, "release"}, {opRead, "read"}, {opWrite, "write"},
-	{opReadRange, "read_range"}, {opCAS, "cas"},
-	{opSync, "sync"}, {opJournal, "journal"}, {opJournalBatch, "journal_batch"},
+	{opReadRange, "read_range"}, {opSync, "sync"}, {opWriteAcked, "write_acked"},
 }
 
 var (
-	cliReqs       [opJournalBatch + 1]*obs.Counter
-	cliRPC        [opJournalBatch + 1]*obs.Histogram
+	cliReqs       [opWriteAcked + 1]*obs.Counter
+	cliRPC        [opWriteAcked + 1]*obs.Histogram
 	cliBytesOut   *obs.Counter
 	cliBytesIn    *obs.Counter
 	cliReconnects *obs.Counter
@@ -40,7 +39,7 @@ var (
 	cliFenced     *obs.Counter
 
 	srvConns      *obs.Gauge
-	srvReqs       [opJournalBatch + 1]*obs.Counter
+	srvReqs       [opWriteAcked + 1]*obs.Counter
 	srvBytesIn    *obs.Counter
 	srvBytesOut   *obs.Counter
 	srvAcquires   *obs.Counter

@@ -67,7 +67,7 @@ func TestNetMemSuite(t *testing.T) {
 }
 
 // TestCountingNetSuite checks the wrapper composes over the remote
-// backend ("counting:net:..."), capabilities included.
+// backend ("counting:net:..."), WriteAcked and ReadRange included.
 func TestCountingNetSuite(t *testing.T) {
 	addr := testServerAddr(t)
 	var ns string
@@ -89,7 +89,7 @@ func TestCountingNetSuite(t *testing.T) {
 	})
 }
 
-// TestReopenedFlag pins the Reopener semantics across client sessions:
+// TestReopenedFlag pins the Reopened semantics across client sessions:
 // a fresh namespace is not "reopened", the second session over it is.
 func TestReopenedFlag(t *testing.T) {
 	addr := testServerAddr(t)
@@ -101,7 +101,7 @@ func TestReopenedFlag(t *testing.T) {
 	if c1.Reopened() {
 		t.Fatal("fresh namespace reported reopened")
 	}
-	if err := c1.WriteAcked(7, 1234); err != nil {
+	if err := c1.WriteAcked(7, []int64{1234}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.Close(); err != nil {
@@ -206,15 +206,33 @@ func TestCorruptRangeFrames(t *testing.T) {
 	if rop, code := send(opReadRange, huge); rop != opErr || code != codeBadAddr {
 		t.Fatalf("overflowing readrange: op %d code %d, want opErr/badaddr", rop, code)
 	}
-	// A journal batch with the same wrap.
-	batch := wire.AppendU64(wire.AppendU64(wire.AppendU64(nil, ep), ^uint64(0)), 7)
-	if rop, code := send(opJournalBatch, batch); rop != opErr || code != codeBadAddr {
-		t.Fatalf("overflowing journal batch: op %d code %d, want opErr/badaddr", rop, code)
+	// An acked write with the same wrap, and the malformed shapes of its
+	// frame: no cells, a length that is not 17 + 8k, an unknown flag bit.
+	hdr := func(addr uint64, flags byte) []byte {
+		return append(wire.AppendU64(wire.AppendU64(nil, ep), addr), flags)
 	}
-	// Op 8 is reserved: whatever a stale client puts in it, the server
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		code    uint16
+	}{
+		{"addr+count overflow", wire.AppendI64(hdr(^uint64(0), flagJournal), 7), codeBadAddr},
+		{"no cells", hdr(3, 0), codeProto},
+		{"length not 17+8k", append(wire.AppendI64(hdr(3, 0), 7), 1, 2, 3), codeProto},
+		{"unknown flag bit", wire.AppendI64(hdr(3, 2), 7), codeProto},
+	} {
+		if rop, code := send(opWriteAcked, c.payload); rop != opErr || code != c.code {
+			t.Fatalf("acked write, %s: op %d code %d, want opErr/%d", c.name, rop, code, c.code)
+		}
+	}
+	// Ops 8, 9, 11 and 12 are reserved: whatever a stale client puts in
+	// them (here a well-formed journal write of their day), the server
 	// answers "unknown op" and applies nothing.
-	if rop, code := send(8, batch); rop != opErr || code != codeProto {
-		t.Fatalf("reserved op 8: op %d code %d, want opErr/proto", rop, code)
+	stale := wire.AppendU64(wire.AppendU64(wire.AppendU64(nil, ep), 3), 7)
+	for _, op := range []byte{8, 9, 11, 12} {
+		if rop, code := send(op, stale); rop != opErr || code != codeProto {
+			t.Fatalf("reserved op %d: op %d code %d, want opErr/proto", op, rop, code)
+		}
 	}
 	// The connection (and server) survived: a normal op still works.
 	if rop, _ := send(opRead, wire.AppendU64(nil, 3)); rop != opValue {

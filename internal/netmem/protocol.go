@@ -10,17 +10,17 @@
 // The package has three parts:
 //
 //   - Server: owns one membackend.Backend per namespace (atomic, durable
-//     mmap — any registry spec) and serves cell reads, writes, range
-//     reads, journal writes, CAS and Sync over a compact length-prefixed
-//     binary protocol on TCP. Requests on a connection are processed strictly
-//     in order, which is what makes client-side pipelining sound.
+//     mmap — any registry spec) and serves cell reads, pipelined writes,
+//     acked batch writes, range reads and Sync over a compact
+//     length-prefixed binary protocol on TCP. Requests on a connection
+//     are processed strictly in order, which is what makes client-side
+//     pipelining sound.
 //   - NetMem: the client backend, registered in the membackend registry
 //     as "net:HOST:PORT[/NAMESPACE][?options]". Writes are pipelined
-//     (sent without waiting for the ack), reads and the capability ops
-//     (WriteAcked, JournalWrite[Batch], ReadRange, CompareAndSwap, Sync)
-//     wait for their reply; a broken connection is redialed and every unacknowledged
-//     operation is resent in order, so callers never observe the
-//     reconnect. cmd/amo-regd is the server binary.
+//     (sent without waiting for the ack); Read, WriteAcked, ReadRange
+//     and Sync wait for their reply; a broken connection is redialed and
+//     every unacknowledged operation is resent in order, so callers
+//     never observe the reconnect. cmd/amo-regd is the server binary.
 //   - Arbitration: the server grants a single writer lease per
 //     namespace, identified by a monotonically increasing epoch. Every
 //     mutating request carries the writer's epoch and is rejected with
@@ -44,25 +44,26 @@ const (
 	opRenew     byte = 3 // epoch u64                    → opAck
 	opRelease   byte = 4 // epoch u64                    → opAck
 	opRead      byte = 5 // addr u64                     → opValue
-	opWrite     byte = 6 // epoch u64, addr u64, val i64 → opAck
+	opWrite     byte = 6 // epoch u64, addr u64, val i64 → opAck; only ever pipelined (Write)
 	opReadRange byte = 7 // addr u64, count u32          → opValues
-	// 8 stays reserved (it was opFill, a range store nothing sends any
-	// more): the server answers it "unknown op" and no new op takes it.
-	opCAS     byte = 9  // epoch u64, addr u64, old i64, new i64   → opCASResult
-	opSync    byte = 10 // (empty)                      → opAck
-	opJournal byte = 11 // epoch u64, addr u64, id u64  → opAck; a write that names its job
-	// opJournalBatch is the vectored journal write: ids land in the
-	// contiguous cells starting at addr (count implied by frame length).
-	// The whole batch is admitted or fenced atomically — a stale epoch
-	// rejects every cell, never a prefix — which is what lets the
-	// group-commit dispatcher journal k claims in one round trip.
-	opJournalBatch byte = 12 // epoch u64, addr u64, id u64 × count → opAck
+	// 8, 9, 11 and 12 stay reserved (they were opFill, opCAS, opJournal
+	// and opJournalBatch, which nothing sends any more): the server
+	// answers them "unknown op" — an old peer fails loudly at its first
+	// journal write — and no new op takes their numbers.
+	opSync byte = 10 // (empty)                      → opAck
+	// opWriteAcked is the one awaited write: vals land in the contiguous
+	// cells starting at addr (count ≥ 1, implied by frame length). Flag
+	// bit 0 (flagJournal) says the values are job ids of journal records,
+	// which the server witnesses in its tracer. The whole batch is
+	// admitted or fenced atomically — a stale epoch rejects every cell,
+	// never a prefix — which is what lets the group-commit dispatcher
+	// journal k claims in one round trip.
+	opWriteAcked byte = 13 // epoch u64, addr u64, flags u8, val i64 × count → opAck
 
 	// Server → client.
 	opAck       byte = 16 // (empty)
 	opValue     byte = 17 // val i64
 	opValues    byte = 18 // val i64 × count (count implied by frame length)
-	opCASResult byte = 19 // swapped u8, prev i64
 	opHelloOK   byte = 20 // reopened u8
 	opAcquireOK byte = 21 // epoch u64, ttlMs u64 (effective, after clamping)
 	opErr       byte = 31 // code u16, msg string
@@ -81,9 +82,12 @@ const (
 	codeClosed       uint16 = 9 // server shutting down
 )
 
+// flagJournal is bit 0 of opWriteAcked's flags byte.
+const flagJournal byte = 1
+
 const (
-	// maxRange bounds the cells of one opReadRange, keeping reply frames
-	// under wire.MaxFrame. Clients chunk larger ranges.
+	// maxRange bounds the cells of one opReadRange or opWriteAcked,
+	// keeping frames under wire.MaxFrame. Clients chunk larger ranges.
 	maxRange = 1 << 16
 	// maxCells bounds a namespace's register count (2^30 cells = 8 GiB —
 	// a sanity bound against corrupt hellos, not a product limit).

@@ -31,10 +31,11 @@ type ServerOptions struct {
 	// and lease event.
 	Logf func(format string, args ...any)
 	// Tracer, when non-nil, records a server-side TraceJournaled event
-	// (shard -1) for every opJournal write, keyed by the job id on the
-	// wire. This is the server's contribution to cross-process timeline
-	// stitching: the journal write is observed even if the writing
-	// dispatcher dies before its own tracer is scraped.
+	// (shard -1) for every cell of an opWriteAcked that carries the
+	// journal flag, keyed by the job id on the wire. This is the server's
+	// contribution to cross-process timeline stitching: the journal write
+	// is observed even if the writing dispatcher dies before its own
+	// tracer is scraped.
 	Tracer *obs.Tracer
 }
 
@@ -212,9 +213,7 @@ func (s *Server) getNamespace(name string, size int) (ns *namespace, reopened bo
 	if err != nil {
 		return nil, false, &wireError{codeBackend, err.Error()}
 	}
-	if r, ok := bk.(membackend.Reopener); ok {
-		reopened = r.Reopened()
-	}
+	reopened = bk.Reopened()
 	ns = &namespace{name: name, bk: bk, size: size}
 	ns.cond = sync.NewCond(&ns.mu)
 	s.nss[name] = ns
@@ -339,38 +338,26 @@ func (ns *namespace) admit(epoch uint64) *wireError {
 	return nil
 }
 
-// journal stores ids into the contiguous cells starting at addr through
-// the strongest acked-write capability the backend has, and witnesses
+// writeAcked stores vals into the contiguous cells starting at addr
+// through the backend's acked write and, for a journal write, witnesses
 // each id in the server's tracer (shard -1 marks a server-side
 // observation). The whole batch lands under one admit: a stale writer
-// can never leave a prefix of its claim behind.
-func (s *Server) journal(ns *namespace, epoch uint64, addr int, ids []uint64) *wireError {
+// can never leave a prefix of its claim behind. The tracer runs after
+// the lease lock is released — holding it would serialise every writer
+// of the namespace behind the tracer for no ordering benefit.
+func (s *Server) writeAcked(ns *namespace, epoch uint64, addr int, vals []int64, journal bool) *wireError {
 	if werr := ns.admit(epoch); werr != nil {
 		return werr
 	}
-	defer ns.mu.Unlock()
-	var err error
-	switch bk := ns.bk.(type) {
-	case membackend.BatchJournalWriter:
-		err = bk.JournalWriteBatch(addr, ids)
-	case membackend.JournalWriter:
-		for i := 0; i < len(ids) && err == nil; i++ {
-			err = bk.JournalWrite(addr+i, ids[i])
-		}
-	case membackend.AckedWriter:
-		for i := 0; i < len(ids) && err == nil; i++ {
-			err = bk.WriteAcked(addr+i, int64(ids[i]))
-		}
-	default:
-		for i, id := range ids {
-			ns.bk.Write(addr+i, int64(id))
-		}
-	}
+	err := ns.bk.WriteAcked(addr, vals, journal)
+	ns.mu.Unlock()
 	if err != nil {
 		return &wireError{codeBackend, err.Error()}
 	}
-	for _, id := range ids {
-		s.opts.Tracer.Record(id, obs.TraceJournaled, -1)
+	if journal {
+		for _, id := range vals {
+			s.opts.Tracer.Record(uint64(id), obs.TraceJournaled, -1)
+		}
 	}
 	return nil
 }
@@ -406,7 +393,7 @@ func (s *Server) handle(c net.Conn) {
 	var (
 		buf     []byte
 		scratch []byte
-		ids     []uint64
+		vals    []int64
 		ns      *namespace
 	)
 	reply := func(seq uint32, op byte, payload []byte) bool {
@@ -591,33 +578,13 @@ func (s *Server) handle(c net.Conn) {
 			ns.mu.Unlock()
 			ok = reply(seq, opAck, nil)
 
-		case opJournal:
+		case opWriteAcked:
 			epoch := d.U64()
 			addr := d.U64()
-			id := d.U64()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
-				break
-			}
-			if addr >= uint64(ns.size) {
-				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("journal addr %d ≥ size %d", addr, ns.size)})
-				break
-			}
-			// Same durability and fencing semantics as an acked opWrite;
-			// the id names the job so the server can witness the write.
-			ids = append(ids[:0], id)
-			if werr := s.journal(ns, epoch, int(addr), ids); werr != nil {
-				ok = replyErr(seq, werr)
-				break
-			}
-			ok = reply(seq, opAck, nil)
-
-		case opJournalBatch:
-			epoch := d.U64()
-			addr := d.U64()
-			// The rest of the payload is the id vector; the frame length
+			flags := d.U8()
+			// The rest of the payload is the value vector; the frame length
 			// implies the count, like opValues in the other direction.
-			shaped := len(payload) > 16 && len(payload)%8 == 0
+			shaped := len(payload) > 17 && (len(payload)-17)%8 == 0 && flags&^flagJournal == 0
 			if !shaped || ns == nil {
 				ok = replyErr(seq, protoOrNoNS(shaped, ns))
 				break
@@ -627,14 +594,14 @@ func (s *Server) handle(c net.Conn) {
 			// are checked separately, never their sum.
 			if count > maxRange || addr >= uint64(ns.size) || uint64(count) > uint64(ns.size)-addr {
 				ok = replyErr(seq, &wireError{codeBadAddr,
-					fmt.Sprintf("journal batch addr %d count %d outside size %d or over %d cells", addr, count, ns.size, maxRange)})
+					fmt.Sprintf("acked write addr %d count %d outside size %d or over %d cells", addr, count, ns.size, maxRange)})
 				break
 			}
-			ids = ids[:0]
+			vals = vals[:0]
 			for i := 0; i < count; i++ {
-				ids = append(ids, d.U64())
+				vals = append(vals, d.I64())
 			}
-			if werr := s.journal(ns, epoch, int(addr), ids); werr != nil {
+			if werr := s.writeAcked(ns, epoch, int(addr), vals, flags&flagJournal != 0); werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
@@ -659,44 +626,6 @@ func (s *Server) handle(c net.Conn) {
 				scratch = wire.AppendI64(scratch, ns.bk.Read(int(addr)+i))
 			}
 			ok = reply(seq, opValues, scratch)
-
-		case opCAS:
-			epoch := d.U64()
-			addr := d.U64()
-			oldv := d.I64()
-			newv := d.I64()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
-				break
-			}
-			if addr >= uint64(ns.size) {
-				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("cas addr %d ≥ size %d", addr, ns.size)})
-				break
-			}
-			if werr := ns.admit(epoch); werr != nil {
-				ok = replyErr(seq, werr)
-				break
-			}
-			sw, okc := ns.bk.(membackend.Swapper)
-			if !okc {
-				ns.mu.Unlock()
-				ok = replyErr(seq, &wireError{codeBackend, fmt.Sprintf("backend %T has no atomic CAS", ns.bk)})
-				break
-			}
-			swapped := sw.CompareAndSwap(int(addr), oldv, newv)
-			prev := oldv
-			if !swapped {
-				prev = ns.bk.Read(int(addr))
-			}
-			ns.mu.Unlock()
-			scratch = scratch[:0]
-			if swapped {
-				scratch = append(scratch, 1)
-			} else {
-				scratch = append(scratch, 0)
-			}
-			scratch = wire.AppendI64(scratch, prev)
-			ok = reply(seq, opCASResult, scratch)
 
 		case opSync:
 			if d.Done() != nil || ns == nil {

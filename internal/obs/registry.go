@@ -170,9 +170,9 @@ func (r *Registry) HistogramSnapshot(name string) (HistSnapshot, bool) {
 }
 
 // Snapshot renders the registry as a flat name{labels} → value map —
-// the representation the legacy expvar adapter publishes. Counters and
-// gauges render as numbers; histograms as {count, sum, p50, p99, p999}
-// sub-maps derived from the same buckets Prometheus sees.
+// the representation /statsz serves. Counters and gauges render as
+// numbers; histograms as {count, sum, p50, p99, p999} sub-maps derived
+// from the same buckets Prometheus sees.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.order...)

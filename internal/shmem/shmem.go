@@ -152,13 +152,5 @@ func (m *AtomicMem) TestAndSet(addr int) int64 {
 	return 1
 }
 
-// CompareAndSwap atomically replaces the cell at addr with new if it
-// holds old, reporting whether the swap happened. The paper's
-// algorithms never use it (read/write registers only); it serves the
-// backend registry's optional Swapper capability.
-func (m *AtomicMem) CompareAndSwap(addr int, old, new int64) bool {
-	return m.cells[addr].CompareAndSwap(old, new)
-}
-
 // Size implements Mem.
 func (m *AtomicMem) Size() int { return len(m.cells) }
