@@ -144,6 +144,18 @@ func run(args []string, ready chan<- string) error {
 		if *addr == "" {
 			return errors.New("-load requires -addr")
 		}
+		// One more connection reads the server's tick counters around the
+		// run: how many requests its core loop found per tick under this
+		// load (every client's requests, not only this run's).
+		ctl, err := jobd.Dial(*addr, jobd.ClientOptions{Name: "load-stats"})
+		if err != nil {
+			return err
+		}
+		defer ctl.Close()
+		before, err := ctl.Stats()
+		if err != nil {
+			return err
+		}
 		rep, err := jobd.RunLoad(jobd.LoadOptions{
 			Addr:        *addr,
 			Conns:       *conns,
@@ -158,7 +170,12 @@ func run(args []string, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("amo-jobd load:", rep)
+		after, err := ctl.Stats()
+		if err != nil {
+			return err
+		}
+		ticks := after.Ticks - before.Ticks
+		fmt.Printf("amo-jobd load: %v ticks=%d mean_tick=%.2f\n", rep, ticks, float64(after.TickReqs-before.TickReqs)/float64(max(ticks, 1)))
 		if rep.Failed > 0 {
 			return fmt.Errorf("%d submissions failed", rep.Failed)
 		}

@@ -27,12 +27,17 @@
 //     exactly once.
 //
 // The forensic layer closes the loop: the parent scrapes incarnation
-// 1's /tracez every 50 ms (keeping the last snapshot — you cannot ask a
+// 1's /tracez every 5 ms (keeping the last snapshot — you cannot ask a
 // SIGKILLed process for its trace), snapshots incarnation 2 after the
 // drain, stitches both views into per-job cross-incarnation timelines
 // (obs.StitchTimelines), checks the merged at-most-once grammar on
-// every one, and prints the stitched timeline of one re-executed job:
-// admitted by the dead incarnation, performed by its successor.
+// every one, and prints the timeline of one re-executed job, chosen by
+// what the parent KNOWS rather than by what a scrape happened to catch:
+// the lowest id incarnation 1 acked whose payload the oracle had not
+// seen at the kill and saw exactly once afterwards. The successor's half
+// is fetched by id (/tracez?id=); the dead incarnation's half is its
+// last snapshot when that reaches the job, and the client's own ack —
+// the id came back from Submit before the kill — when it does not.
 //
 // Run with: go run ./examples/jobservice
 package main
@@ -188,8 +193,10 @@ func child(self, dir string) (*exec.Cmd, string, string, error) {
 	}
 }
 
-func scrapeTracez(ops string) ([]byte, error) {
-	resp, err := http.Get("http://" + ops + "/tracez")
+// scrapeTracez fetches a /tracez document: url is the ops address plus
+// path and query.
+func scrapeTracez(url string) ([]byte, error) {
+	resp, err := http.Get("http://" + url)
 	if err != nil {
 		return nil, err
 	}
@@ -200,19 +207,19 @@ func scrapeTracez(ops string) ([]byte, error) {
 // outcome tracks what the parent knows about each payload index.
 type outcome struct {
 	mu       sync.Mutex
-	acked1   map[int]bool // acked by incarnation 1
-	acked2   map[int]bool // acked by incarnation 2
-	rejected map[int]bool // quota-rejected: must never execute
-	unknown  map[int]bool // in flight at the kill: outcome legitimately unknown
+	acked1   map[int]uint64 // acked by incarnation 1 → the id its Submit returned
+	acked2   map[int]bool   // acked by incarnation 2
+	rejected map[int]bool   // quota-rejected: must never execute
+	unknown  map[int]bool   // in flight at the kill: outcome legitimately unknown
 	quota    int
 }
 
-func (o *outcome) record(idx int, inc int, err error) {
+func (o *outcome) record(idx int, inc int, id uint64, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	switch {
 	case err == nil && inc == 1:
-		o.acked1[idx] = true
+		o.acked1[idx] = id
 	case err == nil:
 		o.acked2[idx] = true
 	case jobd.IsQuota(err):
@@ -246,10 +253,10 @@ func run() error {
 	scrapeDone := make(chan struct{})
 	go func() {
 		defer close(scrapeDone)
-		tick := time.NewTicker(50 * time.Millisecond)
+		tick := time.NewTicker(5 * time.Millisecond)
 		defer tick.Stop()
 		for {
-			if b, err := scrapeTracez(ops1); err == nil {
+			if b, err := scrapeTracez(ops1 + "/tracez"); err == nil {
 				lastTrace.Store(&b)
 			} else {
 				return // server is gone; last snapshot stands
@@ -259,7 +266,7 @@ func run() error {
 	}()
 
 	o := &outcome{
-		acked1:   make(map[int]bool),
+		acked1:   make(map[int]uint64),
 		acked2:   make(map[int]bool),
 		rejected: make(map[int]bool),
 		unknown:  make(map[int]bool),
@@ -278,8 +285,8 @@ func run() error {
 			default:
 			}
 			idx := int(nextIdx.Add(1) - 1)
-			_, err := c.Submit(tenant, "mark", 1, []byte(strconv.Itoa(idx)), jobd.SubmitOptions{})
-			o.record(idx, inc, err)
+			id, err := c.Submit(tenant, "mark", 1, []byte(strconv.Itoa(idx)), jobd.SubmitOptions{})
+			o.record(idx, inc, id, err)
 			if err == nil {
 				ackedCount.Add(1)
 			} else if !isQuota(err) {
@@ -323,9 +330,9 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("incarnation 1 trace: %w", err)
 	}
-	performedAtKill := len(readOracle(dir))
+	atKill := readOracle(dir)
 	fmt.Printf("incarnation 1 killed (SIGKILL) with %d acked, %d quota-rejected, %d in flight; oracle shows %d performed\n",
-		len(o.acked1), o.quota, len(o.unknown), performedAtKill)
+		len(o.acked1), o.quota, len(o.unknown), len(atKill))
 	if o.quota == 0 {
 		return errors.New("no quota rejections — beta's pumps never tripped the limit; the demo proves less than it claims")
 	}
@@ -382,7 +389,7 @@ func run() error {
 		for {
 			_, err := c2.Submit(tenant, "mark", 1, []byte(strconv.Itoa(idx)), jobd.SubmitOptions{})
 			if err == nil {
-				o.record(idx, 2, nil)
+				o.record(idx, 2, 0, nil)
 				break
 			}
 			if isQuota(err) { // beta backlog: retry, don't skip the index
@@ -407,7 +414,28 @@ func run() error {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	traceB, err := scrapeTracez(ops2)
+	// The exhibit, chosen now that every admitted job has run: acked by
+	// incarnation 1, not in the oracle at the kill, in it exactly once
+	// since — so the successor ran it. The lowest such id.
+	var exhibit uint64
+	drained := readOracle(dir)
+	for idx, id := range o.acked1 {
+		if atKill[idx] == 0 && drained[idx] == 1 && (exhibit == 0 || id < exhibit) {
+			exhibit = id
+		}
+	}
+	if exhibit == 0 {
+		return errors.New("no job acked before the kill was left for the successor to run — the kill missed the backlog; raise killAcked")
+	}
+	exhibitB, err := scrapeTracez(ops2 + "/tracez?id=" + strconv.FormatUint(exhibit, 10))
+	if err != nil {
+		return fmt.Errorf("incarnation 2 trace of job %d: %w", exhibit, err)
+	}
+	exhibitDoc, err := obs.ParseTracezDoc(exhibitB)
+	if err != nil {
+		return err
+	}
+	traceB, err := scrapeTracez(ops2 + "/tracez")
 	if err != nil {
 		return fmt.Errorf("incarnation 2 trace: %w", err)
 	}
@@ -468,26 +496,43 @@ func run() error {
 	}
 	fmt.Printf("merged trace grammar holds for all %d stitched jobs (started at most once across incarnations)\n", len(jobs))
 	role := map[string]string{doc1.Incarnation: "killed", doc2.Incarnation: "successor"}
-	for _, j := range jobs {
-		// The exhibit: events in the killed incarnation, and a worker
-		// START in the successor — i.e. genuinely re-executed, not merely
-		// recovered (recovered jobs resolve without a second start).
-		seen1, started2 := false, false
-		for _, e := range j.Events {
-			seen1 = seen1 || e.Inc == doc1.Incarnation
-			started2 = started2 || (e.Inc == doc2.Incarnation && e.Event == "started")
-		}
-		if !(seen1 && started2) {
-			continue
-		}
-		fmt.Printf("stitched timeline of re-executed job %d — admitted by the killed incarnation, performed by its successor:\n", j.ID)
-		for _, e := range j.Events {
-			fmt.Printf("  %+12.0fµs  %-10s shard %d  inc %s (%s)\n", e.TUs, e.Event, e.Shard, e.Inc, role[e.Inc])
-		}
-		fmt.Println("jobservice: OK")
-		return nil
+	// The successor's view of the exhibit must show a worker START:
+	// genuinely re-executed, not merely recovered (a recovered job
+	// resolves without a second start).
+	if len(exhibitDoc.Jobs) != 1 || exhibitDoc.Jobs[0].ID != exhibit {
+		return fmt.Errorf("successor's /tracez?id=%d returned %d timelines", exhibit, len(exhibitDoc.Jobs))
 	}
-	return errors.New("no stitched timeline shows a job admitted before the kill and performed after it")
+	started2 := false
+	for _, e := range exhibitDoc.Jobs[0].Events {
+		started2 = started2 || e.Event == "started"
+	}
+	if !started2 {
+		return fmt.Errorf("job %d ran under the successor per the oracle, but its successor timeline shows no start: %+v", exhibit, exhibitDoc.Jobs[0].Events)
+	}
+	// Both halves when the dead incarnation's last snapshot reached the
+	// job; otherwise the client's ack stands in for the half that died
+	// unscraped.
+	timeline := exhibitDoc.Jobs[0]
+	witness := "acked to the client by the killed incarnation (its last /tracez snapshot predates the job)"
+	for _, j := range jobs {
+		for _, e := range j.Events {
+			if j.ID == exhibit && e.Inc == doc1.Incarnation {
+				timeline, witness = j, "admitted by the killed incarnation"
+			}
+		}
+	}
+	if err := obs.CheckStitched(timeline); err != nil {
+		return fmt.Errorf("merged trace grammar violated: %w", err)
+	}
+	fmt.Printf("stitched timeline of re-executed job %d — %s, performed by its successor:\n", exhibit, witness)
+	if timeline.Events[0].Inc != doc1.Incarnation {
+		fmt.Printf("  %12s  %-10s          inc %s (killed)\n", "before kill", "acked", doc1.Incarnation)
+	}
+	for _, e := range timeline.Events {
+		fmt.Printf("  %+12.0fµs  %-10s shard %d  inc %s (%s)\n", e.TUs, e.Event, e.Shard, e.Inc, role[e.Inc])
+	}
+	fmt.Println("jobservice: OK")
+	return nil
 }
 
 func isQuota(err error) bool { return jobd.IsQuota(err) }

@@ -173,9 +173,8 @@ func TestDurableJournalBatchOneAllocs(t *testing.T) {
 	}
 }
 
-// TestDoBatchAllocs: a DoBatch call allocates a fixed handful of slices
-// (entries, futures, handles, the shard plan and its feed closures)
-// whatever the batch size — never per task.
+// TestDoBatchAllocs: a DoBatch call allocates its two result slices
+// (futures, handles) whatever the batch size — never per task.
 func TestDoBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
@@ -207,6 +206,52 @@ func TestDoBatchAllocs(t *testing.T) {
 		t.Logf("allocs per DoBatch of %d: %.1f", n, avg)
 		if avg > 8 {
 			t.Errorf("DoBatch of %d tasks allocates %.1f times per call (want ≤ 8)", n, avg)
+		}
+	}
+}
+
+// countRunner is a Runner that counts: the caller-owned object of
+// TestRunnerBatchAllocs, reused across submissions.
+type countRunner struct{ ran, resolved atomic.Uint64 }
+
+func (c *countRunner) Run(context.Context) error { c.ran.Add(1); return nil }
+func (c *countRunner) Resolved(JobResult)        { c.resolved.Add(1) }
+
+// TestRunnerBatchAllocs: a DoRunners call allocates NOTHING — no plan
+// slice, no escaping closure, no Handle, no future — and neither does the
+// job on its way through queue, round, journal and Resolved: at n = 1
+// (the tick of one) and n = 64, in memory and over a counting backend at
+// both journal settings.
+func TestRunnerBatchAllocs(t *testing.T) {
+	const calls = 512
+	r := new(countRunner)
+	for _, n := range []int{1, 64} {
+		tasks := make([]RunnerTask, n)
+		for i := range tasks {
+			tasks[i] = RunnerTask{Runner: r}
+		}
+		for _, jb := range []int{0, 1, 16} { // 0 = in memory
+			name := fmt.Sprintf("n%d/memory", n)
+			cfg := Config{Shards: 2, Workers: 2, MaxBatch: 256}
+			if jb > 0 {
+				name = fmt.Sprintf("n%d/counting_batch%d", n, jb)
+				cfg.MaxJobs, cfg.JournalBatch = allocCycles*calls*n, jb
+				cfg.NewMem = func(_, size int) (membackend.Backend, error) { return membackend.Open("counting:atomic", size) }
+			}
+			t.Run(name, func(t *testing.T) {
+				before := r.resolved.Load()
+				perCall := allocsPerJobOn(t, cfg, calls, func(d *Dispatcher) {
+					if _, err := d.DoRunners(context.Background(), tasks); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if perCall > 0.01 {
+					t.Errorf("DoRunners of %d allocates %.3f times per call, submit through resolve (want 0)", n, perCall)
+				}
+				if got := r.resolved.Load() - before; got != allocCycles*calls*uint64(n) {
+					t.Errorf("%d jobs resolved, want %d", got, allocCycles*calls*n)
+				}
+			})
 		}
 	}
 }

@@ -2,15 +2,15 @@ package dispatch
 
 import "context"
 
-// JobResult reports one submitted job's completion to its future or
-// callback. Exactly one JobResult is delivered per async submission.
+// JobResult reports one submitted job's completion to its future,
+// callback or Runner. Exactly one is delivered per async submission.
 type JobResult struct {
 	// ID is the job's dispatcher-wide id.
 	ID uint64
 	// Err is the payload's returned error (always nil for the v1 func()
-	// paths, whose payloads cannot fail), or context.DeadlineExceeded
-	// when Expired is set. An error does not affect at-most-once
-	// accounting: the job ran once and counts performed.
+	// paths, whose payloads cannot fail, and for DoRunners, whose Runner
+	// keeps it), or context.DeadlineExceeded when Expired is set. An error
+	// does not affect at-most-once accounting: the job counts performed.
 	Err error
 	// Expired is true when the job's deadline passed before its round
 	// was assembled: the payload never ran and never will (an expired
@@ -40,7 +40,7 @@ type JobResult struct {
 // ErrQueueFull (FailFast) — a failed call delivers nothing.
 func (d *Dispatcher) SubmitAsync(fn Job) (uint64, <-chan JobResult, error) {
 	ch := make(chan JobResult, 1)
-	id, err := d.do(context.Background(), entry{fn0: fn, completion: completion{cb: func(r JobResult) { ch <- r }}})
+	id, err := d.do(context.Background(), entry{run: fn0(fn), cb: func(r JobResult) { ch <- r }})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -54,5 +54,5 @@ func (d *Dispatcher) SubmitAsync(fn Job) (uint64, <-chan JobResult, error) {
 // from the durable journal, synchronously on the submitting goroutine
 // with Recovered set. A nil done degrades to Submit.
 func (d *Dispatcher) SubmitCallback(fn Job, done func(JobResult)) (uint64, error) {
-	return d.do(context.Background(), entry{fn0: fn, completion: completion{cb: done}})
+	return d.do(context.Background(), entry{run: fn0(fn), cb: done})
 }

@@ -265,7 +265,7 @@ var ErrJournalFull = errors.New("dispatch: durable journal capacity exhausted (r
 // deterministic re-submission needs: the same submit stream re-leases
 // the same blocks in the same order and reproduces the same ids.
 // Batches lease their contiguous range [first, first+n) directly from
-// the cursor (leaseRange), interleaving with the shards' blocks.
+// the cursor, interleaving with the shards' blocks.
 const idBlock = 64
 
 // padUint64 is an atomic counter alone on its cache line, so hot
@@ -398,54 +398,28 @@ func (d *Dispatcher) resolveRecovered(id uint64) bool {
 	return ok
 }
 
-// leaseBlock claims the next block of up to idBlock fresh ids from the
-// global cursor, returning the half-open range [lo, hi). Durable
-// dispatchers clamp the lease at MaxJobs, so the journal's last block is
-// short rather than overshot — a CAS that would start past MaxJobs fails
-// with ErrJournalFull and moves nothing, so a rejected submission never
-// burns ids.
-func (d *Dispatcher) leaseBlock() (lo, hi uint64, err error) {
+// lease claims n fresh ids from the global cursor, returning the
+// half-open range [lo, hi). A durable lease that would cross MaxJobs is
+// cut short at it when short is set (a shard's last block) and fails
+// with ErrJournalFull otherwise (a batch is all or nothing), and at
+// MaxJobs either way. A failed lease moves nothing: it burns no ids.
+func (d *Dispatcher) lease(n uint64, short bool) (lo, hi uint64, err error) {
 	if d.cfg.NewMem == nil {
-		end := d.idCursor.v.Add(idBlock)
-		return end - idBlock + 1, end + 1, nil
+		end := d.idCursor.v.Add(n)
+		return end - n + 1, end + 1, nil
 	}
 	max := uint64(d.cfg.MaxJobs)
 	for {
 		cur := d.idCursor.v.Load()
-		if cur >= max {
-			d.warnJournalFull()
-			return 0, 0, ErrJournalFull
-		}
-		want := uint64(idBlock)
+		want := n
 		if cur+want > max {
-			want = max - cur
+			if want = max - cur; want == 0 || !short {
+				d.warnJournalFull()
+				return 0, 0, ErrJournalFull
+			}
 		}
 		if d.idCursor.v.CompareAndSwap(cur, cur+want) {
 			return cur + 1, cur + want + 1, nil
-		}
-	}
-}
-
-// leaseRange claims the contiguous range [first, first+n) directly from
-// the global cursor — a batch is its own lease, independent of the
-// shards' single-submit blocks. A durable range that would cross
-// MaxJobs fails with ErrJournalFull without moving the cursor: no ids
-// are burned, and a smaller batch (or more MaxJobs headroom) may still
-// be accepted afterwards.
-func (d *Dispatcher) leaseRange(n uint64) (uint64, error) {
-	if d.cfg.NewMem == nil {
-		end := d.idCursor.v.Add(n)
-		return end - n + 1, nil
-	}
-	max := uint64(d.cfg.MaxJobs)
-	for {
-		cur := d.idCursor.v.Load()
-		if cur+n > max {
-			d.warnJournalFull()
-			return 0, ErrJournalFull
-		}
-		if d.idCursor.v.CompareAndSwap(cur, cur+n) {
-			return cur + 1, nil
 		}
 	}
 }
@@ -466,7 +440,7 @@ func (d *Dispatcher) warnJournalFull() {
 // unconsumed. Submit is the v1 path, equivalent to Do with a bare
 // Normal-priority Task.
 func (d *Dispatcher) Submit(fn Job) (uint64, error) {
-	return d.do(context.Background(), entry{fn0: fn})
+	return d.do(context.Background(), entry{run: fn0(fn)})
 }
 
 // do is the single-job submission core shared by Do, Submit, SubmitAsync
@@ -559,15 +533,16 @@ func (d *Dispatcher) SubmitBatch(fns []Job) (uint64, error) {
 		return 0, nil
 	}
 	return d.doBatch(context.Background(), len(fns),
-		func(i int) entry { return entry{fn0: fns[i]} })
+		func(i int) entry { return entry{run: fn0(fns[i])} })
 }
 
-// doBatch is the batch submission core shared by SubmitBatch and
-// DoBatch: n entries produced by entryAt, completions included (ids
-// assigned here). ctx governs admission only — it is checked before any
-// id is consumed; an accepted batch is fed in fully even if ctx is
+// doBatch is the batch submission core shared by SubmitBatch, DoBatch
+// and DoRunners: n entries produced by entryAt, completions included
+// (ids assigned here). ctx governs admission only — it is checked before
+// any id is consumed; an accepted batch is fed in fully even if ctx is
 // cancelled mid-feed, because its ids are already part of the
-// deterministic sequence.
+// deterministic sequence. The plan is a value and the closures stay on
+// the stack: a batch allocates what its caller did and nothing more.
 func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -580,94 +555,76 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 	plan := d.plan(n)
 	failFast := d.cfg.QueueDepth > 0 && d.cfg.Policy == FailFast
 	if failFast {
-		for i, c := range plan {
-			if !c.s.tryReserve(c.hi - c.lo) {
-				for _, r := range plan[:i] {
-					r.s.unreserve(r.hi - r.lo)
-				}
+		for i := 0; i < plan.chunks; i++ {
+			if c := plan.at(i); !c.s.tryReserve(c.hi - c.lo) {
+				plan.unreserve(i)
 				return 0, ErrQueueFull
 			}
 		}
 	}
-	first, err := d.leaseRange(uint64(n))
+	first, _, err := d.lease(uint64(n), false)
 	if err != nil {
 		if failFast {
-			for _, c := range plan {
-				c.s.unreserve(c.hi - c.lo)
-			}
+			plan.unreserve(plan.chunks)
 		}
 		return 0, err
 	}
-	for _, c := range plan {
+	for i := 0; i < plan.chunks; i++ {
+		c := plan.at(i)
 		c.s.count.submitted.Add(uint64(c.hi - c.lo))
 	}
 	var stamp int64 // one submit stamp for the whole batch's samples (0 = off)
 	if d.latHist != nil {
 		stamp = time.Now().UnixNano()
 	}
-	if d.recLeft.Load() > 0 {
-		// Recovery is draining: resolve the jobs a previous incarnation
-		// already performed right here, chunk by chunk, and enqueue the
-		// rest.
-		var buf []entry
-		for _, c := range plan {
+	mk := func(i int) entry {
+		e := entryAt(i)
+		e.id = first + uint64(i)
+		if stamp != 0 && e.id&latSampleMask == 0 {
+			e.t0 = stamp
+		}
+		return e
+	}
+	recovering := d.recLeft.Load() > 0
+	var buf []entry
+	for ci := 0; ci < plan.chunks; ci++ {
+		c := plan.at(ci)
+		n, get := c.hi-c.lo, func(i int) entry { return mk(c.lo + i) }
+		if recovering {
+			// Recovery is draining: resolve the jobs a previous incarnation
+			// already performed right here and enqueue the rest.
 			buf = buf[:0]
-			skipped := 0
 			for i := c.lo; i < c.hi; i++ {
-				id := first + uint64(i)
-				e := entryAt(i)
-				e.id = id
-				if d.tr != nil {
-					d.tr.Record(id, obs.TraceSubmitted, c.s.id)
-				}
-				if d.resolveRecovered(id) {
-					skipped++
-					if d.tr != nil {
-						d.tr.Record(id, obs.TraceRecovered, c.s.id)
-						d.tr.Record(id, obs.TraceResolved, c.s.id)
-					}
-					e.fire(JobResult{ID: id, Recovered: true})
+				e := mk(i)
+				d.tr.Record(e.id, obs.TraceSubmitted, c.s.id)
+				if d.resolveRecovered(e.id) {
+					d.tr.Record(e.id, obs.TraceRecovered, c.s.id)
+					d.tr.Record(e.id, obs.TraceResolved, c.s.id)
+					e.fire(JobResult{ID: e.id, Recovered: true})
 				} else {
-					if stamp != 0 && id&latSampleMask == 0 {
-						e.t0 = stamp
-					}
-					if d.tr != nil {
-						d.tr.Record(id, obs.TraceQueued, c.s.id)
-					}
+					d.tr.Record(e.id, obs.TraceQueued, c.s.id)
 					buf = append(buf, e)
 				}
 			}
-			if skipped > 0 {
+			if skipped := n - len(buf); skipped > 0 {
 				d.recoveredN.Add(uint64(skipped))
 				if failFast {
 					c.s.unreserve(skipped)
 				}
 				c.s.jobsDone(skipped)
 			}
-			if len(buf) > 0 {
-				c.s.enqueueEntries(buf, failFast)
-			}
-		}
-		return first, nil
-	}
-	for _, c := range plan {
-		if d.tr != nil {
+			n, get = len(buf), func(i int) entry { return buf[i] }
+		} else if d.tr != nil {
 			// Queued is recorded before the feed so it can never appear
 			// after the round that starts the job.
 			for i := c.lo; i < c.hi; i++ {
-				id := first + uint64(i)
-				d.tr.Record(id, obs.TraceSubmitted, c.s.id)
-				d.tr.Record(id, obs.TraceQueued, c.s.id)
+				d.tr.Record(first+uint64(i), obs.TraceSubmitted, c.s.id)
+				d.tr.Record(first+uint64(i), obs.TraceQueued, c.s.id)
 			}
 		}
-		c.s.feed(c.hi-c.lo, func(i int) entry {
-			e := entryAt(c.lo + i)
-			e.id = first + uint64(c.lo+i)
-			if stamp != 0 && e.id&latSampleMask == 0 {
-				e.t0 = stamp
-			}
-			return e
-		}, failFast)
+		if n > 0 {
+			c.s.feed(n, get, failFast)
+		}
 	}
 	return first, nil
 }
@@ -678,27 +635,35 @@ type chunk struct {
 	lo, hi int
 }
 
-// plan partitions n queued items into contiguous chunks round-robined
-// across the shards, one chunk per shard. The cursor advances by ONE
-// per batch — advancing by S would keep the start shard constant
-// (base ≡ const mod S), and a batch-only workload whose batches span
-// fewer chunks than Shards would pile onto the same shards forever
-// while the rest sat idle. Materializing the plan (rather than
-// enqueueing on the fly) lets FailFast reserve every chunk's capacity
-// before any id is consumed or any entry enqueued.
-func (d *Dispatcher) plan(n int) []chunk {
+// batchPlan partitions n queued items into contiguous chunks
+// round-robined across the shards, one chunk per shard, chunk i computed
+// on demand (at). Planning before enqueueing lets FailFast reserve every
+// chunk's capacity before any id is consumed or any entry enqueued.
+type batchPlan struct {
+	d                    *Dispatcher
+	base, per, n, chunks int
+}
+
+// plan draws the batch's start shard. The cursor advances by ONE per
+// batch — advancing by S would keep the start shard constant (base ≡
+// const mod S), and a batch-only workload whose batches span fewer
+// chunks than Shards would pile onto the same shards forever.
+func (d *Dispatcher) plan(n int) batchPlan {
 	S := len(d.shards)
-	base := int(d.rr.v.Add(1) - 1)
 	per := (n + S - 1) / S
-	out := make([]chunk, 0, S)
-	for i := 0; i < S && i*per < n; i++ {
-		lo, hi := i*per, (i+1)*per
-		if hi > n {
-			hi = n
-		}
-		out = append(out, chunk{d.shards[(base+i)%S], lo, hi})
+	return batchPlan{d: d, base: int((d.rr.v.Add(1) - 1) % uint64(S)), per: per, n: n, chunks: (n + per - 1) / per}
+}
+
+func (p batchPlan) at(i int) chunk {
+	return chunk{p.d.shards[(p.base+i)%len(p.d.shards)], i * p.per, min((i+1)*p.per, p.n)}
+}
+
+// unreserve gives back the reservations of the plan's first k chunks.
+func (p batchPlan) unreserve(k int) {
+	for i := 0; i < k; i++ {
+		c := p.at(i)
+		c.s.unreserve(c.hi - c.lo)
 	}
-	return out
 }
 
 // Flush blocks until every job submitted so far has resolved — performed,

@@ -7,15 +7,16 @@ import (
 )
 
 // entry is one queued job and everything that travels with it: its
-// dispatcher-wide id, its payload (exactly one of fn0/fn is set — fn0
-// for the v1 func() paths, fn for v2 Task payloads), its scheduling
-// descriptor and its completion. Entries are copied through rings,
-// batches and steals, so the struct is exactly eight words — one cache
-// line, and ring slots never straddle two (TestEntryIsOneCacheLine).
+// dispatcher-wide id, the Runner that is its payload (a caller-owned
+// object from DoRunners, or a func-typed adapter around a v1 Job or a
+// Task.Fn — a func value is pointer-shaped, so the conversion allocates
+// nothing; nil marks round padding), its scheduling descriptor and who
+// else hears of its result. Entries are copied through rings, batches
+// and steals, so the struct is exactly eight words — one cache line, and
+// ring slots never straddle two (TestEntryIsOneCacheLine).
 type entry struct {
 	id  uint64
-	fn0 Job
-	fn  func(context.Context) error
+	run Runner
 	// dl is the deadline as Unix nanoseconds (0 = none).
 	dl int64
 	// t0 is the submit time (Unix nanoseconds) of jobs sampled into the
@@ -23,10 +24,12 @@ type entry struct {
 	// the entry through requeues and steals, so the recorded latency is
 	// wall time from submission to final resolution.
 	t0 int64
-	// completion is who hears about the job: because it rides the entry,
-	// whichever shard ends up holding the job — after residue carry-over,
-	// a steal, an expiry — holds its completion too.
-	completion
+	// fut is the Handle's future (Do and DoBatch only) and cb the
+	// completion callback (Task.Callback or SubmitCallback's done), nil
+	// when there is none. They ride the entry, so whichever shard ends up
+	// holding the job — residue, a steal, an expiry — holds them too.
+	fut *future
+	cb  func(JobResult)
 	pri Priority
 	// cx marks a Do whose ctx can be cancelled (the ctx itself is in the
 	// future): round assembly polls it under the shard lock, and for every
@@ -34,30 +37,42 @@ type entry struct {
 	cx bool
 }
 
-// completion is the notification half of an entry: the Handle's future
-// (Do and DoBatch; nil on the v1 paths) and the completion callback
-// (Task.Callback or SubmitCallback's done; nil when none was given).
-type completion struct {
-	fut *future
-	cb  func(JobResult)
+// fn0 (a v1 Job) and taskFn (a Task.Fn) are the Runners the
+// closure-taking submit paths ride in as. Neither hears its result:
+// those paths are told through fut and cb.
+type (
+	fn0    Job
+	taskFn func(context.Context) error
+)
+
+func (f fn0) Run(context.Context) error {
+	if f != nil { // a nil Job has always been a no-op that counts performed
+		f()
+	}
+	return nil
 }
+func (fn0) Resolved(JobResult)                 {}
+func (f taskFn) Run(ctx context.Context) error { return f(ctx) }
+func (taskFn) Resolved(JobResult)              {}
 
 // fire delivers the job's one JobResult: the future first, so the result
-// is readable through Handle.Done by the time the callback runs. Never
-// called under a shard lock — the callback may re-enter the dispatcher.
-func (c completion) fire(r JobResult) {
-	if c.fut != nil {
-		c.fut.resolve(r)
+// is readable through Handle.Done by the time the callback runs, the
+// Runner last. Never called under a shard lock — a callback or Resolved
+// may re-enter the dispatcher.
+func (e *entry) fire(r JobResult) {
+	if e.fut != nil {
+		e.fut.resolve(r)
 	}
-	if c.cb != nil {
-		c.cb(r)
+	if e.cb != nil {
+		e.cb(r)
 	}
+	e.run.Resolved(r)
 }
 
-// resolved pairs a completion with its result: collected under the shard
+// resolved pairs an entry with its result: collected under the shard
 // lock at round assembly (expiry, cancellation) and fired after it.
 type resolved struct {
-	completion
+	e entry
 	r JobResult
 }
 

@@ -168,7 +168,7 @@ func newShard(d *Dispatcher, id int) (*shard, []uint64, error) {
 func (s *shard) leaseID() (uint64, error) {
 	s.idMu.Lock()
 	if s.idNext == s.idEnd {
-		lo, hi, err := s.d.leaseBlock()
+		lo, hi, err := s.d.lease(idBlock, true)
 		if err != nil {
 			s.idMu.Unlock()
 			return 0, err
@@ -206,16 +206,13 @@ func (s *shard) jobsDone(n int) {
 }
 
 // exec is the round payload: local job ids map to batch slots; padding
-// slots carry no payload. Durable shards claim the job into the
-// worker's claim buffer and defer both the journal write and the payload
-// to the flush (record-then-do; see durable.go) — at JournalBatch 1 the
-// flush follows at once. v2
-// payloads get a context carrying the Task's deadline and may return an
-// error, recorded in the job's future for finishRound to deliver; v1
-// payloads run bare.
+// slots carry no Runner. Durable shards claim the job into the worker's
+// claim buffer and defer both the journal write and the payload to the
+// flush (record-then-do; see durable.go) — at JournalBatch 1 the flush
+// follows at once.
 func (s *shard) exec(worker, local int) {
 	e := &s.batch[local-1]
-	if e.fn0 == nil && e.fn == nil {
+	if e.run == nil {
 		return // round padding
 	}
 	tr := s.d.tr
@@ -229,21 +226,19 @@ func (s *shard) exec(worker, local int) {
 	s.runPayload(e)
 }
 
-// runPayload invokes one entry's payload, parking a v2 payload's error
-// in its future (every fn payload came through Do or DoBatch, so it has
-// one) for finishRound to deliver.
+// runPayload runs one entry's Runner under a context carrying its
+// deadline. The returned error is parked in the entry's future when it
+// has one (Do, DoBatch) for finishRound to deliver; a DoRunners job has
+// none, and its Runner keeps what it wants to hear again in Resolved.
 func (s *shard) runPayload(e *entry) {
-	switch {
-	case e.fn0 != nil:
-		e.fn0()
-	case e.fn != nil:
-		ctx := context.Background()
-		if e.dl != 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, time.Unix(0, e.dl))
-			defer cancel()
-		}
-		e.fut.res.Err = e.fn(ctx)
+	ctx := context.Background()
+	if e.dl != 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, e.dl))
+		defer cancel()
+	}
+	if err := e.run.Run(ctx); e.fut != nil {
+		e.fut.res.Err = err
 	}
 }
 
@@ -404,11 +399,6 @@ func (s *shard) enqueueOne(e entry, reserved bool) {
 	s.q.pushBack(e)
 	s.cond.Signal()
 	s.mu.Unlock()
-}
-
-// enqueueEntries appends pre-built entries (the recovery filter path).
-func (s *shard) enqueueEntries(es []entry, reserved bool) {
-	s.feed(len(es), func(i int) entry { return es[i] }, reserved)
 }
 
 // stop marks the shard closed and wakes the loop so it can drain and exit.
@@ -582,27 +572,7 @@ func (s *shard) takeBatch() int {
 		// returns to the front of its class, still ahead of its peers.
 		if md := s.q.minDeadline(); md != 0 && md <= now+s.promoWindow(limit) {
 			s.dueBuf = s.q.extractDue(now+s.promoWindow(limit), s.dueBuf[:0])
-			overflow := 0
-			for _, e := range s.dueBuf {
-				switch cerr := e.cancelErr(); {
-				case e.dl <= now:
-					s.expire(e, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
-				case cerr != nil:
-					s.expire(e, JobResult{ID: e.id, Cancelled: true, Err: cerr})
-				case n < limit:
-					s.batch[n] = e
-					n++
-				default:
-					s.dueBuf[overflow] = e
-					overflow++
-				}
-			}
-			for i := overflow - 1; i >= 0; i-- { // reversed: keeps deadline order at the front
-				s.q.pushFront(s.dueBuf[i])
-			}
-			for i := range s.dueBuf {
-				s.dueBuf[i] = entry{} // don't pin payloads past the transfer
-			}
+			n = s.leadDue(n, limit, now)
 		}
 		// Priority pass: drain High, then Normal, then Low — EDF within
 		// any class that cannot be drained whole this round (takeClass).
@@ -637,9 +607,9 @@ func (s *shard) takeBatch() int {
 			// the lock, and counts toward Flush like any other resolution.
 			s.traceExpired(s.expired)
 			for i := range s.expired {
-				s.expired[i].fire(s.expired[i].r)
+				s.expired[i].e.fire(s.expired[i].r)
 			}
-			clear(s.expired) // an idle shard must not pin futures, callbacks or errors
+			clear(s.expired) // an idle shard must not pin runners, futures, callbacks or errors
 			s.jobsDone(nExp)
 		}
 		if n == 0 {
@@ -667,27 +637,7 @@ func (s *shard) takeClass(ri, n, limit int, now int64) int {
 		// push the overflow back to the FRONT in reverse so deadline
 		// order survives into the next round's assembly.
 		s.dueBuf = s.q.extractDeadlined(ri, s.dueBuf[:0])
-		overflow := 0
-		for _, e := range s.dueBuf {
-			switch cerr := e.cancelErr(); {
-			case e.dl <= now:
-				s.expire(e, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
-			case cerr != nil:
-				s.expire(e, JobResult{ID: e.id, Cancelled: true, Err: cerr})
-			case n < limit:
-				s.batch[n] = e
-				n++
-			default:
-				s.dueBuf[overflow] = e
-				overflow++
-			}
-		}
-		for i := overflow - 1; i >= 0; i-- {
-			s.q.pushFront(s.dueBuf[i])
-		}
-		for i := range s.dueBuf {
-			s.dueBuf[i] = entry{} // don't pin payloads past the transfer
-		}
+		n = s.leadDue(n, limit, now)
 	}
 	for n < limit && r.n > 0 {
 		e := s.q.popRing(ri)
@@ -705,11 +655,38 @@ func (s *shard) takeClass(ri, n, limit int, now int64) int {
 	return n
 }
 
+// leadDue moves s.dueBuf's deadline-sorted entries into the batch from
+// slot n up to limit and returns the new n: entries past their deadline
+// or with a dead ctx expire instead, and the overflow returns to the
+// FRONT of its class, in reverse (deadline order survives). Caller holds s.mu.
+func (s *shard) leadDue(n, limit int, now int64) int {
+	overflow := 0
+	for _, e := range s.dueBuf {
+		switch cerr := e.cancelErr(); {
+		case e.dl <= now:
+			s.expire(e, JobResult{ID: e.id, Expired: true, Err: context.DeadlineExceeded})
+		case cerr != nil:
+			s.expire(e, JobResult{ID: e.id, Cancelled: true, Err: cerr})
+		case n < limit:
+			s.batch[n] = e
+			n++
+		default:
+			s.dueBuf[overflow] = e
+			overflow++
+		}
+	}
+	for i := overflow - 1; i >= 0; i-- {
+		s.q.pushFront(s.dueBuf[i])
+	}
+	clear(s.dueBuf) // don't pin payloads past the transfer
+	return n
+}
+
 // expire takes e out of play at round assembly — deadline passed or
-// submission ctx dead, never started — keeping its completion and result
-// for takeBatch to fire once the lock is dropped. Caller holds s.mu.
+// submission ctx dead, never started — keeping it and its result for
+// takeBatch to fire once the lock is dropped. Caller holds s.mu.
 func (s *shard) expire(e entry, r JobResult) {
-	s.expired = append(s.expired, resolved{e.completion, r})
+	s.expired = append(s.expired, resolved{e, r})
 }
 
 // stealWork claims a slice of the deepest sibling queue for this (idle)
@@ -901,8 +878,8 @@ func (s *shard) finishRound(n int, res *conc.RoundResult) int {
 		}
 		e.fire(r)
 	}
-	// An idle shard must not pin its last round's payload closures,
-	// futures and callbacks until the next job happens to arrive.
+	// An idle shard must not pin its last round's runners, futures and
+	// callbacks until the next job happens to arrive.
 	clear(s.batch[:n])
 	return performed
 }

@@ -164,7 +164,7 @@ func entryOf(t Task) (entry, error) {
 			dl = -1
 		}
 	}
-	return entry{fn: t.Fn, dl: dl, pri: t.Priority, completion: completion{cb: t.Callback}}, nil
+	return entry{run: taskFn(t.Fn), dl: dl, pri: t.Priority, cb: t.Callback}, nil
 }
 
 // Do submits one Task and returns its Handle. It is the single v2 entry
@@ -220,17 +220,17 @@ func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	entries := make([]entry, len(tasks))
-	futs := make([]future, len(tasks))
 	for i := range tasks {
-		e, err := entryOf(tasks[i])
-		if err != nil {
+		if _, err := entryOf(tasks[i]); err != nil {
 			return nil, fmt.Errorf("task %d: %w", i, err)
 		}
-		e.fut = &futs[i]
-		entries[i] = e
 	}
-	first, err := d.doBatch(ctx, len(tasks), func(i int) entry { return entries[i] })
+	futs := make([]future, len(tasks))
+	first, err := d.doBatch(ctx, len(tasks), func(i int) entry {
+		e, _ := entryOf(tasks[i])
+		e.fut = &futs[i]
+		return e
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -239,4 +239,55 @@ func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error
 		handles[i] = Handle{ID: first + uint64(i), f: &futs[i]}
 	}
 	return handles, nil
+}
+
+// Runner is a job that is its own task: ONE caller-owned object carries
+// the payload and hears the outcome, so submitting it costs no closure,
+// no future and no Handle — the interface value rides the queue entry
+// where a Task's Fn would.
+type Runner interface {
+	// Run is the payload, invoked at most once from a shard worker under
+	// a context carrying the job's deadline. As for Task.Fn the error
+	// does not affect at-most-once accounting; unlike a Task's it has no
+	// future to travel in and is NOT repeated in Resolved's JobResult — a
+	// Runner that wants it keeps it (the round's join orders Run before
+	// Resolved).
+	Run(ctx context.Context) error
+	// Resolved is invoked exactly once with the job's JobResult (Err set
+	// only for expiry and cancellation), where a Task.Callback would be:
+	// on the performing shard's loop goroutine, or synchronously inside
+	// DoRunners for a journal-recovered job.
+	Resolved(r JobResult)
+}
+
+// RunnerTask is one element of a DoRunners batch: a Runner and its
+// scheduling contract — Task's, with the deadline the way an entry
+// carries it: Unix nanoseconds, 0 for none.
+type RunnerTask struct {
+	Runner   Runner
+	Deadline int64
+	Priority Priority
+}
+
+// DoRunners submits the tasks in order as one batch and returns the id of
+// the first; task i gets id first+i, one contiguous range leased in one
+// step, so a caller that submits ONLY through DoRunners numbers its jobs
+// 1, 2, 3, … in submission order however it cuts them into batches.
+// Acceptance, ctx and the empty-batch sentinel (0, nil) are SubmitBatch's.
+// tasks is not retained (reuse the slice); the call allocates nothing.
+func (d *Dispatcher) DoRunners(ctx context.Context, tasks []RunnerTask) (uint64, error) {
+	if len(tasks) == 0 {
+		return 0, nil
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	for i := range tasks {
+		if t := &tasks[i]; t.Runner == nil || !t.Priority.valid() {
+			return 0, fmt.Errorf("dispatch: task %d: nil Runner or unknown Priority(%d)", i, int8(t.Priority))
+		}
+	}
+	return d.doBatch(ctx, len(tasks), func(i int) entry {
+		return entry{run: tasks[i].Runner, dl: tasks[i].Deadline, pri: tasks[i].Priority}
+	})
 }

@@ -409,3 +409,124 @@ func TestFlushContext(t *testing.T) {
 		t.Fatalf("FlushContext after drain = %v", err)
 	}
 }
+
+// recRunner is a Runner that records what happened to it.
+type recRunner struct {
+	err      error // what Run returns
+	ran      atomic.Int32
+	resolved atomic.Int32
+	res      JobResult // the last Resolved's argument; read after Flush
+}
+
+func (r *recRunner) Run(context.Context) error { r.ran.Add(1); return r.err }
+func (r *recRunner) Resolved(res JobResult)    { r.res = res; r.resolved.Add(1) }
+
+// TestDoRunners: runners submitted only through DoRunners are numbered
+// 1, 2, 3, … in submission order however the stream is cut into batches;
+// each runs once and hears Resolved once; Run's error stays with the
+// Runner; a deadline in the past resolves Expired without running; a nil
+// Runner or an unknown priority rejects the whole batch with nothing
+// consumed; the empty batch is (0, nil).
+func TestDoRunners(t *testing.T) {
+	d, err := New(Config{Shards: 3, Workers: 2, MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if first, err := d.DoRunners(context.Background(), nil); first != 0 || err != nil {
+		t.Fatalf("empty batch = (%d, %v), want (0, nil)", first, err)
+	}
+	rs := make([]*recRunner, 100)
+	tasks := make([]RunnerTask, 0, len(rs)) // one slice, reused for every batch
+	next := uint64(1)
+	for lo, cut := 0, 1; lo < len(rs); cut = cut*2 + 1 {
+		hi := min(lo+cut, len(rs))
+		tasks = tasks[:0]
+		for i := lo; i < hi; i++ {
+			rs[i] = &recRunner{}
+			tasks = append(tasks, RunnerTask{Runner: rs[i], Priority: Priority(i%3 - 1)})
+		}
+		if lo == 0 {
+			bad := []RunnerTask{tasks[0], {}}
+			if _, err := d.DoRunners(context.Background(), bad); err == nil {
+				t.Fatal("a nil Runner was accepted")
+			}
+			bad[1] = RunnerTask{Runner: rs[0], Priority: 9}
+			if _, err := d.DoRunners(context.Background(), bad); err == nil {
+				t.Fatal("an unknown priority was accepted")
+			}
+		}
+		first, err := d.DoRunners(context.Background(), tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != next {
+			t.Fatalf("batch [%d,%d) got first id %d, want %d (rejected batches must burn nothing)", lo, hi, first, next)
+		}
+		next += uint64(hi - lo)
+		lo = hi
+	}
+	failing := &recRunner{err: errors.New("kept by the runner")}
+	late := &recRunner{}
+	first, err := d.DoRunners(context.Background(), []RunnerTask{
+		{Runner: failing}, {Runner: late, Deadline: time.Now().Add(-time.Second).UnixNano()},
+	})
+	if err != nil || first != next {
+		t.Fatalf("last batch = (%d, %v), want first id %d", first, err, next)
+	}
+	d.Flush()
+	for i, r := range rs {
+		if r.ran.Load() != 1 || r.resolved.Load() != 1 || r.res.ID != uint64(i+1) || r.res.Err != nil {
+			t.Fatalf("runner %d: ran %d, resolved %d with %+v; want once each, id %d", i, r.ran.Load(), r.resolved.Load(), r.res, i+1)
+		}
+	}
+	if failing.ran.Load() != 1 || failing.resolved.Load() != 1 || failing.res.Err != nil {
+		t.Fatalf("failing runner: ran %d, resolved %d with %+v; its error is its own to keep", failing.ran.Load(), failing.resolved.Load(), failing.res)
+	}
+	if late.ran.Load() != 0 || late.resolved.Load() != 1 || !late.res.Expired || !errors.Is(late.res.Err, context.DeadlineExceeded) {
+		t.Fatalf("expired runner: ran %d, resolved %d with %+v", late.ran.Load(), late.resolved.Load(), late.res)
+	}
+}
+
+// TestDoRunnersRecovered: after a clean close, the same runners
+// re-submitted in different batch cuts get the same ids and every one
+// resolves Recovered inside the DoRunners call, without running.
+func TestDoRunnersRecovered(t *testing.T) {
+	requireMmap(t)
+	dir := t.TempDir()
+	cfg := Config{Shards: 2, Workers: 2, MaxBatch: 16, MaxJobs: 64, JournalBatch: 4, NewMem: mmapFactory(dir)}
+	const n = 40
+	submit := func(d *Dispatcher, cut int) []*recRunner {
+		rs := make([]*recRunner, n)
+		var tasks []RunnerTask
+		for lo := 0; lo < n; lo += cut {
+			tasks = tasks[:0]
+			for i := lo; i < min(lo+cut, n); i++ {
+				rs[i] = &recRunner{}
+				tasks = append(tasks, RunnerTask{Runner: rs[i]})
+			}
+			if first, err := d.DoRunners(context.Background(), tasks); err != nil || first != uint64(lo+1) {
+				t.Fatalf("batch at %d = (%d, %v)", lo, first, err)
+			}
+		}
+		return rs
+	}
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit(d1, 7)
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for i, r := range submit(d2, 16) { // no Flush: recovered jobs resolve before DoRunners returns
+		if r.ran.Load() != 0 || r.resolved.Load() != 1 || !r.res.Recovered || r.res.ID != uint64(i+1) {
+			t.Fatalf("runner %d after reopen: ran %d, resolved %d with %+v", i, r.ran.Load(), r.resolved.Load(), r.res)
+		}
+	}
+}

@@ -18,11 +18,13 @@ import (
 // touches server state — the voxelcraft boundary.
 //
 // The outbound queue is a byte buffer, not a queue of frame objects:
-// producers (the core loop; the reader for hello and protocol errors)
-// encode each frame straight onto its tail under outMu, and the writer
-// swaps the whole buffer for its drained spare and hands it to the
-// socket in one Write per wake-up. Frames therefore reach the wire in
-// append order, which is what keeps replies in request order.
+// producers (the core loop's ticks; the reader for hello and protocol
+// errors) encode each frame straight onto its tail under outMu, and the
+// writer swaps the whole buffer for its drained spare and hands it to
+// the socket in one Write per wake-up — and is woken once per batch of
+// frames, not per frame: a tick wakes each connection it queued anything
+// for at its end. Frames reach the wire in append order, which is what
+// keeps replies in request order.
 //
 // The queue is bounded by frames appended and not yet taken by the
 // writer. A reply that would overflow it means the client pipelined
@@ -60,6 +62,8 @@ type conn struct {
 	// tenants is this connection's subscription set. Core-loop-owned:
 	// only subscribe/unsubscribe/connGone handling reads or writes it.
 	tenants map[string]struct{}
+	// dirty: the running tick owes the writer a wake-up. Core-loop-owned.
+	dirty bool
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -80,8 +84,8 @@ func (c *conn) close() {
 	})
 }
 
-// enqueue encodes one frame onto the outbound queue and wakes the
-// writer. It reports false, appending nothing, when the queue is full.
+// enqueue encodes one frame onto the outbound queue, or reports false,
+// appending nothing, when it is full. The caller wakes the writer, once.
 func (c *conn) enqueue(op byte, seq uint32, payload []byte) bool {
 	c.outMu.Lock()
 	if c.outN >= connOutDepth {
@@ -91,7 +95,6 @@ func (c *conn) enqueue(op byte, seq uint32, payload []byte) bool {
 	c.out = append(wire.AppendHeader(c.out, op, seq, len(payload)), payload...)
 	c.outN++
 	c.outMu.Unlock()
-	c.wake()
 	return true
 }
 
@@ -173,9 +176,10 @@ func (c *conn) sayBye() {
 // Buffer ownership: a frame's payload aliases the read buffer and is
 // overwritten by the next frame, so nothing that crosses into the core
 // loop may point into it. Tenant and task names come out of c.names
-// (copies, shared between requests that repeat a name), the job payload
-// is the one copy per submit — it rides the descriptor and the worker,
-// so it owns its bytes — and everything else is a scalar.
+// (copies, shared between requests that repeat a name), a submit frame
+// becomes one *job — task looked up here, off the core loop — whose
+// payload is the one copy per submit (it rides the log and the worker,
+// so it owns its bytes), and everything else is a scalar.
 func (c *conn) readLoop() {
 	defer c.s.connWG.Done()
 	defer func() {
@@ -220,20 +224,24 @@ func (c *conn) readLoop() {
 			p := wire.AppendU32(nil, protoVersion)
 			p = wire.AppendStr(p, obs.IncarnationString())
 			c.sendReply(jopHelloOK, seq, p)
+			c.wake()
 			helloed = true
 			continue
 		}
 		req := coreReq{op: op, c: c, seq: seq}
 		switch op {
 		case jopSubmit:
-			if req.d, err = decodeDesc(payload, &c.names); err != nil {
+			j := &job{s: c.s}
+			if err := j.decode(payload, &c.names); err != nil {
 				fatal(seq, codeProto, err.Error())
 				return
 			}
-			if p := dispatch.Priority(req.d.pri); !(p == dispatch.Normal || p == dispatch.High || p == dispatch.Low) {
+			if p := dispatch.Priority(j.pri); !(p == dispatch.Normal || p == dispatch.High || p == dispatch.Low) {
 				fatal(seq, codeProto, "unknown priority")
 				return
 			}
+			j.fn = c.s.reg.lookup(j.task, j.version)
+			req.j = j
 		case jopSubscribe, jopUnsubscribe:
 			req.tenant = dec.StrIn(&c.names)
 			if err := dec.Done(); err != nil {

@@ -58,6 +58,8 @@ var (
 	jdReexec    *obs.Counter
 	jdBytesIn   *obs.Counter
 	jdBytesOut  *obs.Counter
+	jdTicks     *obs.Counter
+	jdTickReqs  *obs.Histogram
 )
 
 func init() {
@@ -77,7 +79,7 @@ func init() {
 	}
 	for i, n := range evNames {
 		jdDone[i] = r.Counter("amo_jobd_completions_total",
-			"Job completions (the dispatcher's exactly-once Task.Callback), by status.",
+			"Job completions (the dispatcher's exactly-once Runner.Resolved), by status.",
 			"status", n)
 	}
 	jdEvStream = r.Counter("amo_jobd_events_streamed_total",
@@ -92,6 +94,10 @@ func init() {
 		"Frame bytes read by the job server, headers included.")
 	jdBytesOut = r.Counter("amo_jobd_server_bytes_sent_total",
 		"Frame bytes written by the job server, headers included.")
+	jdTicks = r.Counter("amo_jobd_ticks_total",
+		"Ticks of the core loop: one log commit, one batch submit and one writer wake-up per connection each.")
+	jdTickReqs = r.Histogram("amo_jobd_tick_requests",
+		"Requests drained per core-loop tick (0 = a tick of completions only).", 1)
 }
 
 // obsReq accounts one inbound request frame.

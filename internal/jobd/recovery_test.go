@@ -1,6 +1,7 @@
 package jobd
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"sync/atomic"
@@ -12,6 +13,12 @@ import (
 )
 
 const testLogCells = 1 << 14
+
+// append commits one record: a tick of one.
+func (l *descLog) append(d *desc) error {
+	l.stage(d)
+	return l.commit()
+}
 
 // TestDescLogRoundTrip: records appended to the log come back verbatim
 // after a close/reopen, in order, and the scan stops at the first
@@ -103,7 +110,10 @@ func TestDescLogFull(t *testing.T) {
 	}
 	defer l.close()
 	d := desc{tenant: "t", task: "x", version: 1, payload: make([]byte, 64)}
-	if l.hasRoom(21 + 1 + 1 + 64) {
+	if d.encodedLen() != len(d.encode(nil)) {
+		t.Fatalf("encodedLen %d, encode produced %d bytes", d.encodedLen(), len(d.encode(nil)))
+	}
+	if l.hasRoom(0, d.encodedLen()) {
 		t.Fatal("hasRoom claims a 64-byte payload fits in 8 cells")
 	}
 	if err := l.append(&d); err != errLogFull {
@@ -373,5 +383,130 @@ func TestReplayUnregisteredTask(t *testing.T) {
 	}, "unregistered replay resolving")
 	if executed[0].Load() != 0 {
 		t.Fatal("the placeholder for an unregistered task must not touch real task state")
+	}
+}
+
+// reopenLog closes l and opens the log again, returning what the scan
+// finds.
+func reopenLog(t *testing.T, l *descLog, spec string) (*descLog, []job) {
+	t.Helper()
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, recs, err := openDescLog(spec, testLogCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l2, recs
+}
+
+// TestTornLongThenShorterAppend: the payload cells of a long record land
+// without its header (the kill), and the next incarnation appends a
+// SHORTER record over them. The torn record's stale cells right behind
+// the new one are client-supplied bytes; without the zero terminator the
+// next scan read them as a header and refused the store (or, for a
+// crafted payload, replayed a phantom descriptor that shifted every
+// later id).
+func TestTornLongThenShorterAppend(t *testing.T) {
+	spec := "mmap:" + filepath.Join(t.TempDir(), "log")
+	l, _, err := openDescLog(spec, testLogCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The kill: an 800-byte record staged — payload cells written — and
+	// never committed.
+	torn := desc{tenant: "a", task: "t", version: 1, payload: bytes.Repeat([]byte{0xab}, 800)}
+	l.stage(&torn)
+	l, recs := reopenLog(t, l, spec)
+	if len(recs) != 1 {
+		t.Fatalf("scan found %d records after the torn append, want 1", len(recs))
+	}
+	if err := l.append(&desc{tenant: "b", task: "t", version: 1, payload: []byte("short")}); err != nil {
+		t.Fatal(err)
+	}
+	l, recs = reopenLog(t, l, spec)
+	defer l.close()
+	if len(recs) != 2 || recs[1].tenant != "b" || string(recs[1].payload) != "short" {
+		t.Fatalf("scan found %d records %+v, want the first and the short one", len(recs), recs)
+	}
+}
+
+// TestTornTickInvisible: a tick of five whose commit header never lands
+// leaves five payloads and FOUR VALID HEADERS (records 2..5) behind the
+// cursor. A reopen sees none of the five; a tick of one committed over
+// them reopens as exactly one more record — no phantom from the stale
+// headers, whichever of them the new record's end falls short of.
+func TestTornTickInvisible(t *testing.T) {
+	tornRec := desc{tenant: "torn", task: "t", version: 1, payload: bytes.Repeat([]byte{0xff}, 40)}
+	// The 1-record tick's payload: ending inside the torn tick's first
+	// record, exactly on its second header, and inside its third record.
+	for _, short := range []int{0, 45, 200} {
+		spec := "mmap:" + filepath.Join(t.TempDir(), "log")
+		l, _, err := openDescLog(spec, testLogCells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			l.stage(&tornRec)
+		}
+		if hdr := uint64(l.b.Read(l.cur + recCells(tornRec.encodedLen()))); hdr>>48 != recMagic {
+			t.Fatalf("the torn tick's second header is %#x: the test does not build the state it describes", hdr)
+		}
+		l, recs := reopenLog(t, l, spec)
+		if len(recs) != 1 {
+			t.Fatalf("scan found %d records, want 1: the uncommitted tick must be invisible", len(recs))
+		}
+		if err := l.append(&desc{tenant: "b", task: "t", version: 1, payload: make([]byte, short)}); err != nil {
+			t.Fatal(err)
+		}
+		l, recs = reopenLog(t, l, spec)
+		if len(recs) != 2 || recs[1].tenant != "b" || len(recs[1].payload) != short {
+			t.Fatalf("payload %d: scan found %d records, want 2 (phantoms from the torn tick's headers?)", short, len(recs))
+		}
+		l.close()
+	}
+}
+
+// TestReplayAcrossChunks: replay feeds the log to the dispatcher in
+// chunks of the request channel's capacity; a log of several chunks
+// replays onto ids 1..n and every descriptor runs exactly once.
+func TestReplayAcrossChunks(t *testing.T) {
+	const n = 2500
+	dir := t.TempDir()
+	spec := "mmap:" + filepath.Join(dir, "jobd")
+	l, _, err := openDescLog(membackend.WithSuffix(spec, ".desclog"), testLogCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		l.stage(&desc{tenant: "t", task: "mark", version: 1, payload: wire.AppendU64(nil, uint64(i))})
+	}
+	if err := l.commit(); err != nil { // one tick of 2500: one commit header
+		t.Fatal(err)
+	}
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+	executed := make([]atomic.Int32, n)
+	s, addr := durableServer(t, dir, &executed)
+	defer s.Close()
+	c := testClient(t, addr, ClientOptions{})
+	waitFor(t, 20*time.Second, func() bool {
+		st, err := c.Stats()
+		return err == nil && st.Replayed == n && st.Reexecuted == n && st.Jobs.Pending == 0
+	}, "replay of a multi-chunk log")
+	for i := range executed {
+		if got := executed[i].Load(); got != 1 {
+			t.Fatalf("descriptor %d executed %d times", i, got)
+		}
+	}
+	if id, err := c.Submit("t", "mark", 1, wire.AppendU64(nil, 0), SubmitOptions{}); err != nil || id != n+1 {
+		t.Fatalf("first submission after the replay = (%d, %v), want id %d", id, err, n+1)
 	}
 }

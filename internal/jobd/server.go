@@ -42,7 +42,8 @@ type Options struct {
 	// Empty means "atomic": volatile, nothing survives the process.
 	Backend string
 	// MaxJobs is the durable id budget across restarts (dispatch.Config
-	// MaxJobs). Default 1 << 20.
+	// MaxJobs): exactly this many submissions are ever admitted. Default
+	// 1 << 20.
 	MaxJobs int
 	// LogCells sizes the descriptor log in 8-byte register cells.
 	// Default 1 << 20 (8 MiB) — roughly MaxJobs small descriptors. A
@@ -55,8 +56,8 @@ type Options struct {
 	// Shards, Workers, MaxBatch, JournalBatch and RoundTarget pass
 	// through to dispatch.Config. The dispatcher queue is always
 	// UNBOUNDED here: all backpressure lives in jobd's admission (tenant
-	// quotas and the id budget), checked before an id exists — a Do that
-	// could fail after the descriptor is logged would desync log and
+	// quotas and the id budget), checked before an id exists — a submit
+	// that could fail after the descriptor is logged would desync log and
 	// journal.
 	Shards       int
 	Workers      int
@@ -79,13 +80,45 @@ type Options struct {
 	TraceSampleRate float64
 }
 
-// doneMsg carries one job completion from a dispatcher callback into
-// the core loop.
+// job is one submission: the descriptor the log stores, what running it
+// needs, and — as the dispatcher's Runner — payload and completion in one
+// object. A reader allocates one per submit frame; replay carves them
+// from the log scan's slab.
+type job struct {
+	desc
+	s   *Server
+	fn  TaskFunc // looked up by whoever built the job; nil = not registered
+	err error    // Run's error, kept for Resolved
+}
+
+// Run is the payload, on a dispatcher worker. Only a replayed descriptor
+// can lack its task: admission rejects one that is not registered.
+func (j *job) Run(ctx context.Context) error {
+	if j.fn == nil {
+		j.err = fmt.Errorf("jobd: task %s@v%d no longer registered", j.task, j.version)
+	} else {
+		j.err = j.fn(ctx, j.payload)
+	}
+	return j.err
+}
+
+// Resolved is the completion, exactly once per job: on a shard loop, or
+// — for a journal-recovered job — inside the core loop's own DoRunners.
+func (j *job) Resolved(r dispatch.JobResult) {
+	if r.Err == nil {
+		r.Err = j.err
+	}
+	j.s.enqueueDone(doneMsg{j, r})
+}
+
+func (j *job) runnerTask() dispatch.RunnerTask {
+	return dispatch.RunnerTask{Runner: j, Deadline: j.deadline, Priority: dispatch.Priority(j.pri)}
+}
+
+// doneMsg carries one job completion from the dispatcher into a tick.
 type doneMsg struct {
-	tenant string
-	task   string
-	pri    dispatch.Priority
-	r      dispatch.JobResult
+	j *job
+	r dispatch.JobResult
 }
 
 // Core-request kinds (coreReq.op reuses wire op codes; opConnGone is
@@ -97,11 +130,19 @@ const opBarrier byte = 0xff
 // into the core loop.
 type coreReq struct {
 	op      byte
-	c       *conn
 	seq     uint32
-	d       desc          // jopSubmit
+	c       *conn
+	j       *job          // jopSubmit
 	tenant  string        // jopSubscribe / jopUnsubscribe
-	barrier chan struct{} // opBarrier: closed when the core reaches it
+	barrier chan struct{} // opBarrier: closed in the tick's reply walk
+}
+
+// verdict is the decide phase's ruling on one submit, kept for the reply
+// walk: the admission result (admAccepted = 0) and, if not that, the error.
+type verdict struct {
+	adm  int
+	code uint16
+	msg  string
 }
 
 // tenantState is the core loop's per-tenant ledger.
@@ -114,9 +155,9 @@ type tenantState struct {
 }
 
 // Server is the job service. See the package comment for the
-// architecture; the load-bearing invariant is that coreLoop is the ONLY
-// goroutine that touches tenants, subs, the descriptor log or the
-// dispatcher's submit path.
+// architecture; the load-bearing invariant is that coreLoop (and the
+// ticks it runs) is the ONLY goroutine that touches tenants, subs, the
+// descriptor log or the dispatcher's submit path.
 type Server struct {
 	opts Options
 	reg  *Registry
@@ -137,27 +178,21 @@ type Server struct {
 	connMu  sync.Mutex
 	conns   map[*conn]struct{}
 
-	nShards int // resolved shard count, for the id-margin capacity check
-
-	// Core-owned state — coreLoop only, no locks.
+	// Core-owned state — coreLoop and the ticks it runs only, no locks.
 	tenants       map[string]*tenantState
 	subs          map[string]map[*conn]struct{}
-	doneSpare     []doneMsg // drainDone's other buffer: swapped with doneQ per drain
-	evBuf         []byte    // complete's event-payload scratch, reused
-	admitted      uint64    // successful Do calls, replay included
+	doneSpare     []doneMsg             // doneQ's other buffer: swapped per tick
+	verdicts      []verdict             // tick scratch: one per request
+	batch         []dispatch.RunnerTask // tick scratch: the admitted jobs
+	touched       []*conn               // owed a wake-up at the end of the tick
+	evBuf         []byte                // complete's event-payload scratch
+	admitted      uint64                // jobs handed to the dispatcher, replay included: the last id
 	replayed      uint64
 	reexecuted    uint64
-	replayHorizon uint64 // max id assigned during replay; 0 = none
+	replayHorizon uint64 // the last replayed id; 0 = none
+	ticks         uint64
+	tickReqs      uint64 // requests drained by those ticks
 }
-
-// idMargin is the headroom the capacity check keeps between admitted
-// submissions and MaxJobs: each shard holds a partially consumed leased
-// id block (idBlock = 64 ids), so the ids drawn from the journal budget
-// can exceed the submission count by strictly less than 64 per shard.
-// Keeping this margin makes dispatch.ErrJournalFull unreachable on the
-// admission path — which must be true, because by Do time the
-// descriptor is already in the log.
-const idMargin = 64
 
 // New opens the server: dispatcher (recovering any existing shard
 // journals), descriptor log, and — before New returns — the replay of
@@ -165,8 +200,27 @@ const idMargin = 64
 // the journals recorded as performed resolve Recovered without running;
 // the rest re-execute. New does not listen; call Listen.
 func New(o Options) (*Server, error) {
+	s, recs, err := open(o)
+	if err != nil {
+		return nil, err
+	}
+	replayErr := make(chan error, 1)
+	s.coreWG.Add(1)
+	go s.coreLoop(recs, replayErr)
+	if err := <-replayErr; err != nil {
+		s.coreWG.Wait()
+		s.d.Close()
+		s.log.close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// open is New minus the core loop: the server and its log's descriptors,
+// nothing replayed, no goroutine started.
+func open(o Options) (*Server, []job, error) {
 	if o.Registry == nil {
-		return nil, errors.New("jobd: Options.Registry is required")
+		return nil, nil, errors.New("jobd: Options.Registry is required")
 	}
 	if o.Backend == "" {
 		o.Backend = "atomic"
@@ -181,7 +235,7 @@ func New(o Options) (*Server, error) {
 		o.MaxPayload = 1 << 20
 	}
 	if o.MaxPayload > wire.MaxFrame-1024 {
-		return nil, fmt.Errorf("jobd: MaxPayload %d exceeds the frame ceiling", o.MaxPayload)
+		return nil, nil, fmt.Errorf("jobd: MaxPayload %d exceeds the frame ceiling", o.MaxPayload)
 	}
 	spec := o.Backend
 	d, err := dispatch.New(dispatch.Config{
@@ -199,12 +253,12 @@ func New(o Options) (*Server, error) {
 		TraceSampleRate: o.TraceSampleRate,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("jobd: open dispatcher: %w", err)
+		return nil, nil, fmt.Errorf("jobd: open dispatcher: %w", err)
 	}
 	dlog, recs, err := openDescLog(membackend.WithSuffix(spec, ".desclog"), o.LogCells)
 	if err != nil {
 		d.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	s := &Server{
 		opts:     o,
@@ -218,21 +272,10 @@ func New(o Options) (*Server, error) {
 		tenants:  make(map[string]*tenantState),
 		subs:     make(map[string]map[*conn]struct{}),
 	}
-	s.nShards = len(d.Stats().Shards)
 	for name, lim := range o.Tenants {
 		s.tenants[name] = &tenantState{limits: lim}
 	}
-	replayErr := make(chan error, 1)
-	s.coreWG.Add(1)
-	go s.coreLoop(recs, replayErr)
-	if err := <-replayErr; err != nil {
-		close(s.quit)
-		s.coreWG.Wait()
-		d.Close()
-		dlog.close()
-		return nil, err
-	}
-	return s, nil
+	return s, recs, nil
 }
 
 // Listen binds addr (":0" picks a port) and starts serving; it returns
@@ -251,25 +294,8 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address, or "" before Listen.
-func (s *Server) Addr() string {
-	s.lnMu.Lock()
-	defer s.lnMu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// OpsAddr returns the ops endpoint's bound address ("" without
-// MetricsAddr).
+// OpsAddr returns the ops endpoint's bound address ("" without one).
 func (s *Server) OpsAddr() string { return s.d.OpsAddr() }
-
-// Tracer returns the dispatcher's tracer (nil without a sample rate).
-func (s *Server) Tracer() *obs.Tracer { return s.d.Tracer() }
-
-// Registry returns the dispatcher's metric registry.
-func (s *Server) Registry() *obs.Registry { return s.d.Registry() }
 
 // Close drains and shuts down: stop accepting, hang up every
 // connection, let the core finish its queued requests, flush the
@@ -296,9 +322,9 @@ func (s *Server) Close() error {
 	// every request they enqueued before we flush.
 	s.barrier()
 	s.d.Flush()
-	// Flush returns only after every completion callback ran (callbacks
-	// fire before the dispatcher's pending count drops), so one more
-	// barrier drains the completion queue through the core's ledger.
+	// Flush returns only after every job's Resolved ran (it fires before
+	// the dispatcher's pending count drops), so every completion is queued:
+	// this barrier's tick and the final one at quit take them to the ledger.
 	s.barrier()
 
 	close(s.quit)
@@ -311,7 +337,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// barrier round-trips a sentinel through the core loop.
+// barrier returns once a tick has decided, logged and submitted
+// everything queued before it.
 func (s *Server) barrier() {
 	ch := make(chan struct{})
 	s.reqs <- coreReq{op: opBarrier, barrier: ch}
@@ -320,10 +347,10 @@ func (s *Server) barrier() {
 
 // enqueueDone hands a completion to the core loop. It must never block:
 // it is called from shard loop goroutines and — for journal-recovered
-// jobs — synchronously from the core loop's own Do call, so a bounded
-// channel here could deadlock the server against itself. The queue is
-// a mutex-guarded slice (bounded in practice by admitted-but-unresolved
-// jobs) plus a 1-buffered wake signal.
+// jobs — synchronously from the core loop's own DoRunners call, so a
+// bounded channel here could deadlock the server against itself. The
+// queue is a mutex-guarded slice (bounded in practice by
+// admitted-but-unresolved jobs) plus a 1-buffered wake signal.
 func (s *Server) enqueueDone(m doneMsg) {
 	s.doneMu.Lock()
 	s.doneQ = append(s.doneQ, m)
@@ -334,123 +361,104 @@ func (s *Server) enqueueDone(m doneMsg) {
 	}
 }
 
-// doneKeep is the largest completion buffer drainDone holds on to (in
-// entries); one grown past it by a backlog is left to the collector.
+// doneKeep is the largest completion buffer the core loop holds on to
+// (in entries); one grown past it by a backlog is left to the collector.
 const doneKeep = 4096
 
-// drainDone applies every queued completion to the core ledger. The
-// queue is double-buffered: the drained buffer becomes the next drain's
-// empty one instead of garbage.
-func (s *Server) drainDone() {
+// takeDone takes every queued completion, leaving the spare buffer in
+// the queue's place (coreLoop hands the taken one back as the next).
+func (s *Server) takeDone() []doneMsg {
 	s.doneMu.Lock()
 	q := s.doneQ
 	s.doneQ = s.doneSpare[:0]
 	s.doneMu.Unlock()
-	for i := range q {
-		s.complete(&q[i])
-	}
-	clear(q) // drop the entries' string and error references
-	if cap(q) > doneKeep {
-		q = nil
-	}
-	s.doneSpare = q
+	return q
 }
 
 // coreLoop is the authoritative loop: sole owner of the tenant ledger,
 // the subscriber registry, the descriptor log and the dispatcher's
-// submit path. It first replays the log (signalling replayErr), then
-// serves requests and completions until quit.
-func (s *Server) coreLoop(recs []desc, replayErr chan<- error) {
+// submit path, and the only function that receives from the server's
+// channels. It replays the log (signalling replayErr), then until quit
+// blocks for the first request or completion, drains what else is queued
+// NOW — at most the request channel's capacity, so a tick is bounded
+// however fast readers refill it — and hands both to tick.
+func (s *Server) coreLoop(recs []job, replayErr chan<- error) {
 	defer s.coreWG.Done()
-	for i := range recs {
-		if err := s.replayOne(&recs[i]); err != nil {
-			replayErr <- fmt.Errorf("jobd: replay descriptor %d/%d: %w", i+1, len(recs), err)
-			return
-		}
+	err := s.replay(recs)
+	replayErr <- err
+	if err != nil {
+		return
 	}
-	if n := len(recs); n > 0 {
-		eventlog.Logger().Info("jobd_replayed", "descriptors", n, "horizon_id", s.replayHorizon)
-	}
-	replayErr <- nil
-	for {
-		s.drainDone()
+	inbox := make([]coreReq, 0, cap(s.reqs))
+	for quit := false; !quit; {
 		select {
 		case r := <-s.reqs:
-			s.handleReq(&r)
+			inbox = append(inbox, r)
 		case <-s.doneWake:
 		case <-s.quit:
-			// Final drain: no new requests can arrive (readers are gone
-			// before quit), completions are already flushed.
-			for {
-				select {
-				case r := <-s.reqs:
-					s.handleReq(&r)
-				default:
-					s.drainDone()
-					return
-				}
+			quit = true // final tick: the readers are gone, completions flushed
+		}
+		for more := true; more && len(inbox) < cap(inbox); {
+			select {
+			case r := <-s.reqs:
+				inbox = append(inbox, r)
+			default:
+				more = false
 			}
 		}
+		select {
+		case <-s.doneWake: // the take below covers it
+		default:
+		}
+		done := s.takeDone()
+		if len(inbox) > 0 || len(done) > 0 {
+			s.tick(inbox, done)
+		}
+		// An idle server must not pin its last tick's jobs and errors.
+		clear(inbox)
+		clear(done)
+		if inbox = inbox[:0]; cap(done) > doneKeep {
+			done = nil
+		}
+		s.doneSpare = done
 	}
 }
 
-// replayOne re-submits one logged descriptor. No admission checks: the
-// descriptor was admitted by a previous incarnation and MUST be
-// re-submitted in log order for the id stream to line up with the shard
-// journals — even if the tenant or the task has since vanished from the
-// configuration. A descriptor whose task is no longer registered
-// resolves as performed-with-error instead of executing.
-func (s *Server) replayOne(d *desc) error {
-	fn := s.reg.lookup(d.task, d.version)
-	if fn == nil {
-		name, ver := d.task, d.version
-		eventlog.Logger().Warn("jobd_replay_task_missing", "task", name, "version", ver, "tenant", d.tenant)
-		fn = func(context.Context, []byte) error {
-			return fmt.Errorf("jobd: task %s@v%d no longer registered", name, ver)
+// replay re-submits the logged descriptors, in log order, through the
+// batch call the ticks use. No admission checks: a previous incarnation
+// admitted them, and each MUST be re-submitted for the id stream to line
+// up with the shard journals — record n is job n — even if its tenant or
+// task has since vanished from the configuration (a task no longer
+// registered resolves performed-with-error, see job.Run).
+func (s *Server) replay(recs []job) error {
+	for lo := 0; lo < len(recs); lo += cap(s.reqs) {
+		chunk := recs[lo:min(lo+cap(s.reqs), len(recs))]
+		s.batch = s.batch[:0]
+		for i := range chunk {
+			j := &chunk[i]
+			j.s, j.fn = s, s.reg.lookup(j.task, j.version)
+			if j.fn == nil {
+				eventlog.Logger().Warn("jobd_replay_task_missing", "task", j.task, "version", j.version, "tenant", j.tenant)
+			}
+			s.charge(j, 1)
+			s.batch = append(s.batch, j.runnerTask())
+		}
+		jdReplayed.Add(uint64(len(chunk)))
+		s.replayed += uint64(len(chunk))
+		first, err := s.d.DoRunners(context.Background(), s.batch)
+		if err == nil && first != uint64(lo+1) {
+			err = fmt.Errorf("leased id %d: the dispatcher's id cursor is not at the log's ordinal", first)
+		}
+		if err != nil {
+			return fmt.Errorf("jobd: replay descriptors %d..%d of %d: %w", lo+1, lo+len(chunk), len(recs), err)
 		}
 	}
-	jdReplayed.Inc()
-	s.replayed++
-	id, err := s.submitDesc(d, fn)
-	if err != nil {
-		return err
-	}
-	if id > s.replayHorizon {
-		s.replayHorizon = id
+	clear(s.batch)
+	if n := len(recs); n > 0 {
+		s.replayHorizon = uint64(n)
+		eventlog.Logger().Info("jobd_replayed", "descriptors", n, "horizon_id", s.replayHorizon)
 	}
 	return nil
-}
-
-// submitDesc is the single dispatcher-submission site: it charges the
-// tenant ledger and calls Do. Callers have already appended d to the
-// log (admission) or are replaying it from the log.
-func (s *Server) submitDesc(d *desc, fn TaskFunc) (uint64, error) {
-	ts := s.tenantLedger(d.tenant)
-	// Two heap objects per job, one per closure; both capture by value
-	// (nothing below reassigns what they close over), so neither drags a
-	// boxed variable along.
-	payload, tenant, task, pri := d.payload, d.tenant, d.task, dispatch.Priority(d.pri)
-	t := dispatch.Task{
-		Fn:       func(ctx context.Context) error { return fn(ctx, payload) },
-		Priority: pri,
-		Callback: func(r dispatch.JobResult) {
-			s.enqueueDone(doneMsg{tenant: tenant, task: task, pri: pri, r: r})
-		},
-	}
-	if d.deadline != 0 {
-		t.Deadline = time.Unix(0, d.deadline)
-	}
-	h, err := s.d.Do(context.Background(), t)
-	if err != nil {
-		return 0, err
-	}
-	ts.pending++
-	if t.Priority == dispatch.High {
-		ts.high++
-	}
-	ts.admitted++
-	s.admitted++
-	return h.ID, nil
 }
 
 // tenantLedger returns (creating if needed) the ledger entry for a
@@ -470,135 +478,214 @@ func (s *Server) tenantLedger(name string) *tenantState {
 	return ts
 }
 
-// handleReq dispatches one core request.
-func (s *Server) handleReq(r *coreReq) {
-	switch r.op {
-	case jopSubmit:
-		s.admit(r)
-	case jopSubscribe:
-		set := s.subs[r.tenant]
-		if set == nil {
-			set = make(map[*conn]struct{})
-			s.subs[r.tenant] = set
-		}
-		set[r.c] = struct{}{}
-		r.c.tenants[r.tenant] = struct{}{}
-		r.c.sendReply(jopAck, r.seq, nil)
-	case jopUnsubscribe:
-		if set := s.subs[r.tenant]; set != nil {
-			delete(set, r.c)
-			if len(set) == 0 {
-				delete(s.subs, r.tenant)
+// charge books j — just admitted, or replayed — on its tenant's ledger
+// and the id budget; n = -1 takes the booking back.
+func (s *Server) charge(j *job, n int) {
+	ts := s.tenantLedger(j.tenant)
+	ts.pending += n
+	if dispatch.Priority(j.pri) == dispatch.High {
+		ts.high += n
+	}
+	ts.admitted += uint64(n)
+	s.admitted += uint64(n)
+}
+
+// tick is one authoritative step of the server: what arrived since the
+// last one — inbox in arrival order, done in resolution order — applied
+// in five phases of fixed order. Its inputs are arguments and it reads
+// no channel, so a test (or a simulator) can drive it by hand.
+//
+//  1. decide every request in arrival order against the running ledger;
+//  2. ONE log commit for the tick's admitted descriptors;
+//  3. ONE batch submit into the dispatcher, ids first, first+1, …;
+//  4. every reply, in a second arrival-order walk;
+//  5. completions applied to the ledger and fanned out;
+//
+// then one wake-up per connection with frames queued. Replies are a
+// second walk because an ack carries an id and ids exist only once the
+// whole tick is logged and leased; re-walking the inbox keeps every
+// connection's replies in its request order by construction.
+func (s *Server) tick(inbox []coreReq, done []doneMsg) {
+	s.ticks++
+	s.tickReqs += uint64(len(inbox))
+	jdTicks.Inc()
+	jdTickReqs.Observe(uint64(len(inbox)))
+
+	// (1) Decide. Rejections come before the log and the id lease, so
+	// they burn nothing; an admission is charged at once, so quotas bind
+	// mid-tick exactly as they do across ticks.
+	s.verdicts, s.batch = s.verdicts[:0], s.batch[:0]
+	cells := 0 // log room this tick's admissions have claimed
+	for i := range inbox {
+		r := &inbox[i]
+		var v verdict
+		switch r.op {
+		case jopSubmit:
+			if v = s.decide(r.j, cells); v.adm == admAccepted {
+				cells += recCells(r.j.encodedLen())
+				s.charge(r.j, 1)
+				s.batch = append(s.batch, r.j.runnerTask())
+			}
+		case jopSubscribe:
+			if s.subs[r.tenant] == nil {
+				s.subs[r.tenant] = make(map[*conn]struct{})
+			}
+			s.subs[r.tenant][r.c] = struct{}{}
+			r.c.tenants[r.tenant] = struct{}{}
+		case jopUnsubscribe:
+			s.unsubscribe(r.c, r.tenant)
+			delete(r.c.tenants, r.tenant)
+		case opConnGone:
+			// r.c.tenants is core-owned (touched only in this switch).
+			for tenant := range r.c.tenants {
+				s.unsubscribe(r.c, tenant)
 			}
 		}
-		delete(r.c.tenants, r.tenant)
-		r.c.sendReply(jopAck, r.seq, nil)
-	case jopStats:
-		b, err := json.Marshal(s.statsLocked())
+		s.verdicts = append(s.verdicts, v)
+	}
+
+	// (2) Log, then (3) submit: every id the journals can record has a
+	// descriptor to replay. A failure of either is an invariant breach,
+	// not a load condition; nothing was acked yet, and every admission
+	// turns into a rejection.
+	var first uint64
+	if len(s.batch) > 0 {
+		for i := range s.batch {
+			s.log.stage(&s.batch[i].Runner.(*job).desc)
+		}
+		err, failed := s.log.commit(), "descriptor log commit failed"
+		if err == nil {
+			// Cannot fail by construction (unbounded queue, exact id
+			// budget); if it ever does, log and journal have diverged.
+			first, err = s.d.DoRunners(context.Background(), s.batch)
+			failed = "submission failed after log commit"
+		}
 		if err != nil {
-			r.c.sendErr(r.seq, codeProto, "stats encoding failed")
-			return
+			eventlog.CrashDump("jobd_tick_failed", "what", failed, "err", err, "descriptors", len(s.batch))
+			s.unadmit(inbox, failed)
 		}
-		r.c.sendReply(jopStatsOK, r.seq, b)
-	case jopPing:
-		r.c.sendReply(jopAck, r.seq, nil)
-	case opConnGone:
-		// r.c.tenants is core-owned state (only touched here and in
-		// subscribe/unsubscribe above), so this sweep is race-free.
-		for tenant := range r.c.tenants {
-			if set := s.subs[tenant]; set != nil {
-				delete(set, r.c)
-				if len(set) == 0 {
-					delete(s.subs, tenant)
-				}
+		clear(s.batch) // the dispatcher holds the jobs now
+	}
+
+	// (4) Reply.
+	for i := range inbox {
+		r, v := &inbox[i], &s.verdicts[i]
+		switch r.op {
+		case jopSubmit:
+			jdSubmits[v.adm].Inc()
+			if v.adm == admAccepted {
+				var buf [8]byte
+				s.reply(r.c, jopSubmitOK, r.seq, wire.AppendU64(buf[:0], first))
+				first++
+				break
 			}
+			if ts := s.tenants[r.j.tenant]; ts != nil {
+				ts.rejected++
+			}
+			s.replyErr(r.c, r.seq, v.code, v.msg)
+		case jopSubscribe, jopUnsubscribe, jopPing:
+			s.reply(r.c, jopAck, r.seq, nil)
+		case jopStats:
+			if b, err := json.Marshal(s.statsLocked()); err != nil {
+				s.replyErr(r.c, r.seq, codeProto, "stats encoding failed")
+			} else {
+				s.reply(r.c, jopStatsOK, r.seq, b)
+			}
+		case opBarrier:
+			close(r.barrier)
 		}
-	case opBarrier:
-		close(r.barrier)
-	default:
-		r.c.sendErr(r.seq, codeProto, fmt.Sprintf("unknown op %d", r.op))
+	}
+
+	// (5) Complete.
+	for i := range done {
+		s.complete(&done[i])
+	}
+
+	for i, c := range s.touched {
+		c.dirty = false
+		c.wake()
+		s.touched[i] = nil
+	}
+	s.touched = s.touched[:0]
+}
+
+// decide runs the admission checks for one submission (cells: the log
+// room the tick's earlier admissions claimed). Their order is part of
+// the contract: the first failing check names the rejection.
+func (s *Server) decide(j *job, cells int) verdict {
+	ts := s.tenants[j.tenant]
+	switch {
+	case s.closing.Load():
+		return verdict{admClosed, codeClosed, "server closing"}
+	case len(j.payload) > s.opts.MaxPayload:
+		return verdict{admTooBig, codeTooBig, fmt.Sprintf("payload %d exceeds limit %d", len(j.payload), s.opts.MaxPayload)}
+	case ts == nil && s.opts.DefaultLimits == nil:
+		return verdict{admUnknownTenant, codeTenant, fmt.Sprintf("unknown tenant %q", j.tenant)}
+	case j.fn == nil:
+		return verdict{admUnknownTask, codeUnknownTask, fmt.Sprintf("unknown task %s@v%d", j.task, j.version)}
+	case ts != nil && ts.limits.MaxPending > 0 && ts.pending >= ts.limits.MaxPending:
+		return verdict{admQuota, codeQuota, fmt.Sprintf("tenant %q at MaxPending %d", j.tenant, ts.limits.MaxPending)}
+	case ts != nil && ts.limits.MaxHigh > 0 && dispatch.Priority(j.pri) == dispatch.High && ts.high >= ts.limits.MaxHigh:
+		return verdict{admQuota, codeQuota, fmt.Sprintf("tenant %q at MaxHigh %d", j.tenant, ts.limits.MaxHigh)}
+	case s.admitted >= uint64(s.opts.MaxJobs):
+		// Exact — ids are log ordinals, one per admission — which keeps
+		// dispatch.ErrJournalFull unreachable once the tick is logged.
+		return verdict{admCapacity, codeCapacity, "server job-id budget exhausted"}
+	case !s.log.hasRoom(cells, j.encodedLen()):
+		return verdict{admCapacity, codeCapacity, "descriptor log full"}
+	}
+	return verdict{}
+}
+
+// unadmit turns every admission of the tick into a codeCapacity
+// rejection and takes its charge back off the ledger.
+func (s *Server) unadmit(inbox []coreReq, msg string) {
+	for i := range inbox {
+		if v := &s.verdicts[i]; inbox[i].op == jopSubmit && v.adm == admAccepted {
+			s.charge(inbox[i].j, -1)
+			*v = verdict{admCapacity, codeCapacity, msg}
+		}
 	}
 }
 
-// admit runs the admission pipeline for one submission. Order matters:
-// every rejection happens BEFORE the log append and the id draw, so
-// rejections burn nothing; the log append happens BEFORE Do, so every
-// id the journals can record has a descriptor to replay.
-func (s *Server) admit(r *coreReq) {
-	d := &r.d
-	reject := func(adm int, code uint16, msg string) {
-		jdSubmits[adm].Inc()
-		if ts := s.tenants[d.tenant]; ts != nil {
-			ts.rejected++
-		}
-		r.c.sendErr(r.seq, code, msg)
-	}
-	if s.closing.Load() {
-		reject(admClosed, codeClosed, "server closing")
-		return
-	}
-	if len(d.payload) > s.opts.MaxPayload {
-		reject(admTooBig, codeTooBig, fmt.Sprintf("payload %d exceeds limit %d", len(d.payload), s.opts.MaxPayload))
-		return
-	}
-	ts := s.tenants[d.tenant]
-	if ts == nil && s.opts.DefaultLimits == nil {
-		reject(admUnknownTenant, codeTenant, fmt.Sprintf("unknown tenant %q", d.tenant))
-		return
-	}
-	fn := s.reg.lookup(d.task, d.version)
-	if fn == nil {
-		reject(admUnknownTask, codeUnknownTask, fmt.Sprintf("unknown task %s@v%d", d.task, d.version))
-		return
-	}
-	if ts != nil {
-		if lim := ts.limits.MaxPending; lim > 0 && ts.pending >= lim {
-			reject(admQuota, codeQuota, fmt.Sprintf("tenant %q at MaxPending %d", d.tenant, lim))
-			return
-		}
-		if lim := ts.limits.MaxHigh; lim > 0 && dispatch.Priority(d.pri) == dispatch.High && ts.high >= lim {
-			reject(admQuota, codeQuota, fmt.Sprintf("tenant %q at MaxHigh %d", d.tenant, lim))
-			return
+func (s *Server) unsubscribe(c *conn, tenant string) {
+	if set := s.subs[tenant]; set != nil {
+		delete(set, c)
+		if len(set) == 0 {
+			delete(s.subs, tenant)
 		}
 	}
-	if s.admitted+idMargin*uint64(s.nShards) >= uint64(s.opts.MaxJobs) {
-		reject(admCapacity, codeCapacity, "server job-id budget exhausted")
-		return
+}
+
+// reply and replyErr queue one reply frame for c; touch notes that c's
+// writer is owed its one wake-up at the end of the tick.
+func (s *Server) reply(c *conn, op byte, seq uint32, payload []byte) {
+	c.sendReply(op, seq, payload)
+	s.touch(c)
+}
+
+func (s *Server) replyErr(c *conn, seq uint32, code uint16, msg string) {
+	c.sendErr(seq, code, msg)
+	s.touch(c)
+}
+
+func (s *Server) touch(c *conn) {
+	if !c.dirty {
+		c.dirty = true
+		s.touched = append(s.touched, c)
 	}
-	// Exact serialized size: two u16-prefixed strings, u32 version, the
-	// priority byte, the i64 deadline, the u32-prefixed payload.
-	if !s.log.hasRoom(21 + len(d.tenant) + len(d.task) + len(d.payload)) {
-		reject(admCapacity, codeCapacity, "descriptor log full")
-		return
-	}
-	// Point of no return: log, then submit. Both failure modes below are
-	// invariant breaches, not load conditions.
-	if err := s.log.append(d); err != nil {
-		reject(admCapacity, codeCapacity, "descriptor log full")
-		return
-	}
-	id, err := s.submitDesc(d, fn)
-	if err != nil {
-		// Unreachable by construction (unbounded queue + id margin);
-		// if it ever fires the log and journal have diverged.
-		eventlog.CrashDump("jobd_submit_desync", "err", err, "tenant", d.tenant, "task", d.task)
-		reject(admCapacity, codeCapacity, "submission failed after log append")
-		return
-	}
-	jdSubmits[admAccepted].Inc()
-	var buf [8]byte
-	r.c.sendReply(jopSubmitOK, r.seq, wire.AppendU64(buf[:0], id))
 }
 
 // complete applies one resolved job to the ledger and fans its event
 // out to the tenant's subscribers. Exactly-once delivery of the
-// RESOLUTION is inherited from the dispatcher (Task.Callback fires once
-// per job); event DELIVERY to any one subscriber is best-effort —
+// RESOLUTION is inherited from the dispatcher (Runner.Resolved fires
+// once per job); event DELIVERY to any one subscriber is best-effort —
 // a full outbound queue drops the event and counts it.
 func (s *Server) complete(m *doneMsg) {
-	ts := s.tenantLedger(m.tenant)
+	j := m.j
+	ts := s.tenantLedger(j.tenant)
 	ts.pending--
-	if m.pri == dispatch.High {
+	if dispatch.Priority(j.pri) == dispatch.High {
 		ts.high--
 	}
 	status := evOK
@@ -615,18 +702,18 @@ func (s *Server) complete(m *doneMsg) {
 		errmsg = m.r.Err.Error()
 	}
 	obsDone(status)
-	if m.r.ID != 0 && m.r.ID <= s.replayHorizon && (status == evOK || status == evError) {
+	if m.r.ID <= s.replayHorizon && (status == evOK || status == evError) {
 		jdReexec.Inc()
 		s.reexecuted++
 	}
-	set := s.subs[m.tenant]
+	set := s.subs[j.tenant]
 	if len(set) == 0 {
 		return
 	}
-	p := wire.AppendStr(s.evBuf[:0], m.tenant)
+	p := wire.AppendStr(s.evBuf[:0], j.tenant)
 	p = wire.AppendU64(p, m.r.ID)
 	p = append(p, status)
-	p = wire.AppendStr(p, m.task)
+	p = wire.AppendStr(p, j.task)
 	p = wire.AppendStr(p, errmsg)
 	s.evBuf = p
 	// Encoded once; every subscriber's queue takes a copy. An event that
@@ -634,6 +721,7 @@ func (s *Server) complete(m *doneMsg) {
 	for c := range set {
 		if c.enqueue(jopEvent, 0, p) {
 			jdEvStream.Inc()
+			s.touch(c)
 		} else {
 			jdEvDropped.Inc()
 		}
@@ -647,6 +735,8 @@ type ServerStats struct {
 	Admitted    uint64                 `json:"admitted"`
 	Replayed    uint64                 `json:"replayed"`
 	Reexecuted  uint64                 `json:"reexecuted"`
+	Ticks       uint64                 `json:"ticks"`         // core-loop ticks run so far
+	TickReqs    uint64                 `json:"tick_requests"` // requests those ticks drained
 	Tenants     map[string]TenantStats `json:"tenants"`
 	Jobs        JobStats               `json:"jobs"`
 }
@@ -679,6 +769,8 @@ func (s *Server) statsLocked() ServerStats {
 		Admitted:    s.admitted,
 		Replayed:    s.replayed,
 		Reexecuted:  s.reexecuted,
+		Ticks:       s.ticks,
+		TickReqs:    s.tickReqs,
 		Tenants:     make(map[string]TenantStats, len(s.tenants)),
 		Jobs: JobStats{
 			Submitted:  st.Submitted,

@@ -13,19 +13,19 @@
 //     recovery can RE-RUN work after a process death, not merely skip
 //     what already ran.
 //   - Server: accepts connections, enforces per-tenant admission quotas,
-//     appends an admitted submission's descriptor to a durable
-//     descriptor log, submits it to the dispatcher, and streams
-//     completion events to subscribed clients. The architecture is the
-//     voxelcraft discipline (ROADMAP item 2): network goroutines only
-//     enqueue and dequeue; ONE authoritative core loop owns every piece
-//     of mutable jobd state (tenant table, descriptor log, subscriber
-//     registry) and is the dispatcher's only submitter — which makes
-//     the submission order, and therefore the job-id sequence, a
-//     deterministic function of the descriptor log. That determinism is
-//     what turns the log into a recovery mechanism: replaying it
-//     re-submits the identical stream, the dispatcher's journal dedupes
-//     everything a previous incarnation performed, and the remainder
-//     re-executes exactly once (see desclog.go).
+//     logs admitted descriptors, submits them to the dispatcher, and
+//     streams completion events to subscribed clients. The architecture
+//     is the voxelcraft discipline: network goroutines only enqueue and
+//     dequeue; ONE authoritative core loop owns every piece of mutable
+//     jobd state and runs it in TICKS — whatever has arrived is decided
+//     in arrival order, logged in one commit, submitted in one batch and
+//     answered in one pass. The core loop is the dispatcher's only
+//     submitter and submits only contiguous id ranges, so a job's id is
+//     its ordinal in the descriptor log. That is what turns the log into
+//     a recovery mechanism: replaying it re-submits the identical id
+//     stream, the dispatcher's journal dedupes everything a previous
+//     incarnation performed, and the remainder re-executes exactly once
+//     (see desclog.go).
 //   - Client: a pipelined client with auto-redial. In-flight submits
 //     FAIL on a connection drop instead of being resent: an unacked
 //     submit may or may not have been admitted, and blind resend would
@@ -43,10 +43,11 @@ package jobd
 // internal/netmem (§8): one frame per message, both directions — length,
 // op, client-chosen seq echoed in the reply, payload consumed exactly.
 // The server replies to every request IN REQUEST ORDER on the same
-// connection (every request is routed through the core loop, which
-// processes serially), which is what makes client-side pipelining
-// sound. Completion events are unsolicited server→client frames with
-// seq 0, interleaved between replies; clients dispatch on the op code.
+// connection (every request is routed through the core loop, whose
+// ticks reply in arrival order), which is what makes client-side
+// pipelining sound. Completion events are unsolicited server→client
+// frames with seq 0, interleaved between replies; clients dispatch on
+// the op code.
 const (
 	// Client → server.
 	jopHello       byte = 1 // proto u32, client string           → jopHelloOK
@@ -73,7 +74,7 @@ const protoVersion uint32 = 1
 // Completion-event statuses (jopEvent status byte). They mirror the
 // dispatcher's JobResult: exactly one event is emitted per admitted job
 // — completion resolution is exactly-once because it is driven by the
-// dispatcher's exactly-once Task.Callback.
+// dispatcher's exactly-once Runner.Resolved.
 const (
 	evOK        byte = 0 // payload ran, returned nil
 	evError     byte = 1 // payload ran, returned an error (errmsg carries it)
