@@ -14,7 +14,8 @@ import (
 // One benchmark per reproduction experiment (DESIGN.md §4). Each iteration
 // runs the experiment's core workload and reports the headline metric via
 // b.ReportMetric, so `go test -bench=.` regenerates every result of
-// EXPERIMENTS.md in miniature; `cmd/amo-bench` runs the full sweeps.
+// EXPERIMENTS.md in miniature; `go run ./cmd/amo-bench` prints the full
+// E1–E9 tables. (System performance is measured by `go run ./bench`.)
 
 const benchStepLimit = 2_000_000_000
 

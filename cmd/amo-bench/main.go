@@ -1,69 +1,21 @@
 // Command amo-bench runs the reproduction experiment suite E1–E9 (one
 // experiment per theorem of Kentros & Kiayias 2011/2013; see DESIGN.md §4)
 // and prints the result tables as Markdown. EXPERIMENTS.md is generated
-// from this output.
+// from this output. It exits nonzero when an experiment's check fails.
 //
-// With -throughput it instead benchmarks the streaming Dispatcher,
-// sweeping shards × workers × batch size and reporting jobs/sec.
-// With -async it benchmarks the async submission pipeline: concurrent
-// producers drive SubmitCallback against bounded queues (SubmitPolicy
-// Block) and the sweep reports per-job completion latency percentiles
-// (p50/p99/p999, submit → future resolution) alongside throughput,
-// stolen-job and backpressure counters.
-// With -priority it benchmarks the v2 priority scheduler on a classic
-// inversion workload — a High burst behind a deep Low backlog — and
-// reports each class's p50/p99 completion latency next to the v1
-// single-ring baseline (the identical stream, all Normal priority),
-// plus the High-p99 speedup.
-// With -suite it runs all three dispatcher sweeps plus the durable
-// group-commit sweep (mmap backend, JournalBatch 1 vs 16 on one shape)
-// and emits ONE combined JSON document (-pr stamps the PR number) — the
-// schema of the committed BENCH_N.json trajectory files, every report
-// carrying a `meta` block (GOMAXPROCS, NumCPU, go version, git rev,
-// timestamp) so trajectories stay interpretable across machines.
-// With -compare FILE it is the CI perf gate: it re-runs the sweeps and
-// diffs them against a committed BENCH_N.json, exiting nonzero when any
-// matched sweep point's jobs/sec regressed more than -tolerance
-// (default 20%).
-// With -overhead it measures the observability layer's own hot-path
-// cost: interleaved metrics-on/metrics-off streaming reps on one shape,
-// failing when the median metrics-on throughput regresses more than
-// -overheadtol (default 3%) — the CI gate for DESIGN.md §12's overhead
-// budget. The structured event log (DESIGN.md §13) is live in BOTH arms
-// — its per-round Debug events go to the flight ring regardless of the
-// AMO_LOG sink level — so the gate also bounds the forensic layer's
-// hot-path cost; set AMO_LOG=off to silence the bench's stderr without
-// changing what is measured.
-// -backend selects the register backend (atomic, mmap[:PATH],
-// net:HOST:PORT/NS, counting:SPEC — see internal/membackend), so the
-// cost of durable journaling — local or networked — is measurable;
-// -journalbatch sets the journal group-commit factor for -throughput
-// and -async (k jobs claimed per durable journal ack instead of one;
-// ignored by in-process backends — see DESIGN.md §14);
-// -json emits the sweep as one JSON document for bench trajectories
-// (BENCH_*.json), including each shape's per-round effectiveness
-// histogram (eff_hist); -metricsaddr serves the benchmark dispatcher's
-// ops endpoint while sweeps run (and the async sweep's -json points
-// always carry histogram-derived hist_p50_us/hist_p99_us from the obs
-// registry next to the exact percentiles); -cpuprofile writes a pprof
-// CPU profile of the selected run.
+// Performance is measured elsewhere: `go run ./bench` is the benchmark
+// of record (workloads, oracle and metrics in bench/README.md).
 //
 // Usage:
 //
 //	amo-bench [-quick] [-only E3]
-//	amo-bench -throughput [-quick] [-backend mmap] [-journalbatch 16] [-json] [-cpuprofile FILE]
-//	amo-bench -async [-quick] [-backend mmap] [-json] [-metricsaddr :9091]
-//	amo-bench -priority [-quick] [-json]
-//	amo-bench -overhead [-quick] [-overheadtol 0.03]
-//	amo-bench -suite [-quick] [-pr N] > BENCH_N.json
-//	amo-bench -compare BENCH_N.json [-quick] [-tolerance 0.2]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -81,72 +33,16 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("amo-bench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "run reduced sweeps")
 	only := fs.String("only", "", "run a single experiment (E1..E9)")
-	throughput := fs.Bool("throughput", false, "benchmark the streaming dispatcher instead of the E1-E9 suite")
-	async := fs.Bool("async", false, "benchmark the async submission pipeline (per-job completion latency percentiles)")
-	priority := fs.Bool("priority", false, "benchmark priority scheduling: per-class p50/p99 latency for a High burst behind a Low backlog, vs the v1 single-ring baseline")
-	backend := fs.String("backend", "atomic", "register backend for -throughput/-async: atomic, mmap[:PATH] or any membackend spec")
-	journalbatch := fs.Int("journalbatch", 1, "durable journal group-commit factor for -throughput/-async sweeps (ignored by in-process backends; the -suite durable section sweeps it explicitly)")
-	asJSON := fs.Bool("json", false, "emit the -throughput/-async/-priority sweep as JSON instead of Markdown")
-	suite := fs.Bool("suite", false, "run all three dispatcher sweeps and emit one combined JSON document (the BENCH_N.json schema)")
-	pr := fs.Int("pr", 0, "PR number stamped into the -suite document")
-	compare := fs.String("compare", "", "perf gate: re-run the sweeps and diff against this committed BENCH_N.json, failing on regression")
-	tolerance := fs.Float64("tolerance", 0.20, "-compare regression tolerance as a fraction (0.20 = fail when a point is >20% slower)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the selected run to this file")
-	metricsaddr := fs.String("metricsaddr", "", "serve the benchmark dispatcher's ops endpoint (/metrics, /statsz, /tracez) on this address while sweeps run")
-	overhead := fs.Bool("overhead", false, "measure the observability layer's hot-path cost: interleaved metrics-on/off streaming reps, failing when the median regression exceeds -overheadtol")
-	overheadtol := fs.Float64("overheadtol", 0.03, "-overhead regression tolerance as a fraction (0.03 = fail when metrics-on throughput is >3% below metrics-off)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // the usage is already printed; asking for it is not a failure
+		}
 		return err
 	}
-	modes := 0
-	for _, on := range []bool{*throughput, *async, *priority, *suite, *overhead, *compare != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("-throughput, -async, -priority, -suite, -overhead and -compare are mutually exclusive")
-	}
-	benchMetricsAddr = *metricsaddr
-	benchMetrics = *metricsaddr != ""
-	if *journalbatch < 1 {
-		return fmt.Errorf("-journalbatch %d must be >= 1", *journalbatch)
-	}
-	benchJournalBatch = *journalbatch
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *suite {
-		return runSuite(*quick, *pr, *backend)
-	}
-	if *compare != "" {
-		return runCompare(*compare, *quick, *tolerance, *backend)
-	}
-	if *overhead {
-		return runOverhead(*quick, *overheadtol, *backend)
-	}
-	if *throughput {
-		return runThroughput(*quick, *asJSON, *backend)
-	}
-	if *async {
-		return runAsync(*quick, *asJSON, *backend)
-	}
-	if *priority {
-		if *backend != "atomic" {
-			return fmt.Errorf("-priority runs on the atomic backend only")
-		}
-		return runPriority(*quick, *asJSON)
-	}
-	if *asJSON || *backend != "atomic" {
-		return fmt.Errorf("-json and -backend only apply to -throughput, -async and -priority")
+	if fs.NArg() != 0 {
+		// Parsing stops at the first non-flag word, so everything after
+		// it would be silently ignored.
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	s := harness.Suite{Quick: *quick}
 	experiments := map[string]func() *harness.Table{
@@ -187,22 +83,6 @@ func run(args []string) error {
 	}
 	return nil
 }
-
-// Observability wiring for benchmark dispatchers, set once by run()
-// before any sweep starts. benchMetrics enables the obs registry (the
-// async sweep always enables it: its -json points carry
-// histogram-derived quantiles); benchMetricsAddr additionally serves
-// the ops endpoint so a sweep in flight can be scraped.
-var (
-	benchMetrics     bool
-	benchMetricsAddr string
-)
-
-// benchJournalBatch is the -journalbatch group-commit factor applied to
-// the -throughput and -async sweeps' dispatchers (1 = journal per job;
-// meaningful only with a durable/remote -backend). The -suite durable
-// section sweeps the knob explicitly and ignores this.
-var benchJournalBatch = 1
 
 func mode(quick bool) string {
 	if quick {

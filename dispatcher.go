@@ -79,7 +79,7 @@ type DispatcherConfig struct {
 	Backend string
 	// MaxJobs bounds the distinct job ids a durable dispatcher may
 	// assign over the lifetime of its register files (across restarts);
-	// it sizes the on-disk journal, and Submit fails once it is
+	// it sizes the on-disk journal, and submissions fail once it is
 	// exhausted. Required when Backend is durable or wrapped; ignored for
 	// the in-process default.
 	MaxJobs int
@@ -127,9 +127,8 @@ type DispatcherConfig struct {
 // Handle exposes the job's future. A job whose deadline passes before
 // its round is assembled is never started and resolves with Expired set
 // — expiry can only turn "run once" into "run zero times", so
-// at-most-once is untouched. The v1 paths (Submit, SubmitAsync,
-// SubmitCallback, SubmitBatch) remain as thin wrappers over the same
-// core.
+// at-most-once is untouched. DoBatch submits many Tasks under one
+// contiguous id block.
 //
 // With a durable Backend ("mmap:PATH") at-most-once extends across
 // process death: performed jobs are journaled in the register file
@@ -177,10 +176,9 @@ var ErrNilFn = dispatch.ErrNilFn
 // re-running.
 type JobResult = dispatch.JobResult
 
-// Task is the v2 job descriptor accepted by Do and DoBatch: a payload
-// plus its scheduling contract (deadline, priority, optional completion
-// callback). It subsumes all four v1 submission paths — see the README's
-// migration table.
+// Task is the job descriptor accepted by Do and DoBatch: a payload plus
+// its scheduling contract (deadline, priority, optional completion
+// callback).
 type Task = dispatch.Task
 
 // Handle identifies an accepted Task: its dispatcher-wide job id and a
@@ -194,8 +192,7 @@ type Handle = dispatch.Handle
 type Priority = dispatch.Priority
 
 const (
-	// Normal is the default (zero-value) priority; all v1 submissions
-	// use it.
+	// Normal is the default (zero-value) priority.
 	Normal Priority = dispatch.Normal
 	// High jobs jump every queued Normal and Low job.
 	High Priority = dispatch.High
@@ -243,11 +240,16 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	return &Dispatcher{d: d}, nil
 }
 
-// Do is the v2 submission entry point: it accepts one Task — payload,
+// Do is the submission entry point: it accepts one Task — payload,
 // optional deadline, priority and completion callback — and returns its
-// Handle (job id plus Done() future). It subsumes all four v1 paths:
-// Submit is Do with a bare payload, SubmitAsync is Handle.Done,
-// SubmitCallback is Task.Callback, SubmitBatch is DoBatch.
+// Handle (job id plus Done() future). Ids start at 1 and each shard's
+// id sequence is dense: a shard hands out consecutive ids from
+// cache-line-sized blocks leased off a global cursor, so a fixed
+// submission order always reproduces the same ids (the deterministic
+// re-submission contract) without every Do contending on one shared
+// counter. With a bounded queue (QueueDepth) and the target shard
+// saturated, Do blocks until rounds free space (Block) or fails with
+// ErrQueueFull (FailFast).
 //
 // ctx governs admission: a cancelled or expired ctx releases a
 // Block-policy submitter parked on a full queue (and a racing Close
@@ -262,8 +264,10 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) { return d.d.Do(ctx, t) }
 
 // DoBatch submits the Tasks in order, returning one Handle per Task
-// over a contiguous id block; acceptance is all-or-nothing exactly as
-// for SubmitBatch. ctx is checked only BEFORE acceptance (a dead ctx
+// over a contiguous id block. Acceptance is all-or-nothing: a batch
+// racing Close, overflowing a FailFast queue or crossing MaxJobs is
+// either fully accepted (and performed) or rejected with an error and no
+// id consumed. ctx is checked only BEFORE acceptance (a dead ctx
 // rejects the batch with nothing consumed); unlike Do's single-job
 // admission, an accepted Block-policy batch consumes its ids
 // immediately and is fed in un-abortably as rounds free space — its ids
@@ -273,66 +277,6 @@ func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) { return d.
 // start at 1.
 func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error) {
 	return d.d.DoBatch(ctx, tasks)
-}
-
-// Submit enqueues fn for at-most-once execution and returns its job id.
-// Ids start at 1 and each shard's id sequence is dense: a shard hands
-// out consecutive ids from cache-line-sized blocks leased off a global
-// cursor, so a fixed submission order always reproduces the same ids
-// (the deterministic re-submission contract) without every Submit
-// contending on one shared counter. With a bounded queue
-// (QueueDepth) and the target shard saturated, Submit blocks until
-// rounds free space (Block) or fails with ErrQueueFull (FailFast).
-//
-// Deprecated: Submit is the v1 path, kept as a thin wrapper; use Do,
-// which adds ctx-aware admission, deadlines, priorities and error
-// reporting.
-func (d *Dispatcher) Submit(fn func()) (uint64, error) { return d.d.Submit(fn) }
-
-// SubmitAsync enqueues fn like Submit and additionally returns a
-// future: a 1-buffered channel that receives exactly one JobResult once
-// the job has been performed (its payload returned) — or immediately,
-// with Recovered set, when the job resolves from a previous
-// incarnation's durable journal. The channel is never closed.
-// Backpressure applies exactly as for Submit.
-//
-// Deprecated: SubmitAsync is the v1 path, kept as a thin wrapper; use
-// Do — the Handle's Done() is the future.
-func (d *Dispatcher) SubmitAsync(fn func()) (uint64, <-chan JobResult, error) {
-	return d.d.SubmitAsync(fn)
-}
-
-// SubmitCallback enqueues fn like Submit and invokes done exactly once
-// when the job completes. done runs on the performing shard's loop
-// goroutine — keep it fast, and do not call the dispatcher's blocking
-// methods from it — or synchronously on the submitting goroutine for
-// journal-recovered jobs. A nil done degrades to Submit.
-//
-// Deprecated: SubmitCallback is the v1 path, kept as a thin wrapper;
-// use Do with Task.Callback.
-func (d *Dispatcher) SubmitCallback(fn func(), done func(JobResult)) (uint64, error) {
-	return d.d.SubmitCallback(fn, done)
-}
-
-// SubmitBatch enqueues the jobs in order and returns the first id of their
-// contiguous id block. Acceptance is all-or-nothing: a batch racing Close
-// is either fully accepted (and performed) or rejected with an error.
-//
-// An EMPTY batch returns the sentinel (0, nil): no job id is consumed
-// and no shard is touched. The sentinel is disjoint from real ids,
-// which start at 1 (DoBatch's empty-batch sentinel is (nil, nil)).
-//
-// Deprecated: SubmitBatch is the v1 path, kept as a thin wrapper; use
-// DoBatch.
-func (d *Dispatcher) SubmitBatch(fns []func()) (uint64, error) {
-	if len(fns) == 0 {
-		return 0, nil
-	}
-	jobs := make([]dispatch.Job, len(fns))
-	for i, fn := range fns {
-		jobs[i] = fn
-	}
-	return d.d.SubmitBatch(jobs)
 }
 
 // Flush blocks until every job submitted so far has resolved —
@@ -346,7 +290,8 @@ func (d *Dispatcher) Flush() { d.d.Flush() }
 func (d *Dispatcher) FlushContext(ctx context.Context) error { return d.d.FlushContext(ctx) }
 
 // Close drains pending jobs, stops the shards and releases the pools;
-// durable backends are synced and closed. Subsequent Submits fail.
+// durable backends are synced and closed. Subsequent submissions fail
+// with ErrClosed.
 // Close is idempotent.
 func (d *Dispatcher) Close() error { return d.d.Close() }
 

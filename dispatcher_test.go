@@ -1,6 +1,7 @@
 package atmostonce
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"runtime"
@@ -8,6 +9,11 @@ import (
 	"sync/atomic"
 	"testing"
 )
+
+// bare is the Task of a payload that takes no context and cannot fail.
+func bare(fn func()) Task {
+	return Task{Fn: func(context.Context) error { fn(); return nil }}
+}
 
 // TestDispatcherEndToEnd streams 100k jobs from concurrent producers
 // through 4 shards with crash injection: every job must execute exactly
@@ -43,12 +49,12 @@ func TestDispatcherEndToEnd(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for base := p * (jobs / producers); base < (p+1)*(jobs/producers); base += 500 {
-				fns := make([]func(), 500)
+				fns := make([]Task, 500)
 				for i := range fns {
 					idx := base + i
-					fns[i] = func() { counts[idx].Add(1) }
+					fns[i] = bare(func() { counts[idx].Add(1) })
 				}
-				if _, err := d.SubmitBatch(fns); err != nil {
+				if _, err := d.DoBatch(context.Background(), fns); err != nil {
 					t.Error(err)
 					return
 				}
@@ -117,14 +123,17 @@ func TestDispatcherAsyncAPI(t *testing.T) {
 	ids := make([]uint64, 0, jobs/2)
 	for i := 0; i < jobs; i++ {
 		idx := i
+		task := bare(func() { counts[idx].Add(1) })
 		if i%2 == 0 {
-			id, ch, err := d.SubmitAsync(func() { counts[idx].Add(1) })
+			h, err := d.Do(context.Background(), task)
 			if err != nil {
 				t.Fatal(err)
 			}
-			chans, ids = append(chans, ch), append(ids, id)
-		} else if _, err := d.SubmitCallback(func() { counts[idx].Add(1) },
-			func(JobResult) { fired.Add(1) }); err != nil {
+			chans, ids = append(chans, h.Done()), append(ids, h.ID)
+			continue
+		}
+		task.Callback = func(JobResult) { fired.Add(1) }
+		if _, err := d.Do(context.Background(), task); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,12 +180,12 @@ func TestDispatcherFailFastAPI(t *testing.T) {
 	accepted := uint64(0)
 	sawFull := false
 	for i := 0; i < 64 && !sawFull; i++ {
-		id, err := d.Submit(func() { <-gate })
+		h, err := d.Do(context.Background(), bare(func() { <-gate }))
 		switch {
 		case err == nil:
 			accepted++
-			if id != accepted {
-				t.Fatalf("id %d after %d accepts (rejections burned ids?)", id, accepted)
+			if h.ID != accepted {
+				t.Fatalf("id %d after %d accepts (rejections burned ids?)", h.ID, accepted)
 			}
 		case errors.Is(err, ErrQueueFull):
 			sawFull = true
@@ -201,11 +210,11 @@ func TestDispatcherDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran atomic.Int32
-	if _, err := d.Submit(func() { ran.Add(1) }); err != nil {
+	if _, err := d.Do(context.Background(), bare(func() { ran.Add(1) })); err != nil {
 		t.Fatal(err)
 	}
-	if first, err := d.SubmitBatch(nil); err != nil || first != 0 {
-		t.Fatalf("empty batch: first=%d err=%v", first, err)
+	if hs, err := d.DoBatch(context.Background(), nil); err != nil || hs != nil {
+		t.Fatalf("empty batch: handles=%v err=%v", hs, err)
 	}
 	d.Flush()
 	if err := d.Close(); err != nil {
@@ -236,16 +245,16 @@ func TestDispatcherDurableBackend(t *testing.T) {
 		MaxJobs:         jobs,
 	}
 	var runs atomic.Int64
-	fns := make([]func(), jobs)
+	fns := make([]Task, jobs)
 	for i := range fns {
-		fns[i] = func() { runs.Add(1) }
+		fns[i] = bare(func() { runs.Add(1) })
 	}
 
 	d1, err := NewDispatcher(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d1.Flush()
@@ -267,7 +276,7 @@ func TestDispatcherDurableBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()

@@ -32,7 +32,7 @@ func ExampleRun() {
 	// within guarantee: true
 }
 
-// ExampleDispatcher_Do shows the v2 submission API's two ctx-shaped
+// ExampleDispatcher_Do shows the submission API's two ctx-shaped
 // behaviors: a submission context that expires while the submitter is
 // parked on a full queue releases it WITHOUT consuming a job id, and a
 // Task whose deadline passes before its round is assembled is never

@@ -15,13 +15,14 @@
 //
 // This example overdrives both policies with deliberately slow payloads
 // and a tiny queue, then proves the invariants: every accepted job ran
-// exactly once, queues never exceeded their bound, and the futures of
-// every accepted async submission resolved.
+// exactly once, queues never exceeded their bound, and the callback of
+// every accepted submission fired.
 //
 // Run with: go run ./examples/backpressure
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -73,10 +74,10 @@ func blockPolicy() error {
 	var done, maxDepth atomic.Int64
 	start := time.Now()
 	for i := 0; i < jobs; i++ {
-		if _, err := d.SubmitCallback(
-			func() { time.Sleep(payload) },
-			func(atmostonce.JobResult) { done.Add(1) },
-		); err != nil {
+		if _, err := d.Do(context.Background(), atmostonce.Task{
+			Fn:       func(context.Context) error { time.Sleep(payload); return nil },
+			Callback: func(atmostonce.JobResult) { done.Add(1) },
+		}); err != nil {
 			return err
 		}
 		if i%64 == 0 {
@@ -104,7 +105,7 @@ func blockPolicy() error {
 		return fmt.Errorf("Block: queue depth %d exceeded bound %d", maxDepth.Load(), queueDepth)
 	}
 	if got := done.Load(); got != jobs {
-		return fmt.Errorf("Block: %d of %d futures resolved", got, jobs)
+		return fmt.Errorf("Block: %d of %d callbacks fired", got, jobs)
 	}
 	if st.Duplicates != 0 {
 		return fmt.Errorf("Block: %d duplicates", st.Duplicates)
@@ -124,10 +125,10 @@ func failFastPolicy() error {
 	var done atomic.Int64
 	rejected, accepted := 0, 0
 	for accepted < jobs {
-		_, err := d.SubmitCallback(
-			func() { time.Sleep(payload) },
-			func(atmostonce.JobResult) { done.Add(1) },
-		)
+		_, err := d.Do(context.Background(), atmostonce.Task{
+			Fn:       func(context.Context) error { time.Sleep(payload); return nil },
+			Callback: func(atmostonce.JobResult) { done.Add(1) },
+		})
 		switch {
 		case err == nil:
 			accepted++
@@ -154,7 +155,7 @@ func failFastPolicy() error {
 			st.Submitted, st.Performed, jobs)
 	}
 	if got := done.Load(); got != jobs {
-		return fmt.Errorf("FailFast: %d of %d futures resolved", got, jobs)
+		return fmt.Errorf("FailFast: %d of %d callbacks fired", got, jobs)
 	}
 	if st.Duplicates != 0 {
 		return fmt.Errorf("FailFast: %d duplicates", st.Duplicates)

@@ -35,6 +35,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -172,10 +173,10 @@ func childAMain() {
 	var performed, frozen atomic.Int64
 	gate := make(chan struct{})
 	var gateOnce sync.Once
-	fns := make([]func(), totalJobs)
-	for i := range fns {
+	tasks := make([]atmostonce.Task, totalJobs)
+	for i := range tasks {
 		id := i + 1
-		fns[i] = func() {
+		tasks[i].Fn = func(context.Context) error {
 			appendLog(logF, id) // the job's observable effect
 			if performed.Add(1) >= killAfter {
 				// Park here: this payload's journal record was
@@ -185,9 +186,10 @@ func childAMain() {
 				frozen.Add(1)
 				<-gate
 			}
+			return nil
 		}
 	}
-	if _, err := d.SubmitBatch(fns); err != nil {
+	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
 		fatal("A", err)
 	}
 	for deadline := time.Now().Add(20 * time.Second); frozen.Load() < workers; {
@@ -232,12 +234,12 @@ func childBMain() {
 	if err != nil {
 		fatal("B", err)
 	}
-	fns := make([]func(), totalJobs)
-	for i := range fns {
+	tasks := make([]atmostonce.Task, totalJobs)
+	for i := range tasks {
 		id := i + 1
-		fns[i] = func() { appendLog(logF, id) }
+		tasks[i].Fn = func(context.Context) error { appendLog(logF, id); return nil }
 	}
-	if _, err := d.SubmitBatch(fns); err != nil {
+	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
 		fatal("B", err)
 	}
 	d.Flush()

@@ -1,4 +1,4 @@
-// Priority and deadlines: the v2 job API end to end.
+// Priority and deadlines: the Task API end to end.
 //
 // Dispatcher.Do takes a Task — a payload plus its scheduling contract —
 // and returns a Handle whose Done() future resolves exactly once. This
@@ -7,8 +7,7 @@
 //   - Priorities: a deep Low-priority backlog is queued first, then a
 //     High-priority burst. Each shard drains High before Normal before
 //     Low, so the burst completes while most of the backlog is still
-//     pending — the priority-inversion win the v1 single-ring API could
-//     not express.
+//     pending instead of waiting it out.
 //   - Deadlines: a Task whose deadline passes while it waits in the
 //     queue is NEVER started — expiry is decided at round-assembly time,
 //     so at-most-once is untouched — and resolves exactly once with

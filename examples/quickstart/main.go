@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -85,7 +86,9 @@ func run() error {
 	defer d.Close()
 	var performed atomic.Int64
 	for i := 0; i < jobs; i++ {
-		if _, err := d.Submit(func() { performed.Add(1) }); err != nil {
+		if _, err := d.Do(context.Background(), atmostonce.Task{
+			Fn: func(context.Context) error { performed.Add(1); return nil },
+		}); err != nil {
 			return err
 		}
 	}

@@ -32,6 +32,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -106,10 +107,10 @@ func childMain() {
 
 	var performed, frozen atomic.Int64
 	freeze := make(chan struct{}) // never closed; the kill releases it
-	fns := make([]func(), totalJobs)
-	for i := range fns {
+	tasks := make([]atmostonce.Task, totalJobs)
+	for i := range tasks {
 		id := i + 1
-		fns[i] = func() {
+		tasks[i].Fn = func(context.Context) error {
 			appendLog(logF, id) // the job's observable effect
 			if performed.Add(1) >= killAfter {
 				// Park this worker inside the payload: its journal record
@@ -118,9 +119,10 @@ func childMain() {
 				frozen.Add(1)
 				<-freeze
 			}
+			return nil
 		}
 	}
-	if _, err := d.SubmitBatch(fns); err != nil {
+	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
 		fatal(err)
 	}
 	// Wait until every worker is frozen mid-round, flush the mapping for
@@ -205,12 +207,12 @@ func runScenario(jb int) error {
 		return err
 	}
 	defer d.Close()
-	fns := make([]func(), totalJobs)
-	for i := range fns {
+	tasks := make([]atmostonce.Task, totalJobs)
+	for i := range tasks {
 		id := i + 1
-		fns[i] = func() { appendLog(logF, id) }
+		tasks[i].Fn = func(context.Context) error { appendLog(logF, id); return nil }
 	}
-	if _, err := d.SubmitBatch(fns); err != nil {
+	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
 		return err
 	}
 	d.Flush()

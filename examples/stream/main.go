@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -67,13 +68,13 @@ func run() error {
 		go func() {
 			defer wg.Done()
 			for c := 0; c < chunks; c++ {
-				fns := make([]func(), jobsPerChunk)
+				tasks := make([]atmostonce.Task, jobsPerChunk)
 				base := next.Add(jobsPerChunk) - jobsPerChunk
-				for i := range fns {
+				for i := range tasks {
 					idx := base + int64(i)
-					fns[i] = func() { executions[idx].Add(1) }
+					tasks[i].Fn = func(context.Context) error { executions[idx].Add(1); return nil }
 				}
-				if _, err := d.SubmitBatch(fns); err != nil {
+				if _, err := d.DoBatch(context.Background(), tasks); err != nil {
 					return
 				}
 			}

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,10 +52,9 @@ func run() error {
 	// fired counts real X-ray gun activations per pulse, across both
 	// sessions — any cell ever reaching 2 is a patient overdose.
 	var fired [pulses]atomic.Int32
-	plan := make([]func(), pulses)
+	plan := make([]atmostonce.Task, pulses)
 	for i := range plan {
-		i := i
-		plan[i] = func() { fired[i].Add(1) }
+		plan[i].Fn = func(context.Context) error { fired[i].Add(1); return nil }
 	}
 	cfg := atmostonce.DispatcherConfig{
 		Shards:          2,
@@ -75,8 +75,8 @@ func run() error {
 	// is what lets a restart re-submit the plan and line up with the
 	// journal (batch and single submission place jobs differently, so a
 	// restart must re-submit the way the dead session submitted).
-	for _, fn := range plan[:preCrash] {
-		if _, err := d1.Submit(fn); err != nil {
+	for _, pulse := range plan[:preCrash] {
+		if _, err := d1.Do(context.Background(), pulse); err != nil {
 			return err
 		}
 	}
@@ -99,13 +99,14 @@ func run() error {
 	defer d2.Close()
 	var recovered atomic.Int32
 	var firstRecovered atomic.Uint64
-	for _, fn := range plan {
-		if _, err := d2.SubmitCallback(fn, func(r atmostonce.JobResult) {
+	for _, pulse := range plan {
+		pulse.Callback = func(r atmostonce.JobResult) {
 			if r.Recovered {
 				recovered.Add(1)
 				firstRecovered.CompareAndSwap(0, r.ID)
 			}
-		}); err != nil {
+		}
+		if _, err := d2.Do(context.Background(), pulse); err != nil {
 			return err
 		}
 	}

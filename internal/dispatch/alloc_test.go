@@ -13,13 +13,16 @@ import (
 
 // TestDispatcherRoundLoopAllocFree is the allocation gate for the
 // steady-state round path: submit → queue → round → finishRound →
-// Flush, with no async waiters, no metrics and no tracer, must not
-// allocate per job or per round once warm. The budget below is a small
-// fraction of one allocation per ROUND (cycles cut several rounds), so
-// a single heap allocation creeping into either the per-job submit path
-// or the per-round loop trips it. The only tolerated noise is the
-// once-per-second dispatch_round heartbeat record (~10 allocations,
-// amortized across every cycle of the run).
+// Flush, with no future, no metrics and no tracer, must not allocate
+// per job or per round once warm. The jobs go in one at a time through
+// DoRunners with one static Runner — the only submission that costs
+// nothing itself (a Do is exactly one allocation, its future:
+// TestDoAllocs). The budget below is a small fraction of one allocation
+// per ROUND (cycles cut several rounds), so a single heap allocation
+// creeping into either the per-job submit path or the per-round loop
+// trips it. The only tolerated noise is the once-per-second
+// dispatch_round heartbeat record (~10 allocations, amortized across
+// every cycle of the run).
 func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
@@ -29,12 +32,11 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	var sink atomic.Uint64
-	fn := func() { sink.Add(1) }
+	one := []RunnerTask{{Runner: new(countRunner)}}
 	// Warm every pool: ring capacities, runtime prewarm, the first
 	// heartbeat record.
 	for i := 0; i < 4096; i++ {
-		if _, err := d.Submit(fn); err != nil {
+		if _, err := d.DoRunners(context.Background(), one); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +44,7 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	const jobs = 2048
 	avg := testing.AllocsPerRun(20, func() {
 		for i := 0; i < jobs; i++ {
-			if _, err := d.Submit(fn); err != nil {
+			if _, err := d.DoRunners(context.Background(), one); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -56,20 +58,24 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestDispatcherResolveAllocs gates the v1 callback path: the callback
-// rides the queue entry, so a SubmitCallback allocates exactly what a
-// Submit does — nothing.
+// TestDispatcherResolveAllocs gates the completion path: a Runner hears
+// its result through the queue entry it rode in on, so being told
+// allocates exactly what submitting does — nothing (through Do the same
+// path costs exactly 1.000 per job, the future, with or without a
+// Callback: TestDoAllocs).
 func TestDispatcherResolveAllocs(t *testing.T) {
-	var resolved atomic.Uint64
-	done := func(r JobResult) { resolved.Add(1) }
-	fn := func() {}
+	r := new(countRunner)
+	one := []RunnerTask{{Runner: r}}
 	perJob := allocsPerJob(t, func(d *Dispatcher) {
-		if _, err := d.SubmitCallback(fn, done); err != nil {
+		if _, err := d.DoRunners(context.Background(), one); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if perJob > 0.01 {
-		t.Errorf("SubmitCallback allocates %.3f per job (want ≤ 0.01)", perJob)
+		t.Errorf("a resolved Runner allocates %.3f per job (want ≤ 0.01)", perJob)
+	}
+	if ran, resolved := r.ran.Load(), r.resolved.Load(); ran == 0 || resolved != ran {
+		t.Errorf("ran %d, resolved %d: every job that ran must have been told", ran, resolved)
 	}
 }
 

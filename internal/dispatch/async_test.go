@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -32,20 +33,18 @@ func TestSubmitAsyncFutures(t *testing.T) {
 	defer d.Close()
 
 	eo := newExactlyOnce(jobs)
-	ids := make([]uint64, jobs)
-	chans := make([]<-chan JobResult, jobs)
+	handles := make([]Handle, jobs)
 	for i := 0; i < jobs; i++ {
-		id, ch, err := d.SubmitAsync(eo.job(i))
-		if err != nil {
+		if handles[i], err = d.Do(context.Background(), eo.job(i)); err != nil {
 			t.Fatal(err)
 		}
-		ids[i], chans[i] = id, ch
 	}
-	for i, ch := range chans {
+	for i, h := range handles {
+		ch := h.Done()
 		select {
 		case r := <-ch:
-			if r.ID != ids[i] {
-				t.Fatalf("future %d: got id %d, want %d", i, r.ID, ids[i])
+			if r.ID != h.ID {
+				t.Fatalf("future %d: got id %d, want %d", i, r.ID, h.ID)
 			}
 			if r.Recovered {
 				t.Fatalf("future %d: spurious Recovered", i)
@@ -65,8 +64,8 @@ func TestSubmitAsyncFutures(t *testing.T) {
 	}
 }
 
-// TestSubmitCallbackExactlyOnce: the callback variant fires exactly once
-// per job under crash injection — as many completions as jobs accepted.
+// TestSubmitCallbackExactlyOnce: a Task.Callback fires exactly once per
+// job under crash injection — as many completions as jobs accepted.
 func TestSubmitCallbackExactlyOnce(t *testing.T) {
 	const jobs = 3000
 	d, err := New(Config{
@@ -94,18 +93,21 @@ func TestSubmitCallbackExactlyOnce(t *testing.T) {
 	var completions atomic.Int64
 	for i := 0; i < jobs; i++ {
 		var wantID atomic.Uint64
-		id, err := d.SubmitCallback(func() {}, func(r JobResult) {
-			if w := wantID.Load(); w != 0 && r.ID != w {
-				wrong.Add(1)
-			}
-			fired[r.ID].Add(1)
-			completions.Add(1)
+		h, err := d.Do(context.Background(), Task{
+			Fn: func(context.Context) error { return nil },
+			Callback: func(r JobResult) {
+				if w := wantID.Load(); w != 0 && r.ID != w {
+					wrong.Add(1)
+				}
+				fired[r.ID].Add(1)
+				completions.Add(1)
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantID.Store(id)
-		issued = append(issued, id)
+		wantID.Store(h.ID)
+		issued = append(issued, h.ID)
 	}
 	d.Flush()
 	if err := d.Close(); err != nil {
@@ -169,18 +171,18 @@ func TestAsyncRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() {
+		fns[i] = bare(func() {
 			executions[id].Add(1)
 			if performed.Add(1) >= killAt {
 				blocked.Add(1)
 				<-gate
 			}
-		}
+		})
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "all workers frozen mid-round", func() bool { return blocked.Load() == workers })
@@ -197,11 +199,11 @@ func TestAsyncRecovery(t *testing.T) {
 	chans := make([]<-chan JobResult, n)
 	for i := 0; i < n; i++ {
 		id := i + 1
-		_, ch, err := d2.SubmitAsync(func() { executions[id].Add(1) })
+		h, err := d2.Do(context.Background(), bare(func() { executions[id].Add(1) }))
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans[i] = ch
+		chans[i] = h.Done()
 	}
 	d2.Flush()
 	recovered := 0
@@ -294,12 +296,12 @@ func TestBackpressureBlock(t *testing.T) {
 	eo := newExactlyOnce(jobs)
 	for i := 0; i < jobs; i++ {
 		job := eo.job(i)
-		slow := func() { time.Sleep(50 * time.Microsecond); job() }
+		slow := Task{Fn: func(ctx context.Context) error { time.Sleep(50 * time.Microsecond); return job.Fn(ctx) }}
 		if i%3 == 0 {
-			if _, err := d.Submit(slow); err != nil {
+			if _, err := d.Do(context.Background(), slow); err != nil {
 				t.Fatal(err)
 			}
-		} else if _, err := d.SubmitBatch([]Job{slow}); err != nil {
+		} else if _, err := d.DoBatch(context.Background(), []Task{slow}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,16 +342,16 @@ func TestBackpressureFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran atomic.Int64
-	blockJob := func() { <-gate; ran.Add(1) }
+	blockJob := bare(func() { <-gate; ran.Add(1) })
 
 	// Fill the queue (and the in-flight round) until a rejection.
 	accepted := []uint64{}
 	rejected := 0
 	for len(accepted) < 64 && rejected == 0 {
-		id, err := d.Submit(blockJob)
+		h, err := d.Do(context.Background(), blockJob)
 		switch {
 		case err == nil:
-			accepted = append(accepted, id)
+			accepted = append(accepted, h.ID)
 		case errors.Is(err, ErrQueueFull):
 			rejected++
 		default:
@@ -366,15 +368,19 @@ func TestBackpressureFailFast(t *testing.T) {
 		}
 	}
 	// A batch that cannot fit is rejected whole...
-	if _, err := d.SubmitBatch(make([]Job, depth+1)); !errors.Is(err, ErrQueueFull) {
+	oversized := make([]Task, depth+1)
+	for i := range oversized {
+		oversized[i] = blockJob
+	}
+	if _, err := d.DoBatch(context.Background(), oversized); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("oversized batch: err = %v, want ErrQueueFull", err)
 	}
 	// ...and the next accepted submission continues the dense sequence.
 	// (Retry: the queue drains asynchronously once the gate opens.)
 	close(gate)
-	var id uint64
+	var h Handle
 	for {
-		id, err = d.Submit(func() { ran.Add(1) })
+		h, err = d.Do(context.Background(), bare(func() { ran.Add(1) }))
 		if err == nil {
 			break
 		}
@@ -383,8 +389,8 @@ func TestBackpressureFailFast(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if want := uint64(len(accepted) + 1); id != want {
-		t.Fatalf("post-rejection id %d, want %d (rejections must not burn ids)", id, want)
+	if want := uint64(len(accepted) + 1); h.ID != want {
+		t.Fatalf("post-rejection id %d, want %d (rejections must not burn ids)", h.ID, want)
 	}
 	d.Flush()
 	if err := d.Close(); err != nil {
@@ -413,10 +419,10 @@ func TestBatchRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := []Job{func() { <-gate }}
+	block := []Task{bare(func() { <-gate })}
 	accepted, rejected := 0, 0
 	for rejected < 8 && accepted < 16 {
-		if _, err := d.SubmitBatch(block); err == nil {
+		if _, err := d.DoBatch(context.Background(), block); err == nil {
 			accepted++
 		} else if errors.Is(err, ErrQueueFull) {
 			rejected++
@@ -454,13 +460,13 @@ func TestAbandonReleasesBlockedSubmitter(t *testing.T) {
 	// Saturate: QueueDepth bounds queued + in-flight jobs, so two gated
 	// submissions fill the shard completely.
 	for i := 0; i < 2; i++ {
-		if _, err := d.Submit(func() { <-gate }); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 			t.Fatal(err)
 		}
 	}
 	returned := make(chan error, 1)
 	go func() {
-		_, err := d.Submit(func() {})
+		_, err := d.Do(context.Background(), bare(func() {}))
 		returned <- err
 	}()
 	// Give the submitter time to park (abandon-before-park is fine too:
@@ -508,7 +514,7 @@ func TestWorkStealing(t *testing.T) {
 	// a slow estimate, keeping the skewed shard's rounds small.
 	gate := make(chan struct{})
 	for i := 0; i < 2; i++ {
-		if _, err := d.Submit(func() { <-gate }); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -518,11 +524,12 @@ func TestWorkStealing(t *testing.T) {
 	var resolved atomic.Int64
 	for i := 0; i < jobs; i++ {
 		job := eo.job(i)
-		fn := job
 		if i%2 == 0 {
-			fn = func() { time.Sleep(time.Millisecond); job() }
+			fast := job.Fn
+			job.Fn = func(ctx context.Context) error { time.Sleep(time.Millisecond); return fast(ctx) }
 		}
-		if _, err := d.SubmitCallback(fn, func(JobResult) { resolved.Add(1) }); err != nil {
+		job.Callback = func(JobResult) { resolved.Add(1) }
+		if _, err := d.Do(context.Background(), job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -557,13 +564,13 @@ func TestAdaptiveRoundSizing(t *testing.T) {
 	}
 	defer d.Close()
 	// Park the loop on a first gated round so the whole stream queues up.
-	if _, err := d.Submit(func() { <-gate }); err != nil {
+	if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 		t.Fatal(err)
 	}
 	eo := newExactlyOnce(jobs)
 	for i := 0; i < jobs; i++ {
 		job := eo.job(i)
-		if _, err := d.Submit(func() { time.Sleep(time.Millisecond); job() }); err != nil {
+		if _, err := d.Do(context.Background(), Task{Fn: func(ctx context.Context) error { time.Sleep(time.Millisecond); return job.Fn(ctx) }}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -52,7 +53,7 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < jobs; i++ {
-			if _, err := d.Submit(func() {}); err != nil {
+			if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -29,7 +29,7 @@ func TestDoCancelledFastPath(t *testing.T) {
 	// is guaranteed to be observed at round ASSEMBLY, not mid-round.
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if _, err := d.Submit(func() { close(started); <-release }); err != nil {
+	if _, err := d.Do(context.Background(), bare(func() { close(started); <-release })); err != nil {
 		t.Fatal(err)
 	}
 	<-started

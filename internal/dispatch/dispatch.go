@@ -30,10 +30,6 @@ import (
 	"atmostonce/internal/obs/opshttp"
 )
 
-// Job is a unit of user work. The dispatcher invokes it at most once,
-// from one of the shard's worker goroutines.
-type Job func()
-
 // Config configures a Dispatcher.
 type Config struct {
 	// Shards is S, the number of independent KKβ instances (default 1).
@@ -97,7 +93,7 @@ type Config struct {
 	NewMem func(shard, size int) (membackend.Backend, error)
 	// MaxJobs bounds the distinct job ids a backend-backed dispatcher may
 	// assign over the lifetime of its register files (across restarts):
-	// it sizes the durable journal rows, and Submit fails with
+	// it sizes the durable journal rows, and submissions fail with
 	// ErrJournalFull beyond it. Required with NewMem, ignored without.
 	MaxJobs int
 	// JournalBatch is the durable journal's group-commit factor (default
@@ -241,7 +237,8 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// ErrClosed is returned by Submit and SubmitBatch after Close.
+// ErrClosed is returned by Do, DoBatch and DoRunners after (or racing)
+// Close.
 var ErrClosed = errors.New("dispatch: dispatcher is closed")
 
 // ErrQueueFull is returned by the submit paths under Policy FailFast
@@ -249,7 +246,7 @@ var ErrClosed = errors.New("dispatch: dispatcher is closed")
 // consumed no job id; the caller may retry.
 var ErrQueueFull = errors.New("dispatch: shard queue is full (QueueDepth reached)")
 
-// ErrJournalFull is returned by Submit and SubmitBatch when accepting
+// ErrJournalFull is returned by Do, DoBatch and DoRunners when accepting
 // the jobs would assign ids beyond Config.MaxJobs, the capacity of the
 // durable journal rows.
 var ErrJournalFull = errors.New("dispatch: durable journal capacity exhausted (raise Config.MaxJobs)")
@@ -431,22 +428,9 @@ func (d *Dispatcher) warnJournalFull() {
 	})
 }
 
-// Submit enqueues one job and returns its dispatcher-wide id. The job will
-// be executed at most once, and — as long as the dispatcher keeps running
-// rounds — exactly once. With a bounded queue (Config.QueueDepth) and the
-// target shard saturated, Submit blocks until space frees (Block) or
-// fails with ErrQueueFull without consuming an id (FailFast). A Close
-// racing a parked Block-policy Submit releases it with ErrClosed, id
-// unconsumed. Submit is the v1 path, equivalent to Do with a bare
-// Normal-priority Task.
-func (d *Dispatcher) Submit(fn Job) (uint64, error) {
-	return d.do(context.Background(), entry{run: fn0(fn)})
-}
-
-// do is the single-job submission core shared by Do, Submit, SubmitAsync
-// and SubmitCallback. e carries the payload, the scheduling descriptor
-// and the completion (fired inline for journal-recovered jobs); its id
-// is assigned here.
+// do is Do's submission core. e carries the payload, the scheduling
+// descriptor and the completion (fired inline for journal-recovered
+// jobs); its id is assigned here.
 //
 // Admission order matters: the queue slot is claimed BEFORE the id is
 // consumed — FailFast by reservation, Block by parking in reserveWait —
@@ -512,37 +496,25 @@ func (d *Dispatcher) do(ctx context.Context, e entry) (uint64, error) {
 	return id, nil
 }
 
-// SubmitBatch enqueues the jobs in order and returns the id of the first;
-// the batch gets the contiguous id block [first, first+len(fns)). Jobs are
-// spread across shards in contiguous chunks, one shard lock per chunk.
-// Acceptance is all-or-nothing: either every job is enqueued (and will be
-// performed) or the call fails — with ErrClosed, with ErrQueueFull when a
-// FailFast batch does not fit into the target shards' free capacity, or
-// with ErrJournalFull when a durable batch would cross MaxJobs — and none
-// are. A failed call consumes no ids whatsoever (the range lease never
-// moves the cursor on failure), so the deterministic id sequence is
-// unaffected by rejected batches. Under Block, a batch larger than the
-// free capacity is fed in as rounds drain the queues.
+// doBatch is the batch submission core shared by DoBatch and DoRunners:
+// n entries produced by entryAt, completions included, get the
+// contiguous id block [first, first+n) (assigned here) and are spread
+// across shards in contiguous chunks, one shard lock per chunk.
 //
-// An EMPTY batch returns the sentinel (0, nil): no job id is consumed,
-// no shard is touched, and 0 is never a real id — real ids start at 1.
-// SubmitBatch is the v1 path, equivalent to DoBatch with bare
-// Normal-priority Tasks (whose empty-batch sentinel is (nil, nil)).
-func (d *Dispatcher) SubmitBatch(fns []Job) (uint64, error) {
-	if len(fns) == 0 {
-		return 0, nil
-	}
-	return d.doBatch(context.Background(), len(fns),
-		func(i int) entry { return entry{run: fn0(fns[i])} })
-}
-
-// doBatch is the batch submission core shared by SubmitBatch, DoBatch
-// and DoRunners: n entries produced by entryAt, completions included
-// (ids assigned here). ctx governs admission only — it is checked before
-// any id is consumed; an accepted batch is fed in fully even if ctx is
-// cancelled mid-feed, because its ids are already part of the
-// deterministic sequence. The plan is a value and the closures stay on
-// the stack: a batch allocates what its caller did and nothing more.
+// Acceptance is all-or-nothing: either every job is enqueued (and will
+// be performed) or the call fails — with ErrClosed, with ErrQueueFull
+// when a FailFast batch does not fit into the target shards' free
+// capacity, or with ErrJournalFull when a durable batch would cross
+// MaxJobs — and none are. A failed call consumes no ids whatsoever (the
+// range lease never moves the cursor on failure), so the deterministic
+// id sequence is unaffected by rejected batches. Under Block, a batch
+// larger than the free capacity is fed in as rounds drain the queues.
+//
+// ctx governs admission only — it is checked before any id is consumed;
+// an accepted batch is fed in fully even if ctx is cancelled mid-feed,
+// because its ids are already part of the deterministic sequence. The
+// plan is a value and the closures stay on the stack: a batch allocates
+// what its caller did and nothing more.
 func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -14,8 +15,13 @@ func newExactlyOnce(n int) *exactlyOnce {
 	return &exactlyOnce{counts: make([]atomic.Int32, n)}
 }
 
-func (e *exactlyOnce) job(i int) Job {
-	return func() { e.counts[i].Add(1) }
+// bare is the Task of a payload that takes no context and cannot fail.
+func bare(fn func()) Task {
+	return Task{Fn: func(context.Context) error { fn(); return nil }}
+}
+
+func (e *exactlyOnce) job(i int) Task {
+	return bare(func() { e.counts[i].Add(1) })
 }
 
 func (e *exactlyOnce) verify(t *testing.T) {
@@ -65,18 +71,18 @@ func TestDispatcherCarryoverProperty(t *testing.T) {
 	eo := newExactlyOnce(jobs)
 	for i := 0; i < jobs; i++ {
 		if i%3 == 0 {
-			if _, err := d.Submit(eo.job(i)); err != nil {
+			if _, err := d.Do(context.Background(), eo.job(i)); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
 		// Mix in small batches to cover both submission paths.
-		batch := []Job{eo.job(i)}
+		batch := []Task{eo.job(i)}
 		for i+1 < jobs && len(batch) < 5 && (i+1)%3 != 0 {
 			i++
 			batch = append(batch, eo.job(i))
 		}
-		if _, err := d.SubmitBatch(batch); err != nil {
+		if _, err := d.DoBatch(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,13 +130,13 @@ func TestDispatcherE2EStream(t *testing.T) {
 
 	eo := newExactlyOnce(jobs)
 	const chunk = 1000
-	fns := make([]Job, 0, chunk)
+	fns := make([]Task, 0, chunk)
 	for base := 0; base < jobs; base += chunk {
 		fns = fns[:0]
 		for i := base; i < base+chunk; i++ {
 			fns = append(fns, eo.job(i))
 		}
-		if _, err := d.SubmitBatch(fns); err != nil {
+		if _, err := d.DoBatch(context.Background(), fns); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +171,7 @@ func TestDispatcherTrickle(t *testing.T) {
 	defer d.Close()
 	eo := newExactlyOnce(jobs)
 	for i := 0; i < jobs; i++ {
-		if _, err := d.Submit(eo.job(i)); err != nil {
+		if _, err := d.Do(context.Background(), eo.job(i)); err != nil {
 			t.Fatal(err)
 		}
 		if i%37 == 0 {
@@ -186,7 +192,7 @@ func TestDispatcherCloseDrains(t *testing.T) {
 	}
 	eo := newExactlyOnce(jobs)
 	for i := 0; i < jobs; i++ {
-		if _, err := d.Submit(eo.job(i)); err != nil {
+		if _, err := d.Do(context.Background(), eo.job(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,11 +200,11 @@ func TestDispatcherCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	eo.verify(t)
-	if _, err := d.Submit(func() {}); err != ErrClosed {
-		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+	if _, err := d.Do(context.Background(), bare(func() {})); err != ErrClosed {
+		t.Fatalf("Do after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := d.SubmitBatch([]Job{func() {}}); err != ErrClosed {
-		t.Fatalf("SubmitBatch after Close: err = %v, want ErrClosed", err)
+	if _, err := d.DoBatch(context.Background(), []Task{bare(func() {})}); err != ErrClosed {
+		t.Fatalf("DoBatch after Close: err = %v, want ErrClosed", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
@@ -207,8 +213,8 @@ func TestDispatcherCloseDrains(t *testing.T) {
 
 // TestDispatcherIDs checks id assignment under per-shard block leasing:
 // each shard draws dense ids from its own leased idBlock-sized block
-// (one global-cursor CAS per block, not per job), and SubmitBatch leases
-// its own contiguous range from the cursor.
+// (one global-cursor CAS per block, not per job), and DoBatch leases its
+// own contiguous range from the cursor.
 func TestDispatcherIDs(t *testing.T) {
 	d, err := New(Config{Shards: 3, Workers: 2, MaxBatch: 16})
 	if err != nil {
@@ -217,38 +223,39 @@ func TestDispatcherIDs(t *testing.T) {
 	defer d.Close()
 	// Round-robin: the first two singles land on shards 0 and 1, each
 	// leasing a fresh block.
-	id1, err := d.Submit(func() {})
+	noop := bare(func() {})
+	h1, err := d.Do(context.Background(), noop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := d.Submit(func() {})
+	h2, err := d.Do(context.Background(), noop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id1 != 1 {
-		t.Fatalf("first single id %d, want 1 (shard 0's block starts the sequence)", id1)
+	if h1.ID != 1 {
+		t.Fatalf("first single id %d, want 1 (shard 0's block starts the sequence)", h1.ID)
 	}
-	if id2 != idBlock+1 {
-		t.Fatalf("second single id %d, want %d (shard 1 leases its own block)", id2, idBlock+1)
+	if h2.ID != idBlock+1 {
+		t.Fatalf("second single id %d, want %d (shard 1 leases its own block)", h2.ID, idBlock+1)
 	}
 	// A batch leases a contiguous range directly from the cursor, past
 	// the blocks already handed to the shards.
-	first, err := d.SubmitBatch([]Job{func() {}, func() {}, func() {}})
+	hs, err := d.DoBatch(context.Background(), []Task{noop, noop, noop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != 2*idBlock+1 {
-		t.Fatalf("batch first id %d, want %d", first, 2*idBlock+1)
+	if hs[0].ID != 2*idBlock+1 {
+		t.Fatalf("batch first id %d, want %d", hs[0].ID, 2*idBlock+1)
 	}
 	// The next single continues shard 0's block densely: per-shard
 	// sequences stay gapless, which is what deterministic re-submission
 	// keys on.
-	next, err := d.Submit(func() {})
+	next, err := d.Do(context.Background(), noop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next != id1+1 {
-		t.Fatalf("post-batch single id %d, want %d (shard 0's block continues densely)", next, id1+1)
+	if next.ID != h1.ID+1 {
+		t.Fatalf("post-batch single id %d, want %d (shard 0's block continues densely)", next.ID, h1.ID+1)
 	}
 }
 
@@ -261,12 +268,12 @@ func TestDispatcherIDsSingleShard(t *testing.T) {
 	}
 	defer d.Close()
 	for want := uint64(1); want <= idBlock+2; want++ {
-		id, err := d.Submit(func() {})
+		h, err := d.Do(context.Background(), bare(func() {}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != want {
-			t.Fatalf("single-shard id %d, want %d (dense across block boundaries)", id, want)
+		if h.ID != want {
+			t.Fatalf("single-shard id %d, want %d (dense across block boundaries)", h.ID, want)
 		}
 	}
 }

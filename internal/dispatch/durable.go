@@ -207,7 +207,7 @@ func (s *shard) flushClaims(p int) {
 	}
 	idx := s.jcur[p-1] // p's row is single-writer; no synchronization needed
 	if idx+k > s.jlen {
-		// Unreachable while the Submit-side MaxJobs guard holds: every id
+		// Unreachable while the submit-side MaxJobs guard holds: every id
 		// is journaled at most once across all rows and incarnations, so a
 		// row never outgrows MaxJobs. Fail loudly rather than overwrite a
 		// neighbouring row.

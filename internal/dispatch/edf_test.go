@@ -82,7 +82,7 @@ func TestEDFOrderWithinClass(t *testing.T) {
 	defer d.Close()
 	// Wedge the current round so the three deadline jobs accumulate and
 	// are assembled together.
-	if _, err := d.Submit(func() { <-gate }); err != nil {
+	if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -49,11 +50,11 @@ func TestEffHistCountsRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, 500)
+	fns := make([]Task, 500)
 	for i := range fns {
-		fns[i] = func() { ran.Add(1) }
+		fns[i] = bare(func() { ran.Add(1) })
 	}
-	if _, err := d.SubmitBatch(fns); err != nil {
+	if _, err := d.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d.Flush()

@@ -18,7 +18,7 @@ func okFn(context.Context) error { return nil }
 func parkLoop(t *testing.T, d *Dispatcher) (release func()) {
 	t.Helper()
 	started, gate := make(chan struct{}), make(chan struct{})
-	if _, err := d.Submit(func() { close(started); <-gate }); err != nil {
+	if _, err := d.Do(context.Background(), bare(func() { close(started); <-gate })); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -297,7 +297,7 @@ func TestExactlyOnceBothWays(t *testing.T) {
 		defer d.Close()
 		gate := make(chan struct{})
 		for i := 0; i < 2; i++ {
-			if _, err := d.Submit(func() { <-gate }); err != nil {
+			if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -308,12 +308,11 @@ func TestExactlyOnceBothWays(t *testing.T) {
 		for i := range o.handles {
 			job, slow := eo.job(i), i%2 == 0
 			if o.handles[i], err = d.Do(ctx, Task{
-				Fn: func(context.Context) error {
+				Fn: func(ctx context.Context) error {
 					if slow {
 						time.Sleep(time.Millisecond)
 					}
-					job()
-					return nil
+					return job.Fn(ctx)
 				},
 				Callback: o.callback(i),
 			}); err != nil {
@@ -348,10 +347,8 @@ func TestExactlyOnceBothWays(t *testing.T) {
 		o := newOnceBoth(jobs)
 		for i := range o.handles {
 			job := eo.job(i)
-			if o.handles[i], err = d.Do(ctx, Task{
-				Fn:       func(context.Context) error { job(); return nil },
-				Callback: o.callback(i),
-			}); err != nil {
+			job.Callback = o.callback(i)
+			if o.handles[i], err = d.Do(ctx, job); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -436,7 +433,7 @@ func submitTracked(t *testing.T, d *Dispatcher, n int, deadline time.Time, colle
 	runtime.SetFinalizer(obj, func(*big) { collected.Store(true) })
 	for i := 0; i < n; i++ {
 		if i%2 == 0 && deadline.IsZero() {
-			if _, err := d.Submit(func() { runtime.KeepAlive(obj) }); err != nil {
+			if _, err := d.Do(context.Background(), bare(func() { runtime.KeepAlive(obj) })); err != nil {
 				t.Fatal(err)
 			}
 			continue

@@ -58,7 +58,7 @@ func TestIDRangesDenseUnderRejections(t *testing.T) {
 	var ids []uint64
 	rejected := 0
 	for i := 0; i < 300; i++ {
-		id, err := d.Submit(func() { <-gate })
+		h, err := d.Do(context.Background(), bare(func() { <-gate }))
 		if errors.Is(err, ErrQueueFull) {
 			rejected++
 			continue
@@ -66,10 +66,10 @@ func TestIDRangesDenseUnderRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, h.ID)
 	}
 	for i := 0; i < 40; i++ {
-		first, err := d.SubmitBatch([]Job{func() { <-gate }, func() { <-gate }})
+		hs, err := d.DoBatch(context.Background(), []Task{bare(func() { <-gate }), bare(func() { <-gate })})
 		if errors.Is(err, ErrQueueFull) {
 			rejected++
 			continue
@@ -77,7 +77,7 @@ func TestIDRangesDenseUnderRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, first, first+1)
+		ids = append(ids, hs[0].ID, hs[1].ID)
 	}
 	if rejected == 0 {
 		t.Fatal("queues never filled; the test exercised no rejections")
@@ -110,11 +110,11 @@ func TestIDRangesDenseUnderCancelCloseRace(t *testing.T) {
 		var ids []uint64
 		// Wedge both shards full of gated jobs.
 		for i := 0; i < 4; i++ {
-			id, err := d.Submit(func() { <-gate })
+			h, err := d.Do(context.Background(), bare(func() { <-gate }))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids = append(ids, id)
+			ids = append(ids, h.ID)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
@@ -177,11 +177,11 @@ func TestRecoveryAcrossRangeBoundary(t *testing.T) {
 	submit := func(d *Dispatcher) []uint64 {
 		ids := make([]uint64, jobs)
 		for i := 0; i < jobs; i++ {
-			id, err := d.Submit(eo.job(i))
+			h, err := d.Do(context.Background(), eo.job(i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids[i] = id
+			ids[i] = h.ID
 		}
 		return ids
 	}

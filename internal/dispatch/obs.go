@@ -18,9 +18,7 @@ import (
 // histograms, each bounded by construction: the round-duration and
 // round-loss histograms record once per ROUND, and the
 // submit→completion histogram records only jobs sampled by id
-// (latSampleMask, 1 in 16) — two atomic adds per sampled job. The
-// amo-bench -overhead gate holds the sum of all of this under 3% of
-// streaming throughput.
+// (latSampleMask, 1 in 16) — two atomic adds per sampled job.
 
 // latSampleMask selects the jobs whose submit→completion latency is
 // recorded: id & latSampleMask == 0, i.e. 1 in 16. Ids are assigned

@@ -23,7 +23,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	defer d.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestLatencyQuantiles(t *testing.T) {
 		t.Fatal("quantiles reported before any job completed")
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestQueueDepthGaugeConsistent(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < 50; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestTraceOrdering(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < n; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestOpsEndpoint(t *testing.T) {
 		t.Fatal("MetricsAddr set but OpsAddr is empty")
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,12 +8,12 @@ import (
 
 // entry is one queued job and everything that travels with it: its
 // dispatcher-wide id, the Runner that is its payload (a caller-owned
-// object from DoRunners, or a func-typed adapter around a v1 Job or a
-// Task.Fn — a func value is pointer-shaped, so the conversion allocates
-// nothing; nil marks round padding), its scheduling descriptor and who
-// else hears of its result. Entries are copied through rings, batches
-// and steals, so the struct is exactly eight words — one cache line, and
-// ring slots never straddle two (TestEntryIsOneCacheLine).
+// object from DoRunners, or the func-typed adapter around a Task.Fn — a
+// func value is pointer-shaped, so the conversion allocates nothing; nil
+// marks round padding), its scheduling descriptor and who else hears of
+// its result. Entries are copied through rings, batches and steals, so
+// the struct is exactly eight words — one cache line, and ring slots
+// never straddle two (TestEntryIsOneCacheLine).
 type entry struct {
 	id  uint64
 	run Runner
@@ -24,10 +24,10 @@ type entry struct {
 	// the entry through requeues and steals, so the recorded latency is
 	// wall time from submission to final resolution.
 	t0 int64
-	// fut is the Handle's future (Do and DoBatch only) and cb the
-	// completion callback (Task.Callback or SubmitCallback's done), nil
-	// when there is none. They ride the entry, so whichever shard ends up
-	// holding the job — residue, a steal, an expiry — holds them too.
+	// fut is the Handle's future and cb the Task.Callback (Do and
+	// DoBatch only; cb nil when the Task has none). They ride the entry,
+	// so whichever shard ends up holding the job — residue, a steal, an
+	// expiry — holds them too.
 	fut *future
 	cb  func(JobResult)
 	pri Priority
@@ -37,21 +37,10 @@ type entry struct {
 	cx bool
 }
 
-// fn0 (a v1 Job) and taskFn (a Task.Fn) are the Runners the
-// closure-taking submit paths ride in as. Neither hears its result:
-// those paths are told through fut and cb.
-type (
-	fn0    Job
-	taskFn func(context.Context) error
-)
+// taskFn is the Runner a Task.Fn rides in as. It does not hear its
+// result: Do and DoBatch are told through fut and cb.
+type taskFn func(context.Context) error
 
-func (f fn0) Run(context.Context) error {
-	if f != nil { // a nil Job has always been a no-op that counts performed
-		f()
-	}
-	return nil
-}
-func (fn0) Resolved(JobResult)                 {}
 func (f taskFn) Run(ctx context.Context) error { return f(ctx) }
 func (taskFn) Resolved(JobResult)              {}
 

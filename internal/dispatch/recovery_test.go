@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -70,18 +71,18 @@ func TestRecoverMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() {
+		fns[i] = bare(func() {
 			executions[id].Add(1)
 			if performed.Add(1) >= killAt {
 				blocked.Add(1)
 				<-gate
 			}
-		}
+		})
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "all workers frozen mid-round", func() bool { return blocked.Load() == workers })
@@ -100,9 +101,9 @@ func TestRecoverMidRound(t *testing.T) {
 	}
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() { executions[id].Add(1) }
+		fns[i] = bare(func() { executions[id].Add(1) })
 	}
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()
@@ -152,14 +153,14 @@ func TestRecoverRoundBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
 		id := i + 1
 		// The sleep throttles the drain so the abandon below reliably
 		// lands while most of the stream is still queued.
-		fns[i] = func() { executions[id].Add(1); time.Sleep(100 * time.Microsecond) }
+		fns[i] = bare(func() { executions[id].Add(1); time.Sleep(100 * time.Microsecond) })
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "some progress", func() bool { return d1.Stats().Performed >= 100 })
@@ -179,9 +180,9 @@ func TestRecoverRoundBoundary(t *testing.T) {
 	}
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() { executions[id].Add(1) }
+		fns[i] = bare(func() { executions[id].Add(1) })
 	}
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()
@@ -216,11 +217,11 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
-		fns[i] = func() { runs.Add(1) }
+		fns[i] = bare(func() { runs.Add(1) })
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d1.Flush()
@@ -236,7 +237,7 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()
@@ -261,7 +262,7 @@ func TestReopenConfigMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d1.Submit(func() {}); err != nil {
+	if _, err := d1.Do(context.Background(), bare(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	d1.Flush()
@@ -325,16 +326,17 @@ func TestJournalFull(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < 10; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Ids beyond MaxJobs are refused; the failed lease moves nothing, so
 	// no ids are burned and the journal capacity stays protected.
-	if _, err := d.Submit(func() {}); !errors.Is(err, ErrJournalFull) {
+	if _, err := d.Do(context.Background(), bare(func() {})); !errors.Is(err, ErrJournalFull) {
 		t.Fatalf("submit past MaxJobs: got %v, want ErrJournalFull", err)
 	}
-	if _, err := d.SubmitBatch(make([]Job, 5)); !errors.Is(err, ErrJournalFull) {
+	noop := bare(func() {})
+	if _, err := d.DoBatch(context.Background(), []Task{noop, noop, noop, noop, noop}); !errors.Is(err, ErrJournalFull) {
 		t.Fatalf("batch past MaxJobs: got %v, want ErrJournalFull", err)
 	}
 	d.Flush()
@@ -358,19 +360,19 @@ func TestReopenAfterJournalFull(t *testing.T) {
 		NewMem: mmapFactory(dir), MaxJobs: n,
 	}
 	var runs atomic.Int64
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
-		fns[i] = func() { runs.Add(1) }
+		fns[i] = bare(func() { runs.Add(1) })
 	}
 	d1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d1.Flush()
-	if _, err := d1.Submit(func() {}); !errors.Is(err, ErrJournalFull) {
+	if _, err := d1.Do(context.Background(), bare(func() {})); !errors.Is(err, ErrJournalFull) {
 		t.Fatalf("submit past MaxJobs: %v, want ErrJournalFull", err)
 	}
 	if err := d1.Close(); err != nil {
@@ -382,7 +384,7 @@ func TestReopenAfterJournalFull(t *testing.T) {
 		t.Fatalf("reopen after ErrJournalFull refused: %v", err)
 	}
 	defer d2.Close()
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()
@@ -393,7 +395,7 @@ func TestReopenAfterJournalFull(t *testing.T) {
 		t.Fatalf("Recovered = %d, want %d", st.Recovered, n)
 	}
 	// The journal is still full: new ids keep being refused.
-	if _, err := d2.Submit(func() {}); !errors.Is(err, ErrJournalFull) {
+	if _, err := d2.Do(context.Background(), bare(func() {})); !errors.Is(err, ErrJournalFull) {
 		t.Fatalf("submit past MaxJobs after reopen: %v, want ErrJournalFull", err)
 	}
 }
@@ -453,18 +455,18 @@ func TestRecoverOverNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() {
+		fns[i] = bare(func() {
 			executions[id].Add(1)
 			if performed.Add(1) >= killAt {
 				blocked.Add(1)
 				<-gate
 			}
-		}
+		})
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "all workers frozen mid-round", func() bool { return blocked.Load() == workers })
@@ -487,9 +489,9 @@ func TestRecoverOverNetwork(t *testing.T) {
 	}
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() { executions[id].Add(1) }
+		fns[i] = bare(func() { executions[id].Add(1) })
 	}
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()
@@ -540,7 +542,7 @@ func TestDurableSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dd.Close()
-	if _, err := dd.Submit(func() {}); err != nil {
+	if _, err := dd.Do(context.Background(), bare(func() {})); err != nil {
 		t.Fatal(err)
 	}
 	dd.Flush()
@@ -566,12 +568,12 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() { executions[id].Add(1) }
+		fns[i] = bare(func() { executions[id].Add(1) })
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d1.Flush()
@@ -593,7 +595,7 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()
@@ -633,12 +635,12 @@ func TestGroupCommitCrashPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() { executions[id].Add(1) }
+		fns[i] = bare(func() { executions[id].Add(1) })
 	}
-	if _, err := d.SubmitBatch(fns); err != nil {
+	if _, err := d.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d.Flush()
@@ -687,18 +689,18 @@ func TestGroupCommitRecoverMidClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fns := make([]Job, n)
+	fns := make([]Task, n)
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() {
+		fns[i] = bare(func() {
 			executions[id].Add(1)
 			if performed.Add(1) >= killAt {
 				blocked.Add(1)
 				<-gate
 			}
-		}
+		})
 	}
-	if _, err := d1.SubmitBatch(fns); err != nil {
+	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "all workers frozen mid-claim", func() bool { return blocked.Load() == workers })
@@ -712,9 +714,9 @@ func TestGroupCommitRecoverMidClaim(t *testing.T) {
 	}
 	for i := range fns {
 		id := i + 1
-		fns[i] = func() { executions[id].Add(1) }
+		fns[i] = bare(func() { executions[id].Add(1) })
 	}
-	if _, err := d2.SubmitBatch(fns); err != nil {
+	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	d2.Flush()

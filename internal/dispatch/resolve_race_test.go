@@ -11,7 +11,7 @@ import (
 // at once: shard loops firing whole rounds of completions, concurrent
 // Handle.Done() readers making and draining the futures' channels, and
 // callbacks that re-enter the dispatcher mid-resolution (a nested
-// SubmitCallback lands in the queue of the very shard that is firing —
+// Do lands in the queue of the very shard that is firing —
 // legal only because completions fire outside the shard lock). Every
 // job must resolve exactly once on each side. Run under -race.
 func TestBatchedResolutionRace(t *testing.T) {
@@ -46,9 +46,12 @@ func TestBatchedResolutionRace(t *testing.T) {
 							// Re-enter the dispatcher from inside a resolution
 							// batch.
 							nestedSubmitted.Add(1)
-							if _, err := d.SubmitCallback(func() {}, func(JobResult) {
-								nestedResolved.Add(1)
-								completions.Add(1)
+							if _, err := d.Do(context.Background(), Task{
+								Fn: func(context.Context) error { return nil },
+								Callback: func(JobResult) {
+									nestedResolved.Add(1)
+									completions.Add(1)
+								},
 							}); err != nil {
 								t.Errorf("nested submit from callback: %v", err)
 							} else {

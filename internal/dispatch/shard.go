@@ -18,8 +18,8 @@ import (
 // pending-job deque and the loop that cuts rounds. The loop goroutine is
 // the only round orchestrator, so everything it touches between rounds
 // (batch, runtime, the adaptive-controller state) needs no lock; the
-// deque, the reservation counter and stats are shared with Submit/Stats
-// and guarded by mu.
+// deque, the reservation counter and stats are shared with submitters
+// and Stats and guarded by mu.
 type shard struct {
 	d  *Dispatcher
 	id int
@@ -387,8 +387,8 @@ func (s *shard) feed(n int, get func(i int) entry, reserved bool) {
 }
 
 // enqueueOne appends one entry — feed's single-job case, open-coded so
-// the Submit hot path builds no closure (the capture of e is a heap
-// allocation per submission; see TestDispatcherSubmitAllocs).
+// the Do hot path builds no closure (the capture of e is a heap
+// allocation per submission; TestDoAllocs pins Do at its future alone).
 func (s *shard) enqueueOne(e entry, reserved bool) {
 	s.mu.Lock()
 	if reserved {

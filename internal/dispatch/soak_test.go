@@ -78,8 +78,8 @@ func TestDispatcherRandomSoak(t *testing.T) {
 }
 
 // soakOnce drives one randomized dispatcher shape with 4 concurrent
-// submitters — mixing every v1 path plus v2 Do across all three
-// priorities and random deadlines — and verifies the exactly-once and
+// submitters — mixing Do (result unread, future, callback) and DoBatch
+// across all three priorities and random deadlines — and verifies the exactly-once and
 // exactly-one-resolution contracts: a job either ran exactly once, or
 // (deadline jobs only) expired exactly once without ever running.
 func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
@@ -135,12 +135,11 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 			}
 			for i := lo; i < hi; {
 				switch rng.Intn(6) {
-				case 4: // v2 Do: random priority, no deadline
+				case 4: // random priority, no deadline
 					idx := i
 					isAsync[idx].Store(true)
-					fn := eo.job(idx)
 					if _, err := d.Do(context.Background(), Task{
-						Fn:       func(context.Context) error { fn(); return nil },
+						Fn:       eo.job(idx).Fn,
 						Priority: priorities[rng.Intn(len(priorities))],
 						Callback: func(JobResult) { resolutions[idx].Add(1) },
 					}); err != nil {
@@ -148,17 +147,16 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 						return
 					}
 					i++
-				case 5: // v2 Do: random priority AND a tight random deadline
+				case 5: // random priority AND a tight random deadline
 					idx := i
 					isAsync[idx].Store(true)
 					hasDeadline[idx].Store(true)
-					fn := eo.job(idx)
 					// Deadlines from 1ms in the past to 3ms out: some expire
 					// at round assembly, some race their round and may go
 					// either way — both outcomes must resolve exactly once.
 					dl := time.Now().Add(time.Duration(rng.Intn(4))*time.Millisecond - time.Millisecond)
 					if _, err := d.Do(context.Background(), Task{
-						Fn:       func(context.Context) error { fn(); return nil },
+						Fn:       eo.job(idx).Fn,
 						Priority: priorities[rng.Intn(len(priorities))],
 						Deadline: dl,
 						Callback: func(r JobResult) {
@@ -172,8 +170,8 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 						return
 					}
 					i++
-				case 0: // plain Submit
-					if _, err := d.Submit(eo.job(i)); err != nil {
+				case 0: // bare payload, result unread
+					if _, err := d.Do(context.Background(), eo.job(i)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -181,13 +179,13 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 				case 1: // future
 					idx := i
 					isAsync[idx].Store(true)
-					_, ch, err := d.SubmitAsync(eo.job(idx))
+					h, err := d.Do(context.Background(), eo.job(idx))
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					go func() {
-						r := <-ch
+						r := <-h.Done()
 						if r.ID == 0 {
 							t.Error("future resolved with zero id")
 						}
@@ -197,9 +195,9 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 				case 2: // callback
 					idx := i
 					isAsync[idx].Store(true)
-					if _, err := d.SubmitCallback(eo.job(idx), func(JobResult) {
-						resolutions[idx].Add(1)
-					}); err != nil {
+					job := eo.job(idx)
+					job.Callback = func(JobResult) { resolutions[idx].Add(1) }
+					if _, err := d.Do(context.Background(), job); err != nil {
 						t.Error(err)
 						return
 					}
@@ -209,11 +207,11 @@ func soakOnce(t *testing.T, cfg Config, jobs int, seed int64) {
 					if n > hi-i {
 						n = hi - i
 					}
-					fns := make([]Job, n)
+					fns := make([]Task, n)
 					for j := 0; j < n; j++ {
 						fns[j] = eo.job(i + j)
 					}
-					if _, err := d.SubmitBatch(fns); err != nil {
+					if _, err := d.DoBatch(context.Background(), fns); err != nil {
 						t.Error(err)
 						return
 					}

@@ -17,7 +17,7 @@ import (
 type Priority int8
 
 const (
-	// Normal is the default (zero-value) class; all v1 submissions use it.
+	// Normal is the default (zero-value) class.
 	Normal Priority = 0
 	// High jobs jump every queued Normal and Low job.
 	High Priority = 1
@@ -42,8 +42,8 @@ func (p Priority) String() string {
 	}
 }
 
-// Task is the v2 job descriptor: one payload plus its scheduling
-// contract. It subsumes all four v1 submission paths (see Do).
+// Task is the job descriptor Do and DoBatch accept: one payload plus
+// its scheduling contract.
 type Task struct {
 	// Fn is the payload, invoked at most once from a shard worker. The
 	// context carries the Task's Deadline when one is set (Background
@@ -167,21 +167,23 @@ func entryOf(t Task) (entry, error) {
 	return entry{run: taskFn(t.Fn), dl: dl, pri: t.Priority, cb: t.Callback}, nil
 }
 
-// Do submits one Task and returns its Handle. It is the single v2 entry
-// point: Submit is Do with a bare payload, SubmitAsync is Handle.Done,
-// SubmitCallback is Task.Callback, and deadlines/priorities have no v1
-// equivalent. ctx governs ADMISSION: a cancelled or expired ctx releases
-// a Block-policy submitter parked on a full queue — and a concurrent
-// Close releases it with ErrClosed — in both cases without consuming a
-// job id, so id assignment stays dense for deterministic re-submission.
-// Once Do returns nil, the Task is accepted and will resolve exactly
-// once; a ctx that dies while the Task is still QUEUED resolves it with
-// Cancelled set and ctx's error at the shard's next round assembly —
-// the cooperative cancellation fast-path, mirroring deadline expiry:
-// decided before the job is started, so the payload never runs. A Task
-// whose round has already been cut runs to completion regardless of
-// ctx (at-most-once is untouched: cancellation only ever turns "run
-// once" into "run zero times").
+// Do submits one Task and returns its Handle. The job will be executed
+// at most once, and — as long as the dispatcher keeps running rounds —
+// exactly once. With a bounded queue (Config.QueueDepth) and the target
+// shard saturated, Do blocks until space frees (Block) or fails with
+// ErrQueueFull (FailFast). ctx governs ADMISSION: a cancelled or expired
+// ctx releases a Block-policy submitter parked on a full queue — and a
+// concurrent Close releases it with ErrClosed — and like a FailFast
+// rejection neither consumes a job id, so id assignment stays dense for
+// deterministic re-submission. Once Do returns nil, the Task is
+// accepted and will resolve exactly once; a ctx that dies while the
+// Task is still QUEUED resolves it with Cancelled set and ctx's error
+// at the shard's next round assembly — the cooperative cancellation
+// fast-path, mirroring deadline expiry: decided before the job is
+// started, so the payload never runs. A Task whose round has already
+// been cut runs to completion regardless of ctx (at-most-once is
+// untouched: cancellation only ever turns "run once" into "run zero
+// times").
 func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -205,14 +207,15 @@ func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) {
 // DoBatch submits the Tasks in order and returns one Handle per Task;
 // their ids form a contiguous block. An empty batch returns (nil, nil)
 // without consuming a job id or touching a shard — note the contrast
-// with real ids, which start at 1. Acceptance is all-or-nothing exactly
-// as for SubmitBatch. ctx is checked only BEFORE acceptance (a dead ctx
-// rejects the batch with nothing consumed); unlike Do's abortable
-// single-job admission, an accepted Block-policy batch consumes its ids
-// up front and is fed in un-abortably as rounds free space, and every
-// Handle resolves exactly once regardless of ctx. The batch's futures
-// are one allocation, so a retained Handle keeps its whole batch's
-// results reachable.
+// with real ids, which start at 1. Acceptance is all-or-nothing and a
+// failed call consumes no ids (ErrClosed, ErrQueueFull when a FailFast
+// batch does not fit, ErrJournalFull past MaxJobs — see doBatch). ctx is
+// checked only BEFORE acceptance (a dead ctx rejects the batch with
+// nothing consumed); unlike Do's abortable single-job admission, an
+// accepted Block-policy batch consumes its ids up front and is fed in
+// un-abortably as rounds free space, and every Handle resolves exactly
+// once regardless of ctx. The batch's futures are one allocation, so a
+// retained Handle keeps its whole batch's results reachable.
 func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error) {
 	if len(tasks) == 0 {
 		return nil, nil
@@ -273,7 +276,9 @@ type RunnerTask struct {
 // the first; task i gets id first+i, one contiguous range leased in one
 // step, so a caller that submits ONLY through DoRunners numbers its jobs
 // 1, 2, 3, … in submission order however it cuts them into batches.
-// Acceptance, ctx and the empty-batch sentinel (0, nil) are SubmitBatch's.
+// Acceptance is all-or-nothing and ctx is checked only before it, as for
+// DoBatch; an empty batch returns (0, nil) — 0 is never a real id —
+// without consuming an id or touching a shard.
 // tasks is not retained (reuse the slice); the call allocates nothing.
 func (d *Dispatcher) DoRunners(ctx context.Context, tasks []RunnerTask) (uint64, error) {
 	if len(tasks) == 0 {

@@ -96,9 +96,8 @@ func TestDoBatchHandles(t *testing.T) {
 	}
 }
 
-// TestEmptyBatchSentinel: an empty batch — v1 or v2 — consumes no job
-// ids and never touches a shard; SubmitBatch's sentinel 0 is disjoint
-// from real ids, which start at 1.
+// TestEmptyBatchSentinel: an empty batch consumes no job ids and never
+// touches a shard (DoRunners' empty batch is in TestDoRunners).
 func TestEmptyBatchSentinel(t *testing.T) {
 	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 8})
 	if err != nil {
@@ -107,10 +106,6 @@ func TestEmptyBatchSentinel(t *testing.T) {
 	defer d.Close()
 
 	for i := 0; i < 3; i++ {
-		first, err := d.SubmitBatch(nil)
-		if err != nil || first != 0 {
-			t.Fatalf("SubmitBatch(nil) = (%d, %v), want (0, nil)", first, err)
-		}
 		hs, err := d.DoBatch(context.Background(), nil)
 		if err != nil || hs != nil {
 			t.Fatalf("DoBatch(nil) = (%v, %v), want (nil, nil)", hs, err)
@@ -128,9 +123,9 @@ func TestEmptyBatchSentinel(t *testing.T) {
 		}
 	}
 	// The very next real id is 1: the sentinel consumed nothing.
-	id, err := d.Submit(func() {})
-	if err != nil || id != 1 {
-		t.Fatalf("first real submission got id %d (err %v), want 1", id, err)
+	h, err := d.Do(context.Background(), bare(func() {}))
+	if err != nil || h.ID != 1 {
+		t.Fatalf("first real submission got id %d (err %v), want 1", h.ID, err)
 	}
 }
 
@@ -147,7 +142,7 @@ func TestDoCtxCancelUnparks(t *testing.T) {
 	// Saturate: QueueDepth bounds queued + in-flight, so two gated jobs
 	// fill the shard.
 	for i := 0; i < 2; i++ {
-		if _, err := d.Submit(func() { <-gate }); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +189,7 @@ func TestCloseReleasesParkedSubmitters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := d.Submit(func() { <-gate }); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,16 +198,11 @@ func TestCloseReleasesParkedSubmitters(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < parked; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			var err error
-			if i%2 == 0 {
-				_, err = d.Submit(func() {})
-			} else {
-				_, err = d.Do(context.Background(), Task{Fn: func(context.Context) error { return nil }})
-			}
+			_, err := d.Do(context.Background(), bare(func() {}))
 			errs <- err
-		}(i)
+		}()
 	}
 	time.Sleep(20 * time.Millisecond) // let them park (close-before-park is fine too)
 
@@ -308,9 +298,8 @@ func TestDeadlineExpiry(t *testing.T) {
 
 // TestPriorityInversion: a High-priority Task submitted behind a deep
 // Low-priority backlog jumps the line — it completes while most of the
-// backlog is still pending. This is the regression guard for the v1
-// single-ring behavior, where the High job would have waited out the
-// whole backlog.
+// backlog is still pending. With one ring for every class the High job
+// would wait out the whole backlog.
 func TestPriorityInversion(t *testing.T) {
 	const backlog = 500
 	gate := make(chan struct{})
@@ -321,7 +310,7 @@ func TestPriorityInversion(t *testing.T) {
 	defer d.Close()
 
 	// Wedge the first round so the whole backlog queues behind it.
-	if _, err := d.Submit(func() { <-gate }); err != nil {
+	if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(5 * time.Millisecond)
@@ -396,7 +385,7 @@ func TestFlushContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Submit(func() { <-gate }); err != nil {
+	if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

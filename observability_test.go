@@ -2,6 +2,7 @@ package atmostonce
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"testing"
@@ -30,7 +31,7 @@ func TestOpsEndpointFamilies(t *testing.T) {
 		t.Fatal("MetricsAddr set but OpsAddr is empty")
 	}
 	for i := 0; i < 200; i++ {
-		if _, err := d.Submit(func() {}); err != nil {
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
 			t.Fatal(err)
 		}
 	}
