@@ -99,20 +99,10 @@ func Run(cfg Config, fn func(worker, job int)) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	done := make(map[int64]bool, res.Distinct)
-	for _, e := range res.Events {
-		done[e.Job] = true
-	}
-	var unperformed []int
-	for j := 1; j <= cfg.Jobs; j++ {
-		if !done[int64(j)] {
-			unperformed = append(unperformed, j)
-		}
-	}
 	return &Summary{
 		Performed:   res.Distinct,
 		Remaining:   cfg.Jobs - res.Distinct,
-		Unperformed: unperformed,
+		Unperformed: res.Unperformed,
 		Duplicates:  res.Duplicates,
 		Crashed:     res.Crashed,
 	}, nil

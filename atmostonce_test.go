@@ -2,6 +2,7 @@ package atmostonce
 
 import (
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -34,34 +35,37 @@ func TestRunBasic(t *testing.T) {
 
 func TestRunUnperformedPartition(t *testing.T) {
 	// Performed payload jobs and Summary.Unperformed must partition [1..n],
-	// including under crash injection.
+	// including under crash injection — for KKβ, whose list comes from the
+	// round pool, and for IterativeKK, whose list comes from the event tally.
 	const n, m = 400, 4
-	var ran [n + 1]atomic.Bool
-	sum, err := Run(Config{
-		Jobs: n, Workers: m,
-		CrashAfter: []uint64{100, 0, 250, 0},
-		Jitter:     true, Seed: 2,
-	}, func(worker, job int) {
-		ran[job].Store(true)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Unperformed) != sum.Remaining {
-		t.Fatalf("len(Unperformed) = %d, Remaining = %d", len(sum.Unperformed), sum.Remaining)
-	}
-	left := make(map[int]bool, len(sum.Unperformed))
-	prev := 0
-	for _, j := range sum.Unperformed {
-		if j <= prev {
-			t.Fatalf("Unperformed not ascending: %v", sum.Unperformed)
+	for _, iterative := range []bool{false, true} {
+		var ran [n + 1]atomic.Bool
+		sum, err := Run(Config{
+			Jobs: n, Workers: m, Iterative: iterative,
+			CrashAfter: []uint64{100, 0, 250, 0},
+			Jitter:     true, Seed: 2,
+		}, func(worker, job int) {
+			ran[job].Store(true)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev = j
-		left[j] = true
-	}
-	for j := 1; j <= n; j++ {
-		if ran[j].Load() == left[j] {
-			t.Fatalf("job %d: ran=%v unperformed=%v (must be exactly one)", j, ran[j].Load(), left[j])
+		if len(sum.Unperformed) != sum.Remaining {
+			t.Fatalf("iterative=%v: len(Unperformed) = %d, Remaining = %d", iterative, len(sum.Unperformed), sum.Remaining)
+		}
+		left := make(map[int]bool, len(sum.Unperformed))
+		prev := 0
+		for _, j := range sum.Unperformed {
+			if j <= prev {
+				t.Fatalf("iterative=%v: Unperformed not ascending: %v", iterative, sum.Unperformed)
+			}
+			prev = j
+			left[j] = true
+		}
+		for j := 1; j <= n; j++ {
+			if ran[j].Load() == left[j] {
+				t.Fatalf("iterative=%v: job %d: ran=%v unperformed=%v (must be exactly one)", iterative, j, ran[j].Load(), left[j])
+			}
 		}
 	}
 }
@@ -167,6 +171,60 @@ func TestSimulateIterative(t *testing.T) {
 	if rep.Duplicates != 0 {
 		t.Fatal("AMO violated")
 	}
+}
+
+// paperIterative is the IterativeKK simulation the benchmark's paper_batch
+// workload runs (bench/wl_paper.go), at n jobs.
+func paperIterative(n int) SimConfig {
+	return SimConfig{Jobs: n, Workers: 8, Iterative: true, Scheduler: RandomSched,
+		Crashes: 7, CrashProb: 1e-5, Seed: 7}
+}
+
+// TestSimulateGoldenExecutions pins two full executions, count for count.
+// Work is charged in the paper's model and the adversaries are
+// deterministic, so a change to the set structure, the scheduler's
+// bookkeeping or the tallies must reproduce these numbers exactly; they
+// were read from the red-black-tree implementation this repository
+// started with.
+func TestSimulateGoldenExecutions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two large simulations in -short mode")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  SimConfig
+		want SimReport
+	}{
+		{"IterativeKK under random crashes", paperIterative(1 << 20),
+			SimReport{Performed: 1_046_493, Work: 34_145_292, Steps: 1_199_434, Crashes: 7}},
+		{"KK under the Tightness adversary", SimConfig{Jobs: 1 << 17, Workers: 8, Scheduler: Tightness},
+			SimReport{Performed: 131_058, Work: 66_315_506, Steps: 2_752_233, Crashes: 7}},
+	} {
+		rep, err := Simulate(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := SimReport{Performed: rep.Performed, Duplicates: rep.Duplicates,
+			Work: rep.Work, Steps: rep.Steps, Crashes: rep.Crashes}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestSimulateIterativeAllocs bounds what a simulation allocates: levels,
+// sets and event log, not something per step or per job (the tree sets
+// and the scheduler's per-step live list made it 3 072 735).
+func TestSimulateIterativeAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Simulate(paperIterative(1 << 16)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5000 {
+		t.Fatalf("Simulate allocates %v times per call, want ≤ 5000", allocs)
+	}
+	t.Logf("%v allocations per call", allocs)
 }
 
 func TestSimulateIncompatible(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"atmostonce/internal/adversary"
 	"atmostonce/internal/core"
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/harness"
 	"atmostonce/internal/oset"
 	"atmostonce/internal/sim"
@@ -269,16 +270,27 @@ func BenchmarkAblationPosCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRankStructure compares the order-statistic tree's
-// rank(SET1,SET2,i) against a linear rescan of the set difference — the
-// data-structure choice behind the O(|SET2|·log n) term in Theorem 5.6.
+// BenchmarkAblationRankStructure compares three ways to compute
+// rank(SET1,SET2,i): the counted bitmap production uses (denseset), the
+// order-statistic tree the paper assumes — the data-structure choice
+// behind the O(|SET2|·log n) term in Theorem 5.6 — and a linear rescan of
+// the set difference.
 func BenchmarkAblationRankStructure(b *testing.B) {
 	const size = 1 << 15
 	s := oset.NewRange(1, size)
 	excl := oset.New()
+	dense, denseExcl := denseset.NewRange(1, size), denseset.New()
 	for i := 1; i <= 16; i++ {
 		excl.Insert(i * 1000)
+		denseExcl.Insert(i * 1000)
 	}
+	b.Run("bitmap", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := dense.SelectExcluding(denseExcl, i%(size/2)+1); !ok {
+				b.Fatal("select failed")
+			}
+		}
+	})
 	b.Run("tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, ok := s.SelectExcluding(excl, i%(size/2)+1); !ok {

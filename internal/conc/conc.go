@@ -58,6 +58,9 @@ type Result struct {
 	// Duplicates counts do events beyond the first per job; nonzero means
 	// an at-most-once violation.
 	Duplicates int
+	// Unperformed lists the job ids (1..N) left undone, ascending; nil when
+	// every job was performed.
+	Unperformed []int
 	// Crashed is the number of processes that crashed.
 	Crashed int
 	// Steps is the total number of actions taken by all goroutines.
@@ -133,11 +136,12 @@ func Run(o Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Events:     rt.Events(nil),
-		Distinct:   rr.Performed,
-		Duplicates: rr.Duplicates,
-		Crashed:    rr.Crashed,
-		Steps:      rr.Steps,
+		Events:      rt.Events(nil),
+		Distinct:    rr.Performed,
+		Duplicates:  rr.Duplicates,
+		Unperformed: append([]int(nil), rr.Unperformed...), // rr is the pool's
+		Crashed:     rr.Crashed,
+		Steps:       rr.Steps,
 	}, nil
 }
 
@@ -185,18 +189,12 @@ func runIterative(o Options) (*Result, error) {
 	wg.Wait()
 
 	res := &Result{Crashed: int(crashed.Load())}
-	seen := make(map[int64]int, o.N)
 	for i, l := range logs {
 		res.Events = append(res.Events, l.events...)
 		res.Steps += steps[i]
-		for _, e := range l.events {
-			seen[e.Job]++
-			if seen[e.Job] > 1 {
-				res.Duplicates++
-			}
-		}
 	}
-	res.Distinct = len(seen)
+	t := sim.TallyEvents(res.Events, o.N)
+	res.Distinct, res.Duplicates, res.Unperformed = t.Distinct, t.Duplicates, t.Unperformed()
 	return res, nil
 }
 

@@ -127,6 +127,9 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 	r.logs = make([]*eventLog, o.M)
 	r.start = make([]chan struct{}, o.M)
 	for i := 0; i < o.M; i++ {
+		// Log buffers and (in NewProc) the FREE/DONE/TRY bitmaps are sized
+		// for Capacity up front: every later round reuses them and
+		// allocates nothing.
 		r.logs[i] = &eventLog{pid: i + 1, events: make([]sim.Event, 0, o.Capacity)}
 		pid := i + 1
 		r.procs[i] = core.NewProc(core.ProcOptions{
@@ -136,9 +139,6 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 			// closure is built on the round path.
 			DoFn: func(job int64) { r.invoke(pid, job) },
 		})
-		// Grow the set-node pools and log buffers to their worst case up
-		// front: every later round reuses them and allocates nothing.
-		r.procs[i].Prewarm(o.Capacity)
 		r.start[i] = make(chan struct{}, 1)
 		go r.workerLoop(i)
 	}

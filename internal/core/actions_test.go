@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"atmostonce/internal/oset"
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/shmem"
 	"atmostonce/internal/sim"
 )
@@ -264,14 +264,14 @@ func TestIterStepOutputsComposable(t *testing.T) {
 	// Round 2: fresh shared memory, inputs = round-1 outputs.
 	lay2 := Layout{M: 2, RowLen: n, HasFlag: true}
 	mem2 := shmem.NewSim(lay2.Size())
-	mk := func(id int, jobs *oset.Set) *Proc {
+	mk := func(id int, jobs *denseset.Set) *Proc {
 		return NewProc(ProcOptions{
 			ID: id, M: 2, Beta: 2, Layout: lay2, Mem: mem2,
 			Universe: n, Jobs: jobs, Sink: sink,
 		})
 	}
-	q1 := mk(1, p1.Output().Clone())
-	q2 := mk(2, p2.Output().Clone())
+	q1 := mk(1, p1.Output())
+	q2 := mk(2, p2.Output())
 	for q1.Status() == sim.Running || q2.Status() == sim.Running {
 		if q1.Status() == sim.Running {
 			q1.Step()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"atmostonce/internal/oset"
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/shmem"
 	"atmostonce/internal/sim"
 )
@@ -76,18 +76,17 @@ func BlockJobs(n, s, b int) (lo, hi int) {
 // job always belongs to the same super-job of a given size, independent of
 // the input set, so the at-most-once property is preserved across levels
 // (Theorem 6.3).
-func MapBlocks(set *oset.Set, n, s1, s2 int) *oset.Set {
+func MapBlocks(set *denseset.Set, n, s1, s2 int) *denseset.Set {
 	if s1 == s2 {
 		return set.Clone()
 	}
 	ratio := s1 / s2
 	b2max := Blocks(n, s2)
-	out := oset.New()
+	out := denseset.New()
+	out.Reserve(b2max)
 	set.Ascend(func(b1 int) bool {
 		first := (b1-1)*ratio + 1
-		for c := first; c < first+ratio && c <= b2max; c++ {
-			out.Insert(c)
-		}
+		out.InsertRange(first, min(first+ratio-1, b2max))
 		return true
 	})
 	return out
@@ -184,13 +183,13 @@ var _ sim.Process = (*IterProc)(nil)
 // newIterProc builds the process at level 0 with FREE = map(J, 1, s_0).
 func newIterProc(id int, cfg IterConfig, levels []Level, mem shmem.Mem, sink DoSink, doFn func(job int64)) *IterProc {
 	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem, sink: sink, doFn: doFn}
-	first := oset.NewRange(1, levels[0].Blocks)
+	first := denseset.NewRange(1, levels[0].Blocks)
 	p.curInput = first.Len()
 	p.inner = p.newLevelProc(0, first)
 	return p
 }
 
-func (p *IterProc) newLevelProc(level int, jobs *oset.Set) *Proc {
+func (p *IterProc) newLevelProc(level int, jobs *denseset.Set) *Proc {
 	lv := p.levels[level]
 	return NewProc(ProcOptions{
 		ID:         p.id,
@@ -270,15 +269,16 @@ func (p *IterProc) LevelStats() []LevelStat {
 	return out
 }
 
-// recordLevel appends the finished inner process's statistics.
-func (p *IterProc) recordLevel(input int) {
+// recordLevel appends the finished inner process's statistics; output is
+// the size of the set it returned.
+func (p *IterProc) recordLevel(input, output int) {
 	lv := p.levels[p.level]
 	p.stats = append(p.stats, LevelStat{
 		Size:       lv.Size,
 		Blocks:     lv.Blocks,
 		Input:      input,
 		Performed:  p.inner.Performed(),
-		Output:     p.inner.Output().Len(),
+		Output:     output,
 		Degenerate: p.inner.Performed() == 0 && input < p.cfg.Beta,
 	})
 }
@@ -296,7 +296,7 @@ func (p *IterProc) Step() {
 	// Inner IterStepKK terminated: map its output to the next level.
 	out := p.inner.Output()
 	p.work += p.inner.Work()
-	p.recordLevel(p.curInput)
+	p.recordLevel(p.curInput, out.Len())
 	if p.level+1 < len(p.levels) {
 		cur, next := p.levels[p.level], p.levels[p.level+1]
 		mapped := MapBlocks(out, p.cfg.N, cur.Size, next.Size)
@@ -411,5 +411,5 @@ func (s *IterSystem) Run(adv sim.Adversary, maxSteps uint64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return summarizeEvents(res), nil
+	return summarizeEvents(res, s.Cfg.N), nil
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"atmostonce/internal/oset"
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/sim"
 )
 
@@ -57,10 +57,10 @@ func TestBlocksAndBlockJobs(t *testing.T) {
 
 func TestMapBlocksLossless(t *testing.T) {
 	const n, s1, s2 = 1000, 64, 16
-	in := oset.New(1, 3, 16) // block 16 is the truncated tail (jobs 961..1000)
+	in := denseset.New(1, 3, 16) // block 16 is the truncated tail (jobs 961..1000)
 	out := MapBlocks(in, n, s1, s2)
 	// Collect jobs covered by input and output; they must be identical.
-	cover := func(set *oset.Set, size int) map[int]bool {
+	cover := func(set *denseset.Set, size int) map[int]bool {
 		jobs := make(map[int]bool)
 		set.Ascend(func(b int) bool {
 			lo, hi := BlockJobs(n, size, b)
@@ -83,7 +83,7 @@ func TestMapBlocksLossless(t *testing.T) {
 }
 
 func TestMapBlocksSameSize(t *testing.T) {
-	in := oset.New(2, 5)
+	in := denseset.New(2, 5)
 	out := MapBlocks(in, 100, 8, 8)
 	if out.Len() != 2 || !out.Contains(2) || !out.Contains(5) {
 		t.Fatalf("identity map wrong: %v", out.Slice())

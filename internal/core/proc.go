@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"atmostonce/internal/denseset"
-	"atmostonce/internal/oset"
 	"atmostonce/internal/shmem"
 	"atmostonce/internal/sim"
 )
@@ -33,9 +32,10 @@ type ProcOptions struct {
 	Layout Layout
 	// Mem is the shared memory.
 	Mem shmem.Mem
-	// Jobs is the initial FREE set. For plain KKβ this is J = [1..n]; for
-	// IterStepKK it is the per-process input set of super-jobs.
-	Jobs *oset.Set
+	// Jobs is the initial FREE set, owned by the process from here on. Nil
+	// means J = [1..Universe], plain KKβ's input; IterStepKK passes the
+	// per-process input set of super-jobs.
+	Jobs *denseset.Set
 	// Universe is the largest job identifier that can appear (n). Used for
 	// work-charging set operations at the paper's O(log n) rate and for
 	// bounding POS row scans.
@@ -84,9 +84,9 @@ type Proc struct {
 
 	phase     Phase
 	termGath  bool // gather pass is the §6 terminating recomputation
-	free      JobSet
-	done      JobSet
-	try       JobSet
+	free      *denseset.Set
+	done      *denseset.Set
+	try       *denseset.Set
 	pos       []int // pos[q], 1-based; pos[0] unused
 	next      int64
 	q         int
@@ -96,17 +96,7 @@ type Proc struct {
 	nShared   uint64 // shared-memory accesses
 	nSetOps   uint64 // set operations charged at O(log n)
 
-	out        *oset.Set // output set on termination (IterStepKK)
-	outBuf     *oset.Set // reusable backing storage for out across Resets
-	tryCulprit int       // process blamed for a pending collision on next
-
-	// Pre-bound Ascend callbacks. Built once in NewProc and reused so the
-	// hot path never materializes a closure: a literal passed to an
-	// interface method escapes, and the round loop must stay
-	// allocation-free.
-	inFreeCount int
-	countInFree func(v int) bool
-	emitOutput  func(v int) bool
+	tryCulprit int // process blamed for a pending collision on next
 }
 
 var _ sim.Process = (*Proc)(nil)
@@ -124,22 +114,17 @@ func NewProc(o ProcOptions) *Proc {
 	if sink == nil {
 		sink = nopSink{}
 	}
-	// A nil Jobs means the dense universe [1..Universe] — the round-based
-	// runtime's case — where the bitmap implementation turns every
-	// FREE/DONE/TRY operation on the round path into word arithmetic. An
-	// explicit Jobs set (sparse super-jobs, arbitrary test subsets) keeps
-	// the order-statistic tree. All three sets must share a kind; see
-	// JobSet.
-	var free, done, try JobSet
-	if o.Jobs == nil {
-		free = denseJobSet{denseset.NewRange(1, o.Universe)}
-		done = denseJobSet{denseset.New()}
-		try = denseJobSet{denseset.New()}
-	} else {
-		free = treeJobSet{o.Jobs}
-		done = treeJobSet{oset.New()}
-		try = treeJobSet{oset.New()}
+	// All three sets are sized for the universe here, so no later step —
+	// and no Reset to a universe the layout admits — allocates: DONE can
+	// reach the full universe, and TRY holds at most m-1 announcements but
+	// each is a job id of the universe.
+	free := o.Jobs
+	if free == nil {
+		free = denseset.NewRange(1, o.Universe)
 	}
+	done, try := denseset.New(), denseset.New()
+	done.Reserve(o.Universe)
+	try.Reserve(o.Universe)
 	p := &Proc{
 		id:       o.ID,
 		m:        o.M,
@@ -164,27 +149,7 @@ func NewProc(o ProcOptions) *Proc {
 	for i := 1; i <= o.M; i++ {
 		p.pos[i] = 1
 	}
-	p.bindCallbacks()
 	return p
-}
-
-// bindCallbacks (re)builds the pre-bound Ascend callbacks so they
-// capture this Proc. Called from NewProc and again after Clone /
-// RestoreFrom, where copying the fields verbatim would leave closures
-// over another instance's sets.
-func (p *Proc) bindCallbacks() {
-	p.countInFree = func(v int) bool {
-		if p.free.Contains(v) {
-			p.inFreeCount++
-		}
-		return true
-	}
-	p.emitOutput = func(v int) bool {
-		if p.retFree || !p.try.Contains(v) {
-			p.outBuf.Insert(v)
-		}
-		return true
-	}
 }
 
 // ID implements sim.Process.
@@ -193,22 +158,8 @@ func (p *Proc) ID() int { return p.id }
 // SetDoFn rebinds the per-job payload.
 func (p *Proc) SetDoFn(fn func(job int64)) { p.doFn = fn }
 
-// Prewarm grows the FREE/DONE/TRY node pools to their worst case for a
-// universe of the given size, so Reset and round execution never allocate
-// (DONE can reach the full universe; TRY never exceeds m-1 announcements).
-func (p *Proc) Prewarm(universe int) {
-	p.free.Reserve(universe)
-	p.free.ReserveSelectScratch(p.m)
-	p.done.Reserve(universe)
-	p.try.Reserve(p.m)
-	if p.outBuf == nil {
-		p.outBuf = oset.New()
-	}
-	p.outBuf.Reserve(universe)
-}
-
 // Reset returns the process to its Figure 1 start state over the dense job
-// universe [1..universe], reviving it from end or stop. All node storage of
+// universe [1..universe], reviving it from end or stop. The storage of
 // the FREE/DONE/TRY sets is reused, so a warm process restarts without
 // allocating — the property the round-based runtime builds on. The caller
 // owns re-zeroing the shared-memory region; universe must fit the layout
@@ -232,7 +183,6 @@ func (p *Proc) Reset(universe int) {
 	p.nAnnounce = 0
 	p.nShared = 0
 	p.nSetOps = 0
-	p.out = nil
 	p.tryCulprit = 0
 	p.lgN = ceilLog2(universe + 1)
 }
@@ -296,8 +246,21 @@ func (p *Proc) FreeContains(v int) bool { return p.free.Contains(v) }
 func (p *Proc) DoneContains(v int) bool { return p.done.Contains(v) }
 
 // Output returns the set the process returned on termination (IterStepKK's
-// FREE\TRY, or FREE for the Write-All variant). Nil before termination.
-func (p *Proc) Output() *oset.Set { return p.out }
+// FREE\TRY, or FREE for the Write-All variant) as a fresh set the caller
+// owns. Nil before termination.
+func (p *Proc) Output() *denseset.Set {
+	if p.phase != PhaseEnd {
+		return nil
+	}
+	out := p.free.Clone()
+	if !p.retFree {
+		p.try.Ascend(func(v int) bool {
+			out.Delete(v)
+			return true
+		})
+	}
+	return out
+}
 
 // Step implements sim.Process: perform the single enabled action.
 func (p *Proc) Step() {
@@ -336,9 +299,13 @@ func (p *Proc) chargeSet(k int) {
 func (p *Proc) stepCompNext() {
 	// |FREE \ TRY|: TRY holds announcements by other processes, which may
 	// or may not still be in FREE.
-	p.inFreeCount = 0
-	p.try.Ascend(p.countInFree)
-	inFree := p.inFreeCount
+	inFree := 0
+	p.try.Ascend(func(v int) bool {
+		if p.free.Contains(v) {
+			inFree++
+		}
+		return true
+	})
 	p.chargeSet(p.try.Len() + 1)
 	if p.free.Len()-inFree < p.beta {
 		if p.iterStep {
@@ -522,18 +489,8 @@ func (p *Proc) beginTermGather() {
 	p.phase = PhaseGatherTry
 }
 
-// terminate computes the output set and enters end. The set's storage is
-// reused across Resets, so the result is only valid until the next Reset.
-func (p *Proc) terminate() {
-	if p.outBuf == nil {
-		p.outBuf = oset.New()
-	} else {
-		p.outBuf.Clear()
-	}
-	p.free.Ascend(p.emitOutput)
-	p.out = p.outBuf
-	p.phase = PhaseEnd
-}
+// terminate enters end; FREE and TRY stay as they are for Output.
+func (p *Proc) terminate() { p.phase = PhaseEnd }
 
 // ceilLog2 returns max(1, ceil(log2(v))) for v ≥ 1.
 func ceilLog2(v int) int {

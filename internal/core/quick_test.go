@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"atmostonce/internal/oset"
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/sim"
 )
 
@@ -105,7 +105,7 @@ func TestQuickMapBlocksLossless(t *testing.T) {
 		e2 := int(s2Exp) % (e1 + 1)
 		s1, s2 := 1<<e1, 1<<e2
 		b1max := Blocks(n, s1)
-		in := oset.New()
+		in := denseset.New()
 		for _, p := range picks {
 			in.Insert(int(p)%b1max + 1)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestLargeScaleKK runs a million-job instance through the simulator —
-// a robustness check for the tree code, the memory layout and the
+// a robustness check for the set code, the memory layout and the
 // engine at realistic sizes (≈40 MB of registers, ≈10M actions).
 func TestLargeScaleKK(t *testing.T) {
 	if testing.Short() {

@@ -7,16 +7,11 @@ import "encoding/binary"
 // references. Used by the bounded model checker to branch executions.
 func (p *Proc) Clone() *Proc {
 	c := *p
-	c.free = p.free.CloneSet()
-	c.done = p.done.CloneSet()
-	c.try = p.try.CloneSet()
+	c.free = p.free.Clone()
+	c.done = p.done.Clone()
+	c.try = p.try.Clone()
 	c.pos = make([]int, len(p.pos))
 	copy(c.pos, p.pos)
-	c.outBuf = nil // never share output storage between clones
-	if p.out != nil {
-		c.out = p.out.Clone()
-	}
-	c.bindCallbacks()
 	return &c
 }
 
@@ -25,17 +20,12 @@ func (p *Proc) Clone() *Proc {
 func (p *Proc) RestoreFrom(c *Proc) {
 	mem, sink, collide := p.mem, p.sink, p.collide
 	*p = *c
-	p.free = c.free.CloneSet()
-	p.done = c.done.CloneSet()
-	p.try = c.try.CloneSet()
+	p.free = c.free.Clone()
+	p.done = c.done.Clone()
+	p.try = c.try.Clone()
 	p.pos = make([]int, len(c.pos))
 	copy(p.pos, c.pos)
-	p.outBuf = nil
-	if c.out != nil {
-		p.out = c.out.Clone()
-	}
 	p.mem, p.sink, p.collide = mem, sink, collide
-	p.bindCallbacks()
 }
 
 // AppendState serializes the behaviorally relevant process state for

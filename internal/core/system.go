@@ -118,22 +118,16 @@ func (s *System) Run(adv sim.Adversary, maxSteps uint64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return summarizeEvents(res), nil
+	return summarizeEvents(res, s.Cfg.N), nil
 }
 
-func summarizeEvents(res *sim.Result) *Report {
-	seen := make(map[int64]int, len(res.Events))
-	dups := 0
-	for _, e := range res.Events {
-		seen[e.Job]++
-		if seen[e.Job] > 1 {
-			dups++
-		}
-	}
+// summarizeEvents tallies an execution over the jobs [1..n].
+func summarizeEvents(res *sim.Result, n int) *Report {
+	t := sim.TallyEvents(res.Events, n)
 	return &Report{
 		Result:     res,
-		Distinct:   len(seen),
-		Duplicates: dups,
+		Distinct:   t.Distinct,
+		Duplicates: t.Duplicates,
 		Work:       res.TotalWork,
 	}
 }

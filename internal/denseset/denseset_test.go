@@ -1,7 +1,9 @@
 package denseset
 
 import (
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"atmostonce/internal/oset"
@@ -77,72 +79,296 @@ func TestSelectRankMinMax(t *testing.T) {
 	}
 }
 
-// TestAgainstOset drives random mutations through a dense set and the
-// red-black reference in lockstep and compares every query, including
-// the rank(SET1, SET2, i) operation.
+// recount checks the two levels against each other: every block counter
+// and the total must equal a popcount of the words they summarize.
+func recount(t *testing.T, s *Set, when string) {
+	t.Helper()
+	if want := (len(s.words) + blockWords - 1) / blockWords; len(s.cnt) != want {
+		t.Fatalf("%s: %d block counters for %d words, want %d", when, len(s.cnt), len(s.words), want)
+	}
+	total := 0
+	for b := range s.cnt {
+		c := 0
+		for _, w := range s.block(b) {
+			c += bits.OnesCount64(w)
+		}
+		if int(s.cnt[b]) != c {
+			t.Fatalf("%s: block %d counts %d, holds %d", when, b, s.cnt[b], c)
+		}
+		total += c
+	}
+	if s.n != total {
+		t.Fatalf("%s: Len %d, holds %d", when, s.n, total)
+	}
+}
+
+// TestAgainstOset drives random mutations through a counted bitmap and the
+// red-black reference in lockstep and compares every query, including the
+// rank(SET1, SET2, i) operation: inside one block (700), across two (5000),
+// and with a few hundred ids scattered over 256 blocks (1<<20, sparse).
+// The exclusion set only ever holds ids of the lower half of the universe,
+// so its bitmap is shorter than the set's — in the small universes it ends
+// inside a block the set continues in.
 func TestAgainstOset(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const universe = 700
-	d, ref := New(), oset.New()
-	excl, refExcl := New(), oset.New()
-	for step := 0; step < 20000; step++ {
-		v := rng.Intn(universe)
-		switch rng.Intn(6) {
-		case 0, 1:
-			if d.Insert(v) != ref.Insert(v) {
-				t.Fatalf("step %d: Insert(%d) disagrees", step, v)
+	for _, tc := range []struct {
+		name     string
+		universe int
+		steps    int
+		sparse   bool // draw ids from a few clusters, keep the set small
+	}{
+		{"u=700", 700, 20000, false},
+		{"u=5000", 5000, 20000, false},
+		{"u=1<<20-sparse", 1 << 20, 6000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			universe := tc.universe
+			pick := func() int { return rng.Intn(universe) }
+			if tc.sparse {
+				pick = func() int { return rng.Intn(64)<<14 + rng.Intn(8) }
 			}
-		case 2:
-			if d.Delete(v) != ref.Delete(v) {
-				t.Fatalf("step %d: Delete(%d) disagrees", step, v)
+			d, ref := New(), oset.New()
+			excl, refExcl := New(), oset.New()
+			for step := 0; step < tc.steps; step++ {
+				v := pick()
+				switch op := rng.Intn(5); {
+				case step%500 == 250:
+					lo, hi := pick(), pick()
+					if tc.sparse {
+						hi = lo + rng.Intn(9000) - 500 // a few blocks, or empty
+					}
+					d.ResetRange(lo, hi)
+					ref.ResetRange(lo, hi)
+				case step%300 == 100:
+					lo := pick()
+					hi := lo + rng.Intn(min(universe-lo, 9000))
+					d.InsertRange(lo, hi)
+					for k := lo; k <= hi; k++ {
+						ref.Insert(k)
+					}
+				case step%700 == 350:
+					// Clear after sparse inserts: only the occupied blocks
+					// may be touched, and all of them must be.
+					d.Clear()
+					ref.Clear()
+					for k := 0; k < 5; k++ {
+						v := pick()
+						d.Insert(v)
+						ref.Insert(v)
+					}
+				case op <= 1:
+					if d.Insert(v) != ref.Insert(v) {
+						t.Fatalf("step %d: Insert(%d) disagrees", step, v)
+					}
+				case op == 2:
+					if d.Delete(v) != ref.Delete(v) {
+						t.Fatalf("step %d: Delete(%d) disagrees", step, v)
+					}
+				case op == 3:
+					if d.Insert(v) != ref.Insert(v) {
+						t.Fatalf("step %d: Insert(%d) disagrees", step, v)
+					}
+					if v < universe/2 {
+						excl.Insert(v)
+						refExcl.Insert(v)
+					}
+				case op == 4:
+					excl.Delete(v)
+					refExcl.Delete(v)
+				}
+				if d.Len() != ref.Len() {
+					t.Fatalf("step %d: Len %d vs %d", step, d.Len(), ref.Len())
+				}
+				if d.Contains(v) != ref.Contains(v) {
+					t.Fatalf("step %d: Contains(%d) disagrees", step, v)
+				}
+				if step%50 != 0 {
+					continue
+				}
+				recount(t, d, "set")
+				recount(t, excl, "exclusion set")
+				i := rng.Intn(d.Len()+2) + 1
+				dv, dok := d.Select(i)
+				rv, rok := ref.Select(i)
+				if dv != rv || dok != rok {
+					t.Fatalf("step %d: Select(%d) = %d,%v vs %d,%v", step, i, dv, dok, rv, rok)
+				}
+				dv, dok = d.SelectExcluding(excl, i)
+				rv, rok = ref.SelectExcluding(refExcl, i)
+				if dv != rv || dok != rok {
+					t.Fatalf("step %d: SelectExcluding(%d) = %d,%v vs %d,%v", step, i, dv, dok, rv, rok)
+				}
+				if d.Rank(v) != ref.Rank(v) {
+					t.Fatalf("step %d: Rank(%d) disagrees", step, v)
+				}
+				dv, dok = d.Min()
+				rv, rok = ref.Min()
+				if dv != rv || dok != rok {
+					t.Fatalf("step %d: Min = %d,%v vs %d,%v", step, dv, dok, rv, rok)
+				}
+				dv, dok = d.Max()
+				rv, rok = ref.Max()
+				if dv != rv || dok != rok {
+					t.Fatalf("step %d: Max = %d,%v vs %d,%v", step, dv, dok, rv, rok)
+				}
+				if got, want := d.Slice(), ref.Slice(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: Slice differs: %d vs %d elements", step, len(got), len(want))
+				}
 			}
-		case 3:
-			if d.Insert(v) != ref.Insert(v) {
-				t.Fatalf("step %d: Insert(%d) disagrees", step, v)
+		})
+	}
+}
+
+// TestBlockEdges walks the places where the second level can go wrong: the
+// last id of one block and the first of the next, ranges that straddle a
+// block boundary, and rank queries whose answer is the first or last id of
+// a block. Counters are recounted from the words after every operation.
+func TestBlockEdges(t *testing.T) {
+	const blockIDs = blockWords * 64 // 4096
+
+	// A round-sized set is one short block: the bitmap is not padded to
+	// whole blocks, so scans and Clear touch 17 words, not 64.
+	if s := NewRange(1, 1024); len(s.words) != 17 || len(s.cnt) != 1 {
+		t.Fatalf("NewRange(1, 1024) holds %d words in %d blocks, want 17 in 1", len(s.words), len(s.cnt))
+	}
+
+	s := New()
+	for _, v := range []int{blockIDs - 1, blockIDs, blockIDs + 1} {
+		if !s.Insert(v) || s.Insert(v) {
+			t.Fatalf("Insert(%d) misreported", v)
+		}
+		recount(t, s, "insert at the block edge")
+	}
+	if got := s.Slice(); !reflect.DeepEqual(got, []int{4095, 4096, 4097}) {
+		t.Fatalf("Slice = %v", got)
+	}
+	if r := []int{s.Rank(4094), s.Rank(4095), s.Rank(4096), s.Rank(4097), s.Rank(1 << 30)}; !reflect.DeepEqual(r, []int{0, 1, 2, 3, 3}) {
+		t.Fatalf("Rank around the edge = %v", r)
+	}
+	if !s.Delete(blockIDs) || s.Delete(blockIDs) {
+		t.Fatal("Delete(4096) misreported")
+	}
+	recount(t, s, "delete at the block edge")
+	if v, ok := s.Select(2); !ok || v != 4097 {
+		t.Fatalf("Select(2) = %d,%v, want 4097", v, ok)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		lo, hi int
+	}{
+		{"inside the first block", 10, 4000},
+		{"exactly one block", 0, blockIDs - 1},
+		{"ends on the last id of a block", 100, 2*blockIDs - 1},
+		{"starts on the first id of a block", blockIDs, blockIDs + 70},
+		{"straddles one boundary", blockIDs - 3, blockIDs + 3},
+		{"straddles two boundaries", blockIDs - 1, 3 * blockIDs},
+		{"one id each side", blockIDs - 1, blockIDs},
+		{"empty", 9, 8},
+	} {
+		want := max(tc.hi-tc.lo+1, 0)
+		check := func(s *Set, when string) {
+			t.Helper()
+			recount(t, s, tc.name+": "+when)
+			if s.Len() != want {
+				t.Fatalf("%s: %s: Len %d, want %d", tc.name, when, s.Len(), want)
 			}
-			excl.Insert(v)
-			refExcl.Insert(v)
-		case 4:
-			excl.Delete(v)
-			refExcl.Delete(v)
-		case 5:
-			if step%500 == 0 {
-				lo, hi := rng.Intn(universe), rng.Intn(universe)
-				d.ResetRange(lo, hi)
-				ref.ResetRange(lo, hi)
+			if want == 0 {
+				return
+			}
+			if v, _ := s.Min(); v != tc.lo {
+				t.Fatalf("%s: %s: Min %d, want %d", tc.name, when, v, tc.lo)
+			}
+			if v, _ := s.Max(); v != tc.hi {
+				t.Fatalf("%s: %s: Max %d, want %d", tc.name, when, v, tc.hi)
+			}
+			if s.Contains(tc.lo-1) || s.Contains(tc.hi+1) {
+				t.Fatalf("%s: %s: range leaked past its ends", tc.name, when)
 			}
 		}
-		if d.Len() != ref.Len() {
-			t.Fatalf("step %d: Len %d vs %d", step, d.Len(), ref.Len())
+		s := New(3*blockIDs + 9) // a far element ResetRange must remove
+		s.ResetRange(tc.lo, tc.hi)
+		check(s, "ResetRange")
+
+		// InsertRange over a set that already holds part of the range counts
+		// only what it adds.
+		s = New()
+		if want > 0 {
+			s.Insert(tc.lo)
+			s.Insert(tc.hi)
+			s.Insert((tc.lo + tc.hi) / 2)
 		}
-		if d.Contains(v) != ref.Contains(v) {
-			t.Fatalf("step %d: Contains(%d) disagrees", step, v)
+		s.InsertRange(tc.lo, tc.hi)
+		check(s, "InsertRange over members")
+
+		// Every rank, with and without an exclusion, against arithmetic:
+		// excl removes the ids on both sides of each boundary the range
+		// crosses, so the answers land on block edges.
+		excl := New()
+		var kept []int
+		for v := tc.lo; v <= tc.hi; v++ {
+			if r := v % blockIDs; r == 0 || r == blockIDs-1 {
+				excl.Insert(v)
+			} else {
+				kept = append(kept, v)
+			}
 		}
-		if step%100 == 0 {
-			i := rng.Intn(universe) + 1
-			dv, dok := d.Select(i)
-			rv, rok := ref.Select(i)
-			if dv != rv || dok != rok {
-				t.Fatalf("step %d: Select(%d) = %d,%v vs %d,%v", step, i, dv, dok, rv, rok)
+		for _, i := range []int{1, 2, want / 2, want - 1, want} {
+			if i < 1 || i > want {
+				continue
 			}
-			dv, dok = d.SelectExcluding(excl, i)
-			rv, rok = ref.SelectExcluding(refExcl, i)
-			if dv != rv || dok != rok {
-				t.Fatalf("step %d: SelectExcluding(%d) = %d,%v vs %d,%v", step, i, dv, dok, rv, rok)
+			if v, ok := s.Select(i); !ok || v != tc.lo+i-1 {
+				t.Fatalf("%s: Select(%d) = %d,%v, want %d", tc.name, i, v, ok, tc.lo+i-1)
 			}
-			if d.Rank(v) != ref.Rank(v) {
-				t.Fatalf("step %d: Rank(%d) disagrees", step, v)
+			if v, ok := s.SelectExcluding(New(), i); !ok || v != tc.lo+i-1 {
+				t.Fatalf("%s: SelectExcluding(∅, %d) = %d,%v, want %d", tc.name, i, v, ok, tc.lo+i-1)
 			}
-			got, want := d.Slice(), ref.Slice()
-			if len(got) != len(want) {
-				t.Fatalf("step %d: Slice lengths %d vs %d", step, len(got), len(want))
+			v, ok := s.SelectExcluding(excl, i)
+			if i > len(kept) {
+				if ok {
+					t.Fatalf("%s: SelectExcluding(%d) = %d past the %d ids left", tc.name, i, v, len(kept))
+				}
+			} else if !ok || v != kept[i-1] {
+				t.Fatalf("%s: SelectExcluding(%d) = %d,%v, want %d", tc.name, i, v, ok, kept[i-1])
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: Slice[%d] %d vs %d", step, i, got[i], want[i])
+		}
+		for b := tc.lo / blockIDs; want > 0 && b <= tc.hi/blockIDs; b++ {
+			// The first and the last id the range holds in block b.
+			first, last := max(tc.lo, b*blockIDs), min(tc.hi, (b+1)*blockIDs-1)
+			for _, v := range []int{first, last} {
+				if got, ok := s.Select(v - tc.lo + 1); !ok || got != v {
+					t.Fatalf("%s: Select(%d) = %d,%v, want %d", tc.name, v-tc.lo+1, got, ok, v)
+				}
+				if got, ok := s.SelectExcluding(New(), v-tc.lo+1); !ok || got != v {
+					t.Fatalf("%s: SelectExcluding(∅, %d) = %d,%v, want %d", tc.name, v-tc.lo+1, got, ok, v)
 				}
 			}
 		}
+		s.Clear()
+		want = 0
+		check(s, "Clear")
+	}
+}
+
+// TestSelectExcludingShortExcl: the exclusion set's bitmap ends inside a
+// block in which the set goes on — the word index must be checked against
+// excl's own length, not the set's.
+func TestSelectExcludingShortExcl(t *testing.T) {
+	s := NewRange(1, 1024) // 17 words, one block
+	excl := New(1, 2, 70)  // 2 words
+	recount(t, excl, "excl")
+	for i, want := range map[int]int{1: 3, 67: 69, 68: 71, 1021: 1024} {
+		if v, ok := s.SelectExcluding(excl, i); !ok || v != want {
+			t.Fatalf("SelectExcluding(%d) = %d,%v, want %d", i, v, ok, want)
+		}
+	}
+	if v, ok := s.SelectExcluding(excl, 1022); ok {
+		t.Fatalf("SelectExcluding(1022) = %d, want none", v)
+	}
+	// And the other way round: excl longer than the set.
+	long := New(5, 9000)
+	if v, ok := NewRange(1, 10).SelectExcluding(long, 5); !ok || v != 6 {
+		t.Fatalf("SelectExcluding against a longer excl = %d,%v, want 6", v, ok)
 	}
 }
 
@@ -182,4 +408,48 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state cycle allocates %v times per run", allocs)
 	}
+}
+
+// benchSets builds FREE = [1..u] and a TRY of a few announced jobs spread
+// over it, as a process sees them in comp_next.
+func benchSets(u int) (free, try *Set, avail int) {
+	free, try = NewRange(1, u), New()
+	for k := u / 16; k <= u; k += u / 16 {
+		try.Insert(k)
+	}
+	return free, try, u - try.Len()
+}
+
+var benchSink int
+
+func BenchmarkSelectExcluding(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		u    int
+	}{{"u=1024", 1024}, {"u=1<<20", 1 << 20}} {
+		b.Run(tc.name, func(b *testing.B) {
+			free, try, avail := benchSets(tc.u)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, _ := free.SelectExcluding(try, (i*7919)%avail+1)
+				benchSink += v
+			}
+		})
+	}
+}
+
+// BenchmarkResetDrain is one round's life of a FREE set: refill, then
+// delete every key. Reported per cycle of 1024 keys.
+func BenchmarkResetDrain(b *testing.B) {
+	b.Run("u=1024", func(b *testing.B) {
+		const u = 1024
+		free := NewRange(1, u)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			free.ResetRange(1, u)
+			for k := 1; k <= u; k++ {
+				free.Delete(k)
+			}
+		}
+	})
 }

@@ -464,13 +464,17 @@ func TestHelloRequired(t *testing.T) {
 // resolves Expired and its event says so.
 func TestSubmitWithDeadline(t *testing.T) {
 	reg := NewRegistry()
-	release := make(chan struct{})
+	running, release := make(chan struct{}), make(chan struct{})
 	var expiredRan atomic.Bool
-	reg.Register("block", 1, func(context.Context, []byte) error { <-release; return nil })
+	reg.Register("block", 1, func(context.Context, []byte) error { close(running); <-release; return nil })
 	reg.Register("doomed", 1, func(context.Context, []byte) error { expiredRan.Store(true); return nil })
+	// One shard, one worker: a round of one job is always performed by
+	// that worker (with two, either blocker could end up as the round's
+	// residue and never start), and the shard cuts no other round until
+	// this one settles.
 	_, addr := testServer(t, Options{
 		Registry: reg,
-		Workers:  2,
+		Workers:  1,
 		Tenants:  map[string]TenantLimits{"d": {}},
 	})
 	c := testClient(t, addr, ClientOptions{})
@@ -479,21 +483,27 @@ func TestSubmitWithDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate both workers so the doomed job waits in the queue past
-	// its deadline.
-	for i := 0; i < 2; i++ {
-		if _, err := c.Submit("d", "block", 1, nil, SubmitOptions{}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.Submit("d", "block", 1, nil, SubmitOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	id, err := c.Submit("d", "doomed", 1, nil, SubmitOptions{Deadline: time.Now().Add(30 * time.Millisecond)})
+	// The doomed job is submitted only once the blocker is running, so it
+	// cannot be cut into the blocker's round (where it would run "ok" after
+	// the release): it waits for a round cut after release — after its
+	// deadline.
+	select {
+	case <-running:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the blocking job never started")
+	}
+	deadline := time.Now().Add(20 * time.Millisecond)
+	id, err := c.Submit("d", "doomed", 1, nil, SubmitOptions{Deadline: deadline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(60 * time.Millisecond)
+	time.Sleep(time.Until(deadline) + time.Millisecond) // the clock, not an event
 	close(release)
 
-	waitFor(t, 10*time.Second, func() bool { return done.count() == 3 }, "all three completions")
+	waitFor(t, 10*time.Second, func() bool { return done.count() == 2 }, "both completions")
 	var expired *Event
 	for _, e := range done.snapshot() {
 		if e.ID == id {

@@ -1,6 +1,9 @@
 // Package oset provides an order-statistic set of integers backed by a
-// red-black tree, as required by algorithm KKβ for its FREE, DONE and TRY
-// sets (Kentros & Kiayias, §3).
+// red-black tree: the structure the paper assumes for KKβ's FREE, DONE and
+// TRY sets (Kentros & Kiayias, §3). No program in this repository uses it
+// any more — the sets of core.Proc are internal/denseset bitmaps at every
+// universe — and it is kept as the reference implementation that
+// denseset's TestAgainstOset compares against, operation by operation.
 //
 // In addition to the usual Insert/Delete/Contains operations in O(log n),
 // the set supports rank queries: Select(i) returns the i-th smallest
@@ -27,14 +30,11 @@ type node struct {
 //
 // Removed nodes are kept on an internal free list and reused by later
 // insertions, so a set that is repeatedly filled and cleared to a similar
-// size reaches a steady state where no operation allocates. The round-based
-// runtime (internal/conc, internal/dispatch) relies on this to keep its
-// per-round hot path allocation-free.
+// size reaches a steady state where no operation allocates.
 type Set struct {
 	root    *node
 	nil_    *node // sentinel leaf (black)
 	free    *node // recycled nodes, linked through right
-	nfree   int   // length of the free list
 	scratch []int // SelectExcluding's reusable exclusion snapshot
 }
 
@@ -103,7 +103,6 @@ func (s *Set) newNode(key int) *node {
 		n = &node{}
 	} else {
 		s.free = n.right
-		s.nfree--
 	}
 	n.key = key
 	n.size = 1
@@ -129,24 +128,6 @@ func (s *Set) recycleOne(x *node) {
 	x.left, x.parent = nil, nil
 	x.right = s.free
 	s.free = x
-	s.nfree++
-}
-
-// Reserve grows the node pool so the set can hold at least n elements
-// without any further allocation — the prewarming step that makes a
-// fill/clear cycle deterministically allocation-free from the first round.
-func (s *Set) Reserve(n int) {
-	for s.root.size+s.nfree < n {
-		s.recycleOne(&node{})
-	}
-}
-
-// ReserveSelectScratch pre-sizes the scratch buffer SelectExcluding uses,
-// so calls with exclusion sets of up to n elements never allocate.
-func (s *Set) ReserveSelectScratch(n int) {
-	if cap(s.scratch) < n {
-		s.scratch = make([]int, 0, n)
-	}
 }
 
 // ceilLog2 returns ceil(log2(v)) for v ≥ 1.
@@ -300,7 +281,7 @@ func (s *Set) SelectExcluding(excl *Set, i int) (v int, ok bool) {
 	// Gather the exclusions that are actually present in s, in order. The
 	// snapshot lives in a scratch buffer reused across calls, so a set
 	// whose exclusion sizes have stabilized performs this without
-	// allocating (see ReserveSelectScratch).
+	// allocating.
 	present := s.scratch[:0]
 	excl.Ascend(func(e int) bool {
 		if s.Contains(e) {

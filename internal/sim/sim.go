@@ -84,6 +84,7 @@ type World struct {
 	steps   uint64
 	crashes int
 	events  []Event
+	live    []int // Live's buffer
 }
 
 // NewWorld assembles a world. maxCrashes is clamped to m-1, the paper's
@@ -113,15 +114,16 @@ func (w *World) RecordDo(pid int, job int64) {
 	w.events = append(w.events, Event{PID: pid, Job: job, Step: w.steps})
 }
 
-// Live returns the ids of processes that are still Running.
+// Live returns the ids of processes that are still Running, in a buffer
+// the world owns: the slice is valid until the next call.
 func (w *World) Live() []int {
-	var out []int
+	w.live = w.live[:0]
 	for _, p := range w.Procs {
 		if p.Status() == Running {
-			out = append(out, p.ID())
+			w.live = append(w.live, p.ID())
 		}
 	}
-	return out
+	return w.live
 }
 
 // CanCrash reports whether the crash budget allows another failure.
