@@ -242,12 +242,11 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 
 // Do is the submission entry point: it accepts one Task — payload,
 // optional deadline, priority and completion callback — and returns its
-// Handle (job id plus Done() future). Ids start at 1 and each shard's
-// id sequence is dense: a shard hands out consecutive ids from
-// cache-line-sized blocks leased off a global cursor, so a fixed
+// Handle (job id plus Done() future). Ids are 1, 2, 3, … in acceptance
+// order across Do and DoBatch however the calls interleave, so a fixed
 // submission order always reproduces the same ids (the deterministic
-// re-submission contract) without every Do contending on one shared
-// counter. With a bounded queue (QueueDepth) and the target shard
+// re-submission contract), and a durable dispatcher accepts exactly
+// MaxJobs jobs. With a bounded queue (QueueDepth) and the target shard
 // saturated, Do blocks until rounds free space (Block) or fails with
 // ErrQueueFull (FailFast).
 //
@@ -264,7 +263,8 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) { return d.d.Do(ctx, t) }
 
 // DoBatch submits the Tasks in order, returning one Handle per Task
-// over a contiguous id block. Acceptance is all-or-nothing: a batch
+// over a contiguous id block — the next len(tasks) ids of the one
+// sequence Do draws from. Acceptance is all-or-nothing: a batch
 // racing Close, overflowing a FailFast queue or crossing MaxJobs is
 // either fully accepted (and performed) or rejected with an error and no
 // id consumed. ctx is checked only BEFORE acceptance (a dead ctx
@@ -315,101 +315,19 @@ func (d *Dispatcher) LatencyQuantiles(qs ...float64) ([]time.Duration, bool) {
 }
 
 // Stats returns a point-in-time snapshot of dispatcher progress.
-func (d *Dispatcher) Stats() DispatcherStats {
-	st := d.d.Stats()
-	out := DispatcherStats{
-		Submitted:          st.Submitted,
-		Performed:          st.Performed,
-		Pending:            st.Pending,
-		Recovered:          st.Recovered,
-		Expired:            st.Expired,
-		Cancelled:          st.Cancelled,
-		Rounds:             st.Rounds,
-		Residue:            st.Residue,
-		Duplicates:         st.Duplicates,
-		Crashes:            st.Crashes,
-		Steps:              st.Steps,
-		Work:               st.Work,
-		StolenJobs:         st.StolenJobs,
-		SubmitBlockedNanos: st.SubmitBlockedNanos,
-		EffHist:            st.EffHist,
-		Elapsed:            st.Elapsed,
-		JobsPerSec:         st.JobsPerSec,
-		Shards:             make([]DispatcherShardStats, len(st.Shards)),
-	}
-	for i, sh := range st.Shards {
-		out.Shards[i] = DispatcherShardStats{
-			Rounds:             sh.Rounds,
-			Performed:          sh.Performed,
-			Residue:            sh.Residue,
-			Expired:            sh.Expired,
-			Cancelled:          sh.Cancelled,
-			Duplicates:         sh.Duplicates,
-			Crashes:            sh.Crashes,
-			Steps:              sh.Steps,
-			Work:               sh.Work,
-			Stolen:             sh.Stolen,
-			SubmitBlockedNanos: sh.SubmitBlockedNanos,
-			QueueDepth:         sh.QueueDepth,
-			LastBatch:          sh.LastBatch,
-			LastPerformed:      sh.LastPerformed,
-		}
-	}
-	return out
-}
+func (d *Dispatcher) Stats() DispatcherStats { return d.d.Stats() }
 
 // EffBuckets is the length of DispatcherStats.EffHist, the per-round
 // effectiveness histogram.
 const EffBuckets = dispatch.EffBuckets
 
-// DispatcherStats snapshots dispatcher progress counters.
-type DispatcherStats struct {
-	// Submitted, Performed and Pending count jobs end to end; Pending jobs
-	// are queued or in flight. Recovered counts re-submitted jobs that
-	// resolved from a previous incarnation's durable journal without
-	// re-running; Expired counts jobs whose deadline passed before their
-	// round was assembled (the payload never ran); Cancelled counts jobs
-	// whose submission ctx was dead at round assembly (likewise never
-	// started). All three are included in Performed, so
-	// Submitted = Performed + Pending always holds.
-	Submitted, Performed, Pending, Recovered, Expired, Cancelled uint64
-	// Rounds is the number of executed rounds across all shards; Residue
-	// counts jobs that were carried from one round to a later one (each
-	// carry counts once). Duplicates is always 0 — it is reported so
-	// harnesses can assert it. Crashes counts injected worker crashes.
-	Rounds, Residue, Duplicates, Crashes uint64
-	// Steps and Work aggregate the paper's cost measures over all rounds.
-	Steps, Work uint64
-	// StolenJobs counts jobs idle shards claimed from sibling queues
-	// (work-stealing); SubmitBlockedNanos accumulates the time
-	// submitters spent parked on full bounded queues (backpressure).
-	StolenJobs, SubmitBlockedNanos uint64
-	// EffHist is the per-round effectiveness histogram over all shards:
-	// fixed log-scale buckets over each round's loss fraction
-	// 1 − performed/batch. Bucket 0 counts rounds that lost more than
-	// half their batch, bucket i rounds with loss in (2⁻⁽ⁱ⁺¹⁾, 2⁻ⁱ],
-	// bucket EffBuckets−2 every smaller non-zero loss, and the last
-	// bucket perfect rounds. Every executed round increments exactly one
-	// bucket.
-	EffHist [EffBuckets]uint64
-	// Elapsed is the time since NewDispatcher; JobsPerSec is
-	// Performed/Elapsed.
-	Elapsed    time.Duration
-	JobsPerSec float64
-	// Shards is the per-shard breakdown, indexed by shard id.
-	Shards []DispatcherShardStats
-}
+// DispatcherStats snapshots dispatcher progress counters; the fields are
+// documented on dispatch.Stats. Submitted = Performed + Pending always
+// holds: Recovered, Expired and Cancelled jobs never ran their payload
+// and are included in Performed. Duplicates is always 0 — it is reported
+// so harnesses can assert it.
+type DispatcherStats = dispatch.Stats
 
-// DispatcherShardStats reports one shard's counters; see the dispatch
-// package for per-field semantics. LastPerformed/LastBatch is the shard's
-// most recent round effectiveness; QueueDepth is the shard's pending-job
-// queue length at snapshot time (never above
-// DispatcherConfig.QueueDepth when that is set).
-type DispatcherShardStats struct {
-	Rounds, Performed, Residue, Duplicates, Crashes uint64
-	Expired, Cancelled                              uint64
-	Steps, Work                                     uint64
-	Stolen, SubmitBlockedNanos                      uint64
-	QueueDepth                                      int
-	LastBatch, LastPerformed                        int
-}
+// DispatcherShardStats reports one shard's counters (DispatcherStats'
+// Shards[i]); the fields are documented on dispatch.ShardStats.
+type DispatcherShardStats = dispatch.ShardStats

@@ -163,7 +163,7 @@ func TestDurableJournalBatchOneAllocs(t *testing.T) {
 					spec = "mmap:" + filepath.Join(t.TempDir(), "regs")
 				}
 				cfg := Config{
-					Shards: 1, Workers: 2, MaxBatch: 256, MaxJobs: allocCycles*jobs + idBlock, JournalBatch: jb,
+					Shards: 1, Workers: 2, MaxBatch: 256, MaxJobs: allocCycles * jobs, JournalBatch: jb,
 					NewMem: func(_, size int) (membackend.Backend, error) { return membackend.Open(spec, size) },
 				}
 				perJob := allocsPerJobOn(t, cfg, jobs, func(d *Dispatcher) {

@@ -83,11 +83,9 @@ func TestSubmitCallbackExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per-shard block leasing means single-submit ids are dense per
-	// shard, not globally: 3000 singles over 3 shards span at most
-	// jobs + 3·(idBlock−1) ids. Track the issued ids and assert each
-	// fired exactly once (and nothing else fired at all).
-	fired := make([]atomic.Int32, jobs+3*idBlock+1)
+	// Track the issued ids (1..jobs) and assert each fired exactly once
+	// (and nothing else fired at all).
+	fired := make([]atomic.Int32, jobs+1)
 	issued := make([]uint64, 0, jobs)
 	var wrong atomic.Int32
 	var completions atomic.Int64

@@ -46,8 +46,7 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 	)
 	stream := func(t *testing.T, cfg Config) Stats {
 		t.Helper()
-		// Headroom: each shard may strand part of its last leased id block.
-		cfg.Shards, cfg.Workers, cfg.MaxBatch, cfg.MaxJobs = shards, workers, 256, jobs+shards*idBlock
+		cfg.Shards, cfg.Workers, cfg.MaxBatch, cfg.MaxJobs = shards, workers, 256, jobs
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -123,22 +122,26 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 	})
 }
 
-// TestParentLayoutRefused: a store written under the previous layout
-// (amo-dispatch-v2: the round's register window after the journal rows)
-// is refused at New with the layout-change message — by its size where
-// the backend checks sizes, by its fingerprint otherwise — and is left
-// byte for byte as it was.
+// TestParentLayoutRefused: a store written under an earlier layout —
+// amo-dispatch-v2 (the round's register window after the journal rows)
+// or amo-dispatch-v3 (the same cells as today, single submits numbered
+// from per-shard blocks) — is refused at New with the layout-change
+// message, which names the current version — by its size where the
+// backend checks sizes, by its fingerprint otherwise — and is left byte
+// for byte as it was.
 func TestParentLayoutRefused(t *testing.T) {
 	requireMmap(t)
 	cfg := Config{Shards: 1, Workers: 2, MaxBatch: 32, MaxJobs: 100}
 	v3size := jmetaCells + cfg.Workers*cfg.MaxJobs
 	v2size := v3size + core.Layout{M: cfg.Workers, RowLen: cfg.MaxBatch}.Padded().Size()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "amo-dispatch-v2/%d of %d/%d/%d/%d", 0, cfg.Shards, cfg.Workers, cfg.MaxBatch, cfg.MaxJobs)
-	v2fp := int64(h.Sum64() >> 1)
-	// A v2 store mid-life: fingerprint, a few journaled ids, round dirt.
-	fill := func(b membackend.Backend) {
-		b.Write(0, v2fp)
+	oldFP := func(version string) int64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, version+"/%d of %d/%d/%d/%d", 0, cfg.Shards, cfg.Workers, cfg.MaxBatch, cfg.MaxJobs)
+		return int64(h.Sum64() >> 1)
+	}
+	// An old store mid-life: fingerprint, a few journaled ids, round dirt.
+	fill := func(b membackend.Backend, fp int64) {
+		b.Write(0, fp)
 		b.Write(jmetaCells, 1)
 		b.Write(jmetaCells+1, 3)
 		b.Write(jmetaCells+cfg.MaxJobs, 2)
@@ -154,20 +157,27 @@ func TestParentLayoutRefused(t *testing.T) {
 			d.Close()
 			t.Fatal("parent-layout store accepted")
 		}
-		if !strings.Contains(err.Error(), layoutChange) {
-			t.Fatalf("refusal does not name the layout change: %v", err)
+		if !strings.Contains(err.Error(), layoutChange) || !strings.Contains(err.Error(), "amo-dispatch-v4") {
+			t.Fatalf("refusal does not name the layout change to v4: %v", err)
 		}
 	}
 
-	for name, size := range map[string]int{"mmap": v2size, "mmap same size": v3size} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, version string
+		size          int
+	}{
+		{"mmap", "amo-dispatch-v2", v2size},
+		{"mmap same size", "amo-dispatch-v2", v3size},
+		{"mmap v3", "amo-dispatch-v3", v3size},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "regs.shard0")
-			b, err := membackend.OpenMmap(path, size)
+			b, err := membackend.OpenMmap(path, tc.size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fill(b)
+			fill(b, oldFP(tc.version))
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +214,7 @@ func TestParentLayoutRefused(t *testing.T) {
 			}
 			defer b.Close()
 			if !b.Reopened() {
-				fill(b)
+				fill(b, oldFP("amo-dispatch-v2"))
 			}
 			out := make([]int64, v2size)
 			if err := b.ReadRange(0, out); err != nil {

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
@@ -138,12 +139,10 @@ type Config struct {
 // When New finds existing register state, it scans the journals and
 // treats those ids as already performed. The contract is that the
 // client re-submits the same job stream in the same order after a
-// restart: id assignment is a deterministic function of the submission
-// sequence (singles draw densely from their target shard's leased id
-// block, batches lease contiguous ranges — see the id-range leasing
-// comment above Dispatcher), so the same stream reproduces the same
-// ids, and determinism of the stream is the client's responsibility.
-// Re-submitted jobs that were performed by a
+// restart: every id comes off one cursor (lease), 1, 2, 3, … in
+// acceptance order across Do, DoBatch and DoRunners, so the same stream
+// reproduces the same ids, and determinism of the stream is the
+// client's responsibility. Re-submitted jobs that were performed by a
 // previous incarnation resolve immediately without running their
 // payload, and everything else — including the residue the crash cut
 // off mid-round — runs exactly once. Stats.Recovered counts the skips.
@@ -251,20 +250,6 @@ var ErrQueueFull = errors.New("dispatch: shard queue is full (QueueDepth reached
 // durable journal rows.
 var ErrJournalFull = errors.New("dispatch: durable journal capacity exhausted (raise Config.MaxJobs)")
 
-// Id-range leasing. Ids are still assigned by submission order — the
-// durable recovery contract depends on it — but the global cursor is
-// touched once per BLOCK, not once per job: each shard leases blocks of
-// idBlock ids and hands out singles from its current block (leaseID), so
-// the only cross-shard state on the single-submit hot path is one CAS
-// every idBlock submissions. A shard's sequence of singles stays dense
-// within its blocks (a block is consumed in order, and a new one is
-// leased only when the previous is spent), which is exactly what
-// deterministic re-submission needs: the same submit stream re-leases
-// the same blocks in the same order and reproduces the same ids.
-// Batches lease their contiguous range [first, first+n) directly from
-// the cursor, interleaving with the shards' blocks.
-const idBlock = 64
-
 // padUint64 is an atomic counter alone on its cache line, so hot
 // counters owned by different shards never false-share.
 type padUint64 struct {
@@ -290,7 +275,7 @@ type Dispatcher struct {
 	shards []*shard
 	start  time.Time
 
-	idCursor padUint64 // ids leased so far (shard blocks + batch ranges)
+	idCursor padUint64 // ids leased so far: the last id assigned
 	rr       padUint64 // round-robin shard cursor
 
 	// counts[i] belongs to shard i; len(counts) == Shards.
@@ -300,12 +285,13 @@ type Dispatcher struct {
 	flushers atomic.Int32
 
 	// Crash-recovery state: ids a previous incarnation's journals proved
-	// performed, consumed as the client re-submits the stream. recLeft
-	// lets the common case (nothing recovered, or already drained) skip
-	// the lock entirely.
+	// performed (filled by the shards' recovery scans inside New, one
+	// shard at a time), consumed as the client re-submits the stream.
+	// recLeft lets the common case (nothing recovered, or already drained)
+	// skip the lock entirely.
 	recLeft    atomic.Int64
 	recMu      sync.Mutex
-	recovered  map[uint64]struct{}
+	recovered  denseset.Set
 	recoveredN atomic.Uint64 // jobs resolved from the journal, for Stats
 
 	// Observability (see obs.go): reg is the dispatcher's metric
@@ -346,10 +332,9 @@ func New(cfg Config) (*Dispatcher, error) {
 	d.cond = sync.NewCond(&d.mu)
 	d.counts = make([]shardCount, cfg.Shards)
 	d.shards = make([]*shard, cfg.Shards)
-	d.recovered = make(map[uint64]struct{})
 	d.setupObs()
 	for i := range d.shards {
-		s, rec, err := newShard(d, i)
+		s, err := newShard(d, i)
 		if err != nil {
 			for _, prev := range d.shards[:i] {
 				prev.stop()
@@ -360,11 +345,8 @@ func New(cfg Config) (*Dispatcher, error) {
 		}
 		d.shards[i] = s
 		d.registerShardObs(s)
-		for _, id := range rec {
-			d.recovered[id] = struct{}{}
-		}
 	}
-	d.recLeft.Store(int64(len(d.recovered)))
+	d.recLeft.Store(int64(d.recovered.Len()))
 	if err := d.startOps(); err != nil {
 		for _, s := range d.shards {
 			s.stop()
@@ -386,37 +368,30 @@ func (d *Dispatcher) resolveRecovered(id uint64) bool {
 		return false
 	}
 	d.recMu.Lock()
-	_, ok := d.recovered[id]
+	ok := d.recovered.Delete(int(id))
 	if ok {
-		delete(d.recovered, id)
 		d.recLeft.Add(-1)
 	}
 	d.recMu.Unlock()
 	return ok
 }
 
-// lease claims n fresh ids from the global cursor, returning the
-// half-open range [lo, hi). A durable lease that would cross MaxJobs is
-// cut short at it when short is set (a shard's last block) and fails
-// with ErrJournalFull otherwise (a batch is all or nothing), and at
-// MaxJobs either way. A failed lease moves nothing: it burns no ids.
-func (d *Dispatcher) lease(n uint64, short bool) (lo, hi uint64, err error) {
+// lease claims the next n ids off the cursor — the one place ids come
+// from — and returns the first; the caller owns [first, first+n). A
+// durable lease that would cross MaxJobs fails with ErrJournalFull and
+// moves nothing: it burns no ids.
+func (d *Dispatcher) lease(n uint64) (first uint64, err error) {
 	if d.cfg.NewMem == nil {
-		end := d.idCursor.v.Add(n)
-		return end - n + 1, end + 1, nil
+		return d.idCursor.v.Add(n) - n + 1, nil
 	}
-	max := uint64(d.cfg.MaxJobs)
 	for {
 		cur := d.idCursor.v.Load()
-		want := n
-		if cur+want > max {
-			if want = max - cur; want == 0 || !short {
-				d.warnJournalFull()
-				return 0, 0, ErrJournalFull
-			}
+		if cur+n > uint64(d.cfg.MaxJobs) {
+			d.warnJournalFull()
+			return 0, ErrJournalFull
 		}
-		if d.idCursor.v.CompareAndSwap(cur, cur+want) {
-			return cur + 1, cur + want + 1, nil
+		if d.idCursor.v.CompareAndSwap(cur, cur+n) {
+			return cur + 1, nil
 		}
 	}
 }
@@ -428,9 +403,19 @@ func (d *Dispatcher) warnJournalFull() {
 	})
 }
 
-// do is Do's submission core. e carries the payload, the scheduling
-// descriptor and the completion (fired inline for journal-recovered
-// jobs); its id is assigned here.
+// do is Do's submission core. e carries the Runner (resolved inline for
+// a journal-recovered job) and the scheduling descriptor; its id is
+// assigned here.
+//
+// It is NOT doBatch(ctx, 1, …), on evidence. That merge was built (−72
+// lines, every test green, TestDoAllocs still 1) and measured on traced
+// engine_stream in three alternating pairs: dispatch.do_call_ns_p50 176,
+// 236, 251 here vs 312, 317, 319 merged, loadgen.jobs_per_s 2.07–2.25 M
+// vs 1.93–2.06 M — ranges that do not touch. The plan, the chunk loops
+// and three closure hops are amortised over a batch and are not over one
+// job; the code picks by what it can see (one Task or a slice), and the
+// benchmark has a workload on each side (engine_stream and durable_*
+// call Do, jobd_* call DoRunners).
 //
 // Admission order matters: the queue slot is claimed BEFORE the id is
 // consumed — FailFast by reservation, Block by parking in reserveWait —
@@ -458,7 +443,7 @@ func (d *Dispatcher) do(ctx context.Context, e entry) (uint64, error) {
 			return 0, err
 		}
 	}
-	id, err := s.leaseID()
+	id, err := d.lease(1)
 	if err != nil {
 		if bounded {
 			s.unreserve(1)
@@ -534,7 +519,7 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 			}
 		}
 	}
-	first, _, err := d.lease(uint64(n), false)
+	first, err := d.lease(uint64(n))
 	if err != nil {
 		if failFast {
 			plan.unreserve(plan.chunks)

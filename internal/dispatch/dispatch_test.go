@@ -211,69 +211,64 @@ func TestDispatcherCloseDrains(t *testing.T) {
 	}
 }
 
-// TestDispatcherIDs checks id assignment under per-shard block leasing:
-// each shard draws dense ids from its own leased idBlock-sized block
-// (one global-cursor CAS per block, not per job), and DoBatch leases its
-// own contiguous range from the cursor.
+// TestDispatcherIDs: every id comes off one cursor, so ids are 1, 2, 3,
+// … in acceptance order across Do, DoBatch and DoRunners however they
+// interleave and whichever shards round-robin placement picks.
 func TestDispatcherIDs(t *testing.T) {
 	d, err := New(Config{Shards: 3, Workers: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	// Round-robin: the first two singles land on shards 0 and 1, each
-	// leasing a fresh block.
+	ctx := context.Background()
 	noop := bare(func() {})
-	h1, err := d.Do(context.Background(), noop)
+	single := func(want uint64) {
+		t.Helper()
+		h, err := d.Do(ctx, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.ID != want {
+			t.Fatalf("Do got id %d, want %d", h.ID, want)
+		}
+	}
+	single(1)
+	single(2)
+	hs, err := d.DoBatch(ctx, []Task{noop, noop, noop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := d.Do(context.Background(), noop)
+	for i, h := range hs {
+		if want := uint64(3 + i); h.ID != want {
+			t.Fatalf("DoBatch task %d got id %d, want %d", i, h.ID, want)
+		}
+	}
+	var r countRunner
+	first, err := d.DoRunners(ctx, []RunnerTask{{Runner: &r}, {Runner: &r}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1.ID != 1 {
-		t.Fatalf("first single id %d, want 1 (shard 0's block starts the sequence)", h1.ID)
+	if first != 6 {
+		t.Fatalf("DoRunners first id %d, want 6", first)
 	}
-	if h2.ID != idBlock+1 {
-		t.Fatalf("second single id %d, want %d (shard 1 leases its own block)", h2.ID, idBlock+1)
-	}
-	// A batch leases a contiguous range directly from the cursor, past
-	// the blocks already handed to the shards.
-	hs, err := d.DoBatch(context.Background(), []Task{noop, noop, noop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs[0].ID != 2*idBlock+1 {
-		t.Fatalf("batch first id %d, want %d", hs[0].ID, 2*idBlock+1)
-	}
-	// The next single continues shard 0's block densely: per-shard
-	// sequences stay gapless, which is what deterministic re-submission
-	// keys on.
-	next, err := d.Do(context.Background(), noop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.ID != h1.ID+1 {
-		t.Fatalf("post-batch single id %d, want %d (shard 0's block continues densely)", next.ID, h1.ID+1)
-	}
+	single(8)
 }
 
-// TestDispatcherIDsSingleShard: with one shard the whole single-submit
-// stream is one dense sequence from 1, blocks notwithstanding.
+// TestDispatcherIDsSingleShard: with one shard the single-submit stream
+// is the same dense sequence from 1.
 func TestDispatcherIDsSingleShard(t *testing.T) {
 	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	for want := uint64(1); want <= idBlock+2; want++ {
+	for want := uint64(1); want <= 66; want++ {
 		h, err := d.Do(context.Background(), bare(func() {}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if h.ID != want {
-			t.Fatalf("single-shard id %d, want %d (dense across block boundaries)", h.ID, want)
+			t.Fatalf("single-shard id %d, want %d", h.ID, want)
 		}
 	}
 }

@@ -41,11 +41,11 @@ const jmetaCells = 8
 // layoutVersion names the register-file layout above; it is folded into
 // the fingerprint, so a store of any other layout fails the fingerprint
 // check even where its size happens to match.
-const layoutVersion = "amo-dispatch-v3"
+const layoutVersion = "amo-dispatch-v4"
 
 // layoutChange is what every refusal of a store this layout cannot own
 // says: a store that does not match is never reinterpreted.
-const layoutChange = "layout " + layoutVersion + " keeps only the fingerprint and the journal rows in the backend; a store written under an earlier layout also holds the round registers after the journal and is not reinterpreted — start durable stores fresh"
+const layoutChange = "layout " + layoutVersion + " numbers every job off one cursor in acceptance order; a v3 store has the same cells but numbered single submits from per-shard blocks of 64, so a replayed stream would be deduplicated against the wrong ids, and an earlier one also holds the round registers after the journal: neither is reinterpreted — start durable stores fresh"
 
 // fingerprint folds a shard's layout-determining configuration into a
 // positive int64 stored at cell 0 of its register file. The shard COUNT
@@ -64,20 +64,20 @@ func (s *shard) jaddr(p, idx int) int { return jmetaCells + (p-1)*s.jlen + idx }
 
 // openDurable builds the shard's backend, validates or initializes its
 // metadata and, when the backend holds pre-crash state, recovers it:
-// the journal rows are scanned for performed job ids (returned to the
-// caller) and the per-worker append cursors are rebuilt.
-func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
+// the journal rows are scanned for performed job ids (added to
+// d.recovered) and the per-worker append cursors are rebuilt.
+func (s *shard) openDurable(cfg *Config) error {
 	m, maxBatch, maxJobs := cfg.Workers, cfg.MaxBatch, cfg.MaxJobs
 	size := jmetaCells + m*maxJobs
 	b, err := cfg.NewMem(s.id, size)
 	if err != nil {
 		// The commonest way to get here with a store that exists is a size
 		// the backend refuses, so the refusal names the layout.
-		return nil, fmt.Errorf("dispatch: shard %d backend (%d cells): %w; %s", s.id, size, err, layoutChange)
+		return fmt.Errorf("dispatch: shard %d backend (%d cells): %w; %s", s.id, size, err, layoutChange)
 	}
 	if b.Size() < size {
 		b.Close()
-		return nil, fmt.Errorf("dispatch: shard %d backend holds %d cells, need %d", s.id, b.Size(), size)
+		return fmt.Errorf("dispatch: shard %d backend holds %d cells, need %d", s.id, b.Size(), size)
 	}
 	s.backend = b
 	s.durable = true
@@ -98,30 +98,33 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 			b.Close()
 			eventlog.Logger().Error("dispatch_fingerprint_mismatch",
 				"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
-			return nil, fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/Workers/MaxBatch/MaxJobs or start from a fresh file; %s",
+			return fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/Workers/MaxBatch/MaxJobs or start from a fresh file; %s",
 				s.id, got, fp, layoutChange)
 		}
 		scan0 := time.Now()
 		eventlog.Logger().Info("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
 		chunk := make([]int64, min(scanChunk, s.jlen))
+		s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
+		recovered := 0
 		for p := 1; p <= m; p++ {
-			n, err := s.scanJournalRow(p, chunk, &recovered)
+			n, err := s.scanJournalRow(p, chunk)
 			if err != nil {
 				b.Close()
 				eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
-				return nil, fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
+				return fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
 			}
 			s.jcur[p-1] = n
+			recovered += n
 		}
 		if s.d.recoveryHist != nil {
 			s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
 		}
 		eventlog.Logger().Info("dispatch_recovery_scan_end",
-			"shard", s.id, "recovered", len(recovered), "dur", time.Since(scan0))
+			"shard", s.id, "recovered", recovered, "dur", time.Since(scan0))
 	} else {
 		b.Write(0, fp)
 	}
-	return recovered, nil
+	return nil
 }
 
 // scanChunk sizes the journal-scan range reads: big enough that a
@@ -130,10 +133,12 @@ func (s *shard) openDurable(cfg *Config) (recovered []uint64, err error) {
 const scanChunk = 4096
 
 // scanJournalRow reads worker p's journal row up to its first zero,
-// appending the recovered ids. It pulls chunks (into the caller's
-// scratch), not cells — over a remote backend the difference between
-// O(row) network round trips and O(row/scanChunk).
-func (s *shard) scanJournalRow(p int, chunk []int64, recovered *[]uint64) (n int, err error) {
+// inserting the ids it holds into d.recovered. It pulls chunks (into
+// the caller's scratch), not cells — over a remote backend the
+// difference between O(row) network round trips and O(row/scanChunk).
+// The journal is input from outside the process: a cell outside
+// [1, MaxJobs] is no id this layout ever assigned, and fails the scan.
+func (s *shard) scanJournalRow(p int, chunk []int64) (n int, err error) {
 	for n < s.jlen {
 		m := min(s.jlen-n, len(chunk))
 		if err := s.backend.ReadRange(s.jaddr(p, n), chunk[:m]); err != nil {
@@ -143,7 +148,10 @@ func (s *shard) scanJournalRow(p int, chunk []int64, recovered *[]uint64) (n int
 			if id == 0 {
 				return n, nil
 			}
-			*recovered = append(*recovered, uint64(id))
+			if id < 0 || id > int64(s.jlen) {
+				return n, fmt.Errorf("row %d cell %d holds %d, not an id in [1, %d]", p, n, id, s.jlen)
+			}
+			s.d.recovered.Insert(int(id))
 			n++
 		}
 	}

@@ -141,7 +141,7 @@ func TestTraceOrdering(t *testing.T) {
 	const n = 60
 	d, err := New(Config{
 		Shards: 2, Workers: 2,
-		NewMem: mmapFactory(dir), MaxJobs: 4 * n, // headroom for 2 shards' id-block leases
+		NewMem: mmapFactory(dir), MaxJobs: n,
 		TraceSampleRate: 1,
 	})
 	if err != nil {

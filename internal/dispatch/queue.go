@@ -7,12 +7,12 @@ import (
 )
 
 // entry is one queued job and everything that travels with it: its
-// dispatcher-wide id, the Runner that is its payload (a caller-owned
-// object from DoRunners, or the func-typed adapter around a Task.Fn — a
-// func value is pointer-shaped, so the conversion allocates nothing; nil
-// marks round padding), its scheduling descriptor and who else hears of
-// its result. Entries are copied through rings, batches and steals, so
-// the struct is exactly eight words — one cache line, and ring slots
+// dispatcher-wide id, the Runner that is its payload AND its completion
+// (a caller-owned object from DoRunners, or what task.go binds a Task
+// to; nil marks round padding) and its scheduling descriptor. Entries
+// are copied through rings, batches and steals, so whichever shard ends
+// up holding the job — residue, a steal, an expiry — holds all of it,
+// and the struct is exactly eight words: one cache line, and ring slots
 // never straddle two (TestEntryIsOneCacheLine).
 type entry struct {
 	id  uint64
@@ -24,39 +24,16 @@ type entry struct {
 	// the entry through requeues and steals, so the recorded latency is
 	// wall time from submission to final resolution.
 	t0 int64
-	// fut is the Handle's future and cb the Task.Callback (Do and
-	// DoBatch only; cb nil when the Task has none). They ride the entry,
-	// so whichever shard ends up holding the job — residue, a steal, an
-	// expiry — holds them too.
-	fut *future
-	cb  func(JobResult)
+	// ctx is Do's ctx when it can be cancelled, nil for every other entry:
+	// round assembly polls it so a job whose ctx died in the queue resolves
+	// without starting (see shard.takeBatch).
+	ctx context.Context
 	pri Priority
-	// cx marks a Do whose ctx can be cancelled (the ctx itself is in the
-	// future): round assembly polls it under the shard lock, and for every
-	// other entry must not pay a load from the future's cache line there.
-	cx bool
 }
 
-// taskFn is the Runner a Task.Fn rides in as. It does not hear its
-// result: Do and DoBatch are told through fut and cb.
-type taskFn func(context.Context) error
-
-func (f taskFn) Run(ctx context.Context) error { return f(ctx) }
-func (taskFn) Resolved(JobResult)              {}
-
-// fire delivers the job's one JobResult: the future first, so the result
-// is readable through Handle.Done by the time the callback runs, the
-// Runner last. Never called under a shard lock — a callback or Resolved
-// may re-enter the dispatcher.
-func (e *entry) fire(r JobResult) {
-	if e.fut != nil {
-		e.fut.resolve(r)
-	}
-	if e.cb != nil {
-		e.cb(r)
-	}
-	e.run.Resolved(r)
-}
+// fire delivers the job's one JobResult. Never called under a shard lock
+// — Resolved may re-enter the dispatcher.
+func (e *entry) fire(r JobResult) { e.run.Resolved(r) }
 
 // resolved pairs an entry with its result: collected under the shard
 // lock at round assembly (expiry, cancellation) and fired after it.
@@ -68,10 +45,10 @@ type resolved struct {
 // cancelErr reports the entry's submission-ctx error, nil for
 // non-cancellable entries.
 func (e *entry) cancelErr() error {
-	if !e.cx {
+	if e.ctx == nil {
 		return nil
 	}
-	return e.fut.ctx.Err()
+	return e.ctx.Err()
 }
 
 // minRingCap is the smallest backing array the ring keeps once it has

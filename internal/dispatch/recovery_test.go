@@ -249,6 +249,52 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesForeignJournalCell: the journal is read from outside
+// the process, so a cell that holds no id this configuration could have
+// assigned — above MaxJobs, or negative — fails New instead of entering
+// the recovered set.
+func TestRecoveryRefusesForeignJournalCell(t *testing.T) {
+	requireMmap(t)
+	const n = 20
+	for _, bad := range []int64{n + 1, 1 << 40, -3} {
+		dir := t.TempDir()
+		cfg := Config{Shards: 1, Workers: 2, MaxBatch: 8, NewMem: mmapFactory(dir), MaxJobs: n}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
+			t.Fatal(err)
+		}
+		d.Flush()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Corrupt the one journaled cell in place: it heads the row of
+		// whichever worker performed the job.
+		b, err := cfg.NewMem(0, jmetaCells+2*n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := jmetaCells
+		if b.Read(cell) == 0 {
+			cell += n
+		}
+		b.Write(cell, bad)
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := New(cfg)
+		if err == nil {
+			d2.Close()
+			t.Fatalf("journal cell %d accepted with MaxJobs %d", bad, n)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("holds %d", bad)) {
+			t.Fatalf("refusal of cell %d does not name it: %v", bad, err)
+		}
+	}
+}
+
 // TestReopenConfigMismatch: a register file written under one shape
 // must be refused under another.
 func TestReopenConfigMismatch(t *testing.T) {
@@ -313,21 +359,24 @@ func TestReopenConfigMismatch(t *testing.T) {
 	d2.Close()
 }
 
-// TestJournalFull: ids beyond MaxJobs are refused on both submit paths.
+// TestJournalFull: MaxJobs is exact on every submit path — N singles
+// spread over 3 shards fit a journal of N, and ids beyond it are refused
+// without moving anything.
 func TestJournalFull(t *testing.T) {
 	requireMmap(t)
 	dir := t.TempDir()
+	const n = 10
 	d, err := New(Config{
-		Shards: 1, Workers: 2, MaxBatch: 8,
-		NewMem: mmapFactory(dir), MaxJobs: 10,
+		Shards: 3, Workers: 2, MaxBatch: 8,
+		NewMem: mmapFactory(dir), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
-			t.Fatal(err)
+			t.Fatalf("Do %d of %d: %v", i+1, n, err)
 		}
 	}
 	// Ids beyond MaxJobs are refused; the failed lease moves nothing, so
@@ -340,6 +389,9 @@ func TestJournalFull(t *testing.T) {
 		t.Fatalf("batch past MaxJobs: got %v, want ErrJournalFull", err)
 	}
 	d.Flush()
+	if cur, st := d.idCursor.v.Load(), d.Stats(); cur != n || st.Submitted != n || st.Performed != n {
+		t.Fatalf("after the refusals: cursor %d, submitted %d, performed %d, want %d each", cur, st.Submitted, st.Performed, n)
+	}
 
 	// Config sanity: NewMem without MaxJobs is rejected.
 	if _, err := New(Config{NewMem: mmapFactory(dir)}); err == nil {

@@ -58,15 +58,6 @@ type shard struct {
 	// never a dispatcher-global counter.
 	count *shardCount
 
-	// Id-range lease state: [idNext, idEnd) is the unconsumed tail of the
-	// block this shard last leased from the dispatcher's cursor (see
-	// leaseID). idMu is taken only by single-job submitters targeting
-	// this shard — never by the loop — so it is uncontended unless
-	// multiple producers hash onto one shard simultaneously.
-	idMu   sync.Mutex
-	idNext uint64
-	idEnd  uint64
-
 	mu        sync.Mutex
 	cond      *sync.Cond // queue became non-empty (or shard closed)
 	notFull   *sync.Cond // queue space freed, for Block-policy submitters
@@ -113,9 +104,9 @@ type shard struct {
 }
 
 // newShard builds one shard. With a durable backend it also performs
-// the recovery scan, returning the job ids a previous process
-// incarnation already performed.
-func newShard(d *Dispatcher, id int) (*shard, []uint64, error) {
+// the recovery scan, adding the job ids a previous process incarnation
+// already performed to d.recovered.
+func newShard(d *Dispatcher, id int) (*shard, error) {
 	s := &shard{
 		d:      d,
 		id:     id,
@@ -133,11 +124,9 @@ func newShard(d *Dispatcher, id int) (*shard, []uint64, error) {
 		Jitter:   d.cfg.Jitter,
 		Seed:     d.cfg.Seed + int64(id)*1_000_003,
 	}
-	var recovered []uint64
 	if d.cfg.NewMem != nil {
-		var err error
-		if recovered, err = s.openDurable(&d.cfg); err != nil {
-			return nil, nil, err
+		if err := s.openDurable(&d.cfg); err != nil {
+			return nil, err
 		}
 		// Workers with an open claim buffer at the end of their step loop
 		// (round drained, or injected crash) flush it before the round
@@ -149,36 +138,13 @@ func newShard(d *Dispatcher, id int) (*shard, []uint64, error) {
 		if s.backend != nil {
 			s.backend.Close()
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	s.rt = rt
 	s.cond = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
 	s.execFn = s.exec
-	return s, recovered, nil
-}
-
-// leaseID hands out the next id from the shard's leased block, leasing
-// a fresh block from the dispatcher-wide cursor only when the block is
-// spent — so the single-submit hot path crosses shards once per idBlock
-// ids instead of once per job. Ids within a block are consumed densely
-// and in order on the submitting goroutines, so a deterministic submit
-// stream reproduces the same ids across incarnations (the durable
-// recovery contract). On ErrJournalFull nothing is consumed.
-func (s *shard) leaseID() (uint64, error) {
-	s.idMu.Lock()
-	if s.idNext == s.idEnd {
-		lo, hi, err := s.d.lease(idBlock, true)
-		if err != nil {
-			s.idMu.Unlock()
-			return 0, err
-		}
-		s.idNext, s.idEnd = lo, hi
-	}
-	id := s.idNext
-	s.idNext++
-	s.idMu.Unlock()
-	return id, nil
+	return s, nil
 }
 
 // snapshotStats copies the shard's counters and its queue depth inside
@@ -227,9 +193,7 @@ func (s *shard) exec(worker, local int) {
 }
 
 // runPayload runs one entry's Runner under a context carrying its
-// deadline. The returned error is parked in the entry's future when it
-// has one (Do, DoBatch) for finishRound to deliver; a DoRunners job has
-// none, and its Runner keeps what it wants to hear again in Resolved.
+// deadline. Run's error is the Runner's to keep (see Runner.Run).
 func (s *shard) runPayload(e *entry) {
 	ctx := context.Background()
 	if e.dl != 0 {
@@ -237,9 +201,7 @@ func (s *shard) runPayload(e *entry) {
 		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, e.dl))
 		defer cancel()
 	}
-	if err := e.run.Run(ctx); e.fut != nil {
-		e.fut.res.Err = err
-	}
+	_ = e.run.Run(ctx)
 }
 
 // space reports the free queue slots; unbounded queues are always open.
@@ -388,7 +350,7 @@ func (s *shard) feed(n int, get func(i int) entry, reserved bool) {
 
 // enqueueOne appends one entry — feed's single-job case, open-coded so
 // the Do hot path builds no closure (the capture of e is a heap
-// allocation per submission; TestDoAllocs pins Do at its future alone).
+// allocation per submission; TestDoAllocs pins Do at one).
 func (s *shard) enqueueOne(e entry, reserved bool) {
 	s.mu.Lock()
 	if reserved {
@@ -609,7 +571,7 @@ func (s *shard) takeBatch() int {
 			for i := range s.expired {
 				s.expired[i].e.fire(s.expired[i].r)
 			}
-			clear(s.expired) // an idle shard must not pin runners, futures, callbacks or errors
+			clear(s.expired) // an idle shard must not pin runners, ctxs or errors
 			s.jobsDone(nExp)
 		}
 		if n == 0 {
@@ -850,8 +812,8 @@ func (s *shard) finishRound(n int, res *conc.RoundResult) int {
 	}
 	// The performed slots are 1..n minus the (ascending) unperformed
 	// list; walk the two in lockstep. The batch is the loop goroutine's
-	// alone between rounds, so no lock is held while completions run (a
-	// callback may re-enter Do on this very shard). One wall-clock read
+	// alone between rounds, so no lock is held while completions run
+	// (Resolved may re-enter Do on this very shard). One wall-clock read
 	// covers the whole round's latency samples: the per-entry spread
 	// inside a round is below the histogram's own bucket error.
 	var end int64
@@ -872,14 +834,10 @@ func (s *shard) finishRound(n int, res *conc.RoundResult) int {
 		if tr != nil {
 			tr.Record(e.id, obs.TraceResolved, s.id)
 		}
-		r := JobResult{ID: e.id}
-		if e.fut != nil {
-			r.Err = e.fut.res.Err
-		}
-		e.fire(r)
+		e.fire(JobResult{ID: e.id})
 	}
-	// An idle shard must not pin its last round's runners, futures and
-	// callbacks until the next job happens to arrive.
+	// An idle shard must not pin its last round's runners until the next
+	// job happens to arrive.
 	clear(s.batch[:n])
 	return performed
 }

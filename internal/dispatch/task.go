@@ -79,10 +79,9 @@ type Task struct {
 // Handle identifies an accepted Task: its dispatcher-wide id and its
 // completion future. Copies of a Handle share one future.
 type Handle struct {
-	// ID is the job's dispatcher-wide id. Ids start at 1, and each
-	// shard's single-submit sequence is dense (consecutive ids from
-	// leased blocks — see the id-leasing notes in dispatch.go), so a
-	// fixed submission order always reproduces the same ids.
+	// ID is the job's dispatcher-wide id. Ids are 1, 2, 3, … in
+	// acceptance order across Do, DoBatch and DoRunners, so a fixed
+	// submission order always reproduces the same ids.
 	ID uint64
 
 	f *future
@@ -113,42 +112,57 @@ func (h Handle) Done() <-chan JobResult {
 	return ch
 }
 
-// future is the one heap object a Do costs: the job's result once it has
-// one, and the channel Done hands out once somebody asks. It is never
-// pooled or reused — a Handle may be read arbitrarily late.
+// future is the one heap object a Do costs, and the Runner its entry
+// carries: the Task's payload and callback until the job resolves, its
+// result afterwards, and the channel Done hands out once somebody asks.
+// It is never pooled or reused — a Handle may be read arbitrarily late.
 type future struct {
 	mu sync.Mutex
 	ch chan JobResult // made by the first Done call
-	// ctx is Do's ctx when it can be cancelled (nil otherwise, and the
-	// entry's cx flag says which): round assembly polls it so a job whose
-	// ctx died in the queue resolves without starting (see
-	// shard.takeBatch). Written before the entry is enqueued, read only by
-	// the loop holding the entry.
-	ctx context.Context
+	// fn and cb are Task.Fn and Task.Callback, written before the entry is
+	// enqueued and read only by whoever holds it; dropped at resolution.
+	fn func(context.Context) error
+	cb func(JobResult)
 	// res is the job's result, valid once done is set (under mu). Before
-	// that, the worker running the payload parks its returned error in
-	// res.Err — ordered before resolve by the round's join, and unread by
-	// Done until done is set.
+	// that, Run parks the payload's error in res.Err — ordered before
+	// Resolved by the round's join, and unread by Done until done is set.
 	res  JobResult
 	done bool
 }
 
-// resolve publishes the job's result: exactly one call per future, on the
-// goroutine that resolves the job.
-func (f *future) resolve(r JobResult) {
+// Run is the Runner's payload: Task.Fn, its error kept for Resolved.
+func (f *future) Run(ctx context.Context) error {
+	f.res.Err = f.fn(ctx)
+	return f.res.Err
+}
+
+// Resolved publishes the job's result — the payload's error merged in,
+// which a performed job's JobResult arrives without — and then runs the
+// callback, so the result is readable through Handle.Done by the time
+// the callback sees it. Exactly one call per future, on the goroutine
+// that resolves the job.
+func (f *future) Resolved(r JobResult) {
+	if r.Err == nil {
+		r.Err = f.res.Err
+	}
+	cb := f.cb
 	f.mu.Lock()
-	f.res, f.done, f.ctx = r, true, nil
+	f.res, f.done, f.fn, f.cb = r, true, nil, nil
 	if f.ch != nil {
 		f.ch <- r // 1-buffered and this is the only send: never blocks
 	}
 	f.mu.Unlock()
+	if cb != nil {
+		cb(r)
+	}
 }
 
 // ErrNilFn is returned by Do and DoBatch for a Task without a payload.
 var ErrNilFn = errors.New("dispatch: Task.Fn is nil")
 
-// entryOf validates a Task and converts it to its queue entry.
-func entryOf(t Task) (entry, error) {
+// entryOf validates a Task and binds it to f, the future that runs it
+// and hears its result; the entry carries f as its Runner.
+func entryOf(t Task, f *future) (entry, error) {
 	if t.Fn == nil {
 		return entry{}, ErrNilFn
 	}
@@ -164,7 +178,8 @@ func entryOf(t Task) (entry, error) {
 			dl = -1
 		}
 	}
-	return entry{run: taskFn(t.Fn), dl: dl, pri: t.Priority, cb: t.Callback}, nil
+	f.fn, f.cb = t.Fn, t.Callback
+	return entry{run: f, dl: dl, pri: t.Priority}, nil
 }
 
 // Do submits one Task and returns its Handle. The job will be executed
@@ -188,15 +203,14 @@ func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e, err := entryOf(t)
+	f := &future{}
+	e, err := entryOf(t, f)
 	if err != nil {
 		return Handle{}, err
 	}
-	f := &future{}
 	if ctx.Done() != nil {
-		f.ctx, e.cx = ctx, true
+		e.ctx = ctx
 	}
-	e.fut = f
 	id, err := d.do(ctx, e)
 	if err != nil {
 		return Handle{}, err
@@ -223,15 +237,14 @@ func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	futs := make([]future, len(tasks))
 	for i := range tasks {
-		if _, err := entryOf(tasks[i]); err != nil {
+		if _, err := entryOf(tasks[i], &futs[i]); err != nil {
 			return nil, fmt.Errorf("task %d: %w", i, err)
 		}
 	}
-	futs := make([]future, len(tasks))
 	first, err := d.doBatch(ctx, len(tasks), func(i int) entry {
-		e, _ := entryOf(tasks[i])
-		e.fut = &futs[i]
+		e, _ := entryOf(tasks[i], &futs[i])
 		return e
 	})
 	if err != nil {
@@ -244,17 +257,17 @@ func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error
 	return handles, nil
 }
 
-// Runner is a job that is its own task: ONE caller-owned object carries
-// the payload and hears the outcome, so submitting it costs no closure,
-// no future and no Handle — the interface value rides the queue entry
-// where a Task's Fn would.
+// Runner is a job that is its own task: ONE object carries the payload
+// and hears the outcome, and the interface value rides the queue entry.
+// It is the only job shape the dispatcher's core knows — Do and DoBatch
+// submit the future behind each Handle as one — so submitting a
+// caller-owned Runner costs no closure, no future and no Handle.
 type Runner interface {
 	// Run is the payload, invoked at most once from a shard worker under
 	// a context carrying the job's deadline. As for Task.Fn the error
-	// does not affect at-most-once accounting; unlike a Task's it has no
-	// future to travel in and is NOT repeated in Resolved's JobResult — a
-	// Runner that wants it keeps it (the round's join orders Run before
-	// Resolved).
+	// does not affect at-most-once accounting; the core drops it, and it
+	// is NOT repeated in Resolved's JobResult — a Runner that wants it
+	// keeps it (the round's join orders Run before Resolved).
 	Run(ctx context.Context) error
 	// Resolved is invoked exactly once with the job's JobResult (Err set
 	// only for expiry and cancellation), where a Task.Callback would be:
@@ -274,8 +287,7 @@ type RunnerTask struct {
 
 // DoRunners submits the tasks in order as one batch and returns the id of
 // the first; task i gets id first+i, one contiguous range leased in one
-// step, so a caller that submits ONLY through DoRunners numbers its jobs
-// 1, 2, 3, … in submission order however it cuts them into batches.
+// step off the cursor every id comes from.
 // Acceptance is all-or-nothing and ctx is checked only before it, as for
 // DoBatch; an empty batch returns (0, nil) — 0 is never a real id —
 // without consuming an id or touching a shard.

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -474,6 +475,48 @@ func TestDoRunners(t *testing.T) {
 	}
 	if late.ran.Load() != 0 || late.resolved.Load() != 1 || !late.res.Expired || !errors.Is(late.res.Err, context.DeadlineExceeded) {
 		t.Fatalf("expired runner: ran %d, resolved %d with %+v", late.ran.Load(), late.resolved.Load(), late.res)
+	}
+}
+
+// TestPayloadErrorSeam: the core drops Run's error, so who repeats it is
+// the Runner's business — a DoBatch future merges its Fn's error into
+// the JobResult its Handle and Callback see, each future its own, while
+// a caller-owned Runner in the same rounds is told Err == nil.
+func TestPayloadErrorSeam(t *testing.T) {
+	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const n = 20
+	errs := make([]error, n)
+	cbErrs := make([]error, n)
+	tasks := make([]Task, n)
+	for i := range tasks {
+		if i%2 == 1 {
+			errs[i] = fmt.Errorf("task %d failed", i)
+		}
+		tasks[i] = Task{
+			Fn:       func(context.Context) error { return errs[i] },
+			Callback: func(r JobResult) { cbErrs[i] = r.Err },
+		}
+	}
+	hs, err := d.DoBatch(context.Background(), tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := &recRunner{err: errors.New("kept by the runner")}
+	if _, err := d.DoRunners(context.Background(), []RunnerTask{{Runner: failing}}); err != nil {
+		t.Fatal(err)
+	}
+	d.Flush()
+	for i, h := range hs {
+		if r := <-h.Done(); r.ID != h.ID || r.Err != errs[i] || cbErrs[i] != errs[i] {
+			t.Fatalf("task %d: future %+v, callback Err %v, want Err %v", i, r, cbErrs[i], errs[i])
+		}
+	}
+	if failing.ran.Load() != 1 || failing.resolved.Load() != 1 || failing.res.Err != nil {
+		t.Fatalf("failing runner: ran %d, resolved %d with %+v; want Err nil", failing.ran.Load(), failing.resolved.Load(), failing.res)
 	}
 }
 

@@ -250,6 +250,13 @@ func (c *Client) connect() error {
 	}
 
 	c.mu.Lock()
+	if c.closed {
+		// Close landed during the dial: it hung up the connection it could
+		// see, and this one must not outlive it.
+		c.mu.Unlock()
+		nc.Close()
+		return ErrClientClosed
+	}
 	c.nc = nc
 	c.seq = seq
 	c.inc = inc

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -139,6 +140,12 @@ func (f *fakeJobd) conn(nc net.Conn) {
 	r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
 	var buf []byte
 	for n := 0; n < f.serve+f.swallow; {
+		if n >= f.serve {
+			// Swallowing: hang up after `swallow` submits or 50 ms of
+			// silence, whichever is first — at the end of a test fewer
+			// callers than that may be left to send one.
+			nc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		}
 		op, seq, payload, nbuf, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			return
@@ -251,6 +258,89 @@ func TestConnDropFailsInFlight(t *testing.T) {
 		t.Error("no submit was in flight at a drop: the test did not exercise the failure path")
 	}
 	t.Logf("%d calls, %d acked, %d failed in flight across %d+ connections", len(results), okCount.Load(), lostInFlight, wantOK/perConn)
+}
+
+// TestCloseDuringRedial: a Close that lands while the reader goroutine is
+// inside a redial's dial + hello must win — the redialed connection is
+// hung up, not installed. The fake's second connection withholds its
+// hello reply until Close has returned, then completes the handshake and
+// the resubscribe and pushes an event: it must see the hang-up within a
+// second, and the handler must never fire. (Installed, a closed client
+// keeps the connection, a goroutine and its handlers alive until the
+// server hangs up.)
+func TestCloseDuringRedial(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	helloSeen, closeReturned := make(chan struct{}), make(chan struct{})
+	hungUp := make(chan error, 1) // the second connection's read error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for conn := 1; conn <= 2; conn++ {
+			nc, err := ln.Accept()
+			if err != nil {
+				hungUp <- err
+				return
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+			for {
+				op, seq, _, _, err := wire.ReadFrame(r, nil)
+				if err != nil {
+					hungUp <- err
+					return
+				}
+				if op == jopHello {
+					if conn == 2 {
+						close(helloSeen)
+						<-closeReturned
+						nc.SetDeadline(time.Now().Add(time.Second))
+					}
+					wire.WriteFrame(w, jopHelloOK, seq, wire.AppendStr(wire.AppendU32(nil, protoVersion), "fake"))
+					w.Flush()
+					continue
+				}
+				// A (re)subscribe: ack it. The first connection then drops;
+				// the second streams an event and waits for the hang-up.
+				wire.WriteFrame(w, jopAck, seq, nil)
+				if conn == 2 {
+					ev := append(wire.AppendU64(wire.AppendStr(nil, "t"), 7), evOK)
+					wire.WriteFrame(w, jopEvent, 0, wire.AppendStr(wire.AppendStr(ev, "x"), ""))
+				}
+				w.Flush()
+				if conn == 1 {
+					nc.Close()
+					break
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+
+	c := testClient(t, ln.Addr().String(), ClientOptions{Redial: true, RedialBackoff: time.Millisecond})
+	var fired atomic.Int32
+	if err := c.Subscribe("t", func(Event) { fired.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-helloSeen:
+	case err := <-hungUp:
+		t.Fatalf("fake server: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client never redialed")
+	}
+	c.Close()
+	close(closeReturned)
+	if err := <-hungUp; errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("a closed client installed its redialed connection: no hang-up within 1s of the hello reply")
+	}
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("%d events delivered to a closed client's handler", n)
+	}
 }
 
 // rawHello dials addr, completes the hello exchange and returns the
