@@ -6,7 +6,10 @@
 // events to subscribers. Killed and restarted over a durable backend
 // (-backend mmap:PATH), it replays the descriptor log: work a previous
 // incarnation performed is deduped against the shard journals, work it
-// merely admitted re-executes — exactly once either way.
+// merely admitted re-executes — exactly once either way. The default
+// backend (atomic) is volatile: nothing it admits survives the process,
+// so it keeps no descriptor log and no journal at all (its jobd_listen
+// event says durable=false).
 //
 // The binary registers three demo task types (production deployments
 // embed jobd.Server with their own Registry):
@@ -26,7 +29,7 @@
 //
 // Usage:
 //
-//	amo-jobd [-listen 127.0.0.1:7979] [-backend atomic|mmap:PATH] [-maxjobs N]
+//	amo-jobd [-listen 127.0.0.1:7979] [-backend atomic|mmap:PATH] [-maxjobs N] [-logcells C]
 //	         [-shards S] [-workers W] [-journal-batch K]
 //	         [-tenant NAME:MAXPENDING:MAXHIGH]... [-default-tenant MAXPENDING:MAXHIGH]
 //	         [-metrics ADDR] [-trace RATE]
@@ -112,11 +115,12 @@ func run(args []string, ready chan<- string) error {
 	fs := flag.NewFlagSet("amo-jobd", flag.ContinueOnError)
 	// Server mode.
 	listen := fs.String("listen", "127.0.0.1:7979", "address to listen on (host:port; port 0 picks one)")
-	backend := fs.String("backend", "atomic", "membackend spec family backing the shard journals and the descriptor log (e.g. mmap:/var/lib/amo/jobd)")
-	maxJobs := fs.Int("maxjobs", 1<<20, "durable job-id budget across restarts")
+	backend := fs.String("backend", "atomic", "membackend spec family backing the shard journals and the descriptor log (e.g. mmap:/var/lib/amo/jobd); the default is volatile and keeps neither")
+	maxJobs := fs.Int("maxjobs", 1<<20, "job-id budget: across restarts on a durable backend (it sizes the shard journals), of this process on a volatile one")
+	logCells := fs.Int("logcells", 1<<20, "descriptor-log size in 8-byte cells; a job takes 1+ceil((21+len(tenant)+len(task)+len(payload))/8), so size it to hold -maxjobs of them (ignored on a volatile backend: no log is kept)")
 	shards := fs.Int("shards", 0, "dispatcher shards (0 = default)")
 	workers := fs.Int("workers", 0, "workers per shard (0 = default)")
-	journalBatch := fs.Int("journal-batch", 0, "journal group-commit factor (0 = per-job)")
+	journalBatch := fs.Int("journal-batch", 0, "journal group-commit factor (0 = per-job; ignored on a volatile backend: no journal is kept)")
 	var tenants tenantFlags
 	fs.Var(&tenants, "tenant", "declare a tenant as NAME:MAXPENDING:MAXHIGH (repeatable; 0 = unlimited)")
 	defTenant := fs.String("default-tenant", "", "admit unlisted tenants under MAXPENDING:MAXHIGH limits (empty = reject them)")
@@ -189,6 +193,7 @@ func run(args []string, ready chan<- string) error {
 		Registry:        builtinRegistry(),
 		Backend:         *backend,
 		MaxJobs:         *maxJobs,
+		LogCells:        *logCells,
 		Shards:          *shards,
 		Workers:         *workers,
 		JournalBatch:    *journalBatch,

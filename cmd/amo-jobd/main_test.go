@@ -63,6 +63,7 @@ func TestBadFlags(t *testing.T) {
 		{"tenant bad number", []string{"-tenant", "a:x:0"}, "bad MAXPENDING"},
 		{"malformed default tenant", []string{"-default-tenant", "7"}, "wants MAXPENDING:MAXHIGH"},
 		{"trace out of range", []string{"-trace", "1.5"}, "out of range"},
+		{"negative logcells", []string{"-logcells", "-8"}, "must not be negative"},
 		{"stray args", []string{"-load", "-addr", "x", "oops"}, "unexpected arguments"},
 	}
 	for _, tc := range cases {

@@ -60,7 +60,10 @@ type DispatcherConfig struct {
 	// crash left unperformed are carried into it.
 	CrashPlan func(shard, round int) []uint64
 	// Backend selects the register backend by membackend spec. "" or
-	// "atomic" is the in-process default. "mmap:PATH" makes the
+	// "atomic" is the in-process default: volatile (membackend.Volatile —
+	// nothing written through it can be reopened), so no journal is kept
+	// at all and MaxJobs and JournalBatch are ignored. Every other spec,
+	// wrappers included, keeps one (DESIGN.md §7). "mmap:PATH" makes the
 	// dispatcher durable: shard s maps the register file "PATH.shard<s>",
 	// and at-most-once state survives process death — NewDispatcher over
 	// existing files recovers the performed-job journal, and a client
@@ -225,7 +228,7 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 		MetricsAddr:     cfg.MetricsAddr,
 		TraceSampleRate: cfg.TraceSampleRate,
 	}
-	if cfg.Backend != "" && cfg.Backend != "atomic" {
+	if !membackend.Volatile(cfg.Backend) {
 		spec := cfg.Backend
 		dcfg.NewMem = func(shard, size int) (membackend.Backend, error) {
 			return membackend.Open(membackend.ShardSpec(spec, shard), size)

@@ -114,6 +114,12 @@ func recCells(n int) int { return 1 + (n+7)/8 }
 // descLog is the open log. It is owned by the server's core loop — no
 // internal locking; membackend cell writes are individually atomic, and
 // the single-writer discipline is exactly the point of the core loop.
+//
+// The zero descLog is the log of a server on a volatile backend
+// (membackend.Volatile): no process could ever reopen it, so it is over
+// no backend and keeps nothing — it always has room, stage and close do
+// nothing, and commit, finding nothing staged, succeeds. These three
+// b == nil checks are the only place jobd knows a log can be absent.
 type descLog struct {
 	b     membackend.Backend
 	cur   int // next free cell: where the next commit's header goes
@@ -165,7 +171,10 @@ func openDescLog(spec string, cells int) (*descLog, []job, error) {
 		if hdr == 0 {
 			break // first uncommitted cell: end of log
 		}
-		if hdr>>48 != recMagic {
+		// The tag, and bits 32-47 zero as stage writes them (a length is
+		// at most wire.MaxFrame): junk there is damage, not a record of the
+		// low 32 bits' length.
+		if hdr>>32 != recMagic<<16 {
 			return fail(fmt.Errorf("jobd: corrupt descriptor log: record %d header %#x at cell %d", len(recs), hdr, l.cur))
 		}
 		n := int(hdr & 0xffffffff)
@@ -190,14 +199,14 @@ func openDescLog(spec string, cells int) (*descLog, []job, error) {
 // after ahead cells this tick has already promised to earlier records.
 // The server checks it during admission, before consuming an id.
 func (l *descLog) hasRoom(ahead, n int) bool {
-	return l.cur+ahead+recCells(n) <= l.size
+	return l.b == nil || l.cur+ahead+recCells(n) <= l.size
 }
 
 // stage writes d's record behind those already staged, invisible until
 // commit. The core loop stages only what hasRoom admitted; the re-check
 // keeps the invariant local, and a failure is held for commit to report.
 func (l *descLog) stage(d *desc) {
-	if l.err != nil {
+	if l.b == nil || l.err != nil {
 		return
 	}
 	l.buf = d.encode(l.buf[:0])
@@ -239,7 +248,12 @@ func (l *descLog) commit() error {
 	return nil
 }
 
-func (l *descLog) close() error { return l.b.Close() }
+func (l *descLog) close() error {
+	if l.b == nil {
+		return nil
+	}
+	return l.b.Close()
+}
 
 // writeCell is one acked, non-journal write of a single cell.
 func (l *descLog) writeCell(addr int, v int64) error {

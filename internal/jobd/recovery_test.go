@@ -3,7 +3,10 @@ package jobd
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,6 +144,72 @@ func TestDescLogAppendAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("append allocates %.2f times per record, want 0", avg)
+	}
+}
+
+// TestCorruptDescLogRefused: the log is input from outside the process,
+// and a hole in it would shift every later descriptor onto a wrong id. A
+// damaged third record — whichever part of it is damaged — is refused at
+// open with an error naming the record and its cell, and the file is left
+// byte for byte as it was.
+func TestCorruptDescLogRefused(t *testing.T) {
+	good := (&desc{tenant: "t", task: "noop", version: 1, payload: []byte("payload!")}).encode(nil)
+	hdr := func(n int) int64 { return int64(recMagic<<48 | uint64(n)) }
+	for _, tc := range []struct {
+		name string
+		hdr  int64
+		body []byte
+	}{
+		{"wrong tag", int64(0x4a64<<48 | uint64(len(good))), good},
+		{"junk in bits 32-47", hdr(len(good)) | 0x0bad<<32, good},
+		{"length 0", hdr(0), good},
+		{"length past the end of the log", hdr(8 * testLogCells), good},
+		{"body that does not decode", hdr(len(good)), bytes.Repeat([]byte{0xff}, len(good))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log")
+			l, _, err := openDescLog("mmap:"+path, testLogCells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := l.append(&desc{tenant: "t", task: "noop", version: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			at := l.cur
+			l.b.Write(at, tc.hdr)
+			for i := 0; i < len(tc.body); i += 8 {
+				var cell [8]byte
+				copy(cell[:], tc.body[i:])
+				l.b.Write(at+1+i/8, cellVal(cell[:]))
+			}
+			if err := l.close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			l, recs, err := openDescLog("mmap:"+path, testLogCells)
+			if err == nil {
+				l.close()
+				t.Fatalf("the damaged log opened, with %d records", len(recs))
+			}
+			for _, want := range []string{"corrupt descriptor log", "record 2", fmt.Sprintf("at cell %d", at)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal does not say %q: %v", want, err)
+				}
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("the refused descriptor log was modified")
+			}
+		})
 	}
 }
 

@@ -39,22 +39,29 @@ type Options struct {
 	Registry *Registry
 	// Backend is the membackend spec family backing the dispatcher
 	// shards (".shard<i>" suffixes) and the descriptor log (".desclog").
-	// Empty means "atomic": volatile, nothing survives the process.
+	// Empty means "atomic": volatile (membackend.Volatile) — nothing
+	// survives the process, so the server keeps no shard journal and no
+	// descriptor log at all. Every other spec keeps both.
 	Backend string
-	// MaxJobs is the durable id budget across restarts (dispatch.Config
-	// MaxJobs): exactly this many submissions are ever admitted. Default
-	// 1 << 20.
+	// MaxJobs is the id budget: exactly this many submissions are ever
+	// admitted. On a durable backend it spans restarts (dispatch.Config
+	// MaxJobs, it sizes the shard journals); on a volatile one it is the
+	// admission budget of this process and sizes nothing. Default 1 << 20.
 	MaxJobs int
-	// LogCells sizes the descriptor log in 8-byte register cells.
-	// Default 1 << 20 (8 MiB) — roughly MaxJobs small descriptors. A
-	// full log rejects further submissions with codeCapacity.
+	// LogCells sizes the descriptor log in 8-byte register cells; a full
+	// log rejects further submissions with codeCapacity. A record takes
+	// 1 + ⌈(21+len(tenant)+len(task)+len(payload))/8⌉ cells, so a store
+	// meant to reach MaxJobs needs MaxJobs times that: the default, 1 << 20
+	// (8 MiB), holds 174 762 eight-byte jobs of a 4-byte tenant and task,
+	// not 1 << 20. Ignored on a volatile backend, which keeps no log.
 	LogCells int
 	// MaxPayload caps one submission's payload bytes. Default 1 << 20;
 	// hard ceiling just under wire.MaxFrame.
 	MaxPayload int
 
 	// Shards, Workers, MaxBatch, JournalBatch and RoundTarget pass
-	// through to dispatch.Config. The dispatcher queue is always
+	// through to dispatch.Config (JournalBatch only on a durable backend:
+	// a volatile one has no journal to batch). The dispatcher queue is always
 	// UNBOUNDED here: all backpressure lives in jobd's admission (tenant
 	// quotas and the id budget), checked before an id exists — a submit
 	// that could fail after the descriptor is logged would desync log and
@@ -234,31 +241,44 @@ func open(o Options) (*Server, []job, error) {
 	if o.MaxPayload == 0 {
 		o.MaxPayload = 1 << 20
 	}
+	if o.MaxJobs < 0 || o.LogCells < 0 {
+		return nil, nil, fmt.Errorf("jobd: MaxJobs %d and LogCells %d must not be negative (0 = default)", o.MaxJobs, o.LogCells)
+	}
 	if o.MaxPayload > wire.MaxFrame-1024 {
 		return nil, nil, fmt.Errorf("jobd: MaxPayload %d exceeds the frame ceiling", o.MaxPayload)
 	}
-	spec := o.Backend
-	d, err := dispatch.New(dispatch.Config{
-		Shards:       o.Shards,
-		Workers:      o.Workers,
-		MaxBatch:     o.MaxBatch,
-		JournalBatch: o.JournalBatch,
-		RoundTarget:  o.RoundTarget,
-		NewMem: func(shard, size int) (membackend.Backend, error) {
-			return membackend.Open(membackend.ShardSpec(spec, shard), size)
-		},
-		MaxJobs:         o.MaxJobs,
+	cfg := dispatch.Config{
+		Shards:          o.Shards,
+		Workers:         o.Workers,
+		MaxBatch:        o.MaxBatch,
+		RoundTarget:     o.RoundTarget,
 		Metrics:         true,
 		MetricsAddr:     o.MetricsAddr,
 		TraceSampleRate: o.TraceSampleRate,
-	})
+	}
+	// Journal rows and the descriptor log are records for a successor
+	// process. A volatile backend can have none, so neither is opened:
+	// the dispatcher runs its in-process path and the log keeps nothing.
+	spec := o.Backend
+	durable := !membackend.Volatile(spec)
+	if durable {
+		cfg.NewMem = func(shard, size int) (membackend.Backend, error) {
+			return membackend.Open(membackend.ShardSpec(spec, shard), size)
+		}
+		cfg.MaxJobs = o.MaxJobs
+		cfg.JournalBatch = o.JournalBatch
+	}
+	d, err := dispatch.New(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobd: open dispatcher: %w", err)
 	}
-	dlog, recs, err := openDescLog(membackend.WithSuffix(spec, ".desclog"), o.LogCells)
-	if err != nil {
-		d.Close()
-		return nil, nil, err
+	dlog, recs := &descLog{}, []job(nil)
+	if durable {
+		dlog, recs, err = openDescLog(membackend.WithSuffix(spec, ".desclog"), o.LogCells)
+		if err != nil {
+			d.Close()
+			return nil, nil, err
+		}
 	}
 	s := &Server{
 		opts:     o,
@@ -288,7 +308,14 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.lnMu.Lock()
 	s.ln = ln
 	s.lnMu.Unlock()
-	eventlog.Logger().Info("jobd_listen", "addr", ln.Addr().String(), "backend", s.opts.Backend)
+	// The first line says which side of membackend.Volatile this server
+	// is on: durable=false means nothing it admits survives it.
+	durable := !membackend.Volatile(s.opts.Backend)
+	attrs := []any{"addr", ln.Addr().String(), "backend", s.opts.Backend, "durable", durable}
+	if durable {
+		attrs = append(attrs, "max_jobs", s.opts.MaxJobs, "log_cells", s.opts.LogCells)
+	}
+	eventlog.Logger().Info("jobd_listen", attrs...)
 	s.connWG.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
@@ -504,7 +531,9 @@ func (s *Server) charge(j *job, n int) {
 // then one wake-up per connection with frames queued. Replies are a
 // second walk because an ack carries an id and ids exist only once the
 // whole tick is logged and leased; re-walking the inbox keeps every
-// connection's replies in its request order by construction.
+// connection's replies in its request order by construction. On a
+// volatile backend the log keeps nothing (see descLog): phase 2 writes
+// nothing and decide never finds the log full; the rest is the same.
 func (s *Server) tick(inbox []coreReq, done []doneMsg) {
 	s.ticks++
 	s.tickReqs += uint64(len(inbox))

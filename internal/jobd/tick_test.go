@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/obs"
 	"atmostonce/internal/wire"
 )
 
@@ -21,9 +23,14 @@ import (
 // own (open starts none), nothing to wait for.
 
 // steppedServer opens a server without its core loop. Completions queue
-// up until the test feeds them to a tick (settle).
+// up until the test feeds them to a tick (settle). Most tests here read
+// s.log, so the default backend is one that keeps a log; the tests of the
+// volatile side ask for "atomic" by name.
 func steppedServer(t *testing.T, o Options) *Server {
 	t.Helper()
+	if o.Backend == "" {
+		o.Backend = "mmap:" + filepath.Join(t.TempDir(), "jobd")
+	}
 	if o.Registry == nil {
 		o.Registry = noopRegistry()
 	}
@@ -357,40 +364,139 @@ func TestTickBarrier(t *testing.T) {
 	s.settle()
 }
 
-// TestIdBudgetExact: ids are log ordinals, so MaxJobs = N admits exactly
-// N submissions; the N+1-th is codeCapacity and logs nothing — in the
-// tick that spends the budget and in every tick after.
+// TestIdBudgetExact: MaxJobs = N admits exactly N submissions; the N+1-th
+// is codeCapacity and logs nothing — in the tick that spends the budget
+// and in every tick after. On both sides of membackend.Volatile: where a
+// log is kept ids are its ordinals and it holds exactly N records; where
+// none is, the budget is jobd's own count of what it admitted.
 func TestIdBudgetExact(t *testing.T) {
 	const n = 37
-	s := steppedServer(t, Options{MaxJobs: n, Tenants: map[string]TenantLimits{"t": {}}})
-	c := fakeConn(s)
-	var inbox []coreReq
-	for seq := uint32(1); seq <= n+3; seq++ {
-		inbox = append(inbox, submitReq(s, c, seq, "t", nil))
-	}
-	s.tick(inbox[:10], nil)
-	s.tick(inbox[10:], nil)
-	fs, _ := sent(t, c)
-	for i, f := range fs {
-		if i < n {
-			if id := ackID(t, f); id != uint64(i+1) {
-				t.Fatalf("submission %d got id %d", i+1, id)
+	for _, side := range []struct {
+		backend string
+		logged  bool
+	}{{"mmap:" + filepath.Join(t.TempDir(), "jobd"), true}, {"atomic", false}} {
+		s := steppedServer(t, Options{Backend: side.backend, MaxJobs: n, Tenants: map[string]TenantLimits{"t": {}}})
+		c := fakeConn(s)
+		var inbox []coreReq
+		for seq := uint32(1); seq <= n+3; seq++ {
+			inbox = append(inbox, submitReq(s, c, seq, "t", nil))
+		}
+		s.tick(inbox[:10], nil)
+		s.tick(inbox[10:], nil)
+		fs, _ := sent(t, c)
+		for i, f := range fs {
+			if i < n {
+				if id := ackID(t, f); id != uint64(i+1) {
+					t.Fatalf("submission %d got id %d", i+1, id)
+				}
+			} else if code := errCode(t, f); code != codeCapacity {
+				t.Fatalf("submission %d (budget %d): code %d, want codeCapacity", i+1, n, code)
 			}
-		} else if code := errCode(t, f); code != codeCapacity {
-			t.Fatalf("submission %d (budget %d): code %d, want codeCapacity", i+1, n, code)
+		}
+		cur := s.log.cur
+		s.tick([]coreReq{submitReq(s, c, 99, "t", nil)}, nil)
+		if fs, _ := sent(t, c); len(fs) != 1 || errCode(t, fs[0]) != codeCapacity {
+			t.Fatalf("submission past the budget got %+v", fs)
+		}
+		if got := logRecords(t, s.log); s.log.cur != cur || (side.logged && got != n) {
+			t.Fatalf("backend %q: log holds %d records (cursor %d → %d), want exactly %d", side.backend, got, cur, s.log.cur, n)
+		}
+		s.settle()
+		if st := s.d.Stats(); st.Submitted != n || st.Performed != n {
+			t.Fatalf("dispatcher: %d submitted, %d performed, want %d", st.Submitted, st.Performed, n)
 		}
 	}
-	cur := s.log.cur
-	s.tick([]coreReq{submitReq(s, c, 99, "t", nil)}, nil)
-	if fs, _ := sent(t, c); len(fs) != 1 || errCode(t, fs[0]) != codeCapacity {
-		t.Fatalf("submission past the budget got %+v", fs)
+}
+
+// sumCounters adds up every series of one counter family in reg.
+func sumCounters(reg *obs.Registry, family string) (n uint64) {
+	for key, v := range reg.Snapshot() {
+		if strings.HasPrefix(key, family) {
+			n += v.(uint64)
+		}
 	}
-	if got := logRecords(t, s.log); got != n || s.log.cur != cur {
-		t.Fatalf("log holds %d records (cursor %d → %d), want exactly %d", got, cur, s.log.cur, n)
+	return n
+}
+
+// TestVolatileServerKeepsNoStore: on the default backend no process can
+// reopen what the server writes, so it opens no backend and sizes nothing
+// by MaxJobs — a budget of 1<<20 ids costs under 1 MiB to open, where
+// journal rows and a log for them took 24 — and with no log to fill,
+// LogCells binds nothing: MaxJobs = N admits exactly N jobs of a size not
+// one of which would fit an 8-cell log, and the N+1st is turned away by
+// the id budget.
+func TestVolatileServerKeepsNoStore(t *testing.T) {
+	opens := sumCounters(obs.Default, "amo_membackend_opens_total")
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s, recs, err := open(Options{Registry: noopRegistry(), MaxJobs: 1 << 20, Shards: 1, Workers: 2})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.shut(t) })
+	if grown := m1.TotalAlloc - m0.TotalAlloc; grown >= 1<<20 || len(recs) != 0 {
+		t.Fatalf("opening a volatile server with MaxJobs 1<<20 allocated %d KiB and found %d records, want < 1 MiB and none", grown>>10, len(recs))
+	}
+	if got := sumCounters(obs.Default, "amo_membackend_opens_total"); got != opens {
+		t.Fatalf("a volatile server opened %d backends, want none", got-opens)
+	}
+
+	const n = 5
+	s = steppedServer(t, Options{Backend: "atomic", MaxJobs: n, LogCells: 8, Tenants: map[string]TenantLimits{"t": {}}})
+	c := fakeConn(s)
+	var inbox []coreReq
+	for seq := uint32(1); seq <= n+1; seq++ {
+		inbox = append(inbox, submitReq(s, c, seq, "t", make([]byte, 64)))
+	}
+	s.tick(inbox, nil)
+	fs, _ := sent(t, c)
+	if len(fs) != n+1 {
+		t.Fatalf("%d replies to %d submits", len(fs), n+1)
+	}
+	for i, f := range fs[:n] {
+		if id := ackID(t, f); id != uint64(i+1) {
+			t.Fatalf("submission %d got id %d", i+1, id)
+		}
+	}
+	if code := errCode(t, fs[n]); code != codeCapacity || !bytes.Contains(fs[n].payload, []byte("job-id budget exhausted")) {
+		t.Fatalf("submission %d of a budget of %d: code %d %q, want the id budget's codeCapacity", n+1, n, code, fs[n].payload)
 	}
 	s.settle()
 	if st := s.d.Stats(); st.Submitted != n || st.Performed != n {
 		t.Fatalf("dispatcher: %d submitted, %d performed, want %d", st.Submitted, st.Performed, n)
+	}
+}
+
+// TestCountingWrapperKeepsLogAndJournal: "counting:atomic" is not
+// volatile — the wrapper exists to witness the traffic the wrapped kind
+// would carry, so the server keeps that traffic. A tick of k jobs reaches
+// the log's wrapper as k records plus the terminator, exactly one of
+// those cells through WriteAcked (the commit header), and the shard
+// journals record one cell per job.
+func TestCountingWrapperKeepsLogAndJournal(t *testing.T) {
+	const k = 6
+	s := steppedServer(t, Options{Backend: "counting:atomic", Tenants: map[string]TenantLimits{"t": {}}})
+	logw := membackend.AsCounting(s.log.b)
+	if logw == nil {
+		t.Fatalf("the descriptor log is over %T, want the counting wrapper", s.log.b)
+	}
+	acked := 0
+	s.log.b = &ackedHook{Backend: s.log.b, before: func() { acked++ }}
+	writes := logw.Writes()
+	c := fakeConn(s)
+	var inbox []coreReq
+	for seq := uint32(1); seq <= k; seq++ {
+		inbox = append(inbox, submitReq(s, c, seq, "t", nil))
+	}
+	s.tick(inbox, nil)
+	rec := recCells(inbox[0].j.encodedLen())
+	if got := logw.Writes() - writes; acked != 1 || got != uint64(k*rec+1) {
+		t.Fatalf("a tick of %d jobs: %d acked writes and %d cells written to the log, want 1 and %d", k, acked, got, k*rec+1)
+	}
+	s.settle()
+	if got := sumCounters(s.d.Registry(), "amo_membackend_journal_writes_total"); got != k {
+		t.Fatalf("%d journal cells for %d jobs, want one each", got, k)
 	}
 }
 

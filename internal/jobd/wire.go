@@ -25,7 +25,9 @@
 //     a recovery mechanism: replaying it re-submits the identical id
 //     stream, the dispatcher's journal dedupes everything a previous
 //     incarnation performed, and the remainder re-executes exactly once
-//     (see desclog.go).
+//     (see desclog.go). On a volatile backend (membackend.Volatile: the
+//     default) no incarnation can follow, so there is no log and no
+//     journal to write; everything else is the same.
 //   - Client: a pipelined client with auto-redial. In-flight submits
 //     FAIL on a connection drop instead of being resent: an unacked
 //     submit may or may not have been admitted, and blind resend would

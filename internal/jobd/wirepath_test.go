@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -23,19 +24,26 @@ import (
 // names, and the allocation budget all of that buys.
 
 // TestWirePathAllocs is the allocation gate next to the code: the
-// benchmark's jobd_pipelined shape — in-process server on atomic
-// registers, 2 connections × 16 closed-loop submitters, 32-byte
-// payloads, each connection subscribed to its own tenant — must stay
-// within 2.5 heap allocations per job from Client.Submit to the event
-// handler. The budget (DESIGN.md §15): the payload copy and the *job the
-// reader makes of a submit frame — it is the dispatcher's task, so
-// nothing is allocated to run or resolve it — and a fraction for
-// amortised growth. The event count is the other half of the gate:
-// exactly one event per admitted job.
+// benchmark's jobd shape — in-process server, 2 connections × 16
+// closed-loop submitters, 32-byte payloads, each connection subscribed to
+// its own tenant — must stay within 2.5 heap allocations per job from
+// Client.Submit to the event handler, on both sides of
+// membackend.Volatile: the default backend (what jobd_pipelined runs: no
+// journal, no log) and mmap: (what jobd_durable_open runs: claim, group
+// commit, one log commit per tick). The budget (DESIGN.md §15): the
+// payload copy and the *job the reader makes of a submit frame — it is
+// the dispatcher's task, so nothing is allocated to run or resolve it, or
+// to log and journal it — and a fraction for amortised growth. The event
+// count is the other half of the gate: exactly one event per admitted job.
 func TestWirePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
+	t.Run("volatile", func(t *testing.T) { wirePathAllocs(t, "") })
+	t.Run("durable", func(t *testing.T) { wirePathAllocs(t, "mmap:"+filepath.Join(t.TempDir(), "jobd")) })
+}
+
+func wirePathAllocs(t *testing.T, backend string) {
 	const (
 		conns      = 2
 		submitters = 16
@@ -46,11 +54,13 @@ func TestWirePathAllocs(t *testing.T) {
 	reg.Register("bench", 1, func(context.Context, []byte) error { return nil })
 	tenants := [conns]string{"tenant-a", "tenant-b"}
 	_, addr := testServer(t, Options{
-		Registry: reg,
-		Shards:   2,
-		MaxBatch: 256,
-		MaxJobs:  1 << 17,
-		Tenants:  map[string]TenantLimits{tenants[0]: {}, tenants[1]: {}},
+		Registry:     reg,
+		Backend:      backend,
+		Shards:       2,
+		MaxBatch:     256,
+		MaxJobs:      1 << 17,
+		JournalBatch: 16,
+		Tenants:      map[string]TenantLimits{tenants[0]: {}, tenants[1]: {}},
 	})
 	var events atomic.Int64
 	clients := make([]*Client, conns)

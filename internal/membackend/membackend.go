@@ -168,6 +168,19 @@ func Open(spec string, size int) (Backend, error) {
 	return b, nil
 }
 
+// Volatile reports whether nothing written through a backend opened from
+// spec can be seen by a later Open: true for "" and "atomic" only. It is
+// the one place that decides whether record-then-do has a successor to
+// record for — a caller that gets true keeps no journal and no log
+// instead of writing one nothing can read. Wrappers and remote kinds are
+// not volatile whatever they end in: "counting:" exists to witness the
+// traffic the wrapped kind would carry, so that traffic is kept, and a
+// "net:" namespace outlives its client whatever the server stores it in.
+// It is asked of the spec, not of an open backend, because the answer
+// decides whether to Open (and size, and zero) a store at all. A spec
+// Open would reject is not volatile; Open is where it gets its error.
+func Volatile(spec string) bool { return spec == "" || spec == "atomic" }
+
 // parseSpec splits a spec into kind and argument, rejecting the
 // malformed shapes that would otherwise fail deep inside a backend (or
 // worse, be silently accepted): surrounding whitespace, an empty kind

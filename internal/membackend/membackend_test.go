@@ -107,31 +107,39 @@ func TestCountingCounts(t *testing.T) {
 	}
 }
 
-// TestParseSpec is the parser's table test: well-formed specs split
-// into kind/argument, malformed ones are rejected with errors that name
-// the problem.
+// TestParseSpec is the spec table test: well-formed specs split into
+// kind/argument, malformed ones are rejected with errors that name the
+// problem, and only "" and "atomic" — no wrapper, no remote kind, nothing
+// Open would reject — are Volatile.
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
 		spec       string
 		kind, arg  string
 		errPattern string // substring of the expected error; "" = ok
+		volatile   bool
 	}{
-		{"", "atomic", "", ""},
-		{"atomic", "atomic", "", ""},
-		{"mmap:/var/lib/amo/regs", "mmap", "/var/lib/amo/regs", ""},
-		{"counting:mmap:/x", "counting", "mmap:/x", ""},
-		{"net:127.0.0.1:7878/jobs", "net", "127.0.0.1:7878/jobs", ""},
-		{"atomic:", "", "", "dangling ':'"},
-		{"mmap:", "", "", "dangling ':'"},
-		{"counting:", "", "", "dangling ':'"},
-		{":mmap", "", "", "empty backend kind"},
-		{":", "", "", "empty backend kind"},
-		{" atomic", "", "", "whitespace"},
-		{"atomic ", "", "", "whitespace"},
-		{"mmap:/x ", "", "", "whitespace"},
-		{"\tatomic", "", "", "whitespace"},
+		{"", "atomic", "", "", true},
+		{"atomic", "atomic", "", "", true},
+		{"counting:atomic", "counting", "atomic", "", false},
+		{"mmap:/var/lib/amo/regs", "mmap", "/var/lib/amo/regs", "", false},
+		{"counting:mmap:/x", "counting", "mmap:/x", "", false},
+		{"net:127.0.0.1:7878/jobs", "net", "127.0.0.1:7878/jobs", "", false},
+		{"atomic:x", "atomic", "x", "", false}, // Open refuses the argument
+		{"atomc", "atomc", "", "", false},      // Open refuses the kind
+		{"atomic:", "", "", "dangling ':'", false},
+		{"mmap:", "", "", "dangling ':'", false},
+		{"counting:", "", "", "dangling ':'", false},
+		{":mmap", "", "", "empty backend kind", false},
+		{":", "", "", "empty backend kind", false},
+		{" atomic", "", "", "whitespace", false},
+		{"atomic ", "", "", "whitespace", false},
+		{"mmap:/x ", "", "", "whitespace", false},
+		{"\tatomic", "", "", "whitespace", false},
 	}
 	for _, c := range cases {
+		if got := Volatile(c.spec); got != c.volatile {
+			t.Errorf("Volatile(%q) = %v, want %v", c.spec, got, c.volatile)
+		}
 		kind, arg, err := parseSpec(c.spec)
 		if c.errPattern == "" {
 			if err != nil {
