@@ -4,9 +4,10 @@
 // admission quotas, journals every admitted submission's descriptor,
 // runs it through the streaming dispatcher, and streams completion
 // events to subscribers. Killed and restarted over a durable backend
-// (-backend mmap:PATH), it replays the descriptor log: work a previous
-// incarnation performed is deduped against the shard journals, work it
-// merely admitted re-executes — exactly once either way. The default
+// (-backend mmap:PATH, or net:HOST:PORT/NS on an amo-regd), it replays
+// the descriptor log: work a previous incarnation performed is deduped
+// against the shard journals, work it merely admitted re-executes —
+// exactly once either way. The default
 // backend (atomic) is volatile: nothing it admits survives the process,
 // so it keeps no descriptor log and no journal at all (its jobd_listen
 // event says durable=false).
@@ -29,7 +30,7 @@
 //
 // Usage:
 //
-//	amo-jobd [-listen 127.0.0.1:7979] [-backend atomic|mmap:PATH] [-maxjobs N] [-logcells C]
+//	amo-jobd [-listen 127.0.0.1:7979] [-backend atomic|mmap:PATH|net:HOST:PORT/NS] [-maxjobs N] [-logcells C]
 //	         [-shards S] [-workers W] [-journal-batch K]
 //	         [-tenant NAME:MAXPENDING:MAXHIGH]... [-default-tenant MAXPENDING:MAXHIGH]
 //	         [-metrics ADDR] [-trace RATE]
@@ -50,6 +51,7 @@ import (
 	"time"
 
 	"atmostonce/internal/jobd"
+	_ "atmostonce/internal/netmem" // the net: backend kind
 )
 
 func main() {
@@ -115,7 +117,7 @@ func run(args []string, ready chan<- string) error {
 	fs := flag.NewFlagSet("amo-jobd", flag.ContinueOnError)
 	// Server mode.
 	listen := fs.String("listen", "127.0.0.1:7979", "address to listen on (host:port; port 0 picks one)")
-	backend := fs.String("backend", "atomic", "membackend spec family backing the shard journals and the descriptor log (e.g. mmap:/var/lib/amo/jobd); the default is volatile and keeps neither")
+	backend := fs.String("backend", "atomic", "membackend spec family backing the shard journals and the descriptor log (e.g. mmap:/var/lib/amo/jobd, net:HOST:PORT/NS); the default is volatile and keeps neither")
 	maxJobs := fs.Int("maxjobs", 1<<20, "job-id budget: across restarts on a durable backend (it sizes the shard journals), of this process on a volatile one")
 	logCells := fs.Int("logcells", 1<<20, "descriptor-log size in 8-byte cells; a job takes 1+ceil((21+len(tenant)+len(task)+len(payload))/8), so size it to hold -maxjobs of them (ignored on a volatile backend: no log is kept)")
 	shards := fs.Int("shards", 0, "dispatcher shards (0 = default)")

@@ -376,6 +376,17 @@ func (d *Dispatcher) resolveRecovered(id uint64) bool {
 	return ok
 }
 
+// UnclaimedRecovered reports how many ids the recovery scan found that no
+// submission has claimed yet, and the lowest of them (0 when none). A
+// caller that replays a record of every job it ever submitted expects
+// none to be left: one that is names a job whose record is gone.
+func (d *Dispatcher) UnclaimedRecovered() (n int, lowest uint64) {
+	d.recMu.Lock()
+	defer d.recMu.Unlock()
+	v, _ := d.recovered.Min()
+	return d.recovered.Len(), uint64(v)
+}
+
 // lease claims the next n ids off the cursor — the one place ids come
 // from — and returns the first; the caller owns [first, first+n). A
 // durable lease that would cross MaxJobs fails with ErrJournalFull and

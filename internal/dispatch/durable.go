@@ -94,7 +94,12 @@ func (s *shard) openDurable(cfg *Config) error {
 
 	fp := fingerprint(s.id, cfg.Shards, m, maxBatch, maxJobs)
 	if b.Reopened() {
-		if got := b.Read(0); got != fp {
+		chunk := make([]int64, min(scanChunk, s.jlen))
+		if err := b.ReadRange(0, chunk[:1]); err != nil {
+			b.Close()
+			return fmt.Errorf("dispatch: shard %d fingerprint read: %w", s.id, err)
+		}
+		if got := chunk[0]; got != fp {
 			b.Close()
 			eventlog.Logger().Error("dispatch_fingerprint_mismatch",
 				"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
@@ -103,7 +108,6 @@ func (s *shard) openDurable(cfg *Config) error {
 		}
 		scan0 := time.Now()
 		eventlog.Logger().Info("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
-		chunk := make([]int64, min(scanChunk, s.jlen))
 		s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
 		recovered := 0
 		for p := 1; p <= m; p++ {
@@ -121,8 +125,11 @@ func (s *shard) openDurable(cfg *Config) error {
 		}
 		eventlog.Logger().Info("dispatch_recovery_scan_end",
 			"shard", s.id, "recovered", recovered, "dur", time.Since(scan0))
-	} else {
-		b.Write(0, fp)
+	} else if err := b.WriteAcked(0, []int64{fp}, false); err != nil {
+		// Acked at creation: a journal row need share no page with cell 0,
+		// so no later flush would carry the fingerprint to the store.
+		b.Close()
+		return fmt.Errorf("dispatch: shard %d fingerprint write: %w", s.id, err)
 	}
 	return nil
 }

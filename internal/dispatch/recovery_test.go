@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/memtest"
 	"atmostonce/internal/netmem"
 )
 
@@ -246,6 +247,51 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 	}
 	if st := d2.Stats(); st.Recovered != n {
 		t.Fatalf("Recovered = %d, want %d", st.Recovered, n)
+	}
+}
+
+// TestFreshFingerprintIsAcked: journal row p starts at cell
+// 8 + (p−1)·MaxJobs, so a worker's flush need share no page with cell 0
+// and nothing but an acked write of its own carries a fresh shard's
+// fingerprint to the store. On a store that loses what was not acked, one
+// job is journaled and performed and the host crashes: the successor
+// opens the store and recovers the id, where a zero fingerprint over a
+// journaled id would be refused as another configuration's.
+func TestFreshFingerprintIsAcked(t *testing.T) {
+	var store *memtest.Lossy
+	cfg := Config{
+		Shards: 1, Workers: 2, MaxBatch: 32, MaxJobs: 1024,
+		NewMem: func(_, size int) (membackend.Backend, error) {
+			if store == nil {
+				store = memtest.NewLossy(size)
+			}
+			return store, nil
+		},
+	}
+	var runs atomic.Int64
+	job := []Task{bare(func() { runs.Add(1) })}
+	d1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.DoBatch(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	d1.Flush()
+	store.Crash()
+	d1.Close() // what the dead incarnation still says reaches a store that has forgotten it
+
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("the store does not reopen after losing every un-acked cell: %v", err)
+	}
+	defer d2.Close()
+	if _, err := d2.DoBatch(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	d2.Flush()
+	if st := d2.Stats(); runs.Load() != 1 || st.Recovered != 1 {
+		t.Fatalf("after the crash the job ran %d times in all and %d resolved Recovered, want 1 and 1", runs.Load(), st.Recovered)
 	}
 }
 

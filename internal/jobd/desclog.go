@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/obs/eventlog"
 	"atmostonce/internal/wire"
 )
 
@@ -18,53 +20,62 @@ import (
 // same membackend register file family as the shard journals (suffix
 // ".desclog" on the server's backend spec). The core loop is the
 // dispatcher's only submitter and submits only through range leases
-// (dispatch.DoRunners), so a job's id IS its ordinal in this log — the
-// n-th committed descriptor is job n, whatever the tick boundaries were —
-// and replaying the log through DoRunners at open time reproduces the
-// identical id stream: descriptors whose ids the shard journals recorded
-// as performed resolve Recovered (deduped, payload not run again), and
-// the rest — admitted but unperformed when the process died —
-// RE-EXECUTE, exactly once.
+// (dispatch.DoRunners), so a job's id IS its ordinal in this log,
+// whatever the tick boundaries were, and replaying the log through
+// DoRunners at open time reproduces the id stream: descriptors whose ids
+// the shard journals recorded as performed resolve Recovered (payload not
+// run again), and the rest — admitted but unperformed when the process
+// died — RE-EXECUTE, exactly once.
 //
 // Layout (cells are int64 registers):
 //
 //	cell 0      log fingerprint (logMagic) — catches foreign files
-//	cell 1..    records, back to back
+//	cell 1..    records, back to back, then a zero cell
+//	record    = header cell, then ceil(byteLen/8) body cells holding the
+//	            record's bytes little-endian
+//	header    = recTag<<56 | crc<<24 | byteLen
 //
-// A record is one header cell followed by its payload cells:
+// crc is the CRC-32C of the record's bytes with the header's cell address
+// as its initial value: a body at another address, or under another
+// header, does not pass.
 //
-//	header  = recMagic<<48 | byteLen     (never zero: recMagic != 0)
-//	payload = ceil(byteLen/8) cells, record bytes packed little-endian
-//
-// The unit of commit is the TICK: the k records one tick of the core
-// loop admitted (stage, k times; commit, once). Everything but the first
-// record's header goes down as plain Writes — every payload cell, the
-// headers of records 2..k, and a ZERO TERMINATOR in the cell after the
-// last record — and then record 1's header is written through the
-// backend's WriteAcked (a batch of one, not a journal record — the value
-// is a length, not a job id): the commit point of the whole tick. The
-// scan walks records until the first zero header cell, so a crash before
-// that write leaves a torn tick the scan never sees and the next commit
-// overwrites in place — truly, thanks to the terminator: a torn tick
-// leaves payload bytes (client-supplied, so possibly header-shaped) and
-// the valid headers of its records 2..k behind the cursor, and a shorter
-// tick committed over it would otherwise end just short of them. It is
-// written BEFORE the commit header, costs no room (the next header
-// overwrites it) and is skipped only when the tick ends at the last
-// cell. The commit must be durable BEFORE the dispatcher assigns the
+// The unit of commit is the TICK: stage encodes each admitted record into
+// the cell buffer and touches no backend; commit sends the buffer and the
+// zero cell that ends the log (when there is room for one) in ONE
+// WriteAcked at the cursor. It returns BEFORE the dispatcher assigns the
 // tick's ids and journals them, or a crash could lose a descriptor whose
-// id the journal recorded — shifting every later replayed descriptor
-// onto the wrong id and corrupting the dedupe. Record-then-do, one level
-// up.
+// id the journal recorded: record-then-do, one level up. An acked write
+// is durable once it returns but not atomic across pages or frames; a
+// crash inside it leaves any subset of its cells, of a tick nobody was
+// acked for and no id was journaled for. The scan reads through a window
+// of scanWindow cells (ReadRange) and at each header finds one of:
+//
+//  1. zero: the end of the log;
+//  2. a malformed header (tag, length 0 or over wire.MaxFrame, body past
+//     the last cell): refused as corrupt — cells are written whole, so
+//     tearing cannot make one;
+//  3. a well-formed header over a body that fails its check: a write that
+//     was never acked. The log ends here (event jobd_desclog_torn) and the
+//     next commit overwrites it, so a torn tick reopens as a PREFIX of its
+//     records, which run once like any logged, unperformed descriptor;
+//  4. a body that passes its check and does not decode: refused as corrupt.
+//
+// A committed record lost from the tail would leave a journaled id with
+// no descriptor; Server.replay refuses that store.
 const (
-	logMagic int64  = 0x616d6f2d64736332 // "amo-dsc2"
-	recMagic uint64 = 0x6a44             // "jD", the per-record header tag
+	logMagic int64  = 0x616d6f2d64736333 // "amo-dsc3"
+	recTag   uint64 = 0x6a               // 'j', the top byte of every record header
 
-	// logMagicBlocks marks a log from before jobd submitted through range
-	// leases only: its jobs drew ids from per-shard blocks of 64, so record
-	// n is not job n. Refused, never reinterpreted.
-	logMagicBlocks int64 = 0x616d6f2d64657363 // "amo-desc"
+	// Earlier formats' fingerprints: refused untouched, never read.
+	logMagicBlocks int64 = 0x616d6f2d64657363 // "amo-desc": ids drawn from per-shard blocks, record n is not job n
+	logMagicPlain  int64 = 0x616d6f2d64736332 // "amo-dsc2": headers carry no check of their body
+
+	// scanWindow: cells per ReadRange of the scan, and the largest cell
+	// buffer a log keeps between ticks.
+	scanWindow = 4096
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errLogFull is the internal stage failure; the server rejects with
 // codeCapacity BEFORE consuming an id, so a full log burns nothing.
@@ -111,9 +122,8 @@ func (d *desc) encodedLen() int { return 21 + len(d.tenant) + len(d.task) + len(
 // recCells is the log room of a record of n bytes: header plus payload.
 func recCells(n int) int { return 1 + (n+7)/8 }
 
-// descLog is the open log. It is owned by the server's core loop — no
-// internal locking; membackend cell writes are individually atomic, and
-// the single-writer discipline is exactly the point of the core loop.
+// descLog is the open log, owned by the server's core loop: a single
+// writer, no internal locking.
 //
 // The zero descLog is the log of a server on a volatile backend
 // (membackend.Volatile): no process could ever reopen it, so it is over
@@ -122,68 +132,91 @@ func recCells(n int) int { return 1 + (n+7)/8 }
 // b == nil checks are the only place jobd knows a log can be absent.
 type descLog struct {
 	b     membackend.Backend
-	cur   int // next free cell: where the next commit's header goes
-	end   int // cur plus the cells staged since the last commit
+	cur   int // next free cell: where the next commit's write starts
 	size  int
-	first int64    // the staged tick's first header, withheld until commit
-	err   error    // the first stage failure, reported (and cleared) by commit
-	buf   []byte   // encode scratch, reused across records
-	hdr   [1]int64 // header-cell scratch: a stack literal would escape through the interface
+	err   error   // the first stage failure, reported (and cleared) by commit
+	buf   []byte  // one record's encode scratch
+	cells []int64 // the records staged since the last commit, as commit writes them
 }
 
 // openDescLog opens (or creates) the log behind spec with the given
 // cell count and returns it along with every committed record, in
 // order, as one slab of jobs (descriptor filled, the rest zero). A
-// corrupt record header is fatal: the log is the recovery oracle, and a
-// hole in it would silently shift replayed descriptors onto wrong ids.
+// corrupt record is fatal: the log is the recovery oracle, and a hole in
+// it would silently shift replayed descriptors onto wrong ids.
 func openDescLog(spec string, cells int) (*descLog, []job, error) {
 	b, err := membackend.Open(spec, cells)
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobd: open descriptor log: %w", err)
 	}
-	l := &descLog{b: b, cur: 1, end: 1, size: cells}
+	l := &descLog{b: b, cur: 1, size: cells}
 	fail := func(err error) (*descLog, []job, error) {
 		b.Close()
 		return nil, nil, err
 	}
 
-	switch fp := b.Read(0); fp {
+	fp := make([]int64, 1)
+	if err := b.ReadRange(0, fp); err != nil {
+		return fail(fmt.Errorf("jobd: read descriptor log: %w", err))
+	}
+	switch fp[0] {
 	case logMagic:
 		// Existing log; scan below.
 	case 0:
-		if err := l.writeCell(0, logMagic); err != nil {
+		if err := b.WriteAcked(0, []int64{logMagic}, false); err != nil {
 			return fail(err)
 		}
 		return l, nil, nil
 	case logMagicBlocks:
 		return fail(fmt.Errorf("jobd: descriptor log %q was written before job ids became log ordinals: its jobs drew their ids from per-shard blocks of 64, so its n-th record is not job n and replaying it would dedupe the wrong jobs; it is left untouched — start jobd stores fresh", spec))
+	case logMagicPlain:
+		return fail(fmt.Errorf("jobd: descriptor log %q was written before record headers carried a check of their body: a committed header of its can sit over body cells that never reached the store; it is left untouched — start jobd stores fresh", spec))
 	default:
-		return fail(fmt.Errorf("jobd: backend %q is not a descriptor log (fingerprint %#x)", spec, fp))
+		return fail(fmt.Errorf("jobd: backend %q is not a descriptor log (fingerprint %#x)", spec, fp[0]))
 	}
 
+	// win holds log cells [base, base+len(win)); span returns the part of
+	// [at, at+n) it holds, refilled from at when that is none of it.
+	win, base := make([]int64, 0, scanWindow), 0
+	span := func(at, n int) ([]int64, error) {
+		if at < base || at >= base+len(win) {
+			win, base = win[:min(cap(win), l.size-at)], at
+			if err := b.ReadRange(at, win); err != nil {
+				return nil, fmt.Errorf("jobd: read descriptor log: %w", err)
+			}
+		}
+		return win[at-base : min(at-base+n, len(win))], nil
+	}
 	var (
 		recs  []job
 		raw   []byte        // one record's bytes; decode copies out of it
 		names wire.Interner // a log repeats a handful of tenant and task names
 	)
 	for l.cur < l.size {
-		hdr := uint64(b.Read(l.cur))
-		if hdr == 0 {
-			break // first uncommitted cell: end of log
+		c, err := span(l.cur, 1)
+		if err != nil {
+			return fail(err)
 		}
-		// The tag, and bits 32-47 zero as stage writes them (a length is
-		// at most wire.MaxFrame): junk there is damage, not a record of the
-		// low 32 bits' length.
-		if hdr>>32 != recMagic<<16 {
+		hdr := uint64(c[0])
+		if hdr == 0 {
+			break
+		}
+		n := int(hdr & 0xffffff)
+		if hdr>>56 != recTag || n == 0 || n > wire.MaxFrame || l.cur+recCells(n) > l.size {
 			return fail(fmt.Errorf("jobd: corrupt descriptor log: record %d header %#x at cell %d", len(recs), hdr, l.cur))
 		}
-		n := int(hdr & 0xffffffff)
-		if n == 0 || n > wire.MaxFrame || l.cur+recCells(n) > l.size {
-			return fail(fmt.Errorf("jobd: corrupt descriptor log: record %d length %d at cell %d", len(recs), n, l.cur))
-		}
 		raw = raw[:0]
-		for i := 1; i < recCells(n); i++ {
-			raw = wire.AppendU64(raw, uint64(b.Read(l.cur+i)))
+		for at, end := l.cur+1, l.cur+recCells(n); at < end; at += len(c) {
+			if c, err = span(at, end-at); err != nil {
+				return fail(err)
+			}
+			for _, v := range c {
+				raw = wire.AppendU64(raw, uint64(v))
+			}
+		}
+		if sum := crc32.Update(uint32(l.cur), castagnoli, raw[:n]); sum != uint32(hdr>>24) {
+			eventlog.Logger().Warn("jobd_desclog_torn", "record", len(recs), "cell", l.cur)
+			break
 		}
 		recs = append(recs, job{})
 		if err := recs[len(recs)-1].decode(raw[:n], &names); err != nil {
@@ -191,7 +224,6 @@ func openDescLog(spec string, cells int) (*descLog, []job, error) {
 		}
 		l.cur += recCells(n)
 	}
-	l.end = l.cur
 	return l, recs, nil
 }
 
@@ -202,50 +234,44 @@ func (l *descLog) hasRoom(ahead, n int) bool {
 	return l.b == nil || l.cur+ahead+recCells(n) <= l.size
 }
 
-// stage writes d's record behind those already staged, invisible until
-// commit. The core loop stages only what hasRoom admitted; the re-check
-// keeps the invariant local, and a failure is held for commit to report.
+// stage encodes d's record behind those already staged. The core loop
+// stages only what hasRoom admitted; the re-check keeps the invariant
+// local, and a failure is held for commit to report.
 func (l *descLog) stage(d *desc) {
 	if l.b == nil || l.err != nil {
 		return
 	}
-	l.buf = d.encode(l.buf[:0])
-	n := len(l.buf)
-	if l.end+recCells(n) > l.size {
+	l.buf = append(d.encode(l.buf[:0]), 0, 0, 0, 0, 0, 0, 0) // zeros to fill the last cell
+	n, at := len(l.buf)-7, l.cur+len(l.cells)
+	if at+recCells(n) > l.size {
 		l.err = errLogFull
 		return
 	}
+	sum := crc32.Update(uint32(at), castagnoli, l.buf[:n])
+	l.cells = append(l.cells, int64(recTag<<56|uint64(sum)<<24|uint64(n)))
 	for i := 0; i < n; i += 8 {
-		var cell [8]byte
-		copy(cell[:], l.buf[i:])
-		l.b.Write(l.end+1+i/8, cellVal(cell[:]))
+		l.cells = append(l.cells, cellVal(l.buf[i:]))
 	}
-	if hdr := int64(recMagic<<48 | uint64(n)); l.end == l.cur {
-		l.first = hdr
-	} else {
-		l.b.Write(l.end, hdr)
-	}
-	l.end += recCells(n)
 }
 
-// commit makes every staged record visible at once, or none: the
-// terminator, then the first header, acked so the tick is durable before
-// its ids exist. On failure the cursor stays and the next tick overwrites
-// what was staged.
+// commit is the tick's one acked write: durable before its ids exist. On
+// failure the cursor stays and the next tick overwrites what was written.
 func (l *descLog) commit() error {
-	err := l.err
-	if err == nil && l.end > l.cur {
-		if l.end < l.size {
-			l.b.Write(l.end, 0)
+	err, end := l.err, l.cur+len(l.cells)
+	if err == nil && len(l.cells) > 0 {
+		if end < l.size {
+			l.cells = append(l.cells, 0)
 		}
-		err = l.writeCell(l.cur, l.first)
+		err = l.b.WriteAcked(l.cur, l.cells, false)
 	}
-	if err != nil {
-		l.end, l.err = l.cur, nil
-		return err
+	if err == nil {
+		l.cur = end
 	}
-	l.cur = l.end
-	return nil
+	l.err, l.cells = nil, l.cells[:0]
+	if cap(l.cells) > scanWindow {
+		l.cells = nil // a burst's buffer is not an idle server's to keep
+	}
+	return err
 }
 
 func (l *descLog) close() error {
@@ -253,12 +279,6 @@ func (l *descLog) close() error {
 		return nil
 	}
 	return l.b.Close()
-}
-
-// writeCell is one acked, non-journal write of a single cell.
-func (l *descLog) writeCell(addr int, v int64) error {
-	l.hdr[0] = v
-	return l.b.WriteAcked(addr, l.hdr[:], false)
 }
 
 // cellVal packs 8 little-endian bytes into a cell value; putCell unpacks.

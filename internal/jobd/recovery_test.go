@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/memtest"
+	"atmostonce/internal/netmem"
+	"atmostonce/internal/obs"
 	"atmostonce/internal/wire"
 )
 
@@ -21,6 +26,40 @@ const testLogCells = 1 << 14
 func (l *descLog) append(d *desc) error {
 	l.stage(d)
 	return l.commit()
+}
+
+// "lossy:NAME" is this test binary's crashable backend kind: one
+// memtest.Lossy per name, the same store on every Open, so a test tears a
+// write, crashes the store and opens it again.
+var lossyStores sync.Map
+
+func lossyStore(name string, size int) *memtest.Lossy {
+	l, _ := lossyStores.LoadOrStore(name, memtest.NewLossy(size))
+	return l.(*memtest.Lossy)
+}
+
+func init() {
+	membackend.Register("lossy", func(arg string, size int) (membackend.Backend, error) {
+		return lossyStore(arg, size), nil
+	})
+	membackend.RegisterSuffixer("lossy", func(arg, suffix string) string { return arg + suffix })
+}
+
+// lossyLog opens a fresh log over a lossy store named after the test.
+func lossyLog(t *testing.T) (*descLog, *memtest.Lossy, string) {
+	t.Helper()
+	lossyStores.Delete(t.Name()) // -count=2 runs the name again
+	l, _, err := openDescLog("lossy:"+t.Name(), testLogCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, lossyStore(t.Name(), testLogCells), "lossy:" + t.Name()
+}
+
+// sameDesc reports whether a scanned record is the descriptor d.
+func sameDesc(g *job, d *desc) bool {
+	return g.tenant == d.tenant && g.task == d.task && g.version == d.version &&
+		g.pri == d.pri && g.deadline == d.deadline && string(g.payload) == string(d.payload)
 }
 
 // TestDescLogRoundTrip: records appended to the log come back verbatim
@@ -58,10 +97,8 @@ func TestDescLogRoundTrip(t *testing.T) {
 		t.Fatalf("reopened log has %d records, want %d", len(got), len(want))
 	}
 	for i := range want {
-		w, g := &want[i], &got[i]
-		if g.tenant != w.tenant || g.task != w.task || g.version != w.version ||
-			g.pri != w.pri || g.deadline != w.deadline || string(g.payload) != string(w.payload) {
-			t.Fatalf("record %d = %+v, want %+v", i, g, w)
+		if !sameDesc(&got[i], &want[i]) {
+			t.Fatalf("record %d = %+v, want %+v", i, &got[i], &want[i])
 		}
 	}
 	// Appending after reopen continues from the scan cursor.
@@ -70,36 +107,130 @@ func TestDescLogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDescLogTornTail: payload cells written without their header cell
-// (the crash window inside append) are invisible to the scan and get
-// overwritten by the next append.
+// TestDescLogTornTail: a record whose body cells reached the store and
+// whose header cell did not (a crash inside the commit's one write) is
+// invisible to the scan and gets overwritten by the next append.
 func TestDescLogTornTail(t *testing.T) {
-	spec := "mmap:" + filepath.Join(t.TempDir(), "log")
-	l, _, err := openDescLog(spec, testLogCells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, st, spec := lossyLog(t)
 	if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a torn append: garbage payload cells at the cursor, no
-	// header committed.
-	l.b.Write(l.cur+1, 0x6741734761726241)
-	l.b.Write(l.cur+2, 0x6741734761726241)
-	if err := l.close(); err != nil {
+	at := l.cur
+	st.Keep = func(addr int) bool { return addr != at }
+	if err := l.append(&desc{tenant: "torn", task: "t", version: 1, payload: []byte("gAsGarbA")}); err != nil {
 		t.Fatal(err)
 	}
-
-	l2, recs, err := openDescLog(spec, testLogCells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st.Crash()
+	l2, recs := reopenLog(t, l, spec)
 	defer l2.close()
 	if len(recs) != 1 {
 		t.Fatalf("scan found %d records, want 1 (torn tail must be invisible)", len(recs))
 	}
 	if err := l2.append(&desc{tenant: "b", task: "t", version: 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommittedTickSurvivesHostCrash: a tick whose commit returned is in
+// the store whatever else is lost — every cell of it went down in the
+// acked write, none beside it.
+func TestCommittedTickSurvivesHostCrash(t *testing.T) {
+	l, st, spec := lossyLog(t)
+	tick := []desc{
+		{tenant: "a", task: "t1", version: 1, payload: bytes.Repeat([]byte{0xab}, 300)},
+		{tenant: "b", task: "t2", version: 2, deadline: 99, payload: []byte("second")},
+	}
+	for i := range tick {
+		l.stage(&tick[i])
+	}
+	if err := l.commit(); err != nil {
+		t.Fatal(err)
+	}
+	st.Crash()
+	l, recs, err := openDescLog(spec, testLogCells)
+	if err != nil {
+		t.Fatalf("the committed tick does not reopen after the loss of every un-acked cell: %v", err)
+	}
+	defer l.close()
+	if len(recs) != 2 || !sameDesc(&recs[0], &tick[0]) || !sameDesc(&recs[1], &tick[1]) {
+		t.Fatalf("reopened to %d records %+v, want the tick's two", len(recs), recs)
+	}
+}
+
+// TestTornTickReopensToPrefix: a crash inside a tick's one write can keep
+// any subset of its cells. For every ascending prefix and every lost
+// 16-cell page of a three-record tick the log reopens, without refusal,
+// to exactly the records that are whole with every record before them —
+// a prefix of the tick, never a hole, never a phantom — and a shorter
+// tick committed next is recovered exactly: the zero cell that ends it
+// rode in its write, ahead of whatever the torn tick left behind.
+func TestTornTickReopensToPrefix(t *testing.T) {
+	// No cell of these records is zero, so a lost cell is a damaged record.
+	tick := []desc{
+		{tenant: "r0", task: "t", version: 1, deadline: -1, payload: bytes.Repeat([]byte{0xa0}, 100)},
+		{tenant: "r1", task: "t", version: 1, deadline: -1, payload: bytes.Repeat([]byte{0xa1}, 60)},
+		{tenant: "r2", task: "t", version: 1, deadline: -1, payload: bytes.Repeat([]byte{0xa2}, 130)},
+	}
+	first := desc{tenant: "first", task: "t", version: 1}
+	start, total := 1+recCells(first.encodedLen()), 1
+	for i := range tick {
+		total += recCells(tick[i].encodedLen())
+	}
+	type variant struct {
+		name string
+		keep func(addr int) bool
+	}
+	var variants []variant
+	for p := 0; p <= total; p++ {
+		variants = append(variants, variant{fmt.Sprintf("prefix%d", p), func(addr int) bool { return addr < start+p }})
+	}
+	for g := start / 16; g <= (start+total-1)/16; g++ {
+		variants = append(variants, variant{fmt.Sprintf("page%d", g), func(addr int) bool { return addr/16 != g }})
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			l, st, spec := lossyLog(t)
+			if err := l.append(&first); err != nil {
+				t.Fatal(err)
+			}
+			if l.cur != start {
+				t.Fatalf("the tick starts at cell %d, the variants assume %d", l.cur, start)
+			}
+			st.Keep = v.keep
+			want, whole := 1, true
+			for i, at := 0, start; i < len(tick); i++ {
+				l.stage(&tick[i])
+				for end := at + recCells(tick[i].encodedLen()); at < end; at++ {
+					whole = whole && v.keep(at)
+				}
+				if whole {
+					want++
+				}
+			}
+			if err := l.commit(); err != nil {
+				t.Fatal(err)
+			}
+			st.Crash()
+			l, recs := reopenLog(t, l, spec)
+			if len(recs) != want {
+				t.Fatalf("reopened to %d records, want %d", len(recs), want)
+			}
+			for i := 1; i < len(recs); i++ {
+				if !sameDesc(&recs[i], &tick[i-1]) {
+					t.Fatalf("record %d = %+v, want the tick's record %d", i, &recs[i], i-1)
+				}
+			}
+			short := desc{tenant: "short", task: "t", version: 1, payload: []byte("s")}
+			if err := l.append(&short); err != nil {
+				t.Fatal(err)
+			}
+			st.Crash()
+			l, recs = reopenLog(t, l, spec)
+			defer l.close()
+			if len(recs) != want+1 || !sameDesc(&recs[want], &short) {
+				t.Fatalf("after a shorter tick over the torn one: %d records, want %d ending in the short one", len(recs), want+1)
+			}
+		})
 	}
 }
 
@@ -149,22 +280,33 @@ func TestDescLogAppendAllocs(t *testing.T) {
 
 // TestCorruptDescLogRefused: the log is input from outside the process,
 // and a hole in it would shift every later descriptor onto a wrong id. A
-// damaged third record — whichever part of it is damaged — is refused at
-// open with an error naming the record and its cell, and the file is left
-// byte for byte as it was.
+// third record with a header no commit writes, or with a body that passes
+// its check and is no descriptor, is refused at open with an error naming
+// the record and its cell, and the file is left byte for byte as it was.
+// A well-formed header over a body that fails its check is the one thing
+// a crash can leave there: the log ends at it and the next append takes
+// its place.
 func TestCorruptDescLogRefused(t *testing.T) {
 	good := (&desc{tenant: "t", task: "noop", version: 1, payload: []byte("payload!")}).encode(nil)
-	hdr := func(n int) int64 { return int64(recMagic<<48 | uint64(n)) }
+	junk := bytes.Repeat([]byte{0xff}, len(good))
+	hdr := func(tag uint64, at int, body []byte, n int) int64 {
+		return int64(tag<<56 | uint64(crc32.Update(uint32(at), castagnoli, body))<<24 | uint64(n))
+	}
 	for _, tc := range []struct {
-		name string
-		hdr  int64
-		body []byte
+		name    string
+		hdr     func(at int) int64
+		body    []byte
+		refused bool
 	}{
-		{"wrong tag", int64(0x4a64<<48 | uint64(len(good))), good},
-		{"junk in bits 32-47", hdr(len(good)) | 0x0bad<<32, good},
-		{"length 0", hdr(0), good},
-		{"length past the end of the log", hdr(8 * testLogCells), good},
-		{"body that does not decode", hdr(len(good)), bytes.Repeat([]byte{0xff}, len(good))},
+		{"wrong tag", func(at int) int64 { return hdr(0x4a, at, good, len(good)) }, good, true},
+		{"length 0", func(at int) int64 { return hdr(recTag, at, good, 0) }, good, true},
+		{"length over the frame ceiling", func(at int) int64 { return hdr(recTag, at, good, wire.MaxFrame+1) }, good, true},
+		{"length past the end of the log", func(at int) int64 { return hdr(recTag, at, good, 8*testLogCells) }, good, true},
+		{"body that does not decode", func(at int) int64 { return hdr(recTag, at, junk, len(junk)) }, junk, true},
+		// Bits 24-55 hold the check: junk there is a failed check at the
+		// tail, which ends the log, and the next append overwrites it.
+		{"junk in bits 32-47", func(at int) int64 { return hdr(recTag, at, good, len(good)) ^ 0x0bad<<32 }, good, false},
+		{"a good record found at another address fails its check", func(at int) int64 { return hdr(recTag, at+1, good, len(good)) }, good, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "log")
@@ -178,7 +320,7 @@ func TestCorruptDescLogRefused(t *testing.T) {
 				}
 			}
 			at := l.cur
-			l.b.Write(at, tc.hdr)
+			l.b.Write(at, tc.hdr(at))
 			for i := 0; i < len(tc.body); i += 8 {
 				var cell [8]byte
 				copy(cell[:], tc.body[i:])
@@ -193,6 +335,20 @@ func TestCorruptDescLogRefused(t *testing.T) {
 			}
 
 			l, recs, err := openDescLog("mmap:"+path, testLogCells)
+			if !tc.refused {
+				if err != nil || len(recs) != 2 || l.cur != at {
+					t.Fatalf("open = %d records, error %v; want the 2 committed records and the cursor at cell %d", len(recs), err, at)
+				}
+				if err := l.append(&desc{tenant: "next", task: "noop", version: 1, payload: []byte("p")}); err != nil {
+					t.Fatal(err)
+				}
+				l, recs = reopenLog(t, l, "mmap:"+path)
+				defer l.close()
+				if len(recs) != 3 || recs[2].tenant != "next" {
+					t.Fatalf("after the next append the log holds %d records %+v, want the third to be the new one", len(recs), recs)
+				}
+				return
+			}
 			if err == nil {
 				l.close()
 				t.Fatalf("the damaged log opened, with %d records", len(recs))
@@ -213,10 +369,9 @@ func TestCorruptDescLogRefused(t *testing.T) {
 	}
 }
 
-// durableServer builds a server over a durable mmap family rooted in
-// dir. The registry counts executions of task "mark" per payload index.
-func durableServer(t *testing.T, dir string, executed *[]atomic.Int32) (*Server, string) {
-	t.Helper()
+// durableOptions is a server over a durable mmap family rooted in dir.
+// The registry counts executions of task "mark" per payload index.
+func durableOptions(dir string, executed *[]atomic.Int32) Options {
 	reg := NewRegistry()
 	reg.Register("mark", 1, func(_ context.Context, p []byte) error {
 		dec := wire.Decoder{B: p}
@@ -224,7 +379,7 @@ func durableServer(t *testing.T, dir string, executed *[]atomic.Int32) (*Server,
 		(*executed)[idx].Add(1)
 		return nil
 	})
-	s, err := New(Options{
+	return Options{
 		Registry: reg,
 		Backend:  "mmap:" + filepath.Join(dir, "jobd"),
 		MaxJobs:  1 << 12,
@@ -233,7 +388,13 @@ func durableServer(t *testing.T, dir string, executed *[]atomic.Int32) (*Server,
 		Workers:  2,
 		MaxBatch: 32,
 		Tenants:  map[string]TenantLimits{"t": {}},
-	})
+	}
+}
+
+// durableServer builds and starts that server.
+func durableServer(t *testing.T, dir string, executed *[]atomic.Int32) (*Server, string) {
+	t.Helper()
+	s, err := New(durableOptions(dir, executed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,26 +630,24 @@ func reopenLog(t *testing.T, l *descLog, spec string) (*descLog, []job) {
 	return l2, recs
 }
 
-// TestTornLongThenShorterAppend: the payload cells of a long record land
+// TestTornLongThenShorterAppend: the body cells of a long record land
 // without its header (the kill), and the next incarnation appends a
 // SHORTER record over them. The torn record's stale cells right behind
-// the new one are client-supplied bytes; without the zero terminator the
-// next scan read them as a header and refused the store (or, for a
-// crafted payload, replayed a phantom descriptor that shifted every
-// later id).
+// the new one are client-supplied bytes; without the zero cell the new
+// record's write ends in, the next scan would read them as a header and
+// refuse the store (or, for a crafted payload, replay a phantom
+// descriptor that shifted every later id).
 func TestTornLongThenShorterAppend(t *testing.T) {
-	spec := "mmap:" + filepath.Join(t.TempDir(), "log")
-	l, _, err := openDescLog(spec, testLogCells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, st, spec := lossyLog(t)
 	if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// The kill: an 800-byte record staged — payload cells written — and
-	// never committed.
-	torn := desc{tenant: "a", task: "t", version: 1, payload: bytes.Repeat([]byte{0xab}, 800)}
-	l.stage(&torn)
+	at := l.cur
+	st.Keep = func(addr int) bool { return addr != at }
+	if err := l.append(&desc{tenant: "a", task: "t", version: 1, payload: bytes.Repeat([]byte{0xab}, 800)}); err != nil {
+		t.Fatal(err)
+	}
+	st.Crash()
 	l, recs := reopenLog(t, l, spec)
 	if len(recs) != 1 {
 		t.Fatalf("scan found %d records after the torn append, want 1", len(recs))
@@ -496,6 +655,7 @@ func TestTornLongThenShorterAppend(t *testing.T) {
 	if err := l.append(&desc{tenant: "b", task: "t", version: 1, payload: []byte("short")}); err != nil {
 		t.Fatal(err)
 	}
+	st.Crash()
 	l, recs = reopenLog(t, l, spec)
 	defer l.close()
 	if len(recs) != 2 || recs[1].tenant != "b" || string(recs[1].payload) != "short" {
@@ -503,42 +663,48 @@ func TestTornLongThenShorterAppend(t *testing.T) {
 	}
 }
 
-// TestTornTickInvisible: a tick of five whose commit header never lands
-// leaves five payloads and FOUR VALID HEADERS (records 2..5) behind the
-// cursor. A reopen sees none of the five; a tick of one committed over
-// them reopens as exactly one more record — no phantom from the stale
-// headers, whichever of them the new record's end falls short of.
+// TestTornTickInvisible: a tick of five whose first header never lands
+// leaves five bodies and FOUR VALID HEADERS (records 2..5, each over a
+// body that passes its check at that address) behind the cursor. A reopen
+// sees none of the five; a tick of one committed over them reopens as
+// exactly one more record — no phantom from the stale records, whichever
+// of them the new record's end falls short of.
 func TestTornTickInvisible(t *testing.T) {
 	tornRec := desc{tenant: "torn", task: "t", version: 1, payload: bytes.Repeat([]byte{0xff}, 40)}
 	// The 1-record tick's payload: ending inside the torn tick's first
 	// record, exactly on its second header, and inside its third record.
 	for _, short := range []int{0, 45, 200} {
-		spec := "mmap:" + filepath.Join(t.TempDir(), "log")
-		l, _, err := openDescLog(spec, testLogCells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			l.stage(&tornRec)
-		}
-		if hdr := uint64(l.b.Read(l.cur + recCells(tornRec.encodedLen()))); hdr>>48 != recMagic {
-			t.Fatalf("the torn tick's second header is %#x: the test does not build the state it describes", hdr)
-		}
-		l, recs := reopenLog(t, l, spec)
-		if len(recs) != 1 {
-			t.Fatalf("scan found %d records, want 1: the uncommitted tick must be invisible", len(recs))
-		}
-		if err := l.append(&desc{tenant: "b", task: "t", version: 1, payload: make([]byte, short)}); err != nil {
-			t.Fatal(err)
-		}
-		l, recs = reopenLog(t, l, spec)
-		if len(recs) != 2 || recs[1].tenant != "b" || len(recs[1].payload) != short {
-			t.Fatalf("payload %d: scan found %d records, want 2 (phantoms from the torn tick's headers?)", short, len(recs))
-		}
-		l.close()
+		t.Run(fmt.Sprint(short), func(t *testing.T) {
+			l, st, spec := lossyLog(t)
+			if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
+				t.Fatal(err)
+			}
+			at := l.cur
+			st.Keep = func(addr int) bool { return addr != at }
+			for i := 0; i < 5; i++ {
+				l.stage(&tornRec)
+			}
+			if err := l.commit(); err != nil {
+				t.Fatal(err)
+			}
+			st.Crash()
+			if hdr := uint64(st.Read(at + recCells(tornRec.encodedLen()))); hdr>>56 != recTag {
+				t.Fatalf("the torn tick's second header is %#x: the test does not build the state it describes", hdr)
+			}
+			l, recs := reopenLog(t, l, spec)
+			if len(recs) != 1 {
+				t.Fatalf("scan found %d records, want 1: the torn tick must be invisible", len(recs))
+			}
+			if err := l.append(&desc{tenant: "b", task: "t", version: 1, payload: make([]byte, short)}); err != nil {
+				t.Fatal(err)
+			}
+			st.Crash()
+			l, recs = reopenLog(t, l, spec)
+			defer l.close()
+			if len(recs) != 2 || recs[1].tenant != "b" || len(recs[1].payload) != short {
+				t.Fatalf("scan found %d records, want 2 (phantoms from the torn tick's records?)", len(recs))
+			}
+		})
 	}
 }
 
@@ -556,7 +722,7 @@ func TestReplayAcrossChunks(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.stage(&desc{tenant: "t", task: "mark", version: 1, payload: wire.AppendU64(nil, uint64(i))})
 	}
-	if err := l.commit(); err != nil { // one tick of 2500: one commit header
+	if err := l.commit(); err != nil { // one tick of 2500: one acked write
 		t.Fatal(err)
 	}
 	if err := l.close(); err != nil {
@@ -578,4 +744,148 @@ func TestReplayAcrossChunks(t *testing.T) {
 	if id, err := c.Submit("t", "mark", 1, wire.AppendU64(nil, 0), SubmitOptions{}); err != nil || id != n+1 {
 		t.Fatalf("first submission after the replay = (%d, %v), want id %d", id, err, n+1)
 	}
+}
+
+// TestJournalWithoutDescriptorsRefused: record-then-do means every
+// journaled id has a committed descriptor. A store where one does not —
+// the log removed, or cut short by one committed record — is refused at
+// New, naming how many ids are orphaned, the lowest, and what the log
+// holds, with the journals left as they were: started anyway, the server
+// would lease a new submission onto an orphaned id, resolve it Recovered
+// and never run it.
+func TestJournalWithoutDescriptorsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  func(t *testing.T, logSpec, logPath string)
+		says []string
+	}{
+		{"log removed", func(t *testing.T, _, logPath string) {
+			if err := os.Remove(logPath); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"10 performed jobs", "lowest id 1;", "holds 0 records"}},
+		{"log cut short by one record", func(t *testing.T, logSpec, _ string) {
+			l, recs, err := openDescLog(logSpec, testLogCells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.b.Write(l.cur-recCells(recs[len(recs)-1].encodedLen()), 0)
+			if err := l.close(); err != nil {
+				t.Fatal(err)
+			}
+		}, []string{"1 performed jobs", "lowest id 10;", "holds 9 records"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			executed := make([]atomic.Int32, 16)
+			s1, addr := durableServer(t, dir, &executed)
+			c := testClient(t, addr, ClientOptions{})
+			for i := 0; i < 10; i++ {
+				if _, err := c.Submit("t", "mark", 1, wire.AppendU64(nil, uint64(i)), SubmitOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Close()
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			o := durableOptions(dir, &executed)
+			tc.cut(t, membackend.WithSuffix(o.Backend, ".desclog"), filepath.Join(dir, "jobd.desclog"))
+			journals := func() (all []byte) {
+				for shard := 0; shard < o.Shards; shard++ {
+					b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("jobd.shard%d", shard)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					all = append(all, b...)
+				}
+				return all
+			}
+			before := journals()
+
+			s2, err := New(o)
+			if err == nil {
+				// What the refusal prevents, shown on the way out.
+				defer s2.Close()
+				addr, err := s2.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := testClient(t, addr, ClientOptions{})
+				id, _ := c.Submit("t", "mark", 1, wire.AppendU64(nil, 15), SubmitOptions{})
+				s2.d.Flush()
+				t.Fatalf("a journal with no descriptors behind it was accepted; the next submission was acked as id %d and ran %d times (%d resolved Recovered)",
+					id, executed[15].Load(), s2.d.Stats().Recovered)
+			}
+			for _, want := range tc.says {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal does not say %q: %v", want, err)
+				}
+			}
+			if !bytes.Equal(before, journals()) {
+				t.Error("the refused store's journals were modified")
+			}
+		})
+	}
+}
+
+// netmemRequests reads one series of the netmem client's request counter.
+func netmemRequests(op string) uint64 {
+	return obs.Default.Snapshot()[`amo_netmem_client_requests_total{op="`+op+`"}`].(uint64)
+}
+
+// TestJobdOverNet: the whole durable path over a register server — open,
+// 2 000 one-record ticks of 1 KiB submissions, close, reopen and replay —
+// crosses the wire as acked writes and ranged reads only: not one
+// single-cell read or write request, one frame per log commit, and a
+// reopen that scans the log in windows, not cells. It logs what a tick
+// and the reopen cost on this machine's loopback.
+func TestJobdOverNet(t *testing.T) {
+	srv := netmem.NewServer(netmem.ServerOptions{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() }) // after the servers' own cleanups
+	const n = 2000
+	o := Options{
+		Backend: "net:" + addr + "/jobd", MaxJobs: n, LogCells: 1 << 19, Shards: 1,
+		Tenants: map[string]TenantLimits{"t": {}},
+	}
+	reads, writes, acked := netmemRequests("read"), netmemRequests("write"), netmemRequests("write_acked")
+
+	s := steppedServer(t, o)
+	c := fakeConn(s)
+	payload := bytes.Repeat([]byte{0x5a}, 1024)
+	t0 := time.Now()
+	for i := 0; i < n; i++ {
+		s.tick([]coreReq{submitReq(s, c, uint32(i), "t", payload)}, nil)
+	}
+	ticked := time.Since(t0)
+	s.settle()
+	cells := s.log.cur
+	// One frame per tick for the log, at most one per job for the journal
+	// (JournalBatch 1), the two fingerprints.
+	if got := netmemRequests("write_acked") - acked; got < n || got > 2*n+2 {
+		t.Errorf("%d acked-write requests for %d one-job ticks, want one per tick plus at most one per job", got, n)
+	}
+	s.shut(t)
+
+	ranged := netmemRequests("read_range")
+	t0 = time.Now()
+	s2 := steppedServer(t, o)
+	reopened := time.Since(t0)
+	s2.tick(nil, s2.takeDone())
+	if st := s2.d.Stats(); s2.replayed != n || st.Recovered != n || s2.reexecuted != 0 || st.Pending != 0 {
+		t.Fatalf("reopen: replayed %d, recovered %d, re-executed %d, pending %d; want %d, %d, 0, 0", s2.replayed, st.Recovered, s2.reexecuted, st.Pending, n, n)
+	}
+	// The log's windows, then the shard's fingerprint and two rows.
+	if got, most := netmemRequests("read_range")-ranged, uint64((cells+scanWindow-1)/scanWindow+4); got > most {
+		t.Errorf("the reopen spent %d ranged reads on a log of %d cells, want ≤ %d", got, cells, most)
+	}
+	if r, w := netmemRequests("read")-reads, netmemRequests("write")-writes; r != 0 || w != 0 {
+		t.Errorf("%d single-cell reads and %d un-acked writes crossed the wire (%.0f per job), want none", r, w, float64(r+w)/n)
+	}
+	t.Logf("%d one-KiB records over net: loopback: %v per tick, reopen and replay %v (log of %d cells)",
+		n, ticked/n, reopened, cells)
 }

@@ -481,6 +481,13 @@ func (s *Server) replay(recs []job) error {
 		}
 	}
 	clear(s.batch)
+	// Record-then-do: every journaled id has a committed descriptor, so
+	// the replay claimed them all. One left over is a job whose descriptor
+	// is gone; a new submission leased onto its id would resolve Recovered
+	// and never run.
+	if left, lowest := s.d.UnclaimedRecovered(); left > 0 {
+		return fmt.Errorf("jobd: the shard journals record %d performed jobs the descriptor log does not hold (lowest id %d; the log holds %d records): the log was lost or cut short; the journals are left as they are — restore the log, or start jobd stores fresh", left, lowest, len(recs))
+	}
 	if n := len(recs); n > 0 {
 		s.replayHorizon = uint64(n)
 		eventlog.Logger().Info("jobd_replayed", "descriptors", n, "horizon_id", s.replayHorizon)

@@ -156,10 +156,10 @@ func logRecords(t *testing.T, l *descLog) int {
 		if hdr == 0 {
 			break
 		}
-		if hdr>>48 != recMagic {
+		if hdr>>56 != recTag {
 			t.Fatalf("record %d: header %#x at cell %d", n, hdr, cur)
 		}
-		cur += recCells(int(hdr & 0xffffffff))
+		cur += recCells(int(hdr & 0xffffff))
 	}
 	return n
 }
@@ -273,16 +273,23 @@ func TestTickSubscribeSubmitUnsubscribe(t *testing.T) {
 	}
 }
 
-// ackedHook wraps a backend: WriteAcked calls before and may fail.
+// ackedHook wraps a backend: WriteAcked calls before with the cells it
+// was handed and may fail; plain counts the Writes.
 type ackedHook struct {
 	membackend.Backend
-	before func()
+	before func(cells int)
 	err    error
+	plain  int
+}
+
+func (h *ackedHook) Write(addr int, v int64) {
+	h.plain++
+	h.Backend.Write(addr, v)
 }
 
 func (h *ackedHook) WriteAcked(addr int, vals []int64, journal bool) error {
 	if h.before != nil {
-		h.before()
+		h.before(len(vals))
 	}
 	if h.err != nil {
 		return h.err
@@ -316,9 +323,9 @@ func TestTickCommitFailure(t *testing.T) {
 		t.Fatalf("replies %+v, want capacity, unknown-tenant, capacity, ping ack", fs)
 	}
 	ledger.rejected += 2
-	if s.log.cur != cur || s.log.end != cur || *s.tenants["t"] != ledger || s.admitted != admitted {
-		t.Fatalf("after the failed commit: log cursor %d/%d (was %d), ledger %+v (want %+v), admitted %d (was %d)",
-			s.log.cur, s.log.end, cur, *s.tenants["t"], ledger, s.admitted, admitted)
+	if s.log.cur != cur || len(s.log.cells) != 0 || *s.tenants["t"] != ledger || s.admitted != admitted {
+		t.Fatalf("after the failed commit: log cursor %d with %d cells staged (was %d, none), ledger %+v (want %+v), admitted %d (was %d)",
+			s.log.cur, len(s.log.cells), cur, *s.tenants["t"], ledger, s.admitted, admitted)
 	}
 	if st := s.d.Stats(); st.Submitted != 1 {
 		t.Fatalf("dispatcher saw %d submissions, want the 1 from before the failure", st.Submitted)
@@ -349,7 +356,7 @@ func TestTickBarrier(t *testing.T) {
 			return false
 		}
 	}
-	s.log.b = &ackedHook{Backend: s.log.b, before: func() {
+	s.log.b = &ackedHook{Backend: s.log.b, before: func(int) {
 		if closed() {
 			t.Error("barrier closed before the tick's log commit")
 		}
@@ -471,9 +478,9 @@ func TestVolatileServerKeepsNoStore(t *testing.T) {
 // TestCountingWrapperKeepsLogAndJournal: "counting:atomic" is not
 // volatile — the wrapper exists to witness the traffic the wrapped kind
 // would carry, so the server keeps that traffic. A tick of k jobs reaches
-// the log's wrapper as k records plus the terminator, exactly one of
-// those cells through WriteAcked (the commit header), and the shard
-// journals record one cell per job.
+// the log's backend as ONE acked write of its k records plus the zero
+// cell that ends the log, and no plain write; the shard journals record
+// one cell per job.
 func TestCountingWrapperKeepsLogAndJournal(t *testing.T) {
 	const k = 6
 	s := steppedServer(t, Options{Backend: "counting:atomic", Tenants: map[string]TenantLimits{"t": {}}})
@@ -481,8 +488,9 @@ func TestCountingWrapperKeepsLogAndJournal(t *testing.T) {
 	if logw == nil {
 		t.Fatalf("the descriptor log is over %T, want the counting wrapper", s.log.b)
 	}
-	acked := 0
-	s.log.b = &ackedHook{Backend: s.log.b, before: func() { acked++ }}
+	var acked []int
+	hook := &ackedHook{Backend: s.log.b, before: func(cells int) { acked = append(acked, cells) }}
+	s.log.b = hook
 	writes := logw.Writes()
 	c := fakeConn(s)
 	var inbox []coreReq
@@ -490,9 +498,9 @@ func TestCountingWrapperKeepsLogAndJournal(t *testing.T) {
 		inbox = append(inbox, submitReq(s, c, seq, "t", nil))
 	}
 	s.tick(inbox, nil)
-	rec := recCells(inbox[0].j.encodedLen())
-	if got := logw.Writes() - writes; acked != 1 || got != uint64(k*rec+1) {
-		t.Fatalf("a tick of %d jobs: %d acked writes and %d cells written to the log, want 1 and %d", k, acked, got, k*rec+1)
+	want := k*recCells(inbox[0].j.encodedLen()) + 1
+	if got := logw.Writes() - writes; len(acked) != 1 || acked[0] != want || hook.plain != 0 || got != uint64(want) {
+		t.Fatalf("a tick of %d jobs: acked writes of %v cells, %d plain writes, %d cells counted; want one acked write of %d cells and nothing else", k, acked, hook.plain, got, want)
 	}
 	s.settle()
 	if got := sumCounters(s.d.Registry(), "amo_membackend_journal_writes_total"); got != k {
@@ -579,50 +587,61 @@ func TestTickPartitionsReplayIdentically(t *testing.T) {
 	}
 }
 
-// TestParentDescLogRefused: a descriptor log written before ids became
-// log ordinals — the parent's fingerprint in cell 0 — is refused at New
-// with a sentence that names the change, and is left byte-for-byte as it
-// was.
+// TestParentDescLogRefused: a descriptor log of an earlier format — its
+// fingerprint in cell 0 — is refused at New with a sentence that names
+// the change, and is left byte-for-byte as it was.
 func TestParentDescLogRefused(t *testing.T) {
-	dir := t.TempDir()
-	spec := "mmap:" + filepath.Join(dir, "jobd")
-	path := filepath.Join(dir, "jobd.desclog")
-	b, err := membackend.Open(membackend.WithSuffix(spec, ".desclog"), testLogCells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The parent's log mid-life: its fingerprint and one record.
-	rec := (&desc{tenant: "t", task: "noop", version: 1, payload: []byte("old")}).encode(nil)
-	b.Write(0, logMagicBlocks)
-	b.Write(1, int64(recMagic<<48|uint64(len(rec))))
-	for i := 0; i < len(rec); i += 8 {
-		var cell [8]byte
-		copy(cell[:], rec[i:])
-		b.Write(2+i/8, cellVal(cell[:]))
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		magic int64
+		says  []string
+	}{
+		{"amo-desc", logMagicBlocks, []string{"ids became log ordinals", "per-shard blocks", "start jobd stores fresh"}},
+		{"amo-dsc2", logMagicPlain, []string{"check of their body", "never reached the store", "start jobd stores fresh"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := "mmap:" + filepath.Join(dir, "jobd")
+			path := filepath.Join(dir, "jobd.desclog")
+			b, err := membackend.Open(membackend.WithSuffix(spec, ".desclog"), testLogCells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// That format's log mid-life: its fingerprint and one record
+			// (both wrote a header of tag 0x6a44 and a length).
+			rec := (&desc{tenant: "t", task: "noop", version: 1, payload: []byte("old")}).encode(nil)
+			b.Write(0, tc.magic)
+			b.Write(1, int64(0x6a44<<48|uint64(len(rec))))
+			for i := 0; i < len(rec); i += 8 {
+				var cell [8]byte
+				copy(cell[:], rec[i:])
+				b.Write(2+i/8, cellVal(cell[:]))
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	s, err := New(Options{Registry: noopRegistry(), Backend: spec, MaxJobs: 64, LogCells: testLogCells, Shards: 1, Workers: 2})
-	if err == nil {
-		s.Close()
-		t.Fatal("a descriptor log with per-shard-block ids was accepted")
-	}
-	for _, want := range []string{"ids became log ordinals", "per-shard blocks", "start jobd stores fresh"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("refusal does not say %q: %v", want, err)
-		}
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("the refused descriptor log was modified")
+			s, err := New(Options{Registry: noopRegistry(), Backend: spec, MaxJobs: 64, LogCells: testLogCells, Shards: 1, Workers: 2})
+			if err == nil {
+				s.Close()
+				t.Fatalf("a descriptor log of format %s was accepted", tc.name)
+			}
+			for _, want := range tc.says {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("refusal does not say %q: %v", want, err)
+				}
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("the refused descriptor log was modified")
+			}
+		})
 	}
 }

@@ -15,7 +15,8 @@
 // sequential), for durable backends that a reopened instance sees
 // exactly the cells the previous instance wrote, and for every
 // membackend.Backend that WriteAcked and ReadRange agree with per-cell
-// writes and reads.
+// writes and reads. Lossy (lossy.go) is the store the crash tests of
+// internal/jobd and internal/dispatch run over: it keeps what was acked.
 package memtest
 
 import (
