@@ -28,7 +28,7 @@
 //
 // Usage:
 //
-//	amo-regd [-listen 127.0.0.1:7878] [-backend atomic|mmap:PATH|...] [-lease 2s] [-max-lease 1m] [-metrics 127.0.0.1:9090] [-trace 0.5] [-v]
+//	amo-regd [-listen 127.0.0.1:7878] [-backend atomic|mmap:PATH|...] [-lease 2s] [-max-lease 1m] [-metrics 127.0.0.1:9090] [-trace 0.5]
 package main
 
 import (
@@ -60,7 +60,6 @@ func run(args []string, ready chan<- string) error {
 	backend := fs.String("backend", "atomic", "membackend spec template backing the namespaces; instance-bearing kinds get a .<namespace> suffix (e.g. mmap:/var/lib/amo/regs)")
 	lease := fs.Duration("lease", 2*time.Second, "default writer-lease TTL granted to clients that do not ask for one")
 	maxLease := fs.Duration("max-lease", time.Minute, "upper bound on client-requested lease TTLs")
-	verbose := fs.Bool("v", false, "log connection, namespace and lease events")
 	metrics := fs.String("metrics", "", "serve the ops endpoint (/metrics, /healthz, /statsz, /tracez, /flightz, /debug/pprof/) on this address")
 	trace := fs.Float64("trace", 0, "sample this fraction of journaled job ids into the server-side tracer (served at /tracez; 0 disables)")
 	if err := fs.Parse(args); err != nil {
@@ -73,17 +72,13 @@ func run(args []string, ready chan<- string) error {
 		return fmt.Errorf("-trace %v out of range [0,1]", *trace)
 	}
 	tracer := obs.NewTracer(*trace, 0)
-	opts := netmem.ServerOptions{
+	srv := netmem.NewServer(netmem.ServerOptions{
 		Spec:       *backend,
 		DefaultTTL: *lease,
 		MaxTTL:     *maxLease,
 		Tracer:     tracer,
-	}
+	})
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
-	if *verbose {
-		opts.Logf = logf
-	}
-	srv := netmem.NewServer(opts)
 	addr, err := srv.Listen(*listen)
 	if err != nil {
 		return err

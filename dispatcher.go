@@ -94,7 +94,7 @@ type DispatcherConfig struct {
 	// across process death — but a kill between the batch write and the
 	// payloads loses up to k jobs per worker to effectiveness (recovery
 	// counts them performed; they are never re-run and never duplicated).
-	// See DESIGN.md §14 for the crash-window analysis. Ignored for the
+	// See DESIGN.md §7 for the crash-window analysis. Ignored for the
 	// in-process default backend.
 	JournalBatch int
 	// Metrics enables the dispatcher's metric registry (Registry,

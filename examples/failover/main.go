@@ -28,8 +28,6 @@
 // fenced=true and names both epochs.
 //
 // Run with: go run ./examples/failover
-// Point it at an external server with AMO_REGD_ADDR=host:port (the
-// server-side trace view is skipped there; stitching uses A and B).
 package main
 
 import (
@@ -262,19 +260,15 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	// The register server: external (AMO_REGD_ADDR) or in-process. The
-	// in-process server traces every journal write it acknowledges —
+	// The register server traces every journal write it acknowledges —
 	// the third view stitched into the forensic timeline.
-	addr := os.Getenv("AMO_REGD_ADDR")
-	var srvTracer *obs.Tracer
-	if addr == "" {
-		srvTracer = obs.NewTracer(traceRate, 0)
-		srv := netmem.NewServer(netmem.ServerOptions{Tracer: srvTracer})
-		if addr, err = srv.Listen("127.0.0.1:0"); err != nil {
-			return err
-		}
-		defer srv.Close()
+	srvTracer := obs.NewTracer(traceRate, 0)
+	srv := netmem.NewServer(netmem.ServerOptions{Tracer: srvTracer})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return err
 	}
+	defer srv.Close()
 	ns := fmt.Sprintf("failover-%d-%d", os.Getpid(), time.Now().UnixNano()&0xffffff)
 	spec := fmt.Sprintf("net:%s/%s?ttl=%s&acquiretimeout=30s", addr, ns, leaseTTL)
 	self, err := os.Executable()
@@ -453,9 +447,9 @@ func checkFlightDump(stderr string) error {
 }
 
 // stitchAndCheck merges the trace views — incumbent A (snapshotted at
-// its freeze), successor B (snapshotted after its flush) and, when the
-// register server ran in-process, the server's journal-write
-// observations — into per-job cross-incarnation timelines, asserts the
+// its freeze), successor B (snapshotted after its flush) and the
+// register server's journal-write observations — into per-job
+// cross-incarnation timelines, asserts the
 // merged at-most-once grammar on every one, and prints the stitched
 // timeline of one recovered job as the forensic exhibit.
 func stitchAndCheck(dir string, srvTracer *obs.Tracer) error {
@@ -467,15 +461,10 @@ func stitchAndCheck(dir string, srvTracer *obs.Tracer) error {
 	if err != nil {
 		return fmt.Errorf("successor trace: %w", err)
 	}
-	docs := []obs.TracezDoc{aDoc, bDoc}
-	role := map[string]string{aDoc.Incarnation: "incumbent", bDoc.Incarnation: "successor"}
-	if srvTracer != nil {
-		srvDoc := obs.NewTracezDoc(srvTracer)
-		role[srvDoc.Incarnation] = "regd"
-		docs = append(docs, srvDoc)
-	}
+	srvDoc := obs.NewTracezDoc(srvTracer)
+	role := map[string]string{aDoc.Incarnation: "incumbent", bDoc.Incarnation: "successor", srvDoc.Incarnation: "regd"}
 
-	jobs := obs.StitchTimelines(docs...)
+	jobs := obs.StitchTimelines(aDoc, bDoc, srvDoc)
 	if len(jobs) == 0 {
 		return fmt.Errorf("stitching produced no timelines")
 	}

@@ -11,7 +11,7 @@
 // AMO_METRICS_ADDR set it serves the ops endpoint (/metrics in
 // Prometheus text format, /healthz, /statsz, /tracez, /debug/pprof/)
 // and with AMO_METRICS_HOLD it stays alive that long so an external
-// scraper can pull a live exposition — CI does exactly that.
+// scraper can pull a live exposition.
 //
 // Run with:
 //

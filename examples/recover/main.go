@@ -18,7 +18,7 @@
 //     has already journaled and logged), which is the paper's crash
 //     model (§2.1): crashes stop a process between actions. Invariant:
 //     zero duplicates AND zero losses.
-//   - JournalBatch=16 (group commit, DESIGN.md §14): each worker
+//   - JournalBatch=16 (group commit, DESIGN.md §7): each worker
 //     journals a claim of up to 16 jobs in one vectored write, then runs
 //     the payloads. The same kill now lands mid-claim — the frozen
 //     worker's whole claim is journaled but only a prefix of its

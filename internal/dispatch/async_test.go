@@ -20,12 +20,9 @@ func TestSubmitAsyncFutures(t *testing.T) {
 		MaxBatch: 64,
 		Jitter:   true,
 		Seed:     11,
-		CrashPlan: func(shard, round int) []uint64 {
-			if round >= 15 {
-				return nil
-			}
+		CrashPlan: everyRounds(15, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(30 + 11*round + 5*shard), uint64(70 + 7*round)}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +70,9 @@ func TestSubmitCallbackExactlyOnce(t *testing.T) {
 		Workers:  2,
 		MaxBatch: 32,
 		Seed:     12,
-		CrashPlan: func(shard, round int) []uint64 {
-			if round >= 10 {
-				return nil
-			}
+		CrashPlan: everyRounds(10, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(25 + 9*round)}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,12 +246,9 @@ func TestBackpressureBlock(t *testing.T) {
 		MaxBatch:   8,
 		QueueDepth: depth,
 		Policy:     Block,
-		CrashPlan: func(shard, round int) []uint64 {
-			if round >= 40 {
-				return nil
-			}
+		CrashPlan: everyRounds(40, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(10 + 7*round)}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ type Config struct {
 	// to k per worker: a process killed after the batch journal write but
 	// before the payloads has recorded up to k jobs whose payloads never
 	// ran, which recovery counts performed — effectiveness loss, bounded
-	// by Workers·JournalBatch per crash (DESIGN.md §14). Ignored without
+	// by Workers·JournalBatch per crash (DESIGN.md §7). Ignored without
 	// NewMem.
 	JournalBatch int
 	// Metrics enables the dispatcher's obs registry: per-shard

@@ -40,6 +40,16 @@ func (e *exactlyOnce) verify(t *testing.T) {
 	}
 }
 
+// everyRounds repeats the crash plan of a shard's first n rounds for as
+// long as the shard runs. A plan confined to the opening rounds is inert
+// when those rounds are a job or two each — a lone submitter that has
+// barely started, a loaded machine — because no worker gets to its crash
+// step; the full-sized rounds come later, and the plan has to still be
+// there when they do.
+func everyRounds(n int, plan func(shard, round int) []uint64) func(shard, round int) []uint64 {
+	return func(shard, round int) []uint64 { return plan(shard, round%n) }
+}
+
 // TestDispatcherCarryoverProperty is the round-carryover property test: a
 // stream of jobs pushed through small rounds with jitter and persistent
 // crash injection must finish with every job performed exactly once —
@@ -54,14 +64,11 @@ func TestDispatcherCarryoverProperty(t *testing.T) {
 		MaxBatch: 64, // force many rounds and much carryover
 		Jitter:   true,
 		Seed:     1,
-		CrashPlan: func(shard, round int) []uint64 {
-			if round >= crashRounds {
-				return nil
-			}
+		CrashPlan: everyRounds(crashRounds, func(shard, round int) []uint64 {
 			// Workers 1 and 2 crash at staggered, round-varying points;
 			// worker 0 always survives.
 			return []uint64{0, uint64(40 + 13*round + 7*shard), uint64(90 + 5*round)}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +123,9 @@ func TestDispatcherE2EStream(t *testing.T) {
 		Workers:  4,
 		MaxBatch: 512,
 		Seed:     2,
-		CrashPlan: func(shard, round int) []uint64 {
-			if round >= 25 {
-				return nil
-			}
+		CrashPlan: everyRounds(25, func(shard, round int) []uint64 {
 			return []uint64{0, 300, uint64(500 + 31*round), 0}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -331,12 +331,9 @@ func TestExactlyOnceBothWays(t *testing.T) {
 	t.Run("requeued", func(t *testing.T) {
 		d, err := New(Config{
 			Shards: 2, Workers: 2, MaxBatch: 32, Seed: 12,
-			CrashPlan: func(shard, round int) []uint64 {
-				if round >= 10 {
-					return nil
-				}
+			CrashPlan: everyRounds(10, func(shard, round int) []uint64 {
 				return []uint64{0, uint64(25 + 9*round)}
-			},
+			}),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -271,6 +271,9 @@ func TestOpsEndpoint(t *testing.T) {
 	if code, _ := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("/healthz = %d on a live dispatcher", code)
 	}
+	if code, body := get("/statsz"); code != http.StatusOK || !bytes.Contains(body, []byte(`"stats"`)) {
+		t.Fatalf("/statsz = %d %s on a live dispatcher", code, body)
+	}
 	code, body := get("/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)

@@ -765,7 +765,7 @@ func TestGroupCommitCrashPlan(t *testing.T) {
 // write, with sibling claims journaled but never run — and a recovering
 // incarnation must produce ZERO duplicates while losing at most
 // JournalBatch payloads per worker (journaled-but-unperformed jobs,
-// which recovery counts performed; DESIGN.md §14's bound).
+// which recovery counts performed; DESIGN.md §7's bound).
 func TestGroupCommitRecoverMidClaim(t *testing.T) {
 	requireMmap(t)
 	const (

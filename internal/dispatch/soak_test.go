@@ -17,7 +17,7 @@ import (
 // iteration asserts the full contract — every job executed exactly once,
 // every future resolved exactly once, zero duplicates, bounded queues
 // never exceeded. Iterations default low so `go test ./...` stays fast;
-// CI's soak job raises them via AMO_SOAK_ITERS. Run under -race.
+// CI's race job raises them via AMO_SOAK_ITERS. Run under -race.
 func TestDispatcherRandomSoak(t *testing.T) {
 	iters := 3
 	if s := os.Getenv("AMO_SOAK_ITERS"); s != "" {

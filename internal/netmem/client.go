@@ -201,7 +201,7 @@ type NetMem struct {
 	reopened    bool
 	outstanding opQueue
 	fatal       error
-	closed      bool
+	closed      bool // Close has begun: no op is admitted, no redial started
 	redialing   bool
 	renewStop   chan struct{}
 	renewOnce   sync.Once
@@ -267,15 +267,16 @@ func (m *NetMem) connect(first bool) error {
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	h := handshake{conn, br, bw}
 
-	reopened, err := m.hello(conn, br, bw)
+	reopened, err := m.hello(h)
 	if err != nil {
 		conn.Close()
 		return err
 	}
 	var epoch uint64
 	if first {
-		if epoch, err = m.acquireLease(conn, br, bw); err != nil {
+		if epoch, err = m.acquireLease(h); err != nil {
 			conn.Close()
 			return err
 		}
@@ -283,7 +284,9 @@ func (m *NetMem) connect(first bool) error {
 		m.mu.Lock()
 		epoch = m.epoch
 		m.mu.Unlock()
-		if err := m.renewOnConn(conn, br, bw, epoch); err != nil {
+		// The server answers a renew at once — it never parks — so the
+		// dial timeout bounds it.
+		if _, err := h.call(time.Now().Add(m.opts.DialTimeout), opRenew, wire.AppendU64(nil, epoch), opAck); err != nil {
 			conn.Close()
 			if errors.Is(err, ErrFenced) {
 				m.fatalize(err)
@@ -341,93 +344,64 @@ func (m *NetMem) connect(first bool) error {
 	return nil
 }
 
-// hello performs the namespace attach on a fresh connection,
-// synchronously (no reader goroutine exists yet).
-func (m *NetMem) hello(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (reopened bool, err error) {
-	conn.SetDeadline(time.Now().Add(m.opts.DialTimeout))
-	defer conn.SetDeadline(time.Time{})
+// handshake is a fresh connection before its reader goroutine exists:
+// hello, then acquire or renew, each one synchronous round trip.
+type handshake struct {
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+}
+
+// call sends op and returns the payload of the reply, which must be want;
+// an opErr reply comes back as the error it carries. deadline bounds the
+// exchange (zero: unbounded).
+func (h handshake) call(deadline time.Time, op byte, payload []byte, want byte) ([]byte, error) {
+	h.conn.SetDeadline(deadline)
+	defer h.conn.SetDeadline(time.Time{})
+	if err := wire.WriteFrame(h.bw, op, 0, payload); err != nil {
+		return nil, err
+	}
+	if err := h.bw.Flush(); err != nil {
+		return nil, err
+	}
+	got, _, reply, _, err := wire.ReadFrame(h.br, nil)
+	switch {
+	case err != nil:
+		return nil, err
+	case got == opErr:
+		return nil, decodeErr(reply)
+	case got != want:
+		return nil, fmt.Errorf("netmem: unexpected reply op %d to handshake op %d", got, op)
+	}
+	return reply, nil
+}
+
+// hello attaches the connection to the namespace.
+func (m *NetMem) hello(h handshake) (reopened bool, err error) {
 	payload := wire.AppendU64(wire.AppendStr(nil, m.opts.Namespace), uint64(m.size))
-	if err := wire.WriteFrame(bw, opHello, 0, payload); err != nil {
-		return false, err
-	}
-	if err := bw.Flush(); err != nil {
-		return false, err
-	}
-	op, _, reply, _, err := wire.ReadFrame(br, nil)
+	reply, err := h.call(time.Now().Add(m.opts.DialTimeout), opHello, payload, opHelloOK)
 	if err != nil {
 		return false, err
-	}
-	if op == opErr {
-		return false, decodeErr(reply)
-	}
-	if op != opHelloOK {
-		return false, fmt.Errorf("netmem: unexpected hello reply op %d", op)
 	}
 	d := wire.Decoder{B: reply}
 	reopened = d.U8() != 0
 	return reopened, d.Done()
 }
 
-// renewOnConn revalidates the client's existing lease during a
-// reconnect handshake, synchronously (no reader goroutine exists yet).
-// The server replies immediately — a renew never parks — so the dial
-// timeout bounds it.
-func (m *NetMem) renewOnConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, epoch uint64) error {
-	conn.SetDeadline(time.Now().Add(m.opts.DialTimeout))
-	defer conn.SetDeadline(time.Time{})
-	if err := wire.WriteFrame(bw, opRenew, 0, wire.AppendU64(nil, epoch)); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	op, _, reply, _, err := wire.ReadFrame(br, nil)
-	if err != nil {
-		return err
-	}
-	switch op {
-	case opAck:
-		return nil
-	case opErr:
-		return decodeErr(reply)
-	default:
-		return fmt.Errorf("netmem: unexpected renew reply op %d", op)
-	}
-}
-
 // acquireLease asks for the writer lease on the first connection,
 // honoring FailFast and AcquireTimeout. On the wait path the reply can
 // take as long as the incumbent's remaining lease.
-func (m *NetMem) acquireLease(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) (uint64, error) {
-	wait := byte(1)
+func (m *NetMem) acquireLease(h handshake) (uint64, error) {
+	wait, deadline := byte(1), time.Time{}
 	if m.opts.FailFast {
-		wait = 0
-	}
-	deadline := time.Time{}
-	if m.opts.FailFast {
-		deadline = time.Now().Add(m.opts.DialTimeout)
+		wait, deadline = 0, time.Now().Add(m.opts.DialTimeout)
 	} else if m.opts.AcquireTimeout > 0 {
 		deadline = time.Now().Add(m.opts.AcquireTimeout)
 	}
-	conn.SetDeadline(deadline)
-	defer conn.SetDeadline(time.Time{})
 	payload := wire.AppendU64(wire.AppendU64(nil, m.clientID), uint64(m.opts.LeaseTTL/time.Millisecond))
-	payload = append(payload, wait)
-	if err := wire.WriteFrame(bw, opAcquire, 0, payload); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	op, _, reply, _, err := wire.ReadFrame(br, nil)
+	reply, err := h.call(deadline, opAcquire, append(payload, wait), opAcquireOK)
 	if err != nil {
 		return 0, err
-	}
-	if op == opErr {
-		return 0, decodeErr(reply)
-	}
-	if op != opAcquireOK {
-		return 0, fmt.Errorf("netmem: unexpected acquire reply op %d", op)
 	}
 	d := wire.Decoder{B: reply}
 	epoch := d.U64()
@@ -591,13 +565,14 @@ func (m *NetMem) readLoop(gen uint64, br *bufio.Reader) {
 }
 
 // deliver matches one reply to the front of the outstanding queue. stale
-// reports that the reply belongs to a superseded connection generation
-// (or a closed client) and its reader should stand down; fatal is
+// reports that the reply's connection is no longer the installed one —
+// superseded, broken or closed — and its reader should stand down (Close
+// keeps its connection until the drain is over); fatal is
 // non-nil only for conditions that kill the client (fencing, protocol
 // corruption) — per-op errors on awaited ops go to the waiter.
 func (m *NetMem) deliver(gen uint64, op byte, seq uint32, payload []byte) (stale bool, fatal error) {
 	m.mu.Lock()
-	if m.gen != gen || m.closed {
+	if m.gen != gen || m.conn == nil {
 		m.mu.Unlock()
 		return true, nil
 	}
@@ -685,6 +660,7 @@ func (m *NetMem) breakConnLocked(err error) {
 	if m.conn != nil {
 		m.conn.Close()
 		m.conn, m.bw = nil, nil
+		m.cond.Broadcast() // Close's drain ends with its connection
 	}
 	if m.closed || m.fatal != nil || m.redialing {
 		return
@@ -762,7 +738,9 @@ func (m *NetMem) clearRedialing() {
 // OnFatal at their next call.
 func (m *NetMem) fatalize(err error) {
 	m.mu.Lock()
-	if m.fatal != nil || m.closed {
+	// A closing client can still die — of a fence on something it sent
+	// before its release — until Close has let go of the connection.
+	if m.fatal != nil || (m.closed && m.conn == nil) {
 		m.mu.Unlock()
 		return
 	}
@@ -919,17 +897,22 @@ func (m *NetMem) Sync() error {
 }
 
 // Close releases the lease, flushes pipelined writes and closes the
-// connection. If the connection is down at Close (mid-redial),
-// operations that were queued but never reached the server are
+// connection. If the connection is down at Close (mid-redial) or is
+// lost under it, operations that were queued but never acknowledged are
 // discarded — Close then returns an error naming how many, rather than
-// pretending the writes landed. Close is idempotent; operations after
-// Close fail with ErrClosed (without invoking OnFatal).
+// pretending the writes landed. Close is idempotent; from the moment it
+// begins, operations fail with ErrClosed (without invoking OnFatal) and
+// nothing is redialed: the release is the last frame this client sends,
+// so no renew — the renew loop's or a reconnect handshake's — can reach
+// the server behind it and be answered "fenced", the death of a holder
+// nobody contended with.
 func (m *NetMem) Close() error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil
 	}
+	m.closed = true
 	m.renewOnce.Do(func() { close(m.renewStop) })
 	// Best-effort graceful goodbye: queue a release, flush, and DRAIN
 	// the acks (bounded) before closing the socket. Closing with unread
@@ -958,7 +941,7 @@ func (m *NetMem) Close() error {
 				}
 				wake.Stop()
 				if n := m.outstanding.n; n > 0 {
-					discardErr = fmt.Errorf("netmem: close timed out with %d operations unacknowledged", n)
+					discardErr = fmt.Errorf("netmem: close gave up its connection with %d operations unacknowledged", n)
 				}
 			}
 		}
@@ -968,7 +951,6 @@ func (m *NetMem) Close() error {
 		// already failed loudly via fatalize/OnFatal — no double report.)
 		discardErr = fmt.Errorf("netmem: close while disconnected discarded %d unacknowledged operations", m.outstanding.n)
 	}
-	m.closed = true
 	if m.conn != nil {
 		m.conn.Close()
 		m.conn, m.bw = nil, nil

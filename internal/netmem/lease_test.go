@@ -3,6 +3,7 @@ package netmem
 import (
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,6 +197,56 @@ func TestFatalDumpPrecedesWaiters(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("fenced client never reached OnFatal")
+	}
+}
+
+// TestCloseSendsNothingBehindRelease: a holder that closes cleanly does
+// not come to suspect itself. The lease ticks every 10 ms and the proxy
+// holds every frame 25 ms each way, so each Close waits 50 ms for its
+// release's ack with a renew already due: admitted behind the release,
+// that renew is answered "fenced" (the lease has no holder) and a client
+// nobody contended with dies through OnFatal — by default a panic in a
+// process that was shutting down. Fifty open/close cycles, ten at a time.
+func TestCloseSendsNothingBehindRelease(t *testing.T) {
+	proxy, err := NewChaosProxy(testServerAddr(t), ChaosOptions{Latency: 25 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	deaths := cliFatal.Value()
+	var fatal atomic.Value
+	var wg sync.WaitGroup
+	for w := 0; w < 10; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				c, err := Open(proxy.Addr(), 8, Options{
+					Namespace: uniqueNS(),
+					LeaseTTL:  30 * time.Millisecond,
+					OnFatal:   collectFatal(&fatal),
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// One round trip of work: five ticks long, so the renew loop
+				// is mid-renew with the next tick due when Close begins.
+				if err := c.WriteAcked(0, []int64{1}, false); err != nil {
+					t.Error(err)
+				}
+				if err := c.Close(); err != nil {
+					t.Errorf("clean close: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := fatal.Load(); err != nil {
+		t.Errorf("a closing client reached OnFatal: %v", err)
+	}
+	if n := cliFatal.Value() - deaths; n != 0 {
+		t.Errorf("%d of 50 clean closes left a netmem_client_fatal record", n)
 	}
 }
 

@@ -16,15 +16,10 @@ import (
 	"atmostonce/internal/wire"
 )
 
-// testServerAddr returns the address of the register server under
-// test: the external one named by AMO_REGD_ADDR (how CI points the
-// suite at a live amo-regd process), or an in-process Server torn down
-// with the test.
+// testServerAddr returns the address of an in-process register server
+// torn down with the test.
 func testServerAddr(t *testing.T) string {
 	t.Helper()
-	if a := os.Getenv("AMO_REGD_ADDR"); a != "" {
-		return a
-	}
 	srv := NewServer(ServerOptions{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -36,8 +31,7 @@ func testServerAddr(t *testing.T) string {
 
 var nsSeq atomic.Uint64
 
-// uniqueNS returns a namespace name no other test (or earlier run
-// against a shared external server) has used.
+// uniqueNS returns a namespace name no other test has used.
 func uniqueNS() string {
 	return fmt.Sprintf("t%d-%d-%d", os.Getpid(), time.Now().UnixNano()&0xffffff, nsSeq.Add(1))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +28,6 @@ type ServerOptions struct {
 	// (default 2s); MaxTTL clamps what a client may ask for (default 1m).
 	DefaultTTL time.Duration
 	MaxTTL     time.Duration
-	// Logf, when non-nil, receives one line per connection, namespace
-	// and lease event.
-	Logf func(format string, args ...any)
 	// Tracer, when non-nil, records a server-side TraceJournaled event
 	// (shard -1) for every cell of an opWriteAcked that carries the
 	// journal flag, keyed by the job id on the wire. This is the server's
@@ -123,12 +121,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
-}
-
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
@@ -217,7 +209,6 @@ func (s *Server) getNamespace(name string, size int) (ns *namespace, reopened bo
 	ns = &namespace{name: name, bk: bk, size: size}
 	ns.cond = sync.NewCond(&ns.mu)
 	s.nss[name] = ns
-	s.logf("netmem: namespace %q opened (%s, %d cells, reopened=%v)", name, spec, size, reopened)
 	eventlog.Logger().Info("netmem_server_namespace_open",
 		"namespace", name, "spec", spec, "cells", size, "reopened", reopened)
 	return ns, reopened, nil
@@ -273,8 +264,6 @@ func (ns *namespace) acquire(srv *Server, clientID uint64, ttl time.Duration, wa
 			ns.holderID = clientID
 			ns.ttl = ttl
 			ns.deadline = now.Add(ttl)
-			srv.logf("netmem: namespace %q lease granted: epoch %d, client %#x, ttl %s",
-				ns.name, ns.epoch, clientID, ttl)
 			eventlog.Logger().Info("netmem_server_lease_granted",
 				"namespace", ns.name, "old_epoch", oldEpoch, "new_epoch", ns.epoch,
 				"client", fmt.Sprintf("%#x", clientID), "ttl", ttl)
@@ -621,9 +610,14 @@ func (s *Server) handle(c net.Conn) {
 					fmt.Sprintf("range addr %d count %d outside size %d or over %d cells", addr, count, ns.size, maxRange)})
 				break
 			}
+			vals = slices.Grow(vals[:0], int(count))[:count]
+			if err := ns.bk.ReadRange(int(addr), vals); err != nil {
+				ok = replyErr(seq, &wireError{codeBackend, err.Error()})
+				break
+			}
 			scratch = scratch[:0]
-			for i := 0; i < int(count); i++ {
-				scratch = wire.AppendI64(scratch, ns.bk.Read(int(addr)+i))
+			for _, v := range vals {
+				scratch = wire.AppendI64(scratch, v)
 			}
 			ok = reply(seq, opValues, scratch)
 

@@ -5,10 +5,10 @@
 // Every record flows through two paths with different retention and
 // different cost models:
 //
-//   - the sink: a leveled slog text handler on stderr, for humans and
-//     for CI to grep. Its level comes from AMO_LOG (debug, info, warn,
-//     error, off; default info), and every line carries inc=<id>, the
-//     process incarnation from internal/obs.
+//   - the sink: a leveled slog text handler on stderr, for humans. Its
+//     level comes from AMO_LOG (debug, info, warn, error, off; default
+//     info), and every line carries inc=<id>, the process incarnation
+//     from internal/obs.
 //
 //   - the flight recorder: a bounded lock-free ring that keeps the last
 //     DefaultFlightCap records at ALL levels, even those the sink

@@ -53,6 +53,15 @@ func TestRingCapturesBelowSinkLevel(t *testing.T) {
 	if !strings.Contains(sunk, "fenced") || !strings.Contains(sunk, "inc="+obs.IncarnationString()) {
 		t.Fatalf("sink line missing event or incarnation:\n%s", sunk)
 	}
+
+	// AMO_LOG=off: the sink is silent even about an error, the ring is
+	// not — the record a flight dump needs is still there.
+	sinkOut.Reset()
+	log, rec = New(&sinkOut, levelFromEnv("off"), 16)
+	log.Error("netmem_client_fatal", "fenced", true)
+	if events := rec.Snapshot(); len(events) != 1 || events[0].Event != "netmem_client_fatal" || sinkOut.Len() != 0 {
+		t.Fatalf("silenced sink: ring %+v, sink %q", events, sinkOut.String())
+	}
 }
 
 // TestRingWrapKeepsNewest: past capacity, the ring retains exactly the

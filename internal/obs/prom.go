@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,10 +31,12 @@ func fmtFloat(v float64) string {
 // histograms (empty buckets elided; +Inf always present).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, f := range r.sortedFamilies() {
+	fams := r.view()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	for _, f := range fams {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind.promType())
-		for _, s := range f.order {
+		for _, s := range f.series {
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(s.labels), s.c.Value())
@@ -44,7 +47,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindGaugeFunc:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, renderLabels(s.labels), fmtFloat(s.gFn()))
 			case kindHistogram:
-				writePromHistogram(bw, f, s)
+				writePromHistogram(bw, f.family, s)
 			}
 		}
 	}
@@ -87,7 +90,7 @@ type ExpositionStats struct {
 // and quoted, and whose value parses as a float; a family's TYPE must
 // appear before its samples, histogram buckets must be cumulative, and
 // no series may repeat. It returns what it counted. This is the
-// validator CI points at a live /metrics endpoint.
+// validator the tests put every live /metrics endpoint through.
 func ParseExposition(r io.Reader) (ExpositionStats, error) {
 	var st ExpositionStats
 	types := make(map[string]string)       // family → TYPE

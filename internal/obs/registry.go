@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -75,10 +74,11 @@ var Default = NewRegistry()
 func labelKey(kv []string) string { return strings.Join(kv, "\x1f") }
 
 // getSeries finds or creates the (name, labels) series, creating the
-// family on first use. Registering the same name with a different kind
-// is a programming error and panics — metric names are compile-time
-// constants in this codebase.
-func (r *Registry) getSeries(name, help string, kind metricKind, scale float64, kv []string) *series {
+// family on first use; pull carries a pull-style series' function, which
+// a scrape may call as soon as the lock is released. Registering the same
+// name with a different kind is a programming error and panics — metric
+// names are compile-time constants in this codebase.
+func (r *Registry) getSeries(name, help string, kind metricKind, scale float64, kv []string, pull series) *series {
 	if len(kv)%2 != 0 {
 		panic("obs: odd label key/value list for " + name)
 	}
@@ -95,7 +95,7 @@ func (r *Registry) getSeries(name, help string, kind metricKind, scale float64, 
 	key := labelKey(kv)
 	s := f.byKey[key]
 	if s == nil {
-		s = &series{labels: append([]string(nil), kv...)}
+		s = &series{labels: append([]string(nil), kv...), cFn: pull.cFn, gFn: pull.gFn}
 		switch kind {
 		case kindCounter:
 			s.c = new(Counter)
@@ -113,26 +113,27 @@ func (r *Registry) getSeries(name, help string, kind metricKind, scale float64, 
 // Counter registers (or finds) a counter series. kv is an alternating
 // label key/value list.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	return r.getSeries(name, help, kindCounter, 0, kv).c
+	return r.getSeries(name, help, kindCounter, 0, kv, series{}).c
 }
 
 // Gauge registers (or finds) a gauge series.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	return r.getSeries(name, help, kindGauge, 0, kv).g
+	return r.getSeries(name, help, kindGauge, 0, kv, series{}).g
 }
 
 // CounterFunc registers a pull-style counter: fn is called at
 // exposition time. This is the zero-hot-path-cost shape — the engine
 // keeps maintaining the counters it already had, and only the scrape
 // pays for reading them. fn must be safe to call concurrently with the
-// code it observes.
+// code it observes. A (name, labels) series keeps the fn it was first
+// registered with.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, kv ...string) {
-	r.getSeries(name, help, kindCounterFunc, 0, kv).cFn = fn
+	r.getSeries(name, help, kindCounterFunc, 0, kv, series{cFn: fn})
 }
 
 // GaugeFunc registers a pull-style gauge; see CounterFunc.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	r.getSeries(name, help, kindGaugeFunc, 0, kv).gFn = fn
+	r.getSeries(name, help, kindGaugeFunc, 0, kv, series{gFn: fn})
 }
 
 // Histogram registers (or finds) a histogram series. scale converts
@@ -142,7 +143,7 @@ func (r *Registry) Histogram(name, help string, scale float64, kv ...string) *Hi
 	if scale == 0 {
 		scale = 1
 	}
-	return r.getSeries(name, help, kindHistogram, scale, kv).h
+	return r.getSeries(name, help, kindHistogram, scale, kv, series{}).h
 }
 
 // HistogramSnapshot merges every series of the named histogram family
@@ -150,23 +151,16 @@ func (r *Registry) Histogram(name, help string, scale float64, kv ...string) *Hi
 // bucket layout, so the merge is exact). ok is false when the family is
 // absent or not a histogram.
 func (r *Registry) HistogramSnapshot(name string) (HistSnapshot, bool) {
-	r.mu.Lock()
-	f := r.fams[name]
-	var hs []*Histogram
-	if f != nil && f.kind == kindHistogram {
-		for _, s := range f.order {
-			hs = append(hs, s.h)
+	for _, f := range r.view() {
+		if f.name == name && f.kind == kindHistogram {
+			var out HistSnapshot
+			for _, s := range f.series {
+				out.Merge(s.h.Snapshot())
+			}
+			return out, true
 		}
 	}
-	r.mu.Unlock()
-	if f == nil || f.kind != kindHistogram {
-		return HistSnapshot{}, false
-	}
-	var out HistSnapshot
-	for _, h := range hs {
-		out.Merge(h.Snapshot())
-	}
-	return out, true
+	return HistSnapshot{}, false
 }
 
 // Snapshot renders the registry as a flat name{labels} → value map —
@@ -174,12 +168,9 @@ func (r *Registry) HistogramSnapshot(name string) (HistSnapshot, bool) {
 // numbers; histograms as {count, sum, p50, p99, p999} sub-maps derived
 // from the same buckets Prometheus sees.
 func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.order...)
-	r.mu.Unlock()
 	out := make(map[string]any)
-	for _, f := range fams {
-		for _, s := range f.order {
+	for _, f := range r.view() {
+		for _, s := range f.series {
 			key := f.name + renderLabels(s.labels)
 			switch f.kind {
 			case kindCounter:
@@ -226,12 +217,23 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-// sortedFamilies snapshots the family list in name order for stable
-// exposition.
-func (r *Registry) sortedFamilies() []*family {
+// famView is a family and the series it had when the view was taken.
+type famView struct {
+	*family
+	series []*series
+}
+
+// view is the one way a reader sees the registry: every family, in
+// registration order, with its series. Both lists only ever grow by
+// append under r.mu, so the slice headers copied here stay valid outside
+// the lock — a later registration writes past their length or into a new
+// array, never into what they cover.
+func (r *Registry) view() []famView {
 	r.mu.Lock()
-	fams := append([]*family(nil), r.order...)
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
+	defer r.mu.Unlock()
+	out := make([]famView, len(r.order))
+	for i, f := range r.order {
+		out[i] = famView{f, f.order}
+	}
+	return out
 }

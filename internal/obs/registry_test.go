@@ -1,6 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"io"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -38,36 +42,72 @@ func TestRegistryKindMismatch(t *testing.T) {
 	r.Gauge("amo_test_total", "h")
 }
 
-// TestRegistryConcurrent: concurrent registration and exposition are
-// safe (run under -race).
+// TestRegistryConcurrent: registration and both expositions are safe
+// side by side (run under -race). Every writer call is a label set's
+// first use — an append to its family's series list, and every eighth a
+// new family — while the scrapers read without pause until the last
+// writer is done, so the overlap is the test's shape, not its luck.
 func TestRegistryConcurrent(t *testing.T) {
+	const writers, perWriter = 4, 200
 	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
+	var writing, scraping sync.WaitGroup
+	start, done := make(chan struct{}), make(chan struct{})
+	for g := 0; g < writers; g++ {
+		writing.Add(1)
 		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Counter("amo_test_total", "h", "g", string(rune('a'+g))).Inc()
+			defer writing.Done()
+			<-start
+			for i := 0; i < perWriter; i++ {
+				gs, is := strconv.Itoa(g), strconv.Itoa(i)
+				r.Counter("amo_test_total", "h", "g", gs, "i", is).Inc()
 				r.Gauge("amo_test_depth", "h").Set(float64(i))
+				r.Histogram("amo_test_lat_"+strconv.Itoa(i/8), "h", 1, "g", gs, "i", is).Observe(uint64(i))
+				r.CounterFunc("amo_test_pulled_total", "h", func() uint64 { return 1 }, "g", gs, "i", is)
 			}
 		}(g)
 	}
-	for i := 0; i < 20; i++ {
-		r.Snapshot()
+	for _, scrape := range []func(){
+		func() { r.Snapshot() },
+		func() { r.WritePrometheus(io.Discard) },
+	} {
+		scraping.Add(1)
+		go func() {
+			defer scraping.Done()
+			<-start
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					scrape()
+				}
+			}
+		}()
 	}
-	wg.Wait()
-	snap := r.Snapshot()
+	close(start)
+	writing.Wait()
+	close(done)
+	scraping.Wait()
+
 	var total uint64
-	for g := 0; g < 4; g++ {
-		v, ok := snap[`amo_test_total{g="`+string(rune('a'+g))+`"}`].(uint64)
-		if !ok {
-			t.Fatalf("missing series for g=%c in %v", 'a'+g, snap)
+	for key, v := range r.Snapshot() {
+		if strings.HasPrefix(key, "amo_test_total{") || strings.HasPrefix(key, "amo_test_pulled_total{") {
+			total += v.(uint64)
 		}
-		total += v
 	}
-	if total != 400 {
-		t.Fatalf("snapshot total %d, want 400", total)
+	if want := uint64(2 * writers * perWriter); total != want {
+		t.Fatalf("snapshot totals %d over the two counter families, want %d", total, want)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ParseExposition(&buf)
+	if err != nil {
+		t.Fatalf("exposition after concurrent registration: %v", err)
+	}
+	if want := 3 + perWriter/8; st.Families != want {
+		t.Fatalf("exposition has %d families, want %d", st.Families, want)
 	}
 }
 
