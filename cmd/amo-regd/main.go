@@ -20,15 +20,12 @@
 // fenced-write rejections, bytes in/out — plus membackend counters, Go
 // runtime health and amo_build_info at /metrics, liveness at /healthz,
 // a JSON snapshot at /statsz, the flight recorder at /flightz and
-// pprof at /debug/pprof/. With -trace RATE the server additionally
-// samples journal writes into a server-side tracer served at /tracez —
-// the server's half of cross-process timeline stitching (DESIGN.md
-// §13). Structured events go to stderr at the level named by AMO_LOG
-// (debug, info, warn, error, off). See DESIGN.md §12.
+// pprof at /debug/pprof/. Structured events go to stderr at the level
+// named by AMO_LOG (debug, info, warn, error, off). See DESIGN.md §12.
 //
 // Usage:
 //
-//	amo-regd [-listen 127.0.0.1:7878] [-backend atomic|mmap:PATH|...] [-lease 2s] [-max-lease 1m] [-metrics 127.0.0.1:9090] [-trace 0.5]
+//	amo-regd [-listen 127.0.0.1:7878] [-backend atomic|mmap:PATH|...] [-lease 2s] [-max-lease 1m] [-metrics 127.0.0.1:9090]
 package main
 
 import (
@@ -61,22 +58,16 @@ func run(args []string, ready chan<- string) error {
 	lease := fs.Duration("lease", 2*time.Second, "default writer-lease TTL granted to clients that do not ask for one")
 	maxLease := fs.Duration("max-lease", time.Minute, "upper bound on client-requested lease TTLs")
 	metrics := fs.String("metrics", "", "serve the ops endpoint (/metrics, /healthz, /statsz, /tracez, /flightz, /debug/pprof/) on this address")
-	trace := fs.Float64("trace", 0, "sample this fraction of journaled job ids into the server-side tracer (served at /tracez; 0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	if *trace < 0 || *trace > 1 {
-		return fmt.Errorf("-trace %v out of range [0,1]", *trace)
-	}
-	tracer := obs.NewTracer(*trace, 0)
 	srv := netmem.NewServer(netmem.ServerOptions{
 		Spec:       *backend,
 		DefaultTTL: *lease,
 		MaxTTL:     *maxLease,
-		Tracer:     tracer,
 	})
 	logf := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	addr, err := srv.Listen(*listen)
@@ -87,7 +78,6 @@ func run(args []string, ready chan<- string) error {
 	if *metrics != "" {
 		ops, err := opshttp.Serve(*metrics, opshttp.Options{
 			Registries: []*obs.Registry{obs.Default},
-			Tracer:     tracer,
 		})
 		if err != nil {
 			srv.Close()

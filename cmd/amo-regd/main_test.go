@@ -31,7 +31,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteAcked(3, []int64{99}, false); err != nil {
+	if err := c.WriteAcked(3, []int64{99}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Read(3); got != 99 {

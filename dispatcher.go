@@ -76,21 +76,24 @@ type DispatcherConfig struct {
 	// against the old writer — see examples/failover), and recovery
 	// works exactly as for mmap, over the wire. "counting:SPEC" wraps
 	// any backend with access counting — on a dispatcher that is journal
-	// traffic only (the fingerprint, one cell per performed job, the
+	// traffic only (the fingerprint, the words of each flush, the
 	// recovery scan): a shard's round registers stay in process memory
 	// whatever the backend. Durable and remote backends require MaxJobs.
 	Backend string
 	// MaxJobs bounds the distinct job ids a durable dispatcher may
 	// assign over the lifetime of its register files (across restarts);
-	// it sizes the on-disk journal, and submissions fail once it is
-	// exhausted. Required when Backend is durable or wrapped; ignored for
-	// the in-process default.
+	// it sizes the on-disk journal — one bit per id per worker, so
+	// WorkersPerShard/8 bytes of store per job per shard (it was
+	// 8·WorkersPerShard) — and submissions fail once it is exhausted.
+	// Required when Backend is durable or wrapped; ignored for the
+	// in-process default. Stores written before layout amo-dispatch-v5
+	// are refused: start durable stores fresh.
 	MaxJobs int
 	// JournalBatch is the durable journal's group-commit factor (default
 	// 1 = one acknowledged journal write per job). At k > 1 each worker
-	// claims up to k jobs per journal write: all k ids land in one
-	// vectored acked write (one msync for mmap, one round trip for net)
-	// before any of their payloads run, so at-most-once still holds
+	// claims up to k jobs per journal write: all k bits land in one
+	// acked write of a few words (one msync for mmap, one round trip for
+	// net) before any of their payloads run, so at-most-once still holds
 	// across process death — but a kill between the batch write and the
 	// payloads loses up to k jobs per worker to effectiveness (recovery
 	// counts them performed; they are never re-run and never duplicated).

@@ -18,9 +18,8 @@
 //
 // The forensic layer (DESIGN.md §13) is exercised end to end: both
 // children sample job timelines and snapshot their /tracez endpoint to
-// disk, the in-process register server traces the journal writes it
-// acknowledges, and the parent stitches all three views into one
-// cross-process timeline per job (obs.StitchTimelines), checks the
+// disk, and the parent stitches the two views into one cross-process
+// timeline per job (obs.StitchTimelines), checks the
 // at-most-once trace grammar on the merged timelines — started at most
 // once ACROSS incarnations — and prints the stitched timeline of one
 // recovered job. A's death is verified structurally: its stderr must
@@ -260,10 +259,7 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	// The register server traces every journal write it acknowledges —
-	// the third view stitched into the forensic timeline.
-	srvTracer := obs.NewTracer(traceRate, 0)
-	srv := netmem.NewServer(netmem.ServerOptions{Tracer: srvTracer})
+	srv := netmem.NewServer(netmem.ServerOptions{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -375,7 +371,7 @@ func run() error {
 
 	// Stitch the per-process trace views into cross-incarnation
 	// timelines and check the merged at-most-once grammar.
-	if err := stitchAndCheck(dir, srvTracer); err != nil {
+	if err := stitchAndCheck(dir); err != nil {
 		return err
 	}
 
@@ -447,12 +443,11 @@ func checkFlightDump(stderr string) error {
 }
 
 // stitchAndCheck merges the trace views — incumbent A (snapshotted at
-// its freeze), successor B (snapshotted after its flush) and the
-// register server's journal-write observations — into per-job
-// cross-incarnation timelines, asserts the
-// merged at-most-once grammar on every one, and prints the stitched
-// timeline of one recovered job as the forensic exhibit.
-func stitchAndCheck(dir string, srvTracer *obs.Tracer) error {
+// its freeze) and successor B (snapshotted after its flush) — into
+// per-job cross-incarnation timelines, asserts the merged at-most-once
+// grammar on every one, and prints the stitched timeline of one
+// recovered job as the forensic exhibit.
+func stitchAndCheck(dir string) error {
 	aDoc, err := readTracezFile(filepath.Join(dir, "trace-A.json"))
 	if err != nil {
 		return fmt.Errorf("incumbent trace: %w", err)
@@ -461,10 +456,9 @@ func stitchAndCheck(dir string, srvTracer *obs.Tracer) error {
 	if err != nil {
 		return fmt.Errorf("successor trace: %w", err)
 	}
-	srvDoc := obs.NewTracezDoc(srvTracer)
-	role := map[string]string{aDoc.Incarnation: "incumbent", bDoc.Incarnation: "successor", srvDoc.Incarnation: "regd"}
+	role := map[string]string{aDoc.Incarnation: "incumbent", bDoc.Incarnation: "successor"}
 
-	jobs := obs.StitchTimelines(aDoc, bDoc, srvDoc)
+	jobs := obs.StitchTimelines(aDoc, bDoc)
 	if len(jobs) == 0 {
 		return fmt.Errorf("stitching produced no timelines")
 	}
@@ -497,15 +491,7 @@ func stitchAndCheck(dir string, srvTracer *obs.Tracer) error {
 		fmt.Printf("stitched timeline for recovered job %d spans %d incarnations (incumbent %s -> successor %s):\n",
 			j.ID, len(incs), aDoc.Incarnation, bDoc.Incarnation)
 		for _, e := range j.Events {
-			who := role[e.Inc]
-			if who == "" {
-				who = "?"
-			}
-			shard := strconv.Itoa(int(e.Shard))
-			if e.Shard < 0 {
-				shard = "server"
-			}
-			fmt.Printf("  %+12.0fµs  %-10s %-9s  inc %s (%s)\n", e.TUs, e.Event, shard, e.Inc, who)
+			fmt.Printf("  %+12.0fµs  %-10s shard %-3d  inc %s (%s)\n", e.TUs, e.Event, e.Shard, e.Inc, role[e.Inc])
 		}
 		return nil
 	}

@@ -169,6 +169,26 @@ func (s *Set) InsertRange(lo, hi int) {
 	}
 }
 
+// OrWords adds every id whose bit is set in words, read as the bitmap of
+// [base, base+64·len(words)): bit b of words[i] is id base+64·i+b. base
+// must be a non-negative multiple of 64. One OR and one popcount per
+// word, no per-element work — how a bitmap kept elsewhere (the
+// dispatcher's durable journal rows) enters the set.
+func (s *Set) OrWords(base int, words []uint64) {
+	if len(words) == 0 {
+		return
+	}
+	s.grow(base + len(words)<<6 - 1)
+	for i, w := range words {
+		k := base>>6 + i
+		if added := bits.OnesCount64(w &^ s.words[k]); added != 0 {
+			s.words[k] |= w
+			s.cnt[k/blockWords] += uint16(added)
+			s.n += added
+		}
+	}
+}
+
 // Min returns the smallest element; ok is false when the set is empty.
 func (s *Set) Min() (v int, ok bool) {
 	return s.Select(1)

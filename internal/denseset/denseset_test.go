@@ -353,6 +353,65 @@ func TestBlockEdges(t *testing.T) {
 // TestSelectExcludingShortExcl: the exclusion set's bitmap ends inside a
 // block in which the set goes on — the word index must be checked against
 // excl's own length, not the set's.
+// TestOrWordsAgainstInsert: a word slice ORed in at a 64-aligned base
+// leaves the set the same bits Inserted one by one do — over bits already
+// present, past the end of the bitmap, and across block boundaries
+// (slices of up to 150 words start anywhere in the first three blocks).
+func TestOrWordsAgainstInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 200; round++ {
+		bulk, ref := New(), New()
+		for i := rng.Intn(300); i > 0; i-- { // bits already present
+			v := rng.Intn(3 * blockWords * 64)
+			bulk.Insert(v)
+			ref.Insert(v)
+		}
+		for call := 0; call < 3; call++ {
+			base := 64 * rng.Intn(3*blockWords)
+			words := make([]uint64, rng.Intn(150))
+			for i := range words {
+				switch rng.Intn(4) {
+				case 0: // empty word
+				case 1:
+					words[i] = ^uint64(0)
+				default:
+					words[i] = rng.Uint64() & rng.Uint64()
+				}
+			}
+			bulk.OrWords(base, words)
+			for i, w := range words {
+				for ; w != 0; w &= w - 1 {
+					ref.Insert(base + 64*i + bits.TrailingZeros64(w))
+				}
+			}
+		}
+		recount(t, bulk, "after OrWords")
+		if bulk.Len() != ref.Len() || !reflect.DeepEqual(bulk.Slice(), ref.Slice()) {
+			t.Fatalf("round %d: OrWords holds %d ids, Insert holds %d", round, bulk.Len(), ref.Len())
+		}
+		bmin, bok := bulk.Min()
+		rmin, rok := ref.Min()
+		bmax, _ := bulk.Max()
+		rmax, _ := ref.Max()
+		if bmin != rmin || bok != rok || bmax != rmax {
+			t.Fatalf("round %d: Min/Max %d,%d want %d,%d", round, bmin, bmax, rmin, rmax)
+		}
+		for probe := 0; probe < 64; probe++ {
+			v := rng.Intn(6 * blockWords * 64)
+			if bulk.Contains(v) != ref.Contains(v) || bulk.Rank(v) != ref.Rank(v) {
+				t.Fatalf("round %d: Contains/Rank(%d) = %v/%d, want %v/%d",
+					round, v, bulk.Contains(v), bulk.Rank(v), ref.Contains(v), ref.Rank(v))
+			}
+			i := 1 + rng.Intn(ref.Len()+1)
+			bv, bok := bulk.Select(i)
+			rv, rok := ref.Select(i)
+			if bv != rv || bok != rok {
+				t.Fatalf("round %d: Select(%d) = %d,%v want %d,%v", round, i, bv, bok, rv, rok)
+			}
+		}
+	}
+}
+
 func TestSelectExcludingShortExcl(t *testing.T) {
 	s := NewRange(1, 1024) // 17 words, one block
 	excl := New(1, 2, 70)  // 2 words

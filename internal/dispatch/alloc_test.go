@@ -145,10 +145,11 @@ func TestDoAllocs(t *testing.T) {
 }
 
 // TestDurableJournalBatchOneAllocs: a durable Do still costs the future
-// and nothing else. The journal write passes the worker's claim buffer
-// to the backend as a slice through an interface — at JournalBatch 1 a
-// batch of one — and that buffer is sized once at open, so neither the
-// default nor the group-commit setting allocates per job or per claim.
+// and nothing else. The flush sorts the worker's claim buffer in place
+// and hands the backend a slice of a shadow page through an interface —
+// at JournalBatch 1 one word — and the buffer is sized once at open and
+// a page allocated once per 4 096 ids at most, so neither the default
+// nor the group-commit setting allocates per job or per claim.
 func TestDurableJournalBatchOneAllocs(t *testing.T) {
 	requireMmap(t)
 	// One round per cycle: at JournalBatch 1 over mmap every job is an

@@ -94,15 +94,16 @@ type Config struct {
 	NewMem func(shard, size int) (membackend.Backend, error)
 	// MaxJobs bounds the distinct job ids a backend-backed dispatcher may
 	// assign over the lifetime of its register files (across restarts):
-	// it sizes the durable journal rows, and submissions fail with
-	// ErrJournalFull beyond it. Required with NewMem, ignored without.
+	// it sizes the durable journal rows — a bit per id per worker,
+	// Workers/8 bytes of store per job per shard — and submissions fail
+	// with ErrJournalFull beyond it. Required with NewMem, ignored without.
 	MaxJobs int
 	// JournalBatch is the durable journal's group-commit factor (default
 	// 1 = journal per job). At k > 1 each worker CLAIMS up to k jobs —
 	// marking them taken in the round but deferring their payloads — then
-	// journals all k ids in one vectored acked write and runs the k
-	// payloads, paying one ack (one msync, one network round trip) per
-	// claim instead of per job. Record-then-do still holds per batch: no
+	// journals all k in one acked write of the few bitmap words they
+	// fall in and runs the k payloads, paying one ack (one msync, one
+	// network round trip) per claim instead of per job. Record-then-do still holds per batch: no
 	// payload runs before its journal record is acknowledged, so a crash
 	// can never produce a duplicate. The crash WINDOW widens from one job
 	// to k per worker: a process killed after the batch journal write but

@@ -251,7 +251,7 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 }
 
 // TestFreshFingerprintIsAcked: journal row p starts at cell
-// 8 + (p−1)·MaxJobs, so a worker's flush need share no page with cell 0
+// 8 + (p−1)·⌈(MaxJobs+1)/64⌉, so a worker's flush need share no page with cell 0
 // and nothing but an acked write of its own carries a fresh shard's
 // fingerprint to the store. On a store that loses what was not acked, one
 // job is journaled and performed and the host crashes: the successor
@@ -296,15 +296,21 @@ func TestFreshFingerprintIsAcked(t *testing.T) {
 }
 
 // TestRecoveryRefusesForeignJournalCell: the journal is read from outside
-// the process, so a cell that holds no id this configuration could have
-// assigned — above MaxJobs, or negative — fails New instead of entering
-// the recovered set.
+// the process, so a set bit that is no id this configuration could have
+// assigned — bit 0, or one above MaxJobs in a row's last word — fails New,
+// naming the row and the bit, instead of entering the recovered set.
 func TestRecoveryRefusesForeignJournalCell(t *testing.T) {
 	requireMmap(t)
-	const n = 20
-	for _, bad := range []int64{n + 1, 1 << 40, -3} {
+	for _, tc := range []struct{ maxJobs, row, bit int }{
+		{20, 1, 0},
+		{20, 2, 21},
+		{20, 1, 63},
+		{100, 2, 0},
+		{100, 1, 101}, // the last word of a two-word row
+		{127, 2, 0},   // a row whose last word is all ids
+	} {
 		dir := t.TempDir()
-		cfg := Config{Shards: 1, Workers: 2, MaxBatch: 8, NewMem: mmapFactory(dir), MaxJobs: n}
+		cfg := Config{Shards: 1, Workers: 2, MaxBatch: 8, NewMem: mmapFactory(dir), MaxJobs: tc.maxJobs}
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -316,27 +322,26 @@ func TestRecoveryRefusesForeignJournalCell(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Corrupt the one journaled cell in place: it heads the row of
-		// whichever worker performed the job.
-		b, err := cfg.NewMem(0, jmetaCells+2*n)
+		// Corrupt one word in place, beside the journaled bit of id 1.
+		jwords := tc.maxJobs/64 + 1
+		b, err := cfg.NewMem(0, jmetaCells+2*jwords)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell := jmetaCells
-		if b.Read(cell) == 0 {
-			cell += n
-		}
-		b.Write(cell, bad)
+		cell := jmetaCells + (tc.row-1)*jwords + tc.bit/64
+		b.Write(cell, b.Read(cell)|1<<(tc.bit%64))
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
 		}
 		d2, err := New(cfg)
 		if err == nil {
 			d2.Close()
-			t.Fatalf("journal cell %d accepted with MaxJobs %d", bad, n)
+			t.Fatalf("bit %d in row %d accepted with MaxJobs %d", tc.bit, tc.row, tc.maxJobs)
 		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("holds %d", bad)) {
-			t.Fatalf("refusal of cell %d does not name it: %v", bad, err)
+		for _, want := range []string{fmt.Sprintf("row %d ", tc.row), fmt.Sprintf("bit %d ", tc.bit)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal of bit %d in row %d does not say %q: %v", tc.bit, tc.row, want, err)
+			}
 		}
 	}
 }
@@ -372,7 +377,8 @@ func TestReopenConfigMismatch(t *testing.T) {
 	}
 	// A shape with the SAME total size but different geometry gets past
 	// the header and is refused by the fingerprint. The cell count is
-	// 8 + m·MaxJobs, so MaxBatch alone changes the shape and not the size.
+	// 8 + m·⌈(MaxJobs+1)/64⌉, so MaxBatch alone changes the shape and not
+	// the size.
 	sly := cfg
 	sly.MaxBatch = cfg.MaxBatch - 1
 	if _, err := New(sly); err == nil || !strings.Contains(err.Error(), "configuration") {
@@ -448,10 +454,18 @@ func TestJournalFull(t *testing.T) {
 // TestReopenAfterJournalFull: exhausting the journal is not a dead end
 // — the same configuration reopens over the same files, the whole
 // re-submitted stream resolves from the journal without re-running a
-// payload, and the capacity guard still holds for genuinely new ids.
+// payload, and the capacity guard still holds for genuinely new ids. The
+// last id, MaxJobs itself, has a bit wherever it falls in its word: the
+// last bit of the row's only word (63), the first of a second word (64,
+// 128), or in between.
 func TestReopenAfterJournalFull(t *testing.T) {
 	requireMmap(t)
-	const n = 24
+	for _, n := range []int{24, 63, 64, 128} {
+		reopenAfterJournalFull(t, n)
+	}
+}
+
+func reopenAfterJournalFull(t *testing.T, n int) {
 	dir := t.TempDir()
 	cfg := Config{
 		Shards: 1, Workers: 2, MaxBatch: 8,
@@ -486,10 +500,10 @@ func TestReopenAfterJournalFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2.Flush()
-	if got := runs.Load(); got != n {
+	if got := runs.Load(); got != int64(n) {
 		t.Fatalf("restart re-ran payloads: %d total, want %d", got, n)
 	}
-	if st := d2.Stats(); st.Recovered != n {
+	if st := d2.Stats(); st.Recovered != uint64(n) {
 		t.Fatalf("Recovered = %d, want %d", st.Recovered, n)
 	}
 	// The journal is still full: new ids keep being refused.

@@ -33,23 +33,22 @@ type shard struct {
 	target float64
 
 	// Durable state (nil/zero for in-process shards): the journal
-	// backend, the journal geometry and the per-worker append cursors.
-	// See durable.go for the register-file layout. The round's own
-	// registers are never here — rt keeps them in process memory. The
-	// journal goes through the backend's WriteAcked, so record-then-do
-	// holds across the network, not just across local process death.
+	// backend and the words in a journal row. See durable.go for the
+	// register-file layout. The round's own registers are never here —
+	// rt keeps them in process memory. The journal goes through the
+	// backend's WriteAcked, so record-then-do holds across the network,
+	// not just across local process death.
 	backend membackend.Backend
 	durable bool
-	jlen    int
-	jcur    []int
+	jwords  int
 
 	// Claim state of a durable shard: each worker claims up to jbatch
 	// (Config.JournalBatch, default 1) jobs — marked done in the round,
-	// payloads deferred — then flushClaims journals all of them in ONE
-	// acked write and runs the payloads. claims[p-1] is worker p's open
-	// claim buffer, touched only by worker p during a round and by nobody
-	// between rounds (the runtime's Flush hook drains it before the round
-	// settles).
+	// payloads deferred — then flushClaims journals all of them, acked,
+	// and runs the payloads. claims[p-1] is worker p's open claim buffer
+	// and row shadow, touched only by worker p during a round and by
+	// nobody between rounds (the runtime's Flush hook drains the buffer
+	// before the round settles).
 	jbatch int
 	claims []workerClaims
 
@@ -92,9 +91,7 @@ type shard struct {
 
 	// Observability mirrors (see obs.go): lastTakenA shadows lastTaken
 	// atomically so the round-size gauge never races the loop goroutine;
-	// journaled counts journal rows for the journal-writes counter
-	// (jcur holds the same totals but is written lock-free by workers,
-	// so a scrape cannot read it).
+	// journaled counts journaled jobs for the journal-writes counter.
 	lastTakenA atomic.Int64
 	journaled  atomic.Uint64
 

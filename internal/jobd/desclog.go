@@ -163,7 +163,7 @@ func openDescLog(spec string, cells int) (*descLog, []job, error) {
 	case logMagic:
 		// Existing log; scan below.
 	case 0:
-		if err := b.WriteAcked(0, []int64{logMagic}, false); err != nil {
+		if err := b.WriteAcked(0, []int64{logMagic}); err != nil {
 			return fail(err)
 		}
 		return l, nil, nil
@@ -262,7 +262,7 @@ func (l *descLog) commit() error {
 		if end < l.size {
 			l.cells = append(l.cells, 0)
 		}
-		err = l.b.WriteAcked(l.cur, l.cells, false)
+		err = l.b.WriteAcked(l.cur, l.cells)
 	}
 	if err == nil {
 		l.cur = end

@@ -287,14 +287,14 @@ func (h *ackedHook) Write(addr int, v int64) {
 	h.Backend.Write(addr, v)
 }
 
-func (h *ackedHook) WriteAcked(addr int, vals []int64, journal bool) error {
+func (h *ackedHook) WriteAcked(addr int, vals []int64) error {
 	if h.before != nil {
 		h.before(len(vals))
 	}
 	if h.err != nil {
 		return h.err
 	}
-	return h.Backend.WriteAcked(addr, vals, journal)
+	return h.Backend.WriteAcked(addr, vals)
 }
 
 // TestTickCommitFailure: when the tick's one commit fails, every

@@ -23,7 +23,7 @@ func NewAtomic(size int) AtomicBackend {
 
 // WriteAcked implements Backend. In-process atomic stores are acked the
 // moment they return, so the batch is a plain loop.
-func (b AtomicBackend) WriteAcked(addr int, vals []int64, journal bool) error {
+func (b AtomicBackend) WriteAcked(addr int, vals []int64) error {
 	for i, v := range vals {
 		b.AtomicMem.Write(addr+i, v)
 	}

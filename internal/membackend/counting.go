@@ -49,9 +49,9 @@ func (c *CountingMem) Write(addr int, v int64) {
 func (c *CountingMem) Size() int { return c.inner.Size() }
 
 // WriteAcked implements Backend, counting len(vals) writes.
-func (c *CountingMem) WriteAcked(addr int, vals []int64, journal bool) error {
+func (c *CountingMem) WriteAcked(addr int, vals []int64) error {
 	c.writes.Add(uint64(len(vals)))
-	return c.inner.WriteAcked(addr, vals, journal)
+	return c.inner.WriteAcked(addr, vals)
 }
 
 // ReadRange implements Backend, counting len(dst) reads.

@@ -57,23 +57,17 @@ type Backend interface {
 	// jobd's descriptor log are only safe when the record is known to
 	// survive the writer's death before the work it names begins.
 	//
-	// journal says the values are job ids of journal records. It changes
-	// nothing about the write; it exists so a remote backend can say so
-	// on the wire and the server can witness each id in its own tracer,
-	// which keeps a job's cross-process timeline stitchable even when
-	// the writing dispatcher dies before its own tracer is scraped.
-	//
 	// The write must be all-or-nothing with respect to admission
 	// control: a backend that can reject a write (a fenced remote
-	// writer) must reject the entire batch without applying any prefix
-	// of it. Backends whose cells are individually ordered (the
-	// in-process ones) may apply cell by cell — a crash mid-batch then
-	// leaves a prefix, which the journal's scan-to-first-zero recovery
-	// already tolerates.
-	WriteAcked(addr int, vals []int64, journal bool) error
+	// writer) must reject the entire batch without applying any cell of
+	// it. A crash mid-batch is weaker: any subset of the cells may have
+	// landed, in no order. Both callers tolerate that — a journal word
+	// that landed only records claims whose payloads never ran, and the
+	// descriptor log checksums every commit.
+	WriteAcked(addr int, vals []int64) error
 	// ReadRange reads the len(dst) cells starting at addr in one
-	// operation. The dispatcher's recovery scan pulls whole journal rows
-	// through it instead of paying one round trip per cell.
+	// operation: the recovery scans pull whole rows through it instead
+	// of paying one round trip per cell.
 	ReadRange(addr int, dst []int64) error
 	// Reopened reports whether Open found existing register state (as
 	// opposed to creating a fresh, zeroed store). The dispatcher's crash

@@ -194,11 +194,11 @@ func (r *recordingBackend) Write(addr int, v int64) {
 	r.AtomicBackend.Write(addr, v)
 }
 
-func (r *recordingBackend) WriteAcked(addr int, vals []int64, journal bool) error {
+func (r *recordingBackend) WriteAcked(addr int, vals []int64) error {
 	for i, v := range vals {
 		r.ops = append(r.ops, fmt.Sprintf("write %d=%d", addr+i, v))
 	}
-	return r.AtomicBackend.WriteAcked(addr, vals, journal)
+	return r.AtomicBackend.WriteAcked(addr, vals)
 }
 
 func (r *recordingBackend) Sync() error {
@@ -217,7 +217,7 @@ func TestCountingSyncPassthrough(t *testing.T) {
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteAcked(1, []int64{2}, false); err != nil {
+	if err := c.WriteAcked(1, []int64{2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Sync(); err != nil {
@@ -290,10 +290,10 @@ func TestCountingCapabilities(t *testing.T) {
 		}
 		defer b.Close()
 		c := AsCounting(b)
-		if err := c.WriteAcked(4, []int64{9, 9, 9, 9}, true); err != nil {
+		if err := c.WriteAcked(4, []int64{9, 9, 9, 9}); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.WriteAcked(9, []int64{5}, false); err != nil {
+		if err := c.WriteAcked(9, []int64{5}); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]int64, 8)

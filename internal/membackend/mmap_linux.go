@@ -170,14 +170,12 @@ func (m *MmapMem) syncCells(addr, n int) error {
 // WriteAcked implements Backend: len(vals) stores, then ONE msync
 // covering the touched page range. A plain Write already survives
 // process death (the pages belong to the kernel); the acked write is the
-// genuinely synchronous one the journal's record-then-do needs to also
-// survive a host crash. The msync is the expensive part, and a batch
-// pays it once — the group-commit amortization. The cells are
-// individually ordered atomic stores, so a crash mid-batch leaves a
-// prefix (allowed by the contract for in-process backends; the journal's
-// scan-to-first-zero recovery tolerates it). Locally journal carries no
-// extra meaning: there is no server to witness the ids.
-func (m *MmapMem) WriteAcked(addr int, vals []int64, journal bool) error {
+// genuinely synchronous one record-then-do needs to also survive a host
+// crash. The msync is the expensive part, and a batch pays it once — the
+// group-commit amortization. A host crash mid-batch keeps whichever of
+// the touched pages the kernel had written back: any subset of the
+// cells, as the contract allows.
+func (m *MmapMem) WriteAcked(addr int, vals []int64) error {
 	if len(vals) == 0 {
 		return nil
 	}

@@ -48,7 +48,7 @@ func (l *Lossy) Write(addr int, v int64) {
 	l.cache[addr] = v
 }
 
-func (l *Lossy) WriteAcked(addr int, vals []int64, journal bool) error {
+func (l *Lossy) WriteAcked(addr int, vals []int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	copy(l.cache[addr:], vals)

@@ -83,49 +83,47 @@ func RunMemSuite(t *testing.T, f Factory) {
 // cycle — and Go interface satisfaction is structural, so the assertion
 // is equivalent.
 type ackedRanger interface {
-	WriteAcked(addr int, vals []int64, journal bool) error
+	WriteAcked(addr int, vals []int64) error
 	ReadRange(addr int, dst []int64) error
 }
 
 // testAckedAndRange checks WriteAcked and ReadRange against plain
-// per-cell reads: a batch of n values, journal records or not, lands in
-// exactly the n contiguous cells starting at addr, neighbours untouched,
-// and ReadRange over the whole file sees exactly what per-cell reads
-// see. The stronger contract — a *fenced* write rejecting atomically
-// with no prefix applied — involves two competing writers and lives in
-// the net backend's own tests (it is the only backend with admission
-// control); here every accepted batch must simply be fully applied.
+// per-cell reads: a batch of n values lands in exactly the n contiguous
+// cells starting at addr, neighbours untouched, and ReadRange over the
+// whole file sees exactly what per-cell reads see. The stronger contract
+// — a *fenced* write rejecting atomically with no cell applied —
+// involves two competing writers and lives in the net backend's own
+// tests (it is the only backend with admission control); here every
+// accepted batch must simply be fully applied.
 func testAckedAndRange(t *testing.T, f Factory, batches ...int) {
 	const size, addr = 96, 20
 	m := f.New(t, size)
 	b := m.(ackedRanger)
 	for _, n := range batches {
-		for _, journal := range []bool{false, true} {
-			for a := 0; a < size; a++ {
-				m.Write(a, int64(a)+100)
+		for a := 0; a < size; a++ {
+			m.Write(a, int64(a)+100)
+		}
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(1000*n + i)
+		}
+		if err := b.WriteAcked(addr, vals); err != nil {
+			t.Fatalf("WriteAcked(%d cells): %v", n, err)
+		}
+		got := make([]int64, size)
+		if err := b.ReadRange(0, got); err != nil {
+			t.Fatalf("ReadRange: %v", err)
+		}
+		for a := 0; a < size; a++ {
+			want := int64(a) + 100
+			if a >= addr && a < addr+n {
+				want = vals[a-addr]
 			}
-			vals := make([]int64, n)
-			for i := range vals {
-				vals[i] = int64(1000*n + i)
+			if v := m.Read(a); v != want {
+				t.Fatalf("cell %d = %d after WriteAcked(%d, %d cells), want %d", a, v, addr, n, want)
 			}
-			if err := b.WriteAcked(addr, vals, journal); err != nil {
-				t.Fatalf("WriteAcked(%d cells, journal=%v): %v", n, journal, err)
-			}
-			got := make([]int64, size)
-			if err := b.ReadRange(0, got); err != nil {
-				t.Fatalf("ReadRange: %v", err)
-			}
-			for a := 0; a < size; a++ {
-				want := int64(a) + 100
-				if a >= addr && a < addr+n {
-					want = vals[a-addr]
-				}
-				if v := m.Read(a); v != want {
-					t.Fatalf("cell %d = %d after WriteAcked(%d, %d cells, journal=%v), want %d", a, v, addr, n, journal, want)
-				}
-				if got[a] != want {
-					t.Fatalf("ReadRange[%d] = %d, per-cell read says %d", a, got[a], want)
-				}
+			if got[a] != want {
+				t.Fatalf("ReadRange[%d] = %d, per-cell read says %d", a, got[a], want)
 			}
 		}
 	}

@@ -43,9 +43,9 @@ func TestLossySuite(t *testing.T) {
 func TestLossyCrash(t *testing.T) {
 	l := NewLossy(8)
 	l.Write(0, 1)
-	l.WriteAcked(1, []int64{2, 3}, false)
+	l.WriteAcked(1, []int64{2, 3})
 	l.Keep = func(addr int) bool { return addr != 5 }
-	l.WriteAcked(4, []int64{5, 6, 7}, false)
+	l.WriteAcked(4, []int64{5, 6, 7})
 	got := make([]int64, 8)
 	if l.ReadRange(0, got); got[0] != 1 || got[5] != 6 || l.Reopened() {
 		t.Fatalf("before the crash the writer reads %v (reopened %v), want its own writes", got, l.Reopened())

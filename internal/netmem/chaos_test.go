@@ -61,7 +61,7 @@ func TestReconnectResume(t *testing.T) {
 		}
 	}
 	proxy.DropAll()
-	if err := c.WriteAcked(7, []int64{-7}, false); err != nil {
+	if err := c.WriteAcked(7, []int64{-7}); err != nil {
 		t.Fatalf("WriteAcked across a drop: %v", err)
 	}
 	if got := c.Read(7); got != -7 {
@@ -166,7 +166,7 @@ func TestChaosSoak(t *testing.T) {
 				cell := base + int(seq)%cellsPerW
 				val := int64(w+1)<<32 | seq
 				if seq%ackedEvery == 0 {
-					if err := c.WriteAcked(cell, []int64{val}, false); err != nil {
+					if err := c.WriteAcked(cell, []int64{val}); err != nil {
 						errs <- fmt.Errorf("worker %d: WriteAcked: %w", w, err)
 						return
 					}
@@ -195,7 +195,7 @@ func TestChaosSoak(t *testing.T) {
 	// Final audit: stamp every cell with an acknowledged sentinel, then
 	// range-read the whole register file back.
 	for a := 0; a < cells; a++ {
-		if err := c.WriteAcked(a, []int64{int64(a) + 5_000_000}, false); err != nil {
+		if err := c.WriteAcked(a, []int64{int64(a) + 5_000_000}); err != nil {
 			t.Fatalf("final stamp of cell %d: %v", a, err)
 		}
 	}

@@ -96,13 +96,12 @@ func (o *Options) normalize() {
 // yet acknowledged. The client keeps them FIFO; the server answers in
 // order, so the front of the queue always matches the next reply.
 type pendingOp struct {
-	op      byte
-	seq     uint32
-	addr    int
-	val     int64   // pipelined write value, read result
-	count   int     // range count
-	vals    []int64 // range destination, or the acked write's values
-	journal bool    // acked write: the values are journal-record job ids
+	op    byte
+	seq   uint32
+	addr  int
+	val   int64   // pipelined write value, read result
+	count int     // range count
+	vals  []int64 // range destination, or the acked write's values
 	// wake is non-nil for awaited ops: whoever unlinks the op from the
 	// outstanding queue under mu — the reader with the reply, or
 	// fatalize/Close with the error — fills err/val and sends the one
@@ -454,11 +453,6 @@ func (m *NetMem) encodeLocked(op *pendingOp) []byte {
 	case opWriteAcked:
 		b = wire.AppendU64(b, m.epoch)
 		b = wire.AppendU64(b, uint64(op.addr))
-		if op.journal {
-			b = append(b, flagJournal)
-		} else {
-			b = append(b, 0)
-		}
 		for _, v := range op.vals {
 			b = wire.AppendI64(b, v)
 		}
@@ -831,21 +825,20 @@ func (m *NetMem) Write(addr int, v int64) {
 // stores the whole batch, and it returns after the server has applied
 // it — the record-then-do ordering the dispatcher journal needs across
 // process death, and the group commit that makes JournalBatch>1 pay (k
-// journal records for one network RTT instead of k). journal rides the
-// wire as a flag, so the server can trace each value as a job's journal
-// record. The server applies the batch atomically with respect to
-// fencing: a stale epoch rejects every cell, never a prefix. Batches
-// beyond the protocol's per-op bound are chunked (each chunk then
-// carries the atomicity guarantee individually — chunking at maxRange
-// cells is far beyond any sane JournalBatch setting).
-func (m *NetMem) WriteAcked(addr int, vals []int64, journal bool) error {
+// claims for one network RTT instead of k). The server applies the batch
+// atomically with respect to fencing: a stale epoch rejects every cell,
+// never some of them. Batches beyond the protocol's per-op bound are
+// chunked (each chunk then carries the atomicity guarantee individually
+// — chunking at maxRange cells is far beyond any journal flush or
+// descriptor-log tick).
+func (m *NetMem) WriteAcked(addr int, vals []int64) error {
 	for len(vals) > 0 {
 		n := len(vals)
 		if n > maxRange {
 			n = maxRange
 		}
 		op := getOp(opWriteAcked, addr)
-		op.vals, op.journal = vals[:n], journal
+		op.vals = vals[:n]
 		if err := m.call(op); err != nil {
 			return err
 		}

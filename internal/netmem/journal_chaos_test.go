@@ -34,11 +34,11 @@ func TestJournalBatchReconnectResume(t *testing.T) {
 		}
 		return v
 	}
-	if err := c.WriteAcked(0, ids(1000, 16), true); err != nil {
+	if err := c.WriteAcked(0, ids(1000, 16)); err != nil {
 		t.Fatalf("first batch: %v", err)
 	}
 	proxy.DropAll() // the next batch crosses a dead connection: resend after redial
-	if err := c.WriteAcked(16, ids(2000, 16), true); err != nil {
+	if err := c.WriteAcked(16, ids(2000, 16)); err != nil {
 		t.Fatalf("batch across a drop: %v", err)
 	}
 	proxy.DropAll() // and the verification reads block through another redial
@@ -108,7 +108,7 @@ func TestJournalBatchMidFrameDrops(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(uint64(p)<<32 | uint64(addr+i))
 			}
-			if err := c.WriteAcked(addr, ids, true); err != nil {
+			if err := c.WriteAcked(addr, ids); err != nil {
 				t.Fatalf("pass %d batch %d: %v", p, bi, err)
 			}
 			// Acked ⇒ fully applied: read the batch straight back. A

@@ -9,148 +9,77 @@ import (
 	"time"
 
 	"atmostonce/internal/membackend"
-	"atmostonce/internal/obs"
 )
 
-// serverJournaled returns the ids the server's tracer witnessed, failing
-// unless each carries exactly one journaled event with the server-side
-// shard marker and the stitching fields.
-func serverJournaled(t *testing.T, tr *obs.Tracer) map[uint64]bool {
-	t.Helper()
-	doc := obs.NewTracezDoc(tr)
-	seen := make(map[uint64]bool)
-	for _, j := range doc.Jobs {
-		if len(j.Events) != 1 || j.Events[0].Event != "journaled" || j.Events[0].Shard != -1 {
-			t.Fatalf("job %d server events = %+v, want one journaled at shard -1", j.ID, j.Events)
-		}
-		if j.Events[0].Inc != doc.Incarnation || j.Events[0].TS == 0 {
-			t.Fatalf("job %d journal event missing stitching fields: %+v", j.ID, j.Events[0])
-		}
-		seen[j.ID] = true
-	}
-	return seen
-}
-
-// TestJournalWrite: the scalar case of the one acked write. A batch of
-// one with journal=true lands the id in the cell AND the server's tracer
-// witnesses the job id as a journaled event with the server-side shard
-// marker — the anchor record cross-process stitching keys on. The
-// witnessing is by flag, not by op: the same write with journal=false
-// (a desclog-shaped header value) lands and leaves no trace.
+// TestJournalWrite: the scalar case of the one acked write, with the
+// values a dispatcher journal row holds — bitmap words, the sign bit
+// included. A batch of one lands in its cell, and an out-of-bounds write
+// is a per-op error, not a client death.
 func TestJournalWrite(t *testing.T) {
-	tr := obs.NewTracer(1, 64)
-	srv := NewServer(ServerOptions{Tracer: tr})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	addr := testServerAddr(t)
 	b, err := membackend.Open(fmt.Sprintf("net:%s/%s", addr, uniqueNS()), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	for i, id := range []int64{42, 43, 44} {
-		if err := b.WriteAcked(10+i, []int64{id}, true); err != nil {
-			t.Fatalf("WriteAcked(%d, %d, journal): %v", 10+i, id, err)
+	words := []int64{1 << 42, -1 << 63, -1}
+	for i, w := range words {
+		if err := b.WriteAcked(10+i, []int64{w}); err != nil {
+			t.Fatalf("WriteAcked(%d, %#x): %v", 10+i, uint64(w), err)
 		}
 	}
-	for i, id := range []int64{42, 43, 44} {
-		if got := b.Read(10 + i); got != id {
-			t.Fatalf("cell %d = %d, want %d", 10+i, got, id)
+	for i, w := range words {
+		if got := b.Read(10 + i); got != w {
+			t.Fatalf("cell %d = %#x, want %#x", 10+i, uint64(got), uint64(w))
 		}
-	}
-	// jobd's descriptor log commits a record with this shape of value:
-	// recMagic<<48 | byteLen. It is not a job id and must not be traced.
-	const hdr = int64(0x6a44<<48 | 1024)
-	if err := b.WriteAcked(20, []int64{hdr}, false); err != nil {
-		t.Fatalf("non-journal WriteAcked: %v", err)
-	}
-	if got := b.Read(20); got != hdr {
-		t.Fatalf("cell 20 = %#x, want %#x", got, hdr)
-	}
-	seen := serverJournaled(t, tr)
-	if len(seen) != 3 || !seen[42] || !seen[43] || !seen[44] {
-		t.Fatalf("server tracer saw %v, want exactly jobs 42, 43, 44", seen)
 	}
 
-	// Out-of-bounds acked writes are per-op errors, not client deaths:
-	// the connection survives for the next operation.
-	if err := b.WriteAcked(4096, []int64{99}, true); err == nil || !strings.Contains(err.Error(), "acked write addr") {
+	// The connection survives a bad address for the next operation.
+	if err := b.WriteAcked(4096, []int64{99}); err == nil || !strings.Contains(err.Error(), "acked write addr") {
 		t.Fatalf("out-of-bounds WriteAcked err = %v", err)
 	}
-	if err := b.WriteAcked(11, []int64{52}, true); err != nil {
-		t.Fatalf("journal write after bad-addr error: %v", err)
+	if err := b.WriteAcked(11, []int64{52}); err != nil {
+		t.Fatalf("acked write after bad-addr error: %v", err)
 	}
 	if got := b.Read(11); got != 52 {
 		t.Fatalf("cell 11 = %d after rewrite, want 52", got)
 	}
 }
 
-// TestJournalWriteBatch: the batch case. One awaited op lands k ids in
-// k contiguous cells, a journal=true batch of k ids produces exactly k
-// server-side journaled events and a journal=false batch none, and a
-// bad batch (out of bounds) is a per-op error that leaves the
-// connection alive.
+// TestJournalWriteBatch: the batch case. One awaited op lands k values
+// in k contiguous cells and nowhere else, an empty batch is a no-op, and
+// a batch overrunning the register file is a per-op error that leaves
+// the connection alive.
 func TestJournalWriteBatch(t *testing.T) {
-	tr := obs.NewTracer(1, 64)
-	srv := NewServer(ServerOptions{Tracer: tr})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	addr := testServerAddr(t)
 	b, err := membackend.Open(fmt.Sprintf("net:%s/%s", addr, uniqueNS()), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	ids := []int64{71, 72, 73, 74, 75}
-	if err := b.WriteAcked(20, ids, true); err != nil {
+	words := []int64{71, -72, 1 << 62, 0, 75}
+	if err := b.WriteAcked(20, words); err != nil {
 		t.Fatalf("WriteAcked batch: %v", err)
 	}
-	for i, id := range ids {
-		if got := b.Read(20 + i); got != id {
-			t.Fatalf("cell %d = %d, want %d", 20+i, got, id)
+	for i, w := range words {
+		if got := b.Read(20 + i); got != w {
+			t.Fatalf("cell %d = %d, want %d", 20+i, got, w)
 		}
 	}
-	if got := b.Read(20 + len(ids)); got != 0 {
+	if got := b.Read(20 + len(words)); got != 0 {
 		t.Fatalf("cell after batch clobbered: %d", got)
 	}
-	// A single-element batch is just a journal write.
-	if err := b.WriteAcked(5, []int64{99}, true); err != nil {
-		t.Fatalf("single-element batch: %v", err)
-	}
-	if got := b.Read(5); got != 99 {
-		t.Fatalf("cell 5 = %d, want 99", got)
-	}
-	// An empty batch is a no-op, not a wire error.
-	if err := b.WriteAcked(5, nil, true); err != nil {
+	if err := b.WriteAcked(5, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	// The same batch shape without the flag lands and is not witnessed.
-	if err := b.WriteAcked(40, []int64{81, 82, 83}, false); err != nil {
-		t.Fatalf("non-journal batch: %v", err)
-	}
-	if got := b.Read(42); got != 83 {
-		t.Fatalf("cell 42 = %d, want 83", got)
-	}
 
-	if seen := serverJournaled(t, tr); len(seen) != len(ids)+1 || seen[81] || !seen[99] {
-		t.Fatalf("server tracer saw %v, want exactly %v and 99", seen, ids)
-	}
-
-	// A batch overrunning the register file is a per-op error; the
-	// connection survives for the next operation.
-	if err := b.WriteAcked(60, []int64{1, 2, 3, 4, 5, 6}, true); err == nil ||
+	if err := b.WriteAcked(60, []int64{1, 2, 3, 4, 5, 6}); err == nil ||
 		!strings.Contains(err.Error(), "acked write addr") {
 		t.Fatalf("out-of-bounds batch err = %v", err)
 	}
-	if err := b.WriteAcked(30, []int64{7}, true); err != nil {
+	if err := b.WriteAcked(30, []int64{7}); err != nil {
 		t.Fatalf("batch after bad-addr error: %v", err)
 	}
 	if got := b.Read(30); got != 7 {
@@ -183,7 +112,7 @@ func TestJournalWriteBatchFencedNoPrefix(t *testing.T) {
 	}
 	defer c2.Close()
 
-	if err := c1.WriteAcked(10, []int64{101, 102, 103, 104}, true); !errors.Is(err, ErrFenced) {
+	if err := c1.WriteAcked(10, []int64{101, 102, 103, 104}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced batch err = %v, want ErrFenced", err)
 	}
 	// No prefix: every cell of the rejected batch is untouched.
@@ -193,23 +122,6 @@ func TestJournalWriteBatchFencedNoPrefix(t *testing.T) {
 		}
 	}
 	c1.Close()
-}
-
-// TestJournalWriteNoTracer: a server without a tracer still applies
-// journal writes (the flag degrades to nothing).
-func TestJournalWriteNoTracer(t *testing.T) {
-	addr := testServerAddr(t)
-	b, err := membackend.Open(fmt.Sprintf("net:%s/%s", addr, uniqueNS()), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.WriteAcked(3, []int64{7}, true); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Read(3); got != 7 {
-		t.Fatalf("cell 3 = %d, want 7", got)
-	}
 }
 
 // TestJournalBatchRoundTripAllocs gates the one RPC a durable dispatcher
@@ -241,7 +153,7 @@ func TestJournalBatchRoundTripAllocs(t *testing.T) {
 	}
 	row := 0
 	call := func() {
-		if err := m.WriteAcked(16*(row%rows), ids, true); err != nil {
+		if err := m.WriteAcked(16*(row%rows), ids); err != nil {
 			t.Fatal(err)
 		}
 		row++

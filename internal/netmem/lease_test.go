@@ -38,7 +38,7 @@ func TestLeaseFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := c1.Epoch()
-	if err := c1.WriteAcked(1, []int64{42}, false); err != nil {
+	if err := c1.WriteAcked(1, []int64{42}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -76,7 +76,7 @@ func TestLeaseFencing(t *testing.T) {
 
 	// The stalled writer is fenced: its write is rejected and must not
 	// reach the registers.
-	err = c1.WriteAcked(2, []int64{666}, false)
+	err = c1.WriteAcked(2, []int64{666})
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale writer's WriteAcked: %v, want ErrFenced", err)
 	}
@@ -232,7 +232,7 @@ func TestCloseSendsNothingBehindRelease(t *testing.T) {
 				}
 				// One round trip of work: five ticks long, so the renew loop
 				// is mid-renew with the next tick due when Close begins.
-				if err := c.WriteAcked(0, []int64{1}, false); err != nil {
+				if err := c.WriteAcked(0, []int64{1}); err != nil {
 					t.Error(err)
 				}
 				if err := c.Close(); err != nil {
@@ -371,7 +371,7 @@ func TestRenewKeepsLease(t *testing.T) {
 	}
 	defer c1.Close()
 	time.Sleep(700 * time.Millisecond) // several TTLs
-	if err := c1.WriteAcked(0, []int64{7}, false); err != nil {
+	if err := c1.WriteAcked(0, []int64{7}); err != nil {
 		t.Fatalf("live writer fenced after renewals: %v", err)
 	}
 	if _, err := Open(addr, 16, Options{Namespace: ns, FailFast: true}); !errors.Is(err, ErrLeaseHeld) {

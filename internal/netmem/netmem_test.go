@@ -95,7 +95,7 @@ func TestReopenedFlag(t *testing.T) {
 	if c1.Reopened() {
 		t.Fatal("fresh namespace reported reopened")
 	}
-	if err := c1.WriteAcked(7, []int64{1234}, false); err != nil {
+	if err := c1.WriteAcked(7, []int64{1234}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.Close(); err != nil {
@@ -201,19 +201,20 @@ func TestCorruptRangeFrames(t *testing.T) {
 		t.Fatalf("overflowing readrange: op %d code %d, want opErr/badaddr", rop, code)
 	}
 	// An acked write with the same wrap, and the malformed shapes of its
-	// frame: no cells, a length that is not 17 + 8k, an unknown flag bit.
-	hdr := func(addr uint64, flags byte) []byte {
-		return append(wire.AppendU64(wire.AppendU64(nil, ep), addr), flags)
+	// frame: no cells, a length that is not 16 + 8k — which is also what
+	// a peer from before amo-dispatch-v5 sends, its flags byte after addr.
+	hdr := func(addr uint64) []byte {
+		return wire.AppendU64(wire.AppendU64(nil, ep), addr)
 	}
 	for _, c := range []struct {
 		name    string
 		payload []byte
 		code    uint16
 	}{
-		{"addr+count overflow", wire.AppendI64(hdr(^uint64(0), flagJournal), 7), codeBadAddr},
-		{"no cells", hdr(3, 0), codeProto},
-		{"length not 17+8k", append(wire.AppendI64(hdr(3, 0), 7), 1, 2, 3), codeProto},
-		{"unknown flag bit", wire.AppendI64(hdr(3, 2), 7), codeProto},
+		{"addr+count overflow", wire.AppendI64(hdr(^uint64(0)), 7), codeBadAddr},
+		{"no cells", hdr(3), codeProto},
+		{"length not 16+8k", append(wire.AppendI64(hdr(3), 7), 1, 2, 3), codeProto},
+		{"flags byte of an old peer", wire.AppendI64(append(hdr(3), 1), 7), codeProto},
 	} {
 		if rop, code := send(opWriteAcked, c.payload); rop != opErr || code != c.code {
 			t.Fatalf("acked write, %s: op %d code %d, want opErr/%d", c.name, rop, code, c.code)

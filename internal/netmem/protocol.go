@@ -52,13 +52,14 @@ const (
 	// journal write — and no new op takes their numbers.
 	opSync byte = 10 // (empty)                      → opAck
 	// opWriteAcked is the one awaited write: vals land in the contiguous
-	// cells starting at addr (count ≥ 1, implied by frame length). Flag
-	// bit 0 (flagJournal) says the values are job ids of journal records,
-	// which the server witnesses in its tracer. The whole batch is
-	// admitted or fenced atomically — a stale epoch rejects every cell,
-	// never a prefix — which is what lets the group-commit dispatcher
-	// journal k claims in one round trip.
-	opWriteAcked byte = 13 // epoch u64, addr u64, flags u8, val i64 × count → opAck
+	// cells starting at addr (count ≥ 1, implied by frame length). The
+	// whole batch is admitted or fenced atomically — a stale epoch
+	// rejects every cell, never some of them — which is what lets the
+	// group-commit dispatcher journal k claims in one round trip. (Until
+	// amo-dispatch-v5 a flags byte followed addr; a peer that still
+	// sends or expects it gets "malformed request payload" at its first
+	// acked write.)
+	opWriteAcked byte = 13 // epoch u64, addr u64, val i64 × count → opAck
 
 	// Server → client.
 	opAck       byte = 16 // (empty)
@@ -81,9 +82,6 @@ const (
 	codeSizeMismatch uint16 = 8 // hello size differs from the open namespace
 	codeClosed       uint16 = 9 // server shutting down
 )
-
-// flagJournal is bit 0 of opWriteAcked's flags byte.
-const flagJournal byte = 1
 
 const (
 	// maxRange bounds the cells of one opReadRange or opWriteAcked,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"atmostonce/internal/membackend"
-	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
 	"atmostonce/internal/wire"
 )
@@ -28,13 +27,6 @@ type ServerOptions struct {
 	// (default 2s); MaxTTL clamps what a client may ask for (default 1m).
 	DefaultTTL time.Duration
 	MaxTTL     time.Duration
-	// Tracer, when non-nil, records a server-side TraceJournaled event
-	// (shard -1) for every cell of an opWriteAcked that carries the
-	// journal flag, keyed by the job id on the wire. This is the server's
-	// contribution to cross-process timeline stitching: the journal write
-	// is observed even if the writing dispatcher dies before its own
-	// tracer is scraped.
-	Tracer *obs.Tracer
 }
 
 // Server owns the register namespaces and serves the wire protocol.
@@ -327,30 +319,6 @@ func (ns *namespace) admit(epoch uint64) *wireError {
 	return nil
 }
 
-// writeAcked stores vals into the contiguous cells starting at addr
-// through the backend's acked write and, for a journal write, witnesses
-// each id in the server's tracer (shard -1 marks a server-side
-// observation). The whole batch lands under one admit: a stale writer
-// can never leave a prefix of its claim behind. The tracer runs after
-// the lease lock is released — holding it would serialise every writer
-// of the namespace behind the tracer for no ordering benefit.
-func (s *Server) writeAcked(ns *namespace, epoch uint64, addr int, vals []int64, journal bool) *wireError {
-	if werr := ns.admit(epoch); werr != nil {
-		return werr
-	}
-	err := ns.bk.WriteAcked(addr, vals, journal)
-	ns.mu.Unlock()
-	if err != nil {
-		return &wireError{codeBackend, err.Error()}
-	}
-	if journal {
-		for _, id := range vals {
-			s.opts.Tracer.Record(uint64(id), obs.TraceJournaled, -1)
-		}
-	}
-	return nil
-}
-
 // wireError is an error that travels as an opErr frame.
 type wireError struct {
 	code uint16
@@ -570,10 +538,9 @@ func (s *Server) handle(c net.Conn) {
 		case opWriteAcked:
 			epoch := d.U64()
 			addr := d.U64()
-			flags := d.U8()
 			// The rest of the payload is the value vector; the frame length
 			// implies the count, like opValues in the other direction.
-			shaped := len(payload) > 17 && (len(payload)-17)%8 == 0 && flags&^flagJournal == 0
+			shaped := len(payload) > 16 && len(payload)%8 == 0
 			if !shaped || ns == nil {
 				ok = replyErr(seq, protoOrNoNS(shaped, ns))
 				break
@@ -590,8 +557,16 @@ func (s *Server) handle(c net.Conn) {
 			for i := 0; i < count; i++ {
 				vals = append(vals, d.I64())
 			}
-			if werr := s.writeAcked(ns, epoch, int(addr), vals, flags&flagJournal != 0); werr != nil {
+			// The whole batch lands under one admit: a stale writer can
+			// never leave part of its claim behind.
+			if werr := ns.admit(epoch); werr != nil {
 				ok = replyErr(seq, werr)
+				break
+			}
+			err := ns.bk.WriteAcked(int(addr), vals)
+			ns.mu.Unlock()
+			if err != nil {
+				ok = replyErr(seq, &wireError{codeBackend, err.Error()})
 				break
 			}
 			ok = reply(seq, opAck, nil)

@@ -7,8 +7,8 @@ import (
 )
 
 // Cross-process trace stitching. A job deliberately crosses process
-// boundaries in this system — journaled by a dispatcher, observed by the
-// register server, resolved from the journal by a successor — so one
+// boundaries in this system — journaled by a dispatcher, resolved from
+// the journal by a successor — so one
 // process's /tracez is only a fragment of the job's real history. The
 // types here define the /tracez JSON document (opshttp renders it,
 // anything can parse it back) and StitchTimelines merges documents from
@@ -134,10 +134,8 @@ func StitchTimelines(docs ...TracezDoc) []TracezJob {
 //   - an incarnation that records "recovered" for the job never records
 //     "started" for it: recovered jobs resolve from the journal, their
 //     payload must not run again;
-//   - a client-side "journaled" (shard ≥ 0) follows a "started" in the
-//     same incarnation (record-then-do runs inside the worker); the
-//     register server's journal observations (shard < 0) carry no such
-//     constraint — the server sees the write, not the worker.
+//   - "journaled" follows a "started" in the same incarnation
+//     (record-then-do runs inside the worker).
 //
 // It assumes the timeline is complete (no ring wrap-around truncation).
 func CheckStitched(j TracezJob) error {
@@ -175,7 +173,7 @@ func CheckStitched(j TracezJob) error {
 		case "resolved", "expired", "cancelled":
 			st.terminal = true
 		case "journaled":
-			if e.Shard >= 0 && !st.started {
+			if !st.started {
 				return fmt.Errorf("job %d: journaled before started in incarnation %s", j.ID, e.Inc)
 			}
 		}

@@ -22,8 +22,10 @@ func TestStitchTimelines(t *testing.T) {
 		}},
 		{ID: 9, Events: []TracezEvent{ev("submitted", 0, 2000, "aaaa")}},
 	}}
-	server := TracezDoc{Incarnation: "cccc", Jobs: []TracezJob{
-		{ID: 7, Events: []TracezEvent{ev("journaled", -1, 4000, "cccc")}},
+	// A second incarnation that re-submitted the job while the first was
+	// still journaling it, and died before starting anything.
+	shortLived := TracezDoc{Incarnation: "cccc", Jobs: []TracezJob{
+		{ID: 7, Events: []TracezEvent{ev("submitted", 1, 4000, "cccc")}},
 	}}
 	successor := TracezDoc{Incarnation: "bbbb", Jobs: []TracezJob{
 		{ID: 7, Events: []TracezEvent{
@@ -33,7 +35,7 @@ func TestStitchTimelines(t *testing.T) {
 		}},
 	}}
 
-	jobs := StitchTimelines(incumbent, server, successor)
+	jobs := StitchTimelines(incumbent, shortLived, successor)
 	if len(jobs) != 2 {
 		t.Fatalf("stitched %d jobs, want 2", len(jobs))
 	}
@@ -42,7 +44,7 @@ func TestStitchTimelines(t *testing.T) {
 		t.Fatalf("job order = %d, %d; want 7, 9", jobs[0].ID, jobs[1].ID)
 	}
 	j := jobs[0]
-	want := []string{"submitted", "started", "journaled", "journaled", "submitted", "recovered", "resolved"}
+	want := []string{"submitted", "started", "submitted", "journaled", "submitted", "recovered", "resolved"}
 	if len(j.Events) != len(want) {
 		t.Fatalf("job 7 has %d merged events, want %d: %+v", len(j.Events), len(want), j.Events)
 	}
@@ -51,10 +53,10 @@ func TestStitchTimelines(t *testing.T) {
 			t.Fatalf("event[%d] = %q, want %q", i, e.Event, want[i])
 		}
 	}
-	// The server's observation (TS 4000) interleaves between the client's
-	// started (3000) and journaled (5000).
-	if j.Events[2].Inc != "cccc" || j.Events[2].Shard != -1 {
-		t.Fatalf("server observation misplaced: %+v", j.Events[2])
+	// The other process's record (TS 4000) interleaves between the
+	// incumbent's started (3000) and journaled (5000).
+	if j.Events[2].Inc != "cccc" || j.Events[2].Shard != 1 {
+		t.Fatalf("second incarnation's record misplaced: %+v", j.Events[2])
 	}
 	// TUs recomputed against merged t0 = 1000.
 	if j.Events[0].TUs != 0 || j.Events[3].TUs != 4.0 {
@@ -135,19 +137,14 @@ func TestCheckStitchedViolations(t *testing.T) {
 	}
 }
 
-// TestCheckStitchedLegal: shapes that must pass — a successor
+// TestCheckStitchedLegal: a shape that must pass — a successor
 // re-resolving a job its predecessor resolved (each life re-runs the
-// stream), and the server's journal observation (shard < 0) needing no
-// prior started.
+// stream).
 func TestCheckStitchedLegal(t *testing.T) {
 	legal := [][]TracezEvent{
 		{
 			ev("started", 0, 1, "aaaa"), ev("journaled", 0, 2, "aaaa"), ev("resolved", 0, 3, "aaaa"),
 			ev("submitted", 0, 4, "bbbb"), ev("recovered", 0, 5, "bbbb"), ev("resolved", 0, 6, "bbbb"),
-		},
-		{
-			ev("journaled", -1, 1, "cccc"), // server witnesses the write, not the worker
-			ev("started", 0, 2, "aaaa"),
 		},
 	}
 	for i, events := range legal {
@@ -163,7 +160,7 @@ func TestNewTracezDocRoundTrip(t *testing.T) {
 	tr := NewTracer(1, 16)
 	tr.Record(42, TraceSubmitted, 0)
 	tr.Record(42, TraceStarted, 0)
-	tr.Record(42, TraceJournaled, -1)
+	tr.Record(42, TraceJournaled, 3)
 
 	doc := NewTracezDoc(tr)
 	if doc.Incarnation != IncarnationString() {
@@ -188,8 +185,8 @@ func TestNewTracezDocRoundTrip(t *testing.T) {
 			t.Fatal("event lost its wall-clock stamp")
 		}
 	}
-	if back.Jobs[0].Events[2].Shard != -1 {
-		t.Fatalf("server-side shard = %d, want -1", back.Jobs[0].Events[2].Shard)
+	if back.Jobs[0].Events[2].Shard != 3 {
+		t.Fatalf("shard = %d, want 3", back.Jobs[0].Events[2].Shard)
 	}
 
 	if got := NewTracezDoc(nil); got.Incarnation == "" || got.Jobs == nil || len(got.Jobs) != 0 {
