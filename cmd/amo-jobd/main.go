@@ -150,9 +150,10 @@ func run(args []string, ready chan<- string) error {
 		if *addr == "" {
 			return errors.New("-load requires -addr")
 		}
-		// One more connection reads the server's tick counters around the
-		// run: how many requests its core loop found per tick under this
-		// load (every client's requests, not only this run's).
+		// One more connection reads the server's counters around the run:
+		// how many requests its core loop found per tick under this load,
+		// and what a submission cost each side in socket calls (every
+		// client's traffic, not only this run's, on the server side).
 		ctl, err := jobd.Dial(*addr, jobd.ClientOptions{Name: "load-stats"})
 		if err != nil {
 			return err
@@ -181,7 +182,10 @@ func run(args []string, ready chan<- string) error {
 			return err
 		}
 		ticks := after.Ticks - before.Ticks
-		fmt.Printf("amo-jobd load: %v ticks=%d mean_tick=%.2f\n", rep, ticks, float64(after.TickReqs-before.TickReqs)/float64(max(ticks, 1)))
+		perJob := func(n uint64) float64 { return float64(n) / float64(max(rep.Submitted, 1)) }
+		fmt.Printf("amo-jobd load: %v ticks=%d mean_tick=%.2f client_reads_per_job=%.2f client_writes_per_job=%.2f server_reads_per_job=%.2f server_writes_per_job=%.2f\n",
+			rep, ticks, float64(after.TickReqs-before.TickReqs)/float64(max(ticks, 1)),
+			perJob(rep.Reads), perJob(rep.Writes), perJob(after.ConnReads-before.ConnReads), perJob(after.ConnWrites-before.ConnWrites))
 		if rep.Failed > 0 {
 			return fmt.Errorf("%d submissions failed", rep.Failed)
 		}

@@ -1,7 +1,6 @@
 package jobd
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"atmostonce/internal/obs"
 	"atmostonce/internal/wire"
 )
 
@@ -141,7 +141,8 @@ type Client struct {
 
 	mu        sync.Mutex
 	nc        net.Conn
-	wbuf      []byte // request-frame scratch: encoded and written under mu
+	fr        *wire.FrameReader // over nc, from its handshake on. The reader goroutine's.
+	wbuf      []byte            // request-frame scratch: encoded and written under mu
 	seq       uint32
 	head      *callSlot // in-flight calls, oldest first
 	tail      *callSlot
@@ -153,6 +154,20 @@ type Client struct {
 
 	// names memoises event tenant/task names. Reader-goroutine-owned.
 	names wire.Interner
+
+	reads, writes obs.Counter // socket calls, every connection so far
+}
+
+// ClientWireStats counts the socket calls a Client has issued over all
+// its connections: what its share of the wire costs in system calls.
+type ClientWireStats struct {
+	Reads  uint64
+	Writes uint64
+}
+
+// WireStats returns the client's socket-call counts so far.
+func (c *Client) WireStats() ClientWireStats {
+	return ClientWireStats{Reads: c.reads.Value(), Writes: c.writes.Value()}
 }
 
 // Dial connects, performs the hello handshake and starts the reader.
@@ -181,19 +196,22 @@ func (c *Client) connect() error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(nc)
-	r := bufio.NewReader(nc)
-	p := wire.AppendU32(nil, protoVersion)
-	p = wire.AppendStr(p, c.opts.Name)
-	if err := wire.WriteFrame(w, jopHello, 1, p); err != nil {
+	// One reader from the first byte on: what a Read delivers behind the
+	// last handshake reply — a tick writes acks and events in one Write —
+	// is readConn's to parse, so the reader is installed with the socket.
+	fr := wire.NewFrameReader(countedReader{nc, &c.reads}, clientChunk)
+	write := func(b []byte) error {
+		c.writes.Inc()
+		_, err := nc.Write(b)
+		return err
+	}
+	b := wire.AppendStr(wire.AppendU32(wire.AppendHeader(nil, jopHello, 1, 0), protoVersion), c.opts.Name)
+	wire.EndFrame(b, 0)
+	if err := write(b); err != nil {
 		nc.Close()
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		nc.Close()
-		return err
-	}
-	op, _, payload, _, err := wire.ReadFrame(r, nil)
+	op, _, payload, err := fr.Next()
 	if err != nil {
 		nc.Close()
 		return err
@@ -219,25 +237,25 @@ func (c *Client) connect() error {
 	}
 	c.mu.Unlock()
 	seq := uint32(1)
+	b = b[:0]
 	for _, t := range tenants {
 		seq++
-		if err := wire.WriteFrame(w, jopSubscribe, seq, wire.AppendStr(nil, t)); err != nil {
+		at := len(b)
+		b = wire.AppendStr(wire.AppendHeader(b, jopSubscribe, seq, 0), t)
+		wire.EndFrame(b, at)
+	}
+	if len(b) > 0 {
+		if err := write(b); err != nil {
 			nc.Close()
 			return err
 		}
 	}
-	if err := w.Flush(); err != nil {
-		nc.Close()
-		return err
-	}
-	var buf []byte
 	for range tenants {
-		var op byte
-		op, _, _, buf, err = wire.ReadFrame(r, buf)
+		op, _, _, err := fr.Next()
 		// Events can already interleave here once the first subscribe
 		// lands; skip them — the reader will stream the rest.
 		for err == nil && op == jopEvent {
-			op, _, _, buf, err = wire.ReadFrame(r, buf)
+			op, _, _, err = fr.Next()
 		}
 		if err != nil {
 			nc.Close()
@@ -257,7 +275,7 @@ func (c *Client) connect() error {
 		nc.Close()
 		return ErrClientClosed
 	}
-	c.nc = nc
+	c.nc, c.fr = nc, fr
 	c.seq = seq
 	c.inc = inc
 	c.connected = true
@@ -309,6 +327,7 @@ func (c *Client) rpc(op byte, enc func(b []byte) []byte) (clientReply, error) {
 		b = enc(b)
 	}
 	wire.EndFrame(b, 0)
+	c.writes.Inc()
 	if _, err := c.nc.Write(b); err != nil {
 		c.nc.Close() // reader observes the broken conn and fails pending
 	}
@@ -483,23 +502,20 @@ func (c *Client) markDead(err error) {
 
 // readConn pumps one connection until it breaks, returning the error.
 //
-// Buffer ownership: every frame's payload aliases buf and dies at the
-// next ReadFrame. What leaves this loop is copied or scalar: an event's
-// names come out of c.names, its error text is a fresh string, a
-// submit's id travels in the slot, and only the replies that have a
-// body (errors, stats) get a payload copy.
+// Buffer ownership: every frame's payload aliases the reader's chunk and
+// dies at the next frame — nothing here Keeps one. What leaves this loop
+// is copied or scalar: an event's names come out of c.names, its error
+// text is a fresh string, a submit's id travels in the slot, and only the
+// replies that have a body (errors, stats) get a payload copy.
 func (c *Client) readConn() error {
 	c.mu.Lock()
-	nc := c.nc
+	fr := c.fr
 	c.mu.Unlock()
-	r := bufio.NewReader(nc)
-	var buf []byte
 	for {
-		op, seq, payload, nbuf, err := wire.ReadFrame(r, buf)
+		op, seq, payload, err := fr.Next()
 		if err != nil {
 			return err
 		}
-		buf = nbuf
 		dec := wire.Decoder{B: payload}
 		if op == jopEvent {
 			ev := Event{Tenant: dec.StrIn(&c.names), ID: dec.U64(), Status: Status(dec.U8()), Task: dec.StrIn(&c.names), Err: dec.Str()}
@@ -521,6 +537,7 @@ func (c *Client) readConn() error {
 				reply = clientReply{err: err}
 			}
 		} else if len(payload) > 0 {
+			// The waiter decodes it after this loop has read on.
 			reply.payload = append([]byte(nil), payload...)
 		}
 		c.mu.Lock()

@@ -1,7 +1,7 @@
 package jobd
 
 import (
-	"bufio"
+	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -42,6 +42,29 @@ const connOutDepth = 4096
 // to the collector once written, so buffers are sized by connection,
 // not by the worst burst it ever saw.
 const bufKeep = 64 << 10
+
+// readChunk is the size of a server-side read chunk (see wire.FrameReader):
+// one allocation per about 430 of the benchmark's 75-byte submit frames,
+// and the unit a pending job pins. jobSlab is how many jobs a reader carves
+// out of one allocation. The client keeps no payload, so its chunk is a
+// plain buffer for the life of the connection, sized as the bufio.Reader
+// it replaces was: acks and events are tens of bytes.
+const (
+	readChunk   = 32 << 10
+	jobSlab     = 64
+	clientChunk = 4 << 10
+)
+
+// countedReader counts the Reads a FrameReader issues on a socket.
+type countedReader struct {
+	r io.Reader
+	n *obs.Counter
+}
+
+func (c countedReader) Read(p []byte) (int, error) {
+	c.n.Inc()
+	return c.r.Read(p)
+}
 
 type conn struct {
 	s    *Server
@@ -148,6 +171,7 @@ func (c *conn) writeLoop() {
 			}
 			continue
 		}
+		jdConnWrites.Inc()
 		if _, err := c.nc.Write(buf); err != nil {
 			return
 		}
@@ -173,13 +197,15 @@ func (c *conn) sayBye() {
 // through the core loop so per-connection reply order equals request
 // order.
 //
-// Buffer ownership: a frame's payload aliases the read buffer and is
-// overwritten by the next frame, so nothing that crosses into the core
-// loop may point into it. Tenant and task names come out of c.names
-// (copies, shared between requests that repeat a name), a submit frame
-// becomes one *job — task looked up here, off the core loop — whose
-// payload is the one copy per submit (it rides the log and the worker,
-// so it owns its bytes), and everything else is a scalar.
+// Buffer ownership: a frame is parsed in the read chunk it landed in
+// (wire.FrameReader) and its payload dies at the next frame — except a
+// submit's, which is Kept: the job's payload IS those bytes of the chunk,
+// cap-clipped, through the log, the worker and the TaskFunc, and the chunk
+// lives until Server.complete has dropped the last payload pointing into
+// it. The *job comes out of this reader's slab, jobSlab to an allocation;
+// its task is looked up here, off the core loop. Tenant and task names come
+// out of c.names (copies, shared between requests that repeat a name), and
+// everything else is a scalar.
 func (c *conn) readLoop() {
 	defer c.s.connWG.Done()
 	defer func() {
@@ -194,16 +220,15 @@ func (c *conn) readLoop() {
 		c.sendErr(seq, code, msg)
 		c.sayBye()
 	}
-	r := bufio.NewReader(c.nc)
-	var buf []byte
+	fr := wire.NewFrameReader(countedReader{c.nc, jdConnReads}, readChunk)
+	var slab []job
 	helloed := false
 	for {
-		op, seq, payload, nbuf, err := wire.ReadFrame(r, buf)
+		op, seq, payload, err := fr.Next()
 		if err != nil {
 			c.close() // transport-level: nothing left to flush to
 			return
 		}
-		buf = nbuf
 		obsReq(op, len(payload))
 		dec := wire.Decoder{B: payload}
 		if !helloed {
@@ -231,11 +256,17 @@ func (c *conn) readLoop() {
 		req := coreReq{op: op, c: c, seq: seq}
 		switch op {
 		case jopSubmit:
-			j := &job{s: c.s}
-			if err := j.decode(payload, &c.names); err != nil {
+			if len(slab) == 0 {
+				slab = make([]job, jobSlab)
+			}
+			j := &slab[0]
+			slab = slab[1:]
+			j.s = c.s
+			if err := j.decode(payload, &c.names, false); err != nil {
 				fatal(seq, codeProto, err.Error())
 				return
 			}
+			fr.Keep()
 			if p := dispatch.Priority(j.pri); !(p == dispatch.Normal || p == dispatch.High || p == dispatch.Low) {
 				fatal(seq, codeProto, "unknown priority")
 				return

@@ -103,16 +103,21 @@ func (d *desc) encode(b []byte) []byte {
 }
 
 // decode parses one serialized descriptor — a log record or a submit
-// frame's payload, the same bytes — into d. Nothing in d aliases b;
-// names (nil for none) memoises the tenant and task strings.
-func (d *desc) decode(b []byte, names *wire.Interner) error {
+// frame's payload, the same bytes — into d. The tenant and task strings
+// are copies, memoised in names (nil for none); the payload is a copy too
+// when own is set, and otherwise the bytes of b themselves.
+func (d *desc) decode(b []byte, names *wire.Interner, own bool) error {
 	dec := wire.Decoder{B: b}
 	d.tenant = dec.StrIn(names)
 	d.task = dec.StrIn(names)
 	d.version = dec.U32()
 	d.pri = int8(dec.U8())
 	d.deadline = dec.I64()
-	d.payload = dec.Bytes()
+	if own {
+		d.payload = dec.Bytes()
+	} else {
+		d.payload = dec.BytesView()
+	}
 	return dec.Done()
 }
 
@@ -219,7 +224,8 @@ func openDescLog(spec string, cells int) (*descLog, []job, error) {
 			break
 		}
 		recs = append(recs, job{})
-		if err := recs[len(recs)-1].decode(raw[:n], &names); err != nil {
+		// raw is the next record's too: this one's payload owns its bytes.
+		if err := recs[len(recs)-1].decode(raw[:n], &names, true); err != nil {
 			return fail(fmt.Errorf("jobd: corrupt descriptor log: record %d at cell %d: %w", len(recs)-1, l.cur, err))
 		}
 		l.cur += recCells(n)

@@ -1,7 +1,6 @@
 package jobd
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -527,7 +526,5 @@ func netDial(addr string) (net.Conn, error) {
 
 func readOneFrame(nc net.Conn) (op byte, seq uint32, payload []byte, err error) {
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	r := bufio.NewReader(nc)
-	op, seq, payload, _, err = wire.ReadFrame(r, nil)
-	return
+	return wire.NewFrameReader(nc, readChunk).Next()
 }

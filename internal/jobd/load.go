@@ -46,6 +46,8 @@ type LoadReport struct {
 	Capacity  uint64
 	Failed    uint64 // transport or unexpected server errors
 	Events    uint64 // completion events observed (Subscribe only)
+	Reads     uint64 // socket Reads of the run's connections, the subscriber's included
+	Writes    uint64 // socket Writes of the same
 	Elapsed   time.Duration
 }
 
@@ -92,7 +94,12 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 	var rep LoadReport
 	rep.Conns = o.Conns
 	rep.Submitted = o.Conns * o.Jobs
-	var accepted, quota, capacity, failed, events atomic.Uint64
+	var accepted, quota, capacity, failed, events, reads, writes atomic.Uint64
+	tally := func(c *Client) {
+		ws := c.WireStats()
+		reads.Add(ws.Reads)
+		writes.Add(ws.Writes)
+	}
 
 	var sub *Client
 	if o.Subscribe {
@@ -121,6 +128,7 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 				return
 			}
 			defer c.Close()
+			defer tally(c)
 			payload := make([]byte, max(8, o.PayloadSize))
 			for i := 0; i < o.Jobs; i++ {
 				tenant := o.Tenants[(g+i)%len(o.Tenants)]
@@ -152,7 +160,9 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 		for events.Load() < accepted.Load() && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)
 		}
+		tally(sub)
 	}
+	rep.Reads, rep.Writes = reads.Load(), writes.Load()
 	rep.Accepted = accepted.Load()
 	rep.Quota = quota.Load()
 	rep.Capacity = capacity.Load()

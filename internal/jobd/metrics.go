@@ -47,19 +47,21 @@ var evNames = [evCancelled + 1]string{
 }
 
 var (
-	jdConns     *obs.Gauge
-	jdConnsTot  *obs.Counter
-	jdReqs      [jopPing + 1]*obs.Counter
-	jdSubmits   [admCount]*obs.Counter
-	jdDone      [evCancelled + 1]*obs.Counter
-	jdEvStream  *obs.Counter
-	jdEvDropped *obs.Counter
-	jdReplayed  *obs.Counter
-	jdReexec    *obs.Counter
-	jdBytesIn   *obs.Counter
-	jdBytesOut  *obs.Counter
-	jdTicks     *obs.Counter
-	jdTickReqs  *obs.Histogram
+	jdConns      *obs.Gauge
+	jdConnsTot   *obs.Counter
+	jdReqs       [jopPing + 1]*obs.Counter
+	jdSubmits    [admCount]*obs.Counter
+	jdDone       [evCancelled + 1]*obs.Counter
+	jdEvStream   *obs.Counter
+	jdEvDropped  *obs.Counter
+	jdReplayed   *obs.Counter
+	jdReexec     *obs.Counter
+	jdBytesIn    *obs.Counter
+	jdBytesOut   *obs.Counter
+	jdConnReads  *obs.Counter
+	jdConnWrites *obs.Counter
+	jdTicks      *obs.Counter
+	jdTickReqs   *obs.Histogram
 )
 
 func init() {
@@ -94,6 +96,10 @@ func init() {
 		"Frame bytes read by the job server, headers included.")
 	jdBytesOut = r.Counter("amo_jobd_server_bytes_sent_total",
 		"Frame bytes written by the job server, headers included.")
+	jdConnReads = r.Counter("amo_jobd_conn_reads_total",
+		"Read calls the job server's connection readers issued on their sockets.")
+	jdConnWrites = r.Counter("amo_jobd_conn_writes_total",
+		"Write calls the job server's connection writers issued on their sockets.")
 	jdTicks = r.Counter("amo_jobd_ticks_total",
 		"Ticks of the core loop: one log commit, one batch submit and one writer wake-up per connection each.")
 	jdTickReqs = r.Histogram("amo_jobd_tick_requests",

@@ -89,8 +89,12 @@ type Options struct {
 
 // job is one submission: the descriptor the log stores, what running it
 // needs, and — as the dispatcher's Runner — payload and completion in one
-// object. A reader allocates one per submit frame; replay carves them
-// from the log scan's slab.
+// object. A reader carves them from its slab and their payloads from its
+// read chunk (conn.readLoop); replay carves them from the log scan's slab.
+// Neither is released before every job carved from it is unreachable, so a
+// job gives up its payload the moment it is decided (tick, on a rejection;
+// complete, on a resolution): what holds on to a *job after that holds one
+// slab, not the chunks of every payload in it.
 type job struct {
 	desc
 	s   *Server
@@ -618,6 +622,7 @@ func (s *Server) tick(inbox []coreReq, done []doneMsg) {
 			if ts := s.tenants[r.j.tenant]; ts != nil {
 				ts.rejected++
 			}
+			r.j.payload = nil
 			s.replyErr(r.c, r.seq, v.code, v.msg)
 		case jopSubscribe, jopUnsubscribe, jopPing:
 			s.reply(r.c, jopAck, r.seq, nil)
@@ -719,6 +724,7 @@ func (s *Server) touch(c *conn) {
 // a full outbound queue drops the event and counts it.
 func (s *Server) complete(m *doneMsg) {
 	j := m.j
+	j.payload = nil // resolved: its read chunk is not this job's to pin any more
 	ts := s.tenantLedger(j.tenant)
 	ts.pending--
 	if dispatch.Priority(j.pri) == dispatch.High {
@@ -773,6 +779,8 @@ type ServerStats struct {
 	Reexecuted  uint64                 `json:"reexecuted"`
 	Ticks       uint64                 `json:"ticks"`         // core-loop ticks run so far
 	TickReqs    uint64                 `json:"tick_requests"` // requests those ticks drained
+	ConnReads   uint64                 `json:"conn_reads"`    // socket Reads the connection readers issued (amo_jobd_conn_reads_total)
+	ConnWrites  uint64                 `json:"conn_writes"`   // socket Writes the connection writers issued (amo_jobd_conn_writes_total)
 	Tenants     map[string]TenantStats `json:"tenants"`
 	Jobs        JobStats               `json:"jobs"`
 }
@@ -807,6 +815,8 @@ func (s *Server) statsLocked() ServerStats {
 		Reexecuted:  s.reexecuted,
 		Ticks:       s.ticks,
 		TickReqs:    s.tickReqs,
+		ConnReads:   jdConnReads.Value(),
+		ConnWrites:  jdConnWrites.Value(),
 		Tenants:     make(map[string]TenantStats, len(s.tenants)),
 		Jobs: JobStats{
 			Submitted:  st.Submitted,

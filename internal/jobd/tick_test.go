@@ -1,16 +1,20 @@
 package jobd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
@@ -98,12 +102,12 @@ type frame struct {
 // woken for them (0 or 1: the wake-up channel holds one token).
 func sent(t *testing.T, c *conn) (fs []frame, wakes int) {
 	t.Helper()
-	r := bufio.NewReader(bytes.NewReader(c.out))
+	r := wire.NewFrameReader(bytes.NewReader(c.out), readChunk)
 	for {
-		if _, err := r.Peek(1); err != nil {
+		op, seq, p, err := r.Next()
+		if err == io.EOF {
 			break
 		}
-		op, seq, p, _, err := wire.ReadFrame(r, nil)
 		if err != nil {
 			t.Fatalf("outbound queue does not parse: %v", err)
 		}
@@ -643,5 +647,95 @@ func TestParentDescLogRefused(t *testing.T) {
 				t.Fatal("the refused descriptor log was modified")
 			}
 		})
+	}
+}
+
+// TestWireCallsPerJob records what a job costs each side in socket calls
+// at pipeline depth 16 — the number ROADMAP item 3's combining writer has
+// to beat. The connection is real (loopback, the server's own reader and
+// writer goroutines); the core loop is stepped by hand, so a round is
+// exactly 16 submits in flight, one tick that acks them and one that fans
+// out their events. What that fixes is asserted: the client issues one
+// Write per call, the server one per tick (give or take a writer caught
+// mid-loop). What the kernel decides — how many of 16 small writes one
+// Read finds — is logged, and bounded by one per frame.
+func TestWireCallsPerJob(t *testing.T) {
+	const depth, rounds = 16, 200
+	s := steppedServer(t, Options{Backend: "atomic", Tenants: map[string]TenantLimits{"t": {}}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		sc := newConn(s, nc)
+		s.connWG.Add(2)
+		go sc.readLoop()
+		go sc.writeLoop()
+	}()
+	c, err := Dial(ln.Addr().String(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(); s.connWG.Wait() })
+	// step runs one tick over exactly the n requests the clients have in flight.
+	step := func(n int) {
+		waitFor(t, 10*time.Second, func() bool { return len(s.reqs) == n }, "requests to reach the core")
+		inbox := make([]coreReq, n)
+		for i := range inbox {
+			inbox[i] = <-s.reqs
+		}
+		s.tick(inbox, s.takeDone())
+	}
+	var events atomic.Int64
+	subscribed := make(chan error, 1)
+	go func() { subscribed <- c.Subscribe("t", func(Event) { events.Add(1) }) }()
+	step(1)
+	if err := <-subscribed; err != nil {
+		t.Fatal(err)
+	}
+
+	cli0, srvR0, srvW0 := c.WireStats(), jdConnReads.Value(), jdConnWrites.Value()
+	payload := make([]byte, 32)
+	for r := 1; r <= rounds; r++ {
+		var wg sync.WaitGroup
+		for i := 0; i < depth; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.Submit("t", "noop", 1, payload, SubmitOptions{}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		step(depth)
+		wg.Wait()
+		s.settle()
+		waitFor(t, 10*time.Second, func() bool { return events.Load() == int64(r*depth) }, "the round's events")
+	}
+	const jobs = depth * rounds
+	cli := c.WireStats()
+	per := func(n uint64) float64 { return float64(n) / jobs }
+	cliR, cliW := cli.Reads-cli0.Reads, cli.Writes-cli0.Writes
+	srvR, srvW := jdConnReads.Value()-srvR0, jdConnWrites.Value()-srvW0
+	t.Logf("depth %d, %d jobs: client %.3f writes + %.3f reads per job, server %.3f reads + %.3f writes per job",
+		depth, jobs, per(cliW), per(cliR), per(srvR), per(srvW))
+	if cliW != jobs {
+		t.Errorf("client issued %d Writes for %d calls, want one each", cliW, jobs)
+	}
+	// One per tick with frames to send — or two: a writer still on its way
+	// round from the tick before takes what this one has queued so far, and
+	// the tick's wake-up sends the rest.
+	if srvW < 2*rounds || srvW > 4*rounds {
+		t.Errorf("server issued %d Writes over %d ticks with frames to send, want one each (two at most)", srvW, 2*rounds)
+	}
+	// Each Read returns at least the rest of one frame; the +rounds is the
+	// Read left blocked between rounds.
+	if srvR > jobs+rounds || cliR > 2*jobs+rounds {
+		t.Errorf("server %d Reads, client %d Reads for %d submits, %d acks and %d events", srvR, cliR, jobs, jobs, jobs)
 	}
 }

@@ -264,9 +264,9 @@ func (m *NetMem) connect(first bool) error {
 	if err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
+	fr := wire.NewFrameReader(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	h := handshake{conn, br, bw}
+	h := handshake{conn, fr, bw}
 
 	reopened, err := m.hello(h)
 	if err != nil {
@@ -339,7 +339,7 @@ func (m *NetMem) connect(first bool) error {
 		eventlog.Logger().Info("netmem_client_reconnected",
 			"addr", m.addr, "epoch", epoch, "resent_ops", resent)
 	}
-	go m.readLoop(gen, br)
+	go m.readLoop(gen, fr)
 	return nil
 }
 
@@ -347,13 +347,13 @@ func (m *NetMem) connect(first bool) error {
 // hello, then acquire or renew, each one synchronous round trip.
 type handshake struct {
 	conn net.Conn
-	br   *bufio.Reader
+	fr   *wire.FrameReader
 	bw   *bufio.Writer
 }
 
-// call sends op and returns the payload of the reply, which must be want;
-// an opErr reply comes back as the error it carries. deadline bounds the
-// exchange (zero: unbounded).
+// call sends op and returns the payload of the reply, which must be want
+// and dies at the next call; an opErr reply comes back as the error it
+// carries. deadline bounds the exchange (zero: unbounded).
 func (h handshake) call(deadline time.Time, op byte, payload []byte, want byte) ([]byte, error) {
 	h.conn.SetDeadline(deadline)
 	defer h.conn.SetDeadline(time.Time{})
@@ -363,7 +363,7 @@ func (h handshake) call(deadline time.Time, op byte, payload []byte, want byte) 
 	if err := h.bw.Flush(); err != nil {
 		return nil, err
 	}
-	got, _, reply, _, err := wire.ReadFrame(h.br, nil)
+	got, _, reply, err := h.fr.Next()
 	switch {
 	case err != nil:
 		return nil, err
@@ -537,11 +537,9 @@ func (m *NetMem) call(op *pendingOp) error {
 
 // readLoop consumes replies for one connection generation and matches
 // them FIFO against the outstanding queue.
-func (m *NetMem) readLoop(gen uint64, br *bufio.Reader) {
-	var buf []byte
+func (m *NetMem) readLoop(gen uint64, fr *wire.FrameReader) {
 	for {
-		op, seq, payload, nbuf, err := wire.ReadFrame(br, buf)
-		buf = nbuf
+		op, seq, payload, err := fr.Next()
 		if err != nil {
 			m.breakConn(gen, err)
 			return

@@ -158,7 +158,7 @@ func TestCorruptRangeFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	fr := wire.NewFrameReader(conn, 4096)
 	bw := bufio.NewWriter(conn)
 
 	send := func(op byte, payload []byte) (reply byte, errCode uint16) {
@@ -169,7 +169,7 @@ func TestCorruptRangeFrames(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		rop, _, rp, _, err := wire.ReadFrame(br, nil)
+		rop, _, rp, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestCorruptRangeFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	bw.Flush()
-	rop, _, rp, _, err := wire.ReadFrame(br, nil)
+	rop, _, rp, err := fr.Next()
 	if err != nil || rop != opAcquireOK {
 		t.Fatalf("acquire reply op %d err %v", rop, err)
 	}

@@ -345,10 +345,9 @@ func (s *Server) handle(c net.Conn) {
 		s.mu.Unlock()
 		eventlog.Logger().Debug("netmem_server_conn_closed", "remote", remote)
 	}()
-	br := bufio.NewReaderSize(c, 64<<10)
+	fr := wire.NewFrameReader(c, 64<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
 	var (
-		buf     []byte
 		scratch []byte
 		vals    []int64
 		ns      *namespace
@@ -375,13 +374,12 @@ func (s *Server) handle(c net.Conn) {
 		return reply(seq, opErr, scratch)
 	}
 	for {
-		if br.Buffered() == 0 && bw.Buffered() > 0 {
+		if fr.Buffered() == 0 && bw.Buffered() > 0 {
 			if bw.Flush() != nil {
 				return
 			}
 		}
-		op, seq, payload, nbuf, err := wire.ReadFrame(br, buf)
-		buf = nbuf
+		op, seq, payload, err := fr.Next()
 		if err != nil {
 			bw.Flush()
 			return
@@ -433,7 +431,7 @@ func (s *Server) handle(c net.Conn) {
 			}
 			// While a waiter is parked nothing else reads this
 			// connection, so a monitor goroutine can safely block in
-			// Peek: it fires when the client disconnects (waiter gives
+			// Wait: it fires when the client disconnects (waiter gives
 			// up) or when the client's next request arrives post-grant
 			// (monitor retires; the byte stays unconsumed for the main
 			// loop, which resumes reading only after monitorDone).
@@ -444,7 +442,7 @@ func (s *Server) handle(c net.Conn) {
 				monitorDone = make(chan struct{})
 				go func() {
 					defer close(monitorDone)
-					if _, err := br.Peek(1); err != nil {
+					if err := fr.Wait(); err != nil {
 						dead.Store(true)
 						ns.mu.Lock()
 						ns.cond.Broadcast()

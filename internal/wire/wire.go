@@ -16,14 +16,18 @@
 // byte strings uint32 length + bytes. A payload must be consumed
 // exactly: trailing bytes in a frame are a protocol error.
 //
-// Buffer ownership. ReadFrame's payload aliases the caller's reusable
-// frame buffer and dies at the next ReadFrame. Everything a Decoder
-// hands out that can outlive the frame — Str, Bytes, StrIn — is a copy;
-// nothing it returns aliases its input.
+// Buffer ownership. A FrameReader owns its connection's read chunk and
+// parses frames where the socket Read put them; the payload it hands out
+// aliases the chunk and dies at the next frame, unless the caller Keeps
+// it — then the chunk is never rewound and lives, whole, for as long as
+// anything points into it. What a Decoder hands out is a copy — Str,
+// StrIn, Bytes — except BytesView, a sub-slice of its input for the
+// caller that kept the frame.
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -75,42 +79,110 @@ func WriteFrame(w *bufio.Writer, op byte, seq uint32, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, reusing buf when it is big enough. It
-// returns the (possibly grown) buffer for the next call; payload
-// aliases it, so anything retained past the next read must be copied.
-// A stream that ends between frames reports io.EOF, one that ends
-// inside a frame io.ErrUnexpectedEOF. The length is peeked in r's own
-// buffer for the same reason WriteFrame builds the header in w's.
-func ReadFrame(r *bufio.Reader, buf []byte) (op byte, seq uint32, payload, bufOut []byte, err error) {
-	bufOut = buf
-	hdr, err := r.Peek(4)
-	if err != nil {
-		if len(hdr) > 0 && errors.Is(err, io.EOF) {
+// FrameReader reads frames off one connection. It owns the connection's
+// read chunk: it reads from the source straight into the chunk's free tail
+// — as many frames as one Read delivers, up to the room left — and parses
+// each frame where it landed, so a payload is never copied between the
+// socket and whoever decodes it.
+//
+// The payload Next returns aliases the chunk and is valid until the next
+// call of Next, unless the caller Keeps it. A reader nobody kept anything
+// of slides the unread rest to the front of its one chunk and reads on, as
+// bufio does, and allocates nothing after that chunk. A chunk something
+// was kept of is never rewound: the reader fills its tail, and when the
+// tail cannot hold the next frame moves to a fresh chunk, carrying the
+// partial frame over. The old chunk is the collector's once the last kept
+// payload is dropped — nothing is pooled, so no stale pointer can see a
+// later frame's bytes.
+type FrameReader struct {
+	src  io.Reader
+	size int    // of a chunk, unless a frame needs its own
+	buf  []byte // the chunk; buf[r:w] is read and not yet parsed
+	r, w int
+	kept bool // a payload out of buf was kept: buf[:r] is never written again
+}
+
+// NewFrameReader returns a reader over src whose chunks are size bytes.
+// The first chunk is allocated by the first Next.
+func NewFrameReader(src io.Reader, size int) *FrameReader {
+	return &FrameReader{src: src, size: size}
+}
+
+// Next reads one frame. A stream that ends between frames reports io.EOF,
+// one that ends inside a frame io.ErrUnexpectedEOF. payload's capacity is
+// its length: an append to it never reaches the frame behind it.
+func (fr *FrameReader) Next() (op byte, seq uint32, payload []byte, err error) {
+	if err = fr.fill(4); err != nil {
+		if err == io.EOF && fr.w > fr.r {
 			err = io.ErrUnexpectedEOF
 		}
 		return
 	}
-	n := binary.LittleEndian.Uint32(hdr)
+	n := binary.LittleEndian.Uint32(fr.buf[fr.r:])
 	if n < FrameOverhead || n > MaxFrame {
 		err = fmt.Errorf("wire: corrupt frame length %d", n)
 		return
 	}
-	r.Discard(4) // cannot fail: Peek just buffered these bytes
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-		bufOut = buf
-	}
-	buf = buf[:n]
-	if _, err = io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) {
+	if err = fr.fill(4 + int(n)); err != nil {
+		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return
 	}
-	op = buf[0]
-	seq = binary.LittleEndian.Uint32(buf[1:5])
-	payload = buf[FrameOverhead:]
-	return
+	end := fr.r + 4 + int(n)
+	f := fr.buf[fr.r+4 : end : end]
+	fr.r = end
+	return f[0], binary.LittleEndian.Uint32(f[1:]), f[FrameOverhead:], nil
+}
+
+// Keep makes the payload of the last Next (and with it every payload handed
+// out of the same chunk) valid for as long as the caller holds it.
+func (fr *FrameReader) Keep() { fr.kept = true }
+
+// Buffered is the number of bytes read off the source and not yet parsed.
+func (fr *FrameReader) Buffered() int { return fr.w - fr.r }
+
+// Wait blocks until a byte of the next frame is buffered, or the source
+// fails. It overwrites the last payload like Next does.
+func (fr *FrameReader) Wait() error { return fr.fill(1) }
+
+// fill reads until need bytes are buffered from fr.r on.
+func (fr *FrameReader) fill(need int) error {
+	for empty := 0; fr.w-fr.r < need; {
+		switch {
+		case !fr.kept && need <= len(fr.buf):
+			// Nobody points into the chunk: the unread rest goes to its
+			// front and the Read gets everything behind it.
+			if fr.r > 0 {
+				fr.w, fr.r = copy(fr.buf, fr.buf[fr.r:fr.w]), 0
+			}
+		case fr.r+need > len(fr.buf):
+			// A frame over a quarter chunk gets a chunk of exactly its
+			// size: the tail a chunk is abandoned with is under a quarter
+			// of it, or under the size of the frame that did not fit.
+			size := fr.size
+			if need > size/4 {
+				size = need
+			}
+			buf := make([]byte, size)
+			fr.w, fr.r = copy(buf, fr.buf[fr.r:fr.w]), 0
+			fr.buf, fr.kept = buf, false
+		}
+		n, err := fr.src.Read(fr.buf[fr.w:])
+		fr.w += n
+		if fr.w-fr.r >= need {
+			break // an error that came with enough bytes comes again
+		}
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			if empty++; empty == 100 {
+				return io.ErrNoProgress
+			}
+		}
+	}
+	return nil
 }
 
 // Payload append helpers.
@@ -189,18 +261,22 @@ func (d *Decoder) Str() string { return d.StrIn(nil) }
 // never aliases the frame.
 func (d *Decoder) StrIn(in *Interner) string { return in.Intern(d.take(int(d.U16()))) }
 
-// Bytes reads a u32-prefixed byte string, COPYING it out of the frame
-// buffer: what callers keep of a frame outlives it.
-func (d *Decoder) Bytes() []byte {
+// Bytes reads a u32-prefixed byte string, COPYING it out of the frame:
+// for the caller whose source is rewritten while the result is in use.
+func (d *Decoder) Bytes() []byte { return bytes.Clone(d.BytesView()) }
+
+// BytesView reads a u32-prefixed byte string WITHOUT copying it: the
+// result is a sub-slice of the input, capacity clipped to its length, and
+// lives as long as the input does (FrameReader.Keep).
+func (d *Decoder) BytesView() []byte {
 	n := d.U32()
 	if d.err != nil || uint64(n) > uint64(len(d.B)) {
 		d.err = errTruncated
 		return nil
 	}
-	p := make([]byte, n)
-	copy(p, d.B)
+	v := d.B[:n:n]
 	d.B = d.B[n:]
-	return p
+	return v
 }
 
 // Done returns the accumulated decode error, or a protocol error when

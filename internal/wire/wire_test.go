@@ -10,8 +10,8 @@ import (
 )
 
 // TestFrameRoundTrip pins the frame layout (the two protocols above
-// must keep talking to their deployed peers) and ReadFrame's contract:
-// buffer reuse, the corrupt-length bound, and which EOF means what.
+// must keep talking to their deployed peers) and FrameReader's contract:
+// chunk reuse, the corrupt-length bound, and which EOF means what.
 func TestFrameRoundTrip(t *testing.T) {
 	var b bytes.Buffer
 	w := bufio.NewWriter(&b)
@@ -40,8 +40,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("AppendHeader+EndFrame = %v", inPlace)
 	}
 
-	r := bufio.NewReader(bytes.NewReader(want))
-	op, seq, got, buf, err := ReadFrame(r, nil)
+	r := NewFrameReader(bytes.NewReader(want), 64)
+	op, seq, got, err := r.Next()
 	if err != nil || op != 6 || seq != 9 || !bytes.Equal(got, payload) {
 		t.Fatalf("frame 1 = op %d seq %d %v (%v)", op, seq, got, err)
 	}
@@ -60,26 +60,29 @@ func TestFrameRoundTrip(t *testing.T) {
 	if s, v := d.Str(), d.U64(); s != "" || v != 0 || d.Done() != errTruncated {
 		t.Fatalf("truncated payload: %q %d (%v)", s, v, d.Done())
 	}
-	op, seq, got, buf2, err := ReadFrame(r, buf)
+	chunk := &got[:1][0]
+	op, seq, got, err = r.Next()
 	if err != nil || op != 16 || seq != 10 || len(got) != 0 {
 		t.Fatalf("frame 2 = op %d seq %d %v (%v)", op, seq, got, err)
 	}
-	if &buf2[:1][0] != &buf[:1][0] {
-		t.Fatal("ReadFrame did not reuse a big-enough buffer")
-	}
-	if _, _, _, _, err := ReadFrame(r, buf2); err != io.EOF {
+	if _, _, _, err := r.Next(); err != io.EOF {
 		t.Fatalf("clean end of stream = %v, want io.EOF", err)
+	}
+	// Nothing was kept: a second pass over the stream lands in the same chunk.
+	r.src = bytes.NewReader(want)
+	if _, _, got, err = r.Next(); err != nil || &got[:1][0] != chunk {
+		t.Fatalf("an un-kept reader did not reuse its chunk (%v)", err)
 	}
 
 	for cut := 1; cut < len(inPlace); cut++ {
-		r := bufio.NewReader(bytes.NewReader(inPlace[:cut]))
-		if _, _, _, _, err := ReadFrame(r, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		r := NewFrameReader(bytes.NewReader(inPlace[:cut]), 64)
+		if _, _, _, err := r.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("stream cut at byte %d = %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 	for _, n := range []uint32{0, FrameOverhead - 1, MaxFrame + 1, 1 << 31} {
-		r := bufio.NewReader(bytes.NewReader(AppendU32(nil, n)))
-		if _, _, _, _, err := ReadFrame(r, nil); err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		r := NewFrameReader(bytes.NewReader(AppendU32(nil, n)), 64)
+		if _, _, _, err := r.Next(); err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("frame length %d = %v, want a corrupt-frame error", n, err)
 		}
 	}
@@ -99,19 +102,18 @@ func TestFrameHeaderDoesNotAllocate(t *testing.T) {
 	w.Flush()
 	raw := stream.Bytes()
 
+	// 1000 bytes: frames straddle the chunk's end and are slid to its front.
 	src := bytes.NewReader(raw)
-	r := bufio.NewReader(src)
-	buf := make([]byte, 0, 128)
+	r := NewFrameReader(src, 1000)
 	if n := testing.AllocsPerRun(50, func() {
 		src.Reset(raw)
-		r.Reset(src)
 		for i := 0; i < frames; i++ {
-			if _, _, _, _, err := ReadFrame(r, buf); err != nil {
+			if _, _, _, err := r.Next(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}); n != 0 {
-		t.Errorf("ReadFrame: %.1f allocations per %d frames, want 0", n, frames)
+		t.Errorf("FrameReader.Next: %.1f allocations per %d frames, want 0", n, frames)
 	}
 	// A 16-byte writer forces the flush-for-header-room path every frame.
 	for _, size := range []int{16, 4096} {
