@@ -188,7 +188,9 @@ type JobResult = dispatch.JobResult
 type Task = dispatch.Task
 
 // Handle identifies an accepted Task: its dispatcher-wide job id and a
-// Done() future delivering exactly one JobResult.
+// Done() future delivering exactly one JobResult. Futures are carved 64
+// to an allocation (a DoBatch's all from one), so a retained Handle keeps
+// up to 63 other jobs' JobResults — an error each — reachable with its own.
 type Handle = dispatch.Handle
 
 // Priority is a Task's scheduling class. Shards drain High before
@@ -265,7 +267,9 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 // assembled; the payload never ran), Cancelled (ctx died while the Task
 // was still queued; resolved at the next round assembly, payload never
 // ran), or Recovered (durable journal). A Task whose round has already
-// been cut runs to completion regardless of ctx.
+// been cut runs to completion regardless of ctx. A retained Handle, or a
+// job still pending, keeps the results of the up to 63 jobs whose futures
+// share its allocation reachable (see Handle).
 func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) { return d.d.Do(ctx, t) }
 
 // DoBatch submits the Tasks in order, returning one Handle per Task

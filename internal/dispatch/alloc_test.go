@@ -16,11 +16,11 @@ import (
 // Flush, with no future, no metrics and no tracer, must not allocate
 // per job or per round once warm. The jobs go in one at a time through
 // DoRunners with one static Runner — the only submission that costs
-// nothing itself (a Do is exactly one allocation, its future:
-// TestDoAllocs). The budget below is a small fraction of one allocation
-// per ROUND (cycles cut several rounds), so a single heap allocation
-// creeping into either the per-job submit path or the per-round loop
-// trips it. The only tolerated noise is the once-per-second
+// nothing itself (a Do is a 64th of an allocation, its future's share of
+// a slab: TestDoAllocs). The budget below is a small fraction of one
+// allocation per ROUND (cycles cut several rounds), so a single heap
+// allocation creeping into either the per-job submit path or the
+// per-round loop trips it. The only tolerated noise is the once-per-second
 // dispatch_round heartbeat record (~10 allocations, amortized across
 // every cycle of the run).
 func TestDispatcherRoundLoopAllocFree(t *testing.T) {
@@ -61,8 +61,8 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 // TestDispatcherResolveAllocs gates the completion path: a Runner hears
 // its result through the queue entry it rode in on, so being told
 // allocates exactly what submitting does — nothing (through Do the same
-// path costs exactly 1.000 per job, the future, with or without a
-// Callback: TestDoAllocs).
+// path costs 1/64 per job, the future's share of its slab, with or
+// without a Callback: TestDoAllocs).
 func TestDispatcherResolveAllocs(t *testing.T) {
 	r := new(countRunner)
 	one := []RunnerTask{{Runner: r}}
@@ -116,9 +116,9 @@ func allocsPerJobOn(t *testing.T, cfg Config, jobs int, submit func(*Dispatcher)
 
 const allocCycles = 4 + 1 + 20
 
-// TestDoAllocs: a Do costs ONE heap object, its future — whether or not
-// the caller's ctx can be cancelled (the ctx rides the future), and with
-// no channel until somebody calls Done.
+// TestDoAllocs: a Do costs a 64th of ONE heap object, the slab its future
+// is carved from — whether or not the caller's ctx can be cancelled (the
+// ctx rides the entry), and with no channel until somebody calls Done.
 func TestDoAllocs(t *testing.T) {
 	var resolved atomic.Uint64
 	task := Task{
@@ -137,19 +137,19 @@ func TestDoAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if perJob > 1.05 {
-				t.Errorf("Do allocates %.3f per job (want ≤ 1.05: the future)", perJob)
+			if perJob > 0.05 {
+				t.Errorf("Do allocates %.3f per job (want ≤ 0.05: a 64th of a slab)", perJob)
 			}
 		})
 	}
 }
 
-// TestDurableJournalBatchOneAllocs: a durable Do still costs the future
-// and nothing else. The flush sorts the worker's claim buffer in place
-// and hands the backend a slice of a shadow page through an interface —
-// at JournalBatch 1 one word — and the buffer is sized once at open and
-// a page allocated once per 4 096 ids at most, so neither the default
-// nor the group-commit setting allocates per job or per claim.
+// TestDurableJournalBatchOneAllocs: a durable Do still costs the future —
+// a 64th of a slab — and nothing else. The flush sorts the worker's claim
+// buffer in place and hands the backend a slice of a shadow page through
+// an interface — at JournalBatch 1 one word — and the buffer is sized once
+// at open and a page allocated once per 4 096 ids at most, so neither the
+// default nor the group-commit setting allocates per job or per claim.
 func TestDurableJournalBatchOneAllocs(t *testing.T) {
 	requireMmap(t)
 	// One round per cycle: at JournalBatch 1 over mmap every job is an
@@ -172,8 +172,8 @@ func TestDurableJournalBatchOneAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				if perJob > 1.05 {
-					t.Errorf("durable Do over %s at JournalBatch %d allocates %.3f per job (want ≤ 1.05: the future)", backend, jb, perJob)
+				if perJob > 0.05 {
+					t.Errorf("durable Do over %s at JournalBatch %d allocates %.3f per job (want ≤ 0.05: a 64th of a slab)", backend, jb, perJob)
 				}
 			})
 		}

@@ -483,3 +483,229 @@ func TestIdleShardPinsNothing(t *testing.T) {
 		})
 	}
 }
+
+// gcUntil collects until cond holds — two collections empty a sync.Pool
+// and find an object dead; the loop gives the finalizer goroutine time to
+// say so — and reports whether it came to hold.
+func gcUntil(cond func() bool) bool {
+	for i := 0; i < 100 && !cond(); i++ {
+		runtime.GC()
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	return cond()
+}
+
+// slabErr is the error job i of goroutine g returns: comparable, so a
+// result that reached a slab-mate's future is told apart.
+type slabErr struct{ g, i int }
+
+func (slabErr) Error() string { return "slab" }
+
+// TestFutureSlabIsolation: futures carved from shared slabs by concurrent
+// submitters are distinct objects, and each delivers its own id and its
+// own payload's error exactly once — through the callback and through a
+// channel asked for before or after the job resolved.
+func TestFutureSlabIsolation(t *testing.T) {
+	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const producers, each = 8, 5000
+	sets := make([]*onceBoth, producers)
+	var wg sync.WaitGroup
+	for g := range sets {
+		o := newOnceBoth(each)
+		sets[g] = o
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range o.handles {
+				h, err := d.Do(context.Background(), Task{
+					Fn:       func(context.Context) error { return slabErr{g, i} },
+					Callback: o.callback(i),
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					h.Done() // asked for while queued or running
+				}
+				o.handles[i] = h
+			}
+		}()
+	}
+	wg.Wait()
+	d.Flush()
+	if t.Failed() {
+		return
+	}
+	seen := make(map[*future]uint64, producers*each)
+	for g, o := range sets {
+		o.verify(t, func(JobResult) bool { return true })
+		for i, h := range o.handles {
+			if r := o.results[i].Load(); r.Err != (slabErr{g, i}) {
+				t.Fatalf("producer %d job %d (id %d) resolved with %v", g, i, h.ID, r.Err)
+			}
+			if other, dup := seen[h.f]; dup {
+				t.Fatalf("jobs %d and %d share the future at %p", other, h.ID, h.f)
+			}
+			seen[h.f] = h.ID
+		}
+	}
+}
+
+// finErr is an error the collector reports the death of.
+type finErr struct {
+	id   int
+	dead *atomic.Int32
+}
+
+func (*finErr) Error() string { return "tracked" }
+
+func newFinErr(id int, dead *atomic.Int32) *finErr {
+	e := &finErr{id: id, dead: dead}
+	runtime.SetFinalizer(e, func(e *finErr) { e.dead.Add(1) })
+	return e
+}
+
+// submitFinErrs sends n jobs that each fail with their own finErr and
+// returns the Handle of job keep alone.
+//
+//go:noinline
+func submitFinErrs(t *testing.T, d *Dispatcher, n, keep int, dead *atomic.Int32) (kept Handle) {
+	for i := 0; i < n; i++ {
+		h, err := d.Do(context.Background(), Task{Fn: func(context.Context) error { return newFinErr(i, dead) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == keep {
+			kept = h
+		}
+	}
+	return kept
+}
+
+// TestRetainedHandlePinsOneSlab: a Handle kept after its job resolved
+// keeps its own slab's results reachable and no other's, and still reads
+// its own.
+func TestRetainedHandlePinsOneSlab(t *testing.T) {
+	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const jobs, keep = 4096, 2000
+	var dead atomic.Int32
+	kept := submitFinErrs(t, d, jobs, keep, &dead)
+	d.Flush()
+	if !gcUntil(func() bool { return dead.Load() >= jobs-slabFutures }) {
+		t.Fatalf("one retained Handle keeps %d of %d results reachable (want ≤ %d)", jobs-dead.Load(), jobs, slabFutures)
+	}
+	r := <-kept.Done()
+	if e, ok := r.Err.(*finErr); r.ID != kept.ID || !ok || e.id != keep {
+		t.Fatalf("the retained Handle reads %+v, want id %d failing with job %d's error", r, kept.ID, keep)
+	}
+}
+
+// refuseTracked makes n Dos that d must refuse with want, every Fn and
+// Callback closing over one finalizer-tracked object, and keeps none.
+//
+//go:noinline
+func refuseTracked(t *testing.T, d *Dispatcher, ctx context.Context, n int, want error, collected *atomic.Bool) {
+	type big struct{ _ [1 << 16]byte }
+	obj := new(big)
+	runtime.SetFinalizer(obj, func(*big) { collected.Store(true) })
+	for i := 0; i < n; i++ {
+		if _, err := d.Do(ctx, Task{
+			Fn:       func(context.Context) error { runtime.KeepAlive(obj); return nil },
+			Callback: func(JobResult) { runtime.KeepAlive(obj) },
+		}); !errors.Is(err, want) {
+			t.Fatalf("refused Do %d = %v, want %v", i, err, want)
+		}
+	}
+}
+
+// TestRejectedDoPinsNothing: a Do the dispatcher refuses after carving a
+// future spends the slot and nothing more — the slab it shares with a job
+// still pending, or with a retained Handle, does not keep the refused
+// Task's closures reachable — and a Do that fails validation carves none.
+// On one P, so that the refused futures do come off the pinned slab.
+func TestRejectedDoPinsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ctx  context.Context
+		want error
+	}{
+		{"queue full", Config{Shards: 1, Workers: 2, QueueDepth: 1, Policy: FailFast}, context.Background(), ErrQueueFull},
+		{"closed", Config{Shards: 1, Workers: 2}, context.Background(), ErrClosed},
+		{"dead ctx", Config{Shards: 1, Workers: 2}, cancelled, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			// The job whose future pins the slab the refused ones are carved
+			// from: blocked in its round where the queue must stay full,
+			// resolved and its Handle retained otherwise.
+			started, gate := make(chan struct{}), make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			defer release() // before Close, which waits for the job
+			pin, err := d.Do(context.Background(), bare(func() { close(started); <-gate }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-started
+			blocked := tc.want == ErrQueueFull
+			if !blocked {
+				release()
+				d.Flush()
+			}
+			if tc.want == ErrClosed {
+				d.Close()
+			}
+			var collected atomic.Bool
+			refuseTracked(t, d, tc.ctx, 1000, tc.want, &collected)
+			if !gcUntil(collected.Load) {
+				t.Fatalf("Dos refused with %v are still referenced", tc.want)
+			}
+			if blocked {
+				drained(t, "blocked job", pin.Done())
+				release()
+			}
+			if r := <-pin.Done(); r.ID != pin.ID {
+				t.Fatalf("the pinning job resolved as %+v, want id %d", r, pin.ID)
+			}
+		})
+	}
+
+	t.Run("invalid", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
+		}
+		d, err := New(Config{Shards: 1, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		noFn := Task{Callback: func(JobResult) {}}
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 10*slabFutures; i++ {
+				if _, err := d.Do(context.Background(), noFn); err != ErrNilFn {
+					t.Fatalf("Do without Fn = %v, want ErrNilFn", err)
+				}
+			}
+		})
+		if avg >= 1 {
+			t.Errorf("%d invalid Dos allocate %.1f times: validation must come before the slot", 10*slabFutures, avg)
+		}
+	})
+}

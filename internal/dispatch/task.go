@@ -77,7 +77,10 @@ type Task struct {
 }
 
 // Handle identifies an accepted Task: its dispatcher-wide id and its
-// completion future. Copies of a Handle share one future.
+// completion future. Copies of a Handle share one future. Futures are
+// carved 64 to a slab (a DoBatch's from one slice), so a retained Handle
+// keeps its slab-mates' JobResults — an error each — reachable with its
+// own.
 type Handle struct {
 	// ID is the job's dispatcher-wide id. Ids are 1, 2, 3, … in
 	// acceptance order across Do, DoBatch and DoRunners, so a fixed
@@ -112,10 +115,12 @@ func (h Handle) Done() <-chan JobResult {
 	return ch
 }
 
-// future is the one heap object a Do costs, and the Runner its entry
-// carries: the Task's payload and callback until the job resolves, its
-// result afterwards, and the channel Done hands out once somebody asks.
-// It is never pooled or reused — a Handle may be read arbitrarily late.
+// future is what a Do costs, and the Runner its entry carries: the
+// Task's payload and callback until the job resolves, its result
+// afterwards, and the channel Done hands out once somebody asks. A Do's is
+// carved from a futureSlab and a DoBatch's from the call's one slice; it
+// is handed out once and never again — a Handle may be read arbitrarily
+// late — and lives as long as the longest-lived future carved with it.
 type future struct {
 	mu sync.Mutex
 	ch chan JobResult // made by the first Done call
@@ -157,18 +162,49 @@ func (f *future) Resolved(r JobResult) {
 	}
 }
 
+// slabFutures futures share one allocation and one lifetime (the 64 of
+// jobd's jobSlab); n is the next unused one.
+const slabFutures = 64
+
+type futureSlab struct {
+	futs [slabFutures]future
+	n    int
+}
+
+// futureSlabs holds the partly used slabs, and nothing else does. The
+// pool is per-P, so concurrent submitters carve from different slabs
+// without a lock, and the collector empties it, so an idle dispatcher pins
+// none: a slab kept on the shard would keep up to 63 resolved jobs' errors
+// reachable, and the future must exist before do has picked the shard.
+var futureSlabs = sync.Pool{New: func() any { return new(futureSlab) }}
+
+// newFuture carves a future; the slab goes back unless that was its last.
+func newFuture() *future {
+	s := futureSlabs.Get().(*futureSlab)
+	f := &s.futs[s.n]
+	if s.n++; s.n < slabFutures {
+		futureSlabs.Put(s)
+	}
+	return f
+}
+
 // ErrNilFn is returned by Do and DoBatch for a Task without a payload.
 var ErrNilFn = errors.New("dispatch: Task.Fn is nil")
 
-// entryOf validates a Task and binds it to f, the future that runs it
-// and hears its result; the entry carries f as its Runner.
-func entryOf(t Task, f *future) (entry, error) {
+// check validates a Task, before anything is made for it.
+func (t *Task) check() error {
 	if t.Fn == nil {
-		return entry{}, ErrNilFn
+		return ErrNilFn
 	}
 	if !t.Priority.valid() {
-		return entry{}, fmt.Errorf("dispatch: unknown Priority(%d)", int8(t.Priority))
+		return fmt.Errorf("dispatch: unknown Priority(%d)", int8(t.Priority))
 	}
+	return nil
+}
+
+// entryOf binds a checked Task to f, the future that runs it and hears
+// its result; the entry carries f as its Runner.
+func entryOf(t *Task, f *future) entry {
 	var dl int64
 	if !t.Deadline.IsZero() {
 		if dl = t.Deadline.UnixNano(); dl == 0 {
@@ -179,7 +215,7 @@ func entryOf(t Task, f *future) (entry, error) {
 		}
 	}
 	f.fn, f.cb = t.Fn, t.Callback
-	return entry{run: f, dl: dl, pri: t.Priority}, nil
+	return entry{run: f, dl: dl, pri: t.Priority}
 }
 
 // Do submits one Task and returns its Handle. The job will be executed
@@ -198,21 +234,25 @@ func entryOf(t Task, f *future) (entry, error) {
 // started, so the payload never runs. A Task whose round has already
 // been cut runs to completion regardless of ctx (at-most-once is
 // untouched: cancellation only ever turns "run once" into "run zero
-// times").
+// times"). The Handle's future shares a slab with up to 63 others, so a
+// retained Handle — or a still-pending job — keeps that many neighbours'
+// results reachable.
 func (d *Dispatcher) Do(ctx context.Context, t Task) (Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	f := &future{}
-	e, err := entryOf(t, f)
-	if err != nil {
+	if err := t.check(); err != nil {
 		return Handle{}, err
 	}
+	f := newFuture()
+	e := entryOf(&t, f)
 	if ctx.Done() != nil {
 		e.ctx = ctx
 	}
 	id, err := d.do(ctx, e)
 	if err != nil {
+		// The slot is spent, not reused; it must not pin the refused Task.
+		f.fn, f.cb = nil, nil
 		return Handle{}, err
 	}
 	return Handle{ID: id, f: f}, nil
@@ -237,15 +277,14 @@ func (d *Dispatcher) DoBatch(ctx context.Context, tasks []Task) ([]Handle, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	futs := make([]future, len(tasks))
 	for i := range tasks {
-		if _, err := entryOf(tasks[i], &futs[i]); err != nil {
+		if err := tasks[i].check(); err != nil {
 			return nil, fmt.Errorf("task %d: %w", i, err)
 		}
 	}
+	futs := make([]future, len(tasks))
 	first, err := d.doBatch(ctx, len(tasks), func(i int) entry {
-		e, _ := entryOf(tasks[i], &futs[i])
-		return e
+		return entryOf(&tasks[i], &futs[i])
 	})
 	if err != nil {
 		return nil, err
