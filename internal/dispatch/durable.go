@@ -108,7 +108,7 @@ func (s *shard) openDurable(cfg *Config) error {
 				s.id, got, fp, layoutChange)
 		}
 		scan0 := time.Now()
-		eventlog.Logger().Info("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
+		eventlog.Logger().Debug("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
 		s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
 		before := s.d.recovered.Len()
 		words := make([]uint64, len(chunk))
@@ -124,7 +124,7 @@ func (s *shard) openDurable(cfg *Config) error {
 		}
 		// An id is journaled once, in one row of one shard, so the set's
 		// growth is this shard's count.
-		eventlog.Logger().Info("dispatch_recovery_scan_end",
+		eventlog.Logger().Debug("dispatch_recovery_scan_end",
 			"shard", s.id, "recovered", s.d.recovered.Len()-before, "dur", time.Since(scan0))
 	} else if err := b.WriteAcked(0, []int64{fp}); err != nil {
 		// Acked at creation: a journal row need share no page with cell 0,

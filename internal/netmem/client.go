@@ -1,7 +1,6 @@
 package netmem
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -193,7 +192,7 @@ type NetMem struct {
 	mu          sync.Mutex
 	cond        *sync.Cond // conn became usable, or outstanding drained
 	conn        net.Conn
-	bw          *bufio.Writer
+	wbuf        []byte // frames built in place and not yet written; one conn.Write a flush
 	gen         uint64 // connection generation, so stale readers stand down
 	seq         uint32
 	epoch       uint64
@@ -204,13 +203,12 @@ type NetMem struct {
 	redialing   bool
 	renewStop   chan struct{}
 	renewOnce   sync.Once
-	scratch     []byte
 }
 
 // maxOutstanding bounds the pipelined requests in flight. The bound is
 // what makes the pipeline deadlock-free: at 2048 small frames, neither
-// direction's requests-plus-replies can fill both peers' socket and
-// bufio buffers, so the server is always able to ingest what a sender
+// direction's requests-plus-replies can fill both peers' socket
+// buffers, so the server is always able to ingest what a sender
 // flushes while the reader goroutine briefly holds the client lock.
 const maxOutstanding = 2048
 
@@ -238,7 +236,7 @@ func Open(addr string, size int, opts Options) (*NetMem, error) {
 	if err := m.connect(true); err != nil {
 		return nil, err
 	}
-	eventlog.Logger().Info("netmem_client_connected",
+	eventlog.Logger().Debug("netmem_client_connected",
 		"addr", addr, "namespace", m.opts.Namespace, "epoch", m.Epoch(),
 		"lease_ttl", m.opts.LeaseTTL, "reopened", m.Reopened())
 	go m.renewLoop()
@@ -264,34 +262,14 @@ func (m *NetMem) connect(first bool) error {
 	if err != nil {
 		return err
 	}
-	fr := wire.NewFrameReader(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	h := handshake{conn, fr, bw}
-
-	reopened, err := m.hello(h)
+	fr := wire.NewFrameReader(conn, connBuf)
+	epoch, reopened, err := m.handshake(conn, fr, first)
 	if err != nil {
 		conn.Close()
+		if !first && errors.Is(err, ErrFenced) {
+			m.fatalize(err)
+		}
 		return err
-	}
-	var epoch uint64
-	if first {
-		if epoch, err = m.acquireLease(h); err != nil {
-			conn.Close()
-			return err
-		}
-	} else {
-		m.mu.Lock()
-		epoch = m.epoch
-		m.mu.Unlock()
-		// The server answers a renew at once — it never parks — so the
-		// dial timeout bounds it.
-		if _, err := h.call(time.Now().Add(m.opts.DialTimeout), opRenew, wire.AppendU64(nil, epoch), opAck); err != nil {
-			conn.Close()
-			if errors.Is(err, ErrFenced) {
-				m.fatalize(err)
-			}
-			return err
-		}
 	}
 
 	m.mu.Lock()
@@ -300,7 +278,7 @@ func (m *NetMem) connect(first bool) error {
 		conn.Close()
 		return ErrClosed
 	}
-	m.conn, m.bw = conn, bw
+	m.conn, m.wbuf = conn, m.wbuf[:0] // what the old connection left unwritten is resent below
 	m.gen++
 	m.epoch = epoch
 	if first {
@@ -313,24 +291,16 @@ func (m *NetMem) connect(first bool) error {
 	// and reports to the caller (Open fails; the redial loop retries).
 	gen := m.gen
 	resent := m.outstanding.n
-	resendErr := func() error {
-		for i := 0; i < resent; i++ {
-			op := m.outstanding.at(i)
-			op.seq = m.nextSeqLocked()
-			if err := wire.WriteFrame(bw, op.op, op.seq, m.encodeLocked(op)); err != nil {
-				return err
-			}
-		}
-		if resent > 0 {
-			return bw.Flush()
-		}
-		return nil
-	}()
-	if resendErr != nil {
-		m.conn, m.bw = nil, nil
+	for i := 0; i < resent; i++ {
+		op := m.outstanding.at(i)
+		op.seq = m.nextSeqLocked()
+		m.appendLocked(op)
+	}
+	if err := m.flushLocked(); err != nil {
+		m.conn = nil
 		m.mu.Unlock()
 		conn.Close()
-		return resendErr
+		return err
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()
@@ -343,76 +313,86 @@ func (m *NetMem) connect(first bool) error {
 	return nil
 }
 
-// handshake is a fresh connection before its reader goroutine exists:
-// hello, then acquire or renew, each one synchronous round trip.
-type handshake struct {
-	conn net.Conn
-	fr   *wire.FrameReader
-	bw   *bufio.Writer
-}
+// handshake opens a fresh connection before its reader goroutine exists,
+// in one flight: hello and the lease op behind it — acquire on Open,
+// honoring FailFast and AcquireTimeout, a renew of the lease we hold on a
+// redial — leave in ONE write, and the two replies are read in order (the
+// server applies a connection's requests strictly in order). A refused
+// hello is reported as itself: the "no namespace" the server then gives
+// the lease op is never read.
+func (m *NetMem) handshake(conn net.Conn, fr *wire.FrameReader, first bool) (epoch uint64, reopened bool, err error) {
+	b := wire.AppendU64(wire.AppendStr(wire.AppendHeader(nil, opHello, 0, 0), m.opts.Namespace), uint64(m.size))
+	wire.EndFrame(b, 0)
+	at, leaseOK := len(b), opAck
+	if first {
+		leaseOK = opAcquireOK
+		b = wire.AppendU64(wire.AppendHeader(b, opAcquire, 0, 0), m.clientID)
+		b = wire.AppendU64(b, uint64(m.opts.LeaseTTL/time.Millisecond))
+		if m.opts.FailFast {
+			b = append(b, 0)
+		} else {
+			b = append(b, 1) // wait
+		}
+	} else {
+		m.mu.Lock()
+		epoch = m.epoch
+		m.mu.Unlock()
+		b = wire.AppendU64(wire.AppendHeader(b, opRenew, 0, 0), epoch)
+	}
+	wire.EndFrame(b, at)
 
-// call sends op and returns the payload of the reply, which must be want
-// and dies at the next call; an opErr reply comes back as the error it
-// carries. deadline bounds the exchange (zero: unbounded).
-func (h handshake) call(deadline time.Time, op byte, payload []byte, want byte) ([]byte, error) {
-	h.conn.SetDeadline(deadline)
-	defer h.conn.SetDeadline(time.Time{})
-	if err := wire.WriteFrame(h.bw, op, 0, payload); err != nil {
-		return nil, err
+	// next reads one reply, which must be want and dies at the next call;
+	// an opErr reply comes back as the error it carries.
+	next := func(want byte) ([]byte, error) {
+		got, _, reply, err := fr.Next()
+		switch {
+		case err != nil:
+			return nil, err
+		case got == opErr:
+			return nil, decodeErr(reply)
+		case got != want:
+			return nil, fmt.Errorf("netmem: unexpected handshake reply op %d, want %d", got, want)
+		}
+		return reply, nil
 	}
-	if err := h.bw.Flush(); err != nil {
-		return nil, err
+	// The server answers hello, a renew and a fail-fast acquire at once, so
+	// the dial timeout bounds the flight; only a waiting acquire parks, for
+	// as long as the incumbent's remaining lease.
+	defer conn.SetDeadline(time.Time{})
+	conn.SetDeadline(time.Now().Add(m.opts.DialTimeout))
+	if _, err = conn.Write(b); err != nil {
+		return 0, false, err
 	}
-	got, _, reply, err := h.fr.Next()
-	switch {
-	case err != nil:
-		return nil, err
-	case got == opErr:
-		return nil, decodeErr(reply)
-	case got != want:
-		return nil, fmt.Errorf("netmem: unexpected reply op %d to handshake op %d", got, op)
-	}
-	return reply, nil
-}
-
-// hello attaches the connection to the namespace.
-func (m *NetMem) hello(h handshake) (reopened bool, err error) {
-	payload := wire.AppendU64(wire.AppendStr(nil, m.opts.Namespace), uint64(m.size))
-	reply, err := h.call(time.Now().Add(m.opts.DialTimeout), opHello, payload, opHelloOK)
+	reply, err := next(opHelloOK)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
 	d := wire.Decoder{B: reply}
 	reopened = d.U8() != 0
-	return reopened, d.Done()
-}
-
-// acquireLease asks for the writer lease on the first connection,
-// honoring FailFast and AcquireTimeout. On the wait path the reply can
-// take as long as the incumbent's remaining lease.
-func (m *NetMem) acquireLease(h handshake) (uint64, error) {
-	wait, deadline := byte(1), time.Time{}
-	if m.opts.FailFast {
-		wait, deadline = 0, time.Now().Add(m.opts.DialTimeout)
-	} else if m.opts.AcquireTimeout > 0 {
-		deadline = time.Now().Add(m.opts.AcquireTimeout)
+	if err = d.Done(); err != nil {
+		return 0, false, err
 	}
-	payload := wire.AppendU64(wire.AppendU64(nil, m.clientID), uint64(m.opts.LeaseTTL/time.Millisecond))
-	reply, err := h.call(deadline, opAcquire, append(payload, wait), opAcquireOK)
-	if err != nil {
-		return 0, err
+	if first && !m.opts.FailFast {
+		leaseBy := time.Time{}
+		if m.opts.AcquireTimeout > 0 {
+			leaseBy = time.Now().Add(m.opts.AcquireTimeout)
+		}
+		conn.SetDeadline(leaseBy)
 	}
-	d := wire.Decoder{B: reply}
-	epoch := d.U64()
+	if reply, err = next(leaseOK); err != nil || !first {
+		return epoch, reopened, err
+	}
+	d = wire.Decoder{B: reply}
+	epoch = d.U64()
 	granted := time.Duration(d.U64()) * time.Millisecond
-	if err := d.Done(); err != nil {
-		return 0, err
+	if err = d.Done(); err != nil {
+		return 0, false, err
 	}
 	if granted > 0 && granted < m.opts.LeaseTTL {
 		m.logf("netmem: server clamped lease ttl to %s", granted)
 		m.opts.LeaseTTL = granted
 	}
-	return epoch, nil
+	return epoch, reopened, nil
 }
 
 // decodeErr turns an opErr payload into a Go error, mapping the fencing
@@ -439,10 +419,12 @@ func (m *NetMem) nextSeqLocked() uint32 {
 	return m.seq
 }
 
-// encodeLocked builds op's payload into the shared scratch buffer,
-// stamping mutating ops with the current epoch.
-func (m *NetMem) encodeLocked(op *pendingOp) []byte {
-	b := m.scratch[:0]
+// appendLocked builds op's frame in place at the end of the write
+// buffer, stamping mutating ops with the current epoch, and returns the
+// payload's length.
+func (m *NetMem) appendLocked(op *pendingOp) int {
+	at := len(m.wbuf)
+	b := wire.AppendHeader(m.wbuf, op.op, op.seq, 0)
 	switch op.op {
 	case opRead:
 		b = wire.AppendU64(b, uint64(op.addr))
@@ -466,13 +448,40 @@ func (m *NetMem) encodeLocked(op *pendingOp) []byte {
 	default:
 		panic(fmt.Sprintf("netmem: encode of unexpected op %d", op.op))
 	}
-	m.scratch = b
-	return b
+	wire.EndFrame(b, at)
+	m.wbuf = b
+	return len(b) - at - wire.HeaderSize
+}
+
+// flushLocked writes everything buffered in one conn.Write. A buffer a
+// burst grew past bufKeep goes to the collector, so a connection at rest
+// holds what its steady traffic needs, not its worst moment.
+func (m *NetMem) flushLocked() error {
+	if len(m.wbuf) == 0 {
+		return nil
+	}
+	_, err := m.conn.Write(m.wbuf)
+	m.wbuf = m.wbuf[:0]
+	if cap(m.wbuf) > bufKeep {
+		m.wbuf = nil
+	}
+	return err
 }
 
 // flushThreshold is the buffered-bytes point past which a pipelined
-// write flushes eagerly instead of waiting for the next awaited op.
-const flushThreshold = 32 << 10
+// write flushes eagerly instead of waiting for the next awaited op, and
+// bufKeep the largest write buffer kept across a flush. connBuf sizes a
+// connection's read chunk at both ends and the server's reply writer, by
+// the traffic: a request is at most 1 049 bytes in steady state (a journal
+// flush's 128-word run + 25) with two awaited at a time, a reply is a 9–17
+// byte ack, and the one large frame — a recovery scan's opValues, 32 KiB
+// + 9 — gets a chunk of its own size from the reader and is written
+// through by the server's bufio.Writer.
+const (
+	flushThreshold = 32 << 10
+	bufKeep        = 2 * flushThreshold
+	connBuf        = 4 << 10
+)
 
 // send queues op on the connection. Awaited ops (wake != nil) flush and
 // block until the reader delivers their reply; pipelined writes return
@@ -501,7 +510,7 @@ func (m *NetMem) send(op *pendingOp) error {
 			}
 			// Queue full: push the buffered tail out so its acks can
 			// drain the queue while we wait.
-			if err := m.bw.Flush(); err != nil {
+			if err := m.flushLocked(); err != nil {
 				m.breakConnLocked(err)
 				continue
 			}
@@ -510,12 +519,9 @@ func (m *NetMem) send(op *pendingOp) error {
 	}
 	op.seq = m.nextSeqLocked()
 	m.outstanding.push(op)
-	payload := m.encodeLocked(op)
-	obsClientQueued(op.op, len(payload))
-	if err := wire.WriteFrame(m.bw, op.op, op.seq, payload); err != nil {
-		m.breakConnLocked(err)
-	} else if op.wake != nil || m.bw.Buffered() > flushThreshold {
-		if err := m.bw.Flush(); err != nil {
+	obsClientQueued(op.op, m.appendLocked(op))
+	if op.wake != nil || len(m.wbuf) > flushThreshold {
+		if err := m.flushLocked(); err != nil {
 			m.breakConnLocked(err)
 		}
 	}
@@ -651,7 +657,7 @@ func (m *NetMem) breakConn(gen uint64, err error) {
 func (m *NetMem) breakConnLocked(err error) {
 	if m.conn != nil {
 		m.conn.Close()
-		m.conn, m.bw = nil, nil
+		m.conn = nil
 		m.cond.Broadcast() // Close's drain ends with its connection
 	}
 	if m.closed || m.fatal != nil || m.redialing {
@@ -754,7 +760,7 @@ func (m *NetMem) fatalize(err error) {
 		"addr", m.addr, "epoch", m.epoch, "fenced", fenced, "err", err)
 	if m.conn != nil {
 		m.conn.Close()
-		m.conn, m.bw = nil, nil
+		m.conn = nil
 	}
 	m.outstanding.failAll(err)
 	m.cond.Broadcast()
@@ -916,24 +922,23 @@ func (m *NetMem) Close() error {
 		op := &pendingOp{op: opRelease}
 		op.seq = m.nextSeqLocked()
 		m.outstanding.push(op)
-		if wire.WriteFrame(m.bw, op.op, op.seq, m.encodeLocked(op)) == nil {
-			if err := m.bw.Flush(); err != nil {
-				discardErr = fmt.Errorf("netmem: close flush failed, up to %d operations may not have reached the server: %w",
-					m.outstanding.n, err)
-			} else {
-				deadline := time.Now().Add(2 * time.Second)
-				wake := time.AfterFunc(2*time.Second, func() {
-					m.mu.Lock()
-					m.cond.Broadcast()
-					m.mu.Unlock()
-				})
-				for m.outstanding.n > 0 && m.conn != nil && m.fatal == nil && time.Now().Before(deadline) {
-					m.cond.Wait()
-				}
-				wake.Stop()
-				if n := m.outstanding.n; n > 0 {
-					discardErr = fmt.Errorf("netmem: close gave up its connection with %d operations unacknowledged", n)
-				}
+		m.appendLocked(op)
+		if err := m.flushLocked(); err != nil {
+			discardErr = fmt.Errorf("netmem: close flush failed, up to %d operations may not have reached the server: %w",
+				m.outstanding.n, err)
+		} else {
+			deadline := time.Now().Add(2 * time.Second)
+			wake := time.AfterFunc(2*time.Second, func() {
+				m.mu.Lock()
+				m.cond.Broadcast()
+				m.mu.Unlock()
+			})
+			for m.outstanding.n > 0 && m.conn != nil && m.fatal == nil && time.Now().Before(deadline) {
+				m.cond.Wait()
+			}
+			wake.Stop()
+			if n := m.outstanding.n; n > 0 {
+				discardErr = fmt.Errorf("netmem: close gave up its connection with %d operations unacknowledged", n)
 			}
 		}
 	} else if m.fatal == nil && m.outstanding.n > 0 {
@@ -944,7 +949,7 @@ func (m *NetMem) Close() error {
 	}
 	if m.conn != nil {
 		m.conn.Close()
-		m.conn, m.bw = nil, nil
+		m.conn = nil
 	}
 	m.outstanding.failAll(ErrClosed)
 	m.cond.Broadcast()

@@ -235,6 +235,37 @@ func TestCorruptRangeFrames(t *testing.T) {
 	}
 }
 
+// TestInRange is the table for the one bounds check every cell op shares:
+// it must hold at the edges of uint64, where addr+count wraps.
+func TestInRange(t *testing.T) {
+	const size = 1000
+	for _, c := range []struct {
+		name  string
+		addr  uint64
+		count int
+		want  bool
+	}{
+		{"first cell", 0, 1, true},
+		{"last cell", size - 1, 1, true},
+		{"whole namespace", 0, size, true},
+		{"one past the end", size, 1, false},
+		{"run over the end", size - 1, 2, false},
+		{"addr = 1<<64 − 1", ^uint64(0), 1, false},
+		{"addr + count wraps to 0", ^uint64(0) - 1, 2, false},
+		{"addr + count wraps into range", ^uint64(0) - 3, 10, false},
+		{"count = 0", 5, 0, false}, // refused on a range read; an acked write's frame shape rules it out earlier
+		{"count < 0", 5, -1, false},
+		{"count = maxRange + 1", 0, maxRange + 1, false},
+	} {
+		if got := inRange(c.addr, c.count, size); got != c.want {
+			t.Errorf("%s: inRange(%d, %d, %d) = %v, want %v", c.name, c.addr, c.count, size, got, c.want)
+		}
+	}
+	if !inRange(0, maxRange, maxCells) || inRange(0, maxRange+1, maxCells) {
+		t.Error("a run is bounded at maxRange cells, not by the namespace alone")
+	}
+}
+
 // TestParseNetSpec is the spec-option parser's table test.
 func TestParseNetSpec(t *testing.T) {
 	cases := []struct {

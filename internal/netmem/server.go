@@ -201,7 +201,7 @@ func (s *Server) getNamespace(name string, size int) (ns *namespace, reopened bo
 	ns = &namespace{name: name, bk: bk, size: size}
 	ns.cond = sync.NewCond(&ns.mu)
 	s.nss[name] = ns
-	eventlog.Logger().Info("netmem_server_namespace_open",
+	eventlog.Logger().Debug("netmem_server_namespace_open",
 		"namespace", name, "spec", spec, "cells", size, "reopened", reopened)
 	return ns, reopened, nil
 }
@@ -256,7 +256,7 @@ func (ns *namespace) acquire(srv *Server, clientID uint64, ttl time.Duration, wa
 			ns.holderID = clientID
 			ns.ttl = ttl
 			ns.deadline = now.Add(ttl)
-			eventlog.Logger().Info("netmem_server_lease_granted",
+			eventlog.Logger().Debug("netmem_server_lease_granted",
 				"namespace", ns.name, "old_epoch", oldEpoch, "new_epoch", ns.epoch,
 				"client", fmt.Sprintf("%#x", clientID), "ttl", ttl)
 			return ns.epoch, ttl, nil
@@ -345,8 +345,8 @@ func (s *Server) handle(c net.Conn) {
 		s.mu.Unlock()
 		eventlog.Logger().Debug("netmem_server_conn_closed", "remote", remote)
 	}()
-	fr := wire.NewFrameReader(c, 64<<10)
-	bw := bufio.NewWriterSize(c, 64<<10)
+	fr := wire.NewFrameReader(c, connBuf)
+	bw := bufio.NewWriterSize(c, connBuf)
 	var (
 		scratch []byte
 		vals    []int64
@@ -378,6 +378,14 @@ func (s *Server) handle(c net.Conn) {
 			if bw.Flush() != nil {
 				return
 			}
+		}
+		// The last reply is in bw or on the wire: a buffer a recovery scan
+		// grew is not kept for the life of the connection.
+		if cap(scratch) > connBuf {
+			scratch = nil
+		}
+		if 8*cap(vals) > connBuf {
+			vals = nil
 		}
 		op, seq, payload, err := fr.Next()
 		if err != nil {
@@ -506,7 +514,7 @@ func (s *Server) handle(c net.Conn) {
 				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
-			if addr >= uint64(ns.size) {
+			if !inRange(addr, 1, ns.size) {
 				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("read addr %d ≥ size %d", addr, ns.size)})
 				break
 			}
@@ -521,7 +529,7 @@ func (s *Server) handle(c net.Conn) {
 				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
-			if addr >= uint64(ns.size) {
+			if !inRange(addr, 1, ns.size) {
 				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("write addr %d ≥ size %d", addr, ns.size)})
 				break
 			}
@@ -544,9 +552,7 @@ func (s *Server) handle(c net.Conn) {
 				break
 			}
 			count := len(d.B) / 8
-			// Overflow-safe bounds, mirroring opReadRange: addr and count
-			// are checked separately, never their sum.
-			if count > maxRange || addr >= uint64(ns.size) || uint64(count) > uint64(ns.size)-addr {
+			if !inRange(addr, count, ns.size) {
 				ok = replyErr(seq, &wireError{codeBadAddr,
 					fmt.Sprintf("acked write addr %d count %d outside size %d or over %d cells", addr, count, ns.size, maxRange)})
 				break
@@ -576,9 +582,7 @@ func (s *Server) handle(c net.Conn) {
 				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
 				break
 			}
-			// Overflow-safe bounds: check addr and count separately, never
-			// their sum (addr+count can wrap uint64 on a corrupt frame).
-			if count == 0 || count > maxRange || addr >= uint64(ns.size) || uint64(count) > uint64(ns.size)-addr {
+			if !inRange(addr, int(count), ns.size) {
 				ok = replyErr(seq, &wireError{codeBadAddr,
 					fmt.Sprintf("range addr %d count %d outside size %d or over %d cells", addr, count, ns.size, maxRange)})
 				break
@@ -612,6 +616,14 @@ func (s *Server) handle(c net.Conn) {
 			return
 		}
 	}
+}
+
+// inRange reports whether count cells from addr lie inside a namespace of
+// size cells, count in 1..maxRange. Overflow-safe: addr and count are
+// checked separately, never their sum (addr+count can wrap uint64 on a
+// corrupt frame).
+func inRange(addr uint64, count, size int) bool {
+	return count >= 1 && count <= maxRange && addr < uint64(size) && uint64(count) <= uint64(size)-addr
 }
 
 // protoOrNoNS picks the right error for the shared "malformed payload

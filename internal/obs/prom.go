@@ -5,77 +5,127 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// escapeLabel escapes a label value per the Prometheus text format.
-func escapeLabel(v string) string {
+// appendEscaped appends a label value, escaped per the Prometheus text
+// format.
+func appendEscaped(b []byte, v string) []byte {
 	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+		return append(b, v...)
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\', '"':
+			b = append(b, '\\', c)
+		case '\n':
+			b = append(b, '\\', 'n')
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
-// fmtFloat renders a float the way Prometheus clients do: shortest
+// appendLabels appends an alternating k/v list as {k="v",…}, with le
+// (when not empty) as a last le="…" label; nothing to show appends nothing.
+func appendLabels(b []byte, kv []string, le []byte) []byte {
+	if len(kv) == 0 && len(le) == 0 {
+		return b
+	}
+	b = append(b, '{')
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(b, kv[i]...), '=', '"')
+		b = append(appendEscaped(b, kv[i+1]), '"')
+	}
+	if len(le) > 0 {
+		if len(kv) > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, `le="`...), le...), '"')
+	}
+	return append(b, '}')
+}
+
+// appendStrs appends each part.
+func appendStrs(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// appendFloat renders a float the way Prometheus clients do: shortest
 // round-trip representation.
-func fmtFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): families sorted by name, one
 // HELP/TYPE pair per family, cumulative le-labeled buckets for
-// histograms (empty buckets elided; +Inf always present).
+// histograms (empty buckets elided; +Inf always present). The text is
+// formatted into one buffer and written once: a scrape costs a handful
+// of allocations however many lines it has.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	fams := r.view()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	slices.SortFunc(fams, func(x, y famView) int { return strings.Compare(x.name, y.name) })
+	b := make([]byte, 0, 16<<10)
 	for _, f := range fams {
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind.promType())
+		b = appendStrs(b, "# HELP ", f.name, " ", f.help, "\n")
+		b = appendStrs(b, "# TYPE ", f.name, " ", f.kind.promType(), "\n")
 		for _, s := range f.series {
+			if f.kind == kindHistogram {
+				b = appendPromHistogram(b, f.family, s)
+				continue
+			}
+			b = append(appendLabels(append(b, f.name...), s.labels, nil), ' ')
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(s.labels), s.c.Value())
+				b = strconv.AppendUint(b, s.c.Value(), 10)
 			case kindCounterFunc:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(s.labels), s.cFn())
+				b = strconv.AppendUint(b, s.cFn(), 10)
 			case kindGauge:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, renderLabels(s.labels), fmtFloat(s.g.Value()))
+				b = appendFloat(b, s.g.Value())
 			case kindGaugeFunc:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, renderLabels(s.labels), fmtFloat(s.gFn()))
-			case kindHistogram:
-				writePromHistogram(bw, f.family, s)
+				b = appendFloat(b, s.gFn())
 			}
+			b = append(b, '\n')
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-// writePromHistogram renders one histogram series: cumulative buckets
+// appendPromHistogram renders one histogram series: cumulative buckets
 // at each non-empty boundary plus the mandatory +Inf, then _sum and
 // _count. Bucket bounds and the sum are scaled into exposition units.
-func writePromHistogram(w io.Writer, f *family, s *series) {
+func appendPromHistogram(b []byte, f *family, s *series) []byte {
 	snap := s.h.Snapshot()
-	withLe := func(le string) string {
-		kv := make([]string, 0, len(s.labels)+2)
-		kv = append(append(kv, s.labels...), "le", le)
-		return renderLabels(kv)
+	sample := func(suffix string, le []byte) {
+		b = append(appendLabels(appendStrs(b, f.name, suffix), s.labels, le), ' ')
 	}
 	var cum uint64
+	var le [32]byte
 	for i, n := range snap.Buckets {
 		if n == 0 {
 			continue
 		}
 		cum += n
-		le := float64(BucketUpper(i)) * f.scale
-		fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, withLe(fmtFloat(le)), cum)
+		sample("_bucket", appendFloat(le[:0], float64(BucketUpper(i))*f.scale))
+		b = append(strconv.AppendUint(b, cum, 10), '\n')
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, withLe("+Inf"), snap.Count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", f.name, renderLabels(s.labels), fmtFloat(float64(snap.Sum)*f.scale))
-	fmt.Fprintf(w, "%s_count%s %d\n", f.name, renderLabels(s.labels), snap.Count)
+	sample("_bucket", append(le[:0], "+Inf"...))
+	b = append(strconv.AppendUint(b, snap.Count, 10), '\n')
+	sample("_sum", nil)
+	b = append(appendFloat(b, float64(snap.Sum)*f.scale), '\n')
+	sample("_count", nil)
+	return append(strconv.AppendUint(b, snap.Count, 10), '\n')
 }
 
 // ExpositionStats summarizes a parsed exposition.

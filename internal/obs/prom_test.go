@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,40 @@ func TestParseOwnExposition(t *testing.T) {
 	// histogram (4 non-empty buckets + Inf + sum + count = 7).
 	if st.Series != 12 {
 		t.Fatalf("parsed %d series, want 12", st.Series)
+	}
+}
+
+// TestWritePrometheusAllocs: a scrape formats into one buffer it owns —
+// the view, the buffer and little else, however many lines it writes —
+// and the golden file's blind spots (an escaped label value, le behind a
+// histogram's own labels) still render as the format says.
+func TestWritePrometheusAllocs(t *testing.T) {
+	r := goldenRegistry()
+	r.Counter("amo_test_paths_total", "Escaped label.", "path", "a\\b\"c\nd").Inc()
+	for _, op := range []string{"read", "write"} {
+		r.Histogram("amo_test_rpc_seconds", "Labeled histogram family.", 1e-9, "op", op).Observe(1000)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`amo_test_paths_total{path="a\\b\"c\nd"} 1`,
+		`amo_test_rpc_seconds_bucket{op="write",le="+Inf"} 1`,
+		`amo_test_rpc_seconds_count{op="read"} 1`,
+		`amo_test_latency_seconds_bucket{le="+Inf"} 5`,
+	} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, buf.String())
+		}
+	}
+	lines := strings.Count(buf.String(), "\n")
+	if _, err := ParseExposition(&buf); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() { r.WritePrometheus(io.Discard) })
+	if avg > 8 {
+		t.Fatalf("a scrape of %d lines allocates %.0f times, want ≤ 8", lines, avg)
 	}
 }
 

@@ -198,24 +198,7 @@ func (r *Registry) Snapshot() map[string]any {
 
 // renderLabels formats an alternating k/v list as {k="v",…}; empty
 // lists render as "".
-func renderLabels(kv []string) string {
-	if len(kv) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i := 0; i+1 < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(kv[i])
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(kv[i+1]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
-}
+func renderLabels(kv []string) string { return string(appendLabels(nil, kv, nil)) }
 
 // famView is a family and the series it had when the view was taken.
 type famView struct {
