@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/obs/eventlog"
 )
 
 // TestDispatcherRoundLoopAllocFree is the allocation gate for the
@@ -20,9 +21,10 @@ import (
 // a slab: TestDoAllocs). The budget below is a small fraction of one
 // allocation per ROUND (cycles cut several rounds), so a single heap
 // allocation creeping into either the per-job submit path or the
-// per-round loop trips it. The only tolerated noise is the once-per-second
-// dispatch_round heartbeat record (~10 allocations, amortized across
-// every cycle of the run).
+// per-round loop trips it. The once-per-second dispatch_round heartbeat
+// is no exception: a ring record is written into its slot and allocates
+// nothing (eventlog:TestHandleAllocFree). With one shard nothing is ever
+// stolen; TestStealRecordsWithoutAllocating is this gate with a thief.
 func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
@@ -55,6 +57,52 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	// per cycle, a per-job leak as thousands.
 	if avg >= 1 {
 		t.Errorf("steady-state cycle of %d jobs allocates %.2f times (want < 1)", jobs, avg)
+	}
+}
+
+// TestStealRecordsWithoutAllocating is the round-loop gate with two
+// shards and a skewed feed: calls alternate between one job and two, the
+// round-robin cursor lands every single on shard 0 and splits every pair,
+// so shard 1 keeps running dry beside shard 0's backlog and steals from
+// it. A steal moves entries between rings that are already grown and
+// records dispatch_steal in the flight ring; neither may allocate.
+func TestStealRecordsWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
+	}
+	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r := new(countRunner)
+	two := []RunnerTask{{Runner: r}, {Runner: r}}
+	const jobs = 2048
+	cycle := func() {
+		for i := 0; i < jobs; i += 3 {
+			for _, tasks := range [][]RunnerTask{two[:1], two} {
+				if _, err := d.DoRunners(context.Background(), tasks); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		d.Flush()
+	}
+	for i := 0; i < 4; i++ {
+		cycle() // warm ring capacities and the steal buffer
+	}
+	for i := 0; i < eventlog.DefaultFlightCap; i++ {
+		eventlog.Logger().Debug("warm") // a flight slot is allocated the first time the ring reaches it
+	}
+	before := d.Stats().StolenJobs
+	avg := testing.AllocsPerRun(20, cycle)
+	stolen := d.Stats().StolenJobs - before
+	t.Logf("allocs per %d-job cycle: %.3f, with %d jobs stolen in 21 cycles", jobs, avg, stolen)
+	if stolen == 0 {
+		t.Fatal("nothing was stolen inside the measured cycles: the gate measured no steal")
+	}
+	if avg >= 1 {
+		t.Errorf("steady-state cycle of %d jobs with steals allocates %.2f times (want < 1)", jobs, avg)
 	}
 }
 

@@ -461,19 +461,21 @@ func (s *shard) observeRound(n, k int, dur time.Duration, crashed int) {
 		s.d.roundHist.Observe(uint64(dur))
 		s.lastTakenA.Store(int64(n))
 	}
-	// dispatch_round is sampled, not per-round: a shard at steady state
-	// cuts thousands of rounds per second, and building a slog record
-	// costs ~10 heap allocations — in a loop the allocation gate holds at
-	// zero (TestDispatcherRoundLoopAllocFree). The flight ring gets one
-	// heartbeat per shard per second, every crashed round (rare, and the
-	// forensically interesting ones), and every round when the operator
-	// asked for full rate with AMO_LOG=debug.
+	// dispatch_round is sampled, not per-round, for retention and not for
+	// cost: a ring record is free (typed attrs, copied into its slot),
+	// but the ring has 256 slots and a shard at steady state cuts
+	// thousands of rounds per second — unsampled they would lap every
+	// other event out within a blink. The flight ring gets one heartbeat
+	// per shard per second, every crashed round (rare, and the forensically
+	// interesting ones), and every round when the operator asked for full
+	// rate with AMO_LOG=debug.
 	if now := time.Now().UnixNano(); crashed > 0 ||
 		now-s.lastRoundLog >= int64(time.Second) ||
 		eventlog.SinkEnabled(slog.LevelDebug) {
 		s.lastRoundLog = now
-		eventlog.Logger().Debug("dispatch_round",
-			"shard", s.id, "jobs", n, "slots", k, "dur", dur, "crashed", crashed)
+		eventlog.Logger().LogAttrs(context.Background(), slog.LevelDebug, "dispatch_round",
+			slog.Int("shard", s.id), slog.Int("jobs", n), slog.Int("slots", k),
+			slog.Duration("dur", dur), slog.Int("crashed", crashed))
 	}
 }
 
@@ -738,7 +740,8 @@ func (s *shard) stealWork() int {
 	s.stats.Stolen += uint64(k)
 	s.mu.Unlock()
 	if k > 0 {
-		eventlog.Logger().Debug("dispatch_steal", "shard", s.id, "victim", victim.id, "jobs", k)
+		eventlog.Logger().LogAttrs(context.Background(), slog.LevelDebug, "dispatch_steal",
+			slog.Int("shard", s.id), slog.Int("victim", victim.id), slog.Int("jobs", k))
 	}
 	for i := range buf {
 		buf[i] = entry{} // don't pin payloads past the transfer

@@ -10,14 +10,14 @@
 //     info), and every line carries inc=<id>, the process incarnation
 //     from internal/obs.
 //
-//   - the flight recorder: a bounded lock-free ring that keeps the last
+//   - the flight recorder: a bounded ring that keeps the last
 //     DefaultFlightCap records at ALL levels, even those the sink
-//     suppresses. Debug-level round summaries cost two atomic ops each,
-//     so the hot path can afford them; and when the process dies — a
-//     fenced write, a fatal client error, a panic — the ring is dumped
-//     as one JSON line prefixed AMO-FLIGHT-DUMP, giving the post-mortem
-//     the detailed recent history that the leveled sink threw away.
-//     /flightz serves the same dump on demand.
+//     suppresses. A record is copied into its ring slot as slog handed it
+//     over (one atomic add, one slot lock, no allocation), so the hot path
+//     can afford Debug events, and formatted only when dumped. When the
+//     process dies — a fenced write, a fatal client error, a panic — the
+//     ring is dumped as one JSON line prefixed AMO-FLIGHT-DUMP: the recent
+//     history the leveled sink threw away. /flightz serves it on demand.
 //
 // The forensic contract: a crash artifact must never be just a panic
 // string. CrashDump (and the DumpOnPanic defer helper) write the flight
@@ -26,6 +26,7 @@
 package eventlog
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -41,13 +42,13 @@ import (
 )
 
 // DefaultFlightCap is the default flight-recorder ring capacity. 256
-// records at the emission rates of this codebase (per-round, per-lease,
+// records at the emission rates of this codebase (per-steal, per-lease,
 // per-connection events — never per-op) covers several seconds of
-// history before a crash, at ~40 KiB resident.
+// history before a crash, at ≤ 64 KiB once every slot has been written.
 const DefaultFlightCap = 256
 
-// Record is one captured event as the flight recorder stores it and the
-// flight dump serializes it. Seq is a process-global claim order (dense,
+// Record is one captured event as Snapshot returns it and the flight
+// dump serializes it. Seq is a process-global claim order (dense,
 // starting at 1) that survives into the dump so readers can see ring
 // wrap-around and interleave records exactly as emitted; TS is wall
 // clock for cross-process correlation with /tracez timelines.
@@ -60,13 +61,36 @@ type Record struct {
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
-// Recorder is the lock-free flight ring. Writers claim a slot with one
-// atomic add and publish the record with one atomic pointer store;
-// readers snapshot whatever is published. Neither side ever blocks the
-// other, which is the property that makes recording safe from the
-// dispatcher's hot path and from the middle of a panic.
+const inlineAttrs = 4 // held in the slot itself; a wider event's tail goes to spill, which later laps reuse
+
+// flight is a record as the ring holds it, nothing formatted. h has the
+// pre-bound attrs and the group prefix (immutable once built); a record
+// stores only its own attrs, frozen: never a caller's live value.
+type flight struct {
+	seq   uint64
+	ts    int64
+	level slog.Level
+	event string
+	h     *Handler
+	attrs [inlineAttrs]slog.Attr
+	spill []slog.Attr
+}
+
+// slot is one ring position, allocated the first time the ring reaches
+// it and rewritten in place on every later lap. mu covers plain copies
+// only, so a crash dump never waits on a LogValuer, Stringer or Error().
+type slot struct {
+	mu sync.Mutex
+	flight
+}
+
+// Recorder is the flight ring. A writer claims a sequence number with
+// one atomic add and copies its record into that number's slot; Snapshot
+// copies the slots out one at a time. Neither side holds more than one
+// slot's lock, for the length of a copy, which is what makes recording
+// safe from the dispatcher's hot path and from the middle of a panic.
 type Recorder struct {
-	slots []atomic.Pointer[Record]
+	slots []atomic.Pointer[slot]
 	claim atomic.Uint64
 }
 
@@ -76,30 +100,76 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	return &Recorder{slots: make([]atomic.Pointer[Record], capacity)}
+	return &Recorder{slots: make([]atomic.Pointer[slot], capacity)}
 }
 
-// Add publishes a record into the ring, stamping its Seq. The record
-// must not be mutated afterwards.
+// put claims the next Seq and copies f and its attrs into that slot; a
+// writer lapped before it got the lock drops its record.
+func (r *Recorder) put(f flight, attrs []slog.Attr) uint64 {
+	f.seq = r.claim.Add(1)
+	p := &r.slots[(f.seq-1)%uint64(len(r.slots))]
+	s := p.Load()
+	if s == nil {
+		if s = new(slot); !p.CompareAndSwap(nil, s) {
+			s = p.Load()
+		}
+	}
+	s.mu.Lock()
+	if s.seq < f.seq {
+		f.spill = append(s.spill[:0], attrs[copy(f.attrs[:], attrs):]...)
+		s.flight = f
+	}
+	s.mu.Unlock()
+	return f.seq
+}
+
+// Add copies a record into the ring, stamping its Seq. Snapshot returns
+// it with the process's own Inc and the Level parsed back.
 func (r *Recorder) Add(rec *Record) {
-	seq := r.claim.Add(1)
-	rec.Seq = seq
-	r.slots[(seq-1)%uint64(len(r.slots))].Store(rec)
+	f := flight{ts: rec.TS, event: rec.Event, h: new(Handler)}
+	_ = f.level.UnmarshalText([]byte(rec.Level)) // text slog does not know reads as INFO
+	var attrs []slog.Attr
+	for k, v := range rec.Attrs {
+		attrs = appendFrozen(attrs, "", slog.Any(k, v))
+	}
+	rec.Seq = r.put(f, attrs)
 }
 
-// Snapshot returns the currently published records in Seq order. It is
-// a best-effort read — a writer racing the snapshot may leave its slot
-// holding the previous occupant — which is exactly what a flight
-// recorder wants: never wait, report what is there.
+// Snapshot returns the ring's records in Seq order, formatted for a
+// reader: level and duration strings, RFC 3339 times, the attr map. It
+// waits for at most one writer's copy per slot and reports what is there.
 func (r *Recorder) Snapshot() []Record {
 	out := make([]Record, 0, len(r.slots))
 	for i := range r.slots {
-		if rec := r.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
+		s := r.slots[i].Load()
+		if s == nil {
+			continue
 		}
+		s.mu.Lock()
+		f := s.flight
+		own := append(f.attrs[:], f.spill...) // f is a copy, and a full array's slice cannot grow in place
+		s.mu.Unlock()
+		if f.seq == 0 {
+			continue // allocated by a writer that has yet to take the lock
+		}
+		rec := Record{Seq: f.seq, TS: f.ts, Level: f.level.String(), Event: f.event,
+			Inc: obs.IncarnationString(), Attrs: map[string]any{}}
+		rec.putAttrs("", f.h.attrs)
+		rec.putAttrs(f.h.group, own)
+		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
+}
+
+// putAttrs formats frozen attrs into the record's map. An empty Attr —
+// an unused inline position — is skipped, as slog asks of any handler.
+func (rec *Record) putAttrs(prefix string, attrs []slog.Attr) {
+	for _, a := range attrs {
+		if !a.Equal(slog.Attr{}) {
+			rec.Attrs[prefix+a.Key] = attrValue(a.Value)
+		}
+	}
 }
 
 // Handler is the slog.Handler that tees every record into a Recorder
@@ -122,26 +192,17 @@ func NewHandler(rec *Recorder, sink slog.Handler) *Handler {
 func (h *Handler) Enabled(context.Context, slog.Level) bool { return true }
 
 func (h *Handler) Handle(ctx context.Context, r slog.Record) error {
-	rec := &Record{
-		TS:    r.Time.UnixNano(),
-		Level: r.Level.String(),
-		Event: r.Message,
-		Inc:   obs.IncarnationString(),
+	var buf [2 * inlineAttrs]slog.Attr // staged outside the slot's lock: freezing may run user code
+	attrs := buf[:0]
+	r.Attrs(func(a slog.Attr) bool {
+		attrs = appendFrozen(attrs, "", a)
+		return true
+	})
+	ts := r.Time
+	if ts.IsZero() {
+		ts = time.Now()
 	}
-	if rec.TS == 0 {
-		rec.TS = time.Now().UnixNano()
-	}
-	if len(h.attrs) > 0 || r.NumAttrs() > 0 {
-		rec.Attrs = make(map[string]any, len(h.attrs)+r.NumAttrs())
-		for _, a := range h.attrs {
-			putAttr(rec.Attrs, "", a)
-		}
-		r.Attrs(func(a slog.Attr) bool {
-			putAttr(rec.Attrs, h.group, a)
-			return true
-		})
-	}
-	h.rec.Add(rec)
+	h.rec.put(flight{ts: ts.UnixNano(), level: r.Level, event: r.Message, h: h}, attrs)
 	if h.sink != nil && h.sink.Enabled(ctx, r.Level) {
 		return h.sink.Handle(ctx, r)
 	}
@@ -153,11 +214,9 @@ func (h *Handler) WithAttrs(attrs []slog.Attr) slog.Handler {
 		return h
 	}
 	nh := *h
-	nh.attrs = make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	nh.attrs = append(nh.attrs, h.attrs...)
+	nh.attrs = append([]slog.Attr(nil), h.attrs...)
 	for _, a := range attrs {
-		a.Key = h.group + a.Key
-		nh.attrs = append(nh.attrs, a)
+		nh.attrs = appendFrozen(nh.attrs, h.group, a)
 	}
 	if h.sink != nil {
 		nh.sink = h.sink.WithAttrs(attrs)
@@ -177,20 +236,26 @@ func (h *Handler) WithGroup(name string) slog.Handler {
 	return &nh
 }
 
-// putAttr flattens one attr into the record's map, resolving LogValuers
-// and dotting group members, and coercing values to shapes that survive
-// a JSON round trip (errors to their messages, uint64 kept integral).
-func putAttr(m map[string]any, prefix string, a slog.Attr) {
+// appendFrozen appends a to dst in the shape the ring keeps: LogValuers
+// resolved, group members flattened under dotted keys, and anything but a
+// scalar, a string or a time turned into its string now (an error into
+// its message), so the ring never holds a caller's mutable value.
+func appendFrozen(dst []slog.Attr, prefix string, a slog.Attr) []slog.Attr {
 	v := a.Value.Resolve()
-	if v.Kind() == slog.KindGroup {
+	switch v.Kind() {
+	case slog.KindGroup:
 		for _, g := range v.Group() {
-			putAttr(m, prefix+a.Key+".", g)
+			dst = appendFrozen(dst, prefix+a.Key+".", g)
 		}
-		return
+		return dst
+	case slog.KindAny:
+		v = slog.StringValue(attrValue(v).(string))
 	}
-	m[prefix+a.Key] = attrValue(v)
+	return append(dst, slog.Attr{Key: prefix + a.Key, Value: v})
 }
 
+// attrValue coerces a value to a shape that survives a JSON round trip
+// (durations and times to text, uint64 kept integral).
 func attrValue(v slog.Value) any {
 	switch v.Kind() {
 	case slog.KindString:
@@ -313,15 +378,10 @@ var dumpOnce sync.Once
 // cascade of dumps during teardown would bury it.
 func dumpToStderr(reason string) {
 	dumpOnce.Do(func() {
-		b, err := json.Marshal(FlightDump{
-			Incarnation: obs.IncarnationString(),
-			Reason:      reason,
-			Events:      defaultRecorder.Snapshot(),
-		})
-		if err != nil {
-			return
+		var b bytes.Buffer
+		if WriteFlight(&b, nil, reason) == nil {
+			fmt.Fprintf(os.Stderr, "%s%s", DumpPrefix, b.Bytes())
 		}
-		fmt.Fprintf(os.Stderr, "%s%s\n", DumpPrefix, b)
 	})
 }
 
