@@ -9,8 +9,8 @@
 // against the shard journals, work it merely admitted re-executes —
 // exactly once either way. The default
 // backend (atomic) is volatile: nothing it admits survives the process,
-// so it keeps no descriptor log and no journal at all (its jobd_listen
-// event says durable=false).
+// so it keeps no descriptor log and no journal at all (its listening
+// line says durable=false).
 //
 // The binary registers three demo task types (production deployments
 // embed jobd.Server with their own Registry):
@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"atmostonce/internal/jobd"
+	"atmostonce/internal/membackend"
 	_ "atmostonce/internal/netmem" // the net: backend kind
 )
 
@@ -231,7 +232,13 @@ func run(args []string, ready chan<- string) error {
 		srv.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "amo-jobd: listening on %s (backend %s, maxjobs %d)\n", bound, *backend, *maxJobs)
+	// Which side of membackend.Volatile this server is on: durable=false
+	// means nothing it admits survives it.
+	state := "durable=false"
+	if !membackend.Volatile(*backend) {
+		state = fmt.Sprintf("durable=true max_jobs=%d log_cells=%d", *maxJobs, *logCells)
+	}
+	fmt.Fprintf(os.Stderr, "amo-jobd: listening on %s backend=%s %s\n", bound, *backend, state)
 	if *metrics != "" {
 		fmt.Fprintf(os.Stderr, "amo-jobd: ops endpoint on %s\n", srv.OpsAddr())
 	}

@@ -35,8 +35,8 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	}
 	defer d.Close()
 	one := []RunnerTask{{Runner: new(countRunner)}}
-	// Warm every pool: ring capacities, runtime prewarm, the first
-	// heartbeat record.
+	// Warm every pool: queue blocks, runtime prewarm, the first heartbeat
+	// record.
 	for i := 0; i < 4096; i++ {
 		if _, err := d.DoRunners(context.Background(), one); err != nil {
 			t.Fatal(err)
@@ -64,8 +64,9 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 // shards and a skewed feed: calls alternate between one job and two, the
 // round-robin cursor lands every single on shard 0 and splits every pair,
 // so shard 1 keeps running dry beside shard 0's backlog and steals from
-// it. A steal moves entries between rings that are already grown and
-// records dispatch_steal in the flight ring; neither may allocate.
+// it. A steal moves entries through the thief's transit ring on pooled
+// blocks and records dispatch_steal in the flight ring; neither may
+// allocate.
 func TestStealRecordsWithoutAllocating(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
@@ -89,7 +90,7 @@ func TestStealRecordsWithoutAllocating(t *testing.T) {
 		d.Flush()
 	}
 	for i := 0; i < 4; i++ {
-		cycle() // warm ring capacities and the steal buffer
+		cycle() // warm the block pool and the rings' block lists
 	}
 	for i := 0; i < eventlog.DefaultFlightCap; i++ {
 		eventlog.Logger().Debug("warm") // a flight slot is allocated the first time the ring reaches it
@@ -255,7 +256,7 @@ func TestDoBatchAllocs(t *testing.T) {
 			d.Flush()
 		}
 		for i := 0; i < 4; i++ {
-			cycle() // warm the rings to this batch size
+			cycle() // warm the block pool to this batch size
 		}
 		avg := testing.AllocsPerRun(20, cycle)
 		t.Logf("allocs per DoBatch of %d: %.1f", n, avg)

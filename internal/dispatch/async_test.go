@@ -231,10 +231,10 @@ func TestAsyncRecovery(t *testing.T) {
 
 // TestBackpressureBlock: with a bounded queue and the Block policy, a
 // producer overdriving slow payloads is throttled instead of growing
-// memory — the queue and its ring never exceed QueueDepth, even while
-// crash injection requeues residue at the front (in-flight jobs hold
-// their slots until the round resolves) — and the blocked time is
-// accounted.
+// memory — the queue never exceeds QueueDepth and each class ring fits
+// one block, even while crash injection requeues residue at the front
+// (in-flight jobs hold their slots until the round resolves), and a
+// flushed dispatcher holds no block — and the blocked time is accounted.
 func TestBackpressureBlock(t *testing.T) {
 	const (
 		depth = 16
@@ -255,9 +255,10 @@ func TestBackpressureBlock(t *testing.T) {
 	}
 	defer d.Close()
 
-	// Sample queue depths and ring capacities while the producer runs.
+	// Sample queue depths and the blocks each class ring holds while the
+	// producer runs.
 	stop := make(chan struct{})
-	var maxDepth, maxCap atomic.Int64
+	var maxDepth, maxBlocks atomic.Int64
 	var sampler sync.WaitGroup
 	sampler.Add(1)
 	go func() {
@@ -268,8 +269,10 @@ func TestBackpressureBlock(t *testing.T) {
 				if l := int64(s.q.len()); l > maxDepth.Load() {
 					maxDepth.Store(l)
 				}
-				if c := int64(s.q.capCells()); c > maxCap.Load() {
-					maxCap.Store(c)
+				for i := range s.q.rings {
+					if b := int64(len(s.q.rings[i].bl)); b > maxBlocks.Load() {
+						maxBlocks.Store(b)
+					}
 				}
 				s.mu.Unlock()
 			}
@@ -302,8 +305,16 @@ func TestBackpressureBlock(t *testing.T) {
 	if got := maxDepth.Load(); got > depth {
 		t.Errorf("queue depth reached %d, bound is %d", got, depth)
 	}
-	if got := maxCap.Load(); got > 2*depth {
-		t.Errorf("ring capacity grew to %d cells, want ≤ %d for QueueDepth %d", got, 2*depth, depth)
+	if got := maxBlocks.Load(); got > 1 {
+		t.Errorf("a class ring held %d blocks, want ≤ 1 for QueueDepth %d", got, depth)
+	}
+	for _, s := range d.shards {
+		s.mu.Lock()
+		c := s.q.capCells()
+		s.mu.Unlock()
+		if c != 0 {
+			t.Errorf("shard %d holds %d cells of blocks after Flush, want none", s.id, c)
+		}
 	}
 	st := d.Stats()
 	if st.SubmitBlockedNanos == 0 {

@@ -277,5 +277,5 @@ func TestDispatcherIDsSingleShard(t *testing.T) {
 	}
 }
 
-// The ring deque's unit tests (grow, shrink, wraparound, stealBack)
+// The block deque's unit tests (the slice model, block release, steals)
 // live in queue_test.go.

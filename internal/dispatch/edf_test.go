@@ -67,6 +67,47 @@ func TestTakeClassEDF(t *testing.T) {
 	}
 }
 
+// TestDeadlineStormPinsNothing: one round assembly that expires a
+// 50 000-job backlog leaves the shard holding nothing sized by it — the
+// assembly's scratch (dueBuf, expired) is dropped once it outgrew a
+// block, and the rings hold no block.
+func TestDeadlineStormPinsNothing(t *testing.T) {
+	const jobs = 50_000
+	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Wedge the loop inside a round so the whole backlog meets one assembly.
+	started, gate := make(chan struct{}), make(chan struct{})
+	if _, err := d.Do(context.Background(), bare(func() { close(started); <-gate })); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	r := new(countRunner)
+	tasks := make([]RunnerTask, jobs)
+	past := time.Now().Add(-time.Second).UnixNano()
+	for i := range tasks {
+		tasks[i] = RunnerTask{Runner: r, Deadline: past}
+	}
+	if _, err := d.DoRunners(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	d.Flush()
+	if ran, res, exp := r.ran.Load(), r.resolved.Load(), d.Stats().Expired; ran != 0 || res != jobs || exp != jobs {
+		t.Fatalf("ran %d, resolved %d, expired %d; want 0, %d, %d", ran, res, exp, jobs, jobs)
+	}
+	s := d.shards[0]
+	s.mu.Lock()
+	due, expired, cells := cap(s.dueBuf), cap(s.expired), s.q.capCells()
+	s.mu.Unlock()
+	if due > blockLen || expired > blockLen || cells != 0 {
+		t.Errorf("after the storm the shard keeps dueBuf cap %d, expired cap %d (want ≤ %d each) and %d queue cells (want 0)",
+			due, expired, blockLen, cells)
+	}
+}
+
 // TestEDFOrderWithinClass is the end-to-end version: two same-priority
 // deadlined jobs (deadlines far beyond the promotion window, so only
 // round truncation can order them) must run in deadline order, not

@@ -95,9 +95,13 @@ type shard struct {
 	lastTakenA atomic.Int64
 	journaled  atomic.Uint64
 
-	stealBuf []entry    // scratch for work-stealing transfers
-	dueBuf   []entry    // scratch: deadline-due entries pulled at round assembly
-	expired  []resolved // scratch: expired and cancelled jobs, resolved outside the lock
+	// Loop-goroutine scratch. transit carries a steal's entries from the
+	// victim's lock to the thief's, on pooled blocks; the two slices are
+	// dropped after a use that grew them past a block, so a deadline storm
+	// does not pin its size.
+	transit ring
+	dueBuf  []entry    // deadline-due entries pulled at round assembly
+	expired []resolved // expired and cancelled jobs, resolved outside the lock
 }
 
 // newShard builds one shard. With a durable backend it also performs
@@ -571,6 +575,9 @@ func (s *shard) takeBatch() int {
 				s.expired[i].e.fire(s.expired[i].r)
 			}
 			clear(s.expired) // an idle shard must not pin runners, ctxs or errors
+			if cap(s.expired) > blockLen {
+				s.expired = nil
+			}
 			s.jobsDone(nExp)
 		}
 		if n == 0 {
@@ -640,6 +647,9 @@ func (s *shard) leadDue(n, limit int, now int64) int {
 		s.q.pushFront(s.dueBuf[i])
 	}
 	clear(s.dueBuf) // don't pin payloads past the transfer
+	if cap(s.dueBuf) > blockLen {
+		s.dueBuf = nil
+	}
 	return n
 }
 
@@ -712,19 +722,15 @@ func (s *shard) stealWork() int {
 		k = max
 	}
 	if k > 0 {
-		if cap(s.stealBuf) < k {
-			s.stealBuf = make([]entry, k)
-		}
-		victim.q.stealBack(s.stealBuf[:k])
+		victim.q.stealBack(k, &s.transit)
 		if victim.depth > 0 {
 			victim.notFull.Broadcast()
 		}
 	}
 	victim.mu.Unlock()
-	buf := s.stealBuf[:k]
 	if tr := s.d.tr; tr != nil {
-		for _, e := range buf {
-			tr.Record(e.id, obs.TraceStolen, s.id)
+		for i := 0; i < k; i++ {
+			tr.Record(s.transit.at(i).id, obs.TraceStolen, s.id)
 		}
 	}
 	s.mu.Lock()
@@ -734,17 +740,14 @@ func (s *shard) stealWork() int {
 			s.notFull.Broadcast() // give unused reservation back to submitters
 		}
 	}
-	for _, e := range buf {
-		s.q.pushBack(e)
+	for s.transit.n > 0 {
+		s.q.pushBack(s.transit.popFront())
 	}
 	s.stats.Stolen += uint64(k)
 	s.mu.Unlock()
 	if k > 0 {
 		eventlog.Logger().LogAttrs(context.Background(), slog.LevelDebug, "dispatch_steal",
 			slog.Int("shard", s.id), slog.Int("victim", victim.id), slog.Int("jobs", k))
-	}
-	for i := range buf {
-		buf[i] = entry{} // don't pin payloads past the transfer
 	}
 	return k
 }

@@ -312,14 +312,16 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.lnMu.Lock()
 	s.ln = ln
 	s.lnMu.Unlock()
-	// The first line says which side of membackend.Volatile this server
-	// is on: durable=false means nothing it admits survives it.
+	// The record says which side of membackend.Volatile this server is
+	// on: durable=false means nothing it admits survives it. It is Debug,
+	// like jobd_closed and jobd_replayed: the flight ring keeps all three,
+	// and amo-jobd prints the same on its own listening line.
 	durable := !membackend.Volatile(s.opts.Backend)
 	attrs := []any{"addr", ln.Addr().String(), "backend", s.opts.Backend, "durable", durable}
 	if durable {
 		attrs = append(attrs, "max_jobs", s.opts.MaxJobs, "log_cells", s.opts.LogCells)
 	}
-	eventlog.Logger().Info("jobd_listen", attrs...)
+	eventlog.Logger().Debug("jobd_listen", attrs...)
 	s.connWG.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
@@ -364,7 +366,7 @@ func (s *Server) Close() error {
 	if lerr := s.log.close(); err == nil {
 		err = lerr
 	}
-	eventlog.Logger().Info("jobd_closed")
+	eventlog.Logger().Debug("jobd_closed")
 	return err
 }
 
@@ -494,7 +496,7 @@ func (s *Server) replay(recs []job) error {
 	}
 	if n := len(recs); n > 0 {
 		s.replayHorizon = uint64(n)
-		eventlog.Logger().Info("jobd_replayed", "descriptors", n, "horizon_id", s.replayHorizon)
+		eventlog.Logger().Debug("jobd_replayed", "descriptors", n, "horizon_id", s.replayHorizon)
 	}
 	return nil
 }
