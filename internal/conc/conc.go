@@ -98,14 +98,19 @@ func (o *Options) normalize() error {
 }
 
 // eventLog is a per-goroutine DoSink; no synchronization needed because
-// each process owns its log.
+// each process owns its log. A Runtime's logs also run its round payload,
+// so the processes it rebuilds need no payload closure of their own.
 type eventLog struct {
 	pid    int
 	events []sim.Event
+	rt     *Runtime
 }
 
 func (l *eventLog) RecordDo(pid int, job int64) {
 	l.events = append(l.events, sim.Event{PID: pid, Job: job})
+	if l.rt != nil && l.rt.fn != nil {
+		l.rt.fn(pid, int(job))
+	}
 }
 
 // Run executes the configured algorithm concurrently and returns the

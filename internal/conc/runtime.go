@@ -2,6 +2,7 @@ package conc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -16,9 +17,10 @@ import (
 type RuntimeOptions struct {
 	// M is the number of worker goroutines (the algorithm's m processes).
 	M int
-	// Capacity is the largest round size the pool can execute: the done
-	// matrix is laid out with Capacity columns per process and every round
-	// must satisfy m ≤ k ≤ Capacity.
+	// Capacity is the largest round size the pool can execute: every round
+	// must satisfy m ≤ k ≤ Capacity. It bounds the round state, it does
+	// not size it: the registers, logs and stamps are built by the first
+	// round and grow, doubling, with the largest round run so far.
 	Capacity int
 	// Beta is KKβ's termination parameter (0 = m).
 	Beta int
@@ -67,8 +69,9 @@ type RoundResult struct {
 // Run spawns goroutines and allocates shared memory per call, a Runtime is
 // built once and executes any number of rounds; between rounds it re-zeroes
 // only the registers the previous round dirtied and resets the warm
-// processes in place, so the steady-state round path performs no heap
-// allocation. This is the substrate the streaming dispatcher
+// processes in place, so once the register file has grown to the rounds it
+// is given, the round path performs no heap allocation. This is the
+// substrate the streaming dispatcher
 // (internal/dispatch) schedules its shards on.
 //
 // A Runtime is NOT safe for concurrent use: rounds are executed one at a
@@ -76,10 +79,13 @@ type RoundResult struct {
 type Runtime struct {
 	m      int
 	cap    int
+	beta   int
 	jitter bool
 	seed   int64
 	flush  func(worker int)
 
+	// The round state, for rounds of up to lay.RowLen jobs (0 before the
+	// first round); grow rebuilds it with the workers parked.
 	mem   shmem.Mem
 	lay   core.Layout
 	procs []*core.Proc
@@ -102,8 +108,9 @@ type Runtime struct {
 	res         RoundResult
 }
 
-// NewRuntime builds the pool: layout, registers, m warm processes and m
-// parked worker goroutines. Close releases the goroutines.
+// NewRuntime builds the pool: m parked worker goroutines and no round
+// state — the first round builds it (see grow). Close releases the
+// goroutines.
 func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 	if o.M < 1 || o.Capacity < o.M {
 		return nil, fmt.Errorf("%w: capacity=%d m=%d", errValidate, o.Capacity, o.M)
@@ -111,56 +118,58 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 	r := &Runtime{
 		m:      o.M,
 		cap:    o.Capacity,
+		beta:   o.Beta,
 		jitter: o.Jitter,
 		seed:   o.Seed,
 		flush:  o.Flush,
-		// Padded: each worker's write-hot next cell gets its own cache
-		// line, so neighboring workers stop false-sharing on the set_next
-		// path.
-		lay:         core.Layout{M: o.M, RowLen: o.Capacity}.Padded(),
-		steps:       make([]uint64, o.M),
-		stamp:       make([]uint64, o.Capacity+1),
-		unperformed: make([]int, 0, o.Capacity),
+		steps:  make([]uint64, o.M),
+		procs:  make([]*core.Proc, o.M),
+		logs:   make([]*eventLog, o.M),
+		start:  make([]chan struct{}, o.M),
+		// A round without crashes leaves at most β+m−2 jobs (Theorem 4.4).
+		unperformed: make([]int, 0, max(o.Beta, o.M)+o.M),
 	}
-	r.mem = shmem.NewAtomic(r.lay.Size())
-	r.procs = make([]*core.Proc, o.M)
-	r.logs = make([]*eventLog, o.M)
-	r.start = make([]chan struct{}, o.M)
 	for i := 0; i < o.M; i++ {
-		// Log buffers and (in NewProc) the FREE/DONE/TRY bitmaps are sized
-		// for Capacity up front: every later round reuses them and
-		// allocates nothing.
-		r.logs[i] = &eventLog{pid: i + 1, events: make([]sim.Event, 0, o.Capacity)}
-		pid := i + 1
-		r.procs[i] = core.NewProc(core.ProcOptions{
-			ID: pid, M: o.M, Beta: o.Beta, Layout: r.lay, Mem: r.mem,
-			Universe: o.Capacity, Sink: r.logs[i],
-			// The payload indirects through r.fn, set per round, so no
-			// closure is built on the round path.
-			DoFn: func(job int64) { r.invoke(pid, job) },
-		})
+		r.logs[i] = &eventLog{pid: i + 1, rt: r}
 		r.start[i] = make(chan struct{}, 1)
 		go r.workerLoop(i)
 	}
 	return r, nil
 }
 
-func (r *Runtime) invoke(pid int, job int64) {
-	if r.fn != nil {
-		r.fn(pid, int(job))
+// grow rebuilds the round state for rounds of up to k jobs: the next power
+// of two ≥ k, capped at Capacity. Log buffers and (in NewProc) the
+// FREE/DONE/TRY bitmaps are sized for it up front, so every later round of
+// that size or less reuses them and allocates nothing. The registers are
+// fresh, so there is nothing to re-zero. It runs between rounds, with every
+// worker parked.
+func (r *Runtime) grow(k int) {
+	size := min(1<<bits.Len(uint(k-1)), r.cap)
+	// Padded: each worker's write-hot next cell gets its own cache line,
+	// so neighboring workers stop false-sharing on the set_next path.
+	r.lay = core.Layout{M: r.m, RowLen: size}.Padded()
+	r.mem = shmem.NewAtomic(r.lay.Size())
+	r.stamp = make([]uint64, size+1)
+	events := make([]sim.Event, r.m*size) // a worker does at most size jobs a round
+	for i, l := range r.logs {
+		l.events = events[i*size : i*size : (i+1)*size]
+		r.procs[i] = core.NewProc(core.ProcOptions{
+			ID: i + 1, M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size, Sink: l,
+		})
 	}
 }
 
 // workerLoop is the persistent per-worker goroutine: park on the start
 // channel, step the warm process to completion (or injected crash), report,
-// park again.
+// park again. The process is re-read per round: grow may have replaced it
+// (the start send publishes the new one).
 func (r *Runtime) workerLoop(idx int) {
-	p := r.procs[idx]
 	var rng *rand.Rand
 	if r.jitter {
 		rng = rand.New(rand.NewSource(r.seed + int64(idx)))
 	}
 	for range r.start[idx] {
+		p := r.procs[idx]
 		var crashAt uint64
 		if r.crashAfter != nil {
 			crashAt = r.crashAfter[idx]
@@ -237,13 +246,16 @@ func (r *Runtime) RunRound(k int, fn func(worker, job int), crashAfter []uint64)
 	return r.collect(k), nil
 }
 
-// prepare re-zeroes the registers dirtied by the previous round and resets
+// prepare re-zeroes the registers dirtied by the previous round — or, for
+// a round larger than any before it, grows fresh ones — and resets
 // processes and logs. It runs strictly between rounds (before the start
 // send), so it may read process state freely.
 func (r *Runtime) prepare(k int, fn func(worker, job int), crashAfter []uint64) {
 	r.fn = fn
 	r.crashAfter = crashAfter
-	if r.round > 0 {
+	if k > r.lay.RowLen {
+		r.grow(k)
+	} else {
 		for q := 1; q <= r.m; q++ {
 			r.mem.Write(r.lay.NextAddr(q), 0)
 			// Row q was written by process q at positions 1..pos-1.

@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -71,33 +72,84 @@ func TestRuntimeCrashRevival(t *testing.T) {
 	}
 }
 
+// TestRuntimeGrowsWithRounds: the round state is sized by the largest
+// round run so far — the next power of two at or above it, never more
+// than Capacity — and a round after a growth, larger or smaller, is as
+// correct as any other.
+func TestRuntimeGrowsWithRounds(t *testing.T) {
+	const m, capacity = 2, 1024
+	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: capacity, Jitter: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	largest := 0
+	for _, k := range []int{2, 3, 65, 64, 1000, 7, 1024} {
+		res, err := rt.RunRound(k, nil, nil)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if res.Duplicates != 0 || res.Performed+len(res.Unperformed) != k {
+			t.Fatalf("k=%d: %d duplicates, performed %d + residue %d != k",
+				k, res.Duplicates, res.Performed, len(res.Unperformed))
+		}
+		largest = max(largest, k)
+		want := 1
+		for want < largest {
+			want *= 2
+		}
+		if got := rt.lay.RowLen; got != want {
+			t.Fatalf("after k=%d (largest %d) the runtime holds %d slots, want %d", k, largest, got, want)
+		}
+	}
+}
+
+// TestNewRuntimeHoldsNothing: a runtime that has run no round holds no
+// round state, whatever its Capacity — building one admitting 2^20-job
+// rounds allocates no more than its workers' bookkeeping.
+func TestNewRuntimeHoldsNothing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt, err := NewRuntime(RuntimeOptions{M: 2, Capacity: 1 << 20})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Fatalf("NewRuntime(M: 2, Capacity: 1<<20) allocated %d bytes, want < 16 KiB", got)
+	}
+}
+
 // TestRuntimeSteadyStateAllocFree is the zero-allocation guard for the
-// round hot path: after construction (which prewarms every pool), RunRound
-// must not allocate at all.
+// round hot path: once the runtime has grown to its largest round, RunRound
+// must not allocate at all, for that round or any smaller one.
 func TestRuntimeSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
 	const m, k = 4, 512
-	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: k})
+	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: 4 * k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	var count atomic.Int64
 	fn := func(worker, job int) { count.Add(1) }
-	for i := 0; i < 3; i++ { // settle goroutine stacks and scheduler state
-		if _, err := rt.RunRound(k, fn, nil); err != nil {
+	for _, n := range []int{m, k / 4, k, k, k} { // grow, then settle goroutine stacks and scheduler state
+		if _, err := rt.RunRound(n, fn, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := rt.RunRound(k, fn, nil); err != nil {
-			t.Fatal(err)
+		for _, n := range []int{k, m, 100, k - 1} {
+			if _, err := rt.RunRound(n, fn, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state round allocates %.1f times, want 0", avg)
+		t.Fatalf("steady-state rounds allocate %.1f times, want 0", avg)
 	}
 }
 

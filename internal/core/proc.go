@@ -97,6 +97,11 @@ type Proc struct {
 	nSetOps   uint64 // set operations charged at O(log n)
 
 	tryCulprit int // process blamed for a pending collision on next
+
+	// sets backs done, try and — unless ProcOptions.Jobs gives one — free,
+	// so building a process (conc.Runtime does so each time its rounds
+	// outgrow the register file) is one object plus the sets' bitmaps.
+	sets [3]denseset.Set
 }
 
 var _ sim.Process = (*Proc)(nil)
@@ -114,17 +119,6 @@ func NewProc(o ProcOptions) *Proc {
 	if sink == nil {
 		sink = nopSink{}
 	}
-	// All three sets are sized for the universe here, so no later step —
-	// and no Reset to a universe the layout admits — allocates: DONE can
-	// reach the full universe, and TRY holds at most m-1 announcements but
-	// each is a job id of the universe.
-	free := o.Jobs
-	if free == nil {
-		free = denseset.NewRange(1, o.Universe)
-	}
-	done, try := denseset.New(), denseset.New()
-	done.Reserve(o.Universe)
-	try.Reserve(o.Universe)
 	p := &Proc{
 		id:       o.ID,
 		m:        o.M,
@@ -140,12 +134,21 @@ func NewProc(o ProcOptions) *Proc {
 		noCache:  o.NoPosCache,
 		lgN:      ceilLog2(o.Universe + 1),
 		phase:    PhaseCompNext,
-		free:     free,
-		done:     done,
-		try:      try,
+		free:     o.Jobs,
 		pos:      make([]int, o.M+1),
 		q:        1,
 	}
+	// All three sets are sized for the universe here, so no later step —
+	// and no Reset to a universe the layout admits — allocates: DONE can
+	// reach the full universe, and TRY holds at most m-1 announcements but
+	// each is a job id of the universe.
+	if p.free == nil {
+		p.free = &p.sets[0]
+		p.free.InsertRange(1, o.Universe)
+	}
+	p.done, p.try = &p.sets[1], &p.sets[2]
+	p.done.Reserve(o.Universe)
+	p.try.Reserve(o.Universe)
 	for i := 1; i <= o.M; i++ {
 		p.pos[i] = 1
 	}

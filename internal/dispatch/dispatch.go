@@ -46,7 +46,8 @@ type Config struct {
 	// effectiveness-optimal choice).
 	Beta int
 	// MaxBatch caps the jobs a shard executes in one round (default 1024).
-	// It fixes the shard's register-file capacity, so memory is
+	// It bounds the shard's register file and round batch, which grow with
+	// the largest round the shard has cut, so memory is at most
 	// S·Workers·MaxBatch registers in total. It is a CAP, not the round
 	// size: each round is sized by the adaptive controller (see
 	// RoundTarget) from observed queue depth and recent round latency.

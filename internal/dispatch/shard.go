@@ -4,6 +4,7 @@ import (
 	"context"
 	"log/slog"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,8 +71,8 @@ type shard struct {
 	// batch holds the jobs of the round in flight, indexed by local job id
 	// minus one; slots past the real batch are zero (round padding), and
 	// finishRound zeroes the rest, so between rounds it references nothing.
-	// Only the loop goroutine and — during a round — the pool workers
-	// touch it.
+	// takeBatch grows it, doubling, to the largest round cut so far. Only
+	// the loop goroutine and — during a round — the pool workers touch it.
 	batch  []entry
 	execFn func(worker, local int)
 	done   chan struct{}
@@ -115,7 +116,6 @@ func newShard(d *Dispatcher, id int) (*shard, error) {
 		count:  &d.counts[id],
 		depth:  d.cfg.QueueDepth,
 		target: float64(d.cfg.RoundTarget),
-		batch:  make([]entry, d.cfg.MaxBatch),
 		done:   make(chan struct{}),
 	}
 	opts := conc.RuntimeOptions{
@@ -423,14 +423,14 @@ func (s *shard) loop() {
 }
 
 // roundLimit is the adaptive controller's cut: how many jobs the next
-// round may take. MaxBatch is the cap (it sizes the register file), m
+// round may take. MaxBatch is the cap (it bounds the register file), m
 // the floor (KKβ needs n ≥ m); in between the limit tracks the latency
 // target — at the observed EWMA per-job cost, a round should finish
 // within roughly Config.RoundTarget — and ramps at most 2× the previous
 // round, so a burst after an idle stretch doesn't jump straight from a
 // trickle round to MaxBatch on a stale cost estimate.
 func (s *shard) roundLimit() int {
-	limit := len(s.batch)
+	limit := s.d.cfg.MaxBatch
 	if s.target > 0 && s.ewmaPerJob > 0 {
 		if c := int(s.target / s.ewmaPerJob); c < limit {
 			limit = c
@@ -527,6 +527,11 @@ func (s *shard) takeBatch() int {
 			return 0
 		}
 		limit := s.roundLimit()
+		// The batch holds the round and its padding; it grows, doubling up
+		// to MaxBatch, only for a round larger than any before it.
+		if need := max(min(limit, s.q.len()), s.m); need > len(s.batch) {
+			s.batch = make([]entry, min(1<<bits.Len(uint(need-1)), s.d.cfg.MaxBatch))
+		}
 		now := time.Now().UnixNano()
 		n := 0
 		s.expired = s.expired[:0]
@@ -698,7 +703,7 @@ func (s *shard) stealWork() int {
 	// submitters may refill this queue while the victim is being robbed,
 	// and an unreserved steal landing on top of them would push a
 	// bounded queue past QueueDepth.
-	max := len(s.batch)
+	max := s.d.cfg.MaxBatch
 	if s.depth > 0 {
 		s.mu.Lock()
 		if free := s.space(); free < max {

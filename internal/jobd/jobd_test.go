@@ -412,6 +412,35 @@ func TestServerStats(t *testing.T) {
 	_ = s
 }
 
+// TestListenOnce: a second Listen is refused and leaves the first
+// listener serving, Close returns (it used to wait for ever on the
+// accept loop of a listener it no longer held), and Listen after Close
+// is refused.
+func TestListenOnce(t *testing.T) {
+	s, addr := testServer(t, Options{Registry: NewRegistry()})
+	if _, err := s.Listen("127.0.0.1:0"); err == nil {
+		t.Error("second Listen accepted")
+	}
+	c, err := Dial(addr, ClientOptions{}) // the first listener still serves
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after a second Listen")
+	}
+	if _, err := s.Listen("127.0.0.1:0"); err == nil {
+		t.Fatal("Listen after Close accepted")
+	}
+}
+
 // TestHelloRequired: a first frame that is not hello, and a hello with
 // the wrong protocol version, both cut the connection with codeProto.
 func TestHelloRequired(t *testing.T) {

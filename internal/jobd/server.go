@@ -303,14 +303,28 @@ func open(o Options) (*Server, []job, error) {
 }
 
 // Listen binds addr (":0" picks a port) and starts serving; it returns
-// the bound address.
+// the bound address. A server listens once, and not after Close: Close
+// closes the one listener it has.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
+	// Close flips closing before it takes lnMu, so a Listen that gets the
+	// lock first hands Close its listener and one that gets it later
+	// refuses.
 	s.lnMu.Lock()
+	if s.closing.Load() || s.ln != nil {
+		err := errors.New("jobd: server is already listening")
+		if s.closing.Load() {
+			err = errors.New("jobd: server is closed")
+		}
+		s.lnMu.Unlock()
+		ln.Close()
+		return "", err
+	}
 	s.ln = ln
+	s.connWG.Add(1)
 	s.lnMu.Unlock()
 	// The record says which side of membackend.Volatile this server is
 	// on: durable=false means nothing it admits survives it. It is Debug,
@@ -322,7 +336,6 @@ func (s *Server) Listen(addr string) (string, error) {
 		attrs = append(attrs, "max_jobs", s.opts.MaxJobs, "log_cells", s.opts.LogCells)
 	}
 	eventlog.Logger().Debug("jobd_listen", attrs...)
-	s.connWG.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }

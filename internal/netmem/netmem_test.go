@@ -142,6 +142,33 @@ func TestBadNamespaceRejected(t *testing.T) {
 	}
 }
 
+// TestListenOnce: a second Listen is refused and leaves the first
+// listener serving, and Close returns — it used to close only the newest
+// listener and wait for ever on the first one's accept loop.
+func TestListenOnce(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Listen("127.0.0.1:0"); err == nil {
+		t.Error("second Listen accepted")
+	}
+	if srv.Addr() != addr {
+		t.Errorf("Addr() = %q after a second Listen, want the first listener's %q", srv.Addr(), addr)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after a second Listen")
+	}
+}
+
 // TestCorruptRangeFrames hand-crafts frames whose addr+count overflows
 // uint64: the server must answer with a bounds error, not panic on a
 // negative index (a single malformed client must never take down the

@@ -84,17 +84,22 @@ func NewServer(opts ServerOptions) *Server {
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts the accept loop in
-// the background, returning the bound address.
+// the background, returning the bound address. A server listens once:
+// Close closes the one listener it has.
 func (s *Server) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed || s.ln != nil {
+		err := errors.New("netmem: server is already listening")
+		if s.closed {
+			err = errors.New("netmem: server is closed")
+		}
 		s.mu.Unlock()
 		ln.Close()
-		return "", errors.New("netmem: server is closed")
+		return "", err
 	}
 	s.ln = ln
 	s.wg.Add(1)
