@@ -147,8 +147,7 @@ type Client struct {
 	head      *callSlot // in-flight calls, oldest first
 	tail      *callSlot
 	subs      map[string]func(Event)
-	inc       string // server incarnation from the last hello
-	connected bool   // false between a drop and a successful redial
+	connected bool // false between a drop and a successful redial
 	closed    bool
 	dead      error // terminal failure, nil while usable
 
@@ -222,7 +221,7 @@ func (c *Client) connect() error {
 	}
 	dec := wire.Decoder{B: payload}
 	dec.U32() // server's protocol version; equality is implied by jopHelloOK
-	inc := dec.Str()
+	dec.Str() // server incarnation: Stats().Incarnation reports it
 	if err := dec.Done(); err != nil {
 		nc.Close()
 		return err
@@ -277,19 +276,9 @@ func (c *Client) connect() error {
 	}
 	c.nc, c.fr = nc, fr
 	c.seq = seq
-	c.inc = inc
 	c.connected = true
 	c.mu.Unlock()
 	return nil
-}
-
-// Incarnation returns the server process incarnation reported by the
-// most recent hello — changes across a server restart, which is how
-// tests and examples detect recovery.
-func (c *Client) Incarnation() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.inc
 }
 
 // rpc sends one request and blocks for its in-order reply. enc (nil for

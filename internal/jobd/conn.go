@@ -99,11 +99,15 @@ func newConn(s *Server, nc net.Conn) *conn {
 	}
 }
 
-// close hangs up. Idempotent; safe from any goroutine.
+// close hangs up, waking the reader if it waits for room in the inbox.
+// Idempotent; safe from any goroutine not holding the inbox lock.
 func (c *conn) close() {
 	c.once.Do(func() {
 		close(c.done)
 		c.nc.Close()
+		c.s.inMu.Lock()
+		c.s.room.Broadcast()
+		c.s.inMu.Unlock()
 	})
 }
 
@@ -291,9 +295,7 @@ func (c *conn) readLoop() {
 			fatal(seq, codeProto, "unknown op")
 			return
 		}
-		select {
-		case c.s.reqs <- req:
-		case <-c.done:
+		if !c.s.post(req, true) {
 			return
 		}
 	}

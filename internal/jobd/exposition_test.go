@@ -43,8 +43,8 @@ func scrapeMetrics(t *testing.T, s *Server) (string, map[string]float64) {
 // its first line, 32 pipelined connections × 200 jobs and a subscriber
 // with nothing failed, and a /metrics on which every accepted job is one
 // submit, one completion and one streamed event, the tick counters moved,
-// and the counters nothing here touches — replay, re-execution, quota —
-// are exposed all the same. The families live in the process-wide
+// and the counters nothing here need touch — replay, re-execution, quota,
+// inbox waits — are exposed all the same. The families live in the process-wide
 // registry, so the counts are read as the load's difference.
 func TestLoadedServerExposition(t *testing.T) {
 	const conns, jobs = 32, 200
@@ -88,6 +88,7 @@ func TestLoadedServerExposition(t *testing.T) {
 		{`amo_jobd_events_streamed_total`, conns * jobs, false},
 		{`amo_jobd_ticks_total`, 1, true},
 		{`amo_jobd_tick_requests_count`, 1, true},
+		{`amo_jobd_inbox_waits_total`, 0, true},
 		{`amo_jobd_replayed_descriptors_total`, 0, false},
 		{`amo_jobd_reexecuted_jobs_total`, 0, false},
 		{`amo_jobd_submits_total{result="quota"}`, 0, false},

@@ -62,6 +62,7 @@ var (
 	jdConnWrites *obs.Counter
 	jdTicks      *obs.Counter
 	jdTickReqs   *obs.Histogram
+	jdInboxWaits *obs.Counter
 )
 
 func init() {
@@ -104,6 +105,8 @@ func init() {
 		"Ticks of the core loop: one log commit, one batch submit and one writer wake-up per connection each.")
 	jdTickReqs = r.Histogram("amo_jobd_tick_requests",
 		"Requests drained per core-loop tick (0 = a tick of completions only).", 1)
+	jdInboxWaits = r.Counter("amo_jobd_inbox_waits_total",
+		"Times a connection reader waited for room in the core loop's full inbox.")
 }
 
 // obsReq accounts one inbound request frame.

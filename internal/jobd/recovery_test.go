@@ -709,7 +709,7 @@ func TestTornTickInvisible(t *testing.T) {
 }
 
 // TestReplayAcrossChunks: replay feeds the log to the dispatcher in
-// chunks of the request channel's capacity; a log of several chunks
+// chunks of maxTickReqs, the most a tick takes; a log of several chunks
 // replays onto ids 1..n and every descriptor runs exactly once.
 func TestReplayAcrossChunks(t *testing.T) {
 	const n = 2500
@@ -875,7 +875,7 @@ func TestJobdOverNet(t *testing.T) {
 	t0 = time.Now()
 	s2 := steppedServer(t, o)
 	reopened := time.Since(t0)
-	s2.tick(nil, s2.takeDone())
+	s2.tick(s2.take())
 	if st := s2.d.Stats(); s2.replayed != n || st.Recovered != n || s2.reexecuted != 0 || st.Pending != 0 {
 		t.Fatalf("reopen: replayed %d, recovered %d, re-executed %d, pending %d; want %d, %d, 0, 0", s2.replayed, st.Recovered, s2.reexecuted, st.Pending, n, n)
 	}

@@ -119,7 +119,7 @@ func (j *job) Resolved(r dispatch.JobResult) {
 	if r.Err == nil {
 		r.Err = j.err
 	}
-	j.s.enqueueDone(doneMsg{j, r})
+	j.s.postDone(doneMsg{j, r})
 }
 
 func (j *job) runnerTask() dispatch.RunnerTask {
@@ -137,8 +137,8 @@ type doneMsg struct {
 const opConnGone byte = 0xfe
 const opBarrier byte = 0xff
 
-// coreReq is one request routed from a connection reader (or Close)
-// into the core loop.
+// coreReq is one request routed from a connection reader (or Close, or
+// forget) into the core loop.
 type coreReq struct {
 	op      byte
 	seq     uint32
@@ -175,12 +175,15 @@ type Server struct {
 	d    *dispatch.Dispatcher
 	log  *descLog
 
-	reqs     chan coreReq
-	doneMu   sync.Mutex
-	doneQ    []doneMsg // completions not yet drained; guarded by doneMu
-	doneWake chan struct{}
-	quit     chan struct{}
-	coreWG   sync.WaitGroup
+	// The inbox: requests and completions no tick has taken yet, guarded
+	// by inMu. Producers append and nudge inWake; see post and take.
+	inMu   sync.Mutex
+	room   sync.Cond
+	reqQ   []coreReq
+	doneQ  []doneMsg
+	inWake chan struct{}
+	quit   chan struct{}
+	coreWG sync.WaitGroup
 
 	closing atomic.Bool
 	ln      net.Listener
@@ -192,7 +195,8 @@ type Server struct {
 	// Core-owned state — coreLoop and the ticks it runs only, no locks.
 	tenants       map[string]*tenantState
 	subs          map[string]map[*conn]struct{}
-	doneSpare     []doneMsg             // doneQ's other buffer: swapped per tick
+	reqSpare      []coreReq // reqQ's and doneQ's other buffers: swapped per tick
+	doneSpare     []doneMsg
 	verdicts      []verdict             // tick scratch: one per request
 	batch         []dispatch.RunnerTask // tick scratch: the admitted jobs
 	touched       []*conn               // owed a wake-up at the end of the tick
@@ -285,17 +289,17 @@ func open(o Options) (*Server, []job, error) {
 		}
 	}
 	s := &Server{
-		opts:     o,
-		reg:      o.Registry,
-		d:        d,
-		log:      dlog,
-		reqs:     make(chan coreReq, 1024),
-		doneWake: make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		conns:    make(map[*conn]struct{}),
-		tenants:  make(map[string]*tenantState),
-		subs:     make(map[string]map[*conn]struct{}),
+		opts:    o,
+		reg:     o.Registry,
+		d:       d,
+		log:     dlog,
+		inWake:  make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		conns:   make(map[*conn]struct{}),
+		tenants: make(map[string]*tenantState),
+		subs:    make(map[string]map[*conn]struct{}),
 	}
+	s.room.L = &s.inMu
 	for name, lim := range o.Tenants {
 		s.tenants[name] = &tenantState{limits: lim}
 	}
@@ -387,47 +391,95 @@ func (s *Server) Close() error {
 // everything queued before it.
 func (s *Server) barrier() {
 	ch := make(chan struct{})
-	s.reqs <- coreReq{op: opBarrier, barrier: ch}
+	s.post(coreReq{op: opBarrier, barrier: ch}, false)
 	<-ch
 }
 
-// enqueueDone hands a completion to the core loop. It must never block:
-// it is called from shard loop goroutines and — for journal-recovered
-// jobs — synchronously from the core loop's own DoRunners call, so a
-// bounded channel here could deadlock the server against itself. The
-// queue is a mutex-guarded slice (bounded in practice by
-// admitted-but-unresolved jobs) plus a 1-buffered wake signal.
-func (s *Server) enqueueDone(m doneMsg) {
-	s.doneMu.Lock()
+// maxTickReqs bounds the requests a tick takes from readers, however
+// fast they refill the inbox. tickKeep is the most entries an inbox or
+// tick-scratch buffer keeps between ticks: one a burst grew past it is
+// left to the collector.
+const (
+	maxTickReqs = 1024
+	tickKeep    = 256
+)
+
+// post queues one request for the core loop. A reader's request (wait)
+// waits while maxTickReqs are queued, and is dropped, reporting false,
+// once its connection has closed. The barrier and connection-gone never
+// wait: no reader is left to drain, or one must not wait to be forgotten.
+func (s *Server) post(r coreReq, wait bool) bool {
+	s.inMu.Lock()
+	for wait && len(s.reqQ) >= maxTickReqs {
+		select {
+		case <-r.c.done: // conn.close broadcasts after closing it
+			s.inMu.Unlock()
+			return false
+		default:
+		}
+		jdInboxWaits.Inc()
+		s.room.Wait()
+	}
+	s.reqQ = append(s.reqQ, r)
+	s.inMu.Unlock()
+	s.nudge()
+	return true
+}
+
+// postDone queues a completion. It never waits: it is called from shard
+// loop goroutines and — for journal-recovered jobs — synchronously from
+// the core loop's own DoRunners call, so a bound here could deadlock the
+// server against itself (admission bounds the unresolved jobs instead).
+func (s *Server) postDone(m doneMsg) {
+	s.inMu.Lock()
 	s.doneQ = append(s.doneQ, m)
-	s.doneMu.Unlock()
+	s.inMu.Unlock()
+	s.nudge()
+}
+
+func (s *Server) nudge() {
 	select {
-	case s.doneWake <- struct{}{}:
-	default:
+	case s.inWake <- struct{}{}:
+	default: // a wake-up is already pending; the take it leads to sees this entry too
 	}
 }
 
-// doneKeep is the largest completion buffer the core loop holds on to
-// (in entries); one grown past it by a backlog is left to the collector.
-const doneKeep = 4096
+// take takes everything the inbox holds, leaving the spare buffers in
+// its place, and lets the readers waiting for room in.
+func (s *Server) take() ([]coreReq, []doneMsg) {
+	s.inMu.Lock()
+	reqs, done := s.reqQ, s.doneQ
+	s.reqQ, s.doneQ = s.reqSpare[:0], s.doneSpare[:0]
+	if len(reqs) >= maxTickReqs {
+		s.room.Broadcast()
+	}
+	s.inMu.Unlock()
+	return reqs, done
+}
 
-// takeDone takes every queued completion, leaving the spare buffer in
-// the queue's place (coreLoop hands the taken one back as the next).
-func (s *Server) takeDone() []doneMsg {
-	s.doneMu.Lock()
-	q := s.doneQ
-	s.doneQ = s.doneSpare[:0]
-	s.doneMu.Unlock()
-	return q
+// turn is one pass of the core loop: take, tick, and keep the buffers no
+// burst grew past tickKeep, cleared: an idle server pins no jobs or errors.
+func (s *Server) turn() {
+	reqs, done := s.take()
+	if len(reqs) > 0 || len(done) > 0 {
+		s.tick(reqs, done)
+	}
+	s.reqSpare, s.doneSpare = shed(reqs), shed(done)
+	s.verdicts, s.batch, s.touched = shed(s.verdicts), shed(s.batch), shed(s.touched)
+}
+
+func shed[T any](b []T) []T {
+	if cap(b) > tickKeep {
+		return nil
+	}
+	clear(b)
+	return b[:0]
 }
 
 // coreLoop is the authoritative loop: sole owner of the tenant ledger,
 // the subscriber registry, the descriptor log and the dispatcher's
-// submit path, and the only function that receives from the server's
-// channels. It replays the log (signalling replayErr), then until quit
-// blocks for the first request or completion, drains what else is queued
-// NOW — at most the request channel's capacity, so a tick is bounded
-// however fast readers refill it — and hands both to tick.
+// submit path, and the only taker from the inbox. It replays the log
+// (signalling replayErr), then until quit waits for a nudge and turns.
 func (s *Server) coreLoop(recs []job, replayErr chan<- error) {
 	defer s.coreWG.Done()
 	err := s.replay(recs)
@@ -435,38 +487,13 @@ func (s *Server) coreLoop(recs []job, replayErr chan<- error) {
 	if err != nil {
 		return
 	}
-	inbox := make([]coreReq, 0, cap(s.reqs))
 	for quit := false; !quit; {
 		select {
-		case r := <-s.reqs:
-			inbox = append(inbox, r)
-		case <-s.doneWake:
+		case <-s.inWake:
 		case <-s.quit:
 			quit = true // final tick: the readers are gone, completions flushed
 		}
-		for more := true; more && len(inbox) < cap(inbox); {
-			select {
-			case r := <-s.reqs:
-				inbox = append(inbox, r)
-			default:
-				more = false
-			}
-		}
-		select {
-		case <-s.doneWake: // the take below covers it
-		default:
-		}
-		done := s.takeDone()
-		if len(inbox) > 0 || len(done) > 0 {
-			s.tick(inbox, done)
-		}
-		// An idle server must not pin its last tick's jobs and errors.
-		clear(inbox)
-		clear(done)
-		if inbox = inbox[:0]; cap(done) > doneKeep {
-			done = nil
-		}
-		s.doneSpare = done
+		s.turn()
 	}
 }
 
@@ -477,8 +504,8 @@ func (s *Server) coreLoop(recs []job, replayErr chan<- error) {
 // task has since vanished from the configuration (a task no longer
 // registered resolves performed-with-error, see job.Run).
 func (s *Server) replay(recs []job) error {
-	for lo := 0; lo < len(recs); lo += cap(s.reqs) {
-		chunk := recs[lo:min(lo+cap(s.reqs), len(recs))]
+	for lo := 0; lo < len(recs); lo += maxTickReqs {
+		chunk := recs[lo:min(lo+maxTickReqs, len(recs))]
 		s.batch = s.batch[:0]
 		for i := range chunk {
 			j := &chunk[i]
@@ -499,7 +526,7 @@ func (s *Server) replay(recs []job) error {
 			return fmt.Errorf("jobd: replay descriptors %d..%d of %d: %w", lo+1, lo+len(chunk), len(recs), err)
 		}
 	}
-	clear(s.batch)
+	s.batch = shed(s.batch)
 	// Record-then-do: every journaled id has a committed descriptor, so
 	// the replay claimed them all. One left over is a job whose descriptor
 	// is gone; a new submission leased onto its id would resolve Recovered
@@ -891,11 +918,5 @@ func (s *Server) forget(c *conn) {
 	delete(s.conns, c)
 	s.connMu.Unlock()
 	jdConns.Add(-1)
-	// Tell the core to drop the conn's subscriptions. Best effort on a
-	// quitting server: the core stops reading reqs only after every
-	// reader (including this one) has exited and the Close barrier ran.
-	select {
-	case s.reqs <- coreReq{op: opConnGone, c: c}:
-	case <-s.quit:
-	}
+	s.post(coreReq{op: opConnGone, c: c}, false) // the core drops the conn's subscriptions
 }

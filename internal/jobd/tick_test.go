@@ -85,7 +85,14 @@ func (s *Server) shut(t *testing.T) {
 // tick of their own.
 func (s *Server) settle() {
 	s.d.Flush()
-	s.tick(nil, s.takeDone())
+	s.tick(s.take())
+}
+
+// queued is how many requests the inbox holds.
+func (s *Server) queued() int {
+	s.inMu.Lock()
+	defer s.inMu.Unlock()
+	return len(s.reqQ)
 }
 
 // fakeConn is a connection with no socket: its outbound queue records
@@ -570,7 +577,7 @@ func TestTickPartitionsReplayIdentically(t *testing.T) {
 		if err := s2.replay(recs); err != nil {
 			t.Fatal(err)
 		}
-		done := s2.takeDone() // recovered jobs resolve inside the replay's own DoRunners
+		_, done := s2.take() // recovered jobs resolve inside the replay's own DoRunners
 		if len(done) != n {
 			t.Fatalf("seed %d: %d of %d replayed descriptors resolved at once", seed, len(done), n)
 		}
@@ -684,12 +691,8 @@ func TestWireCallsPerJob(t *testing.T) {
 	t.Cleanup(func() { c.Close(); s.connWG.Wait() })
 	// step runs one tick over exactly the n requests the clients have in flight.
 	step := func(n int) {
-		waitFor(t, 10*time.Second, func() bool { return len(s.reqs) == n }, "requests to reach the core")
-		inbox := make([]coreReq, n)
-		for i := range inbox {
-			inbox[i] = <-s.reqs
-		}
-		s.tick(inbox, s.takeDone())
+		waitFor(t, 10*time.Second, func() bool { return s.queued() == n }, "requests to reach the core")
+		s.tick(s.take())
 	}
 	var events atomic.Int64
 	subscribed := make(chan error, 1)
