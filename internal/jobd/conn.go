@@ -1,7 +1,6 @@
 package jobd
 
 import (
-	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -36,9 +35,8 @@ import (
 // loop or other tenants.
 const connOutDepth = 4096
 
-// bufKeep is the largest frame buffer either end of a connection holds
-// on to between bursts (the server's outbound pair, the client's
-// request scratch); one a backlog or a big payload grew past it is left
+// bufKeep is the largest outbound buffer a server connection holds on
+// to between bursts; one a backlog or a big payload grew past it is left
 // to the collector once written, so buffers are sized by connection,
 // not by the worst burst it ever saw.
 const bufKeep = 64 << 10
@@ -46,25 +44,11 @@ const bufKeep = 64 << 10
 // readChunk is the size of a server-side read chunk (see wire.FrameReader):
 // one allocation per about 430 of the benchmark's 75-byte submit frames,
 // and the unit a pending job pins. jobSlab is how many jobs a reader carves
-// out of one allocation. The client keeps no payload, so its chunk is a
-// plain buffer for the life of the connection, sized as the bufio.Reader
-// it replaces was: acks and events are tens of bytes.
+// out of one allocation.
 const (
-	readChunk   = 32 << 10
-	jobSlab     = 64
-	clientChunk = 4 << 10
+	readChunk = 32 << 10
+	jobSlab   = 64
 )
-
-// countedReader counts the Reads a FrameReader issues on a socket.
-type countedReader struct {
-	r io.Reader
-	n *obs.Counter
-}
-
-func (c countedReader) Read(p []byte) (int, error) {
-	c.n.Inc()
-	return c.r.Read(p)
-}
 
 type conn struct {
 	s    *Server
@@ -224,7 +208,7 @@ func (c *conn) readLoop() {
 		c.sendErr(seq, code, msg)
 		c.sayBye()
 	}
-	fr := wire.NewFrameReader(countedReader{c.nc, jdConnReads}, readChunk)
+	fr := wire.NewFrameReader(wire.CountedReader{R: c.nc, N: jdConnReads}, readChunk)
 	var slab []job
 	helloed := false
 	for {

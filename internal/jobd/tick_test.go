@@ -658,14 +658,15 @@ func TestParentDescLogRefused(t *testing.T) {
 }
 
 // TestWireCallsPerJob records what a job costs each side in socket calls
-// at pipeline depth 16 — the number ROADMAP item 3's combining writer has
-// to beat. The connection is real (loopback, the server's own reader and
-// writer goroutines); the core loop is stepped by hand, so a round is
-// exactly 16 submits in flight, one tick that acks them and one that fans
-// out their events. What that fixes is asserted: the client issues one
-// Write per call, the server one per tick (give or take a writer caught
-// mid-loop). What the kernel decides — how many of 16 small writes one
-// Read finds — is logged, and bounded by one per frame.
+// at pipeline depth 16. The connection is real (loopback, the server's
+// own reader and writer goroutines); the core loop is stepped by hand, so
+// a round is exactly 16 submits in flight, one tick that acks them and
+// one that fans out their events. What that fixes is asserted: the
+// client's combining writer (wire.Client) issues fewer Writes than calls
+// — a submit that finds a write in progress rides it — and the server
+// one per tick (give or take a writer caught mid-loop). How many submits
+// a write carries is the scheduler's, and logged; so is how many writes
+// one Read finds, which is bounded by one per frame.
 func TestWireCallsPerJob(t *testing.T) {
 	const depth, rounds = 16, 200
 	s := steppedServer(t, Options{Backend: "atomic", Tenants: map[string]TenantLimits{"t": {}}})
@@ -727,8 +728,8 @@ func TestWireCallsPerJob(t *testing.T) {
 	srvR, srvW := jdConnReads.Value()-srvR0, jdConnWrites.Value()-srvW0
 	t.Logf("depth %d, %d jobs: client %.3f writes + %.3f reads per job, server %.3f reads + %.3f writes per job",
 		depth, jobs, per(cliW), per(cliR), per(srvR), per(srvW))
-	if cliW != jobs {
-		t.Errorf("client issued %d Writes for %d calls, want one each", cliW, jobs)
+	if cliW >= jobs {
+		t.Errorf("client issued %d Writes for %d calls, want fewer: the writer does not combine", cliW, jobs)
 	}
 	// One per tick with frames to send — or two: a writer still on its way
 	// round from the tick before takes what this one has queued so far, and

@@ -806,3 +806,71 @@ func TestRedialKeepsBytesBehindAck(t *testing.T) {
 		})
 	}
 }
+
+// TestRedialDeliversEventsBetweenResubscribes: a redial's resubscribe
+// acks are replies like any other, matched by the reader that runs from
+// the connection's first byte, so a completion the server streams
+// between two of them — for the tenant whose resubscribe has landed —
+// reaches its handler. The scripted server acks the first resubscribe,
+// sends an event for that tenant, then acks the second.
+func TestRedialDeliversEventsBetweenResubscribes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for conn := 1; conn <= 2; conn++ {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(20 * time.Second))
+			r, w := wire.NewFrameReader(nc, readChunk), bufio.NewWriter(nc)
+			for subs := 0; subs < 2; {
+				op, seq, payload, err := r.Next()
+				if err != nil {
+					return // conn 2: the client closed at the end of the test
+				}
+				if op == jopHello {
+					wire.WriteFrame(w, jopHelloOK, seq, wire.AppendStr(wire.AppendU32(nil, protoVersion), "fake"))
+					w.Flush()
+					continue
+				}
+				subs++
+				wire.WriteFrame(w, jopAck, seq, nil)
+				if conn == 2 && subs == 1 {
+					tenant := (&wire.Decoder{B: payload}).Str()
+					ev := append(wire.AppendU64(wire.AppendStr(nil, tenant), 7), evOK)
+					wire.WriteFrame(w, jopEvent, 0, wire.AppendStr(wire.AppendStr(ev, "x"), ""))
+				}
+				w.Flush()
+			}
+			if conn == 1 {
+				nc.Close() // both subscribed: drop, and the client redials
+			} else {
+				r.Next() // hold the connection until the client hangs up
+			}
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+
+	c := testClient(t, ln.Addr().String(), ClientOptions{Redial: true, RedialBackoff: time.Millisecond})
+	got := make(chan Event, 4)
+	for _, tenant := range []string{"a", "b"} {
+		if err := c.Subscribe(tenant, func(e Event) { got <- e }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case e := <-got:
+		if e.ID != 7 || e.Task != "x" || (e.Tenant != "a" && e.Tenant != "b") {
+			t.Fatalf("event = %+v", e)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the event sent between the resubscribe acks never reached its handler")
+	}
+}

@@ -100,10 +100,7 @@ func TestCloseReportsDiscardedWrites(t *testing.T) {
 	// Wait for the reader to notice the severed connection.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		down := c.conn == nil
-		c.mu.Unlock()
-		if down {
+		if c.c.Conn() == nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

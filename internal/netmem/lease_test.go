@@ -19,6 +19,12 @@ func collectFatal(dst *atomic.Value) func(error) {
 	}
 }
 
+// stopRenew halts lease renewal without closing the client, to let a
+// lease expire while the client lives (a stalled writer).
+func (m *NetMem) stopRenew() {
+	m.renewOnce.Do(func() { close(m.renewStop) })
+}
+
 // TestLeaseFencing is the arbitration story end to end inside one
 // process: writer 1 holds the lease, a fail-fast contender bounces, the
 // lease expires once writer 1 stops renewing (a stalled process), a
@@ -277,10 +283,7 @@ func TestReconnectFencedByTakeover(t *testing.T) {
 	// Cut c1's connection out from under it: the reader breaks, the
 	// redialer reconnects and renews epoch e1 — which c2's grant has
 	// fenced.
-	c1.mu.Lock()
-	conn := c1.conn
-	c1.mu.Unlock()
-	conn.Close()
+	c1.c.Conn().Close()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for fatal1.Load() == nil && time.Now().Before(deadline) {

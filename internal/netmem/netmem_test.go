@@ -3,9 +3,11 @@ package netmem
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -387,4 +389,105 @@ func TestPipelinedWritesOrdered(t *testing.T) {
 			t.Fatalf("cell %d = %d after burst", i, v)
 		}
 	}
+}
+
+// TestAwaitedOpsCombineWrites: the combining writer at the register
+// client. A proxy stops forwarding the client's bytes, so one WriteAcked
+// of 65 536 cells stays in its write over a 16 KiB send buffer; fifteen
+// more from other goroutines find the write in progress, append their
+// frames and leave them to it. Once the proxy forwards again they all
+// leave in one more write — sixteen awaited ops, two socket writes, where
+// every awaited op flushed its own before.
+func TestAwaitedOpsCombineWrites(t *testing.T) {
+	const ops = 16
+	hold := newHoldProxy(t, testServerAddr(t))
+	c, err := Open(hold.ln.Addr().String(), maxRange, Options{Namespace: uniqueNS(), LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.c.Conn().(*net.TCPConn).SetWriteBuffer(16 << 10); err != nil {
+		t.Fatal(err)
+	}
+	queued := func(n uint64) func() bool {
+		base := cliReqs[opWriteAcked].Value()
+		return func() bool { return cliReqs[opWriteAcked].Value() == base+n }
+	}
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout: %s", what)
+			}
+		}
+	}
+	hold.mu.Lock() // the proxy reads on, and forwards nothing
+	_, w0 := c.c.SocketCalls()
+	errs := make(chan error, ops) // one an op
+	first := queued(1)
+	go func() { errs <- c.WriteAcked(0, make([]int64, maxRange)) }()
+	waitFor("the 512 KiB write", first)
+	rest := queued(ops - 1)
+	for i := 1; i < ops; i++ {
+		go func() { errs <- c.WriteAcked(i, []int64{int64(i)}) }()
+	}
+	waitFor("fifteen more ops queued", rest)
+	hold.mu.Unlock()
+	for i := 0; i < ops; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, w1 := c.c.SocketCalls(); w1-w0 != 2 {
+		t.Fatalf("%d awaited ops, one made during a write in progress and %d after it, took %d socket writes, want 2", ops, ops-1, w1-w0)
+	}
+}
+
+// holdProxy forwards one connection to a register server, except while
+// its mu is held: then the bytes the client sends wait in the proxy and
+// in the sockets' buffers, the proxy's receive buffer cut to 16 KiB.
+type holdProxy struct {
+	ln net.Listener
+	mu sync.Mutex
+}
+
+func newHoldProxy(t *testing.T, target string) *holdProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &holdProxy{ln: ln}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		s, err := net.Dial("tcp", target)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		c.(*net.TCPConn).SetReadBuffer(16 << 10)
+		go io.Copy(c, s)
+		buf := make([]byte, 32<<10)
+		for {
+			n, err := c.Read(buf)
+			p.mu.Lock()
+			p.mu.Unlock()
+			if n > 0 {
+				if _, err := s.Write(buf[:n]); err != nil {
+					return
+				}
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	return p
 }

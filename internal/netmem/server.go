@@ -29,6 +29,13 @@ type ServerOptions struct {
 	MaxTTL     time.Duration
 }
 
+// connBuf sizes a server connection's read chunk and reply writer by the
+// traffic: a request is at most 1 049 bytes in steady state (a journal
+// flush's 128-word run + 25) with two awaited at a time, a reply is a
+// 9–17 byte ack, and the one large frame — a recovery scan's opValues,
+// 32 KiB + 9 — is written through by the bufio.Writer.
+const connBuf = 4 << 10
+
 // Server owns the register namespaces and serves the wire protocol.
 // Each namespace is one membackend.Backend plus a writer-lease record;
 // the backend stays open across client sessions, so a successor
