@@ -4,17 +4,22 @@
 // from this output. It exits nonzero when an experiment's check fails.
 //
 // Performance is measured elsewhere: `go run ./bench` is the benchmark
-// of record (workloads, oracle and metrics in bench/README.md).
+// of record (workloads, oracle and metrics in bench/README.md). -pair
+// runs two built bench binaries, a parent's and a change's, alternately
+// and judges the change by bench/README.md's "Claiming a gain"; run it
+// from the directory that holds BENCHMARK.json.
 //
 // Usage:
 //
 //	amo-bench [-quick] [-only E3]
+//	amo-bench -pair PARENT_BIN CHANGE_BIN -workload W [-n 10] [-seed S] [-seconds 10] [-gomaxprocs N]
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,13 +28,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "amo-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 && args[0] == "-pair" {
+		return pairMain(args[1:], stdout)
+	}
 	fs := flag.NewFlagSet("amo-bench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "run reduced sweeps")
 	only := fs.String("only", "", "run a single experiment (E1..E9)")
@@ -57,7 +65,7 @@ func run(args []string) error {
 		"E9": s.E9Verification,
 	}
 
-	fmt.Printf("# At-most-once reproduction suite (%s mode)\n\n", mode(*quick))
+	fmt.Fprintf(stdout, "# At-most-once reproduction suite (%s mode)\n\n", mode(*quick))
 	start := time.Now()
 	var tables []*harness.Table
 	if *only != "" {
@@ -71,12 +79,12 @@ func run(args []string) error {
 	}
 	failed := 0
 	for _, t := range tables {
-		fmt.Print(t.Markdown())
+		fmt.Fprint(stdout, t.Markdown())
 		if !t.Pass {
 			failed++
 		}
 	}
-	fmt.Printf("---\n\nSuite finished in %s; %d/%d experiments passed.\n",
+	fmt.Fprintf(stdout, "---\n\nSuite finished in %s; %d/%d experiments passed.\n",
 		time.Since(start).Round(time.Millisecond), len(tables)-failed, len(tables))
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed", failed)

@@ -1,24 +1,25 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestRunQuickSingle(t *testing.T) {
-	if err := run([]string{"-quick", "-only", "E1"}); err != nil {
+	if err := run([]string{"-quick", "-only", "E1"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-only", "E42"}); err == nil {
+	if err := run([]string{"-only", "E42"}, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunLowercaseID(t *testing.T) {
-	if err := run([]string{"-quick", "-only", "e9"}); err != nil {
+	if err := run([]string{"-quick", "-only", "e9"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,7 +38,7 @@ func TestRunArgs(t *testing.T) {
 		{"help is not a failure", []string{"-h"}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(tc.args)
+			err := run(tc.args, io.Discard)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("run(%q) = %v, want nil", tc.args, err)
@@ -54,7 +55,7 @@ func TestRunArgs(t *testing.T) {
 // `go run ./bench`). Nothing may run before the refusal.
 func refused(t *testing.T, flag string, args ...string) {
 	t.Helper()
-	err := run(args)
+	err := run(args, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
 		t.Fatalf("run(%q) = %v, want %s refused as undefined", args, err, flag)
 	}

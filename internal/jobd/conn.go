@@ -1,7 +1,6 @@
 package jobd
 
 import (
-	"log/slog"
 	"net"
 	"sync"
 
@@ -196,12 +195,6 @@ func (c *conn) sayBye() {
 // everything else is a scalar.
 func (c *conn) readLoop() {
 	defer c.s.connWG.Done()
-	defer func() {
-		c.s.forget(c)
-		if eventlog.SinkEnabled(slog.LevelDebug) {
-			eventlog.Logger().Debug("jobd_conn_close", "remote", c.nc.RemoteAddr().String())
-		}
-	}()
 	// fatal queues an error reply and hands the hangup to the writer so
 	// the reply actually reaches the wire before the socket dies.
 	fatal := func(seq uint32, code uint16, msg string) {

@@ -137,8 +137,8 @@ type doneMsg struct {
 const opConnGone byte = 0xfe
 const opBarrier byte = 0xff
 
-// coreReq is one request routed from a connection reader (or Close, or
-// forget) into the core loop.
+// coreReq is one request routed from a connection reader (or Close, or a
+// connection's end) into the core loop.
 type coreReq struct {
 	op      byte
 	seq     uint32
@@ -186,11 +186,8 @@ type Server struct {
 	coreWG sync.WaitGroup
 
 	closing atomic.Bool
-	ln      net.Listener
-	lnMu    sync.Mutex
-	connWG  sync.WaitGroup
-	connMu  sync.Mutex
-	conns   map[*conn]struct{}
+	srv     wire.Server
+	connWG  sync.WaitGroup // every connection's reader and writer
 
 	// Core-owned state — coreLoop and the ticks it runs only, no locks.
 	tenants       map[string]*tenantState
@@ -295,7 +292,6 @@ func open(o Options) (*Server, []job, error) {
 		log:     dlog,
 		inWake:  make(chan struct{}, 1),
 		quit:    make(chan struct{}),
-		conns:   make(map[*conn]struct{}),
 		tenants: make(map[string]*tenantState),
 		subs:    make(map[string]map[*conn]struct{}),
 	}
@@ -307,41 +303,45 @@ func open(o Options) (*Server, []job, error) {
 }
 
 // Listen binds addr (":0" picks a port) and starts serving; it returns
-// the bound address. A server listens once, and not after Close: Close
-// closes the one listener it has.
+// the bound address. A server listens once, and not after Close.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := s.srv.Listen(addr, s.accept)
 	if err != nil {
 		return "", err
 	}
-	// Close flips closing before it takes lnMu, so a Listen that gets the
-	// lock first hands Close its listener and one that gets it later
-	// refuses.
-	s.lnMu.Lock()
-	if s.closing.Load() || s.ln != nil {
-		err := errors.New("jobd: server is already listening")
-		if s.closing.Load() {
-			err = errors.New("jobd: server is closed")
-		}
-		s.lnMu.Unlock()
-		ln.Close()
-		return "", err
-	}
-	s.ln = ln
-	s.connWG.Add(1)
-	s.lnMu.Unlock()
 	// The record says which side of membackend.Volatile this server is
 	// on: durable=false means nothing it admits survives it. It is Debug,
 	// like jobd_closed and jobd_replayed: the flight ring keeps all three,
 	// and amo-jobd prints the same on its own listening line.
 	durable := !membackend.Volatile(s.opts.Backend)
-	attrs := []any{"addr", ln.Addr().String(), "backend", s.opts.Backend, "durable", durable}
+	attrs := []any{"addr", bound, "backend", s.opts.Backend, "durable", durable}
 	if durable {
 		attrs = append(attrs, "max_jobs", s.opts.MaxJobs, "log_cells", s.opts.LogCells)
 	}
 	eventlog.Logger().Debug("jobd_listen", attrs...)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return bound, nil
+}
+
+// accept builds the connection over nc for the server core: it starts
+// the writer, and hands over the reader as the handler and close as the
+// hang-up.
+func (s *Server) accept(nc net.Conn) (serve, hangUp func()) {
+	c := newConn(s, nc)
+	jdConns.Add(1)
+	jdConnsTot.Inc()
+	if eventlog.SinkEnabled(slog.LevelDebug) {
+		eventlog.Logger().Debug("jobd_conn_open", "remote", nc.RemoteAddr().String())
+	}
+	s.connWG.Add(2)
+	go c.writeLoop()
+	return func() {
+		c.readLoop()
+		jdConns.Add(-1)
+		s.post(coreReq{op: opConnGone, c: c}, false) // the core drops the conn's subscriptions
+		if eventlog.SinkEnabled(slog.LevelDebug) {
+			eventlog.Logger().Debug("jobd_conn_close", "remote", nc.RemoteAddr().String())
+		}
+	}, c.close
 }
 
 // OpsAddr returns the ops endpoint's bound address ("" without one).
@@ -355,18 +355,8 @@ func (s *Server) Close() error {
 	if s.closing.Swap(true) {
 		return nil
 	}
-	s.lnMu.Lock()
-	ln := s.ln
-	s.lnMu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.close()
-	}
-	s.connMu.Unlock()
-	s.connWG.Wait()
+	s.srv.Close()
+	s.connWG.Wait() // the writers
 
 	// All readers are gone; a barrier guarantees the core has processed
 	// every request they enqueued before we flush.
@@ -879,44 +869,4 @@ func (s *Server) statsLocked() ServerStats {
 		}
 	}
 	return out
-}
-
-// acceptLoop accepts connections until the listener closes.
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.connWG.Done()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		if s.closing.Load() {
-			nc.Close()
-			continue
-		}
-		c := newConn(s, nc)
-		s.connMu.Lock()
-		s.conns[c] = struct{}{}
-		s.connMu.Unlock()
-		jdConns.Add(1)
-		jdConnsTot.Inc()
-		if eventlog.SinkEnabled(slog.LevelDebug) {
-			eventlog.Logger().Debug("jobd_conn_open", "remote", nc.RemoteAddr().String())
-		}
-		s.connWG.Add(2)
-		go c.readLoop()
-		go c.writeLoop()
-	}
-}
-
-// forget removes a dead connection from the server's tables.
-func (s *Server) forget(c *conn) {
-	s.connMu.Lock()
-	if _, ok := s.conns[c]; !ok {
-		s.connMu.Unlock()
-		return
-	}
-	delete(s.conns, c)
-	s.connMu.Unlock()
-	jdConns.Add(-1)
-	s.post(coreReq{op: opConnGone, c: c}, false) // the core drops the conn's subscriptions
 }

@@ -2,8 +2,8 @@ package netmem
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"sync"
@@ -43,13 +43,11 @@ const connBuf = 4 << 10
 // predecessor wrote — over "mmap:" specs even across server restarts.
 type Server struct {
 	opts ServerOptions
-	ln   net.Listener
+	srv  wire.Server
 
+	closed atomic.Bool // no namespace opens and no lease is granted
 	mu     sync.Mutex
 	nss    map[string]*namespace
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // namespace is one register set: a backend and its lease.
@@ -83,95 +81,36 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.MaxTTL <= 0 {
 		opts.MaxTTL = time.Minute
 	}
-	return &Server{
-		opts:  opts,
-		nss:   make(map[string]*namespace),
-		conns: make(map[net.Conn]struct{}),
-	}
+	return &Server{opts: opts, nss: make(map[string]*namespace)}
 }
 
-// Listen binds addr (e.g. "127.0.0.1:0") and starts the accept loop in
-// the background, returning the bound address. A server listens once:
-// Close closes the one listener it has.
+// Listen binds addr (e.g. "127.0.0.1:0") and starts serving, returning
+// the bound address. A server listens once, and not after Close.
 func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	if s.closed || s.ln != nil {
-		err := errors.New("netmem: server is already listening")
-		if s.closed {
-			err = errors.New("netmem: server is closed")
-		}
-		s.mu.Unlock()
-		ln.Close()
-		return "", err
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return s.srv.Listen(addr, func(nc net.Conn) (serve, hangUp func()) {
+		return func() { s.handle(nc) }, func() { nc.Close() }
+	})
 }
 
 // Addr returns the bound address, or "" before Listen.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+func (s *Server) Addr() string { return s.srv.Addr() }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			return
-		}
-		s.conns[c] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handle(c)
-	}
-}
-
-// Close stops accepting, severs every connection, wakes lease waiters,
-// waits for the handlers to drain and closes the namespace backends.
+// Close wakes the lease waiters, who answer that the server is shutting
+// down, hangs up every connection and waits for the handlers, then closes
+// the namespace backends.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	nss := make([]*namespace, 0, len(s.nss))
-	for _, ns := range s.nss {
-		nss = append(nss, ns)
-	}
+	s.mu.Lock() // a getNamespace that saw closed unset has inserted by now
+	nss := slices.Collect(maps.Values(s.nss))
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
 	for _, ns := range nss {
 		ns.mu.Lock()
 		ns.cond.Broadcast()
 		ns.mu.Unlock()
 	}
-	s.wg.Wait()
+	s.srv.Close()
 	var err error
 	for _, ns := range nss {
 		if e := ns.bk.Close(); err == nil {
@@ -194,7 +133,7 @@ func (s *Server) getNamespace(name string, size int) (ns *namespace, reopened bo
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, false, &wireError{codeClosed, "server is shutting down"}
 	}
 	if ns, ok := s.nss[name]; ok {
@@ -252,10 +191,7 @@ func (ns *namespace) acquire(srv *Server, clientID uint64, ttl time.Duration, wa
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	for {
-		srv.mu.Lock()
-		closed := srv.closed
-		srv.mu.Unlock()
-		if closed {
+		if srv.closed.Load() {
 			return 0, 0, &wireError{codeClosed, "server is shutting down"}
 		}
 		if dead != nil && dead.Load() {
@@ -345,16 +281,12 @@ func (e *wireError) Error() string { return fmt.Sprintf("netmem: server error %d
 // batching under pipelining) and always before a potentially blocking
 // lease wait.
 func (s *Server) handle(c net.Conn) {
-	defer s.wg.Done()
 	srvConns.Add(1)
 	defer srvConns.Add(-1)
 	remote := c.RemoteAddr().String()
 	eventlog.Logger().Debug("netmem_server_conn_open", "remote", remote)
 	defer func() {
 		c.Close()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
 		eventlog.Logger().Debug("netmem_server_conn_closed", "remote", remote)
 	}()
 	fr := wire.NewFrameReader(c, connBuf)
