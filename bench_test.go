@@ -1,7 +1,10 @@
 package atmostonce
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"atmostonce/internal/adversary"
 	"atmostonce/internal/core"
@@ -353,6 +356,42 @@ func BenchmarkAblationCascade(b *testing.B) {
 		}
 		b.ReportMetric(float64(work)/float64(n), "work-per-job")
 	})
+}
+
+// BenchmarkAblationShape runs one Do stream through the streaming
+// dispatcher at Shards × WorkersPerShard of 1×2, 2×1 and 2×2. A shard's
+// workers share its KKβ next/done registers; at 2×1 no shard has a second
+// worker to share them with, so the gap in ns/job and work/job (the
+// paper's work, Stats().Work / Performed) is what sharing costs on the
+// machine it runs on (DESIGN.md §6).
+func BenchmarkAblationShape(b *testing.B) {
+	for _, shape := range []struct{ shards, workers int }{{1, 2}, {2, 1}, {2, 2}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.shards, shape.workers), func(b *testing.B) {
+			d, err := NewDispatcher(DispatcherConfig{Shards: shape.shards, WorkersPerShard: shape.workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			task := Task{Fn: func(context.Context) error { return nil }}
+			ctx := context.Background()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Do(ctx, task); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d.Flush()
+			elapsed := time.Since(start)
+			b.StopTimer()
+			st := d.Stats()
+			if st.Duplicates != 0 {
+				b.Fatal("AMO violated")
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/job")
+			b.ReportMetric(float64(st.Work)/float64(st.Performed), "work/job")
+		})
+	}
 }
 
 // BenchmarkConcurrentRun measures the real-goroutine runtime end to end.

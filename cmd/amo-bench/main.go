@@ -6,13 +6,13 @@
 // Performance is measured elsewhere: `go run ./bench` is the benchmark
 // of record (workloads, oracle and metrics in bench/README.md). -pair
 // runs two built bench binaries, a parent's and a change's, alternately
-// and judges the change by bench/README.md's "Claiming a gain"; run it
-// from the directory that holds BENCHMARK.json.
+// and judges the change by bench/README.md's "Claiming a gain", at each
+// GOMAXPROCS given; run it from the directory that holds BENCHMARK.json.
 //
 // Usage:
 //
 //	amo-bench [-quick] [-only E3]
-//	amo-bench -pair PARENT_BIN CHANGE_BIN -workload W [-n 10] [-seed S] [-seconds 10] [-gomaxprocs N]
+//	amo-bench -pair PARENT_BIN CHANGE_BIN -workload W [-n 10] [-seed S] [-seconds 10] [-gomaxprocs N[,M…]]
 package main
 
 import (

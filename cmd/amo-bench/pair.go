@@ -43,10 +43,16 @@ type benchRun struct {
 
 var sides = [2]string{"parent", "change"}
 
+// ratioMetrics are the timings whose GOMAXPROCS scaling -pair reports
+// when it is given more than one value.
+var ratioMetrics = []string{"jobs_per_s", "cpu_us_per_job"}
+
 // pairMain runs two built bench binaries alternately, n pairs, and judges
 // the change against the parent by bench/README.md's "Claiming a gain".
 // args are PARENT_BIN CHANGE_BIN then flags; BENCHMARK.json is read from
-// the working directory, where the runs run.
+// the working directory, where the runs run. Given several GOMAXPROCS
+// values it does all of that once per value, then prints each side's
+// ratio of the largest value's median to the smallest's.
 func pairMain(args []string, stdout io.Writer) error {
 	if len(args) < 2 {
 		return errors.New("-pair needs PARENT_BIN CHANGE_BIN")
@@ -57,9 +63,17 @@ func pairMain(args []string, stdout io.Writer) error {
 	n := fs.Int("n", 10, "pairs to run")
 	seed := fs.Int64("seed", 1, "the -seed of every run")
 	seconds := fs.Float64("seconds", 10, "the -seconds of every run")
-	procs := fs.Int("gomaxprocs", 0, "GOMAXPROCS in each run's environment (0: inherited)")
+	procsList := fs.String("gomaxprocs", "0", "GOMAXPROCS in each run's environment, or a comma-separated list run one after another (0: inherited)")
 	if err := fs.Parse(args[2:]); err != nil {
 		return err
+	}
+	var procs []int
+	for _, f := range strings.Split(*procsList, ",") {
+		p, err := strconv.Atoi(f)
+		if err != nil || p < 0 {
+			return fmt.Errorf("-gomaxprocs %q: want N or N,M,… with each N ≥ 0", *procsList)
+		}
+		procs = append(procs, p)
 	}
 	if fs.NArg() != 0 || *workload == "" || *n < 1 {
 		return errors.New("-pair needs PARENT_BIN CHANGE_BIN -workload W, n ≥ 1 and no other arguments")
@@ -84,16 +98,49 @@ func pairMain(args []string, stdout io.Writer) error {
 	metrics = append(metrics, pairTimings...)
 
 	benchArgs := []string{"-workload", *workload, "-seed", strconv.FormatInt(*seed, 10), "-seconds", strconv.FormatFloat(*seconds, 'g', -1, 64)}
-	env := os.Environ()
-	procsText := "inherited"
-	if *procs > 0 {
-		env = append(env, "GOMAXPROCS="+strconv.Itoa(*procs))
-		procsText = strconv.Itoa(*procs)
+	flagged, total := 0, 0
+	medians := make([][2]map[string]float64, len(procs)) // per value, per side
+	for i, g := range procs {
+		env := os.Environ()
+		procsText := "inherited"
+		if g > 0 {
+			env = append(env, "GOMAXPROCS="+strconv.Itoa(g))
+			procsText = strconv.Itoa(g)
+		}
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		fmt.Fprintf(stdout, "%s: %d pairs, seed %d, -seconds %g, GOMAXPROCS %s\nparent %s\nchange %s\n\n",
+			*workload, *n, *seed, *seconds, procsText, bins[0], bins[1])
+		runs, err := runPairs(bins, *n, benchArgs, env, metrics)
+		if err != nil {
+			return err
+		}
+		var f int
+		medians[i], f = printPairs(stdout, metrics, runs, *n)
+		flagged, total = flagged+f, total+len(runs)
 	}
-	// Which side runs first alternates, so a drift of the box over the
-	// runs lands on both sides alike.
+	if len(procs) > 1 {
+		lo, hi := slices.Index(procs, slices.Min(procs)), slices.Index(procs, slices.Max(procs))
+		fmt.Fprintf(stdout, "\nGOMAXPROCS %d / GOMAXPROCS %d, ratio of medians:\n", procs[hi], procs[lo])
+		tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
+		fmt.Fprintln(tw, "metric\tparent\tchange")
+		for _, m := range ratioMetrics {
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", m, num(medians[hi][0][m]/medians[lo][0][m]), num(medians[hi][1][m]/medians[lo][1][m]))
+		}
+		tw.Flush()
+	}
+	if flagged > 0 {
+		return fmt.Errorf("%d of %d runs were not correct or had failed operations", flagged, total)
+	}
+	return nil
+}
+
+// runPairs runs n pairs. Which side runs first alternates, so a drift of
+// the box over the runs lands on both sides alike.
+func runPairs(bins [2]string, n int, benchArgs, env []string, metrics []pairMetric) ([]benchRun, error) {
 	var runs []benchRun
-	for p := 1; p <= *n; p++ {
+	for p := 1; p <= n; p++ {
 		order := []int{0, 1}
 		if p%2 == 0 {
 			order = []int{1, 0}
@@ -101,15 +148,19 @@ func pairMain(args []string, stdout io.Writer) error {
 		for _, side := range order {
 			r, err := runBench(bins[side], benchArgs, env, metrics)
 			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", p, sides[side], err)
+				return nil, fmt.Errorf("pair %d, %s: %w", p, sides[side], err)
 			}
 			r.pair, r.side = p, side
 			runs = append(runs, r)
 		}
 	}
+	return runs, nil
+}
 
-	fmt.Fprintf(stdout, "%s: %d pairs, seed %d, -seconds %g, GOMAXPROCS %s\nparent %s\nchange %s\n\n",
-		*workload, *n, *seed, *seconds, procsText, bins[0], bins[1])
+// printPairs prints the table and the run list of n pairs, and returns
+// each side's median of every metric and how many runs it flagged.
+func printPairs(stdout io.Writer, metrics []pairMetric, runs []benchRun, n int) (medians [2]map[string]float64, flagged int) {
+	medians = [2]map[string]float64{{}, {}}
 	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "metric\tparent median [q1–q3] (range)\tchange median [q1–q3] (range)\tchange won\tverdict")
 	for _, m := range metrics {
@@ -123,7 +174,8 @@ func pairMain(args []string, stdout io.Writer) error {
 				wins++
 			}
 		}
-		fmt.Fprintf(tw, "%s (%s)\t%s\t%s\t%d/%d\t%s\n", m.name, m.unit, spread(vs[0]), spread(vs[1]), wins, *n, verdict(m, vs[0], vs[1], wins))
+		medians[0][m.name], medians[1][m.name] = quantile(vs[0], 0.5), quantile(vs[1], 0.5)
+		fmt.Fprintf(tw, "%s (%s)\t%s\t%s\t%d/%d\t%s\n", m.name, m.unit, spread(vs[0]), spread(vs[1]), wins, n, verdict(m, vs[0], vs[1], wins))
 	}
 	tw.Flush()
 
@@ -132,7 +184,6 @@ func pairMain(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, " %s", m.name)
 	}
 	fmt.Fprintln(stdout)
-	flagged := 0
 	for _, r := range runs {
 		fmt.Fprintf(stdout, "  %d %s:", r.pair, sides[r.side])
 		for _, m := range metrics {
@@ -144,10 +195,7 @@ func pairMain(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 	}
-	if flagged > 0 {
-		return fmt.Errorf("%d of %d runs were not correct or had failed operations", flagged, len(runs))
-	}
-	return nil
+	return medians, flagged
 }
 
 // runBench runs one bench binary and reads its result: the gated metrics

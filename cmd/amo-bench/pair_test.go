@@ -21,10 +21,11 @@ func TestMain(m *testing.M) {
 }
 
 // fakeRuns are the fake's results, by the name it is run under and its
-// own run count: setup_s is even, allocs_per_job worse past its bound,
-// heap_mb a resolved gain, jobs_per_s won three pairs in four and
-// cpu_us_per_job all four by less than the parent's quartile distance.
-// The change's third run is not correct.
+// own run count, modulo four: setup_s is even, allocs_per_job worse past
+// its bound, heap_mb a resolved gain, jobs_per_s won three pairs in four
+// and cpu_us_per_job all four by less than the parent's quartile
+// distance. The change's third run is not correct. At GOMAXPROCS=2 the
+// fake scales its timings by fakeScale2.
 var fakeRuns = map[string][4]struct {
 	setup, allocs, heap, jobs, cpu float64
 	failed                         int
@@ -32,6 +33,10 @@ var fakeRuns = map[string][4]struct {
 	"parent": {{100e-6, 0.02, 4.30, 100000, 9, 0}, {200e-6, 0.02, 4.31, 100000, 10, 0}, {300e-6, 0.02, 4.32, 100000, 11, 0}, {400e-6, 0.02, 4.33, 100000, 12, 0}},
 	"change": {{150e-6, 0.03, 4.00, 110000, 8.9, 0}, {190e-6, 0.03, 4.01, 110000, 9.9, 0}, {310e-6, 0.03, 4.02, 110000, 10.9, 2}, {390e-6, 0.03, 4.03, 90000, 11.9, 0}},
 }
+
+// fakeScale2 multiplies jobs_per_s and cpu_us_per_job, per side, at
+// GOMAXPROCS=2.
+var fakeScale2 = map[string][2]float64{"parent": {1.1, 1.8}, "change": {1.5, 1.2}}
 
 func fakeBench(dir string) int {
 	side := filepath.Base(os.Args[0])
@@ -46,7 +51,11 @@ func fakeBench(dir string) int {
 	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02d-%s", len(logged), side)), []byte(note), 0o644); err != nil {
 		return 2
 	}
-	r := fakeRuns[side][i]
+	r := fakeRuns[side][i%4]
+	if os.Getenv("GOMAXPROCS") == "2" {
+		r.jobs *= fakeScale2[side][0]
+		r.cpu *= fakeScale2[side][1]
+	}
 	fmt.Printf("bench v1 fake\n\n== w: 3 epochs in 1.0s, attempted 100, failed %d, correct=%v\n", r.failed, r.failed == 0)
 	fmt.Printf("   setup_s %g s\n   allocs_per_job %g count\n   heap_mb %g MiB\n", r.setup, r.allocs, r.heap)
 	fmt.Printf("   jobs_per_s %g jobs/s   (not gated)\n   done_p50_us 150 us   (not gated)\n", r.jobs)
@@ -122,5 +131,61 @@ func TestPair(t *testing.T) {
 	}
 	if runs := strings.Count(out.String(), "\n  "); runs != 8 || !strings.Contains(out.String(), "  3 change: 0.00031 0.03 4.02 110000 10.9 150 250  FLAGGED correct=false failed=2") {
 		t.Errorf("the run list has %d runs, want 8 with the change's third flagged", runs)
+	}
+}
+
+// TestPairGomaxprocsList drives -pair at -gomaxprocs 1,2: the four pairs
+// run at each value in turn with the same alternation and seed, each
+// value prints its own table, and a last table holds each side's ratio of
+// the GOMAXPROCS 2 median to the GOMAXPROCS 1 one.
+func TestPairGomaxprocsList(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins, log := t.TempDir(), t.TempDir()
+	for _, side := range sides {
+		if err := os.Symlink(exe, filepath.Join(bins, side)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Setenv(fakeBenchEnv, log)
+	t.Chdir("../..")
+	var out strings.Builder
+	err = run([]string{"-pair", filepath.Join(bins, "parent"), filepath.Join(bins, "change"),
+		"-workload", "w", "-n", "4", "-seed", "5", "-seconds", "0.5", "-gomaxprocs", "1,2"}, &out)
+	t.Log("\n" + out.String())
+	if err == nil || !strings.Contains(err.Error(), "2 of 16 runs") {
+		t.Errorf("-pair returned %v, want an error counting the change's third run at each value", err)
+	}
+
+	logged, _ := os.ReadDir(log)
+	if len(logged) != 16 {
+		t.Fatalf("%d runs, want 16", len(logged))
+	}
+	order := []string{"parent", "change", "change", "parent"}
+	for i, e := range logged {
+		note, _ := os.ReadFile(filepath.Join(log, e.Name()))
+		want := fmt.Sprintf("-workload w -seed 5 -seconds 0.5 GOMAXPROCS=%d", 1+i/8)
+		if string(note) != want || !strings.HasSuffix(e.Name(), order[i%4]) {
+			t.Errorf("run %d was %s given %q, want %s given %q", i, e.Name(), note, order[i%4], want)
+		}
+	}
+
+	sections := strings.Split(out.String(), "\n\nw: ")
+	if len(sections) != 2 || !strings.HasPrefix(sections[0], "w: 4 pairs, seed 5, -seconds 0.5, GOMAXPROCS 1\n") ||
+		!strings.HasPrefix(sections[1], "4 pairs, seed 5, -seconds 0.5, GOMAXPROCS 2\n") {
+		t.Fatalf("want one table per GOMAXPROCS value, 1 then 2")
+	}
+	for i, jobs := range []string{"110000 [105000–110000] (90000–110000)", "165000 [157500–165000] (135000–165000)"} {
+		if !strings.Contains(sections[i], jobs) {
+			t.Errorf("table %d lacks the change's jobs_per_s %s", i+1, jobs)
+		}
+	}
+	ratios := sections[1][strings.Index(sections[1], "GOMAXPROCS 2 / GOMAXPROCS 1, ratio of medians:"):]
+	for _, want := range []string{"jobs_per_s      1.1     1.5", "cpu_us_per_job  1.8     1.2"} {
+		if !strings.Contains(ratios, want) {
+			t.Errorf("ratio table lacks %q", want)
+		}
 	}
 }

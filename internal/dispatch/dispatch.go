@@ -259,16 +259,9 @@ type padUint64 struct {
 	_ [56]byte
 }
 
-// shardCount holds one shard's submission/completion counters, each on
-// its own cache line. Flush and Stats sum them across shards — reading
-// every performed before any submitted, so the sums never show a job
-// performed without its submission (see FlushContext).
-type shardCount struct {
-	submitted atomic.Uint64
-	_         [56]byte
-	performed atomic.Uint64
-	_         [56]byte
-}
+// closedBit is the id cursor's top bit: Close sets it, and every lease
+// after it fails with ErrClosed. The low 63 bits are the last id leased.
+const closedBit = 1 << 63
 
 // Dispatcher is a long-lived, sharded, round-based at-most-once engine.
 // All methods are safe for concurrent use.
@@ -277,11 +270,8 @@ type Dispatcher struct {
 	shards []*shard
 	start  time.Time
 
-	idCursor padUint64 // ids leased so far: the last id assigned
-	rr       padUint64 // round-robin shard cursor
+	idCursor padUint64 // the last id leased, and closedBit: the one word a submission writes
 
-	// counts[i] belongs to shard i; len(counts) == Shards.
-	counts []shardCount
 	// flushers counts FlushContext calls parked on cond; shards broadcast
 	// completion progress only while one is waiting (see shard.jobsDone).
 	flushers atomic.Int32
@@ -310,13 +300,6 @@ type Dispatcher struct {
 	// jfullOnce gates the journal-full warning: the condition repeats on
 	// every rejected submission, the event is interesting once.
 	jfullOnce sync.Once
-	// closeMu makes submission all-or-nothing with respect to Close:
-	// submitters hold the read side across their closed-check and enqueue,
-	// and Close takes the write side after flipping closed, so a batch is
-	// either fully enqueued before the shards stop (and drains) or fully
-	// rejected — never partially accepted.
-	closeMu sync.RWMutex
-	closed  atomic.Bool
 
 	mu   sync.Mutex // guards cond (Flush waiters)
 	cond *sync.Cond
@@ -332,7 +315,6 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	d := &Dispatcher{cfg: cfg, start: time.Now()}
 	d.cond = sync.NewCond(&d.mu)
-	d.counts = make([]shardCount, cfg.Shards)
 	d.shards = make([]*shard, cfg.Shards)
 	d.setupObs()
 	for i := range d.shards {
@@ -391,14 +373,24 @@ func (d *Dispatcher) UnclaimedRecovered() (n int, lowest uint64) {
 
 // lease claims the next n ids off the cursor — the one place ids come
 // from — and returns the first; the caller owns [first, first+n). A
-// durable lease that would cross MaxJobs fails with ErrJournalFull and
-// moves nothing: it burns no ids.
+// lease after Close fails with ErrClosed, a durable one that would cross
+// MaxJobs with ErrJournalFull, and neither burns an id: an in-memory add
+// that finds closedBit hands its ids back and wakes Flush, which saw them.
 func (d *Dispatcher) lease(n uint64) (first uint64, err error) {
 	if d.cfg.NewMem == nil {
-		return d.idCursor.v.Add(n) - n + 1, nil
+		cur := d.idCursor.v.Add(n)
+		if cur&closedBit != 0 {
+			d.idCursor.v.Add(-n)
+			d.wakeFlushers()
+			return 0, ErrClosed
+		}
+		return cur - n + 1, nil
 	}
 	for {
 		cur := d.idCursor.v.Load()
+		if cur&closedBit != 0 {
+			return 0, ErrClosed
+		}
 		if cur+n > uint64(d.cfg.MaxJobs) {
 			d.warnJournalFull()
 			return 0, ErrJournalFull
@@ -408,6 +400,16 @@ func (d *Dispatcher) lease(n uint64) (first uint64, err error) {
 		}
 	}
 }
+
+// leased is the last id leased so far.
+func (d *Dispatcher) leased() uint64 { return d.idCursor.v.Load() &^ closedBit }
+
+// closed reports whether Close (or abandon) has set the cursor's bit.
+func (d *Dispatcher) closed() bool { return d.idCursor.v.Load()&closedBit != 0 }
+
+// nextShard is the shard the next id the cursor gives lands on: a load,
+// not an add, for submissions that claim a slot before they lease.
+func (d *Dispatcher) nextShard() int { return int((d.leased() + 1) % uint64(len(d.shards))) }
 
 // warnJournalFull emits the journal-capacity event once per dispatcher.
 func (d *Dispatcher) warnJournalFull() {
@@ -435,19 +437,16 @@ func (d *Dispatcher) warnJournalFull() {
 // so a rejected, cancelled (ctx) or close-released submission burns
 // nothing. Anything else would shift the id sequence under transient
 // overload and break the deterministic re-submission contract durable
-// recovery depends on.
+// recovery depends on. An unbounded Do claims no slot: it leases first,
+// and its id picks the shard.
 func (d *Dispatcher) do(ctx context.Context, e entry) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	d.closeMu.RLock()
-	defer d.closeMu.RUnlock()
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
-	s := d.shards[(d.rr.v.Add(1)-1)%uint64(len(d.shards))]
+	var s *shard
 	bounded := d.cfg.QueueDepth > 0
 	if bounded {
+		s = d.shards[d.nextShard()]
 		if d.cfg.Policy == FailFast {
 			if !s.tryReserve(1) {
 				return 0, ErrQueueFull
@@ -463,7 +462,9 @@ func (d *Dispatcher) do(ctx context.Context, e entry) (uint64, error) {
 		}
 		return 0, err
 	}
-	s.count.submitted.Add(1)
+	if !bounded {
+		s = d.shards[id%uint64(len(d.shards))]
+	}
 	if d.tr != nil {
 		d.tr.Record(id, obs.TraceSubmitted, s.id)
 	}
@@ -471,16 +472,12 @@ func (d *Dispatcher) do(ctx context.Context, e entry) (uint64, error) {
 		// A previous incarnation performed this job; resolve it without
 		// re-running the payload (the at-most-once guarantee across
 		// process death).
-		if bounded {
-			s.unreserve(1)
-		}
-		d.recoveredN.Add(1)
 		if d.tr != nil {
 			d.tr.Record(id, obs.TraceRecovered, s.id)
 			d.tr.Record(id, obs.TraceResolved, s.id)
 		}
 		e.fire(JobResult{ID: id, Recovered: true})
-		s.jobsDone(1)
+		s.skipRecovered(1, bounded)
 		return id, nil
 	}
 	e.id = id
@@ -517,11 +514,6 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	d.closeMu.RLock()
-	defer d.closeMu.RUnlock()
-	if d.closed.Load() {
-		return 0, ErrClosed
-	}
 	plan := d.plan(n)
 	failFast := d.cfg.QueueDepth > 0 && d.cfg.Policy == FailFast
 	if failFast {
@@ -538,10 +530,6 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 			plan.unreserve(plan.chunks)
 		}
 		return 0, err
-	}
-	for i := 0; i < plan.chunks; i++ {
-		c := plan.at(i)
-		c.s.count.submitted.Add(uint64(c.hi - c.lo))
 	}
 	var stamp int64 // one submit stamp for the whole batch's samples (0 = off)
 	if d.latHist != nil {
@@ -577,11 +565,7 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 				}
 			}
 			if skipped := n - len(buf); skipped > 0 {
-				d.recoveredN.Add(uint64(skipped))
-				if failFast {
-					c.s.unreserve(skipped)
-				}
-				c.s.jobsDone(skipped)
+				c.s.skipRecovered(skipped, failFast)
 			}
 			n, get = len(buf), func(i int) entry { return buf[i] }
 		} else if d.tr != nil {
@@ -614,14 +598,12 @@ type batchPlan struct {
 	base, per, n, chunks int
 }
 
-// plan draws the batch's start shard. The cursor advances by ONE per
-// batch — advancing by S would keep the start shard constant (base ≡
-// const mod S), and a batch-only workload whose batches span fewer
-// chunks than Shards would pile onto the same shards forever.
+// plan starts the batch at the shard its first id would pick
+// (nextShard), so the start shard moves with the cursor, n mod S a batch.
 func (d *Dispatcher) plan(n int) batchPlan {
 	S := len(d.shards)
 	per := (n + S - 1) / S
-	return batchPlan{d: d, base: int((d.rr.v.Add(1) - 1) % uint64(S)), per: per, n: n, chunks: (n + per - 1) / per}
+	return batchPlan{d: d, base: d.nextShard(), per: per, n: n, chunks: (n + per - 1) / per}
 }
 
 func (p batchPlan) at(i int) chunk {
@@ -663,7 +645,7 @@ func (d *Dispatcher) FlushContext(ctx context.Context) error {
 	defer d.mu.Unlock()
 	d.flushers.Add(1)
 	defer d.flushers.Add(-1)
-	for d.sumPerformed() < d.sumSubmitted() {
+	for d.sumPerformed() < d.leased() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -672,24 +654,26 @@ func (d *Dispatcher) FlushContext(ctx context.Context) error {
 	return nil
 }
 
-// sumPerformed and sumSubmitted total the per-shard counters. Callers
-// comparing the two must call sumPerformed FIRST: with sequentially
-// consistent atomics, any job whose performed increment the first sum
-// observed had its submitted increment ordered before it, so the second
-// sum observes that too — performed ≥ submitted then proves every
-// counted submission has resolved, never the other way around.
+// sumPerformed totals the shards' performed counters, and sumSubmitted
+// their submitted counts under each shard's lock. Callers comparing
+// performed with submissions (those, or the cursor) must read performed
+// FIRST: a job is leased and counted before it can resolve, so the later
+// read observes the submission of every job the first sum counted —
+// performed ≥ submitted then proves every counted submission resolved.
 func (d *Dispatcher) sumPerformed() uint64 {
 	var n uint64
-	for i := range d.counts {
-		n += d.counts[i].performed.Load()
+	for _, s := range d.shards {
+		n += s.performed.Load()
 	}
 	return n
 }
 
 func (d *Dispatcher) sumSubmitted() uint64 {
 	var n uint64
-	for i := range d.counts {
-		n += d.counts[i].submitted.Load()
+	for _, s := range d.shards {
+		s.mu.Lock()
+		n += s.submitted
+		s.mu.Unlock()
 	}
 	return n
 }
@@ -700,21 +684,20 @@ func (d *Dispatcher) sumSubmitted() uint64 {
 // queues are released with ErrClosed (their job ids unconsumed) instead
 // of being left to hang. Close is idempotent.
 func (d *Dispatcher) Close() error {
-	if d.closed.Swap(true) {
+	if d.idCursor.v.Or(closedBit)&closedBit != 0 {
 		return nil
 	}
 	// Release submitters parked at admission (reserveWait): they observe
-	// closed under the shard lock and return ErrClosed without having
-	// consumed an id.
+	// the closed bit under the shard lock and return ErrClosed without
+	// having consumed an id.
 	for _, s := range d.shards {
 		s.mu.Lock()
 		s.notFull.Broadcast()
 		s.mu.Unlock()
 	}
-	// Wait out in-flight submitters: anything that passed its closed-check
-	// finishes enqueueing before the shards are told to stop, so it drains.
-	d.closeMu.Lock()
-	d.closeMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
+	// Every id leased before the bit resolves while the shard loops still
+	// run: its submitter finishes enqueueing, and Flush waits for the job.
+	d.Flush()
 	for _, s := range d.shards {
 		s.stop()
 	}
@@ -759,7 +742,7 @@ func (d *Dispatcher) Sync() error {
 // the backends are left un-closed, exactly as a kill would. The
 // dispatcher is unusable afterwards.
 func (d *Dispatcher) abandon() {
-	d.closed.Store(true)
+	d.idCursor.v.Or(closedBit)
 	for _, s := range d.shards {
 		s.abandon()
 	}
@@ -773,10 +756,10 @@ func (d *Dispatcher) abandon() {
 
 // wakeFlushers wakes parked FlushContext calls after completion
 // progress, but only when one is actually waiting: flushers is
-// incremented under d.mu BEFORE the flusher reads the counter sums, so
-// (seq-cst) a resolver that loads flushers == 0 is ordered before that
-// increment and its performed counts are visible to the flusher's own
-// sums — the common no-flusher round skips the lock entirely.
+// incremented under d.mu BEFORE the flusher reads the counters, so
+// (seq-cst) a waker that loads flushers == 0 is ordered before that
+// increment and its writes are visible to the flusher's own reads — the
+// common no-flusher round skips the lock entirely.
 func (d *Dispatcher) wakeFlushers() {
 	if d.flushers.Load() == 0 {
 		return

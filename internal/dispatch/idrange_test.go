@@ -3,7 +3,9 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,7 +18,7 @@ import (
 // Close along the way.
 func checkDenseLease(t *testing.T, d *Dispatcher, ids []uint64) {
 	t.Helper()
-	cursor := d.idCursor.v.Load()
+	cursor := d.leased()
 	seen := make(map[uint64]bool, cursor)
 	for _, id := range ids {
 		if id == 0 || id > cursor {
@@ -137,6 +139,119 @@ func TestIDRangesDenseUnderCancelCloseRace(t *testing.T) {
 		mu.Lock()
 		checkDenseLease(t, d, ids)
 		mu.Unlock()
+	}
+}
+
+// TestCloseRacesUnboundedDo: four goroutines submit unbounded Dos until
+// one is refused while Close runs, in memory and over mmap at
+// JournalBatch 4. Close sets the cursor's closed bit and then flushes, so
+// by the time it returns every Do that got an id has run its payload and
+// its callback exactly once, and no refused Do ran anything; the ids tile
+// [1, leased]; a Flush and a second Close return at once and a DoBatch is
+// refused. Run under -race.
+func TestCloseRacesUnboundedDo(t *testing.T) {
+	for _, backend := range []string{"memory", "mmap"} {
+		t.Run(backend, func(t *testing.T) {
+			for iter := 0; iter < 20; iter++ {
+				cfg := Config{Shards: 2, Workers: 2, MaxBatch: 16, Seed: int64(iter)}
+				if backend == "mmap" {
+					requireMmap(t)
+					cfg.NewMem, cfg.MaxJobs, cfg.JournalBatch = mmapFactory(t.TempDir()), 1<<16, 4
+				}
+				raceCloseWithDo(t, cfg)
+			}
+		})
+	}
+}
+
+func raceCloseWithDo(t *testing.T, cfg Config) {
+	const submitters = 4
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type attempt struct {
+		ran, fired atomic.Int32
+		firedID    atomic.Uint64
+		id         uint64 // 0: refused
+	}
+	var ranN, firedN atomic.Int64
+	tries := make([][]*attempt, submitters)
+	started, start := sync.Once{}, make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// Far past the point Close is started from, wait for it: a
+				// starved closer must not let the stream fill the journal.
+				for d.leased() >= 1<<15 && !d.closed() {
+					runtime.Gosched()
+				}
+				a := &attempt{}
+				tries[g] = append(tries[g], a)
+				h, err := d.Do(context.Background(), Task{
+					Fn:       func(context.Context) error { a.ran.Add(1); ranN.Add(1); return nil },
+					Callback: func(r JobResult) { a.fired.Add(1); a.firedID.Store(r.ID); firedN.Add(1) },
+				})
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				a.id = h.ID
+				if h.ID >= 64 {
+					started.Do(func() { close(start) })
+				}
+			}
+		}()
+	}
+	select {
+	case <-start:
+	case <-time.After(20 * time.Second):
+		t.Fatal("no submissions before Close")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ranAtClose, firedAtClose := ranN.Load(), firedN.Load()
+	wg.Wait()
+	var got []uint64
+	for _, as := range tries {
+		for _, a := range as {
+			ran, fired := a.ran.Load(), a.fired.Load()
+			if a.id == 0 && (ran != 0 || fired != 0) {
+				t.Fatalf("a refused Do ran %d times and fired %d", ran, fired)
+			}
+			if a.id != 0 && (ran != 1 || fired != 1 || a.firedID.Load() != a.id) {
+				t.Fatalf("id %d ran %d times and fired %d (with id %d), want once each", a.id, ran, fired, a.firedID.Load())
+			}
+			if a.id != 0 {
+				got = append(got, a.id)
+			}
+		}
+	}
+	// Runs and callbacks only count up, and each accepted Do has exactly
+	// one of each: all of them had happened when Close returned.
+	if n := int64(len(got)); ranAtClose != n || firedAtClose != n {
+		t.Fatalf("%d Dos accepted, but %d payloads had run and %d callbacks fired when Close returned", n, ranAtClose, firedAtClose)
+	}
+	checkDenseLease(t, d, got)
+	after := make(chan error, 1)
+	go func() { d.Flush(); after <- d.Close() }()
+	select {
+	case err := <-after:
+		if err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush or a second Close blocked after Close")
+	}
+	if _, err := d.DoBatch(context.Background(), []Task{bare(func() {})}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("DoBatch after Close: err = %v, want ErrClosed", err)
 	}
 }
 

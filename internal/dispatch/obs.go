@@ -11,7 +11,7 @@ import (
 
 // Metric threading. The dispatcher's hot paths never push into the
 // registry: every per-shard counter and gauge is registered pull-style
-// over state the engine already maintains (padded atomics, or the
+// over state the engine already maintains (atomics, or the
 // mu-guarded ShardStats the scrape reads under the same lock Stats
 // takes — the one ordering that keeps QueueDepth consistent with the
 // round counters). The only push-style instruments are the three
@@ -59,9 +59,9 @@ func (d *Dispatcher) setupObs() {
 	d.tr = obs.NewTracer(d.cfg.TraceSampleRate, 0)
 }
 
-// registerShardObs exposes one shard's counters. The padded
-// submitted/performed atomics are read lock-free; everything living in
-// ShardStats is read under s.mu — the same lock and ordering Stats()
+// registerShardObs exposes one shard's counters. The performed atomic is
+// read lock-free; the submitted count and everything living in
+// ShardStats are read under s.mu — the same lock and ordering Stats()
 // uses, so a scrape can never see a QueueDepth that disagrees with the
 // round counters next to it.
 func (d *Dispatcher) registerShardObs(s *shard) {
@@ -69,12 +69,6 @@ func (d *Dispatcher) registerShardObs(s *shard) {
 		return
 	}
 	sid := strconv.Itoa(s.id)
-	d.reg.CounterFunc("amo_dispatcher_submitted_jobs_total",
-		"Jobs accepted into the shard (ids consumed).",
-		func() uint64 { return s.count.submitted.Load() }, "shard", sid)
-	d.reg.CounterFunc("amo_dispatcher_performed_jobs_total",
-		"Jobs resolved by the shard: executed, expired or recovered.",
-		func() uint64 { return s.count.performed.Load() }, "shard", sid)
 	stat := func(read func(*ShardStats) uint64) func() uint64 {
 		return func() uint64 {
 			s.mu.Lock()
@@ -83,6 +77,12 @@ func (d *Dispatcher) registerShardObs(s *shard) {
 			return v
 		}
 	}
+	d.reg.CounterFunc("amo_dispatcher_submitted_jobs_total",
+		"Jobs accepted into the shard (ids consumed).",
+		stat(func(*ShardStats) uint64 { return s.submitted }), "shard", sid)
+	d.reg.CounterFunc("amo_dispatcher_performed_jobs_total",
+		"Jobs resolved by the shard: executed, expired or recovered.",
+		func() uint64 { return s.performed.Load() }, "shard", sid)
 	d.reg.CounterFunc("amo_dispatcher_rounds_total", "KKβ rounds executed.",
 		stat(func(st *ShardStats) uint64 { return st.Rounds }), "shard", sid)
 	d.reg.CounterFunc("amo_dispatcher_residue_jobs_total",
@@ -133,7 +133,7 @@ func (d *Dispatcher) startOps() error {
 		Statsz:     func() any { return d.Stats() },
 		Tracer:     d.tr,
 		Healthz: func() error {
-			if d.closed.Load() {
+			if d.closed() {
 				return errors.New("dispatcher closed")
 			}
 			return nil

@@ -441,7 +441,7 @@ func TestJournalFull(t *testing.T) {
 		t.Fatalf("batch past MaxJobs: got %v, want ErrJournalFull", err)
 	}
 	d.Flush()
-	if cur, st := d.idCursor.v.Load(), d.Stats(); cur != n || st.Submitted != n || st.Performed != n {
+	if cur, st := d.leased(), d.Stats(); cur != n || st.Submitted != n || st.Performed != n {
 		t.Fatalf("after the refusals: cursor %d, submitted %d, performed %d, want %d each", cur, st.Submitted, st.Performed, n)
 	}
 

@@ -53,17 +53,15 @@ type shard struct {
 	jbatch int
 	claims []workerClaims
 
-	// count points at this shard's padded submitted/performed counters
-	// (d.counts[id]); submit paths and round completion touch only these,
-	// never a dispatcher-global counter.
-	count *shardCount
+	performed atomic.Uint64 // jobs resolved here, summed by Flush without a lock
 
 	mu        sync.Mutex
 	cond      *sync.Cond // queue became non-empty (or shard closed)
 	notFull   *sync.Cond // queue space freed, for Block-policy submitters
 	q         pqueue
-	reserved  int // slots reserved but not yet enqueued (FailFast, Block, steals)
-	inflight  int // jobs of the round in flight, still holding their slots
+	submitted uint64 // jobs accepted into this shard, for Stats
+	reserved  int    // slots reserved but not yet enqueued (FailFast, Block, steals)
+	inflight  int    // jobs of the round in flight, still holding their slots
 	closed    bool
 	abandoned bool
 	stats     ShardStats
@@ -113,7 +111,6 @@ func newShard(d *Dispatcher, id int) (*shard, error) {
 		d:      d,
 		id:     id,
 		m:      d.cfg.Workers,
-		count:  &d.counts[id],
 		depth:  d.cfg.QueueDepth,
 		target: float64(d.cfg.RoundTarget),
 		done:   make(chan struct{}),
@@ -163,13 +160,27 @@ func (s *shard) snapshotStats() ShardStats {
 }
 
 // jobsDone publishes n resolved jobs (performed, expired or recovered)
-// on this shard's padded counter and wakes parked Flush callers, if any.
+// on this shard's counter and wakes parked Flush callers, if any.
 func (s *shard) jobsDone(n int) {
 	if n <= 0 {
 		return
 	}
-	s.count.performed.Add(uint64(n))
+	s.performed.Add(uint64(n))
 	s.d.wakeFlushers()
+}
+
+// skipRecovered counts k jobs a previous incarnation performed, fired
+// inline and never enqueued, as submitted and resolved at once.
+func (s *shard) skipRecovered(k int, reserved bool) {
+	s.mu.Lock()
+	s.submitted += uint64(k)
+	if reserved {
+		s.reserved -= k
+		s.notFull.Broadcast()
+	}
+	s.mu.Unlock()
+	s.d.recoveredN.Add(uint64(k))
+	s.jobsDone(k)
 }
 
 // exec is the round payload: local job ids map to batch slots; padding
@@ -227,11 +238,10 @@ func (s *shard) space() int {
 // folding the blocked time into SubmitBlockedNanos. Caller holds s.mu;
 // returns with s.mu held and space() ≥ 1 — or with the shard abandoned,
 // the one case where space can never free (abandon stops the loop
-// without the closeMu barrier Close uses; the caller then dumps its
-// entries into the dead queue, exactly like memory of a killed
-// process). The shard loop keeps draining while submitters wait (Close
-// stops it only after all in-flight submitters finish), so the wait
-// always terminates.
+// without the drain Close waits for; the caller then dumps its entries
+// into the dead queue, exactly like memory of a killed process). The
+// shard loop keeps draining while submitters wait (Close stops it only
+// once every leased id has resolved), so the wait always terminates.
 func (s *shard) waitSpace() {
 	if s.space() > 0 || s.abandoned {
 		return
@@ -251,8 +261,8 @@ func (s *shard) waitSpace() {
 // SubmitBlockedNanos. The park is ABORTABLE because it happens at
 // admission, before any job id is consumed: a cancelled or expired ctx
 // returns its error, and a concurrent Close returns ErrClosed (Close
-// broadcasts notFull after flipping closed, and both checks run under
-// s.mu, so the wakeup cannot be lost) — in both cases the submission
+// broadcasts notFull after setting the cursor's closed bit, and both
+// checks run under s.mu, so the wakeup cannot be lost) — in both cases the submission
 // burns nothing. An abandoned shard grants the reservation: the dead
 // queue swallows the entry, like memory of a killed process.
 func (s *shard) reserveWait(ctx context.Context) error {
@@ -276,7 +286,7 @@ func (s *shard) reserveWait(ctx context.Context) error {
 	t0 := time.Now()
 	var err error
 	for {
-		if s.d.closed.Load() {
+		if s.d.closed() {
 			err = ErrClosed
 			break
 		}
@@ -323,12 +333,12 @@ func (s *shard) unreserve(k int) {
 // feed appends n entries produced by get(i); reserved marks slots
 // claimed via tryReserve (pushed in one pass), otherwise the call feeds
 // them in as space frees, signaling the loop so it can drain underneath
-// a parked submitter. The enqueue paths are only reachable while the
-// dispatcher's closeMu barrier guarantees the shard loop is still
-// running (Close waits for in-flight submitters before stopping
-// shards), so enqueued jobs are always drained.
+// a parked submitter. The enqueue paths carry ids leased before Close
+// set the cursor's bit, and Close's Flush waits for those before it
+// stops the shards, so enqueued jobs are always drained.
 func (s *shard) feed(n int, get func(i int) entry, reserved bool) {
 	s.mu.Lock()
+	s.submitted += uint64(n)
 	if reserved {
 		s.reserved -= n
 	}
@@ -354,6 +364,7 @@ func (s *shard) feed(n int, get func(i int) entry, reserved bool) {
 // allocation per submission; TestDoAllocs pins Do at one).
 func (s *shard) enqueueOne(e entry, reserved bool) {
 	s.mu.Lock()
+	s.submitted++
 	if reserved {
 		s.reserved--
 	} else {

@@ -98,7 +98,8 @@ type ClientOptions struct {
 	// RedialBackoff is the pause before a redial's second dial, doubling
 	// per attempt after it; the first is immediate (default 50ms).
 	RedialBackoff time.Duration
-	// DialTimeout bounds each dial (default 5s).
+	// DialTimeout bounds each dial: the connect, then the handshake
+	// (default 5s).
 	DialTimeout time.Duration
 }
 
@@ -124,7 +125,8 @@ var calls wire.Pool[jobCall]
 // safe for concurrent use: goroutines sharing one Client share one
 // connection, its in-order queue of calls and its combining writer.
 type Client struct {
-	c *wire.Client[jobCall]
+	c           *wire.Client[jobCall]
+	dialTimeout time.Duration // bounds each handshake flight, as it does the connect
 
 	mu   sync.Mutex
 	subs map[string]func(Event)
@@ -160,7 +162,7 @@ func Dial(addr string, o ClientOptions) (*Client, error) {
 	if o.Redial {
 		attempts = o.RedialAttempts
 	}
-	c := &Client{subs: make(map[string]func(Event))}
+	c := &Client{subs: make(map[string]func(Event)), dialTimeout: o.DialTimeout}
 	c.c = wire.NewClient(wire.Proto[jobCall]{
 		Name:           "jobd",
 		Addr:           addr,
@@ -206,6 +208,10 @@ func (c *Client) handshake(nc net.Conn, _ bool) error {
 		hs = append(hs, k)
 	}
 	c.mu.Unlock()
+	// The dial timeout bounds the flight: a peer that accepts and never
+	// answers fails the dial instead of holding it for ever.
+	defer nc.SetDeadline(time.Time{})
+	nc.SetDeadline(time.Now().Add(c.dialTimeout))
 	c.c.Flight(nc, hs...)
 	for i, k := range hs {
 		want := jopAck

@@ -441,6 +441,42 @@ func TestListenOnce(t *testing.T) {
 	}
 }
 
+// TestDialHandshakeTimeout: DialTimeout bounds the hello flight as well
+// as the connect, so a peer that accepts and never answers fails the
+// Dial instead of holding it for ever.
+func TestDialHandshakeTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close() // held open, never written to
+		}
+	}()
+	dialed := make(chan error, 1)
+	go func() {
+		c, err := Dial(ln.Addr().String(), ClientOptions{DialTimeout: 100 * time.Millisecond})
+		if err == nil {
+			c.Close()
+		}
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		if err == nil {
+			t.Fatal("Dial to a silent peer succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Dial to a peer that never answers was still blocked after 2s")
+	}
+}
+
 // TestHelloRequired: a first frame that is not hello, and a hello with
 // the wrong protocol version, both cut the connection with codeProto.
 func TestHelloRequired(t *testing.T) {
