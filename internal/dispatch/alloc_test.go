@@ -29,7 +29,7 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 256})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +61,18 @@ func TestDispatcherRoundLoopAllocFree(t *testing.T) {
 }
 
 // TestStealRecordsWithoutAllocating is the round-loop gate with two
-// shards and a skewed feed: calls alternate between one job and two, the
-// round-robin cursor lands every single on shard 0 and splits every pair,
-// so shard 1 keeps running dry beside shard 0's backlog and steals from
-// it. A steal moves entries through the thief's transit ring on pooled
-// blocks and records dispatch_steal in the flight ring; neither may
-// allocate.
+// shards and an uneven feed: calls alternate between one job and two, a
+// call starts on the shard of its first id, so the singles land on the
+// two shards in turn and every pair is split. The shards stay even only
+// on average, and whichever runs dry beside the other's backlog steals
+// from it. A steal moves entries through the thief's transit ring on
+// pooled blocks and records dispatch_steal in the flight ring; neither
+// may allocate.
 func TestStealRecordsWithoutAllocating(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 256})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestDispatcherResolveAllocs(t *testing.T) {
 // allocations per job.
 func allocsPerJob(t *testing.T, submit func(*Dispatcher)) float64 {
 	t.Helper()
-	return allocsPerJobOn(t, Config{Shards: 1, Workers: 2, MaxBatch: 256}, 2048, submit)
+	return allocsPerJobOn(t, Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 256}, 2048, submit)
 }
 
 // allocsPerJobOn is allocsPerJob over a dispatcher of the given shape,
@@ -213,8 +214,8 @@ func TestDurableJournalBatchOneAllocs(t *testing.T) {
 					spec = "mmap:" + filepath.Join(t.TempDir(), "regs")
 				}
 				cfg := Config{
-					Shards: 1, Workers: 2, MaxBatch: 256, MaxJobs: allocCycles * jobs, JournalBatch: jb,
-					NewMem: func(_, size int) (membackend.Backend, error) { return membackend.Open(spec, size) },
+					Shards: 1, WorkersPerShard: 2, MaxBatch: 256, MaxJobs: allocCycles * jobs, JournalBatch: jb,
+					newMem: func(_, size int) (membackend.Backend, error) { return membackend.Open(spec, size) },
 				}
 				perJob := allocsPerJobOn(t, cfg, jobs, func(d *Dispatcher) {
 					if _, err := d.Do(context.Background(), task); err != nil {
@@ -235,7 +236,7 @@ func TestDoBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 1024})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +289,11 @@ func TestRunnerBatchAllocs(t *testing.T) {
 		}
 		for _, jb := range []int{0, 1, 16} { // 0 = in memory
 			name := fmt.Sprintf("n%d/memory", n)
-			cfg := Config{Shards: 2, Workers: 2, MaxBatch: 256}
+			cfg := Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 256}
 			if jb > 0 {
 				name = fmt.Sprintf("n%d/counting_batch%d", n, jb)
 				cfg.MaxJobs, cfg.JournalBatch = allocCycles*calls*n, jb
-				cfg.NewMem = func(_, size int) (membackend.Backend, error) { return membackend.Open("counting:atomic", size) }
+				cfg.newMem = func(_, size int) (membackend.Backend, error) { return membackend.Open("counting:atomic", size) }
 			}
 			t.Run(name, func(t *testing.T) {
 				before := r.resolved.Load()
@@ -319,7 +320,7 @@ func TestHandleDoneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 256})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,11 @@ import (
 func TestSubmitAsyncFutures(t *testing.T) {
 	const jobs = 4000
 	d, err := New(Config{
-		Shards:   2,
-		Workers:  3,
-		MaxBatch: 64,
-		Jitter:   true,
-		Seed:     11,
+		Shards:          2,
+		WorkersPerShard: 3,
+		MaxBatch:        64,
+		Jitter:          true,
+		Seed:            11,
 		CrashPlan: everyRounds(15, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(30 + 11*round + 5*shard), uint64(70 + 7*round)}
 		}),
@@ -66,10 +66,10 @@ func TestSubmitAsyncFutures(t *testing.T) {
 func TestSubmitCallbackExactlyOnce(t *testing.T) {
 	const jobs = 3000
 	d, err := New(Config{
-		Shards:   3,
-		Workers:  2,
-		MaxBatch: 32,
-		Seed:     12,
+		Shards:          3,
+		WorkersPerShard: 2,
+		MaxBatch:        32,
+		Seed:            12,
 		CrashPlan: everyRounds(10, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(25 + 9*round)}
 		}),
@@ -157,8 +157,8 @@ func TestAsyncRecovery(t *testing.T) {
 	var performed, blocked atomic.Int64
 	gate := make(chan struct{}) // never closed: d1's workers stay frozen
 	d1, err := New(Config{
-		Shards: 1, Workers: workers, MaxBatch: 128,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 1, WorkersPerShard: workers, MaxBatch: 128,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +182,8 @@ func TestAsyncRecovery(t *testing.T) {
 	// d1 is abandoned without Close, like a killed process.
 
 	d2, err := New(Config{
-		Shards: 1, Workers: workers, MaxBatch: 128,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 1, WorkersPerShard: workers, MaxBatch: 128,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +241,11 @@ func TestBackpressureBlock(t *testing.T) {
 		jobs  = 400
 	)
 	d, err := New(Config{
-		Shards:     2,
-		Workers:    2,
-		MaxBatch:   8,
-		QueueDepth: depth,
-		Policy:     Block,
+		Shards:          2,
+		WorkersPerShard: 2,
+		MaxBatch:        8,
+		QueueDepth:      depth,
+		SubmitPolicy:    Block,
 		CrashPlan: everyRounds(40, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(10 + 7*round)}
 		}),
@@ -332,11 +332,11 @@ func TestBackpressureFailFast(t *testing.T) {
 	const depth = 4
 	gate := make(chan struct{})
 	d, err := New(Config{
-		Shards:     1,
-		Workers:    2,
-		MaxBatch:   2,
-		QueueDepth: depth,
-		Policy:     FailFast,
+		Shards:          1,
+		WorkersPerShard: 2,
+		MaxBatch:        2,
+		QueueDepth:      depth,
+		SubmitPolicy:    FailFast,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -410,11 +410,11 @@ func TestBackpressureFailFast(t *testing.T) {
 func TestBatchRotation(t *testing.T) {
 	gate := make(chan struct{})
 	d, err := New(Config{
-		Shards:     2,
-		Workers:    2,
-		MaxBatch:   2,
-		QueueDepth: 2,
-		Policy:     FailFast,
+		Shards:          2,
+		WorkersPerShard: 2,
+		MaxBatch:        2,
+		QueueDepth:      2,
+		SubmitPolicy:    FailFast,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,11 +448,11 @@ func TestAbandonReleasesBlockedSubmitter(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	d, err := New(Config{
-		Shards:     1,
-		Workers:    2,
-		MaxBatch:   2,
-		QueueDepth: 2,
-		Policy:     Block,
+		Shards:          1,
+		WorkersPerShard: 2,
+		MaxBatch:        2,
+		QueueDepth:      2,
+		SubmitPolicy:    Block,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -496,9 +496,9 @@ func TestAbandonReleasesBlockedSubmitter(t *testing.T) {
 func TestWorkStealing(t *testing.T) {
 	const jobs = 300
 	d, err := New(Config{
-		Shards:   2,
-		Workers:  2,
-		MaxBatch: 256,
+		Shards:          2,
+		WorkersPerShard: 2,
+		MaxBatch:        256,
 		// A tight latency target keeps the slow shard cutting small
 		// rounds, so its queue stays deep between rounds — the window a
 		// thief needs.
@@ -554,10 +554,10 @@ func TestAdaptiveRoundSizing(t *testing.T) {
 	const jobs = 200
 	gate := make(chan struct{})
 	d, err := New(Config{
-		Shards:      1,
-		Workers:     2,
-		MaxBatch:    128,
-		RoundTarget: 2 * time.Millisecond,
+		Shards:          1,
+		WorkersPerShard: 2,
+		MaxBatch:        128,
+		RoundTarget:     2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 	)
 	stream := func(t *testing.T, cfg Config) Stats {
 		t.Helper()
-		cfg.Shards, cfg.Workers, cfg.MaxBatch, cfg.MaxJobs = shards, workers, 256, jobs
+		cfg.Shards, cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs = shards, workers, 256, jobs
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 			var backends []*membackend.CountingMem
 			stream(t, Config{
 				JournalBatch: jb,
-				NewMem: func(shard, size int) (membackend.Backend, error) {
+				newMem: func(shard, size int) (membackend.Backend, error) {
 					b, err := membackend.Open("counting:atomic", size)
 					if err == nil {
 						backends = append(backends, membackend.AsCounting(b))
@@ -109,7 +109,7 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 		req0, reads0 := clientRequests()
 		st := stream(t, Config{
 			JournalBatch: jb,
-			NewMem:       netFactory(addr, fmt.Sprintf("traffic-%d", t0.UnixNano()), nil),
+			newMem:       netFactory(addr, fmt.Sprintf("traffic-%d", t0.UnixNano()), nil),
 		})
 		req1, reads1 := clientRequests()
 		// Full claims, at most one short claim per worker per round, the
@@ -134,13 +134,13 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 // fingerprint otherwise — and is left byte for byte as it was.
 func TestParentLayoutRefused(t *testing.T) {
 	requireMmap(t)
-	cfg := Config{Shards: 1, Workers: 2, MaxBatch: 32, MaxJobs: 100}
-	v5size := jmetaCells + cfg.Workers*(cfg.MaxJobs/64+1)
-	v4size := jmetaCells + cfg.Workers*cfg.MaxJobs // v3's too
-	v2size := v4size + core.Layout{M: cfg.Workers, RowLen: cfg.MaxBatch}.Padded().Size()
+	cfg := Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 32, MaxJobs: 100}
+	v5size := jmetaCells + cfg.WorkersPerShard*(cfg.MaxJobs/64+1)
+	v4size := jmetaCells + cfg.WorkersPerShard*cfg.MaxJobs // v3's too
+	v2size := v4size + core.Layout{M: cfg.WorkersPerShard, RowLen: cfg.MaxBatch}.Padded().Size()
 	oldFP := func(version string) int64 {
 		h := fnv.New64a()
-		fmt.Fprintf(h, version+"/%d of %d/%d/%d/%d", 0, cfg.Shards, cfg.Workers, cfg.MaxBatch, cfg.MaxJobs)
+		fmt.Fprintf(h, version+"/%d of %d/%d/%d/%d", 0, cfg.Shards, cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs)
 		return int64(h.Sum64() >> 1)
 	}
 	// An old store mid-life: fingerprint, a few journaled ids, round dirt.
@@ -194,7 +194,7 @@ func TestParentLayoutRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := cfg
-			c.NewMem = mmapFactory(dir)
+			c.newMem = mmapFactory(dir)
 			refused(t, c)
 			after, err := os.ReadFile(path)
 			if err != nil {
@@ -239,7 +239,7 @@ func TestParentLayoutRefused(t *testing.T) {
 			}
 			before := cells()
 			c := cfg
-			c.NewMem = netFactory(addr, ns, nil)
+			c.newMem = netFactory(addr, ns, nil)
 			refused(t, c)
 			after := cells()
 			for a := range before {

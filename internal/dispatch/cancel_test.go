@@ -18,7 +18,7 @@ import (
 // timeline. Conservation must hold: a cancelled job counts performed,
 // so Flush still drains.
 func TestDoCancelledFastPath(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 8, TraceSampleRate: 1})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 8, TraceSampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDoCancelledFastPath(t *testing.T) {
 // TestDoCancelTooLate: a ctx cancelled only after the payload has run
 // changes nothing — the job resolved as performed, exactly once.
 func TestDoCancelTooLate(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 8})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDoCancelTooLate(t *testing.T) {
 // Whatever the interleaving, every handle resolves exactly once, a
 // cancelled resolution never ran its payload, and the counters add up.
 func TestDoCancelledRace(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 32})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,11 +150,11 @@ func flushCrashWindow(t *testing.T, jb int, keep func(i, n int) bool) {
 	for s := 0; s < shards; s++ {
 		h.stores = append(h.stores, memtest.NewLossy(jmetaCells+workers*words))
 	}
-	cfg := Config{Shards: shards, Workers: workers, MaxBatch: 256, MaxJobs: n, JournalBatch: jb}
+	cfg := Config{Shards: shards, WorkersPerShard: workers, MaxBatch: 256, MaxJobs: n, JournalBatch: jb}
 
 	// The doomed incarnation. Job 1 holds its shard until the stream is
 	// queued, so rounds are full and claims come sixteen at a time.
-	cfg.NewMem = func(shard, _ int) (membackend.Backend, error) {
+	cfg.newMem = func(shard, _ int) (membackend.Backend, error) {
 		return &crashBackend{Lossy: h.stores[shard], h: h, shard: shard, words: words}, nil
 	}
 	d1, err := New(cfg)
@@ -234,7 +234,7 @@ func flushCrashWindow(t *testing.T, jb int, keep func(i, n int) bool) {
 	}
 
 	// The successor: same stores, same stream.
-	cfg.NewMem = func(shard, _ int) (membackend.Backend, error) { return h.stores[shard], nil }
+	cfg.newMem = func(shard, _ int) (membackend.Backend, error) { return h.stores[shard], nil }
 	d2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("the stores do not reopen: %v", err)

@@ -37,43 +37,44 @@ type Config struct {
 	// Shards multiply throughput: rounds on different shards run fully in
 	// parallel and share nothing.
 	Shards int
-	// Workers is m, the worker goroutines per shard. The default is
-	// derived from the machine: enough workers to cover
+	// WorkersPerShard is m, the worker goroutines per shard. The default
+	// is derived from the machine: enough workers to cover
 	// runtime.GOMAXPROCS(0) across the shards, clamped to [2, 8] per
 	// shard (see DefaultWorkers).
-	Workers int
-	// Beta is KKβ's termination parameter per shard (0 = Workers, the
-	// effectiveness-optimal choice).
+	WorkersPerShard int
+	// Beta is KKβ's termination parameter per shard (0 = WorkersPerShard,
+	// the effectiveness-optimal choice).
 	Beta int
 	// MaxBatch caps the jobs a shard executes in one round (default 1024).
 	// It bounds the shard's register file and round batch, which grow with
 	// the largest round the shard has cut, so memory is at most
-	// S·Workers·MaxBatch registers in total. It is a CAP, not the round
-	// size: each round is sized by the adaptive controller (see
+	// S·WorkersPerShard·MaxBatch registers in total. It is a CAP, not the
+	// round size: each round is sized by the adaptive controller (see
 	// RoundTarget) from observed queue depth and recent round latency.
 	MaxBatch int
 	// QueueDepth bounds each shard's resident jobs — queued plus the
-	// round in flight (0 = unbounded, the legacy behavior). When a shard
-	// is at depth, submissions into it block or fail according to
-	// Policy, so a saturated dispatcher exerts real backpressure instead
-	// of growing its rings without bound. The bound is hard: in-flight
-	// jobs keep holding their slots until their round resolves (any of
-	// them may come back as residue), and a thief steals at most into
-	// its own free capacity, so neither residue carry-over nor
-	// work-stealing pushes a queue past what submitters see.
+	// round in flight (0 = unbounded). When a shard is at depth,
+	// submissions into it block or fail according to SubmitPolicy, so a
+	// saturated dispatcher exerts real backpressure instead of growing its
+	// rings without bound. The bound is hard: in-flight jobs keep holding
+	// their slots until their round resolves (any of them may come back as
+	// residue), and a thief steals at most into its own free capacity, so
+	// neither residue carry-over nor work-stealing pushes a queue past
+	// what submitters see.
 	QueueDepth int
-	// Policy selects what a submission into a full shard queue does:
-	// Block (the default) parks the submitter until space frees, FailFast
-	// returns ErrQueueFull immediately. Only meaningful with QueueDepth.
-	Policy SubmitPolicy
+	// SubmitPolicy selects what a submission into a full shard queue
+	// does: Block (the default) parks the submitter until space frees,
+	// FailFast returns ErrQueueFull immediately. Only meaningful with
+	// QueueDepth.
+	SubmitPolicy SubmitPolicy
 	// RoundTarget is the adaptive round controller's latency goal: each
 	// shard sizes its next round so that — at the EWMA per-job cost
 	// observed over recent rounds — the round should finish within
-	// roughly this duration, capped by MaxBatch and floored at Workers.
-	// Smaller targets cut smaller, more frequent rounds (lower per-job
-	// completion latency); larger targets amortize round overhead
-	// (higher throughput). 0 means DefaultRoundTarget; negative disables
-	// latency-based sizing (rounds are cut from queue depth alone).
+	// roughly this duration, capped by MaxBatch and floored at
+	// WorkersPerShard. Smaller targets cut smaller, more frequent rounds
+	// (lower per-job completion latency); larger targets amortize round
+	// overhead (higher throughput). 0 means DefaultRoundTarget; negative
+	// disables latency-based sizing (rounds are cut from queue depth alone).
 	RoundTarget time.Duration
 	// Jitter adds scheduling noise inside the worker pools; Seed makes it
 	// deterministic.
@@ -82,36 +83,41 @@ type Config struct {
 	// CrashPlan, when non-nil, injects worker crashes: before shard s runs
 	// its round r (0-based), CrashPlan(s, r) may return a per-worker step
 	// budget (0 = never crash; at least one worker must survive). Crashed
-	// workers are revived on the shard's next round. Malformed vectors are
-	// ignored. This is the fault-injection hook used by the chaos tests;
-	// a plan that crashes workers on every round forever can starve Flush.
+	// workers are revived on the shard's next round, and the jobs their
+	// crash left unperformed are carried into it. Malformed vectors are
+	// ignored; a plan that crashes workers on every round forever can
+	// starve Flush.
 	CrashPlan func(shard, round int) []uint64
-	// NewMem, when non-nil, supplies each shard's journal backend
-	// (internal/membackend): the shard journals every performed job there
-	// and runs its rounds in process memory regardless. The factory is
-	// called once per shard with the number of cells the shard needs;
-	// durable backends (mmap) make the dispatcher crash recoverable — see
-	// Recovery below. Requires MaxJobs.
-	NewMem func(shard, size int) (membackend.Backend, error)
-	// MaxJobs bounds the distinct job ids a backend-backed dispatcher may
-	// assign over the lifetime of its register files (across restarts):
-	// it sizes the durable journal rows — a bit per id per worker,
-	// Workers/8 bytes of store per job per shard — and submissions fail
-	// with ErrJournalFull beyond it. Required with NewMem, ignored without.
+	// Backend is the membackend spec of the journal. "" or "atomic" is
+	// volatile (membackend.Volatile: nothing written through it can be
+	// reopened), so no journal is kept and MaxJobs and JournalBatch are
+	// ignored. Every other spec, wrappers such as "counting:SPEC"
+	// included, keeps one (DESIGN.md §7): shard s opens
+	// membackend.ShardSpec(Backend, s) — "mmap:PATH" maps "PATH.shard<s>",
+	// "net:HOST:PORT/NS" takes namespace "NS.shard<s>" on an amo-regd
+	// under its single-writer lease (see examples/failover) — while its
+	// rounds run in process memory. Over a durable store at-most-once
+	// survives process death (Recovery below, examples/recover); a store
+	// of a layout before amo-dispatch-v5 is refused.
+	Backend string
+	// MaxJobs bounds the distinct job ids a journaled dispatcher may
+	// assign over the lifetime of its stores (across restarts): it sizes
+	// the journal rows — a bit per id per worker, WorkersPerShard/8 bytes
+	// of store per job per shard — and submissions fail with
+	// ErrJournalFull beyond it. Required by every journal.
 	MaxJobs int
-	// JournalBatch is the durable journal's group-commit factor (default
-	// 1 = journal per job). At k > 1 each worker CLAIMS up to k jobs —
-	// marking them taken in the round but deferring their payloads — then
-	// journals all k in one acked write of the few bitmap words they
-	// fall in and runs the k payloads, paying one ack (one msync, one
-	// network round trip) per claim instead of per job. Record-then-do still holds per batch: no
-	// payload runs before its journal record is acknowledged, so a crash
-	// can never produce a duplicate. The crash WINDOW widens from one job
-	// to k per worker: a process killed after the batch journal write but
-	// before the payloads has recorded up to k jobs whose payloads never
-	// ran, which recovery counts performed — effectiveness loss, bounded
-	// by Workers·JournalBatch per crash (DESIGN.md §7). Ignored without
-	// NewMem.
+	// JournalBatch is the journal's group-commit factor (default 1 =
+	// journal per job). At k > 1 each worker CLAIMS up to k jobs — marking
+	// them taken in the round but deferring their payloads — then journals
+	// all k in one acked write of the few bitmap words they fall in and
+	// runs the k payloads, paying one ack (one msync, one network round
+	// trip) per claim instead of per job. Record-then-do still holds per
+	// batch: no payload runs before its journal record is acknowledged, so
+	// a crash can never produce a duplicate. The crash WINDOW widens from
+	// one job to k per worker: a process killed after the batch journal
+	// write but before the payloads has recorded up to k jobs whose
+	// payloads never ran, which recovery counts performed — effectiveness
+	// loss, bounded by WorkersPerShard·JournalBatch per crash (DESIGN.md §7).
 	JournalBatch int
 	// Metrics enables the dispatcher's obs registry: per-shard
 	// submit/round/steal/expiry counters, queue-depth and round-size
@@ -133,6 +139,10 @@ type Config struct {
 	// resolved, plus expired and recovered — dumpable at /tracez and via
 	// Tracer.
 	TraceSampleRate float64
+
+	// newMem opens shard s's journal store of size cells. normalize sets
+	// it from Backend; a test sets it to substitute a store (it wins).
+	newMem func(shard, size int) (membackend.Backend, error)
 }
 
 // Recovery. A dispatcher over durable backends journals every performed
@@ -169,11 +179,11 @@ const (
 // latency stays bounded.
 const DefaultRoundTarget = 5 * time.Millisecond
 
-// DefaultWorkers is the worker count per shard used when Config.Workers
-// is zero: ceil(GOMAXPROCS/shards), so the default dispatcher saturates
-// the machine without oversubscribing it, clamped to [2, 8] — m = 1
-// degenerates KKβ (no contention to resolve, but also no fault
-// tolerance), and beyond 8 the done-matrix gather cost per round
+// DefaultWorkers is the worker count per shard used when
+// Config.WorkersPerShard is zero: ceil(GOMAXPROCS/shards), so the default
+// dispatcher saturates the machine without oversubscribing it, clamped to
+// [2, 8] — m = 1 degenerates KKβ (no contention to resolve, but also no
+// fault tolerance), and beyond 8 the done-matrix gather cost per round
 // outweighs the extra parallelism of a single shard.
 func DefaultWorkers(shards int) int {
 	if shards < 1 {
@@ -194,34 +204,41 @@ func (c *Config) normalize() error {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = DefaultWorkers(c.Shards)
+	if c.WorkersPerShard <= 0 {
+		c.WorkersPerShard = DefaultWorkers(c.Shards)
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
 	}
-	if c.MaxBatch < c.Workers {
-		c.MaxBatch = c.Workers
+	if c.MaxBatch < c.WorkersPerShard {
+		c.MaxBatch = c.WorkersPerShard
 	}
 	if c.Beta < 0 {
 		return fmt.Errorf("dispatch: negative beta %d", c.Beta)
 	}
-	if c.NewMem != nil && c.MaxJobs <= 0 {
-		return fmt.Errorf("dispatch: NewMem requires MaxJobs > 0 (it sizes the durable journal)")
+	// The one translation of a spec into shard stores: a volatile spec
+	// has no successor to record for, so it gets none.
+	if c.newMem == nil && !membackend.Volatile(c.Backend) {
+		spec := c.Backend
+		c.newMem = func(shard, size int) (membackend.Backend, error) {
+			return membackend.Open(membackend.ShardSpec(spec, shard), size)
+		}
 	}
-	if c.JournalBatch <= 0 {
-		c.JournalBatch = 1
-	}
-	if c.NewMem != nil && c.JournalBatch > c.MaxJobs {
-		c.JournalBatch = c.MaxJobs
+	switch {
+	case c.newMem == nil:
+		c.MaxJobs, c.JournalBatch = 0, 1
+	case c.MaxJobs <= 0:
+		return fmt.Errorf("dispatch: backend %q keeps a journal and requires MaxJobs > 0 (it sizes the journal)", c.Backend)
+	default:
+		c.JournalBatch = min(max(c.JournalBatch, 1), c.MaxJobs)
 	}
 	if c.QueueDepth < 0 {
 		c.QueueDepth = 0
 	}
-	switch c.Policy {
+	switch c.SubmitPolicy {
 	case Block, FailFast:
 	default:
-		return fmt.Errorf("dispatch: unknown SubmitPolicy %d", c.Policy)
+		return fmt.Errorf("dispatch: unknown SubmitPolicy %d", c.SubmitPolicy)
 	}
 	if c.RoundTarget == 0 {
 		c.RoundTarget = DefaultRoundTarget
@@ -242,7 +259,7 @@ func (c *Config) normalize() error {
 // Close.
 var ErrClosed = errors.New("dispatch: dispatcher is closed")
 
-// ErrQueueFull is returned by the submit paths under Policy FailFast
+// ErrQueueFull is returned by the submit paths under SubmitPolicy FailFast
 // when the target shard's queue is at Config.QueueDepth. The submission
 // consumed no job id; the caller may retry.
 var ErrQueueFull = errors.New("dispatch: shard queue is full (QueueDepth reached)")
@@ -377,7 +394,7 @@ func (d *Dispatcher) UnclaimedRecovered() (n int, lowest uint64) {
 // MaxJobs with ErrJournalFull, and neither burns an id: an in-memory add
 // that finds closedBit hands its ids back and wakes Flush, which saw them.
 func (d *Dispatcher) lease(n uint64) (first uint64, err error) {
-	if d.cfg.NewMem == nil {
+	if d.cfg.newMem == nil {
 		cur := d.idCursor.v.Add(n)
 		if cur&closedBit != 0 {
 			d.idCursor.v.Add(-n)
@@ -447,7 +464,7 @@ func (d *Dispatcher) do(ctx context.Context, e entry) (uint64, error) {
 	bounded := d.cfg.QueueDepth > 0
 	if bounded {
 		s = d.shards[d.nextShard()]
-		if d.cfg.Policy == FailFast {
+		if d.cfg.SubmitPolicy == FailFast {
 			if !s.tryReserve(1) {
 				return 0, ErrQueueFull
 			}
@@ -515,7 +532,7 @@ func (d *Dispatcher) doBatch(ctx context.Context, n int, entryAt func(int) entry
 		return 0, err
 	}
 	plan := d.plan(n)
-	failFast := d.cfg.QueueDepth > 0 && d.cfg.Policy == FailFast
+	failFast := d.cfg.QueueDepth > 0 && d.cfg.SubmitPolicy == FailFast
 	if failFast {
 		for i := 0; i < plan.chunks; i++ {
 			if c := plan.at(i); !c.s.tryReserve(c.hi - c.lo) {
@@ -824,7 +841,7 @@ type ShardStats struct {
 	// journaled — by this shard under its own backend and lease.
 	Stolen uint64
 	// SubmitBlockedNanos accumulates the time submitters spent parked
-	// waiting for space in this shard's bounded queue (Policy Block).
+	// waiting for space in this shard's bounded queue (SubmitPolicy Block).
 	SubmitBlockedNanos uint64
 	// QueueDepth is the shard's pending-job queue length at snapshot
 	// time (not cumulative). With Config.QueueDepth set it never exceeds

@@ -59,11 +59,11 @@ func TestDispatcherCarryoverProperty(t *testing.T) {
 	const jobs = 8000
 	crashRounds := 12
 	d, err := New(Config{
-		Shards:   4,
-		Workers:  3,
-		MaxBatch: 64, // force many rounds and much carryover
-		Jitter:   true,
-		Seed:     1,
+		Shards:          4,
+		WorkersPerShard: 3,
+		MaxBatch:        64, // force many rounds and much carryover
+		Jitter:          true,
+		Seed:            1,
 		CrashPlan: everyRounds(crashRounds, func(shard, round int) []uint64 {
 			// Workers 1 and 2 crash at staggered, round-varying points;
 			// worker 0 always survives.
@@ -119,10 +119,10 @@ func TestDispatcherCarryoverProperty(t *testing.T) {
 func TestDispatcherE2EStream(t *testing.T) {
 	const jobs = 100_000
 	d, err := New(Config{
-		Shards:   4,
-		Workers:  4,
-		MaxBatch: 512,
-		Seed:     2,
+		Shards:          4,
+		WorkersPerShard: 4,
+		MaxBatch:        512,
+		Seed:            2,
 		CrashPlan: everyRounds(25, func(shard, round int) []uint64 {
 			return []uint64{0, 300, uint64(500 + 31*round), 0}
 		}),
@@ -168,7 +168,7 @@ func TestDispatcherE2EStream(t *testing.T) {
 // every round needs padding, and interleaves Flushes with submissions.
 func TestDispatcherTrickle(t *testing.T) {
 	const jobs = 200
-	d, err := New(Config{Shards: 2, Workers: 8, MaxBatch: 32, Jitter: true, Seed: 3})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 8, MaxBatch: 32, Jitter: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestDispatcherTrickle(t *testing.T) {
 // stopping and that the dispatcher rejects submissions afterwards.
 func TestDispatcherCloseDrains(t *testing.T) {
 	const jobs = 3000
-	d, err := New(Config{Shards: 2, Workers: 4, MaxBatch: 128, Seed: 4})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 4, MaxBatch: 128, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestDispatcherCloseDrains(t *testing.T) {
 // … in acceptance order across Do, DoBatch and DoRunners however they
 // interleave and whichever shards round-robin placement picks.
 func TestDispatcherIDs(t *testing.T) {
-	d, err := New(Config{Shards: 3, Workers: 2, MaxBatch: 16})
+	d, err := New(Config{Shards: 3, WorkersPerShard: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDispatcherIDs(t *testing.T) {
 // TestDispatcherIDsSingleShard: with one shard the single-submit stream
 // is the same dense sequence from 1.
 func TestDispatcherIDsSingleShard(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 16})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

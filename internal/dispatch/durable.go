@@ -11,7 +11,7 @@ import (
 	"atmostonce/internal/obs/eventlog"
 )
 
-// Durable shard state. When Config.NewMem supplies a backend, each shard
+// Durable shard state. When Config.Backend keeps a journal, each shard
 // lays its register file out as
 //
 //	cell 0                — config fingerprint (layout version, shard id,
@@ -68,10 +68,10 @@ func (s *shard) jrow(p int) int { return jmetaCells + (p-1)*s.jwords }
 // metadata and, when the backend holds pre-crash state, recovers it:
 // the journal rows are ORed into d.recovered.
 func (s *shard) openDurable(cfg *Config) error {
-	m, maxBatch, maxJobs := cfg.Workers, cfg.MaxBatch, cfg.MaxJobs
+	m, maxBatch, maxJobs := cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs
 	s.jwords = maxJobs/64 + 1 // bits 0..MaxJobs; bit 0 is no id and stays clear
 	size := jmetaCells + m*s.jwords
-	b, err := cfg.NewMem(s.id, size)
+	b, err := cfg.newMem(s.id, size)
 	if err != nil {
 		// The commonest way to get here with a store that exists is a size
 		// the backend refuses, so the refusal names the layout.
@@ -104,7 +104,7 @@ func (s *shard) openDurable(cfg *Config) error {
 			b.Close()
 			eventlog.Logger().Error("dispatch_fingerprint_mismatch",
 				"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
-			return fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/Workers/MaxBatch/MaxJobs or start from a fresh file; %s",
+			return fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/WorkersPerShard/MaxBatch/MaxJobs or start from a fresh file; %s",
 				s.id, got, fp, layoutChange)
 		}
 		scan0 := time.Now()

@@ -73,7 +73,7 @@ func TestTakeClassEDF(t *testing.T) {
 // block, and the rings hold no block.
 func TestDeadlineStormPinsNothing(t *testing.T) {
 	const jobs = 50_000
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDeadlineStormPinsNothing(t *testing.T) {
 // EDF runs it first.
 func TestEDFOrderWithinClass(t *testing.T) {
 	gate := make(chan struct{})
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 2, Seed: 5})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

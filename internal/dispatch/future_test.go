@@ -40,7 +40,7 @@ func drained(t *testing.T, what string, ch <-chan JobResult) {
 // it is first asked for before, after or while the job resolves, and that
 // channel carries exactly one JobResult.
 func TestFutureDoneAnyTime(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFutureDoneAnyTime(t *testing.T) {
 // from inside that very callback — and the callback may submit again
 // through Do, on the goroutine that is firing the round.
 func TestCallbackSeesFutureAndReenters(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 16})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestExactlyOnceBothWays(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("expired", func(t *testing.T) {
-		d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 8})
+		d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestExactlyOnceBothWays(t *testing.T) {
 	})
 
 	t.Run("cancelled", func(t *testing.T) {
-		d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 8})
+		d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestExactlyOnceBothWays(t *testing.T) {
 	t.Run("stolen", func(t *testing.T) {
 		// The skew of TestWorkStealing: round-robin placement puts every
 		// slow payload on one shard, the other goes idle and steals.
-		d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 256, RoundTarget: 2 * time.Millisecond})
+		d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 256, RoundTarget: 2 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestExactlyOnceBothWays(t *testing.T) {
 
 	t.Run("requeued", func(t *testing.T) {
 		d, err := New(Config{
-			Shards: 2, Workers: 2, MaxBatch: 32, Seed: 12,
+			Shards: 2, WorkersPerShard: 2, MaxBatch: 32, Seed: 12,
 			CrashPlan: everyRounds(10, func(shard, round int) []uint64 {
 				return []uint64{0, uint64(25 + 9*round)}
 			}),
@@ -368,7 +368,7 @@ func TestDoBatchStraddlesRecoveryHorizon(t *testing.T) {
 	requireMmap(t)
 	const n, half = 200, 100
 	dir := t.TempDir()
-	cfg := Config{Shards: 2, Workers: 2, MaxBatch: 32, NewMem: mmapFactory(dir), MaxJobs: n}
+	cfg := Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 32, newMem: mmapFactory(dir), MaxJobs: n}
 	runs := make([]atomic.Int32, n)
 	tasks := func(o *onceBoth, k int) []Task {
 		ts := make([]Task, k)
@@ -462,7 +462,7 @@ func TestIdleShardPinsNothing(t *testing.T) {
 		{"expired", time.Now().Add(-time.Second)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+			d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -507,7 +507,7 @@ func (slabErr) Error() string { return "slab" }
 // own payload's error exactly once — through the callback and through a
 // channel asked for before or after the job resolved.
 func TestFutureSlabIsolation(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 256})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +592,7 @@ func submitFinErrs(t *testing.T, d *Dispatcher, n, keep int, dead *atomic.Int32)
 // keeps its own slab's results reachable and no other's, and still reads
 // its own.
 func TestRetainedHandlePinsOneSlab(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 64})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,9 +643,9 @@ func TestRejectedDoPinsNothing(t *testing.T) {
 		ctx  context.Context
 		want error
 	}{
-		{"queue full", Config{Shards: 1, Workers: 2, QueueDepth: 1, Policy: FailFast}, context.Background(), ErrQueueFull},
-		{"closed", Config{Shards: 1, Workers: 2}, context.Background(), ErrClosed},
-		{"dead ctx", Config{Shards: 1, Workers: 2}, cancelled, context.Canceled},
+		{"queue full", Config{Shards: 1, WorkersPerShard: 2, QueueDepth: 1, SubmitPolicy: FailFast}, context.Background(), ErrQueueFull},
+		{"closed", Config{Shards: 1, WorkersPerShard: 2}, context.Background(), ErrClosed},
+		{"dead ctx", Config{Shards: 1, WorkersPerShard: 2}, cancelled, context.Canceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, err := New(tc.cfg)
@@ -691,7 +691,7 @@ func TestRejectedDoPinsNothing(t *testing.T) {
 		if raceEnabled {
 			t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 		}
-		d, err := New(Config{Shards: 1, Workers: 2})
+		d, err := New(Config{Shards: 1, WorkersPerShard: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,9 +61,8 @@ func (d *Dispatcher) setupObs() {
 
 // registerShardObs exposes one shard's counters. The performed atomic is
 // read lock-free; the submitted count and everything living in
-// ShardStats are read under s.mu — the same lock and ordering Stats()
-// uses, so a scrape can never see a QueueDepth that disagrees with the
-// round counters next to it.
+// ShardStats are read under s.mu, once per series: unlike Stats(), a
+// scrape may pair a queue depth with counters read a moment later.
 func (d *Dispatcher) registerShardObs(s *shard) {
 	if d.reg == nil {
 		return

@@ -16,7 +16,7 @@ import (
 // counters that reconcile against Stats, and the exposition it would
 // serve is valid Prometheus text.
 func TestMetricsEndToEnd(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, Metrics: true})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // TestLatencyQuantiles: enough submissions cross the 1-in-16 sample
 // mask to yield non-zero latency quantiles.
 func TestLatencyQuantiles(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, Metrics: true})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestLatencyQuantiles(t *testing.T) {
 // TestQueueDepthGaugeConsistent: the queue-depth gauge and Stats read
 // the same locked snapshot, so after Flush both must agree on zero.
 func TestQueueDepthGaugeConsistent(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, Metrics: true})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestTraceOrdering(t *testing.T) {
 	dir := t.TempDir()
 	const n = 60
 	d, err := New(Config{
-		Shards: 2, Workers: 2,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 2, WorkersPerShard: 2,
+		newMem: mmapFactory(dir), MaxJobs: n,
 		TraceSampleRate: 1,
 	})
 	if err != nil {
@@ -201,7 +201,7 @@ func TestTraceOrdering(t *testing.T) {
 // TestTraceExpired: a job whose deadline passed before round assembly
 // gets a terminal Expired event and never a Started one.
 func TestTraceExpired(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, TraceSampleRate: 1})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, TraceSampleRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestTraceExpired(t *testing.T) {
 // (membackend registers there at init), /healthz flips to 503 on
 // Close, and OpsAddr reports the bound port.
 func TestOpsEndpoint(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MetricsAddr: "127.0.0.1:0"})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MetricsAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

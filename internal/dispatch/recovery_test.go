@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -16,7 +17,7 @@ import (
 	"atmostonce/internal/netmem"
 )
 
-// mmapFactory returns a Config.NewMem mapping each shard's register
+// mmapFactory returns a Config.newMem mapping each shard's register
 // file under dir, so successive dispatchers share durable state.
 func mmapFactory(dir string) func(shard, size int) (membackend.Backend, error) {
 	spec := "mmap:" + filepath.Join(dir, "regs")
@@ -66,8 +67,8 @@ func TestRecoverMidRound(t *testing.T) {
 	var performed, blocked atomic.Int64
 	gate := make(chan struct{}) // never closed: d1's workers stay frozen
 	d1, err := New(Config{
-		Shards: 1, Workers: workers, MaxBatch: 512,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 1, WorkersPerShard: workers, MaxBatch: 512,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +95,8 @@ func TestRecoverMidRound(t *testing.T) {
 	// Phase 2: recovery. Reopen the same register files and re-submit
 	// the identical stream (same order, hence same ids).
 	d2, err := New(Config{
-		Shards: 1, Workers: workers, MaxBatch: 512,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 1, WorkersPerShard: workers, MaxBatch: 512,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +148,8 @@ func TestRecoverRoundBoundary(t *testing.T) {
 	dir := t.TempDir()
 	executions := make([]atomic.Int32, n+1)
 	cfg := Config{
-		Shards: 2, Workers: 3, MaxBatch: 64,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 2, WorkersPerShard: 3, MaxBatch: 64,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	}
 	d1, err := New(cfg)
 	if err != nil {
@@ -210,8 +211,8 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 	const n = 300
 	dir := t.TempDir()
 	cfg := Config{
-		Shards: 2, Workers: 2, MaxBatch: 32,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 2, WorkersPerShard: 2, MaxBatch: 32,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	}
 	var runs atomic.Int64
 	d1, err := New(cfg)
@@ -260,8 +261,8 @@ func TestRecoverAfterCleanClose(t *testing.T) {
 func TestFreshFingerprintIsAcked(t *testing.T) {
 	var store *memtest.Lossy
 	cfg := Config{
-		Shards: 1, Workers: 2, MaxBatch: 32, MaxJobs: 1024,
-		NewMem: func(_, size int) (membackend.Backend, error) {
+		Shards: 1, WorkersPerShard: 2, MaxBatch: 32, MaxJobs: 1024,
+		newMem: func(_, size int) (membackend.Backend, error) {
 			if store == nil {
 				store = memtest.NewLossy(size)
 			}
@@ -310,7 +311,7 @@ func TestRecoveryRefusesForeignJournalCell(t *testing.T) {
 		{127, 2, 0},   // a row whose last word is all ids
 	} {
 		dir := t.TempDir()
-		cfg := Config{Shards: 1, Workers: 2, MaxBatch: 8, NewMem: mmapFactory(dir), MaxJobs: tc.maxJobs}
+		cfg := Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 8, newMem: mmapFactory(dir), MaxJobs: tc.maxJobs}
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +325,7 @@ func TestRecoveryRefusesForeignJournalCell(t *testing.T) {
 		}
 		// Corrupt one word in place, beside the journaled bit of id 1.
 		jwords := tc.maxJobs/64 + 1
-		b, err := cfg.NewMem(0, jmetaCells+2*jwords)
+		b, err := cfg.newMem(0, jmetaCells+2*jwords)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,8 +353,8 @@ func TestReopenConfigMismatch(t *testing.T) {
 	requireMmap(t)
 	dir := t.TempDir()
 	cfg := Config{
-		Shards: 1, Workers: 2, MaxBatch: 32,
-		NewMem: mmapFactory(dir), MaxJobs: 100,
+		Shards: 1, WorkersPerShard: 2, MaxBatch: 32,
+		newMem: mmapFactory(dir), MaxJobs: 100,
 	}
 	d1, err := New(cfg)
 	if err != nil {
@@ -370,7 +371,7 @@ func TestReopenConfigMismatch(t *testing.T) {
 	// A shape with a different register-file size is refused by the
 	// backend's header check.
 	bad := cfg
-	bad.Workers = 3
+	bad.WorkersPerShard = 3
 	bad.MaxBatch = 64
 	if _, err := New(bad); err == nil {
 		t.Fatal("reopen with different file size accepted")
@@ -390,7 +391,7 @@ func TestReopenConfigMismatch(t *testing.T) {
 	// re-execute their jobs.
 	multi := cfg
 	multi.Shards = 2
-	multi.NewMem = mmapFactory(t.TempDir()) // fresh files; shard0 above was written under Shards=1
+	multi.newMem = mmapFactory(t.TempDir()) // fresh files; shard0 above was written under Shards=1
 	dm, err := New(multi)
 	if err != nil {
 		t.Fatal(err)
@@ -419,8 +420,8 @@ func TestJournalFull(t *testing.T) {
 	dir := t.TempDir()
 	const n = 10
 	d, err := New(Config{
-		Shards: 3, Workers: 2, MaxBatch: 8,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 3, WorkersPerShard: 2, MaxBatch: 8,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -445,9 +446,65 @@ func TestJournalFull(t *testing.T) {
 		t.Fatalf("after the refusals: cursor %d, submitted %d, performed %d, want %d each", cur, st.Submitted, st.Performed, n)
 	}
 
-	// Config sanity: NewMem without MaxJobs is rejected.
-	if _, err := New(Config{NewMem: mmapFactory(dir)}); err == nil {
-		t.Fatal("NewMem without MaxJobs accepted")
+	// Config sanity: newMem without MaxJobs is rejected.
+	if _, err := New(Config{newMem: mmapFactory(dir)}); err == nil {
+		t.Fatal("newMem without MaxJobs accepted")
+	}
+}
+
+// TestBackendSpec: Config.Backend is turned into shard stores in one
+// place. A volatile spec keeps no journal, so MaxJobs 0 and JournalBatch
+// 7 open; every other spec, a wrapper of a volatile one included, keeps
+// one store per shard, ".shard<i>" apart, and requires MaxJobs; and a
+// store a test supplies wins over the spec.
+func TestBackendSpec(t *testing.T) {
+	requireMmap(t)
+	open := func(cfg Config) *Dispatcher {
+		t.Helper()
+		cfg.Shards, cfg.WorkersPerShard, cfg.Metrics = 2, 2, true
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatalf("Backend %q: %v", cfg.Backend, err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
+	journaled := func(d *Dispatcher) bool {
+		for key := range d.Registry().Snapshot() {
+			if strings.HasPrefix(key, "amo_membackend_journal_writes_total") {
+				return true
+			}
+		}
+		return false
+	}
+	for _, spec := range []string{"", "atomic"} {
+		if journaled(open(Config{Backend: spec, MaxJobs: 0, JournalBatch: 7})) {
+			t.Errorf("Backend %q keeps a journal", spec)
+		}
+	}
+	p := filepath.Join(t.TempDir(), "regs")
+	if _, err := New(Config{Backend: "mmap:" + p}); err == nil || !strings.Contains(err.Error(), "MaxJobs") {
+		t.Fatalf("mmap without MaxJobs: %v, want a refusal naming MaxJobs", err)
+	}
+	if !journaled(open(Config{Backend: "mmap:" + p, MaxJobs: 64})) {
+		t.Error("Backend mmap keeps no journal")
+	}
+	for _, f := range []string{p + ".shard0", p + ".shard1"} {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("shard store: %v", err)
+		}
+	}
+	if !journaled(open(Config{Backend: "counting:atomic", MaxJobs: 64})) {
+		t.Error("Backend counting:atomic keeps no journal")
+	}
+	var asked []int
+	unused := filepath.Join(t.TempDir(), "unused")
+	open(Config{Backend: "mmap:" + unused, MaxJobs: 64, newMem: func(shard, size int) (membackend.Backend, error) {
+		asked = append(asked, shard)
+		return membackend.Open("atomic", size)
+	}})
+	if _, err := os.Stat(unused + ".shard0"); len(asked) != 2 || err == nil {
+		t.Errorf("a test store beside Backend: asked for shards %v, Backend's file opened: %v", asked, err == nil)
 	}
 }
 
@@ -468,8 +525,8 @@ func TestReopenAfterJournalFull(t *testing.T) {
 func reopenAfterJournalFull(t *testing.T, n int) {
 	dir := t.TempDir()
 	cfg := Config{
-		Shards: 1, Workers: 2, MaxBatch: 8,
-		NewMem: mmapFactory(dir), MaxJobs: n,
+		Shards: 1, WorkersPerShard: 2, MaxBatch: 8,
+		newMem: mmapFactory(dir), MaxJobs: n,
 	}
 	var runs atomic.Int64
 	fns := make([]Task, n)
@@ -512,7 +569,7 @@ func reopenAfterJournalFull(t *testing.T, n int) {
 	}
 }
 
-// netFactory builds a Config.NewMem over an in-process register server,
+// netFactory builds a Config.newMem over an in-process register server,
 // one namespace per shard, recording the clients so the test can sever
 // them (simulating process death, which releases nothing until the
 // lease is explicitly dropped or expires).
@@ -561,8 +618,8 @@ func TestRecoverOverNetwork(t *testing.T) {
 	var performed, blocked atomic.Int64
 	gate := make(chan struct{})
 	d1, err := New(Config{
-		Shards: 1, Workers: workers, MaxBatch: 128,
-		NewMem: netFactory(addr, ns, &clients), MaxJobs: n,
+		Shards: 1, WorkersPerShard: workers, MaxBatch: 128,
+		newMem: netFactory(addr, ns, &clients), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -593,8 +650,8 @@ func TestRecoverOverNetwork(t *testing.T) {
 	// Phase 2: a successor over the network recovers the journal and
 	// finishes the stream.
 	d2, err := New(Config{
-		Shards: 1, Workers: workers, MaxBatch: 128,
-		NewMem: netFactory(addr, ns, nil), MaxJobs: n,
+		Shards: 1, WorkersPerShard: workers, MaxBatch: 128,
+		newMem: netFactory(addr, ns, nil), MaxJobs: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -636,7 +693,7 @@ func TestRecoverOverNetwork(t *testing.T) {
 // TestDurableSync: Sync is callable on both durable and in-process
 // dispatchers.
 func TestDurableSync(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,8 +704,8 @@ func TestDurableSync(t *testing.T) {
 
 	requireMmap(t)
 	dd, err := New(Config{
-		Shards: 1, Workers: 2, MaxBatch: 8,
-		NewMem: mmapFactory(t.TempDir()), MaxJobs: 100,
+		Shards: 1, WorkersPerShard: 2, MaxBatch: 8,
+		newMem: mmapFactory(t.TempDir()), MaxJobs: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -673,8 +730,8 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	executions := make([]atomic.Int32, n+1)
 	cfg := Config{
-		Shards: 1, Workers: 4, MaxBatch: 256,
-		NewMem: mmapFactory(dir), MaxJobs: n, JournalBatch: 16,
+		Shards: 1, WorkersPerShard: 4, MaxBatch: 256,
+		newMem: mmapFactory(dir), MaxJobs: n, JournalBatch: 16,
 	}
 	d1, err := New(cfg)
 	if err != nil {
@@ -735,8 +792,8 @@ func TestGroupCommitCrashPlan(t *testing.T) {
 	const n = 1500
 	executions := make([]atomic.Int32, n+1)
 	d, err := New(Config{
-		Shards: 1, Workers: 4, MaxBatch: 128,
-		NewMem: mmapFactory(t.TempDir()), MaxJobs: n, JournalBatch: 8,
+		Shards: 1, WorkersPerShard: 4, MaxBatch: 128,
+		newMem: mmapFactory(t.TempDir()), MaxJobs: n, JournalBatch: 8,
 		CrashPlan: func(shard, round int) []uint64 {
 			if round%2 == 1 {
 				return nil
@@ -794,8 +851,8 @@ func TestGroupCommitRecoverMidClaim(t *testing.T) {
 	var performed, blocked atomic.Int64
 	gate := make(chan struct{}) // never closed: d1's workers stay frozen
 	cfg := Config{
-		Shards: 1, Workers: workers, MaxBatch: 512,
-		NewMem: mmapFactory(dir), MaxJobs: n, JournalBatch: jbatch,
+		Shards: 1, WorkersPerShard: workers, MaxBatch: 512,
+		newMem: mmapFactory(dir), MaxJobs: n, JournalBatch: jbatch,
 	}
 	d1, err := New(cfg)
 	if err != nil {

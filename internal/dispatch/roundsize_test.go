@@ -17,7 +17,7 @@ func rtSlots(s *shard) int {
 // has cut, not by MaxBatch — a dispatcher admitting 4 096-job rounds that
 // only ever ran one job at a time holds a handful of slots per shard.
 func TestShardHoldsItsRounds(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 4096})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestBacklogStillReachesMaxBatch(t *testing.T) {
 	const maxBatch, jobs = 4096, 50_000
 	// RoundTarget < 0: the ramp alone sizes rounds, so the count below
 	// does not depend on how fast this machine runs them.
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: maxBatch, RoundTarget: -1})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: maxBatch, RoundTarget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBacklogStillReachesMaxBatch(t *testing.T) {
 
 	// One steal by a thief that has never cut a round: a bare pair of
 	// shards, no loops, so the steal is the only thing that moves jobs.
-	sd := &Dispatcher{cfg: Config{Workers: 2, MaxBatch: maxBatch}}
+	sd := &Dispatcher{cfg: Config{WorkersPerShard: 2, MaxBatch: maxBatch}}
 	thief, victim := &shard{d: sd, id: 0, m: 2}, &shard{d: sd, id: 1, m: 2}
 	sd.shards = []*shard{thief, victim}
 	for i := 1; i <= jobs; i++ {

@@ -27,8 +27,8 @@ func (r *rangeCounter) ReadRange(addr int, dst []int64) error {
 // a clean restart would.
 func shadowConfig(maxJobs int) (cfg Config, rc *rangeCounter, reopen func()) {
 	rc = &rangeCounter{Lossy: memtest.NewLossy(jmetaCells + 2*(maxJobs/64+1))}
-	cfg = Config{Shards: 1, Workers: 2, MaxBatch: 256, MaxJobs: maxJobs, JournalBatch: 16,
-		NewMem: func(int, int) (membackend.Backend, error) { return rc, nil }}
+	cfg = Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 256, MaxJobs: maxJobs, JournalBatch: 16,
+		newMem: func(int, int) (membackend.Backend, error) { return rc, nil }}
 	return cfg, rc, func() { rc.Crash(); rc.calls.Store(0); rc.cells.Store(0) }
 }
 
@@ -159,13 +159,13 @@ func TestShadowAfterReopen(t *testing.T) {
 	// Ids 1..64 resolve Recovered; 65..127 and then 128..191 are claimed
 	// in the page the predecessor wrote.
 	scan, afterFirst, afterSecond := incarnation(n)
-	if want := int64(1 + cfg.Workers); scan != want {
+	if want := int64(1 + cfg.WorkersPerShard); scan != want {
 		t.Errorf("New made %d ReadRange calls, want %d (the fingerprint and one per row)", scan, want)
 	}
-	if got := afterFirst - scan; got < 1 || got > int64(cfg.Workers) {
+	if got := afterFirst - scan; got < 1 || got > int64(cfg.WorkersPerShard) {
 		t.Errorf("%d ReadRange calls for the first claims in a recovered page, want one per worker that claimed", got)
 	}
-	if afterSecond-scan > int64(cfg.Workers) {
+	if afterSecond-scan > int64(cfg.WorkersPerShard) {
 		t.Errorf("%d ReadRange calls after the page was read back, want none beyond one per worker", afterSecond-scan)
 	}
 	for w, want := range []uint64{^uint64(1), ^uint64(0), ^uint64(0)} {

@@ -110,19 +110,19 @@ func newShard(d *Dispatcher, id int) (*shard, error) {
 	s := &shard{
 		d:      d,
 		id:     id,
-		m:      d.cfg.Workers,
+		m:      d.cfg.WorkersPerShard,
 		depth:  d.cfg.QueueDepth,
 		target: float64(d.cfg.RoundTarget),
 		done:   make(chan struct{}),
 	}
 	opts := conc.RuntimeOptions{
-		M:        d.cfg.Workers,
+		M:        d.cfg.WorkersPerShard,
 		Capacity: d.cfg.MaxBatch,
 		Beta:     d.cfg.Beta,
 		Jitter:   d.cfg.Jitter,
 		Seed:     d.cfg.Seed + int64(id)*1_000_003,
 	}
-	if d.cfg.NewMem != nil {
+	if d.cfg.newMem != nil {
 		if err := s.openDurable(&d.cfg); err != nil {
 			return nil, err
 		}
@@ -146,11 +146,9 @@ func newShard(d *Dispatcher, id int) (*shard, error) {
 }
 
 // snapshotStats copies the shard's counters and its queue depth inside
-// ONE critical section of s.mu. Every reader of per-shard state —
-// Stats() and the obs gauge/counter funcs — goes through this lock, so
-// a snapshot can never pair a stale QueueDepth with fresher round
-// counters (or vice versa): the depth is exactly the queue the counters
-// describe.
+// ONE critical section of s.mu, so Stats() never pairs a stale
+// QueueDepth with fresher round counters (or vice versa): the depth is
+// exactly the queue the counters describe.
 func (s *shard) snapshotStats() ShardStats {
 	s.mu.Lock()
 	st := s.stats

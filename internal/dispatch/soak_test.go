@@ -35,11 +35,11 @@ func TestDispatcherRandomSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	for it := 0; it < iters; it++ {
 		cfg := Config{
-			Shards:   1 + rng.Intn(4),
-			Workers:  2 + rng.Intn(4),
-			MaxBatch: 16 << rng.Intn(4),
-			Jitter:   rng.Intn(2) == 0,
-			Seed:     rng.Int63(),
+			Shards:          1 + rng.Intn(4),
+			WorkersPerShard: 2 + rng.Intn(4),
+			MaxBatch:        16 << rng.Intn(4),
+			Jitter:          rng.Intn(2) == 0,
+			Seed:            rng.Int63(),
 		}
 		if rng.Intn(2) == 0 {
 			cfg.QueueDepth = 8 << rng.Intn(5)
@@ -52,7 +52,7 @@ func TestDispatcherRandomSoak(t *testing.T) {
 		// must be deterministic per (shard, round) — the plan is called
 		// from concurrent shard loops — so derive them by hashing.
 		crashSeed := rng.Int63()
-		m := cfg.Workers
+		m := cfg.WorkersPerShard
 		cfg.CrashPlan = func(shard, round int) []uint64 {
 			h := uint64(crashSeed) ^ uint64(shard)*0x9E3779B97F4A7C15 ^ uint64(round)*0xBF58476D1CE4E5B9
 			v := make([]uint64, m)
@@ -69,7 +69,7 @@ func TestDispatcherRandomSoak(t *testing.T) {
 		}
 		jobs := 2000 + rng.Intn(4000)
 		t.Logf("iter %d: shards=%d workers=%d maxBatch=%d queueDepth=%d target=%v jobs=%d",
-			it, cfg.Shards, cfg.Workers, cfg.MaxBatch, cfg.QueueDepth, cfg.RoundTarget, jobs)
+			it, cfg.Shards, cfg.WorkersPerShard, cfg.MaxBatch, cfg.QueueDepth, cfg.RoundTarget, jobs)
 		soakOnce(t, cfg, jobs, rng.Int63())
 		if t.Failed() {
 			return

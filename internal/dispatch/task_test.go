@@ -13,7 +13,7 @@ import (
 // TestDoBasics: one Task through Do carries its payload error to both
 // the Handle's future and the callback, exactly once each.
 func TestDoBasics(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 16})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDoBasics(t *testing.T) {
 // TestDoBatchHandles: DoBatch hands back one Handle per Task with a
 // contiguous id block, and every future resolves.
 func TestDoBatchHandles(t *testing.T) {
-	d, err := New(Config{Shards: 3, Workers: 2, MaxBatch: 16})
+	d, err := New(Config{Shards: 3, WorkersPerShard: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDoBatchHandles(t *testing.T) {
 // TestEmptyBatchSentinel: an empty batch consumes no job ids and never
 // touches a shard (DoRunners' empty batch is in TestDoRunners).
 func TestEmptyBatchSentinel(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 8})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEmptyBatchSentinel(t *testing.T) {
 // submitter parked on a full queue, without consuming a job id.
 func TestDoCtxCancelUnparks(t *testing.T) {
 	gate := make(chan struct{})
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 2, QueueDepth: 2, Policy: Block})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 2, QueueDepth: 2, SubmitPolicy: Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDoCtxCancelUnparks(t *testing.T) {
 // races several parked submitters against Close.
 func TestCloseReleasesParkedSubmitters(t *testing.T) {
 	gate := make(chan struct{})
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 2, QueueDepth: 2, Policy: Block})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 2, QueueDepth: 2, SubmitPolicy: Block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestCloseReleasesParkedSubmitters(t *testing.T) {
 // Err = context.DeadlineExceeded — while still counting toward Flush and
 // Stats conservation.
 func TestDeadlineExpiry(t *testing.T) {
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 8})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestDeadlineExpiry(t *testing.T) {
 func TestPriorityInversion(t *testing.T) {
 	const backlog = 500
 	gate := make(chan struct{})
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 16})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestPriorityInversion(t *testing.T) {
 // higher classes go idle — a burst of High work delays Low, but after it
 // drains the Low jobs all run.
 func TestLowRunsWhenHighIdle(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 32})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestLowRunsWhenHighIdle(t *testing.T) {
 // drain outlasts the ctx, and nil once the dispatcher is drained.
 func TestFlushContext(t *testing.T) {
 	gate := make(chan struct{})
-	d, err := New(Config{Shards: 1, Workers: 2, MaxBatch: 4})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func (r *recRunner) Resolved(res JobResult)    { r.res = res; r.resolved.Add(1) 
 // Runner or an unknown priority rejects the whole batch with nothing
 // consumed; the empty batch is (0, nil).
 func TestDoRunners(t *testing.T) {
-	d, err := New(Config{Shards: 3, Workers: 2, MaxBatch: 16})
+	d, err := New(Config{Shards: 3, WorkersPerShard: 2, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestDoRunners(t *testing.T) {
 // the JobResult its Handle and Callback see, each future its own, while
 // a caller-owned Runner in the same rounds is told Err == nil.
 func TestPayloadErrorSeam(t *testing.T) {
-	d, err := New(Config{Shards: 2, Workers: 2, MaxBatch: 8})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestPayloadErrorSeam(t *testing.T) {
 func TestDoRunnersRecovered(t *testing.T) {
 	requireMmap(t)
 	dir := t.TempDir()
-	cfg := Config{Shards: 2, Workers: 2, MaxBatch: 16, MaxJobs: 64, JournalBatch: 4, NewMem: mmapFactory(dir)}
+	cfg := Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 16, MaxJobs: 64, JournalBatch: 4, newMem: mmapFactory(dir)}
 	const n = 40
 	submit := func(d *Dispatcher, cut int) []*recRunner {
 		rs := make([]*recRunner, n)

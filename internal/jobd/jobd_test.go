@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,6 +179,26 @@ func TestAdmissionRejections(t *testing.T) {
 	}
 	if id2 != id1+1 {
 		t.Fatalf("id after rejections = %d, want %d (rejections must not burn ids)", id2, id1+1)
+	}
+}
+
+// TestNegativeOptionsRefused: a negative MaxJobs, LogCells or MaxPayload
+// is refused at New with an error naming it, not taken for a limit that
+// rejects every submission.
+func TestNegativeOptionsRefused(t *testing.T) {
+	for name, o := range map[string]Options{
+		"MaxJobs":    {MaxJobs: -1},
+		"LogCells":   {LogCells: -1},
+		"MaxPayload": {MaxPayload: -1},
+	} {
+		o.Registry = noopRegistry()
+		s, err := New(o)
+		if err == nil {
+			s.Close()
+			t.Errorf("%s -1 accepted", name)
+		} else if !strings.Contains(err.Error(), name+" -1") {
+			t.Errorf("%s -1 refused with %v, want an error naming it", name, err)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"atmostonce/internal/dispatch"
 	"atmostonce/internal/membackend"
@@ -59,9 +58,9 @@ type Options struct {
 	// hard ceiling just under wire.MaxFrame.
 	MaxPayload int
 
-	// Shards, Workers, MaxBatch, JournalBatch and RoundTarget pass
-	// through to dispatch.Config (JournalBatch only on a durable backend:
-	// a volatile one has no journal to batch). The dispatcher queue is always
+	// Shards, Workers, MaxBatch and JournalBatch pass through to
+	// dispatch.Config (JournalBatch only matters on a durable backend: a
+	// volatile one has no journal to batch). The dispatcher queue is always
 	// UNBOUNDED here: all backpressure lives in jobd's admission (tenant
 	// quotas and the id budget), checked before an id exists — a submit
 	// that could fail after the descriptor is logged would desync log and
@@ -70,7 +69,6 @@ type Options struct {
 	Workers      int
 	MaxBatch     int
 	JournalBatch int
-	RoundTarget  time.Duration
 
 	// Tenants maps tenant name → limits. Tenants not listed are
 	// admitted under DefaultLimits when set, rejected (codeTenant)
@@ -246,40 +244,33 @@ func open(o Options) (*Server, []job, error) {
 	if o.MaxPayload == 0 {
 		o.MaxPayload = 1 << 20
 	}
-	if o.MaxJobs < 0 || o.LogCells < 0 {
-		return nil, nil, fmt.Errorf("jobd: MaxJobs %d and LogCells %d must not be negative (0 = default)", o.MaxJobs, o.LogCells)
+	if o.MaxJobs < 0 || o.LogCells < 0 || o.MaxPayload < 0 {
+		return nil, nil, fmt.Errorf("jobd: MaxJobs %d, LogCells %d and MaxPayload %d must not be negative (0 = default)", o.MaxJobs, o.LogCells, o.MaxPayload)
 	}
 	if o.MaxPayload > wire.MaxFrame-1024 {
 		return nil, nil, fmt.Errorf("jobd: MaxPayload %d exceeds the frame ceiling", o.MaxPayload)
 	}
-	cfg := dispatch.Config{
+	// The dispatcher decides from the spec whether it keeps journal rows.
+	d, err := dispatch.New(dispatch.Config{
 		Shards:          o.Shards,
-		Workers:         o.Workers,
+		WorkersPerShard: o.Workers,
 		MaxBatch:        o.MaxBatch,
-		RoundTarget:     o.RoundTarget,
+		Backend:         o.Backend,
+		MaxJobs:         o.MaxJobs,
+		JournalBatch:    o.JournalBatch,
 		Metrics:         true,
 		MetricsAddr:     o.MetricsAddr,
 		TraceSampleRate: o.TraceSampleRate,
-	}
-	// Journal rows and the descriptor log are records for a successor
-	// process. A volatile backend can have none, so neither is opened:
-	// the dispatcher runs its in-process path and the log keeps nothing.
-	spec := o.Backend
-	durable := !membackend.Volatile(spec)
-	if durable {
-		cfg.NewMem = func(shard, size int) (membackend.Backend, error) {
-			return membackend.Open(membackend.ShardSpec(spec, shard), size)
-		}
-		cfg.MaxJobs = o.MaxJobs
-		cfg.JournalBatch = o.JournalBatch
-	}
-	d, err := dispatch.New(cfg)
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobd: open dispatcher: %w", err)
 	}
+	// The descriptor log, like the journal rows, is a record for a
+	// successor process: a volatile backend can have none, so none is
+	// opened and the log keeps nothing.
 	dlog, recs := &descLog{}, []job(nil)
-	if durable {
-		dlog, recs, err = openDescLog(membackend.WithSuffix(spec, ".desclog"), o.LogCells)
+	if !membackend.Volatile(o.Backend) {
+		dlog, recs, err = openDescLog(membackend.WithSuffix(o.Backend, ".desclog"), o.LogCells)
 		if err != nil {
 			d.Close()
 			return nil, nil, err
