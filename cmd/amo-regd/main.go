@@ -21,7 +21,7 @@
 // runtime health and amo_build_info at /metrics, liveness at /healthz,
 // a JSON snapshot at /statsz, the flight recorder at /flightz and
 // pprof at /debug/pprof/. Structured events go to stderr at the level
-// named by AMO_LOG (debug, info, warn, error, off). See DESIGN.md §12.
+// named by AMO_LOG (debug, info, warn, error, off). See DESIGN.md §10.
 //
 // Usage:
 //

@@ -238,7 +238,7 @@ func TestDispatcherDurableBackend(t *testing.T) {
 		Shards:          2,
 		WorkersPerShard: 2,
 		MaxBatch:        64,
-		Backend:         "counting:mmap:" + filepath.Join(t.TempDir(), "regs"),
+		Backend:         "mmap:" + filepath.Join(t.TempDir(), "regs"),
 		MaxJobs:         jobs,
 	}
 	var runs atomic.Int64

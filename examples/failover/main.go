@@ -16,7 +16,7 @@
 // to a shared log when it executes, so the verdict is counted from the
 // log itself: zero duplicates, zero losses.
 //
-// The forensic layer (DESIGN.md §13) is exercised end to end: both
+// The forensic layer (DESIGN.md §11) is exercised end to end: both
 // children sample job timelines and snapshot their /tracez endpoint to
 // disk, and the parent stitches the two views into one cross-process
 // timeline per job (obs.StitchTimelines), checks the

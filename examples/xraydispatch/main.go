@@ -145,7 +145,7 @@ func run() error {
 // ops endpoint — /tracez?id=N serves just that job — and prints it: the
 // trace must show the pulse resolving straight from the journal, never
 // "started". Each event carries the incarnation that observed it
-// (DESIGN.md §13); in this single-process session they all match.
+// (DESIGN.md §11); in this single-process session they all match.
 func printRecoveredTimeline(addr string, id uint64) error {
 	resp, err := http.Get(fmt.Sprintf("http://%s/tracez?id=%d", addr, id))
 	if err != nil {

@@ -157,7 +157,7 @@ func TestIterativeRandomSeedsAMO(t *testing.T) {
 func TestIterativeEffectivenessLossBounded(t *testing.T) {
 	// Theorem 6.4: unperformed jobs = O(m² log n log m). With no crashes
 	// and a fair schedule the loss must stay within the theorem's
-	// accounting: (1/ε+1)·(m−1)·m·lgn·lgm from TRY sets plus the last
+	// accounting, (1/ε+1)·(m−1)·m·lgn·lgm from TRY sets plus the last
 	// level's β+m−2.
 	const n, m, k = 4096, 3, 1
 	s, err := NewIterSystem(IterConfig{N: n, M: m, EpsDenom: k})

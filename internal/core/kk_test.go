@@ -181,7 +181,7 @@ func TestRandomCrashesAMOAndBounds(t *testing.T) {
 		if rep.Duplicates != 0 {
 			t.Fatalf("seed %d: AMO violated (%d dups)", seed, rep.Duplicates)
 		}
-		// Lemma 4.2's accounting: at least one process terminates
+		// Lemma 4.2's accounting — at least one process terminates
 		// voluntarily (f ≤ m−1), so the completed run performed at least
 		// n−(β+m−2) jobs.
 		if lower := EffectivenessBound(60, 5, 0); rep.Distinct < lower {

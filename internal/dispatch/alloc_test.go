@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"atmostonce/internal/membackend"
+	"atmostonce/internal/memtest"
 	"atmostonce/internal/obs/eventlog"
 )
 
@@ -209,13 +210,12 @@ func TestDurableJournalBatchOneAllocs(t *testing.T) {
 	for _, backend := range []string{"counting", "mmap"} {
 		for _, jb := range []int{1, 16} {
 			t.Run(fmt.Sprintf("%s/batch%d", backend, jb), func(t *testing.T) {
-				spec := "counting:atomic"
-				if backend == "mmap" {
-					spec = "mmap:" + filepath.Join(t.TempDir(), "regs")
-				}
 				cfg := Config{
 					Shards: 1, WorkersPerShard: 2, MaxBatch: 256, MaxJobs: allocCycles * jobs, JournalBatch: jb,
-					newMem: func(_, size int) (membackend.Backend, error) { return membackend.Open(spec, size) },
+					newMem: func(_, size int) (membackend.Backend, error) { return memtest.NewLossy(size), nil },
+				}
+				if backend == "mmap" {
+					cfg.newMem, cfg.Backend = nil, "mmap:"+filepath.Join(t.TempDir(), "regs")
 				}
 				perJob := allocsPerJobOn(t, cfg, jobs, func(d *Dispatcher) {
 					if _, err := d.Do(context.Background(), task); err != nil {
@@ -277,7 +277,7 @@ func (c *countRunner) Resolved(JobResult)        { c.resolved.Add(1) }
 // TestRunnerBatchAllocs: a DoRunners call allocates NOTHING — no plan
 // slice, no escaping closure, no Handle, no future — and neither does the
 // job on its way through queue, round, journal and Resolved: at n = 1
-// (the tick of one) and n = 64, in memory and over a counting backend at
+// (the tick of one) and n = 64, in memory and over a counting test store at
 // both journal settings.
 func TestRunnerBatchAllocs(t *testing.T) {
 	const calls = 512
@@ -293,7 +293,7 @@ func TestRunnerBatchAllocs(t *testing.T) {
 			if jb > 0 {
 				name = fmt.Sprintf("n%d/counting_batch%d", n, jb)
 				cfg.MaxJobs, cfg.JournalBatch = allocCycles*calls*n, jb
-				cfg.newMem = func(_, size int) (membackend.Backend, error) { return membackend.Open("counting:atomic", size) }
+				cfg.newMem = func(_, size int) (membackend.Backend, error) { return memtest.NewLossy(size), nil }
 			}
 			t.Run(name, func(t *testing.T) {
 				before := r.resolved.Load()

@@ -8,7 +8,7 @@ type JobResult struct {
 	// Err is the error Task.Fn returned (always nil for DoRunners, whose
 	// Runner keeps its own), context.DeadlineExceeded when Expired is
 	// set, or the submission ctx's error when Cancelled is. A payload's
-	// error does not affect at-most-once accounting: the job counts
+	// error does not affect at-most-once accounting — the job counts
 	// performed.
 	Err error
 	// Expired is true when the job's deadline passed before its round

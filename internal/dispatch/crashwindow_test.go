@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,195 +14,171 @@ import (
 	"atmostonce/internal/memtest"
 )
 
-// crashHost is a machine that dies at one chosen journal flush: its
-// shards' stores lose what was not acked (memtest.Lossy), the flush it
-// dies at lands torn, and from that instant nothing of the incarnation
-// moves again — no write lands, no payload starts. mu makes the death
-// one point in time for every worker.
-type crashHost struct {
-	mu     sync.Mutex
-	stores []*memtest.Lossy // one per shard
-	dead   chan struct{}    // closed at the crash
+// The crash table's run: 2 shards × 2 workers, 64 jobs.
+const (
+	crashJobs    = 64
+	crashShards  = 2
+	crashWorkers = 2
+	crashWords   = crashJobs/64 + 1 // words in a journal row
+)
 
-	minWords, at int                 // die at the at-th journal write of ≥ minWords words
-	keep         func(i, n int) bool // which of its n words land; nil: all, and the write is acked first
-	seen         int                 // qualifying writes so far
-	shard, row   int                 // where the fatal write went
-	claimed      map[int]bool        // the ids it claimed: true where their word landed
-	ran          []atomic.Int32      // payload runs by id, both incarnations
+// crashPhases are how far the fatal write gets, by which of its cells
+// land: a tear keeps the cells (i of n) that do, and the write is acked
+// only without one. So none is the phase before the write; first, last,
+// every other and all are torn; acked is acked. A phase is a row only on
+// writes of at least its cells: on one cell a torn write lands all.
+var crashPhases = []struct {
+	name  string
+	tear  func(i, n int) bool
+	cells int
+}{
+	{"none", func(i, n int) bool { return false }, 1},
+	{"first", func(i, n int) bool { return i == 0 }, 2},
+	{"last", func(i, n int) bool { return i == n-1 }, 2},
+	{"every other", func(i, n int) bool { return i%2 == 0 }, 2},
+	{"all", func(i, n int) bool { return true }, 1},
+	{"acked", nil, 1},
 }
 
-func (h *crashHost) isDead() bool {
-	select {
-	case <-h.dead:
-		return true
-	default:
-		return false
-	}
-}
-
-// payload is job id's: it starts only on a live host.
-func (h *crashHost) payload(id int) Task {
-	return bare(func() {
-		h.mu.Lock()
-		if h.isDead() {
-			h.mu.Unlock()
-			select {}
-		}
-		h.ran[id].Add(1)
-		h.mu.Unlock()
-	})
-}
-
-// crashBackend is one shard's store as the doomed incarnation sees it.
-type crashBackend struct {
-	*memtest.Lossy
-	h            *crashHost
-	shard, words int // words in a journal row
-}
-
-func (b *crashBackend) WriteAcked(addr int, vals []int64) error {
-	h := b.h
-	h.mu.Lock()
-	if h.isDead() {
-		h.mu.Unlock()
-		select {}
-	}
-	if addr >= jmetaCells && len(vals) >= h.minWords {
-		h.seen++
-	}
-	if addr < jmetaCells || len(vals) < h.minWords || h.seen < h.at {
-		defer h.mu.Unlock()
-		return b.Lossy.WriteAcked(addr, vals)
-	}
-	// The fatal flush. Its new bits are the ids it claims.
-	old := make([]int64, len(vals))
-	b.Lossy.ReadRange(addr, old)
-	row0 := (addr - jmetaCells) / b.words * b.words
-	h.shard, h.row, h.claimed = b.shard, row0/b.words, map[int]bool{}
-	for i, v := range vals {
-		for w := uint64(v &^ old[i]); w != 0; w &= w - 1 {
-			id := (addr-jmetaCells-row0+i)<<6 + bits.TrailingZeros64(w)
-			h.claimed[id] = h.keep == nil || h.keep(i, len(vals))
-		}
-	}
-	if h.keep != nil {
-		b.Lossy.Keep = func(a int) bool { return h.keep(a-addr, len(vals)) }
-	}
-	b.Lossy.WriteAcked(addr, vals)
-	for _, s := range h.stores {
-		s.Crash()
-	}
-	close(h.dead)
-	h.mu.Unlock()
-	if h.keep != nil {
-		select {} // died inside the write: no ack
-	}
-	return nil // acked, and dead before the first payload starts
-}
-
-// TestFlushCrashWindows lands a host crash on purpose in every window of
-// the journal flush, on 2 shards × 2 workers at JournalBatch 1 and 16:
-// before the ack with none, only the first, only the last, every other
-// or all of the flush's words on the store — a torn write keeps any
-// subset — and after the ack, before the first payload. A successor then
-// takes the stores and the same stream. In every case no job runs twice,
-// every job whose payload ran is in the journal, a worker loses at most
-// JournalBatch jobs (claimed on the store, payload never started), the
-// worker that died in its write loses exactly the claims whose word
-// landed, and everything else runs exactly once in the successor.
+// TestFlushCrashWindows is the crash table. A host of one memtest.Lossy
+// per shard dies at its N-th acked write — each fingerprint written
+// inside New and each journal flush — in every phase: before the write,
+// torn (its first, last, every other or every cell landed, no ack) and
+// acked. N runs over every acked write a dry run of the same config
+// makes, at JournalBatch 1 and 4. A row is named batch<k>/<phase>/w<N>,
+// so -run lands the same crash again.
 //
-// What is not here: a crash that loses words of an EARLIER flush. Acked
+// Every row asserts the oracle of record-then-do: a successor opens the
+// stores; no job runs twice; every job whose payload ran is on a store;
+// a worker loses at most JournalBatch jobs (on the store, payload never
+// started), the worker that died in a journal write exactly the claims
+// whose word landed; and the successor runs every other job exactly once,
+// resolving the jobs on the stores Recovered.
+//
+// What is not here: a crash that loses words of an EARLIER write. Acked
 // means at the store's ordering point, so a store that forgets an acked
 // word has broken the Backend contract, not exercised it; Lossy cannot
 // represent that state and the dispatcher does not defend against it.
 func TestFlushCrashWindows(t *testing.T) {
-	tears := []struct {
-		name string
-		keep func(i, n int) bool
-	}{
-		{"none", func(i, n int) bool { return false }},
-		{"first", func(i, n int) bool { return i == 0 }},
-		{"last", func(i, n int) bool { return i == n-1 }},
-		{"every other", func(i, n int) bool { return i%2 == 0 }},
-		{"all", func(i, n int) bool { return true }},
-		{"acked", nil},
-	}
-	for _, jb := range []int{1, 16} {
-		for _, tear := range tears {
-			t.Run(fmt.Sprintf("batch%d/%s", jb, tear.name), func(t *testing.T) {
-				flushCrashWindow(t, jb, tear.keep)
-			})
-		}
+	// One P: the split of a round between its workers is the scheduler's,
+	// and on one P a run nearly always repeats the dry run's writes. A run
+	// that does not still meets the oracle, at whichever write it dies.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, jb := range []int{1, 4} {
+		t.Run(fmt.Sprintf("batch%d", jb), func(t *testing.T) {
+			writes := crashRun(t, jb, 0, nil).host.Writes()
+			for _, ph := range crashPhases {
+				if slices.Max(writes) < ph.cells {
+					continue
+				}
+				t.Run(ph.name, func(t *testing.T) {
+					for i, cells := range writes {
+						if cells >= ph.cells {
+							t.Run(fmt.Sprintf("w%d", i+1), func(t *testing.T) { crashWindow(t, jb, i+1, ph.tear) })
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
-func flushCrashWindow(t *testing.T, jb int, keep func(i, n int) bool) {
-	const (
-		n       = 1500
-		shards  = 2
-		workers = 2
-		words   = n/64 + 1
-	)
-	h := &crashHost{dead: make(chan struct{}), minWords: 1, at: 40, keep: keep, ran: make([]atomic.Int32, n+1)}
-	if jb > 1 {
-		h.minWords, h.at = 2, 3 // a flush of several words, so the tears differ
-	}
-	for s := 0; s < shards; s++ {
-		h.stores = append(h.stores, memtest.NewLossy(jmetaCells+workers*words))
-	}
-	cfg := Config{Shards: shards, WorkersPerShard: workers, MaxBatch: 256, MaxJobs: n, JournalBatch: jb}
+// crashIncarnation is one doomed incarnation's run over a host.
+type crashIncarnation struct {
+	host *memtest.Host
+	ran  []atomic.Int32 // payload runs by id
+	died bool
+}
 
-	// The doomed incarnation. Job 1 holds its shard until the stream is
-	// queued, so rounds are full and claims come sixteen at a time.
-	cfg.newMem = func(shard, _ int) (membackend.Backend, error) {
-		return &crashBackend{Lossy: h.stores[shard], h: h, shard: shard, words: words}, nil
+// crashRun runs the stream over a fresh host that dies at its at-th
+// acked write (never at 0) and returns once the host is dead or every
+// job ran. The dead incarnation is left as the crash left it until the
+// test ends; then the host is buried, and the incarnation runs out.
+func crashRun(t *testing.T, jb, at int, tear func(i, n int) bool) *crashIncarnation {
+	t.Helper()
+	r := &crashIncarnation{ran: make([]atomic.Int32, crashJobs+1)}
+	var stores []*memtest.Lossy
+	for s := 0; s < crashShards; s++ {
+		stores = append(stores, memtest.NewLossy(jmetaCells+crashWorkers*crashWords))
 	}
-	d1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := make(chan struct{})
-	for id := 1; id <= n; id++ {
-		task := h.payload(id)
-		if run := task.Fn; id <= shards {
-			task.Fn = func(ctx context.Context) error { <-start; return run(ctx) }
+	r.host = memtest.NewHost(at, tear, stores...)
+	cfg := crashConfig(jb, func(shard int) membackend.Backend { return stores[shard] })
+	done := make(chan error, 1)
+	go func() {
+		d, err := New(cfg)
+		if err != nil {
+			done <- err
+			return
 		}
-		if _, err := d1.Do(context.Background(), task); err != nil {
+		// One batch: each shard's first round is its whole half of the
+		// stream, so claims come JournalBatch at a time.
+		tasks := make([]Task, crashJobs)
+		for i := range tasks {
+			tasks[i] = bare(func() { r.host.Run(func() { r.ran[i+1].Add(1) }) })
+		}
+		if _, err := d.DoBatch(context.Background(), tasks); err != nil {
+			done <- err
+			return
+		}
+		d.Flush()
+		done <- d.Close()
+	}()
+	select {
+	case <-r.host.Dead():
+		r.died = true
+		t.Cleanup(func() {
+			r.host.Bury()
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Error("the dead incarnation did not run out once buried")
+			}
+		})
+	case err := <-done:
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	close(start)
-	select {
-	case <-h.dead:
 	case <-time.After(20 * time.Second):
-		t.Fatalf("no journal write of ≥ %d words in a stream of %d jobs", h.minWords, n)
+		t.Fatal("the stream neither finished nor died")
 	}
-	// d1 is left as the crash left it: workers parked, nothing closed.
+	return r
+}
+
+func crashConfig(jb int, store func(shard int) membackend.Backend) Config {
+	return Config{Shards: crashShards, WorkersPerShard: crashWorkers, MaxBatch: 64, MaxJobs: crashJobs, JournalBatch: jb,
+		newMem: func(shard, _ int) (membackend.Backend, error) { return store(shard), nil }}
+}
+
+func crashWindow(t *testing.T, jb, at int, tear func(i, n int) bool) {
+	r := crashRun(t, jb, at, tear)
+	if !r.died {
+		t.Skipf("this run made fewer than %d acked writes", at)
+	}
+	death := r.host.Death()
+	succ := death.Stores
 
 	// What the stores hold, and what ran: row p of shard s names worker
 	// p's claims.
-	h.mu.Lock()
 	type worker struct{ shard, row int }
 	recorded := map[int]worker{}
-	for s, st := range h.stores {
-		cells := make([]int64, workers*words)
+	for s, st := range succ {
+		cells := make([]int64, crashWorkers*crashWords)
 		st.ReadRange(jmetaCells, cells)
 		for i, c := range cells {
 			for w := uint64(c); w != 0; w &= w - 1 {
-				id := i%words<<6 + bits.TrailingZeros64(w)
+				id := i%crashWords<<6 + bits.TrailingZeros64(w)
 				if prev, dup := recorded[id]; dup {
-					t.Fatalf("job %d is in two rows: %v and shard %d row %d", id, prev, s, i/words)
+					t.Fatalf("job %d is in two rows: %v and shard %d row %d", id, prev, s, i/crashWords)
 				}
-				recorded[id] = worker{s, i / words}
+				recorded[id] = worker{s, i / crashWords}
 			}
 		}
 	}
 	lost := map[worker]int{}
 	ranBefore := 0
-	for id := 1; id <= n; id++ {
+	for id := 1; id <= crashJobs; id++ {
 		w, rec := recorded[id]
-		switch ran := h.ran[id].Load(); {
+		switch ran := r.ran[id].Load(); {
 		case ran == 1 && !rec:
 			t.Errorf("job %d ran and is not in the journal", id)
 		case ran == 1:
@@ -210,55 +187,59 @@ func flushCrashWindow(t *testing.T, jb int, keep func(i, n int) bool) {
 			lost[w]++
 		}
 	}
-	h.mu.Unlock()
-	t.Logf("fatal flush: shard %d row %d, %d claims; %d jobs on the stores, %d ran, lost by worker %v",
-		h.shard, h.row, len(h.claimed), len(recorded), ranBefore, lost)
+	t.Logf("fatal write: shard %d cell %d, %d cells; %d jobs on the stores, %d ran, lost by worker %v",
+		death.Store, death.Addr, len(death.New), len(recorded), ranBefore, lost)
 	for w, k := range lost {
 		if k > jb {
 			t.Errorf("worker %v lost %d jobs, want ≤ JournalBatch = %d", w, k, jb)
 		}
 	}
-	if keep != nil {
+	if death.Addr >= jmetaCells {
+		// A journal flush: its new bits are the ids it claims.
+		row0 := (death.Addr - jmetaCells) / crashWords * crashWords
 		landed := 0
-		for id, kept := range h.claimed {
-			if _, rec := recorded[id]; rec != kept {
-				t.Errorf("job %d of the fatal flush: on the store %v, its word landed %v", id, rec, kept)
-			}
-			if kept {
-				landed++
+		for i, v := range death.New {
+			for w := uint64(v &^ death.Old[i]); w != 0; w &= w - 1 {
+				id := (death.Addr-jmetaCells-row0+i)<<6 + bits.TrailingZeros64(w)
+				kept := tear == nil || tear(i, len(death.New))
+				if _, rec := recorded[id]; rec != kept {
+					t.Errorf("job %d of the fatal write: on the store %v, its word landed %v", id, rec, kept)
+				}
+				if kept {
+					landed++
+				}
 			}
 		}
-		if got := lost[worker{h.shard, h.row}]; got != landed {
+		if got := lost[worker{death.Store, row0 / crashWords}]; got != landed {
 			t.Errorf("the worker that died in its write lost %d jobs, want the %d claims whose word landed", got, landed)
 		}
 	}
 
-	// The successor: same stores, same stream.
-	cfg.newMem = func(shard, _ int) (membackend.Backend, error) { return h.stores[shard], nil }
-	d2, err := New(cfg)
+	// The successor: the stores as the crash left them, the same stream.
+	d, err := New(crashConfig(jb, func(shard int) membackend.Backend { return succ[shard] }))
 	if err != nil {
 		t.Fatalf("the stores do not reopen: %v", err)
 	}
-	for id := 1; id <= n; id++ {
-		if _, err := d2.Do(context.Background(), bare(func() { h.ran[id].Add(1) })); err != nil {
+	for id := 1; id <= crashJobs; id++ {
+		if _, err := d.Do(context.Background(), bare(func() { r.ran[id].Add(1) })); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d2.Flush()
-	st := d2.Stats()
-	if err := d2.Close(); err != nil {
+	d.Flush()
+	st := d.Stats()
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if st.Duplicates != 0 || st.Recovered != uint64(len(recorded)) {
 		t.Errorf("successor: %d duplicates, %d recovered, want 0 and the %d jobs on the stores", st.Duplicates, st.Recovered, len(recorded))
 	}
 	nLost := 0
-	for id := 1; id <= n; id++ {
+	for id := 1; id <= crashJobs; id++ {
 		want := int32(1)
-		if _, rec := recorded[id]; rec && h.ran[id].Load() == 0 {
+		if _, rec := recorded[id]; rec && r.ran[id].Load() == 0 {
 			want, nLost = 0, nLost+1
 		}
-		if got := h.ran[id].Load(); got != want {
+		if got := r.ran[id].Load(); got != want {
 			t.Errorf("job %d ran %d times across the crash, want %d", id, got, want)
 		}
 	}

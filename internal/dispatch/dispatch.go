@@ -91,8 +91,7 @@ type Config struct {
 	// Backend is the membackend spec of the journal. "" or "atomic" is
 	// volatile (membackend.Volatile: nothing written through it can be
 	// reopened), so no journal is kept and MaxJobs and JournalBatch are
-	// ignored. Every other spec, wrappers such as "counting:SPEC"
-	// included, keeps one (DESIGN.md §7): shard s opens
+	// ignored. Every other spec keeps one (DESIGN.md §7): shard s opens
 	// membackend.ShardSpec(Backend, s) — "mmap:PATH" maps "PATH.shard<s>",
 	// "net:HOST:PORT/NS" takes namespace "NS.shard<s>" on an amo-regd
 	// under its single-writer lease (see examples/failover) — while its

@@ -38,7 +38,8 @@ import (
 // (1, 2, 3, … off one cursor), so the performed set costs a bit per id
 // per row, m/8 bytes of store per job, and the recovered set in memory
 // (a denseset.Set) is the OR of the rows: recovery never looks at an id.
-// See DESIGN.md §7 for the protocol and its crash-window analysis.
+// See DESIGN.md §7 for the protocol; TestFlushCrashWindows is its
+// crash-window analysis.
 const jmetaCells = 8
 
 // layoutVersion names the register-file layout above; it is folded into
@@ -94,43 +95,57 @@ func (s *shard) openDurable(cfg *Config) error {
 	}
 
 	fp := fingerprint(s.id, cfg.Shards, m, maxBatch, maxJobs)
-	if b.Reopened() {
+	fresh := !b.Reopened()
+	if !fresh {
 		chunk := make([]int64, min(scanChunk, s.jwords))
 		if err := b.ReadRange(0, chunk[:1]); err != nil {
 			b.Close()
 			return fmt.Errorf("dispatch: shard %d fingerprint read: %w", s.id, err)
 		}
-		if got := chunk[0]; got != fp {
+		got := chunk[0]
+		if got == fp || got == 0 {
+			scan0 := time.Now()
+			eventlog.Logger().Debug("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
+			s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
+			before := s.d.recovered.Len()
+			words := make([]uint64, len(chunk))
+			for p := 1; p <= m; p++ {
+				if err := s.scanJournalRow(p, chunk, words); err != nil {
+					b.Close()
+					eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
+					return fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
+				}
+			}
+			if s.d.recoveryHist != nil {
+				s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
+			}
+			// An id is journaled once, in one row of one shard, so the set's
+			// growth is this shard's count.
+			eventlog.Logger().Debug("dispatch_recovery_scan_end",
+				"shard", s.id, "recovered", s.d.recovered.Len()-before, "dur", time.Since(scan0))
+		}
+		// No row is written before the fingerprint is acked, so a store
+		// without one holds zeros only — its creator died in between, and
+		// it opens fresh — or is another writer's.
+		fresh = got == 0
+		for p := range s.claims {
+			fresh = fresh && slices.Max(s.claims[p].written) == 0
+		}
+		if got != fp && !fresh {
 			b.Close()
 			eventlog.Logger().Error("dispatch_fingerprint_mismatch",
 				"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
 			return fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/WorkersPerShard/MaxBatch/MaxJobs or start from a fresh file; %s",
 				s.id, got, fp, layoutChange)
 		}
-		scan0 := time.Now()
-		eventlog.Logger().Debug("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
-		s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
-		before := s.d.recovered.Len()
-		words := make([]uint64, len(chunk))
-		for p := 1; p <= m; p++ {
-			if err := s.scanJournalRow(p, chunk, words); err != nil {
-				b.Close()
-				eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
-				return fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
-			}
-		}
-		if s.d.recoveryHist != nil {
-			s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
-		}
-		// An id is journaled once, in one row of one shard, so the set's
-		// growth is this shard's count.
-		eventlog.Logger().Debug("dispatch_recovery_scan_end",
-			"shard", s.id, "recovered", s.d.recovered.Len()-before, "dur", time.Since(scan0))
-	} else if err := b.WriteAcked(0, []int64{fp}); err != nil {
+	}
+	if fresh {
 		// Acked at creation: a journal row need share no page with cell 0,
 		// so no later flush would carry the fingerprint to the store.
-		b.Close()
-		return fmt.Errorf("dispatch: shard %d fingerprint write: %w", s.id, err)
+		if err := b.WriteAcked(0, []int64{fp}); err != nil {
+			b.Close()
+			return fmt.Errorf("dispatch: shard %d fingerprint write: %w", s.id, err)
+		}
 	}
 	return nil
 }
@@ -274,16 +289,12 @@ func (s *shard) claim(p, local int) {
 // flushClaims durably records that worker p performed every job in its
 // claim buffer — their bits set in p's row, in ONE acked write unless the
 // claims lie more than runWords apart — and only then runs the deferred
-// payloads in claim order. Crash ordering: record-then-do. A process
-// killed between the two re-performs nothing on recovery — the
-// at-most-once guarantee is absolute — at the price of counting the jobs
-// performed even though their payloads never ran, the same way the
-// paper's crashes cost effectiveness, never safety (Theorem 2.1 makes
-// that trade unavoidable): a crash anywhere in the window, whichever of
-// the flush's words it lets land, costs at most JournalBatch payloads per
-// worker, and never a duplicate. Cooperative crashes (injected via
-// CrashPlan, or any stop at action granularity, the paper's model §2.1)
-// sit outside the record/do window, so they lose nothing.
+// payloads in claim order: record-then-do. A crash anywhere in the
+// window, whichever of the flush's words it lets land, costs at most
+// JournalBatch payloads per worker and never a duplicate — effectiveness,
+// never safety (Theorem 2.1); TestFlushCrashWindows lands one at every
+// acked write. Crashes at action granularity (CrashPlan, §2.1) lose
+// nothing.
 //
 // Every write must be ACKNOWLEDGED before the first payload runs: over
 // the networked register service, a pipelined write still sitting in a

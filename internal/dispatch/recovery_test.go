@@ -296,6 +296,58 @@ func TestFreshFingerprintIsAcked(t *testing.T) {
 	}
 }
 
+// TestUnstampedStoreOpensFresh: a shard store whose creator died after
+// making it and before its fingerprint was acked holds zeros only, so it
+// opens fresh, and what is then journaled survives a reopen. The same
+// store with a journal bit and no fingerprint was written by another
+// writer — no row is written before the fingerprint is acked — and is
+// refused.
+func TestUnstampedStoreOpensFresh(t *testing.T) {
+	requireMmap(t)
+	p := filepath.Join(t.TempDir(), "regs")
+	cfg := Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 16, MaxJobs: 64, Backend: "mmap:" + p}
+	create := func(row int64) {
+		t.Helper()
+		os.Remove(p + ".shard0")
+		b, err := membackend.Open("mmap:"+p+".shard0", jmetaCells+2*2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WriteAcked(jmetaCells, []int64{row}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create(0)
+	var runs atomic.Int64
+	for inc := 0; inc < 2; inc++ {
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatalf("incarnation %d over the unstamped store: %v", inc+1, err)
+		}
+		if _, err := d.Do(context.Background(), bare(func() { runs.Add(1) })); err != nil {
+			t.Fatal(err)
+		}
+		d.Flush()
+		st := d.Stats()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if runs.Load() != 1 || st.Recovered != uint64(inc) {
+			t.Fatalf("incarnation %d: %d payload runs in all, %d recovered; want 1 and %d", inc+1, runs.Load(), st.Recovered, inc)
+		}
+	}
+	create(1 << 3) // job 3 in worker 1's row
+	if d, err := New(cfg); err == nil {
+		d.Close()
+		t.Fatal("a journal row without a fingerprint accepted")
+	} else if !strings.Contains(err.Error(), "fingerprint 0x0") {
+		t.Fatalf("refusal %v does not name the missing fingerprint", err)
+	}
+}
+
 // TestRecoveryRefusesForeignJournalCell: the journal is read from outside
 // the process, so a set bit that is no id this configuration could have
 // assigned — bit 0, or one above MaxJobs in a row's last word — fails New,
@@ -454,9 +506,8 @@ func TestJournalFull(t *testing.T) {
 
 // TestBackendSpec: Config.Backend is turned into shard stores in one
 // place. A volatile spec keeps no journal, so MaxJobs 0 and JournalBatch
-// 7 open; every other spec, a wrapper of a volatile one included, keeps
-// one store per shard, ".shard<i>" apart, and requires MaxJobs; and a
-// store a test supplies wins over the spec.
+// 7 open; every other spec keeps one store per shard, ".shard<i>" apart,
+// and requires MaxJobs; and a store a test supplies wins over the spec.
 func TestBackendSpec(t *testing.T) {
 	requireMmap(t)
 	open := func(cfg Config) *Dispatcher {
@@ -493,9 +544,6 @@ func TestBackendSpec(t *testing.T) {
 		if _, err := os.Stat(f); err != nil {
 			t.Errorf("shard store: %v", err)
 		}
-	}
-	if !journaled(open(Config{Backend: "counting:atomic", MaxJobs: 64})) {
-		t.Error("Backend counting:atomic keeps no journal")
 	}
 	var asked []int
 	unused := filepath.Join(t.TempDir(), "unused")

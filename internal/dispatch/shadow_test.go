@@ -9,27 +9,16 @@ import (
 	"atmostonce/internal/memtest"
 )
 
-// rangeCounter counts the ReadRange calls (and cells) a dispatcher makes
-// on its store: the cost of a shadow miss, and of the recovery scan.
-type rangeCounter struct {
-	*memtest.Lossy
-	calls, cells atomic.Int64
-}
-
-func (r *rangeCounter) ReadRange(addr int, dst []int64) error {
-	r.calls.Add(1)
-	r.cells.Add(int64(len(dst)))
-	return r.Lossy.ReadRange(addr, dst)
-}
-
 // shadowConfig is one shard of two workers over a single store that
-// outlives its dispatchers; reopen hands the store to a successor the way
-// a clean restart would.
-func shadowConfig(maxJobs int) (cfg Config, rc *rangeCounter, reopen func()) {
-	rc = &rangeCounter{Lossy: memtest.NewLossy(jmetaCells + 2*(maxJobs/64+1))}
+// outlives its dispatchers, counting the ReadRange calls (and cells) a
+// dispatcher makes on it: the cost of a shadow miss, and of the recovery
+// scan. reopen hands the store to a successor the way a clean restart
+// would, its counts from zero.
+func shadowConfig(maxJobs int) (cfg Config, store *memtest.Lossy, reopen func()) {
+	store = memtest.NewLossy(jmetaCells + 2*(maxJobs/64+1))
 	cfg = Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 256, MaxJobs: maxJobs, JournalBatch: 16,
-		newMem: func(int, int) (membackend.Backend, error) { return rc, nil }}
-	return cfg, rc, func() { rc.Crash(); rc.calls.Store(0); rc.cells.Store(0) }
+		newMem: func(int, int) (membackend.Backend, error) { return store, nil }}
+	return cfg, store, store.Crash
 }
 
 // journalWord ORs word w of both workers' rows, as the store holds them.
@@ -55,7 +44,7 @@ func journalWord(t *testing.T, b membackend.Backend, maxJobs, w int) uint64 {
 // was never read. A reopen then recovers every id.
 func TestShadowMissReadsOnePage(t *testing.T) {
 	const n = (shadowPages + 2) * pageWords * 64
-	cfg, rc, reopen := shadowConfig(n)
+	cfg, store, reopen := shadowConfig(n)
 	var runs atomic.Int64
 	held, start := make(chan struct{}), make(chan struct{})
 	task := func(i int) Task {
@@ -92,10 +81,10 @@ func TestShadowMissReadsOnePage(t *testing.T) {
 	if got := runs.Load(); got != n {
 		t.Fatalf("ran %d of %d jobs", got, n)
 	}
-	if calls, cells := rc.calls.Load(), rc.cells.Load(); calls != 1 || cells != pageWords {
-		t.Errorf("%d ReadRange calls of %d cells in all, want 1 call of one page (%d cells)", calls, cells, pageWords)
+	if c := store.Counts(); c.Ranges != 1 || c.Reads != pageWords {
+		t.Errorf("%d ReadRange calls of %d cells in all, want 1 call of one page (%d cells)", c.Ranges, c.Reads, pageWords)
 	}
-	if got := journalWord(t, rc, n, 0); got != ^uint64(1) {
+	if got := journalWord(t, store, n, 0); got != ^uint64(1) {
 		t.Errorf("word 0 of the rows holds %#x after the late claim of id 2, want every id 1..63", got)
 	}
 	if err := d1.Close(); err != nil {
@@ -121,26 +110,26 @@ func TestShadowMissReadsOnePage(t *testing.T) {
 // predecessor's bits; later claims in the page read nothing.
 func TestShadowAfterReopen(t *testing.T) {
 	const n, wave = 3*64 - 1, 64 // ids 1..191 fill three words
-	cfg, rc, reopen := shadowConfig(n)
+	cfg, store, reopen := shadowConfig(n)
 	var runs atomic.Int64
-	incarnation := func(upTo int) (scan, afterFirst, afterSecond int64) {
+	incarnation := func(upTo int) (scan, afterFirst, afterSecond int) {
 		t.Helper()
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan = rc.calls.Load()
+		scan = store.Counts().Ranges
 		for i := 0; i < upTo; i++ {
 			if i == upTo-wave {
 				d.Flush()
-				afterFirst = rc.calls.Load()
+				afterFirst = store.Counts().Ranges
 			}
 			if _, err := d.Do(context.Background(), bare(func() { runs.Add(1) })); err != nil {
 				t.Fatal(err)
 			}
 		}
 		d.Flush()
-		afterSecond = rc.calls.Load()
+		afterSecond = store.Counts().Ranges
 		if st := d.Stats(); st.Performed != uint64(upTo) {
 			t.Fatalf("%d of %d jobs resolved (%d of them Recovered)", st.Performed, upTo, st.Recovered)
 		}
@@ -152,24 +141,24 @@ func TestShadowAfterReopen(t *testing.T) {
 
 	if _, _, reads := incarnation(wave); reads != 0 {
 		t.Fatalf("%d ReadRange calls on a fresh store", reads)
-	} else if got := journalWord(t, rc, n, 0); got != ^uint64(1) {
+	} else if got := journalWord(t, store, n, 0); got != ^uint64(1) {
 		t.Fatalf("word 0 holds %#x after ids 1..63", got)
 	}
 	reopen()
 	// Ids 1..64 resolve Recovered; 65..127 and then 128..191 are claimed
 	// in the page the predecessor wrote.
 	scan, afterFirst, afterSecond := incarnation(n)
-	if want := int64(1 + cfg.WorkersPerShard); scan != want {
+	if want := 1 + cfg.WorkersPerShard; scan != want {
 		t.Errorf("New made %d ReadRange calls, want %d (the fingerprint and one per row)", scan, want)
 	}
-	if got := afterFirst - scan; got < 1 || got > int64(cfg.WorkersPerShard) {
+	if got := afterFirst - scan; got < 1 || got > cfg.WorkersPerShard {
 		t.Errorf("%d ReadRange calls for the first claims in a recovered page, want one per worker that claimed", got)
 	}
-	if afterSecond-scan > int64(cfg.WorkersPerShard) {
+	if afterSecond-scan > cfg.WorkersPerShard {
 		t.Errorf("%d ReadRange calls after the page was read back, want none beyond one per worker", afterSecond-scan)
 	}
 	for w, want := range []uint64{^uint64(1), ^uint64(0), ^uint64(0)} {
-		if got := journalWord(t, rc, n, w); got != want {
+		if got := journalWord(t, store, n, w); got != want {
 			t.Errorf("word %d holds %#x, want %#x: the predecessor's bits and the successor's", w, got, want)
 		}
 	}

@@ -56,6 +56,18 @@ func lossyLog(t *testing.T) (*descLog, *memtest.Lossy, string) {
 	return l, lossyStore(t.Name(), testLogCells), "lossy:" + t.Name()
 }
 
+// lossySpec names a fresh family of lossy stores after the test, for a
+// server's shards and its descriptor log.
+func lossySpec(t *testing.T) string {
+	lossyStores.Range(func(name, _ any) bool {
+		if strings.HasPrefix(name.(string), t.Name()+".") {
+			lossyStores.Delete(name) // -count=2 runs the name again
+		}
+		return true
+	})
+	return "lossy:" + t.Name()
+}
+
 // sameDesc reports whether a scanned record is the descriptor d.
 func sameDesc(g *job, d *desc) bool {
 	return g.tenant == d.tenant && g.task == d.task && g.version == d.version &&

@@ -284,44 +284,20 @@ func TestTickSubscribeSubmitUnsubscribe(t *testing.T) {
 	}
 }
 
-// ackedHook wraps a backend: WriteAcked calls before with the cells it
-// was handed and may fail; plain counts the Writes.
-type ackedHook struct {
-	membackend.Backend
-	before func(cells int)
-	err    error
-	plain  int
-}
-
-func (h *ackedHook) Write(addr int, v int64) {
-	h.plain++
-	h.Backend.Write(addr, v)
-}
-
-func (h *ackedHook) WriteAcked(addr int, vals []int64) error {
-	if h.before != nil {
-		h.before(len(vals))
-	}
-	if h.err != nil {
-		return h.err
-	}
-	return h.Backend.WriteAcked(addr, vals)
-}
-
 // TestTickCommitFailure: when the tick's one commit fails, every
 // admission of the tick is rejected codeCapacity — rejections decided
 // earlier keep their own code — and ledger, log cursor and id cursor are
 // where they were; the next tick carries on from there as if the failed
 // one had never been.
 func TestTickCommitFailure(t *testing.T) {
-	s := steppedServer(t, Options{Tenants: map[string]TenantLimits{"t": {MaxPending: 4}}})
+	s := steppedServer(t, Options{Backend: lossySpec(t), Tenants: map[string]TenantLimits{"t": {MaxPending: 4}}})
 	c := fakeConn(s)
 	s.tick([]coreReq{submitReq(s, c, 1, "t", []byte("before"))}, nil)
 	sent(t, c)
 	cur, ledger, admitted := s.log.cur, *s.tenants["t"], s.admitted
 
-	hook := &ackedHook{Backend: s.log.b, err: errors.New("fenced")}
-	s.log.b = hook
+	log := lossyStore(t.Name()+".desclog", testLogCells)
+	log.Hook = func(int, []int64) error { return errors.New("fenced") }
 	s.tick([]coreReq{
 		submitReq(s, c, 2, "t", []byte("lost-1")),
 		submitReq(s, c, 3, "nobody", nil),
@@ -342,7 +318,7 @@ func TestTickCommitFailure(t *testing.T) {
 		t.Fatalf("dispatcher saw %d submissions, want the 1 from before the failure", st.Submitted)
 	}
 
-	hook.err = nil
+	log.Hook = nil
 	s.tick([]coreReq{submitReq(s, c, 6, "t", []byte("after"))}, nil)
 	if fs, _ := sent(t, c); len(fs) != 1 || ackID(t, fs[0]) != 2 {
 		t.Fatalf("first submit after the failure got %+v, want id 2", fs)
@@ -356,7 +332,7 @@ func TestTickCommitFailure(t *testing.T) {
 // TestTickBarrier: a barrier closes in the reply walk — after the tick's
 // commit and batch submit — even when it arrived ahead of the submits.
 func TestTickBarrier(t *testing.T) {
-	s := steppedServer(t, Options{Tenants: map[string]TenantLimits{"t": {}}})
+	s := steppedServer(t, Options{Backend: lossySpec(t), Tenants: map[string]TenantLimits{"t": {}}})
 	c := fakeConn(s)
 	barrier := make(chan struct{})
 	closed := func() bool {
@@ -367,11 +343,12 @@ func TestTickBarrier(t *testing.T) {
 			return false
 		}
 	}
-	s.log.b = &ackedHook{Backend: s.log.b, before: func(int) {
+	lossyStore(t.Name()+".desclog", testLogCells).Hook = func(int, []int64) error {
 		if closed() {
 			t.Error("barrier closed before the tick's log commit")
 		}
-	}}
+		return nil
+	}
 	s.tick([]coreReq{{op: opBarrier, barrier: barrier}, submitReq(s, c, 1, "t", nil)}, nil)
 	if !closed() {
 		t.Fatal("barrier still open after its tick")
@@ -486,23 +463,17 @@ func TestVolatileServerKeepsNoStore(t *testing.T) {
 	}
 }
 
-// TestCountingWrapperKeepsLogAndJournal: "counting:atomic" is not
-// volatile — the wrapper exists to witness the traffic the wrapped kind
-// would carry, so the server keeps that traffic. A tick of k jobs reaches
-// the log's backend as ONE acked write of its k records plus the zero
-// cell that ends the log, and no plain write; the shard journals record
-// one cell per job.
-func TestCountingWrapperKeepsLogAndJournal(t *testing.T) {
+// TestTickIsOneAckedWrite: a tick of k jobs reaches the descriptor log's
+// store as ONE acked write of its k records plus the zero cell that ends
+// the log, and no plain write; the shard journals record one cell per
+// job.
+func TestTickIsOneAckedWrite(t *testing.T) {
 	const k = 6
-	s := steppedServer(t, Options{Backend: "counting:atomic", Tenants: map[string]TenantLimits{"t": {}}})
-	logw := membackend.AsCounting(s.log.b)
-	if logw == nil {
-		t.Fatalf("the descriptor log is over %T, want the counting wrapper", s.log.b)
-	}
+	s := steppedServer(t, Options{Backend: lossySpec(t), Tenants: map[string]TenantLimits{"t": {}}})
+	log := lossyStore(t.Name()+".desclog", testLogCells)
 	var acked []int
-	hook := &ackedHook{Backend: s.log.b, before: func(cells int) { acked = append(acked, cells) }}
-	s.log.b = hook
-	writes := logw.Writes()
+	log.Hook = func(_ int, vals []int64) error { acked = append(acked, len(vals)); return nil }
+	writes := log.Counts().Writes
 	c := fakeConn(s)
 	var inbox []coreReq
 	for seq := uint32(1); seq <= k; seq++ {
@@ -510,8 +481,8 @@ func TestCountingWrapperKeepsLogAndJournal(t *testing.T) {
 	}
 	s.tick(inbox, nil)
 	want := k*recCells(inbox[0].j.encodedLen()) + 1
-	if got := logw.Writes() - writes; len(acked) != 1 || acked[0] != want || hook.plain != 0 || got != uint64(want) {
-		t.Fatalf("a tick of %d jobs: acked writes of %v cells, %d plain writes, %d cells counted; want one acked write of %d cells and nothing else", k, acked, hook.plain, got, want)
+	if got := log.Counts().Writes - writes; len(acked) != 1 || acked[0] != want || got != want {
+		t.Fatalf("a tick of %d jobs: acked writes of %v cells, %d cells written in all; want one acked write of %d cells and nothing else", k, acked, got, want)
 	}
 	s.settle()
 	if got := sumCounters(s.d.Registry(), "amo_membackend_journal_writes_total"); got != k {

@@ -37,7 +37,7 @@
 //   - Load: the load-generator harness behind `amo-jobd -load` and the
 //     many-connection soak.
 //
-// See DESIGN.md §15 for the wire format, the tenant/quota model and the
+// See DESIGN.md §12 for the wire format, the tenant/quota model and the
 // descriptor-journaling crash-window analysis.
 package jobd
 

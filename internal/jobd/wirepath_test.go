@@ -30,7 +30,7 @@ import (
 // Client.Submit to the event handler, on both sides of
 // membackend.Volatile: the default backend (what jobd_pipelined runs: no
 // journal, no log) and mmap: (what jobd_durable_open runs: claim, group
-// commit, one log commit per tick). The budget (DESIGN.md §15): nothing
+// commit, one log commit per tick). The budget (DESIGN.md §12): nothing
 // per job — the payload is the bytes of the read chunk the frame landed
 // in, the job a slot of the reader's slab, and it is the dispatcher's
 // task, so nothing is allocated to run or resolve it, or to log and

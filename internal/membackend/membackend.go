@@ -13,8 +13,6 @@
 //     memory-mapped file with a versioned header, so at-most-once state
 //     survives process death and a dispatcher can recover it
 //     (internal/dispatch's recovery scan; DESIGN.md §7).
-//   - "counting:SPEC" — an instrumented wrapper around any other
-//     backend, counting reads and writes outside the simulator.
 //   - "net:HOST:PORT[/NAMESPACE]" — a remote register service: the cells
 //     live in an amo-regd server process and are accessed over a binary
 //     TCP protocol with single-writer lease arbitration. Implemented in
@@ -23,7 +21,8 @@
 //
 // Backends are selected by spec string through Open, e.g.
 // Open("mmap:/var/lib/amo/shard.reg", size). Additional backends
-// register themselves with Register.
+// register themselves with Register. Tests that count, tear or crash a
+// store hand the code under test an internal/memtest.Lossy instead.
 //
 // See DESIGN.md §7 for the interface contract, the mmap file layout and
 // the multi-process atomicity caveats.
@@ -128,8 +127,7 @@ func Kinds() []string {
 }
 
 // Open builds the backend a spec names, with size cells. A spec is
-// "kind" or "kind:argument"; wrapper kinds (counting) take a nested
-// spec as their argument. An empty spec means "atomic". Malformed specs
+// "kind" or "kind:argument". An empty spec means "atomic". Malformed specs
 // — surrounding whitespace, an empty kind, a dangling ":" — are
 // rejected with errors that say how to fix them, and an unknown kind's
 // error suggests the nearest registered kind.
@@ -166,10 +164,8 @@ func Open(spec string, size int) (Backend, error) {
 // spec can be seen by a later Open: true for "" and "atomic" only. It is
 // the one place that decides whether record-then-do has a successor to
 // record for — a caller that gets true keeps no journal and no log
-// instead of writing one nothing can read. Wrappers and remote kinds are
-// not volatile whatever they end in: "counting:" exists to witness the
-// traffic the wrapped kind would carry, so that traffic is kept, and a
-// "net:" namespace outlives its client whatever the server stores it in.
+// instead of writing one nothing can read. A "net:" namespace is not
+// volatile: it outlives its client whatever the server stores it in.
 // It is asked of the spec, not of an open backend, because the answer
 // decides whether to Open (and size, and zero) a store at all. A spec
 // Open would reject is not volatile; Open is where it gets its error.
@@ -237,16 +233,15 @@ func editDistance(a, b string) int {
 // ShardSpec rewrites a spec for one shard of a sharded deployment:
 // instance-bearing kinds (mmap paths, net namespaces) get a ".shard<i>"
 // suffix so every shard owns its own register set; volatile kinds pass
-// through unchanged. Wrappers rewrite their inner spec.
+// through unchanged.
 func ShardSpec(spec string, shard int) string {
 	return WithSuffix(spec, fmt.Sprintf(".shard%d", shard))
 }
 
 // WithSuffix appends suffix to the instance name of a spec's terminal
 // kind — the file path for mmap, the namespace for net (before any
-// "?option" tail) — recursing through wrappers (counting); kinds
-// without an instance name pass through unchanged, as do specs Open
-// would reject. Callers that need several independent instances of one
+// "?option" tail); kinds without an instance name pass through
+// unchanged, as do specs Open would reject. Callers that need several independent instances of one
 // spec (shards, bench sweep points) use it to derive per-instance
 // names.
 func WithSuffix(spec, suffix string) string {
@@ -254,11 +249,8 @@ func WithSuffix(spec, suffix string) string {
 	if err != nil {
 		return spec
 	}
-	switch kind {
-	case "mmap":
+	if kind == "mmap" {
 		return kind + ":" + arg + suffix
-	case "counting":
-		return kind + ":" + WithSuffix(arg, suffix)
 	}
 	regMu.RLock()
 	fn := suffixers[kind]

@@ -2,10 +2,10 @@ package membackend
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,18 +15,11 @@ import (
 
 // mmapFactory builds a memtest.Factory over one register file path so
 // the Reopen subtest maps the same storage twice.
-func mmapFactory(t *testing.T, wrap string) memtest.Factory {
+func mmapFactory(t *testing.T) memtest.Factory {
 	dir := t.TempDir()
 	var path string
-	spec := func() string {
-		s := "mmap:" + path
-		if wrap != "" {
-			s = wrap + ":" + s
-		}
-		return s
-	}
 	open := func(t *testing.T, size int) shmem.Mem {
-		b, err := Open(spec(), size)
+		b, err := Open("mmap:"+path, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,26 +53,9 @@ func TestAtomicBackendSuite(t *testing.T) {
 	})
 }
 
-func TestCountingAtomicSuite(t *testing.T) {
-	memtest.RunMemSuite(t, memtest.Factory{
-		New: func(t *testing.T, size int) shmem.Mem {
-			b, err := Open("counting:atomic", size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		},
-	})
-}
-
 func TestMmapSuite(t *testing.T) {
 	requireMmap(t)
-	memtest.RunMemSuite(t, mmapFactory(t, ""))
-}
-
-func TestCountingMmapSuite(t *testing.T) {
-	requireMmap(t)
-	memtest.RunMemSuite(t, mmapFactory(t, "counting"))
+	memtest.RunMemSuite(t, mmapFactory(t))
 }
 
 func requireMmap(t *testing.T) {
@@ -88,28 +64,9 @@ func requireMmap(t *testing.T) {
 	}
 }
 
-func TestCountingCounts(t *testing.T) {
-	b, err := Open("counting:atomic", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := AsCounting(b)
-	c.Write(0, 7)
-	c.Write(1, 8)
-	if c.Read(0) != 7 {
-		t.Fatal("read through wrapper lost the write")
-	}
-	if c.Reads() != 1 || c.Writes() != 2 || c.Accesses() != 3 {
-		t.Fatalf("counters reads=%d writes=%d, want 1/2", c.Reads(), c.Writes())
-	}
-	if c.Reopened() {
-		t.Fatal("volatile inner backend reported Reopened")
-	}
-}
-
 // TestParseSpec is the spec table test: well-formed specs split into
 // kind/argument, malformed ones are rejected with errors that name the
-// problem, and only "" and "atomic" — no wrapper, no remote kind, nothing
+// problem, and only "" and "atomic" — no remote kind, nothing
 // Open would reject — are Volatile.
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
@@ -120,15 +77,12 @@ func TestParseSpec(t *testing.T) {
 	}{
 		{"", "atomic", "", "", true},
 		{"atomic", "atomic", "", "", true},
-		{"counting:atomic", "counting", "atomic", "", false},
 		{"mmap:/var/lib/amo/regs", "mmap", "/var/lib/amo/regs", "", false},
-		{"counting:mmap:/x", "counting", "mmap:/x", "", false},
 		{"net:127.0.0.1:7878/jobs", "net", "127.0.0.1:7878/jobs", "", false},
 		{"atomic:x", "atomic", "x", "", false}, // Open refuses the argument
 		{"atomc", "atomc", "", "", false},      // Open refuses the kind
 		{"atomic:", "", "", "dangling ':'", false},
 		{"mmap:", "", "", "dangling ':'", false},
-		{"counting:", "", "", "dangling ':'", false},
 		{":mmap", "", "", "empty backend kind", false},
 		{":", "", "", "empty backend kind", false},
 		{" atomic", "", "", "whitespace", false},
@@ -161,14 +115,12 @@ func TestParseSpec(t *testing.T) {
 // Open, including the near-miss suggestion for misspelled kinds.
 func TestOpenMalformedSpecs(t *testing.T) {
 	for spec, want := range map[string]string{
-		"atomic:":        "dangling ':'",
-		"mmap:":          "dangling ':'",
-		"counting:atomc": `did you mean "atomic"`,
-		"atomc":          `did you mean "atomic"`,
-		"mmmap:/x":       `did you mean "mmap"`,
-		"couting:atomic": `did you mean "counting"`,
-		"zzz":            "unknown backend",
-		" atomic":        "whitespace",
+		"atomic:":  "dangling ':'",
+		"mmap:":    "dangling ':'",
+		"atomc":    `did you mean "atomic"`,
+		"mmmap:/x": `did you mean "mmap"`,
+		"zzz":      "unknown backend",
+		" atomic":  "whitespace",
 	} {
 		if _, err := Open(spec, 8); err == nil {
 			t.Errorf("Open(%q) accepted, want error containing %q", spec, want)
@@ -182,140 +134,6 @@ func TestOpenMalformedSpecs(t *testing.T) {
 	}
 }
 
-// recordingBackend logs the order of operations it receives, so wrapper
-// passthrough ordering is observable.
-type recordingBackend struct {
-	AtomicBackend
-	ops []string
-}
-
-func (r *recordingBackend) Write(addr int, v int64) {
-	r.ops = append(r.ops, fmt.Sprintf("write %d=%d", addr, v))
-	r.AtomicBackend.Write(addr, v)
-}
-
-func (r *recordingBackend) WriteAcked(addr int, vals []int64) error {
-	for i, v := range vals {
-		r.ops = append(r.ops, fmt.Sprintf("write %d=%d", addr+i, v))
-	}
-	return r.AtomicBackend.WriteAcked(addr, vals)
-}
-
-func (r *recordingBackend) Sync() error {
-	r.ops = append(r.ops, "sync")
-	return nil
-}
-
-// TestCountingSyncPassthrough pins the wrapper contract satellite: Sync
-// calls pass through to the inner backend in program order relative to
-// writes (a Sync issued after a write must reach the store after it),
-// and the wrapper counts them.
-func TestCountingSyncPassthrough(t *testing.T) {
-	inner := &recordingBackend{AtomicBackend: NewAtomic(8)}
-	c := NewCounting(inner)
-	c.Write(0, 1)
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteAcked(1, []int64{2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"write 0=1", "sync", "write 1=2", "sync"}
-	if len(inner.ops) != len(want) {
-		t.Fatalf("inner saw %v, want %v", inner.ops, want)
-	}
-	for i := range want {
-		if inner.ops[i] != want[i] {
-			t.Fatalf("inner op %d = %q, want %q (full: %v)", i, inner.ops[i], want[i], inner.ops)
-		}
-	}
-	if c.Syncs() != 2 {
-		t.Fatalf("Syncs() = %d, want 2", c.Syncs())
-	}
-	if c.Writes() != 2 {
-		t.Fatalf("Writes() = %d, want 2 (WriteAcked must count)", c.Writes())
-	}
-}
-
-// TestCountingDurableSync drives Sync counting through a real durable
-// inner backend (counting:mmap) and checks the flushed state survives a
-// reopen — i.e. the wrapper forwarded the msync rather than absorbing
-// it.
-func TestCountingDurableSync(t *testing.T) {
-	requireMmap(t)
-	path := filepath.Join(t.TempDir(), "regs")
-	b, err := Open("counting:mmap:"+path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := AsCounting(b)
-	c.Write(3, 77)
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Syncs() != 1 {
-		t.Fatalf("Syncs() = %d, want 1", c.Syncs())
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open("counting:mmap:"+path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !AsCounting(r).Reopened() {
-		t.Fatal("reopened durable file not reported")
-	}
-	if got := r.Read(3); got != 77 {
-		t.Fatalf("cell 3 reads %d after reopen, want 77", got)
-	}
-}
-
-// TestCountingCapabilities pins the counting weights of the two batch
-// methods — WriteAcked(k cells) = k writes, ReadRange(k) = k reads —
-// over a volatile and a durable inner backend.
-func TestCountingCapabilities(t *testing.T) {
-	specs := []string{"counting:atomic"}
-	if runtime.GOOS == "linux" {
-		specs = append(specs, "counting:mmap:"+filepath.Join(t.TempDir(), "regs"))
-	}
-	for _, spec := range specs {
-		b, err := Open(spec, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		c := AsCounting(b)
-		if err := c.WriteAcked(4, []int64{9, 9, 9, 9}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteAcked(9, []int64{5}); err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]int64, 8)
-		if err := c.ReadRange(3, dst); err != nil {
-			t.Fatal(err)
-		}
-		want := []int64{0, 9, 9, 9, 9, 0, 5, 0}
-		for i, v := range want {
-			if dst[i] != v {
-				t.Fatalf("%s: ReadRange[%d] = %d, want %d", spec, i, dst[i], v)
-			}
-		}
-		if got := c.Read(4); got != 9 {
-			t.Fatalf("%s: cell 4 = %d, want 9", spec, got)
-		}
-		// Weights: WriteAcked = 4+1 writes, ReadRange = 8 reads, Read = 1.
-		if c.Writes() != 5 || c.Reads() != 9 {
-			t.Fatalf("%s: counters reads=%d writes=%d, want 9/5", spec, c.Reads(), c.Writes())
-		}
-	}
-}
-
 func TestOpenErrors(t *testing.T) {
 	if _, err := Open("nosuch", 8); err == nil || !strings.Contains(err.Error(), "unknown backend") {
 		t.Fatalf("unknown kind: got %v", err)
@@ -325,9 +143,6 @@ func TestOpenErrors(t *testing.T) {
 	}
 	if _, err := Open("atomic:junk", 8); err == nil {
 		t.Fatal("atomic with argument accepted")
-	}
-	if _, err := Open("counting", 8); err == nil {
-		t.Fatal("counting without inner spec accepted")
 	}
 	if _, err := Open("mmap", 8); err == nil {
 		t.Fatal("mmap without path accepted")
@@ -346,8 +161,6 @@ func TestShardSpec(t *testing.T) {
 	cases := [][3]string{
 		{"atomic", "0", "atomic"},
 		{"mmap:/tmp/x", "2", "mmap:/tmp/x.shard2"},
-		{"counting:mmap:/tmp/x", "1", "counting:mmap:/tmp/x.shard1"},
-		{"counting:atomic", "3", "counting:atomic"},
 		// The "net" kind's suffix grammar is owned by internal/netmem
 		// (RegisterSuffixer) and tested there; unregistered kinds pass
 		// through untouched.
@@ -359,27 +172,17 @@ func TestShardSpec(t *testing.T) {
 			t.Errorf("ShardSpec(%q, %d) = %q, want %q", c[0], shard, got, c[2])
 		}
 	}
-	// WithSuffix only touches path-bearing terminals.
-	if got := WithSuffix("counting:atomic", ".shape1"); got != "counting:atomic" {
-		t.Errorf("WithSuffix(counting:atomic) = %q, want unchanged", got)
-	}
-	if got := WithSuffix("counting:mmap:/x", ".shape1"); got != "counting:mmap:/x.shape1" {
-		t.Errorf("WithSuffix(counting:mmap:/x) = %q", got)
+	// WithSuffix only touches path-bearing kinds.
+	if got := WithSuffix("mmap:/x", ".shape1"); got != "mmap:/x.shape1" {
+		t.Errorf("WithSuffix(mmap:/x) = %q", got)
 	}
 }
 
+// TestKinds: this package registers atomic and mmap and nothing else;
+// net comes with internal/netmem.
 func TestKinds(t *testing.T) {
-	kinds := Kinds()
-	for _, want := range []string{"atomic", "counting", "mmap"} {
-		found := false
-		for _, k := range kinds {
-			if k == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("registry missing %q (have %v)", want, kinds)
-		}
+	if got := Kinds(); !slices.Equal(got, []string{"atomic", "mmap"}) {
+		t.Fatalf("registry holds %v, want [atomic mmap]", got)
 	}
 }
 

@@ -1,23 +1,35 @@
 package memtest
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// Lossy is a store that loses what was not acked: the model of a host
-// crash under a page cache, or of a connection dropped with frames in
-// flight. Every write reaches the cache, which is what the running
-// process reads back; only WriteAcked (and Sync and Close) reach the
-// disk, which is all that Crash leaves. It has the method set of
-// membackend.Backend and no registered kind: a test hands it to the code
-// under test itself.
+// Lossy is the repository's one test store, a membackend.Backend of no
+// registered kind. It loses what was not acked, as a host crash under a
+// page cache does: every write reaches the cache, which the running
+// process reads back; only WriteAcked, Sync and Close reach the disk,
+// which is all Crash leaves. It counts what it serves, and in a Host it
+// dies on cue.
 type Lossy struct {
 	mu          sync.Mutex
 	cache, disk []int64
 	reopened    bool
-	// Keep, when set, tears the acked writes that follow: of each one's
-	// cells only those at addresses Keep accepts reach the disk — an
-	// ascending prefix, all but one page, none. The write still succeeds;
+	n           Counts
+	host        *Host
+	// Keep, when set, tears the acked writes that follow: only the cells
+	// at addresses it accepts reach the disk. The write still succeeds;
 	// the test crashes the store before anything depends on it.
 	Keep func(addr int) bool
+	// Hook, when set, sees each acked write before any cell lands; an
+	// error fails the write whole, as a fenced store does.
+	Hook func(addr int, vals []int64) error
+}
+
+// Counts is what a store served since it was made or last crashed.
+type Counts struct {
+	Reads, Writes int // cells
+	Ranges, Syncs int // ReadRange and Sync calls
 }
 
 // NewLossy returns a fresh store of size zeroed cells.
@@ -26,12 +38,18 @@ func NewLossy(size int) *Lossy {
 }
 
 // Crash drops the cache: the store is what reached the disk, as a
-// successor's Open would find it (Reopened reports true from here on).
+// successor's Open finds it, Reopened from here on, counting from zero.
 func (l *Lossy) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	copy(l.cache, l.disk)
-	l.reopened, l.Keep = true, nil
+	l.reopened, l.Keep, l.n = true, nil, Counts{}
+}
+
+func (l *Lossy) Counts() Counts {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
 }
 
 func (l *Lossy) Size() int { return len(l.cache) }
@@ -39,30 +57,49 @@ func (l *Lossy) Size() int { return len(l.cache) }
 func (l *Lossy) Read(addr int) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.n.Reads++
 	return l.cache[addr]
 }
 
 func (l *Lossy) Write(addr int, v int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.n.Writes++
 	l.cache[addr] = v
 }
 
 func (l *Lossy) WriteAcked(addr int, vals []int64) error {
+	if l.Hook != nil {
+		if err := l.Hook(addr, vals); err != nil {
+			return err
+		}
+	}
+	if l.host != nil {
+		return l.host.write(l, addr, vals)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.writeAcked(addr, vals, nil)
+	return nil
+}
+
+// writeAcked applies an acked write, l.mu held: every cell to the cache,
+// and to the disk those that tear (nil: all) and Keep accept.
+func (l *Lossy) writeAcked(addr int, vals []int64, tear func(i, n int) bool) {
+	l.n.Writes += len(vals)
 	copy(l.cache[addr:], vals)
 	for i, v := range vals {
-		if l.Keep == nil || l.Keep(addr+i) {
+		if (tear == nil || tear(i, len(vals))) && (l.Keep == nil || l.Keep(addr+i)) {
 			l.disk[addr+i] = v
 		}
 	}
-	return nil
 }
 
 func (l *Lossy) ReadRange(addr int, dst []int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.n.Reads += len(dst)
+	l.n.Ranges++
 	copy(dst, l.cache[addr:addr+len(dst)])
 	return nil
 }
@@ -77,8 +114,108 @@ func (l *Lossy) Reopened() bool {
 func (l *Lossy) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.n.Syncs++
 	copy(l.disk, l.cache)
 	return nil
 }
 
 func (l *Lossy) Close() error { return l.Sync() }
+
+// Host is a machine whose stores die together, at its at-th acked write
+// counted from 1 across them, a fingerprint written inside a constructor
+// as much as a journal flush. With a nil tear that write lands whole and
+// is acked; otherwise only the cells tear keeps (i of n) land, and it is
+// not. From that instant nothing the incarnation does reaches the stores
+// a successor opens (Death), no payload starts (Run), and no acked write
+// returns until the host is buried.
+type Host struct {
+	mu           sync.Mutex
+	stores       []*Lossy
+	at           int
+	tear         func(i, n int) bool
+	writes       []int
+	died         bool
+	dead, buried chan struct{}
+	death        Death
+}
+
+// Death is how a host died: in a write to its Store-th store at cell
+// Addr, whose cells held Old and were written New, leaving Stores as a
+// successor's Open finds them — new stores, in no host.
+type Death struct {
+	Store, Addr int
+	Old, New    []int64
+	Stores      []*Lossy
+}
+
+// NewHost joins stores into a host; at 0 never dies.
+func NewHost(at int, tear func(i, n int) bool, stores ...*Lossy) *Host {
+	h := &Host{stores: stores, at: at, tear: tear, dead: make(chan struct{}), buried: make(chan struct{})}
+	for _, l := range stores {
+		l.host = h
+	}
+	return h
+}
+
+// Writes returns the cells of each acked write up to the death, in order.
+func (h *Host) Writes() []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Clone(h.writes)
+}
+
+// Dead is closed when the host dies.
+func (h *Host) Dead() <-chan struct{} { return h.dead }
+
+// Death waits for the host to die and says how it did.
+func (h *Host) Death() Death { <-h.dead; return h.death }
+
+// Bury lets a dead host's incarnation run out, so a test can close what
+// the crash left: the acked writes it waits in return, landing nowhere.
+func (h *Host) Bury() { close(h.buried) }
+
+// Run runs payload f unless the host is dead. f runs under the host's
+// lock, so it starts before the death or not at all.
+func (h *Host) Run(f func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.died {
+		f()
+	}
+}
+
+func (h *Host) write(l *Lossy, addr int, vals []int64) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.died { // a call of the dead incarnation: it waits for the burial
+		h.mu.Unlock()
+		<-h.buried
+		h.mu.Lock()
+		return nil
+	}
+	h.writes = append(h.writes, len(vals))
+	h.died = len(h.writes) == h.at
+	var tear func(i, n int) bool
+	l.mu.Lock()
+	if h.died {
+		h.death = Death{slices.Index(h.stores, l), addr, slices.Clone(l.cache[addr : addr+len(vals)]), slices.Clone(vals), nil}
+		tear = h.tear
+	}
+	l.writeAcked(addr, vals, tear)
+	l.mu.Unlock()
+	if !h.died {
+		return nil
+	}
+	for _, s := range h.stores {
+		s.mu.Lock()
+		h.death.Stores = append(h.death.Stores, &Lossy{cache: slices.Clone(s.disk), disk: slices.Clone(s.disk), reopened: true})
+		s.mu.Unlock()
+	}
+	close(h.dead)
+	if tear != nil { // died inside the write: no ack before the burial
+		h.mu.Unlock()
+		<-h.buried
+		h.mu.Lock()
+	}
+	return nil
+}

@@ -1,7 +1,7 @@
 // Package memtest is the conformance suite every register backend must
 // pass: one shared battery of subtests exercised against SimMem,
-// AtomicMem, MmapMem, CountingMem and the networked NetMem (against a
-// live server), so a new shmem.Mem implementation inherits the
+// AtomicMem, MmapMem, Lossy and the networked NetMem (against a live
+// server), so a new shmem.Mem implementation inherits the
 // contract checks instead of re-inventing them. Run it from the
 // backend's own test file:
 //
@@ -15,8 +15,8 @@
 // sequential), for durable backends that a reopened instance sees
 // exactly the cells the previous instance wrote, and for every
 // membackend.Backend that WriteAcked and ReadRange agree with per-cell
-// writes and reads. Lossy (lossy.go) is the store the crash tests of
-// internal/jobd and internal/dispatch run over: it keeps what was acked.
+// writes and reads. Lossy (lossy.go) is the one store the tests of the
+// other packages count, tear and crash.
 package memtest
 
 import (

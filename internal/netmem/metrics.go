@@ -14,7 +14,7 @@ import (
 // pre-resolved into arrays indexed by op code: the hot paths never
 // touch the registry's name→series map.
 //
-// Naming follows DESIGN.md §12: amo_netmem_<name>_<unit>, split into
+// Naming follows DESIGN.md §10: amo_netmem_<name>_<unit>, split into
 // client_* (NetMem) and server_* (Server) families. Byte counters
 // measure whole frames (length prefix and header included), so they
 // reconcile against OS-level socket accounting.

@@ -62,29 +62,6 @@ func TestNetMemSuite(t *testing.T) {
 	})
 }
 
-// TestCountingNetSuite checks the wrapper composes over the remote
-// backend ("counting:net:..."), WriteAcked and ReadRange included.
-func TestCountingNetSuite(t *testing.T) {
-	addr := testServerAddr(t)
-	var ns string
-	open := func(t *testing.T, size int) shmem.Mem {
-		b, err := membackend.Open(fmt.Sprintf("counting:net:%s/%s", addr, ns), size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		return b
-	}
-	memtest.RunMemSuite(t, memtest.Factory{
-		New: func(t *testing.T, size int) shmem.Mem {
-			ns = uniqueNS()
-			return open(t, size)
-		},
-		Reopen:  open,
-		Release: func(t *testing.T, m shmem.Mem) { m.(membackend.Backend).Close() },
-	})
-}
-
 // TestReopenedFlag pins the Reopened semantics across client sessions:
 // a fresh namespace is not "reopened", the second session over it is.
 func TestReopenedFlag(t *testing.T) {
@@ -352,7 +329,6 @@ func TestNetShardSpec(t *testing.T) {
 	cases := [][3]string{
 		{"net:127.0.0.1:7878/jobs", "2", "net:127.0.0.1:7878/jobs.shard2"},
 		{"net:127.0.0.1:7878/jobs?ttl=1s", "1", "net:127.0.0.1:7878/jobs.shard1?ttl=1s"},
-		{"counting:net:h:1/ns", "0", "counting:net:h:1/ns.shard0"},
 		{"net:127.0.0.1:7878", "0", "net:127.0.0.1:7878/default.shard0"},
 		{"net:127.0.0.1:7878?ttl=1s", "3", "net:127.0.0.1:7878/default.shard3?ttl=1s"},
 	}

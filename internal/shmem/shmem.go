@@ -18,10 +18,9 @@
 // Further backends live in the registry package internal/membackend and
 // are selected by spec string (membackend.Open): the in-process atomic
 // backend, the durable memory-mapped register file ("mmap:PATH", the
-// substrate of dispatcher crash recovery), an instrumented counting
-// wrapper, and the networked register service ("net:HOST:PORT/NS",
-// internal/netmem — registers served by an amo-regd process with
-// single-writer lease arbitration). Every implementation must pass the
+// substrate of dispatcher crash recovery), and the networked register
+// service ("net:HOST:PORT/NS", internal/netmem — registers served by an
+// amo-regd process with single-writer lease arbitration). Every implementation must pass the
 // shared conformance suite internal/memtest; the file layout and
 // recovery protocol are specified in DESIGN.md §7, the wire protocol
 // and fencing in §8.

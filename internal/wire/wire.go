@@ -1,6 +1,6 @@
 // Package wire is the one framing and payload codec under both network
 // protocols of the stack: the register service (internal/netmem, DESIGN
-// §8) and the job service (internal/jobd, DESIGN §15). Each of those
+// §8) and the job service (internal/jobd, DESIGN §12). Each of those
 // packages keeps its own op table, error codes, handshake and drop
 // policy; what they share — and what lives here, once — is the frame,
 // the field encoding and the pipelined client core (Client).
