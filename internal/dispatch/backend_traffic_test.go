@@ -76,10 +76,10 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 			var stores []*memtest.Lossy
 			stream(t, Config{
 				JournalBatch: jb,
-				newMem: func(shard, size int) (membackend.Backend, error) {
+				newMem: perShard(func(shard, size int) (membackend.Backend, error) {
 					stores = append(stores, memtest.NewLossy(size))
 					return stores[shard], nil
-				},
+				}),
 			})
 			var reads, writes int
 			for _, st := range stores {
@@ -221,10 +221,11 @@ func TestParentLayoutRefused(t *testing.T) {
 			ns := fmt.Sprintf("old-%d", time.Now().UnixNano())
 			cells := func() []int64 {
 				t.Helper()
-				b, err := netFactory(addr, ns, nil)(0, tc.size)
+				bs, err := netFactory(addr, ns, nil)(1, tc.size)
 				if err != nil {
 					t.Fatal(err)
 				}
+				b := bs[0]
 				defer b.Close()
 				if !b.Reopened() {
 					fill(b, oldFP(tc.version))

@@ -146,7 +146,7 @@ func crashRun(t *testing.T, jb, at int, tear func(i, n int) bool) *crashIncarnat
 
 func crashConfig(jb int, store func(shard int) membackend.Backend) Config {
 	return Config{Shards: crashShards, WorkersPerShard: crashWorkers, MaxBatch: 64, MaxJobs: crashJobs, JournalBatch: jb,
-		newMem: func(shard, _ int) (membackend.Backend, error) { return store(shard), nil }}
+		newMem: perShard(func(shard, _ int) (membackend.Backend, error) { return store(shard), nil })}
 }
 
 func crashWindow(t *testing.T, jb, at int, tear func(i, n int) bool) {

@@ -94,10 +94,11 @@ type Config struct {
 	// ignored. Every other spec keeps one (DESIGN.md §7): shard s opens
 	// membackend.ShardSpec(Backend, s) — "mmap:PATH" maps "PATH.shard<s>",
 	// "net:HOST:PORT/NS" takes namespace "NS.shard<s>" on an amo-regd
-	// under its single-writer lease (see examples/failover) — while its
-	// rounds run in process memory. Over a durable store at-most-once
-	// survives process death (Recovery below, examples/recover); a store
-	// of a layout before amo-dispatch-v5 is refused.
+	// under its single-writer lease, every shard's over one connection
+	// (see examples/failover) — while its rounds run in process memory.
+	// Over a durable store at-most-once survives process death (Recovery
+	// below, examples/recover); a store of a layout before
+	// amo-dispatch-v5 is refused.
 	Backend string
 	// MaxJobs bounds the distinct job ids a journaled dispatcher may
 	// assign over the lifetime of its stores (across restarts): it sizes
@@ -139,9 +140,10 @@ type Config struct {
 	// Tracer.
 	TraceSampleRate float64
 
-	// newMem opens shard s's journal store of size cells. normalize sets
-	// it from Backend; a test sets it to substitute a store (it wins).
-	newMem func(shard, size int) (membackend.Backend, error)
+	// newMem opens the journal stores of all shards, size cells each,
+	// store s shard s's. normalize sets it from Backend; a test sets it to
+	// substitute stores (it wins).
+	newMem func(shards, size int) ([]membackend.Backend, error)
 }
 
 // Recovery. A dispatcher over durable backends journals every performed
@@ -215,12 +217,12 @@ func (c *Config) normalize() error {
 	if c.Beta < 0 {
 		return fmt.Errorf("dispatch: negative beta %d", c.Beta)
 	}
-	// The one translation of a spec into shard stores: a volatile spec
-	// has no successor to record for, so it gets none.
+	// The one translation of a spec into shard stores, all of them in one
+	// call: a volatile spec has no successor to record for, so it gets none.
 	if c.newMem == nil && !membackend.Volatile(c.Backend) {
 		spec := c.Backend
-		c.newMem = func(shard, size int) (membackend.Backend, error) {
-			return membackend.Open(membackend.ShardSpec(spec, shard), size)
+		c.newMem = func(shards, size int) ([]membackend.Backend, error) {
+			return membackend.OpenShards(spec, shards, size)
 		}
 	}
 	switch {
@@ -333,13 +335,26 @@ func New(cfg Config) (*Dispatcher, error) {
 	d.cond = sync.NewCond(&d.mu)
 	d.shards = make([]*shard, cfg.Shards)
 	d.setupObs()
+	stores := make([]membackend.Backend, cfg.Shards)
+	if cfg.newMem != nil {
+		size := journalCells(&cfg)
+		var err error
+		if stores, err = cfg.newMem(cfg.Shards, size); err != nil {
+			// The commonest way to get here with stores that exist is a size
+			// the backend refuses, so the refusal names the layout.
+			return nil, fmt.Errorf("dispatch: shard backends (%d cells each): %w; %s", size, err, layoutChange)
+		}
+	}
 	for i := range d.shards {
-		s, err := newShard(d, i)
+		s, err := newShard(d, i, stores[i])
 		if err != nil {
 			for _, prev := range d.shards[:i] {
 				prev.stop()
 				prev.rt.Close()
 				prev.closeBackend()
+			}
+			for _, b := range stores[i+1:] {
+				b.Close()
 			}
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
 )
@@ -65,19 +66,18 @@ func fingerprint(shard, shards, m, maxBatch, maxJobs int) int64 {
 // jrow returns the first cell of worker p's journal row (p 1-based).
 func (s *shard) jrow(p int) int { return jmetaCells + (p-1)*s.jwords }
 
-// openDurable builds the shard's backend, validates or initializes its
-// metadata and, when the backend holds pre-crash state, recovers it:
-// the journal rows are ORed into d.recovered.
-func (s *shard) openDurable(cfg *Config) error {
+// journalCells is the size of every shard's store: the metadata cells
+// and a row per worker of a bit per id 0..MaxJobs (bit 0 is no id and
+// stays clear).
+func journalCells(cfg *Config) int { return jmetaCells + cfg.WorkersPerShard*(cfg.MaxJobs/64+1) }
+
+// openDurable takes b as the shard's store, validates or initializes its
+// metadata and, when the store holds pre-crash state, recovers it: the
+// journal rows are ORed into d.recovered. On an error b is closed.
+func (s *shard) openDurable(cfg *Config, b membackend.Backend) error {
 	m, maxBatch, maxJobs := cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs
-	s.jwords = maxJobs/64 + 1 // bits 0..MaxJobs; bit 0 is no id and stays clear
-	size := jmetaCells + m*s.jwords
-	b, err := cfg.newMem(s.id, size)
-	if err != nil {
-		// The commonest way to get here with a store that exists is a size
-		// the backend refuses, so the refusal names the layout.
-		return fmt.Errorf("dispatch: shard %d backend (%d cells): %w; %s", s.id, size, err, layoutChange)
-	}
+	s.jwords = maxJobs/64 + 1
+	size := journalCells(cfg)
 	if b.Size() < size {
 		b.Close()
 		return fmt.Errorf("dispatch: shard %d backend holds %d cells, need %d", s.id, b.Size(), size)

@@ -19,10 +19,25 @@ import (
 
 // mmapFactory returns a Config.newMem mapping each shard's register
 // file under dir, so successive dispatchers share durable state.
-func mmapFactory(dir string) func(shard, size int) (membackend.Backend, error) {
+func mmapFactory(dir string) func(shards, size int) ([]membackend.Backend, error) {
 	spec := "mmap:" + filepath.Join(dir, "regs")
-	return func(shard, size int) (membackend.Backend, error) {
-		return membackend.Open(membackend.ShardSpec(spec, shard), size)
+	return func(shards, size int) ([]membackend.Backend, error) {
+		return membackend.OpenShards(spec, shards, size)
+	}
+}
+
+// perShard makes a Config.newMem of an opener of one shard's store.
+func perShard(open func(shard, size int) (membackend.Backend, error)) func(shards, size int) ([]membackend.Backend, error) {
+	return func(shards, size int) ([]membackend.Backend, error) {
+		bs := make([]membackend.Backend, shards)
+		for i := range bs {
+			b, err := open(i, size)
+			if err != nil {
+				return nil, err
+			}
+			bs[i] = b
+		}
+		return bs, nil
 	}
 }
 
@@ -262,12 +277,12 @@ func TestFreshFingerprintIsAcked(t *testing.T) {
 	var store *memtest.Lossy
 	cfg := Config{
 		Shards: 1, WorkersPerShard: 2, MaxBatch: 32, MaxJobs: 1024,
-		newMem: func(_, size int) (membackend.Backend, error) {
+		newMem: perShard(func(_, size int) (membackend.Backend, error) {
 			if store == nil {
 				store = memtest.NewLossy(size)
 			}
 			return store, nil
-		},
+		}),
 	}
 	var runs atomic.Int64
 	job := []Task{bare(func() { runs.Add(1) })}
@@ -377,10 +392,11 @@ func TestRecoveryRefusesForeignJournalCell(t *testing.T) {
 		}
 		// Corrupt one word in place, beside the journaled bit of id 1.
 		jwords := tc.maxJobs/64 + 1
-		b, err := cfg.newMem(0, jmetaCells+2*jwords)
+		bs, err := cfg.newMem(1, jmetaCells+2*jwords)
 		if err != nil {
 			t.Fatal(err)
 		}
+		b := bs[0]
 		cell := jmetaCells + (tc.row-1)*jwords + tc.bit/64
 		b.Write(cell, b.Read(cell)|1<<(tc.bit%64))
 		if err := b.Close(); err != nil {
@@ -547,10 +563,10 @@ func TestBackendSpec(t *testing.T) {
 	}
 	var asked []int
 	unused := filepath.Join(t.TempDir(), "unused")
-	open(Config{Backend: "mmap:" + unused, MaxJobs: 64, newMem: func(shard, size int) (membackend.Backend, error) {
+	open(Config{Backend: "mmap:" + unused, MaxJobs: 64, newMem: perShard(func(shard, size int) (membackend.Backend, error) {
 		asked = append(asked, shard)
 		return membackend.Open("atomic", size)
-	}})
+	})})
 	if _, err := os.Stat(unused + ".shard0"); len(asked) != 2 || err == nil {
 		t.Errorf("a test store beside Backend: asked for shards %v, Backend's file opened: %v", asked, err == nil)
 	}
@@ -618,23 +634,30 @@ func reopenAfterJournalFull(t *testing.T, n int) {
 }
 
 // netFactory builds a Config.newMem over an in-process register server,
-// one namespace per shard, recording the clients so the test can sever
-// them (simulating process death, which releases nothing until the
-// lease is explicitly dropped or expires).
-func netFactory(addr, ns string, clients *[]*netmem.NetMem) func(shard, size int) (membackend.Backend, error) {
-	return func(shard, size int) (membackend.Backend, error) {
-		m, err := netmem.Open(addr, size, netmem.Options{
-			Namespace: fmt.Sprintf("%s.shard%d", ns, shard),
-			LeaseTTL:  500 * time.Millisecond,
-			OnFatal:   func(error) {}, // a dead client shows up as errors, not a test-killing panic
+// one namespace per shard over one session, recording the clients so the
+// test can sever them (simulating process death, which releases nothing
+// until the lease is explicitly dropped or expires).
+func netFactory(addr, ns string, clients *[]*netmem.NetMem) func(shards, size int) ([]membackend.Backend, error) {
+	return func(shards, size int) ([]membackend.Backend, error) {
+		names := make([]string, shards)
+		for i := range names {
+			names[i] = fmt.Sprintf("%s.shard%d", ns, i)
+		}
+		ms, err := netmem.OpenSession(addr, names, size, netmem.Options{
+			LeaseTTL: 500 * time.Millisecond,
+			OnFatal:  func(error) {}, // a dead client shows up as errors, not a test-killing panic
 		})
 		if err != nil {
 			return nil, err
 		}
-		if clients != nil {
-			*clients = append(*clients, m)
+		bs := make([]membackend.Backend, shards)
+		for i, m := range ms {
+			bs[i] = m
 		}
-		return m, nil
+		if clients != nil {
+			*clients = append(*clients, ms...)
+		}
+		return bs, nil
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func shadowConfig(maxJobs int) (cfg Config, store *memtest.Lossy, reopen func()) {
 	store = memtest.NewLossy(jmetaCells + 2*(maxJobs/64+1))
 	cfg = Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 256, MaxJobs: maxJobs, JournalBatch: 16,
-		newMem: func(int, int) (membackend.Backend, error) { return store, nil }}
+		newMem: perShard(func(int, int) (membackend.Backend, error) { return store, nil })}
 	return cfg, store, store.Crash
 }
 

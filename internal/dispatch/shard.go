@@ -103,10 +103,11 @@ type shard struct {
 	expired []resolved // expired and cancelled jobs, resolved outside the lock
 }
 
-// newShard builds one shard. With a durable backend it also performs
-// the recovery scan, adding the job ids a previous process incarnation
-// already performed to d.recovered.
-func newShard(d *Dispatcher, id int) (*shard, error) {
+// newShard builds one shard over its journal store, b (nil: none). With
+// a store it also performs the recovery scan, adding the job ids a
+// previous process incarnation already performed to d.recovered; a shard
+// that fails closes b.
+func newShard(d *Dispatcher, id int, b membackend.Backend) (*shard, error) {
 	s := &shard{
 		d:      d,
 		id:     id,
@@ -122,8 +123,8 @@ func newShard(d *Dispatcher, id int) (*shard, error) {
 		Jitter:   d.cfg.Jitter,
 		Seed:     d.cfg.Seed + int64(id)*1_000_003,
 	}
-	if d.cfg.newMem != nil {
-		if err := s.openDurable(&d.cfg); err != nil {
+	if b != nil {
+		if err := s.openDurable(&d.cfg, b); err != nil {
 			return nil, err
 		}
 		// Workers with an open claim buffer at the end of their step loop

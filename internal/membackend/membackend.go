@@ -20,8 +20,10 @@
 //     (the public atmostonce package does) before opening net specs.
 //
 // Backends are selected by spec string through Open, e.g.
-// Open("mmap:/var/lib/amo/shard.reg", size). Additional backends
-// register themselves with Register. Tests that count, tear or crash a
+// Open("mmap:/var/lib/amo/shard.reg", size), and a sharded deployment's
+// stores through OpenShards. Additional backends register themselves
+// with Register, or RegisterGroup for a kind whose instances share one
+// resource (the net kind's one connection). Tests that count, tear or crash a
 // store hand the code under test an internal/memtest.Lossy instead.
 //
 // See DESIGN.md §7 for the interface contract, the mmap file layout and
@@ -83,15 +85,44 @@ type Backend interface {
 // (the part after "kind:", possibly empty).
 type OpenFunc func(arg string, size int) (Backend, error)
 
+// GroupFunc builds the len(suffixes) instances of one spec argument, each
+// with size cells, as one unit: instance i is the one the argument names
+// with suffixes[i] appended (WithSuffix's grammar; "" is the argument's
+// own). A kind that registers one opens every instance of a spec at once
+// — the net backend attaches them all to one session — and dies as one.
+type GroupFunc func(arg string, suffixes []string, size int) ([]Backend, error)
+
 var (
 	regMu     sync.RWMutex
-	registry  = map[string]OpenFunc{}
+	registry  = map[string]GroupFunc{}
 	suffixers = map[string]func(arg, suffix string) string{}
 )
 
-// Register adds a backend kind to the registry. It panics on a
+// Register adds a backend kind whose instances open one by one: a group
+// of them closes those it opened if a later one fails. It panics on a
 // duplicate kind; call it from an init function.
 func Register(kind string, open OpenFunc) {
+	RegisterGroup(kind, func(arg string, suffixes []string, size int) ([]Backend, error) {
+		bs := make([]Backend, 0, len(suffixes))
+		for _, sfx := range suffixes {
+			inst, _ := suffixArg(kind, arg, sfx)
+			b, err := open(inst, size)
+			if err != nil {
+				for _, b := range bs {
+					b.Close()
+				}
+				return nil, err
+			}
+			bs = append(bs, b)
+		}
+		return bs, nil
+	})
+}
+
+// RegisterGroup adds a backend kind whose instances open as a group
+// (GroupFunc); Open opens a group of one. It panics on a duplicate kind;
+// call it from an init function.
+func RegisterGroup(kind string, open GroupFunc) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[kind]; dup {
@@ -132,6 +163,28 @@ func Kinds() []string {
 // rejected with errors that say how to fix them, and an unknown kind's
 // error suggests the nearest registered kind.
 func Open(spec string, size int) (Backend, error) {
+	bs, err := open(spec, []string{""}, size)
+	if err != nil {
+		return nil, err
+	}
+	return bs[0], nil
+}
+
+// OpenShards opens the n shard stores of a spec, each with size cells:
+// shard i is the instance ShardSpec(spec, i) names. A group kind opens
+// them in one call (the net backend: n namespaces over one session);
+// any other kind opens them one by one, and closes those it opened if a
+// later one fails.
+func OpenShards(spec string, n, size int) ([]Backend, error) {
+	suffixes := make([]string, n)
+	for i := range suffixes {
+		suffixes[i] = shardSuffix(i)
+	}
+	return open(spec, suffixes, size)
+}
+
+// open builds a spec's instances, one per suffix.
+func open(spec string, suffixes []string, size int) ([]Backend, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("membackend: need a positive size, got %d", size)
 	}
@@ -140,7 +193,7 @@ func Open(spec string, size int) (Backend, error) {
 		return nil, err
 	}
 	regMu.RLock()
-	open, ok := registry[kind]
+	group, ok := registry[kind]
 	regMu.RUnlock()
 	if !ok {
 		hint := ""
@@ -150,14 +203,16 @@ func Open(spec string, size int) (Backend, error) {
 		return nil, fmt.Errorf("membackend: unknown backend %q in spec %q%s (have %s)",
 			kind, spec, hint, strings.Join(Kinds(), ", "))
 	}
-	b, err := open(arg, size)
+	bs, err := group(arg, suffixes, size)
 	if err != nil {
 		eventlog.Logger().Warn("backend_open_failed", "kind", kind, "spec", spec, "size", size, "err", err)
-		return b, err
+		return nil, err
 	}
-	obsOpened(kind)
-	eventlog.Logger().Debug("backend_open", "kind", kind, "size", size, "reopened", b.Reopened())
-	return b, nil
+	for _, b := range bs {
+		obsOpened(kind)
+		eventlog.Logger().Debug("backend_open", "kind", kind, "size", size, "reopened", b.Reopened())
+	}
+	return bs, nil
 }
 
 // Volatile reports whether nothing written through a backend opened from
@@ -235,8 +290,10 @@ func editDistance(a, b string) int {
 // suffix so every shard owns its own register set; volatile kinds pass
 // through unchanged.
 func ShardSpec(spec string, shard int) string {
-	return WithSuffix(spec, fmt.Sprintf(".shard%d", shard))
+	return WithSuffix(spec, shardSuffix(shard))
 }
+
+func shardSuffix(shard int) string { return fmt.Sprintf(".shard%d", shard) }
 
 // WithSuffix appends suffix to the instance name of a spec's terminal
 // kind — the file path for mmap, the namespace for net (before any
@@ -249,14 +306,23 @@ func WithSuffix(spec, suffix string) string {
 	if err != nil {
 		return spec
 	}
+	if inst, ok := suffixArg(kind, arg, suffix); ok {
+		return kind + ":" + inst
+	}
+	return spec
+}
+
+// suffixArg is arg with suffix on its instance name, and whether the
+// kind has one.
+func suffixArg(kind, arg, suffix string) (string, bool) {
 	if kind == "mmap" {
-		return kind + ":" + arg + suffix
+		return arg + suffix, true
 	}
 	regMu.RLock()
 	fn := suffixers[kind]
 	regMu.RUnlock()
-	if fn != nil {
-		return kind + ":" + fn(arg, suffix)
+	if fn == nil {
+		return arg, false
 	}
-	return spec
+	return fn(arg, suffix), true
 }

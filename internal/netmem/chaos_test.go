@@ -100,7 +100,7 @@ func TestCloseReportsDiscardedWrites(t *testing.T) {
 	// Wait for the reader to notice the severed connection.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if c.c.Conn() == nil {
+		if c.s.c.Conn() == nil {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

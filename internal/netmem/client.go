@@ -37,8 +37,8 @@ var (
 // Options configures a NetMem client. The zero value is usable: 2s
 // lease, waiting acquire, panic on fatal errors.
 type Options struct {
-	// Namespace selects the register set on the server (default
-	// "default").
+	// Namespace selects the register set Open attaches on the server
+	// (default "default"); OpenSession is given its names instead.
 	Namespace string
 	// LeaseTTL is the writer-lease duration requested from the server
 	// (default 2s, clamped by the server). The client renews every
@@ -95,7 +95,8 @@ func (o *Options) normalize() {
 
 // regCall is a register op's request fields and decoded reply.
 type regCall struct {
-	addr int
+	ns   *NetMem       // the namespace the op names
+	addr int           // the first cell; hello's reply: the handle
 	val  int64         // a pipelined write's value; a read's result, hello's reopened flag, acquire's epoch
 	vals []int64       // an acked write's values; a range read's destination
 	ttl  time.Duration // the lease acquire granted
@@ -103,137 +104,203 @@ type regCall struct {
 
 var calls wire.Pool[regCall]
 
-// NetMem is the remote register backend: the membackend.Backend
-// contract over one connection to a register server, through the client
-// core (wire.Client). Plain Writes are pipelined, their acks consumed in
-// order by the core's reader, so a burst costs one round trip, not one
-// per cell; Read, WriteAcked, ReadRange and Sync wait for their reply.
-// All methods are safe for concurrent use. A broken connection is
-// redialed, the handshake renews the lease — the epoch does not move —
-// and every unacknowledged operation is resent in order, so callers
-// never observe the reconnect; a fenced renew means a successor took the
-// lease meanwhile, and the client dies (OnFatal) instead.
-type NetMem struct {
+// session is one connection to a register server and the namespaces
+// attached over it, through the client core (wire.Client): one reader,
+// one combining writer, one renew loop and one redial for all of them,
+// and one client identity, the lease holder of each. Its namespaces are
+// one incarnation: a fence or a spent redial on any of them kills the
+// session, and OnFatal fires once.
+type session struct {
 	addr     string
-	size     int
 	opts     Options
 	clientID uint64
 	c        *wire.Client[regCall]
+	nss      []*NetMem // nss[h] is the namespace of handle h
 
-	epoch     atomic.Uint64 // the lease's, from Open's acquire: a redial renews it
-	reopened  bool
-	renewStop chan struct{}
-	renewOnce sync.Once
+	open      atomic.Int32 // namespaces not yet closed: the last Close hangs up
+	mu        sync.Mutex   // orders renew bursts against Close's releases: no renew follows one
+	stop      chan struct{}
+	stopOnce  sync.Once
+	fatalOnce sync.Once
+}
+
+// NetMem is the remote register backend: the membackend.Backend
+// contract over one namespace of a session. Plain Writes are pipelined,
+// their acks consumed in order by the session's reader, so a burst costs
+// one round trip, not one per cell; Read, WriteAcked, ReadRange and Sync
+// wait for their reply. All methods are safe for concurrent use. A
+// broken connection is redialed, the handshake renews every lease — no
+// epoch moves — and every unacknowledged operation is resent in order,
+// so callers never observe the reconnect; a fenced renew means a
+// successor took a lease meanwhile, and the session dies (OnFatal)
+// instead.
+type NetMem struct {
+	s        *session
+	h        byte // the handle: the namespace's position in the session
+	name     string
+	size     int
+	epoch    atomic.Uint64 // the lease's, from the session's acquire: a redial renews it
+	reopened bool
+	closed   atomic.Bool
 }
 
 var _ membackend.Backend = (*NetMem)(nil)
 
 // Open dials addr, attaches to (or creates) the namespace with size
-// cells, and acquires the writer lease per the options.
+// cells, and acquires the writer lease per the options: a session of
+// one namespace.
 func Open(addr string, size int, opts Options) (*NetMem, error) {
+	opts.normalize()
+	ms, err := OpenSession(addr, []string{opts.Namespace}, size, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ms[0], nil
+}
+
+// OpenSession dials addr once and attaches every namespace in names,
+// each of size cells, acquiring each lease per the options: a hello and
+// an acquire per namespace leave in one write. opts.Namespace is not
+// used. The backends share the connection and die together; the last
+// one closed releases every lease and hangs up.
+func OpenSession(addr string, names []string, size int, opts Options) ([]*NetMem, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("netmem: need a positive size, got %d", size)
+	}
+	if len(names) == 0 || len(names) > maxHandles {
+		return nil, fmt.Errorf("netmem: a session attaches 1..%d namespaces, got %d", maxHandles, len(names))
 	}
 	opts.normalize()
 	var idb [8]byte
 	if _, err := rand.Read(idb[:]); err != nil {
 		return nil, fmt.Errorf("netmem: client id: %w", err)
 	}
-	m := &NetMem{
-		addr:      addr,
-		size:      size,
-		opts:      opts,
-		clientID:  binary.LittleEndian.Uint64(idb[:]) | 1, // never 0
-		renewStop: make(chan struct{}),
+	s := &session{
+		addr:     addr,
+		opts:     opts,
+		clientID: binary.LittleEndian.Uint64(idb[:]) | 1, // never 0
+		nss:      make([]*NetMem, len(names)),
+		stop:     make(chan struct{}),
 	}
+	for i, name := range names {
+		s.nss[i] = &NetMem{s: s, h: byte(i), name: name, size: size}
+	}
+	s.open.Store(int32(len(names)))
 	// The drop policy is the core's default, resend: registers are absolute
 	// stores and reads, so re-applying a prefix the server already executed
 	// is harmless.
-	m.c = wire.NewClient(wire.Proto[regCall]{
+	s.c = wire.NewClient(wire.Proto[regCall]{
 		Name:           "netmem",
 		Addr:           addr,
 		DialTimeout:    opts.DialTimeout,
 		RedialAttempts: opts.RedialAttempts,
 		RedialBackoff:  opts.RedialBackoff,
 		Closed:         ErrClosed,
-		Encode:         m.encode,
-		Reply:          m.reply,
-		Handshake:      m.handshake,
-		Down:           m.down,
-		Up:             m.up,
+		Encode:         s.encode,
+		Reply:          s.reply,
+		Handshake:      s.handshake,
+		Down:           s.down,
+		Up:             s.up,
 		Die: func(err error) {
-			m.fatalize(err)
-			m.fatalOut(err) // an idle client, no op to tell, still dies
+			s.fatalize(err)
+			s.fatalOut(err) // an idle session, no op to tell, still dies
 		},
 	})
-	if err := m.c.Connect(); err != nil {
+	if err := s.c.Connect(); err != nil {
 		return nil, err
 	}
 	eventlog.Logger().Debug("netmem_client_connected",
-		"addr", addr, "namespace", m.opts.Namespace, "epoch", m.Epoch(),
-		"lease_ttl", m.opts.LeaseTTL, "reopened", m.Reopened())
-	go m.renewLoop()
-	return m, nil
+		"addr", addr, "namespaces", names, "epochs", s.epochs(),
+		"lease_ttl", s.opts.LeaseTTL, "reopened", s.nss[0].Reopened())
+	go s.renewLoop()
+	return s.nss, nil
 }
 
-func (m *NetMem) logf(format string, args ...any) {
-	if m.opts.Logf != nil {
-		m.opts.Logf(format, args...)
+func (s *session) logf(format string, args ...any) {
+	if s.opts.Logf != nil {
+		s.opts.Logf(format, args...)
 	}
 }
 
-// handshake opens a connection in one flight: hello and the lease op —
-// acquire on Open, a renew of the lease we hold on a redial — leave in
-// ONE write. A refused hello is reported as itself, not as the "no
-// namespace" the server then gives the lease op.
-func (m *NetMem) handshake(nc net.Conn, first bool) error {
-	hello, lease := wire.NewCall[regCall](opHello), wire.NewCall[regCall](opRenew)
-	if first {
-		lease.Op = opAcquire
+// epochs lists the namespaces' lease epochs, in handle order.
+func (s *session) epochs() []uint64 {
+	out := make([]uint64, len(s.nss))
+	for i, m := range s.nss {
+		out[i] = m.Epoch()
+	}
+	return out
+}
+
+// handshake opens a connection in one flight: a hello per namespace, then
+// a lease op per namespace — acquire on Open, a renew of the lease we
+// hold on a redial — leave in ONE write. A refused hello is reported as
+// itself, not as the "no namespace" the server then gives its lease op.
+func (s *session) handshake(nc net.Conn, first bool) error {
+	n := len(s.nss)
+	flight := make([]*wire.Call[regCall], 2*n)
+	for i, m := range s.nss {
+		hello, lease := wire.NewCall[regCall](opHello), wire.NewCall[regCall](opRenew)
+		if first {
+			lease.Op = opAcquire
+		}
+		hello.Arg.ns, lease.Arg.ns = m, m
+		flight[i], flight[n+i] = hello, lease
 	}
 	// The dial timeout bounds the flight; only a waiting acquire parks, for
 	// the incumbent's remaining lease.
 	defer nc.SetDeadline(time.Time{})
-	nc.SetDeadline(time.Now().Add(m.opts.DialTimeout))
-	m.c.Flight(nc, hello, lease)
-	if err := hello.Wait(); err != nil {
-		return err
+	nc.SetDeadline(time.Now().Add(s.opts.DialTimeout))
+	s.c.Flight(nc, flight...)
+	for i, hello := range flight[:n] {
+		if err := hello.Wait(); err != nil {
+			return err
+		}
+		if hello.Arg.addr != i {
+			return fmt.Errorf("netmem: hello of namespace %q answered handle %d, want %d", s.nss[i].name, hello.Arg.addr, i)
+		}
 	}
-	if first && !m.opts.FailFast {
+	if first && !s.opts.FailFast {
 		leaseBy := time.Time{}
-		if m.opts.AcquireTimeout > 0 {
-			leaseBy = time.Now().Add(m.opts.AcquireTimeout)
+		if s.opts.AcquireTimeout > 0 {
+			leaseBy = time.Now().Add(s.opts.AcquireTimeout)
 		}
 		nc.SetDeadline(leaseBy)
 	}
-	if err := lease.Wait(); err != nil {
-		if errors.Is(err, ErrFenced) { // the reply killed the client: tell OnFatal
-			m.fatalOut(err)
+	ttl := s.opts.LeaseTTL
+	for i, lease := range flight[n:] {
+		if err := lease.Wait(); err != nil {
+			if errors.Is(err, ErrFenced) { // the reply killed the session: tell OnFatal
+				s.fatalOut(err)
+			}
+			return err
 		}
-		return err
+		if first {
+			m := s.nss[i]
+			m.reopened = flight[i].Arg.val != 0
+			m.epoch.Store(uint64(lease.Arg.val))
+			if granted := lease.Arg.ttl; granted > 0 {
+				ttl = min(ttl, granted)
+			}
+		}
 	}
-	if first {
-		m.reopened = hello.Arg.val != 0
-		m.epoch.Store(uint64(lease.Arg.val))
-		if granted := lease.Arg.ttl; granted > 0 && granted < m.opts.LeaseTTL {
-			m.logf("netmem: server clamped lease ttl to %s", granted)
-			m.opts.LeaseTTL = granted
-		}
+	if ttl < s.opts.LeaseTTL {
+		s.logf("netmem: server clamped lease ttl to %s", ttl)
+		s.opts.LeaseTTL = ttl
 	}
 	return nil
 }
 
-func (m *NetMem) down(cause error, inFlight int) {
-	m.logf("netmem: connection lost (%v), redialing", cause)
+func (s *session) down(cause error, inFlight int) {
+	s.logf("netmem: connection lost (%v), redialing", cause)
 	eventlog.Logger().Warn("netmem_client_connection_lost",
-		"addr", m.addr, "err", cause, "outstanding", inFlight)
+		"addr", s.addr, "err", cause, "outstanding", inFlight)
 }
 
-func (m *NetMem) up(resent int) {
+func (s *session) up(resent int) {
 	cliReconnects.Inc()
 	eventlog.Logger().Info("netmem_client_reconnected",
-		"addr", m.addr, "epoch", m.Epoch(), "resent_ops", resent)
-	m.logf("netmem: reconnected to %s (epoch %d)", m.addr, m.Epoch())
+		"addr", s.addr, "epochs", s.epochs(), "resent_ops", resent)
+	s.logf("netmem: reconnected to %s (epochs %v)", s.addr, s.epochs())
 }
 
 // decodeErr turns an opErr payload into a Go error, mapping the fencing
@@ -255,16 +322,23 @@ func decodeErr(payload []byte) error {
 	}
 }
 
-// encode is the op table's request half; mutating ops carry the epoch.
-func (m *NetMem) encode(b []byte, c *wire.Call[regCall]) []byte {
+// encode is the op table's request half: every op but hello names its
+// namespace by handle, and mutating ops carry the namespace's epoch.
+func (s *session) encode(b []byte, c *wire.Call[regCall]) []byte {
 	at := len(b)
+	m := c.Arg.ns
+	if c.Op == opHello {
+		b = wire.AppendU64(wire.AppendStr(b, m.name), uint64(m.size))
+	} else {
+		b = append(b, m.h)
+	}
 	switch c.Op {
-	case opHello:
-		b = wire.AppendU64(wire.AppendStr(b, m.opts.Namespace), uint64(m.size))
+	case opHello, opSync:
+		// nothing more
 	case opAcquire:
-		b = wire.AppendU64(b, m.clientID)
-		b = wire.AppendU64(b, uint64(m.opts.LeaseTTL/time.Millisecond))
-		if m.opts.FailFast {
+		b = wire.AppendU64(b, s.clientID)
+		b = wire.AppendU64(b, uint64(s.opts.LeaseTTL/time.Millisecond))
+		if s.opts.FailFast {
 			b = append(b, 0)
 		} else {
 			b = append(b, 1) // wait
@@ -284,10 +358,11 @@ func (m *NetMem) encode(b []byte, c *wire.Call[regCall]) []byte {
 	case opReadRange:
 		b = wire.AppendU64(b, uint64(c.Arg.addr))
 		b = wire.AppendU32(b, uint32(len(c.Arg.vals)))
-	case opRenew, opRelease:
+	case opRenew:
+		b = wire.AppendU64(b, s.clientID)
 		b = wire.AppendU64(b, m.epoch.Load())
-	case opSync:
-		// empty
+	case opRelease:
+		b = wire.AppendU64(b, m.epoch.Load())
 	default:
 		panic(fmt.Sprintf("netmem: encode of unexpected op %d", c.Op))
 	}
@@ -295,22 +370,23 @@ func (m *NetMem) encode(b []byte, c *wire.Call[regCall]) []byte {
 	return b
 }
 
-// reply is the op table's reply half. What kills the client, BEFORE the
+// reply is the op table's reply half. What kills the session, BEFORE the
 // waiter wakes: a fenced reply, whatever it answers; a failed pipelined
-// write, which has no caller to tell; and, past the handshake, a reply
-// that does not decode.
-func (m *NetMem) reply(c *wire.Call[regCall], op byte, payload []byte) error {
+// op, which has no caller to tell; and, past the handshake, a reply that
+// does not decode.
+func (s *session) reply(c *wire.Call[regCall], op byte, payload []byte) error {
 	cliBytesIn.Add(wire.FrameBytes(len(payload)))
 	d := wire.Decoder{B: payload}
 	var err error
 	switch {
 	case op == opErr:
 		if err = decodeErr(payload); errors.Is(err, ErrFenced) || !c.Awaited() {
-			m.fatalize(err)
+			s.fatalize(err)
 		}
 		return err
 	case op == opHelloOK && c.Op == opHello:
 		c.Arg.val = int64(d.U8())
+		c.Arg.addr = int(d.U8())
 	case op == opAcquireOK && c.Op == opAcquire:
 		c.Arg.val = d.I64()
 		c.Arg.ttl = time.Duration(d.U64()) * time.Millisecond
@@ -324,71 +400,108 @@ func (m *NetMem) reply(c *wire.Call[regCall], op byte, payload []byte) error {
 		err = fmt.Errorf("netmem: reply op %d (%d bytes) to op %d", op, len(payload), c.Op)
 	}
 	if err = cmp.Or(err, d.Done()); err != nil && c.Op != opHello && c.Op != opAcquire {
-		m.fatalize(err)
+		s.fatalize(err)
 	}
 	return err
 }
 
-// call runs one awaited op and recycles it, returning the value it read.
+// call runs one awaited op on m and recycles it, returning the value it
+// read.
 func (m *NetMem) call(c *wire.Call[regCall]) (int64, error) {
+	if m.closed.Load() {
+		calls.Put(c)
+		return 0, ErrClosed
+	}
+	c.Arg.ns = m
 	t0 := time.Now()
-	err := m.c.Do(c)
+	err := m.s.c.Do(c)
 	obsClientRPC(c.Op, time.Since(t0))
 	v := c.Arg.val
 	calls.Put(c)
 	return v, err
 }
 
-// fatalize kills the client: every outstanding and future operation
-// fails with err, and the error-less methods route it through OnFatal.
-// The crash dump is written BEFORE anyone can learn of the death: every
-// path to OnFatal, whose default panics the process, runs through the
-// core's death or a waiter's wake-up, and Kill runs the dump first, under
-// the core's lock. On a fence the error carries both epochs, and the
-// epoch attr names the lease this client wrote under.
-func (m *NetMem) fatalize(err error) {
+// fatalize kills the session: every outstanding and future operation of
+// every namespace fails with err, and the error-less methods route it
+// through OnFatal. The crash dump is written BEFORE anyone can learn of
+// the death: every path to OnFatal, whose default panics the process,
+// runs through the core's death or a waiter's wake-up, and Kill runs the
+// dump first, under the core's lock. On a fence the error names the
+// namespace and carries both epochs; the epoch attr lists the leases the
+// session wrote under, in handle order.
+func (s *session) fatalize(err error) {
 	fenced := errors.Is(err, ErrFenced)
-	if !m.c.Kill(err, func() {
+	if !s.c.Kill(err, func() {
 		cliFatal.Inc()
 		if fenced {
 			cliFenced.Inc()
 		}
 		eventlog.CrashDump("netmem_client_fatal",
-			"addr", m.addr, "epoch", m.epoch.Load(), "fenced", fenced, "err", err)
+			"addr", s.addr, "epoch", s.epochs(), "fenced", fenced, "err", err)
 	}) {
 		return
 	}
-	m.logf("netmem: fatal: %v", err)
+	s.logf("netmem: fatal: %v", err)
 }
 
 // fatalOut reports err through OnFatal for the error-less interface
-// methods; ErrClosed is swallowed (post-Close access is undefined by
-// contract, not a process-killing event).
-func (m *NetMem) fatalOut(err error) {
+// methods, once a session; ErrClosed is swallowed (post-Close access is
+// undefined by contract, not a process-killing event).
+func (s *session) fatalOut(err error) {
 	if err == nil || errors.Is(err, ErrClosed) {
 		return
 	}
-	m.opts.OnFatal(err)
+	s.fatalOnce.Do(func() { s.opts.OnFatal(err) })
 }
 
-// renewLoop keeps the writer lease alive. A renew that fails fatally
-// (fenced, redial exhausted) routes through OnFatal, so even a client
-// that has gone quiet — no register traffic — learns of its death
-// within a third of the lease.
-func (m *NetMem) renewLoop() {
-	t := time.NewTicker(m.opts.LeaseTTL / 3)
+// halt stops the renew loop.
+func (s *session) halt() { s.stopOnce.Do(func() { close(s.stop) }) }
+
+// renewLoop keeps every writer lease alive: every TTL/3, a renew per
+// namespace in one write, whose last is awaited — the connection answers
+// in order, so its ack is every renew's. A renew that fails fatally
+// (fenced, redial exhausted) routes through OnFatal, so even a session
+// that has gone quiet — no register traffic — learns of its death within
+// a third of the lease.
+func (s *session) renewLoop() {
+	t := time.NewTicker(s.opts.LeaseTTL / 3)
 	defer t.Stop()
 	for {
 		select {
-		case <-m.renewStop:
+		case <-s.stop:
 			return
 		case <-t.C:
-			if _, err := m.call(calls.Get(opRenew)); err != nil {
-				m.fatalOut(err)
-				return
-			}
+		}
+		last := calls.Get(opRenew)
+		last.Arg.ns = s.nss[len(s.nss)-1]
+		err := s.renewBurst(last)
+		if err == nil {
+			err = last.Wait()
+		}
+		calls.Put(last)
+		if err != nil {
+			s.fatalOut(err)
+			return
 		}
 	}
+}
+
+// renewBurst queues a renew for every namespace, last the awaited one,
+// unless Close has begun: its releases are the last frames sent.
+func (s *session) renewBurst(last *wire.Call[regCall]) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.stop:
+		return ErrClosed
+	default:
+	}
+	for _, m := range s.nss[:len(s.nss)-1] {
+		if err := s.c.Post(&wire.Call[regCall]{Op: opRenew, Arg: regCall{ns: m}}); err != nil {
+			return err
+		}
+	}
+	return s.c.Post(last)
 }
 
 // Read implements shmem.Mem with one awaited round trip.
@@ -397,7 +510,7 @@ func (m *NetMem) Read(addr int) int64 {
 	c.Arg.addr = addr
 	v, err := m.call(c)
 	if err != nil {
-		m.fatalOut(err)
+		m.s.fatalOut(err)
 		return 0
 	}
 	return v
@@ -406,11 +519,14 @@ func (m *NetMem) Read(addr int) int64 {
 // Write implements shmem.Mem as a pipelined write: it returns once the
 // request is queued on the connection. The ack is consumed (and
 // checked) in the background; ordering against every later operation on
-// this client is preserved by the connection. Use WriteAcked when the
+// this session is preserved by the connection. Use WriteAcked when the
 // write must be durable on the server before proceeding.
 func (m *NetMem) Write(addr int, v int64) {
-	if err := m.c.Post(&wire.Call[regCall]{Op: opWrite, Arg: regCall{addr: addr, val: v}}); err != nil {
-		m.fatalOut(err)
+	if m.closed.Load() {
+		return
+	}
+	if err := m.s.c.Post(&wire.Call[regCall]{Op: opWrite, Arg: regCall{ns: m, addr: addr, val: v}}); err != nil {
+		m.s.fatalOut(err)
 	}
 }
 
@@ -468,28 +584,59 @@ func (m *NetMem) Sync() error {
 	return err
 }
 
-// Close releases the lease, flushes pipelined writes and hangs up, after
-// draining the acks up to the release's (at most 2s): unread acks would
-// reset the connection, and a reset can make the server drop frames it
-// has not read — the release and the final writes. Operations the
-// connection never acknowledged, down at Close or lost under it, are
-// discarded and counted in the error. From the moment Close begins,
-// operations fail with ErrClosed (without OnFatal) and nothing is
-// redialed: the release is the last frame sent, so no renew can reach the
-// server behind it and be answered "fenced", the death of a holder nobody
-// contended with. Close is idempotent.
+// Close closes the namespace: from the moment it begins, its operations
+// fail with ErrClosed (without OnFatal). Its lease is held on — the
+// session's namespaces are one incarnation — until the session's last
+// namespace closes. That Close releases every lease, flushes pipelined
+// writes and hangs up, after draining the acks up to the last release's
+// (at most 2s): unread acks would reset the connection, and a reset can
+// make the server drop frames it has not read — the releases and the
+// final writes. Operations the connection never acknowledged, down at
+// Close or lost under it, are discarded and counted in the error.
+// Nothing is redialed behind it, and the releases are the last frames
+// sent, so no renew can reach the server behind them and be answered
+// "fenced", the death of a holder nobody contended with. Close is
+// idempotent.
 func (m *NetMem) Close() error {
-	m.renewOnce.Do(func() { close(m.renewStop) })
-	return m.c.Close(&wire.Call[regCall]{Op: opRelease}, 2*time.Second)
+	if m.closed.Swap(true) || m.s.open.Add(-1) > 0 {
+		return nil
+	}
+	s := m.s
+	release := func(m *NetMem) *wire.Call[regCall] {
+		return &wire.Call[regCall]{Op: opRelease, Arg: regCall{ns: m}}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.halt()
+	last := len(s.nss) - 1
+	if s.c.Conn() != nil { // else nothing goes out, and nothing is owed
+		for _, o := range s.nss[:last] {
+			s.c.Post(release(o))
+		}
+	}
+	return s.c.Close(release(s.nss[last]), 2*time.Second)
 }
 
 func init() {
-	membackend.Register("net", func(arg string, size int) (membackend.Backend, error) {
+	membackend.RegisterGroup("net", func(arg string, suffixes []string, size int) ([]membackend.Backend, error) {
 		addr, opts, err := ParseSpec(arg)
 		if err != nil {
 			return nil, err
 		}
-		return Open(addr, size, opts)
+		opts.normalize()
+		names := make([]string, len(suffixes))
+		for i, sfx := range suffixes {
+			names[i] = opts.Namespace + sfx
+		}
+		ms, err := OpenSession(addr, names, size, opts)
+		if err != nil {
+			return nil, err
+		}
+		bs := make([]membackend.Backend, len(ms))
+		for i, m := range ms {
+			bs[i] = m
+		}
+		return bs, nil
 	})
 	// Teach membackend.WithSuffix (and hence ShardSpec) this kind's
 	// grammar: the suffix lands on the namespace — never the port —

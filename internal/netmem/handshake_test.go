@@ -38,14 +38,15 @@ type flight struct {
 }
 
 // flightProxy sits in front of a register server and holds every reply
-// back until the client's opening flight is complete — two request
-// frames — or its patience runs out. A client that waits for hello's
-// reply before it sends its lease op shows up as a flight of one frame
-// (after the patience); one that sends both at once as a flight of two,
-// however the network cut the bytes up.
+// back until the client's opening flight is complete — frames request
+// frames: a hello and a lease op per namespace — or its patience runs
+// out. A client that waits for hello's reply before it sends its lease
+// op shows up as a short flight (after the patience); one that sends
+// them all at once as a full one, however the network cut the bytes up.
 type flightProxy struct {
 	ln     net.Listener
 	target string
+	frames int
 
 	mu      sync.Mutex
 	flights []flight
@@ -55,13 +56,13 @@ type flightProxy struct {
 
 const flightPatience = 2 * time.Second
 
-func newFlightProxy(t *testing.T, target string) *flightProxy {
+func newFlightProxy(t *testing.T, target string, frames int) *flightProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &flightProxy{ln: ln, target: target}
+	p := &flightProxy{ln: ln, target: target, frames: frames}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	t.Cleanup(func() {
@@ -145,7 +146,7 @@ func (p *flightProxy) serve(c, s net.Conn) {
 		mu.Lock()
 		ops = append(ops, op)
 		mu.Unlock()
-		if n == 2 {
+		if n == p.frames {
 			close(full)
 		}
 		if _, err := s.Write(append(wire.AppendHeader(nil, op, seq, len(payload)), payload...)); err != nil {
@@ -157,7 +158,7 @@ func (p *flightProxy) serve(c, s net.Conn) {
 // TestOpenIsOneFlight: Open's hello and acquire leave before either is
 // answered — one round trip to a usable, leased connection, not two.
 func TestOpenIsOneFlight(t *testing.T) {
-	proxy := newFlightProxy(t, testServerAddr(t))
+	proxy := newFlightProxy(t, testServerAddr(t), 2)
 	c, err := Open(proxy.ln.Addr().String(), 16, Options{Namespace: uniqueNS()})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestOpenIsOneFlight(t *testing.T) {
 // TestRedialIsOneFlight: a reconnect's hello and renew are one flight
 // too, and it is still a renew — the epoch does not move.
 func TestRedialIsOneFlight(t *testing.T) {
-	proxy := newFlightProxy(t, testServerAddr(t))
+	proxy := newFlightProxy(t, testServerAddr(t), 2)
 	var fatal atomic.Value
 	c, err := Open(proxy.ln.Addr().String(), 16, Options{Namespace: uniqueNS(), OnFatal: collectFatal(&fatal)})
 	if err != nil {
@@ -256,18 +257,19 @@ func TestRefusedHelloWinsOverLeaseOp(t *testing.T) {
 	}
 }
 
-// TestConnectionFootprint: a register connection at rest holds what its
-// traffic needs — client and in-process server together, the namespace's
-// own 11 KiB of cells included — fresh, and after it has carried a
-// recovery scan (the one large frame either end ever sees).
+// TestConnectionFootprint: a register session at rest holds what its
+// traffic needs — client and in-process server together, its namespaces'
+// own 11 KiB of cells each included — fresh, and after it has carried a
+// recovery scan (the one large frame either end ever sees). A session is
+// the benchmark dispatcher's: two namespaces over one connection.
 func TestConnectionFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are meaningless under the race detector")
 	}
 	const (
-		conns = 64
-		cells = 1388     // a benchmark shard: 8 + 2·⌈(44 096+1)/64⌉
-		limit = 66 << 10 // read 45 KiB fresh and 57–60 after a scan, + 10 %
+		sessions = 32
+		cells    = 1388     // a benchmark shard: 8 + 2·⌈(44 096+1)/64⌉
+		limit    = 78 << 10 // read 56–57 KiB fresh and 68–71 after a scan, + 10 % (two one-namespace connections: 90 and 114–120)
 	)
 	addr := testServerAddr(t)
 	live := func() uint64 {
@@ -277,18 +279,19 @@ func TestConnectionFootprint(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc + ms.StackInuse
 	}
-	names := make([]string, conns)
+	names := make([][]string, sessions)
 	for i := range names {
-		names[i] = uniqueNS()
+		names[i] = []string{uniqueNS(), uniqueNS()}
 	}
-	clients := make([]*NetMem, conns)
+	var clients []*NetMem
 	open := func() {
-		for i, ns := range names {
-			c, err := Open(addr, cells, Options{Namespace: ns})
+		clients = clients[:0]
+		for _, pair := range names {
+			ms, err := OpenSession(addr, pair, cells, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clients[i] = c
+			clients = append(clients, ms...)
 		}
 	}
 	closeAll := func() {
@@ -307,10 +310,10 @@ func TestConnectionFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	per := (live() - base) / conns
-	t.Logf("fresh: %d KiB a connection", per>>10)
+	per := (live() - base) / sessions
+	t.Logf("fresh: %d KiB a session", per>>10)
 	if per > limit {
-		t.Errorf("a fresh connection holds %d KiB, want ≤ %d", per>>10, limit>>10)
+		t.Errorf("a fresh session holds %d KiB, want ≤ %d", per>>10, limit>>10)
 	}
 	closeAll()
 
@@ -326,10 +329,10 @@ func TestConnectionFootprint(t *testing.T) {
 			t.Fatalf("scan read cell 9 = %d, want 2", row[9])
 		}
 	}
-	per = (live() - base) / conns
-	t.Logf("after a scan of %d cells: %d KiB a connection", cells, per>>10)
+	per = (live() - base) / sessions
+	t.Logf("after a scan of %d cells a namespace: %d KiB a session", cells, per>>10)
 	if per > limit {
-		t.Errorf("a connection that scanned its %d cells holds %d KiB, want ≤ %d", cells, per>>10, limit>>10)
+		t.Errorf("a session that scanned its namespaces' %d cells holds %d KiB, want ≤ %d", cells, per>>10, limit>>10)
 	}
 	closeAll()
 	runtime.KeepAlive(row)

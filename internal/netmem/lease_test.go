@@ -19,11 +19,9 @@ func collectFatal(dst *atomic.Value) func(error) {
 	}
 }
 
-// stopRenew halts lease renewal without closing the client, to let a
-// lease expire while the client lives (a stalled writer).
-func (m *NetMem) stopRenew() {
-	m.renewOnce.Do(func() { close(m.renewStop) })
-}
+// stopRenew halts lease renewal without closing the session, to let its
+// leases expire while the client lives (a stalled writer).
+func (m *NetMem) stopRenew() { m.s.halt() }
 
 // TestLeaseFencing is the arbitration story end to end inside one
 // process: writer 1 holds the lease, a fail-fast contender bounces, the
@@ -283,7 +281,7 @@ func TestReconnectFencedByTakeover(t *testing.T) {
 	// Cut c1's connection out from under it: the reader breaks, the
 	// redialer reconnects and renews epoch e1 — which c2's grant has
 	// fenced.
-	c1.c.Conn().Close()
+	c1.s.c.Conn().Close()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for fatal1.Load() == nil && time.Now().Before(deadline) {

@@ -190,7 +190,7 @@ func TestCorruptRangeFrames(t *testing.T) {
 		t.Fatalf("hello reply op %d", rop)
 	}
 	ep := uint64(0)
-	if err := wire.WriteFrame(bw, opAcquire, 1, append(wire.AppendU64(wire.AppendU64(nil, 1), 1000), 1)); err != nil {
+	if err := wire.WriteFrame(bw, opAcquire, 1, append(wire.AppendU64(wire.AppendU64([]byte{0}, 1), 1000), 1)); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()
@@ -202,15 +202,16 @@ func TestCorruptRangeFrames(t *testing.T) {
 	ep = d.U64()
 
 	// ReadRange with addr+count wrapping to 0.
-	huge := wire.AppendU32(wire.AppendU64(nil, ^uint64(0)), 1)
+	huge := wire.AppendU32(wire.AppendU64([]byte{0}, ^uint64(0)), 1)
 	if rop, code := send(opReadRange, huge); rop != opErr || code != codeBadAddr {
 		t.Fatalf("overflowing readrange: op %d code %d, want opErr/badaddr", rop, code)
 	}
 	// An acked write with the same wrap, and the malformed shapes of its
-	// frame: no cells, a length that is not 16 + 8k — which is also what
-	// a peer from before amo-dispatch-v5 sends, its flags byte after addr.
+	// frame: no cells, a length that is not 17 + 8k — which is also what
+	// a peer from before amo-dispatch-v5 sends, its flags byte after addr,
+	// and what a v1 peer sends, with no handle before the epoch.
 	hdr := func(addr uint64) []byte {
-		return wire.AppendU64(wire.AppendU64(nil, ep), addr)
+		return wire.AppendU64(wire.AppendU64([]byte{0}, ep), addr)
 	}
 	for _, c := range []struct {
 		name    string
@@ -219,8 +220,9 @@ func TestCorruptRangeFrames(t *testing.T) {
 	}{
 		{"addr+count overflow", wire.AppendI64(hdr(^uint64(0)), 7), codeBadAddr},
 		{"no cells", hdr(3), codeProto},
-		{"length not 16+8k", append(wire.AppendI64(hdr(3), 7), 1, 2, 3), codeProto},
+		{"length not 17+8k", append(wire.AppendI64(hdr(3), 7), 1, 2, 3), codeProto},
 		{"flags byte of an old peer", wire.AppendI64(append(hdr(3), 1), 7), codeProto},
+		{"no handle: a v1 peer", wire.AppendI64(hdr(3)[1:], 7), codeProto},
 	} {
 		if rop, code := send(opWriteAcked, c.payload); rop != opErr || code != c.code {
 			t.Fatalf("acked write, %s: op %d code %d, want opErr/%d", c.name, rop, code, c.code)
@@ -236,7 +238,7 @@ func TestCorruptRangeFrames(t *testing.T) {
 		}
 	}
 	// The connection (and server) survived: a normal op still works.
-	if rop, _ := send(opRead, wire.AppendU64(nil, 3)); rop != opValue {
+	if rop, _ := send(opRead, wire.AppendU64([]byte{0}, 3)); rop != opValue {
 		t.Fatalf("read after corrupt frames: op %d", rop)
 	}
 }
@@ -382,7 +384,7 @@ func TestAwaitedOpsCombineWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.c.Conn().(*net.TCPConn).SetWriteBuffer(16 << 10); err != nil {
+	if err := c.s.c.Conn().(*net.TCPConn).SetWriteBuffer(16 << 10); err != nil {
 		t.Fatal(err)
 	}
 	queued := func(n uint64) func() bool {
@@ -397,7 +399,7 @@ func TestAwaitedOpsCombineWrites(t *testing.T) {
 		}
 	}
 	hold.mu.Lock() // the proxy reads on, and forwards nothing
-	_, w0 := c.c.SocketCalls()
+	_, w0 := c.s.c.SocketCalls()
 	errs := make(chan error, ops) // one an op
 	first := queued(1)
 	go func() { errs <- c.WriteAcked(0, make([]int64, maxRange)) }()
@@ -413,7 +415,7 @@ func TestAwaitedOpsCombineWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, w1 := c.c.SocketCalls(); w1-w0 != 2 {
+	if _, w1 := c.s.c.SocketCalls(); w1-w0 != 2 {
 		t.Fatalf("%d awaited ops, one made during a write in progress and %d after it, took %d socket writes, want 2", ops, ops-1, w1-w0)
 	}
 }

@@ -15,16 +15,20 @@
 //     length-prefixed binary protocol on TCP. Requests on a connection
 //     are processed strictly in order, which is what makes client-side
 //     pipelining sound.
-//   - NetMem: the client backend, registered in the membackend registry
-//     as "net:HOST:PORT[/NAMESPACE][?options]". Writes are pipelined
-//     (sent without waiting for the ack); Read, WriteAcked, ReadRange
-//     and Sync wait for their reply; a broken connection is redialed and
-//     every unacknowledged operation is resent in order, so callers
-//     never observe the reconnect. cmd/amo-regd is the server binary.
+//   - NetMem: the client backend, one namespace of a session — one
+//     connection that attaches any number of namespaces — registered in
+//     the membackend registry as "net:HOST:PORT[/NAMESPACE][?options]",
+//     whose shard stores (membackend.OpenShards) share one session.
+//     Writes are pipelined (sent without waiting for the ack); Read,
+//     WriteAcked, ReadRange and Sync wait for their reply; a broken
+//     connection is redialed and every unacknowledged operation is
+//     resent in order, so callers never observe the reconnect.
+//     cmd/amo-regd is the server binary.
 //   - Arbitration: the server grants a single writer lease per
 //     namespace, identified by a monotonically increasing epoch. Every
 //     mutating request carries the writer's epoch and is rejected with
-//     ErrFenced once a newer writer has been granted the lease, so a
+//     ErrFenced unless its connection was granted (or renewed) that
+//     epoch and no newer writer has been granted the lease since, so a
 //     paused or partitioned dispatcher can never scribble on registers
 //     its successor has taken over (the fencing-token discipline of the
 //     leader-election literature; cf. the Omega failure-detector paper).
@@ -33,39 +37,44 @@
 // the crash-window analysis of network writes.
 package netmem
 
-// Op table. Framing and field encoding are internal/wire's (one frame
-// per message, both directions: length, op, client-chosen seq echoed in
-// the reply, payload consumed exactly). The server replies to every
-// request, in request order, on the same connection.
+// Op table, protocol v2. Framing and field encoding are internal/wire's
+// (one frame per message, both directions: length, op, client-chosen seq
+// echoed in the reply, payload consumed exactly). The server replies to
+// every request, in request order, on the same connection.
+//
+// A connection is a session: each hello attaches one namespace and
+// returns its handle, the hello's position among the connection's hellos
+// (a refused hello keeps its position, so a client that sends n hellos
+// and n lease ops in one flight knows every handle before any reply).
+// Every other request names its namespace by that handle, h, its first
+// payload byte. A v1 peer's frames, which carry no handle, are one byte
+// short of every v2 shape and are answered "malformed request payload".
 const (
 	// Client → server.
-	opHello     byte = 1 // ns string, size u64          → opHelloOK
-	opAcquire   byte = 2 // clientID u64, ttlMs u64, wait u8 → opAcquireOK
-	opRenew     byte = 3 // epoch u64                    → opAck
-	opRelease   byte = 4 // epoch u64                    → opAck
-	opRead      byte = 5 // addr u64                     → opValue
-	opWrite     byte = 6 // epoch u64, addr u64, val i64 → opAck; only ever pipelined (Write)
-	opReadRange byte = 7 // addr u64, count u32          → opValues
+	opHello     byte = 1 // ns string, size u64                         → opHelloOK
+	opAcquire   byte = 2 // h u8, clientID u64, ttlMs u64, wait u8      → opAcquireOK
+	opRenew     byte = 3 // h u8, clientID u64, epoch u64               → opAck
+	opRelease   byte = 4 // h u8, epoch u64                             → opAck
+	opRead      byte = 5 // h u8, addr u64                              → opValue
+	opWrite     byte = 6 // h u8, epoch u64, addr u64, val i64 → opAck; only ever pipelined (Write)
+	opReadRange byte = 7 // h u8, addr u64, count u32                   → opValues
 	// 8, 9, 11 and 12 stay reserved (they were opFill, opCAS, opJournal
 	// and opJournalBatch, which nothing sends any more): the server
 	// answers them "unknown op" — an old peer fails loudly at its first
 	// journal write — and no new op takes their numbers.
-	opSync byte = 10 // (empty)                      → opAck
+	opSync byte = 10 // h u8                                         → opAck
 	// opWriteAcked is the one awaited write: vals land in the contiguous
 	// cells starting at addr (count ≥ 1, implied by frame length). The
 	// whole batch is admitted or fenced atomically — a stale epoch
 	// rejects every cell, never some of them — which is what lets the
-	// group-commit dispatcher journal k claims in one round trip. (Until
-	// amo-dispatch-v5 a flags byte followed addr; a peer that still
-	// sends or expects it gets "malformed request payload" at its first
-	// acked write.)
-	opWriteAcked byte = 13 // epoch u64, addr u64, val i64 × count → opAck
+	// group-commit dispatcher journal k claims in one round trip.
+	opWriteAcked byte = 13 // h u8, epoch u64, addr u64, val i64 × count → opAck
 
 	// Server → client.
 	opAck       byte = 16 // (empty)
 	opValue     byte = 17 // val i64
 	opValues    byte = 18 // val i64 × count (count implied by frame length)
-	opHelloOK   byte = 20 // reopened u8
+	opHelloOK   byte = 20 // reopened u8, h u8
 	opAcquireOK byte = 21 // epoch u64, ttlMs u64 (effective, after clamping)
 	opErr       byte = 31 // code u16, msg string
 )
@@ -74,7 +83,7 @@ const (
 const (
 	codeProto        uint16 = 1 // malformed frame or op sequence
 	codeBadNamespace uint16 = 2 // namespace name rejected
-	codeNoNamespace  uint16 = 3 // data op before opHello
+	codeNoNamespace  uint16 = 3 // handle no hello attached
 	codeBadAddr      uint16 = 4 // cell address or range out of bounds
 	codeFenced       uint16 = 5 // stale epoch: a newer writer holds the lease
 	codeLeaseHeld    uint16 = 6 // fail-fast acquire lost to a live lease
@@ -87,6 +96,9 @@ const (
 	// maxRange bounds the cells of one opReadRange or opWriteAcked,
 	// keeping frames under wire.MaxFrame. Clients chunk larger ranges.
 	maxRange = 1 << 16
+	// maxHandles bounds the namespaces one session attaches: a handle is
+	// one byte.
+	maxHandles = 1 << 8
 	// maxCells bounds a namespace's register count (2^30 cells = 8 GiB —
 	// a sanity bound against corrupt hellos, not a product limit).
 	maxCells = 1 << 30

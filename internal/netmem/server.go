@@ -225,14 +225,15 @@ func (ns *namespace) acquire(srv *Server, clientID uint64, ttl time.Duration, wa
 	}
 }
 
-// renew extends the holder's lease. The epoch must still be current:
-// renewing after a successor's grant is the fencing moment where a
-// stalled writer learns it is dead.
-func (ns *namespace) renew(epoch uint64) *wireError {
+// renew extends the holder's lease. The renewer must be the holder — the
+// client identity the lease was granted to — and the epoch still
+// current: renewing after a successor's grant is the fencing moment
+// where a stalled writer learns it is dead.
+func (ns *namespace) renew(clientID, epoch uint64) *wireError {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if epoch == 0 || epoch != ns.epoch || ns.holderID == 0 {
-		return &wireError{codeFenced, fmt.Sprintf("renew epoch %d, lease is at %d", epoch, ns.epoch)}
+	if epoch == 0 || epoch != ns.epoch || ns.holderID != clientID {
+		return &wireError{codeFenced, fmt.Sprintf("namespace %q: renew of epoch %d by a client that does not hold it, lease is at %d", ns.name, epoch, ns.epoch)}
 	}
 	ns.deadline = time.Now().Add(ns.ttl)
 	return nil
@@ -249,18 +250,21 @@ func (ns *namespace) release(epoch uint64) {
 	ns.mu.Unlock()
 }
 
-// admit gates every mutating op: the stamped epoch must be the current
-// lease. On nil it returns with ns.mu HELD — the caller applies its
-// mutation and unlocks — so the mutation runs under the same lock that
-// grants leases and the fencing check and the apply are one atomic step.
-// Without that, a handler descheduled between check and apply could land
-// a stale writer's mutation after its successor's grant (and after the
+// admit gates every mutating op: the stamped epoch must be the one the
+// writing connection was granted or renewed on this namespace (granted)
+// and the lease's current one. Epochs count per namespace, so the same
+// numbers recur in every namespace: the stamp alone proves nothing. On
+// nil it returns with ns.mu HELD — the caller applies its mutation and
+// unlocks — so the mutation runs under the same lock that grants leases
+// and the fencing check and the apply are one atomic step. Without that,
+// a handler descheduled between check and apply could land a stale
+// writer's mutation after its successor's grant (and after the
 // successor's recovery scan), which is exactly the duplicate the fence
 // exists to prevent.
-func (ns *namespace) admit(epoch uint64) *wireError {
+func (ns *namespace) admit(granted, epoch uint64) *wireError {
 	ns.mu.Lock()
-	if epoch == 0 || epoch != ns.epoch || ns.holderID == 0 {
-		werr := &wireError{codeFenced, fmt.Sprintf("write stamped epoch %d, lease is at %d", epoch, ns.epoch)}
+	if epoch == 0 || epoch != granted || epoch != ns.epoch || ns.holderID == 0 {
+		werr := &wireError{codeFenced, fmt.Sprintf("namespace %q: write stamped epoch %d, this connection holds %d, lease is at %d", ns.name, epoch, granted, ns.epoch)}
 		ns.mu.Unlock()
 		return werr
 	}
@@ -275,8 +279,16 @@ type wireError struct {
 
 func (e *wireError) Error() string { return fmt.Sprintf("netmem: server error %d: %s", e.code, e.msg) }
 
-// handle serves one connection until EOF or error. Requests are
-// processed strictly in order; replies are buffered and flushed when
+// attachment is a namespace a connection's hello attached, at the
+// handle of the hello's position, and the lease epoch the connection was
+// granted or renewed on it (0: none): what admit checks a write against.
+type attachment struct {
+	ns      *namespace
+	granted uint64
+}
+
+// handle serves one connection, a session, until EOF or error. Requests
+// are processed strictly in order; replies are buffered and flushed when
 // the read side has no more complete requests buffered (natural
 // batching under pipelining) and always before a potentially blocking
 // lease wait.
@@ -294,7 +306,8 @@ func (s *Server) handle(c net.Conn) {
 	var (
 		scratch []byte
 		vals    []int64
-		ns      *namespace
+		atts    []attachment // by handle; a refused hello's has no namespace
+		a       *attachment  // the one the request names, nil if none
 	)
 	reply := func(seq uint32, op byte, payload []byte) bool {
 		srvBytesOut.Add(wire.FrameBytes(len(payload)))
@@ -303,14 +316,10 @@ func (s *Server) handle(c net.Conn) {
 	replyErr := func(seq uint32, we *wireError) bool {
 		if we.code == codeFenced {
 			srvFencedRejs.Inc()
-			nsName := ""
-			if ns != nil {
-				nsName = ns.name
-			}
-			// The detail text carries both epochs: the offender's stale
-			// stamp and the lease's current one.
+			// The detail text carries both epochs: the offender's stamp
+			// and the lease's current one.
 			eventlog.Logger().Warn("netmem_server_fenced_rejection",
-				"namespace", nsName, "remote", remote, "detail", we.msg)
+				"namespace", a.ns.name, "remote", remote, "detail", we.msg)
 		}
 		scratch = scratch[:0]
 		scratch = wire.AppendU16(scratch, we.code)
@@ -338,11 +347,25 @@ func (s *Server) handle(c net.Conn) {
 		}
 		obsServerReq(op, len(payload))
 		d := wire.Decoder{B: payload}
+		a = nil
+		var ns *namespace
+		if op != opHello {
+			if h := int(d.U8()); h < len(atts) && atts[h].ns != nil {
+				a = &atts[h]
+				ns = a.ns
+			}
+		}
 		ok := true
 		switch op {
 		case opHello:
 			name := d.Str()
 			size := d.U64()
+			if len(atts) == maxHandles {
+				ok = replyErr(seq, &wireError{codeProto, fmt.Sprintf("a session attaches at most %d namespaces", maxHandles)})
+				break
+			}
+			h := len(atts)
+			atts = append(atts, attachment{})
 			if d.Done() != nil {
 				ok = replyErr(seq, &wireError{codeProto, "malformed hello"})
 				break
@@ -352,12 +375,10 @@ func (s *Server) handle(c net.Conn) {
 				ok = replyErr(seq, werr)
 				break
 			}
-			ns = n
-			scratch = scratch[:0]
+			atts[h].ns = n
+			scratch = append(scratch[:0], 0, byte(h))
 			if reopened {
-				scratch = append(scratch, 1)
-			} else {
-				scratch = append(scratch, 0)
+				scratch[0] = 1
 			}
 			ok = reply(seq, opHelloOK, scratch)
 
@@ -365,8 +386,8 @@ func (s *Server) handle(c net.Conn) {
 			clientID := d.U64()
 			ttlMs := d.U64()
 			wait := d.U8() != 0
-			if d.Done() != nil || ns == nil || clientID == 0 {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil && clientID != 0, ns))
+			if d.Done() != nil || a == nil || clientID == 0 {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil && clientID != 0, a))
 				break
 			}
 			ttl := time.Duration(ttlMs) * time.Millisecond
@@ -376,22 +397,24 @@ func (s *Server) handle(c net.Conn) {
 			if ttl > s.opts.MaxTTL {
 				ttl = s.opts.MaxTTL
 			}
-			// The wait can park this handler; everything buffered must
-			// reach the client first or its pipeline stalls against ours.
-			if bw.Flush() != nil {
-				return
-			}
-			// While a waiter is parked nothing else reads this
-			// connection, so a monitor goroutine can safely block in
-			// Wait: it fires when the client disconnects (waiter gives
-			// up) or when the client's next request arrives post-grant
-			// (monitor retires; the byte stays unconsumed for the main
-			// loop, which resumes reading only after monitorDone).
-			var dead *atomic.Bool
-			var monitorDone chan struct{}
-			if wait {
-				dead = new(atomic.Bool)
-				monitorDone = make(chan struct{})
+			epoch, granted, werr := ns.acquire(s, clientID, ttl, false, nil)
+			parked := wait && werr != nil && werr.code == codeLeaseHeld
+			if parked {
+				// The wait parks this handler; everything buffered must
+				// reach the client first or its pipeline stalls against
+				// ours. While it is parked nothing else reads this
+				// connection, so a monitor goroutine can safely block in
+				// Wait: it fires when the client disconnects (the waiter
+				// gives up) or sends more (the monitor retires; the bytes
+				// stay unconsumed for the main loop). Once the acquire is
+				// answered, a deadline cuts the monitor's read short — the
+				// client may send nothing more until it hears the rest of
+				// its flight — and the main loop reads on only after it.
+				if bw.Flush() != nil {
+					return
+				}
+				dead := new(atomic.Bool)
+				monitorDone := make(chan struct{})
 				go func() {
 					defer close(monitorDone)
 					if err := fr.Wait(); err != nil {
@@ -401,61 +424,61 @@ func (s *Server) handle(c net.Conn) {
 						ns.mu.Unlock()
 					}
 				}()
-			}
-			epoch, granted, werr := ns.acquire(s, clientID, ttl, wait, dead)
-			if werr != nil {
-				if !replyErr(seq, werr) {
-					return
-				}
-				if bw.Flush() != nil {
-					return
-				}
-				if monitorDone != nil {
-					<-monitorDone // reclaim the read side before the next readFrame
-				}
-				break
-			}
-			srvAcquires.Inc()
-			scratch = scratch[:0]
-			scratch = wire.AppendU64(scratch, epoch)
-			scratch = wire.AppendU64(scratch, uint64(granted/time.Millisecond))
-			if !reply(seq, opAcquireOK, scratch) || bw.Flush() != nil {
-				// The grant never reached anyone: free the lease so the
-				// next contender need not wait out a dead holder's TTL.
-				ns.release(epoch)
-				return
-			}
-			if monitorDone != nil {
+				epoch, granted, werr = ns.acquire(s, clientID, ttl, true, dead)
+				c.SetReadDeadline(time.Now())
 				<-monitorDone
+				c.SetReadDeadline(time.Time{})
 			}
-			ok = true
-
-		case opRenew:
-			epoch := d.U64()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
-				break
-			}
-			if werr := ns.renew(epoch); werr != nil {
+			if werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
+			srvAcquires.Inc()
+			a.granted = epoch
+			scratch = scratch[:0]
+			scratch = wire.AppendU64(scratch, epoch)
+			scratch = wire.AppendU64(scratch, uint64(granted/time.Millisecond))
+			if !reply(seq, opAcquireOK, scratch) || parked && bw.Flush() != nil {
+				// A grant after a wait may find its client gone: free the
+				// lease so the next contender need not wait out a dead
+				// holder's TTL.
+				ns.release(epoch)
+				return
+			}
+
+		case opRenew:
+			clientID := d.U64()
+			epoch := d.U64()
+			if d.Done() != nil || a == nil || clientID == 0 {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil && clientID != 0, a))
+				break
+			}
+			if werr := ns.renew(clientID, epoch); werr != nil {
+				ok = replyErr(seq, werr)
+				break
+			}
+			a.granted = epoch
 			srvRenews.Inc()
 			ok = reply(seq, opAck, nil)
 
 		case opRelease:
 			epoch := d.U64()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
+			if d.Done() != nil || a == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, a))
 				break
 			}
-			ns.release(epoch)
+			// Only the lease this connection holds: anyone else's release
+			// is as stale as an old one.
+			if epoch == a.granted {
+				ns.release(epoch)
+				a.granted = 0
+			}
 			ok = reply(seq, opAck, nil)
 
 		case opRead:
 			addr := d.U64()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
+			if d.Done() != nil || a == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, a))
 				break
 			}
 			if !inRange(addr, 1, ns.size) {
@@ -469,15 +492,15 @@ func (s *Server) handle(c net.Conn) {
 			epoch := d.U64()
 			addr := d.U64()
 			val := d.I64()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
+			if d.Done() != nil || a == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, a))
 				break
 			}
 			if !inRange(addr, 1, ns.size) {
 				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("write addr %d ≥ size %d", addr, ns.size)})
 				break
 			}
-			if werr := ns.admit(epoch); werr != nil {
+			if werr := ns.admit(a.granted, epoch); werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
@@ -490,9 +513,9 @@ func (s *Server) handle(c net.Conn) {
 			addr := d.U64()
 			// The rest of the payload is the value vector; the frame length
 			// implies the count, like opValues in the other direction.
-			shaped := len(payload) > 16 && len(payload)%8 == 0
-			if !shaped || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(shaped, ns))
+			shaped := len(payload) > 17 && (len(payload)-1)%8 == 0
+			if !shaped || a == nil {
+				ok = replyErr(seq, protoOrNoNS(shaped, a))
 				break
 			}
 			count := len(d.B) / 8
@@ -507,7 +530,7 @@ func (s *Server) handle(c net.Conn) {
 			}
 			// The whole batch lands under one admit: a stale writer can
 			// never leave part of its claim behind.
-			if werr := ns.admit(epoch); werr != nil {
+			if werr := ns.admit(a.granted, epoch); werr != nil {
 				ok = replyErr(seq, werr)
 				break
 			}
@@ -522,8 +545,8 @@ func (s *Server) handle(c net.Conn) {
 		case opReadRange:
 			addr := d.U64()
 			count := d.U32()
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
+			if d.Done() != nil || a == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, a))
 				break
 			}
 			if !inRange(addr, int(count), ns.size) {
@@ -543,8 +566,8 @@ func (s *Server) handle(c net.Conn) {
 			ok = reply(seq, opValues, scratch)
 
 		case opSync:
-			if d.Done() != nil || ns == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, ns))
+			if d.Done() != nil || a == nil {
+				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, a))
 				break
 			}
 			if err := ns.bk.Sync(); err != nil {
@@ -571,13 +594,13 @@ func inRange(addr uint64, count, size int) bool {
 }
 
 // protoOrNoNS picks the right error for the shared "malformed payload
-// or no hello yet" guard.
-func protoOrNoNS(wellFormed bool, ns *namespace) *wireError {
+// or no namespace at that handle" guard.
+func protoOrNoNS(wellFormed bool, a *attachment) *wireError {
 	if !wellFormed {
 		return &wireError{codeProto, "malformed request payload"}
 	}
-	if ns == nil {
-		return &wireError{codeNoNamespace, "data op before hello"}
+	if a == nil {
+		return &wireError{codeNoNamespace, "no namespace attached at that handle"}
 	}
 	return &wireError{codeProto, "malformed request"}
 }

@@ -142,9 +142,9 @@ func (fr *FrameReader) Keep() { fr.kept = true }
 // Buffered is the number of bytes read off the source and not yet parsed.
 func (fr *FrameReader) Buffered() int { return fr.w - fr.r }
 
-// Wait blocks until a byte of the next frame is buffered, or the source
-// fails. It overwrites the last payload like Next does.
-func (fr *FrameReader) Wait() error { return fr.fill(1) }
+// Wait blocks until a byte beyond those already buffered arrives, or the
+// source fails. It overwrites the last payload like Next does.
+func (fr *FrameReader) Wait() error { return fr.fill(fr.Buffered() + 1) }
 
 // fill reads until need bytes are buffered from fr.r on.
 func (fr *FrameReader) fill(need int) error {
