@@ -92,10 +92,11 @@ type Config struct {
 	// volatile (membackend.Volatile: nothing written through it can be
 	// reopened), so no journal is kept and MaxJobs and JournalBatch are
 	// ignored. Every other spec keeps one (DESIGN.md §7): shard s opens
-	// membackend.ShardSpec(Backend, s) — "mmap:PATH" maps "PATH.shard<s>",
-	// "net:HOST:PORT/NS" takes namespace "NS.shard<s>" on an amo-regd
-	// under its single-writer lease, every shard's over one connection
-	// (see examples/failover) — while its rounds run in process memory.
+	// the spec's instance ".shard<s>", placed by the kind's opener —
+	// "mmap:PATH" maps "PATH.shard<s>", "net:HOST:PORT/NS" takes namespace
+	// "NS.shard<s>" on an amo-regd under its single-writer lease, every
+	// shard's over one connection (see examples/failover) — while its
+	// rounds run in process memory.
 	// Over a durable store at-most-once survives process death (Recovery
 	// below, examples/recover); a store of a layout before
 	// amo-dispatch-v5 is refused.
@@ -222,7 +223,11 @@ func (c *Config) normalize() error {
 	if c.newMem == nil && !membackend.Volatile(c.Backend) {
 		spec := c.Backend
 		c.newMem = func(shards, size int) ([]membackend.Backend, error) {
-			return membackend.OpenShards(spec, shards, size)
+			suffixes := make([]string, shards)
+			for i := range suffixes {
+				suffixes[i] = fmt.Sprintf(".shard%d", i)
+			}
+			return membackend.OpenEach(spec, size, suffixes...)
 		}
 	}
 	switch {

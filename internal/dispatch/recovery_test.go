@@ -22,7 +22,11 @@ import (
 func mmapFactory(dir string) func(shards, size int) ([]membackend.Backend, error) {
 	spec := "mmap:" + filepath.Join(dir, "regs")
 	return func(shards, size int) ([]membackend.Backend, error) {
-		return membackend.OpenShards(spec, shards, size)
+		suffixes := make([]string, shards)
+		for i := range suffixes {
+			suffixes[i] = fmt.Sprintf(".shard%d", i)
+		}
+		return membackend.OpenEach(spec, size, suffixes...)
 	}
 }
 

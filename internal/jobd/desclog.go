@@ -17,15 +17,14 @@ import (
 // enough to re-run. jobd adds the missing half: an append-only log of
 // every admitted submission's full descriptor (tenant, task name,
 // version, priority, deadline, payload), in ADMISSION ORDER, over the
-// same membackend register file family as the shard journals (suffix
-// ".desclog" on the server's backend spec). The core loop is the
-// dispatcher's only submitter and submits only through range leases
-// (dispatch.DoRunners), so a job's id IS its ordinal in this log,
-// whatever the tick boundaries were, and replaying the log through
-// DoRunners at open time reproduces the id stream: descriptors whose ids
-// the shard journals recorded as performed resolve Recovered (payload not
-// run again), and the rest — admitted but unperformed when the process
-// died — RE-EXECUTE, exactly once.
+// same membackend spec as the shard journals, its instance ".desclog".
+// The core loop is the dispatcher's only submitter and submits only
+// through range leases (dispatch.DoRunners), so a job's id IS its
+// ordinal in this log, whatever the tick boundaries were, and replaying
+// the log through DoRunners at open time reproduces the id stream:
+// descriptors whose ids the shard journals recorded as performed resolve
+// Recovered (payload not run again), and the rest — admitted but
+// unperformed when the process died — RE-EXECUTE, exactly once.
 //
 // Layout (cells are int64 registers):
 //
@@ -144,17 +143,14 @@ type descLog struct {
 	cells []int64 // the records staged since the last commit, as commit writes them
 }
 
-// openDescLog opens (or creates) the log behind spec with the given
-// cell count and returns it along with every committed record, in
-// order, as one slab of jobs (descriptor filled, the rest zero). A
-// corrupt record is fatal: the log is the recovery oracle, and a hole in
-// it would silently shift replayed descriptors onto wrong ids.
-func openDescLog(spec string, cells int) (*descLog, []job, error) {
-	b, err := membackend.Open(spec, cells)
-	if err != nil {
-		return nil, nil, fmt.Errorf("jobd: open descriptor log: %w", err)
-	}
-	l := &descLog{b: b, cur: 1, size: cells}
+// openDescLog reads (or starts) the log in the open store b, which it
+// owns from here on, and returns it along with every committed record,
+// in order, as one slab of jobs (descriptor filled, the rest zero).
+// name is the store as a refusal names it. A corrupt record is fatal:
+// the log is the recovery oracle, and a hole in it would silently shift
+// replayed descriptors onto wrong ids.
+func openDescLog(b membackend.Backend, name string) (*descLog, []job, error) {
+	l := &descLog{b: b, cur: 1, size: b.Size()}
 	fail := func(err error) (*descLog, []job, error) {
 		b.Close()
 		return nil, nil, err
@@ -173,11 +169,11 @@ func openDescLog(spec string, cells int) (*descLog, []job, error) {
 		}
 		return l, nil, nil
 	case logMagicBlocks:
-		return fail(fmt.Errorf("jobd: descriptor log %q was written before job ids became log ordinals: its jobs drew their ids from per-shard blocks of 64, so its n-th record is not job n and replaying it would dedupe the wrong jobs; it is left untouched — start jobd stores fresh", spec))
+		return fail(fmt.Errorf("jobd: descriptor log %q was written before job ids became log ordinals: its jobs drew their ids from per-shard blocks of 64, so its n-th record is not job n and replaying it would dedupe the wrong jobs; it is left untouched — start jobd stores fresh", name))
 	case logMagicPlain:
-		return fail(fmt.Errorf("jobd: descriptor log %q was written before record headers carried a check of their body: a committed header of its can sit over body cells that never reached the store; it is left untouched — start jobd stores fresh", spec))
+		return fail(fmt.Errorf("jobd: descriptor log %q was written before record headers carried a check of their body: a committed header of its can sit over body cells that never reached the store; it is left untouched — start jobd stores fresh", name))
 	default:
-		return fail(fmt.Errorf("jobd: backend %q is not a descriptor log (fingerprint %#x)", spec, fp[0]))
+		return fail(fmt.Errorf("jobd: backend %q is not a descriptor log (fingerprint %#x)", name, fp[0]))
 	}
 
 	// win holds log cells [base, base+len(win)); span returns the part of

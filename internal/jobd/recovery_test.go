@@ -39,17 +39,29 @@ func lossyStore(name string, size int) *memtest.Lossy {
 }
 
 func init() {
-	membackend.Register("lossy", func(arg string, size int) (membackend.Backend, error) {
-		return lossyStore(arg, size), nil
+	membackend.Register("lossy", func(arg string, suffixes []string, size int) ([]membackend.Backend, error) {
+		bs := make([]membackend.Backend, len(suffixes))
+		for i, sfx := range suffixes {
+			bs[i] = lossyStore(arg+sfx, size)
+		}
+		return bs, nil
 	})
-	membackend.RegisterSuffixer("lossy", func(arg, suffix string) string { return arg + suffix })
+}
+
+// openLog opens the store spec names and the descriptor log in it.
+func openLog(spec string, cells int) (*descLog, []job, error) {
+	b, err := membackend.Open(spec, cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	return openDescLog(b, spec)
 }
 
 // lossyLog opens a fresh log over a lossy store named after the test.
 func lossyLog(t *testing.T) (*descLog, *memtest.Lossy, string) {
 	t.Helper()
 	lossyStores.Delete(t.Name()) // -count=2 runs the name again
-	l, _, err := openDescLog("lossy:"+t.Name(), testLogCells)
+	l, _, err := openLog("lossy:"+t.Name(), testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +91,7 @@ func sameDesc(g *job, d *desc) bool {
 // uncommitted header.
 func TestDescLogRoundTrip(t *testing.T) {
 	spec := "mmap:" + filepath.Join(t.TempDir(), "log")
-	l, recs, err := openDescLog(spec, testLogCells)
+	l, recs, err := openLog(spec, testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +112,7 @@ func TestDescLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, got, err := openDescLog(spec, testLogCells)
+	l2, got, err := openLog(spec, testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +171,7 @@ func TestCommittedTickSurvivesHostCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Crash()
-	l, recs, err := openDescLog(spec, testLogCells)
+	l, recs, err := openLog(spec, testLogCells)
 	if err != nil {
 		t.Fatalf("the committed tick does not reopen after the loss of every un-acked cell: %v", err)
 	}
@@ -250,7 +262,7 @@ func TestTornTickReopensToPrefix(t *testing.T) {
 // hasRoom predicts it.
 func TestDescLogFull(t *testing.T) {
 	spec := "mmap:" + filepath.Join(t.TempDir(), "log")
-	l, _, err := openDescLog(spec, 8)
+	l, _, err := openLog(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +287,7 @@ func TestDescLogAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	l, _, err := openDescLog("mmap:"+filepath.Join(t.TempDir(), "log"), testLogCells)
+	l, _, err := openLog("mmap:"+filepath.Join(t.TempDir(), "log"), testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +334,7 @@ func TestCorruptDescLogRefused(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "log")
-			l, _, err := openDescLog("mmap:"+path, testLogCells)
+			l, _, err := openLog("mmap:"+path, testLogCells)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +358,7 @@ func TestCorruptDescLogRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			l, recs, err := openDescLog("mmap:"+path, testLogCells)
+			l, recs, err := openLog("mmap:"+path, testLogCells)
 			if !tc.refused {
 				if err != nil || len(recs) != 2 || l.cur != at {
 					t.Fatalf("open = %d records, error %v; want the 2 committed records and the cursor at cell %d", len(recs), err, at)
@@ -483,7 +495,7 @@ func TestRecoveryDedupe(t *testing.T) {
 func TestRecoveryReexecute(t *testing.T) {
 	dir := t.TempDir()
 	spec := "mmap:" + filepath.Join(dir, "jobd")
-	l, _, err := openDescLog(membackend.WithSuffix(spec, ".desclog"), testLogCells)
+	l, _, err := openLog(spec+".desclog", testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +564,7 @@ func TestRecoveryMixed(t *testing.T) {
 	// Simulate the crash window: two more descriptors reach the log but
 	// the process dies before they are submitted (no journal entries).
 	spec := "mmap:" + filepath.Join(dir, "jobd")
-	l, recs, err := openDescLog(membackend.WithSuffix(spec, ".desclog"), testLogCells)
+	l, recs, err := openLog(spec+".desclog", testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +616,7 @@ func TestRecoveryMixed(t *testing.T) {
 func TestReplayUnregisteredTask(t *testing.T) {
 	dir := t.TempDir()
 	spec := "mmap:" + filepath.Join(dir, "jobd")
-	l, _, err := openDescLog(membackend.WithSuffix(spec, ".desclog"), testLogCells)
+	l, _, err := openLog(spec+".desclog", testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +647,7 @@ func reopenLog(t *testing.T, l *descLog, spec string) (*descLog, []job) {
 	if err := l.close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, recs, err := openDescLog(spec, testLogCells)
+	l2, recs, err := openLog(spec, testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,7 +739,7 @@ func TestReplayAcrossChunks(t *testing.T) {
 	const n = 2500
 	dir := t.TempDir()
 	spec := "mmap:" + filepath.Join(dir, "jobd")
-	l, _, err := openDescLog(membackend.WithSuffix(spec, ".desclog"), testLogCells)
+	l, _, err := openLog(spec+".desclog", testLogCells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,7 +789,7 @@ func TestJournalWithoutDescriptorsRefused(t *testing.T) {
 			}
 		}, []string{"10 performed jobs", "lowest id 1;", "holds 0 records"}},
 		{"log cut short by one record", func(t *testing.T, logSpec, _ string) {
-			l, recs, err := openDescLog(logSpec, testLogCells)
+			l, recs, err := openLog(logSpec, testLogCells)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -802,7 +814,7 @@ func TestJournalWithoutDescriptorsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := durableOptions(dir, &executed)
-			tc.cut(t, membackend.WithSuffix(o.Backend, ".desclog"), filepath.Join(dir, "jobd.desclog"))
+			tc.cut(t, o.Backend+".desclog", filepath.Join(dir, "jobd.desclog"))
 			journals := func() (all []byte) {
 				for shard := 0; shard < o.Shards; shard++ {
 					b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("jobd.shard%d", shard)))

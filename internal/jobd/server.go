@@ -36,8 +36,9 @@ type TenantLimits struct {
 type Options struct {
 	// Registry holds the task types this server can run. Required.
 	Registry *Registry
-	// Backend is the membackend spec family backing the dispatcher
-	// shards (".shard<i>" suffixes) and the descriptor log (".desclog").
+	// Backend is the membackend spec whose instances back the dispatcher
+	// shards (".shard<i>") and the descriptor log (".desclog"); the
+	// kind's opener places the suffix.
 	// Empty means "atomic": volatile (membackend.Volatile) — nothing
 	// survives the process, so the server keeps no shard journal and no
 	// descriptor log at all. Every other spec keeps both.
@@ -270,8 +271,12 @@ func open(o Options) (*Server, []job, error) {
 	// opened and the log keeps nothing.
 	dlog, recs := &descLog{}, []job(nil)
 	if !membackend.Volatile(o.Backend) {
-		dlog, recs, err = openDescLog(membackend.WithSuffix(o.Backend, ".desclog"), o.LogCells)
+		bs, err := membackend.OpenEach(o.Backend, o.LogCells, ".desclog")
 		if err != nil {
+			d.Close()
+			return nil, nil, fmt.Errorf("jobd: open descriptor log: %w", err)
+		}
+		if dlog, recs, err = openDescLog(bs[0], o.Backend+".desclog"); err != nil {
 			d.Close()
 			return nil, nil, err
 		}

@@ -585,7 +585,7 @@ func TestParentDescLogRefused(t *testing.T) {
 			dir := t.TempDir()
 			spec := "mmap:" + filepath.Join(dir, "jobd")
 			path := filepath.Join(dir, "jobd.desclog")
-			b, err := membackend.Open(membackend.WithSuffix(spec, ".desclog"), testLogCells)
+			b, err := membackend.Open(spec+".desclog", testLogCells)
 			if err != nil {
 				t.Fatal(err)
 			}

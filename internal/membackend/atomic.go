@@ -48,10 +48,16 @@ func (AtomicBackend) Sync() error { return nil }
 func (AtomicBackend) Close() error { return nil }
 
 func init() {
-	Register("atomic", func(arg string, size int) (Backend, error) {
+	// Heap registers have no instance name: each suffix gets a fresh
+	// store.
+	Register("atomic", func(arg string, suffixes []string, size int) ([]Backend, error) {
 		if arg != "" {
 			return nil, fmt.Errorf("membackend: atomic backend takes no argument, got %q", arg)
 		}
-		return NewAtomic(size), nil
+		bs := make([]Backend, len(suffixes))
+		for i := range bs {
+			bs[i] = NewAtomic(size)
+		}
+		return bs, nil
 	})
 }

@@ -20,11 +20,13 @@
 //     (the public atmostonce package does) before opening net specs.
 //
 // Backends are selected by spec string through Open, e.g.
-// Open("mmap:/var/lib/amo/shard.reg", size), and a sharded deployment's
-// stores through OpenShards. Additional backends register themselves
-// with Register, or RegisterGroup for a kind whose instances share one
-// resource (the net kind's one connection). Tests that count, tear or crash a
-// store hand the code under test an internal/memtest.Lossy instead.
+// Open("mmap:/var/lib/amo/shard.reg", size), and the named instances of
+// one spec — a dispatcher's shards, jobd's descriptor log, a register
+// server's namespaces — through OpenEach, one suffix each. A kind
+// registers one opener (Register), and only that opener knows where a
+// suffix lands; the net kind's also opens them all over one connection.
+// Tests that count, tear or crash a store hand the code under test an
+// internal/memtest.Lossy instead.
 //
 // See DESIGN.md §7 for the interface contract, the mmap file layout and
 // the multi-process atomicity caveats.
@@ -81,68 +83,29 @@ type Backend interface {
 	Close() error
 }
 
-// OpenFunc builds a backend with size cells from the spec's argument
-// (the part after "kind:", possibly empty).
-type OpenFunc func(arg string, size int) (Backend, error)
-
-// GroupFunc builds the len(suffixes) instances of one spec argument, each
-// with size cells, as one unit: instance i is the one the argument names
-// with suffixes[i] appended (WithSuffix's grammar; "" is the argument's
-// own). A kind that registers one opens every instance of a spec at once
-// — the net backend attaches them all to one session — and dies as one.
-type GroupFunc func(arg string, suffixes []string, size int) ([]Backend, error)
+// OpenFunc builds the len(suffixes) instances of one spec argument (the
+// part after "kind:", possibly empty), each with size cells: instance i
+// is the one the argument names with suffixes[i] on its instance name,
+// "" being the argument's own. The opener is the one place that knows
+// where a suffix lands — the end of an mmap path, a net namespace before
+// any "?option" tail — and a kind without instance names (atomic)
+// ignores them. An open that fails leaves none of the instances open.
+type OpenFunc func(arg string, suffixes []string, size int) ([]Backend, error)
 
 var (
-	regMu     sync.RWMutex
-	registry  = map[string]GroupFunc{}
-	suffixers = map[string]func(arg, suffix string) string{}
+	regMu    sync.RWMutex
+	registry = map[string]OpenFunc{}
 )
 
-// Register adds a backend kind whose instances open one by one: a group
-// of them closes those it opened if a later one fails. It panics on a
-// duplicate kind; call it from an init function.
+// Register adds a backend kind. It panics on a duplicate kind; call it
+// from an init function.
 func Register(kind string, open OpenFunc) {
-	RegisterGroup(kind, func(arg string, suffixes []string, size int) ([]Backend, error) {
-		bs := make([]Backend, 0, len(suffixes))
-		for _, sfx := range suffixes {
-			inst, _ := suffixArg(kind, arg, sfx)
-			b, err := open(inst, size)
-			if err != nil {
-				for _, b := range bs {
-					b.Close()
-				}
-				return nil, err
-			}
-			bs = append(bs, b)
-		}
-		return bs, nil
-	})
-}
-
-// RegisterGroup adds a backend kind whose instances open as a group
-// (GroupFunc); Open opens a group of one. It panics on a duplicate kind;
-// call it from an init function.
-func RegisterGroup(kind string, open GroupFunc) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[kind]; dup {
 		panic("membackend: duplicate backend kind " + kind)
 	}
 	registry[kind] = open
-}
-
-// RegisterSuffixer teaches WithSuffix how a kind's spec argument takes
-// an instance suffix, so each backend owns its own spec grammar (the
-// net backend's host/namespace/option syntax lives in internal/netmem,
-// not here). Kinds without a suffixer pass through WithSuffix
-// unchanged.
-func RegisterSuffixer(kind string, fn func(arg, suffix string) string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := suffixers[kind]; dup {
-		panic("membackend: duplicate suffixer for kind " + kind)
-	}
-	suffixers[kind] = fn
 }
 
 // Kinds returns the registered backend kinds, sorted.
@@ -163,28 +126,18 @@ func Kinds() []string {
 // rejected with errors that say how to fix them, and an unknown kind's
 // error suggests the nearest registered kind.
 func Open(spec string, size int) (Backend, error) {
-	bs, err := open(spec, []string{""}, size)
+	bs, err := OpenEach(spec, size, "")
 	if err != nil {
 		return nil, err
 	}
 	return bs[0], nil
 }
 
-// OpenShards opens the n shard stores of a spec, each with size cells:
-// shard i is the instance ShardSpec(spec, i) names. A group kind opens
-// them in one call (the net backend: n namespaces over one session);
-// any other kind opens them one by one, and closes those it opened if a
-// later one fails.
-func OpenShards(spec string, n, size int) ([]Backend, error) {
-	suffixes := make([]string, n)
-	for i := range suffixes {
-		suffixes[i] = shardSuffix(i)
-	}
-	return open(spec, suffixes, size)
-}
-
-// open builds a spec's instances, one per suffix.
-func open(spec string, suffixes []string, size int) ([]Backend, error) {
+// OpenEach opens one instance of spec per suffix, each with size cells,
+// in one call to the kind's opener: OpenEach("mmap:/d/x", n, ".shard0",
+// ".desclog") maps /d/x.shard0 and /d/x.desclog, and a net spec attaches
+// every namespace to one session. It opens all of them or none.
+func OpenEach(spec string, size int, suffixes ...string) ([]Backend, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("membackend: need a positive size, got %d", size)
 	}
@@ -193,7 +146,7 @@ func open(spec string, suffixes []string, size int) ([]Backend, error) {
 		return nil, err
 	}
 	regMu.RLock()
-	group, ok := registry[kind]
+	open, ok := registry[kind]
 	regMu.RUnlock()
 	if !ok {
 		hint := ""
@@ -203,7 +156,7 @@ func open(spec string, suffixes []string, size int) ([]Backend, error) {
 		return nil, fmt.Errorf("membackend: unknown backend %q in spec %q%s (have %s)",
 			kind, spec, hint, strings.Join(Kinds(), ", "))
 	}
-	bs, err := group(arg, suffixes, size)
+	bs, err := open(arg, suffixes, size)
 	if err != nil {
 		eventlog.Logger().Warn("backend_open_failed", "kind", kind, "spec", spec, "size", size, "err", err)
 		return nil, err
@@ -283,46 +236,4 @@ func editDistance(a, b string) int {
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-// ShardSpec rewrites a spec for one shard of a sharded deployment:
-// instance-bearing kinds (mmap paths, net namespaces) get a ".shard<i>"
-// suffix so every shard owns its own register set; volatile kinds pass
-// through unchanged.
-func ShardSpec(spec string, shard int) string {
-	return WithSuffix(spec, shardSuffix(shard))
-}
-
-func shardSuffix(shard int) string { return fmt.Sprintf(".shard%d", shard) }
-
-// WithSuffix appends suffix to the instance name of a spec's terminal
-// kind — the file path for mmap, the namespace for net (before any
-// "?option" tail); kinds without an instance name pass through
-// unchanged, as do specs Open would reject. Callers that need several independent instances of one
-// spec (shards, bench sweep points) use it to derive per-instance
-// names.
-func WithSuffix(spec, suffix string) string {
-	kind, arg, err := parseSpec(spec)
-	if err != nil {
-		return spec
-	}
-	if inst, ok := suffixArg(kind, arg, suffix); ok {
-		return kind + ":" + inst
-	}
-	return spec
-}
-
-// suffixArg is arg with suffix on its instance name, and whether the
-// kind has one.
-func suffixArg(kind, arg, suffix string) (string, bool) {
-	if kind == "mmap" {
-		return arg + suffix, true
-	}
-	regMu.RLock()
-	fn := suffixers[kind]
-	regMu.RUnlock()
-	if fn == nil {
-		return arg, false
-	}
-	return fn(arg, suffix), true
 }

@@ -157,24 +157,74 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// TestShardSpec: OpenEach opens one instance per suffix, and the kind's
+// opener places it — mmap at the end of the path, while atomic, which
+// has no instance names, gives each suffix a store of its own.
 func TestShardSpec(t *testing.T) {
-	cases := [][3]string{
-		{"atomic", "0", "atomic"},
-		{"mmap:/tmp/x", "2", "mmap:/tmp/x.shard2"},
-		// The "net" kind's suffix grammar is owned by internal/netmem
-		// (RegisterSuffixer) and tested there; unregistered kinds pass
-		// through untouched.
-		{"net:127.0.0.1:7878/jobs", "2", "net:127.0.0.1:7878/jobs"},
+	requireMmap(t)
+	dir := t.TempDir()
+	bs, err := OpenEach("mmap:"+filepath.Join(dir, "x"), 8, ".shard0", ".shard2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		shard := int(c[1][0] - '0')
-		if got := ShardSpec(c[0], shard); got != c[2] {
-			t.Errorf("ShardSpec(%q, %d) = %q, want %q", c[0], shard, got, c[2])
+	for i, b := range bs {
+		b.Write(0, int64(i+1))
+		b.Close()
+	}
+	r, err := Open("mmap:"+filepath.Join(dir, "x.shard2"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Read(0); got != 2 {
+		t.Errorf("x.shard2 reads %d, want 2: the second instance's mark", got)
+	}
+	r.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"x.shard0", "x.shard2"}) {
+		t.Errorf("OpenEach created %v, want [x.shard0 x.shard2]", names)
+	}
+
+	as, err := OpenEach("atomic", 8, ".shard0", ".shard1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as[0].Write(3, 7)
+	if got := as[1].Read(3); got != 0 {
+		t.Errorf("atomic instances share cells: the second reads %d", got)
+	}
+}
+
+// TestOpenEachClosesOnFailure: an mmap group whose second instance cannot
+// open fails naming it, and the first is unmapped again, not left behind.
+func TestOpenEachClosesOnFailure(t *testing.T) {
+	requireMmap(t)
+	base := filepath.Join(t.TempDir(), "x")
+	if err := os.Mkdir(base+".shard1", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	bs, err := OpenEach("mmap:"+base, 8, ".shard0", ".shard1")
+	if err == nil {
+		for _, b := range bs {
+			b.Close()
 		}
+		t.Fatal("a directory opened as a register file")
 	}
-	// WithSuffix only touches path-bearing kinds.
-	if got := WithSuffix("mmap:/x", ".shape1"); got != "mmap:/x.shape1" {
-		t.Errorf("WithSuffix(mmap:/x) = %q", got)
+	if !strings.Contains(err.Error(), base+".shard1") {
+		t.Errorf("error does not name the instance that failed: %v", err)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(maps), base+".shard0") {
+		t.Errorf("%s.shard0 is still mapped after the group failed", base)
 	}
 }
 

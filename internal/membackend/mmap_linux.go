@@ -254,10 +254,23 @@ func (m *MmapMem) Close() error {
 }
 
 func init() {
-	Register("mmap", func(arg string, size int) (Backend, error) {
+	// An instance is the file at the path with its suffix appended; a
+	// failed open closes the files opened before it.
+	Register("mmap", func(arg string, suffixes []string, size int) ([]Backend, error) {
 		if arg == "" {
 			return nil, fmt.Errorf("membackend: mmap backend needs a file path, e.g. %q", "mmap:/var/lib/amo/shard.reg")
 		}
-		return OpenMmap(arg, size)
+		bs := make([]Backend, 0, len(suffixes))
+		for _, sfx := range suffixes {
+			m, err := OpenMmap(arg+sfx, size)
+			if err != nil {
+				for _, b := range bs {
+					b.Close()
+				}
+				return nil, err
+			}
+			bs = append(bs, m)
+		}
+		return bs, nil
 	})
 }

@@ -618,7 +618,10 @@ func (m *NetMem) Close() error {
 }
 
 func init() {
-	membackend.RegisterGroup("net", func(arg string, suffixes []string, size int) ([]membackend.Backend, error) {
+	// A suffix lands on the namespace — never the port, and the default
+	// one when the spec names none — and every instance attaches to one
+	// session.
+	membackend.Register("net", func(arg string, suffixes []string, size int) ([]membackend.Backend, error) {
 		addr, opts, err := ParseSpec(arg)
 		if err != nil {
 			return nil, err
@@ -637,20 +640,6 @@ func init() {
 			bs[i] = m
 		}
 		return bs, nil
-	})
-	// Teach membackend.WithSuffix (and hence ShardSpec) this kind's
-	// grammar: the suffix lands on the namespace — never the port —
-	// before any "?option" tail, defaulting the namespace first when the
-	// spec names none.
-	membackend.RegisterSuffixer("net", func(arg, suffix string) string {
-		base, opts := arg, ""
-		if i := strings.IndexByte(arg, '?'); i >= 0 {
-			base, opts = arg[:i], arg[i:]
-		}
-		if strings.LastIndexByte(base, '/') < 0 {
-			base += "/default"
-		}
-		return base + suffix + opts
 	})
 }
 

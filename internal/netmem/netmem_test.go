@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -323,22 +325,35 @@ func TestParseNetSpec(t *testing.T) {
 	}
 }
 
-// TestNetShardSpec pins the "net" suffix grammar this package registers
-// with membackend: the shard suffix lands on the namespace — never the
-// port — before any option tail, with the default namespace made
-// explicit when the spec names none.
+// TestNetShardSpec pins where the net opener puts an instance suffix:
+// on the namespace — never the port — and before any option tail, on
+// "default" when the spec names none; a spec's instances share one
+// session.
 func TestNetShardSpec(t *testing.T) {
-	cases := [][3]string{
-		{"net:127.0.0.1:7878/jobs", "2", "net:127.0.0.1:7878/jobs.shard2"},
-		{"net:127.0.0.1:7878/jobs?ttl=1s", "1", "net:127.0.0.1:7878/jobs.shard1?ttl=1s"},
-		{"net:127.0.0.1:7878", "0", "net:127.0.0.1:7878/default.shard0"},
-		{"net:127.0.0.1:7878?ttl=1s", "3", "net:127.0.0.1:7878/default.shard3?ttl=1s"},
+	srv := NewServer(ServerOptions{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		shard := int(c[1][0] - '0')
-		if got := membackend.ShardSpec(c[0], shard); got != c[2] {
-			t.Errorf("ShardSpec(%q, %d) = %q, want %q", c[0], shard, got, c[2])
+	defer srv.Close()
+	for _, spec := range []string{"net:" + addr + "/jobs", "net:" + addr + "/opt?ttl=1s", "net:" + addr} {
+		bs, err := membackend.OpenEach(spec, 8, ".shard0", ".shard1")
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
 		}
+		if bs[0].(*NetMem).s != bs[1].(*NetMem).s {
+			t.Errorf("%s: the instances opened two sessions, want one", spec)
+		}
+		for _, b := range bs {
+			b.Close()
+		}
+	}
+	srv.mu.Lock()
+	got := slices.Sorted(maps.Keys(srv.nss))
+	srv.mu.Unlock()
+	want := []string{"default.shard0", "default.shard1", "jobs.shard0", "jobs.shard1", "opt.shard0", "opt.shard1"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("server holds namespaces %v, want %v", got, want)
 	}
 }
 

@@ -17,8 +17,10 @@
 //     pipelining sound.
 //   - NetMem: the client backend, one namespace of a session — one
 //     connection that attaches any number of namespaces — registered in
-//     the membackend registry as "net:HOST:PORT[/NAMESPACE][?options]",
-//     whose shard stores (membackend.OpenShards) share one session.
+//     the membackend registry as "net:HOST:PORT[/NAMESPACE][?options]".
+//     Its opener puts an instance suffix on the namespace, so the
+//     dispatcher's shards (membackend.OpenEach) take NAMESPACE.shard<i>,
+//     all over one session.
 //     Writes are pipelined (sent without waiting for the ack); Read,
 //     WriteAcked, ReadRange and Sync wait for their reply; a broken
 //     connection is redialed and every unacknowledged operation is

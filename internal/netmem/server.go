@@ -18,8 +18,8 @@ import (
 // ServerOptions configures a register server.
 type ServerOptions struct {
 	// Spec is the membackend spec template backing the namespaces
-	// (default "atomic"). Instance-bearing kinds get a ".<namespace>"
-	// suffix per namespace (membackend.WithSuffix), so
+	// (default "atomic"). Namespace NS is the template's instance
+	// ".NS" (membackend.OpenEach), placed by the kind's opener:
 	// "mmap:/var/lib/amo/regs" stores namespace "jobs" in
 	// "/var/lib/amo/regs.jobs".
 	Spec string
@@ -143,17 +143,17 @@ func (s *Server) getNamespace(name string, size int) (ns *namespace, reopened bo
 		}
 		return ns, true, nil
 	}
-	spec := membackend.WithSuffix(s.opts.Spec, "."+name)
-	bk, err := membackend.Open(spec, size)
+	bks, err := membackend.OpenEach(s.opts.Spec, size, "."+name)
 	if err != nil {
 		return nil, false, &wireError{codeBackend, err.Error()}
 	}
+	bk := bks[0]
 	reopened = bk.Reopened()
 	ns = &namespace{name: name, bk: bk, size: size}
 	ns.cond = sync.NewCond(&ns.mu)
 	s.nss[name] = ns
 	eventlog.Logger().Debug("netmem_server_namespace_open",
-		"namespace", name, "spec", spec, "cells", size, "reopened", reopened)
+		"namespace", name, "spec", s.opts.Spec, "cells", size, "reopened", reopened)
 	return ns, reopened, nil
 }
 
