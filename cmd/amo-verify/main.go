@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"atmostonce/internal/core"
+	"atmostonce/internal/harness"
 	"atmostonce/internal/verify"
 )
 
@@ -36,14 +37,14 @@ func run(args []string) error {
 		beta      = fs.Int("beta", 0, "termination parameter β (0 = m)")
 		f         = fs.Int("f", 1, "crash budget")
 		iterStep  = fs.Bool("iterstep", false, "check the IterStepKK variant (§6)")
-		maxStates = fs.Int("max-states", 0, "state budget (0 = 4e6)")
+		maxStates = fs.Int("max-states", 0, "state budget of a single run (0 = 4e6); -suite runs E9's configurations at their default")
 		suite     = fs.Bool("suite", false, "run the standard verification suite and print a summary table")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *suite {
-		return runSuite(*maxStates)
+		return runSuite()
 	}
 	fmt.Printf("exploring KKβ: n=%d m=%d β=%d f=%d iterstep=%v\n", *n, *m, orM(*beta, *m), *f, *iterStep)
 	start := time.Now()
@@ -82,37 +83,13 @@ func orM(beta, m int) int {
 	return beta
 }
 
-// runSuite explores the standard battery of small configurations and
-// prints the Markdown table EXPERIMENTS.md embeds.
-func runSuite(maxStates int) error {
-	configs := []verify.MCConfig{
-		{N: 2, M: 2, F: 1},
-		{N: 3, M: 2, F: 0},
-		{N: 3, M: 2, F: 1},
-		{N: 4, M: 2, F: 1},
-		{N: 3, M: 3, F: 1},
-		{N: 2, M: 2, F: 1, IterStep: true},
-		{N: 3, M: 2, F: 1, IterStep: true},
+// runSuite prints harness E9's table, the battery EXPERIMENTS.md embeds,
+// and fails when any configuration contradicts its claim.
+func runSuite() error {
+	t := harness.Suite{}.E9Verification()
+	fmt.Print(t.Markdown())
+	if !t.Pass {
+		return errors.New("the verification suite found a violation")
 	}
-	fmt.Println("| config | states | terminals | Do range | bound | fair cycles | violations |")
-	fmt.Println("|---|---|---|---|---|---|---|")
-	for _, cfg := range configs {
-		cfg.MaxStates = maxStates
-		start := time.Now()
-		stats, err := verify.ExploreKK(cfg)
-		if err != nil {
-			return fmt.Errorf("config %+v: %w", cfg, err)
-		}
-		name := fmt.Sprintf("n=%d m=%d f=%d", cfg.N, cfg.M, cfg.F)
-		bound := fmt.Sprintf("%d", core.EffectivenessBound(cfg.N, cfg.M, cfg.Beta))
-		if cfg.IterStep {
-			name += " (IterStepKK)"
-			bound = "—"
-		}
-		fmt.Printf("| %s | %d | %d | [%d,%d] | %s | %d | 0 |\n",
-			name, stats.States, stats.Terminals, stats.MinDo, stats.MaxDo, bound, stats.Cycles)
-		_ = start
-	}
-	fmt.Println("\nall configurations verified exhaustively")
 	return nil
 }

@@ -141,7 +141,7 @@ func slicesContains(s []uint64, v uint64) bool {
 }
 
 // TestAsyncRecovery: futures must resolve for journal-recovered jobs. A
-// durable dispatcher is frozen mid-round and abandoned; the successor
+// durable dispatcher is frozen mid-round and left so; the successor
 // re-submits the same stream async and every future resolves exactly
 // once — the pre-crash ones with Recovered set, without re-running.
 func TestAsyncRecovery(t *testing.T) {
@@ -179,7 +179,7 @@ func TestAsyncRecovery(t *testing.T) {
 	}
 	waitFor(t, "all workers frozen mid-round", func() bool { return blocked.Load() == workers })
 	preCrash := performed.Load()
-	// d1 is abandoned without Close, like a killed process.
+	// d1 is left without Close, like a killed process.
 
 	d2, err := New(Config{
 		Shards: 1, WorkersPerShard: workers, MaxBatch: 128,
@@ -438,54 +438,6 @@ func TestBatchRotation(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestAbandonReleasesBlockedSubmitter: abandon (the crash-simulation
-// path) must not strand a Block-policy submitter parked on a full
-// queue — the dead shard releases it and swallows the entries, like
-// memory of a killed process.
-func TestAbandonReleasesBlockedSubmitter(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	d, err := New(Config{
-		Shards:          1,
-		WorkersPerShard: 2,
-		MaxBatch:        2,
-		QueueDepth:      2,
-		SubmitPolicy:    Block,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Saturate: QueueDepth bounds queued + in-flight jobs, so two gated
-	// submissions fill the shard completely.
-	for i := 0; i < 2; i++ {
-		if _, err := d.Do(context.Background(), bare(func() { <-gate })); err != nil {
-			t.Fatal(err)
-		}
-	}
-	returned := make(chan error, 1)
-	go func() {
-		_, err := d.Do(context.Background(), bare(func() {}))
-		returned <- err
-	}()
-	// Give the submitter time to park (abandon-before-park is fine too:
-	// waitSpace checks abandoned before waiting). Shard-level abandon:
-	// the dispatcher-level wrapper would wait for the gated round to
-	// finish, which is not what a crash does to a parked submitter.
-	time.Sleep(20 * time.Millisecond)
-	d.shards[0].abandon()
-	select {
-	case err := <-returned:
-		if err != nil {
-			t.Fatalf("stranded submitter returned error %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("submitter still parked after abandon")
-	}
-	// Cleanup: the gate's deferred close lets the gated round finish and
-	// the abandoned loop exit; the dispatcher is unusable, as after any
-	// abandon, and intentionally not Closed.
 }
 
 // TestWorkStealing: an idle shard must claim work from a deep sibling.

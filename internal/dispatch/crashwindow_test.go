@@ -22,24 +22,6 @@ const (
 	crashWords   = crashJobs/64 + 1 // words in a journal row
 )
 
-// crashPhases are how far the fatal write gets, by which of its cells
-// land: a tear keeps the cells (i of n) that do, and the write is acked
-// only without one. So none is the phase before the write; first, last,
-// every other and all are torn; acked is acked. A phase is a row only on
-// writes of at least its cells: on one cell a torn write lands all.
-var crashPhases = []struct {
-	name  string
-	tear  func(i, n int) bool
-	cells int
-}{
-	{"none", func(i, n int) bool { return false }, 1},
-	{"first", func(i, n int) bool { return i == 0 }, 2},
-	{"last", func(i, n int) bool { return i == n-1 }, 2},
-	{"every other", func(i, n int) bool { return i%2 == 0 }, 2},
-	{"all", func(i, n int) bool { return true }, 1},
-	{"acked", nil, 1},
-}
-
 // TestFlushCrashWindows is the crash table. A host of one memtest.Lossy
 // per shard dies at its N-th acked write — each fingerprint written
 // inside New and each journal flush — in every phase: before the write,
@@ -67,14 +49,14 @@ func TestFlushCrashWindows(t *testing.T) {
 	for _, jb := range []int{1, 4} {
 		t.Run(fmt.Sprintf("batch%d", jb), func(t *testing.T) {
 			writes := crashRun(t, jb, 0, nil).host.Writes()
-			for _, ph := range crashPhases {
-				if slices.Max(writes) < ph.cells {
+			for _, ph := range memtest.Phases {
+				if slices.Max(writes) < ph.Cells {
 					continue
 				}
-				t.Run(ph.name, func(t *testing.T) {
+				t.Run(ph.Name, func(t *testing.T) {
 					for i, cells := range writes {
-						if cells >= ph.cells {
-							t.Run(fmt.Sprintf("w%d", i+1), func(t *testing.T) { crashWindow(t, jb, i+1, ph.tear) })
+						if cells >= ph.Cells {
+							t.Run(fmt.Sprintf("w%d", i+1), func(t *testing.T) { crashWindow(t, jb, i+1, ph.Tear) })
 						}
 					}
 				})

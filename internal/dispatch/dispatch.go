@@ -440,7 +440,7 @@ func (d *Dispatcher) lease(n uint64) (first uint64, err error) {
 // leased is the last id leased so far.
 func (d *Dispatcher) leased() uint64 { return d.idCursor.v.Load() &^ closedBit }
 
-// closed reports whether Close (or abandon) has set the cursor's bit.
+// closed reports whether Close has set the cursor's bit.
 func (d *Dispatcher) closed() bool { return d.idCursor.v.Load()&closedBit != 0 }
 
 // nextShard is the shard the next id the cursor gives lands on: a load,
@@ -771,23 +771,6 @@ func (d *Dispatcher) Sync() error {
 		}
 	}
 	return err
-}
-
-// abandon simulates process death for crash-recovery tests: every shard
-// loop exits at its next round boundary without draining its queue, and
-// the backends are left un-closed, exactly as a kill would. The
-// dispatcher is unusable afterwards.
-func (d *Dispatcher) abandon() {
-	d.idCursor.v.Or(closedBit)
-	for _, s := range d.shards {
-		s.abandon()
-	}
-	for _, s := range d.shards {
-		<-s.done
-	}
-	for _, s := range d.shards {
-		s.rt.Close()
-	}
 }
 
 // wakeFlushers wakes parked FlushContext calls after completion

@@ -388,7 +388,9 @@ func TestDoBatchStraddlesRecoveryHorizon(t *testing.T) {
 	}
 	d1.Flush()
 	o1.verify(t, func(r JobResult) bool { return r == JobResult{ID: r.ID} })
-	d1.abandon()
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	d2, err := New(cfg)
 	if err != nil {

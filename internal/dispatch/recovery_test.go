@@ -30,6 +30,47 @@ func mmapFactory(dir string) func(shards, size int) ([]membackend.Backend, error
 	}
 }
 
+// onHost opens a dispatcher of cfg over one fresh memtest.Lossy a shard,
+// joined in a host that dies at its at-th acked write, acked. When the
+// test ends the host is buried and the dead incarnation closed.
+func onHost(t *testing.T, cfg Config, at int) (*Dispatcher, *memtest.Host) {
+	t.Helper()
+	var h *memtest.Host
+	cfg.newMem = func(shards, size int) ([]membackend.Backend, error) {
+		stores, bs := make([]*memtest.Lossy, shards), make([]membackend.Backend, shards)
+		for i := range stores {
+			stores[i] = memtest.NewLossy(size)
+			bs[i] = stores[i]
+		}
+		h = memtest.NewHost(at, nil, stores...)
+		return bs, nil
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		h.Bury()
+		if err := d.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return d, h
+}
+
+// afterDeath waits for h to die and returns cfg over the stores it left.
+func afterDeath(t *testing.T, cfg Config, h *memtest.Host) Config {
+	t.Helper()
+	select {
+	case <-h.Dead():
+	case <-time.After(20 * time.Second):
+		t.Fatal("the host did not die")
+	}
+	succ := h.Death().Stores
+	cfg.newMem = perShard(func(shard, _ int) (membackend.Backend, error) { return succ[shard], nil })
+	return cfg
+}
+
 // perShard makes a Config.newMem of an opener of one shard's store.
 func perShard(open func(shard, size int) (membackend.Backend, error)) func(shards, size int) ([]membackend.Backend, error) {
 	return func(shards, size int) ([]membackend.Backend, error) {
@@ -157,51 +198,34 @@ func TestRecoverMidRound(t *testing.T) {
 	}
 }
 
-// TestRecoverRoundBoundary crashes a multi-shard dispatcher between
-// rounds (abandon: loops exit at the next round boundary without
-// draining) and checks the reopened dispatcher completes the stream
-// exactly once.
+// TestRecoverRoundBoundary kills a multi-shard dispatcher with most of
+// its stream still queued — its host dies at a journal flush, acked — and
+// checks that the reopened dispatcher completes the stream: no job runs
+// twice, and the only jobs that never run are the claims journaled in
+// time whose payloads the death stopped, at most one a worker.
 func TestRecoverRoundBoundary(t *testing.T) {
-	requireMmap(t)
-	const n = 1000
-	dir := t.TempDir()
-	executions := make([]atomic.Int32, n+1)
-	cfg := Config{
-		Shards: 2, WorkersPerShard: 3, MaxBatch: 64,
-		newMem: mmapFactory(dir), MaxJobs: n,
-	}
-	d1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n, workers = 1000, 3
+	cfg := Config{Shards: 2, WorkersPerShard: workers, MaxBatch: 64, MaxJobs: n}
+	d1, h := onHost(t, cfg, 2+100) // the two fingerprints, then 100 flushes
+	eo := newExactlyOnce(n)
 	fns := make([]Task, n)
 	for i := range fns {
-		id := i + 1
-		// The sleep throttles the drain so the abandon below reliably
-		// lands while most of the stream is still queued.
-		fns[i] = bare(func() { executions[id].Add(1); time.Sleep(100 * time.Microsecond) })
+		fns[i] = bare(func() { h.Run(func() { eo.counts[i].Add(1) }) })
 	}
 	if _, err := d1.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "some progress", func() bool { return d1.Stats().Performed >= 100 })
-	d1.abandon() // process death at the round boundary; queue not drained
 
-	phase1 := 0
-	for id := 1; id <= n; id++ {
-		phase1 += int(executions[id].Load())
-	}
-	if phase1 >= n {
-		t.Fatalf("phase 1 already drained everything (%d); crash came too late to test recovery", phase1)
-	}
-
-	d2, err := New(cfg)
+	d2, err := New(afterDeath(t, cfg, h))
 	if err != nil {
 		t.Fatal(err)
 	}
+	phase1 := eo.total()
+	if phase1 >= n {
+		t.Fatalf("phase 1 already drained everything (%d); the crash came too late to test recovery", phase1)
+	}
 	for i := range fns {
-		id := i + 1
-		fns[i] = bare(func() { executions[id].Add(1) })
+		fns[i] = eo.job(i)
 	}
 	if _, err := d2.DoBatch(context.Background(), fns); err != nil {
 		t.Fatal(err)
@@ -211,15 +235,7 @@ func TestRecoverRoundBoundary(t *testing.T) {
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	if st.Recovered != uint64(phase1) {
-		t.Errorf("recovered %d, want %d", st.Recovered, phase1)
-	}
-	for id := 1; id <= n; id++ {
-		if c := executions[id].Load(); c != 1 {
-			t.Fatalf("job %d executed %d times across the crash", id, c)
-		}
-	}
+	eo.verifyLoss(t, int(st.Recovered)-phase1, cfg.Shards*workers)
 }
 
 // TestRecoverAfterCleanClose reopens a drained register file: the whole

@@ -63,7 +63,6 @@ type shard struct {
 	reserved  int    // slots reserved but not yet enqueued (FailFast, Block, steals)
 	inflight  int    // jobs of the round in flight, still holding their slots
 	closed    bool
-	abandoned bool
 	stats     ShardStats
 
 	// batch holds the jobs of the round in flight, indexed by local job id
@@ -235,21 +234,18 @@ func (s *shard) space() int {
 
 // waitSpace parks the caller until at least one queue slot is free,
 // folding the blocked time into SubmitBlockedNanos. Caller holds s.mu;
-// returns with s.mu held and space() ≥ 1 — or with the shard abandoned,
-// the one case where space can never free (abandon stops the loop
-// without the drain Close waits for; the caller then dumps its entries
-// into the dead queue, exactly like memory of a killed process). The
-// shard loop keeps draining while submitters wait (Close stops it only
-// once every leased id has resolved), so the wait always terminates.
+// returns with s.mu held and space() ≥ 1. The shard loop keeps draining
+// while submitters wait (Close stops it only once every leased id has
+// resolved), so the wait always terminates.
 func (s *shard) waitSpace() {
-	if s.space() > 0 || s.abandoned {
+	if s.space() > 0 {
 		return
 	}
 	// The loop may be parked waiting for work that is already queued;
 	// make sure it sees it before we park on the opposite condition.
 	s.cond.Signal()
 	t0 := time.Now()
-	for s.space() == 0 && !s.abandoned {
+	for s.space() == 0 {
 		s.notFull.Wait()
 	}
 	s.stats.SubmitBlockedNanos += uint64(time.Since(t0))
@@ -262,11 +258,10 @@ func (s *shard) waitSpace() {
 // returns its error, and a concurrent Close returns ErrClosed (Close
 // broadcasts notFull after setting the cursor's closed bit, and both
 // checks run under s.mu, so the wakeup cannot be lost) — in both cases the submission
-// burns nothing. An abandoned shard grants the reservation: the dead
-// queue swallows the entry, like memory of a killed process.
+// burns nothing.
 func (s *shard) reserveWait(ctx context.Context) error {
 	s.mu.Lock()
-	if s.space() > 0 || s.abandoned {
+	if s.space() > 0 {
 		s.reserved++
 		s.mu.Unlock()
 		return nil
@@ -285,19 +280,16 @@ func (s *shard) reserveWait(ctx context.Context) error {
 	t0 := time.Now()
 	var err error
 	for {
-		if s.d.closed() {
+		if err = ctx.Err(); s.d.closed() {
 			err = ErrClosed
-			break
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			err = cerr
-			break
-		}
-		if s.space() > 0 || s.abandoned {
-			s.reserved++
+		if err != nil || s.space() > 0 {
 			break
 		}
 		s.notFull.Wait()
+	}
+	if err == nil {
+		s.reserved++
 	}
 	s.stats.SubmitBlockedNanos += uint64(time.Since(t0))
 	s.mu.Unlock()
@@ -345,9 +337,7 @@ func (s *shard) feed(n int, get func(i int) entry, reserved bool) {
 		free := n - i
 		if !reserved {
 			s.waitSpace()
-			if free = s.space(); s.abandoned {
-				free = n - i // dead shard: dump the rest, like a killed process
-			}
+			free = s.space()
 		}
 		for ; free > 0 && i < n; free-- {
 			s.q.pushBack(get(i))
@@ -388,19 +378,6 @@ func (s *shard) closeBackend() error {
 		return nil
 	}
 	return s.backend.Close()
-}
-
-// abandon simulates process death at a round boundary (the paper's
-// crash model stops processes between actions): the loop exits after
-// the round in flight WITHOUT draining the queue, leaving the durable
-// backend exactly as a killed process would. Crash-recovery tests use
-// it; production code paths never do.
-func (s *shard) abandon() {
-	s.mu.Lock()
-	s.abandoned = true
-	s.cond.Signal()
-	s.notFull.Broadcast() // release Block-policy submitters parked on a dead queue
-	s.mu.Unlock()
 }
 
 // loop is the shard's round engine: cut an adaptively sized batch off
@@ -522,17 +499,17 @@ func (s *shard) promoWindow(limit int) int64 {
 func (s *shard) takeBatch() int {
 	for {
 		s.mu.Lock()
-		for s.q.len() == 0 && !s.closed && !s.abandoned {
+		for s.q.len() == 0 && !s.closed {
 			// Idle: claim work from the deepest sibling before parking.
 			s.mu.Unlock()
 			stole := s.stealWork()
 			s.mu.Lock()
-			if stole > 0 || s.q.len() > 0 || s.closed || s.abandoned {
+			if stole > 0 || s.q.len() > 0 || s.closed {
 				continue
 			}
 			s.cond.Wait()
 		}
-		if s.q.len() == 0 || s.abandoned {
+		if s.q.len() == 0 {
 			s.mu.Unlock()
 			return 0
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs/eventlog"
@@ -46,13 +47,18 @@ import (
 // id the journal recorded: record-then-do, one level up. An acked write
 // is durable once it returns but not atomic across pages or frames; a
 // crash inside it leaves any subset of its cells, of a tick nobody was
-// acked for and no id was journaled for. The scan reads through a window
-// of scanWindow cells (ReadRange) and at each header finds one of:
+// acked for and no id was journaled for. So a commit writes only over
+// cells it has read back as zero (scrub): a torn commit's leftovers are
+// zeroed, in an acked write of their own, before another commit lays a
+// record over them, and a cell a torn commit lost reads zero, never a
+// stale header. The scan reads through a window of scanWindow cells
+// (ReadRange) and at each header finds one of:
 //
 //  1. zero: the end of the log;
 //  2. a malformed header (tag, length 0 or over wire.MaxFrame, body past
-//     the last cell): refused as corrupt — cells are written whole, so
-//     tearing cannot make one;
+//     the last cell): refused as corrupt — cells are written whole, and
+//     under a header only a header or zero is ever torn, so tearing cannot
+//     make one;
 //  3. a well-formed header over a body that fails its check: a write that
 //     was never acked. The log ends here (event jobd_desclog_torn) and the
 //     next commit overwrites it, so a torn tick reopens as a PREFIX of its
@@ -69,8 +75,8 @@ const (
 	logMagicBlocks int64 = 0x616d6f2d64657363 // "amo-desc": ids drawn from per-shard blocks, record n is not job n
 	logMagicPlain  int64 = 0x616d6f2d64736332 // "amo-dsc2": headers carry no check of their body
 
-	// scanWindow: cells per ReadRange of the scan, and the largest cell
-	// buffer a log keeps between ticks.
+	// scanWindow: cells per ReadRange of the scan and of scrub, and the
+	// largest cell buffer a log keeps between ticks.
 	scanWindow = 4096
 )
 
@@ -137,10 +143,12 @@ func recCells(n int) int { return 1 + (n+7)/8 }
 type descLog struct {
 	b     membackend.Backend
 	cur   int // next free cell: where the next commit's write starts
+	clean int // cells [cur, clean) hold zeros: a fresh log's all, or what scrub read since a commit failed
 	size  int
 	err   error   // the first stage failure, reported (and cleared) by commit
 	buf   []byte  // one record's encode scratch
 	cells []int64 // the records staged since the last commit, as commit writes them
+	ahead []int64 // scrub's read scratch
 }
 
 // openDescLog reads (or starts) the log in the open store b, which it
@@ -167,6 +175,7 @@ func openDescLog(b membackend.Backend, name string) (*descLog, []job, error) {
 		if err := b.WriteAcked(0, []int64{logMagic}); err != nil {
 			return fail(err)
 		}
+		l.clean = l.size // no commit ever wrote here: nothing to scrub
 		return l, nil, nil
 	case logMagicBlocks:
 		return fail(fmt.Errorf("jobd: descriptor log %q was written before job ids became log ordinals: its jobs drew their ids from per-shard blocks of 64, so its n-th record is not job n and replaying it would dedupe the wrong jobs; it is left untouched — start jobd stores fresh", name))
@@ -264,16 +273,40 @@ func (l *descLog) commit() error {
 		if end < l.size {
 			l.cells = append(l.cells, 0)
 		}
-		err = l.b.WriteAcked(l.cur, l.cells)
+		if err = l.scrub(l.cur + len(l.cells)); err == nil {
+			err = l.b.WriteAcked(l.cur, l.cells)
+		}
 	}
 	if err == nil {
 		l.cur = end
+	} else {
+		l.clean = l.cur // a failed write may have landed some of its cells
 	}
 	l.err, l.cells = nil, l.cells[:0]
 	if cap(l.cells) > scanWindow {
 		l.cells = nil // a burst's buffer is not an idle server's to keep
 	}
 	return err
+}
+
+// scrub makes sure cells [cur, end) hold zeros before a commit writes
+// there. It reads ahead of what it read before, a window at a time, and
+// zeroes a window holding what a commit that died torn left there in an
+// acked write of its own. Behind an acked commit it finds zeros only.
+func (l *descLog) scrub(end int) error {
+	for l.clean = max(l.clean, l.cur); l.clean < end; l.clean += len(l.ahead) {
+		l.ahead = slices.Grow(l.ahead[:0], scanWindow)[:min(scanWindow, l.size-l.clean)]
+		if err := l.b.ReadRange(l.clean, l.ahead); err != nil {
+			return err
+		}
+		if slices.ContainsFunc(l.ahead, func(v int64) bool { return v != 0 }) {
+			clear(l.ahead)
+			if err := l.b.WriteAcked(l.clean, l.ahead); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func (l *descLog) close() error {

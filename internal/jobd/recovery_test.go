@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,6 +67,63 @@ func lossyLog(t *testing.T) (*descLog, *memtest.Lossy, string) {
 		t.Fatal(err)
 	}
 	return l, lossyStore(t.Name(), testLogCells), "lossy:" + t.Name()
+}
+
+// hostLog opens a fresh log over a one-store host that dies at its at-th
+// acked write, the log magic the first, landing the cells tear keeps.
+func hostLog(t *testing.T, at int, tear func(i, n int) bool) (*descLog, *memtest.Host) {
+	t.Helper()
+	st := memtest.NewLossy(testLogCells)
+	h := memtest.NewHost(at, tear, st)
+	l, _, err := openDescLog(st, "the log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, h
+}
+
+// dieCommitting commits what l staged, on a goroutine: l's host dies in
+// that write. It returns the store the death leaves, opened as a log; the
+// torn commit returns at the burial, when the test ends.
+func dieCommitting(t *testing.T, l *descLog, h *memtest.Host) (*descLog, []job, *memtest.Lossy) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- l.commit() }()
+	select {
+	case <-h.Dead():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the host did not die in the commit")
+	}
+	t.Cleanup(func() { h.Bury(); <-done })
+	st := h.Death().Stores[0]
+	l, recs, err := openDescLog(st, "the log")
+	if err != nil {
+		t.Fatalf("the log does not reopen after the torn commit: %v", err)
+	}
+	return l, recs, st
+}
+
+// copyStore is a new store holding what st holds.
+func copyStore(st *memtest.Lossy) *memtest.Lossy {
+	cells := make([]int64, st.Size())
+	st.ReadRange(0, cells)
+	cp := memtest.NewLossy(len(cells))
+	cp.WriteAcked(0, cells)
+	return cp
+}
+
+// crashReopen crashes st, the store under l, and opens the log again.
+func crashReopen(t *testing.T, l *descLog, st *memtest.Lossy) (*descLog, []job) {
+	t.Helper()
+	st.Crash()
+	if err := l.close(); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err := openDescLog(st, "the log")
+	if err != nil {
+		t.Fatalf("the log does not reopen: %v", err)
+	}
+	return l, recs
 }
 
 // lossySpec names a fresh family of lossy stores after the test, for a
@@ -135,23 +193,22 @@ func TestDescLogRoundTrip(t *testing.T) {
 // whose header cell did not (a crash inside the commit's one write) is
 // invisible to the scan and gets overwritten by the next append.
 func TestDescLogTornTail(t *testing.T) {
-	l, st, spec := lossyLog(t)
+	l, h := hostLog(t, 3, func(i, n int) bool { return i != 0 })
 	if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	at := l.cur
-	st.Keep = func(addr int) bool { return addr != at }
-	if err := l.append(&desc{tenant: "torn", task: "t", version: 1, payload: []byte("gAsGarbA")}); err != nil {
-		t.Fatal(err)
-	}
-	st.Crash()
-	l2, recs := reopenLog(t, l, spec)
-	defer l2.close()
+	l.stage(&desc{tenant: "torn", task: "t", version: 1, payload: []byte("gAsGarbA")})
+	l2, recs, st := dieCommitting(t, l, h)
 	if len(recs) != 1 {
 		t.Fatalf("scan found %d records, want 1 (torn tail must be invisible)", len(recs))
 	}
 	if err := l2.append(&desc{tenant: "b", task: "t", version: 1}); err != nil {
 		t.Fatal(err)
+	}
+	l2, recs = crashReopen(t, l2, st)
+	defer l2.close()
+	if len(recs) != 2 || recs[1].tenant != "b" {
+		t.Fatalf("after the next append the log holds %d records %+v, want the first and b", len(recs), recs)
 	}
 }
 
@@ -187,7 +244,9 @@ func TestCommittedTickSurvivesHostCrash(t *testing.T) {
 // to exactly the records that are whole with every record before them —
 // a prefix of the tick, never a hole, never a phantom — and a shorter
 // tick committed next is recovered exactly: the zero cell that ends it
-// rode in its write, ahead of whatever the torn tick left behind.
+// rode in its write, ahead of whatever the torn tick left behind. The
+// tear sees cell i of the write's n; the page it loses is placed from the
+// tick's first cell, start.
 func TestTornTickReopensToPrefix(t *testing.T) {
 	// No cell of these records is zero, so a lost cell is a damaged record.
 	tick := []desc{
@@ -213,14 +272,14 @@ func TestTornTickReopensToPrefix(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			l, st, spec := lossyLog(t)
+			// The magic, the first record, then the tick.
+			l, h := hostLog(t, 3, func(i, n int) bool { return v.keep(start + i) })
 			if err := l.append(&first); err != nil {
 				t.Fatal(err)
 			}
 			if l.cur != start {
 				t.Fatalf("the tick starts at cell %d, the variants assume %d", l.cur, start)
 			}
-			st.Keep = v.keep
 			want, whole := 1, true
 			for i, at := 0, start; i < len(tick); i++ {
 				l.stage(&tick[i])
@@ -231,11 +290,7 @@ func TestTornTickReopensToPrefix(t *testing.T) {
 					want++
 				}
 			}
-			if err := l.commit(); err != nil {
-				t.Fatal(err)
-			}
-			st.Crash()
-			l, recs := reopenLog(t, l, spec)
+			l, recs, st := dieCommitting(t, l, h)
 			if len(recs) != want {
 				t.Fatalf("reopened to %d records, want %d", len(recs), want)
 			}
@@ -248,8 +303,7 @@ func TestTornTickReopensToPrefix(t *testing.T) {
 			if err := l.append(&short); err != nil {
 				t.Fatal(err)
 			}
-			st.Crash()
-			l, recs = reopenLog(t, l, spec)
+			l, recs = crashReopen(t, l, st)
 			defer l.close()
 			if len(recs) != want+1 || !sameDesc(&recs[want], &short) {
 				t.Fatalf("after a shorter tick over the torn one: %d records, want %d ending in the short one", len(recs), want+1)
@@ -662,25 +716,19 @@ func reopenLog(t *testing.T, l *descLog, spec string) (*descLog, []job) {
 // refuse the store (or, for a crafted payload, replay a phantom
 // descriptor that shifted every later id).
 func TestTornLongThenShorterAppend(t *testing.T) {
-	l, st, spec := lossyLog(t)
+	l, h := hostLog(t, 3, func(i, n int) bool { return i != 0 })
 	if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
 		t.Fatal(err)
 	}
-	at := l.cur
-	st.Keep = func(addr int) bool { return addr != at }
-	if err := l.append(&desc{tenant: "a", task: "t", version: 1, payload: bytes.Repeat([]byte{0xab}, 800)}); err != nil {
-		t.Fatal(err)
-	}
-	st.Crash()
-	l, recs := reopenLog(t, l, spec)
+	l.stage(&desc{tenant: "a", task: "t", version: 1, payload: bytes.Repeat([]byte{0xab}, 800)})
+	l, recs, st := dieCommitting(t, l, h)
 	if len(recs) != 1 {
 		t.Fatalf("scan found %d records after the torn append, want 1", len(recs))
 	}
 	if err := l.append(&desc{tenant: "b", task: "t", version: 1, payload: []byte("short")}); err != nil {
 		t.Fatal(err)
 	}
-	st.Crash()
-	l, recs = reopenLog(t, l, spec)
+	l, recs = crashReopen(t, l, st)
 	defer l.close()
 	if len(recs) != 2 || recs[1].tenant != "b" || string(recs[1].payload) != "short" {
 		t.Fatalf("scan found %d records %+v, want the first and the short one", len(recs), recs)
@@ -699,36 +747,104 @@ func TestTornTickInvisible(t *testing.T) {
 	// record, exactly on its second header, and inside its third record.
 	for _, short := range []int{0, 45, 200} {
 		t.Run(fmt.Sprint(short), func(t *testing.T) {
-			l, st, spec := lossyLog(t)
+			l, h := hostLog(t, 3, func(i, n int) bool { return i != 0 })
 			if err := l.append(&desc{tenant: "a", task: "t", version: 1}); err != nil {
 				t.Fatal(err)
 			}
 			at := l.cur
-			st.Keep = func(addr int) bool { return addr != at }
 			for i := 0; i < 5; i++ {
 				l.stage(&tornRec)
 			}
-			if err := l.commit(); err != nil {
-				t.Fatal(err)
-			}
-			st.Crash()
+			l, recs, st := dieCommitting(t, l, h)
 			if hdr := uint64(st.Read(at + recCells(tornRec.encodedLen()))); hdr>>56 != recTag {
 				t.Fatalf("the torn tick's second header is %#x: the test does not build the state it describes", hdr)
 			}
-			l, recs := reopenLog(t, l, spec)
 			if len(recs) != 1 {
 				t.Fatalf("scan found %d records, want 1: the torn tick must be invisible", len(recs))
 			}
 			if err := l.append(&desc{tenant: "b", task: "t", version: 1, payload: make([]byte, short)}); err != nil {
 				t.Fatal(err)
 			}
-			st.Crash()
-			l, recs = reopenLog(t, l, spec)
+			l, recs = crashReopen(t, l, st)
 			defer l.close()
 			if len(recs) != 2 || recs[1].tenant != "b" || len(recs[1].payload) != short {
 				t.Fatalf("scan found %d records, want 2 (phantoms from the torn tick's records?)", len(recs))
 			}
 		})
+	}
+}
+
+// TestTornTwiceOverStaleCells, ROADMAP item 1(a): two deaths in a row. A
+// long tick dies torn, its first header lost and the rest of it left
+// behind the cursor. The successor commits a shorter tick over those
+// stale cells, and its commit dies torn: it loses the 16-cell page that
+// holds the short tick's second header, a page that held the long tick's
+// body. The third incarnation reopens without refusal to the committed
+// record and the prefix of the short tick that landed whole: no stale
+// cell is read as a header, no stale record sits between committed ones.
+func TestTornTwiceOverStaleCells(t *testing.T) {
+	first := desc{tenant: "first", task: "t", version: 1}
+	long := []desc{
+		{tenant: "long", task: "t", version: 1, payload: bytes.Repeat([]byte{0xab}, 120)},
+		{tenant: "long", task: "t", version: 1, payload: bytes.Repeat([]byte{0xac}, 120)},
+	}
+	short := []desc{
+		{tenant: "s0", task: "t", version: 1, payload: bytes.Repeat([]byte{0xb0}, 48)},
+		{tenant: "s1", task: "t", version: 1, payload: bytes.Repeat([]byte{0xb1}, 40)},
+	}
+	start := 1 + recCells(first.encodedLen())
+	second := start + recCells(short[0].encodedLen()) // the short tick's second header
+	lostPage := second / 16
+	if start/16 == lostPage {
+		t.Fatalf("the short tick's first record shares page %d with its second header: the test does not build the state it describes", lostPage)
+	}
+
+	l, h := hostLog(t, 3, func(i, n int) bool { return i != 0 })
+	if err := l.append(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := range long {
+		l.stage(&long[i])
+	}
+	l, recs, st := dieCommitting(t, l, h)
+	if len(recs) != 1 {
+		t.Fatalf("after the first death the log holds %d records, want 1", len(recs))
+	}
+	if c := st.Read(second); c == 0 || uint64(c)>>56 == recTag {
+		t.Fatalf("cell %d holds %#x, not a stale body cell: the test does not build the state it describes", second, c)
+	}
+
+	// Which of the successor's acked writes is its commit: a dry run on a
+	// copy of its store finds the write of the short tick's cells.
+	commit := 1
+	for i := range short {
+		commit += recCells(short[i].encodedLen())
+	}
+	cp := copyStore(st)
+	dry := memtest.NewHost(0, nil, cp)
+	dl, _, err := openDescLog(cp, "the copy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range short {
+		dl.stage(&short[i])
+	}
+	if err := dl.commit(); err != nil {
+		t.Fatal(err)
+	}
+	at := slices.Index(dry.Writes(), commit) + 1
+
+	h = memtest.NewHost(at, func(i, n int) bool { return (start+i)/16 != lostPage }, st)
+	for i := range short {
+		l.stage(&short[i])
+	}
+	l, recs, _ = dieCommitting(t, l, h)
+	defer l.close()
+	if d := h.Death(); d.Addr != start {
+		t.Fatalf("the second death was in a write at cell %d, want the short tick's commit at %d", d.Addr, start)
+	}
+	if len(recs) != 2 || !sameDesc(&recs[0], &first) || !sameDesc(&recs[1], &short[0]) {
+		t.Fatalf("the third incarnation reopened to %d records %+v, want the committed one and the short tick's first", len(recs), recs)
 	}
 }
 

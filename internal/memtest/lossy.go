@@ -17,10 +17,6 @@ type Lossy struct {
 	reopened    bool
 	n           Counts
 	host        *Host
-	// Keep, when set, tears the acked writes that follow: only the cells
-	// at addresses it accepts reach the disk. The write still succeeds;
-	// the test crashes the store before anything depends on it.
-	Keep func(addr int) bool
 	// Hook, when set, sees each acked write before any cell lands; an
 	// error fails the write whole, as a fenced store does.
 	Hook func(addr int, vals []int64) error
@@ -43,7 +39,7 @@ func (l *Lossy) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	copy(l.cache, l.disk)
-	l.reopened, l.Keep, l.n = true, nil, Counts{}
+	l.reopened, l.n = true, Counts{}
 }
 
 func (l *Lossy) Counts() Counts {
@@ -84,12 +80,12 @@ func (l *Lossy) WriteAcked(addr int, vals []int64) error {
 }
 
 // writeAcked applies an acked write, l.mu held: every cell to the cache,
-// and to the disk those that tear (nil: all) and Keep accept.
+// and to the disk those that tear keeps (nil: all).
 func (l *Lossy) writeAcked(addr int, vals []int64, tear func(i, n int) bool) {
 	l.n.Writes += len(vals)
 	copy(l.cache[addr:], vals)
 	for i, v := range vals {
-		if (tear == nil || tear(i, len(vals))) && (l.Keep == nil || l.Keep(addr+i)) {
+		if tear == nil || tear(i, len(vals)) {
 			l.disk[addr+i] = v
 		}
 	}
@@ -137,6 +133,24 @@ type Host struct {
 	died         bool
 	dead, buried chan struct{}
 	death        Death
+}
+
+// Phases are how far a host's fatal write gets, by the cells (i of n) its
+// tear lands; it is acked only without one. So none is before the write,
+// first, last, every other and all are torn, and acked is acked. A crash
+// table runs a phase on writes of at least Cells cells: on one cell a torn
+// write lands all.
+var Phases = []struct {
+	Name  string
+	Tear  func(i, n int) bool
+	Cells int
+}{
+	{"none", func(i, n int) bool { return false }, 1},
+	{"first", func(i, n int) bool { return i == 0 }, 2},
+	{"last", func(i, n int) bool { return i == n-1 }, 2},
+	{"every other", func(i, n int) bool { return i%2 == 0 }, 2},
+	{"all", func(i, n int) bool { return true }, 1},
+	{"acked", nil, 1},
 }
 
 // Death is how a host died: in a write to its Store-th store at cell

@@ -41,22 +41,29 @@ func TestLossySuite(t *testing.T) {
 }
 
 // TestLossyCrash: plain writes die with the cache, acked cells survive,
-// and of a torn acked write exactly the kept cells do.
+// and of a torn write exactly the cells its tear keeps do — in the store
+// a host's death leaves its successor as in the dead store crashed.
 func TestLossyCrash(t *testing.T) {
 	l := NewLossy(8)
+	h := NewHost(2, func(i, n int) bool { return i != 1 }, l)
 	l.Write(0, 1)
 	l.WriteAcked(1, []int64{2, 3})
-	l.Keep = func(addr int) bool { return addr != 5 }
-	l.WriteAcked(4, []int64{5, 6, 7})
+	torn := make(chan error)
+	go func() { torn <- l.WriteAcked(4, []int64{5, 6, 7}) }()
+	succ := h.Death().Stores[0]
 	got := make([]int64, 8)
 	if l.ReadRange(0, got); got[0] != 1 || got[5] != 6 || l.Reopened() {
 		t.Fatalf("before the crash the writer reads %v (reopened %v), want its own writes", got, l.Reopened())
 	}
 	l.Crash()
-	l.ReadRange(0, got)
-	if want := [8]int64{0, 2, 3, 0, 5, 0, 7, 0}; [8]int64(got) != want || !l.Reopened() {
-		t.Fatalf("after the crash the store holds %v (reopened %v), want %v", got, l.Reopened(), want)
+	want := [8]int64{0, 2, 3, 0, 5, 0, 7, 0}
+	for _, st := range []*Lossy{succ, l} {
+		if st.ReadRange(0, got); [8]int64(got) != want || !st.Reopened() {
+			t.Fatalf("after the crash the store holds %v (reopened %v), want %v", got, st.Reopened(), want)
+		}
 	}
+	h.Bury()
+	<-torn
 }
 
 // TestLossyDiesOnCue: a host dies at its at-th acked write, counted
