@@ -8,7 +8,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"atmostonce/internal/membackend"
 	"atmostonce/internal/memtest"
 	"atmostonce/internal/obs/eventlog"
 )
@@ -212,7 +211,7 @@ func TestDurableJournalBatchOneAllocs(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/batch%d", backend, jb), func(t *testing.T) {
 				cfg := Config{
 					Shards: 1, WorkersPerShard: 2, MaxBatch: 256, MaxJobs: allocCycles * jobs, JournalBatch: jb,
-					newMem: perShard(func(_, size int) (membackend.Backend, error) { return memtest.NewLossy(size), nil }),
+					newMem: perShard(func(_, size int) *memtest.Lossy { return memtest.NewLossy(size) }),
 				}
 				if backend == "mmap" {
 					cfg.newMem, cfg.Backend = nil, "mmap:"+filepath.Join(t.TempDir(), "regs")
@@ -293,7 +292,7 @@ func TestRunnerBatchAllocs(t *testing.T) {
 			if jb > 0 {
 				name = fmt.Sprintf("n%d/counting_batch%d", n, jb)
 				cfg.MaxJobs, cfg.JournalBatch = allocCycles*calls*n, jb
-				cfg.newMem = perShard(func(_, size int) (membackend.Backend, error) { return memtest.NewLossy(size), nil })
+				cfg.newMem = perShard(func(_, size int) *memtest.Lossy { return memtest.NewLossy(size) })
 			}
 			t.Run(name, func(t *testing.T) {
 				before := r.resolved.Load()

@@ -19,19 +19,66 @@ import (
 )
 
 // clientRequests sums the netmem client's per-op request counters, and
-// separately the ops that read registers.
-func clientRequests() (total, reads uint64) {
+// separately the ops that read registers; byOp is each op's count.
+func clientRequests() (total, reads uint64, byOp map[string]uint64) {
+	byOp = map[string]uint64{}
 	for k, v := range obs.Default.Snapshot() {
-		if !strings.HasPrefix(k, "amo_netmem_client_requests_total{") {
+		op, ok := strings.CutPrefix(k, `amo_netmem_client_requests_total{op="`)
+		if !ok {
 			continue
 		}
 		n := v.(uint64)
 		total += n
+		byOp[strings.TrimSuffix(op, `"}`)] = n
 		if strings.Contains(k, `op="read"`) || strings.Contains(k, `op="read_range"`) {
 			reads += n
 		}
 	}
-	return total, reads
+	return total, reads, byOp
+}
+
+// TestNetOpenIsOneFlight: a net: dispatcher opens in its session's one
+// flight. A fresh 2-shard New sends a hello and an acquire a shard and
+// nothing else — the hello stamps each fingerprint, so no acked write
+// precedes the first flush — and a reopen adds the journal rows' ranged
+// reads and no read of cell 0, whose fingerprint the hello reported.
+func TestNetOpenIsOneFlight(t *testing.T) {
+	srv := netmem.NewServer(netmem.ServerOptions{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cfg := Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 64, MaxJobs: 100,
+		Backend: fmt.Sprintf("net:%s/open-%d", addr, time.Now().UnixNano())}
+	open := func(what string, want map[string]uint64) *Dispatcher {
+		t.Helper()
+		_, _, before := clientRequests()
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, after := clientRequests()
+		for op, n := range after {
+			if got := n - before[op]; got != want[op] {
+				t.Errorf("%s: %d %s requests, want %d (all: %v)", what, got, op, want[op], want)
+			}
+		}
+		return d
+	}
+	d := open("fresh New", map[string]uint64{"hello": 2, "acquire": 2})
+	if _, err := d.Do(context.Background(), bare(func() {})); err != nil {
+		t.Fatal(err)
+	}
+	d.Flush()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rows := uint64(cfg.Shards * cfg.WorkersPerShard) // a row of 2 words is one ranged read
+	d = open("reopening New", map[string]uint64{"hello": 2, "acquire": 2, "read_range": rows})
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDurableRoundSendsNoRegisterTraffic pins what a durable shard may
@@ -76,9 +123,9 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 			var stores []*memtest.Lossy
 			stream(t, Config{
 				JournalBatch: jb,
-				newMem: perShard(func(shard, size int) (membackend.Backend, error) {
+				newMem: perShard(func(shard, size int) *memtest.Lossy {
 					stores = append(stores, memtest.NewLossy(size))
-					return stores[shard], nil
+					return stores[shard]
 				}),
 			})
 			var reads, writes int
@@ -104,14 +151,14 @@ func TestDurableRoundSendsNoRegisterTraffic(t *testing.T) {
 		defer srv.Close()
 		const jb, ttl = 16, 500 * time.Millisecond // netFactory's lease
 		t0 := time.Now()
-		req0, reads0 := clientRequests()
+		req0, reads0, _ := clientRequests()
 		st := stream(t, Config{
 			JournalBatch: jb,
 			newMem:       netFactory(addr, fmt.Sprintf("traffic-%d", t0.UnixNano()), nil),
 		})
-		req1, reads1 := clientRequests()
+		req1, reads1, _ := clientRequests()
 		// Full claims, at most one short claim per worker per round, the
-		// fingerprint write, and a lease renew every ttl/3 per client.
+		// open, and a lease renew every ttl/3 per client.
 		renews := shards * (int(time.Since(t0)/(ttl/3)) + 1)
 		bound := uint64(jobs/jb + workers*int(st.Rounds) + shards + renews)
 		if got := req1 - req0; got > bound {
@@ -179,7 +226,7 @@ func TestParentLayoutRefused(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "regs.shard0")
-			b, err := membackend.OpenMmap(path, tc.size)
+			b, err := membackend.OpenMmap(path, tc.size, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +268,7 @@ func TestParentLayoutRefused(t *testing.T) {
 			ns := fmt.Sprintf("old-%d", time.Now().UnixNano())
 			cells := func() []int64 {
 				t.Helper()
-				bs, err := netFactory(addr, ns, nil)(1, tc.size)
+				bs, _, err := netFactory(addr, ns, nil)(tc.size, shard0)
 				if err != nil {
 					t.Fatal(err)
 				}

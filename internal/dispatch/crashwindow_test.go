@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"atmostonce/internal/membackend"
 	"atmostonce/internal/memtest"
 )
 
@@ -84,7 +83,7 @@ func crashRun(t *testing.T, jb, at int, tear func(i, n int) bool) *crashIncarnat
 		stores = append(stores, memtest.NewLossy(jmetaCells+crashWorkers*crashWords))
 	}
 	r.host = memtest.NewHost(at, tear, stores...)
-	cfg := crashConfig(jb, func(shard int) membackend.Backend { return stores[shard] })
+	cfg := crashConfig(jb, stores)
 	done := make(chan error, 1)
 	go func() {
 		d, err := New(cfg)
@@ -126,9 +125,9 @@ func crashRun(t *testing.T, jb, at int, tear func(i, n int) bool) *crashIncarnat
 	return r
 }
 
-func crashConfig(jb int, store func(shard int) membackend.Backend) Config {
+func crashConfig(jb int, stores []*memtest.Lossy) Config {
 	return Config{Shards: crashShards, WorkersPerShard: crashWorkers, MaxBatch: 64, MaxJobs: crashJobs, JournalBatch: jb,
-		newMem: perShard(func(shard, _ int) (membackend.Backend, error) { return store(shard), nil })}
+		newMem: perShard(func(shard, _ int) *memtest.Lossy { return stores[shard] })}
 }
 
 func crashWindow(t *testing.T, jb, at int, tear func(i, n int) bool) {
@@ -198,7 +197,7 @@ func crashWindow(t *testing.T, jb, at int, tear func(i, n int) bool) {
 	}
 
 	// The successor: the stores as the crash left them, the same stream.
-	d, err := New(crashConfig(jb, func(shard int) membackend.Backend { return succ[shard] }))
+	d, err := New(crashConfig(jb, succ))
 	if err != nil {
 		t.Fatalf("the stores do not reopen: %v", err)
 	}

@@ -142,9 +142,9 @@ type Config struct {
 	TraceSampleRate float64
 
 	// newMem opens the journal stores of all shards, size cells each,
-	// store s shard s's. normalize sets it from Backend; a test sets it to
-	// substitute stores (it wins).
-	newMem func(shards, size int) ([]membackend.Backend, error)
+	// store s shard s's, as membackend.OpenEach opens insts. normalize
+	// sets it from Backend; a test sets it to substitute stores (it wins).
+	newMem func(size int, insts []membackend.Instance) ([]membackend.Backend, []int64, error)
 }
 
 // Recovery. A dispatcher over durable backends journals every performed
@@ -222,12 +222,8 @@ func (c *Config) normalize() error {
 	// call: a volatile spec has no successor to record for, so it gets none.
 	if c.newMem == nil && !membackend.Volatile(c.Backend) {
 		spec := c.Backend
-		c.newMem = func(shards, size int) ([]membackend.Backend, error) {
-			suffixes := make([]string, shards)
-			for i := range suffixes {
-				suffixes[i] = fmt.Sprintf(".shard%d", i)
-			}
-			return membackend.OpenEach(spec, size, suffixes...)
+		c.newMem = func(size int, insts []membackend.Instance) ([]membackend.Backend, []int64, error) {
+			return membackend.OpenEach(spec, size, insts...)
 		}
 	}
 	switch {
@@ -340,18 +336,18 @@ func New(cfg Config) (*Dispatcher, error) {
 	d.cond = sync.NewCond(&d.mu)
 	d.shards = make([]*shard, cfg.Shards)
 	d.setupObs()
-	stores := make([]membackend.Backend, cfg.Shards)
+	stores, cell0 := make([]membackend.Backend, cfg.Shards), make([]int64, cfg.Shards)
 	if cfg.newMem != nil {
 		size := journalCells(&cfg)
 		var err error
-		if stores, err = cfg.newMem(cfg.Shards, size); err != nil {
+		if stores, cell0, err = cfg.newMem(size, journalStores(&cfg)); err != nil {
 			// The commonest way to get here with stores that exist is a size
 			// the backend refuses, so the refusal names the layout.
 			return nil, fmt.Errorf("dispatch: shard backends (%d cells each): %w; %s", size, err, layoutChange)
 		}
 	}
 	for i := range d.shards {
-		s, err := newShard(d, i, stores[i])
+		s, err := newShard(d, i, stores[i], cell0[i])
 		if err != nil {
 			for _, prev := range d.shards[:i] {
 				prev.stop()

@@ -57,10 +57,21 @@ const layoutChange = "layout " + layoutVersion + " keeps each worker's journal r
 // is included even though it does not shape this file: reopening a
 // 2-shard register-file set with Shards=1 would silently ignore shard
 // 1's journal and re-execute its jobs, so any shape change is refused.
-func fingerprint(shard, shards, m, maxBatch, maxJobs int) int64 {
+func fingerprint(shard int, cfg *Config) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, layoutVersion+"/%d of %d/%d/%d/%d", shard, shards, m, maxBatch, maxJobs)
+	fmt.Fprintf(h, layoutVersion+"/%d of %d/%d/%d/%d", shard, cfg.Shards, cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs)
 	return int64(h.Sum64() >> 1) // keep it positive and distinct from the empty cell
+}
+
+// journalStores is what New asks newMem for: shard i's store is the
+// spec's instance .shard<i>, stamped with its fingerprint when the open
+// creates it.
+func journalStores(cfg *Config) []membackend.Instance {
+	insts := make([]membackend.Instance, cfg.Shards)
+	for i := range insts {
+		insts[i] = membackend.Instance{Suffix: fmt.Sprintf(".shard%d", i), Stamp: fingerprint(i, cfg)}
+	}
+	return insts
 }
 
 // jrow returns the first cell of worker p's journal row (p 1-based).
@@ -71,11 +82,12 @@ func (s *shard) jrow(p int) int { return jmetaCells + (p-1)*s.jwords }
 // stays clear).
 func journalCells(cfg *Config) int { return jmetaCells + cfg.WorkersPerShard*(cfg.MaxJobs/64+1) }
 
-// openDurable takes b as the shard's store, validates or initializes its
-// metadata and, when the store holds pre-crash state, recovers it: the
-// journal rows are ORed into d.recovered. On an error b is closed.
-func (s *shard) openDurable(cfg *Config, b membackend.Backend) error {
-	m, maxBatch, maxJobs := cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs
+// openDurable takes b as the shard's store, whose cell 0 held cell0 at
+// open, validates it and, when the store holds pre-crash state, recovers
+// it: the journal rows are ORed into d.recovered. On an error b is
+// closed.
+func (s *shard) openDurable(cfg *Config, b membackend.Backend, cell0 int64) error {
+	m, maxJobs := cfg.WorkersPerShard, cfg.MaxJobs
 	s.jwords = maxJobs/64 + 1
 	size := journalCells(cfg)
 	if b.Size() < size {
@@ -94,58 +106,55 @@ func (s *shard) openDurable(cfg *Config, b membackend.Backend) error {
 		s.claims[p].written = make([]uint64, s.jwords/pageWords/64+1)
 	}
 
-	fp := fingerprint(s.id, cfg.Shards, m, maxBatch, maxJobs)
-	fresh := !b.Reopened()
-	if !fresh {
-		chunk := make([]int64, min(scanChunk, s.jwords))
-		if err := b.ReadRange(0, chunk[:1]); err != nil {
-			b.Close()
-			return fmt.Errorf("dispatch: shard %d fingerprint read: %w", s.id, err)
-		}
-		got := chunk[0]
-		if got == fp || got == 0 {
-			scan0 := time.Now()
-			eventlog.Logger().Debug("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
-			s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
-			before := s.d.recovered.Len()
-			words := make([]uint64, len(chunk))
-			for p := 1; p <= m; p++ {
-				if err := s.scanJournalRow(p, chunk, words); err != nil {
-					b.Close()
-					eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
-					return fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
-				}
-			}
-			if s.d.recoveryHist != nil {
-				s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
-			}
-			// An id is journaled once, in one row of one shard, so the set's
-			// growth is this shard's count.
-			eventlog.Logger().Debug("dispatch_recovery_scan_end",
-				"shard", s.id, "recovered", s.d.recovered.Len()-before, "dur", time.Since(scan0))
-		}
-		// No row is written before the fingerprint is acked, so a store
-		// without one holds zeros only — its creator died in between, and
-		// it opens fresh — or is another writer's.
-		fresh = got == 0
-		for p := range s.claims {
-			fresh = fresh && slices.Max(s.claims[p].written) == 0
-		}
-		if got != fp && !fresh {
-			b.Close()
-			eventlog.Logger().Error("dispatch_fingerprint_mismatch",
-				"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
-			return fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/WorkersPerShard/MaxBatch/MaxJobs or start from a fresh file; %s",
-				s.id, got, fp, layoutChange)
-		}
+	// The opener stamped a store it created: only a reopened one is read.
+	if !b.Reopened() {
+		return nil
 	}
-	if fresh {
-		// Acked at creation: a journal row need share no page with cell 0,
-		// so no later flush would carry the fingerprint to the store.
-		if err := b.WriteAcked(0, []int64{fp}); err != nil {
-			b.Close()
-			return fmt.Errorf("dispatch: shard %d fingerprint write: %w", s.id, err)
+	fp, got := fingerprint(s.id, cfg), cell0
+	if got == fp || got == 0 {
+		scan0 := time.Now()
+		eventlog.Logger().Debug("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
+		s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
+		before := s.d.recovered.Len()
+		chunk := make([]int64, min(scanChunk, s.jwords))
+		words := make([]uint64, len(chunk))
+		for p := 1; p <= m; p++ {
+			if err := s.scanJournalRow(p, chunk, words); err != nil {
+				b.Close()
+				eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
+				return fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
+			}
 		}
+		if s.d.recoveryHist != nil {
+			s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
+		}
+		// An id is journaled once, in one row of one shard, so the set's
+		// growth is this shard's count.
+		eventlog.Logger().Debug("dispatch_recovery_scan_end",
+			"shard", s.id, "recovered", s.d.recovered.Len()-before, "dur", time.Since(scan0))
+	}
+	if got == fp {
+		return nil
+	}
+	// No row is written before the fingerprint is acked, so a store
+	// without one holds zeros only — its creator died in between, and it
+	// opens fresh, stamped here — or is another writer's.
+	fresh := got == 0
+	for p := range s.claims {
+		fresh = fresh && slices.Max(s.claims[p].written) == 0
+	}
+	if !fresh {
+		b.Close()
+		eventlog.Logger().Error("dispatch_fingerprint_mismatch",
+			"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
+		return fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/WorkersPerShard/MaxBatch/MaxJobs or start from a fresh file; %s",
+			s.id, got, fp, layoutChange)
+	}
+	// Acked: a journal row need share no page with cell 0, so no later
+	// flush would carry the fingerprint to the store.
+	if err := b.WriteAcked(0, []int64{fp}); err != nil {
+		b.Close()
+		return fmt.Errorf("dispatch: shard %d fingerprint write: %w", s.id, err)
 	}
 	return nil
 }

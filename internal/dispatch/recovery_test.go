@@ -17,16 +17,18 @@ import (
 	"atmostonce/internal/netmem"
 )
 
+// newMemFunc is the type of Config.newMem.
+type newMemFunc = func(size int, insts []membackend.Instance) ([]membackend.Backend, []int64, error)
+
+// shard0 is what New asks newMem for in a one-shard test's own open.
+var shard0 = []membackend.Instance{{Suffix: ".shard0"}}
+
 // mmapFactory returns a Config.newMem mapping each shard's register
 // file under dir, so successive dispatchers share durable state.
-func mmapFactory(dir string) func(shards, size int) ([]membackend.Backend, error) {
+func mmapFactory(dir string) newMemFunc {
 	spec := "mmap:" + filepath.Join(dir, "regs")
-	return func(shards, size int) ([]membackend.Backend, error) {
-		suffixes := make([]string, shards)
-		for i := range suffixes {
-			suffixes[i] = fmt.Sprintf(".shard%d", i)
-		}
-		return membackend.OpenEach(spec, size, suffixes...)
+	return func(size int, insts []membackend.Instance) ([]membackend.Backend, []int64, error) {
+		return membackend.OpenEach(spec, size, insts...)
 	}
 }
 
@@ -36,14 +38,13 @@ func mmapFactory(dir string) func(shards, size int) ([]membackend.Backend, error
 func onHost(t *testing.T, cfg Config, at int) (*Dispatcher, *memtest.Host) {
 	t.Helper()
 	var h *memtest.Host
-	cfg.newMem = func(shards, size int) ([]membackend.Backend, error) {
-		stores, bs := make([]*memtest.Lossy, shards), make([]membackend.Backend, shards)
+	cfg.newMem = func(size int, insts []membackend.Instance) ([]membackend.Backend, []int64, error) {
+		stores := make([]*memtest.Lossy, len(insts))
 		for i := range stores {
 			stores[i] = memtest.NewLossy(size)
-			bs[i] = stores[i]
 		}
 		h = memtest.NewHost(at, nil, stores...)
-		return bs, nil
+		return stamped(stores, insts)
 	}
 	d, err := New(cfg)
 	if err != nil {
@@ -67,23 +68,33 @@ func afterDeath(t *testing.T, cfg Config, h *memtest.Host) Config {
 		t.Fatal("the host did not die")
 	}
 	succ := h.Death().Stores
-	cfg.newMem = perShard(func(shard, _ int) (membackend.Backend, error) { return succ[shard], nil })
+	cfg.newMem = perShard(func(shard, _ int) *memtest.Lossy { return succ[shard] })
 	return cfg
 }
 
-// perShard makes a Config.newMem of an opener of one shard's store.
-func perShard(open func(shard, size int) (membackend.Backend, error)) func(shards, size int) ([]membackend.Backend, error) {
-	return func(shards, size int) ([]membackend.Backend, error) {
-		bs := make([]membackend.Backend, shards)
-		for i := range bs {
-			b, err := open(i, size)
-			if err != nil {
-				return nil, err
-			}
-			bs[i] = b
+// perShard makes a Config.newMem of a picker of one shard's store.
+func perShard(store func(shard, size int) *memtest.Lossy) newMemFunc {
+	return func(size int, insts []membackend.Instance) ([]membackend.Backend, []int64, error) {
+		stores := make([]*memtest.Lossy, len(insts))
+		for i := range stores {
+			stores[i] = store(i, size)
 		}
-		return bs, nil
+		return stamped(stores, insts)
 	}
+}
+
+// stamped opens stores as a backend kind's opener would open insts: a
+// fresh store gets its instance's stamp in one acked write.
+func stamped(stores []*memtest.Lossy, insts []membackend.Instance) ([]membackend.Backend, []int64, error) {
+	bs, cell0 := make([]membackend.Backend, len(stores)), make([]int64, len(stores))
+	for i, st := range stores {
+		var err error
+		if cell0[i], err = st.Stamp(insts[i].Stamp); err != nil {
+			return nil, nil, err
+		}
+		bs[i] = st
+	}
+	return bs, cell0, nil
 }
 
 func requireMmap(t *testing.T) {
@@ -297,11 +308,11 @@ func TestFreshFingerprintIsAcked(t *testing.T) {
 	var store *memtest.Lossy
 	cfg := Config{
 		Shards: 1, WorkersPerShard: 2, MaxBatch: 32, MaxJobs: 1024,
-		newMem: perShard(func(_, size int) (membackend.Backend, error) {
+		newMem: perShard(func(_, size int) *memtest.Lossy {
 			if store == nil {
 				store = memtest.NewLossy(size)
 			}
-			return store, nil
+			return store
 		}),
 	}
 	var runs atomic.Int64
@@ -412,7 +423,7 @@ func TestRecoveryRefusesForeignJournalCell(t *testing.T) {
 		}
 		// Corrupt one word in place, beside the journaled bit of id 1.
 		jwords := tc.maxJobs/64 + 1
-		bs, err := cfg.newMem(1, jmetaCells+2*jwords)
+		bs, _, err := cfg.newMem(jmetaCells+2*jwords, shard0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,9 +594,9 @@ func TestBackendSpec(t *testing.T) {
 	}
 	var asked []int
 	unused := filepath.Join(t.TempDir(), "unused")
-	open(Config{Backend: "mmap:" + unused, MaxJobs: 64, newMem: perShard(func(shard, size int) (membackend.Backend, error) {
+	open(Config{Backend: "mmap:" + unused, MaxJobs: 64, newMem: perShard(func(shard, size int) *memtest.Lossy {
 		asked = append(asked, shard)
-		return membackend.Open("atomic", size)
+		return memtest.NewLossy(size)
 	})})
 	if _, err := os.Stat(unused + ".shard0"); len(asked) != 2 || err == nil {
 		t.Errorf("a test store beside Backend: asked for shards %v, Backend's file opened: %v", asked, err == nil)
@@ -657,27 +668,32 @@ func reopenAfterJournalFull(t *testing.T, n int) {
 // one namespace per shard over one session, recording the clients so the
 // test can sever them (simulating process death, which releases nothing
 // until the lease is explicitly dropped or expires).
-func netFactory(addr, ns string, clients *[]*netmem.NetMem) func(shards, size int) ([]membackend.Backend, error) {
-	return func(shards, size int) ([]membackend.Backend, error) {
-		names := make([]string, shards)
-		for i := range names {
-			names[i] = fmt.Sprintf("%s.shard%d", ns, i)
+func netFactory(addr, ns string, clients *[]*netmem.NetMem) newMemFunc {
+	return func(size int, insts []membackend.Instance) ([]membackend.Backend, []int64, error) {
+		names, stamps := make([]string, len(insts)), make([]int64, len(insts))
+		for i, in := range insts {
+			names[i], stamps[i] = ns+in.Suffix, in.Stamp
 		}
-		ms, err := netmem.OpenSession(addr, names, size, netmem.Options{
+		ms, err := netmem.OpenSession(addr, names, stamps, size, netmem.Options{
 			LeaseTTL: 500 * time.Millisecond,
 			OnFatal:  func(error) {}, // a dead client shows up as errors, not a test-killing panic
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		bs := make([]membackend.Backend, shards)
+		bs, cell0 := make([]membackend.Backend, len(ms)), make([]int64, len(ms))
 		for i, m := range ms {
 			bs[i] = m
+			if m.Reopened() { // the hello's report is the net kind's to see
+				if err := m.ReadRange(0, cell0[i:i+1]); err != nil {
+					return nil, nil, err
+				}
+			}
 		}
 		if clients != nil {
 			*clients = append(*clients, ms...)
 		}
-		return bs, nil
+		return bs, cell0, nil
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 func shadowConfig(maxJobs int) (cfg Config, store *memtest.Lossy, reopen func()) {
 	store = memtest.NewLossy(jmetaCells + 2*(maxJobs/64+1))
 	cfg = Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 256, MaxJobs: maxJobs, JournalBatch: 16,
-		newMem: perShard(func(int, int) (membackend.Backend, error) { return store, nil })}
+		newMem: perShard(func(int, int) *memtest.Lossy { return store })}
 	return cfg, store, store.Crash
 }
 
@@ -148,8 +148,8 @@ func TestShadowAfterReopen(t *testing.T) {
 	// Ids 1..64 resolve Recovered; 65..127 and then 128..191 are claimed
 	// in the page the predecessor wrote.
 	scan, afterFirst, afterSecond := incarnation(n)
-	if want := 1 + cfg.WorkersPerShard; scan != want {
-		t.Errorf("New made %d ReadRange calls, want %d (the fingerprint and one per row)", scan, want)
+	if want := cfg.WorkersPerShard; scan != want {
+		t.Errorf("New made %d ReadRange calls, want %d (one per row: the opener reports the fingerprint)", scan, want)
 	}
 	if got := afterFirst - scan; got < 1 || got > cfg.WorkersPerShard {
 		t.Errorf("%d ReadRange calls for the first claims in a recovered page, want one per worker that claimed", got)

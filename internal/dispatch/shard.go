@@ -102,11 +102,12 @@ type shard struct {
 	expired []resolved // expired and cancelled jobs, resolved outside the lock
 }
 
-// newShard builds one shard over its journal store, b (nil: none). With
-// a store it also performs the recovery scan, adding the job ids a
+// newShard builds one shard over its journal store, b (nil: none), whose
+// cell 0 held cell0 at open. With a store it also performs the recovery
+// scan, adding the job ids a
 // previous process incarnation already performed to d.recovered; a shard
 // that fails closes b.
-func newShard(d *Dispatcher, id int, b membackend.Backend) (*shard, error) {
+func newShard(d *Dispatcher, id int, b membackend.Backend, cell0 int64) (*shard, error) {
 	s := &shard{
 		d:      d,
 		id:     id,
@@ -123,7 +124,7 @@ func newShard(d *Dispatcher, id int, b membackend.Backend) (*shard, error) {
 		Seed:     d.cfg.Seed + int64(id)*1_000_003,
 	}
 	if b != nil {
-		if err := s.openDurable(&d.cfg, b); err != nil {
+		if err := s.openDurable(&d.cfg, b, cell0); err != nil {
 			return nil, err
 		}
 		// Workers with an open claim buffer at the end of their step loop

@@ -205,7 +205,7 @@ func tickWindow(t *testing.T, jb, at int, tear func(i, n int) bool) {
 	// log, off a copy, and each worker's journal row, where DESIGN.md §7
 	// lays it out — after 8 cells of metadata, MaxJobs/64+1 words a
 	// worker, bit id of a word for job id.
-	_, recs, err := openDescLog(copyStore(death.Stores[2]), "the log")
+	_, recs, err := openLogOn(copyStore(death.Stores[2]), "the log")
 	if err != nil {
 		t.Fatalf("the log does not reopen: %v", err)
 	}

@@ -152,37 +152,39 @@ type descLog struct {
 }
 
 // openDescLog reads (or starts) the log in the open store b, which it
-// owns from here on, and returns it along with every committed record,
-// in order, as one slab of jobs (descriptor filled, the rest zero).
-// name is the store as a refusal names it. A corrupt record is fatal:
-// the log is the recovery oracle, and a hole in it would silently shift
-// replayed descriptors onto wrong ids.
-func openDescLog(b membackend.Backend, name string) (*descLog, []job, error) {
+// owns from here on and whose cell 0 held cell0 at open (its opener
+// stamped a store it created with logMagic), and returns it along with
+// every committed record, in order, as one slab of jobs (descriptor
+// filled, the rest zero). name is the store as a refusal names it. A
+// corrupt record is fatal: the log is the recovery oracle, and a hole in
+// it would silently shift replayed descriptors onto wrong ids.
+func openDescLog(b membackend.Backend, cell0 int64, name string) (*descLog, []job, error) {
 	l := &descLog{b: b, cur: 1, size: b.Size()}
 	fail := func(err error) (*descLog, []job, error) {
 		b.Close()
 		return nil, nil, err
 	}
 
-	fp := make([]int64, 1)
-	if err := b.ReadRange(0, fp); err != nil {
-		return fail(fmt.Errorf("jobd: read descriptor log: %w", err))
-	}
-	switch fp[0] {
-	case logMagic:
+	switch {
+	case cell0 == logMagic:
 		// Existing log; scan below.
-	case 0:
-		if err := b.WriteAcked(0, []int64{logMagic}); err != nil {
-			return fail(err)
+	case cell0 == 0:
+		// Created by its opener, which reports 0, or reopened after its
+		// creator died before the stamp landed: no commit comes before the
+		// magic, so it holds zeros only and there is nothing to scrub.
+		if b.Reopened() {
+			if err := b.WriteAcked(0, []int64{logMagic}); err != nil {
+				return fail(err)
+			}
 		}
-		l.clean = l.size // no commit ever wrote here: nothing to scrub
+		l.clean = l.size
 		return l, nil, nil
-	case logMagicBlocks:
+	case cell0 == logMagicBlocks:
 		return fail(fmt.Errorf("jobd: descriptor log %q was written before job ids became log ordinals: its jobs drew their ids from per-shard blocks of 64, so its n-th record is not job n and replaying it would dedupe the wrong jobs; it is left untouched — start jobd stores fresh", name))
-	case logMagicPlain:
+	case cell0 == logMagicPlain:
 		return fail(fmt.Errorf("jobd: descriptor log %q was written before record headers carried a check of their body: a committed header of its can sit over body cells that never reached the store; it is left untouched — start jobd stores fresh", name))
 	default:
-		return fail(fmt.Errorf("jobd: backend %q is not a descriptor log (fingerprint %#x)", name, fp[0]))
+		return fail(fmt.Errorf("jobd: backend %q is not a descriptor log (fingerprint %#x)", name, cell0))
 	}
 
 	// win holds log cells [base, base+len(win)); span returns the part of

@@ -40,22 +40,36 @@ func lossyStore(name string, size int) *memtest.Lossy {
 }
 
 func init() {
-	membackend.Register("lossy", func(arg string, suffixes []string, size int) ([]membackend.Backend, error) {
-		bs := make([]membackend.Backend, len(suffixes))
-		for i, sfx := range suffixes {
-			bs[i] = lossyStore(arg+sfx, size)
+	membackend.Register("lossy", func(arg string, insts []membackend.Instance, size int) ([]membackend.Backend, []int64, error) {
+		bs, cell0 := make([]membackend.Backend, len(insts)), make([]int64, len(insts))
+		for i, in := range insts {
+			st := lossyStore(arg+in.Suffix, size)
+			var err error
+			if cell0[i], err = st.Stamp(in.Stamp); err != nil {
+				return nil, nil, err
+			}
+			bs[i] = st
 		}
-		return bs, nil
+		return bs, cell0, nil
 	})
 }
 
 // openLog opens the store spec names and the descriptor log in it.
 func openLog(spec string, cells int) (*descLog, []job, error) {
-	b, err := membackend.Open(spec, cells)
+	bs, cell0, err := membackend.OpenEach(spec, cells, membackend.Instance{Stamp: logMagic})
 	if err != nil {
 		return nil, nil, err
 	}
-	return openDescLog(b, spec)
+	return openDescLog(bs[0], cell0[0], spec)
+}
+
+// openLogOn opens the descriptor log in st as its opener would.
+func openLogOn(st *memtest.Lossy, name string) (*descLog, []job, error) {
+	cell0, err := st.Stamp(logMagic)
+	if err != nil {
+		return nil, nil, err
+	}
+	return openDescLog(st, cell0, name)
 }
 
 // lossyLog opens a fresh log over a lossy store named after the test.
@@ -75,7 +89,7 @@ func hostLog(t *testing.T, at int, tear func(i, n int) bool) (*descLog, *memtest
 	t.Helper()
 	st := memtest.NewLossy(testLogCells)
 	h := memtest.NewHost(at, tear, st)
-	l, _, err := openDescLog(st, "the log")
+	l, _, err := openLogOn(st, "the log")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,19 +110,20 @@ func dieCommitting(t *testing.T, l *descLog, h *memtest.Host) (*descLog, []job, 
 	}
 	t.Cleanup(func() { h.Bury(); <-done })
 	st := h.Death().Stores[0]
-	l, recs, err := openDescLog(st, "the log")
+	l, recs, err := openLogOn(st, "the log")
 	if err != nil {
 		t.Fatalf("the log does not reopen after the torn commit: %v", err)
 	}
 	return l, recs, st
 }
 
-// copyStore is a new store holding what st holds.
+// copyStore is a new store holding what st holds, as a reopen finds it.
 func copyStore(st *memtest.Lossy) *memtest.Lossy {
 	cells := make([]int64, st.Size())
 	st.ReadRange(0, cells)
 	cp := memtest.NewLossy(len(cells))
 	cp.WriteAcked(0, cells)
+	cp.Crash()
 	return cp
 }
 
@@ -119,7 +134,7 @@ func crashReopen(t *testing.T, l *descLog, st *memtest.Lossy) (*descLog, []job) 
 	if err := l.close(); err != nil {
 		t.Fatal(err)
 	}
-	l, recs, err := openDescLog(st, "the log")
+	l, recs, err := openLogOn(st, "the log")
 	if err != nil {
 		t.Fatalf("the log does not reopen: %v", err)
 	}
@@ -822,7 +837,7 @@ func TestTornTwiceOverStaleCells(t *testing.T) {
 	}
 	cp := copyStore(st)
 	dry := memtest.NewHost(0, nil, cp)
-	dl, _, err := openDescLog(cp, "the copy")
+	dl, _, err := openLogOn(cp, "the copy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -978,8 +993,10 @@ func netmemRequests(op string) uint64 {
 // 2 000 one-record ticks of 1 KiB submissions, close, reopen and replay —
 // crosses the wire as acked writes and ranged reads only: not one
 // single-cell read or write request, one frame per log commit, and a
-// reopen that scans the log in windows, not cells. It logs what a tick
-// and the reopen cost on this machine's loopback.
+// reopen that scans the log in windows, not cells. The open is a hello
+// and an acquire for the shard and the same for the log, whose hellos
+// stamp what they create: no acked write. It logs what a tick and the
+// reopen cost on this machine's loopback.
 func TestJobdOverNet(t *testing.T) {
 	srv := netmem.NewServer(netmem.ServerOptions{})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -993,8 +1010,12 @@ func TestJobdOverNet(t *testing.T) {
 		Tenants: map[string]TenantLimits{"t": {}},
 	}
 	reads, writes, acked := netmemRequests("read"), netmemRequests("write"), netmemRequests("write_acked")
+	hellos, acquires := netmemRequests("hello"), netmemRequests("acquire")
 
 	s := steppedServer(t, o)
+	if h, a, w := netmemRequests("hello")-hellos, netmemRequests("acquire")-acquires, netmemRequests("write_acked")-acked; h != 2 || a != 2 || w != 0 {
+		t.Errorf("the open sent %d hellos, %d acquires and %d acked writes; want 2, 2 and 0: the shard's and the log's hello and acquire", h, a, w)
+	}
 	c := fakeConn(s)
 	payload := bytes.Repeat([]byte{0x5a}, 1024)
 	t0 := time.Now()
@@ -1005,8 +1026,8 @@ func TestJobdOverNet(t *testing.T) {
 	s.settle()
 	cells := s.log.cur
 	// One frame per tick for the log, at most one per job for the journal
-	// (JournalBatch 1), the two fingerprints.
-	if got := netmemRequests("write_acked") - acked; got < n || got > 2*n+2 {
+	// (JournalBatch 1).
+	if got := netmemRequests("write_acked") - acked; got < n || got > 2*n {
 		t.Errorf("%d acked-write requests for %d one-job ticks, want one per tick plus at most one per job", got, n)
 	}
 	s.shut(t)
@@ -1019,8 +1040,9 @@ func TestJobdOverNet(t *testing.T) {
 	if st := s2.d.Stats(); s2.replayed != n || st.Recovered != n || s2.reexecuted != 0 || st.Pending != 0 {
 		t.Fatalf("reopen: replayed %d, recovered %d, re-executed %d, pending %d; want %d, %d, 0, 0", s2.replayed, st.Recovered, s2.reexecuted, st.Pending, n, n)
 	}
-	// The log's windows, then the shard's fingerprint and two rows.
-	if got, most := netmemRequests("read_range")-ranged, uint64((cells+scanWindow-1)/scanWindow+4); got > most {
+	// The log's windows, then the shard's two rows: the hellos report both
+	// stamps.
+	if got, most := netmemRequests("read_range")-ranged, uint64((cells+scanWindow-1)/scanWindow+2); got > most {
 		t.Errorf("the reopen spent %d ranged reads on a log of %d cells, want ≤ %d", got, cells, most)
 	}
 	if r, w := netmemRequests("read")-reads, netmemRequests("write")-writes; r != 0 || w != 0 {

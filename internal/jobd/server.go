@@ -271,12 +271,12 @@ func open(o Options) (*Server, []job, error) {
 	// opened and the log keeps nothing.
 	dlog, recs := &descLog{}, []job(nil)
 	if !membackend.Volatile(o.Backend) {
-		bs, err := membackend.OpenEach(o.Backend, o.LogCells, ".desclog")
+		bs, cell0, err := membackend.OpenEach(o.Backend, o.LogCells, membackend.Instance{Suffix: ".desclog", Stamp: logMagic})
 		if err != nil {
 			d.Close()
 			return nil, nil, fmt.Errorf("jobd: open descriptor log: %w", err)
 		}
-		if dlog, recs, err = openDescLog(bs[0], o.Backend+".desclog"); err != nil {
+		if dlog, recs, err = openDescLog(bs[0], cell0[0], o.Backend+".desclog"); err != nil {
 			d.Close()
 			return nil, nil, err
 		}

@@ -48,16 +48,18 @@ func (AtomicBackend) Sync() error { return nil }
 func (AtomicBackend) Close() error { return nil }
 
 func init() {
-	// Heap registers have no instance name: each suffix gets a fresh
-	// store.
-	Register("atomic", func(arg string, suffixes []string, size int) ([]Backend, error) {
+	// Heap registers have no instance name: each instance is a fresh
+	// store, its stamp written in place.
+	Register("atomic", func(arg string, insts []Instance, size int) ([]Backend, []int64, error) {
 		if arg != "" {
-			return nil, fmt.Errorf("membackend: atomic backend takes no argument, got %q", arg)
+			return nil, nil, fmt.Errorf("membackend: atomic backend takes no argument, got %q", arg)
 		}
-		bs := make([]Backend, len(suffixes))
-		for i := range bs {
-			bs[i] = NewAtomic(size)
+		bs := make([]Backend, len(insts))
+		for i, in := range insts {
+			b := NewAtomic(size)
+			b.Write(0, in.Stamp)
+			bs[i] = b
 		}
-		return bs, nil
+		return bs, make([]int64, len(insts)), nil
 	})
 }

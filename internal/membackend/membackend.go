@@ -22,9 +22,10 @@
 // Backends are selected by spec string through Open, e.g.
 // Open("mmap:/var/lib/amo/shard.reg", size), and the named instances of
 // one spec — a dispatcher's shards, jobd's descriptor log, a register
-// server's namespaces — through OpenEach, one suffix each. A kind
-// registers one opener (Register), and only that opener knows where a
-// suffix lands; the net kind's also opens them all over one connection.
+// server's namespaces — through OpenEach, one suffix and one stamp each.
+// A kind registers one opener (Register), and only that opener knows
+// where a suffix lands and how a store it creates is stamped; the net
+// kind's also opens them all over one connection.
 // Tests that count, tear or crash a store hand the code under test an
 // internal/memtest.Lossy instead.
 //
@@ -83,14 +84,25 @@ type Backend interface {
 	Close() error
 }
 
-// OpenFunc builds the len(suffixes) instances of one spec argument (the
+// Instance is one instance of a spec: the suffix on its instance name,
+// "" being the spec's own, and the stamp its opener puts in cell 0 when
+// the open creates the store (0: none).
+type Instance struct {
+	Suffix string
+	Stamp  int64
+}
+
+// OpenFunc builds the len(insts) instances of one spec argument (the
 // part after "kind:", possibly empty), each with size cells: instance i
-// is the one the argument names with suffixes[i] on its instance name,
-// "" being the argument's own. The opener is the one place that knows
-// where a suffix lands — the end of an mmap path, a net namespace before
-// any "?option" tail — and a kind without instance names (atomic)
-// ignores them. An open that fails leaves none of the instances open.
-type OpenFunc func(arg string, suffixes []string, size int) ([]Backend, error)
+// is the one the argument names with insts[i].Suffix on its instance
+// name. The opener is the one place that knows where a suffix lands — the
+// end of an mmap path, a net namespace before any "?option" tail — and a
+// kind without instance names (atomic) ignores them. It is also the one
+// place that stamps a store: one it creates holds insts[i].Stamp in cell
+// 0, acked, before it returns, and reports cell0[i] 0 with Reopened
+// false; one it reopens it never writes, and reports what its cell 0
+// holds. An open that fails leaves none of the instances open.
+type OpenFunc func(arg string, insts []Instance, size int) (bs []Backend, cell0 []int64, err error)
 
 var (
 	regMu    sync.RWMutex
@@ -120,30 +132,34 @@ func Kinds() []string {
 	return out
 }
 
-// Open builds the backend a spec names, with size cells. A spec is
-// "kind" or "kind:argument". An empty spec means "atomic". Malformed specs
-// — surrounding whitespace, an empty kind, a dangling ":" — are
-// rejected with errors that say how to fix them, and an unknown kind's
-// error suggests the nearest registered kind.
+// Open builds the backend a spec names, with size cells and no stamp. A
+// spec is "kind" or "kind:argument". An empty spec means "atomic".
+// Malformed specs — surrounding whitespace, an empty kind, a dangling ":"
+// — are rejected with errors that say how to fix them, and an unknown
+// kind's error suggests the nearest registered kind.
 func Open(spec string, size int) (Backend, error) {
-	bs, err := OpenEach(spec, size, "")
+	bs, _, err := OpenEach(spec, size, Instance{})
 	if err != nil {
 		return nil, err
 	}
 	return bs[0], nil
 }
 
-// OpenEach opens one instance of spec per suffix, each with size cells,
-// in one call to the kind's opener: OpenEach("mmap:/d/x", n, ".shard0",
-// ".desclog") maps /d/x.shard0 and /d/x.desclog, and a net spec attaches
-// every namespace to one session. It opens all of them or none.
-func OpenEach(spec string, size int, suffixes ...string) ([]Backend, error) {
+// OpenEach opens each instance of spec, each with size cells, in one call
+// to the kind's opener: OpenEach("mmap:/d/x", n, Instance{Suffix:
+// ".shard0"}, Instance{Suffix: ".desclog"}) maps /d/x.shard0 and
+// /d/x.desclog, and a net spec attaches every namespace to one session.
+// It opens all of them or none. A store the open creates holds its
+// instance's stamp, acked; cell0[i] is what instance i's cell 0 held at
+// open, 0 for a created store (see OpenFunc), so no caller reads or
+// writes cell 0 to open a store.
+func OpenEach(spec string, size int, insts ...Instance) (bs []Backend, cell0 []int64, err error) {
 	if size <= 0 {
-		return nil, fmt.Errorf("membackend: need a positive size, got %d", size)
+		return nil, nil, fmt.Errorf("membackend: need a positive size, got %d", size)
 	}
 	kind, arg, err := parseSpec(spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	regMu.RLock()
 	open, ok := registry[kind]
@@ -153,19 +169,19 @@ func OpenEach(spec string, size int, suffixes ...string) ([]Backend, error) {
 		if near := nearestKind(kind); near != "" {
 			hint = fmt.Sprintf(" — did you mean %q?", near)
 		}
-		return nil, fmt.Errorf("membackend: unknown backend %q in spec %q%s (have %s)",
+		return nil, nil, fmt.Errorf("membackend: unknown backend %q in spec %q%s (have %s)",
 			kind, spec, hint, strings.Join(Kinds(), ", "))
 	}
-	bs, err := open(arg, suffixes, size)
+	bs, cell0, err = open(arg, insts, size)
 	if err != nil {
 		eventlog.Logger().Warn("backend_open_failed", "kind", kind, "spec", spec, "size", size, "err", err)
-		return nil, err
+		return nil, nil, err
 	}
-	for _, b := range bs {
+	for i, b := range bs {
 		obsOpened(kind)
-		eventlog.Logger().Debug("backend_open", "kind", kind, "size", size, "reopened", b.Reopened())
+		eventlog.Logger().Debug("backend_open", "kind", kind, "size", size, "reopened", b.Reopened(), "cell0", cell0[i])
 	}
-	return bs, nil
+	return bs, cell0, nil
 }
 
 // Volatile reports whether nothing written through a backend opened from

@@ -163,7 +163,7 @@ func TestOpenErrors(t *testing.T) {
 func TestShardSpec(t *testing.T) {
 	requireMmap(t)
 	dir := t.TempDir()
-	bs, err := OpenEach("mmap:"+filepath.Join(dir, "x"), 8, ".shard0", ".shard2")
+	bs, _, err := OpenEach("mmap:"+filepath.Join(dir, "x"), 8, Instance{Suffix: ".shard0"}, Instance{Suffix: ".shard2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +191,57 @@ func TestShardSpec(t *testing.T) {
 		t.Errorf("OpenEach created %v, want [x.shard0 x.shard2]", names)
 	}
 
-	as, err := OpenEach("atomic", 8, ".shard0", ".shard1")
+	as, _, err := OpenEach("atomic", 8, Instance{Suffix: ".shard0"}, Instance{Suffix: ".shard1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	as[0].Write(3, 7)
 	if got := as[1].Read(3); got != 0 {
 		t.Errorf("atomic instances share cells: the second reads %d", got)
+	}
+}
+
+// TestOpenerStamps: a store an open creates holds its instance's stamp in
+// cell 0 and reports 0, not Reopened; a store an open finds reports its
+// cell 0 and is not written, whatever stamp the open brings — an
+// unstamped one reports 0, Reopened. A fresh register file reaches the
+// disk in one msync, header and stamp together.
+func TestOpenerStamps(t *testing.T) {
+	requireMmap(t)
+	dir := t.TempDir()
+	syncs0 := mbSyncs.Value()
+	fresh, cell0, err := OpenEach("mmap:"+filepath.Join(dir, "x"), 8, Instance{".a", 41}, Instance{".b", 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mbSyncs.Value() - syncs0; got != 2 {
+		t.Errorf("creating two register files took %d msyncs, want 2", got)
+	}
+	for i, want := range []int64{41, 0} {
+		if fresh[i].Reopened() || cell0[i] != 0 || fresh[i].Read(0) != want {
+			t.Errorf("created instance %d: Reopened %v, reported cell 0 %d, holds %d; want false, 0, %d",
+				i, fresh[i].Reopened(), cell0[i], fresh[i].Read(0), want)
+		}
+		fresh[i].Close()
+	}
+	again, cell0, err := OpenEach("mmap:"+filepath.Join(dir, "x"), 8, Instance{".a", 42}, Instance{".b", 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{41, 0} {
+		if !again[i].Reopened() || cell0[i] != want || again[i].Read(0) != want {
+			t.Errorf("reopened instance %d: Reopened %v, reported cell 0 %d, holds %d; want true, %d, %d",
+				i, again[i].Reopened(), cell0[i], again[i].Read(0), want, want)
+		}
+		again[i].Close()
+	}
+
+	as, cell0, err := OpenEach("atomic", 8, Instance{"", 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as[0].Reopened() || cell0[0] != 0 || as[0].Read(0) != 7 {
+		t.Errorf("atomic instance: Reopened %v, reported cell 0 %d, holds %d; want false, 0, 7", as[0].Reopened(), cell0[0], as[0].Read(0))
 	}
 }
 
@@ -209,7 +253,7 @@ func TestOpenEachClosesOnFailure(t *testing.T) {
 	if err := os.Mkdir(base+".shard1", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	bs, err := OpenEach("mmap:"+base, 8, ".shard0", ".shard1")
+	bs, _, err := OpenEach("mmap:"+base, 8, Instance{Suffix: ".shard0"}, Instance{Suffix: ".shard1"})
 	if err == nil {
 		for _, b := range bs {
 			b.Close()
@@ -241,7 +285,7 @@ func TestMmapHeaderValidation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "regs")
 
-	b, err := OpenMmap(path, 32)
+	b, err := OpenMmap(path, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +301,7 @@ func TestMmapHeaderValidation(t *testing.T) {
 	}
 
 	// Reopen with the right size sees the data and reports Reopened.
-	r, err := OpenMmap(path, 32)
+	r, err := OpenMmap(path, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +317,7 @@ func TestMmapHeaderValidation(t *testing.T) {
 	r.Close()
 
 	// Size mismatch is rejected, both ways.
-	if _, err := OpenMmap(path, 64); err == nil {
+	if _, err := OpenMmap(path, 64, 0); err == nil {
 		t.Fatal("cell-count mismatch accepted")
 	}
 
@@ -283,7 +327,7 @@ func TestMmapHeaderValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All-zero content is the crashed-during-create case: accepted as fresh.
-	z, err := OpenMmap(junk, 32)
+	z, err := OpenMmap(junk, 32, 0)
 	if err != nil {
 		t.Fatalf("zeroed file rejected: %v", err)
 	}
@@ -297,12 +341,12 @@ func TestMmapHeaderValidation(t *testing.T) {
 	if err := os.WriteFile(junk, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenMmap(junk, 32); err == nil || !strings.Contains(err.Error(), "not a register file") {
+	if _, err := OpenMmap(junk, 32, 0); err == nil || !strings.Contains(err.Error(), "not a register file") {
 		t.Fatalf("corrupt magic: got %v", err)
 	}
 
 	// A directory path fails cleanly with a path error, not a panic.
-	if _, err := OpenMmap(dir, 8); err == nil {
+	if _, err := OpenMmap(dir, 8, 0); err == nil {
 		t.Fatal("directory path accepted")
 	} else {
 		var perr *os.PathError

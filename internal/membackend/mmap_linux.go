@@ -56,10 +56,10 @@ type MmapMem struct {
 var _ Backend = (*MmapMem)(nil)
 
 // OpenMmap maps the register file at path with size cells, creating and
-// zero-initializing it if it does not exist (or exists empty). An
-// existing non-empty file must carry a valid header whose cell count
-// matches size.
-func OpenMmap(path string, size int) (*MmapMem, error) {
+// zero-initializing it if it does not exist (or exists empty), with stamp
+// in cell 0. An existing non-empty file must carry a valid header whose
+// cell count matches size, and is not written.
+func OpenMmap(path string, size int, stamp int64) (*MmapMem, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("membackend: mmap %s: need a positive size, got %d", path, size)
 	}
@@ -67,7 +67,7 @@ func OpenMmap(path string, size int) (*MmapMem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("membackend: mmap: %w", err)
 	}
-	m, err := initMmap(f, path, size)
+	m, err := initMmap(f, path, size, stamp)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -75,7 +75,7 @@ func OpenMmap(path string, size int) (*MmapMem, error) {
 	return m, nil
 }
 
-func initMmap(f *os.File, path string, size int) (*MmapMem, error) {
+func initMmap(f *os.File, path string, size int, stamp int64) (*MmapMem, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("membackend: mmap %s: %w", path, err)
@@ -101,7 +101,7 @@ func initMmap(f *os.File, path string, size int) (*MmapMem, error) {
 		data:  data,
 		cells: unsafe.Slice((*atomic.Int64)(unsafe.Pointer(&data[mmapHeader])), size),
 	}
-	if err := m.checkHeader(size, fresh); err != nil {
+	if err := m.checkHeader(size, fresh, stamp); err != nil {
 		syscall.Munmap(data)
 		return nil, err
 	}
@@ -111,8 +111,10 @@ func initMmap(f *os.File, path string, size int) (*MmapMem, error) {
 // checkHeader validates (or, for a fresh file, writes) the header. A
 // zero magic is treated as fresh even on a non-empty file: it means a
 // previous creator was killed between Truncate and the header write,
-// and the cells are still all zero.
-func (m *MmapMem) checkHeader(size int, fresh bool) error {
+// and the cells are still all zero. A fresh file's header and stamp share
+// page 0 and reach the store in one msync of it; the other pages are the
+// file's zero extent.
+func (m *MmapMem) checkHeader(size int, fresh bool, stamp int64) error {
 	hdr := m.data[:mmapHeader]
 	magic := binary.LittleEndian.Uint64(hdr[0:])
 	if magic == 0 {
@@ -120,7 +122,8 @@ func (m *MmapMem) checkHeader(size int, fresh bool) error {
 		binary.LittleEndian.PutUint32(hdr[8:], mmapVersion)
 		binary.LittleEndian.PutUint32(hdr[12:], mmapCellSize)
 		binary.LittleEndian.PutUint64(hdr[16:], uint64(size))
-		return m.Sync()
+		m.cells[0].Store(stamp)
+		return m.syncCells(0, 1)
 	}
 	if magic != mmapMagic {
 		return fmt.Errorf("membackend: mmap %s: not a register file (magic %#x)", m.path, magic)
@@ -256,21 +259,24 @@ func (m *MmapMem) Close() error {
 func init() {
 	// An instance is the file at the path with its suffix appended; a
 	// failed open closes the files opened before it.
-	Register("mmap", func(arg string, suffixes []string, size int) ([]Backend, error) {
+	Register("mmap", func(arg string, insts []Instance, size int) ([]Backend, []int64, error) {
 		if arg == "" {
-			return nil, fmt.Errorf("membackend: mmap backend needs a file path, e.g. %q", "mmap:/var/lib/amo/shard.reg")
+			return nil, nil, fmt.Errorf("membackend: mmap backend needs a file path, e.g. %q", "mmap:/var/lib/amo/shard.reg")
 		}
-		bs := make([]Backend, 0, len(suffixes))
-		for _, sfx := range suffixes {
-			m, err := OpenMmap(arg+sfx, size)
+		bs, cell0 := make([]Backend, 0, len(insts)), make([]int64, len(insts))
+		for i, in := range insts {
+			m, err := OpenMmap(arg+in.Suffix, size, in.Stamp)
 			if err != nil {
 				for _, b := range bs {
 					b.Close()
 				}
-				return nil, err
+				return nil, nil, err
+			}
+			if m.reopened {
+				cell0[i] = m.Read(0)
 			}
 			bs = append(bs, m)
 		}
-		return bs, nil
+		return bs, cell0, nil
 	})
 }

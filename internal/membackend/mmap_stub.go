@@ -12,7 +12,7 @@ import (
 var ErrMmapUnsupported = errors.New("membackend: mmap backend requires linux")
 
 func init() {
-	Register("mmap", func(arg string, _ []string, _ int) ([]Backend, error) {
-		return nil, fmt.Errorf("%w (spec %q)", ErrMmapUnsupported, "mmap:"+arg)
+	Register("mmap", func(arg string, _ []Instance, _ int) ([]Backend, []int64, error) {
+		return nil, nil, fmt.Errorf("%w (spec %q)", ErrMmapUnsupported, "mmap:"+arg)
 	})
 }

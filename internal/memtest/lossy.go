@@ -42,6 +42,23 @@ func (l *Lossy) Crash() {
 	l.reopened, l.n = true, Counts{}
 }
 
+// Stamp opens the store as a backend kind's opener does: a store not
+// Reopened is one the open creates, so stamp lands in cell 0 in one acked
+// write (none for 0); a reopened one is not written. It returns what cell
+// 0 held at open, 0 for a created store, and counts no read for it.
+func (l *Lossy) Stamp(stamp int64) (int64, error) {
+	l.mu.Lock()
+	reopened, cell0 := l.reopened, l.cache[0]
+	l.mu.Unlock()
+	if reopened {
+		return cell0, nil
+	}
+	if stamp == 0 {
+		return 0, nil
+	}
+	return 0, l.WriteAcked(0, []int64{stamp})
+}
+
 func (l *Lossy) Counts() Counts {
 	l.mu.Lock()
 	defer l.mu.Unlock()

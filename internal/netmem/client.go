@@ -95,11 +95,12 @@ func (o *Options) normalize() {
 
 // regCall is a register op's request fields and decoded reply.
 type regCall struct {
-	ns   *NetMem       // the namespace the op names
-	addr int           // the first cell; hello's reply: the handle
-	val  int64         // a pipelined write's value; a read's result, hello's reopened flag, acquire's epoch
-	vals []int64       // an acked write's values; a range read's destination
-	ttl  time.Duration // the lease acquire granted
+	ns       *NetMem       // the namespace the op names
+	addr     int           // the first cell; hello's reply: the handle
+	val      int64         // a pipelined write's value; a read's result, hello's cell 0, acquire's epoch
+	vals     []int64       // an acked write's values; a range read's destination
+	ttl      time.Duration // the lease acquire granted
+	reopened bool          // hello's reply
 }
 
 var calls wire.Pool[regCall]
@@ -139,8 +140,10 @@ type NetMem struct {
 	h        byte // the handle: the namespace's position in the session
 	name     string
 	size     int
+	stamp    int64         // what the hello asks a namespace it creates to hold in cell 0
 	epoch    atomic.Uint64 // the lease's, from the session's acquire: a redial renews it
 	reopened bool
+	cell0    int64 // what the first hello found in cell 0
 	closed   atomic.Bool
 }
 
@@ -151,7 +154,7 @@ var _ membackend.Backend = (*NetMem)(nil)
 // one namespace.
 func Open(addr string, size int, opts Options) (*NetMem, error) {
 	opts.normalize()
-	ms, err := OpenSession(addr, []string{opts.Namespace}, size, opts)
+	ms, err := OpenSession(addr, []string{opts.Namespace}, nil, size, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -160,10 +163,12 @@ func Open(addr string, size int, opts Options) (*NetMem, error) {
 
 // OpenSession dials addr once and attaches every namespace in names,
 // each of size cells, acquiring each lease per the options: a hello and
-// an acquire per namespace leave in one write. opts.Namespace is not
-// used. The backends share the connection and die together; the last
-// one closed releases every lease and hangs up.
-func OpenSession(addr string, names []string, size int, opts Options) ([]*NetMem, error) {
+// an acquire per namespace leave in one write. A namespace the hello
+// creates holds stamps[i] in cell 0 before the server answers (nil: no
+// stamps). opts.Namespace is not used. The backends share the connection
+// and die together; the last one closed releases every lease and hangs
+// up.
+func OpenSession(addr string, names []string, stamps []int64, size int, opts Options) ([]*NetMem, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("netmem: need a positive size, got %d", size)
 	}
@@ -184,6 +189,9 @@ func OpenSession(addr string, names []string, size int, opts Options) ([]*NetMem
 	}
 	for i, name := range names {
 		s.nss[i] = &NetMem{s: s, h: byte(i), name: name, size: size}
+		if stamps != nil {
+			s.nss[i].stamp = stamps[i]
+		}
 	}
 	s.open.Store(int32(len(names)))
 	// The drop policy is the core's default, resend: registers are absolute
@@ -209,9 +217,13 @@ func OpenSession(addr string, names []string, size int, opts Options) ([]*NetMem
 	if err := s.c.Connect(); err != nil {
 		return nil, err
 	}
+	reopened, cell0 := make([]bool, len(s.nss)), make([]int64, len(s.nss))
+	for i, m := range s.nss {
+		reopened[i], cell0[i] = m.reopened, m.cell0
+	}
 	eventlog.Logger().Debug("netmem_client_connected",
 		"addr", addr, "namespaces", names, "epochs", s.epochs(),
-		"lease_ttl", s.opts.LeaseTTL, "reopened", s.nss[0].Reopened())
+		"lease_ttl", s.opts.LeaseTTL, "reopened", reopened, "cell0", cell0)
 	go s.renewLoop()
 	return s.nss, nil
 }
@@ -276,7 +288,7 @@ func (s *session) handshake(nc net.Conn, first bool) error {
 		}
 		if first {
 			m := s.nss[i]
-			m.reopened = flight[i].Arg.val != 0
+			m.reopened, m.cell0 = flight[i].Arg.reopened, flight[i].Arg.val
 			m.epoch.Store(uint64(lease.Arg.val))
 			if granted := lease.Arg.ttl; granted > 0 {
 				ttl = min(ttl, granted)
@@ -328,7 +340,7 @@ func (s *session) encode(b []byte, c *wire.Call[regCall]) []byte {
 	at := len(b)
 	m := c.Arg.ns
 	if c.Op == opHello {
-		b = wire.AppendU64(wire.AppendStr(b, m.name), uint64(m.size))
+		b = wire.AppendI64(wire.AppendU64(wire.AppendStr(b, m.name), uint64(m.size)), m.stamp)
 	} else {
 		b = append(b, m.h)
 	}
@@ -384,9 +396,12 @@ func (s *session) reply(c *wire.Call[regCall], op byte, payload []byte) error {
 			s.fatalize(err)
 		}
 		return err
+	case op == opHelloOK && c.Op == opHello && len(payload) != 10:
+		err = fmt.Errorf("netmem: hello answered in %d bytes, want 10: the server speaks an older protocol than v3", len(payload))
 	case op == opHelloOK && c.Op == opHello:
-		c.Arg.val = int64(d.U8())
+		c.Arg.reopened = d.U8() != 0
 		c.Arg.addr = int(d.U8())
+		c.Arg.val = d.I64()
 	case op == opAcquireOK && c.Op == opAcquire:
 		c.Arg.val = d.I64()
 		c.Arg.ttl = time.Duration(d.U64()) * time.Millisecond
@@ -621,25 +636,25 @@ func init() {
 	// A suffix lands on the namespace — never the port, and the default
 	// one when the spec names none — and every instance attaches to one
 	// session.
-	membackend.Register("net", func(arg string, suffixes []string, size int) ([]membackend.Backend, error) {
+	membackend.Register("net", func(arg string, insts []membackend.Instance, size int) ([]membackend.Backend, []int64, error) {
 		addr, opts, err := ParseSpec(arg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		opts.normalize()
-		names := make([]string, len(suffixes))
-		for i, sfx := range suffixes {
-			names[i] = opts.Namespace + sfx
+		names, stamps := make([]string, len(insts)), make([]int64, len(insts))
+		for i, in := range insts {
+			names[i], stamps[i] = opts.Namespace+in.Suffix, in.Stamp
 		}
-		ms, err := OpenSession(addr, names, size, opts)
+		ms, err := OpenSession(addr, names, stamps, size, opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		bs := make([]membackend.Backend, len(ms))
+		bs, cell0 := make([]membackend.Backend, len(ms)), make([]int64, len(ms))
 		for i, m := range ms {
-			bs[i] = m
+			bs[i], cell0[i] = m, m.cell0
 		}
-		return bs, nil
+		return bs, cell0, nil
 	})
 }
 

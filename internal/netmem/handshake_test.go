@@ -287,7 +287,7 @@ func TestConnectionFootprint(t *testing.T) {
 	open := func() {
 		clients = clients[:0]
 		for _, pair := range names {
-			ms, err := OpenSession(addr, pair, cells, Options{})
+			ms, err := OpenSession(addr, pair, nil, cells, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -188,7 +188,7 @@ func TestCorruptRangeFrames(t *testing.T) {
 		return rop, 0
 	}
 
-	if rop, _ := send(opHello, wire.AppendU64(wire.AppendStr(nil, "corrupt-test"), 32)); rop != opHelloOK {
+	if rop, _ := send(opHello, helloP("corrupt-test", 32, 0)); rop != opHelloOK {
 		t.Fatalf("hello reply op %d", rop)
 	}
 	ep := uint64(0)
@@ -328,7 +328,8 @@ func TestParseNetSpec(t *testing.T) {
 // TestNetShardSpec pins where the net opener puts an instance suffix:
 // on the namespace — never the port — and before any option tail, on
 // "default" when the spec names none; a spec's instances share one
-// session.
+// session. The hello stamps each namespace it creates, and a reopen
+// reports the stamps and writes none of its own.
 func TestNetShardSpec(t *testing.T) {
 	srv := NewServer(ServerOptions{})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -336,17 +337,33 @@ func TestNetShardSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	insts := []membackend.Instance{{Suffix: ".shard0", Stamp: 11}, {Suffix: ".shard1", Stamp: 12}}
 	for _, spec := range []string{"net:" + addr + "/jobs", "net:" + addr + "/opt?ttl=1s", "net:" + addr} {
-		bs, err := membackend.OpenEach(spec, 8, ".shard0", ".shard1")
+		bs, cell0, err := membackend.OpenEach(spec, 8, insts...)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		if bs[0].(*NetMem).s != bs[1].(*NetMem).s {
 			t.Errorf("%s: the instances opened two sessions, want one", spec)
 		}
-		for _, b := range bs {
+		for i, b := range bs {
+			if b.Reopened() || cell0[i] != 0 || b.Read(0) != insts[i].Stamp {
+				t.Errorf("%s instance %d: Reopened %v, reported cell 0 %d, holds %d; want false, 0, %d",
+					spec, i, b.Reopened(), cell0[i], b.Read(0), insts[i].Stamp)
+			}
 			b.Close()
 		}
+	}
+	bs, cell0, err := membackend.OpenEach("net:"+addr+"/jobs", 8, membackend.Instance{Suffix: ".shard0", Stamp: 99}, membackend.Instance{Suffix: ".shard1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range bs {
+		if !b.Reopened() || cell0[i] != insts[i].Stamp || b.Read(0) != insts[i].Stamp {
+			t.Errorf("reopened instance %d: Reopened %v, reported cell 0 %d, holds %d; want true, %d, %d",
+				i, b.Reopened(), cell0[i], b.Read(0), insts[i].Stamp, insts[i].Stamp)
+		}
+		b.Close()
 	}
 	srv.mu.Lock()
 	got := slices.Sorted(maps.Keys(srv.nss))

@@ -20,7 +20,10 @@
 //     the membackend registry as "net:HOST:PORT[/NAMESPACE][?options]".
 //     Its opener puts an instance suffix on the namespace, so the
 //     dispatcher's shards (membackend.OpenEach) take NAMESPACE.shard<i>,
-//     all over one session.
+//     all over one session. Each namespace's hello (protocol v3: ns,
+//     size, stamp) carries the stamp a namespace it creates gets in cell
+//     0, and its reply the reopened flag, the handle and cell 0, so a
+//     stamped store opens in the session's one flight.
 //     Writes are pipelined (sent without waiting for the ack); Read,
 //     WriteAcked, ReadRange and Sync wait for their reply; a broken
 //     connection is redialed and every unacknowledged operation is
@@ -39,7 +42,7 @@
 // the crash-window analysis of network writes.
 package netmem
 
-// Op table, protocol v2. Framing and field encoding are internal/wire's
+// Op table, protocol v3. Framing and field encoding are internal/wire's
 // (one frame per message, both directions: length, op, client-chosen seq
 // echoed in the reply, payload consumed exactly). The server replies to
 // every request, in request order, on the same connection.
@@ -49,11 +52,14 @@ package netmem
 // (a refused hello keeps its position, so a client that sends n hellos
 // and n lease ops in one flight knows every handle before any reply).
 // Every other request names its namespace by that handle, h, its first
-// payload byte. A v1 peer's frames, which carry no handle, are one byte
-// short of every v2 shape and are answered "malformed request payload".
+// payload byte. A hello carries the stamp a namespace it creates gets in
+// cell 0 (0: none), and its reply what cell 0 holds, so a client opens a
+// stamped store in the hello's one flight. A v2 hello, a stamp short, is
+// answered codeProto, and a v2 reply, a cell 0 short, fails the client's
+// open.
 const (
 	// Client → server.
-	opHello     byte = 1 // ns string, size u64                         → opHelloOK
+	opHello     byte = 1 // ns string, size u64, stamp i64              → opHelloOK
 	opAcquire   byte = 2 // h u8, clientID u64, ttlMs u64, wait u8      → opAcquireOK
 	opRenew     byte = 3 // h u8, clientID u64, epoch u64               → opAck
 	opRelease   byte = 4 // h u8, epoch u64                             → opAck
@@ -76,7 +82,7 @@ const (
 	opAck       byte = 16 // (empty)
 	opValue     byte = 17 // val i64
 	opValues    byte = 18 // val i64 × count (count implied by frame length)
-	opHelloOK   byte = 20 // reopened u8, h u8
+	opHelloOK   byte = 20 // reopened u8, h u8, cell0 i64
 	opAcquireOK byte = 21 // epoch u64, ttlMs u64 (effective, after clamping)
 	opErr       byte = 31 // code u16, msg string
 )

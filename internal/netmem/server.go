@@ -124,28 +124,31 @@ func (s *Server) Close() error {
 // on first use. reopened reports whether the namespace holds earlier
 // state: either the backend reopened a durable file, or the namespace
 // was already open in this server (a previous client session wrote it).
-func (s *Server) getNamespace(name string, size int) (ns *namespace, reopened bool, werr *wireError) {
+// cell0 is what its cell 0 holds. Only a namespace this hello creates
+// is stamped, by its backend's opener, under s.mu and so before any
+// lease on it exists; a hello never writes one that exists.
+func (s *Server) getNamespace(name string, size int, stamp int64) (ns *namespace, reopened bool, cell0 int64, werr *wireError) {
 	if err := checkNamespaceName(name); err != nil {
-		return nil, false, &wireError{codeBadNamespace, err.Error()}
+		return nil, false, 0, &wireError{codeBadNamespace, err.Error()}
 	}
 	if size <= 0 || size > maxCells {
-		return nil, false, &wireError{codeProto, fmt.Sprintf("namespace size %d out of range (1..%d)", size, maxCells)}
+		return nil, false, 0, &wireError{codeProto, fmt.Sprintf("namespace size %d out of range (1..%d)", size, maxCells)}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return nil, false, &wireError{codeClosed, "server is shutting down"}
+		return nil, false, 0, &wireError{codeClosed, "server is shutting down"}
 	}
 	if ns, ok := s.nss[name]; ok {
 		if ns.size != size {
-			return nil, false, &wireError{codeSizeMismatch,
+			return nil, false, 0, &wireError{codeSizeMismatch,
 				fmt.Sprintf("namespace %q holds %d cells, hello asked for %d", name, ns.size, size)}
 		}
-		return ns, true, nil
+		return ns, true, ns.bk.Read(0), nil
 	}
-	bks, err := membackend.OpenEach(s.opts.Spec, size, "."+name)
+	bks, cell0s, err := membackend.OpenEach(s.opts.Spec, size, membackend.Instance{Suffix: "." + name, Stamp: stamp})
 	if err != nil {
-		return nil, false, &wireError{codeBackend, err.Error()}
+		return nil, false, 0, &wireError{codeBackend, err.Error()}
 	}
 	bk := bks[0]
 	reopened = bk.Reopened()
@@ -153,8 +156,8 @@ func (s *Server) getNamespace(name string, size int) (ns *namespace, reopened bo
 	ns.cond = sync.NewCond(&ns.mu)
 	s.nss[name] = ns
 	eventlog.Logger().Debug("netmem_server_namespace_open",
-		"namespace", name, "spec", s.opts.Spec, "cells", size, "reopened", reopened)
-	return ns, reopened, nil
+		"namespace", name, "spec", s.opts.Spec, "cells", size, "reopened", reopened, "cell0", cell0s[0])
+	return ns, reopened, cell0s[0], nil
 }
 
 // checkNamespaceName restricts names to path-safe characters: they are
@@ -360,6 +363,7 @@ func (s *Server) handle(c net.Conn) {
 		case opHello:
 			name := d.Str()
 			size := d.U64()
+			stamp := d.I64()
 			if len(atts) == maxHandles {
 				ok = replyErr(seq, &wireError{codeProto, fmt.Sprintf("a session attaches at most %d namespaces", maxHandles)})
 				break
@@ -367,10 +371,12 @@ func (s *Server) handle(c net.Conn) {
 			h := len(atts)
 			atts = append(atts, attachment{})
 			if d.Done() != nil {
-				ok = replyErr(seq, &wireError{codeProto, "malformed hello"})
+				// A v2 hello is a stamp short: its client is refused here,
+				// at its first frame.
+				ok = replyErr(seq, &wireError{codeProto, "malformed hello (protocol v3: ns, size, stamp)"})
 				break
 			}
-			n, reopened, werr := s.getNamespace(name, int(size))
+			n, reopened, cell0, werr := s.getNamespace(name, int(size), stamp)
 			if werr != nil {
 				ok = replyErr(seq, werr)
 				break
@@ -380,7 +386,7 @@ func (s *Server) handle(c net.Conn) {
 			if reopened {
 				scratch[0] = 1
 			}
-			ok = reply(seq, opHelloOK, scratch)
+			ok = reply(seq, opHelloOK, wire.AppendI64(scratch, cell0))
 
 		case opAcquire:
 			clientID := d.U64()

@@ -1,12 +1,14 @@
 package netmem
 
 import (
+	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +19,9 @@ import (
 
 // Request payloads, as the op table in protocol.go lays them out, for
 // the tests that send what no client would.
-func helloP(name string, size uint64) []byte { return wire.AppendU64(wire.AppendStr(nil, name), size) }
+func helloP(name string, size uint64, stamp int64) []byte {
+	return wire.AppendI64(wire.AppendU64(wire.AppendStr(nil, name), size), stamp)
+}
 
 func acquireP(h byte, client, ttlMs uint64, wait bool) []byte {
 	b := wire.AppendU64(wire.AppendU64([]byte{h}, client), ttlMs)
@@ -106,26 +110,26 @@ func TestAdmitNeedsTheConnectionsGrant(t *testing.T) {
 
 	// Granted epoch 1 on a, then writing it into b.
 	r := dialRaw(t, addr)
-	if rop, _, rp := r.do(opHello, helloP("a", 16)); rop != opHelloOK || rp[1] != 0 {
+	if rop, _, rp := r.do(opHello, helloP("a", 16, 0)); rop != opHelloOK || rp[1] != 0 {
 		t.Fatalf("hello a: op %d %v", rop, rp)
 	}
 	if rop, _, rp := r.do(opAcquire, acquireP(0, 7, 60_000, false)); rop != opAcquireOK || binary.LittleEndian.Uint64(rp) != 1 {
 		t.Fatalf("acquire a: op %d %v, want epoch 1", rop, rp)
 	}
-	if rop, _, rp := r.do(opHello, helloP("b", 16)); rop != opHelloOK || rp[1] != 1 {
+	if rop, _, rp := r.do(opHello, helloP("b", 16, 0)); rop != opHelloOK || rp[1] != 1 {
 		t.Fatalf("hello b: op %d %v, want handle 1", rop, rp)
 	}
 	fenced(r, "epoch 1 of a stamped on b", opWriteAcked, writeAckedP(1, 1, 0, 42))
 
 	// Never acquired at all.
 	r = dialRaw(t, addr)
-	r.do(opHello, helloP("b", 16))
+	r.do(opHello, helloP("b", 16, 0))
 	fenced(r, "a connection that never acquired", opWriteAcked, writeAckedP(0, 1, 0, 42))
 	fenced(r, "its pipelined write", opWrite, wire.AppendI64(wire.AppendU64(wire.AppendU64([]byte{0}, 1), 0), 42))
 
 	// A renew that guesses the epoch does not adopt the lease.
 	r = dialRaw(t, addr)
-	r.do(opHello, helloP("b", 16))
+	r.do(opHello, helloP("b", 16, 0))
 	fenced(r, "a renew by a client that does not hold the lease", opRenew, renewP(0, 7, 1))
 	fenced(r, "a write behind it", opWriteAcked, writeAckedP(0, 1, 0, 42))
 
@@ -134,6 +138,90 @@ func TestAdmitNeedsTheConnectionsGrant(t *testing.T) {
 	}
 	if err := holder.WriteAcked(0, []int64{5}); err != nil {
 		t.Fatalf("the holder's own write: %v", err)
+	}
+}
+
+// TestHelloWritesOnlyWhatItCreates: a hello stamps the namespace it
+// creates and no other. A stamped hello to a namespace that exists — its
+// cell 0 still 0, its lease another client's — changes no cell and
+// reports the 0; one that creates a namespace reports 0 and leaves its
+// stamp in cell 0, which the next hello reports. A v2 hello, a stamp
+// short, is answered codeProto and creates nothing.
+func TestHelloWritesOnlyWhatItCreates(t *testing.T) {
+	addr := testServerAddr(t)
+	holder, err := Open(addr, 16, Options{Namespace: "held", LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if err := holder.WriteAcked(5, []int64{55}); err != nil {
+		t.Fatal(err)
+	}
+	r := dialRaw(t, addr)
+	hello := func(name string, stamp int64, h byte, reopened bool, cell0 uint64) {
+		t.Helper()
+		rop, _, rp := r.do(opHello, helloP(name, 16, stamp))
+		if rop != opHelloOK || len(rp) != 10 || (rp[0] != 0) != reopened || rp[1] != h || binary.LittleEndian.Uint64(rp[2:]) != cell0 {
+			t.Fatalf("hello %q stamped %d: op %d %v, want handle %d, reopened %v, cell 0 %d", name, stamp, rop, rp, h, reopened, cell0)
+		}
+	}
+	hello("held", 77, 0, true, 0)
+	cells := make([]int64, 16)
+	if err := holder.ReadRange(0, cells); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range cells {
+		if want := map[int]int64{5: 55}[i]; v != want {
+			t.Fatalf("cell %d of the held namespace = %d after a stamped hello, want %d", i, v, want)
+		}
+	}
+	hello("fresh", 77, 1, false, 0)
+	hello("fresh", 78, 2, true, 77)
+
+	if rop, code, _ := r.do(opHello, wire.AppendU64(wire.AppendStr(nil, "v2"), 16)); rop != opErr || code != codeProto {
+		t.Fatalf("a v2 hello answered op %d code %d, want codeProto", rop, code)
+	}
+	hello("v2", 5, 4, false, 0)
+}
+
+// TestV2HelloReplyRefused: a server that answers a hello in v2's shape,
+// without cell 0, fails the client's open, naming the protocol.
+func TestV2HelloReplyRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		fr, bw := wire.NewFrameReader(nc, 4<<10), bufio.NewWriter(nc)
+		for {
+			op, seq, _, err := fr.Next()
+			if err != nil {
+				return
+			}
+			switch op {
+			case opHello:
+				wire.WriteFrame(bw, opHelloOK, seq, []byte{0, 0})
+			case opAcquire:
+				wire.WriteFrame(bw, opAcquireOK, seq, wire.AppendU64(wire.AppendU64(nil, 1), 1000))
+			default:
+				wire.WriteFrame(bw, opAck, seq, nil)
+			}
+			bw.Flush()
+		}
+	}()
+	m, err := Open(ln.Addr().String(), 16, Options{DialTimeout: time.Second, RedialAttempts: 1})
+	if err == nil {
+		m.Close()
+		t.Fatal("a v2 hello reply was accepted")
+	}
+	if !strings.Contains(err.Error(), "older protocol than v3") {
+		t.Fatalf("the refusal does not name the protocol: %v", err)
 	}
 }
 
@@ -146,7 +234,7 @@ func TestSessionRedialIsOneFlight(t *testing.T) {
 	proxy := newFlightProxy(t, testServerAddr(t), 2*n)
 	var fatal atomic.Value
 	names := []string{uniqueNS(), uniqueNS(), uniqueNS()}
-	ms, err := OpenSession(proxy.ln.Addr().String(), names, 16, Options{OnFatal: collectFatal(&fatal)})
+	ms, err := OpenSession(proxy.ln.Addr().String(), names, nil, 16, Options{OnFatal: collectFatal(&fatal)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +278,7 @@ func TestSessionFenceKillsEveryBackend(t *testing.T) {
 	addr := testServerAddr(t)
 	var fatals atomic.Int32
 	names := []string{uniqueNS(), uniqueNS()}
-	ms, err := OpenSession(addr, names, 16, Options{
+	ms, err := OpenSession(addr, names, nil, 16, Options{
 		LeaseTTL: 300 * time.Millisecond,
 		OnFatal:  func(error) { fatals.Add(1) },
 	})
@@ -418,19 +506,23 @@ func FuzzServerSession(f *testing.F) {
 	)
 	for _, seed := range [][]byte{
 		// The admit regression: granted epoch 1 on a, stamped on b.
-		{hello, a, 1, acquire, 0, 1, 100, 0, hello, b, 1, writeAcked, 1, 1, 0, 0, 42},
+		{hello, a, 1, 0, acquire, 0, 1, 100, 0, hello, b, 1, 0, writeAcked, 1, 1, 0, 0, 42},
 		// A connection that never acquires, and a renew guessing the epoch.
-		{hello, b, 1, write, 0, 1, 0, 42, writeAcked, 0, 1, 0, 0, 42},
-		{hello, b, 1, renew, 0, 1, 1, writeAcked, 0, 1, 0, 0, 42},
+		{hello, b, 1, 0, write, 0, 1, 0, 42, writeAcked, 0, 1, 0, 0, 42},
+		{hello, b, 1, 0, renew, 0, 1, 1, writeAcked, 0, 1, 0, 0, 42},
 		// A holder's life: acquire, write, read back, release, a stale write.
-		{hello, a, 1, acquire, 0, 1, 100, 1, writeAcked, 0, 1, 3, 2, 9, 8, 7, readRange, 0, 0, 16,
+		{hello, a, 1, 0, acquire, 0, 1, 100, 1, writeAcked, 0, 1, 3, 2, 9, 8, 7, readRange, 0, 0, 16,
 			release, 0, 1, write, 0, 1, 3, 5, sync, 0},
 		// Two handles on one namespace; a re-acquire fences the first.
-		{hello, a, 1, hello, a, 1, acquire, 0, 1, 100, 0, acquire, 1, 1, 100, 0, write, 0, 1, 0, 1, write, 1, 2, 0, 1},
+		{hello, a, 1, 0, hello, a, 1, 0, acquire, 0, 1, 100, 0, acquire, 1, 1, 100, 0, write, 0, 1, 0, 1, write, 1, 2, 0, 1},
 		// Waiting on b's lease until it lapses, then writing under the grant.
-		{hello, b, 1, acquire, 0, 2, 100, 1, writeAcked, 0, 2, 0, 0, 42},
+		{hello, b, 1, 0, acquire, 0, 2, 100, 1, writeAcked, 0, 2, 0, 0, 42},
 		// Unknown ops, a reserved one, handles nothing attached, a bad hello.
-		{raw, 99, 3, 1, 2, 3, raw, 9, 0, read, 4, 0, hello, 3, 1, hello, a, 0, readRange, 0, 15, 19},
+		{raw, 99, 3, 1, 2, 3, raw, 9, 0, read, 4, 0, hello, 3, 1, 0, hello, a, 0, 0, readRange, 0, 15, 19},
+		// A stamped hello creates a, a re-hello stamps nothing: cell 0 reads 9.
+		{hello, a, 1, 9, hello, a, 1, 5, read, 1, 0, hello, b, 1, 7, read, 2, 0},
+		// A v2 hello, a stamp short, then a write on the handle it kept.
+		{raw, 1, 10, 1, 0, 'a', 16, 0, 0, 0, 0, 0, 0, 0, writeAcked, 0, 1, 0, 0, 42},
 	} {
 		f.Add(seed)
 	}
@@ -445,7 +537,7 @@ func FuzzServerSession(f *testing.F) {
 		rand.Read(idb[:])
 		victim := dialRaw(t, addr)
 		defer victim.nc.Close() // before the server hangs up on it
-		victim.do(opHello, helloP("b", 16))
+		victim.do(opHello, helloP("b", 16, 0))
 		if rop, _, _ := victim.do(opAcquire, acquireP(0, binary.LittleEndian.Uint64(idb[:])|1<<63, 100, false)); rop != opAcquireOK {
 			t.Fatalf("victim's acquire: op %d", rop)
 		}
@@ -490,7 +582,7 @@ func sessionProgram(prog []byte) []*request {
 			if size%4 != 0 {
 				size = 16
 			}
-			r = request{op: opHello, payload: helloP(name, size)}
+			r = request{op: opHello, payload: helloP(name, size, int64(u8()))}
 		case 1:
 			r = request{op: opAcquire, payload: acquireP(u8()%5, uint64(u8()%3), uint64(u8()), u8()&1 != 0)}
 		case 2:
@@ -574,6 +666,7 @@ func checkSession(t *testing.T, addr string, reqs []*request) {
 		handles []hnd
 		cur     = map[string]uint64{}
 		held    = map[string]bool{}
+		created = map[string]bool{"b": true} // the victim's hello made b
 	)
 	for i, r := range reqs {
 		if r.rop == opErr {
@@ -599,12 +692,21 @@ func checkSession(t *testing.T, addr string, reqs []*request) {
 		want, size := opAck, 0
 		switch r.op {
 		case opHello:
-			want, size = opHelloOK, 2
-			if len(r.rp) == 2 && int(r.rp[1]) != len(handles) {
-				t.Fatalf("request %d: hello answered handle %d, want %d", i+1, r.rp[1], len(handles))
-			}
+			want, size = opHelloOK, 10
 			d := wire.Decoder{B: r.payload}
-			handles = append(handles, hnd{name: d.Str()})
+			name := d.Str()
+			if len(r.rp) == 10 {
+				if int(r.rp[1]) != len(handles) {
+					t.Fatalf("request %d: hello answered handle %d, want %d", i+1, r.rp[1], len(handles))
+				}
+				// Only the first hello of a name creates its namespace, and
+				// reports a fresh one's cell 0 as 0 whatever it stamped.
+				if reopened := r.rp[0] != 0; reopened != created[name] || !reopened && binary.LittleEndian.Uint64(r.rp[2:]) != 0 {
+					t.Fatalf("request %d: hello of %q answered reopened %v, cell 0 %d; created before: %v", i+1, name, reopened, binary.LittleEndian.Uint64(r.rp[2:]), created[name])
+				}
+				created[name] = true
+			}
+			handles = append(handles, hnd{name: name})
 		case opAcquire:
 			want, size = opAcquireOK, 16
 			if len(r.rp) == 16 {
