@@ -30,6 +30,7 @@ package atmostonce
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"atmostonce/internal/adversary"
 	"atmostonce/internal/conc"
@@ -53,13 +54,14 @@ type Config struct {
 	// relative to n and total work matters.
 	Iterative bool
 	EpsDenom  int
-	// Jitter adds scheduling noise (runtime.Gosched) for test diversity;
-	// Seed makes it deterministic.
-	Jitter bool
-	Seed   int64
-	// CrashAfter optionally stops worker i after CrashAfter[i] steps
-	// (0 = never); used to exercise fault tolerance. At least one worker
-	// must never crash.
+	// Seed, when nonzero, schedules the run: a random adversary seeded
+	// with it picks every worker's every step on the calling goroutine, so
+	// the run repeats exactly from its seed. 0 runs the workers free.
+	Seed int64
+	// CrashAfter optionally stops worker i+1 once it has taken
+	// CrashAfter[i] steps (0 = never); used to exercise fault tolerance.
+	// It schedules the run as Seed does. At least one worker must never
+	// crash.
 	CrashAfter []uint64
 }
 
@@ -90,7 +92,18 @@ func Run(cfg Config, fn func(worker, job int)) (*Summary, error) {
 	opts := conc.Options{
 		N: cfg.Jobs, M: cfg.Workers, Beta: cfg.Beta,
 		Iterative: cfg.Iterative, EpsDenom: cfg.EpsDenom,
-		Jitter: cfg.Jitter, Seed: cfg.Seed, CrashAfter: cfg.CrashAfter,
+	}
+	if cfg.Seed != 0 || cfg.CrashAfter != nil {
+		opts.Adversary = sim.NewRandom(cfg.Seed)
+	}
+	if cfg.CrashAfter != nil {
+		if len(cfg.CrashAfter) != cfg.Workers {
+			return nil, fmt.Errorf("conc: invalid options: CrashAfter has %d entries for m=%d", len(cfg.CrashAfter), cfg.Workers)
+		}
+		if !slices.Contains(cfg.CrashAfter, 0) {
+			return nil, errors.New("conc: invalid options: all processes crash (need f < m)")
+		}
+		opts.Adversary = &sim.StepBudget{Steps: cfg.CrashAfter, Then: opts.Adversary}
 	}
 	if fn != nil {
 		opts.DoFn = func(pid int, job int64) { fn(pid, int(job)) }

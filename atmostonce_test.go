@@ -43,7 +43,7 @@ func TestRunUnperformedPartition(t *testing.T) {
 		sum, err := Run(Config{
 			Jobs: n, Workers: m, Iterative: iterative,
 			CrashAfter: []uint64{100, 0, 250, 0},
-			Jitter:     true, Seed: 2,
+			Seed:       2,
 		}, func(worker, job int) {
 			ran[job].Store(true)
 		})

@@ -31,7 +31,7 @@ func run(args []string) error {
 		beta      = fs.Int("beta", 0, "termination parameter β (0 = m)")
 		f         = fs.Int("f", 0, "crash budget (f < m)")
 		advName   = fs.String("adversary", "roundrobin", "roundrobin|random|tightness|staircase|alternator")
-		seed      = fs.Int64("seed", 0, "random adversary seed")
+		seed      = fs.Int64("seed", 0, "seed of -adversary random (the simulator only: -conc runs free)")
 		crashProb = fs.Float64("crash-prob", 0.001, "random adversary crash probability")
 		iterative = fs.Bool("iterative", false, "run IterativeKK(ε) instead of plain KKβ")
 		epsDenom  = fs.Int("eps-denom", 1, "1/ε for the iterative algorithm")
@@ -42,7 +42,7 @@ func run(args []string) error {
 		return err
 	}
 	if *concRun {
-		return runConc(*n, *m, *beta, *iterative, *epsDenom, *seed)
+		return runConc(*n, *m, *beta, *iterative, *epsDenom)
 	}
 	scheds := map[string]atmostonce.Scheduler{
 		"roundrobin": atmostonce.RoundRobin,
@@ -87,11 +87,10 @@ func run(args []string) error {
 	return nil
 }
 
-func runConc(n, m, beta int, iterative bool, epsDenom int, seed int64) error {
+func runConc(n, m, beta int, iterative bool, epsDenom int) error {
 	sum, err := atmostonce.Run(atmostonce.Config{
 		Jobs: n, Workers: m, Beta: beta,
 		Iterative: iterative, EpsDenom: epsDenom,
-		Jitter: true, Seed: seed,
 	}, nil)
 	if err != nil {
 		return err

@@ -28,7 +28,6 @@ func TestDispatcherEndToEnd(t *testing.T) {
 		Shards:          4,
 		WorkersPerShard: 4,
 		MaxBatch:        512,
-		Jitter:          true,
 		Seed:            9,
 		CrashPlan: func(shard, round int) []uint64 { // every round: see TestDispatcherAsyncAPI
 			return []uint64{0, uint64(200 + 17*(round%20)), 400, 0}
@@ -100,7 +99,6 @@ func TestDispatcherAsyncAPI(t *testing.T) {
 		MaxBatch:        64,
 		QueueDepth:      256,
 		SubmitPolicy:    Block,
-		Jitter:          true,
 		Seed:            21,
 		// Every round, not the first few: a shard's opening rounds can be
 		// a job or two each (the lone submitter below has barely started),

@@ -51,7 +51,7 @@ func run() error {
 	)
 
 	summary, err := atmostonce.Run(
-		atmostonce.Config{Jobs: pages, Workers: senders, Jitter: true, Seed: 7},
+		atmostonce.Config{Jobs: pages, Workers: senders},
 		func(sender, page int) {
 			// Encrypt one message with this page. The page index IS the
 			// at-most-once job: the library guarantees no other sender

@@ -48,7 +48,7 @@ func run() error {
 			w = len(batch) // a round needs n ≥ m
 		}
 		sum, err := atmostonce.Run(
-			atmostonce.Config{Jobs: len(batch), Workers: w, Jitter: true, Seed: int64(round)},
+			atmostonce.Config{Jobs: len(batch), Workers: w},
 			func(worker, local int) {
 				executions[batch[local-1]].Add(1)
 			},

@@ -41,11 +41,10 @@ func run() error {
 		Shards:          4,
 		WorkersPerShard: 4,
 		MaxBatch:        512,
-		Jitter:          true,
-		Seed:            1,
 		// Chaos: for the first 10 rounds of every shard, two of its four
-		// workers crash mid-round. Their announced-but-unperformed jobs
-		// ride the residue carry-over into the next round.
+		// workers crash mid-round, under a schedule seeded by the shard and
+		// the round. Their announced-but-unperformed jobs ride the residue
+		// carry-over into the next round.
 		CrashPlan: func(shard, round int) []uint64 {
 			if round >= 10 {
 				return nil

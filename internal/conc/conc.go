@@ -1,23 +1,22 @@
-// Package conc runs the paper's algorithms under true concurrency: one
-// goroutine per process over sync/atomic registers, with no locks or
-// read-modify-write operations on the algorithm path. Because every Step
-// of a core.Proc performs at most one shared register access, the
-// goroutine executions are exactly the linearizable executions of the
-// paper's model (§2.1), now scheduled by the Go runtime and the hardware
-// instead of a simulated adversary.
+// Package conc runs the paper's algorithms on their real registers: every
+// round's processes share sync/atomic registers, with no locks or
+// read-modify-write operations on the algorithm path. A round runs one of
+// two ways. Without an adversary each process steps free on its own
+// goroutine; because every Step of a core.Proc performs at most one shared
+// register access, those executions are exactly the linearizable
+// executions of the paper's model (§2.1), scheduled by the Go runtime and
+// the hardware. With a sim.Adversary the round runs through sim.Run on the
+// caller's goroutine, so the adversary picks every step and every crash
+// (at most m−1) and the round repeats exactly from its seed.
 //
 // The runtime validates the at-most-once property post-hoc from
-// per-process event logs and supports deterministic crash injection
-// (a goroutine stops stepping after a configured number of actions).
+// per-process event logs.
 package conc
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"atmostonce/internal/core"
 	"atmostonce/internal/shmem"
@@ -36,14 +35,9 @@ type Options struct {
 	EpsDenom int
 	// WriteAll selects WA_IterativeKK(ε) (implies Iterative).
 	WriteAll bool
-	// CrashAfter, when non-nil, gives per-process step counts after which
-	// the goroutine stops stepping (simulated crash). 0 = never. At least
-	// one process must never crash.
-	CrashAfter []uint64
-	// Jitter injects random runtime.Gosched calls to diversify
-	// interleavings; Seed makes the injection deterministic per process.
-	Jitter bool
-	Seed   int64
+	// Adversary, when non-nil, schedules the run (see the package
+	// comment): per-process step budgets are a sim.StepBudget.
+	Adversary sim.Adversary
 	// DoFn, when non-nil, is the job payload, invoked once per performed
 	// job with the performing process id.
 	DoFn func(pid int, job int64)
@@ -74,20 +68,6 @@ func (o *Options) normalize() error {
 	if o.M < 1 || o.N < o.M {
 		return fmt.Errorf("%w: n=%d m=%d", errValidate, o.N, o.M)
 	}
-	if o.CrashAfter != nil && len(o.CrashAfter) != o.M {
-		return fmt.Errorf("%w: CrashAfter has %d entries for m=%d", errValidate, len(o.CrashAfter), o.M)
-	}
-	if o.CrashAfter != nil {
-		alive := 0
-		for _, c := range o.CrashAfter {
-			if c == 0 {
-				alive++
-			}
-		}
-		if alive == 0 {
-			return fmt.Errorf("%w: all processes crash (need f < m)", errValidate)
-		}
-	}
 	if o.WriteAll {
 		o.Iterative = true
 	}
@@ -97,19 +77,18 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// eventLog is a per-goroutine DoSink; no synchronization needed because
-// each process owns its log. A Runtime's logs also run its round payload,
-// so the processes it rebuilds need no payload closure of their own.
+// eventLog is a process's DoSink, and it runs the payload, fn, so the
+// processes need no payload closure of their own. No synchronization is
+// needed because each process owns its log.
 type eventLog struct {
-	pid    int
 	events []sim.Event
-	rt     *Runtime
+	fn     func(worker, job int)
 }
 
 func (l *eventLog) RecordDo(pid int, job int64) {
 	l.events = append(l.events, sim.Event{PID: pid, Job: job})
-	if l.rt != nil && l.rt.fn != nil {
-		l.rt.fn(pid, int(job))
+	if l.fn != nil {
+		l.fn(pid, int(job))
 	}
 }
 
@@ -121,22 +100,20 @@ func Run(o Options) (*Result, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	if o.Iterative {
-		return runIterative(o)
-	}
-	rt, err := NewRuntime(RuntimeOptions{
-		M: o.M, Capacity: o.N, Beta: o.Beta, Jitter: o.Jitter, Seed: o.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
 	var fn func(worker, job int)
 	if o.DoFn != nil {
 		do := o.DoFn
 		fn = func(worker, job int) { do(worker, int64(job)) }
 	}
-	rr, err := rt.RunRound(o.N, fn, o.CrashAfter)
+	if o.Iterative {
+		return runIterative(o, fn)
+	}
+	rt, err := NewRuntime(RuntimeOptions{M: o.M, Capacity: o.N, Beta: o.Beta})
+	if err != nil {
+		return nil, err
+	}
+	defer rt.Close()
+	rr, err := rt.RunRound(o.N, fn, o.Adversary)
 	if err != nil {
 		return nil, err
 	}
@@ -150,77 +127,65 @@ func Run(o Options) (*Result, error) {
 	}, nil
 }
 
-// runIterative executes IterativeKK(ε) / WA_IterativeKK(ε): one goroutine
-// per level-chain process over a fresh register file.
-func runIterative(o Options) (*Result, error) {
-	procs, logs, err := buildIterProcs(o)
+// runIterative executes IterativeKK(ε) / WA_IterativeKK(ε) over a fresh
+// register file: under o.Adversary, or one goroutine per level-chain
+// process.
+func runIterative(o Options, fn func(worker, job int)) (*Result, error) {
+	cfg := core.IterConfig{N: o.N, M: o.M, EpsDenom: o.EpsDenom, WriteAll: o.WriteAll, Beta: o.Beta}
+	cfg, levels, size, err := core.PlanLevels(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		wg      sync.WaitGroup
-		steps   = make([]uint64, o.M)
-		crashed atomic.Int64
-	)
-	for i := 0; i < o.M; i++ {
-		var crashAt uint64
-		if o.CrashAfter != nil {
-			crashAt = o.CrashAfter[i]
-		}
-		wg.Add(1)
-		go func(idx int, p sim.Process, crashAt uint64) {
-			defer wg.Done()
-			var rng *rand.Rand
-			if o.Jitter {
-				rng = rand.New(rand.NewSource(o.Seed + int64(idx)))
-			}
-			for p.Status() == sim.Running {
-				if crashAt > 0 && steps[idx] >= crashAt {
-					// Count crashes as they are delivered: a process that
-					// terminates before reaching its crash step did not
-					// crash.
-					p.Crash()
-					crashed.Add(1)
-					return
-				}
-				p.Step()
-				steps[idx]++
-				if rng != nil && rng.Intn(8) == 0 {
-					runtime.Gosched()
-				}
-			}
-		}(i, procs[i], crashAt)
+	procs := make([]sim.Process, o.M)
+	logs := make([]*eventLog, o.M)
+	for i, ip := range core.NewIterProcsOn(cfg, levels, shmem.NewAtomic(size)) {
+		logs[i] = &eventLog{fn: fn}
+		ip.SetSink(logs[i])
+		procs[i] = ip
 	}
-	wg.Wait()
-
-	res := &Result{Crashed: int(crashed.Load())}
-	for i, l := range logs {
+	res := &Result{}
+	if o.Adversary != nil {
+		sr, err := schedule(procs, o.Adversary)
+		if err != nil {
+			return nil, err
+		}
+		res.Steps, res.Crashed = sr.Steps, sr.Crashes
+	} else {
+		var wg sync.WaitGroup
+		steps := make([]uint64, o.M)
+		for i, p := range procs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				steps[i] = stepAll(p)
+			}()
+		}
+		wg.Wait()
+		for _, n := range steps {
+			res.Steps += n
+		}
+	}
+	for _, l := range logs {
 		res.Events = append(res.Events, l.events...)
-		res.Steps += steps[i]
 	}
 	t := sim.TallyEvents(res.Events, o.N)
 	res.Distinct, res.Duplicates, res.Unperformed = t.Distinct, t.Duplicates, t.Unperformed()
 	return res, nil
 }
 
-func buildIterProcs(o Options) ([]sim.Process, []*eventLog, error) {
-	procs := make([]sim.Process, o.M)
-	logs := make([]*eventLog, o.M)
-	cfg := core.IterConfig{N: o.N, M: o.M, EpsDenom: o.EpsDenom, WriteAll: o.WriteAll, Beta: o.Beta}
-	cfg, levels, size, err := core.PlanLevels(cfg)
-	if err != nil {
-		return nil, nil, err
+// stepAll is the step loop of a free round: p steps on the calling
+// goroutine until its algorithm ends. It returns the steps p took.
+func stepAll(p sim.Process) uint64 {
+	var steps uint64
+	for p.Status() == sim.Running {
+		p.Step()
+		steps++
 	}
-	iters := core.NewIterProcsOn(cfg, levels, shmem.NewAtomic(size))
-	for i, ip := range iters {
-		logs[i] = &eventLog{pid: i + 1}
-		ip.SetSink(logs[i])
-		if o.DoFn != nil {
-			pid := i + 1
-			fn := o.DoFn
-			ip.SetDoFn(func(job int64) { fn(pid, job) })
-		}
-		procs[i] = ip
-	}
-	return procs, logs, nil
+	return steps
+}
+
+// schedule runs a round's processes under adv through sim.Run on the
+// calling goroutine, with crash budget m−1 and no step limit.
+func schedule(procs []sim.Process, adv sim.Adversary) (*sim.Result, error) {
+	return sim.Run(sim.NewWorld(procs, nil, len(procs)-1), adv, 0)
 }

@@ -5,22 +5,23 @@ import (
 	"testing"
 
 	"atmostonce/internal/core"
+	"atmostonce/internal/sim"
 )
 
 func TestRunKKConcurrentAMO(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		res, err := Run(Options{N: 2000, M: 8, Jitter: true, Seed: seed})
+	for run := 0; run < 5; run++ {
+		res, err := Run(Options{N: 2000, M: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Duplicates != 0 {
-			t.Fatalf("seed %d: at-most-once violated under real concurrency (%d dups)", seed, res.Duplicates)
+			t.Fatalf("run %d: at-most-once violated under real concurrency (%d dups)", run, res.Duplicates)
 		}
 		if lower := core.EffectivenessBound(2000, 8, 0); res.Distinct < lower {
-			t.Fatalf("seed %d: Do = %d < %d", seed, res.Distinct, lower)
+			t.Fatalf("run %d: Do = %d < %d", run, res.Distinct, lower)
 		}
 		if res.Distinct > 2000 {
-			t.Fatalf("seed %d: Do = %d > n", seed, res.Distinct)
+			t.Fatalf("run %d: Do = %d > n", run, res.Distinct)
 		}
 	}
 }
@@ -28,7 +29,7 @@ func TestRunKKConcurrentAMO(t *testing.T) {
 func TestRunKKWithCrashes(t *testing.T) {
 	// Processes 1..3 stop after a few hundred actions; 4 survives.
 	crash := []uint64{200, 350, 500, 0}
-	res, err := Run(Options{N: 1000, M: 4, CrashAfter: crash, Jitter: true, Seed: 1})
+	res, err := Run(Options{N: 1000, M: 4, Adversary: &sim.StepBudget{Steps: crash, Then: sim.NewRandom(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestRunPayloadExecutedAtMostOnce(t *testing.T) {
 	const n = 1500
 	counters := make([]atomic.Int32, n+1)
 	res, err := Run(Options{
-		N: n, M: 6, Jitter: true, Seed: 3,
+		N: n, M: 6,
 		DoFn: func(pid int, job int64) { counters[job].Add(1) },
 	})
 	if err != nil {
@@ -69,7 +70,7 @@ func TestRunPayloadExecutedAtMostOnce(t *testing.T) {
 }
 
 func TestRunIterativeConcurrent(t *testing.T) {
-	res, err := Run(Options{N: 3000, M: 4, Iterative: true, EpsDenom: 1, Jitter: true, Seed: 7})
+	res, err := Run(Options{N: 3000, M: 4, Iterative: true, EpsDenom: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRunWriteAllConcurrent(t *testing.T) {
 	const n = 2000
 	var written [n + 1]atomic.Bool
 	res, err := Run(Options{
-		N: n, M: 4, WriteAll: true, Jitter: true, Seed: 11,
+		N: n, M: 4, WriteAll: true,
 		DoFn: func(pid int, job int64) { written[job].Store(true) },
 	})
 	if err != nil {
@@ -104,7 +105,7 @@ func TestRunWriteAllConcurrent(t *testing.T) {
 func TestRunWriteAllWithCrashes(t *testing.T) {
 	const n = 1200
 	crash := []uint64{150, 0, 300, 0}
-	res, err := Run(Options{N: n, M: 4, WriteAll: true, CrashAfter: crash, Jitter: true, Seed: 13})
+	res, err := Run(Options{N: n, M: 4, WriteAll: true, Adversary: &sim.StepBudget{Steps: crash, Then: sim.NewRandom(13)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,5 @@ func TestRunWriteAllWithCrashes(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	if _, err := Run(Options{N: 2, M: 4}); err == nil {
 		t.Error("n<m accepted")
-	}
-	if _, err := Run(Options{N: 10, M: 2, CrashAfter: []uint64{1}}); err == nil {
-		t.Error("short CrashAfter accepted")
-	}
-	if _, err := Run(Options{N: 10, M: 2, CrashAfter: []uint64{1, 1}}); err == nil {
-		t.Error("all-crash accepted")
 	}
 }

@@ -3,10 +3,7 @@ package conc
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"atmostonce/internal/core"
 	"atmostonce/internal/shmem"
@@ -24,16 +21,13 @@ type RuntimeOptions struct {
 	Capacity int
 	// Beta is KKβ's termination parameter (0 = m).
 	Beta int
-	// Jitter injects random runtime.Gosched calls into the worker loops to
-	// diversify interleavings; Seed makes the injection deterministic per
-	// worker.
-	Jitter bool
-	Seed   int64
-	// Flush, when non-nil, is invoked by each worker (1-based id) after
-	// its step loop ends — normal termination AND injected crash alike —
-	// and before the round settles, so per-worker work a payload deferred
-	// (the dispatcher's group-commit journal claims) is completed inside
-	// the round that produced it. It runs on the worker's goroutine; the
+	// Flush, when non-nil, is invoked for each worker (1-based id) once
+	// its part of the round ends — normal termination AND injected crash
+	// alike — and before the round settles, so per-worker work a payload
+	// deferred (the dispatcher's group-commit journal claims) is completed
+	// inside the round that produced it. In a free round it runs on the
+	// worker's goroutine as its step loop ends; in a scheduled one on the
+	// caller's, for every worker in order, once the schedule ends. The
 	// round is not considered settled until every worker's Flush returns.
 	Flush func(worker int)
 }
@@ -47,9 +41,9 @@ type RoundResult struct {
 	// Duplicates counts do events beyond the first per job; nonzero means
 	// an at-most-once violation (always 0, Lemma 4.1).
 	Duplicates int
-	// Crashed is the number of workers that actually crashed this round
-	// (counted at the stop action, not at spawn — a worker whose algorithm
-	// terminates before reaching its crash step did not crash).
+	// Crashed is the number of workers the round's adversary crashed (a
+	// worker whose algorithm terminates within its step budget did not
+	// crash); 0 in a free round.
 	Crashed int
 	// Steps is the total number of actions taken by all workers.
 	Steps uint64
@@ -77,30 +71,23 @@ type RoundResult struct {
 // A Runtime is NOT safe for concurrent use: rounds are executed one at a
 // time by a single orchestrating goroutine.
 type Runtime struct {
-	m      int
-	cap    int
-	beta   int
-	jitter bool
-	seed   int64
-	flush  func(worker int)
+	m     int
+	cap   int
+	beta  int
+	flush func(worker int)
 
 	// The round state, for rounds of up to lay.RowLen jobs (0 before the
 	// first round); grow rebuilds it with the workers parked.
 	mem   shmem.Mem
 	lay   core.Layout
 	procs []*core.Proc
-	logs  []*eventLog
+	world []sim.Process // procs, as a scheduled round's sim.World holds them
+	logs  []*eventLog   // each runs the round's payload (the start send publishes it)
 
-	// Per-round inputs, written by RunRound before the workers are kicked
-	// (the start-channel send publishes them).
-	fn         func(worker, job int)
-	crashAfter []uint64
-
-	start   []chan struct{}
-	wg      sync.WaitGroup
-	steps   []uint64
-	crashed atomic.Int64
-	closed  bool
+	start  []chan struct{}
+	wg     sync.WaitGroup
+	steps  []uint64
+	closed bool
 
 	round       uint64
 	stamp       []uint64 // stamp[j] == round marks job j performed this round
@@ -116,21 +103,19 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 		return nil, fmt.Errorf("%w: capacity=%d m=%d", errValidate, o.Capacity, o.M)
 	}
 	r := &Runtime{
-		m:      o.M,
-		cap:    o.Capacity,
-		beta:   o.Beta,
-		jitter: o.Jitter,
-		seed:   o.Seed,
-		flush:  o.Flush,
-		steps:  make([]uint64, o.M),
-		procs:  make([]*core.Proc, o.M),
-		logs:   make([]*eventLog, o.M),
-		start:  make([]chan struct{}, o.M),
+		m:     o.M,
+		cap:   o.Capacity,
+		beta:  o.Beta,
+		flush: o.Flush,
+		steps: make([]uint64, o.M),
+		procs: make([]*core.Proc, o.M),
+		logs:  make([]*eventLog, o.M),
+		start: make([]chan struct{}, o.M),
 		// A round without crashes leaves at most β+m−2 jobs (Theorem 4.4).
 		unperformed: make([]int, 0, max(o.Beta, o.M)+o.M),
 	}
 	for i := 0; i < o.M; i++ {
-		r.logs[i] = &eventLog{pid: i + 1, rt: r}
+		r.logs[i] = new(eventLog)
 		r.start[i] = make(chan struct{}, 1)
 		go r.workerLoop(i)
 	}
@@ -151,49 +136,24 @@ func (r *Runtime) grow(k int) {
 	r.mem = shmem.NewAtomic(r.lay.Size())
 	r.stamp = make([]uint64, size+1)
 	events := make([]sim.Event, r.m*size) // a worker does at most size jobs a round
+	r.world = make([]sim.Process, r.m)
 	for i, l := range r.logs {
 		l.events = events[i*size : i*size : (i+1)*size]
 		r.procs[i] = core.NewProc(core.ProcOptions{
 			ID: i + 1, M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size, Sink: l,
 		})
+		r.world[i] = r.procs[i]
 	}
 }
 
-// workerLoop is the persistent per-worker goroutine: park on the start
-// channel, step the warm process to completion (or injected crash), report,
-// park again. The process is re-read per round: grow may have replaced it
-// (the start send publishes the new one).
+// workerLoop is the persistent per-worker goroutine of free rounds: park
+// on the start channel, step the warm process to completion, flush, park
+// again. The process is re-read per round: grow may have replaced it (the
+// start send publishes the new one).
 func (r *Runtime) workerLoop(idx int) {
-	var rng *rand.Rand
-	if r.jitter {
-		rng = rand.New(rand.NewSource(r.seed + int64(idx)))
-	}
 	for range r.start[idx] {
-		p := r.procs[idx]
-		var crashAt uint64
-		if r.crashAfter != nil {
-			crashAt = r.crashAfter[idx]
-		}
-		var steps uint64
-		for p.Status() == sim.Running {
-			if crashAt > 0 && steps >= crashAt {
-				p.Crash()
-				r.crashed.Add(1)
-				break
-			}
-			p.Step()
-			steps++
-			if rng != nil && rng.Intn(8) == 0 {
-				runtime.Gosched()
-			}
-		}
-		r.steps[idx] = steps
+		r.steps[idx] = stepAll(r.world[idx])
 		if r.flush != nil {
-			// Even a crashed worker flushes: an injected crash stops the
-			// ALGORITHM mid-round (the paper's model), not the process, and
-			// jobs the worker already claimed are marked done in the round —
-			// their deferred payloads must still run, or a live process
-			// would report jobs performed whose payloads never executed.
 			r.flush(idx + 1)
 		}
 		r.wg.Done()
@@ -207,52 +167,57 @@ func (r *Runtime) M() int { return r.m }
 func (r *Runtime) Capacity() int { return r.cap }
 
 // RunRound executes one KKβ round over the dense job set [1..k]: it
-// re-zeroes the dirty registers, resets the warm processes, kicks the
-// parked workers and waits for the round to settle. fn, when non-nil, is
-// the job payload (invoked at most once per job with the performing worker
-// id). crashAfter, when non-nil, injects per-worker crashes exactly as
-// Options.CrashAfter; crashed workers are revived on the next round.
+// re-zeroes the dirty registers, resets the warm processes, runs the
+// round and waits for it to settle. fn, when non-nil, is the job payload
+// (invoked at most once per job with the performing worker id). adv, when
+// non-nil, schedules the round through sim.Run on the caller's goroutine,
+// the parked workers staying parked; nil kicks them to run free. Workers
+// adv crashed are revived on the next round.
 //
 // The returned RoundResult is reused across rounds — callers must consume
 // it (in particular Unperformed) before calling RunRound again.
-func (r *Runtime) RunRound(k int, fn func(worker, job int), crashAfter []uint64) (*RoundResult, error) {
+func (r *Runtime) RunRound(k int, fn func(worker, job int), adv sim.Adversary) (*RoundResult, error) {
 	if r.closed {
 		return nil, fmt.Errorf("%w: runtime is closed", errValidate)
 	}
 	if k < r.m || k > r.cap {
 		return nil, fmt.Errorf("%w: round size %d outside [m=%d..capacity=%d]", errValidate, k, r.m, r.cap)
 	}
-	if crashAfter != nil {
-		if len(crashAfter) != r.m {
-			return nil, fmt.Errorf("%w: CrashAfter has %d entries for m=%d", errValidate, len(crashAfter), r.m)
+	r.prepare(k, fn)
+	if adv == nil {
+		r.wg.Add(r.m)
+		for _, ch := range r.start {
+			ch <- struct{}{}
 		}
-		alive := 0
-		for _, c := range crashAfter {
-			if c == 0 {
-				alive++
-			}
+		r.wg.Wait()
+		var steps uint64
+		for _, n := range r.steps {
+			steps += n
 		}
-		if alive == 0 {
-			return nil, fmt.Errorf("%w: all processes crash (need f < m)", errValidate)
+		return r.collect(k, steps, 0), nil
+	}
+	sr, err := schedule(r.world, adv)
+	if r.flush != nil {
+		// Even a crashed worker flushes: a crash stops the ALGORITHM
+		// mid-round (the paper's model), not the process, and jobs the
+		// worker already claimed are marked done in the round — their
+		// deferred payloads must still run, or a live process would report
+		// jobs performed whose payloads never executed.
+		for w := 1; w <= r.m; w++ {
+			r.flush(w)
 		}
 	}
-
-	r.prepare(k, fn, crashAfter)
-	r.wg.Add(r.m)
-	for _, ch := range r.start {
-		ch <- struct{}{}
+	if err != nil {
+		return nil, err
 	}
-	r.wg.Wait()
-	return r.collect(k), nil
+	return r.collect(k, sr.Steps, sr.Crashes), nil
 }
 
 // prepare re-zeroes the registers dirtied by the previous round — or, for
 // a round larger than any before it, grows fresh ones — and resets
 // processes and logs. It runs strictly between rounds (before the start
 // send), so it may read process state freely.
-func (r *Runtime) prepare(k int, fn func(worker, job int), crashAfter []uint64) {
-	r.fn = fn
-	r.crashAfter = crashAfter
+func (r *Runtime) prepare(k int, fn func(worker, job int)) {
 	if k > r.lay.RowLen {
 		r.grow(k)
 	} else {
@@ -267,20 +232,18 @@ func (r *Runtime) prepare(k int, fn func(worker, job int), crashAfter []uint64) 
 	}
 	for i, p := range r.procs {
 		p.Reset(k)
-		r.logs[i].events = r.logs[i].events[:0]
+		r.logs[i].events, r.logs[i].fn = r.logs[i].events[:0], fn
 	}
-	r.crashed.Store(0)
 }
 
 // collect merges the per-worker logs into the reusable RoundResult.
-func (r *Runtime) collect(k int) *RoundResult {
+func (r *Runtime) collect(k int, steps uint64, crashed int) *RoundResult {
 	r.round++
 	epoch := r.round
 	res := &r.res
 	res.Performed, res.Duplicates = 0, 0
-	res.Steps, res.Work = 0, 0
+	res.Steps, res.Crashed, res.Work = steps, crashed, 0
 	for i, l := range r.logs {
-		res.Steps += r.steps[i]
 		res.Work += r.procs[i].Work()
 		for _, e := range l.events {
 			if r.stamp[e.Job] == epoch {
@@ -298,7 +261,6 @@ func (r *Runtime) collect(k int) *RoundResult {
 		}
 	}
 	res.Unperformed = r.unperformed
-	res.Crashed = int(r.crashed.Load())
 	return res
 }
 

@@ -1,18 +1,22 @@
 package conc
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"atmostonce/internal/adversary"
 	"atmostonce/internal/core"
+	"atmostonce/internal/sim"
 )
 
 // TestRuntimeRoundReuse drives many rounds of varying sizes through one
 // pool and checks each round is an independent, correct KKβ execution.
 func TestRuntimeRoundReuse(t *testing.T) {
 	const m, capacity = 4, 500
-	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: capacity, Jitter: true, Seed: 42})
+	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +47,12 @@ func TestRuntimeRoundReuse(t *testing.T) {
 // revived — and that residue is reported — on the next.
 func TestRuntimeCrashRevival(t *testing.T) {
 	const m, k = 4, 300
-	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: k, Jitter: true, Seed: 7})
+	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	res, err := rt.RunRound(k, nil, []uint64{50, 80, 120, 0})
+	res, err := rt.RunRound(k, nil, &sim.StepBudget{Steps: []uint64{50, 80, 120, 0}, Then: sim.NewRandom(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestRuntimeCrashRevival(t *testing.T) {
 // correct as any other.
 func TestRuntimeGrowsWithRounds(t *testing.T) {
 	const m, capacity = 2, 1024
-	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: capacity, Jitter: true, Seed: 3})
+	rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +163,7 @@ func TestRuntimeSteadyStateAllocFree(t *testing.T) {
 func TestRunCrashCountExcludesUnreachedCrashes(t *testing.T) {
 	// Worker 2's crash point is astronomically far away; the run finishes
 	// long before, so nobody actually crashes.
-	res, err := Run(Options{N: 100, M: 2, CrashAfter: []uint64{0, 1 << 40}})
+	res, err := Run(Options{N: 100, M: 2, Adversary: &sim.StepBudget{Steps: []uint64{0, 1 << 40}, Then: sim.NewRandom(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestRunCrashCountExcludesUnreachedCrashes(t *testing.T) {
 		t.Fatalf("%d duplicates", res.Duplicates)
 	}
 	// Iterative path shares the accounting fix.
-	res, err = Run(Options{N: 500, M: 2, Iterative: true, CrashAfter: []uint64{0, 1 << 40}})
+	res, err = Run(Options{N: 500, M: 2, Iterative: true, Adversary: &sim.StepBudget{Steps: []uint64{0, 1 << 40}, Then: sim.NewRandom(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +195,6 @@ func TestRuntimeRoundValidation(t *testing.T) {
 	if _, err := rt.RunRound(11, nil, nil); err == nil {
 		t.Error("k > capacity accepted")
 	}
-	if _, err := rt.RunRound(5, nil, []uint64{1}); err == nil {
-		t.Error("short crash vector accepted")
-	}
-	if _, err := rt.RunRound(5, nil, []uint64{1, 1, 1}); err == nil {
-		t.Error("all-crash vector accepted")
-	}
 	rt.Close()
 	rt.Close() // idempotent
 	if _, err := rt.RunRound(5, nil, nil); err == nil {
@@ -204,5 +202,91 @@ func TestRuntimeRoundValidation(t *testing.T) {
 	}
 	if _, err := NewRuntime(RuntimeOptions{M: 4, Capacity: 2}); err == nil {
 		t.Error("capacity < m accepted")
+	}
+}
+
+// TestRuntimeTightness is Theorem 4.4 on a real round: under the proof's
+// adversary (m−1 workers crash holding distinct announced jobs, the last
+// runs alone) a Runtime's round performs exactly k−(β+m−2) jobs.
+func TestRuntimeTightness(t *testing.T) {
+	const k = 64
+	for _, m := range []int{2, 4} {
+		rt, err := NewRuntime(RuntimeOptions{M: m, Capacity: k, Beta: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ran atomic.Int64
+		res, err := rt.RunRound(k, func(worker, job int) { ran.Add(1) }, &adversary.Tightness{})
+		rt.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := k - (m + m - 2); res.Performed != want {
+			t.Errorf("m=%d: performed %d, Theorem 4.4 says exactly %d", m, res.Performed, want)
+		}
+		if res.Crashed != m-1 || res.Duplicates != 0 {
+			t.Errorf("m=%d: %d crashed, %d duplicates; want %d and 0", m, res.Crashed, res.Duplicates, m-1)
+		}
+		if int(ran.Load()) != res.Performed {
+			t.Errorf("m=%d: payload ran %d times, performed %d", m, ran.Load(), res.Performed)
+		}
+	}
+}
+
+// TestSeededRoundsRepeat: a round under a seeded adversary is the same
+// execution every time it runs — the same do events in the same order,
+// steps, crashes and residue — on a fresh Runtime, on a warm one that ran
+// a different round first, and through Run's iterative executor.
+func TestSeededRoundsRepeat(t *testing.T) {
+	type outcome struct {
+		Events      []sim.Event
+		Steps       uint64
+		Crashed     int
+		Unperformed []int
+	}
+	seeded := func() sim.Adversary {
+		return &sim.StepBudget{Steps: []uint64{0, 60, 140}, Then: sim.NewRandom(5)}
+	}
+	round := func(rt *Runtime) outcome {
+		res, err := rt.RunRound(300, nil, seeded())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{rt.Events(nil), res.Steps, res.Crashed, slices.Clone(res.Unperformed)}
+	}
+	fresh, err := NewRuntime(RuntimeOptions{M: 3, Capacity: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	warm, err := NewRuntime(RuntimeOptions{M: 3, Capacity: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if _, err := warm.RunRound(1000, nil, sim.NewRandom(9)); err != nil {
+		t.Fatal(err)
+	}
+	want := round(fresh)
+	if want.Crashed != 2 {
+		t.Fatalf("the seeded round crashed %d workers, want 2", want.Crashed)
+	}
+	for i, rt := range []*Runtime{warm, fresh} {
+		if got := round(rt); !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d of the seeded round differs from the first: %d events, %d steps, %d crashed, residue %v; want %d, %d, %d, %v",
+				i+2, len(got.Events), got.Steps, got.Crashed, got.Unperformed, len(want.Events), want.Steps, want.Crashed, want.Unperformed)
+		}
+	}
+
+	iterative := func() outcome {
+		res, err := Run(Options{N: 600, M: 3, Iterative: true, Adversary: seeded()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{res.Events, res.Steps, res.Crashed, res.Unperformed}
+	}
+	if a, b := iterative(), iterative(); !reflect.DeepEqual(a, b) {
+		t.Errorf("the seeded iterative run differs between runs: %d/%d events, %d/%d steps, %d/%d crashed",
+			len(a.Events), len(b.Events), a.Steps, b.Steps, a.Crashed, b.Crashed)
 	}
 }

@@ -364,8 +364,8 @@ func PlanLevels(cfg IterConfig) (IterConfig, []Level, int, error) {
 }
 
 // NewIterProcsOn builds the per-process level chains over an existing
-// memory sized by PlanLevels. Sinks and payloads default to nil; rebind
-// them with SetSink/SetDoFn before stepping.
+// memory sized by PlanLevels. Sinks and payloads default to nil; bind a
+// sink with SetSink before stepping.
 func NewIterProcsOn(cfg IterConfig, levels []Level, mem shmem.Mem) []*IterProc {
 	procs := make([]*IterProc, cfg.M)
 	for i := 0; i < cfg.M; i++ {
@@ -376,9 +376,6 @@ func NewIterProcsOn(cfg IterConfig, levels []Level, mem shmem.Mem) []*IterProc {
 
 // SetSink rebinds the do-event sink.
 func (p *IterProc) SetSink(s DoSink) { p.sink = s }
-
-// SetDoFn rebinds the per-job payload.
-func (p *IterProc) SetDoFn(fn func(job int64)) { p.doFn = fn }
 
 // NewIterSystem assembles an IterativeKK(ε) instance. Each level's shared
 // variables (next array, done matrix, termination flag) occupy a disjoint

@@ -18,7 +18,6 @@ func TestSubmitAsyncFutures(t *testing.T) {
 		Shards:          2,
 		WorkersPerShard: 3,
 		MaxBatch:        64,
-		Jitter:          true,
 		Seed:            11,
 		CrashPlan: everyRounds(15, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(30 + 11*round + 5*shard), uint64(70 + 7*round)}

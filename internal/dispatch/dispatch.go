@@ -76,15 +76,17 @@ type Config struct {
 	// overhead (higher throughput). 0 means DefaultRoundTarget; negative
 	// disables latency-based sizing (rounds are cut from queue depth alone).
 	RoundTarget time.Duration
-	// Jitter adds scheduling noise inside the worker pools; Seed makes it
-	// deterministic.
-	Jitter bool
-	Seed   int64
+	// Seed, when nonzero, schedules every round: shard s's round r runs
+	// on the shard's goroutine under a sim.Random seeded from Seed, s and
+	// r, which picks each worker's every step, so a round repeats from its
+	// seed. 0 runs rounds free, a goroutine a worker.
+	Seed int64
 	// CrashPlan, when non-nil, injects worker crashes: before shard s runs
 	// its round r (0-based), CrashPlan(s, r) may return a per-worker step
-	// budget (0 = never crash; at least one worker must survive). Crashed
-	// workers are revived on the shard's next round, and the jobs their
-	// crash left unperformed are carried into it. Malformed vectors are
+	// budget (0 = never crash), a sim.StepBudget that schedules the round
+	// as Seed does, crashing at most m−1 workers. Crashed workers are
+	// revived on the shard's next round, and the jobs their crash left
+	// unperformed are carried into it. A vector whose length is not m is
 	// ignored; a plan that crashes workers on every round forever can
 	// starve Flush.
 	CrashPlan func(shard, round int) []uint64

@@ -63,7 +63,7 @@ func everyRounds(n int, plan func(shard, round int) []uint64) func(shard, round 
 }
 
 // TestDispatcherCarryoverProperty is the round-carryover property test: a
-// stream of jobs pushed through small rounds with jitter and persistent
+// stream of jobs pushed through small seeded rounds and persistent
 // crash injection must finish with every job performed exactly once —
 // nothing lost to the per-round effectiveness tail, nothing duplicated
 // across the round boundary. Run under -race in CI.
@@ -74,7 +74,6 @@ func TestDispatcherCarryoverProperty(t *testing.T) {
 		Shards:          4,
 		WorkersPerShard: 3,
 		MaxBatch:        64, // force many rounds and much carryover
-		Jitter:          true,
 		Seed:            1,
 		CrashPlan: everyRounds(crashRounds, func(shard, round int) []uint64 {
 			// Workers 1 and 2 crash at staggered, round-varying points;
@@ -180,7 +179,7 @@ func TestDispatcherE2EStream(t *testing.T) {
 // every round needs padding, and interleaves Flushes with submissions.
 func TestDispatcherTrickle(t *testing.T) {
 	const jobs = 200
-	d, err := New(Config{Shards: 2, WorkersPerShard: 8, MaxBatch: 32, Jitter: true, Seed: 3})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 8, MaxBatch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -285,7 +285,7 @@ func (s *shard) page(p, w int) *shadowPage {
 
 // claim appends one job to worker p's claim buffer, flushing when the
 // buffer reaches JournalBatch — at the default of 1, on every append.
-// Called only from exec on p's own goroutine.
+// Called only from exec, in worker p's steps.
 func (s *shard) claim(p, local int) {
 	c := &s.claims[p-1]
 	c.ids = append(c.ids, int64(s.batch[local-1].id))
@@ -302,8 +302,7 @@ func (s *shard) claim(p, local int) {
 // window, whichever of the flush's words it lets land, costs at most
 // JournalBatch payloads per worker and never a duplicate — effectiveness,
 // never safety (Theorem 2.1); TestFlushCrashWindows lands one at every
-// acked write. Crashes at action granularity (CrashPlan, §2.1) lose
-// nothing.
+// acked write. Crashes at action granularity (§2.1) lose nothing.
 //
 // Every write must be ACKNOWLEDGED before the first payload runs: over
 // the networked register service, a pipelined write still sitting in a
@@ -321,9 +320,10 @@ func (s *shard) claim(p, local int) {
 // pages of the next are looked up and eviction never meets an unwritten
 // bit.
 //
-// It runs on worker p's goroutine, either from claim (buffer full) or
-// from the runtime's end-of-round Flush hook; between rounds every
-// buffer is empty.
+// It runs as worker p — on p's goroutine in a free round, on the shard's
+// in a scheduled one — either from claim (buffer full) or from the
+// runtime's end-of-round Flush hook; between rounds every buffer is
+// empty.
 func (s *shard) flushClaims(p int) {
 	c := &s.claims[p-1]
 	if len(c.ids) == 0 {

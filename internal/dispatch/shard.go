@@ -13,6 +13,7 @@ import (
 	"atmostonce/internal/membackend"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
+	"atmostonce/internal/sim"
 )
 
 // shard is one independent KKβ instance: a persistent worker pool, a
@@ -120,16 +121,13 @@ func newShard(d *Dispatcher, id int, b membackend.Backend, cell0 int64) (*shard,
 		M:        d.cfg.WorkersPerShard,
 		Capacity: d.cfg.MaxBatch,
 		Beta:     d.cfg.Beta,
-		Jitter:   d.cfg.Jitter,
-		Seed:     d.cfg.Seed + int64(id)*1_000_003,
 	}
 	if b != nil {
 		if err := s.openDurable(&d.cfg, b, cell0); err != nil {
 			return nil, err
 		}
-		// Workers with an open claim buffer at the end of their step loop
-		// (round drained, or injected crash) flush it before the round
-		// settles.
+		// Workers with an open claim buffer at the end of their part of
+		// the round (drained, or crashed) flush it before it settles.
 		opts.Flush = s.flushClaims
 	}
 	rt, err := conc.NewRuntime(opts)
@@ -400,9 +398,10 @@ func (s *shard) loop() {
 		}
 		round := int(s.stats.Rounds)
 		t0 := time.Now()
-		res, err := s.rt.RunRound(k, s.execFn, s.crashVector(round))
+		res, err := s.rt.RunRound(k, s.execFn, s.schedule(round))
 		if err != nil {
-			// Unreachable: k and the crash vector are validated here.
+			// Unreachable: k is validated here, and every adversary
+			// schedule builds picks only running workers.
 			panic("dispatch: " + err.Error())
 		}
 		s.observeRound(n, k, time.Since(t0), res.Crashed)
@@ -745,23 +744,24 @@ func (s *shard) stealWork() int {
 	return k
 }
 
-// crashVector asks the configured plan for this round's crash injection
-// and sanitizes it (length m, at least one survivor).
-func (s *shard) crashVector(round int) []uint64 {
-	plan := s.d.cfg.CrashPlan
-	if plan == nil {
+// schedule is the adversary of the shard's round (nil: the round runs
+// free). A round is scheduled when Config.Seed is set or CrashPlan gives
+// it a vector of length m: by a sim.Random seeded from the seed, the shard
+// and the round, under the vector's step budgets.
+func (s *shard) schedule(round int) sim.Adversary {
+	cfg := &s.d.cfg
+	var budget []uint64
+	if cfg.CrashPlan != nil {
+		budget = cfg.CrashPlan(s.id, round)
+	}
+	if cfg.Seed == 0 && len(budget) != s.m {
 		return nil
 	}
-	v := plan(s.id, round)
-	if len(v) != s.m {
-		return nil
+	adv := sim.NewRandom(cfg.Seed + int64(s.id)<<32 + int64(round))
+	if len(budget) != s.m {
+		return adv
 	}
-	for _, c := range v {
-		if c == 0 {
-			return v
-		}
-	}
-	return nil
+	return &sim.StepBudget{Steps: budget, Then: adv}
 }
 
 // finishRound requeues the real residue at the front of its priority

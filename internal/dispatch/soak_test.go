@@ -38,7 +38,6 @@ func TestDispatcherRandomSoak(t *testing.T) {
 			Shards:          1 + rng.Intn(4),
 			WorkersPerShard: 2 + rng.Intn(4),
 			MaxBatch:        16 << rng.Intn(4),
-			Jitter:          rng.Intn(2) == 0,
 			Seed:            rng.Int63(),
 		}
 		if rng.Intn(2) == 0 {

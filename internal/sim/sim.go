@@ -75,7 +75,8 @@ type Event struct {
 }
 
 // World is the global state of one execution: processes, shared memory and
-// crash budget.
+// crash budget. Mem may be nil when the processes keep registers the world
+// does not count (a conc round's real atomic ones).
 type World struct {
 	Procs      []Process // Procs[i] has ID i+1
 	Mem        *shmem.SimMem
@@ -226,12 +227,9 @@ func allStopped(w *World) bool {
 }
 
 func summarize(w *World) *Result {
-	r := &Result{
-		Steps:     w.steps,
-		Crashes:   w.crashes,
-		Events:    w.events,
-		MemReads:  w.Mem.Reads(),
-		MemWrites: w.Mem.Writes(),
+	r := &Result{Steps: w.steps, Crashes: w.crashes, Events: w.events}
+	if w.Mem != nil {
+		r.MemReads, r.MemWrites = w.Mem.Reads(), w.Mem.Writes()
 	}
 	for _, p := range w.Procs {
 		switch p.Status() {
@@ -310,6 +308,34 @@ func (a *CrashList) Next(w *World) Decision {
 		}
 	}
 	return a.Then.Next(w)
+}
+
+// StepBudget crashes process i+1 once it has been granted Steps[i] steps
+// (0 = never) and leaves every other move to Then: a step Then picks for
+// a process whose budget is spent becomes its crash, budget permitting. A
+// process that ends within its budget does not crash.
+type StepBudget struct {
+	Steps []uint64
+	Then  Adversary
+
+	granted []uint64
+}
+
+// Next implements Adversary.
+func (a *StepBudget) Next(w *World) Decision {
+	d := a.Then.Next(w)
+	if d.Kind != DecideStep {
+		return d
+	}
+	if a.granted == nil {
+		a.granted = make([]uint64, len(a.Steps))
+	}
+	i := d.PID - 1
+	if a.Steps[i] > 0 && a.granted[i] >= a.Steps[i] && w.CanCrash() {
+		return CrashOf(d.PID)
+	}
+	a.granted[i]++
+	return d
 }
 
 // Solo steps a single process until it stops, then falls back to

@@ -224,3 +224,27 @@ func TestObserverNilFn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStepBudget: a process crashes once it has been granted its budget,
+// and not if it ends within it, whatever order Then picks; a world whose
+// processes keep their own registers runs with a nil Mem.
+func TestStepBudget(t *testing.T) {
+	w := newToyWorld(3, 10, 2) // a toy ends at its 11th step
+	w.Mem = nil
+	res, err := Run(w, &StepBudget{Steps: []uint64{0, 4, 11}, Then: NewRandom(3)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CrashProcs != 1 || w.Procs[1].Status() != Crashed {
+		t.Fatalf("crashed %d (process 2 %s), want process 2 alone", res.CrashProcs, w.Procs[1].Status())
+	}
+	dos := 0
+	for _, e := range res.Events {
+		if e.PID == 2 {
+			dos++
+		}
+	}
+	if dos != 4 || res.MemReads != 0 || res.MemWrites != 0 {
+		t.Fatalf("process 2 did %d jobs in its budget of 4; mem counts %d/%d with no Mem", dos, res.MemReads, res.MemWrites)
+	}
+}
