@@ -94,6 +94,18 @@ func TestRunInvalid(t *testing.T) {
 	if _, err := Run(Config{Jobs: 1, Workers: 4}, nil); err == nil {
 		t.Fatal("n<m accepted")
 	}
+	for _, c := range []struct {
+		crash []uint64
+		want  string
+	}{
+		{[]uint64{1}, "conc: invalid options: CrashAfter has 1 entries for m=2"},
+		{[]uint64{1, 1}, "conc: invalid options: all processes crash (need f < m)"},
+	} {
+		sum, err := Run(Config{Jobs: 10, Workers: 2, CrashAfter: c.crash}, nil)
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("CrashAfter %v: got (%v, %v), want error %q", c.crash, sum, err, c.want)
+		}
+	}
 }
 
 func TestWriteAllCoversEverything(t *testing.T) {

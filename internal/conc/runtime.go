@@ -81,8 +81,7 @@ type Runtime struct {
 	mem   shmem.Mem
 	lay   core.Layout
 	procs []*core.Proc
-	world []sim.Process // procs, as a scheduled round's sim.World holds them
-	logs  []*eventLog   // each runs the round's payload (the start send publishes it)
+	logs  []*eventLog // each runs the round's payload (the start send publishes it)
 
 	start  []chan struct{}
 	wg     sync.WaitGroup
@@ -136,13 +135,11 @@ func (r *Runtime) grow(k int) {
 	r.mem = shmem.NewAtomic(r.lay.Size())
 	r.stamp = make([]uint64, size+1)
 	events := make([]sim.Event, r.m*size) // a worker does at most size jobs a round
-	r.world = make([]sim.Process, r.m)
 	for i, l := range r.logs {
 		l.events = events[i*size : i*size : (i+1)*size]
 		r.procs[i] = core.NewProc(core.ProcOptions{
 			ID: i + 1, M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size, Sink: l,
 		})
-		r.world[i] = r.procs[i]
 	}
 }
 
@@ -152,7 +149,7 @@ func (r *Runtime) grow(k int) {
 // start send publishes the new one).
 func (r *Runtime) workerLoop(idx int) {
 	for range r.start[idx] {
-		r.steps[idx] = stepAll(r.world[idx])
+		r.steps[idx] = stepAll(r.procs[idx])
 		if r.flush != nil {
 			r.flush(idx + 1)
 		}
@@ -196,7 +193,11 @@ func (r *Runtime) RunRound(k int, fn func(worker, job int), adv sim.Adversary) (
 		}
 		return r.collect(k, steps, 0), nil
 	}
-	sr, err := schedule(r.world, adv)
+	procs := make([]sim.Process, r.m)
+	for i, p := range r.procs {
+		procs[i] = p
+	}
+	sr, err := schedule(procs, adv)
 	if r.flush != nil {
 		// Even a crashed worker flushes: a crash stops the ALGORITHM
 		// mid-round (the paper's model), not the process, and jobs the

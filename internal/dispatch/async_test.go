@@ -68,7 +68,6 @@ func TestSubmitCallbackExactlyOnce(t *testing.T) {
 		Shards:          3,
 		WorkersPerShard: 2,
 		MaxBatch:        32,
-		Seed:            12,
 		CrashPlan: everyRounds(10, func(shard, round int) []uint64 {
 			return []uint64{0, uint64(25 + 9*round)}
 		}),

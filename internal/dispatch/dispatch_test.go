@@ -133,7 +133,6 @@ func TestDispatcherE2EStream(t *testing.T) {
 		Shards:          4,
 		WorkersPerShard: 4,
 		MaxBatch:        512,
-		Seed:            2,
 		CrashPlan: everyRounds(25, func(shard, round int) []uint64 {
 			return []uint64{0, 300, uint64(500 + 31*round), 0}
 		}),
@@ -201,7 +200,7 @@ func TestDispatcherTrickle(t *testing.T) {
 // stopping and that the dispatcher rejects submissions afterwards.
 func TestDispatcherCloseDrains(t *testing.T) {
 	const jobs = 3000
-	d, err := New(Config{Shards: 2, WorkersPerShard: 4, MaxBatch: 128, Seed: 4})
+	d, err := New(Config{Shards: 2, WorkersPerShard: 4, MaxBatch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestDeadlineStormPinsNothing(t *testing.T) {
 // EDF runs it first.
 func TestEDFOrderWithinClass(t *testing.T) {
 	gate := make(chan struct{})
-	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 2, Seed: 5})
+	d, err := New(Config{Shards: 1, WorkersPerShard: 2, MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,6 @@ func TestEffHistCountsRounds(t *testing.T) {
 	var ran atomic.Int64
 	d, err := New(Config{
 		Shards: 2, WorkersPerShard: 3, MaxBatch: 32,
-		Seed: 7,
 		// Crash two of three workers early in every shard's first three
 		// rounds, so imperfect rounds are guaranteed to occur.
 		CrashPlan: func(shard, round int) []uint64 {

@@ -330,7 +330,7 @@ func TestExactlyOnceBothWays(t *testing.T) {
 
 	t.Run("requeued", func(t *testing.T) {
 		d, err := New(Config{
-			Shards: 2, WorkersPerShard: 2, MaxBatch: 32, Seed: 12,
+			Shards: 2, WorkersPerShard: 2, MaxBatch: 32,
 			CrashPlan: everyRounds(10, func(shard, round int) []uint64 {
 				return []uint64{0, uint64(25 + 9*round)}
 			}),

@@ -40,7 +40,7 @@ func checkDenseLease(t *testing.T, d *Dispatcher, ids []uint64) {
 // admissions must not burn ids or leave gaps in the sequence.
 func TestIDRangesDenseUnderRejections(t *testing.T) {
 	gate := make(chan struct{})
-	d, err := New(Config{Shards: 3, WorkersPerShard: 2, MaxBatch: 4, QueueDepth: 4, SubmitPolicy: FailFast, Seed: 7})
+	d, err := New(Config{Shards: 3, WorkersPerShard: 2, MaxBatch: 4, QueueDepth: 4, SubmitPolicy: FailFast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestIDRangesDenseUnderRejections(t *testing.T) {
 func TestIDRangesDenseUnderCancelCloseRace(t *testing.T) {
 	for iter := 0; iter < 4; iter++ {
 		gate := make(chan struct{})
-		d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 4, QueueDepth: 2, SubmitPolicy: Block, Seed: int64(iter)})
+		d, err := New(Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 4, QueueDepth: 2, SubmitPolicy: Block})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestCloseRacesUnboundedDo(t *testing.T) {
 	for _, backend := range []string{"memory", "mmap"} {
 		t.Run(backend, func(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {
-				cfg := Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 16, Seed: int64(iter)}
+				cfg := Config{Shards: 2, WorkersPerShard: 2, MaxBatch: 16}
 				if backend == "mmap" {
 					requireMmap(t)
 					cfg.newMem, cfg.MaxJobs, cfg.JournalBatch = mmapFactory(t.TempDir()), 1<<16, 4
@@ -270,7 +270,6 @@ func TestRecoveryAcrossRangeBoundary(t *testing.T) {
 		Shards:          shards,
 		WorkersPerShard: workers, MaxBatch: 32,
 		MaxJobs: jobs,
-		Seed:    99,
 	}
 
 	eo := newExactlyOnce(jobs)

@@ -19,7 +19,7 @@ func TestBatchedResolutionRace(t *testing.T) {
 		producers = 4
 		outer     = 2000
 	)
-	d, err := New(Config{Shards: 4, WorkersPerShard: 2, MaxBatch: 64, Seed: 42})
+	d, err := New(Config{Shards: 4, WorkersPerShard: 2, MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
