@@ -1,7 +1,7 @@
 // Command amo-regd is the networked register server: it owns register
 // namespaces backed by any membackend spec (in-memory atomic by
 // default, durable mmap register files with -backend mmap:PATH) and
-// serves cell reads, writes and acked batch writes plus single-writer
+// serves range reads, acked range writes and sync plus single-writer
 // lease arbitration over the netmem wire protocol (DESIGN.md §8).
 //
 // A dispatcher connects by spec, e.g.

@@ -166,7 +166,6 @@ type IterProc struct {
 	levels []Level
 	mem    shmem.Mem
 	sink   DoSink
-	doFn   func(job int64)
 
 	level    int
 	inner    *Proc
@@ -181,8 +180,8 @@ type IterProc struct {
 var _ sim.Process = (*IterProc)(nil)
 
 // newIterProc builds the process at level 0 with FREE = map(J, 1, s_0).
-func newIterProc(id int, cfg IterConfig, levels []Level, mem shmem.Mem, sink DoSink, doFn func(job int64)) *IterProc {
-	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem, sink: sink, doFn: doFn}
+func newIterProc(id int, cfg IterConfig, levels []Level, mem shmem.Mem) *IterProc {
+	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem}
 	first := denseset.NewRange(1, levels[0].Blocks)
 	p.curInput = first.Len()
 	p.inner = p.newLevelProc(0, first)
@@ -202,7 +201,6 @@ func (p *IterProc) newLevelProc(level int, jobs *denseset.Set) *Proc {
 		IterStep:   true,
 		ReturnFree: p.cfg.WriteAll,
 		Sink:       blockSink{p: p, level: level},
-		DoFn:       nil, // payload runs via blockSink to expand super-jobs
 		DoCost:     uint64(lv.Size),
 	})
 }
@@ -219,9 +217,6 @@ func (s blockSink) RecordDo(pid int, job int64) {
 	for j := lo; j <= hi; j++ {
 		if s.p.sink != nil {
 			s.p.sink.RecordDo(pid, int64(j))
-		}
-		if s.p.doFn != nil {
-			s.p.doFn(int64(j))
 		}
 	}
 }
@@ -325,9 +320,6 @@ func (p *IterProc) stepDrain() {
 	if p.sink != nil {
 		p.sink.RecordDo(p.id, job)
 	}
-	if p.doFn != nil {
-		p.doFn(job)
-	}
 	p.work++
 	if len(p.drain) == 0 {
 		p.ended = true
@@ -364,12 +356,12 @@ func PlanLevels(cfg IterConfig) (IterConfig, []Level, int, error) {
 }
 
 // NewIterProcsOn builds the per-process level chains over an existing
-// memory sized by PlanLevels. Sinks and payloads default to nil; bind a
-// sink with SetSink before stepping.
+// memory sized by PlanLevels. Sinks default to nil; bind one with SetSink
+// before stepping.
 func NewIterProcsOn(cfg IterConfig, levels []Level, mem shmem.Mem) []*IterProc {
 	procs := make([]*IterProc, cfg.M)
 	for i := 0; i < cfg.M; i++ {
-		procs[i] = newIterProc(i+1, cfg, levels, mem, nil, nil)
+		procs[i] = newIterProc(i+1, cfg, levels, mem)
 	}
 	return procs
 }

@@ -48,9 +48,6 @@ type ProcOptions struct {
 	ReturnFree bool
 	// Sink receives do events; nil discards them.
 	Sink DoSink
-	// DoFn, when non-nil, is invoked for each performed job (payload
-	// execution in the concurrent runtime).
-	DoFn func(job int64)
 	// DoCost is the work charged per do action (1 for plain jobs, the
 	// super-job size for IterativeKK levels). Zero means 1.
 	DoCost uint64
@@ -74,7 +71,6 @@ type Proc struct {
 	lay      Layout
 	mem      shmem.Mem
 	sink     DoSink
-	doFn     func(job int64)
 	doCost   uint64
 	iterStep bool
 	retFree  bool
@@ -126,7 +122,6 @@ func NewProc(o ProcOptions) *Proc {
 		lay:      o.Layout,
 		mem:      o.Mem,
 		sink:     sink,
-		doFn:     o.DoFn,
 		doCost:   o.DoCost,
 		iterStep: o.IterStep,
 		retFree:  o.ReturnFree,
@@ -157,9 +152,6 @@ func NewProc(o ProcOptions) *Proc {
 
 // ID implements sim.Process.
 func (p *Proc) ID() int { return p.id }
-
-// SetDoFn rebinds the per-job payload.
-func (p *Proc) SetDoFn(fn func(job int64)) { p.doFn = fn }
 
 // Reset returns the process to its Figure 1 start state over the dense job
 // universe [1..universe], reviving it from end or stop. The storage of
@@ -454,9 +446,6 @@ func (p *Proc) stepCheckFlag() {
 // stepDo is the output action do_{p,j}.
 func (p *Proc) stepDo() {
 	p.sink.RecordDo(p.id, p.next)
-	if p.doFn != nil {
-		p.doFn(p.next)
-	}
 	p.work += p.doCost
 	p.nDone++
 	p.phase = PhaseDoneWrite

@@ -30,7 +30,7 @@ func clientRequests() (total, reads uint64, byOp map[string]uint64) {
 		n := v.(uint64)
 		total += n
 		byOp[strings.TrimSuffix(op, `"}`)] = n
-		if strings.Contains(k, `op="read"`) || strings.Contains(k, `op="read_range"`) {
+		if strings.Contains(k, `op="read_range"`) {
 			reads += n
 		}
 	}

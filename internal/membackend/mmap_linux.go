@@ -199,9 +199,6 @@ func (m *MmapMem) ReadRange(addr int, dst []int64) error {
 // Size implements shmem.Mem.
 func (m *MmapMem) Size() int { return len(m.cells) }
 
-// Path returns the backing file's path.
-func (m *MmapMem) Path() string { return m.path }
-
 // Reopened reports whether OpenMmap found existing register state.
 func (m *MmapMem) Reopened() bool { return m.reopened }
 

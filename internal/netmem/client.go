@@ -97,8 +97,8 @@ func (o *Options) normalize() {
 type regCall struct {
 	ns       *NetMem       // the namespace the op names
 	addr     int           // the first cell; hello's reply: the handle
-	val      int64         // a pipelined write's value; a read's result, hello's cell 0, acquire's epoch
-	vals     []int64       // an acked write's values; a range read's destination
+	cell     [1]int64      // a Read's or Write's one cell, so its vals cost no allocation; hello's cell 0, acquire's epoch
+	vals     []int64       // a write's values; a range read's destination
 	ttl      time.Duration // the lease acquire granted
 	reopened bool          // hello's reply
 }
@@ -288,8 +288,8 @@ func (s *session) handshake(nc net.Conn, first bool) error {
 		}
 		if first {
 			m := s.nss[i]
-			m.reopened, m.cell0 = flight[i].Arg.reopened, flight[i].Arg.val
-			m.epoch.Store(uint64(lease.Arg.val))
+			m.reopened, m.cell0 = flight[i].Arg.reopened, flight[i].Arg.cell[0]
+			m.epoch.Store(uint64(lease.Arg.cell[0]))
 			if granted := lease.Arg.ttl; granted > 0 {
 				ttl = min(ttl, granted)
 			}
@@ -355,12 +355,6 @@ func (s *session) encode(b []byte, c *wire.Call[regCall]) []byte {
 		} else {
 			b = append(b, 1) // wait
 		}
-	case opRead:
-		b = wire.AppendU64(b, uint64(c.Arg.addr))
-	case opWrite:
-		b = wire.AppendU64(b, m.epoch.Load())
-		b = wire.AppendU64(b, uint64(c.Arg.addr))
-		b = wire.AppendI64(b, c.Arg.val)
 	case opWriteAcked:
 		b = wire.AppendU64(b, m.epoch.Load())
 		b = wire.AppendU64(b, uint64(c.Arg.addr))
@@ -401,17 +395,15 @@ func (s *session) reply(c *wire.Call[regCall], op byte, payload []byte) error {
 	case op == opHelloOK && c.Op == opHello:
 		c.Arg.reopened = d.U8() != 0
 		c.Arg.addr = int(d.U8())
-		c.Arg.val = d.I64()
+		c.Arg.cell[0] = d.I64()
 	case op == opAcquireOK && c.Op == opAcquire:
-		c.Arg.val = d.I64()
+		c.Arg.cell[0] = d.I64()
 		c.Arg.ttl = time.Duration(d.U64()) * time.Millisecond
-	case op == opValue && c.Op == opRead:
-		c.Arg.val = d.I64()
 	case op == opValues && c.Op == opReadRange && len(payload) == 8*len(c.Arg.vals):
 		for i := range c.Arg.vals {
 			c.Arg.vals[i] = d.I64()
 		}
-	case op != opAck || c.Op == opHello || c.Op == opAcquire || c.Op == opRead || c.Op == opReadRange:
+	case op != opAck || c.Op == opHello || c.Op == opAcquire || c.Op == opReadRange:
 		err = fmt.Errorf("netmem: reply op %d (%d bytes) to op %d", op, len(payload), c.Op)
 	}
 	if err = cmp.Or(err, d.Done()); err != nil && c.Op != opHello && c.Op != opAcquire {
@@ -420,8 +412,8 @@ func (s *session) reply(c *wire.Call[regCall], op byte, payload []byte) error {
 	return err
 }
 
-// call runs one awaited op on m and recycles it, returning the value it
-// read.
+// call runs one awaited op on m and recycles it, returning its first
+// cell: what a one-cell read read.
 func (m *NetMem) call(c *wire.Call[regCall]) (int64, error) {
 	if m.closed.Load() {
 		calls.Put(c)
@@ -431,7 +423,7 @@ func (m *NetMem) call(c *wire.Call[regCall]) (int64, error) {
 	t0 := time.Now()
 	err := m.s.c.Do(c)
 	obsClientRPC(c.Op, time.Since(t0))
-	v := c.Arg.val
+	v := c.Arg.cell[0]
 	calls.Put(c)
 	return v, err
 }
@@ -519,10 +511,10 @@ func (s *session) renewBurst(last *wire.Call[regCall]) error {
 	return s.c.Post(last)
 }
 
-// Read implements shmem.Mem with one awaited round trip.
+// Read implements shmem.Mem with one awaited one-cell range read.
 func (m *NetMem) Read(addr int) int64 {
-	c := calls.Get(opRead)
-	c.Arg.addr = addr
+	c := calls.Get(opReadRange)
+	c.Arg.addr, c.Arg.vals = addr, c.Arg.cell[:]
 	v, err := m.call(c)
 	if err != nil {
 		m.s.fatalOut(err)
@@ -531,16 +523,19 @@ func (m *NetMem) Read(addr int) int64 {
 	return v
 }
 
-// Write implements shmem.Mem as a pipelined write: it returns once the
-// request is queued on the connection. The ack is consumed (and
-// checked) in the background; ordering against every later operation on
-// this session is preserved by the connection. Use WriteAcked when the
-// write must be durable on the server before proceeding.
+// Write implements shmem.Mem as a pipelined one-cell acked write: it
+// returns once the request is queued on the connection. The ack is
+// consumed (and checked) in the background; ordering against every later
+// operation on this session is preserved by the connection. Use
+// WriteAcked when the write must be durable on the server before
+// proceeding.
 func (m *NetMem) Write(addr int, v int64) {
 	if m.closed.Load() {
 		return
 	}
-	if err := m.s.c.Post(&wire.Call[regCall]{Op: opWrite, Arg: regCall{ns: m, addr: addr, val: v}}); err != nil {
+	c := &wire.Call[regCall]{Op: opWriteAcked, Arg: regCall{ns: m, addr: addr, cell: [1]int64{v}}}
+	c.Arg.vals = c.Arg.cell[:]
+	if err := m.s.c.Post(c); err != nil {
 		m.s.fatalOut(err)
 	}
 }

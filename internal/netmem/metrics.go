@@ -25,8 +25,8 @@ var netmemOps = [...]struct {
 	name string
 }{
 	{opHello, "hello"}, {opAcquire, "acquire"}, {opRenew, "renew"},
-	{opRelease, "release"}, {opRead, "read"}, {opWrite, "write"},
-	{opReadRange, "read_range"}, {opSync, "sync"}, {opWriteAcked, "write_acked"},
+	{opRelease, "release"}, {opReadRange, "read_range"}, {opSync, "sync"},
+	{opWriteAcked, "write_acked"},
 }
 
 var (

@@ -230,17 +230,17 @@ func TestCorruptRangeFrames(t *testing.T) {
 			t.Fatalf("acked write, %s: op %d code %d, want opErr/%d", c.name, rop, code, c.code)
 		}
 	}
-	// Ops 8, 9, 11 and 12 are reserved: whatever a stale client puts in
-	// them (here a well-formed journal write of their day), the server
-	// answers "unknown op" and applies nothing.
+	// Ops 5, 6, 8, 9, 11 and 12 are reserved: whatever a stale client
+	// puts in them (here a well-formed journal write of 8–12's day), the
+	// server answers "unknown op" and applies nothing.
 	stale := wire.AppendU64(wire.AppendU64(wire.AppendU64(nil, ep), 3), 7)
-	for _, op := range []byte{8, 9, 11, 12} {
+	for _, op := range []byte{5, 6, 8, 9, 11, 12} {
 		if rop, code := send(op, stale); rop != opErr || code != codeProto {
 			t.Fatalf("reserved op %d: op %d code %d, want opErr/proto", op, rop, code)
 		}
 	}
 	// The connection (and server) survived: a normal op still works.
-	if rop, _ := send(opRead, wire.AppendU64([]byte{0}, 3)); rop != opValue {
+	if rop, _ := send(opReadRange, wire.AppendU32(wire.AppendU64([]byte{0}, 3), 1)); rop != opValues {
 		t.Fatalf("read after corrupt frames: op %d", rop)
 	}
 }
@@ -376,7 +376,8 @@ func TestNetShardSpec(t *testing.T) {
 
 // TestPipelinedWritesOrdered: a burst of pipelined writes followed by a
 // read observes every one of them (read-your-writes through the
-// pipeline), and a range read agrees.
+// pipeline), and a range read agrees. On the wire each Write is a
+// one-cell write_acked and the Read a one-cell read_range.
 func TestPipelinedWritesOrdered(t *testing.T) {
 	addr := testServerAddr(t)
 	c, err := Open(addr, 1024, Options{Namespace: uniqueNS()})
@@ -384,11 +385,15 @@ func TestPipelinedWritesOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	acked, ranged := srvReqs[opWriteAcked].Value(), srvReqs[opReadRange].Value()
 	for i := 0; i < 1024; i++ {
 		c.Write(i, int64(i)^0x5a5a)
 	}
 	if got := c.Read(1023); got != 1023^0x5a5a {
 		t.Fatalf("read after pipelined burst = %d", got)
+	}
+	if w, r := srvReqs[opWriteAcked].Value()-acked, srvReqs[opReadRange].Value()-ranged; w != 1024 || r != 1 {
+		t.Fatalf("1024 writes and a read reached the server as %d write_acked and %d read_range, want 1024 and 1", w, r)
 	}
 	dst := make([]int64, 1024)
 	if err := c.ReadRange(0, dst); err != nil {

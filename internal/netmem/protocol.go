@@ -10,11 +10,10 @@
 // The package has three parts:
 //
 //   - Server: owns one membackend.Backend per namespace (atomic, durable
-//     mmap — any registry spec) and serves cell reads, pipelined writes,
-//     acked batch writes, range reads and Sync over a compact
-//     length-prefixed binary protocol on TCP. Requests on a connection
-//     are processed strictly in order, which is what makes client-side
-//     pipelining sound.
+//     mmap — any registry spec) and serves range reads, acked range
+//     writes and Sync over a compact length-prefixed binary protocol on
+//     TCP. Requests on a connection are processed strictly in order,
+//     which is what makes client-side pipelining sound.
 //   - NetMem: the client backend, one namespace of a session — one
 //     connection that attaches any number of namespaces — registered in
 //     the membackend registry as "net:HOST:PORT[/NAMESPACE][?options]".
@@ -24,7 +23,8 @@
 //     size, stamp) carries the stamp a namespace it creates gets in cell
 //     0, and its reply the reopened flag, the handle and cell 0, so a
 //     stamped store opens in the session's one flight.
-//     Writes are pipelined (sent without waiting for the ack); Read,
+//     A Read is a one-cell range read and a Write a one-cell acked
+//     write, pipelined (sent without waiting for the ack); Read,
 //     WriteAcked, ReadRange and Sync wait for their reply; a broken
 //     connection is redialed and every unacknowledged operation is
 //     resent in order, so callers never observe the reconnect.
@@ -63,24 +63,21 @@ const (
 	opAcquire   byte = 2 // h u8, clientID u64, ttlMs u64, wait u8      → opAcquireOK
 	opRenew     byte = 3 // h u8, clientID u64, epoch u64               → opAck
 	opRelease   byte = 4 // h u8, epoch u64                             → opAck
-	opRead      byte = 5 // h u8, addr u64                              → opValue
-	opWrite     byte = 6 // h u8, epoch u64, addr u64, val i64 → opAck; only ever pipelined (Write)
 	opReadRange byte = 7 // h u8, addr u64, count u32                   → opValues
-	// 8, 9, 11 and 12 stay reserved (they were opFill, opCAS, opJournal
-	// and opJournalBatch, which nothing sends any more): the server
+	// 5, 6, 8, 9, 11 and 12 stay reserved, and so does the reply 17
+	// (ops of older peers, which nothing here sends any more): the server
 	// answers them "unknown op" — an old peer fails loudly at its first
-	// journal write — and no new op takes their numbers.
+	// such frame — and no new op takes their numbers.
 	opSync byte = 10 // h u8                                         → opAck
-	// opWriteAcked is the one awaited write: vals land in the contiguous
-	// cells starting at addr (count ≥ 1, implied by frame length). The
-	// whole batch is admitted or fenced atomically — a stale epoch
-	// rejects every cell, never some of them — which is what lets the
+	// opWriteAcked is the one write: vals land in the contiguous cells
+	// starting at addr (count ≥ 1, implied by frame length). The whole
+	// batch is admitted or fenced atomically — a stale epoch rejects
+	// every cell, never some of them — which is what lets the
 	// group-commit dispatcher journal k claims in one round trip.
 	opWriteAcked byte = 13 // h u8, epoch u64, addr u64, val i64 × count → opAck
 
 	// Server → client.
 	opAck       byte = 16 // (empty)
-	opValue     byte = 17 // val i64
 	opValues    byte = 18 // val i64 × count (count implied by frame length)
 	opHelloOK   byte = 20 // reopened u8, h u8, cell0 i64
 	opAcquireOK byte = 21 // epoch u64, ttlMs u64 (effective, after clamping)

@@ -481,39 +481,6 @@ func (s *Server) handle(c net.Conn) {
 			}
 			ok = reply(seq, opAck, nil)
 
-		case opRead:
-			addr := d.U64()
-			if d.Done() != nil || a == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, a))
-				break
-			}
-			if !inRange(addr, 1, ns.size) {
-				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("read addr %d ≥ size %d", addr, ns.size)})
-				break
-			}
-			scratch = wire.AppendI64(scratch[:0], ns.bk.Read(int(addr)))
-			ok = reply(seq, opValue, scratch)
-
-		case opWrite:
-			epoch := d.U64()
-			addr := d.U64()
-			val := d.I64()
-			if d.Done() != nil || a == nil {
-				ok = replyErr(seq, protoOrNoNS(d.Done() == nil, a))
-				break
-			}
-			if !inRange(addr, 1, ns.size) {
-				ok = replyErr(seq, &wireError{codeBadAddr, fmt.Sprintf("write addr %d ≥ size %d", addr, ns.size)})
-				break
-			}
-			if werr := ns.admit(a.granted, epoch); werr != nil {
-				ok = replyErr(seq, werr)
-				break
-			}
-			ns.bk.Write(int(addr), val)
-			ns.mu.Unlock()
-			ok = reply(seq, opAck, nil)
-
 		case opWriteAcked:
 			epoch := d.U64()
 			addr := d.U64()

@@ -125,7 +125,7 @@ func TestAdmitNeedsTheConnectionsGrant(t *testing.T) {
 	r = dialRaw(t, addr)
 	r.do(opHello, helloP("b", 16, 0))
 	fenced(r, "a connection that never acquired", opWriteAcked, writeAckedP(0, 1, 0, 42))
-	fenced(r, "its pipelined write", opWrite, wire.AppendI64(wire.AppendU64(wire.AppendU64([]byte{0}, 1), 0), 42))
+	fenced(r, "its posted one-cell write", opWriteAcked, writeAckedP(0, 1, 1, 42))
 
 	// A renew that guesses the epoch does not adopt the lease.
 	r = dialRaw(t, addr)
@@ -133,8 +133,9 @@ func TestAdmitNeedsTheConnectionsGrant(t *testing.T) {
 	fenced(r, "a renew by a client that does not hold the lease", opRenew, renewP(0, 7, 1))
 	fenced(r, "a write behind it", opWriteAcked, writeAckedP(0, 1, 0, 42))
 
-	if got := holder.Read(0); got != 0 {
-		t.Fatalf("b's cell 0 = %d: a write without the connection's grant was admitted", got)
+	got := make([]int64, 2)
+	if err := holder.ReadRange(0, got); err != nil || got[0] != 0 || got[1] != 0 {
+		t.Fatalf("b's cells 0 and 1 = %v (%v): a write without the connection's grant was admitted", got, err)
 	}
 	if err := holder.WriteAcked(0, []int64{5}); err != nil {
 		t.Fatalf("the holder's own write: %v", err)
@@ -499,7 +500,8 @@ func TestDispatcherSessionSurvivesChaos(t *testing.T) {
 // another client at epoch 1 before the fuzzed connection says anything —
 // keeps its zeros unless the fuzzed connection was itself granted it.
 func FuzzServerSession(f *testing.F) {
-	// Instructions: an op selector, then its fields (sessionProgram).
+	// Instructions: an op selector, then its fields (sessionProgram); read
+	// and write are a one-cell read_range and write_acked.
 	const (
 		hello, acquire, renew, release, read, write, writeAcked, readRange, sync, raw = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9
 		a, b                                                                          = 0, 1
@@ -590,10 +592,10 @@ func sessionProgram(prog []byte) []*request {
 		case 3:
 			r = request{op: opRelease, payload: wire.AppendU64([]byte{u8() % 5}, uint64(u8()%4))}
 		case 4:
-			r = request{op: opRead, payload: wire.AppendU64([]byte{u8() % 5}, uint64(u8()%20))}
+			r = request{op: opReadRange, payload: wire.AppendU32(wire.AppendU64([]byte{u8() % 5}, uint64(u8()%20)), 1)}
 		case 5:
 			h, epoch, addr := u8()%5, uint64(u8()%4), uint64(u8()%20)
-			r = request{op: opWrite, payload: wire.AppendI64(wire.AppendU64(wire.AppendU64([]byte{h}, epoch), addr), int64(u8()))}
+			r = request{op: opWriteAcked, payload: writeAckedP(h, epoch, addr, int64(u8()))}
 		case 6:
 			h, epoch, addr, n := u8()%5, uint64(u8()%4), uint64(u8()%20), int(u8()%3)+1
 			vals := make([]int64, n)
@@ -618,10 +620,11 @@ func sessionProgram(prog []byte) []*request {
 }
 
 // checkSession sends reqs on one connection in one write, and a sentinel
-// behind them — a read on a handle no hello reaches, whose error reply
-// must come next after theirs — and checks the replies against the
-// shapes and the lease model. A waiting acquire parks for a lease's TTL
-// at most: nothing renews one while its connection's requests queue.
+// behind them — a one-cell range read on a handle no hello reaches,
+// whose error reply must come next after theirs — and checks the replies
+// against the shapes and the lease model. A waiting acquire parks for a
+// lease's TTL at most: nothing renews one while its connection's requests
+// queue.
 func checkSession(t *testing.T, addr string, reqs []*request) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -631,7 +634,7 @@ func checkSession(t *testing.T, addr string, reqs []*request) {
 	nc.(*net.TCPConn).SetLinger(0)
 	nc.SetDeadline(time.Now().Add(10 * time.Second))
 	var frames []byte
-	sentinel := &request{op: opRead, payload: wire.AppendU64([]byte{maxHandles - 1}, 0)}
+	sentinel := &request{op: opReadRange, payload: wire.AppendU32(wire.AppendU64([]byte{maxHandles - 1}, 0), 1)}
 	for i, r := range append(reqs, sentinel) {
 		at := len(frames)
 		frames = append(wire.AppendHeader(frames, r.op, uint32(i+1), 0), r.payload...)
@@ -723,11 +726,9 @@ func checkSession(t *testing.T, addr string, reqs []*request) {
 				h.granted = 0
 				held[h.name] = held[h.name] && e != cur[h.name]
 			}
-		case opRead:
-			want, size = opValue, 8
 		case opReadRange:
 			want, size = opValues, 8*int(binary.LittleEndian.Uint32(r.payload[9:]))
-		case opWrite, opWriteAcked:
+		case opWriteAcked:
 			if e := u64(1); e == 0 || e != h.granted || e != cur[h.name] || !held[h.name] {
 				t.Fatalf("request %d: write stamped %d on %q admitted; the handle was granted %d, the connection's lease is at %d (held %v)",
 					i+1, e, h.name, h.granted, cur[h.name], held[h.name])

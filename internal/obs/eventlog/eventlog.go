@@ -15,14 +15,13 @@
 //     suppresses. A record is copied into its ring slot as slog handed it
 //     over (one atomic add, one slot lock, no allocation), so the hot path
 //     can afford Debug events, and formatted only when dumped. When the
-//     process dies — a fenced write, a fatal client error, a panic — the
-//     ring is dumped as one JSON line prefixed AMO-FLIGHT-DUMP: the recent
+//     process dies — a fenced write, a fatal client error — the ring is
+//     dumped as one JSON line prefixed AMO-FLIGHT-DUMP: the recent
 //     history the leveled sink threw away. /flightz serves it on demand.
 //
 // The forensic contract: a crash artifact must never be just a panic
-// string. CrashDump (and the DumpOnPanic defer helper) write the flight
-// dump to stderr before the process exits, once per process — the first
-// fault is the interesting one.
+// string. CrashDump writes the flight dump to stderr before the process
+// exits, once per process — the first fault is the interesting one.
 package eventlog
 
 import (
@@ -392,15 +391,4 @@ func dumpToStderr(reason string) {
 func CrashDump(event string, args ...any) {
 	defaultLogger.Error(event, args...)
 	dumpToStderr(event)
-}
-
-// DumpOnPanic is a defer helper: if the goroutine is panicking, dump
-// the flight ring (reason "panic") and re-panic. It never swallows the
-// panic — the process still dies, it just dies documented.
-func DumpOnPanic() {
-	if r := recover(); r != nil {
-		defaultLogger.Error("panic", "value", fmt.Sprint(r))
-		dumpToStderr("panic")
-		panic(r)
-	}
 }
