@@ -53,14 +53,31 @@ const layoutVersion = "amo-dispatch-v5"
 const layoutChange = "layout " + layoutVersion + " keeps each worker's journal row as a bitmap over job ids, ⌈(MaxJobs+1)/64⌉ cells; a v4 store holds the ids themselves, MaxJobs cells a row, and is not reinterpreted — start durable stores fresh"
 
 // fingerprint folds a shard's layout-determining configuration into a
-// positive int64 stored at cell 0 of its register file. The shard COUNT
-// is included even though it does not shape this file: reopening a
-// 2-shard register-file set with Shards=1 would silently ignore shard
-// 1's journal and re-execute its jobs, so any shape change is refused.
-func fingerprint(shard int, cfg *Config) int64 {
+// positive int64 stored at cell 0 of its register file under layout. The
+// shard COUNT is included even though it does not shape this file:
+// reopening a 2-shard register-file set with Shards=1 would silently
+// ignore shard 1's journal and re-execute its jobs, so any change is refused.
+func fingerprint(layout string, shard int, cfg *Config) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, layoutVersion+"/%d of %d/%d/%d/%d", shard, cfg.Shards, cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs)
+	fmt.Fprintf(h, layout+"/%d of %d/%d/%d/%d", shard, cfg.Shards, cfg.WorkersPerShard, cfg.MaxBatch, cfg.MaxJobs)
 	return int64(h.Sum64() >> 1) // keep it positive and distinct from the empty cell
+}
+
+// journalFormat is shard's store as membackend.Format opens it: the
+// fingerprint, then the rows. A store of an earlier layout and the same
+// shape carries that layout's fingerprint.
+func journalFormat(shard int, cfg *Config) membackend.Format {
+	earlier := map[int64]string{}
+	for _, v := range []string{"amo-dispatch-v2", "amo-dispatch-v3", "amo-dispatch-v4"} {
+		earlier[fingerprint(v, shard, cfg)] = "was written under layout " + v
+	}
+	return membackend.Format{
+		Stamp:   fingerprint(layoutVersion, shard, cfg),
+		Body:    [2]int{jmetaCells, journalCells(cfg)},
+		Holds:   "journal rows",
+		Earlier: earlier,
+		Fix:     "use the original configuration (Shards/WorkersPerShard/MaxBatch/MaxJobs) or start from a fresh file; " + layoutChange,
+	}
 }
 
 // journalStores is what New asks newMem for: shard i's store is the
@@ -69,7 +86,7 @@ func fingerprint(shard int, cfg *Config) int64 {
 func journalStores(cfg *Config) []membackend.Instance {
 	insts := make([]membackend.Instance, cfg.Shards)
 	for i := range insts {
-		insts[i] = membackend.Instance{Suffix: fmt.Sprintf(".shard%d", i), Stamp: fingerprint(i, cfg)}
+		insts[i] = membackend.Instance{Suffix: fmt.Sprintf(".shard%d", i), Stamp: fingerprint(layoutVersion, i, cfg)}
 	}
 	return insts
 }
@@ -106,79 +123,56 @@ func (s *shard) openDurable(cfg *Config, b membackend.Backend, cell0 int64) erro
 		s.claims[p].written = make([]uint64, s.jwords/pageWords/64+1)
 	}
 
-	// The opener stamped a store it created: only a reopened one is read.
+	// The opener stamped a store it created: only a reopened one goes
+	// through the stamp rule and is read.
 	if !b.Reopened() {
 		return nil
 	}
-	fp, got := fingerprint(s.id, cfg), cell0
-	if got == fp || got == 0 {
-		scan0 := time.Now()
-		eventlog.Logger().Debug("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
-		s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
-		before := s.d.recovered.Len()
-		chunk := make([]int64, min(scanChunk, s.jwords))
-		words := make([]uint64, len(chunk))
-		for p := 1; p <= m; p++ {
-			if err := s.scanJournalRow(p, chunk, words); err != nil {
-				b.Close()
-				eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
-				return fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
-			}
-		}
-		if s.d.recoveryHist != nil {
-			s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
-		}
-		// An id is journaled once, in one row of one shard, so the set's
-		// growth is this shard's count.
-		eventlog.Logger().Debug("dispatch_recovery_scan_end",
-			"shard", s.id, "recovered", s.d.recovered.Len()-before, "dur", time.Since(scan0))
-	}
-	if got == fp {
-		return nil
-	}
-	// No row is written before the fingerprint is acked, so a store
-	// without one holds zeros only — its creator died in between, and it
-	// opens fresh, stamped here — or is another writer's.
-	fresh := got == 0
-	for p := range s.claims {
-		fresh = fresh && slices.Max(s.claims[p].written) == 0
-	}
-	if !fresh {
+	if err := journalFormat(s.id, cfg).Open(b, cell0); err != nil {
 		b.Close()
-		eventlog.Logger().Error("dispatch_fingerprint_mismatch",
-			"shard", s.id, "got", fmt.Sprintf("%#x", got), "want", fmt.Sprintf("%#x", fp))
-		return fmt.Errorf("dispatch: shard %d register file was written by a different configuration or layout (fingerprint %#x, want %#x); use the original Shards/WorkersPerShard/MaxBatch/MaxJobs or start from a fresh file; %s",
-			s.id, got, fp, layoutChange)
+		eventlog.Logger().Error("dispatch_fingerprint_mismatch", "shard", s.id, "err", err)
+		return fmt.Errorf("dispatch: shard %d register file %w", s.id, err)
 	}
-	// Acked: a journal row need share no page with cell 0, so no later
-	// flush would carry the fingerprint to the store.
-	if err := b.WriteAcked(0, []int64{fp}); err != nil {
-		b.Close()
-		return fmt.Errorf("dispatch: shard %d fingerprint write: %w", s.id, err)
+	scan0 := time.Now()
+	eventlog.Logger().Debug("dispatch_recovery_scan_begin", "shard", s.id, "workers", m)
+	s.d.recovered.Reserve(maxJobs) // ids are dense in [1, MaxJobs]: MaxJobs/8 bytes, once
+	before := s.d.recovered.Len()
+	var r membackend.Reader
+	words := make([]uint64, min(membackend.WindowCells, s.jwords))
+	for p := 1; p <= m; p++ {
+		r.Seek(b, s.jrow(p), s.jrow(p)+s.jwords)
+		if err := s.scanJournalRow(p, &r, words); err != nil {
+			b.Close()
+			eventlog.Logger().Error("dispatch_recovery_scan_failed", "shard", s.id, "row", p, "err", err)
+			return fmt.Errorf("dispatch: shard %d journal scan: %w", s.id, err)
+		}
 	}
+	if s.d.recoveryHist != nil {
+		s.d.recoveryHist.Observe(uint64(time.Since(scan0)))
+	}
+	// An id is journaled once, in one row of one shard, so the set's
+	// growth is this shard's count.
+	eventlog.Logger().Debug("dispatch_recovery_scan_end",
+		"shard", s.id, "recovered", s.d.recovered.Len()-before, "dur", time.Since(scan0))
 	return nil
 }
 
-// scanChunk sizes the journal-scan range reads: big enough that a
-// remote row costs a handful of round trips, small enough not to drag
-// megabytes for a row of a million ids.
-const scanChunk = 4096
-
-// scanJournalRow ORs worker p's journal row into d.recovered, a chunk of
-// words at a time (through the caller's two scratches: cells as the
-// backend returns them, and the same bits as the set takes them), and
-// notes for p's shadow which pages of the row hold anything. The journal
-// is input from outside the process: bit 0, or a bit above MaxJobs in
-// the last word, is no id this layout ever assigned, and fails the scan.
-func (s *shard) scanJournalRow(p int, chunk []int64, words []uint64) error {
-	for at := 0; at < s.jwords; at += len(chunk) {
-		n := min(s.jwords-at, len(chunk))
-		if err := s.backend.ReadRange(s.jrow(p)+at, chunk[:n]); err != nil {
+// scanJournalRow ORs worker p's journal row, which r reads, into
+// d.recovered a window at a time (words holds one as the set takes it),
+// and notes for p's shadow which pages of the row hold anything. The
+// journal is input from outside the process: bit 0, or a bit above
+// MaxJobs in the last word, is no id this layout ever assigned, and fails
+// the scan.
+func (s *shard) scanJournalRow(p int, r *membackend.Reader, words []uint64) error {
+	for at := 0; at < s.jwords; {
+		c, err := r.Next(s.jwords - at)
+		if err != nil {
 			return err
 		}
-		for i, c := range chunk[:n] {
-			words[i] = uint64(c)
-			if c != 0 {
+		n := len(c)
+		for i, v := range c {
+			words[i] = uint64(v)
+			if v != 0 {
 				s.claims[p-1].markWritten(at + i)
 			}
 		}
@@ -193,6 +187,7 @@ func (s *shard) scanJournalRow(p int, chunk []int64, words []uint64) error {
 			}
 		}
 		s.d.recovered.OrWords(at<<6, words[:n])
+		at += n
 	}
 	return nil
 }

@@ -29,7 +29,7 @@ import (
 //
 // Layout (cells are int64 registers):
 //
-//	cell 0      log fingerprint (logMagic) — catches foreign files
+//	cell 0      log fingerprint (logMagic), opened by logFormat
 //	cell 1..    records, back to back, then a zero cell
 //	record    = header cell, then ceil(byteLen/8) body cells holding the
 //	            record's bytes little-endian
@@ -51,8 +51,8 @@ import (
 // cells it has read back as zero (scrub): a torn commit's leftovers are
 // zeroed, in an acked write of their own, before another commit lays a
 // record over them, and a cell a torn commit lost reads zero, never a
-// stale header. The scan reads through a window of scanWindow cells
-// (ReadRange) and at each header finds one of:
+// stale header. The scan reads through a membackend.Reader and at each
+// header finds one of:
 //
 //  1. zero: the end of the log;
 //  2. a malformed header (tag, length 0 or over wire.MaxFrame, body past
@@ -74,11 +74,16 @@ const (
 	// Earlier formats' fingerprints: refused untouched, never read.
 	logMagicBlocks int64 = 0x616d6f2d64657363 // "amo-desc": ids drawn from per-shard blocks, record n is not job n
 	logMagicPlain  int64 = 0x616d6f2d64736332 // "amo-dsc2": headers carry no check of their body
-
-	// scanWindow: cells per ReadRange of the scan and of scrub, and the
-	// largest cell buffer a log keeps between ticks.
-	scanWindow = 4096
 )
+
+// logFormat is the log's store as membackend.Format opens it: the magic,
+// then records from cell 1. Each earlier format has its reason.
+var logFormat = membackend.Format{Stamp: logMagic, Body: [2]int{1, 2}, Holds: "records",
+	Fix: "it is left untouched — start jobd stores fresh",
+	Earlier: map[int64]string{
+		logMagicBlocks: "was written before job ids became log ordinals: its jobs drew their ids from per-shard blocks of 64, so its n-th record is not job n and replaying it would dedupe the wrong jobs",
+		logMagicPlain:  "was written before record headers carried a check of their body: a committed header of its can sit over body cells that never reached the store",
+	}}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -145,10 +150,10 @@ type descLog struct {
 	cur   int // next free cell: where the next commit's write starts
 	clean int // cells [cur, clean) hold zeros: a fresh log's all, or what scrub read since a commit failed
 	size  int
-	err   error   // the first stage failure, reported (and cleared) by commit
-	buf   []byte  // one record's encode scratch
-	cells []int64 // the records staged since the last commit, as commit writes them
-	ahead []int64 // scrub's read scratch
+	err   error             // the first stage failure, reported (and cleared) by commit
+	buf   []byte            // one record's encode scratch
+	cells []int64           // the records staged since the last commit, as commit writes them
+	ahead membackend.Reader // the scan's, then scrub's
 }
 
 // openDescLog reads (or starts) the log in the open store b, which it
@@ -164,50 +169,24 @@ func openDescLog(b membackend.Backend, cell0 int64, name string) (*descLog, []jo
 		b.Close()
 		return nil, nil, err
 	}
-
-	switch {
-	case cell0 == logMagic:
-		// Existing log; scan below.
-	case cell0 == 0:
-		// Created by its opener, which reports 0, or reopened after its
-		// creator died before the stamp landed: no commit comes before the
-		// magic, so it holds zeros only and there is nothing to scrub.
-		if b.Reopened() {
-			if err := b.WriteAcked(0, []int64{logMagic}); err != nil {
-				return fail(err)
-			}
-		}
-		l.clean = l.size
+	if !b.Reopened() {
+		l.clean = l.size // created by its opener, stamped and zero throughout
 		return l, nil, nil
-	case cell0 == logMagicBlocks:
-		return fail(fmt.Errorf("jobd: descriptor log %q was written before job ids became log ordinals: its jobs drew their ids from per-shard blocks of 64, so its n-th record is not job n and replaying it would dedupe the wrong jobs; it is left untouched — start jobd stores fresh", name))
-	case cell0 == logMagicPlain:
-		return fail(fmt.Errorf("jobd: descriptor log %q was written before record headers carried a check of their body: a committed header of its can sit over body cells that never reached the store; it is left untouched — start jobd stores fresh", name))
-	default:
-		return fail(fmt.Errorf("jobd: backend %q is not a descriptor log (fingerprint %#x)", name, cell0))
+	}
+	if err := logFormat.Open(b, cell0); err != nil {
+		return fail(fmt.Errorf("jobd: descriptor log %q %w", name, err))
 	}
 
-	// win holds log cells [base, base+len(win)); span returns the part of
-	// [at, at+n) it holds, refilled from at when that is none of it.
-	win, base := make([]int64, 0, scanWindow), 0
-	span := func(at, n int) ([]int64, error) {
-		if at < base || at >= base+len(win) {
-			win, base = win[:min(cap(win), l.size-at)], at
-			if err := b.ReadRange(at, win); err != nil {
-				return nil, fmt.Errorf("jobd: read descriptor log: %w", err)
-			}
-		}
-		return win[at-base : min(at-base+n, len(win))], nil
-	}
+	l.ahead.Seek(b, 1, l.size)
 	var (
 		recs  []job
 		raw   []byte        // one record's bytes; decode copies out of it
 		names wire.Interner // a log repeats a handful of tenant and task names
 	)
 	for l.cur < l.size {
-		c, err := span(l.cur, 1)
+		c, err := l.ahead.Next(1)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("jobd: read descriptor log: %w", err))
 		}
 		hdr := uint64(c[0])
 		if hdr == 0 {
@@ -218,9 +197,9 @@ func openDescLog(b membackend.Backend, cell0 int64, name string) (*descLog, []jo
 			return fail(fmt.Errorf("jobd: corrupt descriptor log: record %d header %#x at cell %d", len(recs), hdr, l.cur))
 		}
 		raw = raw[:0]
-		for at, end := l.cur+1, l.cur+recCells(n); at < end; at += len(c) {
-			if c, err = span(at, end-at); err != nil {
-				return fail(err)
+		for left := recCells(n) - 1; left > 0; left -= len(c) {
+			if c, err = l.ahead.Next(left); err != nil {
+				return fail(fmt.Errorf("jobd: read descriptor log: %w", err))
 			}
 			for _, v := range c {
 				raw = wire.AppendU64(raw, uint64(v))
@@ -285,7 +264,7 @@ func (l *descLog) commit() error {
 		l.clean = l.cur // a failed write may have landed some of its cells
 	}
 	l.err, l.cells = nil, l.cells[:0]
-	if cap(l.cells) > scanWindow {
+	if cap(l.cells) > membackend.WindowCells {
 		l.cells = nil // a burst's buffer is not an idle server's to keep
 	}
 	return err
@@ -296,17 +275,19 @@ func (l *descLog) commit() error {
 // zeroes a window holding what a commit that died torn left there in an
 // acked write of its own. Behind an acked commit it finds zeros only.
 func (l *descLog) scrub(end int) error {
-	for l.clean = max(l.clean, l.cur); l.clean < end; l.clean += len(l.ahead) {
-		l.ahead = slices.Grow(l.ahead[:0], scanWindow)[:min(scanWindow, l.size-l.clean)]
-		if err := l.b.ReadRange(l.clean, l.ahead); err != nil {
+	l.clean = max(l.clean, l.cur)
+	for l.ahead.Seek(l.b, l.clean, l.size); l.clean < end; {
+		c, err := l.ahead.Next(membackend.WindowCells)
+		if err != nil {
 			return err
 		}
-		if slices.ContainsFunc(l.ahead, func(v int64) bool { return v != 0 }) {
-			clear(l.ahead)
-			if err := l.b.WriteAcked(l.clean, l.ahead); err != nil {
+		if slices.ContainsFunc(c, func(v int64) bool { return v != 0 }) {
+			clear(c)
+			if err := l.b.WriteAcked(l.clean, c); err != nil {
 				return err
 			}
 		}
+		l.clean += len(c)
 	}
 	return nil
 }

@@ -1043,7 +1043,7 @@ func TestJobdOverNet(t *testing.T) {
 	}
 	// The log's windows, then the shard's two rows: the hellos report both
 	// stamps.
-	if got, most := netmemRequests("read_range")-ranged, uint64((cells+scanWindow-1)/scanWindow+2); got > most {
+	if got, most := netmemRequests("read_range")-ranged, uint64((cells+membackend.WindowCells-1)/membackend.WindowCells+2); got > most {
 		t.Errorf("the reopen spent %d ranged reads on a log of %d cells, want ≤ %d", got, cells, most)
 	}
 	t.Logf("%d one-KiB records over net: loopback: %v per tick, reopen and replay %v (log of %d cells)",

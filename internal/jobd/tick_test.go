@@ -571,7 +571,9 @@ func TestTickPartitionsReplayIdentically(t *testing.T) {
 
 // TestParentDescLogRefused: a descriptor log of an earlier format — its
 // fingerprint in cell 0 — is refused at New with a sentence that names
-// the change, and is left byte-for-byte as it was.
+// the change, and is left byte-for-byte as it was. So is a log with a
+// record and no fingerprint: no commit comes before the fingerprint is
+// acked, so another writer wrote it.
 func TestParentDescLogRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -580,6 +582,7 @@ func TestParentDescLogRefused(t *testing.T) {
 	}{
 		{"amo-desc", logMagicBlocks, []string{"ids became log ordinals", "per-shard blocks", "start jobd stores fresh"}},
 		{"amo-dsc2", logMagicPlain, []string{"check of their body", "never reached the store", "start jobd stores fresh"}},
+		{"unstamped", 0, []string{"holds records but no fingerprint", "start jobd stores fresh"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -205,7 +205,12 @@ func TestShardSpec(t *testing.T) {
 // cell 0 and reports 0, not Reopened; a store an open finds reports its
 // cell 0 and is not written, whatever stamp the open brings — an
 // unstamped one reports 0, Reopened. A fresh register file reaches the
-// disk in one msync, header and stamp together.
+// disk in one msync, header and stamp together. Format.Open takes it from
+// there: a store holding the stamp opens as it is; one holding 0 — created,
+// or left by a creator that died before its stamp's ack — opens, stamped
+// in an acked write, only if its body reads zero; an earlier format's stamp
+// is refused with its reason, any other as another store's; a refused
+// store is left as it was.
 func TestOpenerStamps(t *testing.T) {
 	requireMmap(t)
 	dir := t.TempDir()
@@ -242,6 +247,140 @@ func TestOpenerStamps(t *testing.T) {
 	}
 	if as[0].Reopened() || cell0[0] != 0 || as[0].Read(0) != 7 {
 		t.Errorf("atomic instance: Reopened %v, reported cell 0 %d, holds %d; want false, 0, 7", as[0].Reopened(), cell0[0], as[0].Read(0))
+	}
+
+	// Format.Open over what the opener found, on a register file and on a
+	// memtest.Lossy.
+	const size, stamp = 8, 41
+	f := Format{Stamp: stamp, Body: [2]int{2, 5}, Holds: "rows", Earlier: map[int64]string{40: "is of format 40"},
+		Fix: "start it fresh"}
+	stores := []struct {
+		name string
+		// open builds a store holding cell0 and body at cell 4, then opens
+		// it as an opener would, stamped with stamp — created when create
+		// is set. crash makes what its opens acked all a successor sees.
+		open func(t *testing.T, cell0, body int64, create bool) (b Backend, found int64, crash func() Backend)
+	}{
+		{"mmap", func(t *testing.T, cell0, body int64, create bool) (Backend, int64, func() Backend) {
+			spec := "mmap:" + filepath.Join(t.TempDir(), "x")
+			if !create {
+				b, err := Open(spec, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Write(0, cell0)
+				b.Write(4, body)
+				b.Close()
+			}
+			bs, found, err := OpenEach(spec, size, Instance{Stamp: stamp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { bs[0].Close() })
+			return bs[0], found[0], func() Backend {
+				bs[0].Close()
+				b, err := Open(spec, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { b.Close() })
+				return b
+			}
+		}},
+		{"lossy", func(t *testing.T, cell0, body int64, create bool) (Backend, int64, func() Backend) {
+			l := memtest.NewLossy(size)
+			if !create {
+				l.WriteAcked(0, []int64{cell0})
+				l.WriteAcked(4, []int64{body})
+				l.Crash()
+			}
+			found, err := l.Stamp(stamp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l, found, func() Backend { l.Crash(); return l }
+		}},
+	}
+	for _, st := range stores {
+		for _, tc := range []struct {
+			name        string
+			create      bool
+			cell0, body int64
+			refusal     string // "": it opens
+		}{
+			{"created", true, 0, 0, ""},
+			{"reopened", false, stamp, 7, ""},
+			{"unstamped and empty", false, 0, 0, ""},
+			{"unstamped with data", false, 0, 7, "holds rows but no fingerprint (fingerprint 0x0, want 0x29); start it fresh"},
+			{"earlier stamp", false, 40, 7, "is of format 40; start it fresh"},
+			{"foreign", false, 99, 0, "holds fingerprint 0x63, want 0x29; start it fresh"},
+		} {
+			t.Run(st.name+"/"+tc.name, func(t *testing.T) {
+				b, found, crash := st.open(t, tc.cell0, tc.body, tc.create)
+				before := make([]int64, size)
+				if err := b.ReadRange(0, before); err != nil {
+					t.Fatal(err)
+				}
+				err := f.Open(b, found)
+				if tc.refusal != "" {
+					if err == nil || err.Error() != tc.refusal {
+						t.Fatalf("Open = %v, want the refusal %q", err, tc.refusal)
+					}
+				} else if err != nil {
+					t.Fatalf("Open refused the store: %v", err)
+				}
+				want := slices.Clone(before)
+				if tc.refusal == "" {
+					want[0] = stamp
+				}
+				after := make([]int64, size)
+				if err := crash().ReadRange(0, after); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(after, want) {
+					t.Errorf("after Open and a crash the store holds %v, want %v", after, want)
+				}
+			})
+		}
+	}
+}
+
+// TestReader: a Reader returns its range in order, at most n cells a
+// call and never past a window, reads each window in one ReadRange, and
+// returns nothing at the end; a Seek starts over.
+func TestReader(t *testing.T) {
+	const size, at, end = 3*WindowCells + 10, 3, 2*WindowCells + 100
+	l := memtest.NewLossy(size)
+	for i := range size {
+		l.Write(i, int64(i))
+	}
+	var r Reader
+	r.Seek(l, at, end)
+	next := at
+	for n := 1; ; n = n*3 + 1 {
+		c, err := r.Next(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c) == 0 {
+			break
+		}
+		if len(c) > n || (next-at)/WindowCells != (next-at+len(c)-1)/WindowCells {
+			t.Fatalf("Next(%d) at cell %d returned %d cells", n, next, len(c))
+		}
+		for _, v := range c {
+			if v != int64(next) {
+				t.Fatalf("cell %d read as %d", next, v)
+			}
+			next++
+		}
+	}
+	if next != end || l.Counts().Ranges != 3 {
+		t.Errorf("read to cell %d in %d ReadRanges, want to %d in 3", next, l.Counts().Ranges, end)
+	}
+	r.Seek(l, 7, 8)
+	if c, err := r.Next(5); err != nil || !slices.Equal(c, []int64{7}) {
+		t.Errorf("after a Seek, Next = %v, %v; want [7]", c, err)
 	}
 }
 
