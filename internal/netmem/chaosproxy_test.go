@@ -52,11 +52,14 @@ type proxyPair struct {
 	once           sync.Once
 }
 
-func (p *proxyPair) sever() {
+// sever closes both ends once and reports whether this call closed them.
+func (p *proxyPair) sever() (cut bool) {
 	p.once.Do(func() {
 		p.client.Close()
 		p.server.Close()
+		cut = true
 	})
+	return cut
 }
 
 // NewChaosProxy listens on 127.0.0.1:0 and forwards to target with the
@@ -96,10 +99,19 @@ func (p *ChaosProxy) DropAll() {
 	for pr := range p.pairs {
 		pairs = append(pairs, pr)
 	}
-	p.drops += len(pairs)
 	p.mu.Unlock()
 	for _, pr := range pairs {
-		pr.sever()
+		p.cut(pr)
+	}
+}
+
+// cut severs pr and counts a drop if this call closed it: a pair stays in
+// p.pairs until its pumps return, so DropAll can meet one already cut.
+func (p *ChaosProxy) cut(pr *proxyPair) {
+	if pr.sever() {
+		p.mu.Lock()
+		p.drops++
+		p.mu.Unlock()
 	}
 }
 
@@ -195,9 +207,7 @@ func (p *ChaosProxy) pump(pair *proxyPair, src, dst net.Conn, dir string) {
 				if cut > 0 {
 					dst.Write(chunk[:cut])
 				}
-				p.mu.Lock()
-				p.drops++
-				p.mu.Unlock()
+				p.cut(pair)
 				p.logf("netmem: chaos drop (%s) after %d of %d bytes", dir, cut, n)
 				return
 			}
