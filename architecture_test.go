@@ -59,6 +59,9 @@ func architecture(sections map[string]bool) []archRule {
 			{re: `\bop(Read|Write|Value)\b`, in: []string{"internal/netmem"}, files: goProd, plant: `case opRead:`}}},
 		{"A store's stamp comes from its opener", "7", "the journal and the descriptor log hand the cell 0 membackend.OpenEach reported to membackend.Format.Open and never read it to open a store", []archClause{
 			{re: `ReadRange\(0,`, in: []string{"internal/dispatch", "internal/jobd"}, files: goProd, plant: `err := b.ReadRange(0, cell0[:])`}}},
+		{"One process shape", "1", "a simulated process reports to the one sim.DoSink, and its id, status, work and stop come from sim.Base unless it is core's", []archClause{
+			{re: `DoSink\s+interface\b`, in: []string{"."}, files: goAll, outside: []string{"internal/sim"}, plant: `type DoSink interface {`},
+			{re: `\) Crash\(\) *\{.*sim\.Crashed\b`, in: []string{"."}, files: goAll, plant: `func (p *TASProc) Crash() { p.status = sim.Crashed }`}}},
 		{"Every DESIGN.md §N cited names a heading", "", "a section that is folded away takes its citations with it (a bare §N is a section of the paper)", []archClause{
 			{re: `DESIGN(\.md)?,? §([0-9]+(\.[0-9]+)?)`, in: []string{"."}, files: []string{"*.go", "*.yml", "README.md"},
 				unless: func(m []string) bool { return sections[m[2]] }, plant: `// the journal's layout (DESIGN.md §99)`}}},

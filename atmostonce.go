@@ -45,9 +45,10 @@ type Config struct {
 	// Workers is m, the number of worker goroutines.
 	Workers int
 	// Beta is KKβ's termination parameter β ≥ m; 0 selects β = m, the
-	// effectiveness-optimal choice. Larger β makes workers give up
-	// earlier (fewer jobs done, less contention); β = 3m² gives the
-	// paper's O(nm·log n·log m) work bound.
+	// effectiveness-optimal choice, or for an Iterative run the paper's
+	// 3m² per level. Larger β makes workers give up earlier (fewer jobs
+	// done, less contention); β = 3m² gives the paper's O(nm·log n·log m)
+	// work bound.
 	Beta int
 	// Iterative selects IterativeKK(ε), the work-optimal variant, with
 	// ε = 1/EpsDenom (EpsDenom 0 = 1). Preferable when m is small
@@ -167,7 +168,8 @@ const (
 
 // SimConfig configures a simulated adversarial execution.
 type SimConfig struct {
-	// Jobs (n), Workers (m) and Beta (β; 0 = m) as in Config.
+	// Jobs (n), Workers (m) and Beta (β; 0 = m, or 3m² when Iterative) as
+	// in Config.
 	Jobs, Workers, Beta int
 	// Iterative selects IterativeKK(ε = 1/EpsDenom).
 	Iterative bool
@@ -180,7 +182,7 @@ type SimConfig struct {
 	CrashProb float64
 	Seed      int64
 	// TrackCollisions enables Definition 5.2 collision accounting
-	// (plain KKβ only).
+	// (plain KKβ only: an Iterative run refuses it with ErrIncompatible).
 	TrackCollisions bool
 	// MaxSteps aborts runaway executions (0 = 500M steps).
 	MaxSteps uint64
@@ -196,7 +198,8 @@ type SimReport struct {
 	Steps uint64
 	// Crashes is the number of injected failures.
 	Crashes int
-	// EffectivenessLB is n−(β+m−2) (Theorem 4.4) for plain KKβ runs.
+	// EffectivenessLB is n−(β+m−2) (Theorem 4.4) for plain KKβ runs and
+	// 0 for Iterative ones.
 	EffectivenessLB int
 	// Collisions is the pairwise collision matrix when tracking was
 	// requested; index [p-1][q-1] counts p colliding with q.
@@ -214,10 +217,10 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	if cfg.Scheduler == 0 {
 		cfg.Scheduler = RoundRobin
 	}
+	if cfg.Iterative && (cfg.Scheduler == Tightness || cfg.TrackCollisions) {
+		return nil, fmt.Errorf("%w: Tightness and TrackCollisions target plain KKβ", ErrIncompatible)
+	}
 	if cfg.Scheduler == Tightness {
-		if cfg.Iterative {
-			return nil, fmt.Errorf("%w: Tightness targets plain KKβ", ErrIncompatible)
-		}
 		cfg.Crashes = cfg.Workers - 1
 	}
 	adv, err := buildAdversary(cfg)
@@ -235,7 +238,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		return convertReport(cfg, rep, nil), nil
+		return convertReport(rep, 0, nil), nil
 	}
 	s, err := core.NewSystem(core.Config{
 		N: cfg.Jobs, M: cfg.Workers, Beta: cfg.Beta, F: cfg.Crashes,
@@ -248,7 +251,7 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return convertReport(cfg, rep, s.Collisions), nil
+	return convertReport(rep, core.EffectivenessBound(cfg.Jobs, cfg.Workers, cfg.Beta), s.Collisions), nil
 }
 
 func buildAdversary(cfg SimConfig) (sim.Adversary, error) {
@@ -270,14 +273,14 @@ func buildAdversary(cfg SimConfig) (sim.Adversary, error) {
 	}
 }
 
-func convertReport(cfg SimConfig, rep *core.Report, coll *core.CollisionMatrix) *SimReport {
+func convertReport(rep *core.Report, lb int, coll *core.CollisionMatrix) *SimReport {
 	out := &SimReport{
 		Performed:       rep.Distinct,
 		Duplicates:      rep.Duplicates,
 		Work:            rep.Work,
 		Steps:           rep.Result.Steps,
 		Crashes:         rep.Result.Crashes,
-		EffectivenessLB: core.EffectivenessBound(cfg.Jobs, cfg.Workers, cfg.Beta),
+		EffectivenessLB: lb,
 	}
 	if coll != nil {
 		m := coll.M()

@@ -183,6 +183,9 @@ func TestSimulateIterative(t *testing.T) {
 	if rep.Duplicates != 0 {
 		t.Fatal("AMO violated")
 	}
+	if rep.EffectivenessLB != 0 {
+		t.Fatalf("EffectivenessLB = %d, want 0: Theorem 4.4 bounds plain KKβ", rep.EffectivenessLB)
+	}
 }
 
 // paperIterative is the IterativeKK simulation the benchmark's paper_batch
@@ -240,13 +243,14 @@ func TestSimulateIterativeAllocs(t *testing.T) {
 }
 
 func TestSimulateIncompatible(t *testing.T) {
-	_, err := Simulate(SimConfig{Jobs: 100, Workers: 4, Iterative: true, Scheduler: Tightness})
-	if !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("err = %v, want ErrIncompatible", err)
-	}
-	_, err = Simulate(SimConfig{Jobs: 100, Workers: 4, Scheduler: Scheduler(42)})
-	if !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("err = %v, want ErrIncompatible", err)
+	for _, cfg := range []SimConfig{
+		{Jobs: 100, Workers: 4, Iterative: true, Scheduler: Tightness},
+		{Jobs: 100, Workers: 4, Iterative: true, TrackCollisions: true},
+		{Jobs: 100, Workers: 4, Scheduler: Scheduler(42)},
+	} {
+		if _, err := Simulate(cfg); !errors.Is(err, ErrIncompatible) {
+			t.Errorf("%+v: err = %v, want ErrIncompatible", cfg, err)
+		}
 	}
 }
 

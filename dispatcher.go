@@ -104,13 +104,6 @@ const (
 	Low Priority = dispatch.Low
 )
 
-// DefaultWorkersPerShard is the worker count a dispatcher uses when
-// DispatcherConfig.WorkersPerShard is 0: runtime.GOMAXPROCS(0) divided
-// across the shards (rounded up), clamped to [2, 8]. KKβ needs m ≥ 2,
-// and past 8 workers per shard the register contention outweighs the
-// parallelism.
-func DefaultWorkersPerShard(shards int) int { return dispatch.DefaultWorkers(shards) }
-
 // NewDispatcher starts a dispatcher; Close must be called to release its
 // worker pools. Over durable register files holding an earlier
 // incarnation's journal it recovers that journal before any round runs.

@@ -19,35 +19,16 @@ func NewPairedSystem(n, m, f int) (*sim.World, error) {
 	}
 	pairs := m / 2
 	solo := m%2 == 1
-	mem := shmem.NewSim(2 * pairs)
-	var (
-		procs []sim.Process
-		twos  []*TwoProc
-		trivs []*TrivialProc
-	)
 	slices := pairs
 	if solo {
 		slices++
 	}
-	for i := 0; i < pairs; i++ {
-		lo := i*n/slices + 1
-		hi := (i + 1) * n / slices
-		l, r := NewTwoProcPair(mem, 2*i, lo, hi, 2*i+1, 2*i+2)
-		twos = append(twos, l, r)
-		procs = append(procs, l, r)
-	}
-	if solo {
-		lo := pairs*n/slices + 1
-		tp := &TrivialProc{id: m, next: lo, hi: n, status: sim.Running}
-		trivs = append(trivs, tp)
-		procs = append(procs, tp)
-	}
-	w := sim.NewWorld(procs, mem, f)
-	for _, p := range twos {
-		p.sink = w
-	}
-	for _, p := range trivs {
-		p.sink = w
-	}
-	return w, nil
+	mem := shmem.NewSim(2 * pairs)
+	return sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+		i := (id - 1) / 2
+		if i == pairs { // the odd process out
+			return &TrivialProc{Base: sim.NewBase(id, sink), next: pairs*n/slices + 1, hi: n}
+		}
+		return newTwoProc(mem, 2*i, i*n/slices+1, (i+1)*n/slices, id, id%2 == 1, sink)
+	}), nil
 }

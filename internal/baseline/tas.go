@@ -16,14 +16,11 @@ import (
 // the paper's model rules out — so this is a reference line, not a
 // competitor.
 type TASProc struct {
-	id     int
-	n      int
-	cur    int // job whose bit is probed next
-	won    int // job won and not yet performed (0 = none)
-	mem    *shmem.SimMem
-	status sim.Status
-	sink   DoSink
-	work   uint64
+	sim.Base
+	n   int
+	cur int // job whose bit is probed next
+	won int // job won and not yet performed (0 = none)
+	mem *shmem.SimMem
 }
 
 var _ sim.Process = (*TASProc)(nil)
@@ -35,46 +32,25 @@ func NewTASSystem(n, m, f int) (*sim.World, error) {
 		return nil, fmt.Errorf("baseline: invalid n=%d m=%d", n, m)
 	}
 	mem := shmem.NewSim(n)
-	procs := make([]sim.Process, m)
-	tps := make([]*TASProc, m)
-	for i := 0; i < m; i++ {
-		tps[i] = &TASProc{id: i + 1, n: n, cur: 1, mem: mem, status: sim.Running}
-		procs[i] = tps[i]
-	}
-	w := sim.NewWorld(procs, mem, f)
-	for _, p := range tps {
-		p.sink = w
-	}
-	return w, nil
+	return sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+		return &TASProc{Base: sim.NewBase(id, sink), n: n, cur: 1, mem: mem}
+	}), nil
 }
-
-// ID implements sim.Process.
-func (p *TASProc) ID() int { return p.id }
-
-// Status implements sim.Process.
-func (p *TASProc) Status() sim.Status { return p.status }
-
-// Crash implements sim.Process.
-func (p *TASProc) Crash() { p.status = sim.Crashed }
-
-// Work implements sim.Worker.
-func (p *TASProc) Work() uint64 { return p.work }
 
 // Step probes one claim bit or performs a won job.
 func (p *TASProc) Step() {
 	if p.won != 0 {
-		p.sink.RecordDo(p.id, int64(p.won))
-		p.work++
+		p.Do(int64(p.won))
 		p.won = 0
 		return
 	}
 	if p.cur > p.n {
-		p.status = sim.Done
+		p.End()
 		return
 	}
 	if p.mem.TestAndSet(p.cur-1) == 0 {
 		p.won = p.cur
 	}
-	p.work++
+	p.Charge()
 	p.cur++
 }

@@ -27,18 +27,9 @@ import (
 // TrivialProc performs a static slice of jobs, one per step, touching no
 // shared memory. Crashing it loses the remainder of its slice.
 type TrivialProc struct {
-	id     int
-	next   int // next job to perform
-	hi     int // last job of the slice (inclusive)
-	status sim.Status
-	sink   DoSink
-	work   uint64
-}
-
-// DoSink mirrors core.DoSink without importing it (avoids a dependency
-// cycle through test helpers); sim.World satisfies it.
-type DoSink interface {
-	RecordDo(pid int, job int64)
+	sim.Base
+	next int // next job to perform
+	hi   int // last job of the slice (inclusive)
 }
 
 var _ sim.Process = (*TrivialProc)(nil)
@@ -50,42 +41,19 @@ func NewTrivialSystem(n, m, f int) (*sim.World, error) {
 		return nil, fmt.Errorf("baseline: invalid n=%d m=%d", n, m)
 	}
 	mem := shmem.NewSim(1) // the algorithm uses no shared memory
-	procs := make([]sim.Process, m)
-	tps := make([]*TrivialProc, m)
-	for i := 0; i < m; i++ {
-		lo := i*n/m + 1
-		hi := (i + 1) * n / m
-		tps[i] = &TrivialProc{id: i + 1, next: lo, hi: hi, status: sim.Running}
-		procs[i] = tps[i]
-	}
-	w := sim.NewWorld(procs, mem, f)
-	for _, p := range tps {
-		p.sink = w
-	}
-	return w, nil
+	return sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+		return &TrivialProc{Base: sim.NewBase(id, sink), next: (id-1)*n/m + 1, hi: id * n / m}
+	}), nil
 }
-
-// ID implements sim.Process.
-func (p *TrivialProc) ID() int { return p.id }
-
-// Status implements sim.Process.
-func (p *TrivialProc) Status() sim.Status { return p.status }
-
-// Crash implements sim.Process.
-func (p *TrivialProc) Crash() { p.status = sim.Crashed }
-
-// Work implements sim.Worker.
-func (p *TrivialProc) Work() uint64 { return p.work }
 
 // Step performs the next job of the slice.
 func (p *TrivialProc) Step() {
 	if p.next > p.hi {
-		p.status = sim.Done
+		p.End()
 		return
 	}
-	p.sink.RecordDo(p.id, int64(p.next))
+	p.Do(int64(p.next))
 	p.next++
-	p.work++
 }
 
 // TrivialEffectiveness is the closed form (m−f)·n/m from §2.2.

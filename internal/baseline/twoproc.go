@@ -19,16 +19,13 @@ import (
 // Register layout: cell 0 = left announcement, cell 1 = right
 // announcement (0 = no announcement yet).
 type TwoProc struct {
-	id     int  // 1-based process id (used for events)
+	sim.Base
 	left   bool // direction of travel
 	cur    int  // job about to be announced/performed
 	lo, hi int  // inclusive range (fixed)
 	mem    shmem.Mem
 	base   int // register base address
 	phase  twoPhase
-	status sim.Status
-	sink   DoSink
-	work   uint64
 	nDone  int
 }
 
@@ -44,13 +41,20 @@ var _ sim.Process = (*TwoProc)(nil)
 
 // NewTwoProcPair builds the two processes sharing jobs [lo..hi] over the
 // two registers at mem[base] and mem[base+1]. leftID and rightID are the
-// event/process ids.
+// event/process ids. Their sink is unset: bind one with SetSink, as
+// verify.ExploreProcs does.
 func NewTwoProcPair(mem shmem.Mem, base, lo, hi, leftID, rightID int) (*TwoProc, *TwoProc) {
-	l := &TwoProc{id: leftID, left: true, cur: lo, lo: lo, hi: hi,
-		mem: mem, base: base, phase: twoAnnounce, status: sim.Running}
-	r := &TwoProc{id: rightID, left: false, cur: hi, lo: lo, hi: hi,
-		mem: mem, base: base, phase: twoAnnounce, status: sim.Running}
-	return l, r
+	return newTwoProc(mem, base, lo, hi, leftID, true, nil), newTwoProc(mem, base, lo, hi, rightID, false, nil)
+}
+
+// newTwoProc builds the left or the right process of a pair.
+func newTwoProc(mem shmem.Mem, base, lo, hi, id int, left bool, sink sim.DoSink) *TwoProc {
+	cur := hi
+	if left {
+		cur = lo
+	}
+	return &TwoProc{Base: sim.NewBase(id, sink), left: left, cur: cur, lo: lo, hi: hi,
+		mem: mem, base: base, phase: twoAnnounce}
 }
 
 // NewTwoProcSystem builds a complete 2-process world over jobs [1..n].
@@ -59,23 +63,10 @@ func NewTwoProcSystem(n, f int) (*sim.World, error) {
 		return nil, fmt.Errorf("baseline: two-process algorithm needs n ≥ 2, got %d", n)
 	}
 	mem := shmem.NewSim(2)
-	l, r := NewTwoProcPair(mem, 0, 1, n, 1, 2)
-	w := sim.NewWorld([]sim.Process{l, r}, mem, f)
-	l.sink, r.sink = w, w
-	return w, nil
+	return sim.Assemble(2, mem, f, func(id int, sink sim.DoSink) sim.Process {
+		return newTwoProc(mem, 0, 1, n, id, id == 1, sink)
+	}), nil
 }
-
-// ID implements sim.Process.
-func (p *TwoProc) ID() int { return p.id }
-
-// Status implements sim.Process.
-func (p *TwoProc) Status() sim.Status { return p.status }
-
-// Crash implements sim.Process.
-func (p *TwoProc) Crash() { p.status = sim.Crashed }
-
-// Work implements sim.Worker.
-func (p *TwoProc) Work() uint64 { return p.work }
 
 // Performed returns the number of jobs this process completed.
 func (p *TwoProc) Performed() int { return p.nDone }
@@ -107,25 +98,24 @@ func (p *TwoProc) Step() {
 	switch p.phase {
 	case twoAnnounce:
 		if p.exhausted() {
-			p.status = sim.Done
+			p.End()
 			return
 		}
 		p.mem.Write(p.ownAddr(), int64(p.cur))
-		p.work++
+		p.Charge()
 		p.phase = twoRead
 	case twoRead:
 		peer := p.mem.Read(p.peerAddr())
-		p.work++
+		p.Charge()
 		if peer != 0 && p.passed(int(peer)) {
 			// The peer announced this job or one we already passed: the
 			// ranges have met; stop without performing cur.
-			p.status = sim.Done
+			p.End()
 			return
 		}
 		p.phase = twoDo
 	case twoDo:
-		p.sink.RecordDo(p.id, int64(p.cur))
-		p.work++
+		p.Do(int64(p.cur))
 		p.nDone++
 		if p.left {
 			p.cur++
@@ -145,34 +135,21 @@ func (p *TwoProc) passed(peer int) bool {
 	return peer >= p.cur
 }
 
-// SetSink rebinds the do-event sink (model checker wiring).
-func (p *TwoProc) SetSink(s DoSink) { p.sink = s }
-
-// twoProcSnap is the full mutable state of a TwoProc.
-type twoProcSnap struct {
-	cur    int
-	phase  twoPhase
-	status sim.Status
-	nDone  int
-}
-
 // SaveState implements verify.Snapshottable.
-func (p *TwoProc) SaveState() any {
-	return twoProcSnap{cur: p.cur, phase: p.phase, status: p.status, nDone: p.nDone}
-}
+func (p *TwoProc) SaveState() any { return *p }
 
 // LoadState implements verify.Snapshottable.
 func (p *TwoProc) LoadState(snapshot any) {
-	if s, ok := snapshot.(twoProcSnap); ok {
-		p.cur, p.phase, p.status, p.nDone = s.cur, s.phase, s.status, s.nDone
+	if s, ok := snapshot.(TwoProc); ok {
+		*p = s
 	}
 }
 
 // AppendState implements verify.Snapshottable.
 func (p *TwoProc) AppendState(buf []byte) []byte {
-	if p.status == sim.Crashed {
+	if p.Status() == sim.Crashed {
 		return append(buf, 0xFF)
 	}
-	return append(buf, byte(p.status), byte(p.phase),
+	return append(buf, byte(p.Status()), byte(p.phase),
 		byte(p.cur), byte(p.cur>>8), byte(p.cur>>16))
 }

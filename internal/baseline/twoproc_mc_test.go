@@ -28,10 +28,6 @@ func TestExploreTwoProcExhaustive(t *testing.T) {
 				Mem:   mem,
 				Jobs:  tt.n,
 				F:     tt.f,
-				Bind: func(sink verify.DoSink) {
-					l.SetSink(sink)
-					r.SetSink(sink)
-				},
 				OnTerminal: func(performed map[int64]int, witness []sim.Decision) *verify.MCViolationError {
 					if len(performed) < tt.n-1 {
 						return &verify.MCViolationError{

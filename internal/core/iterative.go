@@ -125,12 +125,6 @@ func (c *IterConfig) normalize() error {
 	if c.Beta == 0 {
 		c.Beta = 3 * c.M * c.M
 	}
-	if c.F >= c.M {
-		c.F = c.M - 1
-	}
-	if c.F < 0 {
-		c.F = 0
-	}
 	return nil
 }
 
@@ -165,7 +159,7 @@ type IterProc struct {
 	cfg    IterConfig
 	levels []Level
 	mem    shmem.Mem
-	sink   DoSink
+	sink   sim.DoSink
 
 	level    int
 	inner    *Proc
@@ -180,8 +174,8 @@ type IterProc struct {
 var _ sim.Process = (*IterProc)(nil)
 
 // newIterProc builds the process at level 0 with FREE = map(J, 1, s_0).
-func newIterProc(id int, cfg IterConfig, levels []Level, mem shmem.Mem) *IterProc {
-	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem}
+func newIterProc(id int, cfg IterConfig, levels []Level, mem shmem.Mem, sink sim.DoSink) *IterProc {
+	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem, sink: sink}
 	first := denseset.NewRange(1, levels[0].Blocks)
 	p.curInput = first.Len()
 	p.inner = p.newLevelProc(0, first)
@@ -244,7 +238,7 @@ func (p *IterProc) Crash() {
 	}
 }
 
-// Work implements sim.Worker.
+// Work implements sim.Process.
 func (p *IterProc) Work() uint64 {
 	w := p.work
 	if p.inner != nil {
@@ -361,13 +355,13 @@ func PlanLevels(cfg IterConfig) (IterConfig, []Level, int, error) {
 func NewIterProcsOn(cfg IterConfig, levels []Level, mem shmem.Mem) []*IterProc {
 	procs := make([]*IterProc, cfg.M)
 	for i := 0; i < cfg.M; i++ {
-		procs[i] = newIterProc(i+1, cfg, levels, mem)
+		procs[i] = newIterProc(i+1, cfg, levels, mem, nil)
 	}
 	return procs
 }
 
 // SetSink rebinds the do-event sink.
-func (p *IterProc) SetSink(s DoSink) { p.sink = s }
+func (p *IterProc) SetSink(s sim.DoSink) { p.sink = s }
 
 // NewIterSystem assembles an IterativeKK(ε) instance. Each level's shared
 // variables (next array, done matrix, termination flag) occupy a disjoint
@@ -378,15 +372,11 @@ func NewIterSystem(cfg IterConfig) (*IterSystem, error) {
 		return nil, err
 	}
 	mem := shmem.NewSim(total)
-	procs := NewIterProcsOn(cfg, levels, mem)
-	simProcs := make([]sim.Process, cfg.M)
-	for i, p := range procs {
-		simProcs[i] = p
-	}
-	world := sim.NewWorld(simProcs, mem, cfg.F)
-	for _, p := range procs {
-		p.sink = world
-	}
+	procs := make([]*IterProc, cfg.M)
+	world := sim.Assemble(cfg.M, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
+		procs[id-1] = newIterProc(id, cfg, levels, mem, sink)
+		return procs[id-1]
+	})
 	sizes := make([]int, len(levels))
 	for i, lv := range levels {
 		sizes[i] = lv.Size
@@ -396,9 +386,5 @@ func NewIterSystem(cfg IterConfig) (*IterSystem, error) {
 
 // Run executes the system under adv; see System.Run.
 func (s *IterSystem) Run(adv sim.Adversary, maxSteps uint64) (*Report, error) {
-	res, err := sim.Run(s.World, adv, maxSteps)
-	if err != nil {
-		return nil, err
-	}
-	return summarizeEvents(res, s.Cfg.N), nil
+	return run(s.World, s.Cfg.N, adv, maxSteps)
 }

@@ -108,8 +108,8 @@ func TestIterConfigValidation(t *testing.T) {
 	if s.Cfg.Beta != 27 {
 		t.Errorf("default β = %d, want 3m²=27", s.Cfg.Beta)
 	}
-	if s.Cfg.F != 2 {
-		t.Errorf("F = %d, want clamped 2", s.Cfg.F)
+	if s.World.MaxCrashes != 2 {
+		t.Errorf("F = %d, want clamped 2", s.World.MaxCrashes)
 	}
 	if s.Cfg.EpsDenom != 1 {
 		t.Errorf("EpsDenom = %d, want 1", s.Cfg.EpsDenom)

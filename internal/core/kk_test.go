@@ -109,8 +109,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Cfg.F != 2 {
-		t.Errorf("F clamped to %d, want 2", s.Cfg.F)
+	if s.World.MaxCrashes != 2 {
+		t.Errorf("F clamped to %d, want 2", s.World.MaxCrashes)
 	}
 	if s.Cfg.Beta != 3 {
 		t.Errorf("default Beta = %d, want m=3", s.Cfg.Beta)

@@ -8,12 +8,6 @@ import (
 	"atmostonce/internal/sim"
 )
 
-// DoSink receives do_{p,j} events. sim.World implements it; the concurrent
-// runtime and the Write-All harness provide their own sinks.
-type DoSink interface {
-	RecordDo(pid int, job int64)
-}
-
 // nopSink discards events.
 type nopSink struct{}
 
@@ -47,7 +41,7 @@ type ProcOptions struct {
 	// FREE\TRY — the WA_IterStepKK variant of §7.
 	ReturnFree bool
 	// Sink receives do events; nil discards them.
-	Sink DoSink
+	Sink sim.DoSink
 	// DoCost is the work charged per do action (1 for plain jobs, the
 	// super-job size for IterativeKK levels). Zero means 1.
 	DoCost uint64
@@ -70,7 +64,7 @@ type Proc struct {
 	beta     int
 	lay      Layout
 	mem      shmem.Mem
-	sink     DoSink
+	sink     sim.DoSink
 	doCost   uint64
 	iterStep bool
 	retFree  bool
@@ -197,7 +191,7 @@ func (p *Proc) Status() sim.Status {
 // Crash implements sim.Process (the stop_p input action).
 func (p *Proc) Crash() { p.phase = PhaseStop }
 
-// Work implements sim.Worker: total basic operations in the paper's cost
+// Work implements sim.Process: total basic operations in the paper's cost
 // model (§2.2) — O(1) per shared access and constant-size local step,
 // O(log n) per set operation.
 func (p *Proc) Work() uint64 { return p.work }

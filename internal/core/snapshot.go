@@ -1,6 +1,10 @@
 package core
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"atmostonce/internal/sim"
+)
 
 // Clone returns a deep copy of the process state (sets, pointers,
 // scalars). The copy shares the memory, sink and collision-matrix
@@ -60,9 +64,8 @@ func (p *Proc) AppendState(buf []byte) []byte {
 	return buf
 }
 
-// SetSink rebinds the do-event sink (used by harnesses that assemble
-// processes manually).
-func (p *Proc) SetSink(s DoSink) { p.sink = s }
+// SetSink rebinds the do-event sink (the model checker reports to itself).
+func (p *Proc) SetSink(s sim.DoSink) { p.sink = s }
 
 // SaveState implements the model checker's Snapshottable interface.
 func (p *Proc) SaveState() any { return p.Clone() }

@@ -17,7 +17,8 @@ type Config struct {
 	// Beta is the termination parameter β; 0 means β = m, the
 	// effectiveness-optimal choice of Theorem 4.4.
 	Beta int
-	// F is the crash budget f < m available to the adversary.
+	// F is the crash budget f < m available to the adversary; the world
+	// clamps it to m−1.
 	F int
 	// TrackCollisions enables Definition 5.2 collision accounting.
 	TrackCollisions bool
@@ -35,12 +36,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Beta == 0 {
 		c.Beta = c.M
-	}
-	if c.F >= c.M {
-		c.F = c.M - 1
-	}
-	if c.F < 0 {
-		c.F = 0
 	}
 	return nil
 }
@@ -68,24 +63,20 @@ func NewSystem(cfg Config) (*System, error) {
 		coll = NewCollisionMatrix(cfg.M)
 	}
 	procs := make([]*Proc, cfg.M)
-	simProcs := make([]sim.Process, cfg.M)
-	for i := 0; i < cfg.M; i++ {
-		procs[i] = NewProc(ProcOptions{
-			ID:         i + 1,
+	world := sim.Assemble(cfg.M, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
+		procs[id-1] = NewProc(ProcOptions{
+			ID:         id,
 			M:          cfg.M,
 			Beta:       cfg.Beta,
 			Layout:     lay,
 			Mem:        mem,
 			Universe:   cfg.N,
+			Sink:       sink,
 			Collisions: coll,
 			NoPosCache: cfg.NoPosCache,
 		})
-		simProcs[i] = procs[i]
-	}
-	world := sim.NewWorld(simProcs, mem, cfg.F)
-	for _, p := range procs {
-		p.sink = world
-	}
+		return procs[id-1]
+	})
 	return &System{
 		Cfg:        cfg,
 		Mem:        mem,
@@ -114,22 +105,22 @@ type Report struct {
 // adversary always terminates by Lemma 4.3, so tests pass a generous limit
 // to convert a wait-freedom bug into a failure instead of a hang.
 func (s *System) Run(adv sim.Adversary, maxSteps uint64) (*Report, error) {
-	res, err := sim.Run(s.World, adv, maxSteps)
+	return run(s.World, s.Cfg.N, adv, maxSteps)
+}
+
+// run executes w under adv and tallies it over the jobs [1..n].
+func run(w *sim.World, n int, adv sim.Adversary, maxSteps uint64) (*Report, error) {
+	res, err := sim.Run(w, adv, maxSteps)
 	if err != nil {
 		return nil, err
 	}
-	return summarizeEvents(res, s.Cfg.N), nil
-}
-
-// summarizeEvents tallies an execution over the jobs [1..n].
-func summarizeEvents(res *sim.Result, n int) *Report {
 	t := sim.TallyEvents(res.Events, n)
 	return &Report{
 		Result:     res,
 		Distinct:   t.Distinct,
 		Duplicates: t.Duplicates,
 		Work:       res.TotalWork,
-	}
+	}, nil
 }
 
 // EffectivenessBound returns Theorem 4.4's exact effectiveness

@@ -58,14 +58,57 @@ type Process interface {
 	Status() Status
 	// Crash delivers the stop action; the process takes no further steps.
 	Crash()
-}
-
-// Worker is implemented by processes that track their own work, in the
-// paper's cost model (§2.2: comparisons, additions, memory accesses; set
-// operations cost O(log n)).
-type Worker interface {
+	// Work is the process's work so far in the paper's cost model (§2.2:
+	// comparisons, additions, memory accesses; set operations cost
+	// O(log n)).
 	Work() uint64
 }
+
+// DoSink receives do_{p,j} events. World is one; the concurrent runtime
+// and the model checker provide their own.
+type DoSink interface {
+	RecordDo(pid int, job int64)
+}
+
+// Base is the part of a process every algorithm shares: its id, its
+// lifecycle status, its work and its do-event sink. A process embeds it
+// and writes only Step.
+type Base struct {
+	id     int
+	status Status
+	work   uint64
+	sink   DoSink
+}
+
+// NewBase returns the base of a running process p with the given sink.
+func NewBase(p int, sink DoSink) Base { return Base{id: p, status: Running, sink: sink} }
+
+// ID implements Process.
+func (b *Base) ID() int { return b.id }
+
+// Status implements Process.
+func (b *Base) Status() Status { return b.status }
+
+// Crash implements Process.
+func (b *Base) Crash() { b.status = Crashed }
+
+// Work implements Process.
+func (b *Base) Work() uint64 { return b.work }
+
+// SetSink rebinds the do-event sink (the model checker reports to itself).
+func (b *Base) SetSink(s DoSink) { b.sink = s }
+
+// Do performs do_{p,job}: the event goes to the sink, at one unit of work.
+func (b *Base) Do(job int64) {
+	b.sink.RecordDo(b.id, job)
+	b.work++
+}
+
+// Charge adds one unit of work: a shared-memory access.
+func (b *Base) Charge() { b.work++ }
+
+// End terminates the process voluntarily (the paper's "end").
+func (b *Base) End() { b.status = Done }
 
 // Event records one do_{p,j} action.
 type Event struct {
@@ -88,16 +131,20 @@ type World struct {
 	live    []int // Live's buffer
 }
 
-// NewWorld assembles a world. maxCrashes is clamped to m-1, the paper's
-// f < m requirement.
-func NewWorld(procs []Process, mem *shmem.SimMem, maxCrashes int) *World {
-	if maxCrashes >= len(procs) {
-		maxCrashes = len(procs) - 1
+// NewWorld assembles a world of processes that keep their own sinks. The
+// crash budget f is clamped to [0, m−1], the paper's f < m.
+func NewWorld(procs []Process, mem *shmem.SimMem, f int) *World {
+	return &World{Procs: procs, Mem: mem, MaxCrashes: max(0, min(f, len(procs)-1))}
+}
+
+// Assemble builds a world of m processes over mem: mk makes process id
+// with the world as its do-event sink.
+func Assemble(m int, mem *shmem.SimMem, f int, mk func(id int, sink DoSink) Process) *World {
+	w := NewWorld(make([]Process, m), mem, f)
+	for i := range w.Procs {
+		w.Procs[i] = mk(i+1, w)
 	}
-	if maxCrashes < 0 {
-		maxCrashes = 0
-	}
-	return &World{Procs: procs, Mem: mem, MaxCrashes: maxCrashes}
+	return w
 }
 
 // Steps returns the number of actions executed so far.
@@ -172,7 +219,7 @@ type Result struct {
 	Steps      uint64
 	Crashes    int
 	Events     []Event
-	TotalWork  uint64 // sum over processes implementing Worker
+	TotalWork  uint64 // sum of the processes' Work
 	MemReads   uint64
 	MemWrites  uint64
 	DoneProcs  int
@@ -238,9 +285,7 @@ func summarize(w *World) *Result {
 		case Crashed:
 			r.CrashProcs++
 		}
-		if wk, ok := p.(Worker); ok {
-			r.TotalWork += wk.Work()
-		}
+		r.TotalWork += p.Work()
 	}
 	return r
 }

@@ -10,43 +10,26 @@ import (
 // toyProc writes its id into register id-1 a fixed number of times, then
 // terminates. One write per step.
 type toyProc struct {
-	id     int
-	left   int
-	status Status
-	mem    shmem.Mem
-	world  *World
-	work   uint64
+	Base
+	left int
+	mem  shmem.Mem
 }
-
-func (p *toyProc) ID() int        { return p.id }
-func (p *toyProc) Status() Status { return p.status }
-func (p *toyProc) Crash()         { p.status = Crashed }
-func (p *toyProc) Work() uint64   { return p.work }
 
 func (p *toyProc) Step() {
 	if p.left == 0 {
-		p.status = Done
+		p.End()
 		return
 	}
-	p.mem.Write(p.id-1, int64(p.id))
-	p.world.RecordDo(p.id, int64(p.left))
+	p.mem.Write(p.ID()-1, int64(p.ID()))
+	p.Do(int64(p.left))
 	p.left--
-	p.work++
 }
 
 func newToyWorld(m, writes, maxCrashes int) *World {
 	mem := shmem.NewSim(m)
-	toys := make([]*toyProc, m)
-	procs := make([]Process, m)
-	for i := 0; i < m; i++ {
-		toys[i] = &toyProc{id: i + 1, left: writes, status: Running, mem: mem}
-		procs[i] = toys[i]
-	}
-	w := NewWorld(procs, mem, maxCrashes)
-	for _, p := range toys {
-		p.world = w
-	}
-	return w
+	return Assemble(m, mem, maxCrashes, func(id int, sink DoSink) Process {
+		return &toyProc{Base: NewBase(id, sink), left: writes, mem: mem}
+	})
 }
 
 func TestRunRoundRobinTerminates(t *testing.T) {
@@ -81,10 +64,19 @@ func TestRunStepLimit(t *testing.T) {
 	}
 }
 
+// TestCrashBudgetClamped: a built world is every process's sink, and
+// its crash budget is clamped to [0, m−1] (f < m).
 func TestCrashBudgetClamped(t *testing.T) {
-	w := newToyWorld(3, 1, 5)
-	if w.MaxCrashes != 2 {
-		t.Fatalf("MaxCrashes = %d, want clamped 2 (f < m)", w.MaxCrashes)
+	for _, tc := range []struct{ f, want int }{{5, 2}, {3, 2}, {2, 2}, {1, 1}, {-1, 0}} {
+		w := newToyWorld(3, 1, tc.f)
+		if w.MaxCrashes != tc.want {
+			t.Errorf("f=%d: MaxCrashes = %d, want %d", tc.f, w.MaxCrashes, tc.want)
+		}
+		for _, p := range w.Procs {
+			if p.(*toyProc).sink != w {
+				t.Fatalf("process %d reports to %v, not its world", p.ID(), p.(*toyProc).sink)
+			}
+		}
 	}
 }
 

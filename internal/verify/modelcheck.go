@@ -11,10 +11,13 @@ import (
 )
 
 // Snapshottable is a process the model checker can branch: in addition to
-// stepping (sim.Process) it supports state save/restore and serialization
-// of its behaviorally relevant state for state hashing.
+// stepping (sim.Process) it reports do events to the sink it is given and
+// supports state save/restore and serialization of its behaviorally
+// relevant state for state hashing.
 type Snapshottable interface {
 	sim.Process
+	// SetSink binds the sink the process reports do events to.
+	SetSink(sim.DoSink)
 	// SaveState returns an opaque deep copy of the process state.
 	SaveState() any
 	// LoadState restores state saved by SaveState on the same process.
@@ -138,12 +141,13 @@ func ExploreKK(cfg MCConfig) (*MCStats, error) {
 // ExploreProcs exhaustively explores an arbitrary set of Snapshottable
 // processes over a shared memory with crash budget f, checking
 // at-most-once safety, fair-cycle freedom and the optional onTerminal
-// predicate at every terminal state. Processes must already be wired to
-// report do events to the returned explorer... callers use the
-// ExploreOpts.Sink hook for that.
+// predicate at every terminal state. It binds every process's sink to the
+// explorer.
 func ExploreProcs(opts ExploreOpts) (*MCStats, error) {
 	e := newExplorer(opts.Mem, opts.F, opts.Jobs, opts.MaxStates)
-	opts.Bind(e)
+	for _, p := range opts.Procs {
+		p.SetSink(e)
+	}
 	e.procs = opts.Procs
 	if opts.OnTerminal != nil {
 		e.onTerminal = func(e *explorer) *MCViolationError {
@@ -158,8 +162,7 @@ func ExploreProcs(opts ExploreOpts) (*MCStats, error) {
 
 // ExploreOpts configures ExploreProcs.
 type ExploreOpts struct {
-	// Procs are the processes to explore; they must report do events to
-	// the sink passed to Bind.
+	// Procs are the processes to explore.
 	Procs []Snapshottable
 	// Mem is the shared memory all processes use.
 	Mem *shmem.SimMem
@@ -169,18 +172,10 @@ type ExploreOpts struct {
 	F int
 	// MaxStates bounds the exploration (0 = 4e6).
 	MaxStates int
-	// Bind is called once with the event sink the processes must report
-	// do events to (it is the explorer itself).
-	Bind func(sink DoSink)
 	// OnTerminal, when non-nil, is evaluated at every terminal state with
 	// the performed-count map and a witness factory; return a violation
 	// to abort.
 	OnTerminal func(performed map[int64]int, witness []sim.Decision) *MCViolationError
-}
-
-// DoSink mirrors core.DoSink for event reporting.
-type DoSink interface {
-	RecordDo(pid int, job int64)
 }
 
 func newExplorer(mem *shmem.SimMem, f, jobs, maxStates int) *explorer {
@@ -219,7 +214,7 @@ type explorer struct {
 	stats *MCStats
 }
 
-// RecordDo implements core.DoSink.
+// RecordDo implements sim.DoSink.
 func (e *explorer) RecordDo(pid int, job int64) {
 	ev := sim.Event{PID: pid, Job: job}
 	e.events = append(e.events, ev)

@@ -15,20 +15,14 @@ import (
 // checker must find the violation and produce a replayable witness;
 // this is the mutation test proving the checker has teeth.
 type greedyProc struct {
-	id     int
+	sim.Base
 	n      int
 	target int // job selected by the last scan (0 = none)
 	phase  int // 0 = scan, 1 = do, 2 = mark
-	status sim.Status
 	mem    shmem.Mem
-	sink   DoSink
 }
 
 var _ Snapshottable = (*greedyProc)(nil)
-
-func (p *greedyProc) ID() int            { return p.id }
-func (p *greedyProc) Status() sim.Status { return p.status }
-func (p *greedyProc) Crash()             { p.status = sim.Crashed }
 
 func (p *greedyProc) Step() {
 	switch p.phase {
@@ -41,12 +35,12 @@ func (p *greedyProc) Step() {
 			}
 		}
 		if p.target == 0 {
-			p.status = sim.Done
+			p.End()
 			return
 		}
 		p.phase = 1
 	case 1: // perform WITHOUT having claimed
-		p.sink.RecordDo(p.id, int64(p.target))
+		p.Do(int64(p.target))
 		p.phase = 2
 	case 2: // mark done (too late)
 		p.mem.Write(p.target-1, 1)
@@ -58,17 +52,15 @@ func (p *greedyProc) SaveState() any { c := *p; return &c }
 
 func (p *greedyProc) LoadState(snapshot any) {
 	if c, ok := snapshot.(*greedyProc); ok {
-		mem, sink := p.mem, p.sink
 		*p = *c
-		p.mem, p.sink = mem, sink
 	}
 }
 
 func (p *greedyProc) AppendState(buf []byte) []byte {
-	if p.status == sim.Crashed {
+	if p.Status() == sim.Crashed {
 		return append(buf, 0xFF)
 	}
-	return append(buf, byte(p.status), byte(p.phase), byte(p.target))
+	return append(buf, byte(p.Status()), byte(p.phase), byte(p.target))
 }
 
 // TestModelCheckerCatchesUnsafeAlgorithm: the checker must refute the
@@ -76,14 +68,9 @@ func (p *greedyProc) AppendState(buf []byte) []byte {
 func TestModelCheckerCatchesUnsafeAlgorithm(t *testing.T) {
 	const n = 2
 	mem := shmem.NewSim(n)
-	a := &greedyProc{id: 1, n: n, status: sim.Running, mem: mem}
-	b := &greedyProc{id: 2, n: n, status: sim.Running, mem: mem}
-	_, err := ExploreProcs(ExploreOpts{
-		Procs: []Snapshottable{a, b},
-		Mem:   mem,
-		Jobs:  n,
-		Bind:  func(s DoSink) { a.sink, b.sink = s, s },
-	})
+	a := &greedyProc{Base: sim.NewBase(1, nil), n: n, mem: mem}
+	b := &greedyProc{Base: sim.NewBase(2, nil), n: n, mem: mem}
+	_, err := ExploreProcs(ExploreOpts{Procs: []Snapshottable{a, b}, Mem: mem, Jobs: n})
 	var v *MCViolationError
 	if !errors.As(err, &v) {
 		t.Fatalf("checker missed the race: err = %v", err)
@@ -99,10 +86,9 @@ func TestModelCheckerCatchesUnsafeAlgorithm(t *testing.T) {
 	// Replay the witness through the real engine and confirm it
 	// reproduces the duplicate — end-to-end validation of the witness.
 	mem2 := shmem.NewSim(n)
-	a2 := &greedyProc{id: 1, n: n, status: sim.Running, mem: mem2}
-	b2 := &greedyProc{id: 2, n: n, status: sim.Running, mem: mem2}
-	w := sim.NewWorld([]sim.Process{a2, b2}, mem2, 1)
-	a2.sink, b2.sink = w, w
+	w := sim.Assemble(2, mem2, 1, func(id int, sink sim.DoSink) sim.Process {
+		return &greedyProc{Base: sim.NewBase(id, sink), n: n, mem: mem2}
+	})
 	res, err := sim.Run(w, &sim.Scripted{Script: v.Witness, Then: &sim.RoundRobin{}}, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -120,12 +106,11 @@ func TestModelCheckerCatchesEffectivenessGap(t *testing.T) {
 	const n = 3
 	mem := shmem.NewSim(n)
 	// A "lazy" process that performs only job 1 and stops.
-	lazy := &greedyProc{id: 1, n: 1 /* sees only job 1 */, status: sim.Running, mem: mem}
+	lazy := &greedyProc{Base: sim.NewBase(1, nil), n: 1 /* sees only job 1 */, mem: mem}
 	_, err := ExploreProcs(ExploreOpts{
 		Procs: []Snapshottable{lazy},
 		Mem:   mem,
 		Jobs:  n,
-		Bind:  func(s DoSink) { lazy.sink = s },
 		OnTerminal: func(performed map[int64]int, witness []sim.Decision) *MCViolationError {
 			if len(performed) < n {
 				return &MCViolationError{Kind: "effectiveness", Detail: "left jobs behind", Witness: witness}

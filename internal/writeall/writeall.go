@@ -36,7 +36,12 @@ type Report struct {
 // Complete reports whether every cell was written.
 func (r *Report) Complete() bool { return len(r.Missing) == 0 }
 
-func summarize(n int, res *sim.Result) *Report {
+// run executes w under adv and reports its coverage of the n cells.
+func run(n int, w *sim.World, adv sim.Adversary, maxSteps uint64) (*Report, error) {
+	res, err := sim.Run(w, adv, maxSteps)
+	if err != nil {
+		return nil, err
+	}
 	missing := verify.CheckCoverage(res.Events, n)
 	return &Report{
 		N:       n,
@@ -46,7 +51,7 @@ func summarize(n int, res *sim.Result) *Report {
 		Work:    res.TotalWork,
 		Steps:   res.Steps,
 		Crashes: res.Crashes,
-	}
+	}, nil
 }
 
 // RunIterKK executes WA_IterativeKK(ε) (Figure 4): the IterativeKK
@@ -59,39 +64,26 @@ func RunIterKK(n, m, epsDenom, f int, adv sim.Adversary, maxSteps uint64) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(s.World, adv, maxSteps)
-	if err != nil {
-		return nil, err
-	}
-	return summarize(n, res), nil
+	return run(n, s.World, adv, maxSteps)
 }
 
 // trivialWAProc writes every cell of the array, one write per step.
 type trivialWAProc struct {
-	id     int
-	cur    int
-	n      int
-	mem    *shmem.SimMem
-	status sim.Status
-	sink   core.DoSink
-	work   uint64
+	sim.Base
+	cur int
+	n   int
+	mem *shmem.SimMem
 }
 
 var _ sim.Process = (*trivialWAProc)(nil)
 
-func (p *trivialWAProc) ID() int            { return p.id }
-func (p *trivialWAProc) Status() sim.Status { return p.status }
-func (p *trivialWAProc) Crash()             { p.status = sim.Crashed }
-func (p *trivialWAProc) Work() uint64       { return p.work }
-
 func (p *trivialWAProc) Step() {
 	if p.cur > p.n {
-		p.status = sim.Done
+		p.End()
 		return
 	}
 	p.mem.Write(p.cur-1, 1)
-	p.sink.RecordDo(p.id, int64(p.cur))
-	p.work++
+	p.Do(int64(p.cur))
 	p.cur++
 }
 
@@ -102,21 +94,9 @@ func RunTrivial(n, m, f int, adv sim.Adversary, maxSteps uint64) (*Report, error
 		return nil, fmt.Errorf("writeall: invalid n=%d m=%d", n, m)
 	}
 	mem := shmem.NewSim(n)
-	procs := make([]sim.Process, m)
-	tps := make([]*trivialWAProc, m)
-	for i := 0; i < m; i++ {
-		tps[i] = &trivialWAProc{id: i + 1, cur: 1, n: n, mem: mem, status: sim.Running}
-		procs[i] = tps[i]
-	}
-	w := sim.NewWorld(procs, mem, f)
-	for _, p := range tps {
-		p.sink = w
-	}
-	res, err := sim.Run(w, adv, maxSteps)
-	if err != nil {
-		return nil, err
-	}
-	return summarize(n, res), nil
+	return run(n, sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+		return &trivialWAProc{Base: sim.NewBase(id, sink), cur: 1, n: n, mem: mem}
+	}), adv, maxSteps)
 }
 
 // sweepPhase is the state of a checkSweepProc.
@@ -126,7 +106,6 @@ const (
 	sweepOwn sweepPhase = iota + 1 // writing the private slice
 	sweepRead
 	sweepWrite
-	sweepDone
 )
 
 // checkSweepProc writes its private slice, then sweeps the whole array
@@ -135,23 +114,15 @@ const (
 // write count than trivial — the strongest "obvious" read/write baseline
 // short of the paper's machinery.
 type checkSweepProc struct {
-	id      int
+	sim.Base
 	n       int
 	cur     int
 	sliceHi int
 	phase   sweepPhase
 	mem     *shmem.SimMem
-	status  sim.Status
-	sink    core.DoSink
-	work    uint64
 }
 
 var _ sim.Process = (*checkSweepProc)(nil)
-
-func (p *checkSweepProc) ID() int            { return p.id }
-func (p *checkSweepProc) Status() sim.Status { return p.status }
-func (p *checkSweepProc) Crash()             { p.status = sim.Crashed }
-func (p *checkSweepProc) Work() uint64       { return p.work }
 
 func (p *checkSweepProc) Step() {
 	switch p.phase {
@@ -162,13 +133,11 @@ func (p *checkSweepProc) Step() {
 			return
 		}
 		p.mem.Write(p.cur-1, 1)
-		p.sink.RecordDo(p.id, int64(p.cur))
-		p.work++
+		p.Do(int64(p.cur))
 		p.cur++
 	case sweepRead:
 		if p.cur > p.n {
-			p.phase = sweepDone
-			p.status = sim.Done
+			p.End()
 			return
 		}
 		if p.mem.Read(p.cur-1) == 0 {
@@ -176,11 +145,10 @@ func (p *checkSweepProc) Step() {
 		} else {
 			p.cur++
 		}
-		p.work++
+		p.Charge()
 	case sweepWrite:
 		p.mem.Write(p.cur-1, 1)
-		p.sink.RecordDo(p.id, int64(p.cur))
-		p.work++
+		p.Do(int64(p.cur))
 		p.cur++
 		p.phase = sweepRead
 	}
@@ -192,21 +160,7 @@ func RunCheckSweep(n, m, f int, adv sim.Adversary, maxSteps uint64) (*Report, er
 		return nil, fmt.Errorf("writeall: invalid n=%d m=%d", n, m)
 	}
 	mem := shmem.NewSim(n)
-	procs := make([]sim.Process, m)
-	cps := make([]*checkSweepProc, m)
-	for i := 0; i < m; i++ {
-		lo := i*n/m + 1
-		hi := (i + 1) * n / m
-		cps[i] = &checkSweepProc{id: i + 1, n: n, cur: lo, sliceHi: hi, phase: sweepOwn, mem: mem, status: sim.Running}
-		procs[i] = cps[i]
-	}
-	w := sim.NewWorld(procs, mem, f)
-	for _, p := range cps {
-		p.sink = w
-	}
-	res, err := sim.Run(w, adv, maxSteps)
-	if err != nil {
-		return nil, err
-	}
-	return summarize(n, res), nil
+	return run(n, sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+		return &checkSweepProc{Base: sim.NewBase(id, sink), n: n, cur: (id-1)*n/m + 1, sliceHi: id * n / m, phase: sweepOwn, mem: mem}
+	}), adv, maxSteps)
 }
