@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"regexp/syntax"
 	"slices"
 	"strings"
 	"testing"
@@ -70,7 +71,9 @@ func architecture(sections map[string]bool) []archRule {
 
 // TestArchitecture walks the module as grep -r does and reports each line
 // a rule flags. A pattern that does not compile, a path that is gone or a
-// plant not flagged fails too: no rule passes by matching nothing.
+// plant not flagged fails too: no rule passes by matching nothing. Each
+// file is read once, and a clause looks only at the files and lines that
+// hold one of its needles.
 func TestArchitecture(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -81,12 +84,15 @@ func TestArchitecture(t *testing.T) {
 		sections[m[1]] = true
 	}
 	var files []string
+	text := map[string]string{}
 	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err == nil && d.IsDir() && p != "." && p != ".github" && d.Name()[0] == '.' {
 			return filepath.SkipDir // .git, the benchmark's outputs, tools' state
 		}
 		if err == nil && !d.IsDir() && p != "architecture_test.go" { // its plants would match
-			files = append(files, p)
+			b, err := os.ReadFile(p)
+			files, text[p] = append(files, p), string(b)
+			return err
 		}
 		return err
 	})
@@ -103,30 +109,73 @@ func TestArchitecture(t *testing.T) {
 				t.Errorf("%s: %v", r.name, err)
 				continue
 			}
+			tree, _ := syntax.Parse(c.re, syntax.Perl) // regexp.Compile just parsed it so
+			needles := needles(tree)
 			for _, p := range slices.Concat(c.in, c.outside) {
 				if _, err := os.Stat(p); err != nil {
 					t.Errorf("%s: %v", r.name, err)
 				}
 			}
-			if !c.flags(re, c.plant) {
+			if !c.flags(re, needles, c.plant) {
 				t.Errorf("%s: its plant %q is not flagged by %s", r.name, c.plant, c.re)
 			}
 			for _, p := range files {
-				if !c.covers(p) {
+				if !c.covers(p) || !holds(text[p], needles) {
 					continue
 				}
-				b, err := os.ReadFile(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, l := range strings.Split(string(b), "\n") {
-					if c.flags(re, l) {
+				for i, l := range strings.Split(text[p], "\n") {
+					if c.flags(re, needles, l) {
 						t.Errorf("%s:%d: %s  [%s: %s]", p, i+1, strings.TrimSpace(l), r.name, r.why)
 					}
 				}
 			}
 		}
 	}
+}
+
+// needles returns literals one of which every match of re contains, or
+// nil when it knows none: a concatenation's most selective part, an
+// alternation's branches together, and nothing under *, ? or case folding.
+func needles(re *syntax.Regexp) []string {
+	switch re.Op {
+	case syntax.OpLiteral:
+		if re.Flags&syntax.FoldCase == 0 {
+			return []string{string(re.Rune)}
+		}
+	case syntax.OpCapture, syntax.OpPlus:
+		return needles(re.Sub[0])
+	case syntax.OpRepeat:
+		if re.Min > 0 {
+			return needles(re.Sub[0])
+		}
+	case syntax.OpConcat:
+		shortest := func(ns []string) int {
+			return len(slices.MinFunc(ns, func(a, b string) int { return len(a) - len(b) }))
+		}
+		var best []string
+		for _, sub := range re.Sub {
+			if ns := needles(sub); ns != nil && (best == nil || shortest(ns) > shortest(best)) {
+				best = ns
+			}
+		}
+		return best
+	case syntax.OpAlternate:
+		var all []string
+		for _, sub := range re.Sub {
+			ns := needles(sub)
+			if ns == nil {
+				return nil
+			}
+			all = append(all, ns...)
+		}
+		return all
+	}
+	return nil
+}
+
+// holds reports whether s contains one of the needles; nil holds anything.
+func holds(s string, needles []string) bool {
+	return needles == nil || slices.ContainsFunc(needles, func(n string) bool { return strings.Contains(s, n) })
 }
 
 func (c archClause) covers(p string) bool {
@@ -145,8 +194,8 @@ func under(p string, paths []string) bool {
 	return slices.ContainsFunc(paths, func(d string) bool { return d == "." || p == d || strings.HasPrefix(p, d+"/") })
 }
 
-func (c archClause) flags(re *regexp.Regexp, line string) bool {
-	if !re.MatchString(line) || c.code && strings.HasPrefix(strings.TrimSpace(line), "//") {
+func (c archClause) flags(re *regexp.Regexp, needles []string, line string) bool {
+	if !holds(line, needles) || !re.MatchString(line) || c.code && strings.HasPrefix(strings.TrimSpace(line), "//") {
 		return false
 	}
 	return slices.ContainsFunc(re.FindAllStringSubmatch(line, -1), func(m []string) bool { return c.unless == nil || !c.unless(m) })

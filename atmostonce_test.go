@@ -195,12 +195,14 @@ func paperIterative(n int) SimConfig {
 		Crashes: 7, CrashProb: 1e-5, Seed: 7}
 }
 
-// TestSimulateGoldenExecutions pins two full executions, count for count.
-// Work is charged in the paper's model and the adversaries are
+// TestSimulateGoldenExecutions pins three full executions, count for
+// count. Work is charged in the paper's model and the adversaries are
 // deterministic, so a change to the set structure, the scheduler's
-// bookkeeping or the tallies must reproduce these numbers exactly; they
-// were read from the red-black-tree implementation this repository
-// started with.
+// bookkeeping or the tallies must reproduce these numbers exactly. The
+// first two were read from the red-black-tree implementation this
+// repository started with; the third, whose random adversary draws from
+// the live set at m = 64 while 63 crashes shrink it, from the engine that
+// rescanned every process at every step.
 func TestSimulateGoldenExecutions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two large simulations in -short mode")
@@ -214,6 +216,9 @@ func TestSimulateGoldenExecutions(t *testing.T) {
 			SimReport{Performed: 1_046_493, Work: 34_145_292, Steps: 1_199_434, Crashes: 7}},
 		{"KK under the Tightness adversary", SimConfig{Jobs: 1 << 17, Workers: 8, Scheduler: Tightness},
 			SimReport{Performed: 131_058, Work: 66_315_506, Steps: 2_752_233, Crashes: 7}},
+		{"KK under random crashes at m = 64", SimConfig{Jobs: 1 << 12, Workers: 64, Scheduler: RandomSched,
+			Crashes: 63, CrashProb: 1e-3, Seed: 3},
+			SimReport{Performed: 3_970, Work: 10_887_833, Steps: 542_207, Crashes: 63}},
 	} {
 		rep, err := Simulate(tc.cfg)
 		if err != nil {
@@ -227,17 +232,22 @@ func TestSimulateGoldenExecutions(t *testing.T) {
 	}
 }
 
-// TestSimulateIterativeAllocs bounds what a simulation allocates: levels,
-// sets and event log, not something per step or per job (the tree sets
-// and the scheduler's per-step live list made it 3 072 735).
+// TestSimulateIterativeAllocs bounds what a simulation allocates, within
+// 10 % of the 341 it takes: levels, sets and one event log, nothing per
+// step or per job. Under the race detector, which allocates too, the
+// bound is 5 000.
 func TestSimulateIterativeAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := Simulate(paperIterative(1 << 16)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5000 {
-		t.Fatalf("Simulate allocates %v times per call, want ≤ 5000", allocs)
+	bound := 375.0
+	if raceEnabled {
+		bound = 5000
+	}
+	if allocs > bound {
+		t.Fatalf("Simulate allocates %v times per call, want ≤ %v", allocs, bound)
 	}
 	t.Logf("%v allocations per call", allocs)
 }

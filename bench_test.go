@@ -46,6 +46,25 @@ func BenchmarkE1Effectiveness(b *testing.B) {
 	b.ReportMetric(float64(n-do), "jobs-lost")
 }
 
+// BenchmarkSimulate: the engine's cost per step of KKβ under a random
+// schedule as m grows. Run keeps the live set the adversary draws from,
+// so ns/step should stay nearly flat in m.
+func BenchmarkSimulate(b *testing.B) {
+	for _, m := range []int{8, 32, 64} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			var steps uint64
+			for i := 0; i < b.N; i++ {
+				rep, err := Simulate(SimConfig{Jobs: 1 << 14, Workers: m, Scheduler: RandomSched, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += rep.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+		})
+	}
+}
+
 // BenchmarkE2Bounds: safety and both effectiveness bounds on random
 // crashy schedules.
 func BenchmarkE2Bounds(b *testing.B) {

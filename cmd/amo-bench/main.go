@@ -7,12 +7,13 @@
 // of record (workloads, oracle and metrics in bench/README.md). -pair
 // runs two built bench binaries, a parent's and a change's, alternately
 // and judges the change by bench/README.md's "Claiming a gain", at each
-// GOMAXPROCS given; run it from the directory that holds BENCHMARK.json.
+// GOMAXPROCS given, or with -trace 1 on the workload's per-layer
+// metrics; run it from the directory that holds BENCHMARK.json.
 //
 // Usage:
 //
 //	amo-bench [-quick] [-only E3]
-//	amo-bench -pair PARENT_BIN CHANGE_BIN -workload W [-n 10] [-seed S] [-seconds 10] [-gomaxprocs N[,M…]]
+//	amo-bench -pair PARENT_BIN CHANGE_BIN -workload W [-n 10] [-seed S] [-seconds 10] [-gomaxprocs N[,M…]] [-trace 1]
 package main
 
 import (

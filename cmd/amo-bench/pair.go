@@ -17,7 +17,8 @@ import (
 
 // pairMetric is one metric -pair judges. bound is BENCHMARK.json's: how
 // far, as a share of the parent's median, the change may be worse; 0
-// for a timing, which no bound holds on a shared box (bench/README.md).
+// for a timing or a per-layer metric, which no bound holds on a shared
+// box (bench/README.md).
 type pairMetric struct {
 	name, unit, better string
 	bound              float64
@@ -50,9 +51,11 @@ var ratioMetrics = []string{"jobs_per_s", "cpu_us_per_job"}
 // pairMain runs two built bench binaries alternately, n pairs, and judges
 // the change against the parent by bench/README.md's "Claiming a gain".
 // args are PARENT_BIN CHANGE_BIN then flags; BENCHMARK.json is read from
-// the working directory, where the runs run. Given several GOMAXPROCS
-// values it does all of that once per value, then prints each side's
-// ratio of the largest value's median to the smallest's.
+// the working directory, where the runs run. With -trace 1 both run
+// traced, and the metrics judged are the per_layer ones the workload
+// prints. Given several GOMAXPROCS values it does all of that once per
+// value, then, untraced, prints each side's ratio of the largest value's
+// median to the smallest's.
 func pairMain(args []string, stdout io.Writer) error {
 	if len(args) < 2 {
 		return errors.New("-pair needs PARENT_BIN CHANGE_BIN")
@@ -64,6 +67,7 @@ func pairMain(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "the -seed of every run")
 	seconds := fs.Float64("seconds", 10, "the -seconds of every run")
 	procsList := fs.String("gomaxprocs", "0", "GOMAXPROCS in each run's environment, or a comma-separated list run one after another (0: inherited)")
+	trace := fs.Int("trace", 0, "1: run both sides traced and judge BENCHMARK.json's per_layer metrics the workload prints, like timings; 0: the end-to-end metrics and timings")
 	if err := fs.Parse(args[2:]); err != nil {
 		return err
 	}
@@ -75,14 +79,16 @@ func pairMain(args []string, stdout io.Writer) error {
 		}
 		procs = append(procs, p)
 	}
-	if fs.NArg() != 0 || *workload == "" || *n < 1 {
-		return errors.New("-pair needs PARENT_BIN CHANGE_BIN -workload W, n ≥ 1 and no other arguments")
+	if fs.NArg() != 0 || *workload == "" || *n < 1 || *trace != 0 && *trace != 1 {
+		return errors.New("-pair needs PARENT_BIN CHANGE_BIN -workload W, n ≥ 1, -trace 0 or 1 and no other arguments")
+	}
+	type declared []struct {
+		Name, Unit, Better string
+		Bound              float64
 	}
 	var decl struct {
-		EndToEnd []struct {
-			Name, Unit, Better string
-			Bound              float64
-		} `json:"end_to_end"`
+		EndToEnd declared `json:"end_to_end"`
+		PerLayer declared `json:"per_layer"`
 	}
 	b, err := os.ReadFile("BENCHMARK.json")
 	if err == nil {
@@ -91,13 +97,20 @@ func pairMain(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-pair reads the bounds from BENCHMARK.json: %w", err)
 	}
-	var metrics []pairMetric
-	for _, m := range decl.EndToEnd {
-		metrics = append(metrics, pairMetric{m.Name, m.Unit, m.Better, m.Bound})
-	}
-	metrics = append(metrics, pairTimings...)
-
 	benchArgs := []string{"-workload", *workload, "-seed", strconv.FormatInt(*seed, 10), "-seconds", strconv.FormatFloat(*seconds, 'g', -1, 64)}
+	var metrics []pairMetric
+	if *trace == 1 {
+		for _, m := range decl.PerLayer {
+			metrics = append(metrics, pairMetric{m.Name, m.Unit, m.Better, 0})
+		}
+		benchArgs = append(benchArgs, "-trace", "1")
+	} else {
+		for _, m := range decl.EndToEnd {
+			metrics = append(metrics, pairMetric{m.Name, m.Unit, m.Better, m.Bound})
+		}
+		metrics = append(metrics, pairTimings...)
+	}
+
 	flagged, total := 0, 0
 	medians := make([][2]map[string]float64, len(procs)) // per value, per side
 	for i, g := range procs {
@@ -112,15 +125,15 @@ func pairMain(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "%s: %d pairs, seed %d, -seconds %g, GOMAXPROCS %s\nparent %s\nchange %s\n\n",
 			*workload, *n, *seed, *seconds, procsText, bins[0], bins[1])
-		runs, err := runPairs(bins, *n, benchArgs, env, metrics)
+		judged, runs, err := runPairs(bins, *n, benchArgs, env, metrics, *trace == 1)
 		if err != nil {
 			return err
 		}
 		var f int
-		medians[i], f = printPairs(stdout, metrics, runs, *n)
+		medians[i], f = printPairs(stdout, judged, runs, *n)
 		flagged, total = flagged+f, total+len(runs)
 	}
-	if len(procs) > 1 {
+	if len(procs) > 1 && *trace == 0 {
 		lo, hi := slices.Index(procs, slices.Min(procs)), slices.Index(procs, slices.Max(procs))
 		fmt.Fprintf(stdout, "\nGOMAXPROCS %d / GOMAXPROCS %d, ratio of medians:\n", procs[hi], procs[lo])
 		tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
@@ -137,8 +150,11 @@ func pairMain(args []string, stdout io.Writer) error {
 }
 
 // runPairs runs n pairs. Which side runs first alternates, so a drift of
-// the box over the runs lands on both sides alike.
-func runPairs(bins [2]string, n int, benchArgs, env []string, metrics []pairMetric) ([]benchRun, error) {
+// the box over the runs lands on both sides alike. Every run must report
+// every metric; a traced run reports only its workload's, so there the
+// first run narrows the metrics to those it printed. It returns the
+// metrics judged with the runs.
+func runPairs(bins [2]string, n int, benchArgs, env []string, metrics []pairMetric, traced bool) ([]pairMetric, []benchRun, error) {
 	var runs []benchRun
 	for p := 1; p <= n; p++ {
 		order := []int{0, 1}
@@ -146,15 +162,26 @@ func runPairs(bins [2]string, n int, benchArgs, env []string, metrics []pairMetr
 			order = []int{1, 0}
 		}
 		for _, side := range order {
-			r, err := runBench(bins[side], benchArgs, env, metrics)
+			r, err := runBench(bins[side], benchArgs, env)
 			if err != nil {
-				return nil, fmt.Errorf("pair %d, %s: %w", p, sides[side], err)
+				return nil, nil, fmt.Errorf("pair %d, %s: %w", p, sides[side], err)
+			}
+			if traced && len(runs) == 0 {
+				metrics = slices.DeleteFunc(slices.Clone(metrics), func(m pairMetric) bool { _, ok := r.values[m.name]; return !ok })
+			}
+			if len(metrics) == 0 {
+				return nil, nil, fmt.Errorf("pair %d, %s: %s printed no per-layer metric", p, sides[side], bins[side])
+			}
+			for _, m := range metrics {
+				if _, ok := r.values[m.name]; !ok {
+					return nil, nil, fmt.Errorf("pair %d, %s: %s reported no %s", p, sides[side], bins[side], m.name)
+				}
 			}
 			r.pair, r.side = p, side
 			runs = append(runs, r)
 		}
 	}
-	return runs, nil
+	return metrics, runs, nil
 }
 
 // printPairs prints the table and the run list of n pairs, and returns
@@ -198,9 +225,10 @@ func printPairs(stdout io.Writer, metrics []pairMetric, runs []benchRun, n int) 
 	return medians, flagged
 }
 
-// runBench runs one bench binary and reads its result: the gated metrics
-// from the last line, the timings from the lines above it.
-func runBench(bin string, args, env []string, metrics []pairMetric) (benchRun, error) {
+// runBench runs one bench binary and reads its result: each metric it
+// printed a line for, the value from the last line, a timing's from its
+// own "(not gated)" line.
+func runBench(bin string, args, env []string) (benchRun, error) {
 	cmd := exec.Command(bin, args...)
 	cmd.Env, cmd.Stderr = env, os.Stderr
 	out, runErr := cmd.Output() // bench exits 1 on a run that is not correct, and still prints its result
@@ -214,19 +242,16 @@ func runBench(bin string, args, env []string, metrics []pairMetric) (benchRun, e
 		return benchRun{}, fmt.Errorf("%s printed no result line (%v): %w", bin, runErr, err)
 	}
 	r := benchRun{correct: last.Correct, failed: last.Failed, values: map[string]float64{}}
-	for name, v := range last.Metrics {
-		r.values[name] = v.Value
-	}
-	for _, l := range lines {
-		if f := strings.Fields(l); len(f) == 5 && f[3] == "(not" && f[4] == "gated)" {
+	for _, l := range lines[:len(lines)-1] {
+		switch f := strings.Fields(l); {
+		case len(f) == 5 && f[3] == "(not" && f[4] == "gated)":
 			if v, err := strconv.ParseFloat(f[1], 64); err == nil {
 				r.values[f[0]] = v
 			}
-		}
-	}
-	for _, m := range metrics {
-		if _, ok := r.values[m.name]; !ok {
-			return benchRun{}, fmt.Errorf("%s reported no %s", bin, m.name)
+		case len(f) >= 3:
+			if v, ok := last.Metrics[f[0]]; ok {
+				r.values[f[0]] = v.Value
+			}
 		}
 	}
 	return r, nil

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"atmostonce/internal/core"
@@ -39,6 +40,58 @@ func TestTightnessExact(t *testing.T) {
 		}
 		if rep.Result.Crashes != tt.m-1 {
 			t.Errorf("n=%d m=%d: crashes = %d, want m-1", tt.n, tt.m, rep.Result.Crashes)
+		}
+	}
+}
+
+// TestKeptLiveSetIsExact: the live set sim.Run keeps is, before every
+// decision, the ascending ids of the Running processes, whether they stop
+// by ending, by a random crash, at an announcement, or by a crash list
+// and a script.
+func TestKeptLiveSetIsExact(t *testing.T) {
+	random := func(seed int64) sim.Adversary {
+		a := sim.NewRandom(seed)
+		a.CrashProb = 0.01
+		return a
+	}
+	script := []sim.Decision{sim.CrashOf(6), sim.StepOf(1), sim.StepOf(1), sim.CrashOf(1), sim.StepOf(3)}
+	for _, tc := range []struct {
+		name    string
+		m       int
+		adv     sim.Adversary
+		crashes bool
+	}{
+		{"random m=3", 3, random(1), true},
+		{"random m=64", 64, random(2), true},
+		{"tightness", 8, &Tightness{}, true},
+		{"staircase", 8, &Staircase{}, false},
+		{"alternator", 8, &Alternator{}, false},
+		{"crash list then script", 6, &sim.CrashList{Victims: []int{2, 5}, Then: &sim.Scripted{Script: script, Then: &sim.RoundRobin{}}}, true},
+	} {
+		s, err := core.NewSystem(core.Config{N: 256, M: tc.m, F: tc.m - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scan []int
+		decisions := 0
+		obs := &sim.Observer{Inner: tc.adv, Fn: func(w *sim.World) {
+			scan = scan[:0]
+			for _, p := range w.Procs {
+				if p.Status() == sim.Running {
+					scan = append(scan, p.ID())
+				}
+			}
+			if live := w.Live(); !slices.Equal(live, scan) {
+				t.Fatalf("%s, decision %d: Live = %v, the processes say %v", tc.name, decisions, live, scan)
+			}
+			decisions++
+		}}
+		rep, err := s.Run(obs, stepLimit)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.crashes != (rep.Result.Crashes > 0) || rep.Duplicates != 0 {
+			t.Errorf("%s: %d crashes, %d duplicates", tc.name, rep.Result.Crashes, rep.Duplicates)
 		}
 	}
 }

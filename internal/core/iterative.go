@@ -377,6 +377,7 @@ func NewIterSystem(cfg IterConfig) (*IterSystem, error) {
 		procs[id-1] = newIterProc(id, cfg, levels, mem, sink)
 		return procs[id-1]
 	})
+	world.ReserveEvents(cfg.N) // a Write-All run's redundancy may grow it once
 	sizes := make([]int, len(levels))
 	for i, lv := range levels {
 		sizes[i] = lv.Size

@@ -77,6 +77,7 @@ func NewSystem(cfg Config) (*System, error) {
 		})
 		return procs[id-1]
 	})
+	world.ReserveEvents(cfg.N)
 	return &System{
 		Cfg:        cfg,
 		Mem:        mem,

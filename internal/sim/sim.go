@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"atmostonce/internal/shmem"
 )
@@ -128,7 +129,8 @@ type World struct {
 	steps   uint64
 	crashes int
 	events  []Event
-	live    []int // Live's buffer
+	live    []int // Live's buffer; during Run, the live set Run keeps
+	kept    bool  // Run is keeping live
 }
 
 // NewWorld assembles a world of processes that keep their own sinks. The
@@ -157,14 +159,23 @@ func (w *World) Crashes() int { return w.crashes }
 // the world; callers must not mutate it.
 func (w *World) Events() []Event { return w.events }
 
+// ReserveEvents sizes the event log for n do events, so a run that
+// performs at most n (Lemma 4.1 for a world over n jobs) never grows it.
+func (w *World) ReserveEvents(n int) { w.events = make([]Event, 0, n) }
+
 // RecordDo is called by processes when they execute a do_{p,j} action.
 func (w *World) RecordDo(pid int, job int64) {
 	w.events = append(w.events, Event{PID: pid, Job: job, Step: w.steps})
 }
 
-// Live returns the ids of processes that are still Running, in a buffer
-// the world owns: the slice is valid until the next call.
+// Live returns the ids of processes that are still Running, ascending, in
+// a buffer the world owns: the slice is valid until the next call, and
+// during Run until the next step. Run keeps the set as processes stop, so
+// an adversary's call costs nothing in m; outside Run it is a scan.
 func (w *World) Live() []int {
+	if w.kept {
+		return w.live
+	}
 	w.live = w.live[:0]
 	for _, p := range w.Procs {
 		if p.Status() == Running {
@@ -232,12 +243,14 @@ type Result struct {
 var ErrStepLimit = errors.New("sim: step limit exceeded before termination")
 
 // Run drives the world until every process is Done or Crashed, or until
-// maxSteps actions have been executed. maxSteps ≤ 0 means no limit.
+// maxSteps actions have been executed. maxSteps ≤ 0 means no limit. It
+// keeps the live set as it goes: a process leaves it when its own step
+// ends it or a crash decision stops it, so a step costs O(1) in m.
 func Run(w *World, adv Adversary, maxSteps uint64) (*Result, error) {
-	for {
-		if allStopped(w) {
-			return summarize(w), nil
-		}
+	w.Live()
+	w.kept = true
+	defer func() { w.kept = false }()
+	for len(w.live) > 0 {
 		if maxSteps > 0 && w.steps >= maxSteps {
 			return summarize(w), ErrStepLimit
 		}
@@ -251,6 +264,7 @@ func Run(w *World, adv Adversary, maxSteps uint64) (*Result, error) {
 			if w.CanCrash() {
 				p.Crash()
 				w.crashes++
+				w.drop(d.PID)
 				continue
 			}
 			// Budget exhausted: treat as a step to keep the run moving.
@@ -258,19 +272,21 @@ func Run(w *World, adv Adversary, maxSteps uint64) (*Result, error) {
 		case DecideStep:
 			w.steps++
 			p.Step()
+			if p.Status() != Running {
+				w.drop(d.PID)
+			}
 		default:
 			return summarize(w), fmt.Errorf("sim: invalid decision kind %d", d.Kind)
 		}
 	}
+	return summarize(w), nil
 }
 
-func allStopped(w *World) bool {
-	for _, p := range w.Procs {
-		if p.Status() == Running {
-			return false
-		}
-	}
-	return true
+// drop removes a stopped pid from the kept live set, keeping it ascending
+// so that an adversary drawing from it draws as it would from a scan.
+func (w *World) drop(pid int) {
+	i, _ := slices.BinarySearch(w.live, pid)
+	w.live = slices.Delete(w.live, i, i+1)
 }
 
 func summarize(w *World) *Result {
@@ -307,7 +323,7 @@ func (a *RoundRobin) Next(w *World) Decision {
 			return StepOf(pid)
 		}
 	}
-	// Unreachable while the engine checks allStopped first.
+	// Unreachable while Run has a live process.
 	return StepOf(1)
 }
 

@@ -62,6 +62,19 @@ func TestTallyCountsStrayJobs(t *testing.T) {
 	}
 }
 
+// TestTallyCoverage is the Write-All postcondition's oracle: Unperformed
+// lists the cells of [1..n] no event wrote, a stray id covers none of
+// them, and full coverage lists nothing.
+func TestTallyCoverage(t *testing.T) {
+	events := []Event{{PID: 1, Job: 1}, {PID: 2, Job: 3}, {PID: 2, Job: 9}}
+	if u := TallyEvents(events, 4).Unperformed(); !reflect.DeepEqual(u, []int{2, 4}) {
+		t.Fatalf("unperformed %v, want [2 4]", u)
+	}
+	if u := TallyEvents(events, 1).Unperformed(); u != nil {
+		t.Fatalf("full coverage reported %v unperformed", u)
+	}
+}
+
 // TestLiveReusesItsBuffer pins Live's contract: the ids of the running
 // processes, in a slice that the next call overwrites.
 func TestLiveReusesItsBuffer(t *testing.T) {

@@ -61,19 +61,3 @@ func CheckEvents(events []sim.Event) *TraceReport {
 	})
 	return rep
 }
-
-// CheckCoverage verifies the Write-All postcondition: every job in [1..n]
-// appears in the trace at least once. It returns the missing jobs.
-func CheckCoverage(events []sim.Event, n int) []int64 {
-	seen := make(map[int64]bool, n)
-	for _, e := range events {
-		seen[e.Job] = true
-	}
-	var missing []int64
-	for j := int64(1); j <= int64(n); j++ {
-		if !seen[j] {
-			missing = append(missing, j)
-		}
-	}
-	return missing
-}

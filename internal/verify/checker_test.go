@@ -51,14 +51,3 @@ func TestCheckEventsEmpty(t *testing.T) {
 		t.Fatalf("empty trace: %+v", rep)
 	}
 }
-
-func TestCheckCoverage(t *testing.T) {
-	events := []sim.Event{{PID: 1, Job: 1}, {PID: 2, Job: 3}}
-	missing := CheckCoverage(events, 4)
-	if len(missing) != 2 || missing[0] != 2 || missing[1] != 4 {
-		t.Fatalf("missing = %v, want [2 4]", missing)
-	}
-	if m := CheckCoverage(events, 1); m != nil {
-		t.Fatalf("full coverage reported missing %v", m)
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"atmostonce/internal/core"
 	"atmostonce/internal/shmem"
 	"atmostonce/internal/sim"
-	"atmostonce/internal/verify"
 )
 
 // Report summarizes one Write-All execution.
@@ -21,7 +20,7 @@ type Report struct {
 	Covered int
 	// Missing lists unwritten cells; the Write-All postcondition requires
 	// it to be empty.
-	Missing []int64
+	Missing []int
 	// Writes counts total do events (≥ n when correct; the surplus is the
 	// redundancy the algorithm paid).
 	Writes int
@@ -42,7 +41,7 @@ func run(n int, w *sim.World, adv sim.Adversary, maxSteps uint64) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	missing := verify.CheckCoverage(res.Events, n)
+	missing := sim.TallyEvents(res.Events, n).Unperformed()
 	return &Report{
 		N:       n,
 		Covered: n - len(missing),
