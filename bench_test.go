@@ -47,14 +47,16 @@ func BenchmarkE1Effectiveness(b *testing.B) {
 }
 
 // BenchmarkSimulate: the engine's cost per step of KKβ under a random
-// schedule as m grows. Run keeps the live set the adversary draws from,
-// so ns/step should stay nearly flat in m.
+// schedule as m and n grow. Run keeps the live set the adversary draws
+// from, so ns/step should stay nearly flat in m; the sets' searches skip
+// empty words, blocks and super-blocks, so it should stay nearly flat in
+// n too (n = 2^20 against n = 2^14 at m = 8).
 func BenchmarkSimulate(b *testing.B) {
-	for _, m := range []int{8, 32, 64} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+	for _, tc := range []struct{ lgN, m int }{{14, 8}, {14, 32}, {14, 64}, {20, 8}} {
+		b.Run(fmt.Sprintf("n=2^%d/m=%d", tc.lgN, tc.m), func(b *testing.B) {
 			var steps uint64
 			for i := 0; i < b.N; i++ {
-				rep, err := Simulate(SimConfig{Jobs: 1 << 14, Workers: m, Scheduler: RandomSched, Seed: 1})
+				rep, err := Simulate(SimConfig{Jobs: 1 << tc.lgN, Workers: tc.m, Scheduler: RandomSched, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,18 +1,21 @@
 // Package denseset provides the one integer set of the repository: a
-// two-level bitmap behind every FREE, DONE and TRY of core.Proc, from the
+// counted bitmap behind every FREE, DONE and TRY of core.Proc, from the
 // 1024-id rounds of the dispatcher to the million-block levels of
 // IterativeKK.
 //
-// Level one is a plain bitmap, one bit per id. Level two is one population
-// count per block of 64 words (4096 ids). Insert, Delete and Contains
-// touch one word and one counter. Everything that searches — Select,
-// SelectExcluding (the paper's rank(SET1, SET2, i)), Rank, Min, Max,
-// Ascend — skips whole blocks by their counts and scans words only inside
-// the blocks that matter: at most U/4096 counter reads plus 64 word reads
-// per block entered, for a universe of U ids. Clear zeroes only occupied
-// blocks, so emptying a TRY set of m−1 announcements costs m−1 blocks
-// whatever the universe. A round-sized set (≤ 4096 ids) is one block: it
-// scans the words it has, as a flat bitmap would, plus one counter.
+// Level one is a bitmap, one bit per id. Level two keeps, per block of 64
+// words (4096 ids), a count and a mask of its nonzero words; level three,
+// per super-block of 64 blocks (2^18 ids), a count and a mask of its
+// nonempty blocks. All three share one []uint64, so a set grows or clones
+// in one allocation. Insert, Delete and Contains touch one word and its
+// counters. Select, SelectExcluding (the paper's rank(SET1, SET2, i)),
+// Rank, Min and Max skip super-blocks, then blocks, by their counts —
+// less, for SelectExcluding, the ids of excl in them, read from excl's
+// marked words — and scan words only in the block holding the answer: at
+// most U/2^18 + 64 + 64 reads for a universe of U ids. Ascend and Clear
+// follow the masks: a TRY set of m−1 announcements costs its m−1 words
+// plus U/2^18 super-blocks. A set that fits one block (every dispatcher
+// round) has no level three, so it pays what a flat bitmap would.
 //
 // The cost of these operations is the machine's, not the model's: core
 // charges work at the paper's O(log n) per set operation whatever the
@@ -21,7 +24,8 @@ package denseset
 
 import "math/bits"
 
-// blockWords is the number of bitmap words one block counter covers.
+// blockWords is the number of bitmap words one block covers, and the
+// number of blocks one super-block covers.
 const blockWords = 64
 
 // Set is a bitmap set of non-negative ints. The zero value is an empty
@@ -30,14 +34,20 @@ const blockWords = 64
 // reaches a steady state where no operation allocates (the property the
 // round-based runtime's hot path depends on — see Reserve).
 type Set struct {
+	// words is the bitmap, NOT padded to whole blocks, and the head of
+	// the one array backing every level: words[:cap(words)].
 	words []uint64
-	// cnt[b] is the number of elements in block b, the words
-	// [b*blockWords, min((b+1)*blockWords, len(words))): words is NOT
-	// padded to whole blocks, so a short set scans and clears only the
-	// words it has.
-	cnt []uint16
-	n   int // element count
+	// cnt[b] counts block b's elements, the words [b*blockWords,
+	// min((b+1)*blockWords, len(words))); wmask[b] marks its nonzero ones.
+	// scnt[j] and bmask[j] do the same for super-block j's blocks; both
+	// are empty in a set of one block. Insert sets a mask bit and Clear
+	// resets it; Delete leaves it, so a mask may name an emptied word.
+	cnt, wmask, scnt, bmask []uint64
+	n                       int // element count
 }
+
+// none is the empty set Select excludes.
+var none Set
 
 // New returns an empty set. If keys are given they are inserted.
 func New(keys ...int) *Set {
@@ -61,19 +71,75 @@ func (s *Set) Reserve(n int) {
 	s.grow(n)
 }
 
-// grow ensures bit v is addressable.
+// alloc gives the set a zeroed array for nw words and their levels. A
+// set that fits one block has no super-block.
+func (s *Set) alloc(nw int) {
+	nb := (nw + blockWords - 1) / blockWords
+	ns := (nb + blockWords - 1) / blockWords
+	if nw <= blockWords {
+		ns = 0
+	}
+	a := make([]uint64, nw+2*(nb+ns))
+	s.words, a = a[:nw], a[nw:]
+	s.cnt, s.wmask, a = a[:nb], a[nb:2*nb], a[2*nb:]
+	s.scnt, s.bmask = a[:ns], a[ns:]
+}
+
+// grow ensures bit v is addressable, in one allocation that at least
+// doubles the bitmap, and recounts the levels of the words it keeps.
 func (s *Set) grow(v int) {
 	need := v>>6 + 1
 	if need <= len(s.words) {
 		return
 	}
-	s.words = append(s.words, make([]uint64, need-len(s.words))...)
-	s.cnt = append(s.cnt, make([]uint16, (need+blockWords-1)/blockWords-len(s.cnt))...)
+	old := s.words
+	s.alloc(max(need, 2*len(old)))
+	s.n = 0
+	s.OrWords(0, old)
+}
+
+// count records c elements added to word k, which is nonzero.
+func (s *Set) count(k, c int) {
+	b := k / blockWords
+	s.cnt[b] += uint64(c)
+	s.wmask[b] |= 1 << (k % blockWords)
+	if len(s.scnt) != 0 {
+		s.scnt[b/blockWords] += uint64(c)
+		s.bmask[b/blockWords] |= 1 << (b % blockWords)
+	}
+	s.n += c
 }
 
 // block returns the words of block b.
 func (s *Set) block(b int) []uint64 {
 	return s.words[b*blockWords : min((b+1)*blockWords, len(s.words))]
+}
+
+// blocksIn returns the mask of super-block j's blocks that may be
+// nonempty.
+func (s *Set) blocksIn(j int) uint64 {
+	if j < len(s.bmask) {
+		return s.bmask[j]
+	}
+	if j == 0 && len(s.cnt) == 1 { // one block, no level three
+		return 1
+	}
+	return 0
+}
+
+// marked calls fn with each word the masks name, in ascending order,
+// until fn returns false.
+func (s *Set) marked(fn func(k int) bool) {
+	for j := 0; j*blockWords < len(s.cnt); j++ {
+		for bm := s.blocksIn(j); bm != 0; bm &= bm - 1 {
+			b := j*blockWords + bits.TrailingZeros64(bm)
+			for wm := s.wmask[b]; wm != 0; wm &= wm - 1 {
+				if !fn(b*blockWords + bits.TrailingZeros64(wm)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Len returns the number of elements.
@@ -99,14 +165,13 @@ func (s *Set) Insert(v int) bool {
 		return false
 	}
 	*w |= mask
-	s.cnt[v>>12]++
-	s.n++
+	s.count(v>>6, 1)
 	return true
 }
 
 // Delete removes v from the set. It reports whether v was present.
 func (s *Set) Delete(v int) bool {
-	if v < 0 || v>>6 >= len(s.words) {
+	if uint(v>>6) >= uint(len(s.words)) { // v < 0 too
 		return false
 	}
 	w := &s.words[v>>6]
@@ -116,22 +181,25 @@ func (s *Set) Delete(v int) bool {
 	}
 	*w &^= mask
 	s.cnt[v>>12]--
+	if len(s.scnt) != 0 {
+		s.scnt[v>>18]--
+	}
 	s.n--
 	return true
 }
 
-// Clear removes all elements, keeping the storage. Only occupied blocks
-// are touched.
+// Clear removes all elements, keeping the storage. Only the words the
+// masks name are touched, with their blocks, and every super-block.
 func (s *Set) Clear() {
 	if s.n == 0 {
 		return
 	}
-	for b, c := range s.cnt {
-		if c != 0 {
-			clear(s.block(b))
-			s.cnt[b] = 0
-		}
-	}
+	s.marked(func(k int) bool {
+		s.words[k], s.cnt[k/blockWords], s.wmask[k/blockWords] = 0, 0, 0
+		return true
+	})
+	clear(s.scnt)
+	clear(s.bmask)
 	s.n = 0
 }
 
@@ -151,21 +219,17 @@ func (s *Set) InsertRange(lo, hi int) {
 	}
 	s.grow(hi)
 	loW, hiW := lo>>6, hi>>6
-	for b := loW / blockWords; b <= hiW/blockWords; b++ {
-		added := 0
-		for k := max(loW, b*blockWords); k <= min(hiW, (b+1)*blockWords-1); k++ {
-			mask := ^uint64(0)
-			if k == loW {
-				mask &= ^uint64(0) << (uint(lo) & 63)
-			}
-			if k == hiW {
-				mask &= ^uint64(0) >> (63 - uint(hi)&63)
-			}
-			added += bits.OnesCount64(mask &^ s.words[k])
-			s.words[k] |= mask
+	for k := loW; k <= hiW; k++ {
+		mask := ^uint64(0)
+		if k == loW {
+			mask &= ^uint64(0) << (uint(lo) & 63)
 		}
-		s.cnt[b] += uint16(added)
-		s.n += added
+		if k == hiW {
+			mask &= ^uint64(0) >> (63 - uint(hi)&63)
+		}
+		added := bits.OnesCount64(mask &^ s.words[k])
+		s.words[k] |= mask
+		s.count(k, added)
 	}
 }
 
@@ -183,8 +247,7 @@ func (s *Set) OrWords(base int, words []uint64) {
 		k := base>>6 + i
 		if added := bits.OnesCount64(w &^ s.words[k]); added != 0 {
 			s.words[k] |= w
-			s.cnt[k/blockWords] += uint16(added)
-			s.n += added
+			s.count(k, added)
 		}
 	}
 }
@@ -202,24 +265,7 @@ func (s *Set) Max() (v int, ok bool) {
 // Select returns the element with rank i (1-indexed: Select(1) is the
 // minimum). ok is false when i is out of range.
 func (s *Set) Select(i int) (v int, ok bool) {
-	if i < 1 || i > s.n {
-		return 0, false
-	}
-	for b, c := range s.cnt {
-		if i > int(c) {
-			i -= int(c)
-			continue
-		}
-		for k, w := range s.block(b) {
-			c := bits.OnesCount64(w)
-			if i > c {
-				i -= c
-				continue
-			}
-			return (b*blockWords+k)<<6 + selectInWord(w, i), true
-		}
-	}
-	return 0, false // unreachable: i ≤ s.n
+	return s.SelectExcluding(&none, i)
 }
 
 // Rank returns the number of elements ≤ v.
@@ -233,7 +279,10 @@ func (s *Set) Rank(v int) int {
 	}
 	r := 0
 	vb := vw / blockWords
-	for _, c := range s.cnt[:vb] {
+	for _, c := range s.scnt[:vb/blockWords] {
+		r += int(c)
+	}
+	for _, c := range s.cnt[vb/blockWords*blockWords : vb] {
 		r += int(c)
 	}
 	for _, w := range s.words[vb*blockWords : vw] {
@@ -243,39 +292,79 @@ func (s *Set) Rank(v int) int {
 }
 
 // SelectExcluding returns the element of rank i (1-indexed) in the set
-// difference s \ excl — the paper's rank(SET1, SET2, i). A block where
-// excl holds nothing is taken at its count; only a block excl reaches
-// into, and the block that holds the answer, are scanned as the word-wise
-// difference s &^ excl. ok is false when s \ excl has fewer than i
-// elements.
+// difference s \ excl — the paper's rank(SET1, SET2, i). Only the block
+// holding the answer is scanned, as the word-wise difference s &^ excl.
+// ok is false when s \ excl has fewer than i elements.
 func (s *Set) SelectExcluding(excl *Set, i int) (v int, ok bool) {
 	if i < 1 {
 		return 0, false
 	}
+	b := 0
+	if len(s.scnt) != 0 {
+		if b, i = s.locate(excl, i); b < 0 {
+			return 0, false
+		}
+	}
+	base := b * blockWords
 	ew := excl.words
-	for b, c := range s.cnt {
+	for k, w := range s.block(b) {
+		// excl's bitmap can end inside this block, before s's does.
+		if base+k < len(ew) {
+			w &^= ew[base+k]
+		}
+		c := bits.OnesCount64(w)
+		if i > c {
+			i -= c
+			continue
+		}
+		return (base+k)<<6 + selectInWord(w, i), true
+	}
+	return 0, false
+}
+
+// locate returns the block of s holding the i-th element of s \ excl and
+// its rank there, or b = -1 when s \ excl is shorter: a super-block or
+// block is skipped at its count less the elements excl shares with it.
+func (s *Set) locate(excl *Set, i int) (b, r int) {
+	for j, c := range s.scnt {
 		if c == 0 {
 			continue
 		}
-		if (b >= len(excl.cnt) || excl.cnt[b] == 0) && i > int(c) {
-			i -= int(c)
+		d := int(c)
+		for bm := excl.blocksIn(j); bm != 0; bm &= bm - 1 {
+			d -= excl.common(s, j*blockWords+bits.TrailingZeros64(bm))
+		}
+		if i > d {
+			i -= d
 			continue
 		}
-		base := b * blockWords
-		for k, w := range s.block(b) {
-			// excl's bitmap can end inside this block, before s's does.
-			if base+k < len(ew) {
-				w &^= ew[base+k]
-			}
-			c := bits.OnesCount64(w)
-			if i > c {
-				i -= c
+		for bm := s.bmask[j]; bm != 0; bm &= bm - 1 {
+			b := j*blockWords + bits.TrailingZeros64(bm)
+			if d := int(s.cnt[b]) - excl.common(s, b); i > d {
+				i -= d
 				continue
 			}
-			return (base+k)<<6 + selectInWord(w, i), true
+			return b, i
 		}
 	}
-	return 0, false
+	return -1, i
+}
+
+// common returns how many elements x and s share in block b, reading only
+// the words x marks there.
+func (x *Set) common(s *Set, b int) int {
+	if b >= len(x.cnt) || x.cnt[b] == 0 {
+		return 0
+	}
+	n := 0
+	for wm := x.wmask[b]; wm != 0; wm &= wm - 1 {
+		k := b*blockWords + bits.TrailingZeros64(wm)
+		if k >= len(s.words) {
+			break
+		}
+		n += bits.OnesCount64(x.words[k] & s.words[k])
+	}
+	return n
 }
 
 // selectInWord returns the bit position of the i-th (1-indexed) set bit
@@ -288,22 +377,16 @@ func selectInWord(w uint64, i int) int {
 }
 
 // Ascend calls fn for each element in ascending order until fn returns
-// false.
+// false. It reads only the words the masks name.
 func (s *Set) Ascend(fn func(v int) bool) {
-	for b, c := range s.cnt {
-		if c == 0 {
-			continue
-		}
-		base := b * blockWords
-		for k, w := range s.block(b) {
-			for w != 0 {
-				if !fn((base+k)<<6 + bits.TrailingZeros64(w)) {
-					return
-				}
-				w &= w - 1
+	s.marked(func(k int) bool {
+		for w := s.words[k]; w != 0; w &= w - 1 {
+			if !fn(k<<6 + bits.TrailingZeros64(w)) {
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // Slice returns all elements in ascending order.
@@ -319,11 +402,7 @@ func (s *Set) Slice() []int {
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
 	c := &Set{n: s.n}
-	if len(s.words) > 0 {
-		c.words = make([]uint64, len(s.words))
-		copy(c.words, s.words)
-		c.cnt = make([]uint16, len(s.cnt))
-		copy(c.cnt, s.cnt)
-	}
+	c.alloc(len(s.words))
+	copy(c.words[:cap(c.words)], s.words[:cap(s.words)])
 	return c
 }

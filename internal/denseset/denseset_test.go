@@ -79,23 +79,53 @@ func TestSelectRankMinMax(t *testing.T) {
 	}
 }
 
-// recount checks the two levels against each other: every block counter
-// and the total must equal a popcount of the words they summarize.
+// recount checks every level against the words it summarizes: each
+// block's count and word mask, each super-block's count and block mask,
+// and the total; and that all levels share the bitmap's one array. A mask
+// may name an emptied word or block, never miss a nonempty one.
 func recount(t *testing.T, s *Set, when string) {
 	t.Helper()
-	if want := (len(s.words) + blockWords - 1) / blockWords; len(s.cnt) != want {
-		t.Fatalf("%s: %d block counters for %d words, want %d", when, len(s.cnt), len(s.words), want)
+	nb, ns := (len(s.words)+blockWords-1)/blockWords, 0
+	if nb > 1 {
+		ns = (nb + blockWords - 1) / blockWords
+	}
+	if len(s.cnt) != nb || len(s.wmask) != nb || len(s.scnt) != ns || len(s.bmask) != ns {
+		t.Fatalf("%s: %d words with %d/%d block and %d/%d super-block words, want %d and %d",
+			when, len(s.words), len(s.cnt), len(s.wmask), len(s.scnt), len(s.bmask), nb, ns)
+	}
+	last := s.wmask
+	if ns > 0 {
+		last = s.bmask
+	}
+	if all := s.words[:cap(s.words)]; len(all) != len(s.words)+2*(nb+ns) ||
+		nb > 0 && (&all[len(s.words)] != &s.cnt[0] || &all[len(all)-1] != &last[len(last)-1]) {
+		t.Fatalf("%s: the levels do not share the bitmap's array", when)
 	}
 	total := 0
 	for b := range s.cnt {
 		c := 0
-		for _, w := range s.block(b) {
+		for k, w := range s.block(b) {
 			c += bits.OnesCount64(w)
+			if w != 0 && s.wmask[b]>>k&1 == 0 {
+				t.Fatalf("%s: block %d does not mark its word %d, which holds %#x", when, b, k, w)
+			}
 		}
 		if int(s.cnt[b]) != c {
 			t.Fatalf("%s: block %d counts %d, holds %d", when, b, s.cnt[b], c)
 		}
 		total += c
+	}
+	for j := range s.scnt {
+		c, mask := 0, uint64(0)
+		for b := j * blockWords; b < min((j+1)*blockWords, nb); b++ {
+			c += int(s.cnt[b])
+			if s.cnt[b] != 0 {
+				mask |= 1 << (b % blockWords)
+			}
+		}
+		if int(s.scnt[j]) != c || mask&^s.bmask[j] != 0 {
+			t.Fatalf("%s: super-block %d counts %d with mask %#x, holds %d with %#x", when, j, s.scnt[j], s.bmask[j], c, mask)
+		}
 	}
 	if s.n != total {
 		t.Fatalf("%s: Len %d, holds %d", when, s.n, total)
@@ -105,27 +135,43 @@ func recount(t *testing.T, s *Set, when string) {
 // TestAgainstOset drives random mutations through a counted bitmap and the
 // red-black reference in lockstep and compares every query, including the
 // rank(SET1, SET2, i) operation: inside one block (700), across two (5000),
-// and with a few hundred ids scattered over 256 blocks (1<<20, sparse).
-// The exclusion set only ever holds ids of the lower half of the universe,
-// so its bitmap is shorter than the set's — in the small universes it ends
-// inside a block the set continues in.
+// at the paper's sizes with dense windows of 8 blocks that straddle a
+// super-block edge (1<<20 and 1<<22, four and sixteen super-blocks), and
+// with a few hundred ids scattered over 64 blocks (sparse), whose words
+// and blocks empty and refill. The exclusion set only ever holds ids of
+// the lower half of the universe, so its bitmap is shorter than the
+// set's — in the small universes it ends inside a block the set
+// continues in.
 func TestAgainstOset(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		universe int
 		steps    int
 		sparse   bool // draw ids from a few clusters, keep the set small
+		window   int  // > 0: draw half the ids from a dense window this wide
 	}{
-		{"u=700", 700, 20000, false},
-		{"u=5000", 5000, 20000, false},
-		{"u=1<<20-sparse", 1 << 20, 6000, true},
+		{"u=700", 700, 20000, false, 0},
+		{"u=5000", 5000, 20000, false, 0},
+		{"u=1<<20", 1 << 20, 6000, false, 1 << 15},
+		{"u=1<<20-sparse", 1 << 20, 6000, true, 0},
+		{"u=1<<22", 1 << 22, 6000, false, 1 << 15},
+		{"u=1<<22-sparse", 1 << 22, 6000, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			universe := tc.universe
 			pick := func() int { return rng.Intn(universe) }
-			if tc.sparse {
-				pick = func() int { return rng.Intn(64)<<14 + rng.Intn(8) }
+			win := 0 // the dense window's first id
+			switch {
+			case tc.sparse:
+				pick = func() int { return rng.Intn(64)*(universe/64) + rng.Intn(8) }
+			case tc.window > 0:
+				pick = func() int {
+					if rng.Intn(2) == 0 {
+						return win + rng.Intn(tc.window)
+					}
+					return rng.Intn(universe)
+				}
 			}
 			d, ref := New(), oset.New()
 			excl, refExcl := New(), oset.New()
@@ -134,8 +180,13 @@ func TestAgainstOset(t *testing.T) {
 				switch op := rng.Intn(5); {
 				case step%500 == 250:
 					lo, hi := pick(), pick()
-					if tc.sparse {
+					switch {
+					case tc.sparse:
 						hi = lo + rng.Intn(9000) - 500 // a few blocks, or empty
+					case tc.window > 0:
+						// Fill a new window across a super-block edge.
+						win = (1+rng.Intn(universe>>18-1))<<18 - rng.Intn(tc.window)
+						lo, hi = win, win+tc.window-1
 					}
 					d.ResetRange(lo, hi)
 					ref.ResetRange(lo, hi)
@@ -227,9 +278,18 @@ func TestBlockEdges(t *testing.T) {
 	const blockIDs = blockWords * 64 // 4096
 
 	// A round-sized set is one short block: the bitmap is not padded to
-	// whole blocks, so scans and Clear touch 17 words, not 64.
-	if s := NewRange(1, 1024); len(s.words) != 17 || len(s.cnt) != 1 {
-		t.Fatalf("NewRange(1, 1024) holds %d words in %d blocks, want 17 in 1", len(s.words), len(s.cnt))
+	// whole blocks, so scans and Clear touch 17 words, not 64. A set that
+	// fills one block exactly has no super-block either; one word more
+	// and it has one, in the same single array.
+	for _, tc := range []struct{ hi, words, blocks, supers int }{
+		{1024, 17, 1, 0}, {blockIDs - 1, 64, 1, 0}, {blockIDs, 65, 2, 1},
+	} {
+		s := NewRange(1, tc.hi)
+		if len(s.words) != tc.words || len(s.cnt) != tc.blocks || len(s.scnt) != tc.supers {
+			t.Fatalf("NewRange(1, %d) holds %d words in %d blocks and %d super-blocks, want %d, %d, %d",
+				tc.hi, len(s.words), len(s.cnt), len(s.scnt), tc.words, tc.blocks, tc.supers)
+		}
+		recount(t, s, "NewRange")
 	}
 
 	s := New()
@@ -445,27 +505,49 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 // TestSteadyStateAllocs is the property the round loop builds on: after
-// Reserve, a fill/drain cycle at a fixed universe allocates nothing.
+// Reserve, a fill/drain cycle at a fixed universe allocates nothing — a
+// round's one block, and a million ids over four super-blocks.
 func TestSteadyStateAllocs(t *testing.T) {
-	s := New()
-	excl := New()
-	s.Reserve(1024)
-	excl.Reserve(1024)
-	allocs := testing.AllocsPerRun(100, func() {
-		s.ResetRange(1, 1024)
-		excl.Clear()
-		for v := 1; v <= 1024; v += 7 {
-			excl.Insert(v)
-		}
-		for i := 0; i < 64; i++ {
-			if v, ok := s.SelectExcluding(excl, i*3+1); ok {
-				s.Delete(v)
+	for _, u := range []int{1024, 1 << 20} {
+		s := New()
+		excl := New()
+		s.Reserve(u)
+		excl.Reserve(u)
+		allocs := testing.AllocsPerRun(100, func() {
+			s.ResetRange(1, u)
+			excl.Clear()
+			for v := 1; v <= u; v += u / 146 {
+				excl.Insert(v)
 			}
+			for i := 0; i < 64; i++ {
+				if v, ok := s.SelectExcluding(excl, i*u/300+1); ok {
+					s.Delete(v)
+				}
+			}
+			s.Ascend(func(int) bool { return true })
+		})
+		if allocs != 0 {
+			t.Fatalf("u=%d: steady-state cycle allocates %v times per run", u, allocs)
 		}
-		s.Ascend(func(int) bool { return true })
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state cycle allocates %v times per run", allocs)
+	}
+}
+
+// TestGrowAndCloneAllocateOnce: all levels share one array, so a set that
+// grows allocates once, and a clone twice — the array and the Set.
+func TestGrowAndCloneAllocateOnce(t *testing.T) {
+	for _, u := range []int{1024, 1 << 20} {
+		src := NewRange(1, u)
+		if a := testing.AllocsPerRun(20, func() {
+			g := *src // shares src's array until it grows
+			g.Insert(2 * u)
+		}); a != 1 {
+			t.Errorf("u=%d: growing allocates %v times, want 1", u, a)
+		}
+		var c *Set
+		if a := testing.AllocsPerRun(20, func() { c = src.Clone() }); a != 2 {
+			t.Errorf("u=%d: Clone allocates %v times, want 2", u, a)
+		}
+		recount(t, c, "clone")
 	}
 }
 
