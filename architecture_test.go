@@ -66,6 +66,8 @@ func architecture(sections map[string]bool) []archRule {
 		{"Every DESIGN.md §N cited names a heading", "", "a section that is folded away takes its citations with it (a bare §N is a section of the paper)", []archClause{
 			{re: `DESIGN(\.md)?,? §([0-9]+(\.[0-9]+)?)`, in: []string{"."}, files: []string{"*.go", "*.yml", "README.md"},
 				unless: func(m []string) bool { return sections[m[2]] }, plant: `// the journal's layout (DESIGN.md §99)`}}},
+		{"Code cites DESIGN.md, not ROADMAP items", "", "ROADMAP's item numbers churn at each re-anchor, while a cited DESIGN.md § is checked to exist; bench/ keeps its frozen citations", []archClause{
+			{re: `ROADMAP item`, in: []string{"."}, files: []string{"*.go", "DESIGN.md"}, outside: []string{"bench"}, plant: `// the kill window of ROADMAP item 1(c)`}}},
 	}
 }
 

@@ -144,7 +144,7 @@ func WriteAll(cells, workers int, fn func(worker, cell int)) (redundant int, err
 		// Unreachable without crash injection (Theorem 7.1); defensive.
 		return 0, fmt.Errorf("atmostonce: write-all covered %d of %d cells", res.Distinct, cells)
 	}
-	return len(res.Events) - cells, nil
+	return res.Events - cells, nil
 }
 
 // Scheduler selects the adversary driving a simulation.

@@ -3,6 +3,7 @@ package atmostonce
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -250,6 +251,48 @@ func TestSimulateIterativeAllocs(t *testing.T) {
 		t.Fatalf("Simulate allocates %v times per call, want ≤ %v", allocs, bound)
 	}
 	t.Logf("%v allocations per call", allocs)
+}
+
+// TestOneShotAllocs bounds the bytes and the allocations of one
+// WriteAll(2^16, 2) and one Run(2^16, 2), within 10 % of what they take:
+// the register file, the algorithm's sets and one do bitmap a worker,
+// nothing per do event. An O(events) buffer — a do-event log, a stamp per
+// job — would be megabytes here. Each figure is the least of five calls
+// after a warm-up, so that an allocation elsewhere in the process cannot
+// fail the test; under the race detector, which allocates too, the
+// bounds are twice as loose.
+func TestOneShotAllocs(t *testing.T) {
+	const n, m = 1 << 16, 2
+	for _, tc := range []struct {
+		name          string
+		call          func() error
+		bytes, allocs uint64
+	}{
+		{"WriteAll", func() error { _, err := WriteAll(n, m, nil); return err }, 1_400_000, 90},
+		{"Run", func() error { _, err := Run(Config{Jobs: n, Workers: m}, nil); return err }, 1_258_000, 30},
+	} {
+		bytes, allocs := ^uint64(0), ^uint64(0)
+		for i := 0; i < 6; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := tc.call(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			runtime.ReadMemStats(&after)
+			if i > 0 {
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+				allocs = min(allocs, after.Mallocs-before.Mallocs)
+			}
+		}
+		if raceEnabled {
+			tc.bytes, tc.allocs = 2*tc.bytes, 2*tc.allocs
+		}
+		if bytes > tc.bytes || allocs > tc.allocs {
+			t.Errorf("%s(2^16, 2) allocates %d bytes in %d allocations, want ≤ %d in ≤ %d",
+				tc.name, bytes, allocs, tc.bytes, tc.allocs)
+		}
+		t.Logf("%s(2^16, 2): %d bytes, %d allocations", tc.name, bytes, allocs)
+	}
 }
 
 func TestSimulateIncompatible(t *testing.T) {

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"atmostonce"
+	"atmostonce/internal/lifeline"
 	"atmostonce/internal/netmem"
 	"atmostonce/internal/obs"
 	"atmostonce/internal/obs/eventlog"
@@ -160,6 +161,7 @@ func fatal(role string, err error) {
 // — panics the process before any payload can run a second time. The trace snapshot is taken at the
 // freeze, i.e. the last instant this incarnation's view exists.
 func childAMain() {
+	lifeline.Hold()
 	dir, spec := os.Getenv(envDir), os.Getenv(envSpec)
 	logF := openLog(dir)
 	d, err := atmostonce.NewDispatcher(config(spec))
@@ -225,6 +227,7 @@ func childAMain() {
 // network, re-submit the identical stream and finish it, snapshotting
 // its trace view before shutting down.
 func childBMain() {
+	lifeline.Hold()
 	dir, spec := os.Getenv(envDir), os.Getenv(envSpec)
 	logF := openLog(dir)
 	d, err := atmostonce.NewDispatcher(config(spec)) // waits out A's lease here
@@ -271,14 +274,21 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	child := func(role string) *exec.Cmd {
+	child := func(role string) (*exec.Cmd, error) {
 		cmd := exec.Command(self)
 		cmd.Env = append(os.Environ(), envRole+"="+role, envDir+"="+dir, envSpec+"="+spec)
-		return cmd
+		return cmd, lifeline.Tie(cmd)
 	}
 
 	// Incarnation A: run until frozen mid-round, then stop it cold.
-	a := child("A")
+	a, err := child("A")
+	if err != nil {
+		return err
+	}
+	// In a process group of its own, a stopped A is not left stopped for
+	// ever if this process dies: the kernel sends an orphaned group that
+	// holds a stopped process SIGHUP and SIGCONT.
+	a.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	aOut, err := a.StdoutPipe()
 	if err != nil {
 		return err
@@ -321,7 +331,10 @@ func run() error {
 		len(crashed), totalJobs)
 
 	// Incarnation B: waits out the lease, takes over, finishes.
-	b := child("B")
+	b, err := child("B")
+	if err != nil {
+		return err
+	}
 	bOut := &bytes.Buffer{}
 	b.Stdout = bOut
 	b.Stderr = os.Stderr

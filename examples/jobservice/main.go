@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"atmostonce/internal/jobd"
+	"atmostonce/internal/lifeline"
 	"atmostonce/internal/obs"
 )
 
@@ -100,6 +101,7 @@ func die(err error) {
 // READY with both addresses and serves until SIGTERM (incarnation 2) or
 // SIGKILL (incarnation 1 — it never sees that one coming).
 func serverMain() {
+	lifeline.Hold()
 	dir := os.Getenv(envDir)
 	oracle, err := os.OpenFile(filepath.Join(dir, "performed.log"),
 		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
@@ -157,6 +159,9 @@ func child(self, dir string) (*exec.Cmd, string, string, error) {
 	cmd := exec.Command(self)
 	cmd.Env = append(os.Environ(), envRole+"=server", envDir+"="+dir)
 	cmd.Stderr = os.Stderr
+	if err := lifeline.Tie(cmd); err != nil {
+		return nil, "", "", err
+	}
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, "", "", err

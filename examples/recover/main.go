@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"atmostonce"
+	"atmostonce/internal/lifeline"
 )
 
 const (
@@ -91,6 +92,7 @@ func appendLog(f *os.File, id int) {
 // dispatcher perform killAfter jobs, freeze every worker inside a
 // payload, then die without any cleanup.
 func childMain() {
+	lifeline.Hold()
 	dir := os.Getenv(envDir)
 	jb, err := strconv.Atoi(os.Getenv(envJB))
 	if err != nil {
@@ -177,6 +179,9 @@ func runScenario(jb int) error {
 	cmd := exec.Command(self)
 	cmd.Env = append(os.Environ(), envChild+"=1", envDir+"="+dir, envJB+"="+strconv.Itoa(jb))
 	cmd.Stderr = os.Stderr
+	if err := lifeline.Tie(cmd); err != nil {
+		return err
+	}
 	err = cmd.Run()
 	var ee *exec.ExitError
 	switch {

@@ -9,8 +9,9 @@
 // caller's goroutine, so the adversary picks every step and every crash
 // (at most m−1) and the round repeats exactly from its seed.
 //
-// The runtime validates the at-most-once property post-hoc from
-// per-process event logs.
+// The runtime validates the at-most-once property when a round or run
+// ends: each process marks its dos in a bitmap of its own, and a
+// sim.Tally ORs the bitmaps and sums the do counts (Definition 2.2).
 package conc
 
 import (
@@ -45,8 +46,8 @@ type Options struct {
 
 // Result summarizes a concurrent run.
 type Result struct {
-	// Events holds every do event, grouped by process.
-	Events []sim.Event
+	// Events is the number of do events, duplicates included.
+	Events int
 	// Distinct is the number of distinct jobs performed.
 	Distinct int
 	// Duplicates counts do events beyond the first per job; nonzero means
@@ -77,19 +78,27 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// eventLog is a process's DoSink, and it runs the payload, fn, so the
-// processes need no payload closure of their own. No synchronization is
-// needed because each process owns its log.
-type eventLog struct {
-	events []sim.Event
-	fn     func(worker, job int)
+// doLog is a process's DoSink: it marks the do in the process's own
+// bitmap and runs the payload, fn, so the processes need no payload
+// closure of their own. No synchronization is needed because each process
+// owns its log.
+type doLog struct {
+	sim.Marks
+	fn func(worker, job int)
 }
 
-func (l *eventLog) RecordDo(pid int, job int64) {
-	l.events = append(l.events, sim.Event{PID: pid, Job: job})
+func (l *doLog) RecordDo(pid int, job int64) {
+	l.Mark(job)
 	if l.fn != nil {
 		l.fn(pid, int(job))
 	}
+}
+
+// markWords returns one array for m do bitmaps over the jobs [1..k], the
+// i-th at [i·len/m, (i+1)·len/m), each padded to whole cache lines so that
+// neighbouring workers do not false-share as they mark.
+func markWords(m, k int) []uint64 {
+	return make([]uint64, m*((k>>6+core.CacheLineCells)&^(core.CacheLineCells-1)))
 }
 
 // Run executes the configured algorithm concurrently and returns the
@@ -118,7 +127,7 @@ func Run(o Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Events:      rt.Events(nil),
+		Events:      rr.Performed + rr.Duplicates,
 		Distinct:    rr.Performed,
 		Duplicates:  rr.Duplicates,
 		Unperformed: append([]int(nil), rr.Unperformed...), // rr is the pool's
@@ -137,9 +146,11 @@ func runIterative(o Options, fn func(worker, job int)) (*Result, error) {
 		return nil, err
 	}
 	procs := make([]sim.Process, o.M)
-	logs := make([]*eventLog, o.M)
+	logs := make([]*doLog, o.M)
+	words := markWords(o.M, o.N)
 	for i, ip := range core.NewIterProcsOn(cfg, levels, shmem.NewAtomic(size)) {
-		logs[i] = &eventLog{fn: fn}
+		logs[i] = &doLog{fn: fn}
+		logs[i].Reset(words[i*len(words)/o.M:], o.N)
 		ip.SetSink(logs[i])
 		procs[i] = ip
 	}
@@ -165,11 +176,13 @@ func runIterative(o Options, fn func(worker, job int)) (*Result, error) {
 			res.Steps += n
 		}
 	}
+	var t sim.Tally
+	t.Reset(o.N)
 	for _, l := range logs {
-		res.Events = append(res.Events, l.events...)
+		t.Add(&l.Marks)
 	}
-	t := sim.TallyEvents(res.Events, o.N)
-	res.Distinct, res.Duplicates, res.Unperformed = t.Distinct, t.Duplicates, t.Unperformed()
+	res.Distinct, res.Duplicates, res.Unperformed = t.Distinct, t.Duplicates, t.Unperformed(nil)
+	res.Events = t.Distinct + t.Duplicates
 	return res, nil
 }
 

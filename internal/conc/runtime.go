@@ -16,7 +16,7 @@ type RuntimeOptions struct {
 	M int
 	// Capacity is the largest round size the pool can execute: every round
 	// must satisfy m ≤ k ≤ Capacity. It bounds the round state, it does
-	// not size it: the registers, logs and stamps are built by the first
+	// not size it: the registers and do bitmaps are built by the first
 	// round and grow, doubling, with the largest round run so far.
 	Capacity int
 	// Beta is KKβ's termination parameter (0 = m).
@@ -81,15 +81,15 @@ type Runtime struct {
 	mem   shmem.Mem
 	lay   core.Layout
 	procs []*core.Proc
-	logs  []*eventLog // each runs the round's payload (the start send publishes it)
+	logs  []*doLog // each runs the round's payload (the start send publishes it)
+	marks []uint64 // the logs' do bitmaps, one array (markWords)
 
 	start  []chan struct{}
 	wg     sync.WaitGroup
 	steps  []uint64
 	closed bool
 
-	round       uint64
-	stamp       []uint64 // stamp[j] == round marks job j performed this round
+	tally       sim.Tally
 	unperformed []int
 	res         RoundResult
 }
@@ -108,13 +108,13 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 		flush: o.Flush,
 		steps: make([]uint64, o.M),
 		procs: make([]*core.Proc, o.M),
-		logs:  make([]*eventLog, o.M),
+		logs:  make([]*doLog, o.M),
 		start: make([]chan struct{}, o.M),
 		// A round without crashes leaves at most β+m−2 jobs (Theorem 4.4).
 		unperformed: make([]int, 0, max(o.Beta, o.M)+o.M),
 	}
 	for i := 0; i < o.M; i++ {
-		r.logs[i] = new(eventLog)
+		r.logs[i] = new(doLog)
 		r.start[i] = make(chan struct{}, 1)
 		go r.workerLoop(i)
 	}
@@ -122,8 +122,8 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 }
 
 // grow rebuilds the round state for rounds of up to k jobs: the next power
-// of two ≥ k, capped at Capacity. Log buffers and (in NewProc) the
-// FREE/DONE/TRY bitmaps are sized for it up front, so every later round of
+// of two ≥ k, capped at Capacity. The do bitmaps and (in NewProc) the
+// FREE/DONE/TRY sets are sized for it up front, so every later round of
 // that size or less reuses them and allocates nothing. The registers are
 // fresh, so there is nothing to re-zero. It runs between rounds, with every
 // worker parked.
@@ -133,10 +133,9 @@ func (r *Runtime) grow(k int) {
 	// so neighboring workers stop false-sharing on the set_next path.
 	r.lay = core.Layout{M: r.m, RowLen: size}.Padded()
 	r.mem = shmem.NewAtomic(r.lay.Size())
-	r.stamp = make([]uint64, size+1)
-	events := make([]sim.Event, r.m*size) // a worker does at most size jobs a round
+	r.marks = markWords(r.m, size)
+	r.tally.Reset(size) // the merged set too, in one growth
 	for i, l := range r.logs {
-		l.events = events[i*size : i*size : (i+1)*size]
 		r.procs[i] = core.NewProc(core.ProcOptions{
 			ID: i + 1, M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size, Sink: l,
 		})
@@ -216,8 +215,9 @@ func (r *Runtime) RunRound(k int, fn func(worker, job int), adv sim.Adversary) (
 
 // prepare re-zeroes the registers dirtied by the previous round — or, for
 // a round larger than any before it, grows fresh ones — and resets
-// processes and logs. It runs strictly between rounds (before the start
-// send), so it may read process state freely.
+// processes and logs, clearing k/64+1 words of each log's bitmap. It runs
+// strictly between rounds (before the start send), so it may read process
+// state freely.
 func (r *Runtime) prepare(k int, fn func(worker, job int)) {
 	if k > r.lay.RowLen {
 		r.grow(k)
@@ -233,45 +233,25 @@ func (r *Runtime) prepare(k int, fn func(worker, job int)) {
 	}
 	for i, p := range r.procs {
 		p.Reset(k)
-		r.logs[i].events, r.logs[i].fn = r.logs[i].events[:0], fn
+		r.logs[i].Reset(r.marks[i*len(r.marks)/r.m:], k)
+		r.logs[i].fn = fn
 	}
 }
 
-// collect merges the per-worker logs into the reusable RoundResult.
+// collect merges the workers' bitmaps and do counts into the reusable
+// RoundResult: O(m·k/64) words.
 func (r *Runtime) collect(k int, steps uint64, crashed int) *RoundResult {
-	r.round++
-	epoch := r.round
 	res := &r.res
-	res.Performed, res.Duplicates = 0, 0
 	res.Steps, res.Crashed, res.Work = steps, crashed, 0
+	r.tally.Reset(k)
 	for i, l := range r.logs {
 		res.Work += r.procs[i].Work()
-		for _, e := range l.events {
-			if r.stamp[e.Job] == epoch {
-				res.Duplicates++
-			} else {
-				r.stamp[e.Job] = epoch
-				res.Performed++
-			}
-		}
+		r.tally.Add(&l.Marks)
 	}
-	r.unperformed = r.unperformed[:0]
-	for j := 1; j <= k; j++ {
-		if r.stamp[j] != epoch {
-			r.unperformed = append(r.unperformed, j)
-		}
-	}
+	res.Performed, res.Duplicates = r.tally.Distinct, r.tally.Duplicates
+	r.unperformed = r.tally.Unperformed(r.unperformed[:0])
 	res.Unperformed = r.unperformed
 	return res
-}
-
-// Events appends the last round's do events to dst, grouped by worker.
-// Valid until the next RunRound call.
-func (r *Runtime) Events(dst []sim.Event) []sim.Event {
-	for _, l := range r.logs {
-		dst = append(dst, l.events...)
-	}
-	return dst
 }
 
 // Close parks the pool permanently, releasing the worker goroutines. It

@@ -236,7 +236,9 @@ func TestRuntimeTightness(t *testing.T) {
 // TestSeededRoundsRepeat: a round under a seeded adversary is the same
 // execution every time it runs — the same do events in the same order,
 // steps, crashes and residue — on a fresh Runtime, on a warm one that ran
-// a different round first, and through Run's iterative executor.
+// a different round first, and through Run's iterative executor. The
+// payload records the do events: a scheduled round runs it on the
+// caller's goroutine, in the schedule's order.
 func TestSeededRoundsRepeat(t *testing.T) {
 	type outcome struct {
 		Events      []sim.Event
@@ -248,11 +250,14 @@ func TestSeededRoundsRepeat(t *testing.T) {
 		return &sim.StepBudget{Steps: []uint64{0, 60, 140}, Then: sim.NewRandom(5)}
 	}
 	round := func(rt *Runtime) outcome {
-		res, err := rt.RunRound(300, nil, seeded())
+		var events []sim.Event
+		res, err := rt.RunRound(300, func(worker, job int) {
+			events = append(events, sim.Event{PID: worker, Job: int64(job)})
+		}, seeded())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{rt.Events(nil), res.Steps, res.Crashed, slices.Clone(res.Unperformed)}
+		return outcome{events, res.Steps, res.Crashed, slices.Clone(res.Unperformed)}
 	}
 	fresh, err := NewRuntime(RuntimeOptions{M: 3, Capacity: 1000})
 	if err != nil {
@@ -279,11 +284,17 @@ func TestSeededRoundsRepeat(t *testing.T) {
 	}
 
 	iterative := func() outcome {
-		res, err := Run(Options{N: 600, M: 3, Iterative: true, Adversary: seeded()})
+		var events []sim.Event
+		res, err := Run(Options{N: 600, M: 3, Iterative: true, Adversary: seeded(), DoFn: func(pid int, job int64) {
+			events = append(events, sim.Event{PID: pid, Job: job})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{res.Events, res.Steps, res.Crashed, res.Unperformed}
+		if len(events) != res.Events {
+			t.Fatalf("the payload saw %d do events, the run counted %d", len(events), res.Events)
+		}
+		return outcome{events, res.Steps, res.Crashed, res.Unperformed}
 	}
 	if a, b := iterative(), iterative(); !reflect.DeepEqual(a, b) {
 		t.Errorf("the seeded iterative run differs between runs: %d/%d events, %d/%d steps, %d/%d crashed",

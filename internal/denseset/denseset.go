@@ -233,6 +233,24 @@ func (s *Set) InsertRange(lo, hi int) {
 	}
 }
 
+// AppendAbsent appends the ids of [lo..hi] that are not in the set to
+// dst, ascending, one complemented word at a time. lo must be
+// non-negative.
+func (s *Set) AppendAbsent(dst []int, lo, hi int) []int {
+	for k := lo >> 6; k <= hi>>6; k++ {
+		w := ^uint64(0)
+		if k < len(s.words) {
+			w = ^s.words[k]
+		}
+		for ; w != 0; w &= w - 1 {
+			if v := k<<6 + bits.TrailingZeros64(w); v >= lo && v <= hi {
+				dst = append(dst, v)
+			}
+		}
+	}
+	return dst
+}
+
 // OrWords adds every id whose bit is set in words, read as the bitmap of
 // [base, base+64·len(words)): bit b of words[i] is id base+64·i+b. base
 // must be a non-negative multiple of 64. One OR and one popcount per
@@ -368,12 +386,28 @@ func (x *Set) common(s *Set, b int) int {
 }
 
 // selectInWord returns the bit position of the i-th (1-indexed) set bit
-// of w; i must be ≤ popcount(w).
+// of w; i must be ≤ popcount(w). Broadword, twice over: the running
+// popcounts of w's bytes, summed in one multiply, locate the byte that
+// holds the bit, and the running counts of that byte's bits, spread one
+// to a byte, the bit in it.
 func selectInWord(w uint64, i int) int {
-	for ; i > 1; i-- {
-		w &= w - 1 // clear lowest set bit
-	}
-	return bits.TrailingZeros64(w)
+	s := w - w>>1&0x5555555555555555
+	s = s&0x3333333333333333 + s>>2&0x3333333333333333
+	s = (s + s>>4) & 0x0f0f0f0f0f0f0f0f * ones
+	r := uint64(i - 1)
+	at := atMost(s, r) * 8
+	r -= s << 8 >> at & 0xff
+	s = (w>>at&0xff*ones&0x8040201008040201 + 0x7f7f7f7f7f7f7f7f) >> 7 & ones * ones
+	return at + atMost(s, r)
+}
+
+// ones has a one in every byte.
+const ones = 0x0101010101010101
+
+// atMost returns how many bytes of s hold at most r, for bytes and r
+// below 128: a byte keeps its high bit in 0x80+r−byte when byte ≤ r.
+func atMost(s, r uint64) int {
+	return bits.OnesCount64((r*ones | 0x8080808080808080 - s) & 0x8080808080808080)
 }
 
 // Ascend calls fn for each element in ascending order until fn returns

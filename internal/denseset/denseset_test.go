@@ -472,6 +472,53 @@ func TestOrWordsAgainstInsert(t *testing.T) {
 	}
 }
 
+// TestSelectInWord checks the broadword select against clearing the low
+// set bits one at a time, over every rank of words with bits in every
+// byte, in none, and in one.
+func TestSelectInWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	words := []uint64{1, 1 << 63, ^uint64(0), 0x8000000000000001, 0xff00, 0x0101010101010101}
+	for i := 0; i < 2000; i++ {
+		words = append(words, rng.Uint64(), rng.Uint64()&rng.Uint64()&rng.Uint64(), rng.Uint64()|rng.Uint64())
+	}
+	for _, w := range words {
+		low := w
+		for i := 1; i <= bits.OnesCount64(w); i++ {
+			if got, want := selectInWord(w, i), bits.TrailingZeros64(low); got != want {
+				t.Fatalf("selectInWord(%#x, %d) = %d, want %d", w, i, got, want)
+			}
+			low &= low - 1
+		}
+	}
+}
+
+// TestAppendAbsent checks the ids of a range missing from a set against
+// Contains, over ranges that start and end inside words, span the set's
+// end and lie beyond it.
+func TestAppendAbsent(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for round := 0; round < 200; round++ {
+		s := New()
+		for i := rng.Intn(400); i > 0; i-- {
+			s.Insert(rng.Intn(2 * blockWords * 64))
+		}
+		lo := rng.Intn(3 * blockWords * 64)
+		hi := lo - 1 + rng.Intn(3*blockWords*64)
+		var want []int
+		for v := lo; v <= hi; v++ {
+			if !s.Contains(v) {
+				want = append(want, v)
+			}
+		}
+		if got := s.AppendAbsent(nil, lo, hi); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: AppendAbsent(%d, %d) = %d ids, want %d", round, lo, hi, len(got), len(want))
+		}
+	}
+	if got := NewRange(1, 100).AppendAbsent([]int{7}, 1, 100); !reflect.DeepEqual(got, []int{7}) {
+		t.Fatalf("a full range appended %v", got)
+	}
+}
+
 func TestSelectExcludingShortExcl(t *testing.T) {
 	s := NewRange(1, 1024) // 17 words, one block
 	excl := New(1, 2, 70)  // 2 words

@@ -45,8 +45,8 @@ func scriptJobs() []desc {
 // journal flush, in every memtest.Phases phase. N runs over every acked
 // write a dry run of the same script makes, at JournalBatch 1 and 4; a
 // row is named batch<k>/<phase>/w<N>. The rows at an acked journal flush
-// are ROADMAP item 1(c): the kill lands after a shard's flush ack and
-// before the tick that sends the job's completion event.
+// are DESIGN.md §12's kill after a flush ack: it lands after a shard's
+// flush ack and before the tick that sends the job's completion event.
 //
 // The successor is open and replay over the stores the death left, then
 // settle. Every row asserts:

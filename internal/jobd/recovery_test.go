@@ -789,7 +789,7 @@ func TestTornTickInvisible(t *testing.T) {
 	}
 }
 
-// TestTornTwiceOverStaleCells, ROADMAP item 1(a): two deaths in a row. A
+// TestTornTwiceOverStaleCells, DESIGN.md §12: two deaths in a row. A
 // long tick dies torn, its first header lost and the rest of it left
 // behind the cursor. The successor commits a shorter tick over those
 // stale cells, and its commit dies torn: it loses the 16-cell page that

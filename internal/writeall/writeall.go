@@ -41,7 +41,7 @@ func run(n int, w *sim.World, adv sim.Adversary, maxSteps uint64) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	missing := sim.TallyEvents(res.Events, n).Unperformed()
+	missing := sim.TallyEvents(res.Events, n).Unperformed(nil)
 	return &Report{
 		N:       n,
 		Covered: n - len(missing),
