@@ -184,7 +184,9 @@ type SimConfig struct {
 	// TrackCollisions enables Definition 5.2 collision accounting
 	// (plain KKβ only: an Iterative run refuses it with ErrIncompatible).
 	TrackCollisions bool
-	// MaxSteps aborts runaway executions (0 = 500M steps).
+	// MaxSteps aborts runaway executions. 0 means max(500 M, 16·n·m):
+	// KK under RandomSched takes ≈ 3.1·n·m steps at m = 64, which passes
+	// a flat 500 M from n = 2^22 on.
 	MaxSteps uint64
 }
 
@@ -212,7 +214,7 @@ var ErrIncompatible = errors.New("atmostonce: incompatible simulation options")
 // Simulate runs one adversarial execution and reports its measurements.
 func Simulate(cfg SimConfig) (*SimReport, error) {
 	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 500_000_000
+		cfg.MaxSteps = defaultMaxSteps(cfg.Jobs, cfg.Workers)
 	}
 	if cfg.Scheduler == 0 {
 		cfg.Scheduler = RoundRobin
@@ -252,6 +254,11 @@ func Simulate(cfg SimConfig) (*SimReport, error) {
 		return nil, err
 	}
 	return convertReport(rep, core.EffectivenessBound(cfg.Jobs, cfg.Workers, cfg.Beta), s.Collisions), nil
+}
+
+// defaultMaxSteps is the step limit of a SimConfig whose MaxSteps is 0.
+func defaultMaxSteps(n, m int) uint64 {
+	return max(500_000_000, 16*uint64(n)*uint64(m))
 }
 
 func buildAdversary(cfg SimConfig) (sim.Adversary, error) {

@@ -24,11 +24,11 @@ func NewPairedSystem(n, m, f int) (*sim.World, error) {
 		slices++
 	}
 	mem := shmem.NewSim(2 * pairs)
-	return sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+	return sim.Assemble(m, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		i := (id - 1) / 2
 		if i == pairs { // the odd process out
 			return &TrivialProc{Base: sim.NewBase(id, sink), next: pairs*n/slices + 1, hi: n}
 		}
 		return newTwoProc(mem, 2*i, i*n/slices+1, (i+1)*n/slices, id, id%2 == 1, sink)
-	}), nil
+	}).KeepEvents(), nil
 }

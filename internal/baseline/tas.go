@@ -32,9 +32,9 @@ func NewTASSystem(n, m, f int) (*sim.World, error) {
 		return nil, fmt.Errorf("baseline: invalid n=%d m=%d", n, m)
 	}
 	mem := shmem.NewSim(n)
-	return sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+	return sim.Assemble(m, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		return &TASProc{Base: sim.NewBase(id, sink), n: n, cur: 1, mem: mem}
-	}), nil
+	}).KeepEvents(), nil
 }
 
 // Step probes one claim bit or performs a won job.

@@ -63,9 +63,9 @@ func NewTwoProcSystem(n, f int) (*sim.World, error) {
 		return nil, fmt.Errorf("baseline: two-process algorithm needs n ≥ 2, got %d", n)
 	}
 	mem := shmem.NewSim(2)
-	return sim.Assemble(2, mem, f, func(id int, sink sim.DoSink) sim.Process {
+	return sim.Assemble(2, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		return newTwoProc(mem, 0, 1, n, id, id == 1, sink)
-	}), nil
+	}).KeepEvents(), nil
 }
 
 // Performed returns the number of jobs this process completed.

@@ -83,7 +83,7 @@ func (o *Options) normalize() error {
 // closure of their own. No synchronization is needed because each process
 // owns its log.
 type doLog struct {
-	sim.Marks
+	*sim.Marks
 	fn func(worker, job int)
 }
 
@@ -92,13 +92,6 @@ func (l *doLog) RecordDo(pid int, job int64) {
 	if l.fn != nil {
 		l.fn(pid, int(job))
 	}
-}
-
-// markWords returns one array for m do bitmaps over the jobs [1..k], the
-// i-th at [i·len/m, (i+1)·len/m), each padded to whole cache lines so that
-// neighbouring workers do not false-share as they mark.
-func markWords(m, k int) []uint64 {
-	return make([]uint64, m*((k>>6+core.CacheLineCells)&^(core.CacheLineCells-1)))
 }
 
 // Run executes the configured algorithm concurrently and returns the
@@ -146,12 +139,9 @@ func runIterative(o Options, fn func(worker, job int)) (*Result, error) {
 		return nil, err
 	}
 	procs := make([]sim.Process, o.M)
-	logs := make([]*doLog, o.M)
-	words := markWords(o.M, o.N)
+	marks := sim.NewMarks(o.M, o.N)
 	for i, ip := range core.NewIterProcsOn(cfg, levels, shmem.NewAtomic(size)) {
-		logs[i] = &doLog{fn: fn}
-		logs[i].Reset(words[i*len(words)/o.M:], o.N)
-		ip.SetSink(logs[i])
+		ip.SetSink(&doLog{Marks: &marks[i], fn: fn})
 		procs[i] = ip
 	}
 	res := &Result{}
@@ -177,10 +167,7 @@ func runIterative(o Options, fn func(worker, job int)) (*Result, error) {
 		}
 	}
 	var t sim.Tally
-	t.Reset(o.N)
-	for _, l := range logs {
-		t.Add(&l.Marks)
-	}
+	t.Merge(o.N, marks)
 	res.Distinct, res.Duplicates, res.Unperformed = t.Distinct, t.Duplicates, t.Unperformed(nil)
 	res.Events = t.Distinct + t.Duplicates
 	return res, nil

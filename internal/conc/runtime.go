@@ -81,8 +81,8 @@ type Runtime struct {
 	mem   shmem.Mem
 	lay   core.Layout
 	procs []*core.Proc
-	logs  []*doLog // each runs the round's payload (the start send publishes it)
-	marks []uint64 // the logs' do bitmaps, one array (markWords)
+	logs  []*doLog    // each runs the round's payload (the start send publishes it)
+	marks []sim.Marks // the logs' do bitmaps (sim.NewMarks)
 
 	start  []chan struct{}
 	wg     sync.WaitGroup
@@ -133,9 +133,10 @@ func (r *Runtime) grow(k int) {
 	// so neighboring workers stop false-sharing on the set_next path.
 	r.lay = core.Layout{M: r.m, RowLen: size}.Padded()
 	r.mem = shmem.NewAtomic(r.lay.Size())
-	r.marks = markWords(r.m, size)
+	r.marks = sim.NewMarks(r.m, size)
 	r.tally.Reset(size) // the merged set too, in one growth
 	for i, l := range r.logs {
+		l.Marks = &r.marks[i]
 		r.procs[i] = core.NewProc(core.ProcOptions{
 			ID: i + 1, M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size, Sink: l,
 		})
@@ -233,7 +234,7 @@ func (r *Runtime) prepare(k int, fn func(worker, job int)) {
 	}
 	for i, p := range r.procs {
 		p.Reset(k)
-		r.logs[i].Reset(r.marks[i*len(r.marks)/r.m:], k)
+		r.marks[i].Reset(k)
 		r.logs[i].fn = fn
 	}
 }
@@ -243,11 +244,10 @@ func (r *Runtime) prepare(k int, fn func(worker, job int)) {
 func (r *Runtime) collect(k int, steps uint64, crashed int) *RoundResult {
 	res := &r.res
 	res.Steps, res.Crashed, res.Work = steps, crashed, 0
-	r.tally.Reset(k)
-	for i, l := range r.logs {
-		res.Work += r.procs[i].Work()
-		r.tally.Add(&l.Marks)
+	for _, p := range r.procs {
+		res.Work += p.Work()
 	}
+	r.tally.Merge(k, r.marks)
 	res.Performed, res.Duplicates = r.tally.Distinct, r.tally.Duplicates
 	r.unperformed = r.tally.Unperformed(r.unperformed[:0])
 	res.Unperformed = r.unperformed

@@ -208,11 +208,11 @@ func TestIterStepFlagProtocol(t *testing.T) {
 	// p1's output must not contain anything performed (Lemma 6.2) nor
 	// p2's announced job (it is in p1's TRY).
 	for _, e := range sink.events {
-		if p1.Output().Contains(int(e.Job)) {
+		if p1.Output(denseset.New()).Contains(int(e.Job)) {
 			t.Fatalf("p1 output contains performed job %d", e.Job)
 		}
 	}
-	if p1.Output().Contains(int(target)) {
+	if p1.Output(denseset.New()).Contains(int(target)) {
 		t.Fatal("p1 output contains p2's announced job")
 	}
 
@@ -237,7 +237,7 @@ func TestIterStepFlagProtocol(t *testing.T) {
 	_ = sawCheckFlag // p2 may bounce at check instead if its job was taken
 	// Either path, Lemma 6.2 must hold for p2's output too.
 	for _, e := range sink.events {
-		if p2.Output().Contains(int(e.Job)) {
+		if p2.Output(denseset.New()).Contains(int(e.Job)) {
 			t.Fatalf("p2 output contains performed job %d", e.Job)
 		}
 	}
@@ -270,8 +270,8 @@ func TestIterStepOutputsComposable(t *testing.T) {
 			Universe: n, Jobs: jobs, Sink: sink,
 		})
 	}
-	q1 := mk(1, p1.Output())
-	q2 := mk(2, p2.Output())
+	q1 := mk(1, p1.Output(denseset.New()))
+	q2 := mk(2, p2.Output(denseset.New()))
 	for q1.Status() == sim.Running || q2.Status() == sim.Running {
 		if q1.Status() == sim.Running {
 			q1.Step()

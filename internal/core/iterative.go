@@ -72,24 +72,20 @@ func BlockJobs(n, s, b int) (lo, hi int) {
 
 // MapBlocks is the function map(SET1, size1, size2) of §6: it maps a set
 // of super-jobs of size s1 to the super-jobs of size s2 covering the same
-// jobs. Because s2 divides s1 (see SuperJobSizes) the mapping is exact: a
-// job always belongs to the same super-job of a given size, independent of
-// the input set, so the at-most-once property is preserved across levels
-// (Theorem 6.3).
-func MapBlocks(set *denseset.Set, n, s1, s2 int) *denseset.Set {
-	if s1 == s2 {
-		return set.Clone()
-	}
+// jobs, written into dst, which it returns. Because s2 divides s1 (see
+// SuperJobSizes) the mapping is exact: a job always belongs to the same
+// super-job of a given size, independent of the input set, so the
+// at-most-once property is preserved across levels (Theorem 6.3).
+func MapBlocks(dst, set *denseset.Set, n, s1, s2 int) *denseset.Set {
 	ratio := s1 / s2
 	b2max := Blocks(n, s2)
-	out := denseset.New()
-	out.Reserve(b2max)
+	dst.Clear()
 	set.Ascend(func(b1 int) bool {
 		first := (b1-1)*ratio + 1
-		out.InsertRange(first, min(first+ratio-1, b2max))
+		dst.InsertRange(first, min(first+ratio-1, b2max))
 		return true
 	})
-	return out
+	return dst
 }
 
 // IterConfig describes an IterativeKK(ε) instance (Figure 3) or its
@@ -150,10 +146,12 @@ type LevelStat struct {
 
 // IterProc chains one process through all IterStepKK levels of
 // IterativeKK(ε). It is itself a sim.Process: each Step delegates to the
-// inner per-level process; when the inner process terminates, its output
-// set is mapped to the next level and a fresh inner process starts there.
-// Process asynchrony across levels is preserved — one process may be at
-// level 2 while another is still at level 0, exactly as in the paper.
+// level's KK process; when that terminates, its output set is mapped to
+// the next level and the process restarts there. One Proc serves the
+// whole chain, its sets reserved once for the last level's universe, so
+// a level change allocates nothing. Process asynchrony across levels is
+// preserved — one process may be at level 2 while another is still at
+// level 0, exactly as in the paper.
 type IterProc struct {
 	id     int
 	cfg    IterConfig
@@ -162,11 +160,12 @@ type IterProc struct {
 	sink   sim.DoSink
 
 	level    int
-	inner    *Proc
-	work     uint64 // accumulated work of finished inner processes
+	proc     Proc         // the level's KK process; FREE is proc.sets[0]
+	inner    *Proc        // &proc while a level runs; nil past the last, draining out
+	out      denseset.Set // the level's output; Write-All's residue at the end
+	work     uint64       // accumulated work of finished levels
 	crashed  bool
 	ended    bool
-	drain    []int // Write-All final direct-execution queue (job ids)
 	stats    []LevelStat
 	curInput int // |FREE| at entry of the current level
 }
@@ -175,16 +174,21 @@ var _ sim.Process = (*IterProc)(nil)
 
 // newIterProc builds the process at level 0 with FREE = map(J, 1, s_0).
 func newIterProc(id int, cfg IterConfig, levels []Level, mem shmem.Mem, sink sim.DoSink) *IterProc {
-	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem, sink: sink}
-	first := denseset.NewRange(1, levels[0].Blocks)
-	p.curInput = first.Len()
-	p.inner = p.newLevelProc(0, first)
+	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem, sink: sink, stats: make([]LevelStat, 0, len(levels))}
+	last := levels[len(levels)-1].Blocks
+	for i := range p.proc.sets {
+		p.proc.sets[i].Reserve(last)
+	}
+	p.out.Reserve(last)
+	p.startLevel(nil)
 	return p
 }
 
-func (p *IterProc) newLevelProc(level int, jobs *denseset.Set) *Proc {
-	lv := p.levels[level]
-	return NewProc(ProcOptions{
+// startLevel re-initializes the chain's process at p.level with FREE =
+// jobs (nil: all the level's super-jobs).
+func (p *IterProc) startLevel(jobs *denseset.Set) {
+	lv := p.levels[p.level]
+	p.proc.init(ProcOptions{
 		ID:         p.id,
 		M:          p.cfg.M,
 		Beta:       p.cfg.Beta,
@@ -194,23 +198,20 @@ func (p *IterProc) newLevelProc(level int, jobs *denseset.Set) *Proc {
 		Universe:   lv.Blocks,
 		IterStep:   true,
 		ReturnFree: p.cfg.WriteAll,
-		Sink:       blockSink{p: p, level: level},
+		Sink:       p,
 		DoCost:     uint64(lv.Size),
 	})
+	p.inner = &p.proc
+	p.curInput = p.proc.FreeLen()
 }
 
-// blockSink expands a super-job do event into one event per covered job.
-type blockSink struct {
-	p     *IterProc
-	level int
-}
-
-func (s blockSink) RecordDo(pid int, job int64) {
-	lv := s.p.levels[s.level]
-	lo, hi := BlockJobs(s.p.cfg.N, lv.Size, int(job))
+// RecordDo is the level process's do sink: it expands a super-job do
+// into one do per covered job.
+func (p *IterProc) RecordDo(pid int, job int64) {
+	lo, hi := BlockJobs(p.cfg.N, p.levels[p.level].Size, int(job))
 	for j := lo; j <= hi; j++ {
-		if s.p.sink != nil {
-			s.p.sink.RecordDo(pid, int64(j))
+		if p.sink != nil {
+			p.sink.RecordDo(pid, int64(j))
 		}
 	}
 }
@@ -274,7 +275,7 @@ func (p *IterProc) recordLevel(input, output int) {
 
 // Step implements sim.Process.
 func (p *IterProc) Step() {
-	if p.drain != nil {
+	if p.inner == nil {
 		p.stepDrain()
 		return
 	}
@@ -283,41 +284,32 @@ func (p *IterProc) Step() {
 		return
 	}
 	// Inner IterStepKK terminated: map its output to the next level.
-	out := p.inner.Output()
+	out := p.inner.Output(&p.out)
 	p.work += p.inner.Work()
 	p.recordLevel(p.curInput, out.Len())
 	if p.level+1 < len(p.levels) {
 		cur, next := p.levels[p.level], p.levels[p.level+1]
-		mapped := MapBlocks(out, p.cfg.N, cur.Size, next.Size)
-		p.work += uint64(mapped.Len()) // map() cost: building the new set
+		free := MapBlocks(&p.proc.sets[0], out, p.cfg.N, cur.Size, next.Size)
+		p.work += uint64(free.Len()) // map() cost: building the new set
 		p.level++
-		p.curInput = mapped.Len()
-		p.inner = p.newLevelProc(p.level, mapped)
+		p.startLevel(free)
 		return
 	}
 	// Past the last level (size 1).
 	p.inner = nil
-	if p.cfg.WriteAll {
-		p.drain = out.Slice() // Figure 4, lines 14–16
-		if len(p.drain) == 0 {
-			p.ended = true
-		}
-		return
-	}
-	p.ended = true
+	p.ended = !p.cfg.WriteAll || out.Len() == 0 // else Figure 4, lines 14–16
 }
 
-// stepDrain performs one residual do_{p,i} of Figure 4 lines 14–16.
+// stepDrain performs one residual do_{p,i} of Figure 4 lines 14–16, the
+// least job left.
 func (p *IterProc) stepDrain() {
-	job := int64(p.drain[0])
-	p.drain = p.drain[1:]
+	v, _ := p.out.Min()
+	p.out.Delete(v)
 	if p.sink != nil {
-		p.sink.RecordDo(p.id, job)
+		p.sink.RecordDo(p.id, int64(v))
 	}
 	p.work++
-	if len(p.drain) == 0 {
-		p.ended = true
-	}
+	p.ended = p.out.Len() == 0
 }
 
 // IterSystem is an assembled IterativeKK(ε) (or WA_IterativeKK(ε)) run.
@@ -373,11 +365,10 @@ func NewIterSystem(cfg IterConfig) (*IterSystem, error) {
 	}
 	mem := shmem.NewSim(total)
 	procs := make([]*IterProc, cfg.M)
-	world := sim.Assemble(cfg.M, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
+	world := sim.Assemble(cfg.M, cfg.N, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
 		procs[id-1] = newIterProc(id, cfg, levels, mem, sink)
 		return procs[id-1]
 	})
-	world.ReserveEvents(cfg.N) // a Write-All run's redundancy may grow it once
 	sizes := make([]int, len(levels))
 	for i, lv := range levels {
 		sizes[i] = lv.Size

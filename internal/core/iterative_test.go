@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"atmostonce/internal/denseset"
@@ -58,7 +59,7 @@ func TestBlocksAndBlockJobs(t *testing.T) {
 func TestMapBlocksLossless(t *testing.T) {
 	const n, s1, s2 = 1000, 64, 16
 	in := denseset.New(1, 3, 16) // block 16 is the truncated tail (jobs 961..1000)
-	out := MapBlocks(in, n, s1, s2)
+	out := MapBlocks(denseset.New(), in, n, s1, s2)
 	// Collect jobs covered by input and output; they must be identical.
 	cover := func(set *denseset.Set, size int) map[int]bool {
 		jobs := make(map[int]bool)
@@ -84,7 +85,7 @@ func TestMapBlocksLossless(t *testing.T) {
 
 func TestMapBlocksSameSize(t *testing.T) {
 	in := denseset.New(2, 5)
-	out := MapBlocks(in, 100, 8, 8)
+	out := MapBlocks(denseset.New(), in, 100, 8, 8)
 	if out.Len() != 2 || !out.Contains(2) || !out.Contains(5) {
 		t.Fatalf("identity map wrong: %v", out.Slice())
 	}
@@ -192,6 +193,47 @@ func TestIterProcLevelsAdvance(t *testing.T) {
 		}
 		if p.Level() != len(s.Levels)-1 {
 			t.Fatalf("proc %d finished at level %d of %d", p.ID(), p.Level(), len(s.Levels))
+		}
+	}
+}
+
+// TestIterLevelStartsFresh: the chain's one process, re-initialized at a
+// level change, is in the state a process built for that level would be
+// in — POS pointers at 1, DONE and TRY empty, no work — with FREE the
+// mapped output of the level before.
+func TestIterLevelStartsFresh(t *testing.T) {
+	for _, writeAll := range []bool{false, true} {
+		s, err := NewIterSystem(IterConfig{N: 1 << 12, M: 4, F: 3, WriteAll: writeAll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := make([]int, len(s.Procs))
+		changes := 0
+		check := func(*sim.World) {
+			for i, p := range s.Procs {
+				if p.inner == nil || p.Level() == levels[i] {
+					continue
+				}
+				levels[i] = p.Level()
+				if p.Status() != sim.Running {
+					continue
+				}
+				changes++
+				lv := s.Levels[p.Level()]
+				fresh := NewProc(ProcOptions{ID: p.ID(), M: s.Cfg.M, Beta: s.Cfg.Beta, Layout: lv.Layout,
+					Mem: s.Mem, Jobs: p.inner.free.Clone(), Universe: lv.Blocks, IterStep: true})
+				if !bytes.Equal(p.inner.AppendState(nil), fresh.AppendState(nil)) || p.inner.Work() != 0 {
+					t.Fatalf("process %d entered level %d in a state other than its start state", p.ID(), p.Level())
+				}
+			}
+		}
+		adv := sim.NewRandom(11)
+		adv.CrashProb = 1e-4
+		if _, err := s.Run(&sim.Observer{Inner: adv, Fn: check}, testStepLimit); err != nil {
+			t.Fatal(err)
+		}
+		if changes < len(s.Procs) {
+			t.Fatalf("only %d level changes observed", changes)
 		}
 	}
 }

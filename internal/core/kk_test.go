@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/sim"
 )
 
@@ -225,20 +226,25 @@ func TestSoloProcessLeavesWorkForOthers(t *testing.T) {
 }
 
 func TestPerformedMatchesEvents(t *testing.T) {
-	s := mustSystem(t, Config{N: 50, M: 4})
-	rep, err := s.Run(&sim.RoundRobin{}, testStepLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, p := range s.Procs {
-		total += p.Performed()
-	}
-	if total != len(rep.Result.Events) {
-		t.Fatalf("Σ Performed = %d, events = %d", total, len(rep.Result.Events))
-	}
-	if rep.Distinct != total-rep.Duplicates {
-		t.Fatalf("distinct %d != events %d - dups %d", rep.Distinct, total, rep.Duplicates)
+	for _, keep := range []bool{false, true} {
+		s := mustSystem(t, Config{N: 50, M: 4})
+		if keep {
+			s.World.KeepEvents() // a log on top: the tally still reads the marks
+		}
+		rep, err := s.Run(&sim.RoundRobin{}, testStepLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, p := range s.Procs {
+			total += p.Performed()
+		}
+		if rep.Distinct+rep.Duplicates != total || rep.Distinct == 0 {
+			t.Fatalf("Σ Performed = %d, marked %d distinct + %d duplicates", total, rep.Distinct, rep.Duplicates)
+		}
+		if keep && len(rep.Result.Events) != total {
+			t.Fatalf("Σ Performed = %d, logged %d events", total, len(rep.Result.Events))
+		}
 	}
 }
 
@@ -268,7 +274,7 @@ func TestProcAccessors(t *testing.T) {
 	if p.FreeLen() != 10 || p.DoneLen() != 0 || p.TryLen() != 0 {
 		t.Errorf("initial sets: free=%d done=%d try=%d", p.FreeLen(), p.DoneLen(), p.TryLen())
 	}
-	if p.Output() != nil {
+	if p.Output(denseset.New()) != nil {
 		t.Error("Output non-nil before termination")
 	}
 	p.Step() // compNext

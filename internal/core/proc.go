@@ -99,6 +99,15 @@ var _ sim.Process = (*Proc)(nil)
 // NewProc builds a process in its start state (Figure 1: STATUS=comp_next,
 // FREE=Jobs, DONE=TRY=∅, POS(i)=1, Q=1).
 func NewProc(o ProcOptions) *Proc {
+	p := &Proc{}
+	p.init(o)
+	return p
+}
+
+// init puts p in the start state of the process o describes, keeping the
+// storage of its sets and POS: an IterativeKK chain re-initializes one
+// process per level this way, its sets reserved once for the last level.
+func (p *Proc) init(o ProcOptions) {
 	if o.Beta <= 0 {
 		o.Beta = o.M
 	}
@@ -109,7 +118,7 @@ func NewProc(o ProcOptions) *Proc {
 	if sink == nil {
 		sink = nopSink{}
 	}
-	p := &Proc{
+	*p = Proc{
 		id:       o.ID,
 		m:        o.M,
 		beta:     o.Beta,
@@ -121,11 +130,9 @@ func NewProc(o ProcOptions) *Proc {
 		retFree:  o.ReturnFree,
 		collide:  o.Collisions,
 		noCache:  o.NoPosCache,
-		lgN:      ceilLog2(o.Universe + 1),
-		phase:    PhaseCompNext,
 		free:     o.Jobs,
-		pos:      make([]int, o.M+1),
-		q:        1,
+		pos:      p.pos,
+		sets:     p.sets,
 	}
 	// All three sets are sized for the universe here, so no later step —
 	// and no Reset to a universe the layout admits — allocates: DONE can
@@ -133,15 +140,16 @@ func NewProc(o ProcOptions) *Proc {
 	// each is a job id of the universe.
 	if p.free == nil {
 		p.free = &p.sets[0]
-		p.free.InsertRange(1, o.Universe)
+		p.free.ResetRange(1, o.Universe)
 	}
 	p.done, p.try = &p.sets[1], &p.sets[2]
 	p.done.Reserve(o.Universe)
 	p.try.Reserve(o.Universe)
-	for i := 1; i <= o.M; i++ {
-		p.pos[i] = 1
+	if cap(p.pos) < o.M+1 {
+		p.pos = make([]int, o.M+1)
 	}
-	return p
+	p.pos = p.pos[:o.M+1]
+	p.restart(o.Universe)
 }
 
 // ID implements sim.Process.
@@ -157,22 +165,23 @@ func (p *Proc) Reset(universe int) {
 	if universe < 1 || universe > p.lay.RowLen {
 		panic(fmt.Sprintf("core: Reset universe %d outside [1..%d]", universe, p.lay.RowLen))
 	}
+	p.free.ResetRange(1, universe)
+	p.restart(universe)
+}
+
+// restart empties DONE and TRY and sets every POS pointer, counter and
+// the phase to their start values for a universe of that many jobs.
+func (p *Proc) restart(universe int) {
 	p.phase = PhaseCompNext
 	p.termGath = false
-	p.free.ResetRange(1, universe)
 	p.done.Clear()
 	p.try.Clear()
 	for i := 1; i <= p.m; i++ {
 		p.pos[i] = 1
 	}
-	p.next = 0
-	p.q = 1
-	p.work = 0
-	p.nDone = 0
-	p.nAnnounce = 0
-	p.nShared = 0
-	p.nSetOps = 0
-	p.tryCulprit = 0
+	p.next, p.q, p.tryCulprit = 0, 1, 0
+	p.work, p.nShared, p.nSetOps = 0, 0, 0
+	p.nDone, p.nAnnounce = 0, 0
 	p.lgN = ceilLog2(universe + 1)
 }
 
@@ -234,21 +243,21 @@ func (p *Proc) FreeContains(v int) bool { return p.free.Contains(v) }
 // DoneContains reports whether job v is in DONE_p.
 func (p *Proc) DoneContains(v int) bool { return p.done.Contains(v) }
 
-// Output returns the set the process returned on termination (IterStepKK's
-// FREE\TRY, or FREE for the Write-All variant) as a fresh set the caller
-// owns. Nil before termination.
-func (p *Proc) Output() *denseset.Set {
+// Output writes the set the process returned on termination (IterStepKK's
+// FREE\TRY, or FREE for the Write-All variant) into dst and returns dst;
+// before termination it returns nil and leaves dst alone.
+func (p *Proc) Output(dst *denseset.Set) *denseset.Set {
 	if p.phase != PhaseEnd {
 		return nil
 	}
-	out := p.free.Clone()
-	if !p.retFree {
-		p.try.Ascend(func(v int) bool {
-			out.Delete(v)
-			return true
-		})
-	}
-	return out
+	dst.Clear()
+	p.free.Ascend(func(v int) bool {
+		if p.retFree || !p.try.Contains(v) {
+			dst.Insert(v)
+		}
+		return true
+	})
+	return dst
 }
 
 // Step implements sim.Process: perform the single enabled action.

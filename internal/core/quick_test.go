@@ -109,7 +109,7 @@ func TestQuickMapBlocksLossless(t *testing.T) {
 		for _, p := range picks {
 			in.Insert(int(p)%b1max + 1)
 		}
-		out := MapBlocks(in, n, s1, s2)
+		out := MapBlocks(denseset.New(), in, n, s1, s2)
 		// Coverage must be identical.
 		covered := make(map[int]bool)
 		in.Ascend(func(b int) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"atmostonce/internal/sim"
@@ -26,6 +27,21 @@ func TestLargeScaleKK(t *testing.T) {
 		t.Fatalf("Do = %d below bound %d", rep.Distinct, EffectivenessBound(n, m, 0))
 	}
 	t.Logf("n=1M m=4: Do=%d, steps=%d, work=%d", rep.Distinct, rep.Result.Steps, rep.Work)
+}
+
+// TestNewSystemAllocatesWhatItTouches: a KK instance over 2^20 jobs and
+// 64 processes has 64·2^20 registers, 512 MiB flat, but allocates only
+// its page table, with no page made before a write, beside the three
+// sets per process the paper calls for (≈ 24 MiB).
+func TestNewSystemAllocatesWhatItTouches(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := mustSystem(t, Config{N: 1 << 20, M: 64})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+		t.Fatalf("NewSystem(n = 2^20, m = 64) allocates %d bytes, want ≤ 32 MiB", got)
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestLargeScaleIterative runs IterativeKK(ε=1) at scale inside the

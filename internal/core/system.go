@@ -63,7 +63,7 @@ func NewSystem(cfg Config) (*System, error) {
 		coll = NewCollisionMatrix(cfg.M)
 	}
 	procs := make([]*Proc, cfg.M)
-	world := sim.Assemble(cfg.M, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
+	world := sim.Assemble(cfg.M, cfg.N, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
 		procs[id-1] = NewProc(ProcOptions{
 			ID:         id,
 			M:          cfg.M,
@@ -77,7 +77,6 @@ func NewSystem(cfg Config) (*System, error) {
 		})
 		return procs[id-1]
 	})
-	world.ReserveEvents(cfg.N)
 	return &System{
 		Cfg:        cfg,
 		Mem:        mem,
@@ -115,7 +114,8 @@ func run(w *sim.World, n int, adv sim.Adversary, maxSteps uint64) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	t := sim.TallyEvents(res.Events, n)
+	var t sim.Tally
+	t.Merge(n, w.Marks())
 	return &Report{
 		Result:     res,
 		Distinct:   t.Distinct,

@@ -54,11 +54,25 @@ type TAS interface {
 
 // SimMem is a sequential Mem with access counting. It must only be used
 // under a scheduler that serializes actions (internal/sim does).
+//
+// Its registers live in pages of pageCells, each made by the first write
+// of a nonzero value to it: a read of a page never written returns 0 and
+// allocates nothing. The paper's m·n done matrix holds at most n nonzero
+// cells (Lemma 4.1), so a simulation pays for the rows' written prefixes,
+// not for m·n registers.
 type SimMem struct {
-	cells  []int64
+	pages  [][]int64 // pages[i] holds registers i·pageCells on, nil until written
+	size   int
 	reads  uint64
 	writes uint64
 }
+
+// pageCells is the number of registers of one page (128 KiB); the last
+// page holds only the registers up to Size.
+const (
+	pageShift = 14
+	pageCells = 1 << pageShift
+)
 
 var (
 	_ Mem = (*SimMem)(nil)
@@ -67,36 +81,55 @@ var (
 
 // NewSim returns a SimMem with size zero-initialized registers.
 func NewSim(size int) *SimMem {
-	return &SimMem{cells: make([]int64, size)}
+	return &SimMem{pages: make([][]int64, (size+pageCells-1)>>pageShift), size: size}
 }
 
 // Read implements Mem.
 func (m *SimMem) Read(addr int) int64 {
 	m.reads++
-	return m.cells[addr]
+	return m.Peek(addr)
 }
 
 // Write implements Mem.
 func (m *SimMem) Write(addr int, v int64) {
 	m.writes++
-	m.cells[addr] = v
+	if v != 0 || m.pages[addr>>pageShift] != nil {
+		m.page(addr)[addr&(pageCells-1)] = v
+	} else if addr >= m.size {
+		panic("shmem: register index out of range")
+	}
+}
+
+// page returns the page holding addr, making it if it was never written.
+func (m *SimMem) page(addr int) []int64 {
+	i := addr >> pageShift
+	if m.pages[i] == nil {
+		m.pages[i] = make([]int64, min(pageCells, m.size-i<<pageShift))
+	}
+	return m.pages[i]
 }
 
 // TestAndSet implements TAS.
 func (m *SimMem) TestAndSet(addr int) int64 {
-	m.reads++
-	m.writes++
-	old := m.cells[addr]
-	m.cells[addr] = 1
+	old := m.Read(addr)
+	m.Write(addr, 1)
 	return old
 }
 
 // Size implements Mem.
-func (m *SimMem) Size() int { return len(m.cells) }
+func (m *SimMem) Size() int { return m.size }
 
 // Peek reads a register without counting the access. For observers and
 // invariant checkers, never for algorithm code.
-func (m *SimMem) Peek(addr int) int64 { return m.cells[addr] }
+func (m *SimMem) Peek(addr int) int64 {
+	if pg := m.pages[addr>>pageShift]; pg != nil {
+		return pg[addr&(pageCells-1)]
+	}
+	if addr >= m.size {
+		panic("shmem: register index out of range")
+	}
+	return 0
+}
 
 // Reads returns the total number of Read operations performed.
 func (m *SimMem) Reads() uint64 { return m.reads }
@@ -110,15 +143,22 @@ func (m *SimMem) Accesses() uint64 { return m.reads + m.writes }
 // Snapshot copies the register contents; used by the bounded model checker
 // to hash global states.
 func (m *SimMem) Snapshot() []int64 {
-	out := make([]int64, len(m.cells))
-	copy(out, m.cells)
+	out := make([]int64, m.size)
+	for i, pg := range m.pages {
+		copy(out[i<<pageShift:], pg)
+	}
 	return out
 }
 
 // Restore overwrites the register contents from a snapshot taken on a
-// memory of the same size. Access counters are unaffected.
+// memory of the same size, a register at a time, as writes that are not
+// counted: a page stays unmade while the snapshot holds zeros there.
 func (m *SimMem) Restore(snap []int64) {
-	copy(m.cells, snap)
+	writes := m.writes
+	for addr, v := range snap {
+		m.Write(addr, v)
+	}
+	m.writes = writes
 }
 
 // AtomicMem is a Mem backed by sync/atomic operations, safe for concurrent

@@ -121,6 +121,8 @@ type Event struct {
 // World is the global state of one execution: processes, shared memory and
 // crash budget. Mem may be nil when the processes keep registers the world
 // does not count (a conc round's real atomic ones).
+// As its processes' do sink, it marks each do in the doer's Marks over the
+// jobs [1..n], made at the first do, and logs it too once KeepEvents asks.
 type World struct {
 	Procs      []Process // Procs[i] has ID i+1
 	Mem        *shmem.SimMem
@@ -128,9 +130,11 @@ type World struct {
 
 	steps   uint64
 	crashes int
-	events  []Event
-	live    []int // Live's buffer; during Run, the live set Run keeps
-	kept    bool  // Run is keeping live
+	n       int
+	marks   []Marks // marks[i] is process i+1's, once a do happened
+	events  []Event // nil unless KeepEvents
+	live    []int   // Live's buffer; during Run, the live set Run keeps
+	kept    bool    // Run is keeping live
 }
 
 // NewWorld assembles a world of processes that keep their own sinks. The
@@ -139,13 +143,22 @@ func NewWorld(procs []Process, mem *shmem.SimMem, f int) *World {
 	return &World{Procs: procs, Mem: mem, MaxCrashes: max(0, min(f, len(procs)-1))}
 }
 
-// Assemble builds a world of m processes over mem: mk makes process id
-// with the world as its do-event sink.
-func Assemble(m int, mem *shmem.SimMem, f int, mk func(id int, sink DoSink) Process) *World {
+// Assemble builds a world of m processes over mem and the jobs [1..n]: mk
+// makes process id with the world as its do sink.
+func Assemble(m, n int, mem *shmem.SimMem, f int, mk func(id int, sink DoSink) Process) *World {
 	w := NewWorld(make([]Process, m), mem, f)
+	w.n = n
 	for i := range w.Procs {
 		w.Procs[i] = mk(i+1, w)
 	}
+	return w
+}
+
+// KeepEvents makes the world log its dos in order as well as mark them,
+// in a log sized for n (Lemma 4.1): the choice of a caller that reads the
+// order, such as verify.CheckEvents's. It returns w.
+func (w *World) KeepEvents() *World {
+	w.events = make([]Event, 0, w.n)
 	return w
 }
 
@@ -155,17 +168,24 @@ func (w *World) Steps() uint64 { return w.steps }
 // Crashes returns the number of crashes injected so far.
 func (w *World) Crashes() int { return w.crashes }
 
-// Events returns the recorded do events. The returned slice is owned by
-// the world; callers must not mutate it.
+// Events returns the do events of a world that keeps them (KeepEvents),
+// nil for one that does not. The slice is owned by the world; callers
+// must not mutate it.
 func (w *World) Events() []Event { return w.events }
 
-// ReserveEvents sizes the event log for n do events, so a run that
-// performs at most n (Lemma 4.1 for a world over n jobs) never grows it.
-func (w *World) ReserveEvents(n int) { w.events = make([]Event, 0, n) }
+// Marks returns the processes' marks, Marks()[i] process i+1's, for a
+// Tally to merge; nil before the first do.
+func (w *World) Marks() []Marks { return w.marks }
 
 // RecordDo is called by processes when they execute a do_{p,j} action.
 func (w *World) RecordDo(pid int, job int64) {
-	w.events = append(w.events, Event{PID: pid, Job: job, Step: w.steps})
+	if w.marks == nil {
+		w.marks = NewMarks(len(w.Procs), w.n)
+	}
+	w.marks[pid-1].Mark(job)
+	if w.events != nil {
+		w.events = append(w.events, Event{PID: pid, Job: job, Step: w.steps})
+	}
 }
 
 // Live returns the ids of processes that are still Running, ascending, in
@@ -229,8 +249,8 @@ type Adversary interface {
 type Result struct {
 	Steps      uint64
 	Crashes    int
-	Events     []Event
-	TotalWork  uint64 // sum of the processes' Work
+	Events     []Event // the do log of a world that keeps one (KeepEvents)
+	TotalWork  uint64  // sum of the processes' Work
 	MemReads   uint64
 	MemWrites  uint64
 	DoneProcs  int

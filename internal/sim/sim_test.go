@@ -25,11 +25,53 @@ func (p *toyProc) Step() {
 	p.left--
 }
 
+// newToyWorld is a world of m toys over the jobs [1..writes] that keeps
+// its do events.
 func newToyWorld(m, writes, maxCrashes int) *World {
+	return newToyMarks(m, writes, maxCrashes).KeepEvents()
+}
+
+// newToyMarks is the same world marking its dos only.
+func newToyMarks(m, writes, maxCrashes int) *World {
 	mem := shmem.NewSim(m)
-	return Assemble(m, mem, maxCrashes, func(id int, sink DoSink) Process {
+	return Assemble(m, writes, mem, maxCrashes, func(id int, sink DoSink) Process {
 		return &toyProc{Base: NewBase(id, sink), left: writes, mem: mem}
 	})
+}
+
+// TestWorldMarksDos: every world marks each do in the doer's marks, one
+// that keeps events logs it too, and the marks' tally is the tally of the
+// same execution's log.
+func TestWorldMarksDos(t *testing.T) {
+	logged, marked := newToyWorld(3, 10, 1), newToyMarks(3, 10, 1)
+	if logged.Marks() != nil || marked.Marks() != nil {
+		t.Fatal("marks made before the first do")
+	}
+	var results [2]*Result
+	for i, w := range []*World{logged, marked} {
+		adv := NewRandom(5)
+		adv.CrashProb = 0.05
+		res, err := Run(w, adv, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+	}
+	if results[1].Events != nil || marked.Events() != nil {
+		t.Fatalf("a marking world logged %d events", len(results[1].Events))
+	}
+	want := tallyEvents(results[0].Events, 10)
+	for i, w := range []*World{logged, marked} {
+		var got Tally
+		got.Merge(10, w.Marks())
+		if got.Distinct != want.Distinct || got.Duplicates != want.Duplicates || want.Duplicates == 0 {
+			t.Fatalf("world %d's marks tally %d distinct, %d duplicates; the log %d, %d (the toys repeat jobs)",
+				i, got.Distinct, got.Duplicates, want.Distinct, want.Duplicates)
+		}
+	}
+	if results[0].Steps != results[1].Steps || results[0].TotalWork != results[1].TotalWork {
+		t.Fatal("the executions differ")
+	}
 }
 
 func TestRunRoundRobinTerminates(t *testing.T) {

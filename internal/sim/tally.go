@@ -13,10 +13,23 @@ type Marks struct {
 	stray  []int64
 }
 
-// Reset starts m over the jobs [1..n] on words, which must hold at least
-// n/64+1 words: it clears that many and marks in them.
-func (m *Marks) Reset(words []uint64, n int) {
-	m.words, m.n, m.dos, m.stray = words[:n>>6+1], n, 0, m.stray[:0]
+// NewMarks returns the marks of m processes over the jobs [1..n], their
+// bitmaps in one array, each padded to whole cache lines (8 words) so
+// that processes marking side by side do not false-share.
+func NewMarks(m, n int) []Marks {
+	stride := (n>>6 + 8) &^ 7
+	words := make([]uint64, m*stride)
+	ms := make([]Marks, m)
+	for i := range ms {
+		ms[i] = Marks{words: words[i*stride : i*stride+n>>6+1 : (i+1)*stride], n: n}
+	}
+	return ms
+}
+
+// Reset starts m over the jobs [1..n], n at most the one it was made for:
+// it clears n/64+1 words of its bitmap.
+func (m *Marks) Reset(n int) {
+	m.words, m.n, m.dos, m.stray = m.words[:n>>6+1], n, 0, m.stray[:0]
 	clear(m.words)
 }
 
@@ -52,33 +65,23 @@ func (t *Tally) Reset(n int) {
 	*t = Tally{n: n, performed: t.performed}
 }
 
-// Add merges one process's marks: an OR and a popcount per word of the
-// bitmap. A stray id is counted, not dropped: it is a distinct job, and
-// its repeat a duplicate.
-func (t *Tally) Add(m *Marks) {
-	t.performed.OrWords(0, m.words)
-	for _, j := range m.stray {
-		if t.stray == nil {
-			t.stray = make(map[int64]struct{})
+// Merge tallies the marks of every process over the jobs [1..n], keeping
+// t's storage: an OR and a popcount per word of each bitmap. A stray id is
+// counted, not dropped: it is a distinct job, and its repeat a duplicate.
+func (t *Tally) Merge(n int, ms []Marks) {
+	t.Reset(n)
+	for i := range ms {
+		t.performed.OrWords(0, ms[i].words)
+		for _, j := range ms[i].stray {
+			if t.stray == nil {
+				t.stray = make(map[int64]struct{})
+			}
+			t.stray[j] = struct{}{}
 		}
-		t.stray[j] = struct{}{}
+		t.dos += ms[i].dos
 	}
-	t.dos += m.dos
 	t.Distinct = t.performed.Len() + len(t.stray)
 	t.Duplicates = t.dos - t.Distinct
-}
-
-// TallyEvents tallies an event log over the jobs [1..n], as one process's
-// marks.
-func TallyEvents(events []Event, n int) (t Tally) {
-	var m Marks
-	m.Reset(make([]uint64, n>>6+1), n)
-	for _, e := range events {
-		m.Mark(e.Job)
-	}
-	t.Reset(n)
-	t.Add(&m)
-	return t
 }
 
 // Unperformed appends the jobs of [1..n] that no process did to dst, in

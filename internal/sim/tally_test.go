@@ -7,7 +7,18 @@ import (
 	"testing"
 )
 
-// mapTally is the hash-table tally TallyEvents replaced, kept as its
+// tallyEvents tallies an event log over the jobs [1..n], as one process's
+// marks.
+func tallyEvents(events []Event, n int) (t Tally) {
+	ms := NewMarks(1, n)
+	for _, e := range events {
+		ms[0].Mark(e.Job)
+	}
+	t.Merge(n, ms)
+	return t
+}
+
+// mapTally is the hash-table tally the marks replaced, kept as their
 // reference: one map entry per performed job.
 func mapTally(events []Event, n int) (distinct, duplicates int, unperformed []int) {
 	seen := make(map[int64]int, len(events))
@@ -40,7 +51,7 @@ func TestTallyAgainstMap(t *testing.T) {
 			events[i] = Event{PID: rng.Intn(4) + 1, Job: job}
 		}
 		distinct, duplicates, unperformed := mapTally(events, n)
-		got := TallyEvents(events, n)
+		got := tallyEvents(events, n)
 		if got.Distinct != distinct || got.Duplicates != duplicates {
 			t.Fatalf("round %d (n=%d, %d events): tally %d distinct %d duplicates, map %d and %d",
 				round, n, len(events), got.Distinct, got.Duplicates, distinct, duplicates)
@@ -54,7 +65,7 @@ func TestTallyAgainstMap(t *testing.T) {
 // TestTallyCountsStrayJobs: an id the universe does not hold is a distinct
 // job, and its repeat a duplicate — reported, not dropped, not a panic.
 func TestTallyCountsStrayJobs(t *testing.T) {
-	got := TallyEvents([]Event{{Job: 1}, {Job: 9}, {Job: 9}, {Job: 0}, {Job: -3}}, 2)
+	got := tallyEvents([]Event{{Job: 1}, {Job: 9}, {Job: 9}, {Job: 0}, {Job: -3}}, 2)
 	if got.Distinct != 4 || got.Duplicates != 1 {
 		t.Fatalf("got %d distinct, %d duplicates; want 4 and 1", got.Distinct, got.Duplicates)
 	}
@@ -68,10 +79,10 @@ func TestTallyCountsStrayJobs(t *testing.T) {
 // them, and full coverage lists nothing.
 func TestTallyCoverage(t *testing.T) {
 	events := []Event{{PID: 1, Job: 1}, {PID: 2, Job: 3}, {PID: 2, Job: 9}}
-	if u := TallyEvents(events, 4).Unperformed(nil); !reflect.DeepEqual(u, []int{2, 4}) {
+	if u := tallyEvents(events, 4).Unperformed(nil); !reflect.DeepEqual(u, []int{2, 4}) {
 		t.Fatalf("unperformed %v, want [2 4]", u)
 	}
-	if u := TallyEvents(events, 1).Unperformed(nil); u != nil {
+	if u := tallyEvents(events, 1).Unperformed(nil); u != nil {
 		t.Fatalf("full coverage reported %v unperformed", u)
 	}
 }
@@ -83,21 +94,18 @@ func TestTallyCoverage(t *testing.T) {
 // a second round on the same bitmaps and tally starts from nothing.
 func TestTallyMergesMarks(t *testing.T) {
 	const n = 130 // three words a worker
-	words := make([]uint64, 2*(n/64+1))
-	var w1, w2 Marks
+	ms := NewMarks(2, 4*n)
 	var tally Tally
 	round := func(do1, do2 []int64) (distinct, duplicates int, unperformed []int) {
-		w1.Reset(words[:n/64+1], n)
-		w2.Reset(words[n/64+1:], n)
+		ms[0].Reset(n)
+		ms[1].Reset(n)
 		for _, j := range do1 {
-			w1.Mark(j)
+			ms[0].Mark(j)
 		}
 		for _, j := range do2 {
-			w2.Mark(j)
+			ms[1].Mark(j)
 		}
-		tally.Reset(n)
-		tally.Add(&w1)
-		tally.Add(&w2)
+		tally.Merge(n, ms)
 		return tally.Distinct, tally.Duplicates, tally.Unperformed(nil)
 	}
 	all := func(except ...int) []int {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"atmostonce/internal/core"
+	"atmostonce/internal/denseset"
 	"atmostonce/internal/shmem"
 	"atmostonce/internal/sim"
 )
@@ -115,7 +116,7 @@ func ExploreKK(cfg MCConfig) (*MCStats, error) {
 				continue
 			}
 			var bad int64 = -1
-			p.Output().Ascend(func(v int) bool {
+			p.Output(denseset.New()).Ascend(func(v int) bool {
 				if e.counts[int64(v)] > 0 {
 					bad = int64(v)
 					return false

@@ -86,9 +86,9 @@ func TestModelCheckerCatchesUnsafeAlgorithm(t *testing.T) {
 	// Replay the witness through the real engine and confirm it
 	// reproduces the duplicate — end-to-end validation of the witness.
 	mem2 := shmem.NewSim(n)
-	w := sim.Assemble(2, mem2, 1, func(id int, sink sim.DoSink) sim.Process {
+	w := sim.Assemble(2, n, mem2, 1, func(id int, sink sim.DoSink) sim.Process {
 		return &greedyProc{Base: sim.NewBase(id, sink), n: n, mem: mem2}
-	})
+	}).KeepEvents()
 	res, err := sim.Run(w, &sim.Scripted{Script: v.Witness, Then: &sim.RoundRobin{}}, 10_000)
 	if err != nil {
 		t.Fatal(err)

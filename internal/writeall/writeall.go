@@ -41,12 +41,14 @@ func run(n int, w *sim.World, adv sim.Adversary, maxSteps uint64) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	missing := sim.TallyEvents(res.Events, n).Unperformed(nil)
+	var t sim.Tally
+	t.Merge(n, w.Marks())
+	missing := t.Unperformed(nil)
 	return &Report{
 		N:       n,
 		Covered: n - len(missing),
 		Missing: missing,
-		Writes:  len(res.Events),
+		Writes:  t.Distinct + t.Duplicates,
 		Work:    res.TotalWork,
 		Steps:   res.Steps,
 		Crashes: res.Crashes,
@@ -93,7 +95,7 @@ func RunTrivial(n, m, f int, adv sim.Adversary, maxSteps uint64) (*Report, error
 		return nil, fmt.Errorf("writeall: invalid n=%d m=%d", n, m)
 	}
 	mem := shmem.NewSim(n)
-	return run(n, sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+	return run(n, sim.Assemble(m, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		return &trivialWAProc{Base: sim.NewBase(id, sink), cur: 1, n: n, mem: mem}
 	}), adv, maxSteps)
 }
@@ -159,7 +161,7 @@ func RunCheckSweep(n, m, f int, adv sim.Adversary, maxSteps uint64) (*Report, er
 		return nil, fmt.Errorf("writeall: invalid n=%d m=%d", n, m)
 	}
 	mem := shmem.NewSim(n)
-	return run(n, sim.Assemble(m, mem, f, func(id int, sink sim.DoSink) sim.Process {
+	return run(n, sim.Assemble(m, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		return &checkSweepProc{Base: sim.NewBase(id, sink), n: n, cur: (id-1)*n/m + 1, sliceHi: id * n / m, phase: sweepOwn, mem: mem}
 	}), adv, maxSteps)
 }
