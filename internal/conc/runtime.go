@@ -107,7 +107,6 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 		beta:  o.Beta,
 		flush: o.Flush,
 		steps: make([]uint64, o.M),
-		procs: make([]*core.Proc, o.M),
 		logs:  make([]*doLog, o.M),
 		start: make([]chan struct{}, o.M),
 		// A round without crashes leaves at most β+m−2 jobs (Theorem 4.4).
@@ -122,8 +121,8 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 }
 
 // grow rebuilds the round state for rounds of up to k jobs: the next power
-// of two ≥ k, capped at Capacity. The do bitmaps and (in NewProc) the
-// FREE/DONE/TRY sets are sized for it up front, so every later round of
+// of two ≥ k, capped at Capacity. The do bitmaps and (in NewProcs) the
+// FREE/DONE sets are sized for it up front, so every later round of
 // that size or less reuses them and allocates nothing. The registers are
 // fresh, so there is nothing to re-zero. It runs between rounds, with every
 // worker parked.
@@ -135,11 +134,10 @@ func (r *Runtime) grow(k int) {
 	r.mem = shmem.NewAtomic(r.lay.Size())
 	r.marks = sim.NewMarks(r.m, size)
 	r.tally.Reset(size) // the merged set too, in one growth
+	r.procs = core.NewProcs(core.ProcOptions{M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size})
 	for i, l := range r.logs {
 		l.Marks = &r.marks[i]
-		r.procs[i] = core.NewProc(core.ProcOptions{
-			ID: i + 1, M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size, Sink: l,
-		})
+		r.procs[i].SetSink(l)
 	}
 }
 

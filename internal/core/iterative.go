@@ -172,16 +172,27 @@ type IterProc struct {
 
 var _ sim.Process = (*IterProc)(nil)
 
-// newIterProc builds the process at level 0 with FREE = map(J, 1, s_0).
-func newIterProc(id int, cfg IterConfig, levels []Level, mem shmem.Mem, sink sim.DoSink) *IterProc {
-	p := &IterProc{id: id, cfg: cfg, levels: levels, mem: mem, sink: sink, stats: make([]LevelStat, 0, len(levels))}
-	last := levels[len(levels)-1].Blocks
-	for i := range p.proc.sets {
-		p.proc.sets[i].Reserve(last)
+// NewIterProcsOn builds the per-process level chains over an existing
+// memory sized by PlanLevels, at level 0 with FREE = map(J, 1, s_0). Sinks
+// default to nil; bind one with SetSink before stepping. The m chains
+// take six allocations whatever m: the chains, their pointers, their sets
+// from one denseset.Make, sized for the last level, their POS and TRY
+// rows and their level stats.
+func NewIterProcsOn(cfg IterConfig, levels []Level, mem shmem.Mem) []*IterProc {
+	m, nl := cfg.M, len(levels)
+	procs, ptrs := make([]IterProc, m), make([]*IterProc, m)
+	sets := denseset.Make(3*m, levels[nl-1].Blocks)
+	rows, w := makeRows(m)
+	stats := make([]LevelStat, m*nl)
+	for i := range procs {
+		p := &procs[i]
+		*p = IterProc{id: i + 1, cfg: cfg, levels: levels, mem: mem, stats: stats[i*nl : i*nl : (i+1)*nl], out: sets[3*i+2]}
+		p.proc.sets = [2]denseset.Set(sets[3*i:])
+		p.proc.pos = rows[i*w : i*w]
+		p.startLevel(nil)
+		ptrs[i] = p
 	}
-	p.out.Reserve(last)
-	p.startLevel(nil)
-	return p
+	return ptrs
 }
 
 // startLevel re-initializes the chain's process at p.level with FREE =
@@ -341,17 +352,6 @@ func PlanLevels(cfg IterConfig) (IterConfig, []Level, int, error) {
 	return cfg, levels, base, nil
 }
 
-// NewIterProcsOn builds the per-process level chains over an existing
-// memory sized by PlanLevels. Sinks default to nil; bind one with SetSink
-// before stepping.
-func NewIterProcsOn(cfg IterConfig, levels []Level, mem shmem.Mem) []*IterProc {
-	procs := make([]*IterProc, cfg.M)
-	for i := 0; i < cfg.M; i++ {
-		procs[i] = newIterProc(i+1, cfg, levels, mem, nil)
-	}
-	return procs
-}
-
 // SetSink rebinds the do-event sink.
 func (p *IterProc) SetSink(s sim.DoSink) { p.sink = s }
 
@@ -364,9 +364,9 @@ func NewIterSystem(cfg IterConfig) (*IterSystem, error) {
 		return nil, err
 	}
 	mem := shmem.NewSim(total)
-	procs := make([]*IterProc, cfg.M)
+	procs := NewIterProcsOn(cfg, levels, mem)
 	world := sim.Assemble(cfg.M, cfg.N, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
-		procs[id-1] = newIterProc(id, cfg, levels, mem, sink)
+		procs[id-1].SetSink(sink)
 		return procs[id-1]
 	})
 	sizes := make([]int, len(levels))

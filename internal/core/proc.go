@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"atmostonce/internal/denseset"
 	"atmostonce/internal/shmem"
@@ -76,7 +77,7 @@ type Proc struct {
 	termGath  bool // gather pass is the §6 terminating recomputation
 	free      *denseset.Set
 	done      *denseset.Set
-	try       *denseset.Set
+	try       []int // ascending, at most m−1 ids, stored after pos
 	pos       []int // pos[q], 1-based; pos[0] unused
 	next      int64
 	q         int
@@ -88,10 +89,12 @@ type Proc struct {
 
 	tryCulprit int // process blamed for a pending collision on next
 
-	// sets backs done, try and — unless ProcOptions.Jobs gives one — free,
-	// so building a process (conc.Runtime does so each time its rounds
-	// outgrow the register file) is one object plus the sets' bitmaps.
-	sets [3]denseset.Set
+	// sets backs done and — unless ProcOptions.Jobs gives one — free.
+	sets [2]denseset.Set
+
+	// A cache line of padding keeps what a step writes here off the line
+	// the next process in NewProcs's array reads at every step.
+	_ [CacheLineCells * 8]byte
 }
 
 var _ sim.Process = (*Proc)(nil)
@@ -104,8 +107,35 @@ func NewProc(o ProcOptions) *Proc {
 	return p
 }
 
+// NewProcs builds processes 1..o.M of one instance (o.ID is ignored, and
+// o.Jobs must be nil) in five allocations whatever m: the processes,
+// their pointers, their sets from one denseset.Make and their POS and
+// TRY rows from one []int.
+func NewProcs(o ProcOptions) []*Proc {
+	procs, ptrs := make([]Proc, o.M), make([]*Proc, o.M)
+	sets := denseset.Make(2*o.M, o.Universe)
+	rows, w := makeRows(o.M)
+	for i := range procs {
+		p := &procs[i]
+		p.sets = [2]denseset.Set(sets[2*i:])
+		p.pos = rows[i*w : i*w]
+		o.ID = i + 1
+		p.init(o)
+		ptrs[i] = p
+	}
+	return ptrs
+}
+
+// makeRows returns one array for the POS and TRY rows of m processes and
+// the stride of a process's rows in it, whole cache lines so that
+// processes updating their rows side by side do not false-share.
+func makeRows(m int) ([]int, int) {
+	w := (2*m + CacheLineCells) &^ (CacheLineCells - 1)
+	return make([]int, m*w), w
+}
+
 // init puts p in the start state of the process o describes, keeping the
-// storage of its sets and POS: an IterativeKK chain re-initializes one
+// storage of its sets, POS and TRY: an IterativeKK chain re-initializes one
 // process per level this way, its sets reserved once for the last level.
 func (p *Proc) init(o ProcOptions) {
 	if o.Beta <= 0 {
@@ -134,21 +164,19 @@ func (p *Proc) init(o ProcOptions) {
 		pos:      p.pos,
 		sets:     p.sets,
 	}
-	// All three sets are sized for the universe here, so no later step —
-	// and no Reset to a universe the layout admits — allocates: DONE can
-	// reach the full universe, and TRY holds at most m-1 announcements but
-	// each is a job id of the universe.
+	// FREE and DONE are sized for the universe here, and TRY's m−1
+	// announcements have room after POS, so no later step — and no Reset
+	// to a universe the layout admits — allocates.
 	if p.free == nil {
 		p.free = &p.sets[0]
 		p.free.ResetRange(1, o.Universe)
 	}
-	p.done, p.try = &p.sets[1], &p.sets[2]
+	p.done = &p.sets[1]
 	p.done.Reserve(o.Universe)
-	p.try.Reserve(o.Universe)
-	if cap(p.pos) < o.M+1 {
-		p.pos = make([]int, o.M+1)
+	if cap(p.pos) < 2*o.M+1 {
+		p.pos = make([]int, 2*o.M+1)
 	}
-	p.pos = p.pos[:o.M+1]
+	p.pos, p.try = p.pos[:o.M+1], p.pos[o.M+1:o.M+1:2*o.M+1]
 	p.restart(o.Universe)
 }
 
@@ -175,7 +203,7 @@ func (p *Proc) restart(universe int) {
 	p.phase = PhaseCompNext
 	p.termGath = false
 	p.done.Clear()
-	p.try.Clear()
+	p.try = p.try[:0]
 	for i := 1; i <= p.m; i++ {
 		p.pos[i] = 1
 	}
@@ -218,7 +246,7 @@ func (p *Proc) FreeLen() int { return p.free.Len() }
 func (p *Proc) DoneLen() int { return p.done.Len() }
 
 // TryLen returns |TRY_p|.
-func (p *Proc) TryLen() int { return p.try.Len() }
+func (p *Proc) TryLen() int { return len(p.try) }
 
 // Performed returns the number of do actions this process executed.
 func (p *Proc) Performed() int { return p.nDone }
@@ -252,7 +280,7 @@ func (p *Proc) Output(dst *denseset.Set) *denseset.Set {
 	}
 	dst.Clear()
 	p.free.Ascend(func(v int) bool {
-		if p.retFree || !p.try.Contains(v) {
+		if p.retFree || !p.tryHas(v) {
 			dst.Insert(v)
 		}
 		return true
@@ -287,6 +315,21 @@ func (p *Proc) Step() {
 	}
 }
 
+// tryAdd inserts v into TRY in order and reports whether it was absent.
+func (p *Proc) tryAdd(v int) bool {
+	i, found := slices.BinarySearch(p.try, v)
+	if !found {
+		p.try = slices.Insert(p.try, i, v)
+	}
+	return !found
+}
+
+// tryHas reports whether v is in TRY.
+func (p *Proc) tryHas(v int) bool {
+	_, found := slices.BinarySearch(p.try, v)
+	return found
+}
+
 // chargeSet charges k set operations at O(log n) each.
 func (p *Proc) chargeSet(k int) {
 	p.work += uint64(k * p.lgN)
@@ -298,13 +341,12 @@ func (p *Proc) stepCompNext() {
 	// |FREE \ TRY|: TRY holds announcements by other processes, which may
 	// or may not still be in FREE.
 	inFree := 0
-	p.try.Ascend(func(v int) bool {
+	for _, v := range p.try {
 		if p.free.Contains(v) {
 			inFree++
 		}
-		return true
-	})
-	p.chargeSet(p.try.Len() + 1)
+	}
+	p.chargeSet(len(p.try) + 1)
 	if p.free.Len()-inFree < p.beta {
 		if p.iterStep {
 			p.phase = PhaseTermFlag
@@ -322,8 +364,8 @@ func (p *Proc) stepCompNext() {
 	} else {
 		idx = p.id
 	}
-	v, ok := p.free.SelectExcluding(p.try, idx)
-	p.chargeSet(p.try.Len() + 1) // rank(FREE,TRY,·) costs O(|TRY|·log n)
+	v, ok := p.free.SelectSkipping(p.try, idx)
+	p.chargeSet(len(p.try) + 1) // rank(FREE,TRY,·) costs O(|TRY|·log n)
 	if !ok {
 		// Unreachable for β ≥ m (|FREE\TRY| ≥ β ≥ idx; see §3). For β < m
 		// the paper guarantees correctness but not termination; we choose
@@ -333,7 +375,7 @@ func (p *Proc) stepCompNext() {
 	}
 	p.next = int64(v)
 	p.q = 1
-	p.try.Clear()
+	p.try = p.try[:0]
 	p.tryCulprit = 0
 	p.phase = PhaseSetNext
 	p.work++
@@ -355,7 +397,7 @@ func (p *Proc) stepGatherTry() {
 		p.work++
 		p.nShared++
 		if v > 0 {
-			if p.try.Insert(int(v)) {
+			if p.tryAdd(int(v)) {
 				p.chargeSet(1)
 			}
 			if v == p.next && p.tryCulprit == 0 {
@@ -390,7 +432,7 @@ func (p *Proc) stepGatherDone() {
 		p.work++
 		p.nShared++
 		if v > 0 {
-			if v == p.next && p.tryCulprit == 0 && !p.try.Contains(int(v)) {
+			if v == p.next && p.tryCulprit == 0 && !p.tryHas(int(v)) {
 				p.tryCulprit = p.q // Definition 5.2(ii), gatherDone case
 			}
 			p.done.Insert(int(v))
@@ -415,7 +457,7 @@ func (p *Proc) stepGatherDone() {
 
 // stepCheck is action check_p: is it safe to perform NEXT?
 func (p *Proc) stepCheck() {
-	inTry := p.try.Contains(int(p.next))
+	inTry := p.tryHas(int(p.next))
 	inDone := p.done.Contains(int(p.next))
 	p.chargeSet(2)
 	if !inTry && !inDone {
@@ -478,7 +520,7 @@ func (p *Proc) stepTermFlag() {
 // beginTermGather starts the final FREE/TRY recomputation pass of §6.
 func (p *Proc) beginTermGather() {
 	p.q = 1
-	p.try.Clear()
+	p.try = p.try[:0]
 	p.tryCulprit = 0
 	p.termGath = true
 	p.phase = PhaseGatherTry

@@ -13,9 +13,7 @@ func (p *Proc) Clone() *Proc {
 	c := *p
 	c.free = p.free.Clone()
 	c.done = p.done.Clone()
-	c.try = p.try.Clone()
-	c.pos = make([]int, len(p.pos))
-	copy(c.pos, p.pos)
+	c.copyRows(p)
 	return &c
 }
 
@@ -26,10 +24,15 @@ func (p *Proc) RestoreFrom(c *Proc) {
 	*p = *c
 	p.free = c.free.Clone()
 	p.done = c.done.Clone()
-	p.try = c.try.Clone()
-	p.pos = make([]int, len(c.pos))
-	copy(p.pos, c.pos)
+	p.copyRows(c)
 	p.mem, p.sink, p.collide = mem, sink, collide
+}
+
+// copyRows gives p copies of c's POS and TRY, laid out as init lays them.
+func (p *Proc) copyRows(c *Proc) {
+	rows := make([]int, len(c.pos)+cap(c.try))
+	p.pos = rows[:copy(rows, c.pos)]
+	p.try = append(rows[len(c.pos):len(c.pos)], c.try...)
 }
 
 // AppendState serializes the behaviorally relevant process state for
@@ -59,8 +62,10 @@ func (p *Proc) AppendState(buf []byte) []byte {
 	p.free.Ascend(func(v int) bool { app32(v); return true })
 	app32(p.done.Len())
 	p.done.Ascend(func(v int) bool { app32(v); return true })
-	app32(p.try.Len())
-	p.try.Ascend(func(v int) bool { app32(v); return true })
+	app32(len(p.try))
+	for _, v := range p.try {
+		app32(v)
+	}
 	return buf
 }
 

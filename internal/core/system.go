@@ -62,19 +62,17 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.TrackCollisions {
 		coll = NewCollisionMatrix(cfg.M)
 	}
-	procs := make([]*Proc, cfg.M)
+	procs := NewProcs(ProcOptions{
+		M:          cfg.M,
+		Beta:       cfg.Beta,
+		Layout:     lay,
+		Mem:        mem,
+		Universe:   cfg.N,
+		Collisions: coll,
+		NoPosCache: cfg.NoPosCache,
+	})
 	world := sim.Assemble(cfg.M, cfg.N, mem, cfg.F, func(id int, sink sim.DoSink) sim.Process {
-		procs[id-1] = NewProc(ProcOptions{
-			ID:         id,
-			M:          cfg.M,
-			Beta:       cfg.Beta,
-			Layout:     lay,
-			Mem:        mem,
-			Universe:   cfg.N,
-			Sink:       sink,
-			Collisions: coll,
-			NoPosCache: cfg.NoPosCache,
-		})
+		procs[id-1].SetSink(sink)
 		return procs[id-1]
 	})
 	return &System{

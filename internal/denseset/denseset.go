@@ -1,21 +1,21 @@
 // Package denseset provides the one integer set of the repository: a
-// counted bitmap behind every FREE, DONE and TRY of core.Proc, from the
+// counted bitmap behind every FREE and DONE of core.Proc, from the
 // 1024-id rounds of the dispatcher to the million-block levels of
-// IterativeKK.
+// IterativeKK. TRY, at most m−1 ids, is a sorted []int beside them.
 //
 // Level one is a bitmap, one bit per id. Level two keeps, per block of 64
 // words (4096 ids), a count and a mask of its nonzero words; level three,
 // per super-block of 64 blocks (2^18 ids), a count and a mask of its
 // nonempty blocks. All three share one []uint64, so a set grows or clones
-// in one allocation. Insert, Delete and Contains touch one word and its
-// counters. Select, SelectExcluding (the paper's rank(SET1, SET2, i)),
-// Rank, Min and Max skip super-blocks, then blocks, by their counts —
-// less, for SelectExcluding, the ids of excl in them, read from excl's
-// marked words — and scan words only in the block holding the answer: at
-// most U/2^18 + 64 + 64 reads for a universe of U ids. Ascend and Clear
-// follow the masks: a TRY set of m−1 announcements costs its m−1 words
-// plus U/2^18 super-blocks. A set that fits one block (every dispatcher
-// round) has no level three, so it pays what a flat bitmap would.
+// in one allocation, and Make lays k sets in one. Insert, Delete and
+// Contains touch one word and its counters. Select, SelectSkipping (the
+// paper's rank(SET1, SET2, i), SET2 a sorted list), Rank, Min and Max
+// skip super-blocks, then blocks, by their counts — less, for
+// SelectSkipping, the listed ids the set holds there — and scan words
+// only in the block holding the answer: at most U/2^18 + 64 + 64 reads
+// for a universe of U ids, plus two per listed id. Ascend and Clear
+// follow the masks. A set that fits one block (every dispatcher round)
+// has no level three, so it pays what a flat bitmap would.
 //
 // The cost of these operations is the machine's, not the model's: core
 // charges work at the paper's O(log n) per set operation whatever the
@@ -46,9 +46,6 @@ type Set struct {
 	n                       int // element count
 }
 
-// none is the empty set Select excludes.
-var none Set
-
 // New returns an empty set. If keys are given they are inserted.
 func New(keys ...int) *Set {
 	s := &Set{}
@@ -71,18 +68,40 @@ func (s *Set) Reserve(n int) {
 	s.grow(n)
 }
 
-// alloc gives the set a zeroed array for nw words and their levels. A
-// set that fits one block has no super-block.
-func (s *Set) alloc(nw int) {
+// footprint is the length of the array that holds nw words and their
+// levels. A set that fits one block has no super-block.
+func footprint(nw int) int {
 	nb := (nw + blockWords - 1) / blockWords
-	ns := (nb + blockWords - 1) / blockWords
 	if nw <= blockWords {
-		ns = 0
+		return nw + 2*nb
 	}
-	a := make([]uint64, nw+2*(nb+ns))
-	s.words, a = a[:nw], a[nw:]
+	return nw + 2*(nb+(nb+blockWords-1)/blockWords)
+}
+
+// carve lays nw words and their levels over a, footprint(nw) long; the
+// words' cap is len(a), what Clone copies.
+func (s *Set) carve(a []uint64, nw int) {
+	nb := (nw + blockWords - 1) / blockWords
+	ns := (len(a) - nw - 2*nb) / 2
+	s.words, a = a[:nw:len(a)], a[nw:]
 	s.cnt, s.wmask, a = a[:nb], a[nb:2*nb], a[2*nb:]
 	s.scnt, s.bmask = a[:ns], a[ns:]
+}
+
+// Make returns k empty sets reserved for [0..n] in one array, each padded
+// to whole cache lines (8 words) so that processes updating their sets
+// side by side do not false-share: the FREE and DONE sets of a system's
+// processes in two allocations.
+func Make(k, n int) []Set {
+	nw := n>>6 + 1
+	f := footprint(nw)
+	stride := (f + 7) &^ 7
+	a := make([]uint64, k*stride)
+	ss := make([]Set, k)
+	for i := range ss {
+		ss[i].carve(a[i*stride:i*stride+f:i*stride+f], nw)
+	}
+	return ss
 }
 
 // grow ensures bit v is addressable, in one allocation that at least
@@ -92,8 +111,8 @@ func (s *Set) grow(v int) {
 	if need <= len(s.words) {
 		return
 	}
-	old := s.words
-	s.alloc(max(need, 2*len(old)))
+	old, nw := s.words, max(need, 2*len(s.words))
+	s.carve(make([]uint64, footprint(nw)), nw)
 	s.n = 0
 	s.OrWords(0, old)
 }
@@ -283,7 +302,7 @@ func (s *Set) Max() (v int, ok bool) {
 // Select returns the element with rank i (1-indexed: Select(1) is the
 // minimum). ok is false when i is out of range.
 func (s *Set) Select(i int) (v int, ok bool) {
-	return s.SelectExcluding(&none, i)
+	return s.SelectSkipping(nil, i)
 }
 
 // Rank returns the number of elements ≤ v.
@@ -309,26 +328,28 @@ func (s *Set) Rank(v int) int {
 	return r + bits.OnesCount64(s.words[vw]&(^uint64(0)>>(63-uint(v)&63)))
 }
 
-// SelectExcluding returns the element of rank i (1-indexed) in the set
-// difference s \ excl — the paper's rank(SET1, SET2, i). Only the block
-// holding the answer is scanned, as the word-wise difference s &^ excl.
-// ok is false when s \ excl has fewer than i elements.
-func (s *Set) SelectExcluding(excl *Set, i int) (v int, ok bool) {
+// SelectSkipping returns the element of rank i (1-indexed) in s less the
+// ids of skip, which must ascend strictly: the paper's rank(FREE, TRY, i)
+// over core.Proc's sorted TRY. A super-block or block is skipped at its
+// count less the listed ids it holds, and only the block holding the
+// answer is scanned, each word less the listed ids in it. ok is false
+// when fewer than i elements remain.
+func (s *Set) SelectSkipping(skip []int, i int) (v int, ok bool) {
 	if i < 1 {
 		return 0, false
 	}
 	b := 0
 	if len(s.scnt) != 0 {
-		if b, i = s.locate(excl, i); b < 0 {
+		if b, i, skip = s.locate(skip, i); b < 0 {
 			return 0, false
 		}
 	}
 	base := b * blockWords
-	ew := excl.words
 	for k, w := range s.block(b) {
-		// excl's bitmap can end inside this block, before s's does.
-		if base+k < len(ew) {
-			w &^= ew[base+k]
+		for ; len(skip) > 0 && skip[0]>>6 <= base+k; skip = skip[1:] {
+			if skip[0]>>6 == base+k {
+				w &^= 1 << (uint(skip[0]) & 63)
+			}
 		}
 		c := bits.OnesCount64(w)
 		if i > c {
@@ -340,49 +361,67 @@ func (s *Set) SelectExcluding(excl *Set, i int) (v int, ok bool) {
 	return 0, false
 }
 
-// locate returns the block of s holding the i-th element of s \ excl and
-// its rank there, or b = -1 when s \ excl is shorter: a super-block or
-// block is skipped at its count less the elements excl shares with it.
-func (s *Set) locate(excl *Set, i int) (b, r int) {
+// locate returns the block of s holding the i-th element of s less skip,
+// its rank there and the ids of skip from that block on, or b = -1 when
+// fewer remain.
+func (s *Set) locate(skip []int, i int) (b, r int, rest []int) {
 	for j, c := range s.scnt {
 		if c == 0 {
 			continue
 		}
-		d := int(c)
-		for bm := excl.blocksIn(j); bm != 0; bm &= bm - 1 {
-			d -= excl.common(s, j*blockWords+bits.TrailingZeros64(bm))
-		}
-		if i > d {
-			i -= d
+		h, after := s.held(skip, (j+1)*blockWords*blockWords<<6)
+		if d := int(c) - h; i > d {
+			i, skip = i-d, after
 			continue
 		}
 		for bm := s.bmask[j]; bm != 0; bm &= bm - 1 {
 			b := j*blockWords + bits.TrailingZeros64(bm)
-			if d := int(s.cnt[b]) - excl.common(s, b); i > d {
-				i -= d
+			h, after := s.held(skip, (b+1)*blockWords<<6)
+			if d := int(s.cnt[b]) - h; i > d {
+				i, skip = i-d, after
 				continue
 			}
-			return b, i
+			return b, i, skip
 		}
 	}
-	return -1, i
+	return -1, i, skip
 }
 
-// common returns how many elements x and s share in block b, reading only
-// the words x marks there.
-func (x *Set) common(s *Set, b int) int {
-	if b >= len(x.cnt) || x.cnt[b] == 0 {
-		return 0
-	}
-	n := 0
-	for wm := x.wmask[b]; wm != 0; wm &= wm - 1 {
-		k := b*blockWords + bits.TrailingZeros64(wm)
-		if k >= len(s.words) {
-			break
+// held counts the ids of skip below lim that s holds, and returns the
+// ids from lim on.
+func (s *Set) held(skip []int, lim int) (n int, rest []int) {
+	for ; len(skip) > 0 && skip[0] < lim; skip = skip[1:] {
+		if s.Contains(skip[0]) {
+			n++
 		}
-		n += bits.OnesCount64(x.words[k] & s.words[k])
 	}
-	return n
+	return n, skip
+}
+
+// SelectExcluding returns the element of rank i (1-indexed) in s \ excl.
+// It hands excl's ids to SelectSkipping 64 at a time from a buffer on the
+// stack, so it allocates nothing: while the answer lies past a batch, the
+// next batch's rank is i plus the ids of the batches before it that s
+// holds. ok is false when s \ excl has fewer than i elements.
+func (s *Set) SelectExcluding(excl *Set, i int) (v int, ok bool) {
+	var buf [64]int
+	ids, found := buf[:0], false
+	excl.Ascend(func(x int) bool {
+		if len(ids) == len(buf) {
+			if v, ok = s.SelectSkipping(ids, i); !ok || v < x {
+				found = true
+				return false
+			}
+			h, _ := s.held(ids, x)
+			i, ids = i+h, ids[:0]
+		}
+		ids = append(ids, x)
+		return true
+	})
+	if found {
+		return v, ok
+	}
+	return s.SelectSkipping(ids, i)
 }
 
 // selectInWord returns the bit position of the i-th (1-indexed) set bit
@@ -436,7 +475,6 @@ func (s *Set) Slice() []int {
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
 	c := &Set{n: s.n}
-	c.alloc(len(s.words))
-	copy(c.words[:cap(c.words)], s.words[:cap(s.words)])
+	c.carve(append([]uint64(nil), s.words[:cap(s.words)]...), len(s.words))
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"atmostonce/internal/oset"
@@ -535,6 +536,116 @@ func TestSelectExcludingShortExcl(t *testing.T) {
 	long := New(5, 9000)
 	if v, ok := NewRange(1, 10).SelectExcluding(long, 5); !ok || v != 6 {
 		t.Fatalf("SelectExcluding against a longer excl = %d,%v, want 6", v, ok)
+	}
+}
+
+// TestSelectSkippingBruteForce compares rank(SET1, SET2, i) over a sorted
+// skip list, and SelectExcluding over the same ids as a set, with a
+// brute-force count: on a set of one block, of five blocks and of four
+// super-blocks whose blocks empty and refill. The skip lists mix ids the
+// set holds with ids it lacks, and put ids on both sides of word, block
+// and super-block edges; the longer ones pass SelectExcluding's 64-id
+// batches.
+func TestSelectSkippingBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, u := range []int{700, 5 * 4096, 3<<18 + 100} {
+		s := New()
+		for v := rng.Intn(3); v <= u; v += 1 + rng.Intn(5) {
+			s.Insert(v)
+		}
+		for b := 1; b*4096 <= u; b += 3 { // emptied blocks the masks still name
+			for v := b * 4096; v < min((b+1)*4096, u); v++ {
+				s.Delete(v)
+			}
+		}
+		for trial := 0; trial < 12; trial++ {
+			skip := New()
+			for range []int{0, 3, 40, 64, 65, 200}[trial%6] {
+				skip.Insert(rng.Intn(u + 64))
+			}
+			for _, e := range []int{64, 4096, 1 << 18} { // word, block, super-block
+				for range 4 {
+					k := e * (1 + rng.Intn(max(u/e, 1)))
+					skip.Insert(k - 1)
+					skip.Insert(k)
+				}
+			}
+			ids, want := skip.Slice(), []int(nil)
+			s.Ascend(func(v int) bool {
+				if !skip.Contains(v) {
+					want = append(want, v)
+				}
+				return true
+			})
+			check := func(i int) {
+				w, wok := 0, i >= 1 && i <= len(want)
+				if wok {
+					w = want[i-1]
+				}
+				if v, ok := s.SelectSkipping(ids, i); v != w || ok != wok {
+					t.Fatalf("u=%d trial %d: SelectSkipping(%d ids, %d) = %d,%v, want %d,%v", u, trial, len(ids), i, v, ok, w, wok)
+				}
+				if v, ok := s.SelectExcluding(skip, i); v != w || ok != wok {
+					t.Fatalf("u=%d trial %d: SelectExcluding(%d ids, %d) = %d,%v, want %d,%v", u, trial, len(ids), i, v, ok, w, wok)
+				}
+			}
+			for i := -1; i <= len(want)+2; i += 1 + rng.Intn(len(want)/500+1) {
+				check(i)
+			}
+			for _, x := range ids { // the answers around each skipped id
+				r := sort.SearchInts(want, x)
+				for i := r - 1; i <= r+2; i++ {
+					check(i)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectExcludingAllocFree: the adapter's ids stay on the stack, so
+// selecting against an exclusion set of 64 ids allocates nothing.
+func TestSelectExcludingAllocFree(t *testing.T) {
+	for _, u := range []int{1024, 1 << 20} {
+		s, excl := NewRange(1, u), New()
+		for k := 1; k <= 64; k++ {
+			excl.Insert(k * (u / 64))
+		}
+		if a := testing.AllocsPerRun(100, func() { s.SelectExcluding(excl, u/2) }); a != 0 {
+			t.Errorf("u=%d: SelectExcluding allocates %v times", u, a)
+		}
+	}
+}
+
+// TestMakeSetsIndependent: Make's sets share one array but no word. Each
+// set is filled with its own ids, in its first and last words too, and
+// must then hold exactly them, its levels counted right; one set grown
+// past n and one cloned leave the others as they were.
+func TestMakeSetsIndependent(t *testing.T) {
+	for _, n := range []int{700, 5000, 1<<19 + 1} {
+		ss := Make(5, n)
+		fill := func(i, v int) bool { return v%7 == i || v < 64 && v%5 == i || v > n-64 && v%3 == i%3 }
+		for i := range ss {
+			for v := 0; v <= n; v++ {
+				if fill(i, v) {
+					ss[i].Insert(v)
+				}
+			}
+		}
+		verify := func(when string) {
+			for i := range ss {
+				recount(t, &ss[i], when)
+				for v := 0; v <= n; v++ {
+					if ss[i].Contains(v) != fill(i, v) {
+						t.Fatalf("n=%d %s: set %d Contains(%d) = %v", n, when, i, v, !fill(i, v))
+					}
+				}
+			}
+		}
+		verify("filled")
+		ss[1].Insert(2 * n)
+		ss[1].Delete(2 * n)
+		ss[2].Clone().Insert(n)
+		verify("after a grow and a clone")
 	}
 }
 

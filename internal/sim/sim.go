@@ -140,7 +140,7 @@ type World struct {
 // NewWorld assembles a world of processes that keep their own sinks. The
 // crash budget f is clamped to [0, m−1], the paper's f < m.
 func NewWorld(procs []Process, mem *shmem.SimMem, f int) *World {
-	return &World{Procs: procs, Mem: mem, MaxCrashes: max(0, min(f, len(procs)-1))}
+	return &World{Procs: procs, Mem: mem, MaxCrashes: max(0, min(f, len(procs)-1)), live: make([]int, 0, len(procs))}
 }
 
 // Assemble builds a world of m processes over mem and the jobs [1..n]: mk

@@ -85,19 +85,17 @@ func ExploreKK(cfg MCConfig) (*MCStats, error) {
 	lay := core.Layout{M: cfg.M, RowLen: cfg.N, HasFlag: cfg.IterStep}
 	mem := shmem.NewSim(lay.Size())
 	e := newExplorer(mem, cfg.F, cfg.N, cfg.MaxStates)
-	kkProcs := make([]*core.Proc, cfg.M)
-	for i := 0; i < cfg.M; i++ {
-		kkProcs[i] = core.NewProc(core.ProcOptions{
-			ID:       i + 1,
-			M:        cfg.M,
-			Beta:     cfg.Beta,
-			Layout:   lay,
-			Mem:      mem,
-			Universe: cfg.N,
-			IterStep: cfg.IterStep,
-			Sink:     e,
-		})
-		e.procs = append(e.procs, kkProcs[i])
+	kkProcs := core.NewProcs(core.ProcOptions{
+		M:        cfg.M,
+		Beta:     cfg.Beta,
+		Layout:   lay,
+		Mem:      mem,
+		Universe: cfg.N,
+		IterStep: cfg.IterStep,
+		Sink:     e,
+	})
+	for _, p := range kkProcs {
+		e.procs = append(e.procs, p)
 	}
 	e.onTerminal = func(e *explorer) *MCViolationError {
 		if !cfg.IterStep {
