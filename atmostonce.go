@@ -92,7 +92,7 @@ type Summary struct {
 func Run(cfg Config, fn func(worker, job int)) (*Summary, error) {
 	opts := conc.Options{
 		N: cfg.Jobs, M: cfg.Workers, Beta: cfg.Beta,
-		Iterative: cfg.Iterative, EpsDenom: cfg.EpsDenom,
+		Iterative: cfg.Iterative, EpsDenom: cfg.EpsDenom, DoFn: fn,
 	}
 	if cfg.Seed != 0 || cfg.CrashAfter != nil {
 		opts.Adversary = sim.NewRandom(cfg.Seed)
@@ -105,9 +105,6 @@ func Run(cfg Config, fn func(worker, job int)) (*Summary, error) {
 			return nil, errors.New("conc: invalid options: all processes crash (need f < m)")
 		}
 		opts.Adversary = &sim.StepBudget{Steps: cfg.CrashAfter, Then: opts.Adversary}
-	}
-	if fn != nil {
-		opts.DoFn = func(pid int, job int64) { fn(pid, int(job)) }
 	}
 	res, err := conc.Run(opts)
 	if err != nil {
@@ -132,11 +129,7 @@ func Run(cfg Config, fn func(worker, job int)) (*Summary, error) {
 // concurrency-safe (e.g. an atomic store). Run's at-most-once guarantee
 // has no such requirement — there, fn runs at most once per job, period.
 func WriteAll(cells, workers int, fn func(worker, cell int)) (redundant int, err error) {
-	opts := conc.Options{N: cells, M: workers, WriteAll: true}
-	if fn != nil {
-		opts.DoFn = func(pid int, job int64) { fn(pid, int(job)) }
-	}
-	res, err := conc.Run(opts)
+	res, err := conc.Run(conc.Options{N: cells, M: workers, WriteAll: true, DoFn: fn})
 	if err != nil {
 		return 0, err
 	}

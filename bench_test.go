@@ -415,16 +415,26 @@ func BenchmarkAblationShape(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentRun measures the real-goroutine runtime end to end.
+// BenchmarkConcurrentRun measures Run on real goroutines end to end, in
+// ns per job of the batch: a small batch on eight workers, and one at the
+// paper's size on two, where the selects walk from their fingers.
 func BenchmarkConcurrentRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sum, err := Run(Config{Jobs: 4096, Workers: 8}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum.Duplicates != 0 {
-			b.Fatal("AMO violated")
-		}
+	for _, tc := range []struct {
+		name string
+		n, m int
+	}{{"n=4096/m=8", 4096, 8}, {"n=2^17/m=2", 1 << 17, 2}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sum, err := Run(Config{Jobs: tc.n, Workers: tc.m}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sum.Duplicates != 0 {
+					b.Fatal("AMO violated")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.n), "ns/job")
+		})
 	}
 }
 

@@ -40,8 +40,8 @@ type Options struct {
 	// comment): per-process step budgets are a sim.StepBudget.
 	Adversary sim.Adversary
 	// DoFn, when non-nil, is the job payload, invoked once per performed
-	// job with the performing process id.
-	DoFn func(pid int, job int64)
+	// job with the performing worker's id (1-based).
+	DoFn func(worker, job int)
 }
 
 // Result summarizes a concurrent run.
@@ -94,55 +94,34 @@ func (l *doLog) RecordDo(pid int, job int64) {
 	}
 }
 
-// Run executes the configured algorithm concurrently and returns the
-// merged, validated result. Plain KKβ runs execute as a single round on a
-// throwaway Runtime pool; the iterative variants spawn their level-chain
-// processes directly (IterProc chains are not reusable).
+// Run executes the configured algorithm over a fresh register file and
+// returns the merged, validated result: under o.Adversary, or one
+// goroutine per process — KKβ's m processes or IterativeKK's m level
+// chains.
 func Run(o Options) (*Result, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err
 	}
-	var fn func(worker, job int)
-	if o.DoFn != nil {
-		do := o.DoFn
-		fn = func(worker, job int) { do(worker, int64(job)) }
+	procs, marks, logs := make([]sim.Process, o.M), sim.NewMarks(o.M, o.N), make([]doLog, o.M)
+	for i := range logs {
+		logs[i] = doLog{Marks: &marks[i], fn: o.DoFn}
 	}
 	if o.Iterative {
-		return runIterative(o, fn)
-	}
-	rt, err := NewRuntime(RuntimeOptions{M: o.M, Capacity: o.N, Beta: o.Beta})
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	rr, err := rt.RunRound(o.N, fn, o.Adversary)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Events:      rr.Performed + rr.Duplicates,
-		Distinct:    rr.Performed,
-		Duplicates:  rr.Duplicates,
-		Unperformed: append([]int(nil), rr.Unperformed...), // rr is the pool's
-		Crashed:     rr.Crashed,
-		Steps:       rr.Steps,
-	}, nil
-}
-
-// runIterative executes IterativeKK(ε) / WA_IterativeKK(ε) over a fresh
-// register file: under o.Adversary, or one goroutine per level-chain
-// process.
-func runIterative(o Options, fn func(worker, job int)) (*Result, error) {
-	cfg := core.IterConfig{N: o.N, M: o.M, EpsDenom: o.EpsDenom, WriteAll: o.WriteAll, Beta: o.Beta}
-	cfg, levels, size, err := core.PlanLevels(cfg)
-	if err != nil {
-		return nil, err
-	}
-	procs := make([]sim.Process, o.M)
-	marks := sim.NewMarks(o.M, o.N)
-	for i, ip := range core.NewIterProcsOn(cfg, levels, shmem.NewAtomic(size)) {
-		ip.SetSink(&doLog{Marks: &marks[i], fn: fn})
-		procs[i] = ip
+		cfg := core.IterConfig{N: o.N, M: o.M, EpsDenom: o.EpsDenom, WriteAll: o.WriteAll, Beta: o.Beta}
+		cfg, levels, size, err := core.PlanLevels(cfg)
+		if err != nil {
+			return nil, err
+		}
+		for i, ip := range core.NewIterProcsOn(cfg, levels, shmem.NewAtomic(size)) {
+			ip.SetSink(&logs[i])
+			procs[i] = ip
+		}
+	} else {
+		lay := core.Layout{M: o.M, RowLen: o.N}.Padded() // a cache line per process's next cell
+		for i, p := range core.NewProcs(core.ProcOptions{M: o.M, Beta: o.Beta, Layout: lay, Mem: shmem.NewAtomic(lay.Size()), Universe: o.N}) {
+			p.SetSink(&logs[i])
+			procs[i] = p
+		}
 	}
 	res := &Result{}
 	if o.Adversary != nil {

@@ -49,7 +49,7 @@ func TestRunPayloadExecutedAtMostOnce(t *testing.T) {
 	counters := make([]atomic.Int32, n+1)
 	res, err := Run(Options{
 		N: n, M: 6,
-		DoFn: func(pid int, job int64) { counters[job].Add(1) },
+		DoFn: func(pid, job int) { counters[job].Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestRunWriteAllConcurrent(t *testing.T) {
 	var written [n + 1]atomic.Bool
 	res, err := Run(Options{
 		N: n, M: 4, WriteAll: true,
-		DoFn: func(pid int, job int64) { written[job].Store(true) },
+		DoFn: func(pid, job int) { written[job].Store(true) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -285,8 +285,8 @@ func TestSeededRoundsRepeat(t *testing.T) {
 
 	iterative := func() outcome {
 		var events []sim.Event
-		res, err := Run(Options{N: 600, M: 3, Iterative: true, Adversary: seeded(), DoFn: func(pid int, job int64) {
-			events = append(events, sim.Event{PID: pid, Job: job})
+		res, err := Run(Options{N: 600, M: 3, Iterative: true, Adversary: seeded(), DoFn: func(pid, job int) {
+			events = append(events, sim.Event{PID: pid, Job: int64(job)})
 		}})
 		if err != nil {
 			t.Fatal(err)

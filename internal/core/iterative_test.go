@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"atmostonce/internal/denseset"
@@ -234,6 +236,34 @@ func TestIterLevelStartsFresh(t *testing.T) {
 		}
 		if changes < len(s.Procs) {
 			t.Fatalf("only %d level changes observed", changes)
+		}
+	}
+}
+
+// TestIterFingerMatchesSelectSkipping: across the level restarts of
+// IterativeKK chains, every compNext's select answers what SelectSkipping
+// computes from scratch over the level's FREE.
+func TestIterFingerMatchesSelectSkipping(t *testing.T) {
+	for _, writeAll := range []bool{false, true} {
+		s, err := NewIterSystem(IterConfig{N: 1<<14 + 1, M: 4, WriteAll: writeAll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		checked, changes := 0, 0
+		for live := s.Procs; len(live) > 0; {
+			p := live[rng.Intn(len(live))]
+			level := p.Level()
+			checked += stepChecked(t, p, p.inner)
+			if p.Level() != level {
+				changes++
+			}
+			if p.Status() != sim.Running {
+				live = slices.DeleteFunc(slices.Clone(live), func(q *IterProc) bool { return q == p })
+			}
+		}
+		if changes < len(s.Procs) || checked < 1000 {
+			t.Fatalf("writeAll=%v: %d level changes, %d compNexts checked", writeAll, changes, checked)
 		}
 	}
 }

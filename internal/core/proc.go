@@ -76,6 +76,7 @@ type Proc struct {
 	phase     Phase
 	termGath  bool // gather pass is the §6 terminating recomputation
 	free      *denseset.Set
+	fing      denseset.Finger // where compNext's last select ended in FREE
 	done      *denseset.Set
 	try       []int // ascending, at most m−1 ids, stored after pos
 	pos       []int // pos[q], 1-based; pos[0] unused
@@ -197,11 +198,12 @@ func (p *Proc) Reset(universe int) {
 	p.restart(universe)
 }
 
-// restart empties DONE and TRY and sets every POS pointer, counter and
-// the phase to their start values for a universe of that many jobs.
+// restart empties DONE, TRY and the finger and sets every POS pointer,
+// counter and the phase to their start values for that universe.
 func (p *Proc) restart(universe int) {
 	p.phase = PhaseCompNext
 	p.termGath = false
+	p.fing = denseset.Finger{}
 	p.done.Clear()
 	p.try = p.try[:0]
 	for i := 1; i <= p.m; i++ {
@@ -364,7 +366,7 @@ func (p *Proc) stepCompNext() {
 	} else {
 		idx = p.id
 	}
-	v, ok := p.free.SelectSkipping(p.try, idx)
+	v, ok := p.free.SelectFrom(&p.fing, p.try, idx)
 	p.chargeSet(len(p.try) + 1) // rank(FREE,TRY,·) costs O(|TRY|·log n)
 	if !ok {
 		// Unreachable for β ≥ m (|FREE\TRY| ≥ β ≥ idx; see §3). For β < m
@@ -436,7 +438,7 @@ func (p *Proc) stepGatherDone() {
 				p.tryCulprit = p.q // Definition 5.2(ii), gatherDone case
 			}
 			p.done.Insert(int(v))
-			p.free.Delete(int(v))
+			p.fing.Delete(p.free, int(v))
 			p.chargeSet(2)
 			p.pos[p.q]++
 			return // Q_p unchanged: keep draining this row next action.
@@ -502,7 +504,7 @@ func (p *Proc) stepDoneWrite() {
 	p.work++
 	p.nShared++
 	p.done.Insert(int(p.next))
-	p.free.Delete(int(p.next))
+	p.fing.Delete(p.free, int(p.next))
 	p.chargeSet(2)
 	p.pos[p.id]++
 	p.phase = PhaseCompNext

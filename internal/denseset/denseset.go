@@ -9,13 +9,14 @@
 // nonempty blocks. All three share one []uint64, so a set grows or clones
 // in one allocation, and Make lays k sets in one. Insert, Delete and
 // Contains touch one word and its counters. Select, SelectSkipping (the
-// paper's rank(SET1, SET2, i), SET2 a sorted list), Rank, Min and Max
-// skip super-blocks, then blocks, by their counts — less, for
-// SelectSkipping, the listed ids the set holds there — and scan words
-// only in the block holding the answer: at most U/2^18 + 64 + 64 reads
-// for a universe of U ids, plus two per listed id. Ascend and Clear
-// follow the masks. A set that fits one block (every dispatcher round)
-// has no level three, so it pays what a flat bitmap would.
+// paper's rank(SET1, SET2, i), SET2 a sorted list), Min and Max skip
+// super-blocks, then blocks, by their counts — less, for SelectSkipping,
+// the listed ids the set holds there — and scan words only in the block
+// holding the answer: at most U/2^18 + 64 + 64 reads for a universe of U
+// ids, plus two per listed id. SelectFrom walks from a Finger (a word and
+// the count below it) to an answer at most 8 words away, else falls back
+// to SelectSkipping. Ascend and Clear follow the masks. A set of one
+// block (every dispatcher round) pays what a flat bitmap would.
 //
 // The cost of these operations is the machine's, not the model's: core
 // charges work at the paper's O(log n) per set operation whatever the
@@ -305,29 +306,6 @@ func (s *Set) Select(i int) (v int, ok bool) {
 	return s.SelectSkipping(nil, i)
 }
 
-// Rank returns the number of elements ≤ v.
-func (s *Set) Rank(v int) int {
-	if v < 0 {
-		return 0
-	}
-	vw := v >> 6
-	if vw >= len(s.words) {
-		return s.n
-	}
-	r := 0
-	vb := vw / blockWords
-	for _, c := range s.scnt[:vb/blockWords] {
-		r += int(c)
-	}
-	for _, c := range s.cnt[vb/blockWords*blockWords : vb] {
-		r += int(c)
-	}
-	for _, w := range s.words[vb*blockWords : vw] {
-		r += bits.OnesCount64(w)
-	}
-	return r + bits.OnesCount64(s.words[vw]&(^uint64(0)>>(63-uint(v)&63)))
-}
-
 // SelectSkipping returns the element of rank i (1-indexed) in s less the
 // ids of skip, which must ascend strictly: the paper's rank(FREE, TRY, i)
 // over core.Proc's sorted TRY. A super-block or block is skipped at its
@@ -365,14 +343,17 @@ func (s *Set) SelectSkipping(skip []int, i int) (v int, ok bool) {
 // its rank there and the ids of skip from that block on, or b = -1 when
 // fewer remain.
 func (s *Set) locate(skip []int, i int) (b, r int, rest []int) {
+	left := s.n
 	for j, c := range s.scnt {
 		if c == 0 {
 			continue
 		}
-		h, after := s.held(skip, (j+1)*blockWords*blockWords<<6)
-		if d := int(c) - h; i > d {
-			i, skip = i-d, after
-			continue
+		if left -= int(c); left > 0 { // the last nonempty one goes untested
+			h, after := s.held(skip, (j+1)*blockWords*blockWords<<6)
+			if d := int(c) - h; i > d {
+				i, skip = i-d, after
+				continue
+			}
 		}
 		for bm := s.bmask[j]; bm != 0; bm &= bm - 1 {
 			b := j*blockWords + bits.TrailingZeros64(bm)
@@ -397,6 +378,63 @@ func (s *Set) held(skip []int, lim int) (n int, rest []int) {
 	}
 	return n, skip
 }
+
+// Finger is a place in a set for SelectFrom: a word and the count of the
+// set's ids below it. The zero Finger is valid for every set, and stays
+// valid while the set changes only by Finger.Delete.
+type Finger struct{ w, below int }
+
+// Delete removes v from s, keeping f's count.
+func (f *Finger) Delete(s *Set, v int) {
+	if s.Delete(v) && v>>6 < f.w {
+		f.below--
+	}
+}
+
+// SelectFrom is SelectSkipping walked a word at a time from f, which it
+// moves to the answer's word: an answer a few ranks from the last costs a
+// few words. An answer more than reach words away falls back to
+// SelectSkipping, so no select reads more than reach words beyond it.
+func (s *Set) SelectFrom(f *Finger, skip []int, i int) (v int, ok bool) {
+	h, rest := s.held(skip, f.w<<6)
+	w, r, k := f.w, f.below, len(skip)-len(rest) // r ids below word w, h of them in skip[:k]
+	for n := 0; i >= 1 && n < reach; n++ {
+		if r-h >= i { // the answer lies below w
+			w--
+			r -= bits.OnesCount64(s.words[w])
+			for ; k > 0 && skip[k-1]>>6 == w; k-- {
+				if s.Contains(skip[k-1]) {
+					h--
+				}
+			}
+			continue
+		}
+		if w == len(s.words) {
+			return 0, false
+		}
+		x, c := s.words[w], bits.OnesCount64(s.words[w])
+		for ; k < len(skip) && skip[k]>>6 == w; k++ {
+			x &^= 1 << (uint(skip[k]) & 63)
+		}
+		if d := bits.OnesCount64(x); i > r-h+d {
+			w, r, h = w+1, r+c, h+c-d
+			continue
+		}
+		f.w, f.below = w, r
+		return w<<6 + selectInWord(x, i-r+h), true
+	}
+	// Below the answer lie its i−1 predecessors and the ids of skip s holds.
+	if v, ok = s.SelectSkipping(skip, i); ok {
+		h, _ := s.held(skip, v)
+		f.w, f.below = v>>6, i-1+h-bits.OnesCount64(s.words[v>>6]&(1<<(uint(v)&63)-1))
+	}
+	return v, ok
+}
+
+// reach is how many words SelectFrom walks before it falls back: past the
+// few ranks a compNext's answer moves, short of what an answer that jumps
+// a gap of deleted ids would waste before the fallback.
+const reach = 8
 
 // SelectExcluding returns the element of rank i (1-indexed) in s \ excl.
 // It hands excl's ids to SelectSkipping 64 at a time from a buffer on the

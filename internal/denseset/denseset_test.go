@@ -69,15 +69,6 @@ func TestSelectRankMinMax(t *testing.T) {
 	if _, ok := s.Select(s.Len() + 1); ok {
 		t.Fatal("Select(len+1) ok")
 	}
-	if r := s.Rank(9); r != 0 {
-		t.Fatalf("Rank(9)=%d", r)
-	}
-	if r := s.Rank(200); r != 191 {
-		t.Fatalf("Rank(200)=%d", r)
-	}
-	if r := s.Rank(100000); r != 191 {
-		t.Fatalf("Rank(high)=%d", r)
-	}
 }
 
 // recount checks every level against the words it summarizes: each
@@ -250,9 +241,6 @@ func TestAgainstOset(t *testing.T) {
 				if dv != rv || dok != rok {
 					t.Fatalf("step %d: SelectExcluding(%d) = %d,%v vs %d,%v", step, i, dv, dok, rv, rok)
 				}
-				if d.Rank(v) != ref.Rank(v) {
-					t.Fatalf("step %d: Rank(%d) disagrees", step, v)
-				}
 				dv, dok = d.Min()
 				rv, rok = ref.Min()
 				if dv != rv || dok != rok {
@@ -302,9 +290,6 @@ func TestBlockEdges(t *testing.T) {
 	}
 	if got := s.Slice(); !reflect.DeepEqual(got, []int{4095, 4096, 4097}) {
 		t.Fatalf("Slice = %v", got)
-	}
-	if r := []int{s.Rank(4094), s.Rank(4095), s.Rank(4096), s.Rank(4097), s.Rank(1 << 30)}; !reflect.DeepEqual(r, []int{0, 1, 2, 3, 3}) {
-		t.Fatalf("Rank around the edge = %v", r)
 	}
 	if !s.Delete(blockIDs) || s.Delete(blockIDs) {
 		t.Fatal("Delete(4096) misreported")
@@ -459,9 +444,8 @@ func TestOrWordsAgainstInsert(t *testing.T) {
 		}
 		for probe := 0; probe < 64; probe++ {
 			v := rng.Intn(6 * blockWords * 64)
-			if bulk.Contains(v) != ref.Contains(v) || bulk.Rank(v) != ref.Rank(v) {
-				t.Fatalf("round %d: Contains/Rank(%d) = %v/%d, want %v/%d",
-					round, v, bulk.Contains(v), bulk.Rank(v), ref.Contains(v), ref.Rank(v))
+			if bulk.Contains(v) != ref.Contains(v) {
+				t.Fatalf("round %d: Contains(%d) = %v, want %v", round, v, bulk.Contains(v), ref.Contains(v))
 			}
 			i := 1 + rng.Intn(ref.Len()+1)
 			bv, bok := bulk.Select(i)
@@ -558,7 +542,12 @@ func TestSelectSkippingBruteForce(t *testing.T) {
 				s.Delete(v)
 			}
 		}
+		var f Finger // walked by every check below, kept through deletes
+		near := 0    // the last answer checked, where f sits
 		for trial := 0; trial < 12; trial++ {
+			for range 40 {
+				f.Delete(s, rng.Intn(u))
+			}
 			skip := New()
 			for range []int{0, 3, 40, 64, 65, 200}[trial%6] {
 				skip.Insert(rng.Intn(u + 64))
@@ -580,14 +569,21 @@ func TestSelectSkippingBruteForce(t *testing.T) {
 			check := func(i int) {
 				w, wok := 0, i >= 1 && i <= len(want)
 				if wok {
-					w = want[i-1]
+					w, near = want[i-1], want[i-1]
 				}
 				if v, ok := s.SelectSkipping(ids, i); v != w || ok != wok {
 					t.Fatalf("u=%d trial %d: SelectSkipping(%d ids, %d) = %d,%v, want %d,%v", u, trial, len(ids), i, v, ok, w, wok)
 				}
+				if v, ok := s.SelectFrom(&f, ids, i); v != w || ok != wok {
+					t.Fatalf("u=%d trial %d: SelectFrom(%d ids, %d) = %d,%v, want %d,%v", u, trial, len(ids), i, v, ok, w, wok)
+				}
 				if v, ok := s.SelectExcluding(skip, i); v != w || ok != wok {
 					t.Fatalf("u=%d trial %d: SelectExcluding(%d ids, %d) = %d,%v, want %d,%v", u, trial, len(ids), i, v, ok, w, wok)
 				}
+			}
+			r := sort.SearchInts(want, near) // first by the finger, past the deletes
+			for i := r - 1; i <= r+2; i++ {
+				check(i)
 			}
 			for i := -1; i <= len(want)+2; i += 1 + rng.Intn(len(want)/500+1) {
 				check(i)
