@@ -302,8 +302,8 @@ func TestOneShotAllocs(t *testing.T) {
 		call          func() error
 		bytes, allocs uint64
 	}{
-		{"WriteAll", func() error { _, err := WriteAll(n, m, nil); return err }, 1_369_000, 24},
-		{"Run", func() error { _, err := Run(Config{Jobs: n, Workers: m}, nil); return err }, 1_241_000, 20},
+		{"WriteAll", func() error { _, err := WriteAll(n, m, nil); return err }, 1_350_000, 24},
+		{"Run", func() error { _, err := Run(Config{Jobs: n, Workers: m}, nil); return err }, 1_216_000, 20},
 	} {
 		bytes, allocs := ^uint64(0), ^uint64(0)
 		for i := 0; i < 6; i++ {

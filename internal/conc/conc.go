@@ -118,7 +118,7 @@ func Run(o Options) (*Result, error) {
 		}
 	} else {
 		lay := core.Layout{M: o.M, RowLen: o.N}.Padded() // a cache line per process's next cell
-		for i, p := range core.NewProcs(core.ProcOptions{M: o.M, Beta: o.Beta, Layout: lay, Mem: shmem.NewAtomic(lay.Size()), Universe: o.N}) {
+		for i, p := range core.NewProcs(core.ProcOptions{Beta: o.Beta, Layout: lay, Mem: shmem.NewAtomic(lay.Size())}) {
 			p.SetSink(&logs[i])
 			procs[i] = p
 		}

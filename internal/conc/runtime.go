@@ -122,10 +122,10 @@ func NewRuntime(o RuntimeOptions) (*Runtime, error) {
 
 // grow rebuilds the round state for rounds of up to k jobs: the next power
 // of two ≥ k, capped at Capacity. The do bitmaps and (in NewProcs) the
-// FREE/DONE sets are sized for it up front, so every later round of
-// that size or less reuses them and allocates nothing. The registers are
-// fresh, so there is nothing to re-zero. It runs between rounds, with every
-// worker parked.
+// FREE sets are sized for it up front, so every later round of that size
+// or less reuses them and allocates nothing. The registers are fresh, so
+// there is nothing to re-zero. It runs between rounds, with every worker
+// parked.
 func (r *Runtime) grow(k int) {
 	size := min(1<<bits.Len(uint(k-1)), r.cap)
 	// Padded: each worker's write-hot next cell gets its own cache line,
@@ -134,7 +134,7 @@ func (r *Runtime) grow(k int) {
 	r.mem = shmem.NewAtomic(r.lay.Size())
 	r.marks = sim.NewMarks(r.m, size)
 	r.tally.Reset(size) // the merged set too, in one growth
-	r.procs = core.NewProcs(core.ProcOptions{M: r.m, Beta: r.beta, Layout: r.lay, Mem: r.mem, Universe: size})
+	r.procs = core.NewProcs(core.ProcOptions{Beta: r.beta, Layout: r.lay, Mem: r.mem})
 	for i, l := range r.logs {
 		l.Marks = &r.marks[i]
 		r.procs[i].SetSink(l)

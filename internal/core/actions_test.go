@@ -24,8 +24,7 @@ func newPair(n, beta int, iterStep bool) (*Proc, *Proc, *shmem.SimMem, *collectS
 	sink := &collectSink{}
 	mk := func(id int) *Proc {
 		return NewProc(ProcOptions{
-			ID: id, M: 2, Beta: beta, Layout: lay, Mem: mem,
-			Universe: n, IterStep: iterStep, Sink: sink,
+			ID: id, Beta: beta, Layout: lay, Mem: mem, Sink: sink,
 		})
 	}
 	return mk(1), mk(2), mem, sink, lay
@@ -90,7 +89,7 @@ func TestActionSequenceGolden(t *testing.T) {
 		t.Fatalf("after do: phase=%v events=%v", p1.Phase(), sink.events)
 	}
 
-	// done: published in row 1, sets updated, POS advanced.
+	// done: published in row 1, FREE updated, POS advanced.
 	p1.Step()
 	if p1.Phase() != PhaseCompNext {
 		t.Fatalf("after done: phase=%v", p1.Phase())
@@ -98,8 +97,8 @@ func TestActionSequenceGolden(t *testing.T) {
 	if mem.Peek(lay.DoneAddr(1, 1)) != 1 {
 		t.Fatal("done entry not published")
 	}
-	if p1.FreeContains(1) || !p1.DoneContains(1) {
-		t.Fatal("sets not updated by done")
+	if p1.FreeContains(1) || p1.FreeLen() != 9 {
+		t.Fatal("FREE not updated by done")
 	}
 	if p1.PosOf(1) != 2 {
 		t.Fatalf("POS(1) = %d, want 2", p1.PosOf(1))
@@ -162,8 +161,8 @@ func TestGatherDoneDrainsRow(t *testing.T) {
 			t.Fatalf("left gather_done after %d drains", i+1)
 		}
 	}
-	if p1.DoneLen() != 3 || p1.FreeLen() != 7 {
-		t.Fatalf("sets after drain: done=%d free=%d", p1.DoneLen(), p1.FreeLen())
+	if p1.FreeContains(7) || p1.FreeContains(8) || p1.FreeContains(9) || p1.FreeLen() != 7 {
+		t.Fatalf("FREE after drain: %d ids, 7–9 not all gone", p1.FreeLen())
 	}
 	if p1.PosOf(2) != 4 {
 		t.Fatalf("POS(2) = %d, want 4", p1.PosOf(2))
@@ -266,8 +265,7 @@ func TestIterStepOutputsComposable(t *testing.T) {
 	mem2 := shmem.NewSim(lay2.Size())
 	mk := func(id int, jobs *denseset.Set) *Proc {
 		return NewProc(ProcOptions{
-			ID: id, M: 2, Beta: 2, Layout: lay2, Mem: mem2,
-			Universe: n, Jobs: jobs, Sink: sink,
+			ID: id, Beta: 2, Layout: lay2, Mem: mem2, Jobs: jobs, Sink: sink,
 		})
 	}
 	q1 := mk(1, p1.Output(denseset.New()))

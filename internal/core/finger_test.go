@@ -17,9 +17,9 @@ func stepChecked(t *testing.T, x sim.Process, inner *Proc) int {
 		x.Step()
 		return 0
 	}
-	f, idx := inner.free.Len(), inner.id
-	if f-(inner.m-1) >= inner.m {
-		idx = (inner.id-1)*(f-inner.m+1)/inner.m + 1
+	f, m, idx := inner.free.Len(), inner.lay.M, inner.id
+	if f-(m-1) >= m {
+		idx = (inner.id-1)*(f-m+1)/m + 1
 	}
 	want, ok := inner.free.SelectSkipping(inner.try, idx)
 	x.Step()

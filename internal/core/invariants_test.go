@@ -11,8 +11,10 @@ import (
 // proofs rely on:
 //
 //  1. |TRY_p| ≤ m−1 (used in Lemma 4.2's accounting);
-//  2. FREE_p and DONE_p partition J (elements only move FREE→DONE);
-//  3. DONE_p is monotone non-decreasing;
+//  2. FREE_p never grows: an id that left it never returns;
+//  3. FREE_p holds no job of the done matrix below POS_p(q), for every row
+//     q, p's own included: what p gathered or did is out of FREE (Figure
+//     2's DONE_p, which is J \ FREE_p);
 //  4. after setNext and until the next compNext, the shared register
 //     next_p holds NEXT_p (the announcement argument of Lemma 4.1);
 //  5. POS_p(q) pointers are monotone and within [1, n+1];
@@ -33,10 +35,11 @@ func TestExecutionInvariants(t *testing.T) {
 	for name, mk := range adversaries {
 		t.Run(name, func(t *testing.T) {
 			s := mustSystem(t, Config{N: n, M: m, F: m - 1})
-			prevDone := make([]int, m+1)
+			left := make([][]bool, m+1) // left[p][v]: v has left FREE_p
 			prevPos := make([][]int, m+1)
 			for p := 1; p <= m; p++ {
 				prevPos[p] = make([]int, m+1)
+				left[p] = make([]bool, n+1)
 				for q := 1; q <= m; q++ {
 					prevPos[p][q] = 1
 				}
@@ -51,14 +54,20 @@ func TestExecutionInvariants(t *testing.T) {
 					if p.TryLen() > m-1 {
 						t.Fatalf("proc %d: |TRY| = %d > m-1", pid, p.TryLen())
 					}
-					if p.FreeLen()+p.DoneLen() != n {
-						t.Fatalf("proc %d: FREE (%d) and DONE (%d) do not partition J",
-							pid, p.FreeLen(), p.DoneLen())
+					for v := 1; v <= n; v++ {
+						in := p.FreeContains(v)
+						if in && left[pid][v] {
+							t.Fatalf("proc %d: job %d came back into FREE", pid, v)
+						}
+						left[pid][v] = !in
 					}
-					if p.DoneLen() < prevDone[pid] {
-						t.Fatalf("proc %d: DONE shrank %d -> %d", pid, prevDone[pid], p.DoneLen())
+					for q := 1; q <= m; q++ {
+						for idx := 1; idx < p.PosOf(q); idx++ {
+							if v := s.Mem.Peek(s.Layout.DoneAddr(q, idx)); p.FreeContains(int(v)) {
+								t.Fatalf("proc %d: job %d, done row %d index %d < POS, still in FREE", pid, v, q, idx)
+							}
+						}
 					}
-					prevDone[pid] = p.DoneLen()
 					switch p.Phase() {
 					case PhaseGatherTry, PhaseGatherDone, PhaseCheck, PhaseDo, PhaseDoneWrite:
 						if got := s.Mem.Peek(s.Layout.NextAddr(pid)); got != p.NextJob() {

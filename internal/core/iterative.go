@@ -160,7 +160,7 @@ type IterProc struct {
 	sink   sim.DoSink
 
 	level    int
-	proc     Proc         // the level's KK process; FREE is proc.sets[0]
+	proc     Proc         // the level's KK process; FREE is proc.set
 	inner    *Proc        // &proc while a level runs; nil past the last, draining out
 	out      denseset.Set // the level's output; Write-All's residue at the end
 	work     uint64       // accumulated work of finished levels
@@ -175,19 +175,19 @@ var _ sim.Process = (*IterProc)(nil)
 // NewIterProcsOn builds the per-process level chains over an existing
 // memory sized by PlanLevels, at level 0 with FREE = map(J, 1, s_0). Sinks
 // default to nil; bind one with SetSink before stepping. The m chains
-// take six allocations whatever m: the chains, their pointers, their sets
-// from one denseset.Make, sized for the last level, their POS and TRY
-// rows and their level stats.
+// take six allocations whatever m: the chains, their pointers, their FREE
+// and output sets from one denseset.Make, sized for the last level, their
+// POS and TRY rows and their level stats.
 func NewIterProcsOn(cfg IterConfig, levels []Level, mem shmem.Mem) []*IterProc {
 	m, nl := cfg.M, len(levels)
 	procs, ptrs := make([]IterProc, m), make([]*IterProc, m)
-	sets := denseset.Make(3*m, levels[nl-1].Blocks)
+	sets := denseset.Make(2*m, levels[nl-1].Blocks)
 	rows, w := makeRows(m)
 	stats := make([]LevelStat, m*nl)
 	for i := range procs {
 		p := &procs[i]
-		*p = IterProc{id: i + 1, cfg: cfg, levels: levels, mem: mem, stats: stats[i*nl : i*nl : (i+1)*nl], out: sets[3*i+2]}
-		p.proc.sets = [2]denseset.Set(sets[3*i:])
+		*p = IterProc{id: i + 1, cfg: cfg, levels: levels, mem: mem, stats: stats[i*nl : i*nl : (i+1)*nl], out: sets[2*i+1]}
+		p.proc.set = sets[2*i]
 		p.proc.pos = rows[i*w : i*w]
 		p.startLevel(nil)
 		ptrs[i] = p
@@ -201,13 +201,10 @@ func (p *IterProc) startLevel(jobs *denseset.Set) {
 	lv := p.levels[p.level]
 	p.proc.init(ProcOptions{
 		ID:         p.id,
-		M:          p.cfg.M,
 		Beta:       p.cfg.Beta,
 		Layout:     lv.Layout,
 		Mem:        p.mem,
 		Jobs:       jobs,
-		Universe:   lv.Blocks,
-		IterStep:   true,
 		ReturnFree: p.cfg.WriteAll,
 		Sink:       p,
 		DoCost:     uint64(lv.Size),
@@ -300,7 +297,7 @@ func (p *IterProc) Step() {
 	p.recordLevel(p.curInput, out.Len())
 	if p.level+1 < len(p.levels) {
 		cur, next := p.levels[p.level], p.levels[p.level+1]
-		free := MapBlocks(&p.proc.sets[0], out, p.cfg.N, cur.Size, next.Size)
+		free := MapBlocks(&p.proc.set, out, p.cfg.N, cur.Size, next.Size)
 		p.work += uint64(free.Len()) // map() cost: building the new set
 		p.level++
 		p.startLevel(free)

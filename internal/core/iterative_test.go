@@ -201,7 +201,7 @@ func TestIterProcLevelsAdvance(t *testing.T) {
 
 // TestIterLevelStartsFresh: the chain's one process, re-initialized at a
 // level change, is in the state a process built for that level would be
-// in — POS pointers at 1, DONE and TRY empty, no work — with FREE the
+// in — POS pointers at 1, TRY empty, no work — with FREE the
 // mapped output of the level before.
 func TestIterLevelStartsFresh(t *testing.T) {
 	for _, writeAll := range []bool{false, true} {
@@ -222,8 +222,7 @@ func TestIterLevelStartsFresh(t *testing.T) {
 				}
 				changes++
 				lv := s.Levels[p.Level()]
-				fresh := NewProc(ProcOptions{ID: p.ID(), M: s.Cfg.M, Beta: s.Cfg.Beta, Layout: lv.Layout,
-					Mem: s.Mem, Jobs: p.inner.free.Clone(), Universe: lv.Blocks, IterStep: true})
+				fresh := NewProc(ProcOptions{ID: p.ID(), Beta: s.Cfg.Beta, Layout: lv.Layout, Mem: s.Mem, Jobs: p.inner.free.Clone()})
 				if !bytes.Equal(p.inner.AppendState(nil), fresh.AppendState(nil)) || p.inner.Work() != 0 {
 					t.Fatalf("process %d entered level %d in a state other than its start state", p.ID(), p.Level())
 				}

@@ -271,8 +271,8 @@ func TestProcAccessors(t *testing.T) {
 	if p.Phase() != PhaseCompNext {
 		t.Errorf("initial phase = %v", p.Phase())
 	}
-	if p.FreeLen() != 10 || p.DoneLen() != 0 || p.TryLen() != 0 {
-		t.Errorf("initial sets: free=%d done=%d try=%d", p.FreeLen(), p.DoneLen(), p.TryLen())
+	if p.FreeLen() != 10 || !p.FreeContains(1) || !p.FreeContains(10) || p.TryLen() != 0 {
+		t.Errorf("initial sets: free=%d try=%d", p.FreeLen(), p.TryLen())
 	}
 	if p.Output(denseset.New()) != nil {
 		t.Error("Output non-nil before termination")

@@ -18,26 +18,21 @@ func (nopSink) RecordDo(int, int64) {}
 type ProcOptions struct {
 	// ID is the process identifier p ∈ [1..m].
 	ID int
-	// M is the total number of processes.
-	M int
 	// Beta is the termination parameter β. The paper requires β ≥ m for
 	// termination (Lemma 4.3); correctness holds for any β (Lemma 4.1).
 	Beta int
-	// Layout locates the instance's shared variables in Mem.
+	// Layout locates the instance's shared variables in Mem. Its M is the
+	// number of processes m, its RowLen the universe n (the largest job
+	// id, the O(log n) of set operations and the bound of POS row scans),
+	// and HasFlag selects the §6 IterStepKK variant: a shared termination
+	// flag is written when |FREE\TRY| < β and read before every do.
 	Layout Layout
 	// Mem is the shared memory.
 	Mem shmem.Mem
 	// Jobs is the initial FREE set, owned by the process from here on. Nil
-	// means J = [1..Universe], plain KKβ's input; IterStepKK passes the
-	// per-process input set of super-jobs.
+	// means J = [1..Layout.RowLen], plain KKβ's input; IterStepKK passes
+	// the per-process input set of super-jobs.
 	Jobs *denseset.Set
-	// Universe is the largest job identifier that can appear (n). Used for
-	// work-charging set operations at the paper's O(log n) rate and for
-	// bounding POS row scans.
-	Universe int
-	// IterStep selects the §6 variant: a shared termination flag is
-	// written when |FREE\TRY| < β and read before every do action.
-	IterStep bool
 	// ReturnFree makes the terminating process output FREE instead of
 	// FREE\TRY — the WA_IterStepKK variant of §7.
 	ReturnFree bool
@@ -57,29 +52,28 @@ type ProcOptions struct {
 }
 
 // Proc is one KKβ process: the I/O automaton of Figures 1–2 with the state
-// variables STATUS, FREE, DONE, TRY, POS, NEXT and Q. Each Step performs
-// one action (at most one shared-memory access).
+// variables STATUS, FREE, TRY, POS, NEXT and Q. The figures' DONE is
+// always J \ FREE (every insert into it deletes from FREE, and nothing
+// puts an id back), so FREE alone holds both. Each Step performs one
+// action (at most one shared-memory access).
 type Proc struct {
-	id       int
-	m        int
-	beta     int
-	lay      Layout
-	mem      shmem.Mem
-	sink     sim.DoSink
-	doCost   uint64
-	iterStep bool
-	retFree  bool
-	collide  *CollisionMatrix
-	lgN      int
-	noCache  bool
+	id      int
+	beta    int
+	lay     Layout
+	mem     shmem.Mem
+	sink    sim.DoSink
+	doCost  uint64
+	retFree bool
+	collide *CollisionMatrix
+	lgN     int
+	noCache bool
 
 	phase     Phase
 	termGath  bool // gather pass is the §6 terminating recomputation
 	free      *denseset.Set
 	fing      denseset.Finger // where compNext's last select ended in FREE
-	done      *denseset.Set
-	try       []int // ascending, at most m−1 ids, stored after pos
-	pos       []int // pos[q], 1-based; pos[0] unused
+	try       []int           // ascending, at most m−1 ids, stored after pos
+	pos       []int           // pos[q], 1-based; pos[0] unused
 	next      int64
 	q         int
 	work      uint64
@@ -90,8 +84,8 @@ type Proc struct {
 
 	tryCulprit int // process blamed for a pending collision on next
 
-	// sets backs done and — unless ProcOptions.Jobs gives one — free.
-	sets [2]denseset.Set
+	// set backs free unless ProcOptions.Jobs gives one.
+	set denseset.Set
 
 	// A cache line of padding keeps what a step writes here off the line
 	// the next process in NewProcs's array reads at every step.
@@ -101,24 +95,25 @@ type Proc struct {
 var _ sim.Process = (*Proc)(nil)
 
 // NewProc builds a process in its start state (Figure 1: STATUS=comp_next,
-// FREE=Jobs, DONE=TRY=∅, POS(i)=1, Q=1).
+// FREE=Jobs, TRY=∅, POS(i)=1, Q=1).
 func NewProc(o ProcOptions) *Proc {
 	p := &Proc{}
 	p.init(o)
 	return p
 }
 
-// NewProcs builds processes 1..o.M of one instance (o.ID is ignored, and
+// NewProcs builds processes 1..m of one instance (o.ID is ignored, and
 // o.Jobs must be nil) in five allocations whatever m: the processes,
-// their pointers, their sets from one denseset.Make and their POS and
-// TRY rows from one []int.
+// their pointers, their FREE sets from one denseset.Make and their POS
+// and TRY rows from one []int.
 func NewProcs(o ProcOptions) []*Proc {
-	procs, ptrs := make([]Proc, o.M), make([]*Proc, o.M)
-	sets := denseset.Make(2*o.M, o.Universe)
-	rows, w := makeRows(o.M)
+	m := o.Layout.M
+	procs, ptrs := make([]Proc, m), make([]*Proc, m)
+	sets := denseset.Make(m, o.Layout.RowLen)
+	rows, w := makeRows(m)
 	for i := range procs {
 		p := &procs[i]
-		p.sets = [2]denseset.Set(sets[2*i:])
+		p.set = sets[i]
 		p.pos = rows[i*w : i*w]
 		o.ID = i + 1
 		p.init(o)
@@ -136,11 +131,12 @@ func makeRows(m int) ([]int, int) {
 }
 
 // init puts p in the start state of the process o describes, keeping the
-// storage of its sets, POS and TRY: an IterativeKK chain re-initializes one
-// process per level this way, its sets reserved once for the last level.
+// storage of its set, POS and TRY: an IterativeKK chain re-initializes one
+// process per level this way, its set reserved once for the last level.
 func (p *Proc) init(o ProcOptions) {
+	m := o.Layout.M
 	if o.Beta <= 0 {
-		o.Beta = o.M
+		o.Beta = m
 	}
 	if o.DoCost == 0 {
 		o.DoCost = 1
@@ -150,35 +146,31 @@ func (p *Proc) init(o ProcOptions) {
 		sink = nopSink{}
 	}
 	*p = Proc{
-		id:       o.ID,
-		m:        o.M,
-		beta:     o.Beta,
-		lay:      o.Layout,
-		mem:      o.Mem,
-		sink:     sink,
-		doCost:   o.DoCost,
-		iterStep: o.IterStep,
-		retFree:  o.ReturnFree,
-		collide:  o.Collisions,
-		noCache:  o.NoPosCache,
-		free:     o.Jobs,
-		pos:      p.pos,
-		sets:     p.sets,
+		id:      o.ID,
+		beta:    o.Beta,
+		lay:     o.Layout,
+		mem:     o.Mem,
+		sink:    sink,
+		doCost:  o.DoCost,
+		retFree: o.ReturnFree,
+		collide: o.Collisions,
+		noCache: o.NoPosCache,
+		free:    o.Jobs,
+		pos:     p.pos,
+		set:     p.set,
 	}
-	// FREE and DONE are sized for the universe here, and TRY's m−1
-	// announcements have room after POS, so no later step — and no Reset
-	// to a universe the layout admits — allocates.
+	// FREE is sized for the universe here, and TRY's m−1 announcements
+	// have room after POS, so no later step — and no Reset to a universe
+	// the layout admits — allocates.
 	if p.free == nil {
-		p.free = &p.sets[0]
-		p.free.ResetRange(1, o.Universe)
+		p.free = &p.set
+		p.free.ResetRange(1, o.Layout.RowLen)
 	}
-	p.done = &p.sets[1]
-	p.done.Reserve(o.Universe)
-	if cap(p.pos) < 2*o.M+1 {
-		p.pos = make([]int, 2*o.M+1)
+	if cap(p.pos) < 2*m+1 {
+		p.pos = make([]int, 2*m+1)
 	}
-	p.pos, p.try = p.pos[:o.M+1], p.pos[o.M+1:o.M+1:2*o.M+1]
-	p.restart(o.Universe)
+	p.pos, p.try = p.pos[:m+1], p.pos[m+1:m+1:2*m+1]
+	p.restart(o.Layout.RowLen)
 }
 
 // ID implements sim.Process.
@@ -186,10 +178,10 @@ func (p *Proc) ID() int { return p.id }
 
 // Reset returns the process to its Figure 1 start state over the dense job
 // universe [1..universe], reviving it from end or stop. The storage of
-// the FREE/DONE/TRY sets is reused, so a warm process restarts without
-// allocating — the property the round-based runtime builds on. The caller
-// owns re-zeroing the shared-memory region; universe must fit the layout
-// row length fixed at construction.
+// FREE and TRY is reused, so a warm process restarts without allocating —
+// the property the round-based runtime builds on. The caller owns
+// re-zeroing the shared-memory region; universe must fit the layout row
+// length fixed at construction.
 func (p *Proc) Reset(universe int) {
 	if universe < 1 || universe > p.lay.RowLen {
 		panic(fmt.Sprintf("core: Reset universe %d outside [1..%d]", universe, p.lay.RowLen))
@@ -198,15 +190,14 @@ func (p *Proc) Reset(universe int) {
 	p.restart(universe)
 }
 
-// restart empties DONE, TRY and the finger and sets every POS pointer,
-// counter and the phase to their start values for that universe.
+// restart empties TRY and the finger and sets every POS pointer, counter
+// and the phase to their start values for that universe.
 func (p *Proc) restart(universe int) {
 	p.phase = PhaseCompNext
 	p.termGath = false
 	p.fing = denseset.Finger{}
-	p.done.Clear()
 	p.try = p.try[:0]
-	for i := 1; i <= p.m; i++ {
+	for i := 1; i <= p.lay.M; i++ {
 		p.pos[i] = 1
 	}
 	p.next, p.q, p.tryCulprit = 0, 1, 0
@@ -244,9 +235,6 @@ func (p *Proc) NextJob() int64 { return p.next }
 // FreeLen returns |FREE_p|.
 func (p *Proc) FreeLen() int { return p.free.Len() }
 
-// DoneLen returns |DONE_p|.
-func (p *Proc) DoneLen() int { return p.done.Len() }
-
 // TryLen returns |TRY_p|.
 func (p *Proc) TryLen() int { return len(p.try) }
 
@@ -269,9 +257,6 @@ func (p *Proc) PosOf(q int) int { return p.pos[q] }
 
 // FreeContains reports whether job v is in FREE_p.
 func (p *Proc) FreeContains(v int) bool { return p.free.Contains(v) }
-
-// DoneContains reports whether job v is in DONE_p.
-func (p *Proc) DoneContains(v int) bool { return p.done.Contains(v) }
 
 // Output writes the set the process returned on termination (IterStepKK's
 // FREE\TRY, or FREE for the Write-All variant) into dst and returns dst;
@@ -350,19 +335,19 @@ func (p *Proc) stepCompNext() {
 	}
 	p.chargeSet(len(p.try) + 1)
 	if p.free.Len()-inFree < p.beta {
-		if p.iterStep {
+		if p.lay.HasFlag {
 			p.phase = PhaseTermFlag
 			return
 		}
 		p.terminate()
 		return
 	}
-	f := p.free.Len()
+	f, m := p.free.Len(), p.lay.M
 	var idx int
-	if f-(p.m-1) >= p.m {
+	if f-(m-1) >= m {
 		// TMP = (|FREE|-(m-1))/m ≥ 1: take the first element of the p-th
 		// of m intervals: ⌊(p-1)·TMP⌋+1.
-		idx = (p.id-1)*(f-p.m+1)/p.m + 1
+		idx = (p.id-1)*(f-m+1)/m + 1
 	} else {
 		idx = p.id
 	}
@@ -409,7 +394,7 @@ func (p *Proc) stepGatherTry() {
 	} else {
 		p.work++
 	}
-	if p.q+1 <= p.m {
+	if p.q+1 <= p.lay.M {
 		p.q++
 		return
 	}
@@ -417,7 +402,7 @@ func (p *Proc) stepGatherTry() {
 	p.phase = PhaseGatherDone
 	if p.noCache {
 		// Ablation: forget row progress, re-scan every done row in full.
-		for q := 1; q <= p.m; q++ {
+		for q := 1; q <= p.lay.M; q++ {
 			if q != p.id {
 				p.pos[q] = 1
 			}
@@ -437,7 +422,6 @@ func (p *Proc) stepGatherDone() {
 			if v == p.next && p.tryCulprit == 0 && !p.tryHas(int(v)) {
 				p.tryCulprit = p.q // Definition 5.2(ii), gatherDone case
 			}
-			p.done.Insert(int(v))
 			p.fing.Delete(p.free, int(v))
 			p.chargeSet(2)
 			p.pos[p.q]++
@@ -447,7 +431,7 @@ func (p *Proc) stepGatherDone() {
 		p.work++
 	}
 	p.q++
-	if p.q > p.m {
+	if p.q > p.lay.M {
 		p.q = 1
 		if p.termGath {
 			p.terminate()
@@ -460,10 +444,10 @@ func (p *Proc) stepGatherDone() {
 // stepCheck is action check_p: is it safe to perform NEXT?
 func (p *Proc) stepCheck() {
 	inTry := p.tryHas(int(p.next))
-	inDone := p.done.Contains(int(p.next))
+	inDone := !p.free.Contains(int(p.next)) // DONE = J \ FREE
 	p.chargeSet(2)
 	if !inTry && !inDone {
-		if p.iterStep {
+		if p.lay.HasFlag {
 			p.phase = PhaseCheckFlag
 		} else {
 			p.phase = PhaseDo
@@ -503,7 +487,6 @@ func (p *Proc) stepDoneWrite() {
 	p.mem.Write(p.lay.DoneAddr(p.id, p.pos[p.id]), p.next)
 	p.work++
 	p.nShared++
-	p.done.Insert(int(p.next))
 	p.fing.Delete(p.free, int(p.next))
 	p.chargeSet(2)
 	p.pos[p.id]++

@@ -12,7 +12,6 @@ import (
 func (p *Proc) Clone() *Proc {
 	c := *p
 	c.free = p.free.Clone()
-	c.done = p.done.Clone()
 	c.copyRows(p)
 	return &c
 }
@@ -23,7 +22,6 @@ func (p *Proc) RestoreFrom(c *Proc) {
 	mem, sink, collide := p.mem, p.sink, p.collide
 	*p = *c
 	p.free = c.free.Clone()
-	p.done = c.done.Clone()
 	p.copyRows(c)
 	p.mem, p.sink, p.collide = mem, sink, collide
 }
@@ -60,8 +58,6 @@ func (p *Proc) AppendState(buf []byte) []byte {
 	}
 	app32(p.free.Len())
 	p.free.Ascend(func(v int) bool { app32(v); return true })
-	app32(p.done.Len())
-	p.done.Ascend(func(v int) bool { app32(v); return true })
 	app32(len(p.try))
 	for _, v := range p.try {
 		app32(v)

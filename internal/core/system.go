@@ -63,11 +63,9 @@ func NewSystem(cfg Config) (*System, error) {
 		coll = NewCollisionMatrix(cfg.M)
 	}
 	procs := NewProcs(ProcOptions{
-		M:          cfg.M,
 		Beta:       cfg.Beta,
 		Layout:     lay,
 		Mem:        mem,
-		Universe:   cfg.N,
 		Collisions: coll,
 		NoPosCache: cfg.NoPosCache,
 	})

@@ -1,7 +1,7 @@
 // Package denseset provides the one integer set of the repository: a
-// counted bitmap behind every FREE and DONE of core.Proc, from the
-// 1024-id rounds of the dispatcher to the million-block levels of
-// IterativeKK. TRY, at most m−1 ids, is a sorted []int beside them.
+// counted bitmap behind every FREE of core.Proc, from the 1024-id rounds
+// of the dispatcher to the million-block levels of IterativeKK. TRY, at
+// most m−1 ids, is a sorted []int beside it.
 //
 // Level one is a bitmap, one bit per id. Level two keeps, per block of 64
 // words (4096 ids), a count and a mask of its nonzero words; level three,
@@ -91,8 +91,8 @@ func (s *Set) carve(a []uint64, nw int) {
 
 // Make returns k empty sets reserved for [0..n] in one array, each padded
 // to whole cache lines (8 words) so that processes updating their sets
-// side by side do not false-share: the FREE and DONE sets of a system's
-// processes in two allocations.
+// side by side do not false-share: the FREE sets of a system's processes
+// in two allocations.
 func Make(k, n int) []Set {
 	nw := n>>6 + 1
 	f := footprint(nw)

@@ -85,15 +85,7 @@ func ExploreKK(cfg MCConfig) (*MCStats, error) {
 	lay := core.Layout{M: cfg.M, RowLen: cfg.N, HasFlag: cfg.IterStep}
 	mem := shmem.NewSim(lay.Size())
 	e := newExplorer(mem, cfg.F, cfg.N, cfg.MaxStates)
-	kkProcs := core.NewProcs(core.ProcOptions{
-		M:        cfg.M,
-		Beta:     cfg.Beta,
-		Layout:   lay,
-		Mem:      mem,
-		Universe: cfg.N,
-		IterStep: cfg.IterStep,
-		Sink:     e,
-	})
+	kkProcs := core.NewProcs(core.ProcOptions{Beta: cfg.Beta, Layout: lay, Mem: mem, Sink: e})
 	for _, p := range kkProcs {
 		e.procs = append(e.procs, p)
 	}

@@ -78,3 +78,31 @@ func TestExploreStateBudget(t *testing.T) {
 		t.Fatalf("err = %v, want ErrStateBudget", err)
 	}
 }
+
+// TestExploreSuiteCounts pins the state graph of E9's seven configurations
+// (`amo-verify -suite`): its distinct states, terminals and Do range. Any
+// change to what a process's AppendState keys on — a state merged with
+// another or split in two — moves a count here.
+func TestExploreSuiteCounts(t *testing.T) {
+	for _, tc := range []struct {
+		cfg                       MCConfig
+		states, terminals, lo, hi int
+	}{
+		{MCConfig{N: 2, M: 2, F: 1}, 493, 27, 1, 2},
+		{MCConfig{N: 3, M: 2, F: 0}, 992, 23, 1, 3},
+		{MCConfig{N: 3, M: 2, F: 1}, 1403, 65, 1, 3},
+		{MCConfig{N: 4, M: 2, F: 1}, 7045, 239, 2, 4},
+		{MCConfig{N: 3, M: 3, F: 1}, 78396, 1070, 2, 3},
+		{MCConfig{N: 2, M: 2, F: 1, IterStep: true}, 1402, 21, 1, 2},
+		{MCConfig{N: 3, M: 2, F: 1, IterStep: true}, 4255, 59, 1, 3},
+	} {
+		s, err := ExploreKK(tc.cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.cfg, err)
+		}
+		if s.States != tc.states || s.Terminals != tc.terminals || s.MinDo != tc.lo || s.MaxDo != tc.hi || s.Cycles != 0 {
+			t.Errorf("%+v: %d states, %d terminals, Do ∈ [%d,%d], %d cycles; want %d, %d, [%d,%d], 0",
+				tc.cfg, s.States, s.Terminals, s.MinDo, s.MaxDo, s.Cycles, tc.states, tc.terminals, tc.lo, tc.hi)
+		}
+	}
+}
