@@ -273,13 +273,13 @@ func buildAdversary(cfg SimConfig) (sim.Adversary, error) {
 	}
 }
 
-func convertReport(rep *core.Report, lb int, coll *core.CollisionMatrix) *SimReport {
+func convertReport(rep *sim.Result, lb int, coll *core.CollisionMatrix) *SimReport {
 	out := &SimReport{
 		Performed:       rep.Distinct,
 		Duplicates:      rep.Duplicates,
 		Work:            rep.Work,
-		Steps:           rep.Result.Steps,
-		Crashes:         rep.Result.Crashes,
+		Steps:           rep.Steps,
+		Crashes:         rep.Crashes,
 		EffectivenessLB: lb,
 	}
 	if coll != nil {

@@ -315,8 +315,21 @@ func run() error {
 		go pump(beta, "beta", 1)
 	}
 
+	// A pump returns only at stop or on a lost connection: once every pump
+	// has, incarnation 1 died on its own and the acks will never come.
+	pumpsDone := make(chan struct{})
+	go func() { pumps.Wait(); close(pumpsDone) }()
+	timeout := time.After(60 * time.Second)
 	for ackedCount.Load() < killAcked {
-		time.Sleep(time.Millisecond)
+		select {
+		case <-time.After(time.Millisecond):
+			continue
+		case <-pumpsDone:
+		case <-timeout:
+		}
+		srv1.Process.Kill()
+		srv1.Wait()
+		return fmt.Errorf("incarnation 1 acked %d of the %d submissions the kill waits for, then died or stalled for 60s", ackedCount.Load(), killAcked)
 	}
 	if err := srv1.Process.Kill(); err != nil { // SIGKILL: mid-round, no goodbye
 		return err

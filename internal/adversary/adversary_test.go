@@ -38,8 +38,8 @@ func TestTightnessExact(t *testing.T) {
 		if rep.Duplicates != 0 {
 			t.Errorf("n=%d m=%d: AMO violated", tt.n, tt.m)
 		}
-		if rep.Result.Crashes != tt.m-1 {
-			t.Errorf("n=%d m=%d: crashes = %d, want m-1", tt.n, tt.m, rep.Result.Crashes)
+		if rep.Crashes != tt.m-1 {
+			t.Errorf("n=%d m=%d: crashes = %d, want m-1", tt.n, tt.m, rep.Crashes)
 		}
 	}
 }
@@ -90,8 +90,8 @@ func TestKeptLiveSetIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if tc.crashes != (rep.Result.Crashes > 0) || rep.Duplicates != 0 {
-			t.Errorf("%s: %d crashes, %d duplicates", tc.name, rep.Result.Crashes, rep.Duplicates)
+		if tc.crashes != (rep.Crashes > 0) || rep.Duplicates != 0 {
+			t.Errorf("%s: %d crashes, %d duplicates", tc.name, rep.Crashes, rep.Duplicates)
 		}
 	}
 }

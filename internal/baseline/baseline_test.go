@@ -9,11 +9,16 @@ import (
 
 const stepLimit = 20_000_000
 
+// runWorld runs w with its do log kept, for the CheckEvents oracle, and
+// checks the result's tally against the log.
 func runWorld(t *testing.T, w *sim.World, adv sim.Adversary) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(w, adv, stepLimit)
+	res, err := sim.Run(w.KeepEvents(), adv, stepLimit)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep := verify.CheckEvents(res.Events); rep.Distinct != res.Distinct || len(res.Events)-rep.Distinct != res.Duplicates {
+		t.Fatalf("tally %d distinct, %d duplicates; the log %d distinct of %d dos", res.Distinct, res.Duplicates, rep.Distinct, len(res.Events))
 	}
 	return res
 }

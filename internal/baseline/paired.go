@@ -30,5 +30,5 @@ func NewPairedSystem(n, m, f int) (*sim.World, error) {
 			return &TrivialProc{Base: sim.NewBase(id, sink), next: pairs*n/slices + 1, hi: n}
 		}
 		return newTwoProc(mem, 2*i, i*n/slices+1, (i+1)*n/slices, id, id%2 == 1, sink)
-	}).KeepEvents(), nil
+	}), nil
 }

@@ -34,7 +34,7 @@ func NewTASSystem(n, m, f int) (*sim.World, error) {
 	mem := shmem.NewSim(n)
 	return sim.Assemble(m, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		return &TASProc{Base: sim.NewBase(id, sink), n: n, cur: 1, mem: mem}
-	}).KeepEvents(), nil
+	}), nil
 }
 
 // Step probes one claim bit or performs a won job.

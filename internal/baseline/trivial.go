@@ -43,7 +43,7 @@ func NewTrivialSystem(n, m, f int) (*sim.World, error) {
 	mem := shmem.NewSim(1) // the algorithm uses no shared memory
 	return sim.Assemble(m, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		return &TrivialProc{Base: sim.NewBase(id, sink), next: (id-1)*n/m + 1, hi: id * n / m}
-	}).KeepEvents(), nil
+	}), nil
 }
 
 // Step performs the next job of the slice.

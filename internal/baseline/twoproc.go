@@ -65,7 +65,7 @@ func NewTwoProcSystem(n, f int) (*sim.World, error) {
 	mem := shmem.NewSim(2)
 	return sim.Assemble(2, n, mem, f, func(id int, sink sim.DoSink) sim.Process {
 		return newTwoProc(mem, 0, 1, n, id, id == 1, sink)
-	}).KeepEvents(), nil
+	}), nil
 }
 
 // Performed returns the number of jobs this process completed.

@@ -125,7 +125,7 @@ func TestInvariantObserverSeesEveryStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(calls) != rep.Result.Steps {
-		t.Fatalf("observer called %d times for %d steps", calls, rep.Result.Steps)
+	if uint64(calls) != rep.Steps {
+		t.Fatalf("observer called %d times for %d steps", calls, rep.Steps)
 	}
 }

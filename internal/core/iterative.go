@@ -323,7 +323,6 @@ func (p *IterProc) stepDrain() {
 // IterSystem is an assembled IterativeKK(ε) (or WA_IterativeKK(ε)) run.
 type IterSystem struct {
 	Cfg    IterConfig
-	Sizes  []int
 	Levels []Level
 	Mem    *shmem.SimMem
 	World  *sim.World
@@ -366,14 +365,10 @@ func NewIterSystem(cfg IterConfig) (*IterSystem, error) {
 		procs[id-1].SetSink(sink)
 		return procs[id-1]
 	})
-	sizes := make([]int, len(levels))
-	for i, lv := range levels {
-		sizes[i] = lv.Size
-	}
-	return &IterSystem{Cfg: cfg, Sizes: sizes, Levels: levels, Mem: mem, World: world, Procs: procs}, nil
+	return &IterSystem{Cfg: cfg, Levels: levels, Mem: mem, World: world, Procs: procs}, nil
 }
 
 // Run executes the system under adv; see System.Run.
-func (s *IterSystem) Run(adv sim.Adversary, maxSteps uint64) (*Report, error) {
-	return run(s.World, s.Cfg.N, adv, maxSteps)
+func (s *IterSystem) Run(adv sim.Adversary, maxSteps uint64) (*sim.Result, error) {
+	return sim.Run(s.World, adv, maxSteps)
 }

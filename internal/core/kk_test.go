@@ -18,7 +18,7 @@ func mustSystem(t *testing.T, cfg Config) *System {
 	return s
 }
 
-func runRR(t *testing.T, cfg Config) *Report {
+func runRR(t *testing.T, cfg Config) *sim.Result {
 	t.Helper()
 	s := mustSystem(t, cfg)
 	rep, err := s.Run(&sim.RoundRobin{}, testStepLimit)
@@ -242,8 +242,8 @@ func TestPerformedMatchesEvents(t *testing.T) {
 		if rep.Distinct+rep.Duplicates != total || rep.Distinct == 0 {
 			t.Fatalf("Σ Performed = %d, marked %d distinct + %d duplicates", total, rep.Distinct, rep.Duplicates)
 		}
-		if keep && len(rep.Result.Events) != total {
-			t.Fatalf("Σ Performed = %d, logged %d events", total, len(rep.Result.Events))
+		if keep && len(rep.Events) != total {
+			t.Fatalf("Σ Performed = %d, logged %d events", total, len(rep.Events))
 		}
 	}
 }
@@ -253,12 +253,12 @@ func TestWorkIsCounted(t *testing.T) {
 	if rep.Work == 0 {
 		t.Fatal("work not counted")
 	}
-	if rep.Result.MemReads == 0 || rep.Result.MemWrites == 0 {
+	if rep.MemReads == 0 || rep.MemWrites == 0 {
 		t.Fatal("memory accesses not counted")
 	}
 	// Work must dominate the raw access counts (it includes them).
-	if rep.Work < rep.Result.MemReads+rep.Result.MemWrites {
-		t.Fatalf("work %d < accesses %d", rep.Work, rep.Result.MemReads+rep.Result.MemWrites)
+	if rep.Work < rep.MemReads+rep.MemWrites {
+		t.Fatalf("work %d < accesses %d", rep.Work, rep.MemReads+rep.MemWrites)
 	}
 }
 

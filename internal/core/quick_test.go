@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +171,10 @@ func TestQuickCloneRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeState is AppendState's key plus the FREE it leaves out (a restore
+// must bring FREE back too, whatever the memory holds).
 func encodeState(p *Proc) string {
-	return string(p.AppendState(nil))
+	buf := p.AppendState(nil)
+	p.free.Ascend(func(v int) bool { buf = binary.AppendUvarint(buf, uint64(v)); return true })
+	return string(buf)
 }

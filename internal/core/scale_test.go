@@ -26,7 +26,7 @@ func TestLargeScaleKK(t *testing.T) {
 	if rep.Distinct < EffectivenessBound(n, m, 0) {
 		t.Fatalf("Do = %d below bound %d", rep.Distinct, EffectivenessBound(n, m, 0))
 	}
-	t.Logf("n=1M m=4: Do=%d, steps=%d, work=%d", rep.Distinct, rep.Result.Steps, rep.Work)
+	t.Logf("n=1M m=4: Do=%d, steps=%d, work=%d", rep.Distinct, rep.Steps, rep.Work)
 }
 
 // TestNewSystemAllocatesWhatItTouches: a KK instance over 2^20 jobs and

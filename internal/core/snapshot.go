@@ -36,6 +36,9 @@ func (p *Proc) copyRows(c *Proc) {
 // AppendState serializes the behaviorally relevant process state for
 // state-hashing in the model checker. Crashed processes collapse to a
 // single marker byte: their internals can never influence the future.
+// FREE is not keyed: it is J less the done-matrix cells below the POS
+// pointers, which the memory and POS already key, as long as FREE started
+// at J and POS caches every row (no NoPosCache), as in verify.ExploreKK.
 func (p *Proc) AppendState(buf []byte) []byte {
 	if p.phase == PhaseStop {
 		return append(buf, 0xFF)
@@ -56,8 +59,6 @@ func (p *Proc) AppendState(buf []byte) []byte {
 	for _, v := range p.pos[1:] {
 		app32(v)
 	}
-	app32(p.free.Len())
-	p.free.Ascend(func(v int) bool { app32(v); return true })
 	app32(len(p.try))
 	for _, v := range p.try {
 		app32(v)

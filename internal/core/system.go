@@ -83,41 +83,11 @@ func NewSystem(cfg Config) (*System, error) {
 	}, nil
 }
 
-// Report summarizes one completed execution of an at-most-once system.
-type Report struct {
-	// Result is the raw engine summary.
-	Result *sim.Result
-	// Distinct is Do(α): the number of distinct jobs performed.
-	Distinct int
-	// Duplicates is the number of do events beyond the first per job.
-	// Any nonzero value is an at-most-once violation (Lemma 4.1 says it
-	// is always zero).
-	Duplicates int
-	// Work is the total work in the paper's cost model.
-	Work uint64
-}
-
 // Run executes the system under adv. maxSteps ≤ 0 means unlimited; a fair
 // adversary always terminates by Lemma 4.3, so tests pass a generous limit
 // to convert a wait-freedom bug into a failure instead of a hang.
-func (s *System) Run(adv sim.Adversary, maxSteps uint64) (*Report, error) {
-	return run(s.World, s.Cfg.N, adv, maxSteps)
-}
-
-// run executes w under adv and tallies it over the jobs [1..n].
-func run(w *sim.World, n int, adv sim.Adversary, maxSteps uint64) (*Report, error) {
-	res, err := sim.Run(w, adv, maxSteps)
-	if err != nil {
-		return nil, err
-	}
-	var t sim.Tally
-	t.Merge(n, w.Marks())
-	return &Report{
-		Result:     res,
-		Distinct:   t.Distinct,
-		Duplicates: t.Duplicates,
-		Work:       res.TotalWork,
-	}, nil
+func (s *System) Run(adv sim.Adversary, maxSteps uint64) (*sim.Result, error) {
+	return sim.Run(s.World, adv, maxSteps)
 }
 
 // EffectivenessBound returns Theorem 4.4's exact effectiveness

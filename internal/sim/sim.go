@@ -122,7 +122,8 @@ type Event struct {
 // crash budget. Mem may be nil when the processes keep registers the world
 // does not count (a conc round's real atomic ones).
 // As its processes' do sink, it marks each do in the doer's Marks over the
-// jobs [1..n], made at the first do, and logs it too once KeepEvents asks.
+// jobs [1..n], made at the first do, and Run's Result tallies them; it
+// logs each do too once KeepEvents asks.
 type World struct {
 	Procs      []Process // Procs[i] has ID i+1
 	Mem        *shmem.SimMem
@@ -155,8 +156,8 @@ func Assemble(m, n int, mem *shmem.SimMem, f int, mk func(id int, sink DoSink) P
 }
 
 // KeepEvents makes the world log its dos in order as well as mark them,
-// in a log sized for n (Lemma 4.1): the choice of a caller that reads the
-// order, such as verify.CheckEvents's. It returns w.
+// in a log sized for n (Lemma 4.1): for a test that reads the order or
+// checks the tally against verify.CheckEvents. It returns w.
 func (w *World) KeepEvents() *World {
 	w.events = make([]Event, 0, w.n)
 	return w
@@ -164,18 +165,6 @@ func (w *World) KeepEvents() *World {
 
 // Steps returns the number of actions executed so far.
 func (w *World) Steps() uint64 { return w.steps }
-
-// Crashes returns the number of crashes injected so far.
-func (w *World) Crashes() int { return w.crashes }
-
-// Events returns the do events of a world that keeps them (KeepEvents),
-// nil for one that does not. The slice is owned by the world; callers
-// must not mutate it.
-func (w *World) Events() []Event { return w.events }
-
-// Marks returns the processes' marks, Marks()[i] process i+1's, for a
-// Tally to merge; nil before the first do.
-func (w *World) Marks() []Marks { return w.marks }
 
 // RecordDo is called by processes when they execute a do_{p,j} action.
 func (w *World) RecordDo(pid int, job int64) {
@@ -245,16 +234,16 @@ type Adversary interface {
 	Next(w *World) Decision
 }
 
-// Result summarizes a completed execution.
+// Result summarizes a completed execution, with the Tally of its dos over
+// the jobs [1..n] if Assemble made the world (own sinks leave it empty).
 type Result struct {
-	Steps      uint64
-	Crashes    int
-	Events     []Event // the do log of a world that keeps one (KeepEvents)
-	TotalWork  uint64  // sum of the processes' Work
-	MemReads   uint64
-	MemWrites  uint64
-	DoneProcs  int
-	CrashProcs int
+	Tally
+	Steps     uint64
+	Crashes   int
+	Events    []Event // the do log of a world that keeps one (KeepEvents)
+	Work      uint64  // sum of the processes' Work
+	MemReads  uint64
+	MemWrites uint64
 }
 
 // ErrStepLimit is returned when an execution exceeds the step budget,
@@ -311,17 +300,14 @@ func (w *World) drop(pid int) {
 
 func summarize(w *World) *Result {
 	r := &Result{Steps: w.steps, Crashes: w.crashes, Events: w.events}
+	if w.n > 0 {
+		r.Merge(w.n, w.marks)
+	}
 	if w.Mem != nil {
 		r.MemReads, r.MemWrites = w.Mem.Reads(), w.Mem.Writes()
 	}
 	for _, p := range w.Procs {
-		switch p.Status() {
-		case Done:
-			r.DoneProcs++
-		case Crashed:
-			r.CrashProcs++
-		}
-		r.TotalWork += p.Work()
+		r.Work += p.Work()
 	}
 	return r
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"atmostonce/internal/shmem"
@@ -41,10 +42,12 @@ func newToyMarks(m, writes, maxCrashes int) *World {
 
 // TestWorldMarksDos: every world marks each do in the doer's marks, one
 // that keeps events logs it too, and the marks' tally is the tally of the
-// same execution's log.
+// same execution's log and of its Result. A built world whose processes
+// never do leaves every job unperformed; a world of own-sink processes
+// tallies nothing.
 func TestWorldMarksDos(t *testing.T) {
 	logged, marked := newToyWorld(3, 10, 1), newToyMarks(3, 10, 1)
-	if logged.Marks() != nil || marked.Marks() != nil {
+	if logged.marks != nil || marked.marks != nil {
 		t.Fatal("marks made before the first do")
 	}
 	var results [2]*Result
@@ -57,22 +60,55 @@ func TestWorldMarksDos(t *testing.T) {
 		}
 		results[i] = res
 	}
-	if results[1].Events != nil || marked.Events() != nil {
+	if results[1].Events != nil || marked.events != nil {
 		t.Fatalf("a marking world logged %d events", len(results[1].Events))
 	}
 	want := tallyEvents(results[0].Events, 10)
 	for i, w := range []*World{logged, marked} {
 		var got Tally
-		got.Merge(10, w.Marks())
+		got.Merge(10, w.marks)
 		if got.Distinct != want.Distinct || got.Duplicates != want.Duplicates || want.Duplicates == 0 {
 			t.Fatalf("world %d's marks tally %d distinct, %d duplicates; the log %d, %d (the toys repeat jobs)",
 				i, got.Distinct, got.Duplicates, want.Distinct, want.Duplicates)
 		}
+		res := results[i]
+		if res.Distinct != got.Distinct || res.Duplicates != got.Duplicates ||
+			!reflect.DeepEqual(res.Unperformed(nil), got.Unperformed(nil)) {
+			t.Fatalf("world %d's result tallies %d distinct, %d duplicates, unperformed %v; its marks %d, %d, %v",
+				i, res.Distinct, res.Duplicates, res.Unperformed(nil), got.Distinct, got.Duplicates, got.Unperformed(nil))
+		}
 	}
-	if results[0].Steps != results[1].Steps || results[0].TotalWork != results[1].TotalWork {
+	if results[0].Steps != results[1].Steps || results[0].Work != results[1].Work {
 		t.Fatal("the executions differ")
 	}
+
+	idle := Assemble(2, 5, nil, 0, func(id int, sink DoSink) Process {
+		return &toyProc{Base: NewBase(id, sink)}
+	})
+	res, err := Run(idle, &RoundRobin{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := res.Unperformed(nil); res.Distinct != 0 || !reflect.DeepEqual(u, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("processes that never do: %d distinct, unperformed %v; want 0 and [1 2 3 4 5]", res.Distinct, u)
+	}
+
+	var dos countSink
+	procs := []Process{&toyProc{Base: NewBase(1, &dos), left: 3, mem: shmem.NewSim(1)}}
+	res, err = Run(NewWorld(procs, nil, 0), &RoundRobin{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Distinct != 0 || res.Duplicates != 0 || res.Unperformed(nil) != nil || dos != 3 {
+		t.Fatalf("a world of own-sink processes tallied %d distinct, %d duplicates, unperformed %v (its sink saw %d dos)",
+			res.Distinct, res.Duplicates, res.Unperformed(nil), dos)
+	}
 }
+
+// countSink is a process's own sink: it counts the dos.
+type countSink int
+
+func (c *countSink) RecordDo(int, int64) { *c++ }
 
 func TestRunRoundRobinTerminates(t *testing.T) {
 	w := newToyWorld(4, 10, 0)
@@ -80,8 +116,10 @@ func TestRunRoundRobinTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DoneProcs != 4 || res.CrashProcs != 0 {
-		t.Fatalf("done=%d crashed=%d, want 4,0", res.DoneProcs, res.CrashProcs)
+	for _, p := range w.Procs {
+		if p.Status() != Done {
+			t.Fatalf("process %d %s, want done", p.ID(), p.Status())
+		}
 	}
 	// Each process: 10 writes + 1 terminating step.
 	if res.Steps != 44 {
@@ -90,8 +128,8 @@ func TestRunRoundRobinTerminates(t *testing.T) {
 	if res.MemWrites != 40 {
 		t.Fatalf("writes = %d, want 40", res.MemWrites)
 	}
-	if res.TotalWork != 40 {
-		t.Fatalf("work = %d, want 40", res.TotalWork)
+	if res.Work != 40 {
+		t.Fatalf("work = %d, want 40", res.Work)
 	}
 	if len(res.Events) != 40 {
 		t.Fatalf("events = %d, want 40", len(res.Events))
@@ -156,8 +194,9 @@ func TestCrashBudgetEnforced(t *testing.T) {
 	if res.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1 (budget)", res.Crashes)
 	}
-	if res.DoneProcs != 2 {
-		t.Fatalf("done = %d, want 2", res.DoneProcs)
+	if w.Procs[0].Status() != Crashed || w.Procs[1].Status() != Done || w.Procs[2].Status() != Done {
+		t.Fatalf("statuses %s %s %s, want process 1 crashed and the others done",
+			w.Procs[0].Status(), w.Procs[1].Status(), w.Procs[2].Status())
 	}
 }
 
@@ -269,8 +308,8 @@ func TestStepBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CrashProcs != 1 || w.Procs[1].Status() != Crashed {
-		t.Fatalf("crashed %d (process 2 %s), want process 2 alone", res.CrashProcs, w.Procs[1].Status())
+	if res.Crashes != 1 || w.Procs[1].Status() != Crashed {
+		t.Fatalf("crashed %d (process 2 %s), want process 2 alone", res.Crashes, w.Procs[1].Status())
 	}
 	dos := 0
 	for _, e := range res.Events {

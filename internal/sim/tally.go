@@ -44,7 +44,7 @@ func (m *Marks) Mark(job int64) {
 }
 
 // Tally is the at-most-once oracle over one finished execution's dos,
-// shared by the simulator's report and the concurrent runtime's: the OR
+// shared by Run's Result and the concurrent runtime's rounds: the OR
 // of the processes' Marks in a denseset, and the sum of their do counts.
 type Tally struct {
 	// Distinct is Do(α), the number of distinct jobs performed.

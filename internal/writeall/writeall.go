@@ -41,15 +41,13 @@ func run(n int, w *sim.World, adv sim.Adversary, maxSteps uint64) (*Report, erro
 	if err != nil {
 		return nil, err
 	}
-	var t sim.Tally
-	t.Merge(n, w.Marks())
-	missing := t.Unperformed(nil)
+	missing := res.Unperformed(nil)
 	return &Report{
 		N:       n,
 		Covered: n - len(missing),
 		Missing: missing,
-		Writes:  t.Distinct + t.Duplicates,
-		Work:    res.TotalWork,
+		Writes:  res.Distinct + res.Duplicates,
+		Work:    res.Work,
 		Steps:   res.Steps,
 		Crashes: res.Crashes,
 	}, nil
