@@ -288,8 +288,9 @@ func TestSimulateIterativeBytes(t *testing.T) {
 }
 
 // TestOneShotAllocs bounds the bytes and the allocations of one
-// WriteAll(2^16, 2) and one Run(2^16, 2), within 10 % of what they take:
-// the register file, the algorithm's sets and one do bitmap a worker,
+// WriteAll(2^16, 2), one Run(2^16, 2) and one Simulate(2^16, 2), within
+// 10 % of what they take: the register file (the simulation's pages cut
+// from doubling slabs), the algorithm's sets and one do bitmap a worker,
 // nothing per do event. An O(events) buffer — a do-event log, a stamp per
 // job — would be megabytes here. Each figure is the least of five calls
 // after a warm-up, so that an allocation elsewhere in the process cannot
@@ -304,6 +305,7 @@ func TestOneShotAllocs(t *testing.T) {
 	}{
 		{"WriteAll", func() error { _, err := WriteAll(n, m, nil); return err }, 1_350_000, 24},
 		{"Run", func() error { _, err := Run(Config{Jobs: n, Workers: m}, nil); return err }, 1_216_000, 20},
+		{"Simulate", func() error { _, err := Simulate(SimConfig{Jobs: n, Workers: m}); return err }, 1_207_000, 22},
 	} {
 		bytes, allocs := ^uint64(0), ^uint64(0)
 		for i := 0; i < 6; i++ {

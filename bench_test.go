@@ -50,13 +50,28 @@ func BenchmarkE1Effectiveness(b *testing.B) {
 // schedule as m and n grow. Run keeps the live set the adversary draws
 // from, so ns/step should stay nearly flat in m; the sets' searches skip
 // empty words, blocks and super-blocks, so it should stay nearly flat in
-// n too (n = 2^20 against n = 2^14 at m = 8).
+// n too (n = 2^20 against n = 2^14 at m = 8). The last two rows are
+// paper_batch's two simulations: Tightness, nearly all of whose steps are
+// the survivor's forced tail, and a crashy IterativeKK.
 func BenchmarkSimulate(b *testing.B) {
+	type row struct {
+		name string
+		cfg  SimConfig
+	}
+	var rows []row
 	for _, tc := range []struct{ lgN, m int }{{14, 8}, {14, 32}, {14, 64}, {20, 8}} {
-		b.Run(fmt.Sprintf("n=2^%d/m=%d", tc.lgN, tc.m), func(b *testing.B) {
+		rows = append(rows, row{fmt.Sprintf("n=2^%d/m=%d", tc.lgN, tc.m),
+			SimConfig{Jobs: 1 << tc.lgN, Workers: tc.m, Scheduler: RandomSched, Seed: 1}})
+	}
+	rows = append(rows,
+		row{"tightness/n=2^17/m=8", SimConfig{Jobs: 1 << 17, Workers: 8, Scheduler: Tightness}},
+		row{"iterative/n=2^20/m=8", SimConfig{Jobs: 1 << 20, Workers: 8, Iterative: true,
+			Scheduler: RandomSched, Crashes: 7, CrashProb: 1e-5, Seed: 7}})
+	for _, tc := range rows {
+		b.Run(tc.name, func(b *testing.B) {
 			var steps uint64
 			for i := 0; i < b.N; i++ {
-				rep, err := Simulate(SimConfig{Jobs: 1 << tc.lgN, Workers: tc.m, Scheduler: RandomSched, Seed: 1})
+				rep, err := Simulate(tc.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

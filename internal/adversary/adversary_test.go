@@ -45,7 +45,7 @@ func TestTightnessExact(t *testing.T) {
 }
 
 // TestKeptLiveSetIsExact: the live set sim.Run keeps is, before every
-// decision, the ascending ids of the Running processes, whether they stop
+// action, the ascending ids of the Running processes, whether they stop
 // by ending, by a random crash, at an announcement, or by a crash list
 // and a script.
 func TestKeptLiveSetIsExact(t *testing.T) {
@@ -73,8 +73,8 @@ func TestKeptLiveSetIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		var scan []int
-		decisions := 0
-		obs := &sim.Observer{Inner: tc.adv, Fn: func(w *sim.World) {
+		actions := 0
+		s.World.Watch = func(w *sim.World) {
 			scan = scan[:0]
 			for _, p := range w.Procs {
 				if p.Status() == sim.Running {
@@ -82,11 +82,11 @@ func TestKeptLiveSetIsExact(t *testing.T) {
 				}
 			}
 			if live := w.Live(); !slices.Equal(live, scan) {
-				t.Fatalf("%s, decision %d: Live = %v, the processes say %v", tc.name, decisions, live, scan)
+				t.Fatalf("%s, action %d: Live = %v, the processes say %v", tc.name, actions, live, scan)
 			}
-			decisions++
-		}}
-		rep, err := s.Run(obs, stepLimit)
+			actions++
+		}
+		rep, err := s.Run(tc.adv, stepLimit)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

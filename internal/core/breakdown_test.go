@@ -20,7 +20,7 @@ func TestWorkBreakdownConsistent(t *testing.T) {
 		setOps += p.SetOps()
 		work += p.Work()
 	}
-	if got := s.Mem.Accesses(); shared != got {
+	if got := s.Mem.Reads() + s.Mem.Writes(); shared != got {
 		t.Fatalf("proc shared accesses %d != memory accesses %d", shared, got)
 	}
 	lgN := uint64(ceilLog2(256 + 1))

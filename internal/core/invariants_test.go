@@ -104,8 +104,8 @@ func TestExecutionInvariants(t *testing.T) {
 					}
 				}
 			}
-			obs := &sim.Observer{Inner: mk(), Fn: check}
-			rep, err := s.Run(obs, testStepLimit)
+			s.World.Watch = check
+			rep, err := s.Run(mk(), testStepLimit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,16 +116,17 @@ func TestExecutionInvariants(t *testing.T) {
 	}
 }
 
-// TestInvariantObserverSeesEveryStep sanity-checks the Observer plumbing.
+// TestInvariantObserverSeesEveryStep sanity-checks the world's Watch
+// plumbing: the invariant check sees every step, the forced tail's too.
 func TestInvariantObserverSeesEveryStep(t *testing.T) {
 	s := mustSystem(t, Config{N: 10, M: 2})
 	calls := 0
-	obs := &sim.Observer{Inner: &sim.RoundRobin{}, Fn: func(*sim.World) { calls++ }}
-	rep, err := s.Run(obs, testStepLimit)
+	s.World.Watch = func(*sim.World) { calls++ }
+	rep, err := s.Run(&sim.RoundRobin{}, testStepLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uint64(calls) != rep.Steps {
-		t.Fatalf("observer called %d times for %d steps", calls, rep.Steps)
+		t.Fatalf("Watch called %d times for %d steps", calls, rep.Steps)
 	}
 }

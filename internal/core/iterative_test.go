@@ -230,7 +230,8 @@ func TestIterLevelStartsFresh(t *testing.T) {
 		}
 		adv := sim.NewRandom(11)
 		adv.CrashProb = 1e-4
-		if _, err := s.Run(&sim.Observer{Inner: adv, Fn: check}, testStepLimit); err != nil {
+		s.World.Watch = check
+		if _, err := s.Run(adv, testStepLimit); err != nil {
 			t.Fatal(err)
 		}
 		if changes < len(s.Procs) {

@@ -59,9 +59,13 @@ type TAS interface {
 // of a nonzero value to it: a read of a page never written returns 0 and
 // allocates nothing. The paper's m·n done matrix holds at most n nonzero
 // cells (Lemma 4.1), so a simulation pays for the rows' written prefixes,
-// not for m·n registers.
+// not for m·n registers. Pages are cut from doubling slabs: a new one holds
+// the cells made so far, at least the page and at most the cells unmade,
+// so k pages take ≤ ⌈log₂k⌉ + 1 allocations; a memory under a page, one.
 type SimMem struct {
 	pages  [][]int64 // pages[i] holds registers i·pageCells on, nil until written
+	spare  []int64   // the rest of the last slab, not yet a page
+	made   int       // cells of the pages made so far
 	size   int
 	reads  uint64
 	writes uint64
@@ -104,7 +108,12 @@ func (m *SimMem) Write(addr int, v int64) {
 func (m *SimMem) page(addr int) []int64 {
 	i := addr >> pageShift
 	if m.pages[i] == nil {
-		m.pages[i] = make([]int64, min(pageCells, m.size-i<<pageShift))
+		n := min(pageCells, m.size-i<<pageShift)
+		if len(m.spare) < n {
+			m.spare = make([]int64, min(max(m.made, n), m.size-m.made))
+		}
+		m.pages[i], m.spare = m.spare[:n], m.spare[n:]
+		m.made += n
 	}
 	return m.pages[i]
 }
@@ -136,9 +145,6 @@ func (m *SimMem) Reads() uint64 { return m.reads }
 
 // Writes returns the total number of Write operations performed.
 func (m *SimMem) Writes() uint64 { return m.writes }
-
-// Accesses returns Reads()+Writes().
-func (m *SimMem) Accesses() uint64 { return m.reads + m.writes }
 
 // Snapshot copies the register contents; used by the bounded model checker
 // to hash global states.

@@ -1,6 +1,7 @@
 package shmem
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -24,8 +25,8 @@ func TestSimMemReadWrite(t *testing.T) {
 	if m.Reads() != 5 || m.Writes() != 1 {
 		t.Fatalf("counters = %d reads, %d writes; want 5, 1", m.Reads(), m.Writes())
 	}
-	if m.Accesses() != 6 {
-		t.Fatalf("Accesses = %d, want 6", m.Accesses())
+	if m.Reads()+m.Writes() != 6 {
+		t.Fatalf("accesses = %d, want 6", m.Reads()+m.Writes())
 	}
 }
 
@@ -133,7 +134,31 @@ func TestSimMemPagedMatchesFlat(t *testing.T) {
 
 // TestSimMemUntouchedPages: a read, a peek or a zero write of a page
 // never written allocates nothing, and a restore of zeros leaves it unmade.
+// Pages come from doubling slabs: writing k pages, in any order, costs at
+// most ⌈log₂k⌉ + 1 allocations, and a memory under one page allocates
+// exactly its size.
 func TestSimMemUntouchedPages(t *testing.T) {
+	for k := 1; k <= 9; k++ {
+		order := rand.New(rand.NewSource(int64(k))).Perm(k)
+		write := func() {
+			m := NewSim(k*pageCells - 1)
+			for _, i := range order {
+				m.Write(i*pageCells, 1)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, write) - testing.AllocsPerRun(20, func() { NewSim(k*pageCells - 1) })
+		if want := float64(bits.Len(uint(k-1)) + 1); allocs > want {
+			t.Errorf("%d pages: %v allocations, want ≤ %v", k, allocs, want)
+		}
+	}
+	for _, size := range []int{1, 7, pageCells - 1} {
+		m := NewSim(size)
+		m.Write(size-1, 1)
+		if got := cap(m.pages[0]); got != size || len(m.spare) != 0 {
+			t.Errorf("a memory of %d registers made a slab of %d", size, got)
+		}
+	}
+
 	m := NewSim(4*pageCells + 3)
 	m.Write(pageCells+2, 9)
 	allocs := testing.AllocsPerRun(100, func() {

@@ -127,7 +127,8 @@ type Event struct {
 type World struct {
 	Procs      []Process // Procs[i] has ID i+1
 	Mem        *shmem.SimMem
-	MaxCrashes int // f; must be < len(Procs)
+	MaxCrashes int            // f; must be < len(Procs)
+	Watch      func(w *World) // if set, sees the world before every action Run takes
 
 	steps   uint64
 	crashes int
@@ -223,8 +224,9 @@ func StepOf(pid int) Decision { return Decision{Kind: DecideStep, PID: pid} }
 // CrashOf returns a crash decision for pid.
 func CrashOf(pid int) Decision { return Decision{Kind: DecideCrash, PID: pid} }
 
-// Adversary controls scheduling and failures. It is consulted before every
-// action with full visibility of the world ("omniscient on-line", §2.1).
+// Adversary controls scheduling and failures. It is consulted, with full
+// visibility of the world ("omniscient on-line", §2.1), before every action
+// it has a choice about: all but Run's forced tail.
 // Implementations must eventually schedule every live process (fairness);
 // the engine enforces only basic validity, not fairness.
 type Adversary interface {
@@ -254,14 +256,18 @@ var ErrStepLimit = errors.New("sim: step limit exceeded before termination")
 // Run drives the world until every process is Done or Crashed, or until
 // maxSteps actions have been executed. maxSteps ≤ 0 means no limit. It
 // keeps the live set as it goes: a process leaves it when its own step
-// ends it or a crash decision stops it, so a step costs O(1) in m.
+// ends it or a crash decision stops it, so a step costs O(1) in m. A last
+// process with no crash left to spend is stepped without the adversary.
 func Run(w *World, adv Adversary, maxSteps uint64) (*Result, error) {
 	w.Live()
 	w.kept = true
 	defer func() { w.kept = false }()
-	for len(w.live) > 0 {
+	for len(w.live) > 1 || len(w.live) == 1 && w.CanCrash() {
 		if maxSteps > 0 && w.steps >= maxSteps {
 			return summarize(w), ErrStepLimit
+		}
+		if w.Watch != nil {
+			w.Watch(w)
 		}
 		d := adv.Next(w)
 		p := w.proc(d.PID)
@@ -287,6 +293,20 @@ func Run(w *World, adv Adversary, maxSteps uint64) (*Result, error) {
 		default:
 			return summarize(w), fmt.Errorf("sim: invalid decision kind %d", d.Kind)
 		}
+	}
+	if len(w.live) == 1 {
+		p := w.proc(w.live[0])
+		for p.Status() == Running {
+			if maxSteps > 0 && w.steps >= maxSteps {
+				return summarize(w), ErrStepLimit
+			}
+			if w.Watch != nil {
+				w.Watch(w)
+			}
+			w.steps++
+			p.Step()
+		}
+		w.live = w.live[:0]
 	}
 	return summarize(w), nil
 }
@@ -418,22 +438,6 @@ func (a *Solo) Next(w *World) Decision {
 		return StepOf(a.PID)
 	}
 	return a.rest.Next(w)
-}
-
-// Observer wraps an adversary and invokes Fn with the world before every
-// decision. Used to assert execution invariants (the structural facts the
-// paper's proofs rely on) at every step of a run.
-type Observer struct {
-	Inner Adversary
-	Fn    func(w *World)
-}
-
-// Next implements Adversary.
-func (o *Observer) Next(w *World) Decision {
-	if o.Fn != nil {
-		o.Fn(w)
-	}
-	return o.Inner.Next(w)
 }
 
 // Scripted replays an explicit decision list, then delegates to Then.

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"atmostonce/internal/shmem"
@@ -136,11 +137,24 @@ func TestRunRoundRobinTerminates(t *testing.T) {
 	}
 }
 
+// TestRunStepLimit: the limit stops a run where the adversary decides and
+// inside the forced tail alike, and a run of exactly the limit completes.
+// Under Solo{1} a toy of 10 jobs ends at step 11 and the other's 11 steps
+// are the tail.
 func TestRunStepLimit(t *testing.T) {
 	w := newToyWorld(2, 1000, 0)
 	_, err := Run(w, &RoundRobin{}, 10)
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
+	}
+	for _, tc := range []struct {
+		limit uint64
+		err   error
+	}{{15, ErrStepLimit}, {22, nil}} {
+		res, err := Run(newToyWorld(2, 10, 0), &Solo{PID: 1}, tc.limit)
+		if !errors.Is(err, tc.err) || res.Steps != min(tc.limit, 22) {
+			t.Fatalf("limit %d: %d steps, err = %v; want %d, %v", tc.limit, res.Steps, err, min(tc.limit, 22), tc.err)
+		}
 	}
 }
 
@@ -184,6 +198,8 @@ func TestCrashListCrashesVictims(t *testing.T) {
 	}
 }
 
+// TestCrashBudgetEnforced: a crash past the budget becomes a step, and a
+// budget left when one process remains still lets the adversary crash it.
 func TestCrashBudgetEnforced(t *testing.T) {
 	w := newToyWorld(3, 2, 1)
 	adv := &CrashList{Victims: []int{1, 2, 3}, Then: &RoundRobin{}}
@@ -197,6 +213,22 @@ func TestCrashBudgetEnforced(t *testing.T) {
 	if w.Procs[0].Status() != Crashed || w.Procs[1].Status() != Done || w.Procs[2].Status() != Done {
 		t.Fatalf("statuses %s %s %s, want process 1 crashed and the others done",
 			w.Procs[0].Status(), w.Procs[1].Status(), w.Procs[2].Status())
+	}
+
+	w = newToyWorld(3, 2, 2)
+	last := adversaryFunc(func(w *World) Decision {
+		if live := w.Live(); len(live) > 1 {
+			return StepOf(live[0])
+		}
+		return CrashOf(3)
+	})
+	res, err = Run(w, last, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashes != 1 || res.Steps != 6 || w.Procs[2].Status() != Crashed {
+		t.Fatalf("%d crashes in %d steps, process 3 %s; want 1 in 6, crashed before its first step",
+			res.Crashes, res.Steps, w.Procs[2].Status())
 	}
 }
 
@@ -243,8 +275,11 @@ func TestScriptedReplaysThenDelegates(t *testing.T) {
 	}
 }
 
+// TestAdversaryChoosesStoppedProcess: three processes, so that the
+// adversary still has a choice once process 1 ends; two would leave
+// process 2 to the forced tail, where the adversary is not asked.
 func TestAdversaryChoosesStoppedProcess(t *testing.T) {
-	w := newToyWorld(2, 1, 0)
+	w := newToyWorld(3, 1, 0)
 	// Malformed adversary that always names process 1.
 	bad := adversaryFunc(func(*World) Decision { return StepOf(1) })
 	_, err := Run(w, bad, 0)
@@ -271,30 +306,29 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-func TestObserverRunsBeforeEveryDecision(t *testing.T) {
-	w := newToyWorld(2, 3, 0)
-	var calls []uint64
-	obs := &Observer{Inner: &RoundRobin{}, Fn: func(w *World) {
-		calls = append(calls, w.Steps())
-	}}
-	res, err := Run(w, obs, 0)
+// TestWatchSeesEveryAction: the world's Watch runs before every action,
+// a crash or a step, the forced tail's too, and the adversary is asked
+// exactly while it has a choice. Process 1 crashes at once, 2 and 3
+// alternate until 2 ends at step 7, and 3's last step is forced.
+func TestWatchSeesEveryAction(t *testing.T) {
+	w := newToyWorld(3, 3, 1)
+	var seen []uint64
+	w.Watch = func(w *World) { seen = append(seen, w.Steps()) }
+	asked, inner := 0, &CrashList{Victims: []int{1}, Then: &RoundRobin{}}
+	adv := adversaryFunc(func(w *World) Decision {
+		if len(w.Live()) == 1 && !w.CanCrash() {
+			t.Fatalf("asked at step %d with one process left and no crash", w.Steps())
+		}
+		asked++
+		return inner.Next(w)
+	})
+	res, err := Run(w, adv, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(calls)) != res.Steps {
-		t.Fatalf("observer called %d times for %d steps", len(calls), res.Steps)
-	}
-	for i, c := range calls {
-		if c != uint64(i) {
-			t.Fatalf("call %d saw step counter %d (must run before the step)", i, c)
-		}
-	}
-}
-
-func TestObserverNilFn(t *testing.T) {
-	w := newToyWorld(2, 2, 0)
-	if _, err := Run(w, &Observer{Inner: &RoundRobin{}}, 0); err != nil {
-		t.Fatal(err)
+	if want := []uint64{0, 0, 1, 2, 3, 4, 5, 6, 7}; res.Crashes != 1 || res.Steps != 8 || asked != 8 || !slices.Equal(seen, want) {
+		t.Fatalf("%d crashes, %d steps, asked %d times, Watch saw steps %v; want 1, 8, 8 and %v",
+			res.Crashes, res.Steps, asked, seen, want)
 	}
 }
 
