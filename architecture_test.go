@@ -46,6 +46,8 @@ func architecture(sections map[string]bool) []archRule {
 		{"One adversary", "1", "a round is scheduled free or by a sim.Adversary through sim.Run: no noise, crash vector or yield beside it (examples/recover keeps its own Gosched)", []archClause{
 			{re: `\bJitter\b|crashVector`, in: []string{"internal", "cmd", "examples", "atmostonce.go"}, files: goProd, plant: `cfg.Jitter = 3`},
 			{re: `runtime\.Gosched\(`, in: []string{"internal/conc"}, files: goProd, plant: `runtime.Gosched()`}}},
+		{"One crash drill", "12", "a program re-runs itself as a child, logs the jobs an incarnation performed and counts them through internal/lifeline alone: one start that reaps, one O_APPEND log, one strict reader", []archClause{
+			{re: `performed\.log|os\.O_APPEND|os\.Executable\(\)`, in: []string{"."}, files: goProd, outside: []string{"internal/lifeline"}, plant: `self, err := os.Executable()`}}},
 		{"One accept loop", "8", "both servers listen, accept and close through wire.Server and bring only what they do with a connection", []archClause{
 			{re: `\.Accept\(\)`, in: []string{"internal"}, files: goProd, outside: []string{"internal/wire"}, plant: `nc, err := ln.Accept()`}}},
 		{"One shared word per submission", "9", "a submission writes one dispatcher-wide word, the id cursor, which also carries Close and picks the shard", []archClause{

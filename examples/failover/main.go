@@ -12,9 +12,10 @@
 // stream and finishes it. Then A is SIGCONTed: it wakes up believing it
 // is still the writer, and every register operation it attempts is
 // rejected by the server as stale-epoch — the client panics (fencing
-// suicide) before any payload can run twice. Every job appends its id
-// to a shared log when it executes, so the verdict is counted from the
-// log itself: zero duplicates, zero losses.
+// suicide) before any payload can run twice. The children are
+// internal/lifeline's crash drill: every job appends its id to the
+// drill's performed-jobs log when it executes, so the verdict is counted
+// from the log itself: zero duplicates, zero losses.
 //
 // The forensic layer (DESIGN.md §11) is exercised end to end: both
 // children sample job timelines and snapshot their /tracez endpoint to
@@ -30,7 +31,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -41,9 +41,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -79,17 +79,15 @@ const (
 
 	notFencedExit = 3 // A: fencing never killed us (failure)
 
-	envRole = "AMO_FAILOVER_ROLE"
-	envDir  = "AMO_FAILOVER_DIR"
 	envSpec = "AMO_FAILOVER_SPEC"
 )
 
 func main() {
-	switch os.Getenv(envRole) {
+	switch role, dir := lifeline.Role(); role {
 	case "A":
-		childAMain() // never returns
+		childAMain(dir) // never returns
 	case "B":
-		childBMain() // never returns
+		childBMain(dir) // never returns
 	}
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "failover:", err)
@@ -131,75 +129,50 @@ func snapshotTracez(d *atmostonce.Dispatcher, dir, name string) error {
 	return os.WriteFile(filepath.Join(dir, name), body, 0o644)
 }
 
-// appendLog appends one performed-job record; O_APPEND keeps records
-// intact under concurrent workers.
-func appendLog(f *os.File, id int) {
-	if _, err := fmt.Fprintf(f, "%d\n", id); err != nil {
-		panic(err)
-	}
-}
-
-func openLog(dir string) *os.File {
-	f, err := os.OpenFile(filepath.Join(dir, "performed.log"), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		fatal("A", err)
-	}
-	return f
-}
-
-func fatal(role string, err error) {
-	fmt.Fprintf(os.Stderr, "failover (child %s): %v\n", role, err)
-	os.Exit(1)
-}
-
 // childAMain is the incumbent: submit the stream, perform killAfter
 // payloads, park every worker inside a payload, announce FROZEN, and
 // wait to be stopped. After the SIGCONT it detects the wall-clock gap,
 // releases the workers and lets the fencing kill it: its lease epoch is
 // stale by then, so its first register operation — the next job's
 // journal write or the background lease renewal, whichever lands first
-// — panics the process before any payload can run a second time. The trace snapshot is taken at the
-// freeze, i.e. the last instant this incarnation's view exists.
-func childAMain() {
-	lifeline.Hold()
-	dir, spec := os.Getenv(envDir), os.Getenv(envSpec)
-	logF := openLog(dir)
-	d, err := atmostonce.NewDispatcher(config(spec))
+// — panics the process before any payload can run a second time. The
+// trace snapshot is taken at the freeze, i.e. the last instant this
+// incarnation's view exists.
+func childAMain(dir string) {
+	log, err := lifeline.OpenLog(dir)
 	if err != nil {
-		fatal("A", err)
+		lifeline.Fatal(err)
 	}
-
+	d, err := atmostonce.NewDispatcher(config(os.Getenv(envSpec)))
+	if err != nil {
+		lifeline.Fatal(err)
+	}
+	// Each payload logs its job, the job's observable effect. From the
+	// killAfter-th on it parks its worker: its journal record was
+	// acknowledged by the server before it ran and its log record is
+	// written, so freezing there is an action-boundary stall.
 	var performed, frozen atomic.Int64
 	gate := make(chan struct{})
-	var gateOnce sync.Once
 	tasks := make([]atmostonce.Task, totalJobs)
 	for i := range tasks {
 		id := i + 1
 		tasks[i].Fn = func(context.Context) error {
-			appendLog(logF, id) // the job's observable effect
+			err := log.Append(id)
 			if performed.Add(1) >= killAfter {
-				// Park here: this payload's journal record was
-				// acknowledged by the server before it ran, and its log
-				// record is written, so freezing now is an
-				// action-boundary stall.
 				frozen.Add(1)
 				<-gate
 			}
-			return nil
+			return err
 		}
 	}
 	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
-		fatal("A", err)
+		lifeline.Fatal(err)
 	}
-	for deadline := time.Now().Add(20 * time.Second); frozen.Load() < workers; {
-		if time.Now().After(deadline) {
-			fatal("A", fmt.Errorf("workers never froze: %d/%d", frozen.Load(), workers))
-		}
+	for frozen.Load() < workers { // the parent's deadline bounds this
 		time.Sleep(time.Millisecond)
 	}
-	logF.Sync()
 	if err := snapshotTracez(d, dir, "trace-A.json"); err != nil {
-		fatal("A", fmt.Errorf("trace snapshot: %w", err))
+		lifeline.Fatal(fmt.Errorf("trace snapshot: %w", err))
 	}
 	fmt.Println("FROZEN") // the parent SIGSTOPs us on this line
 
@@ -214,7 +187,7 @@ func childAMain() {
 			break
 		}
 	}
-	gateOnce.Do(func() { close(gate) })
+	close(gate)
 
 	// The fence must kill this process (panic in a worker or the lease
 	// renewer, exit code 2). Surviving means fencing failed.
@@ -226,31 +199,32 @@ func childAMain() {
 // writer lease until A's expires), recover the journal over the
 // network, re-submit the identical stream and finish it, snapshotting
 // its trace view before shutting down.
-func childBMain() {
-	lifeline.Hold()
-	dir, spec := os.Getenv(envDir), os.Getenv(envSpec)
-	logF := openLog(dir)
-	d, err := atmostonce.NewDispatcher(config(spec)) // waits out A's lease here
+func childBMain(dir string) {
+	log, err := lifeline.OpenLog(dir)
 	if err != nil {
-		fatal("B", err)
+		lifeline.Fatal(err)
+	}
+	d, err := atmostonce.NewDispatcher(config(os.Getenv(envSpec))) // waits out A's lease here
+	if err != nil {
+		lifeline.Fatal(err)
 	}
 	tasks := make([]atmostonce.Task, totalJobs)
 	for i := range tasks {
 		id := i + 1
-		tasks[i].Fn = func(context.Context) error { appendLog(logF, id); return nil }
+		tasks[i].Fn = func(context.Context) error { return log.Append(id) }
 	}
 	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
-		fatal("B", err)
+		lifeline.Fatal(err)
 	}
 	d.Flush()
 	st := d.Stats()
 	if err := snapshotTracez(d, dir, "trace-B.json"); err != nil {
-		fatal("B", fmt.Errorf("trace snapshot: %w", err))
+		lifeline.Fatal(fmt.Errorf("trace snapshot: %w", err))
 	}
 	if err := d.Close(); err != nil {
-		fatal("B", err)
+		lifeline.Fatal(err)
 	}
-	logF.Close()
+	log.Close()
 	fmt.Printf("RECOVERED %d\n", st.Recovered)
 	os.Exit(0)
 }
@@ -270,18 +244,9 @@ func run() error {
 	defer srv.Close()
 	ns := fmt.Sprintf("failover-%d-%d", os.Getpid(), time.Now().UnixNano()&0xffffff)
 	spec := fmt.Sprintf("net:%s/%s?ttl=%s&acquiretimeout=30s", addr, ns, leaseTTL)
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	child := func(role string) (*exec.Cmd, error) {
-		cmd := exec.Command(self)
-		cmd.Env = append(os.Environ(), envRole+"="+role, envDir+"="+dir, envSpec+"="+spec)
-		return cmd, lifeline.Tie(cmd)
-	}
 
 	// Incarnation A: run until frozen mid-round, then stop it cold.
-	a, err := child("A")
+	a, err := lifeline.Command("A", dir, envSpec+"="+spec)
 	if err != nil {
 		return err
 	}
@@ -289,67 +254,44 @@ func run() error {
 	// ever if this process dies: the kernel sends an orphaned group that
 	// holds a stopped process SIGHUP and SIGCONT.
 	a.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-	aOut, err := a.StdoutPipe()
-	if err != nil {
-		return err
-	}
 	var aErr bytes.Buffer
 	a.Stderr = &aErr
-	if err := a.Start(); err != nil {
-		return err
-	}
-	frozen := make(chan bool, 1)
-	go func() {
-		sc := bufio.NewScanner(aOut)
-		for sc.Scan() {
-			if strings.TrimSpace(sc.Text()) == "FROZEN" {
-				frozen <- true
-				return
-			}
-		}
-		frozen <- false
-	}()
-	select {
-	case ok := <-frozen:
-		if !ok {
-			a.Wait()
-			return fmt.Errorf("A exited before freezing; stderr:\n%s", aErr.String())
-		}
-	case <-time.After(60 * time.Second):
-		a.Process.Kill()
-		return fmt.Errorf("A never froze")
+	if err := lifeline.Start(a, time.Minute, "FROZEN"); err != nil {
+		return fmt.Errorf("A: %w; stderr:\n%s", err, aErr.String())
 	}
 	if err := a.Process.Signal(syscall.SIGSTOP); err != nil {
 		return err
 	}
 	stopped := time.Now()
-	crashed, err := readLog(dir)
+	counts, err := lifeline.Counts(dir, 1, totalJobs+1)
 	if err != nil {
 		return err
 	}
+	_, _, crashed := lifeline.Verdict(counts)
 	fmt.Printf("A frozen mid-round after performing %d of %d jobs; SIGSTOPped, lease expiring\n",
-		len(crashed), totalJobs)
+		crashed, totalJobs)
 
 	// Incarnation B: waits out the lease, takes over, finishes.
-	b, err := child("B")
+	b, err := lifeline.Command("B", dir, envSpec+"="+spec)
 	if err != nil {
 		return err
 	}
-	bOut := &bytes.Buffer{}
-	b.Stdout = bOut
-	b.Stderr = os.Stderr
 	bStart := time.Now()
-	if err := b.Run(); err != nil {
+	var n string
+	if err := lifeline.Start(b, time.Minute, "RECOVERED", &n); err != nil {
+		return fmt.Errorf("B: %w", err)
+	}
+	if err := b.Wait(); err != nil {
 		return fmt.Errorf("B failed: %w", err)
 	}
-	recovered, err := parseRecovered(bOut.String())
+	recovered, err := strconv.Atoi(n)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("B took over after %s wait, recovered %d journaled jobs over the network, performed the remaining %d\n",
 		time.Since(bStart).Round(time.Millisecond), recovered, totalJobs-recovered)
-	if recovered != len(crashed) {
-		return fmt.Errorf("B recovered %d jobs, but A logged %d before the stop", recovered, len(crashed))
+	if recovered != crashed {
+		return fmt.Errorf("B recovered %d jobs, but A logged %d before the stop", recovered, crashed)
 	}
 
 	// Wake the zombie. Keep it stopped past its own stall threshold
@@ -390,20 +332,10 @@ func run() error {
 
 	// The verdict comes from the log: every id exactly once, across the
 	// freeze, the takeover and the zombie's death.
-	counts, err := readLog(dir)
-	if err != nil {
+	if counts, err = lifeline.Counts(dir, 1, totalJobs+1); err != nil {
 		return err
 	}
-	dup, lost := 0, 0
-	for id := 1; id <= totalJobs; id++ {
-		switch counts[id] {
-		case 1:
-		case 0:
-			lost++
-		default:
-			dup++
-		}
-	}
+	dup, lost, _ := lifeline.Verdict(counts)
 	fmt.Printf("after failover: %d duplicates, %d lost, %d/%d jobs done exactly once\n",
 		dup, lost, totalJobs-dup-lost, totalJobs)
 	if dup > 0 {
@@ -486,19 +418,8 @@ func stitchAndCheck(dir string) error {
 	// from the journal — its one timeline spans both incarnations.
 	for _, j := range jobs {
 		incs := j.Incarnations()
-		recovered, spansBoth := false, false
-		seenA, seenB := false, false
-		for _, inc := range incs {
-			seenA = seenA || inc == aDoc.Incarnation
-			seenB = seenB || inc == bDoc.Incarnation
-		}
-		spansBoth = seenA && seenB
-		for _, e := range j.Events {
-			if e.Event == "recovered" {
-				recovered = true
-			}
-		}
-		if !recovered || !spansBoth {
+		recovered := slices.ContainsFunc(j.Events, func(e obs.TracezEvent) bool { return e.Event == "recovered" })
+		if !recovered || !slices.Contains(incs, aDoc.Incarnation) || !slices.Contains(incs, bDoc.Incarnation) {
 			continue
 		}
 		fmt.Printf("stitched timeline for recovered job %d spans %d incarnations (incumbent %s -> successor %s):\n",
@@ -517,32 +438,4 @@ func readTracezFile(path string) (obs.TracezDoc, error) {
 		return obs.TracezDoc{}, err
 	}
 	return obs.ParseTracezDoc(b)
-}
-
-func parseRecovered(out string) (int, error) {
-	for _, line := range strings.Split(out, "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "RECOVERED "); ok {
-			return strconv.Atoi(rest)
-		}
-	}
-	return 0, fmt.Errorf("B reported no RECOVERED line; output:\n%s", out)
-}
-
-// readLog returns performed-counts per job id (index 0 unused).
-func readLog(dir string) (map[int]int, error) {
-	f, err := os.Open(filepath.Join(dir, "performed.log"))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	counts := make(map[int]int, totalJobs)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		id, err := strconv.Atoi(sc.Text())
-		if err != nil || id < 1 || id > totalJobs {
-			return nil, fmt.Errorf("corrupt log record %q", sc.Text())
-		}
-		counts[id]++
-	}
-	return counts, sc.Err()
 }

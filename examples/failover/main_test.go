@@ -4,17 +4,19 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"atmostonce/internal/lifeline"
 )
 
 // TestMain doubles as the child entry point: when the example
-// re-executes itself (os.Executable is the test binary here), the role
-// env var routes into the child mains instead of the test runner.
+// re-executes itself (the test binary, here), the child's lifeline role
+// routes into the child mains instead of the test runner.
 func TestMain(m *testing.M) {
-	switch os.Getenv(envRole) {
+	switch role, dir := lifeline.Role(); role {
 	case "A":
-		childAMain() // never returns
+		childAMain(dir) // never returns
 	case "B":
-		childBMain() // never returns
+		childBMain(dir) // never returns
 	}
 	os.Exit(m.Run())
 }

@@ -13,8 +13,9 @@
 // it keeps serving: the parent submits a fresh batch to prove the
 // service is live, and shuts it down cleanly.
 //
-// Every task execution appends its payload index to a shared O_APPEND
-// log — the oracle. The verdict, counted from the log:
+// The server is internal/lifeline's crash drill: every task execution
+// appends its payload index to the drill's performed-jobs log — the
+// oracle. The verdict, counted from the log:
 //
 //   - zero duplicates: no index ever executes twice, across the kill,
 //     the replay and the re-execution;
@@ -43,7 +44,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -53,8 +53,8 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -75,14 +75,11 @@ const (
 	betaLimit = 2   // beta's MaxPending: tight, to trip quota
 	betaPumps = 4   // pipelined goroutines hammering beta
 	newWave   = 40  // fresh submissions against incarnation 2
-
-	envRole = "AMO_JOBSERVICE_ROLE"
-	envDir  = "AMO_JOBSERVICE_DIR"
 )
 
 func main() {
-	if os.Getenv(envRole) == "server" {
-		serverMain() // never returns
+	if role, dir := lifeline.Role(); role == "server" {
+		serverMain(dir) // never returns
 	}
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "jobservice:", err)
@@ -90,35 +87,24 @@ func main() {
 	}
 }
 
-func die(err error) {
-	fmt.Fprintln(os.Stderr, "jobservice (server):", err)
-	os.Exit(1)
-}
-
 // serverMain is the child: a real jobd server process over the shared
 // durable directory. Its one task type appends the payload index to the
 // oracle log, then dwells long enough for a backlog to build. It prints
 // READY with both addresses and serves until SIGTERM (incarnation 2) or
 // SIGKILL (incarnation 1 — it never sees that one coming).
-func serverMain() {
-	lifeline.Hold()
-	dir := os.Getenv(envDir)
-	oracle, err := os.OpenFile(filepath.Join(dir, "performed.log"),
-		os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+func serverMain(dir string) {
+	oracle, err := lifeline.OpenLog(dir)
 	if err != nil {
-		die(err)
+		lifeline.Fatal(err)
 	}
-	var logMu sync.Mutex
 	reg := jobd.NewRegistry()
 	reg.Register("mark", 1, func(_ context.Context, payload []byte) error {
-		logMu.Lock()
-		_, werr := fmt.Fprintf(oracle, "%s\n", payload)
-		logMu.Unlock()
-		if werr != nil {
-			return werr
+		idx, err := strconv.Atoi(string(payload))
+		if err == nil {
+			err = oracle.Append(idx)
 		}
 		time.Sleep(taskSleep)
-		return nil
+		return err
 	})
 	srv, err := jobd.New(jobd.Options{
 		Registry: reg,
@@ -136,66 +122,31 @@ func serverMain() {
 		TraceSampleRate: 1.0, // trace everything: the parent stitches across the kill
 	})
 	if err != nil {
-		die(err)
+		lifeline.Fatal(err)
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		die(err)
+		lifeline.Fatal(err)
 	}
 	fmt.Printf("READY %s %s\n", addr, srv.OpsAddr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM)
 	<-sig
 	if err := srv.Close(); err != nil {
-		die(err)
+		lifeline.Fatal(err)
 	}
 	oracle.Close()
 	os.Exit(0)
 }
 
 // child starts a server incarnation and returns it with its two
-// addresses parsed from the READY line.
-func child(self, dir string) (*exec.Cmd, string, string, error) {
-	cmd := exec.Command(self)
-	cmd.Env = append(os.Environ(), envRole+"=server", envDir+"="+dir)
-	cmd.Stderr = os.Stderr
-	if err := lifeline.Tie(cmd); err != nil {
+// addresses, read off its READY line.
+func child(dir string) (cmd *exec.Cmd, addr, ops string, err error) {
+	if cmd, err = lifeline.Command("server", dir); err != nil {
 		return nil, "", "", err
 	}
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, "", "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, "", "", err
-	}
-	type ready struct{ addr, ops string }
-	ch := make(chan ready, 1)
-	go func() {
-		sc := bufio.NewScanner(out)
-		for sc.Scan() {
-			f := strings.Fields(sc.Text())
-			if len(f) == 3 && f[0] == "READY" {
-				ch <- ready{f[1], f[2]}
-				break
-			}
-		}
-		close(ch)
-		io.Copy(io.Discard, out)
-	}()
-	select {
-	case r, ok := <-ch:
-		if !ok {
-			cmd.Process.Kill()
-			cmd.Wait()
-			return nil, "", "", errors.New("server exited before READY")
-		}
-		return cmd, r.addr, r.ops, nil
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		cmd.Wait()
-		return nil, "", "", errors.New("server never printed READY")
-	}
+	err = lifeline.Start(cmd, 30*time.Second, "READY", &addr, &ops)
+	return cmd, addr, ops, err
 }
 
 // scrapeTracez fetches a /tracez document: url is the ops address plus
@@ -207,6 +158,19 @@ func scrapeTracez(url string) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
+}
+
+// drain polls c's stats until nothing is pending, for up to 60 s.
+func drain(c *jobd.Client, what string) (jobd.ServerStats, error) {
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st, err := c.Stats()
+		if err != nil || st.Jobs.Pending == 0 {
+			return st, err
+		}
+		if time.Now().After(deadline) {
+			return st, fmt.Errorf("%s never drained: %+v", what, st.Jobs)
+		}
+	}
 }
 
 // outcome tracks what the parent knows about each payload index.
@@ -241,13 +205,9 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
 
 	// ---- Incarnation 1: pump both tenants, build a backlog, kill -9. ----
-	srv1, addr1, ops1, err := child(self, dir)
+	srv1, addr1, ops1, err := child(dir)
 	if err != nil {
 		return err
 	}
@@ -294,7 +254,7 @@ func run() error {
 			o.record(idx, inc, id, err)
 			if err == nil {
 				ackedCount.Add(1)
-			} else if !isQuota(err) {
+			} else if !jobd.IsQuota(err) {
 				return // connection lost: the kill landed
 			}
 		}
@@ -348,15 +308,19 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("incarnation 1 trace: %w", err)
 	}
-	atKill := readOracle(dir)
+	atKill, err := lifeline.Counts(dir, 0, int(nextIdx.Load()))
+	if err != nil {
+		return err
+	}
+	_, _, performed := lifeline.Verdict(atKill)
 	fmt.Printf("incarnation 1 killed (SIGKILL) with %d acked, %d quota-rejected, %d in flight; oracle shows %d performed\n",
-		len(o.acked1), o.quota, len(o.unknown), len(atKill))
+		len(o.acked1), o.quota, len(o.unknown), performed)
 	if o.quota == 0 {
 		return errors.New("no quota rejections — beta's pumps never tripped the limit; the demo proves less than it claims")
 	}
 
 	// ---- Incarnation 2: replay, re-execute, keep serving. ----
-	srv2, addr2, ops2, err := child(self, dir)
+	srv2, addr2, ops2, err := child(dir)
 	if err != nil {
 		return err
 	}
@@ -364,20 +328,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var st jobd.ServerStats
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st, err = c2.Stats()
-		if err != nil {
-			return err
-		}
-		if st.Jobs.Pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replay never drained: %+v", st.Jobs)
-		}
-		time.Sleep(10 * time.Millisecond)
+	st, err := drain(c2, "replay")
+	if err != nil {
+		return err
 	}
 	fmt.Printf("incarnation 2 (%s) replayed %d descriptors: %d deduped against the journals, %d re-executed\n",
 		st.Incarnation, st.Replayed, st.Jobs.Recovered, st.Reexecuted)
@@ -410,35 +363,27 @@ func run() error {
 				o.record(idx, 2, 0, nil)
 				break
 			}
-			if isQuota(err) { // beta backlog: retry, don't skip the index
+			if jobd.IsQuota(err) { // beta backlog: retry, don't skip the index
 				time.Sleep(taskSleep)
 				continue
 			}
 			return fmt.Errorf("second-wave submit: %w", err)
 		}
 	}
-	deadline = time.Now().Add(60 * time.Second)
-	for {
-		st, err = c2.Stats()
-		if err != nil {
-			return err
-		}
-		if st.Jobs.Pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("second wave never drained: %+v", st.Jobs)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, err := drain(c2, "second wave"); err != nil {
+		return err
 	}
 
 	// The exhibit, chosen now that every admitted job has run: acked by
 	// incarnation 1, not in the oracle at the kill, in it exactly once
 	// since — so the successor ran it. The lowest such id.
 	var exhibit uint64
-	drained := readOracle(dir)
+	counts, err := lifeline.Counts(dir, 0, int(nextIdx.Load()))
+	if err != nil {
+		return err
+	}
 	for idx, id := range o.acked1 {
-		if atKill[idx] == 0 && drained[idx] == 1 && (exhibit == 0 || id < exhibit) {
+		if atKill[idx] == 0 && counts[idx] == 1 && (exhibit == 0 || id < exhibit) {
 			exhibit = id
 		}
 	}
@@ -469,14 +414,11 @@ func run() error {
 	}
 
 	// ---- The verdict, from the oracle. ----
-	counts := readOracle(dir)
-	var dup, lost1, lostWindow int
-	for idx, n := range counts {
-		if n > 1 {
-			dup++
-			fmt.Printf("DUPLICATE: index %d executed %d times\n", idx, n)
-		}
+	if counts, err = lifeline.Counts(dir, 0, int(nextIdx.Load())); err != nil {
+		return err
 	}
+	dup, _, _ := lifeline.Verdict(counts)
+	lost1, lostWindow := 0, shards*maxBatch
 	for idx := range o.rejected {
 		if counts[idx] != 0 {
 			return fmt.Errorf("quota-rejected index %d executed %d times", idx, counts[idx])
@@ -492,7 +434,6 @@ func run() error {
 			return fmt.Errorf("index %d acked by incarnation 2 executed %d times, want 1", idx, counts[idx])
 		}
 	}
-	lostWindow = shards * maxBatch
 	if dup > 0 {
 		return fmt.Errorf("at-most-once violated: %d duplicates", dup)
 	}
@@ -520,11 +461,7 @@ func run() error {
 	if len(exhibitDoc.Jobs) != 1 || exhibitDoc.Jobs[0].ID != exhibit {
 		return fmt.Errorf("successor's /tracez?id=%d returned %d timelines", exhibit, len(exhibitDoc.Jobs))
 	}
-	started2 := false
-	for _, e := range exhibitDoc.Jobs[0].Events {
-		started2 = started2 || e.Event == "started"
-	}
-	if !started2 {
+	if !slices.ContainsFunc(exhibitDoc.Jobs[0].Events, func(e obs.TracezEvent) bool { return e.Event == "started" }) {
 		return fmt.Errorf("job %d ran under the successor per the oracle, but its successor timeline shows no start: %+v", exhibit, exhibitDoc.Jobs[0].Events)
 	}
 	// Both halves when the dead incarnation's last snapshot reached the
@@ -533,10 +470,8 @@ func run() error {
 	timeline := exhibitDoc.Jobs[0]
 	witness := "acked to the client by the killed incarnation (its last /tracez snapshot predates the job)"
 	for _, j := range jobs {
-		for _, e := range j.Events {
-			if j.ID == exhibit && e.Inc == doc1.Incarnation {
-				timeline, witness = j, "admitted by the killed incarnation"
-			}
+		if j.ID == exhibit && slices.Contains(j.Incarnations(), doc1.Incarnation) {
+			timeline, witness = j, "admitted by the killed incarnation"
 		}
 	}
 	if err := obs.CheckStitched(timeline); err != nil {
@@ -551,23 +486,4 @@ func run() error {
 	}
 	fmt.Println("jobservice: OK")
 	return nil
-}
-
-func isQuota(err error) bool { return jobd.IsQuota(err) }
-
-// readOracle returns executions per payload index.
-func readOracle(dir string) map[int]int {
-	f, err := os.Open(filepath.Join(dir, "performed.log"))
-	if err != nil {
-		return map[int]int{}
-	}
-	defer f.Close()
-	counts := make(map[int]int)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if idx, err := strconv.Atoi(strings.TrimSpace(sc.Text())); err == nil {
-			counts[idx]++
-		}
-	}
-	return counts
 }

@@ -4,14 +4,16 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"atmostonce/internal/lifeline"
 )
 
 // TestMain doubles as the server's entry point: when the example
-// re-executes itself (os.Executable is the test binary here), the role
-// env var routes into serverMain instead of the test runner.
+// re-executes itself (the test binary, here), the child's lifeline role
+// routes into serverMain instead of the test runner.
 func TestMain(m *testing.M) {
-	if os.Getenv(envRole) == "server" {
-		serverMain() // never returns
+	if role, dir := lifeline.Role(); role == "server" {
+		serverMain(dir) // never returns
 	}
 	os.Exit(m.Run())
 }

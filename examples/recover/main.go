@@ -2,14 +2,14 @@
 //
 // A dispatcher over the durable mmap backend journals every performed
 // job in its register file before running the payload. This example
-// proves the property the hard way: it re-executes itself as a child
-// process, the child freezes with a round of the job stream genuinely
-// in flight and is killed (os.Exit — no cleanup, no Close, exactly a
-// crash), and the parent then reopens the same register files,
-// re-submits the identical stream and lets recovery sort out what
-// already ran. Every job appends its id to a shared log file when it
-// executes, so duplicates and losses are counted from the log itself:
-// both must be zero.
+// proves the property the hard way, through internal/lifeline's crash
+// drill: it re-executes itself as a child process, the child freezes
+// with a round of the job stream genuinely in flight and is killed
+// (SIGKILL — no cleanup, no Close, exactly a crash), and the parent then
+// reopens the same register files, re-submits the identical stream and
+// lets recovery sort out what already ran. Every job appends its id to
+// the drill's performed-jobs log when it executes, so duplicates and
+// losses are counted from the log itself: both must be zero.
 //
 // The example runs the kill twice, once per journaling mode:
 //
@@ -31,12 +31,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -52,16 +49,13 @@ const (
 	workers    = 4
 	groupBatch = 16 // JournalBatch of the group-commit scenario
 	killAfter  = 40 // payloads to run before the child freezes and dies
-	crashExit  = 42 // child's exit code for "crashed as planned"
 
-	envChild = "AMO_RECOVER_CHILD"
-	envDir   = "AMO_RECOVER_DIR"
-	envJB    = "AMO_RECOVER_JOURNAL_BATCH"
+	envJB = "AMO_RECOVER_JOURNAL_BATCH"
 )
 
 func main() {
-	if os.Getenv(envChild) != "" {
-		childMain() // never returns
+	if role, dir := lifeline.Role(); role == "child" {
+		childMain(dir) // never returns
 	}
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "recover:", err)
@@ -80,72 +74,53 @@ func config(dir string, journalBatch int) atmostonce.DispatcherConfig {
 	}
 }
 
-// appendLog appends one performed-job record; O_APPEND keeps records
-// intact even while m workers log concurrently.
-func appendLog(f *os.File, id int) {
-	if _, err := fmt.Fprintf(f, "%d\n", id); err != nil {
-		panic(err)
-	}
-}
-
 // childMain is the doomed incarnation: submit the whole stream, let the
 // dispatcher perform killAfter jobs, freeze every worker inside a
-// payload, then die without any cleanup.
-func childMain() {
-	lifeline.Hold()
-	dir := os.Getenv(envDir)
+// payload, say FROZEN and wait for the parent's SIGKILL.
+func childMain(dir string) {
 	jb, err := strconv.Atoi(os.Getenv(envJB))
 	if err != nil {
-		fatal(fmt.Errorf("bad %s: %w", envJB, err))
+		lifeline.Fatal(fmt.Errorf("bad %s: %w", envJB, err))
 	}
-	logF, err := os.OpenFile(filepath.Join(dir, "performed.log"), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	log, err := lifeline.OpenLog(dir)
 	if err != nil {
-		fatal(err)
+		lifeline.Fatal(err)
 	}
 	d, err := atmostonce.NewDispatcher(config(dir, jb))
 	if err != nil {
-		fatal(err)
+		lifeline.Fatal(err)
 	}
-
+	// Each payload logs its job, the job's observable effect. From the
+	// killAfter-th on it parks its worker with its journal record and its
+	// log record both written, so the kill is an action-boundary crash.
 	var performed, frozen atomic.Int64
-	freeze := make(chan struct{}) // never closed; the kill releases it
 	tasks := make([]atmostonce.Task, totalJobs)
 	for i := range tasks {
 		id := i + 1
 		tasks[i].Fn = func(context.Context) error {
-			appendLog(logF, id) // the job's observable effect
+			err := log.Append(id)
 			if performed.Add(1) >= killAfter {
-				// Park this worker inside the payload: its journal record
-				// and its log record are both already written, so dying
-				// here is an action-boundary crash.
 				frozen.Add(1)
-				<-freeze
+				select {}
 			}
-			return nil
+			return err
 		}
 	}
 	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
-		fatal(err)
+		lifeline.Fatal(err)
 	}
-	// Wait until every worker is frozen mid-round, flush the mapping for
-	// good measure (same-machine recovery reads the page cache either
-	// way), and die.
-	for deadline := time.Now().Add(20 * time.Second); frozen.Load() < workers; {
-		if time.Now().After(deadline) {
-			fatal(fmt.Errorf("workers never froze: %d/%d", frozen.Load(), workers))
-		}
+	// Wait until every worker is frozen mid-round (the parent's deadline
+	// bounds this), flush the mapping for good measure (same-machine
+	// recovery reads the page cache either way), and wait to die.
+	for frozen.Load() < workers {
 		runtime.Gosched()
 	}
 	if err := d.Sync(); err != nil {
-		fatal(err)
+		lifeline.Fatal(err)
 	}
-	logF.Sync()
-	os.Exit(crashExit) // no Close, no drain: this is the crash
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "recover (child):", err)
-	os.Exit(1)
+	fmt.Println("FROZEN")
+	time.Sleep(time.Minute)
+	lifeline.Fatal(fmt.Errorf("never killed"))
 }
 
 func run() error {
@@ -171,42 +146,32 @@ func runScenario(jb int) error {
 	}
 	defer os.RemoveAll(dir)
 
-	// Incarnation 1: run ourselves as the child and let it crash.
-	self, err := os.Executable()
+	// Incarnation 1: run ourselves as the child and kill it once frozen.
+	cmd, err := lifeline.Command("child", dir, envJB+"="+strconv.Itoa(jb))
 	if err != nil {
 		return err
 	}
-	cmd := exec.Command(self)
-	cmd.Env = append(os.Environ(), envChild+"=1", envDir+"="+dir, envJB+"="+strconv.Itoa(jb))
-	cmd.Stderr = os.Stderr
-	if err := lifeline.Tie(cmd); err != nil {
-		return err
+	if err := lifeline.Start(cmd, time.Minute, "FROZEN"); err != nil {
+		return fmt.Errorf("child: %w", err)
 	}
-	err = cmd.Run()
-	var ee *exec.ExitError
-	switch {
-	case err == nil:
-		return fmt.Errorf("child exited cleanly; it was supposed to crash")
-	case errors.As(err, &ee) && ee.ExitCode() == crashExit:
-		// Crashed as planned, mid-round.
-	default:
-		return fmt.Errorf("child failed: %w", err)
-	}
-	crashed, err := readLog(dir)
+	cmd.Process.Kill() // mid-round: this is the crash
+	cmd.Wait()
+	counts, err := lifeline.Counts(dir, 1, totalJobs+1)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("child killed mid-round after performing %d of %d jobs\n", len(crashed), totalJobs)
+	_, _, crashed := lifeline.Verdict(counts)
+	fmt.Printf("child killed mid-round after performing %d of %d jobs\n", crashed, totalJobs)
 
 	// Incarnation 2: reopen the same register files and re-submit the
 	// identical stream. Recovery resolves everything the child already
 	// performed; the rest — including the round the kill cut off — runs
 	// exactly once.
-	logF, err := os.OpenFile(filepath.Join(dir, "performed.log"), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	log, err := lifeline.OpenLog(dir)
 	if err != nil {
 		return err
 	}
-	defer logF.Close()
+	defer log.Close()
 	d, err := atmostonce.NewDispatcher(config(dir, jb))
 	if err != nil {
 		return err
@@ -215,7 +180,7 @@ func runScenario(jb int) error {
 	tasks := make([]atmostonce.Task, totalJobs)
 	for i := range tasks {
 		id := i + 1
-		tasks[i].Fn = func(context.Context) error { appendLog(logF, id); return nil }
+		tasks[i].Fn = func(context.Context) error { return log.Append(id) }
 	}
 	if _, err := d.DoBatch(context.Background(), tasks); err != nil {
 		return err
@@ -228,20 +193,10 @@ func runScenario(jb int) error {
 
 	// The verdict comes from the log: every id exactly once, across both
 	// incarnations.
-	counts, err := readLog(dir)
-	if err != nil {
+	if counts, err = lifeline.Counts(dir, 1, totalJobs+1); err != nil {
 		return err
 	}
-	dup, lost := 0, 0
-	for id := 1; id <= totalJobs; id++ {
-		switch counts[id] {
-		case 1:
-		case 0:
-			lost++
-		default:
-			dup++
-		}
-	}
+	dup, lost, _ := lifeline.Verdict(counts)
 	fmt.Printf("restart recovered %d journaled jobs, performed the remaining %d\n",
 		st.Recovered, st.Performed-st.Recovered)
 	fmt.Printf("after recovery: %d duplicates, %d lost, %d/%d jobs done exactly once\n",
@@ -250,9 +205,9 @@ func runScenario(jb int) error {
 	// The journal is the recovery oracle: every record it held must match
 	// a child log line (payload ran) or a counted loss (claim journaled,
 	// payload never ran — possible only in the group-commit window).
-	if st.Recovered != uint64(len(crashed)+lost) {
+	if st.Recovered != uint64(crashed+lost) {
 		return fmt.Errorf("recovered %d journaled jobs, but the child logged %d and %d were lost",
-			st.Recovered, len(crashed), lost)
+			st.Recovered, crashed, lost)
 	}
 	if dup > 0 {
 		return fmt.Errorf("at-most-once violated across the crash: %d duplicates", dup)
@@ -262,23 +217,4 @@ func runScenario(jb int) error {
 			lost, maxLost, workers)
 	}
 	return nil
-}
-
-// readLog returns performed-counts per job id (index 0 unused).
-func readLog(dir string) (map[int]int, error) {
-	f, err := os.Open(filepath.Join(dir, "performed.log"))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	counts := make(map[int]int, totalJobs)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		id, err := strconv.Atoi(sc.Text())
-		if err != nil || id < 1 || id > totalJobs {
-			return nil, fmt.Errorf("corrupt log record %q", sc.Text())
-		}
-		counts[id]++
-	}
-	return counts, sc.Err()
 }

@@ -4,14 +4,16 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"atmostonce/internal/lifeline"
 )
 
 // TestMain doubles as the child entry point: when the example re-executes
-// itself (os.Executable is the test binary here), the child env flag
-// routes into childMain instead of the test runner.
+// itself (the test binary, here), the child's lifeline role routes into
+// childMain instead of the test runner.
 func TestMain(m *testing.M) {
-	if os.Getenv(envChild) != "" {
-		childMain() // never returns
+	if role, dir := lifeline.Role(); role == "child" {
+		childMain(dir) // never returns
 	}
 	os.Exit(m.Run())
 }
